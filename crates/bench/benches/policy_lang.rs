@@ -1,7 +1,7 @@
 //! Policy-language micro-benchmarks: how much does the programmable layer
 //! cost per balancer tick? (The paper's answer for LuaJIT was "near
 //! native"; here we quantify our tree-walking interpreter against the
-//! slot-compiled evaluator and the scalar fast path.)
+//! compiled bytecode engine and the scalar fast path.)
 
 use std::sync::Arc;
 
@@ -10,7 +10,7 @@ use mantle_core::policies;
 use mantle_mds::balancer::{BalanceContext, Balancer, CephfsBalancer, MantleBalancer};
 use mantle_mds::metrics::Heartbeat;
 use mantle_policy::env::{BalancerInputs, FragMetrics, MantleRuntime, MdsMetrics};
-use mantle_policy::{compile, Interpreter};
+use mantle_policy::{compile, HookEngine, Interpreter};
 use mantle_sim::SimTime;
 
 const ADAPTABLE_SRC: &str = include_str!("../../core/policies/adaptable.lua");
@@ -107,7 +107,8 @@ fn main() {
     r.bench("metaload hook (fast path)", || {
         rt.eval_metaload(0, &frag).unwrap()
     });
-    let slow = MantleRuntime::new(policies::cephfs_original().unwrap()).with_force_slow_path(true);
+    let slow =
+        MantleRuntime::new(policies::cephfs_original().unwrap()).with_engine(HookEngine::Tree);
     r.bench("metaload hook (tree-walking)", || {
         slow.eval_metaload(0, &frag).unwrap()
     });

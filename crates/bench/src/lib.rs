@@ -1,15 +1,16 @@
 //! Benchmark crate for the Mantle reproduction.
 //!
-//! The interesting code lives in `benches/` and `src/bin/bench_ticks.rs`:
+//! The interesting code lives in `benches/`:
 //!
 //! * `figures` — one benchmark per paper table/figure (the data itself
 //!   comes from `cargo run -p mantle-core --bin repro`);
 //! * `policy_lang` — cost of the programmable layer per balancer tick;
 //! * `ablations` — design-choice sweeps (decay half-life, migration
 //!   freeze cost, dirfrag split threshold, heartbeat cadence, selector
-//!   accuracy), printing the domain metric per variant;
-//! * `bench_ticks` — the heartbeat-tick cost tracker writing
-//!   `BENCH_ticks.json` at the repo root.
+//!   accuracy), printing the domain metric per variant.
+//!
+//! End-to-end and per-layer timings with a history live in the
+//! repository's `benchmark/` program, not here.
 //!
 //! All of them run on [`harness`], a ~100-line `std::time::Instant`
 //! measurement loop, because the build environment is offline and cannot

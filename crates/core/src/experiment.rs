@@ -170,9 +170,9 @@ pub enum BalancerSpec {
         name: String,
         /// The compiled policy.
         policy: PolicySet,
-        /// Which hook engine evaluates the policy. All engines are
-        /// pinned bit-identical by the differential suites; non-default
-        /// choices exist for oracle runs and benchmarks only.
+        /// Which hook engine evaluates the policy. The two engines are
+        /// pinned bit-identical by the differential suites; the tree
+        /// walker exists for reference runs and benchmarks only.
         engine: HookEngine,
     },
 }
@@ -181,13 +181,6 @@ impl BalancerSpec {
     /// Convenience constructor for Mantle policies (default engine).
     pub fn mantle(name: impl Into<String>, policy: PolicySet) -> Self {
         Self::mantle_with_engine(name, policy, HookEngine::default())
-    }
-
-    /// Like [`BalancerSpec::mantle`], but hooks run on the tree-walking
-    /// interpreter (the pre-compilation engine). Exists so tests can
-    /// pin every engine to byte-identical [`RunReport`]s.
-    pub fn mantle_slow_path(name: impl Into<String>, policy: PolicySet) -> Self {
-        Self::mantle_with_engine(name, policy, HookEngine::Tree)
     }
 
     /// [`BalancerSpec::mantle`] with an explicit hook engine.

@@ -10,7 +10,7 @@
 //! [`flashcrowd_table`] runs the storm cache-off and cache-on under each
 //! built-in balancer and prints ops/s, hit rate, migrations, and the
 //! speedup — the table EXPERIMENTS.md quotes. The cache-on/off ops/s
-//! ratio on the `none` row is the ≥2× bound `bench_ticks` gates.
+//! ratio on the `none` row is the ≥2× bound `flashcrowd --smoke` gates.
 
 use crate::experiment::{run_experiment, BalancerSpec, Experiment, WorkloadSpec};
 use crate::policies;

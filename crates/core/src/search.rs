@@ -24,7 +24,7 @@
 //! slow-mds, stale-heartbeats, poisoned-balancer — under
 //! [`ExecMode::Sharded`], and is ranked by mean throughput with the
 //! paper's secondary costs (migrations, timeouts, fallbacks) alongside.
-//! The hook engine is the default bytecode VM; since all engines are
+//! The hook engine is the default bytecode VM; since both engines are
 //! pinned bit-identical by the differential suites, the ranking is
 //! engine-independent.
 

@@ -8,7 +8,7 @@ use std::thread::JoinHandle;
 use mantle_core::policies;
 use mantle_core::service::LIVE_POLL;
 use mantle_mds::service::LiveService;
-use mantle_mds::{Cluster, ClusterConfig, HookEngine, MantleBalancer, RunReport, ServiceHandle};
+use mantle_mds::{Cluster, ClusterConfig, MantleBalancer, RunReport, ServiceHandle};
 use mantle_policy::env::PolicySet;
 use mantle_policy::install::{prepare, DecisionSource, PolicyCell, PolicySource};
 use mantle_sim::SimTime;
@@ -87,8 +87,7 @@ impl Engine {
                 let cluster = Cluster::new(ccfg, workload, |_| {
                     Box::new(
                         MantleBalancer::new_unvalidated(name.clone(), set.clone())
-                            .expect("preset policy was validated")
-                            .with_engine(HookEngine::default()),
+                            .expect("preset policy was validated"),
                     )
                 });
                 let (report, _timeline) = cluster.serve(svc, trace);
@@ -115,9 +114,7 @@ impl Engine {
     ) -> Result<(u64, Receiver<Result<SimTime, String>>), String> {
         let set = prepare(src).map_err(|e| e.to_string())?;
         let epoch = self.cell.install(&src.name, set.clone());
-        let ack = self
-            .handle
-            .install_policy(&src.name, epoch, set, HookEngine::default());
+        let ack = self.handle.install_policy(&src.name, epoch, set);
         Ok((epoch, ack))
     }
 

@@ -283,17 +283,9 @@ impl MantleBalancer {
         })
     }
 
-    /// Evaluate hooks on the legacy tree-walking interpreter instead of
-    /// the default bytecode engine. Differential testing only — the
-    /// engines are pinned byte-identical.
-    pub fn with_force_slow_path(mut self, force: bool) -> Self {
-        self.runtime = self.runtime.with_force_slow_path(force);
-        self
-    }
-
     /// Select the policy evaluation engine explicitly (bytecode by
-    /// default; tree walker and slot evaluator are kept as differential
-    /// oracles, like `SchedulerKind::Heap` against the timing wheel).
+    /// default; the tree walker is kept as the reference the differential
+    /// tests compare against — the engines are pinned byte-identical).
     pub fn with_engine(mut self, engine: HookEngine) -> Self {
         self.runtime = self.runtime.with_engine(engine);
         self

@@ -167,7 +167,8 @@ impl ClientCache {
     /// Forget every cached dir for which `stale` returns true — the
     /// original full predicate scan, kept as the differential oracle
     /// for [`ClientCache::invalidate_region`].
-    pub fn invalidate_matching(&mut self, mut stale: impl FnMut(NodeId) -> bool) {
+    #[cfg(test)]
+    fn invalidate_matching(&mut self, mut stale: impl FnMut(NodeId) -> bool) {
         let by_tin = &mut self.by_tin;
         self.entries.retain(|&d, slot| {
             if stale(d) {

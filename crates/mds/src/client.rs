@@ -152,13 +152,6 @@ impl ClientState {
         self.cache.invalidate_region(ns, region)
     }
 
-    /// Forget every cached dir for which `stale` returns true — the
-    /// predicate-scan oracle for [`ClientState::invalidate_region`];
-    /// production paths use the range scan.
-    pub fn invalidate_matching(&mut self, stale: impl FnMut(NodeId) -> bool) {
-        self.cache.invalidate_matching(stale);
-    }
-
     /// Record a completed op.
     pub fn record_completion(&mut self, now: SimTime, latency_ms: f64) {
         self.completed += 1;

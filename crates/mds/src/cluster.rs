@@ -86,9 +86,8 @@ enum AdminOp {
         name: String,
         epoch: u64,
         set: mantle_policy::env::PolicySet,
-        engine: mantle_policy::HookEngine,
-        /// Acked with the simulated install instant (live installs).
-        ack: Option<std::sync::mpsc::Sender<Result<SimTime, String>>>,
+        /// Acked with the simulated install instant.
+        ack: std::sync::mpsc::Sender<Result<SimTime, String>>,
     },
 }
 
@@ -457,32 +456,6 @@ impl Cluster {
         self.co.globals.schedule_at(at, GlobalEvent::Admin(idx));
     }
 
-    /// Schedule a hot policy install at a point in virtual time: every
-    /// MDS's balancer is swapped for a fresh [`MantleBalancer`] built
-    /// from `set` in the coordinator's exclusive step, exactly as the
-    /// live daemon's admin socket does it. The caller is responsible for
-    /// having validated `set` (see [`mantle_policy::install::prepare`]);
-    /// a policy that fails to compile leaves the old balancers in place
-    /// and counts a policy error.
-    pub fn schedule_policy_install(
-        &mut self,
-        at: SimTime,
-        name: impl Into<String>,
-        epoch: u64,
-        set: mantle_policy::env::PolicySet,
-        engine: mantle_policy::HookEngine,
-    ) {
-        let idx = self.co.admin_actions.len();
-        self.co.admin_actions.push(Some(AdminOp::Swap {
-            name: name.into(),
-            epoch,
-            set,
-            engine,
-            ack: None,
-        }));
-        self.co.globals.schedule_at(at, GlobalEvent::Admin(idx));
-    }
-
     /// Run to completion and produce the report.
     pub fn run(self) -> RunReport {
         self.run_with_stats().0
@@ -513,6 +486,10 @@ impl Cluster {
     /// streamed live as [`ServiceEvent::Trace`] batches instead of
     /// accumulating; the returned buffer holds the per-tick
     /// [`crate::trace::Timeline`] and nothing else.
+    ///
+    /// [`ClockMode::Wall`]: mantle_sim::ClockMode::Wall
+    /// [`ClockMode::Sim`]: mantle_sim::ClockMode::Sim
+    /// [`ServiceEvent::Trace`]: crate::service::ServiceEvent::Trace
     pub fn serve(
         mut self,
         svc: crate::service::LiveService,
@@ -863,7 +840,6 @@ fn pump_pre(
                     name,
                     epoch,
                     set,
-                    engine,
                     ack,
                 } => {
                     // Queue the swap as a regular admin event at the time
@@ -877,8 +853,7 @@ fn pump_pre(
                         name,
                         epoch,
                         set,
-                        engine,
-                        ack: Some(ack),
+                        ack,
                     }));
                     co.globals.schedule_at(at, GlobalEvent::Admin(idx));
                 }
@@ -1105,9 +1080,8 @@ fn exclusive_step(
                 name,
                 epoch,
                 set,
-                engine,
                 ack,
-            }) => install_policy(co, name, epoch, set, engine, ack, now),
+            }) => install_policy(co, name, epoch, set, ack, now),
             None => {}
         },
         GlobalEvent::Fault(idx) => on_fault(co, sh, shards, router, idx, now),
@@ -1124,15 +1098,14 @@ fn install_policy(
     name: String,
     epoch: u64,
     set: mantle_policy::env::PolicySet,
-    engine: mantle_policy::HookEngine,
-    ack: Option<std::sync::mpsc::Sender<Result<SimTime, String>>>,
+    ack: std::sync::mpsc::Sender<Result<SimTime, String>>,
     now: SimTime,
 ) {
     let n = co.cfg.num_mds;
     let built: Result<Vec<Box<dyn Balancer>>, mantle_policy::PolicyError> = (0..n)
         .map(|_| {
             crate::balancer::MantleBalancer::new_unvalidated(name.clone(), set.clone())
-                .map(|b| Box::new(b.with_engine(engine)) as Box<dyn Balancer>)
+                .map(|b| Box::new(b) as Box<dyn Balancer>)
         })
         .collect();
     match built {
@@ -1144,17 +1117,13 @@ fn install_policy(
             co.consecutive_policy_errors = vec![0; n];
             co.balancer_name = name.clone();
             co.emit(now, || TraceEvent::PolicyInstalled { epoch, name });
-            if let Some(ack) = ack {
-                let _ = ack.send(Ok(now));
-            }
+            let _ = ack.send(Ok(now));
         }
         Err(e) => {
             // Validated upstream, so this is exceptional — keep the old
             // balancers running and surface the error.
             co.policy_errors += 1;
-            if let Some(ack) = ack {
-                let _ = ack.send(Err(e.to_string()));
-            }
+            let _ = ack.send(Err(e.to_string()));
         }
     }
 }

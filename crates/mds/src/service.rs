@@ -35,7 +35,6 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use mantle_namespace::{MdsId, Namespace, NodeId, OpKind};
 use mantle_policy::env::PolicySet;
-use mantle_policy::HookEngine;
 use mantle_sim::{ClockMode, SimTime};
 
 use crate::client::{ClientOp, Workload};
@@ -63,8 +62,6 @@ pub(crate) enum ServiceCmd {
         epoch: u64,
         /// The compiled, validated policy.
         set: PolicySet,
-        /// Hook engine the new balancers should run on.
-        engine: HookEngine,
         /// Acked with the simulated install instant, or an error.
         ack: Sender<Result<SimTime, String>>,
     },
@@ -263,14 +260,12 @@ impl ServiceHandle {
         name: impl Into<String>,
         epoch: u64,
         set: PolicySet,
-        engine: HookEngine,
     ) -> Receiver<Result<SimTime, String>> {
         let (tx, rx) = channel();
         self.inbox.push(ServiceCmd::Install {
             name: name.into(),
             epoch,
             set,
-            engine,
             ack: tx,
         });
         rx
@@ -313,14 +308,12 @@ impl ServiceSender {
         name: impl Into<String>,
         epoch: u64,
         set: PolicySet,
-        engine: HookEngine,
     ) -> Receiver<Result<SimTime, String>> {
         let (tx, rx) = channel();
         self.inbox.push(ServiceCmd::Install {
             name: name.into(),
             epoch,
             set,
-            engine,
             ack: tx,
         });
         rx

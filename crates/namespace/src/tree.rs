@@ -219,7 +219,8 @@ pub struct Namespace {
     /// Full Euler renumber passes performed (diagnostics).
     renumbers: u64,
     /// Full aggregate rebuilds performed. Incremental mode never needs one
-    /// after construction — `bench_ticks --smoke` asserts this stays 0.
+    /// after construction — `tests/index_equivalence.rs` asserts this
+    /// stays 0.
     rebuilds: u64,
 }
 
@@ -411,7 +412,8 @@ impl Namespace {
     }
 
     /// Full aggregate rebuilds performed so far. Incremental mode never
-    /// rebuilds after construction; `bench_ticks --smoke` asserts this.
+    /// rebuilds after construction; `tests/index_equivalence.rs` asserts
+    /// this.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }

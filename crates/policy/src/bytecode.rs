@@ -1,24 +1,25 @@
 //! Flat register bytecode for slot-compiled policies: a lowering pass +
 //! dispatch-loop VM.
 //!
-//! [`SlotVm`](crate::SlotVm) removed the name hashing
-//! from the tree walker but still executes the (slotted) AST: every
-//! statement and expression is a recursive `match` with `Flow` plumbing, so
-//! loop-heavy hooks pay call/return and enum-dispatch overhead per node per
-//! iteration. This module adds the third and final stage of the pipeline:
+//! The resolve pass ([`SlotProgram`]) removes the name hashing from the
+//! tree walker, but a slotted AST would still be executed as a recursive
+//! `match` per statement and expression, so loop-heavy hooks would pay
+//! call/return and enum-dispatch overhead per node per iteration. This
+//! module is the final stage of the pipeline:
 //! [`BytecodeProgram::compile`] lowers a [`SlotProgram`] to a linear
 //! instruction stream (control flow becomes pre-patched jumps, operands are
 //! resolved register/slot indices), and [`BytecodeVm`] executes it in a
 //! single non-recursive dispatch loop.
 //!
-//! # Bit-identity with the other engines
+//! # Bit-identity with the tree interpreter
 //!
-//! The VM is pinned bit-identical to the tree interpreter and `SlotVm`:
-//! same `f64` results (`to_bits`-equal), same [`steps_used`] after a run,
-//! same errors on the same source lines — including
+//! The VM is pinned bit-identical to the tree interpreter: same `f64`
+//! results (`to_bits`-equal), same [`steps_used`] after a run, same errors
+//! on the same source lines — including
 //! [`BudgetExhausted`](crate::PolicyError::BudgetExhausted) firing on the
-//! same script step. Differential tests below, in `tests/properties.rs`,
-//! and in `tests/docs_examples.rs` hold all three engines together.
+//! same script step. Differential tests below, in `slots.rs`, in
+//! `tests/properties.rs`, and in `tests/docs_examples.rs` hold the two
+//! engines together.
 //!
 //! # Step accounting
 //!
@@ -763,10 +764,11 @@ struct ForFrame {
 
 /// Executes a [`BytecodeProgram`] against reusable flat frames.
 ///
-/// Mirrors [`SlotVm`](crate::SlotVm)'s surface (`new` / `reset_globals` /
-/// `set_global` / `get_global` / `steps_used` / `run`) so compiled hooks
-/// can host either engine; global and local slot numbering is shared with
-/// the source [`SlotProgram`].
+/// One VM is built per compiled hook and reused across runs: resetting
+/// the environment between runs is `clone_from_slice` over the global
+/// frame (reference-count bumps, no heap allocation) instead of
+/// re-building an interpreter and re-hashing every `set_global`. Global
+/// and local slot numbering is shared with the source [`SlotProgram`].
 pub struct BytecodeVm {
     globals: Vec<Value>,
     locals: Vec<Value>,
@@ -1142,7 +1144,7 @@ impl BytecodeVm {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::parser::parse_script;
     use crate::stdlib;
@@ -1154,9 +1156,10 @@ mod tests {
         }
     }
 
-    /// Run a script on all three engines with the given numeric globals and
-    /// assert results, step counts, and errors agree exactly.
-    fn differential3(src: &str, globals: &[(&str, f64)]) {
+    /// Run a script on the tree walker and on resolve → bytecode with the
+    /// given numeric globals and assert results, step counts, and errors
+    /// agree exactly.
+    pub(crate) fn differential(src: &str, globals: &[(&str, f64)]) {
         let script = parse_script(src).unwrap();
 
         let mut interp = Interpreter::new();
@@ -1180,10 +1183,6 @@ mod tests {
             }
         }
 
-        let mut svm = crate::slots::SlotVm::new(&prog, StepBudget::default());
-        svm.reset_globals(&base);
-        let slot = svm.run(&prog);
-
         let bc = BytecodeProgram::compile(&prog);
         let mut bvm = BytecodeVm::new(&bc, StepBudget::default());
         bvm.reset_globals(&base);
@@ -1204,98 +1203,87 @@ mod tests {
             (Err(a), Err(b)) => assert_eq!(a, b, "error mismatch on {src:?}"),
             (a, b) => panic!("outcome mismatch on {src:?}: tree={a:?} bytecode={b:?}"),
         }
-        match (&slot, &byte) {
-            (Ok(a), Ok(b)) => {
-                assert!(
-                    values_identical(a, b),
-                    "mismatch on {src:?}: slot={a:?} bytecode={b:?}"
-                );
-                assert_eq!(svm.steps_used(), bvm.steps_used());
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b, "error mismatch on {src:?}"),
-            (a, b) => panic!("outcome mismatch on {src:?}: slot={a:?} bytecode={b:?}"),
-        }
     }
 
     #[test]
     fn arithmetic_and_logic_agree() {
-        differential3("return 1 + 2 * 3 - 4 / 8", &[]);
-        differential3("return 2 ^ 3 ^ 2", &[]);
-        differential3("return -7 % 3", &[]);
-        differential3("return (x > 2) and x or -x", &[("x", 5.0)]);
-        differential3("return (x > 2) and x or -x", &[("x", 1.0)]);
-        differential3("return \"n=\" .. 3 .. \"!\"", &[]);
-        differential3("return not nil and 1 ~= 2", &[]);
+        differential("return 1 + 2 * 3 - 4 / 8", &[]);
+        differential("return 2 ^ 3 ^ 2", &[]);
+        differential("return -7 % 3", &[]);
+        differential("return (x > 2) and x or -x", &[("x", 5.0)]);
+        differential("return (x > 2) and x or -x", &[("x", 1.0)]);
+        differential("return \"n=\" .. 3 .. \"!\"", &[]);
+        differential("return not nil and 1 ~= 2", &[]);
     }
 
     #[test]
     fn locals_and_scoping_agree() {
-        differential3("x = 1 local y = 2 x = x + y return x", &[]);
-        differential3("local x = 1 do local x = 2 end return x", &[]);
-        differential3("local x = x return x", &[("x", 9.0)]);
-        differential3("g = 10 y = g local g = 1 return y + g", &[]);
-        differential3("local a return a", &[]);
+        differential("x = 1 local y = 2 x = x + y return x", &[]);
+        differential("local x = 1 do local x = 2 end return x", &[]);
+        differential("local x = x return x", &[("x", 9.0)]);
+        differential("g = 10 y = g local g = 1 return y + g", &[]);
+        differential("local a return a", &[]);
     }
 
     #[test]
     fn loops_agree() {
-        differential3("s = 0 for i = 1, 10 do s = s + i end return s", &[]);
-        differential3("s = 0 for i = 10, 1, -2 do s = s + i end return s", &[]);
-        differential3(
+        differential("s = 0 for i = 1, 10 do s = s + i end return s", &[]);
+        differential("s = 0 for i = 10, 1, -2 do s = s + i end return s", &[]);
+        differential(
             "i = 0 while true do i = i + 1 if i >= 5 then break end end return i",
             &[],
         );
-        differential3(
+        differential(
             "y = 0 for i = 1, 3 do y = y + v local v = i end return y",
             &[("v", 100.0)],
         );
-        differential3(
+        differential(
             "s = 0 for i = 1, 3 do for j = 1, 3 do if j > i then break end s = s + 1 end end \
              return s",
             &[],
         );
-        differential3("for i = 1, 5 do if i == 3 then return i * 10 end end", &[]);
-        differential3("while false do end return 1", &[]);
+        differential("for i = 1, 5 do if i == 3 then return i * 10 end end", &[]);
+        differential("while false do end return 1", &[]);
     }
 
     #[test]
     fn tables_agree() {
-        differential3(
+        differential(
             "t = {10, 20, 30} t[4] = 40 t[\"name\"] = 7 return #t + t[2] + t.name",
             &[],
         );
-        differential3("m = {a = {1, 2}, b = {x = 9}} return m.a[2] + m.b.x", &[]);
-        differential3("t = {} t[1] = 5 t[1] = nil return #t", &[]);
-        differential3("t = {[2] = 7, [1 + 1 + 1] = 9} return t[2] + t[3]", &[]);
+        differential("m = {a = {1, 2}, b = {x = 9}} return m.a[2] + m.b.x", &[]);
+        differential("t = {} t[1] = 5 t[1] = nil return #t", &[]);
+        differential("t = {[2] = 7, [1 + 1 + 1] = 9} return t[2] + t[3]", &[]);
     }
 
     #[test]
     fn natives_agree() {
-        differential3("return max(3, min(x, 10)) + math.floor(2.7)", &[("x", 7.0)]);
-        differential3("return tostring(4) .. tonumber(\"2\")", &[]);
+        differential("return max(3, min(x, 10)) + math.floor(2.7)", &[("x", 7.0)]);
+        differential("return tostring(4) .. tonumber(\"2\")", &[]);
     }
 
     #[test]
     fn errors_agree() {
-        differential3("return nothere[\"load\"]", &[]);
-        differential3("return nothere[x]", &[("x", 2.0)]);
-        differential3("return RDstate()", &[]);
-        differential3("for i=1,10,0 do end", &[]);
-        differential3("return 1 < \"2\"", &[]);
-        differential3("return #x", &[("x", 1.0)]);
-        differential3("x[1] = 2", &[]);
-        differential3("x[1] = 2", &[("x", 3.0)]);
-        differential3("t = {} t[nil] = 1", &[]);
-        differential3("t = {} t[1.5] = 1", &[]);
-        differential3("return x .. {}", &[("x", 1.0)]);
-        differential3("return x(1)", &[("x", 1.0)]);
-        differential3("return -{}", &[]);
+        differential("return nothere[\"load\"]", &[]);
+        differential("return nothere[x]", &[("x", 2.0)]);
+        differential("return RDstate()", &[]);
+        differential("for i=1,10,0 do end", &[]);
+        differential("return 1 < \"2\"", &[]);
+        differential("return #x", &[("x", 1.0)]);
+        differential("x[1] = 2", &[]);
+        differential("x[1] = 2", &[("x", 3.0)]);
+        differential("t = {} t[nil] = 1", &[]);
+        differential("t = {} t[1.5] = 1", &[]);
+        differential("return x .. {}", &[("x", 1.0)]);
+        differential("return x(1)", &[("x", 1.0)]);
+        differential("return -{}", &[]);
     }
 
     #[test]
     fn top_level_break_unwinds_to_nil() {
-        differential3("break x = 1 return 2", &[]);
-        differential3("if true then break end return 3", &[]);
+        differential("break x = 1 return 2", &[]);
+        differential("if true then break end return 3", &[]);
     }
 
     #[test]
@@ -1310,17 +1298,17 @@ mod tests {
                 let mut interp = Interpreter::new().with_budget(StepBudget(budget));
                 let tree = interp.run(&script);
                 let prog = SlotProgram::compile(&script);
-                let mut svm = crate::slots::SlotVm::new(&prog, StepBudget(budget));
-                let slot = svm.run(&prog);
                 let bc = BytecodeProgram::compile(&prog);
                 let mut bvm = BytecodeVm::new(&bc, StepBudget(budget));
                 let byte = bvm.run(&bc);
                 // Every case here errors at some budget-independent step or
-                // exhausts the budget first; the three engines must agree on
+                // exhausts the budget first; the two engines must agree on
                 // which.
-                let (tree, slot, byte) = (tree.unwrap_err(), slot.unwrap_err(), byte.unwrap_err());
-                assert_eq!(tree, slot, "{src:?} at budget {budget}");
-                assert_eq!(slot, byte, "{src:?} at budget {budget}");
+                assert_eq!(
+                    tree.unwrap_err(),
+                    byte.unwrap_err(),
+                    "{src:?} at budget {budget}"
+                );
             }
         }
     }

@@ -26,27 +26,23 @@ use crate::bytecode::{BytecodeProgram, BytecodeVm};
 use crate::error::{PolicyError, PolicyResult};
 use crate::interp::{Interpreter, StepBudget};
 use crate::parser::{parse_expression_script, parse_script, parse_when};
-use crate::slots::{ScalarMdsload, ScalarMetaload, SlotProgram, SlotVm};
+use crate::slots::{ScalarMdsload, ScalarMetaload, SlotProgram};
 use crate::stdlib;
 use crate::value::{Key, Table, Value};
 
 /// Which evaluation engine executes the policy hooks.
 ///
-/// All three are bit-identical — same results (`f64::to_bits`-equal), same
+/// The two are bit-identical — same results (`f64::to_bits`-equal), same
 /// step accounting, same errors on the same lines — pinned by the
-/// differential suites in `crates/policy` and `tests/`. The slower two are
-/// kept as selectable oracles (like `SchedulerKind::Heap` against the
-/// timing wheel), so equivalence stays a runtime-checkable property rather
-/// than an assumption.
+/// differential suites in `crates/policy` and `tests/`. The tree walker is
+/// kept as the selectable reference, so equivalence stays a
+/// runtime-checkable property rather than an assumption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HookEngine {
     /// The original tree-walking interpreter: rebuilds the environment by
-    /// name for every invocation. Slowest; first oracle.
+    /// name for every invocation. Slow and readable; the reference the
+    /// tests compare against.
     Tree,
-    /// The slot-compiled AST evaluator ([`SlotVm`]): resolved integer
-    /// slots, reusable frames, but still recursive per AST node. Second
-    /// oracle.
-    Slot,
     /// The flat register bytecode dispatch loop
     /// ([`BytecodeVm`]) — the default engine.
     #[default]
@@ -329,37 +325,18 @@ struct EnvSlots {
     max_mds: Option<usize>,
 }
 
-/// One policy hook, slot-compiled at [`MantleRuntime`] construction and
-/// reused for every invocation: resetting the environment between runs is a
-/// `clone_from_slice` over the global frame plus a handful of slot writes —
-/// no interpreter construction, no name hashing, no `String` allocation.
+/// One policy hook, compiled to bytecode at [`MantleRuntime`] construction
+/// and reused for every invocation: resetting the environment between runs
+/// is a `clone_from_slice` over the global frame plus a handful of slot
+/// writes — no interpreter construction, no name hashing, no `String`
+/// allocation.
 struct CompiledHook {
-    prog: SlotProgram,
     bc: BytecodeProgram,
     /// Base global frame: host functions (stdlib, `WRstate`/`RDstate`) at
     /// their slots, `Nil` everywhere else.
     base: Vec<Value>,
     env: EnvSlots,
-    vm: RefCell<SlotVm>,
-    bvm: RefCell<BytecodeVm>,
-}
-
-/// The slot-write surface shared by the two compiled VMs (they use the same
-/// slot numbering), so hook setup closures are engine-agnostic.
-trait EnvSink {
-    fn write_global(&mut self, slot: usize, value: Value);
-}
-
-impl EnvSink for SlotVm {
-    fn write_global(&mut self, slot: usize, value: Value) {
-        self.set_global(slot, value);
-    }
-}
-
-impl EnvSink for BytecodeVm {
-    fn write_global(&mut self, slot: usize, value: Value) {
-        self.set_global(slot, value);
-    }
+    vm: RefCell<BytecodeVm>,
 }
 
 impl CompiledHook {
@@ -389,47 +366,25 @@ impl CompiledHook {
             min_mds: slot("min_mds"),
             max_mds: slot("max_mds"),
         };
-        let vm = RefCell::new(SlotVm::new(&prog, budget));
-        let bvm = RefCell::new(BytecodeVm::new(&bc, budget));
-        CompiledHook {
-            prog,
-            bc,
-            base,
-            env,
-            vm,
-            bvm,
-        }
+        let vm = RefCell::new(BytecodeVm::new(&bc, budget));
+        CompiledHook { bc, base, env, vm }
     }
 
-    /// Reset the environment to the base image, apply `setup`, execute on
-    /// the selected engine ([`HookEngine::Tree`] never reaches here — the
-    /// runtime handles it before compiled hooks come into play).
-    fn run(
-        &self,
-        engine: HookEngine,
-        setup: impl FnOnce(&EnvSlots, &mut dyn EnvSink),
-    ) -> PolicyResult<Value> {
-        match engine {
-            HookEngine::Slot => {
-                let mut vm = self.vm.borrow_mut();
-                vm.reset_globals(&self.base);
-                setup(&self.env, &mut *vm);
-                vm.run(&self.prog)
-            }
-            _ => {
-                let mut vm = self.bvm.borrow_mut();
-                vm.reset_globals(&self.base);
-                setup(&self.env, &mut *vm);
-                vm.run(&self.bc)
-            }
-        }
+    /// Reset the environment to the base image, apply `setup`, execute.
+    /// ([`HookEngine::Tree`] never reaches here — the runtime handles it
+    /// before compiled hooks come into play.)
+    fn run(&self, setup: impl FnOnce(&EnvSlots, &mut BytecodeVm)) -> PolicyResult<Value> {
+        let mut vm = self.vm.borrow_mut();
+        vm.reset_globals(&self.base);
+        setup(&self.env, &mut vm);
+        vm.run(&self.bc)
     }
 }
 
 /// Write a value to an environment slot the hook actually references.
-fn set_slot(vm: &mut dyn EnvSink, slot: Option<usize>, value: Value) {
+fn set_slot(vm: &mut BytecodeVm, slot: Option<usize>, value: Value) {
     if let Some(s) = slot {
-        vm.write_global(s, value);
+        vm.set_global(s, value);
     }
 }
 
@@ -453,16 +408,15 @@ struct CompiledHooks {
 /// the MDS (which collects metrics and performs migrations) and the policy
 /// scripts (which decide).
 ///
-/// Hooks are compiled to slot programs and then lowered to bytecode once,
+/// Hooks are resolved to slot programs and then lowered to bytecode once,
 /// at construction (see [`crate::slots`] and [`crate::bytecode`]); each
-/// invocation reuses the compiled program and its VM on the engine selected
-/// by [`Self::with_engine`] (bytecode by default). A `metaload` hook that
-/// is a linear combination of the five counters additionally compiles to a
-/// [`ScalarMetaload`] evaluated without touching any VM.
-/// [`Self::with_force_slow_path`] selects the original tree-walking
-/// interpreter and disables both fast paths — all engines are bit-identical
-/// (the differential tests pin this), so the switches exist for benchmarks
-/// and differential testing only.
+/// invocation reuses the compiled program and its VM. A `metaload` hook
+/// that is a linear combination of the five counters additionally compiles
+/// to a [`ScalarMetaload`] evaluated without touching any VM.
+/// [`Self::with_engine`]`(`[`HookEngine::Tree`]`)` selects the original
+/// tree-walking interpreter and disables both fast paths — the two engines
+/// are bit-identical (the differential tests pin this), so the switch
+/// exists for benchmarks and differential testing only.
 pub struct MantleRuntime {
     policy: PolicySet,
     state: Rc<RefCell<dyn StateStore>>,
@@ -476,8 +430,8 @@ pub struct MantleRuntime {
     mdsload_scalar: Option<ScalarMdsload>,
     /// Reusable `decide` environment (tables + interned keys), built lazily
     /// on first use. Only the default bytecode engine touches it; the
-    /// oracle engines rebuild their environment from scratch every call so
-    /// they keep measuring the unoptimized path.
+    /// tree engine rebuilds its environment from scratch every call so it
+    /// stays the plain reference.
     decide_env: RefCell<Option<DecideEnv>>,
     engine: HookEngine,
 }
@@ -525,7 +479,7 @@ impl MdsKeys {
 /// clear-and-refill therefore makes the reused tables indistinguishable
 /// (content *and* error behaviour) from freshly allocated ones. The
 /// report-level differential suite (`tests/bytecode_equivalence.rs`) pins
-/// this against both oracle engines.
+/// this against the tree engine.
 struct DecideEnv {
     mdss: Rc<RefCell<Table>>,
     /// Row tables, kept alongside `mdss` so refilling them skips the outer
@@ -686,9 +640,9 @@ impl MantleRuntime {
         Self::build(self.policy, self.state, budget, self.engine)
     }
 
-    /// Select the evaluation engine (bytecode by default). All engines are
-    /// bit-identical; the oracles exist so benchmarks and differential
-    /// tests can compare them.
+    /// Select the evaluation engine (bytecode by default). The engines are
+    /// bit-identical; the tree walker exists so benchmarks and differential
+    /// tests can compare against it.
     pub fn with_engine(mut self, engine: HookEngine) -> Self {
         self.engine = engine;
         self
@@ -697,18 +651,6 @@ impl MantleRuntime {
     /// The engine hooks currently run on.
     pub fn engine(&self) -> HookEngine {
         self.engine
-    }
-
-    /// Force every hook through the original tree-walking interpreter
-    /// instead of the compiled (and scalar) fast paths — shorthand for
-    /// [`Self::with_engine`]`(HookEngine::Tree)`; `force == false` restores
-    /// the default bytecode engine.
-    pub fn with_force_slow_path(self, force: bool) -> Self {
-        self.with_engine(if force {
-            HookEngine::Tree
-        } else {
-            HookEngine::default()
-        })
     }
 
     /// The configured dirfrag selectors.
@@ -731,7 +673,7 @@ impl MantleRuntime {
     /// The scalar-compiled `mdsload`, when the hook is a single linear
     /// combination of the current row's metric fields (true for Table 1
     /// and every shipped policy). Consumed by the bytecode engine's
-    /// `decide` fast path; the oracle engines ignore it.
+    /// `decide` fast path; the tree engine ignores it.
     pub fn mdsload_scalar(&self) -> Option<&ScalarMdsload> {
         self.mdsload_scalar.as_ref()
     }
@@ -740,9 +682,9 @@ impl MantleRuntime {
     /// (linear with no constant term), which lets callers evaluate it once
     /// per MDS on aggregated heat instead of once per dirfrag.
     ///
-    /// Deliberately independent of [`Self::with_force_slow_path`]: the
-    /// force switch changes the evaluation engine, never the aggregation
-    /// structure, so reports stay identical between the two engines.
+    /// Deliberately independent of [`Self::with_engine`]: the switch
+    /// changes the evaluation engine, never the aggregation structure, so
+    /// reports stay identical between the two engines.
     pub fn metaload_is_additive(&self) -> bool {
         self.metaload_scalar
             .as_ref()
@@ -783,7 +725,7 @@ impl MantleRuntime {
     /// This is the hottest hook (once per dirfrag per balancer tick). The
     /// fast paths do zero interpreter constructions and zero `String`
     /// allocations: a scalar-compiled hook is a few multiply-adds; anything
-    /// else reuses the hook's compiled slot program.
+    /// else reuses the hook's compiled bytecode program.
     pub fn eval_metaload(&self, whoami: usize, frag: &FragMetrics) -> PolicyResult<f64> {
         if self.engine == HookEngine::Tree {
             let mut interp = self.base_interp(whoami);
@@ -800,7 +742,7 @@ impl MantleRuntime {
         self.whoami_cell.set(whoami);
         self.hooks
             .metaload
-            .run(self.engine, |env, vm| {
+            .run(|env, vm| {
                 set_slot(vm, env.ird, Value::Number(frag.ird));
                 set_slot(vm, env.iwr, Value::Number(frag.iwr));
                 set_slot(vm, env.readdir, Value::Number(frag.readdir));
@@ -817,11 +759,14 @@ impl MantleRuntime {
         if n == 0 {
             return Ok(BalancerOutcome::idle(0));
         }
-        if self.engine == HookEngine::Bytecode {
-            return self.decide_bytecode(inputs);
+        match self.engine {
+            HookEngine::Bytecode => self.decide_bytecode(inputs),
+            HookEngine::Tree => self.decide_tree(inputs),
         }
+    }
 
-        // Pass 1: evaluate mdsload for every MDS, building the MDSs table.
+    /// A fresh `MDSs` table holding the pass-1 metric fields of every row.
+    fn fresh_mdss_table(inputs: &BalancerInputs) -> Rc<RefCell<Table>> {
         let mdss_table = Rc::new(RefCell::new(Table::new()));
         for (i, m) in inputs.mds.iter().enumerate() {
             let t = Table::from_fields([
@@ -838,31 +783,55 @@ impl MantleRuntime {
                 .borrow_mut()
                 .set_int(i as i64 + 1, Value::Table(Rc::new(RefCell::new(t))));
         }
+        mdss_table
+    }
 
-        self.whoami_cell.set(inputs.whoami);
+    /// `mdsload` for 0-based row `i` on the tree interpreter.
+    fn mdsload_tree(
+        &self,
+        inputs: &BalancerInputs,
+        i: usize,
+        mdss_table: &Rc<RefCell<Table>>,
+    ) -> PolicyResult<f64> {
+        let mut interp = self.base_interp(inputs.whoami);
+        interp.set_global("whoami", Value::Number(inputs.whoami as f64 + 1.0));
+        interp.set_global("i", Value::Number(i as f64 + 1.0));
+        interp.set_global("MDSs", Value::Table(Rc::clone(mdss_table)));
+        interp.set_global("authmetaload", Value::Number(inputs.auth_metaload));
+        interp.set_global("allmetaload", Value::Number(inputs.all_metaload));
+        interp.run(&self.policy.mdsload)?.as_number(0)
+    }
+
+    /// `mdsload` for 0-based row `i` on the compiled hook (the caller has
+    /// already set the whoami cell).
+    fn mdsload_bytecode(
+        &self,
+        inputs: &BalancerInputs,
+        i: usize,
+        mdss_table: &Rc<RefCell<Table>>,
+    ) -> PolicyResult<f64> {
+        self.hooks
+            .mdsload
+            .run(|env, vm| {
+                set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
+                set_slot(vm, env.i, Value::Number(i as f64 + 1.0));
+                set_slot(vm, env.mdss, Value::Table(Rc::clone(mdss_table)));
+                set_slot(vm, env.authmetaload, Value::Number(inputs.auth_metaload));
+                set_slot(vm, env.allmetaload, Value::Number(inputs.all_metaload));
+            })?
+            .as_number(0)
+    }
+
+    /// [`Self::decide`] on the reference tree interpreter: every hook run
+    /// builds a fresh interpreter and binds the environment by name.
+    fn decide_tree(&self, inputs: &BalancerInputs) -> PolicyResult<BalancerOutcome> {
+        let n = inputs.mds.len();
+
+        // Pass 1: evaluate mdsload for every MDS, building the MDSs table.
+        let mdss_table = Self::fresh_mdss_table(inputs);
         let mut mds_loads = Vec::with_capacity(n);
         for i in 0..n {
-            let load = if self.engine == HookEngine::Tree {
-                let mut interp = self.base_interp(inputs.whoami);
-                interp.set_global("whoami", Value::Number(inputs.whoami as f64 + 1.0));
-                interp.set_global("i", Value::Number(i as f64 + 1.0));
-                interp.set_global("MDSs", Value::Table(Rc::clone(&mdss_table)));
-                interp.set_global("authmetaload", Value::Number(inputs.auth_metaload));
-                interp.set_global("allmetaload", Value::Number(inputs.all_metaload));
-                interp.run(&self.policy.mdsload)?.as_number(0)?
-            } else {
-                self.hooks
-                    .mdsload
-                    .run(self.engine, |env, vm| {
-                        set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
-                        set_slot(vm, env.i, Value::Number(i as f64 + 1.0));
-                        set_slot(vm, env.mdss, Value::Table(Rc::clone(&mdss_table)));
-                        set_slot(vm, env.authmetaload, Value::Number(inputs.auth_metaload));
-                        set_slot(vm, env.allmetaload, Value::Number(inputs.all_metaload));
-                    })?
-                    .as_number(0)?
-            };
-            mds_loads.push(load);
+            mds_loads.push(self.mdsload_tree(inputs, i, &mdss_table)?);
         }
         let total: f64 = mds_loads.iter().sum();
         for (i, load) in mds_loads.iter().enumerate() {
@@ -881,59 +850,31 @@ impl MantleRuntime {
             interp.set_global("allmetaload", Value::Number(inputs.all_metaload));
             interp.set_global("targets", Value::Table(Rc::clone(&targets_table)));
         };
-        let slot_setup = |env: &EnvSlots, vm: &mut dyn EnvSink| {
-            set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
-            set_slot(vm, env.mdss, Value::Table(Rc::clone(&mdss_table)));
-            set_slot(vm, env.total, Value::Number(total));
-            set_slot(vm, env.authmetaload, Value::Number(inputs.auth_metaload));
-            set_slot(vm, env.allmetaload, Value::Number(inputs.all_metaload));
-            set_slot(vm, env.targets, Value::Table(Rc::clone(&targets_table)));
-        };
-        // The listings signal "migrate" by filling targets.
-        let targets_filled = |targets_table: &Rc<RefCell<Table>>| {
-            (1..=n as i64).any(|i| {
-                targets_table
-                    .borrow()
-                    .get_int(i)
-                    .as_number(0)
-                    .map(|v| v > 0.0)
-                    .unwrap_or(false)
-            })
-        };
-
-        let migrate = if self.engine == HookEngine::Tree {
-            match &self.policy.decision {
-                Decision::Hooks { when, where_ } => {
+        let migrate = match &self.policy.decision {
+            Decision::Hooks { when, where_ } => {
+                let mut interp = self.base_interp(inputs.whoami);
+                setup(&mut interp);
+                let fired = interp.run(when)?.truthy();
+                if fired {
                     let mut interp = self.base_interp(inputs.whoami);
                     setup(&mut interp);
-                    let fired = interp.run(when)?.truthy();
-                    if fired {
-                        let mut interp = self.base_interp(inputs.whoami);
-                        setup(&mut interp);
-                        interp.run(where_)?;
-                    }
-                    fired
+                    interp.run(where_)?;
                 }
-                Decision::Combined(script) => {
-                    let mut interp = self.base_interp(inputs.whoami);
-                    setup(&mut interp);
-                    interp.run(script)?;
-                    targets_filled(&targets_table)
-                }
+                fired
             }
-        } else {
-            match &self.hooks.decision {
-                CompiledDecision::Hooks { when, where_ } => {
-                    let fired = when.run(self.engine, slot_setup)?.truthy();
-                    if fired {
-                        where_.run(self.engine, slot_setup)?;
-                    }
-                    fired
-                }
-                CompiledDecision::Combined(hook) => {
-                    hook.run(self.engine, slot_setup)?;
-                    targets_filled(&targets_table)
-                }
+            Decision::Combined(script) => {
+                let mut interp = self.base_interp(inputs.whoami);
+                setup(&mut interp);
+                interp.run(script)?;
+                // The listings signal "migrate" by filling targets.
+                (1..=n as i64).any(|i| {
+                    targets_table
+                        .borrow()
+                        .get_int(i)
+                        .as_number(0)
+                        .map(|v| v > 0.0)
+                        .unwrap_or(false)
+                })
             }
         };
 
@@ -964,9 +905,9 @@ impl MantleRuntime {
     /// no VM run, no table lookups — exactly as [`Self::eval_metaload`]
     /// does for scalar `metaload` hooks.
     ///
-    /// Structure deliberately mirrors the oracle path statement for
-    /// statement; any divergence is caught by the three-way differential
-    /// suites at hook and report level.
+    /// Structure deliberately mirrors [`Self::decide_tree`] statement for
+    /// statement; any divergence is caught by the differential suites at
+    /// hook and report level.
     fn decide_bytecode(&self, inputs: &BalancerInputs) -> PolicyResult<BalancerOutcome> {
         let n = inputs.mds.len();
         let mut cached = self.decide_env.borrow_mut();
@@ -1002,21 +943,10 @@ impl MantleRuntime {
             return self.decide_bytecode_pass2(inputs, mds_loads, total, mdss_table, targets_table);
         }
         for i in 0..n {
-            let load = self
-                .hooks
-                .mdsload
-                .run(HookEngine::Bytecode, |env, vm| {
-                    set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
-                    set_slot(vm, env.i, Value::Number(i as f64 + 1.0));
-                    set_slot(vm, env.mdss, Value::Table(Rc::clone(&mdss_table)));
-                    set_slot(vm, env.authmetaload, Value::Number(inputs.auth_metaload));
-                    set_slot(vm, env.allmetaload, Value::Number(inputs.all_metaload));
-                })?
-                .as_number(0)?;
-            mds_loads.push(load);
+            mds_loads.push(self.mdsload_bytecode(inputs, i, &mdss_table)?);
         }
         let total: f64 = mds_loads.iter().sum();
-        // Write back through the outer table, as the oracle path does — an
+        // Write back through the outer table, as the tree path does — an
         // exotic mdsload hook could have rearranged `MDSs` and the
         // write-back must see exactly what it left behind.
         for (i, load) in mds_loads.iter().enumerate() {
@@ -1039,7 +969,7 @@ impl MantleRuntime {
     ) -> PolicyResult<BalancerOutcome> {
         let n = inputs.mds.len();
 
-        let slot_setup = |env: &EnvSlots, vm: &mut dyn EnvSink| {
+        let slot_setup = |env: &EnvSlots, vm: &mut BytecodeVm| {
             set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
             set_slot(vm, env.mdss, Value::Table(Rc::clone(&mdss_table)));
             set_slot(vm, env.total, Value::Number(total));
@@ -1050,19 +980,19 @@ impl MantleRuntime {
         // `fired` for the two-hook form; `None` for the combined form,
         // where "migrate" is simply "the script filled targets" — which
         // the clamp-and-extract below already determines (a slot ends up
-        // > 0 exactly when `targets_filled` on the oracle path would have
-        // seen a positive number there), so the separate pre-scan the
-        // oracle path performs is skipped.
+        // > 0 exactly when the tree path's scan would have seen a positive
+        // number there), so the separate pre-scan the tree path performs
+        // is skipped.
         let fired = match &self.hooks.decision {
             CompiledDecision::Hooks { when, where_ } => {
-                let fired = when.run(HookEngine::Bytecode, slot_setup)?.truthy();
+                let fired = when.run(slot_setup)?.truthy();
                 if fired {
-                    where_.run(HookEngine::Bytecode, slot_setup)?;
+                    where_.run(slot_setup)?;
                 }
                 Some(fired)
             }
             CompiledDecision::Combined(hook) => {
-                hook.run(HookEngine::Bytecode, slot_setup)?;
+                hook.run(slot_setup)?;
                 None
             }
         };
@@ -1101,8 +1031,8 @@ impl MantleRuntime {
     /// policy has no hook.
     ///
     /// Runs once per balancer tick on the coordinator, so the environment
-    /// is built fresh on every engine — there is no hot path to protect.
-    /// All three engines are bit-identical here exactly as for `decide`.
+    /// is built fresh on both engines — there is no hot path to protect.
+    /// The engines are bit-identical here exactly as for `decide`.
     pub fn eval_howmany(
         &self,
         inputs: &BalancerInputs,
@@ -1120,57 +1050,22 @@ impl MantleRuntime {
         self.whoami_cell.set(inputs.whoami);
 
         // Pass 1: evaluate mdsload for every MDS, building the MDSs table.
-        let mdss_table = Rc::new(RefCell::new(Table::new()));
-        for (i, m) in inputs.mds.iter().enumerate() {
-            let t = Table::from_fields([
-                ("auth", Value::Number(m.auth)),
-                ("all", Value::Number(m.all)),
-                ("cpu", Value::Number(m.cpu)),
-                ("mem", Value::Number(m.mem)),
-                ("q", Value::Number(m.q)),
-                ("req", Value::Number(m.req)),
-                ("cache_hits", Value::Number(m.cache_hits)),
-                ("cache_misses", Value::Number(m.cache_misses)),
-            ]);
-            mdss_table
-                .borrow_mut()
-                .set_int(i as i64 + 1, Value::Table(Rc::new(RefCell::new(t))));
-        }
+        let mdss_table = Self::fresh_mdss_table(inputs);
         let mut mds_loads = Vec::with_capacity(n);
         for (i, m) in inputs.mds.iter().enumerate() {
-            let load = match self.engine {
-                HookEngine::Tree => {
-                    let mut interp = self.base_interp(inputs.whoami);
-                    interp.set_global("whoami", Value::Number(inputs.whoami as f64 + 1.0));
-                    interp.set_global("i", Value::Number(i as f64 + 1.0));
-                    interp.set_global("MDSs", Value::Table(Rc::clone(&mdss_table)));
-                    interp.set_global("authmetaload", Value::Number(inputs.auth_metaload));
-                    interp.set_global("allmetaload", Value::Number(inputs.all_metaload));
-                    interp.run(&self.policy.mdsload)?.as_number(0)?
-                }
-                HookEngine::Bytecode if self.mdsload_scalar.is_some() => {
-                    self.mdsload_scalar.as_ref().expect("checked above").eval(&[
-                        m.auth,
-                        m.all,
-                        m.cpu,
-                        m.mem,
-                        m.q,
-                        m.req,
-                        m.cache_hits,
-                        m.cache_misses,
-                    ])
-                }
-                engine => self
-                    .hooks
-                    .mdsload
-                    .run(engine, |env, vm| {
-                        set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
-                        set_slot(vm, env.i, Value::Number(i as f64 + 1.0));
-                        set_slot(vm, env.mdss, Value::Table(Rc::clone(&mdss_table)));
-                        set_slot(vm, env.authmetaload, Value::Number(inputs.auth_metaload));
-                        set_slot(vm, env.allmetaload, Value::Number(inputs.all_metaload));
-                    })?
-                    .as_number(0)?,
+            let load = match (self.engine, &self.mdsload_scalar) {
+                (HookEngine::Tree, _) => self.mdsload_tree(inputs, i, &mdss_table)?,
+                (HookEngine::Bytecode, Some(scalar)) => scalar.eval(&[
+                    m.auth,
+                    m.all,
+                    m.cpu,
+                    m.mem,
+                    m.q,
+                    m.req,
+                    m.cache_hits,
+                    m.cache_misses,
+                ]),
+                (HookEngine::Bytecode, None) => self.mdsload_bytecode(inputs, i, &mdss_table)?,
             };
             mds_loads.push(load);
         }
@@ -1198,7 +1093,7 @@ impl MantleRuntime {
                 .howmany
                 .as_ref()
                 .expect("compiled alongside policy.howmany")
-                .run(self.engine, |env, vm| {
+                .run(|env, vm| {
                     set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
                     set_slot(vm, env.mdss, Value::Table(Rc::clone(&mdss_table)));
                     set_slot(vm, env.total, Value::Number(total));
@@ -1521,16 +1416,16 @@ end
         let rt = MantleRuntime::new(cephfs_policy());
         assert!(rt.metaload_scalar().is_some());
         assert!(rt.metaload_is_additive());
-        // The force switch changes the engine, never the aggregation
+        // The engine switch changes the engine, never the aggregation
         // structure.
-        let slow = MantleRuntime::new(cephfs_policy()).with_force_slow_path(true);
+        let slow = MantleRuntime::new(cephfs_policy()).with_engine(HookEngine::Tree);
         assert!(slow.metaload_is_additive());
     }
 
     #[test]
     fn fast_and_slow_paths_agree_bit_for_bit() {
         let fast = MantleRuntime::new(cephfs_policy());
-        let slow = MantleRuntime::new(cephfs_policy()).with_force_slow_path(true);
+        let slow = MantleRuntime::new(cephfs_policy()).with_engine(HookEngine::Tree);
         let frag = FragMetrics {
             ird: 0.137,
             iwr: 12.75,
@@ -1557,7 +1452,7 @@ end
     }
 
     #[test]
-    fn all_three_engines_agree_on_decide() {
+    fn both_engines_agree_on_decide() {
         let inputs = BalancerInputs {
             whoami: 0,
             mds: metrics(&[90.0, 5.0, 35.0]),
@@ -1571,7 +1466,7 @@ end
             fetch: 9e3,
             store: 0.001,
         };
-        let engines = [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode];
+        let engines = [HookEngine::Tree, HookEngine::Bytecode];
         let runs: Vec<_> = engines
             .iter()
             .map(|&e| {
@@ -1597,7 +1492,7 @@ end
         // The bytecode engine reuses its decide tables; a decision script
         // that scribbles junk keys into MDSs rows, the outer table, and
         // targets must not be able to observe (or leak) anything across
-        // calls. Every repeat call must match the slot oracle bit for bit.
+        // calls. Every repeat call must match the tree engine bit for bit.
         let p = PolicySet::from_combined(
             "IWR + IRD",
             "MDSs[i][\"all\"]",
@@ -1615,7 +1510,7 @@ MDSs[1]["polluted"] = 1
         .unwrap();
         let fast = MantleRuntime::new(p.clone());
         assert_eq!(fast.engine(), HookEngine::Bytecode);
-        let oracle = MantleRuntime::new(p).with_engine(HookEngine::Slot);
+        let oracle = MantleRuntime::new(p).with_engine(HookEngine::Tree);
         let inputs = |hot: f64| BalancerInputs {
             whoami: 0,
             mds: metrics(&[hot, 5.0, 35.0]),
@@ -1643,7 +1538,7 @@ MDSs[1]["polluted"] = 1
     fn non_scalar_mdsload_agrees_across_engines() {
         // An mdsload the scalar extractor refuses (function call) drives
         // the bytecode path through the compiled hook against the cached
-        // MDSs table — which must still match the oracles exactly.
+        // MDSs table — which must still match the tree engine exactly.
         let p = PolicySet::from_hooks(
             "IWR",
             "max(MDSs[i][\"all\"], 10*MDSs[i][\"q\"])",
@@ -1659,7 +1554,7 @@ MDSs[1]["polluted"] = 1
             auth_metaload: 90.0,
             all_metaload: 95.0,
         };
-        let runs: Vec<_> = [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode]
+        let runs: Vec<_> = [HookEngine::Tree, HookEngine::Bytecode]
             .iter()
             .map(|&e| {
                 MantleRuntime::new(p.clone())
@@ -1680,7 +1575,7 @@ MDSs[1]["polluted"] = 1
     fn cache_fields_reach_scripts_on_every_engine() {
         // A cache-aware mdsload: absorbed hits are nearly free, misses
         // carry full service cost. Linear, so bytecode takes the scalar
-        // path; Tree and Slot read the same values out of the MDSs table.
+        // path; Tree reads the same values out of the MDSs table.
         let p = PolicySet::from_hooks(
             "IWR",
             "MDSs[i][\"all\"] + 0.1*MDSs[i][\"cache_hits\"] + MDSs[i][\"cache_misses\"]",
@@ -1701,7 +1596,7 @@ MDSs[1]["polluted"] = 1
             auth_metaload: 80.0,
             all_metaload: 80.0,
         };
-        let runs: Vec<_> = [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode]
+        let runs: Vec<_> = [HookEngine::Tree, HookEngine::Bytecode]
             .iter()
             .map(|&e| {
                 MantleRuntime::new(p.clone())
@@ -1738,7 +1633,7 @@ MDSs[1]["polluted"] = 1
             &["half"],
         )
         .unwrap();
-        for e in [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode] {
+        for e in [HookEngine::Tree, HookEngine::Bytecode] {
             let rt = MantleRuntime::new(p.clone()).with_engine(e);
             let err = rt.eval_metaload(0, &FragMetrics::default()).unwrap_err();
             assert!(err.to_string().contains("NaN argument"), "{e:?}: {err}");
@@ -1758,7 +1653,7 @@ MDSs[1]["polluted"] = 1
     }
 
     #[test]
-    fn howmany_agrees_across_all_three_engines() {
+    fn howmany_agrees_across_engines() {
         // A hook using the full environment: scale so per-member load sits
         // near 25, clamped by the runtime's callers.
         let p = cephfs_policy()
@@ -1770,7 +1665,7 @@ MDSs[1]["polluted"] = 1
             auth_metaload: 90.0,
             all_metaload: 95.0,
         };
-        let runs: Vec<f64> = [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode]
+        let runs: Vec<f64> = [HookEngine::Tree, HookEngine::Bytecode]
             .iter()
             .map(|&e| {
                 MantleRuntime::new(p.clone())
@@ -1797,7 +1692,7 @@ MDSs[1]["polluted"] = 1
         let p = cephfs_policy()
             .with_howmany("active + min_mds + max_mds")
             .unwrap();
-        for e in [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode] {
+        for e in [HookEngine::Tree, HookEngine::Bytecode] {
             let rt = MantleRuntime::new(p.clone()).with_engine(e);
             let inputs = BalancerInputs {
                 whoami: 0,
@@ -1828,7 +1723,7 @@ return active
             mds: metrics(&[90.0, 60.0]),
             ..Default::default()
         };
-        for e in [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode] {
+        for e in [HookEngine::Tree, HookEngine::Bytecode] {
             let rt = MantleRuntime::new(p.clone()).with_engine(e);
             assert_eq!(rt.eval_howmany(&inputs, 2, 1, 4).unwrap(), Some(2.0));
             assert_eq!(rt.eval_howmany(&inputs, 2, 1, 4).unwrap(), Some(3.0));
@@ -1840,7 +1735,7 @@ return active
         // Fill & Spill exercises WRstate/RDstate through the shared whoami
         // cell; the state machine must evolve identically on both engines
         // and stay isolated per MDS.
-        let mk = |force: bool| {
+        let mk = |engine: HookEngine| {
             let p = PolicySet::from_combined(
                 "IWR + IRD",
                 "MDSs[i][\"auth\"]",
@@ -1858,10 +1753,10 @@ end
                 &["small_first"],
             )
             .unwrap();
-            MantleRuntime::new(p).with_force_slow_path(force)
+            MantleRuntime::new(p).with_engine(engine)
         };
-        let fast = mk(false);
-        let slow = mk(true);
+        let fast = mk(HookEngine::Bytecode);
+        let slow = mk(HookEngine::Tree);
         let busy = |whoami: usize| BalancerInputs {
             whoami,
             mds: vec![

@@ -67,7 +67,7 @@ pub use fmt::script_to_source;
 pub use install::{prepare, DecisionSource, InstalledPolicy, PolicyCell, PolicySource};
 pub use interp::{Interpreter, StepBudget};
 pub use parser::parse_script;
-pub use slots::{ScalarMdsload, ScalarMetaload, SlotProgram, SlotVm};
+pub use slots::{ScalarMdsload, ScalarMetaload, SlotProgram};
 pub use validate::PolicyValidator;
 pub use value::{Table, Value};
 

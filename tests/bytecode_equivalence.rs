@@ -1,11 +1,11 @@
 //! The bytecode hook engine is pinned byte-identical at the *report*
 //! level: for a fixed seed, a full cluster run under the default
 //! bytecode engine must produce exactly the same [`RunReport`] — every
-//! float, every time series, every fault counter — as the slot VM and
-//! the tree-walking interpreter, in both execution modes, while the
-//! fault catalogue is firing.
+//! float, every time series, every fault counter — as the tree-walking
+//! interpreter, in both execution modes, while the fault catalogue is
+//! firing.
 //!
-//! This is the top layer of the three-way differential stack: the
+//! This is the top layer of the differential stack: the
 //! statement/expression layer lives in `crates/policy/src/bytecode.rs`
 //! and `tests/properties.rs`, the hook layer in `crates/policy/src/env.rs`
 //! and `tests/docs_examples.rs`, and this file closes the loop end to
@@ -19,8 +19,8 @@ use mantle::mds::{ExecMode, HookEngine};
 use mantle::policy::env::PolicySet;
 
 /// The run matrix for one (policy, fault plan) cell: the bytecode engine
-/// in both exec modes against the two oracle engines. Reports must be
-/// identical across all four runs.
+/// in both exec modes against the tree-walking reference. Reports must
+/// be identical across all three runs.
 fn assert_reports_identical(label: &str, spec: &Experiment, policy: &PolicySet) {
     let runs = [
         ("bytecode/single", HookEngine::Bytecode, ExecMode::Single),
@@ -29,7 +29,6 @@ fn assert_reports_identical(label: &str, spec: &Experiment, policy: &PolicySet) 
             HookEngine::Bytecode,
             ExecMode::Sharded { threads: 2 },
         ),
-        ("slot/single", HookEngine::Slot, ExecMode::Single),
         ("tree/single", HookEngine::Tree, ExecMode::Single),
     ];
     let mut baseline: Option<(&str, String)> = None;

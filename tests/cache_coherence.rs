@@ -6,7 +6,7 @@
 //!   byte-identical to a configuration that never mentions the cache,
 //!   and every cache counter stays zero;
 //! * **on**, the simulation stays deterministic — byte-identical
-//!   reports across all three hook engines and across the sharded
+//!   reports across both hook engines and across the sharded
 //!   execution modes, because every cache mutation (fill, LRU touch,
 //!   invalidation) is deferred to the window barrier and applied in
 //!   global `(time, key)` order.
@@ -95,9 +95,9 @@ fn default_cache_config_is_inert() {
     // nothing.
 }
 
-/// Cache off and cache on, the report is byte-identical across all
-/// three hook engines × {Single, Sharded{2}, Sharded{4}} — the oracle
-/// is the single-threaded bytecode run.
+/// Cache off and cache on, the report is byte-identical across both
+/// hook engines × {Single, Sharded{2}, Sharded{4}} — the oracle is the
+/// single-threaded bytecode run.
 #[test]
 fn reports_byte_identical_across_engines_and_exec_modes() {
     for (cache_label, cache) in [("off", CacheConfig::default()), ("on", CacheConfig::on())] {
@@ -110,7 +110,7 @@ fn reports_byte_identical_across_engines_and_exec_modes() {
         if cache_label == "on" {
             assert!(oracle.cache_hits > 0, "storm produced no cache hits");
         }
-        for engine in [HookEngine::Bytecode, HookEngine::Slot, HookEngine::Tree] {
+        for engine in [HookEngine::Bytecode, HookEngine::Tree] {
             for mode in [
                 ExecMode::Single,
                 ExecMode::Sharded { threads: 2 },

@@ -5,7 +5,7 @@
 //! steps, so they must be *behaviorally invisible* to everything that is
 //! supposed to be deterministic: for a fixed seed, an elastic diurnal
 //! run must produce a byte-identical [`RunReport`] under every hook
-//! engine (tree-walking interpreter, slot VM, bytecode VM) and every
+//! engine (tree-walking interpreter, bytecode VM) and every
 //! execution mode (single-threaded oracle, 2- and 4-shard parallel).
 //!
 //! The inert direction is pinned too: with `elastic.enabled == false`
@@ -62,7 +62,7 @@ fn elastic_reports_identical_across_engines_and_exec_modes() {
         oracle.leaves
     );
     let oracle_repr = format!("{oracle:?}");
-    for engine in [HookEngine::Tree, HookEngine::Slot, HookEngine::Bytecode] {
+    for engine in [HookEngine::Tree, HookEngine::Bytecode] {
         for mode in [
             ExecMode::Single,
             ExecMode::Sharded { threads: 2 },

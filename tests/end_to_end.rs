@@ -1,5 +1,6 @@
 //! Cross-crate integration tests: full experiments through the facade.
 
+use mantle::mds::HookEngine;
 use mantle::prelude::*;
 
 fn quick_cfg(num_mds: usize) -> ClusterConfig {
@@ -233,8 +234,8 @@ return chosen
 }
 
 #[test]
-fn slot_and_tree_engines_produce_identical_reports() {
-    // The slot-compiled hook engine is pinned byte-identical to the
+fn bytecode_and_tree_engines_produce_identical_reports() {
+    // The default bytecode hook engine is pinned byte-identical to the
     // tree-walking interpreter: same seed, same policy → the full
     // RunReport (every float, every time series) must match exactly.
     for (name, policy) in [
@@ -255,7 +256,7 @@ fn slot_and_tree_engines_produce_identical_reports() {
         let slow = Experiment::new(
             quick_cfg(3),
             workload,
-            BalancerSpec::mantle_slow_path(name, policy),
+            BalancerSpec::mantle_with_engine(name, policy, HookEngine::Tree),
         )
         .with_seed(42);
         let a = run_experiment(&fast);

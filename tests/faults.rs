@@ -4,6 +4,7 @@
 
 use mantle::core::degraded;
 use mantle::core::repro::ReproOpts;
+use mantle::mds::HookEngine;
 use mantle::prelude::*;
 
 fn quick_cfg(num_mds: usize) -> ClusterConfig {
@@ -178,15 +179,16 @@ fn fault_runs_are_deterministic_for_a_fixed_seed() {
 
 #[test]
 fn fault_runs_are_identical_across_policy_engines() {
-    // The slot-compiled hook engine and the legacy tree-walking
-    // interpreter must agree bit-for-bit even while faults are firing.
+    // The default bytecode hook engine and the tree-walking interpreter
+    // must agree bit-for-bit even while faults are firing.
     let fast = run_experiment(&degraded_spec(BalancerSpec::mantle(
         "adaptable",
         policies::adaptable().unwrap(),
     )));
-    let slow = run_experiment(&degraded_spec(BalancerSpec::mantle_slow_path(
+    let slow = run_experiment(&degraded_spec(BalancerSpec::mantle_with_engine(
         "adaptable",
         policies::adaptable().unwrap(),
+        HookEngine::Tree,
     )));
     assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
 }

@@ -111,3 +111,45 @@ fn all_faults_run_is_identical_across_index_modes() {
         "kitchen-sink faults",
     );
 }
+
+#[test]
+fn only_the_walk_oracle_rebuilds_aggregates_under_migration_ticks() {
+    // Migration-heavy balancer ticks straight against the namespace:
+    // export a small subtree, then take the load snapshot the next
+    // heartbeat needs. The incremental index must never fall back to a
+    // full aggregate rebuild; the walk oracle rebuilds on every snapshot.
+    const NUM_MDS: usize = 3;
+    let now = SimTime::from_secs(1);
+    let build = |mode: IndexMode| -> (Namespace, Vec<NodeId>) {
+        let mut ns = Namespace::new(NsConfig {
+            index_mode: mode,
+            ..Default::default()
+        });
+        let proj = ns.mkdir(ns.root(), "proj0");
+        let leaves = (0..8)
+            .map(|d| {
+                let dir = ns.mkdir(proj, format!("d{d}"));
+                ns.record_op(dir, OpKind::Create, SimTime::ZERO);
+                dir
+            })
+            .collect();
+        (ns, leaves)
+    };
+    let (mut inc, inc_leaves) = build(IndexMode::Incremental);
+    let (mut ora, ora_leaves) = build(IndexMode::WalkOracle);
+    for i in 0..16 {
+        for (ns, leaves) in [(&mut inc, &inc_leaves), (&mut ora, &ora_leaves)] {
+            ns.migrate_subtree(leaves[i % leaves.len()], i % NUM_MDS);
+            ns.mds_load_samples(NUM_MDS, now);
+        }
+    }
+    assert_eq!(
+        inc.rebuilds(),
+        0,
+        "incremental index fell back to a full aggregate rebuild"
+    );
+    assert!(
+        ora.rebuilds() > 0,
+        "walk-oracle mode never exercised the rebuild path"
+    );
+}

@@ -9,7 +9,7 @@ use mantle::mds::{select_best, DirfragSelector};
 use mantle::namespace::{IndexMode, Namespace, NamespaceStats, NodeId, NsConfig, OpKind};
 use mantle::policy::env::{BalancerInputs, MantleRuntime, MdsMetrics, PolicySet};
 use mantle::policy::{parse_script, script_to_source, Interpreter, StepBudget, Value};
-use mantle::policy::{BytecodeProgram, BytecodeVm, SlotProgram, SlotVm};
+use mantle::policy::{BytecodeProgram, BytecodeVm, SlotProgram};
 use mantle::sim::{DecayCounter, EventQueue, OnlineStats, SchedulerKind, SimRng, SimTime, Summary};
 
 /// Per-test RNG: independent stream per property, fixed master seed.
@@ -607,7 +607,7 @@ fn budget_always_terminates_loops() {
 }
 
 // ---------------------------------------------------------------------------
-// Tree-walking ≡ slot-compiled ≡ bytecode evaluation
+// Tree-walking ≡ bytecode evaluation
 // ---------------------------------------------------------------------------
 
 /// Generate a random expression over globals `a`, `b`, `c` mixing
@@ -637,7 +637,7 @@ fn random_expr(rng: &mut SimRng, depth: u32) -> String {
     }
 }
 
-/// Run a script through all three engines (tree walker, slot VM,
+/// Run a script through both engines (tree walker, and resolve pass →
 /// bytecode VM) with identical globals and budget; results (success
 /// value of every global, steps consumed, or the error) must be
 /// identical — numbers bit-for-bit.
@@ -652,49 +652,36 @@ fn assert_engines_agree(src: &str, globals: &[(&str, f64)], case: usize) {
     let tree_result = tree.run(&script);
 
     let prog = SlotProgram::compile(&script);
-    let mut vm = SlotVm::new(&prog, budget);
     let bc = BytecodeProgram::compile(&prog);
     let mut bvm = BytecodeVm::new(&bc, budget);
     for &(name, v) in globals {
         if let Some(slot) = prog.global_slot(name) {
-            vm.set_global(slot, Value::Number(v));
             bvm.set_global(slot, Value::Number(v));
         }
     }
-    let vm_result = vm.run(&prog);
     let bvm_result = bvm.run(&bc);
 
-    match (&tree_result, &vm_result, &bvm_result) {
-        (Ok(_), Ok(_), Ok(_)) => {
+    match (&tree_result, &bvm_result) {
+        (Ok(_), Ok(_)) => {
             for (slot, name) in prog.global_names().iter().enumerate() {
                 let t = tree.get_global(name);
-                for (engine, v) in [
-                    ("slots", vm.get_global(slot)),
-                    ("bytecode", bvm.get_global(slot)),
-                ] {
-                    let same = match (&t, v) {
-                        (Value::Number(x), Value::Number(y)) => x.to_bits() == y.to_bits(),
-                        (t, v) => t.lua_eq(v),
-                    };
-                    assert!(
-                        same,
-                        "case {case}: global {name} diverged on {src}: tree={t:?} {engine}={v:?}"
-                    );
-                }
+                let v = bvm.get_global(slot);
+                let same = match (&t, v) {
+                    (Value::Number(x), Value::Number(y)) => x.to_bits() == y.to_bits(),
+                    (t, v) => t.lua_eq(v),
+                };
+                assert!(
+                    same,
+                    "case {case}: global {name} diverged on {src}: tree={t:?} bytecode={v:?}"
+                );
             }
-            assert_eq!(
-                tree.steps_used(),
-                vm.steps_used(),
-                "case {case}: tree/slot step counts diverged on {src}"
-            );
             assert_eq!(
                 tree.steps_used(),
                 bvm.steps_used(),
                 "case {case}: tree/bytecode step counts diverged on {src}"
             );
         }
-        (Err(te), Err(se), Err(be)) => {
-            assert_eq!(te, se, "case {case}: tree/slot errors diverged on {src}");
+        (Err(te), Err(be)) => {
             assert_eq!(
                 te, be,
                 "case {case}: tree/bytecode errors diverged on {src}"
@@ -702,12 +689,12 @@ fn assert_engines_agree(src: &str, globals: &[(&str, f64)], case: usize) {
         }
         _ => panic!(
             "case {case}: engines disagree on whether {src} errors: \
-             tree={tree_result:?} slots={vm_result:?} bytecode={bvm_result:?}"
+             tree={tree_result:?} bytecode={bvm_result:?}"
         ),
     }
 }
 
-/// All three engines agree on random expressions: same values
+/// Both engines agree on random expressions: same values
 /// (bit-identical numbers), same step counts, same errors.
 #[test]
 fn all_engines_agree_on_random_expressions() {
