@@ -17,6 +17,8 @@
 //! fetch criterion. The harness understands `cargo bench -- <substring>`
 //! filtering and prints one `ns/iter` line per benchmark.
 
+#![forbid(unsafe_code)]
+
 pub mod harness {
     //! Minimal wall-clock benchmark harness (no external dependencies).
 

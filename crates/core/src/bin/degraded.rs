@@ -5,6 +5,8 @@
 //! cargo run --release -p mantle-core --bin degraded -- --full # calibrated sizes
 //! ```
 
+#![forbid(unsafe_code)]
+
 use mantle_core::degraded::degraded_table;
 use mantle_core::repro::ReproOpts;
 

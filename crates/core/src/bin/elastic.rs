@@ -6,6 +6,8 @@
 //! cargo run --release -p mantle-core --bin elastic -- --smoke # CI gate
 //! ```
 
+#![forbid(unsafe_code)]
+
 use mantle_core::elastic::{client_ops, elastic_table, run_elastic, run_fixed, score, POOL};
 use mantle_core::repro::ReproOpts;
 

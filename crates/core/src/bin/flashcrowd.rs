@@ -6,6 +6,8 @@
 //! cargo run --release -p mantle-core --bin flashcrowd -- --smoke # CI gate
 //! ```
 
+#![forbid(unsafe_code)]
+
 use mantle_core::experiment::BalancerSpec;
 use mantle_core::flashcrowd::{client_ops, flashcrowd_table, ops_per_sec, run_pair};
 use mantle_core::repro::ReproOpts;

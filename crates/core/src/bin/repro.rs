@@ -5,6 +5,8 @@
 //! cargo run --release -p mantle-core --bin repro -- fig8 --full  # one figure, full size
 //! ```
 
+#![forbid(unsafe_code)]
+
 use mantle_core::repro::{self, ReproOpts};
 
 const USAGE: &str = "\

@@ -8,6 +8,8 @@
 //! cargo run --release -p mantle-core --bin scale -- --threads 4
 //! ```
 
+#![forbid(unsafe_code)]
+
 use mantle_core::scale::{parallel_scale_table, scale_table};
 
 const USAGE: &str = "\

@@ -6,6 +6,8 @@
 //! cargo run --release -p mantle-core --bin search -- --smoke  # CI-sized
 //! ```
 
+#![forbid(unsafe_code)]
+
 use mantle_core::search::search_table;
 
 const USAGE: &str = "\

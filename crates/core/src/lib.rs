@@ -29,6 +29,8 @@
 //!   (`mantled --scenario <name>`, `tests/daemon_equivalence.rs`);
 //! * [`table`] — dependency-free text-table/CSV output.
 
+#![forbid(unsafe_code)]
+
 pub mod degraded;
 pub mod elastic;
 pub mod experiment;

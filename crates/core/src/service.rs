@@ -12,10 +12,16 @@
 //!   both [`run_service`] and [`crate::run_experiment`] and asserts the
 //!   [`RunReport`]s are byte-identical — the service pump must observe
 //!   without perturbing.
+//!
+//! Neither caller attaches a live workload, so on the simulated clock
+//! the pump never waits here: a scenario has no sessions to park and
+//! runs at batch speed. Live sessions — parked until an op arrives,
+//! woken by the pump — are `mantled`'s serve mode; see
+//! [`mantle_mds::service`].
 
 use mantle_mds::service::{LiveService, ServiceEvent};
 use mantle_mds::{Cluster, RunReport, TraceLevel, TraceRecord};
-use mantle_sim::{ClockMode, SimTime};
+use mantle_sim::ClockMode;
 
 use crate::experiment::{build_cluster, BalancerSpec, Experiment, WorkloadSpec};
 use crate::policies;
@@ -117,12 +123,6 @@ pub fn run_service(spec: &Experiment, trace: Option<TraceLevel>) -> (RunReport, 
     }
     (report, records)
 }
-
-/// The default poll interval for live client sessions: how long an idle
-/// live client parks before re-checking its op queue. One millisecond
-/// keeps injected-op pickup latency well under typical service times
-/// while costing ~10³ no-op wakeups per client-second.
-pub const LIVE_POLL: SimTime = SimTime::from_millis(1);
 
 #[cfg(test)]
 mod tests {

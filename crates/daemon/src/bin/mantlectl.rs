@@ -17,6 +17,8 @@
 //! request in `PROTOCOL.md`: `{"name":..., "metaload":..., "mdsload":...,
 //! "when":..., "where":..., "howmuch":[...], "howmany":...}`.
 
+#![forbid(unsafe_code)]
+
 use std::process::exit;
 
 use mantle_daemon::json::{parse, Json};

@@ -11,6 +11,8 @@
 //! the final run report as JSON. With `--scenario=<name>` it instead
 //! runs one named scenario through the service engine path and exits.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 
 use mantle_daemon::wire::report_json;

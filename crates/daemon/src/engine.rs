@@ -1,12 +1,21 @@
 //! The engine side of the daemon: boots the cluster on its own thread
 //! behind a [`LiveService`], owns the published-policy slot, and runs
 //! the hot-swap pipeline (parse → validate → epoch → install).
+//!
+//! The engine thread never touches a socket and the reactor never blocks
+//! on a channel, so the one thing that crosses between them besides the
+//! channels is a *wake stream*: one byte written to a nonblocking
+//! `UnixStream` after every message the engine makes available (an event
+//! batch, a swap ack, the final report), which the reactor's `poll` set
+//! includes ([`Engine::wake_stream`]).
 
-use std::sync::mpsc::{channel, Receiver};
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
+use std::sync::mpsc::{channel, Receiver, TryRecvError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use mantle_core::policies;
-use mantle_core::service::LIVE_POLL;
 use mantle_mds::service::LiveService;
 use mantle_mds::{Cluster, ClusterConfig, MantleBalancer, RunReport, ServiceHandle};
 use mantle_policy::env::PolicySet;
@@ -46,6 +55,25 @@ pub fn preset(name: &str) -> Option<PolicySet> {
 /// one real hour, so serve mode raises it.
 const SERVE_MAX_DURATION: SimTime = SimTime::from_mins(24 * 60);
 
+/// The write end of the wake stream. A full stream already holds a wake
+/// nobody has read yet, so a failed write loses nothing.
+struct Waker(UnixStream);
+
+impl Waker {
+    fn wake(&self) {
+        let _ = (&self.0).write(&[1]);
+    }
+}
+
+impl Drop for Waker {
+    /// The engine thread's last act, on a normal exit and on a panic
+    /// alike: by now its report is sent (or its sender dropped), so the
+    /// reactor woken here finds [`Engine::finished`] true.
+    fn drop(&mut self) {
+        self.wake();
+    }
+}
+
 /// A running cluster engine: the daemon-facing half of
 /// [`Cluster::serve`], plus the epoch-tagged policy slot.
 pub struct Engine {
@@ -53,7 +81,10 @@ pub struct Engine {
     pub handle: ServiceHandle,
     /// The currently-published policy (epoch 0 is the boot preset).
     pub cell: PolicyCell,
+    wake_rx: UnixStream,
     report_rx: Receiver<RunReport>,
+    /// The report, once received: `finished` holds it for `finish`.
+    report: Option<RunReport>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -69,8 +100,20 @@ impl Engine {
                 cfg.policy
             )
         })?;
+        let (wake_rx, wake_tx) = UnixStream::pair()
+            .and_then(|(rx, tx)| {
+                rx.set_nonblocking(true)?;
+                tx.set_nonblocking(true)?;
+                Ok((rx, tx))
+            })
+            .map_err(|e| format!("creating the wake stream: {e}"))?;
+        let waker = Arc::new(Waker(wake_tx));
         let (mut svc, handle) = LiveService::new(cfg.clock);
-        let workload = svc.workload(cfg.sessions, LIVE_POLL);
+        let workload = svc.workload(cfg.sessions);
+        svc.notify_with({
+            let waker = Arc::clone(&waker);
+            move || waker.wake()
+        });
         let name = cfg.policy.clone();
         let cell = PolicyCell::new(&name, set.clone());
         let mut ccfg = ClusterConfig::default()
@@ -84,6 +127,10 @@ impl Engine {
         let thread = std::thread::Builder::new()
             .name("mantled-engine".into())
             .spawn(move || {
+                // Declared before `tx` so it drops after it: the last
+                // wake follows the report (or, on a panic, the hang-up).
+                let _last_wake = waker;
+                let tx = tx;
                 let cluster = Cluster::new(ccfg, workload, |_| {
                     Box::new(
                         MantleBalancer::new_unvalidated(name.clone(), set.clone())
@@ -97,7 +144,9 @@ impl Engine {
         Ok(Engine {
             handle,
             cell,
+            wake_rx,
             report_rx,
+            report: None,
             thread: Some(thread),
         })
     }
@@ -118,10 +167,35 @@ impl Engine {
         Ok((epoch, ack))
     }
 
-    /// Whether the engine thread has already delivered its report (i.e.
-    /// the run ended), without consuming it.
-    pub fn finished(&self) -> bool {
-        self.thread.as_ref().is_none_or(|t| t.is_finished())
+    /// The read end of the wake stream, for a `poll` set: readable
+    /// whenever the engine made something available since the last
+    /// [`Engine::drain_wakes`].
+    pub fn wake_stream(&self) -> &UnixStream {
+        &self.wake_rx
+    }
+
+    /// Empty the wake stream. Call *before* reading the channels: a wake
+    /// written after this returns stays in the stream, so the message
+    /// behind it is either read now or announced at the next `poll`.
+    pub fn drain_wakes(&mut self) {
+        let mut sink = [0u8; 64];
+        while matches!(self.wake_rx.read(&mut sink), Ok(n) if n > 0) {}
+    }
+
+    /// Whether the run has ended: the engine thread delivered its report
+    /// (held here for [`Engine::finish`]) or died without one. True as
+    /// soon as the thread's last wake can be observed — the report is
+    /// sent before that wake, whereas the thread itself is still
+    /// unwinding when the wake arrives.
+    pub fn finished(&mut self) -> bool {
+        match self.report_rx.try_recv() {
+            Ok(report) => {
+                self.report = Some(report);
+                true
+            }
+            Err(TryRecvError::Empty) => self.report.is_some(),
+            Err(TryRecvError::Disconnected) => true,
+        }
     }
 
     /// Join the engine thread and return its final report. Call after
@@ -131,7 +205,9 @@ impl Engine {
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
-        self.report_rx.try_recv().ok()
+        self.report
+            .take()
+            .or_else(|| self.report_rx.try_recv().ok())
     }
 }
 

@@ -17,7 +17,10 @@
 //!   on its own thread and owns the
 //!   [`PolicyCell`](mantle_policy::install::PolicyCell) swap pipeline;
 //! * [`server`] — the nonblocking `std::net` reactor tying sockets to
-//!   the engine's command inbox and event stream;
+//!   the engine's command inbox and event stream, blocked in `poll(2)`
+//!   when both are quiet;
+//! * [`sys`] — the hand-declared `poll(2)` binding (the workspace's one
+//!   `unsafe` block), which makes this crate unix-only;
 //! * [`client`] — a blocking protocol client (`mantlectl`, smoke tests).
 //!
 //! Determinism is preserved across the daemon boundary: with
@@ -29,12 +32,18 @@
 //! live — see `DESIGN.md` §18.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+
+#[cfg(not(unix))]
+compile_error!("mantle-daemon needs a unix host: its reactor blocks in poll(2)");
 
 pub mod client;
 pub mod config;
 pub mod engine;
 pub mod json;
 pub mod server;
+#[allow(unsafe_code)]
+pub mod sys;
 pub mod wire;
 
 pub use client::MantleClient;

@@ -1,20 +1,33 @@
 //! The `mantled` connection reactor: a single-threaded nonblocking
-//! accept/read/dispatch/write loop over `std::net` (the workspace takes
-//! no dependencies, so there is no mio — readiness is approximated by
-//! polling with a short idle sleep, which at the daemon's scale costs
-//! well under a millisecond of latency).
+//! accept/read/dispatch/write loop over `std::net`, blocked in `poll(2)`
+//! ([`crate::sys`]) whenever an iteration finds nothing to do.
 //!
 //! The reactor owns the [`Engine`] handle. Inbound frames become engine
 //! commands; each loop iteration drains the engine's event stream,
-//! routing completions back to the issuing connection (per-slot FIFO —
-//! sound because live clients are closed-loop, one outstanding op each)
-//! and broadcasting trace records to every `trace`-role subscriber.
+//! routing completions back to the issuing connection (per-slot FIFO
+//! tickets — a slot's ops complete in submission order, pipelined or
+//! not) and broadcasting trace records to every `trace`-role subscriber.
+//!
+//! # No polling, no timeout
+//!
+//! The `poll` set is the listener, every connection (readable unless it
+//! is being closed; writable only while it has unsent bytes) and the
+//! engine's wake stream, into which the engine thread writes a byte
+//! after every message it makes available. Readiness is level-triggered
+//! and the reactor only blocks after a full iteration that found every
+//! source empty, so anything that arrives after its source was checked
+//! is still there — as a readable descriptor — when `poll` is entered:
+//! no wake-up can be lost, and `poll` is given no timeout. An idle
+//! daemon therefore makes no system calls at all between heartbeats;
+//! `status` reports `reactor_wakeups` and `reactor_timeouts` (returns
+//! with nothing ready, which only a signal can cause) so that is
+//! checkable from outside.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::Receiver;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mantle_mds::{RunReport, ServiceEvent};
 use mantle_sim::SimTime;
@@ -22,7 +35,22 @@ use mantle_sim::SimTime;
 use crate::config::DaemonConfig;
 use crate::engine::{policy_source_from_json, Engine, PRESET_NAMES};
 use crate::json::Json;
+use crate::sys::{poll, PollFd, POLLIN, POLLOUT};
 use crate::wire::{decode_frame, encode_frame, error_msg, op_kind, report_json, PROTO_VERSION};
+
+/// Connections beyond `sessions + SPARE_CONNS` are refused with
+/// `too-many-connections`: every session slot can be bound and a few
+/// dozen admin and trace connections still fit, while the `poll` set —
+/// and the memory a crowd of idle peers can pin — stays bounded.
+const SPARE_CONNS: usize = 32;
+
+/// A `trace` subscriber whose write buffer would pass this is dropped
+/// with `lagged`. The stream is best-effort by design; one stalled reader
+/// must not grow the daemon without limit. The buffer is only reset when
+/// it empties, so this also catches a reader that trails by less but
+/// never catches up — which takes being a full socket buffer behind for
+/// 4 MiB of stream.
+const TRACE_BACKLOG_CAP: usize = 4 << 20;
 
 /// What a connection declared itself to be in its `hello`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,12 +70,45 @@ struct Conn {
     /// dropped instead of reaching whoever reused its slab index.
     token: u64,
     rbuf: Vec<u8>,
+    /// Outbound bytes; `wbuf[..wpos]` is already written. Whole frames
+    /// are appended, and the buffer is reset only once fully flushed, so
+    /// offset 0 is always a frame boundary.
     wbuf: Vec<u8>,
+    wpos: usize,
     role: Option<Role>,
     /// Client slot, for `Role::Client`.
     slot: Option<usize>,
     /// Set when the peer misbehaved: flush what is queued, then drop.
     closing: bool,
+}
+
+impl Conn {
+    fn unsent(&self) -> usize {
+        self.wbuf.len() - self.wpos
+    }
+
+    /// Give up on a subscriber that cannot keep up: drop every queued
+    /// frame that has not started going out, and end the stream with a
+    /// `lagged` error. The frame in flight (if any) is completed first so
+    /// the error still arrives on a frame boundary.
+    fn cut_off_lagged(&mut self) {
+        let mut boundary = 0;
+        while boundary < self.wpos {
+            let len = u32::from_be_bytes(
+                self.wbuf[boundary..boundary + 4]
+                    .try_into()
+                    .expect("four bytes"),
+            );
+            boundary += 4 + len as usize;
+        }
+        self.wbuf.truncate(boundary);
+        self.wbuf.extend_from_slice(&encode_frame(&error_msg(
+            None,
+            "lagged",
+            format!("trace backlog passed {TRACE_BACKLOG_CAP} bytes; resubscribe"),
+        )));
+        self.closing = true;
+    }
 }
 
 /// A client slot's reply routing: outstanding tickets in submission
@@ -78,6 +139,9 @@ pub struct Server {
     next_token: u64,
     ops_submitted: u64,
     ops_completed: u64,
+    /// Returns from `poll`, and those of them with nothing ready.
+    reactor_wakeups: u64,
+    reactor_timeouts: u64,
     shutting_down: bool,
 }
 
@@ -100,6 +164,8 @@ impl Server {
             next_token: 0,
             ops_submitted: 0,
             ops_completed: 0,
+            reactor_wakeups: 0,
+            reactor_timeouts: 0,
             shutting_down: false,
         })
     }
@@ -130,10 +196,37 @@ impl Server {
                 break;
             }
             if !progressed {
-                std::thread::sleep(Duration::from_millis(1));
+                self.wait();
             }
         }
         self.engine.finish().expect("engine thread completed")
+    }
+
+    /// Block until a socket or the engine has something for the reactor.
+    /// Only called after an iteration that found every source empty; see
+    /// the module docs for why that needs no timeout.
+    fn wait(&mut self) {
+        let mut fds = Vec::with_capacity(2 + self.conns.len());
+        fds.push(PollFd::new(self.engine.wake_stream(), POLLIN));
+        fds.push(PollFd::new(&self.listener, POLLIN));
+        for conn in self.conns.iter().flatten() {
+            let mut events = 0;
+            if !conn.closing {
+                events |= POLLIN;
+            }
+            if conn.unsent() > 0 {
+                events |= POLLOUT;
+            }
+            fds.push(PollFd::new(&conn.stream, events));
+        }
+        let ready = poll(&mut fds, None).expect("poll on the reactor's own descriptors");
+        self.reactor_wakeups += 1;
+        if ready == 0 {
+            self.reactor_timeouts += 1;
+        }
+        if fds[0].ready() {
+            self.engine.drain_wakes();
+        }
     }
 
     fn accept_new(&mut self) -> bool {
@@ -146,12 +239,24 @@ impl Server {
                     }
                     let _ = stream.set_nodelay(true);
                     any = true;
+                    let open = self.conns.iter().flatten().count();
+                    if open >= self.cfg.sessions + SPARE_CONNS {
+                        // One small frame into a fresh socket's empty
+                        // send buffer; then the drop closes it.
+                        let _ = (&stream).write(&encode_frame(&error_msg(
+                            None,
+                            "too-many-connections",
+                            format!("{open} connections already open"),
+                        )));
+                        continue;
+                    }
                     self.next_token += 1;
                     let conn = Conn {
                         stream,
                         token: self.next_token,
                         rbuf: Vec::new(),
                         wbuf: Vec::new(),
+                        wpos: 0,
                         role: None,
                         slot: None,
                         closing: false,
@@ -444,6 +549,8 @@ impl Server {
             ("connections", Json::num(conns as f64)),
             ("ops_submitted", Json::num(self.ops_submitted as f64)),
             ("ops_completed", Json::num(self.ops_completed as f64)),
+            ("reactor_wakeups", Json::num(self.reactor_wakeups as f64)),
+            ("reactor_timeouts", Json::num(self.reactor_timeouts as f64)),
             ("draining", Json::Bool(self.shutting_down)),
             (
                 "presets",
@@ -480,7 +587,12 @@ impl Server {
                         frames.extend_from_slice(line.as_bytes());
                     }
                     for conn in self.conns.iter_mut().flatten() {
-                        if conn.role == Some(Role::Trace) && !conn.closing {
+                        if conn.role != Some(Role::Trace) || conn.closing {
+                            continue;
+                        }
+                        if conn.wbuf.len() + frames.len() > TRACE_BACKLOG_CAP {
+                            conn.cut_off_lagged();
+                        } else {
                             conn.wbuf.extend_from_slice(&frames);
                         }
                     }
@@ -559,15 +671,15 @@ impl Server {
                 continue;
             };
             let mut dead = false;
-            while !conn.wbuf.is_empty() {
-                match conn.stream.write(&conn.wbuf) {
+            while conn.unsent() > 0 {
+                match conn.stream.write(&conn.wbuf[conn.wpos..]) {
                     Ok(0) => {
                         dead = true;
                         break;
                     }
                     Ok(n) => {
                         any = true;
-                        conn.wbuf.drain(..n);
+                        conn.wpos += n;
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -576,6 +688,10 @@ impl Server {
                         break;
                     }
                 }
+            }
+            if conn.unsent() == 0 {
+                conn.wbuf.clear();
+                conn.wpos = 0;
             }
             if dead {
                 self.drop_conn(idx);
@@ -586,7 +702,7 @@ impl Server {
 
     fn reap_closed(&mut self) {
         for idx in 0..self.conns.len() {
-            let close = matches!(&self.conns[idx], Some(c) if c.closing && c.wbuf.is_empty());
+            let close = matches!(&self.conns[idx], Some(c) if c.closing && c.unsent() == 0);
             if close {
                 self.drop_conn(idx);
             }
@@ -601,5 +717,50 @@ impl Server {
                 // them in order and find the connection gone.
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_lagged_subscriber_keeps_the_frame_in_flight_and_gets_one_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let frames: Vec<Vec<u8>> = (0..4)
+            .map(|i| encode_frame(&Json::obj(vec![("n", Json::num(i as f64))])))
+            .collect();
+        let mut conn = Conn {
+            stream,
+            token: 1,
+            rbuf: Vec::new(),
+            wbuf: frames.concat(),
+            // The first frame is out, the second is half written.
+            wpos: frames[0].len() + 3,
+            role: Some(Role::Trace),
+            slot: None,
+            closing: false,
+        };
+        conn.cut_off_lagged();
+        assert!(conn.closing);
+        let mut rest = conn.wbuf.split_off(frames[0].len());
+        assert_eq!(
+            decode_frame(&mut rest).unwrap(),
+            Some(Json::obj(vec![("n", Json::num(1.0))])),
+            "the frame in flight is completed"
+        );
+        let error = decode_frame(&mut rest).unwrap().expect("then the error");
+        assert_eq!(error.get_str("code"), Some("lagged"));
+        assert!(rest.is_empty(), "and nothing after it");
+
+        // Nothing in flight: everything unsent goes.
+        conn.wbuf = frames.concat();
+        conn.wpos = frames[0].len();
+        conn.cut_off_lagged();
+        let mut rest = conn.wbuf.split_off(frames[0].len());
+        let error = decode_frame(&mut rest).unwrap().expect("the error");
+        assert_eq!(error.get_str("code"), Some("lagged"));
+        assert!(rest.is_empty());
     }
 }

@@ -3,6 +3,11 @@
 //! hot-swap the policy through the admin socket, watch the install epoch
 //! appear in the live trace stream, then shut down cleanly and check the
 //! final report. This is the CI "daemon smoke" step.
+//!
+//! The later tests pin the event-driven wire path from outside: an idle
+//! daemon makes (almost) no context switches, a swap ack reaches the
+//! reactor with no other traffic to carry it, and neither a stalled peer
+//! nor a crowd of them gets in another client's way.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -210,4 +215,105 @@ fn protocol_errors_are_reported_not_fatal() {
     assert_eq!(ok.get_str("type"), Some("ok"));
     let (success, _) = daemon.finish();
     assert!(success);
+}
+
+/// Voluntary context switches of every thread of `pid`, summed.
+#[cfg(target_os = "linux")]
+fn voluntary_switches(pid: u32) -> u64 {
+    let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).expect("daemon is running");
+    tasks
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("status")).ok())
+        .filter_map(|status| {
+            let line = status
+                .lines()
+                .find(|l| l.starts_with("voluntary_ctxt_switches:"))?;
+            line.split_whitespace().nth(1)?.parse::<u64>().ok()
+        })
+        .sum()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_daemon_does_not_poll() {
+    let daemon = Daemon::spawn(&["--clock=wall"]);
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    let before = voluntary_switches(daemon.child.id());
+    std::thread::sleep(std::time::Duration::from_secs(1));
+    let switched = voluntary_switches(daemon.child.id()) - before;
+    // A 1 ms reactor sleep plus 16 sessions polled every millisecond cost
+    // ≈1 850 switches a second; blocked in poll(2) and on the inbox
+    // condvar the two threads make none until the next heartbeat.
+    assert!(
+        switched < 100,
+        "{switched} context switches in an idle second"
+    );
+    let status = admin.admin("status", vec![]).expect("status");
+    assert!(status.get_u64("reactor_wakeups").expect("reported") < 100);
+    assert_eq!(status.get_u64("reactor_timeouts"), Some(0));
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    assert!(daemon.finish().0);
+}
+
+#[test]
+fn a_swap_ack_wakes_the_reactor_by_itself() {
+    // Tracing off and no op in flight: the ack is the only thing the
+    // engine has to say, so nothing else can carry it to the socket.
+    let daemon = Daemon::spawn(&["--clock=wall", "--trace=off"]);
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    let swapped = admin
+        .admin("policy-swap", vec![("policy", swap_bundle())])
+        .expect("the ack arrives");
+    assert_eq!(swapped.get_str("type"), Some("swapped"), "swap: {swapped}");
+    assert_eq!(swapped.get_u64("epoch"), Some(1));
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    assert!(daemon.finish().0);
+}
+
+#[test]
+fn stalled_and_surplus_peers_do_not_block_a_client() {
+    use std::io::{Read as _, Write as _};
+    let daemon = Daemon::spawn(&["--sessions=1", "--clock=wall"]);
+
+    // Half a frame, then silence: a length prefix promising 64 bytes and
+    // three of them.
+    let mut stalled = std::net::TcpStream::connect(&daemon.addr).expect("connects");
+    stalled.write_all(&[0, 0, 0, 64, b'{', b'"', b't']).unwrap();
+
+    let mut client = MantleClient::connect(&daemon.addr, "client").expect("client connects");
+    for _ in 0..4 {
+        let reply = client.op("create", "/smoke/beside-a-stall").expect("op");
+        assert_eq!(reply.get_str("status"), Some("ok"));
+    }
+
+    // The cap is sessions + 32 = 33 connections, and two are open.
+    let crowd: Vec<_> = (0..31)
+        .map(|i| {
+            MantleClient::connect(&daemon.addr, "admin").unwrap_or_else(|e| panic!("#{i}: {e}"))
+        })
+        .collect();
+    let refused = match MantleClient::connect(&daemon.addr, "admin") {
+        Ok(_) => panic!("the 34th connection must be refused"),
+        Err(e) => e.to_string(),
+    };
+    assert!(refused.contains("too-many-connections"), "{refused}");
+    let reply = client.op("stat", "/smoke/beside-a-stall").expect("op");
+    assert_eq!(reply.get_str("status"), Some("ok"), "served at the cap");
+
+    // A closed connection frees its place.
+    drop(crowd);
+    let mut admin = loop {
+        match MantleClient::connect(&daemon.addr, "admin") {
+            Ok(admin) => break admin,
+            Err(e) if e.to_string().contains("too-many-connections") => {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            Err(e) => panic!("{e}"),
+        }
+    };
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    assert!(daemon.finish().0);
+    // The stalled peer was never answered, only hung up on at exit.
+    let mut rest = Vec::new();
+    let _ = stalled.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "{rest:?}");
 }

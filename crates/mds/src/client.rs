@@ -16,6 +16,12 @@ pub struct ClientOp {
     pub kind: OpKind,
 }
 
+/// "No instant I can name": returned from [`Workload::next_ready_at`] by
+/// a workload whose ops arrive from outside the simulation. The client
+/// is left with no scheduled event until the service pump wakes it (see
+/// [`crate::service`]).
+pub const PARKED: SimTime = SimTime(u64::MAX);
+
 /// A workload drives every client: the cluster asks it for each client's
 /// next operation whenever that client's previous one completes.
 ///
@@ -42,6 +48,11 @@ pub trait Workload: Send {
     /// reschedules the client's wakeup instead of calling
     /// [`Workload::next`]. Must be deterministic in `(client, now)` so
     /// sharded execution stays byte-identical to single-threaded.
+    ///
+    /// The one exception is [`PARKED`]: a workload fed from outside the
+    /// simulation (a live session's op queue) returns it when it cannot
+    /// name an instant. The cluster then schedules nothing for the
+    /// client, and whoever feeds the workload wakes it.
     fn next_ready_at(&mut self, client: usize, now: SimTime) -> Option<SimTime> {
         let _ = (client, now);
         None
@@ -88,6 +99,9 @@ pub struct ClientState {
     /// Timeouts suffered by the pending op so far (drives the
     /// exponential backoff).
     pub attempts: u32,
+    /// The workload answered [`PARKED`]: the client has no scheduled
+    /// event and waits for [`crate::shard::Shard::wake_client`].
+    pub(crate) parked: bool,
 }
 
 impl ClientState {
@@ -104,6 +118,7 @@ impl ClientState {
             seq: 0,
             pending: None,
             attempts: 0,
+            parked: false,
         }
     }
 

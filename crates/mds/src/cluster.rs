@@ -115,6 +115,10 @@ struct Coordinator {
     rng_cpu: SimRng,
     globals: EventQueue<GlobalEvent>,
     admin_actions: Vec<Option<AdminOp>>,
+    /// A hot-swap ack was sent since the service pump last looked: the
+    /// pump owes the consumer a notification even if no event batch
+    /// follows (tracing may be off).
+    swap_acked: bool,
     /// Count of balancer hook errors (bad policies surface here).
     policy_errors: u64,
     /// Balancers whose hooks were poisoned mid-run (every decide errors).
@@ -349,6 +353,7 @@ impl Cluster {
             rng_cpu: master.stream("cpu-noise"),
             globals: EventQueue::with_scheduler(cfg.scheduler),
             admin_actions: Vec::new(),
+            swap_acked: false,
             policy_errors: 0,
             poisoned: vec![false; n],
             consecutive_policy_errors: vec![0; n],
@@ -491,10 +496,21 @@ impl Cluster {
     /// [`ClockMode::Sim`]: mantle_sim::ClockMode::Sim
     /// [`ServiceEvent::Trace`]: crate::service::ServiceEvent::Trace
     pub fn serve(
-        mut self,
+        self,
         svc: crate::service::LiveService,
         trace: Option<TraceLevel>,
     ) -> (RunReport, Option<TraceBuffer>) {
+        let (report, buffer, _stats) = self.serve_with_stats(svc, trace);
+        (report, buffer)
+    }
+
+    /// [`Cluster::serve`], also returning the execution stats (the live
+    /// path's tests count events with them).
+    pub(crate) fn serve_with_stats(
+        mut self,
+        svc: crate::service::LiveService,
+        trace: Option<TraceLevel>,
+    ) -> (RunReport, Option<TraceBuffer>, ExecStats) {
         let sink = trace.map(|l| self.enable_tracing(l));
         for m in &self.shards {
             m.lock().expect("no workers before serve()").live = true;
@@ -505,8 +521,9 @@ impl Cluster {
             clock: svc.clock,
             wall: mantle_sim::WallClock::start(),
             queues: svc.queues,
+            notify: svc.notify,
         };
-        let (report, _stats) = self.run_inner(Some(&mut pump));
+        let (report, stats) = self.run_inner(Some(&mut pump));
         // Stream the tail: records merged after the loop's last pump
         // (including the RunEnd trailer) still belong on the wire.
         let buffer = sink.map(|s| {
@@ -516,10 +533,11 @@ impl Cluster {
             let tail = std::mem::take(buf.records_mut());
             if !tail.is_empty() {
                 let _ = pump.events.send(crate::service::ServiceEvent::Trace(tail));
+                pump.notify();
             }
             buf
         });
-        (report, buffer)
+        (report, buffer, stats)
     }
 
     fn run_inner(mut self, pump: Option<&mut ServicePump>) -> (RunReport, ExecStats) {
@@ -716,7 +734,7 @@ fn run_loop(
     let mut last_now = SimTime::ZERO;
     loop {
         if let Some(p) = pump.as_deref_mut() {
-            pump_pre(p, co, shared, shards, last_now);
+            pump_pre(p, co, shared, shards, router, last_now);
         }
         // Gather: next event time, liveness, and conservation counts.
         let mut t_shard: Option<SimTime> = None;
@@ -794,15 +812,28 @@ struct ServicePump {
     clock: mantle_sim::ClockMode,
     wall: mantle_sim::WallClock,
     queues: Option<Arc<crate::service::LiveQueues>>,
+    notify: Option<Box<dyn Fn() + Send>>,
 }
 
-/// Drain the service inbox into the engine, then (wall clock only) sleep
-/// until the next event falls due or a new command arrives.
+impl ServicePump {
+    /// Tell the consumer a message is waiting (an event batch or an ack).
+    fn notify(&self) {
+        if let Some(notify) = &self.notify {
+            notify();
+        }
+    }
+}
+
+/// Drain the service inbox into the engine — waking the parked clients
+/// the commands concern — then wait: under the wall clock until the next
+/// event falls due or a command arrives, under the simulated clock only
+/// for a command, and only when there is nothing else to do.
 fn pump_pre(
     pump: &mut ServicePump,
     co: &mut Coordinator,
     shared: &RwLock<SharedSim>,
     shards: &[Mutex<Shard>],
+    router: &ShardRouter,
     last_now: SimTime,
 ) {
     use crate::service::ServiceCmd;
@@ -815,6 +846,20 @@ fn pump_pre(
                 .expect("service inbox never poisoned")
                 .drain(..),
         );
+        // The time frontier: the instant of the last event anyone
+        // processed. `last_now` was gathered before the latest window, so
+        // the shards' own marks complete it.
+        let frontier = shards
+            .iter()
+            .map(|m| m.lock().expect("shard lock").last_event)
+            .fold(last_now, SimTime::max);
+        // Where a woken client resumes. A wall-paced engine that sat idle
+        // has a frontier as old as its last event, but the command
+        // arrived now: stamp it with the simulated instant it arrived at.
+        let wake_at = match pump.clock {
+            mantle_sim::ClockMode::Sim => frontier,
+            mantle_sim::ClockMode::Wall => frontier.max(pump.wall.now()),
+        };
         for cmd in drained.drain(..) {
             match cmd {
                 ServiceCmd::Op { client, path, kind } => {
@@ -835,6 +880,10 @@ fn pump_pre(
                     slot.lock()
                         .expect("live queue never poisoned")
                         .push_back(crate::client::ClientOp { dir, kind });
+                    shards[router.client_shard[client]]
+                        .lock()
+                        .expect("shard lock")
+                        .wake_client(client, wake_at);
                 }
                 ServiceCmd::Install {
                     name,
@@ -858,38 +907,67 @@ fn pump_pre(
                     co.globals.schedule_at(at, GlobalEvent::Admin(idx));
                 }
                 ServiceCmd::Shutdown => {
-                    if let Some(queues) = &pump.queues {
-                        queues.closed.store(true, Ordering::Release);
+                    // Close the queues, then wake every parked client so
+                    // each asks for its next op, gets none, and finishes.
+                    let Some(queues) = &pump.queues else { continue };
+                    queues.closed.store(true, Ordering::Release);
+                    for (c, &shard) in router.client_shard.iter().enumerate() {
+                        shards[shard]
+                            .lock()
+                            .expect("shard lock")
+                            .wake_client(c, wake_at);
                     }
                 }
             }
         }
-        if pump.clock == mantle_sim::ClockMode::Sim {
-            return;
-        }
-        // Wall pacing: find the next event deadline and sleep until it is
-        // due or the inbox signals. Spurious wakeups just loop: the
-        // deadline is re-derived every pass, so newly injected (earlier)
-        // events shorten the sleep and overdue backlogs skip it.
-        let mut t_min = co.globals.peek_time();
+        let mut t_shard: Option<SimTime> = None;
         let (mut active, mut inflight) = (0usize, 0i64);
         for m in shards {
             let g = m.lock().expect("shard lock");
             if let Some(t) = g.queue.peek_time() {
-                t_min = Some(t_min.map_or(t, |x: SimTime| x.min(t)));
+                t_shard = Some(t_shard.map_or(t, |x: SimTime| x.min(t)));
             }
             active += g.active;
             inflight += g.inflight;
         }
         if active == 0 && inflight == 0 {
-            // Drained: the caller's liveness check ends the run. Sleeping
+            // Drained: the caller's liveness check ends the run. Waiting
             // here would stall shutdown until the next (now moot) global
             // event — typically a whole heartbeat interval away.
             return;
         }
-        let Some(t) = t_min else { return };
-        let Some(wait) = pump.wall.until(t) else {
-            return;
+        let t_glob = co.globals.peek_time();
+        let wait = match pump.clock {
+            mantle_sim::ClockMode::Sim => {
+                // Free-running: no deadline is ever waited for. But when
+                // every live session is parked, nothing is in flight and
+                // no admin event is due, the only events left are future
+                // heartbeats; running through them would carry an idle
+                // service to its duration cap in under a second. Virtual
+                // time stands still until a command gives it work.
+                let idle = pump.queues.is_some()
+                    && t_shard.is_none()
+                    && t_glob.is_none_or(|t| t > frontier);
+                if !idle {
+                    return;
+                }
+                None
+            }
+            mantle_sim::ClockMode::Wall => {
+                // Wall pacing: wait until the next event is due or the
+                // inbox signals. Spurious wakeups just loop: the deadline
+                // is re-derived every pass, so newly injected (earlier)
+                // events shorten the wait and overdue backlogs skip it.
+                // With every session parked the next event is a
+                // heartbeat or a fault, never a client poll.
+                let Some(t) = t_shard.into_iter().chain(t_glob).min() else {
+                    return;
+                };
+                match pump.wall.until(t) {
+                    Some(wait) => Some(wait),
+                    None => return,
+                }
+            }
         };
         let q = pump
             .inbox
@@ -897,19 +975,22 @@ fn pump_pre(
             .lock()
             .expect("service inbox never poisoned");
         if q.is_empty() {
-            let _ = pump
-                .inbox
-                .signal
-                .wait_timeout(q, wait)
-                .expect("service inbox never poisoned");
+            let signal = &pump.inbox.signal;
+            let poisoned = "service inbox never poisoned";
+            match wait {
+                Some(wait) => drop(signal.wait_timeout(q, wait).expect(poisoned)),
+                None => drop(signal.wait(q).expect(poisoned)),
+            }
         }
     }
 }
 
-/// Stream freshly-emitted trace records and live completions. Records
-/// are globally ordered within a batch (the `(time, key)` sort), and
-/// batches are time-ordered because the scheduler frontier only moves
-/// forward — concatenated batches reproduce the batch-mode stream.
+/// Stream freshly-emitted trace records and live completions, then tell
+/// the consumer if anything (a batch, or a swap ack sent by this
+/// iteration's exclusive step) is waiting for it. Records are globally
+/// ordered within a batch (the `(time, key)` sort), and batches are
+/// time-ordered because the scheduler frontier only moves forward —
+/// concatenated batches reproduce the batch-mode stream.
 fn pump_post(pump: &mut ServicePump, co: &mut Coordinator, shards: &[Mutex<Shard>]) {
     let mut recs: Vec<(TraceKey, TraceRecord)> = std::mem::take(&mut co.ctrace);
     let mut comps: Vec<crate::service::LiveCompletion> = Vec::new();
@@ -918,11 +999,13 @@ fn pump_post(pump: &mut ServicePump, co: &mut Coordinator, shards: &[Mutex<Shard
         recs.append(&mut g.trace);
         comps.append(&mut g.completions);
     }
+    let mut waiting = std::mem::take(&mut co.swap_acked);
     if !recs.is_empty() {
         recs.sort_unstable_by_key(|(k, _)| *k);
         let _ = pump.events.send(crate::service::ServiceEvent::Trace(
             recs.into_iter().map(|(_, r)| r).collect(),
         ));
+        waiting = true;
     }
     if !comps.is_empty() {
         // Cross-shard merge: completion order is deterministic by
@@ -932,6 +1015,10 @@ fn pump_post(pump: &mut ServicePump, co: &mut Coordinator, shards: &[Mutex<Shard
         let _ = pump
             .events
             .send(crate::service::ServiceEvent::Completions(comps));
+        waiting = true;
+    }
+    if waiting {
+        pump.notify();
     }
 }
 
@@ -1126,6 +1213,7 @@ fn install_policy(
             let _ = ack.send(Err(e.to_string()));
         }
     }
+    co.swap_acked = true;
 }
 
 /// Apply one scheduled fault.

@@ -22,6 +22,7 @@
 //!   and flush client sessions (§4.1).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod balancer;
 pub mod cache;
@@ -41,7 +42,7 @@ pub mod trace;
 
 pub use balancer::{BalanceContext, Balancer, CephfsBalancer, MantleBalancer, MigrationPlan};
 pub use cache::{cacheable, group_of, ClientCache, GroupCache, IntervalRegion};
-pub use client::{ClientOp, Workload};
+pub use client::{ClientOp, Workload, PARKED};
 pub use cluster::Cluster;
 pub use config::{
     CacheConfig, ClusterConfig, CostModel, ElasticConfig, ExecMode, JoinPolicy, PlacementPolicy,

@@ -37,7 +37,7 @@ use mantle_namespace::{FragId, MdsId, Namespace, NodeId, OpKind};
 use mantle_sim::{EventQueue, SimRng, SimTime};
 
 use crate::cache::{cacheable, group_of, GroupCache};
-use crate::client::{ClientOp, ClientState, Workload};
+use crate::client::{ClientOp, ClientState, Workload, PARKED};
 use crate::config::{ClusterConfig, PlacementPolicy};
 use crate::metrics::MdsCounters;
 use crate::trace::{TraceEvent, TraceRecord};
@@ -652,8 +652,14 @@ impl Shard {
             return;
         }
         // Open-loop workloads can park a client until a future window
-        // (diurnal phases); re-poll at that instant.
+        // (diurnal phases); re-poll at that instant. A live session with
+        // an empty queue has no such instant: it keeps no event at all,
+        // and the service pump wakes it when an op (or shutdown) arrives.
         if let Some(ready) = self.workload.next_ready_at(c, now) {
+            if ready == PARKED {
+                self.client_mut(c).parked = true;
+                return;
+            }
             if ready > now {
                 let key = self.client_key(c);
                 self.queue.schedule_at_key(ready, key, Event::ClientNext(c));
@@ -676,6 +682,22 @@ impl Shard {
                 self.issue(sh, router, c, now);
             }
         }
+    }
+
+    /// Wake client `c` if it is parked: one `ClientNext` at `at`, under a
+    /// fresh key. Called by the service pump between windows, right after
+    /// it queued an op for `c` or closed the queues. A client that is not
+    /// parked already has an event coming that ends in `client_next` (its
+    /// kick-off, a stall, or the reply to the op it is busy with), so it
+    /// is left alone and no wake-up is ever stale. Returns whether it woke.
+    pub(crate) fn wake_client(&mut self, c: usize, at: SimTime) -> bool {
+        let client = self.client_mut(c);
+        if !std::mem::take(&mut client.parked) {
+            return false;
+        }
+        let key = self.client_key(c);
+        self.queue.schedule_at_key(at, key, Event::ClientNext(c));
+        true
     }
 
     /// Send the client's pending op to the MDS it routes to, arming the

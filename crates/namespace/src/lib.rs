@@ -20,6 +20,7 @@
 //!   the act of installing/removing these overrides.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod heat;
 pub mod stats;

@@ -19,6 +19,7 @@
 //! scale-mode runs; both honor the same pop-order contract.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod events;

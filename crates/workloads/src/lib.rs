@@ -17,6 +17,8 @@
 //!
 //! All generators are deterministic given their seed.
 
+#![forbid(unsafe_code)]
+
 pub mod compile;
 pub mod create;
 pub mod diurnal;

@@ -19,6 +19,8 @@
 //!   exit non-zero if any invariant is violated;
 //! * `--full-size` — run the full-size workload instead of the quick one.
 
+#![forbid(unsafe_code)]
+
 use mantle::core::degraded::{run_scenario_traced, scenario_plans};
 use mantle::core::repro::ReproOpts;
 use mantle::mds::check_trace;

@@ -15,6 +15,9 @@
 //! let report = run_experiment(&spec);
 //! assert_eq!(report.total_ops(), 2_000.0);
 //! ```
+
+#![forbid(unsafe_code)]
+
 pub use mantle_core as core;
 pub use mantle_daemon as daemon;
 pub use mantle_mds as mds;
