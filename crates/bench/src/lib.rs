@@ -120,14 +120,18 @@ pub mod harness {
 
 #[cfg(test)]
 mod tests {
-    use super::harness::time_mean;
+    use super::harness::{black_box, time_mean};
     use std::time::Duration;
 
     #[test]
     fn time_mean_orders_cheap_vs_expensive() {
         let cheap = time_mean(Duration::from_millis(5), &mut || 1 + 1);
         let costly = time_mean(Duration::from_millis(5), &mut || {
-            (0..20_000u64).map(|i| i.wrapping_mul(i)).sum::<u64>()
+            // An opaque bound: release builds fold the sum of a literal
+            // range to a constant, and the loop with it.
+            (0..black_box(20_000u64))
+                .map(|i| i.wrapping_mul(i))
+                .sum::<u64>()
         });
         assert!(costly > cheap, "{costly:?} should exceed {cheap:?}");
     }

@@ -158,7 +158,6 @@ pub fn run_elastic(opts: ReproOpts, seed: u64) -> RunReport {
         min_mds: 1,
         max_mds: POOL,
         initial_mds: 1,
-        ..ElasticConfig::on()
     };
     run_experiment(&diurnal_experiment(opts, POOL, elastic, 1, seed))
 }
@@ -228,7 +227,6 @@ mod tests {
             min_mds: 1,
             max_mds: POOL,
             initial_mds: 1,
-            ..ElasticConfig::on()
         };
         let spec = diurnal_experiment(ReproOpts::QUICK, POOL, elastic_cfg, 1, 42);
         let (r, buf) = run_experiment_traced(&spec, mantle_mds::TraceLevel::Decisions);

@@ -57,9 +57,8 @@ pub mod prelude {
     pub use crate::table::TextTable;
     pub use mantle_mds::{
         assert_invariants, check_trace, Balancer, CacheConfig, CephfsBalancer, Cluster,
-        ClusterConfig, ElasticConfig, FaultEvent, FaultKind, FaultPlan, JoinPolicy, MantleBalancer,
-        RunReport, SchedulerKind, Timeline, TraceBuffer, TraceEvent, TraceLevel, TraceRecord,
-        Violation,
+        ClusterConfig, ElasticConfig, FaultEvent, FaultKind, FaultPlan, MantleBalancer, RunReport,
+        SchedulerKind, Timeline, TraceBuffer, TraceEvent, TraceLevel, TraceRecord, Violation,
     };
     pub use mantle_namespace::{Namespace, NodeId, NsConfig, OpKind};
     pub use mantle_policy::env::PolicySet;

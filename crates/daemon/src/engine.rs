@@ -1,6 +1,7 @@
 //! The engine side of the daemon: boots the cluster on its own thread
-//! behind a [`LiveService`], owns the published-policy slot, and runs
-//! the hot-swap pipeline (parse → validate → epoch → install).
+//! behind a [`LiveService`], remembers which policy it last handed that
+//! thread, and runs the hot-swap pipeline (parse → validate → epoch →
+//! install).
 //!
 //! The engine thread never touches a socket and the reactor never blocks
 //! on a channel, so the one thing that crosses between them besides the
@@ -19,7 +20,7 @@ use mantle_core::policies;
 use mantle_mds::service::LiveService;
 use mantle_mds::{Cluster, ClusterConfig, MantleBalancer, RunReport, ServiceHandle};
 use mantle_policy::env::PolicySet;
-use mantle_policy::install::{prepare, DecisionSource, PolicyCell, PolicySource};
+use mantle_policy::install::{prepare, DecisionSource, PolicySource};
 use mantle_sim::SimTime;
 
 use crate::config::DaemonConfig;
@@ -75,12 +76,14 @@ impl Drop for Waker {
 }
 
 /// A running cluster engine: the daemon-facing half of
-/// [`Cluster::serve`], plus the epoch-tagged policy slot.
+/// [`Cluster::serve`], plus the name and epoch of the current policy.
 pub struct Engine {
     /// Live command/event handle into the engine thread.
     pub handle: ServiceHandle,
-    /// The currently-published policy (epoch 0 is the boot preset).
-    pub cell: PolicyCell,
+    /// The policy last handed to the engine thread, and how many swaps
+    /// led to it (epoch 0 is the boot preset).
+    policy_name: String,
+    policy_epoch: u64,
     wake_rx: UnixStream,
     report_rx: Receiver<RunReport>,
     /// The report, once received: `finished` holds it for `finish`.
@@ -115,7 +118,6 @@ impl Engine {
             move || waker.wake()
         });
         let name = cfg.policy.clone();
-        let cell = PolicyCell::new(&name, set.clone());
         let mut ccfg = ClusterConfig::default()
             .with_mds(cfg.mds)
             .with_seed(cfg.seed);
@@ -143,7 +145,8 @@ impl Engine {
             .map_err(|e| format!("spawning engine thread: {e}"))?;
         Ok(Engine {
             handle,
-            cell,
+            policy_name: cfg.policy.clone(),
+            policy_epoch: 0,
             wake_rx,
             report_rx,
             report: None,
@@ -151,20 +154,29 @@ impl Engine {
         })
     }
 
+    /// Name and epoch of the current policy: the boot preset at epoch 0,
+    /// then whatever the last accepted [`Engine::swap`] submitted.
+    pub fn policy(&self) -> (&str, u64) {
+        (&self.policy_name, self.policy_epoch)
+    }
+
     /// Run the full hot-swap pipeline for a policy submitted over the
-    /// admin socket: compile + validate (`prepare`), publish to the cell
-    /// (assigning the next epoch), and hand the set to the engine, which
-    /// installs it on every MDS in the coordinator's next exclusive
-    /// step. Returns the assigned epoch and the engine's ack channel; a
-    /// rejected policy returns `Err` and publishes nothing.
+    /// admin socket: compile + validate (`prepare`), assign the next
+    /// epoch, and hand the set to the engine, which installs it on every
+    /// MDS in the coordinator's next exclusive step. Returns the assigned
+    /// epoch and the engine's ack channel; a rejected policy returns
+    /// `Err` and leaves name and epoch as they were.
     pub fn swap(
-        &self,
+        &mut self,
         src: &PolicySource,
     ) -> Result<(u64, Receiver<Result<SimTime, String>>), String> {
         let set = prepare(src).map_err(|e| e.to_string())?;
-        let epoch = self.cell.install(&src.name, set.clone());
-        let ack = self.handle.install_policy(&src.name, epoch, set);
-        Ok((epoch, ack))
+        self.policy_epoch += 1;
+        self.policy_name.clone_from(&src.name);
+        let ack = self
+            .handle
+            .install_policy(&src.name, self.policy_epoch, set);
+        Ok((self.policy_epoch, ack))
     }
 
     /// The read end of the wake stream, for a `poll` set: readable
@@ -324,7 +336,7 @@ mod tests {
             mds: 3,
             ..DaemonConfig::default()
         };
-        let engine = Engine::start(&cfg).expect("engine boots");
+        let mut engine = Engine::start(&cfg).expect("engine boots");
         engine
             .handle
             .submit_op(0, "/live/a", mantle_namespace::OpKind::Create);
@@ -346,7 +358,7 @@ mod tests {
             .expect("engine acks")
             .expect("install succeeds");
         assert!(at >= SimTime::ZERO);
-        assert_eq!(engine.cell.current().name, "swapped");
+        assert_eq!(engine.policy(), ("swapped", 1));
         engine.handle.shutdown();
         let report = engine.finish().expect("engine delivers a report");
         assert_eq!(report.balancer, "swapped", "report names the live policy");
@@ -361,7 +373,7 @@ mod tests {
             mds: 2,
             ..DaemonConfig::default()
         };
-        let engine = Engine::start(&cfg).expect("engine boots");
+        let mut engine = Engine::start(&cfg).expect("engine boots");
         let bad = PolicySource {
             name: "bad".into(),
             metaload: "IWR +".into(),
@@ -371,7 +383,11 @@ mod tests {
             howmany: None,
         };
         assert!(engine.swap(&bad).is_err());
-        assert_eq!(engine.cell.epoch(), 0, "rejected policy must not publish");
+        assert_eq!(
+            engine.policy(),
+            ("greedy-spill", 0),
+            "rejected policy must not publish"
+        );
         engine.handle.shutdown();
         engine.finish();
     }

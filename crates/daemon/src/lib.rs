@@ -4,9 +4,9 @@
 //! and prints a report; this crate runs the *same engine* continuously
 //! behind a TCP wire protocol. Real client connections issue metadata
 //! ops over length-prefixed JSON frames, an admin endpoint performs
-//! **hot policy reload** (validate → compile → epoch-tagged atomic
-//! install, with in-flight decisions finishing on the old policy), and
-//! the trace subsystem streams live to `trace`-role subscribers.
+//! **hot policy reload** (compile → validate → epoch-tagged install in
+//! one exclusive engine step, so no decision straddles two policies),
+//! and the trace subsystem streams live to `trace`-role subscribers.
 //!
 //! The split, layer by layer:
 //!
@@ -14,8 +14,8 @@
 //!   protocol documented in `PROTOCOL.md`;
 //! * [`config`] — `mantled`'s flags and defaults;
 //! * [`engine`] — boots [`Cluster::serve`](mantle_mds::Cluster::serve)
-//!   on its own thread and owns the
-//!   [`PolicyCell`](mantle_policy::install::PolicyCell) swap pipeline;
+//!   on its own thread and owns the policy swap pipeline
+//!   ([`mantle_policy::install::prepare`], then the next epoch);
 //! * [`server`] — the nonblocking `std::net` reactor tying sockets to
 //!   the engine's command inbox and event stream, blocked in `poll(2)`
 //!   when both are quiet;

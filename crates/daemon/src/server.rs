@@ -52,6 +52,11 @@ const SPARE_CONNS: usize = 32;
 /// 4 MiB of stream.
 const TRACE_BACKLOG_CAP: usize = 4 << 20;
 
+/// Detail of the `policy-rejected` reply to a bundle that carries
+/// `howmany`.
+const HOWMANY_REFUSED: &str = "this daemon runs fixed membership: `howmany` is evaluated only by \
+                               the offline `elastic` scenarios; remove it from the bundle";
+
 /// What a connection declared itself to be in its `hello`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
@@ -415,7 +420,7 @@ impl Server {
             conn.role = Some(role);
             conn.slot = slot;
         }
-        let policy = self.engine.cell.current();
+        let (policy, epoch) = self.engine.policy();
         let mut members = vec![
             ("type", Json::str("welcome")),
             ("proto", Json::num(PROTO_VERSION as f64)),
@@ -427,8 +432,8 @@ impl Server {
                     Role::Trace => "trace",
                 }),
             ),
-            ("policy", Json::str(&policy.name)),
-            ("epoch", Json::num(policy.epoch as f64)),
+            ("policy", Json::str(policy)),
+            ("epoch", Json::num(epoch as f64)),
         ];
         if let Some(slot) = slot {
             members.push(("slot", Json::num(slot as f64)));
@@ -459,12 +464,12 @@ impl Server {
         match msg.get_str("verb") {
             Some("status") => Some(self.status_msg(id)),
             Some("policy-show") => {
-                let p = self.engine.cell.current();
+                let (name, epoch) = self.engine.policy();
                 Some(Json::obj(vec![
                     ("type", Json::str("policy")),
                     ("id", id.map_or(Json::Null, |i| Json::num(i as f64))),
-                    ("name", Json::str(&p.name)),
-                    ("epoch", Json::num(p.epoch as f64)),
+                    ("name", Json::str(name)),
+                    ("epoch", Json::num(epoch as f64)),
                 ]))
             }
             Some("policy-swap") => {
@@ -479,6 +484,13 @@ impl Server {
                     Ok(src) => src,
                     Err(e) => return Some(error_msg(id, "policy-rejected", e)),
                 };
+                // `mantled` boots a fixed-membership cluster: a `howmany`
+                // hook would be installed and never run. Refuse it here,
+                // not in the parser, which only describes the bundle
+                // format.
+                if src.howmany.is_some() {
+                    return Some(error_msg(id, "policy-rejected", HOWMANY_REFUSED));
+                }
                 match self.engine.swap(&src) {
                     // Reply deferred until the engine acks the install
                     // from its exclusive step (see `poll_swaps`).
@@ -532,7 +544,7 @@ impl Server {
     }
 
     fn status_msg(&self, id: Option<u64>) -> Json {
-        let policy = self.engine.cell.current();
+        let (policy, epoch) = self.engine.policy();
         let bound = self.slots.iter().filter(|s| s.bound.is_some()).count();
         let conns = self.conns.iter().flatten().count();
         Json::obj(vec![
@@ -542,8 +554,8 @@ impl Server {
             ("clock", Json::str(self.cfg.clock.name())),
             ("mds", Json::num(self.cfg.mds as f64)),
             ("seed", Json::num(self.cfg.seed as f64)),
-            ("policy", Json::str(&policy.name)),
-            ("epoch", Json::num(policy.epoch as f64)),
+            ("policy", Json::str(policy)),
+            ("epoch", Json::num(epoch as f64)),
             ("sessions_total", Json::num(self.slots.len() as f64)),
             ("sessions_bound", Json::num(bound as f64)),
             ("connections", Json::num(conns as f64)),

@@ -2,7 +2,7 @@
 //! ephemeral loopback port, drive metadata ops from a wire client,
 //! hot-swap the policy through the admin socket, watch the install epoch
 //! appear in the live trace stream, then shut down cleanly and check the
-//! final report. This is the CI "daemon smoke" step.
+//! final report. CI runs it with the workspace tests, in both profiles.
 //!
 //! The later tests pin the event-driven wire path from outside: an idle
 //! daemon makes (almost) no context switches, a swap ack reaches the
@@ -109,6 +109,28 @@ fn daemon_serves_swaps_and_drains() {
     assert_eq!(status.get_str("policy"), Some("greedy-spill"));
     assert_eq!(status.get_u64("epoch"), Some(0));
     assert!(status.get_num("ops_completed").unwrap_or(0.0) >= 8.0);
+
+    // A bundle with a `howmany` hook is refused — this daemon's
+    // membership is fixed, the hook would steer nothing — and nothing is
+    // published; the same bundle without it is then epoch 1.
+    let mut elastic = swap_bundle();
+    if let Json::Obj(members) = &mut elastic {
+        members.push(("howmany".into(), Json::str("result = #MDSs")));
+    }
+    let refused = admin
+        .admin("policy-swap", vec![("policy", elastic)])
+        .expect("refusal round-trips");
+    assert_eq!(refused.get_str("type"), Some("error"), "reply: {refused}");
+    assert_eq!(refused.get_str("code"), Some("policy-rejected"));
+    assert!(
+        refused
+            .get_str("detail")
+            .is_some_and(|d| d.contains("fixed membership")),
+        "reply: {refused}"
+    );
+    let shown = admin.admin("policy-show", vec![]).expect("policy-show");
+    assert_eq!(shown.get_str("name"), Some("greedy-spill"));
+    assert_eq!(shown.get_u64("epoch"), Some(0));
 
     let swapped = admin
         .admin("policy-swap", vec![("policy", swap_bundle())])

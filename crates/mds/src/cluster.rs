@@ -37,11 +37,11 @@ use mantle_sim::{EventQueue, SimRng, SimTime, Summary};
 use crate::balancer::{BalanceContext, Balancer, CephfsBalancer, MigrationPlan};
 use crate::cache::{GroupCache, IntervalRegion};
 use crate::client::{ClientState, Workload};
-use crate::config::{ClusterConfig, ExecMode, JoinPolicy};
+use crate::config::{ClusterConfig, ExecMode};
 use crate::elastic::rendezvous_owner;
 use crate::faults::FaultKind;
 use crate::metrics::{Heartbeat, MdsCounters};
-use crate::partition::{plan_exports, subtree_load, Export, ExportUnit};
+use crate::partition::{plan_exports, Export, ExportUnit};
 use crate::report::{ClientReport, MdsReport, RunReport};
 use crate::shard::{
     DeferredNsOp, Event, ExecStats, NsOp, Shard, ShardRouter, SharedSim, SpinBarrier,
@@ -1508,14 +1508,14 @@ fn elastic_step(
     };
     let want = (target.round() as i64).clamp(min_mds as i64, max_mds as i64) as usize;
     if want > active {
-        join_one(co, sh, shards, router, heartbeats, &members, now);
+        join_one(co, sh, shards, router, &members, now);
     } else if want < active {
         leave_one(co, sh, shards, router, &members, now);
     }
 }
 
-/// Activate the lowest-id live spare and re-home subtrees onto it via
-/// the configured [`JoinPolicy`]. The whole join — epoch bump, member
+/// Activate the lowest-id live spare and re-home onto it the subtrees
+/// rendezvous hashing assigns it. The whole join — epoch bump, member
 /// flip, re-home migrations — happens inside this exclusive step, so the
 /// `MdsJoinStart` → `MdsJoinComplete` chain can never be split by a
 /// concurrent fault or window.
@@ -1524,7 +1524,6 @@ fn join_one(
     sh: &mut SharedSim,
     shards: &mut [MutexGuard<Shard>],
     router: &ShardRouter,
-    heartbeats: &Arc<[Heartbeat]>,
     members: &[MdsId],
     now: SimTime,
 ) {
@@ -1542,70 +1541,26 @@ fn join_one(
     sh.member[j] = true;
     co.active_count += 1;
     let mut rehomed = 0usize;
-    match co.cfg.elastic.join_policy {
-        JoinPolicy::ConsistentHash => {
-            // Rendezvous re-home: move exactly the subtrees whose
-            // owner-of-record under the *new* member set is the joiner —
-            // the minimal set, nothing shuffles between survivors.
-            let owners: Vec<MdsId> = (0..n).filter(|&m| sh.member[m] && sh.up[m]).collect();
-            for &src in members {
-                if !sh.up[src] {
-                    continue;
-                }
-                for d in sh.ns.export_candidate_dirs(src) {
-                    if sh.ns.dir(d).auth != Some(src) {
-                        continue; // frag-only ownership stays put on join
-                    }
-                    if rendezvous_owner(d, &owners) == j {
-                        let export = Export {
-                            unit: ExportUnit::Subtree(d),
-                            to: j,
-                            load: 0.0,
-                        };
-                        apply_export(co, sh, shards, router, src, export, now);
-                        rehomed += 1;
-                    }
-                }
-            }
+    // Rendezvous re-home: move exactly the subtrees whose owner-of-record
+    // under the *new* member set is the joiner — the minimal set, nothing
+    // shuffles between survivors.
+    let owners: Vec<MdsId> = (0..n).filter(|&m| sh.member[m] && sh.up[m]).collect();
+    for &src in members {
+        if !sh.up[src] {
+            continue;
         }
-        JoinPolicy::LargestSubtree => {
-            // Classic relief valve: take the hottest member's largest
-            // subtree (by its own metaload hook) and hand it over.
-            let src = members
-                .iter()
-                .copied()
-                .filter(|&m| sh.up[m])
-                .max_by(|&a, &b| {
-                    heartbeats[a]
-                        .auth_metaload
-                        .partial_cmp(&heartbeats[b].auth_metaload)
-                        .expect("loads are never NaN")
-                        .then(b.cmp(&a)) // ties prefer the lower id
-                });
-            if let Some(src) = src {
-                let mut best: Option<(NodeId, f64)> = None;
-                for d in sh.ns.export_candidate_dirs(src) {
-                    if sh.ns.dir(d).auth != Some(src) {
-                        continue;
-                    }
-                    let Ok(load) =
-                        subtree_load(&mut sh.ns, co.balancers[src].as_ref(), d, src, now)
-                    else {
-                        continue;
-                    };
-                    if best.is_none_or(|(_, b)| load > b) {
-                        best = Some((d, load));
-                    }
-                }
-                if let Some((d, _)) = best {
-                    let export = Export {
-                        unit: ExportUnit::Subtree(d),
-                        to: j,
-                        load: 0.0,
-                    };
-                    apply_export(co, sh, shards, router, src, export, now);
-                    rehomed = 1;
-                }
+        for d in sh.ns.export_candidate_dirs(src) {
+            if sh.ns.dir(d).auth != Some(src) {
+                continue; // frag-only ownership stays put on join
+            }
+            if rendezvous_owner(d, &owners) == j {
+                let export = Export {
+                    unit: ExportUnit::Subtree(d),
+                    to: j,
+                    load: 0.0,
+                };
+                apply_export(co, sh, shards, router, src, export, now);
+                rehomed += 1;
             }
         }
     }

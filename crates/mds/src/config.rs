@@ -248,21 +248,6 @@ impl CacheConfig {
     }
 }
 
-/// How a joining MDS picks the subtrees re-homed onto it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinPolicy {
-    /// Rendezvous (highest-random-weight) hashing over the member set:
-    /// every top-level export candidate whose owner-of-record becomes the
-    /// new member moves — and nothing else does, which is the minimal
-    /// re-homing set (pinned by a property test against a full-recompute
-    /// oracle).
-    #[default]
-    ConsistentHash,
-    /// Move the single largest subtree (by policy metaload) off the most
-    /// loaded member — the dynamic-subtree-partitioning flavour of join.
-    LargestSubtree,
-}
-
 /// Configuration of elastic cluster membership ([`crate::cluster`]).
 ///
 /// `num_mds` stays the fixed *pool* size — every per-MDS array, shard
@@ -288,8 +273,6 @@ pub struct ElasticConfig {
     /// are always the lowest-id MDSs first, so the initial set is
     /// `0..initial_mds`.
     pub initial_mds: usize,
-    /// How join selects subtrees for the new member.
-    pub join_policy: JoinPolicy,
 }
 
 impl Default for ElasticConfig {
@@ -299,7 +282,6 @@ impl Default for ElasticConfig {
             min_mds: 1,
             max_mds: usize::MAX,
             initial_mds: 1,
-            join_policy: JoinPolicy::default(),
         }
     }
 }
@@ -524,7 +506,6 @@ mod tests {
             min_mds: 3,
             max_mds: 100,
             initial_mds: 50,
-            ..ElasticConfig::on()
         };
         assert_eq!(wide.bounds(4), (3, 4));
         assert_eq!(wide.initial(4), 4);

@@ -44,9 +44,7 @@ pub use balancer::{BalanceContext, Balancer, CephfsBalancer, MantleBalancer, Mig
 pub use cache::{cacheable, group_of, ClientCache, GroupCache, IntervalRegion};
 pub use client::{ClientOp, Workload, PARKED};
 pub use cluster::Cluster;
-pub use config::{
-    CacheConfig, ClusterConfig, CostModel, ElasticConfig, ExecMode, JoinPolicy, PlacementPolicy,
-};
+pub use config::{CacheConfig, ClusterConfig, CostModel, ElasticConfig, ExecMode, PlacementPolicy};
 pub use elastic::rendezvous_owner;
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use invariants::{assert_invariants, check_trace, Violation};
@@ -54,6 +52,6 @@ pub use mantle_policy::HookEngine;
 pub use mantle_sim::SchedulerKind;
 pub use report::RunReport;
 pub use selector::{select_best, DirfragSelector};
-pub use service::{LiveCompletion, LiveService, ServiceEvent, ServiceHandle, ServiceSender};
+pub use service::{LiveCompletion, LiveService, ServiceEvent, ServiceHandle};
 pub use shard::{ExecStats, ShardStats};
 pub use trace::{Timeline, TraceBuffer, TraceEvent, TraceLevel, TraceRecord};

@@ -86,7 +86,7 @@ pub(crate) enum ServiceCmd {
     Install {
         /// Policy name for reports and trace records.
         name: String,
-        /// Install epoch assigned by the daemon's `PolicyCell`.
+        /// Install epoch assigned by the daemon.
         epoch: u64,
         /// The compiled, validated policy.
         set: PolicySet,
@@ -259,8 +259,7 @@ impl LiveService {
 }
 
 /// The daemon side of a live service: submit ops and installs, receive
-/// the event stream. Cheap to clone for per-connection use; the event
-/// receiver stays with the original handle.
+/// the event stream.
 pub struct ServiceHandle {
     inbox: Arc<Inbox>,
     /// Trace/completion batches emitted by the engine, in order.
@@ -303,52 +302,6 @@ impl ServiceHandle {
     /// Ask the engine to shut down cleanly: live queues close, clients
     /// drain their remaining ops, and the run ends with a normal
     /// [`crate::report::RunReport`].
-    pub fn shutdown(&self) {
-        self.inbox.push(ServiceCmd::Shutdown);
-    }
-
-    /// A sender-only clone for additional connections.
-    pub fn sender(&self) -> ServiceSender {
-        ServiceSender {
-            inbox: Arc::clone(&self.inbox),
-        }
-    }
-}
-
-/// A cloneable, send-only view of a [`ServiceHandle`].
-#[derive(Clone)]
-pub struct ServiceSender {
-    inbox: Arc<Inbox>,
-}
-
-impl ServiceSender {
-    /// See [`ServiceHandle::submit_op`].
-    pub fn submit_op(&self, client: usize, path: impl Into<String>, kind: OpKind) {
-        self.inbox.push(ServiceCmd::Op {
-            client,
-            path: path.into(),
-            kind,
-        });
-    }
-
-    /// See [`ServiceHandle::install_policy`].
-    pub fn install_policy(
-        &self,
-        name: impl Into<String>,
-        epoch: u64,
-        set: PolicySet,
-    ) -> Receiver<Result<SimTime, String>> {
-        let (tx, rx) = channel();
-        self.inbox.push(ServiceCmd::Install {
-            name: name.into(),
-            epoch,
-            set,
-            ack: tx,
-        });
-        rx
-    }
-
-    /// See [`ServiceHandle::shutdown`].
     pub fn shutdown(&self) {
         self.inbox.push(ServiceCmd::Shutdown);
     }

@@ -1,15 +1,34 @@
-//! Flat register bytecode for slot-compiled policies: a lowering pass +
+//! Flat register bytecode for policy hooks: a one-pass compiler + a
 //! dispatch-loop VM.
 //!
-//! The resolve pass ([`SlotProgram`]) removes the name hashing from the
-//! tree walker, but a slotted AST would still be executed as a recursive
-//! `match` per statement and expression, so loop-heavy hooks would pay
-//! call/return and enum-dispatch overhead per node per iteration. This
-//! module is the final stage of the pipeline:
-//! [`BytecodeProgram::compile`] lowers a [`SlotProgram`] to a linear
-//! instruction stream (control flow becomes pre-patched jumps, operands are
-//! resolved register/slot indices), and [`BytecodeVm`] executes it in a
+//! The tree-walking [`Interpreter`] resolves every variable read and write
+//! by hashing its name against a stack of `HashMap<String, Value>` scopes
+//! and executes a recursive `match` per statement and expression node. For
+//! hooks that run once per dirfrag or per MDS per balancer tick, that hash
+//! traffic and the call/return per node per loop iteration dominate the
+//! tick. Compiled hooks therefore take two stages, parse → lower:
+//! [`BytecodeProgram::compile`] walks the parsed [`Script`] once and emits a
+//! linear instruction stream (control flow becomes pre-patched jumps,
+//! operands are register/slot indices), and [`BytecodeVm`] executes it in a
 //! single non-recursive dispatch loop.
+//!
+//! # Name resolution
+//!
+//! Names are resolved to integer slots at the moment the node that
+//! mentions them is lowered:
+//!
+//! * names in lexical scope of a `local` declaration (or a `for` loop
+//!   variable) become *local slots* — indices into one flat frame;
+//! * everything else becomes a *global slot* — an index into a per-program
+//!   global vector whose layout is fixed at compile time and which the
+//!   host addresses through [`BytecodeProgram::global_slot`].
+//!
+//! Static resolution is valid because the language subset has no closures,
+//! no `goto`, and no `function` definitions: a block's statements execute
+//! in source order, so a name read lexically after a `local` declaration
+//! in the same (or an enclosing) block is that local, and a read before it
+//! is whatever the enclosing scope says — exactly what the dynamic scope
+//! stack would have found.
 //!
 //! # Bit-identity with the tree interpreter
 //!
@@ -17,9 +36,8 @@
 //! results (`to_bits`-equal), same [`steps_used`] after a run, same errors
 //! on the same source lines — including
 //! [`BudgetExhausted`](crate::PolicyError::BudgetExhausted) firing on the
-//! same script step. Differential tests below, in `slots.rs`, in
-//! `tests/properties.rs`, and in `tests/docs_examples.rs` hold the two
-//! engines together.
+//! same script step. Differential tests below, in `tests/properties.rs`,
+//! and in `tests/docs_examples.rs` hold the two engines together.
 //!
 //! # Step accounting
 //!
@@ -44,12 +62,12 @@
 //!
 //! [`steps_used`]: BytecodeVm::steps_used
 
+use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::ast::{BinOp, UnOp};
+use crate::ast::{BinOp, Block, Expr, LValue, Script, Stmt, UnOp};
 use crate::error::{PolicyError, PolicyResult};
 use crate::interp::{compare, concat_operand, Interpreter, StepBudget};
-use crate::slots::{SExpr, SKey, SLValue, SStmt, SlotProgram};
 use crate::value::{Key, Table, Value};
 
 // ---------------------------------------------------------------------------
@@ -67,8 +85,7 @@ struct Instr {
 }
 
 /// Operations. Registers (`dst`/`src`/`obj`/...) index the VM's register
-/// file; `slot` fields index the local/global frames shared with
-/// [`SlotProgram`]'s numbering.
+/// file; `slot` fields index the VM's local and global frames.
 #[derive(Debug, Clone)]
 enum Op {
     LoadNil {
@@ -265,22 +282,20 @@ enum Op {
 // Lowering
 // ---------------------------------------------------------------------------
 
-/// A [`SlotProgram`] lowered to flat bytecode.
+/// A hook script compiled to flat bytecode.
 ///
-/// Slot numbering (locals and globals) is shared verbatim with the source
-/// `SlotProgram`, so `global_slot`/`global_names` lookups made against the
-/// slot program address a [`BytecodeVm`] too.
+/// Compile once, then run any number of times, writing the environment
+/// into integer slots instead of re-binding names:
 ///
 /// ```
-/// use mantle_policy::{compile, BytecodeProgram, BytecodeVm, SlotProgram, StepBudget, Value};
+/// use mantle_policy::{compile, BytecodeProgram, BytecodeVm, StepBudget, Value};
 ///
 /// let script = compile("score = 0 for i = 1, n do score = score + i end return score")?;
-/// let prog = SlotProgram::compile(&script);
-/// let bc = BytecodeProgram::compile(&prog);
-/// let n_slot = prog.global_slot("n").expect("script reads `n`");
+/// let bc = BytecodeProgram::compile(&script);
+/// let n_slot = bc.global_slot("n").expect("script reads `n`");
 ///
 /// let mut vm = BytecodeVm::new(&bc, StepBudget::default());
-/// let base: Vec<Value> = prog.global_names().iter().map(|_| Value::Nil).collect();
+/// let base: Vec<Value> = bc.global_names().iter().map(|_| Value::Nil).collect();
 /// for (n, expected) in [(3.0, 6.0), (10.0, 55.0)] {
 ///     vm.reset_globals(&base);
 ///     vm.set_global(n_slot, Value::Number(n));
@@ -294,12 +309,14 @@ pub struct BytecodeProgram {
     n_regs: u32,
     n_frames: u32,
     n_locals: u32,
-    n_globals: u32,
+    /// Global slot names, in slot order.
+    globals: Vec<Rc<str>>,
 }
 
 impl BytecodeProgram {
-    /// Lower a slot program to bytecode.
-    pub fn compile(prog: &SlotProgram) -> BytecodeProgram {
+    /// Compile a parsed script: resolve every name to a slot and lower the
+    /// AST to bytecode, in one walk.
+    pub fn compile(script: &Script) -> BytecodeProgram {
         let mut l = Lower {
             code: Vec::new(),
             pending: 0,
@@ -307,8 +324,12 @@ impl BytecodeProgram {
             n_frames: 0,
             loops: Vec::new(),
             top_breaks: Vec::new(),
+            globals: Vec::new(),
+            by_name: HashMap::new(),
+            scopes: vec![HashMap::new()],
+            n_locals: 0,
         };
-        l.block(prog.stmts());
+        l.block(&script.block);
         let end = l.code.len() as u32;
         for pc in l.top_breaks.clone() {
             l.patch(pc, end);
@@ -318,8 +339,8 @@ impl BytecodeProgram {
             code: l.code,
             n_regs: l.n_regs,
             n_frames: l.n_frames,
-            n_locals: prog.n_locals() as u32,
-            n_globals: prog.n_globals() as u32,
+            n_locals: l.n_locals,
+            globals: l.globals,
         }
     }
 
@@ -332,9 +353,19 @@ impl BytecodeProgram {
     pub fn is_empty(&self) -> bool {
         self.code.is_empty()
     }
+
+    /// The global slot a name resolved to, if the script mentions it.
+    pub fn global_slot(&self, name: &str) -> Option<usize> {
+        self.globals.iter().position(|g| &**g == name)
+    }
+
+    /// Names of all global slots, in slot order.
+    pub fn global_names(&self) -> &[Rc<str>] {
+        &self.globals
+    }
 }
 
-struct Lower {
+struct Lower<'a> {
     code: Vec<Instr>,
     /// Entry charges accumulated since the last emitted instruction; folded
     /// onto the next `emit`.
@@ -346,9 +377,15 @@ struct Lower {
     /// Breaks with no enclosing loop: the walker unwinds to the end of the
     /// program (yielding `Nil`), so these jump past the last instruction.
     top_breaks: Vec<usize>,
+    /// Global slot names in slot order, and the reverse map.
+    globals: Vec<Rc<str>>,
+    by_name: HashMap<&'a str, u32>,
+    /// Lexical scopes of `local` names currently visible, innermost last.
+    scopes: Vec<HashMap<&'a str, u32>>,
+    n_locals: u32,
 }
 
-impl Lower {
+impl<'a> Lower<'a> {
     fn emit(&mut self, op: Op) -> usize {
         self.emit_extra(0, op)
     }
@@ -375,52 +412,122 @@ impl Lower {
         self.code.len() as u32
     }
 
-    fn block(&mut self, stmts: &[SStmt]) {
-        for s in stmts {
+    /// The global slot for `name`, allocated on first mention.
+    fn global(&mut self, name: &'a str) -> u32 {
+        if let Some(&slot) = self.by_name.get(name) {
+            return slot;
+        }
+        let slot = self.globals.len() as u32;
+        self.globals.push(Rc::from(name));
+        self.by_name.insert(name, slot);
+        slot
+    }
+
+    fn lookup_local(&self, name: &str) -> Option<u32> {
+        self.scopes.iter().rev().find_map(|s| s.get(name).copied())
+    }
+
+    fn declare_local(&mut self, name: &'a str) -> u32 {
+        let slot = self.n_locals;
+        self.n_locals += 1;
+        self.scopes
+            .last_mut()
+            .expect("scope stack never empty")
+            .insert(name, slot);
+        slot
+    }
+
+    /// Allocate global slots for the free names of `e`, in source order,
+    /// without emitting code.
+    fn reserve_globals(&mut self, e: &'a Expr) {
+        match e {
+            Expr::Nil | Expr::Bool(_) | Expr::Number(_) | Expr::Str(_) => {}
+            Expr::Name(name, _) => {
+                if self.lookup_local(name).is_none() {
+                    self.global(name);
+                }
+            }
+            Expr::Index { object, key, .. } => {
+                self.reserve_globals(object);
+                self.reserve_globals(key);
+            }
+            Expr::Call { callee, args, .. } => {
+                self.reserve_globals(callee);
+                args.iter().for_each(|a| self.reserve_globals(a));
+            }
+            Expr::Unary { operand, .. } => self.reserve_globals(operand),
+            Expr::Binary { lhs, rhs, .. } => {
+                self.reserve_globals(lhs);
+                self.reserve_globals(rhs);
+            }
+            Expr::TableCtor { items, pairs, .. } => {
+                items.iter().for_each(|i| self.reserve_globals(i));
+                for (k, v) in pairs {
+                    self.reserve_globals(k);
+                    self.reserve_globals(v);
+                }
+            }
+        }
+    }
+
+    fn block(&mut self, b: &'a Block) {
+        for s in &b.stmts {
             self.stmt(s);
         }
     }
 
-    fn stmt(&mut self, s: &SStmt) {
+    /// Lower a block in a scope of its own: `local`s declared inside are
+    /// invisible once it ends.
+    fn scoped_block(&mut self, b: &'a Block) {
+        self.scopes.push(HashMap::new());
+        self.block(b);
+        self.scopes.pop();
+    }
+
+    fn stmt(&mut self, s: &'a Stmt) {
         match s {
-            SStmt::Assign {
+            Stmt::Assign {
                 target,
                 value,
                 line,
             } => {
                 self.pending += 1;
                 match target {
-                    SLValue::Local(slot) => {
+                    LValue::Name(name) => {
+                        // The target resolves before the value is lowered,
+                        // so a first-mentioned global is numbered in source
+                        // order.
+                        let store = match self.lookup_local(name) {
+                            Some(slot) => Op::StoreLocal { slot, src: 0 },
+                            None => Op::StoreGlobal {
+                                slot: self.global(name),
+                                src: 0,
+                            },
+                        };
                         self.expr(value, 0);
-                        self.emit(Op::StoreLocal {
-                            slot: *slot,
-                            src: 0,
-                        });
+                        self.emit(store);
                     }
-                    SLValue::Global(slot) => {
-                        self.expr(value, 0);
-                        self.emit(Op::StoreGlobal {
-                            slot: *slot,
-                            src: 0,
-                        });
-                    }
-                    SLValue::Index { object, key } => {
-                        // Walker order: value, then object, then key.
+                    LValue::Index { object, key } => {
+                        // Globals are numbered in source order (target
+                        // first); code runs in walker order: value, then
+                        // object, then key.
+                        self.reserve_globals(object);
+                        self.reserve_globals(key);
                         self.expr(value, 0);
                         self.expr(object, 1);
                         match key {
-                            SKey::Const { key, .. } => {
+                            Expr::Str(s) => {
                                 self.emit_extra(
                                     1,
                                     Op::SetIndexConst {
                                         obj: 1,
-                                        key: key.clone(),
+                                        key: Key::Str(Rc::from(s.as_str())),
                                         src: 0,
                                         line: *line,
                                     },
                                 );
                             }
-                            SKey::Expr(k) => {
+                            k => {
                                 self.expr(k, 2);
                                 self.emit(Op::SetIndexExpr {
                                     obj: 1,
@@ -433,22 +540,22 @@ impl Lower {
                     }
                 }
             }
-            SStmt::LocalDecl { slot, value } => {
+            Stmt::Local { name, value, .. } => {
                 self.pending += 1;
-                match value {
-                    Some(e) => {
-                        self.expr(e, 0);
-                        self.emit(Op::StoreLocal {
-                            slot: *slot,
-                            src: 0,
-                        });
-                    }
-                    None => {
-                        self.emit(Op::StoreLocalNil { slot: *slot });
-                    }
+                // The initializer is lowered before the name is in scope,
+                // so `local x = x` reads the outer binding — as at run time.
+                if let Some(e) = value {
+                    self.expr(e, 0);
                 }
+                let slot = self.declare_local(name);
+                self.emit(match value {
+                    Some(_) => Op::StoreLocal { slot, src: 0 },
+                    None => Op::StoreLocalNil { slot },
+                });
             }
-            SStmt::If { arms, else_block } => {
+            Stmt::If {
+                arms, else_block, ..
+            } => {
                 // One entry charge for the whole statement, folded into the
                 // first arm's condition; later arms charge only their own
                 // condition entries (evaluated only when reached).
@@ -458,7 +565,7 @@ impl Lower {
                 for (i, (cond, body)) in arms.iter().enumerate() {
                     self.expr(cond, 0);
                     let skip = self.emit(Op::JumpIfFalse { src: 0, target: 0 });
-                    self.block(body);
+                    self.scoped_block(body);
                     let last_arm = i + 1 == n && else_block.is_none();
                     if !last_arm {
                         end_jumps.push(self.emit(Op::Jump { target: 0 }));
@@ -467,14 +574,14 @@ impl Lower {
                     self.patch(skip, here);
                 }
                 if let Some(body) = else_block {
-                    self.block(body);
+                    self.scoped_block(body);
                 }
                 let end = self.here();
                 for j in end_jumps {
                     self.patch(j, end);
                 }
             }
-            SStmt::While { cond, body } => {
+            Stmt::While { cond, body, .. } => {
                 // The statement's step is charged once per iteration check
                 // in the walker; the back-jump re-enters the condition's
                 // first instruction, which carries it.
@@ -483,7 +590,7 @@ impl Lower {
                 self.expr(cond, 0);
                 let exit = self.emit(Op::JumpIfFalse { src: 0, target: 0 });
                 self.loops.push(Vec::new());
-                self.block(body);
+                self.scoped_block(body);
                 self.emit(Op::Jump { target: head });
                 let end = self.here();
                 self.patch(exit, end);
@@ -491,8 +598,8 @@ impl Lower {
                     self.patch(b, end);
                 }
             }
-            SStmt::NumericFor {
-                slot,
+            Stmt::NumericFor {
+                var,
                 start,
                 stop,
                 step,
@@ -502,6 +609,7 @@ impl Lower {
                 self.pending += 1;
                 let frame = self.n_frames;
                 self.n_frames += 1;
+                // Bounds are lowered outside the loop scope.
                 self.expr(start, 0);
                 self.emit(Op::ForNumStart {
                     frame,
@@ -527,17 +635,21 @@ impl Lower {
                     default_step: step.is_none(),
                     line: *line,
                 });
+                // The loop variable lives in the body's scope.
+                self.scopes.push(HashMap::new());
+                let slot = self.declare_local(var);
                 let head = self.here();
                 let loop_pc = self.emit_extra(
                     1,
                     Op::ForLoop {
                         frame,
-                        slot: *slot,
+                        slot,
                         end: 0,
                     },
                 );
                 self.loops.push(Vec::new());
                 self.block(body);
+                self.scopes.pop();
                 self.emit(Op::ForNext { frame, back: head });
                 let end = self.here();
                 self.patch(loop_pc, end);
@@ -545,12 +657,12 @@ impl Lower {
                     self.patch(b, end);
                 }
             }
-            SStmt::ExprStmt { expr } => {
+            Stmt::ExprStmt { expr, .. } => {
                 self.pending += 1;
                 self.expr(expr, 0);
             }
-            SStmt::Do { body } => self.block(body),
-            SStmt::Return { value } => {
+            Stmt::Do { body } => self.scoped_block(body),
+            Stmt::Return { value, .. } => {
                 self.pending += 1;
                 match value {
                     Some(e) => {
@@ -562,7 +674,7 @@ impl Lower {
                     }
                 }
             }
-            SStmt::Break => {
+            Stmt::Break { .. } => {
                 self.pending += 1;
                 let j = self.emit(Op::Jump { target: 0 });
                 match self.loops.last_mut() {
@@ -574,44 +686,55 @@ impl Lower {
     }
 
     /// Lower an expression into `dst`, using registers `dst..` as scratch.
-    fn expr(&mut self, e: &SExpr, dst: u32) {
+    fn expr(&mut self, e: &'a Expr, dst: u32) {
         self.pending += 1;
         self.n_regs = self.n_regs.max(dst + 1);
         match e {
-            SExpr::Nil => {
+            Expr::Nil => {
                 self.emit(Op::LoadNil { dst });
             }
-            SExpr::Bool(b) => {
+            Expr::Bool(b) => {
                 self.emit(Op::LoadBool { dst, v: *b });
             }
-            SExpr::Number(n) => {
+            Expr::Number(n) => {
                 self.emit(Op::LoadNum { dst, v: *n });
             }
-            SExpr::Str(v) => {
-                self.emit(Op::LoadStr { dst, v: v.clone() });
+            Expr::Str(s) => {
+                self.emit(Op::LoadStr {
+                    dst,
+                    v: Value::str(s),
+                });
             }
-            SExpr::Local { slot } => {
-                self.emit(Op::LoadLocal { dst, slot: *slot });
+            Expr::Name(name, _) => {
+                let load = match self.lookup_local(name) {
+                    Some(slot) => Op::LoadLocal { dst, slot },
+                    None => Op::LoadGlobal {
+                        dst,
+                        slot: self.global(name),
+                    },
+                };
+                self.emit(load);
             }
-            SExpr::Global { slot } => {
-                self.emit(Op::LoadGlobal { dst, slot: *slot });
-            }
-            SExpr::Index { object, key, line } => {
+            Expr::Index { object, key, line } => {
                 self.expr(object, dst);
-                match key {
-                    SKey::Const { key, text } => {
+                match &**key {
+                    // A literal string key (`t.auth` / `t["auth"]`) is
+                    // interned here, so the hot `MDSs[i]["load"]` lookups
+                    // never allocate; `text` shares it for error messages.
+                    Expr::Str(s) => {
+                        let text: Rc<str> = Rc::from(s.as_str());
                         self.emit_extra(
                             1,
                             Op::IndexConst {
                                 dst,
                                 obj: dst,
-                                key: key.clone(),
-                                text: Rc::clone(text),
+                                key: Key::Str(Rc::clone(&text)),
+                                text,
                                 line: *line,
                             },
                         );
                     }
-                    SKey::Expr(k) => {
+                    k => {
                         self.expr(k, dst + 1);
                         self.emit(Op::IndexExpr {
                             dst,
@@ -622,7 +745,7 @@ impl Lower {
                     }
                 }
             }
-            SExpr::Call { callee, args, line } => {
+            Expr::Call { callee, args, line } => {
                 self.expr(callee, dst);
                 for (i, a) in args.iter().enumerate() {
                     self.expr(a, dst + 1 + i as u32);
@@ -635,7 +758,7 @@ impl Lower {
                     line: *line,
                 });
             }
-            SExpr::Unary { op, operand, line } => {
+            Expr::Unary { op, operand, line } => {
                 self.expr(operand, dst);
                 match op {
                     UnOp::Neg => {
@@ -657,7 +780,7 @@ impl Lower {
                     }
                 }
             }
-            SExpr::Binary { op, lhs, rhs, line } => match op {
+            Expr::Binary { op, lhs, rhs, line } => match op {
                 BinOp::And => {
                     self.expr(lhs, dst);
                     let j = self.emit(Op::JumpIfFalse {
@@ -721,7 +844,7 @@ impl Lower {
                     });
                 }
             },
-            SExpr::TableCtor { items, pairs, line } => {
+            Expr::TableCtor { items, pairs, line } => {
                 // NewTable runs before the item/pair code, carrying the
                 // constructor's entry charge — the same position the walker
                 // charges it.
@@ -767,8 +890,7 @@ struct ForFrame {
 /// One VM is built per compiled hook and reused across runs: resetting
 /// the environment between runs is `clone_from_slice` over the global
 /// frame (reference-count bumps, no heap allocation) instead of
-/// re-building an interpreter and re-hashing every `set_global`. Global
-/// and local slot numbering is shared with the source [`SlotProgram`].
+/// re-building an interpreter and re-hashing every `set_global`.
 pub struct BytecodeVm {
     globals: Vec<Value>,
     locals: Vec<Value>,
@@ -785,7 +907,7 @@ impl BytecodeVm {
     /// A fresh VM sized for `prog`.
     pub fn new(prog: &BytecodeProgram, budget: StepBudget) -> BytecodeVm {
         BytecodeVm {
-            globals: vec![Value::Nil; prog.n_globals as usize],
+            globals: vec![Value::Nil; prog.globals.len()],
             locals: vec![Value::Nil; prog.n_locals as usize],
             regs: vec![Value::Nil; prog.n_regs as usize],
             frames: vec![ForFrame::default(); prog.n_frames as usize],
@@ -801,8 +923,8 @@ impl BytecodeVm {
         self.globals.clone_from_slice(base);
     }
 
-    /// Write one global slot (slot indices come from the source
-    /// [`SlotProgram`]'s `global_slot`).
+    /// Write one global slot (slot indices come from
+    /// [`BytecodeProgram::global_slot`]).
     pub fn set_global(&mut self, slot: usize, value: Value) {
         self.globals[slot] = value;
     }
@@ -837,7 +959,7 @@ impl BytecodeVm {
     /// Register, local, and for-frame state needs no reset between runs:
     /// every read is dominated by a write in the instruction stream.
     pub fn run(&mut self, prog: &BytecodeProgram) -> PolicyResult<Value> {
-        debug_assert_eq!(self.globals.len(), prog.n_globals as usize);
+        debug_assert_eq!(self.globals.len(), prog.globals.len());
         debug_assert_eq!(self.locals.len(), prog.n_locals as usize);
         self.steps = 0;
         let code = &prog.code;
@@ -1144,7 +1266,7 @@ impl BytecodeVm {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::parser::parse_script;
     use crate::stdlib;
@@ -1156,10 +1278,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// Run a script on the tree walker and on resolve → bytecode with the
+    /// Run a script on the tree walker and on the bytecode VM with the
     /// given numeric globals and assert results, step counts, and errors
     /// agree exactly.
-    pub(crate) fn differential(src: &str, globals: &[(&str, f64)]) {
+    fn differential(src: &str, globals: &[(&str, f64)]) {
         let script = parse_script(src).unwrap();
 
         let mut interp = Interpreter::new();
@@ -1169,21 +1291,20 @@ pub(crate) mod tests {
         }
         let tree = interp.run(&script);
 
-        let prog = SlotProgram::compile(&script);
+        let bc = BytecodeProgram::compile(&script);
         let mut stdlib_interp = Interpreter::new();
         stdlib::install(&mut stdlib_interp);
-        let mut base: Vec<Value> = prog
+        let mut base: Vec<Value> = bc
             .global_names()
             .iter()
             .map(|n| stdlib_interp.get_global(n))
             .collect();
         for (name, v) in globals {
-            if let Some(slot) = prog.global_slot(name) {
+            if let Some(slot) = bc.global_slot(name) {
                 base[slot] = Value::Number(*v);
             }
         }
 
-        let bc = BytecodeProgram::compile(&prog);
         let mut bvm = BytecodeVm::new(&bc, StepBudget::default());
         bvm.reset_globals(&base);
         let byte = bvm.run(&bc);
@@ -1221,6 +1342,7 @@ pub(crate) mod tests {
         differential("x = 1 local y = 2 x = x + y return x", &[]);
         differential("local x = 1 do local x = 2 end return x", &[]);
         differential("local x = x return x", &[("x", 9.0)]);
+        // Read before the `local` in the same block sees the global.
         differential("g = 10 y = g local g = 1 return y + g", &[]);
         differential("local a return a", &[]);
     }
@@ -1233,6 +1355,8 @@ pub(crate) mod tests {
             "i = 0 while true do i = i + 1 if i >= 5 then break end end return i",
             &[],
         );
+        // Loop-carried local shadowing: iteration 2 must re-resolve like
+        // the dynamic scope stack (fresh scope per iteration).
         differential(
             "y = 0 for i = 1, 3 do y = y + v local v = i end return y",
             &[("v", 100.0)],
@@ -1297,8 +1421,7 @@ pub(crate) mod tests {
             for budget in [1u64, 2, 3, 4, 5, 7, 10, 100, 10_000] {
                 let mut interp = Interpreter::new().with_budget(StepBudget(budget));
                 let tree = interp.run(&script);
-                let prog = SlotProgram::compile(&script);
-                let bc = BytecodeProgram::compile(&prog);
+                let bc = BytecodeProgram::compile(&script);
                 let mut bvm = BytecodeVm::new(&bc, StepBudget(budget));
                 let byte = bvm.run(&bc);
                 // Every case here errors at some budget-independent step or
@@ -1316,10 +1439,9 @@ pub(crate) mod tests {
     #[test]
     fn vm_reuse_resets_environment() {
         let script = parse_script("seen = seen + 1 return seen").unwrap();
-        let prog = SlotProgram::compile(&script);
-        let bc = BytecodeProgram::compile(&prog);
+        let bc = BytecodeProgram::compile(&script);
         let mut vm = BytecodeVm::new(&bc, StepBudget::default());
-        let base = vec![Value::Number(0.0); prog.n_globals()];
+        let base = vec![Value::Number(0.0); bc.global_names().len()];
         for _ in 0..3 {
             vm.reset_globals(&base);
             let v = vm.run(&bc).unwrap();
@@ -1344,20 +1466,56 @@ return mymax
         interp.set_global("MDSs", mdss());
         let tree = interp.run(&script).unwrap();
 
-        let prog = SlotProgram::compile(&script);
-        let bc = BytecodeProgram::compile(&prog);
+        let bc = BytecodeProgram::compile(&script);
         let mut vm = BytecodeVm::new(&bc, StepBudget::default());
-        vm.set_global(prog.global_slot("MDSs").unwrap(), mdss());
+        vm.set_global(bc.global_slot("MDSs").unwrap(), mdss());
         let byte = vm.run(&bc).unwrap();
         assert!(values_identical(&tree, &byte));
         assert_eq!(interp.steps_used(), vm.steps_used());
     }
 
     #[test]
+    fn names_resolve_to_the_documented_slots() {
+        let compile = |src: &str| BytecodeProgram::compile(&parse_script(src).unwrap());
+
+        // Only ever `local` (a declaration, a `for` variable): no global.
+        let bc = compile("local a = 1 for i = 1, 3 do a = a + i end return a");
+        assert_eq!(bc.global_slot("a"), None);
+        assert_eq!(bc.global_slot("i"), None);
+        assert!(bc.global_names().is_empty());
+
+        // Read before its `local` in the same block: that read is global.
+        let bc = compile("y = g local g = 1 return y + g");
+        assert!(bc.global_slot("g").is_some());
+
+        // Assigned, never read (`targets`-style outputs): still a slot the
+        // host can read back.
+        let bc = compile("targets = 1");
+        assert_eq!(bc.global_slot("targets"), Some(0));
+
+        // A `local` in an `if` arm shadows there only; the `else` arm and
+        // the code after the statement see the global.
+        let bc = compile("if c then local x = 1 r = x else r = x end return x");
+        let x = bc.global_slot("x").expect("else arm reads global x") as u32;
+        let loads_of_x = bc
+            .code
+            .iter()
+            .filter(|i| matches!(i.op, Op::LoadGlobal { slot, .. } if slot == x))
+            .count();
+        assert_eq!(loads_of_x, 2, "else arm + trailing return");
+
+        // Slot numbers and names are inverse maps.
+        let bc = compile("t = {} t[k] = v for i = 1, #MDSs do t[i] = MDSs[i].load end");
+        assert_eq!(bc.global_names().len(), 4);
+        for (slot, name) in bc.global_names().iter().enumerate() {
+            assert_eq!(bc.global_slot(name), Some(slot));
+        }
+    }
+
+    #[test]
     fn empty_program_returns_nil() {
         let script = parse_script("").unwrap();
-        let prog = SlotProgram::compile(&script);
-        let bc = BytecodeProgram::compile(&prog);
+        let bc = BytecodeProgram::compile(&script);
         assert!(bc.is_empty());
         let mut vm = BytecodeVm::new(&bc, StepBudget::default());
         assert!(matches!(vm.run(&bc).unwrap(), Value::Nil));

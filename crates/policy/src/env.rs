@@ -26,7 +26,7 @@ use crate::bytecode::{BytecodeProgram, BytecodeVm};
 use crate::error::{PolicyError, PolicyResult};
 use crate::interp::{Interpreter, StepBudget};
 use crate::parser::{parse_expression_script, parse_script, parse_when};
-use crate::slots::{ScalarMdsload, ScalarMetaload, SlotProgram};
+use crate::scalar::{ScalarMdsload, ScalarMetaload};
 use crate::stdlib;
 use crate::value::{Key, Table, Value};
 
@@ -341,14 +341,13 @@ struct CompiledHook {
 
 impl CompiledHook {
     fn compile(script: &Script, host: &Interpreter, budget: StepBudget) -> CompiledHook {
-        let prog = SlotProgram::compile(script);
-        let bc = BytecodeProgram::compile(&prog);
-        let base: Vec<Value> = prog
+        let bc = BytecodeProgram::compile(script);
+        let base: Vec<Value> = bc
             .global_names()
             .iter()
             .map(|name| host.get_global(name))
             .collect();
-        let slot = |name: &str| prog.global_slot(name);
+        let slot = |name: &str| bc.global_slot(name);
         let env = EnvSlots {
             whoami: slot("whoami"),
             i: slot("i"),
@@ -408,9 +407,9 @@ struct CompiledHooks {
 /// the MDS (which collects metrics and performs migrations) and the policy
 /// scripts (which decide).
 ///
-/// Hooks are resolved to slot programs and then lowered to bytecode once,
-/// at construction (see [`crate::slots`] and [`crate::bytecode`]); each
-/// invocation reuses the compiled program and its VM. A `metaload` hook
+/// Hooks are compiled to bytecode once, at construction (see
+/// [`crate::bytecode`]); each invocation reuses the compiled program and
+/// its VM. A `metaload` hook
 /// that is a linear combination of the five counters additionally compiles
 /// to a [`ScalarMetaload`] evaluated without touching any VM.
 /// [`Self::with_engine`]`(`[`HookEngine::Tree`]`)` selects the original

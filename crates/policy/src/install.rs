@@ -1,7 +1,6 @@
 //! The hot-reload install lifecycle: raw Lua sources arrive from
-//! outside (an admin socket, a config file), get compiled and validated,
-//! and are then published atomically as an epoch-tagged snapshot that
-//! readers pick up without locking out in-flight decisions.
+//! outside (an admin socket, a config file) and are compiled and
+//! validated here before anything that runs balancers sees them.
 //!
 //! The pipeline is deliberately staged so a bad policy can never reach a
 //! running balancer:
@@ -14,13 +13,10 @@
 //!    up, and a single survivor) exactly as the elastic validator does,
 //!    so a policy that only divides by `#MDSs - 1` when the cluster is
 //!    full is caught before installation.
-//! 3. **Install** — [`PolicyCell::install`] swaps the published
-//!    [`InstalledPolicy`] under a write lock and bumps the epoch.
-//!    Readers hold `Arc` snapshots ([`PolicyCell::current`]), so a
-//!    decision that began under epoch *n* finishes under epoch *n* even
-//!    if epoch *n + 1* lands mid-decision.
-
-use std::sync::{Arc, RwLock};
+//! 3. **Hand over** — the caller passes the validated [`PolicySet`] by
+//!    value to whatever owns the balancers (the daemon sends it to its
+//!    engine thread, which installs it on every MDS in one exclusive
+//!    step, so a decision never straddles two policies).
 
 use crate::env::PolicySet;
 use crate::error::PolicyResult;
@@ -87,67 +83,6 @@ pub fn prepare(source: &PolicySource) -> PolicyResult<PolicySet> {
     Ok(set)
 }
 
-/// A validated policy published at a specific epoch.
-#[derive(Debug, Clone)]
-pub struct InstalledPolicy {
-    /// Monotonic install counter; epoch 0 is the boot policy.
-    pub epoch: u64,
-    /// The policy's name.
-    pub name: String,
-    /// The compiled policy.
-    pub set: PolicySet,
-}
-
-/// An atomically-swappable policy slot.
-///
-/// Readers call [`PolicyCell::current`] and get an `Arc` snapshot they
-/// can keep for the duration of a decision; [`PolicyCell::install`]
-/// replaces the published snapshot and bumps the epoch. The lock is held
-/// only for the pointer swap — never across compilation, validation, or
-/// a decision — so installs are effectively wait-free for readers.
-#[derive(Debug)]
-pub struct PolicyCell {
-    slot: RwLock<Arc<InstalledPolicy>>,
-}
-
-impl PolicyCell {
-    /// Publish `set` as the boot policy (epoch 0).
-    pub fn new(name: impl Into<String>, set: PolicySet) -> Self {
-        PolicyCell {
-            slot: RwLock::new(Arc::new(InstalledPolicy {
-                epoch: 0,
-                name: name.into(),
-                set,
-            })),
-        }
-    }
-
-    /// The currently-published policy. The returned snapshot stays valid
-    /// (and unchanged) even if an install lands immediately after.
-    pub fn current(&self) -> Arc<InstalledPolicy> {
-        Arc::clone(&self.slot.read().expect("policy slot never poisoned"))
-    }
-
-    /// The current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.slot.read().expect("policy slot never poisoned").epoch
-    }
-
-    /// Atomically publish a new policy, returning its epoch. The caller
-    /// is expected to have run [`prepare`] (or equivalent validation)
-    /// first — the cell itself only swaps.
-    pub fn install(&self, name: impl Into<String>, set: PolicySet) -> u64 {
-        let mut slot = self.slot.write().expect("policy slot never poisoned");
-        let epoch = slot.epoch + 1;
-        *slot = Arc::new(InstalledPolicy {
-            epoch,
-            name: name.into(),
-            set,
-        });
-        epoch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,21 +115,5 @@ mod tests {
         let mut unknown = greedy();
         unknown.decision = DecisionSource::Combined("x = unknowng".into());
         assert!(prepare(&unknown).is_err(), "unknown global must fail");
-    }
-
-    #[test]
-    fn install_bumps_epoch_and_keeps_old_snapshots_alive() {
-        let set = prepare(&greedy()).unwrap();
-        let cell = PolicyCell::new("greedy", set.clone());
-        let before = cell.current();
-        assert_eq!(before.epoch, 0);
-        let epoch = cell.install("greedy-v2", set);
-        assert_eq!(epoch, 1);
-        assert_eq!(cell.epoch(), 1);
-        // The pre-install snapshot is untouched: in-flight decisions
-        // finish on the policy they started with.
-        assert_eq!(before.epoch, 0);
-        assert_eq!(before.name, "greedy");
-        assert_eq!(cell.current().name, "greedy-v2");
     }
 }

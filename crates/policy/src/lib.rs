@@ -55,7 +55,7 @@ pub mod install;
 pub mod interp;
 pub mod lexer;
 pub mod parser;
-pub mod slots;
+pub mod scalar;
 pub mod stdlib;
 pub mod token;
 pub mod validate;
@@ -65,10 +65,10 @@ pub use bytecode::{BytecodeProgram, BytecodeVm};
 pub use env::{BalancerInputs, BalancerOutcome, EnvBuilder, HookEngine, MdsMetrics, StateStore};
 pub use error::{PolicyError, PolicyResult};
 pub use fmt::script_to_source;
-pub use install::{prepare, DecisionSource, InstalledPolicy, PolicyCell, PolicySource};
+pub use install::{prepare, DecisionSource, PolicySource};
 pub use interp::{Interpreter, StepBudget};
 pub use parser::parse_script;
-pub use slots::{ScalarMdsload, ScalarMetaload, SlotProgram};
+pub use scalar::{ScalarMdsload, ScalarMetaload};
 pub use validate::PolicyValidator;
 pub use value::{Table, Value};
 

@@ -1,407 +1,22 @@
-//! Slot resolution for policy hooks: the resolve pass that feeds the
-//! bytecode engine, plus the scalar fast paths.
+//! Scalar fast paths for the two per-item load hooks.
 //!
-//! The tree-walking [`Interpreter`](crate::Interpreter) resolves every
-//! variable read and write by hashing its name against a stack of
-//! `HashMap<String, Value>` scopes. For the `metaload` hook — which runs
-//! once per dirfrag per balancer tick — that hash traffic (plus building a
-//! fresh interpreter and re-`set_global`ing the environment per call)
-//! dominates the tick cost.
+//! `metaload` runs once per dirfrag per balancer tick and `mdsload` once
+//! per MDS; in the paper's Table 1 and every shipped policy both are a
+//! linear combination of a fixed set of numbers — the five popularity
+//! counters, or the current row's metric fields. Hooks of that shape are
+//! recognised on the AST and compiled to a coefficient term list
+//! ([`ScalarMetaload`], [`ScalarMdsload`]) evaluated as a handful of
+//! multiply-adds: no `Value` boxing, no step counting, no table lookups.
 //!
-//! This module is the front end of the compiled pipeline: after parsing, a
-//! **resolve pass** ([`SlotProgram::compile`]) walks the AST once, mapping
-//! every name to an integer slot:
-//!
-//! * names in lexical scope of a `local` declaration (or a `for` loop
-//!   variable) become *local slots* — indices into one flat frame;
-//! * everything else becomes a *global slot* — an index into a per-program
-//!   global vector whose layout is fixed at compile time.
-//!
-//! Static resolution is valid because the language subset has no closures,
-//! no `goto`, and no `function` definitions: a block's statements execute
-//! in source order, so a name read lexically after a `local` declaration
-//! in the same (or an enclosing) block is that local, and a read before it
-//! is whatever the enclosing scope says — exactly what the dynamic scope
-//! stack would have found.
-//!
-//! The slotted AST is not executed directly: [`crate::bytecode`] lowers it
-//! to a flat instruction stream and runs that, **bit-identical** to the
-//! tree-walking interpreter (same results, same error messages, same step
-//! accounting). The differential tests below, in `bytecode.rs` and in
-//! `tests/properties.rs` pin the resolve pass and the VM together against
-//! the tree walker.
-//!
-//! Finally, [`ScalarMetaload`] covers the common case from the paper's
-//! Table 1 and every shipped policy: a `metaload` hook that is a linear
-//! combination of the five counters. Such hooks compile to a coefficient
-//! term list evaluated as a handful of fused multiply-adds — no `Value`
-//! boxing, no step counting, no table lookups — while still reproducing
-//! the interpreter's result bit for bit (the term list preserves the
-//! source's association order).
+//! The result is still bit-identical to running the script: the term list
+//! keeps the source's association order, so the same IEEE-754 operations
+//! happen in the same order. Anything that is not such an expression (a
+//! call, a comparison, another row, an unknown name) is refused by
+//! `extract` and runs on the compiled hook instead, so error behaviour is
+//! preserved exactly. The tests below pin both fast paths against the
+//! tree-walking [`Interpreter`](crate::Interpreter).
 
-use std::collections::HashMap;
-use std::rc::Rc;
-
-use crate::ast::{BinOp, Block, Expr, LValue, Script, Stmt, UnOp};
-use crate::value::{Key, Value};
-
-// ---------------------------------------------------------------------------
-// Slotted AST
-// ---------------------------------------------------------------------------
-
-/// A statement with all names resolved to slots.
-///
-/// `pub(crate)` so the bytecode lowering pass (`crate::bytecode`) can
-/// consume the slotted AST directly.
-#[derive(Debug, Clone)]
-pub(crate) enum SStmt {
-    Assign {
-        target: SLValue,
-        value: SExpr,
-        line: u32,
-    },
-    /// `local` declaration: assigns its slot when executed.
-    LocalDecl {
-        slot: u32,
-        value: Option<SExpr>,
-    },
-    If {
-        arms: Vec<(SExpr, Vec<SStmt>)>,
-        else_block: Option<Vec<SStmt>>,
-    },
-    While {
-        cond: SExpr,
-        body: Vec<SStmt>,
-    },
-    NumericFor {
-        slot: u32,
-        start: SExpr,
-        stop: SExpr,
-        step: Option<SExpr>,
-        body: Vec<SStmt>,
-        line: u32,
-    },
-    ExprStmt {
-        expr: SExpr,
-    },
-    Do {
-        body: Vec<SStmt>,
-    },
-    Return {
-        value: Option<SExpr>,
-    },
-    Break,
-}
-
-/// An assignable location, resolved.
-#[derive(Debug, Clone)]
-pub(crate) enum SLValue {
-    Local(u32),
-    Global(u32),
-    Index { object: SExpr, key: SKey },
-}
-
-/// An expression with resolved names and pre-interned constant keys.
-#[derive(Debug, Clone)]
-pub(crate) enum SExpr {
-    Nil,
-    Bool(bool),
-    /// String literals are pre-built `Value::Str`s: evaluating one is an
-    /// `Rc` clone, where the tree walker allocates a fresh `Rc<str>`.
-    Str(Value),
-    Number(f64),
-    Local {
-        slot: u32,
-    },
-    Global {
-        slot: u32,
-    },
-    Index {
-        object: Box<SExpr>,
-        key: SKey,
-        line: u32,
-    },
-    Call {
-        callee: Box<SExpr>,
-        args: Vec<SExpr>,
-        line: u32,
-    },
-    Unary {
-        op: UnOp,
-        operand: Box<SExpr>,
-        line: u32,
-    },
-    Binary {
-        op: BinOp,
-        lhs: Box<SExpr>,
-        rhs: Box<SExpr>,
-        line: u32,
-    },
-    TableCtor {
-        items: Vec<SExpr>,
-        pairs: Vec<(SExpr, SExpr)>,
-        line: u32,
-    },
-}
-
-/// A table key: pre-interned when the source wrote a literal string
-/// (`t.auth` / `t["auth"]`), so the hot `MDSs[i]["load"]` lookups never
-/// allocate.
-#[derive(Debug, Clone)]
-pub(crate) enum SKey {
-    Const {
-        key: Key,
-        /// The literal text, shared with `key`, for error messages.
-        text: Rc<str>,
-    },
-    Expr(Box<SExpr>),
-}
-
-// ---------------------------------------------------------------------------
-// Resolve pass
-// ---------------------------------------------------------------------------
-
-/// A script compiled to slot form: the product of the resolve pass.
-///
-/// Compile once, lower to a [`BytecodeProgram`](crate::BytecodeProgram),
-/// then run any number of times, writing the environment into integer
-/// slots instead of re-binding names (see the example there).
-#[derive(Debug, Clone)]
-pub struct SlotProgram {
-    body: Vec<SStmt>,
-    n_locals: u32,
-    globals: Vec<Rc<str>>,
-}
-
-impl SlotProgram {
-    /// Resolve every name in `script` to a slot.
-    pub fn compile(script: &Script) -> SlotProgram {
-        let mut r = Resolver {
-            globals: Vec::new(),
-            by_name: HashMap::new(),
-            scopes: vec![HashMap::new()],
-            n_locals: 0,
-        };
-        let body = r.block(&script.block);
-        SlotProgram {
-            body,
-            n_locals: r.n_locals,
-            globals: r.globals,
-        }
-    }
-
-    /// The global slot a name resolved to, if the script mentions it.
-    pub fn global_slot(&self, name: &str) -> Option<usize> {
-        self.globals.iter().position(|g| &**g == name)
-    }
-
-    /// Names of all global slots, in slot order.
-    pub fn global_names(&self) -> &[Rc<str>] {
-        &self.globals
-    }
-
-    /// Number of global slots.
-    pub fn n_globals(&self) -> usize {
-        self.globals.len()
-    }
-
-    /// Size of the local frame.
-    pub fn n_locals(&self) -> usize {
-        self.n_locals as usize
-    }
-
-    /// The slotted statement list, for the bytecode lowering pass.
-    pub(crate) fn stmts(&self) -> &[SStmt] {
-        &self.body
-    }
-}
-
-struct Resolver {
-    globals: Vec<Rc<str>>,
-    by_name: HashMap<String, u32>,
-    scopes: Vec<HashMap<String, u32>>,
-    n_locals: u32,
-}
-
-impl Resolver {
-    fn global(&mut self, name: &str) -> u32 {
-        if let Some(&slot) = self.by_name.get(name) {
-            return slot;
-        }
-        let slot = self.globals.len() as u32;
-        self.globals.push(Rc::from(name));
-        self.by_name.insert(name.to_string(), slot);
-        slot
-    }
-
-    fn lookup_local(&self, name: &str) -> Option<u32> {
-        self.scopes.iter().rev().find_map(|s| s.get(name).copied())
-    }
-
-    fn declare_local(&mut self, name: &str) -> u32 {
-        let slot = self.n_locals;
-        self.n_locals += 1;
-        self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(name.to_string(), slot);
-        slot
-    }
-
-    fn scoped<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
-        self.scopes.push(HashMap::new());
-        let out = f(self);
-        self.scopes.pop();
-        out
-    }
-
-    fn block(&mut self, b: &Block) -> Vec<SStmt> {
-        b.stmts.iter().map(|s| self.stmt(s)).collect()
-    }
-
-    fn stmt(&mut self, s: &Stmt) -> SStmt {
-        match s {
-            Stmt::Assign {
-                target,
-                value,
-                line,
-            } => SStmt::Assign {
-                target: self.lvalue(target),
-                value: self.expr(value),
-                line: *line,
-            },
-            Stmt::Local { name, value, .. } => {
-                // Initializer resolves before the name is in scope, so
-                // `local x = x` reads the outer binding — as at run time.
-                let value = value.as_ref().map(|e| self.expr(e));
-                let slot = self.declare_local(name);
-                SStmt::LocalDecl { slot, value }
-            }
-            Stmt::If {
-                arms, else_block, ..
-            } => SStmt::If {
-                arms: arms
-                    .iter()
-                    .map(|(c, b)| {
-                        let c = self.expr(c);
-                        let b = self.scoped(|r| r.block(b));
-                        (c, b)
-                    })
-                    .collect(),
-                else_block: else_block.as_ref().map(|b| self.scoped(|r| r.block(b))),
-            },
-            Stmt::While { cond, body, .. } => SStmt::While {
-                cond: self.expr(cond),
-                body: self.scoped(|r| r.block(body)),
-            },
-            Stmt::NumericFor {
-                var,
-                start,
-                stop,
-                step,
-                body,
-                line,
-            } => {
-                // Bounds evaluate outside the loop scope.
-                let start = self.expr(start);
-                let stop = self.expr(stop);
-                let step = step.as_ref().map(|e| self.expr(e));
-                let (slot, body) = self.scoped(|r| {
-                    let slot = r.declare_local(var);
-                    (slot, r.block(body))
-                });
-                SStmt::NumericFor {
-                    slot,
-                    start,
-                    stop,
-                    step,
-                    body,
-                    line: *line,
-                }
-            }
-            Stmt::ExprStmt { expr, .. } => SStmt::ExprStmt {
-                expr: self.expr(expr),
-            },
-            Stmt::Do { body } => SStmt::Do {
-                body: self.scoped(|r| r.block(body)),
-            },
-            Stmt::Return { value, .. } => SStmt::Return {
-                value: value.as_ref().map(|e| self.expr(e)),
-            },
-            Stmt::Break { .. } => SStmt::Break,
-        }
-    }
-
-    fn lvalue(&mut self, lv: &LValue) -> SLValue {
-        match lv {
-            LValue::Name(name) => match self.lookup_local(name) {
-                Some(slot) => SLValue::Local(slot),
-                None => SLValue::Global(self.global(name)),
-            },
-            LValue::Index { object, key } => SLValue::Index {
-                object: self.expr(object),
-                key: self.key(key),
-            },
-        }
-    }
-
-    fn key(&mut self, key: &Expr) -> SKey {
-        match key {
-            Expr::Str(s) => {
-                let text: Rc<str> = Rc::from(s.as_str());
-                SKey::Const {
-                    key: Key::Str(Rc::clone(&text)),
-                    text,
-                }
-            }
-            other => SKey::Expr(Box::new(self.expr(other))),
-        }
-    }
-
-    fn expr(&mut self, e: &Expr) -> SExpr {
-        match e {
-            Expr::Nil => SExpr::Nil,
-            Expr::Bool(b) => SExpr::Bool(*b),
-            Expr::Number(n) => SExpr::Number(*n),
-            Expr::Str(s) => SExpr::Str(Value::str(s)),
-            Expr::Name(name, _) => match self.lookup_local(name) {
-                Some(slot) => SExpr::Local { slot },
-                None => SExpr::Global {
-                    slot: self.global(name),
-                },
-            },
-            Expr::Index { object, key, line } => SExpr::Index {
-                object: Box::new(self.expr(object)),
-                key: self.key(key),
-                line: *line,
-            },
-            Expr::Call { callee, args, line } => SExpr::Call {
-                callee: Box::new(self.expr(callee)),
-                args: args.iter().map(|a| self.expr(a)).collect(),
-                line: *line,
-            },
-            Expr::Unary { op, operand, line } => SExpr::Unary {
-                op: *op,
-                operand: Box::new(self.expr(operand)),
-                line: *line,
-            },
-            Expr::Binary { op, lhs, rhs, line } => SExpr::Binary {
-                op: *op,
-                lhs: Box::new(self.expr(lhs)),
-                rhs: Box::new(self.expr(rhs)),
-                line: *line,
-            },
-            Expr::TableCtor { items, pairs, line } => SExpr::TableCtor {
-                items: items.iter().map(|i| self.expr(i)).collect(),
-                pairs: pairs
-                    .iter()
-                    .map(|(k, v)| (self.expr(k), self.expr(v)))
-                    .collect(),
-                line: *line,
-            },
-        }
-    }
-}
+use crate::ast::{BinOp, Expr, Script, Stmt, UnOp};
 
 // ---------------------------------------------------------------------------
 // Scalar metaload fast path
@@ -723,74 +338,9 @@ fn mds_term_of(e: &Expr) -> Option<MdsTerm> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::tests::differential;
     use crate::interp::Interpreter;
     use crate::parser::parse_expression_script;
-    use crate::value::Table;
-
-    // ---- resolve pass: tree walker vs resolve -> bytecode ----
-    //
-    // The slotted AST has no evaluator of its own, so the resolve pass is
-    // checked through the engine it feeds. Budget errors on the same step,
-    // VM reuse and the Listing-4 shape are pinned by the same-named tests
-    // in `bytecode.rs`.
-
-    #[test]
-    fn arithmetic_and_logic_agree() {
-        differential("return 1 + 2 * 3 - 4 / 8", &[]);
-        differential("return 2 ^ 3 ^ 2", &[]);
-        differential("return -7 % 3", &[]);
-        differential("return (x > 2) and x or -x", &[("x", 5.0)]);
-        differential("return \"n=\" .. 3 .. \"!\"", &[]);
-    }
-
-    #[test]
-    fn locals_and_scoping_agree() {
-        differential("x = 1 local y = 2 x = x + y return x", &[]);
-        differential("local x = 1 do local x = 2 end return x", &[]);
-        differential("local x = x return x", &[("x", 9.0)]);
-        // Read before the `local` in the same block sees the global.
-        differential("g = 10 y = g local g = 1 return y + g", &[]);
-    }
-
-    #[test]
-    fn loops_agree() {
-        differential("s = 0 for i = 1, 10 do s = s + i end return s", &[]);
-        differential("s = 0 for i = 10, 1, -2 do s = s + i end return s", &[]);
-        differential(
-            "i = 0 while true do i = i + 1 if i >= 5 then break end end return i",
-            &[],
-        );
-        // Loop-carried local shadowing: iteration 2 must re-resolve like
-        // the dynamic scope stack (fresh scope per iteration).
-        differential(
-            "y = 0 for i = 1, 3 do y = y + v local v = i end return y",
-            &[("v", 100.0)],
-        );
-    }
-
-    #[test]
-    fn tables_agree() {
-        differential(
-            "t = {10, 20, 30} t[4] = 40 t[\"name\"] = 7 return #t + t[2] + t.name",
-            &[],
-        );
-        differential("m = {a = {1, 2}, b = {x = 9}} return m.a[2] + m.b.x", &[]);
-    }
-
-    #[test]
-    fn natives_agree() {
-        differential("return max(3, min(x, 10)) + math.floor(2.7)", &[("x", 7.0)]);
-    }
-
-    #[test]
-    fn errors_agree() {
-        differential("return nothere[\"load\"]", &[]);
-        differential("return RDstate()", &[]);
-        differential("for i=1,10,0 do end", &[]);
-        differential("return 1 < \"2\"", &[]);
-        differential("return #x", &[("x", 1.0)]);
-    }
+    use crate::value::{Table, Value};
 
     // ---- scalar fast path ----
 
@@ -881,6 +431,7 @@ mod tests {
     // ---- scalar mdsload ----
 
     use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn mds_scalar_of(src: &str) -> Option<ScalarMdsload> {
         ScalarMdsload::extract(&parse_expression_script(src).unwrap())

@@ -33,7 +33,6 @@ fn elastic_cfg() -> ElasticConfig {
         min_mds: 1,
         max_mds: POOL,
         initial_mds: 1,
-        ..ElasticConfig::on()
     }
 }
 

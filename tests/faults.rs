@@ -214,7 +214,6 @@ fn crash_of_joining_mds_mid_rehome_degrades_gracefully() {
         min_mds: 1,
         max_mds: POOL,
         initial_mds: 1,
-        ..ElasticConfig::on()
     };
     let mut spec = diurnal_experiment(ReproOpts::QUICK, POOL, elastic, 1, 42);
     spec.config.faults = reactions()
@@ -253,7 +252,6 @@ fn crash_of_draining_mds_mid_migrate_degrades_gracefully() {
         min_mds: 1,
         max_mds: POOL,
         initial_mds: 1,
-        ..ElasticConfig::on()
     };
     let mut spec = diurnal_experiment(ReproOpts::QUICK, POOL, elastic, 1, 42);
     spec.config.faults = reactions().crash(SimTime::from_millis(3_500), 3);

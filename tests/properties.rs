@@ -9,7 +9,7 @@ use mantle::mds::{select_best, DirfragSelector};
 use mantle::namespace::{IndexMode, Namespace, NamespaceStats, NodeId, NsConfig, OpKind};
 use mantle::policy::env::{BalancerInputs, MantleRuntime, MdsMetrics, PolicySet};
 use mantle::policy::{parse_script, script_to_source, Interpreter, StepBudget, Value};
-use mantle::policy::{BytecodeProgram, BytecodeVm, SlotProgram};
+use mantle::policy::{BytecodeProgram, BytecodeVm};
 use mantle::sim::{DecayCounter, EventQueue, OnlineStats, SchedulerKind, SimRng, SimTime, Summary};
 
 /// Per-test RNG: independent stream per property, fixed master seed.
@@ -637,10 +637,9 @@ fn random_expr(rng: &mut SimRng, depth: u32) -> String {
     }
 }
 
-/// Run a script through both engines (tree walker, and resolve pass →
-/// bytecode VM) with identical globals and budget; results (success
-/// value of every global, steps consumed, or the error) must be
-/// identical — numbers bit-for-bit.
+/// Run a script through both engines (tree walker, bytecode VM) with
+/// identical globals and budget; results (success value of every global,
+/// steps consumed, or the error) must be identical — numbers bit-for-bit.
 fn assert_engines_agree(src: &str, globals: &[(&str, f64)], case: usize) {
     let script = parse_script(src).unwrap_or_else(|e| panic!("case {case}: parse {src}: {e}"));
     let budget = StepBudget(100_000);
@@ -651,11 +650,10 @@ fn assert_engines_agree(src: &str, globals: &[(&str, f64)], case: usize) {
     }
     let tree_result = tree.run(&script);
 
-    let prog = SlotProgram::compile(&script);
-    let bc = BytecodeProgram::compile(&prog);
+    let bc = BytecodeProgram::compile(&script);
     let mut bvm = BytecodeVm::new(&bc, budget);
     for &(name, v) in globals {
-        if let Some(slot) = prog.global_slot(name) {
+        if let Some(slot) = bc.global_slot(name) {
             bvm.set_global(slot, Value::Number(v));
         }
     }
@@ -663,7 +661,7 @@ fn assert_engines_agree(src: &str, globals: &[(&str, f64)], case: usize) {
 
     match (&tree_result, &bvm_result) {
         (Ok(_), Ok(_)) => {
-            for (slot, name) in prog.global_names().iter().enumerate() {
+            for (slot, name) in bc.global_names().iter().enumerate() {
                 let t = tree.get_global(name);
                 let v = bvm.get_global(slot);
                 let same = match (&t, v) {
@@ -874,7 +872,6 @@ fn elastic_runs_conserve_ops_across_seeds() {
             min_mds: 1,
             max_mds: POOL,
             initial_mds: 1,
-            ..ElasticConfig::on()
         };
         let spec = diurnal_experiment(ReproOpts::QUICK, POOL, elastic, 1, seed);
         let expected: u64 = match spec.workload {
