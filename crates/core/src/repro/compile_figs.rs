@@ -45,7 +45,7 @@ pub fn fig1_heatmap(opts: ReproOpts) -> String {
             };
             let children = ns.dir(linux).children.clone();
             for ch in children {
-                let name = ns.dir(ch).name.clone();
+                let name = ns.name(ch).to_string();
                 let heat = ns.subtree_heat(ch, at).cephfs_metaload();
                 row.push((name, heat));
             }

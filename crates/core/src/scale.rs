@@ -17,9 +17,7 @@
 
 use std::time::Instant;
 
-use crate::experiment::{
-    run_experiment, run_experiment_with_stats, BalancerSpec, Experiment, WorkloadSpec,
-};
+use crate::experiment::{build_cluster, BalancerSpec, Experiment, WorkloadSpec};
 use crate::policies;
 use crate::table::TextTable;
 use mantle_mds::{ClusterConfig, ExecMode, ExecStats, RunReport, SchedulerKind};
@@ -117,19 +115,32 @@ pub fn scale_experiment(spec: &ScaleSpec, scheduler: SchedulerKind, seed: u64) -
 pub struct ScaleRun {
     /// The report (identical across backends for a fixed seed).
     pub report: RunReport,
-    /// Host wall-clock the run took.
+    /// Host wall-clock `build_cluster` took: namespace population and
+    /// engine construction, the same on every backend and in every mode.
+    pub setup_secs: f64,
+    /// Host wall-clock the run took, set-up excluded.
     pub wall_secs: f64,
+}
+
+/// Build and run one experiment, timing the two halves separately.
+fn run_timed(exp: &Experiment) -> (ScaleRun, ExecStats) {
+    let start = Instant::now();
+    let cluster = build_cluster(exp);
+    let setup_secs = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let (report, stats) = cluster.run_with_stats();
+    let wall_secs = start.elapsed().as_secs_f64();
+    let run = ScaleRun {
+        report,
+        setup_secs,
+        wall_secs,
+    };
+    (run, stats)
 }
 
 /// Run one row on one backend, timing it.
 pub fn run_scale(spec: &ScaleSpec, scheduler: SchedulerKind, seed: u64) -> ScaleRun {
-    let exp = scale_experiment(spec, scheduler, seed);
-    let start = Instant::now();
-    let report = run_experiment(&exp);
-    ScaleRun {
-        report,
-        wall_secs: start.elapsed().as_secs_f64(),
-    }
+    run_timed(&scale_experiment(spec, scheduler, seed)).0
 }
 
 /// Run every row on both backends, assert report equality, and render the
@@ -142,6 +153,7 @@ pub fn scale_table(smoke: bool) -> String {
         "clients",
         "dirs",
         "ops",
+        "setup s",
         "heap s",
         "wheel s",
         "speedup",
@@ -162,6 +174,7 @@ pub fn scale_table(smoke: bool) -> String {
             spec.clients.to_string(),
             spec.dirs.to_string(),
             format!("{:.0}", heap.report.total_ops()),
+            format!("{:.2}", heap.setup_secs),
             format!("{:.2}", heap.wall_secs),
             format!("{:.2}", wheel.wall_secs),
             format!("{:.2}x", heap.wall_secs / wheel.wall_secs.max(1e-9)),
@@ -179,15 +192,7 @@ pub fn scale_table(smoke: bool) -> String {
 pub fn run_scale_mode(spec: &ScaleSpec, mode: ExecMode, seed: u64) -> (ScaleRun, ExecStats) {
     let mut exp = scale_experiment(spec, SchedulerKind::Wheel, seed);
     exp.config = exp.config.with_exec_mode(mode);
-    let start = Instant::now();
-    let (report, stats) = run_experiment_with_stats(&exp);
-    (
-        ScaleRun {
-            report,
-            wall_secs: start.elapsed().as_secs_f64(),
-        },
-        stats,
-    )
+    run_timed(&exp)
 }
 
 /// Run every row single-threaded and sharded across `threads` workers,
@@ -197,7 +202,7 @@ pub fn run_scale_mode(spec: &ScaleSpec, mode: ExecMode, seed: u64) -> (ScaleRun,
 pub fn parallel_scale_table(smoke: bool, threads: usize) -> String {
     let seed = 42;
     let mut table = TextTable::new([
-        "scenario", "mds", "clients", "ops", "1t s", "kt s", "speedup", "windows",
+        "scenario", "mds", "clients", "ops", "setup s", "1t s", "kt s", "speedup", "windows",
     ]);
     let mut breakdown = String::new();
     for spec in scale_specs(smoke) {
@@ -214,6 +219,7 @@ pub fn parallel_scale_table(smoke: bool, threads: usize) -> String {
             spec.num_mds.to_string(),
             spec.clients.to_string(),
             format!("{:.0}", single.report.total_ops()),
+            format!("{:.2}", single.setup_secs),
             format!("{:.2}", single.wall_secs),
             format!("{:.2}", sharded.wall_secs),
             format!("{:.2}x", single.wall_secs / sharded.wall_secs.max(1e-9)),

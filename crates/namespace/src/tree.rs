@@ -1,6 +1,7 @@
 //! The directory tree, dirfrags, and the subtree authority map.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use mantle_sim::SimTime;
 
@@ -70,8 +71,9 @@ pub struct Dir {
     pub id: NodeId,
     /// Parent directory (`None` for the root).
     pub parent: Option<NodeId>,
-    /// Name within the parent.
-    pub name: String,
+    /// Name within the parent, interned; read it through
+    /// [`Namespace::name`].
+    name: u32,
     /// Depth (root = 0).
     pub depth: u32,
     /// Child directories.
@@ -97,6 +99,27 @@ pub struct Dir {
     /// Next unassigned label inside the interval; children carve their
     /// intervals from here.
     cursor: u64,
+}
+
+/// Interned path-component names: each distinct name is stored once and
+/// directories hold its index (the root's empty name is index 0).
+#[derive(Debug, Clone, Default)]
+struct Names {
+    ids: HashMap<Arc<str>, u32>,
+    strs: Vec<Arc<str>>,
+}
+
+impl Names {
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = self.strs.len() as u32;
+        let name: Arc<str> = name.into();
+        self.strs.push(Arc::clone(&name));
+        self.ids.insert(name, id);
+        id
+    }
 }
 
 /// Cached result of `resolve_auth` + `ancestor_auth_chain` for one dir.
@@ -199,6 +222,12 @@ pub struct SubtreeMigration {
 pub struct Namespace {
     cfg: NsConfig,
     dirs: Vec<Dir>,
+    names: Names,
+    /// Child-name index: `(parent, interned name)` → the first child
+    /// created under that name. [`Namespace::mkdir`] maintains it and
+    /// [`Namespace::lookup_child`] reads it; it is never iterated, so
+    /// `Dir::children` stays the one ordered record of the tree.
+    child_index: HashMap<(NodeId, u32), NodeId>,
     /// Bumped on every authority mutation; versions the per-dir
     /// `AuthCache` entries. Starts at 1 so a zeroed cache is always stale.
     auth_epoch: u64,
@@ -230,7 +259,7 @@ impl Namespace {
         let root = Dir {
             id: NodeId(0),
             parent: None,
-            name: String::new(),
+            name: 0,
             depth: 0,
             children: Vec::new(),
             frags: vec![Frag::new(cfg.decay_half_life)],
@@ -248,8 +277,12 @@ impl Namespace {
         let agg = LoadAggregates::new(cfg.decay_half_life);
         let mut root_set = BTreeSet::new();
         root_set.insert(NodeId(0));
+        let mut names = Names::default();
+        names.intern("");
         Namespace {
             dirs: vec![root],
+            names,
+            child_index: HashMap::new(),
             mode: cfg.index_mode,
             cfg,
             auth_epoch: 1,
@@ -297,8 +330,12 @@ impl Namespace {
 
     /// Create a subdirectory. Does not record heat; callers route a
     /// [`OpKind::Mkdir`] through [`Namespace::record_op`] on the parent.
-    pub fn mkdir(&mut self, parent: NodeId, name: impl Into<String>) -> NodeId {
+    pub fn mkdir(&mut self, parent: NodeId, name: impl AsRef<str>) -> NodeId {
         let id = NodeId(self.dirs.len() as u32);
+        let name = self.names.intern(name.as_ref());
+        // First created wins: a name resolves to its earliest entry in
+        // `children`, however often it is created again.
+        self.child_index.entry((parent, name)).or_insert(id);
         let depth = self.dir(parent).depth + 1;
         let half_life = self.cfg.decay_half_life;
         let (tin, tout) = self.alloc_interval(parent);
@@ -319,7 +356,7 @@ impl Namespace {
         let dir = Dir {
             id,
             parent: Some(parent),
-            name: name.into(),
+            name,
             depth,
             children: Vec::new(),
             frags: vec![Frag::new(half_life)],
@@ -427,26 +464,24 @@ impl Namespace {
     pub fn mkdir_p(&mut self, path: &str) -> NodeId {
         let mut cur = self.root();
         for comp in path.split('/').filter(|c| !c.is_empty()) {
-            cur = match self
-                .dir(cur)
-                .children
-                .iter()
-                .find(|&&c| self.dir(c).name == comp)
-            {
-                Some(&existing) => existing,
+            cur = match self.lookup_child(cur, comp) {
+                Some(existing) => existing,
                 None => self.mkdir(cur, comp),
             };
         }
         cur
     }
 
-    /// Find a child directory by name.
+    /// Find a child directory by name: two hash probes, however many
+    /// siblings `parent` has.
     pub fn lookup_child(&self, parent: NodeId, name: &str) -> Option<NodeId> {
-        self.dir(parent)
-            .children
-            .iter()
-            .copied()
-            .find(|&c| self.dir(c).name == name)
+        let name = *self.names.ids.get(name)?;
+        self.child_index.get(&(parent, name)).copied()
+    }
+
+    /// Name of a directory within its parent (empty for the root).
+    pub fn name(&self, id: NodeId) -> &str {
+        &self.names.strs[self.dir(id).name as usize]
     }
 
     /// Full path of a directory (`/a/b/c`; root is `/`).
@@ -454,11 +489,11 @@ impl Namespace {
         let mut comps = Vec::new();
         let mut cur = Some(id);
         while let Some(c) = cur {
-            let d = self.dir(c);
-            if !d.name.is_empty() {
-                comps.push(d.name.clone());
+            let name = self.name(c);
+            if !name.is_empty() {
+                comps.push(name);
             }
-            cur = d.parent;
+            cur = self.dir(c).parent;
         }
         comps.reverse();
         format!("/{}", comps.join("/"))

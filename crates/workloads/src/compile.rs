@@ -112,7 +112,7 @@ impl Compile {
         ns.dir(linux)
             .children
             .iter()
-            .map(|&c| (ns.dir(c).name.clone(), c))
+            .map(|&c| (ns.name(c).to_string(), c))
             .collect()
     }
 
