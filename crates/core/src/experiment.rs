@@ -324,13 +324,7 @@ pub fn run_experiment_traced(
     spec: &Experiment,
     level: mantle_mds::TraceLevel,
 ) -> (RunReport, mantle_mds::TraceBuffer) {
-    let mut cluster = build_cluster(spec);
-    let handle = cluster.enable_tracing(level);
-    let report = cluster.run();
-    let buffer = std::rc::Rc::try_unwrap(handle)
-        .expect("run consumed the cluster; the handle is the sole owner")
-        .into_inner();
-    (report, buffer)
+    build_cluster(spec).run_traced(level)
 }
 
 /// Run the experiment once per seed, in parallel across OS threads.

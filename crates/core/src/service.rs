@@ -114,14 +114,16 @@ pub fn scenario(name: &str) -> Option<Experiment> {
 pub fn run_service(spec: &Experiment, trace: Option<TraceLevel>) -> (RunReport, Vec<TraceRecord>) {
     let cluster: Cluster = build_cluster(spec);
     let (svc, handle) = LiveService::new(ClockMode::Sim);
-    let (report, _timeline) = cluster.serve(svc, trace);
+    cluster.serve(svc, trace);
     let mut records = Vec::new();
-    while let Ok(ev) = handle.events.try_recv() {
-        if let ServiceEvent::Trace(batch) = ev {
-            records.extend(batch);
+    for ev in handle.events.try_iter() {
+        match ev {
+            ServiceEvent::Trace(batch) => records.extend(batch),
+            ServiceEvent::Finished(report) => return (*report, records),
+            _ => {}
         }
     }
-    (report, records)
+    unreachable!("`serve` returned, so the stream ended with the report")
 }
 
 #[cfg(test)]

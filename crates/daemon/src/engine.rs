@@ -3,22 +3,22 @@
 //! thread, and runs the hot-swap pipeline (parse → validate → epoch →
 //! install).
 //!
-//! The engine thread never touches a socket and the reactor never blocks
-//! on a channel, so the one thing that crosses between them besides the
-//! channels is a *wake stream*: one byte written to a nonblocking
-//! `UnixStream` after every message the engine makes available (an event
-//! batch, a swap ack, the final report), which the reactor's `poll` set
-//! includes ([`Engine::wake_stream`]).
+//! Everything the engine thread says — install results, trace batches,
+//! completions, and at the very end its report — arrives on one ordered
+//! stream, [`ServiceHandle::events`]. The engine thread never touches a
+//! socket and the reactor never blocks on a channel, so the one other
+//! thing that crosses between them is a *wake stream*: one byte written
+//! to a nonblocking `UnixStream` after every event sent, and once more
+//! after the stream has closed, which the reactor's `poll` set includes
+//! ([`Engine::wake_stream`]).
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
-use std::sync::mpsc::{channel, Receiver, TryRecvError};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use mantle_core::policies;
 use mantle_mds::service::LiveService;
-use mantle_mds::{Cluster, ClusterConfig, MantleBalancer, RunReport, ServiceHandle};
+use mantle_mds::{Cluster, ClusterConfig, MantleBalancer, RunReport, ServiceEvent, ServiceHandle};
 use mantle_policy::env::PolicySet;
 use mantle_policy::install::{prepare, DecisionSource, PolicySource};
 use mantle_sim::SimTime;
@@ -56,25 +56,6 @@ pub fn preset(name: &str) -> Option<PolicySet> {
 /// one real hour, so serve mode raises it.
 const SERVE_MAX_DURATION: SimTime = SimTime::from_mins(24 * 60);
 
-/// The write end of the wake stream. A full stream already holds a wake
-/// nobody has read yet, so a failed write loses nothing.
-struct Waker(UnixStream);
-
-impl Waker {
-    fn wake(&self) {
-        let _ = (&self.0).write(&[1]);
-    }
-}
-
-impl Drop for Waker {
-    /// The engine thread's last act, on a normal exit and on a panic
-    /// alike: by now its report is sent (or its sender dropped), so the
-    /// reactor woken here finds [`Engine::finished`] true.
-    fn drop(&mut self) {
-        self.wake();
-    }
-}
-
 /// A running cluster engine: the daemon-facing half of
 /// [`Cluster::serve`], plus the name and epoch of the current policy.
 pub struct Engine {
@@ -85,17 +66,14 @@ pub struct Engine {
     policy_name: String,
     policy_epoch: u64,
     wake_rx: UnixStream,
-    report_rx: Receiver<RunReport>,
-    /// The report, once received: `finished` holds it for `finish`.
-    report: Option<RunReport>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl Engine {
     /// Boot the cluster on a dedicated thread. The engine runs until
     /// [`ServiceHandle::shutdown`] closes the live queues (or the
-    /// safety-net duration elapses), then delivers its final
-    /// [`RunReport`] to [`Engine::finish`].
+    /// safety-net duration elapses), then ends its event stream with
+    /// [`ServiceEvent::Finished`].
     pub fn start(cfg: &DaemonConfig) -> Result<Engine, String> {
         let set = preset(&cfg.policy).ok_or_else(|| {
             format!(
@@ -110,12 +88,12 @@ impl Engine {
                 Ok((rx, tx))
             })
             .map_err(|e| format!("creating the wake stream: {e}"))?;
-        let waker = Arc::new(Waker(wake_tx));
         let (mut svc, handle) = LiveService::new(cfg.clock);
         let workload = svc.workload(cfg.sessions);
-        svc.notify_with({
-            let waker = Arc::clone(&waker);
-            move || waker.wake()
+        // A full stream already holds a wake nobody has read yet, so a
+        // failed write loses nothing.
+        svc.notify_with(move || {
+            let _ = (&wake_tx).write(&[1]);
         });
         let name = cfg.policy.clone();
         let mut ccfg = ClusterConfig::default()
@@ -123,24 +101,18 @@ impl Engine {
             .with_seed(cfg.seed);
         ccfg.max_duration = SERVE_MAX_DURATION;
         let trace = cfg.trace;
-        let (tx, report_rx) = channel();
         // Balancers hold non-`Send` interpreter state, so the whole
         // cluster is built inside its thread; only `Send` inputs cross.
         let thread = std::thread::Builder::new()
             .name("mantled-engine".into())
             .spawn(move || {
-                // Declared before `tx` so it drops after it: the last
-                // wake follows the report (or, on a panic, the hang-up).
-                let _last_wake = waker;
-                let tx = tx;
                 let cluster = Cluster::new(ccfg, workload, |_| {
                     Box::new(
                         MantleBalancer::new_unvalidated(name.clone(), set.clone())
                             .expect("preset policy was validated"),
                     )
                 });
-                let (report, _timeline) = cluster.serve(svc, trace);
-                let _ = tx.send(report);
+                cluster.serve(svc, trace);
             })
             .map_err(|e| format!("spawning engine thread: {e}"))?;
         Ok(Engine {
@@ -148,8 +120,6 @@ impl Engine {
             policy_name: cfg.policy.clone(),
             policy_epoch: 0,
             wake_rx,
-            report_rx,
-            report: None,
             thread: Some(thread),
         })
     }
@@ -163,63 +133,47 @@ impl Engine {
     /// Run the full hot-swap pipeline for a policy submitted over the
     /// admin socket: compile + validate (`prepare`), assign the next
     /// epoch, and hand the set to the engine, which installs it on every
-    /// MDS in the coordinator's next exclusive step. Returns the assigned
-    /// epoch and the engine's ack channel; a rejected policy returns
-    /// `Err` and leaves name and epoch as they were.
-    pub fn swap(
-        &mut self,
-        src: &PolicySource,
-    ) -> Result<(u64, Receiver<Result<SimTime, String>>), String> {
+    /// MDS in the coordinator's next exclusive step and answers with a
+    /// [`ServiceEvent::Swapped`] carrying the epoch returned here. A
+    /// rejected policy returns `Err` and leaves name and epoch as they
+    /// were.
+    pub fn swap(&mut self, src: &PolicySource) -> Result<u64, String> {
         let set = prepare(src).map_err(|e| e.to_string())?;
         self.policy_epoch += 1;
         self.policy_name.clone_from(&src.name);
-        let ack = self
-            .handle
+        self.handle
             .install_policy(&src.name, self.policy_epoch, set);
-        Ok((self.policy_epoch, ack))
+        Ok(self.policy_epoch)
     }
 
     /// The read end of the wake stream, for a `poll` set: readable
-    /// whenever the engine made something available since the last
-    /// [`Engine::drain_wakes`].
+    /// whenever the engine sent an event — or closed the stream — since
+    /// the last [`Engine::drain_wakes`].
     pub fn wake_stream(&self) -> &UnixStream {
         &self.wake_rx
     }
 
-    /// Empty the wake stream. Call *before* reading the channels: a wake
-    /// written after this returns stays in the stream, so the message
+    /// Empty the wake stream. Call *before* reading the event stream: a
+    /// wake written after this returns stays in the stream, so the event
     /// behind it is either read now or announced at the next `poll`.
     pub fn drain_wakes(&mut self) {
         let mut sink = [0u8; 64];
         while matches!(self.wake_rx.read(&mut sink), Ok(n) if n > 0) {}
     }
 
-    /// Whether the run has ended: the engine thread delivered its report
-    /// (held here for [`Engine::finish`]) or died without one. True as
-    /// soon as the thread's last wake can be observed — the report is
-    /// sent before that wake, whereas the thread itself is still
-    /// unwinding when the wake arrives.
-    pub fn finished(&mut self) -> bool {
-        match self.report_rx.try_recv() {
-            Ok(report) => {
-                self.report = Some(report);
-                true
-            }
-            Err(TryRecvError::Empty) => self.report.is_some(),
-            Err(TryRecvError::Disconnected) => true,
-        }
-    }
-
-    /// Join the engine thread and return its final report. Call after
-    /// [`ServiceHandle::shutdown`]; returns `None` only if the engine
-    /// thread panicked.
+    /// Join the engine thread and return its final report, wherever on
+    /// the event stream the caller stopped reading. Call after
+    /// [`ServiceHandle::shutdown`]; returns `None` if the caller already
+    /// took the [`ServiceEvent::Finished`] off the stream itself, or if
+    /// the engine thread panicked.
     pub fn finish(mut self) -> Option<RunReport> {
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
-        self.report
-            .take()
-            .or_else(|| self.report_rx.try_recv().ok())
+        self.handle.events.try_iter().find_map(|ev| match ev {
+            ServiceEvent::Finished(report) => Some(*report),
+            _ => None,
+        })
     }
 }
 
@@ -351,18 +305,48 @@ mod tests {
             selectors: vec!["half".into()],
             howmany: None,
         };
-        let (epoch, ack) = engine.swap(&src).expect("valid policy swaps");
+        let epoch = engine.swap(&src).expect("valid policy swaps");
         assert_eq!(epoch, 1);
-        let at = ack
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("engine acks")
-            .expect("install succeeds");
+        let at = loop {
+            match engine
+                .handle
+                .events
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("engine acks")
+            {
+                ServiceEvent::Swapped { epoch: 1, result } => break result,
+                ServiceEvent::Finished(_) => panic!("stream ended before the ack"),
+                _ => {}
+            }
+        }
+        .expect("install succeeds");
         assert!(at >= SimTime::ZERO);
         assert_eq!(engine.policy(), ("swapped", 1));
         engine.handle.shutdown();
         let report = engine.finish().expect("engine delivers a report");
         assert_eq!(report.balancer, "swapped", "report names the live policy");
         assert!(report.total_ops() >= 1.0);
+    }
+
+    #[test]
+    fn finish_returns_the_report_to_a_caller_that_never_read_the_stream() {
+        let cfg = DaemonConfig {
+            clock: mantle_sim::ClockMode::Sim,
+            sessions: 2,
+            mds: 2,
+            trace: Some(mantle_mds::TraceLevel::Decisions),
+            ..DaemonConfig::default()
+        };
+        let engine = Engine::start(&cfg).expect("engine boots");
+        for path in ["/live/a", "/live/b", "/live/a"] {
+            engine
+                .handle
+                .submit_op(0, path, mantle_namespace::OpKind::Create);
+        }
+        engine.handle.shutdown();
+        // Trace batches and completions are all still queued ahead of it.
+        let report = engine.finish().expect("the report is on the stream");
+        assert_eq!(report.total_ops(), 3.0);
     }
 
     #[test]

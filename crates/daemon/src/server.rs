@@ -6,14 +6,17 @@
 //! commands; each loop iteration drains the engine's event stream,
 //! routing completions back to the issuing connection (per-slot FIFO
 //! tickets — a slot's ops complete in submission order, pipelined or
-//! not) and broadcasting trace records to every `trace`-role subscriber.
+//! not), install results back to the admin that asked (one more FIFO —
+//! installs run in submission order), and broadcasting trace records to
+//! every `trace`-role subscriber. The stream's last event is the
+//! engine's report; receiving it is what ends [`Server::run`].
 //!
 //! # No polling, no timeout
 //!
 //! The `poll` set is the listener, every connection (readable unless it
 //! is being closed; writable only while it has unsent bytes) and the
 //! engine's wake stream, into which the engine thread writes a byte
-//! after every message it makes available. Readiness is level-triggered
+//! after every event it sends. Readiness is level-triggered
 //! and the reactor only blocks after a full iteration that found every
 //! source empty, so anything that arrives after its source was checked
 //! is still there — as a readable descriptor — when `poll` is entered:
@@ -26,11 +29,10 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::TryRecvError;
 use std::time::Instant;
 
 use mantle_mds::{RunReport, ServiceEvent};
-use mantle_sim::SimTime;
 
 use crate::config::DaemonConfig;
 use crate::engine::{policy_source_from_json, Engine, PRESET_NAMES};
@@ -70,9 +72,10 @@ enum Role {
 
 struct Conn {
     stream: TcpStream,
-    /// Unique per accepted connection; async replies (completions, swap
-    /// acks) are addressed by token, so a reply for a dead connection is
-    /// dropped instead of reaching whoever reused its slab index.
+    /// Unique per accepted connection; async replies (completions,
+    /// install results) are addressed by token, so a reply for a dead
+    /// connection is dropped instead of reaching whoever reused its slab
+    /// index.
     token: u64,
     rbuf: Vec<u8>,
     /// Outbound bytes; `wbuf[..wpos]` is already written. Whole frames
@@ -122,15 +125,12 @@ impl Conn {
 #[derive(Default)]
 struct Slot {
     bound: Option<u64>,
-    tickets: VecDeque<(u64, Option<u64>)>,
+    tickets: VecDeque<Ticket>,
 }
 
-struct PendingSwap {
-    conn: u64,
-    id: Option<u64>,
-    epoch: u64,
-    ack: Receiver<Result<SimTime, String>>,
-}
+/// Who to answer, once the engine has: a connection token and the
+/// request's `id`.
+type Ticket = (u64, Option<u64>);
 
 /// The daemon server: listener, connections, engine.
 pub struct Server {
@@ -139,7 +139,11 @@ pub struct Server {
     engine: Engine,
     conns: Vec<Option<Conn>>,
     slots: Vec<Slot>,
-    swaps: Vec<PendingSwap>,
+    /// Installs handed to the engine and not yet answered, oldest first.
+    swaps: VecDeque<Ticket>,
+    /// How the event stream ended, once it has: with the engine's report,
+    /// or (`None`) by hanging up without one.
+    ended: Option<Option<RunReport>>,
     started: Instant,
     next_token: u64,
     ops_submitted: u64,
@@ -164,7 +168,8 @@ impl Server {
             engine,
             conns: Vec::new(),
             slots,
-            swaps: Vec::new(),
+            swaps: VecDeque::new(),
+            ended: None,
             started: Instant::now(),
             next_token: 0,
             ops_submitted: 0,
@@ -180,31 +185,28 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Run the reactor until the engine finishes (normally: a `shutdown`
-    /// admin request closed the live queues and the clients drained).
-    /// Returns the engine's final report.
+    /// Run the reactor until the engine's event stream ends (normally: a
+    /// `shutdown` admin request closed the live queues, the clients
+    /// drained, and the engine sent its report). The report is the
+    /// stream's last event, so every reply and trace record ahead of it
+    /// has been queued — and gets one more flush — before this returns it.
     pub fn run(mut self) -> RunReport {
-        loop {
+        let report = loop {
             let mut progressed = false;
             progressed |= self.accept_new();
             progressed |= self.read_all();
             progressed |= self.drain_events();
-            progressed |= self.poll_swaps();
             progressed |= self.flush_all();
             self.reap_closed();
-            if self.engine.finished() {
-                // Final drain: the engine sends its tail (RunEnd and any
-                // last completions) right before the thread exits.
-                self.drain_events();
-                self.poll_swaps();
-                self.flush_all();
-                break;
+            if let Some(end) = self.ended.take() {
+                break end;
             }
             if !progressed {
                 self.wait();
             }
-        }
-        self.engine.finish().expect("engine thread completed")
+        };
+        self.engine.finish();
+        report.expect("engine thread completed")
     }
 
     /// Block until a socket or the engine has something for the reactor.
@@ -492,16 +494,11 @@ impl Server {
                     return Some(error_msg(id, "policy-rejected", HOWMANY_REFUSED));
                 }
                 match self.engine.swap(&src) {
-                    // Reply deferred until the engine acks the install
-                    // from its exclusive step (see `poll_swaps`).
-                    Ok((epoch, ack)) => {
+                    // Reply deferred until the engine reports the install
+                    // from its exclusive step (`ServiceEvent::Swapped`).
+                    Ok(_epoch) => {
                         let token = self.conns[idx].as_ref().map(|c| c.token).unwrap_or(0);
-                        self.swaps.push(PendingSwap {
-                            conn: token,
-                            id,
-                            epoch,
-                            ack,
-                        });
+                        self.swaps.push_back((token, id));
                         None
                     }
                     Err(e) => Some(error_msg(id, "policy-rejected", e)),
@@ -580,13 +577,37 @@ impl Server {
         ])
     }
 
-    /// Drain the engine's event stream: trace records broadcast to
-    /// subscribers, completions matched to their tickets.
+    /// Drain the engine's event stream: install results and completions
+    /// matched to their tickets, trace records broadcast to subscribers,
+    /// and the end of the stream noted in `ended`.
     fn drain_events(&mut self) -> bool {
         let mut any = false;
-        while let Ok(ev) = self.engine.handle.events.try_recv() {
+        loop {
+            let ev = match self.engine.handle.events.try_recv() {
+                Ok(ev) => ev,
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
+                    self.end_stream(None);
+                    break;
+                }
+            };
             any = true;
             match ev {
+                ServiceEvent::Swapped { epoch, result } => {
+                    let Some((token, id)) = self.swaps.pop_front() else {
+                        continue;
+                    };
+                    let reply = match result {
+                        Ok(at) => Json::obj(vec![
+                            ("type", Json::str("swapped")),
+                            ("id", id.map_or(Json::Null, |i| Json::num(i as f64))),
+                            ("epoch", Json::num(epoch as f64)),
+                            ("at_us", Json::num(at.as_micros() as f64)),
+                        ]),
+                        Err(e) => error_msg(id, "swap-failed", e),
+                    };
+                    self.push_msg_token(token, &reply);
+                }
                 ServiceEvent::Trace(batch) => {
                     if batch.is_empty() {
                         continue;
@@ -630,36 +651,23 @@ impl Server {
                         self.push_msg_token(token, &reply);
                     }
                 }
+                ServiceEvent::Finished(report) => {
+                    self.end_stream(Some(*report));
+                    break;
+                }
             }
         }
         any
     }
 
-    fn poll_swaps(&mut self) -> bool {
-        let mut done = Vec::new();
-        for (i, swap) in self.swaps.iter().enumerate() {
-            match swap.ack.try_recv() {
-                Ok(result) => done.push((i, Some(result))),
-                Err(std::sync::mpsc::TryRecvError::Empty) => {}
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => done.push((i, None)),
-            }
+    /// The event stream is over. An install that reached the inbox after
+    /// the engine's last look will never run; say so.
+    fn end_stream(&mut self, report: Option<RunReport>) {
+        for (token, id) in std::mem::take(&mut self.swaps) {
+            let reply = error_msg(id, "swap-failed", "engine exited before the install");
+            self.push_msg_token(token, &reply);
         }
-        let any = !done.is_empty();
-        for (i, result) in done.into_iter().rev() {
-            let swap = self.swaps.swap_remove(i);
-            let reply = match result {
-                Some(Ok(at)) => Json::obj(vec![
-                    ("type", Json::str("swapped")),
-                    ("id", swap.id.map_or(Json::Null, |i| Json::num(i as f64))),
-                    ("epoch", Json::num(swap.epoch as f64)),
-                    ("at_us", Json::num(at.as_micros() as f64)),
-                ]),
-                Some(Err(e)) => error_msg(swap.id, "swap-failed", e),
-                None => error_msg(swap.id, "swap-failed", "engine exited before the install"),
-            };
-            self.push_msg_token(swap.conn, &reply);
-        }
-        any
+        self.ended = Some(report);
     }
 
     fn push_msg(&mut self, idx: usize, msg: &Json) {

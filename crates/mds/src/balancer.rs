@@ -17,8 +17,12 @@ use mantle_policy::{
     BalancerInputs, HookEngine, MdsMetrics, PolicyError, PolicyResult, PolicyValidator,
 };
 
+use mantle_sim::SimTime;
+
 use crate::metrics::Heartbeat;
 use crate::selector::{DirfragSelector, ScriptedSelector, SelectorKind};
+use crate::trace::TraceEvent;
+use crate::tracer::Tracer;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -372,10 +376,136 @@ impl Balancer for MantleBalancer {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The cluster's balancers, and what happens when one misbehaves.
+// ---------------------------------------------------------------------------
+
+/// One balancer per MDS plus the bookkeeping of their failures: hook
+/// errors, fault-injected poisoning, and the §3.4 fallback to the CephFS
+/// balancer after `fallback_after` consecutive bad ticks. Owned by the
+/// coordinator; balancers only ever run inside exclusive steps.
+pub(crate) struct BalancerSet {
+    balancers: Vec<Box<dyn Balancer>>,
+    /// Balancers whose hooks were poisoned mid-run (every decide errors).
+    poisoned: Vec<bool>,
+    /// Consecutive failed ticks per MDS.
+    streak: Vec<u32>,
+    /// Streak length that swaps in the CephFS balancer (0 = never).
+    fallback_after: u32,
+    /// Count of balancer hook errors (bad policies surface here).
+    pub(crate) errors: u64,
+    /// Fallbacks taken.
+    pub(crate) fallbacks: u64,
+    /// The configured policy's name: pinned at construction and at each
+    /// install, so a mid-run fallback doesn't relabel the report.
+    pub(crate) name: String,
+}
+
+impl BalancerSet {
+    pub(crate) fn new(balancers: Vec<Box<dyn Balancer>>, fallback_after: u32) -> Self {
+        let n = balancers.len();
+        BalancerSet {
+            name: balancers
+                .first()
+                .map(|b| b.name().to_string())
+                .unwrap_or_default(),
+            balancers,
+            poisoned: vec![false; n],
+            streak: vec![0; n],
+            fallback_after,
+            errors: 0,
+            fallbacks: 0,
+        }
+    }
+
+    /// MDS `m`'s balancer.
+    pub(crate) fn balancer(&mut self, m: MdsId) -> &mut dyn Balancer {
+        self.balancers[m].as_mut()
+    }
+
+    /// Every `metaload` hook is additive (see
+    /// [`Balancer::metaload_is_additive`]).
+    pub(crate) fn all_additive(&self) -> bool {
+        self.balancers.iter().all(|b| b.metaload_is_additive())
+    }
+
+    /// MDS `m`'s `metaload` of `heat`; a failing hook is counted and
+    /// answered with the CephFS formula.
+    pub(crate) fn metaload(&mut self, m: MdsId, heat: &HeatSample) -> f64 {
+        self.balancers[m].metaload(heat).unwrap_or_else(|_| {
+            self.errors += 1;
+            heat.cephfs_metaload()
+        })
+    }
+
+    /// Make every future tick of `m`'s balancer fail (fault injection).
+    pub(crate) fn poison(&mut self, m: MdsId) {
+        self.poisoned[m] = true;
+    }
+
+    /// Whether `m`'s balancer is poisoned.
+    pub(crate) fn is_poisoned(&self, m: MdsId) -> bool {
+        self.poisoned[m]
+    }
+
+    /// `m` completed a tick without error.
+    pub(crate) fn note_ok(&mut self, m: MdsId) {
+        self.streak[m] = 0;
+    }
+
+    /// Record a failed balancer tick on `m`; after `fallback_after`
+    /// consecutive failures the MDS swaps in the default CephFS balancer
+    /// (§3.4's graceful degradation).
+    pub(crate) fn note_error(&mut self, m: MdsId, now: SimTime, trace: &mut Tracer) {
+        self.errors += 1;
+        self.streak[m] += 1;
+        let consecutive = self.streak[m];
+        trace.emit(now, || TraceEvent::PolicyError {
+            mds: m,
+            consecutive,
+        });
+        if self.fallback_after > 0 && consecutive >= self.fallback_after {
+            self.balancers[m] = Box::new(CephfsBalancer::default());
+            self.poisoned[m] = false;
+            self.streak[m] = 0;
+            self.fallbacks += 1;
+            trace.emit(now, || TraceEvent::BalancerFallback { mds: m });
+        }
+    }
+
+    /// Hot install: replace every balancer with a fresh one built from an
+    /// already-validated policy. Building happens here, on the engine
+    /// thread, because balancer runtimes are deliberately not `Send`; the
+    /// raw [`PolicySet`] is. On failure — exceptional, the policy was
+    /// validated upstream — the old balancers keep running.
+    pub(crate) fn install(&mut self, name: &str, set: &PolicySet) -> PolicyResult<()> {
+        let built: PolicyResult<Vec<Box<dyn Balancer>>> = (0..self.balancers.len())
+            .map(|_| {
+                MantleBalancer::new_unvalidated(name, set.clone())
+                    .map(|b| Box::new(b) as Box<dyn Balancer>)
+            })
+            .collect();
+        match built {
+            Ok(balancers) => {
+                self.balancers = balancers;
+                // A fresh policy gets a clean slate: prior poisoning and
+                // error streaks belonged to the replaced one.
+                self.poisoned.fill(false);
+                self.streak.fill(0);
+                self.name = name.to_string();
+                Ok(())
+            }
+            Err(e) => {
+                self.errors += 1;
+                Err(e)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mantle_sim::SimTime;
 
     fn hb(auth: f64, q: f64, req: f64) -> Heartbeat {
         Heartbeat {

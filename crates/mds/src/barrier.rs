@@ -1,0 +1,128 @@
+//! The window barrier: everything a window could not do to shared state
+//! while shards ran side by side, applied once they have all stopped.
+//!
+//! Shards defer namespace mutations ([`NsOp`]) and cross-shard sends
+//! during a window. The barrier applies the mutations in global
+//! `(time, key)` order, runs fragment splits (the paper's *fragment*
+//! stage), delivers the messages, and purges lapsed freeze/cold windows.
+//! Its effects are a pure function of the merged per-shard outputs, so
+//! they are identical no matter how many shards produced them.
+
+use std::collections::HashSet;
+
+use mantle_namespace::NodeId;
+use mantle_sim::SimTime;
+
+use crate::config::ClusterConfig;
+use crate::driver::Exclusive;
+use crate::shard::{DeferredNsOp, NsOp};
+use crate::trace::TraceEvent;
+use crate::tracer::Tracer;
+
+/// Barrier state, owned by the coordinator: reused buffers and the count
+/// of what coherence invalidation dropped.
+#[derive(Default)]
+pub(crate) struct Barrier {
+    /// Merged deferred ops of the window being closed.
+    deferred: Vec<DeferredNsOp>,
+    /// Split-check worklist: directories charged this window, once each.
+    touched: Vec<NodeId>,
+    seen: HashSet<NodeId>,
+    /// Proxy-cache entries dropped because a mutating op rewrote their
+    /// directory.
+    pub(crate) cache_invalidations: u64,
+}
+
+impl Barrier {
+    /// Close the window that ended at `window_end`.
+    pub(crate) fn apply(
+        &mut self,
+        x: &mut Exclusive,
+        trace: &mut Tracer,
+        cfg: &ClusterConfig,
+        window_end: SimTime,
+    ) {
+        // Phase A — heat/size charges and hash pins, in the order a
+        // sequential engine would have applied them. Splits are
+        // deliberately excluded (phase B) so every charge in this window
+        // lands on the fragment layout the shards routed against.
+        self.deferred.clear();
+        for g in x.shards() {
+            self.deferred.append(&mut g.deferred);
+        }
+        self.deferred.sort_unstable_by_key(|d| (d.at, d.key));
+        self.touched.clear();
+        self.seen.clear();
+        let sh = x.sim();
+        for d in self.deferred.drain(..) {
+            match d.op {
+                NsOp::Record { dir, frag, kind } => {
+                    sh.ns.record_op_no_split(dir, frag, kind, d.at);
+                    if self.seen.insert(dir) {
+                        self.touched.push(dir);
+                    }
+                }
+                NsOp::Pin { dir, mds } => {
+                    // First arrival (in key order) wins; later deferred
+                    // pins for the same dir are no-ops, exactly like the
+                    // second arrival in a sequential run.
+                    if sh.ns.dir(dir).auth.is_none() {
+                        sh.ns.set_auth(dir, Some(mds));
+                        trace.emit(window_end, || TraceEvent::HashPin { dir, mds });
+                    }
+                }
+                NsOp::CacheTouch { group, dir } => {
+                    sh.caches[group].touch(dir);
+                }
+                NsOp::CacheFill { group, dir, mds } => {
+                    sh.caches[group].fill(&sh.ns, dir, mds);
+                    // Stamped at the barrier: that is when the fill takes
+                    // effect, and it keeps the trace order-sound (no hit
+                    // in a later window can precede its fill in the
+                    // stream).
+                    trace.emit_data(window_end, || TraceEvent::CacheFill { group, dir, mds });
+                }
+                NsOp::CacheInvalidate { dir } => {
+                    let mut entries = 0u64;
+                    for cache in &mut sh.caches {
+                        entries += u64::from(cache.invalidate(dir));
+                    }
+                    if entries > 0 {
+                        self.cache_invalidations += entries;
+                        trace
+                            .emit_data(window_end, || TraceEvent::CacheInvalidate { dir, entries });
+                    }
+                }
+            }
+        }
+        // Phase B — fragment splits for every directory charged this
+        // window. The split work is billed to the fragment's authority,
+        // which is the MDS that was serving those ops.
+        for dir in self.touched.drain(..) {
+            while let Some(se) = x.sim().ns.check_split(dir, window_end) {
+                trace.emit(window_end, || TraceEvent::FragSplit {
+                    dir,
+                    frag: se.frag,
+                    ways: se.ways,
+                    resulting_frags: se.resulting_frags,
+                });
+                let auth = x.sim().ns.frag_auth(dir, se.resulting_frags - 1);
+                let split_us = cfg.costs.split_us;
+                let g = x.mds_shard(auth);
+                let c = g.counters_mut(auth);
+                c.splits += 1;
+                c.busy_window_us += split_us;
+                let l = auth - g.mds_lo;
+                g.next_free[l] =
+                    g.next_free[l].max(window_end) + SimTime::from_micros_f64(split_us);
+            }
+        }
+        x.exchange_messages();
+        // Lapsed freeze / cold-prefix windows can only be purged here —
+        // in-window readers filter by `until` and never mutate the shared
+        // set.
+        let sh = x.sim();
+        sh.frozen.retain(|w| w.until > window_end);
+        sh.prefix_cold.retain(|w| w.until > window_end);
+    }
+}

@@ -141,8 +141,8 @@ impl ClientCache {
 
     /// Drop every entry inside `region` with one range scan over the
     /// label index, returning how many were dropped. Result-identical
-    /// to `invalidate_matching(|d| window.contains(ns, d))` — the unit
-    /// tests below hold the two paths together differentially.
+    /// to a predicate scan with `window.contains(ns, d)` — the unit
+    /// tests below hold the two together differentially.
     pub fn invalidate_region(&mut self, ns: &Namespace, region: &IntervalRegion) -> u64 {
         self.sync_epoch(ns);
         if region.root_only {
@@ -162,22 +162,6 @@ impl ClientCache {
             self.invalidate(*d);
         }
         stale.len() as u64
-    }
-
-    /// Forget every cached dir for which `stale` returns true — the
-    /// original full predicate scan, kept as the differential oracle
-    /// for [`ClientCache::invalidate_region`].
-    #[cfg(test)]
-    fn invalidate_matching(&mut self, mut stale: impl FnMut(NodeId) -> bool) {
-        let by_tin = &mut self.by_tin;
-        self.entries.retain(|&d, slot| {
-            if stale(d) {
-                by_tin.remove(&slot.tin);
-                false
-            } else {
-                true
-            }
-        });
     }
 
     /// Re-resolve every stored label after a namespace renumber.
@@ -379,6 +363,21 @@ mod tests {
         }
     }
 
+    /// Forget every cached dir for which `stale` returns true — the
+    /// original full predicate scan, kept as the differential oracle
+    /// for [`ClientCache::invalidate_region`].
+    fn invalidate_matching(cache: &mut ClientCache, mut stale: impl FnMut(NodeId) -> bool) {
+        let by_tin = &mut cache.by_tin;
+        cache.entries.retain(|&d, slot| {
+            if stale(d) {
+                by_tin.remove(&slot.tin);
+                false
+            } else {
+                true
+            }
+        });
+    }
+
     /// Satellite check: interval-range invalidation is result-identical
     /// to the predicate scan it replaced, across random trees, random
     /// regions (holes, watermarks, root-only), and forced renumbers.
@@ -409,7 +408,7 @@ mod tests {
             let w = random_window(&ns, &mut rng, &all);
             let region = IntervalRegion::new(&ns, w.root, &w.holes, w.watermark, w.root_only);
             fast.invalidate_region(&ns, &region);
-            oracle.invalidate_matching(|d| w.contains(&ns, d));
+            invalidate_matching(&mut oracle, |d| w.contains(&ns, d));
             let mut a: Vec<(NodeId, MdsId)> =
                 fast.entries.iter().map(|(&d, s)| (d, s.mds)).collect();
             let mut b: Vec<(NodeId, MdsId)> =

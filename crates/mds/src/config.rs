@@ -68,10 +68,6 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Heartbeat / balancer cadence (10 s in CephFS).
     pub heartbeat_interval: SimTime,
-    /// One-way client↔MDS network latency.
-    pub client_latency: SimTime,
-    /// One-way MDS↔MDS hop latency (forwards, migrations).
-    pub mds_hop_latency: SimTime,
     /// Service cost model.
     pub costs: CostModel,
     /// Directory fragmentation threshold (entries per dirfrag before it
@@ -128,8 +124,6 @@ impl Default for ClusterConfig {
             placement: PlacementPolicy::default(),
             seed: 42,
             heartbeat_interval: SimTime::from_secs(10),
-            client_latency: SimTime::from_millis(0), // sub-ms; see CostModel
-            mds_hop_latency: SimTime::from_millis(0),
             costs: CostModel::default(),
             frag_split_threshold: 2_000,
             decay_half_life: SimTime::from_secs(10),
@@ -159,18 +153,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Convenience: install a fault plan.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Convenience: pick the namespace index machinery.
-    pub fn with_index_mode(mut self, mode: IndexMode) -> Self {
-        self.index_mode = mode;
-        self
-    }
-
     /// Convenience: pick the event-queue backend.
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scheduler = scheduler;
@@ -180,17 +162,6 @@ impl ClusterConfig {
     /// Convenience: pick the execution mode.
     pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
         self.exec_mode = mode;
-        self
-    }
-
-    /// Convenience: run sharded across `threads` worker threads
-    /// (`threads <= 1` selects the inline single-threaded driver).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.exec_mode = if threads <= 1 {
-            ExecMode::Single
-        } else {
-            ExecMode::Sharded { threads }
-        };
         self
     }
 

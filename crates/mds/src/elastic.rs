@@ -1,5 +1,20 @@
-//! Elastic-membership placement helpers: rendezvous hashing over the
-//! member set.
+//! Elastic membership: the controller that grows and shrinks the member
+//! set, the MDS-time it bills, and the rendezvous hashing that decides
+//! what moves.
+//!
+//! # The controller
+//!
+//! Once per heartbeat tick, [`step`] asks MDS 0's `howmany` hook for a
+//! target member count and takes at most one transition toward it: a
+//! *join* activates the lowest-id live spare and re-homes onto it exactly
+//! the subtrees rendezvous hashing assigns it; a *leave* drains the
+//! highest-id member (never MDS 0) to the rendezvous owners among the
+//! rest and flips it out. Both run inside the exclusive heartbeat step,
+//! so no fault or window can split a transition. [`Membership`] counts
+//! the transitions and integrates the member count over virtual time —
+//! the provisioned MDS-seconds every ops-per-MDS-hour figure divides by.
+//!
+//! # Placement
 //!
 //! Join re-homing needs an owner-of-record function with the *minimal
 //! movement* property: when a member is added, the only directories whose
@@ -14,6 +29,16 @@
 //! Everything here is pure integer hashing — no RNG streams, no floats —
 //! so `Single` and `Sharded{..}` runs agree byte-for-byte by construction.
 
+use std::sync::Arc;
+
+use mantle_sim::SimTime;
+
+use crate::balancer::BalanceContext;
+use crate::cluster::Coordinator;
+use crate::driver::Exclusive;
+use crate::metrics::Heartbeat;
+use crate::partition::{Export, ExportUnit};
+use crate::trace::TraceEvent;
 use mantle_namespace::{MdsId, NodeId};
 
 /// SplitMix64 finalizer: a full-avalanche 64-bit mixer.
@@ -47,6 +72,197 @@ pub fn rendezvous_owner(dir: NodeId, members: &[MdsId]) -> MdsId {
         }
     }
     best
+}
+
+/// Membership accounting, owned by the coordinator.
+pub(crate) struct Membership {
+    /// MDS-join transitions taken.
+    pub(crate) joins: u64,
+    /// MDS-leave (drain) transitions taken.
+    pub(crate) leaves: u64,
+    /// Current member count (mirrors [`crate::shard::SharedSim::member`]).
+    active: usize,
+    /// Provisioned MDS-time accrued so far: the integral of the member
+    /// count over virtual time, in seconds. With elasticity off this is
+    /// `num_mds × makespan`.
+    mds_seconds: f64,
+    /// Instant up to which `mds_seconds` has been accrued.
+    last_accrual: SimTime,
+}
+
+impl Membership {
+    pub(crate) fn new(initial_members: usize) -> Self {
+        Membership {
+            joins: 0,
+            leaves: 0,
+            active: initial_members,
+            mds_seconds: 0.0,
+            last_accrual: SimTime::ZERO,
+        }
+    }
+
+    /// Bill the current member count up to `now`; transitions taken after
+    /// this only bill from here on.
+    pub(crate) fn accrue(&mut self, now: SimTime) {
+        self.mds_seconds +=
+            self.active as f64 * (now.as_secs_f64() - self.last_accrual.as_secs_f64());
+        self.last_accrual = now;
+    }
+
+    /// The run's total: the integral closed at the later of the last
+    /// accrual point and `makespan` (heartbeats can outlast the final op).
+    pub(crate) fn total_mds_seconds(&self, makespan: SimTime) -> f64 {
+        let end = makespan.max(self.last_accrual);
+        self.mds_seconds
+            + self.active as f64 * (end.as_secs_f64() - self.last_accrual.as_secs_f64())
+    }
+}
+
+/// One elastic-controller tick: ask the `howmany` hook for a target MDS
+/// count and take at most one membership transition toward it.
+pub(crate) fn step(
+    co: &mut Coordinator,
+    x: &mut Exclusive,
+    heartbeats: &Arc<[Heartbeat]>,
+    now: SimTime,
+) {
+    let n = co.cfg.num_mds;
+    // MDS 0 hosts the controller (it is the mount authority, never
+    // crashes, and never leaves); a poisoned balancer there suspends
+    // scaling — the decide loop already records the error.
+    if co.policy.is_poisoned(0) {
+        return;
+    }
+    let members: Vec<MdsId> = (0..n).filter(|&m| x.sim().member[m]).collect();
+    let active = members.len();
+    let (min_mds, max_mds) = co.cfg.elastic.bounds(n);
+    // The hook sees the member-filtered pre-transition snapshot: the
+    // same dense view the `where`/`howmuch` hooks get this tick.
+    let ctx = BalanceContext {
+        whoami: 0,
+        heartbeats: members.iter().map(|&m| heartbeats[m]).collect(),
+    };
+    let target = match co.policy.balancer(0).howmany(&ctx, active, min_mds, max_mds) {
+        Ok(Some(t)) if t.is_finite() => t,
+        Ok(_) => return, // no hook (or nothing to decide): fixed size
+        Err(_) => {
+            co.policy.note_error(0, now, &mut co.trace);
+            return;
+        }
+    };
+    let want = (target.round() as i64).clamp(min_mds as i64, max_mds as i64) as usize;
+    if want > active {
+        join_one(co, x, &members, now);
+    } else if want < active {
+        leave_one(co, x, &members, now);
+    }
+}
+
+/// Activate the lowest-id live spare and re-home onto it the subtrees
+/// rendezvous hashing assigns it. The whole join — epoch bump, member
+/// flip, re-home migrations — happens inside this exclusive step, so the
+/// `MdsJoinStart` → `MdsJoinComplete` chain can never be split by a
+/// concurrent fault or window.
+fn join_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: SimTime) {
+    let n = co.cfg.num_mds;
+    let sh = x.sim();
+    let Some(j) = (0..n).find(|&m| !sh.member[m] && sh.up[m]) else {
+        return; // no live spare in the pool
+    };
+    sh.membership_epoch += 1;
+    let epoch = sh.membership_epoch;
+    co.membership.joins += 1;
+    co.trace.emit(now, || TraceEvent::MdsJoinStart {
+        mds: j,
+        membership_epoch: epoch,
+    });
+    sh.member[j] = true;
+    co.membership.active += 1;
+    let mut rehomed = 0usize;
+    // Rendezvous re-home: move exactly the subtrees whose owner-of-record
+    // under the *new* member set is the joiner — the minimal set, nothing
+    // shuffles between survivors.
+    let owners: Vec<MdsId> = (0..n).filter(|&m| sh.member[m] && sh.up[m]).collect();
+    for &src in members {
+        if !x.sim().up[src] {
+            continue;
+        }
+        for d in x.sim().ns.export_candidate_dirs(src) {
+            if x.sim().ns.dir(d).auth != Some(src) {
+                continue; // frag-only ownership stays put on join
+            }
+            if rendezvous_owner(d, &owners) == j {
+                let unit = ExportUnit::Subtree(d);
+                co.export(x, src, Export { unit, to: j, load: 0.0 }, now);
+                rehomed += 1;
+            }
+        }
+    }
+    co.trace.emit(now, || TraceEvent::MdsJoinComplete {
+        mds: j,
+        membership_epoch: epoch,
+        rehomed,
+    });
+}
+
+/// Drain and deregister the highest-id member (never MDS 0): freeze and
+/// export every subtree and dirfrag it owns to the rendezvous owner
+/// among the remaining members, then flip it out of the member set. The
+/// departed MDS stays `up` — straggler requests routed by stale client
+/// caches are served by the normal forward path until the caches relearn.
+fn leave_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: SimTime) {
+    let Some(&victim) = members.iter().rev().find(|&&m| m != 0) else {
+        return; // only the mount authority is left
+    };
+    let sh = x.sim();
+    sh.membership_epoch += 1;
+    let epoch = sh.membership_epoch;
+    co.membership.leaves += 1;
+    co.trace.emit(now, || TraceEvent::MdsDrainStart {
+        mds: victim,
+        membership_epoch: epoch,
+    });
+    // Drain targets: live surviving members. MDS 0 never crashes and
+    // never leaves, so this is never empty.
+    let remaining: Vec<MdsId> = members
+        .iter()
+        .copied()
+        .filter(|&m| m != victim && sh.up[m])
+        .collect();
+    let mut drained = 0usize;
+    if sh.up[victim] && !remaining.is_empty() {
+        // A crashed victim owns nothing (its subtrees already failed
+        // over); draining it is pure deregistration.
+        for dir in x.sim().ns.export_candidate_dirs(victim) {
+            let to = rendezvous_owner(dir, &remaining);
+            if x.sim().ns.dir(dir).auth == Some(victim) {
+                let unit = ExportUnit::Subtree(dir);
+                co.export(x, victim, Export { unit, to, load: 0.0 }, now);
+                drained += 1;
+            } else {
+                // Frag-only ownership: ship the victim's fragments.
+                let nfrags = x.sim().ns.dir(dir).frags.len();
+                for f in 0..nfrags {
+                    if x.sim().ns.frag_auth(dir, f) == victim {
+                        let unit = ExportUnit::Frag(dir, f);
+                        co.export(x, victim, Export { unit, to, load: 0.0 }, now);
+                        drained += 1;
+                    }
+                }
+            }
+        }
+    }
+    co.trace.emit(now, || TraceEvent::MdsDrainComplete {
+        mds: victim,
+        membership_epoch: epoch,
+        drained,
+    });
+    x.sim().member[victim] = false;
+    co.membership.active -= 1;
+    co.trace.emit(now, || TraceEvent::MdsDeparted {
+        mds: victim,
+        membership_epoch: epoch,
+    });
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! Deterministic fault injection: what can go wrong in a run, as pure
-//! data.
+//! data, and the one step ([`apply`]) that makes it go wrong.
 //!
 //! The paper's robustness story (§3.4, §6) is that Mantle tolerates bad
 //! or failing balancers by falling back to the original CephFS balancer,
 //! and its evaluation stresses the cluster with skewed load under stale
 //! heartbeat views (§2.2.2). A [`FaultPlan`] makes those scenarios
-//! reproducible: it is part of [`crate::config::ClusterConfig`], carries
-//! no behavior of its own, and every fault fires at a fixed virtual time —
-//! so a run with a given `(seed, plan)` is bit-for-bit repeatable.
+//! reproducible: it is part of [`crate::config::ClusterConfig`] and every
+//! fault fires at a fixed virtual time, in an exclusive step of the
+//! coordinator — so a run with a given `(seed, plan)` is bit-for-bit
+//! repeatable.
 //!
 //! Faults (what breaks):
 //! * [`FaultKind::Crash`] / [`FaultKind::Restart`] — an MDS dies (its
@@ -32,8 +33,12 @@
 //! The outcome is surfaced in [`crate::report::RunReport`] as the
 //! `timeouts`, `retries`, `failovers`, and `balancer_fallbacks` counters.
 
-use mantle_namespace::MdsId;
+use mantle_namespace::{MdsId, NodeId};
 use mantle_sim::SimTime;
+
+use crate::cluster::Coordinator;
+use crate::driver::Exclusive;
+use crate::trace::TraceEvent;
 
 /// One scheduled fault.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,6 +223,100 @@ impl FaultPlan {
     pub fn backoff_for(&self, attempt: u32) -> SimTime {
         let doublings = attempt.min(self.max_backoff_doublings);
         SimTime::from_micros_f64(self.retry_backoff.as_micros() as f64 * (1u64 << doublings) as f64)
+    }
+}
+
+/// Apply one fired fault. Faults naming an MDS outside the cluster, and
+/// crashes or restarts that would change nothing, are ignored.
+pub(crate) fn apply(co: &mut Coordinator, x: &mut Exclusive, kind: &FaultKind, now: SimTime) {
+    let in_cluster = |mds: MdsId| mds < co.cfg.num_mds;
+    match *kind {
+        FaultKind::Crash { mds } => {
+            // MDS 0 is the mount authority and the failover target; a
+            // cluster that loses it has no root to serve from.
+            if mds == 0 || !in_cluster(mds) || !x.sim().up[mds] {
+                return;
+            }
+            let sh = x.sim();
+            sh.up[mds] = false;
+            sh.mds_epoch[mds] += 1;
+            x.mds_shard(mds).counters_mut(mds).queued = 0;
+            let sh = x.sim();
+            co.trace.sync_dirs(&sh.ns, now);
+            co.trace.emit(now, || TraceEvent::MdsCrash { mds });
+            // Every subtree and dirfrag it served fails over to the
+            // mount authority; the balancers respread load from there.
+            let dirs: Vec<NodeId> = sh.ns.all_dirs().collect();
+            for d in dirs {
+                if sh.ns.dir(d).auth == Some(mds) {
+                    sh.ns.set_auth(d, Some(0));
+                    co.failovers += 1;
+                }
+                for f in 0..sh.ns.dir(d).frags.len() {
+                    if sh.ns.dir(d).frags[f].auth == Some(mds) {
+                        sh.ns.set_frag_auth(d, f, Some(0));
+                        co.failovers += 1;
+                    }
+                }
+            }
+        }
+        FaultKind::Restart { mds } => {
+            if !in_cluster(mds) || x.sim().up[mds] {
+                return;
+            }
+            x.sim().up[mds] = true;
+            co.trace.emit(now, || TraceEvent::MdsRestart { mds });
+            // Fresh queue, nothing owed from the previous incarnation.
+            let g = x.mds_shard(mds);
+            let l = mds - g.mds_lo;
+            g.next_free[l] = now;
+        }
+        FaultKind::Slowdown {
+            mds,
+            factor,
+            duration,
+        } => {
+            if !in_cluster(mds) {
+                return;
+            }
+            let sh = x.sim();
+            sh.slow_factor[mds] = factor.max(0.0);
+            sh.slow_until[mds] = now + duration;
+            co.trace.emit(now, || TraceEvent::FaultInjected {
+                mds,
+                kind: "slowdown",
+            });
+        }
+        FaultKind::DropHeartbeats { mds, duration } => {
+            if !in_cluster(mds) {
+                return;
+            }
+            co.hb.drop_until(mds, now + duration);
+            co.trace.emit(now, || TraceEvent::FaultInjected {
+                mds,
+                kind: "drop-heartbeats",
+            });
+        }
+        FaultKind::DelayHeartbeats { mds, duration } => {
+            if !in_cluster(mds) {
+                return;
+            }
+            co.hb.delay_until(mds, now + duration);
+            co.trace.emit(now, || TraceEvent::FaultInjected {
+                mds,
+                kind: "delay-heartbeats",
+            });
+        }
+        FaultKind::PoisonBalancer { mds } => {
+            if !in_cluster(mds) {
+                return;
+            }
+            co.policy.poison(mds);
+            co.trace.emit(now, || TraceEvent::FaultInjected {
+                mds,
+                kind: "poison-balancer",
+            });
+        }
     }
 }
 

@@ -1,0 +1,171 @@
+//! The migrate stage: one export, start to finish (§4.1).
+//!
+//! An export moves a subtree or a dirfrag to its importer under a
+//! two-phase commit: the moved region freezes while both sides journal,
+//! the importer's prefix replicas start cold, every stale route — client
+//! maps and proxy-tier caches alike — is dropped, and every active
+//! client's session is flushed. Balancer plans, elastic re-homing and
+//! drains all come through [`Migrator::apply_export`]; the rest of the
+//! engine never moves authority except by failover.
+
+use mantle_namespace::{MdsId, SubtreeMigration};
+use mantle_sim::SimTime;
+
+use crate::cache::IntervalRegion;
+use crate::config::ClusterConfig;
+use crate::driver::Exclusive;
+use crate::partition::{Export, ExportUnit};
+use crate::shard::{SharedSim, SubtreeWindow};
+use crate::trace::TraceEvent;
+use crate::tracer::Tracer;
+
+/// Export bookkeeping, owned by the coordinator.
+#[derive(Default)]
+pub(crate) struct Migrator {
+    /// Migration counter: ids shared by the freeze→…→unfreeze records.
+    seq: u64,
+    /// Cache entries (client routes and proxy-tier) dropped by exports.
+    pub(crate) cache_invalidations: u64,
+}
+
+impl Migrator {
+    /// Export `export.unit` from `from` to `export.to`, if the target can
+    /// import.
+    pub(crate) fn apply_export(
+        &mut self,
+        x: &mut Exclusive,
+        trace: &mut Tracer,
+        cfg: &ClusterConfig,
+        from: MdsId,
+        export: Export,
+        now: SimTime,
+    ) {
+        let to = export.to;
+        let sh = x.sim();
+        // Non-members (spares and departed MDSs) never import: a drained
+        // MDS must not regain dirfrag authority until it rejoins.
+        if to >= cfg.num_mds || to == from || !sh.up[to] || !sh.member[to] {
+            return;
+        }
+        // The checker replays migrations against its namespace model; make
+        // sure every directory the walk can touch is already in the trace.
+        trace.sync_dirs(&sh.ns, now);
+        let watermark = sh.ns.dir_count() as u32;
+        let frag_unit = match export.unit {
+            ExportUnit::Frag(_, f) => Some(f),
+            ExportUnit::Subtree(_) => None,
+        };
+        // The moved region: the whole (bounded) subtree for a subtree
+        // export, just the fragmented dir otherwise. The migration walk
+        // reports the inode count and the authority holes in one pass.
+        let (root, root_only, migration) = match export.unit {
+            ExportUnit::Subtree(d) => (d, false, sh.ns.migrate_subtree(d, to)),
+            ExportUnit::Frag(d, f) => {
+                let inodes = sh.ns.migrate_frag(d, f, to);
+                (
+                    d,
+                    true,
+                    SubtreeMigration {
+                        inodes,
+                        holes: Vec::new(),
+                    },
+                )
+            }
+        };
+        let moved = migration.inodes;
+        let region = SubtreeWindow {
+            root,
+            holes: migration.holes,
+            watermark,
+            root_only,
+            until: SimTime::ZERO,
+        };
+        // Two-phase commit: the subtree freezes while the importer
+        // journals the metadata. Requests to *any* directory inside the
+        // moving subtree — not only its root — defer to the thaw.
+        let freeze_us = cfg.costs.migrate_freeze_us(moved);
+        let thaw = now + SimTime::from_micros_f64(freeze_us);
+        sh.frozen.push(SubtreeWindow {
+            until: thaw,
+            ..region.clone()
+        });
+        // Importer and exporter both journal (busy time on each).
+        let journal_us = freeze_us / 4.0;
+        if trace.on() {
+            self.seq += 1;
+            let mig = self.seq;
+            let holes = region.holes.clone();
+            trace.emit(now, || TraceEvent::MigrationFreeze {
+                mig,
+                from,
+                to,
+                root,
+                frag: frag_unit,
+                holes,
+                watermark,
+                until: thaw,
+            });
+            for mds in [from, to] {
+                trace.emit(now, || TraceEvent::MigrationJournal {
+                    mig,
+                    mds,
+                    micros: journal_us,
+                });
+            }
+            trace.emit(now, || TraceEvent::MigrationCommit {
+                mig,
+                from,
+                to,
+                root,
+                frag: frag_unit,
+                inodes: moved,
+            });
+            trace.emit(now, || TraceEvent::MigrationUnfreeze { mig, root, thaw });
+        }
+        for m in [from, to] {
+            let g = x.mds_shard(m);
+            let l = m - g.mds_lo;
+            g.next_free[l] = g.next_free[l].max(now) + SimTime::from_micros_f64(journal_us);
+            g.counters[l].busy_window_us += journal_us;
+        }
+        let exporter = x.mds_shard(from).counters_mut(from);
+        exporter.migrations_out += 1;
+        exporter.inodes_exported += moved;
+        // The importer's ancestor-prefix replicas need to warm up; the
+        // exported subtree's own directories are cold too.
+        let warm = now + SimTime::from_micros_f64(cfg.costs.prefix_warmup_us);
+        x.sim().prefix_cold.push(SubtreeWindow {
+            until: warm,
+            ..region.clone()
+        });
+        // Session flushes: every active client halts updates on the moved
+        // directories and re-syncs (§4.1). The whole migrated subtree is
+        // forgotten — a cache entry for a child dir is as stale as one for
+        // the root.
+        let flush = SimTime::from_micros_f64(cfg.costs.session_flush_us);
+        let mut flushed = 0;
+        let (sh, shards) = x.parts();
+        let SharedSim { ns, caches, .. } = sh;
+        // The moved region in Euler-interval form: one range scan per cache
+        // drops every stale entry — client route maps and proxy-tier group
+        // caches alike — instead of a predicate test per cached dir.
+        let iregion = IntervalRegion::new(ns, root, &region.holes, watermark, root_only);
+        for cache in caches.iter_mut() {
+            self.cache_invalidations += cache.invalidate_region(ns, &iregion);
+        }
+        for g in shards {
+            for c in &mut g.clients {
+                if !c.done {
+                    self.cache_invalidations += c.invalidate_region(ns, &iregion);
+                    c.stall_until = c.stall_until.max(now + flush);
+                    flushed += 1;
+                }
+            }
+        }
+        x.mds_shard(from).counters_mut(from).sessions_flushed += flushed;
+        trace.emit(now, || TraceEvent::SessionFlush {
+            mds: from,
+            clients: flushed,
+        });
+    }
+}

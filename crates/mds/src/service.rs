@@ -1,12 +1,12 @@
-//! Live-service plumbing: the channel types that let a long-running
-//! daemon feed a *running* cluster engine — injected client ops, hot
-//! policy installs, live trace/completion streams — without forking the
-//! engine itself.
+//! The live service: the seam that lets a long-running daemon feed a
+//! *running* cluster engine — injected client ops, hot policy installs —
+//! and hear everything the engine has to say on **one ordered stream**,
+//! without forking the engine itself.
 //!
 //! # Shape
 //!
 //! The engine keeps its exact batch-mode event loop (windows + exclusive
-//! steps, see [`crate::cluster`]); a [`LiveService`] merely hooks the top
+//! steps, see [`crate::driver`]); the service pump merely hooks the top
 //! and bottom of each scheduler iteration:
 //!
 //! * **inbound** — commands submitted through a [`ServiceHandle`] are
@@ -15,14 +15,32 @@
 //!   installs are scheduled as admin events so the swap runs in the
 //!   coordinator's exclusive step like every other control-plane
 //!   mutation.
-//! * **outbound** — each iteration the pump drains newly-emitted trace
-//!   records (already in global `(time, key)` order) and live op
-//!   completions into an [`mpsc`](std::sync::mpsc) stream of
-//!   [`ServiceEvent`]s the daemon forwards to subscribers, then calls the
-//!   service's notifier ([`LiveService::notify_with`]) so a consumer
-//!   blocked on something other than the channel learns there is
-//!   something to read. A swap ack and the trailing trace batch notify
-//!   the same way.
+//! * **outbound** — [`ServiceHandle::events`], an
+//!   [`mpsc`](std::sync::mpsc) stream of [`ServiceEvent`]s, is the only
+//!   way anything leaves the engine. Each iteration sends, in this
+//!   order: the results of installs that ran ([`ServiceEvent::Swapped`]),
+//!   the trace records emitted since the last batch (already in global
+//!   `(time, key)` order), and the live ops that completed.
+//!
+//! # Lifecycle, as message order
+//!
+//! `boot → serving → draining → done` is not a state anyone stores; it is
+//! what the stream looks like. While *serving*, batches flow.
+//! [`ServiceHandle::shutdown`] starts *draining*: queues close, every
+//! client finishes what it has, completions keep flowing. When the run
+//! ends the engine sends the trace tail (through `RunEnd`) and then the
+//! terminal [`ServiceEvent::Finished`] carrying the report — so "the
+//! report comes after the last completion" and "an install is
+//! acknowledged before anything decided under the new policy" are
+//! properties of channel order. After `Finished` the sender is dropped
+//! and the stream disconnects; a stream that disconnects *without*
+//! `Finished` is an engine that died.
+//!
+//! A consumer that blocks on something other than the channel (the
+//! daemon's reactor sits in `poll(2)`) registers a notifier with
+//! [`LiveService::notify_with`]: it is called after every send, and once
+//! more after the stream has closed — on a normal return and on a panic
+//! alike — so the consumer always gets to observe the disconnect.
 //!
 //! # Parked sessions
 //!
@@ -63,9 +81,12 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use mantle_namespace::{MdsId, Namespace, NodeId, OpKind};
 use mantle_policy::env::PolicySet;
-use mantle_sim::{ClockMode, SimTime};
+use mantle_sim::{ClockMode, SimTime, WallClock};
 
 use crate::client::{ClientOp, Workload, PARKED};
+use crate::cluster::Coordinator;
+use crate::driver::Exclusive;
+use crate::report::RunReport;
 use crate::trace::TraceRecord;
 
 /// A command sent into the running engine (daemon → engine).
@@ -90,8 +111,6 @@ pub(crate) enum ServiceCmd {
         epoch: u64,
         /// The compiled, validated policy.
         set: PolicySet,
-        /// Acked with the simulated install instant, or an error.
-        ack: Sender<Result<SimTime, String>>,
     },
     /// Close the live queues: clients drain and the run ends normally.
     Shutdown,
@@ -100,12 +119,25 @@ pub(crate) enum ServiceCmd {
 /// An event streamed out of the running engine (engine → daemon).
 #[derive(Debug)]
 pub enum ServiceEvent {
+    /// A hot install ran (or failed to) in the coordinator's exclusive
+    /// step. Sent before the trace batch holding that install's
+    /// `PolicyInstalled` record and before any completion decided under
+    /// the new policy.
+    Swapped {
+        /// The install epoch the daemon assigned.
+        epoch: u64,
+        /// The simulated install instant, or why the install failed.
+        result: Result<SimTime, String>,
+    },
     /// Trace records emitted since the last batch, in global
     /// `(time, key)` order; batches are themselves time-ordered, so
     /// concatenating them reproduces the batch-mode trace stream.
     Trace(Vec<TraceRecord>),
     /// Live ops completed since the last batch.
     Completions(Vec<LiveCompletion>),
+    /// The run is over and this is its report: always the last event,
+    /// after which the stream disconnects.
+    Finished(Box<RunReport>),
 }
 
 /// One completed live op, as observed by the issuing client.
@@ -207,16 +239,38 @@ impl Workload for LiveWorkload {
     }
 }
 
+/// The consumer's wake-up call. Called after every send, and — because
+/// [`LiveService`] declares it after the sender — once more when the
+/// service is dropped, *after* the stream has closed: a consumer woken by
+/// it then finds either a message or the disconnect, never nothing.
+#[derive(Default)]
+struct Notifier(Option<Box<dyn Fn() + Send>>);
+
+impl Notifier {
+    fn notify(&self) {
+        if let Some(notify) = &self.0 {
+            notify();
+        }
+    }
+}
+
+impl Drop for Notifier {
+    fn drop(&mut self) {
+        self.notify();
+    }
+}
+
 /// The engine side of a live service: handed to
 /// [`crate::cluster::Cluster::serve`], which pumps it every scheduler
 /// iteration. Create one with [`LiveService::new`]; the paired
 /// [`ServiceHandle`] goes to the connection-handling side.
 pub struct LiveService {
-    pub(crate) inbox: Arc<Inbox>,
-    pub(crate) events: Sender<ServiceEvent>,
-    pub(crate) clock: ClockMode,
-    pub(crate) queues: Option<Arc<LiveQueues>>,
-    pub(crate) notify: Option<Box<dyn Fn() + Send>>,
+    inbox: Arc<Inbox>,
+    // Field order is drop order: the stream closes, then the last notify.
+    events: Sender<ServiceEvent>,
+    notify: Notifier,
+    clock: ClockMode,
+    queues: Option<Arc<LiveQueues>>,
 }
 
 impl LiveService {
@@ -229,9 +283,9 @@ impl LiveService {
             LiveService {
                 inbox: Arc::clone(&inbox),
                 events: tx,
+                notify: Notifier::default(),
                 clock,
                 queues: None,
-                notify: None,
             },
             ServiceHandle { inbox, events: rx },
         )
@@ -248,13 +302,197 @@ impl LiveService {
         Box::new(LiveWorkload { shared: q })
     }
 
-    /// Call `notify` on the engine thread after every message the service
-    /// makes available: an event batch sent on [`ServiceHandle::events`]
-    /// or a swap ack. A consumer that blocks on sockets rather than on
-    /// the channel (the daemon's reactor) uses it to be woken; it must
-    /// not block.
+    /// Call `notify` on the engine thread after every event sent on
+    /// [`ServiceHandle::events`], and one last time once that stream has
+    /// closed (the engine returned, or unwound from a panic). A consumer
+    /// that blocks on sockets rather than on the channel (the daemon's
+    /// reactor) uses it to be woken; it must not block.
     pub fn notify_with(&mut self, notify: impl Fn() + Send + 'static) {
-        self.notify = Some(Box::new(notify));
+        self.notify = Notifier(Some(Box::new(notify)));
+    }
+
+    fn send(&self, event: ServiceEvent) {
+        // A consumer that hung up is not the engine's problem: the run
+        // still drains and ends normally.
+        let _ = self.events.send(event);
+    }
+}
+
+/// The engine side of a [`LiveService`] at work: called by the scheduler
+/// before each gather and after each step ([`crate::driver`]).
+pub(crate) struct ServicePump {
+    svc: LiveService,
+    wall: WallClock,
+}
+
+impl ServicePump {
+    pub(crate) fn new(svc: LiveService) -> Self {
+        ServicePump {
+            svc,
+            wall: WallClock::start(),
+        }
+    }
+
+    /// Drain the service inbox into the engine — waking the parked
+    /// clients the commands concern — then wait: under the wall clock
+    /// until the next event falls due or a command arrives, under the
+    /// simulated clock only for a command, and only when there is nothing
+    /// else to do.
+    pub(crate) fn pre(&mut self, co: &mut Coordinator, x: &mut Exclusive, last_now: SimTime) {
+        let svc = &self.svc;
+        let lock_inbox = || svc.inbox.queue.lock().expect("service inbox never poisoned");
+        let mut drained: Vec<ServiceCmd> = Vec::new();
+        loop {
+            drained.extend(lock_inbox().drain(..));
+            // The time frontier: the instant of the last event anyone
+            // processed. `last_now` was gathered before the latest
+            // window, so the shards' own marks complete it.
+            let frontier = last_now.max(x.gather().last_event);
+            // Where a woken client resumes. A wall-paced engine that sat
+            // idle has a frontier as old as its last event, but the
+            // command arrived now: stamp it with the simulated instant it
+            // arrived at.
+            let wake_at = match svc.clock {
+                ClockMode::Sim => frontier,
+                ClockMode::Wall => frontier.max(self.wall.now()),
+            };
+            for cmd in drained.drain(..) {
+                match cmd {
+                    ServiceCmd::Op { client, path, kind } => {
+                        let Some(queues) = &svc.queues else { continue };
+                        let Some(slot) = queues.queues.get(client) else {
+                            continue;
+                        };
+                        // Resolve (and create) the target directory now,
+                        // at the engine's time frontier, so the namespace
+                        // stays read-only inside windows and the trace
+                        // stream announces the dir before any op touches
+                        // it.
+                        let ns = &mut x.sim().ns;
+                        let dir = ns.mkdir_p(&path);
+                        co.trace.sync_dirs(ns, last_now);
+                        slot.lock()
+                            .expect("live queue never poisoned")
+                            .push_back(ClientOp { dir, kind });
+                        x.client_shard(client).wake_client(client, wake_at);
+                    }
+                    ServiceCmd::Install { name, epoch, set } => {
+                        // Queue the swap as a regular admin event at the
+                        // time frontier: the very next scheduler iteration
+                        // runs it in an exclusive step (globals win
+                        // same-instant ties), after which every balancer
+                        // tick uses the new policy.
+                        co.schedule_swap(last_now, name, epoch, set);
+                    }
+                    ServiceCmd::Shutdown => {
+                        // Close the queues, then wake every parked client
+                        // so each asks for its next op, gets none, and
+                        // finishes.
+                        let Some(queues) = &svc.queues else { continue };
+                        queues.closed.store(true, Ordering::Release);
+                        for c in 0..x.num_clients() {
+                            x.client_shard(c).wake_client(c, wake_at);
+                        }
+                    }
+                }
+            }
+            let now = x.gather();
+            if now.drained() {
+                // Drained: the scheduler's liveness check ends the run.
+                // Waiting here would stall shutdown until the next (now
+                // moot) global event — typically a whole heartbeat
+                // interval away.
+                return;
+            }
+            let (t_shard, t_glob) = (now.next_event, co.next_global_at());
+            let wait = match svc.clock {
+                ClockMode::Sim => {
+                    // Free-running: no deadline is ever waited for. But
+                    // when every live session is parked, nothing is in
+                    // flight and no admin event is due, the only events
+                    // left are future heartbeats; running through them
+                    // would carry an idle service to its duration cap in
+                    // under a second. Virtual time stands still until a
+                    // command gives it work.
+                    let idle = svc.queues.is_some()
+                        && t_shard.is_none()
+                        && t_glob.is_none_or(|t| t > frontier);
+                    if !idle {
+                        return;
+                    }
+                    None
+                }
+                ClockMode::Wall => {
+                    // Wall pacing: wait until the next event is due or the
+                    // inbox signals. Spurious wakeups just loop: the
+                    // deadline is re-derived every pass, so newly injected
+                    // (earlier) events shorten the wait and overdue
+                    // backlogs skip it. With every session parked the next
+                    // event is a heartbeat or a fault, never a client poll.
+                    let Some(t) = t_shard.into_iter().chain(t_glob).min() else {
+                        return;
+                    };
+                    match self.wall.until(t) {
+                        Some(wait) => Some(wait),
+                        None => return,
+                    }
+                }
+            };
+            let q = lock_inbox();
+            if q.is_empty() {
+                let signal = &svc.inbox.signal;
+                let poisoned = "service inbox never poisoned";
+                match wait {
+                    Some(wait) => drop(signal.wait_timeout(q, wait).expect(poisoned)),
+                    None => drop(signal.wait(q).expect(poisoned)),
+                }
+            }
+        }
+    }
+
+    /// Stream what the last iteration produced — install results first,
+    /// then freshly-emitted trace records, then live completions — and
+    /// tell the consumer if anything is waiting for it.
+    pub(crate) fn post(&mut self, co: &mut Coordinator, x: &mut Exclusive) {
+        let swapped = co.take_swapped();
+        let mut waiting = !swapped.is_empty();
+        for event in swapped {
+            self.svc.send(event);
+        }
+        waiting |= self.send_trace(co.trace.merge(x.shards()));
+        let mut comps: Vec<LiveCompletion> = Vec::new();
+        for g in x.shards() {
+            comps.append(&mut g.completions);
+        }
+        if !comps.is_empty() {
+            // Cross-shard merge: completion order is deterministic by
+            // (time, client) — clients are closed-loop, so one instant
+            // never holds two completions for the same client.
+            comps.sort_unstable_by_key(|c| (c.at, c.client));
+            self.svc.send(ServiceEvent::Completions(comps));
+            waiting = true;
+        }
+        if waiting {
+            self.svc.notify.notify();
+        }
+    }
+
+    fn send_trace(&self, records: Vec<TraceRecord>) -> bool {
+        let any = !records.is_empty();
+        if any {
+            self.svc.send(ServiceEvent::Trace(records));
+        }
+        any
+    }
+
+    /// End the stream: the trace tail (records merged after the loop's
+    /// last `post`, including the `RunEnd` trailer), then the report.
+    /// Dropping the pump afterwards closes the stream and wakes the
+    /// consumer one last time.
+    pub(crate) fn finish(self, tail: Vec<TraceRecord>, report: RunReport) {
+        self.send_trace(tail);
+        self.svc.send(ServiceEvent::Finished(Box::new(report)));
+        self.svc.notify.notify();
     }
 }
 
@@ -262,7 +500,8 @@ impl LiveService {
 /// the event stream.
 pub struct ServiceHandle {
     inbox: Arc<Inbox>,
-    /// Trace/completion batches emitted by the engine, in order.
+    /// Everything the engine says, in order; ends with
+    /// [`ServiceEvent::Finished`], then disconnects.
     pub events: Receiver<ServiceEvent>,
 }
 
@@ -280,28 +519,20 @@ impl ServiceHandle {
     }
 
     /// Hot-install `set` (validated by the caller — see
-    /// [`mantle_policy::install::prepare`]) on every MDS. Returns a
-    /// receiver acked with the simulated install instant once the swap
-    /// has run in the coordinator's exclusive step.
-    pub fn install_policy(
-        &self,
-        name: impl Into<String>,
-        epoch: u64,
-        set: PolicySet,
-    ) -> Receiver<Result<SimTime, String>> {
-        let (tx, rx) = channel();
+    /// [`mantle_policy::install::prepare`]) on every MDS. The swap runs in
+    /// the coordinator's next exclusive step and is answered on the event
+    /// stream by a [`ServiceEvent::Swapped`] carrying `epoch`.
+    pub fn install_policy(&self, name: impl Into<String>, epoch: u64, set: PolicySet) {
         self.inbox.push(ServiceCmd::Install {
             name: name.into(),
             epoch,
             set,
-            ack: tx,
         });
-        rx
     }
 
     /// Ask the engine to shut down cleanly: live queues close, clients
-    /// drain their remaining ops, and the run ends with a normal
-    /// [`crate::report::RunReport`].
+    /// drain their remaining ops, and the stream ends with
+    /// [`ServiceEvent::Finished`].
     pub fn shutdown(&self) {
         self.inbox.push(ServiceCmd::Shutdown);
     }
@@ -310,9 +541,12 @@ impl ServiceHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balancer::{BalanceContext, Balancer, MigrationPlan};
     use crate::cluster::NoopBalancer;
     use crate::shard::ExecStats;
-    use crate::{Cluster, ClusterConfig, ExecMode, RunReport};
+    use crate::trace::{TraceEvent, TraceLevel};
+    use crate::{Cluster, ClusterConfig, ExecMode};
+    use std::sync::mpsc::TryRecvError;
     use std::thread::JoinHandle;
     use std::time::Duration;
 
@@ -365,6 +599,18 @@ mod tests {
             .with_exec_mode(exec)
     }
 
+    /// Run `cluster` behind `svc` on its own thread.
+    fn spawn(
+        svc: LiveService,
+        trace: Option<TraceLevel>,
+        cluster: impl FnOnce() -> Cluster + Send + 'static,
+    ) -> Run {
+        std::thread::spawn(move || {
+            let (report, stats, _) = cluster().run_inner(trace, Some(ServicePump::new(svc)));
+            (report, stats)
+        })
+    }
+
     /// Serve `workload` (or, with `None`, `sessions` live sessions) on
     /// its own thread. Whatever `preload` submits is in the inbox before
     /// the engine's first drain, so it lands ahead of the time-zero
@@ -382,10 +628,8 @@ mod tests {
             None => svc.workload(sessions),
         };
         preload(&handle);
-        let run = std::thread::spawn(move || {
-            let cluster = Cluster::new(config(exec), workload, |_| Box::new(NoopBalancer));
-            let (report, _, stats) = cluster.serve_with_stats(svc, None);
-            (report, stats)
+        let run = spawn(svc, None, move || {
+            Cluster::new(config(exec), workload, |_| Box::new(NoopBalancer))
         });
         (handle, run)
     }
@@ -396,7 +640,8 @@ mod tests {
         while got.len() < n {
             match handle.events.recv_timeout(Duration::from_secs(30)) {
                 Ok(ServiceEvent::Completions(batch)) => got.extend(batch),
-                Ok(ServiceEvent::Trace(_)) => {}
+                Ok(ServiceEvent::Finished(_)) => panic!("stream ended after {} of {n}", got.len()),
+                Ok(_) => {}
                 Err(e) => panic!("engine went quiet after {} of {n}: {e}", got.len()),
             }
         }
@@ -471,7 +716,10 @@ mod tests {
         handle.shutdown();
         let (report, stats) = run.join().expect("live run");
         assert!(
-            handle.events.try_recv().is_err(),
+            !handle
+                .events
+                .try_iter()
+                .any(|ev| matches!(ev, ServiceEvent::Completions(_))),
             "no completion arrives twice"
         );
         assert_eq!(report.total_ops(), OPS.len() as f64);
@@ -538,5 +786,166 @@ mod tests {
             format!("{report:?}")
         };
         assert_eq!(run(ExecMode::Single), run(ExecMode::Sharded { threads: 2 }));
+    }
+
+    /// Everything left on the stream of a run that has ended.
+    fn rest(handle: &ServiceHandle) -> Vec<ServiceEvent> {
+        handle.events.try_iter().collect()
+    }
+
+    #[test]
+    fn swapped_precedes_its_trace_record_and_every_completion_after_it() {
+        let (mut svc, handle) = LiveService::new(ClockMode::Sim);
+        let workload = svc.workload(2);
+        handle.submit_op(0, OPS[0].0, OPS[0].1);
+        let run = spawn(svc, Some(TraceLevel::Decisions), move || {
+            Cluster::new(config(ExecMode::Single), workload, |_| {
+                Box::new(NoopBalancer)
+            })
+        });
+        let mut seen: Vec<ServiceEvent> = Vec::new();
+        let mut wait_for = |what: &dyn Fn(&ServiceEvent) -> bool| loop {
+            let ev = handle
+                .events
+                .recv_timeout(Duration::from_secs(30))
+                .expect("engine went quiet");
+            seen.push(ev);
+            if what(seen.last().expect("just pushed")) {
+                break;
+            }
+        };
+        wait_for(&|ev| matches!(ev, ServiceEvent::Completions(_)));
+        let set = PolicySet::from_combined("IWR", r#"MDSs[i]["all"]"#, "targets[1] = 0", &["half"])
+            .expect("policy compiles");
+        handle.install_policy("swapped", 1, set);
+        // An op submitted behind the install is decided under it.
+        handle.submit_op(1, OPS[1].0, OPS[1].1);
+        wait_for(&|ev| matches!(ev, ServiceEvent::Completions(_)));
+        handle.shutdown();
+        let (report, _) = run.join().expect("live run");
+        assert_eq!(report.balancer, "swapped");
+        seen.extend(rest(&handle));
+
+        let swapped_at = seen
+            .iter()
+            .position(|ev| matches!(ev, ServiceEvent::Swapped { epoch: 1, .. }))
+            .expect("the install is answered on the stream");
+        let ServiceEvent::Swapped {
+            result: Ok(installed),
+            ..
+        } = &seen[swapped_at]
+        else {
+            panic!("install failed: {:?}", seen[swapped_at]);
+        };
+        let record_at = seen
+            .iter()
+            .position(|ev| match ev {
+                ServiceEvent::Trace(batch) => batch.iter().any(|r| {
+                    matches!(r.event, TraceEvent::PolicyInstalled { epoch: 1, .. })
+                        && r.at == *installed
+                }),
+                _ => false,
+            })
+            .expect("the install is traced at the acknowledged instant");
+        assert!(swapped_at < record_at, "ack, then its trace record");
+        // Session 1's op entered the inbox behind the install, so the new
+        // policy was in force for all of it.
+        let decided_under_it = seen
+            .iter()
+            .position(|ev| match ev {
+                ServiceEvent::Completions(batch) => batch.iter().any(|c| c.client == 1),
+                _ => false,
+            })
+            .expect("the second op completed");
+        assert!(swapped_at < decided_under_it, "ack, then what it governs");
+    }
+
+    #[test]
+    fn finished_is_the_last_event_and_then_the_stream_disconnects() {
+        for exec in [ExecMode::Single, ExecMode::Sharded { threads: 2 }] {
+            let (handle, run) = serve(ClockMode::Sim, exec, 2, None, |h| {
+                h.submit_op(0, OPS[0].0, OPS[0].1)
+            });
+            completions(&handle, 1);
+            handle.shutdown();
+            let (report, _) = run.join().expect("live run");
+            let mut events = rest(&handle);
+            let Some(ServiceEvent::Finished(last)) = events.pop() else {
+                panic!("{exec:?}: the stream must end with the report");
+            };
+            assert_eq!(format!("{last:?}"), format!("{report:?}"));
+            assert!(
+                !events
+                    .iter()
+                    .any(|ev| matches!(ev, ServiceEvent::Finished(_))),
+                "{exec:?}: one report"
+            );
+            assert_eq!(
+                handle.events.try_recv().unwrap_err(),
+                TryRecvError::Disconnected,
+                "{exec:?}: nothing follows it"
+            );
+        }
+    }
+
+    /// A policy bug of the worst kind.
+    struct Exploding;
+
+    impl Balancer for Exploding {
+        fn name(&self) -> &str {
+            "exploding"
+        }
+        fn metaload(&self, heat: &mantle_namespace::HeatSample) -> mantle_policy::PolicyResult<f64> {
+            Ok(heat.cephfs_metaload())
+        }
+        fn decide(
+            &mut self,
+            _ctx: &BalanceContext,
+        ) -> mantle_policy::PolicyResult<Option<MigrationPlan>> {
+            panic!("balancer bug (expected by this test)")
+        }
+    }
+
+    #[test]
+    fn a_panicking_engine_closes_the_stream_without_finished_and_still_notifies() {
+        let (mut svc, handle) = LiveService::new(ClockMode::Sim);
+        let workload = svc.workload(1);
+        handle.submit_op(0, OPS[0].0, OPS[0].1);
+        // The consumer is the notifier itself, as the daemon's reactor is:
+        // woken, it drains the stream and notes what it found. It runs on
+        // the engine thread, so what it sees at each call is exact.
+        let ServiceHandle { events, .. } = handle;
+        let log = Arc::new(Mutex::new(Vec::new()));
+        svc.notify_with({
+            let log = Arc::clone(&log);
+            move || {
+                let mut log = log.lock().expect("log");
+                loop {
+                    match events.try_recv() {
+                        Ok(ServiceEvent::Finished(_)) => log.push("finished"),
+                        Ok(_) => log.push("event"),
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => {
+                            log.push("disconnected");
+                            break;
+                        }
+                    }
+                }
+            }
+        });
+        let run = spawn(svc, None, move || {
+            // The first tick comes before the op can complete.
+            let mut cfg = config(ExecMode::Single);
+            cfg.heartbeat_interval = SimTime::from_micros(100);
+            Cluster::new(cfg, workload, |_| Box::new(Exploding))
+        });
+        assert!(run.join().is_err(), "the engine thread panicked");
+        let log = log.lock().expect("log");
+        assert_eq!(
+            log.last(),
+            Some(&"disconnected"),
+            "the last wake-up shows the hang-up: {log:?}"
+        );
+        assert!(!log.contains(&"finished"), "{log:?}");
     }
 }

@@ -3,7 +3,7 @@
 //! The cluster is partitioned into [`Shard`]s — contiguous slices of MDS
 //! ids and client ids, each owning its members' event queue, counters,
 //! RNG streams, and client state. Shards run **conservative lookahead
-//! windows**: the coordinator (in [`crate::cluster`]) picks a window
+//! windows**: the scheduler (in [`crate::driver`]) picks a window
 //! `[base, end)` no wider than the minimum cross-shard latency, every
 //! shard drains its own events inside the window concurrently, and a
 //! barrier then applies the window's deferred namespace mutations and
@@ -29,9 +29,6 @@
 //! result: window boundaries, event keys, and barrier effects are all
 //! shard-count-invariant, and a fixed seed produces byte-identical runs
 //! at any thread count — including the single-threaded oracle.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 use mantle_namespace::{FragId, MdsId, Namespace, NodeId, OpKind};
 use mantle_sim::{EventQueue, SimRng, SimTime};
@@ -255,11 +252,6 @@ impl ShardRouter {
         self.mds_shard[m]
     }
 
-    /// Which shard owns client `c`.
-    pub fn shard_of_client(&self, c: usize) -> ShardId {
-        self.client_shard[c]
-    }
-
     /// Global ids of the MDSs shard `s` owns (contiguous range).
     pub fn mds_of_shard(&self, s: ShardId) -> std::ops::Range<usize> {
         range_of(&self.mds_shard, s)
@@ -308,71 +300,6 @@ pub struct ExecStats {
     pub shards: Vec<ShardStats>,
 }
 
-/// A reusable spin-then-park barrier. Latecomers spin briefly — on a
-/// multi-core host the other parties usually arrive within the spin
-/// window, skipping the parking syscalls entirely — then park on a
-/// condvar. Parking (rather than yielding) is what keeps the engine
-/// usable when hardware threads are scarcer than parties: with more
-/// workers than cores, a yield-loop barrier degenerates into a scheduler
-/// storm of busy waiters, while parked waiters cost one wakeup each.
-#[derive(Debug)]
-pub struct SpinBarrier {
-    parties: usize,
-    /// Bumped (under the lock) when the last party arrives; waiters spin
-    /// and park on it changing.
-    generation: AtomicUsize,
-    /// Arrivals in the current generation.
-    arrived: Mutex<usize>,
-    cv: Condvar,
-}
-
-/// Spin iterations before parking. Short: the spin only pays off when
-/// the remaining parties are currently *running* on other cores.
-const BARRIER_SPIN: u32 = 128;
-
-impl SpinBarrier {
-    /// A barrier for `parties` participants.
-    pub fn new(parties: usize) -> Self {
-        SpinBarrier {
-            parties,
-            generation: AtomicUsize::new(0),
-            arrived: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Block until all `parties` participants have arrived.
-    pub fn wait(&self) {
-        let gen = {
-            let mut arrived = self.arrived.lock().expect("barrier lock");
-            *arrived += 1;
-            if *arrived == self.parties {
-                *arrived = 0;
-                // Publish under the lock: a waiter that re-checks while
-                // holding it either sees the new generation or blocks us
-                // here until it parks — no lost wakeups.
-                let gen = self.generation.load(Ordering::Relaxed);
-                self.generation
-                    .store(gen.wrapping_add(1), Ordering::Release);
-                drop(arrived);
-                self.cv.notify_all();
-                return;
-            }
-            self.generation.load(Ordering::Relaxed)
-        };
-        for _ in 0..BARRIER_SPIN {
-            if self.generation.load(Ordering::Acquire) != gen {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-        let mut arrived = self.arrived.lock().expect("barrier lock");
-        while self.generation.load(Ordering::Acquire) == gen {
-            arrived = self.cv.wait(arrived).expect("barrier lock");
-        }
-    }
-}
-
 /// One shard: a contiguous slice of the cluster's MDSs and clients, with
 /// their event queue and every piece of state only they touch. During a
 /// window the shard has shared read access to [`SharedSim`] and
@@ -406,7 +333,7 @@ pub struct Shard {
     /// This shard's slice of the trace, merged at run end.
     pub(crate) trace: Vec<(TraceKey, TraceRecord)>,
     /// Emit request-level records (trace level Full). Set by
-    /// [`crate::cluster::Cluster::enable_tracing`] before the run.
+    /// the cluster before a traced run.
     pub(crate) trace_full: bool,
     /// Requests in flight, net of this shard's issues (+1) and
     /// resolutions (−1). Negative mid-window is fine (a shard can resolve
@@ -468,7 +395,6 @@ impl Shard {
     /// slices. `clients` must be exactly the [`ClientState`]s of this
     /// shard's client range, in id order; `workload` a fork with only
     /// those clients ever driven through it.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: ShardId,
         router: &ShardRouter,
@@ -476,7 +402,6 @@ impl Shard {
         workload: Box<dyn Workload>,
         clients: Vec<ClientState>,
         master: &SimRng,
-        trace_full: bool,
     ) -> Self {
         let mds_range = router.mds_of_shard(id);
         let client_range = router.clients_of_shard(id);
@@ -507,7 +432,7 @@ impl Shard {
             deferred: Vec::new(),
             outbox: (0..router.num_shards()).map(|_| Vec::new()).collect(),
             trace: Vec::new(),
-            trace_full,
+            trace_full: false,
             inflight: 0,
             active: client_range.len(),
             timeouts: 0,
@@ -1164,33 +1089,5 @@ mod tests {
         assert!(mds0 < mds1);
         assert!(mds1 < client0);
         assert!(mds0 < (1u64 << KEY_CTR_BITS) | 1);
-    }
-
-    #[test]
-    fn spin_barrier_synchronizes() {
-        use std::sync::atomic::AtomicU64;
-        use std::sync::Arc;
-        let barrier = Arc::new(SpinBarrier::new(4));
-        let hits = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let b = Arc::clone(&barrier);
-                let h = Arc::clone(&hits);
-                std::thread::spawn(move || {
-                    for round in 0..100u64 {
-                        b.wait();
-                        // Everyone saw every previous round complete.
-                        assert!(h.load(Ordering::SeqCst) >= round * 4);
-                        h.fetch_add(1, Ordering::SeqCst);
-                        b.wait();
-                        assert!(h.load(Ordering::SeqCst) >= (round + 1) * 4);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(hits.load(Ordering::SeqCst), 400);
     }
 }

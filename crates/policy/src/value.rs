@@ -252,11 +252,6 @@ impl Table {
         self.map.is_empty()
     }
 
-    /// Total entry count (array + hash parts).
-    pub fn entry_count(&self) -> usize {
-        self.map.len()
-    }
-
     /// Iterate all `(key, value)` pairs (unordered).
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &Value)> {
         self.map.iter()

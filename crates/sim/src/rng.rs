@@ -76,11 +76,6 @@ impl SimRng {
         result
     }
 
-    /// Next raw 32-bit output (upper half of a 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform f64 in `[0, 1)` (53 mantissa bits).
     pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
