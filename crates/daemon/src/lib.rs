@@ -10,8 +10,9 @@
 //!
 //! The split, layer by layer:
 //!
-//! * [`json`] / [`wire`] — a dependency-free JSON codec and the framed
-//!   protocol documented in `PROTOCOL.md`;
+//! * [`json`] / [`wire`] — the workspace's dependency-free JSON codec
+//!   (it lives in `mantle-sim`, below every emitter, and is re-exported
+//!   here) and the framed protocol documented in `PROTOCOL.md`;
 //! * [`config`] — `mantled`'s flags and defaults;
 //! * [`engine`] — boots [`Cluster::serve`](mantle_mds::Cluster::serve)
 //!   on its own thread and owns the policy swap pipeline
@@ -40,7 +41,6 @@ compile_error!("mantle-daemon needs a unix host: its reactor blocks in poll(2)")
 pub mod client;
 pub mod config;
 pub mod engine;
-pub mod json;
 pub mod server;
 #[allow(unsafe_code)]
 pub mod sys;
@@ -49,5 +49,5 @@ pub mod wire;
 pub use client::MantleClient;
 pub use config::DaemonConfig;
 pub use engine::Engine;
-pub use json::Json;
+pub use mantle_sim::json::{self, Json};
 pub use server::Server;

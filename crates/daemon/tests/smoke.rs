@@ -339,3 +339,63 @@ fn stalled_and_surplus_peers_do_not_block_a_client() {
     let _ = stalled.read_to_end(&mut rest);
     assert!(rest.is_empty(), "{rest:?}");
 }
+
+#[test]
+fn hostile_nesting_is_refused_not_fatal() {
+    use std::io::Write as _;
+    let daemon = Daemon::spawn(&["--sessions=1", "--mds=2", "--clock=wall"]);
+
+    // A frame of 200 000 `[`: well inside the 16 MiB frame cap, and
+    // enough to overflow the reactor's stack in a parser that recurses
+    // once per bracket. The peer gets an error frame and is hung up on.
+    let mut hostile = std::net::TcpStream::connect(&daemon.addr).expect("connects");
+    let payload = vec![b'['; 200_000];
+    hostile
+        .write_all(&(payload.len() as u32).to_be_bytes())
+        .and_then(|()| hostile.write_all(&payload))
+        .expect("frame sent");
+    let error = mantle_daemon::wire::read_frame(&mut hostile)
+        .expect("the daemon is still there to answer")
+        .expect("with an error frame");
+    assert_eq!(error.get_str("code"), Some("bad-frame"), "reply: {error}");
+    assert!(
+        error
+            .get_str("detail")
+            .is_some_and(|d| d.contains("nesting too deep")),
+        "reply: {error}"
+    );
+    assert!(
+        matches!(mantle_daemon::wire::read_frame(&mut hostile), Ok(None)),
+        "then the connection is closed"
+    );
+
+    // A policy whose `metaload` is 200 000 `(`: a shallow, valid frame,
+    // parsed on the reactor thread by the policy compiler. Rejected like
+    // any other bad policy; the admin connection stays usable.
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    let mut deep = swap_bundle();
+    if let Json::Obj(members) = &mut deep {
+        members.retain(|(k, _)| k != "metaload");
+        members.push(("metaload".into(), Json::str("(".repeat(200_000))));
+    }
+    let rejected = admin
+        .admin("policy-swap", vec![("policy", deep)])
+        .expect("rejection round-trips");
+    assert_eq!(rejected.get_str("code"), Some("policy-rejected"));
+    assert!(
+        rejected
+            .get_str("detail")
+            .is_some_and(|d| d.contains("nesting too deep")),
+        "reply: {rejected}"
+    );
+    let shown = admin.admin("policy-show", vec![]).expect("policy-show");
+    assert_eq!(shown.get_u64("epoch"), Some(0), "nothing was published");
+
+    // And on another connection, business as usual.
+    let mut client = MantleClient::connect(&daemon.addr, "client").expect("client connects");
+    let reply = client.op("create", "/smoke/after-the-storm").expect("op");
+    assert_eq!(reply.get_str("status"), Some("ok"));
+
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    assert!(daemon.finish().0, "mantled exits cleanly");
+}

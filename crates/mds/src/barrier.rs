@@ -1,7 +1,7 @@
 //! The window barrier: everything a window could not do to shared state
 //! while shards ran side by side, applied once they have all stopped.
 //!
-//! Shards defer namespace mutations ([`NsOp`]) and cross-shard sends
+//! Shards defer namespace mutations (`NsOp`) and cross-shard sends
 //! during a window. The barrier applies the mutations in global
 //! `(time, key)` order, runs fragment splits (the paper's *fragment*
 //! stage), delivers the messages, and purges lapsed freeze/cold windows.

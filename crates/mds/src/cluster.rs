@@ -2,7 +2,7 @@
 //!
 //! [`Cluster`] is the public face: build one, optionally schedule admin
 //! actions, then run it to completion or serve it live. Behind it, the
-//! [`Coordinator`] is the control plane — it lives on the coordinating
+//! `Coordinator` is the control plane — it lives on the coordinating
 //! thread for the whole run and worker threads never touch it — and the
 //! [`crate::driver`] is the scheduler and lock layer that decides *when*
 //! the coordinator gets to act.
@@ -12,13 +12,13 @@
 //! Mantle's claim is that balancing policy separates cleanly from
 //! migration mechanism (§3). The mechanism is a pipeline, and each stage
 //! is a module that owns the state it mutates and takes the driver's
-//! [`Exclusive`] view — never a lock — to reach the simulation:
+//! `Exclusive` view — never a lock — to reach the simulation:
 //!
 //! | stage | where | state it owns |
 //! |---|---|---|
 //! | send / recv HB | [`crate::heartbeat`] | snapshots, outage windows, noise |
 //! | membership (`howmany`) | [`crate::elastic`] | member count, MDS-seconds |
-//! | rebalance (`when`/`where`) | [`Coordinator::tick`], [`crate::balancer`] | balancers, error streaks |
+//! | rebalance (`when`/`where`) | `Coordinator::tick`, [`crate::balancer`] | balancers, error streaks |
 //! | fragment (`howmuch`) | [`crate::partition`] | — (pure planning) |
 //! | migrate | [`crate::migration`] | migration ids, invalidation count |
 //!
@@ -922,7 +922,9 @@ mod tests {
             (ns.mkdir_p("/a"), ns.mkdir_p("/a/b"))
         };
         let mut x = cluster.driver.exclusive();
-        cluster.co.export(&mut x, 0, subtree_to_mds1(a), SimTime::ZERO);
+        cluster
+            .co
+            .export(&mut x, 0, subtree_to_mds1(a), SimTime::ZERO);
         assert!(
             frozen_until(x.sim(), a, SimTime::ZERO).is_some(),
             "root frozen"
@@ -983,7 +985,9 @@ mod tests {
             client.learn(&sim.ns, ab, 2);
         }
         // MDS 2 exports the subtree to MDS 1.
-        cluster.co.export(&mut x, 2, subtree_to_mds1(a), SimTime::ZERO);
+        cluster
+            .co
+            .export(&mut x, 2, subtree_to_mds1(a), SimTime::ZERO);
         let op = ClientOp {
             dir: ab,
             kind: OpKind::Stat,
@@ -1012,7 +1016,9 @@ mod tests {
         });
         let a = cluster.namespace_mut().mkdir_p("/a");
         let mut x = cluster.driver.exclusive();
-        cluster.co.export(&mut x, 0, subtree_to_mds1(a), SimTime::ZERO);
+        cluster
+            .co
+            .export(&mut x, 0, subtree_to_mds1(a), SimTime::ZERO);
         assert!(!x.sim().frozen.is_empty());
         assert!(!x.sim().prefix_cold.is_empty());
         // Long after the lapse, readers already ignore the windows…
@@ -1020,10 +1026,7 @@ mod tests {
         // …and the next barrier drops them wholesale.
         cluster.co.barrier(&mut x, SimTime::from_secs(100));
         assert!(x.sim().frozen.is_empty(), "lapsed freeze windows purged");
-        assert!(
-            x.sim().prefix_cold.is_empty(),
-            "lapsed cold windows purged"
-        );
+        assert!(x.sim().prefix_cold.is_empty(), "lapsed cold windows purged");
     }
 
     #[test]

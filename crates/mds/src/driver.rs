@@ -5,7 +5,7 @@
 //! # Shape
 //!
 //! The data plane lives in [`Shard`]s (see [`crate::shard`]); the control
-//! plane is the [`Coordinator`] (see [`crate::cluster`]). The driver
+//! plane is the `Coordinator` (see [`crate::cluster`]). The driver
 //! alternates between
 //!
 //! 1. **windows** — every shard concurrently drains its events inside
@@ -25,12 +25,12 @@
 //!
 //! Everything outside a window — the gather, the barrier, every
 //! control-plane step, the live-service pump — works through one
-//! [`Exclusive`] value. It can only be built by taking the simulation's
+//! `Exclusive` value. It can only be built by taking the simulation's
 //! write lock and every shard's lock, so holding one *is* the proof that
 //! no worker is running; steps take `&mut Exclusive` and never see a
 //! lock. The scheduler holds a single view for the whole run and gives
 //! it up only for the duration of each window
-//! ([`Exclusive::release_for`]), reusing the guard buffer, so a window
+//! (`Exclusive::release_for`), reusing the guard buffer, so a window
 //! costs one unlock/lock round and no allocation.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -227,9 +227,11 @@ impl Driver {
                 let mut run_window = |window_end: SimTime| {
                     let sim = self.sim.read().expect("sim lock");
                     for m in &self.shards {
-                        m.lock()
-                            .expect("shard lock")
-                            .process_window(&sim, &self.router, window_end);
+                        m.lock().expect("shard lock").process_window(
+                            &sim,
+                            &self.router,
+                            window_end,
+                        );
                     }
                 };
                 self.schedule(co, &mut run_window, pump)

@@ -4,13 +4,13 @@
 //!
 //! # The controller
 //!
-//! Once per heartbeat tick, [`step`] asks MDS 0's `howmany` hook for a
+//! Once per heartbeat tick, `step` asks MDS 0's `howmany` hook for a
 //! target member count and takes at most one transition toward it: a
 //! *join* activates the lowest-id live spare and re-homes onto it exactly
 //! the subtrees rendezvous hashing assigns it; a *leave* drains the
 //! highest-id member (never MDS 0) to the rendezvous owners among the
 //! rest and flips it out. Both run inside the exclusive heartbeat step,
-//! so no fault or window can split a transition. [`Membership`] counts
+//! so no fault or window can split a transition. `Membership` counts
 //! the transitions and integrates the member count over virtual time —
 //! the provisioned MDS-seconds every ops-per-MDS-hour figure divides by.
 //!
@@ -142,7 +142,11 @@ pub(crate) fn step(
         whoami: 0,
         heartbeats: members.iter().map(|&m| heartbeats[m]).collect(),
     };
-    let target = match co.policy.balancer(0).howmany(&ctx, active, min_mds, max_mds) {
+    let target = match co
+        .policy
+        .balancer(0)
+        .howmany(&ctx, active, min_mds, max_mds)
+    {
         Ok(Some(t)) if t.is_finite() => t,
         Ok(_) => return, // no hook (or nothing to decide): fixed size
         Err(_) => {
@@ -193,7 +197,16 @@ fn join_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: Sim
             }
             if rendezvous_owner(d, &owners) == j {
                 let unit = ExportUnit::Subtree(d);
-                co.export(x, src, Export { unit, to: j, load: 0.0 }, now);
+                co.export(
+                    x,
+                    src,
+                    Export {
+                        unit,
+                        to: j,
+                        load: 0.0,
+                    },
+                    now,
+                );
                 rehomed += 1;
             }
         }
@@ -237,7 +250,16 @@ fn leave_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: Si
             let to = rendezvous_owner(dir, &remaining);
             if x.sim().ns.dir(dir).auth == Some(victim) {
                 let unit = ExportUnit::Subtree(dir);
-                co.export(x, victim, Export { unit, to, load: 0.0 }, now);
+                co.export(
+                    x,
+                    victim,
+                    Export {
+                        unit,
+                        to,
+                        load: 0.0,
+                    },
+                    now,
+                );
                 drained += 1;
             } else {
                 // Frag-only ownership: ship the victim's fragments.
@@ -245,7 +267,16 @@ fn leave_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: Si
                 for f in 0..nfrags {
                     if x.sim().ns.frag_auth(dir, f) == victim {
                         let unit = ExportUnit::Frag(dir, f);
-                        co.export(x, victim, Export { unit, to, load: 0.0 }, now);
+                        co.export(
+                            x,
+                            victim,
+                            Export {
+                                unit,
+                                to,
+                                load: 0.0,
+                            },
+                            now,
+                        );
                         drained += 1;
                     }
                 }

@@ -1,5 +1,5 @@
 //! Deterministic fault injection: what can go wrong in a run, as pure
-//! data, and the one step ([`apply`]) that makes it go wrong.
+//! data, and the one step (`apply`) that makes it go wrong.
 //!
 //! The paper's robustness story (§3.4, §6) is that Mantle tolerates bad
 //! or failing balancers by falling back to the original CephFS balancer,
@@ -229,12 +229,15 @@ impl FaultPlan {
 /// Apply one fired fault. Faults naming an MDS outside the cluster, and
 /// crashes or restarts that would change nothing, are ignored.
 pub(crate) fn apply(co: &mut Coordinator, x: &mut Exclusive, kind: &FaultKind, now: SimTime) {
-    let in_cluster = |mds: MdsId| mds < co.cfg.num_mds;
-    match *kind {
-        FaultKind::Crash { mds } => {
+    let mds = kind.mds();
+    if mds >= co.cfg.num_mds {
+        return;
+    }
+    let injected = match *kind {
+        FaultKind::Crash { .. } => {
             // MDS 0 is the mount authority and the failover target; a
             // cluster that loses it has no root to serve from.
-            if mds == 0 || !in_cluster(mds) || !x.sim().up[mds] {
+            if mds == 0 || !x.sim().up[mds] {
                 return;
             }
             let sh = x.sim();
@@ -259,9 +262,10 @@ pub(crate) fn apply(co: &mut Coordinator, x: &mut Exclusive, kind: &FaultKind, n
                     }
                 }
             }
+            return;
         }
-        FaultKind::Restart { mds } => {
-            if !in_cluster(mds) || x.sim().up[mds] {
+        FaultKind::Restart { .. } => {
+            if x.sim().up[mds] {
                 return;
             }
             x.sim().up[mds] = true;
@@ -270,54 +274,33 @@ pub(crate) fn apply(co: &mut Coordinator, x: &mut Exclusive, kind: &FaultKind, n
             let g = x.mds_shard(mds);
             let l = mds - g.mds_lo;
             g.next_free[l] = now;
+            return;
         }
         FaultKind::Slowdown {
-            mds,
-            factor,
-            duration,
+            factor, duration, ..
         } => {
-            if !in_cluster(mds) {
-                return;
-            }
             let sh = x.sim();
             sh.slow_factor[mds] = factor.max(0.0);
             sh.slow_until[mds] = now + duration;
-            co.trace.emit(now, || TraceEvent::FaultInjected {
-                mds,
-                kind: "slowdown",
-            });
+            "slowdown"
         }
-        FaultKind::DropHeartbeats { mds, duration } => {
-            if !in_cluster(mds) {
-                return;
-            }
+        FaultKind::DropHeartbeats { duration, .. } => {
             co.hb.drop_until(mds, now + duration);
-            co.trace.emit(now, || TraceEvent::FaultInjected {
-                mds,
-                kind: "drop-heartbeats",
-            });
+            "drop-heartbeats"
         }
-        FaultKind::DelayHeartbeats { mds, duration } => {
-            if !in_cluster(mds) {
-                return;
-            }
+        FaultKind::DelayHeartbeats { duration, .. } => {
             co.hb.delay_until(mds, now + duration);
-            co.trace.emit(now, || TraceEvent::FaultInjected {
-                mds,
-                kind: "delay-heartbeats",
-            });
+            "delay-heartbeats"
         }
-        FaultKind::PoisonBalancer { mds } => {
-            if !in_cluster(mds) {
-                return;
-            }
+        FaultKind::PoisonBalancer { .. } => {
             co.policy.poison(mds);
-            co.trace.emit(now, || TraceEvent::FaultInjected {
-                mds,
-                kind: "poison-balancer",
-            });
+            "poison-balancer"
         }
-    }
+    };
+    co.trace.emit(now, || TraceEvent::FaultInjected {
+        mds,
+        kind: injected,
+    });
 }
 
 #[cfg(test)]

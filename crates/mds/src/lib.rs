@@ -25,25 +25,25 @@
 #![forbid(unsafe_code)]
 
 pub mod balancer;
-mod barrier;
+pub mod barrier;
 pub mod cache;
 pub mod client;
 pub mod cluster;
 pub mod config;
-mod driver;
+pub mod driver;
 pub mod elastic;
 pub mod faults;
-mod heartbeat;
+pub mod heartbeat;
 pub mod invariants;
 pub mod metrics;
-mod migration;
+pub mod migration;
 pub mod partition;
 pub mod report;
 pub mod selector;
 pub mod service;
 pub mod shard;
 pub mod trace;
-mod tracer;
+pub mod tracer;
 
 pub use balancer::{BalanceContext, Balancer, CephfsBalancer, MantleBalancer, MigrationPlan};
 pub use cache::{cacheable, group_of, ClientCache, GroupCache, IntervalRegion};

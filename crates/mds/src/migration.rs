@@ -5,7 +5,7 @@
 //! the importer's prefix replicas start cold, every stale route — client
 //! maps and proxy-tier caches alike — is dropped, and every active
 //! client's session is flushed. Balancer plans, elastic re-homing and
-//! drains all come through [`Migrator::apply_export`]; the rest of the
+//! drains all come through `Migrator::apply_export`; the rest of the
 //! engine never moves authority except by failover.
 
 use mantle_namespace::{MdsId, SubtreeMigration};

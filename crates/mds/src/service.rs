@@ -340,7 +340,12 @@ impl ServicePump {
     /// else to do.
     pub(crate) fn pre(&mut self, co: &mut Coordinator, x: &mut Exclusive, last_now: SimTime) {
         let svc = &self.svc;
-        let lock_inbox = || svc.inbox.queue.lock().expect("service inbox never poisoned");
+        let lock_inbox = || {
+            svc.inbox
+                .queue
+                .lock()
+                .expect("service inbox never poisoned")
+        };
         let mut drained: Vec<ServiceCmd> = Vec::new();
         loop {
             drained.extend(lock_inbox().drain(..));
@@ -895,7 +900,10 @@ mod tests {
         fn name(&self) -> &str {
             "exploding"
         }
-        fn metaload(&self, heat: &mantle_namespace::HeatSample) -> mantle_policy::PolicyResult<f64> {
+        fn metaload(
+            &self,
+            heat: &mantle_namespace::HeatSample,
+        ) -> mantle_policy::PolicyResult<f64> {
             Ok(heat.cephfs_metaload())
         }
         fn decide(

@@ -22,7 +22,7 @@
 //! byte-for-byte.
 
 use mantle_namespace::{FragId, MdsId, NodeId, OpKind};
-use mantle_sim::{SimTime, TimeSeries};
+use mantle_sim::{json, SimTime, TimeSeries};
 
 /// How much the sink records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -485,39 +485,16 @@ impl TraceEvent {
 }
 
 // ---------------------------------------------------------------------------
-// JSONL encoding (hand-rolled — the workspace takes no dependencies).
+// JSONL encoding: streamed field by field, scalars through the workspace's
+// one codec ([`mantle_sim::json`]). Writing into a `String` cannot fail.
 // ---------------------------------------------------------------------------
 
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+fn put_str(out: &mut String, s: &str) {
+    let _ = json::write_str(out, s);
 }
 
-/// `{}` Display for f64 is shortest-roundtrip and never prints `inf`/`NaN`
-/// for the finite loads we serialize; integers print without a dot, which
-/// is still a valid JSON number.
-fn push_f64(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        // Loads are finite by construction; keep the line valid JSON
-        // anyway if a pathological policy produces one.
-        out.push_str("null");
-    }
+fn put_f64(out: &mut String, v: f64) {
+    let _ = json::write_f64(out, v);
 }
 
 fn push_list<T>(out: &mut String, items: &[T], mut f: impl FnMut(&mut String, &T)) {
@@ -581,7 +558,7 @@ impl TraceRecord {
             }
             TraceEvent::HeartbeatTick { loads } => {
                 out.push_str(",\"loads\":");
-                push_list(out, loads, |o, l| push_f64(o, *l));
+                push_list(out, loads, |o, l| put_f64(o, *l));
             }
             TraceEvent::BalancerTick { mds } => {
                 let _ = write!(out, ",\"mds\":{mds}");
@@ -593,9 +570,9 @@ impl TraceRecord {
                 exports,
             } => {
                 let _ = write!(out, ",\"mds\":{mds},\"targets\":");
-                push_list(out, targets, |o, t| push_f64(o, *t));
+                push_list(out, targets, |o, t| put_f64(o, *t));
                 out.push_str(",\"selectors\":");
-                push_list(out, selectors, |o, s| push_escaped(o, s));
+                push_list(out, selectors, |o, s| put_str(o, s));
                 let _ = write!(out, ",\"exports\":{exports}");
             }
             TraceEvent::PolicyError { mds, consecutive } => {
@@ -606,7 +583,7 @@ impl TraceRecord {
             }
             TraceEvent::PolicyInstalled { epoch, name } => {
                 let _ = write!(out, ",\"install_epoch\":{epoch},\"name\":");
-                push_escaped(out, name);
+                put_str(out, name);
             }
             TraceEvent::MigrationFreeze {
                 mig,
@@ -641,7 +618,7 @@ impl TraceRecord {
             }
             TraceEvent::MigrationJournal { mig, mds, micros } => {
                 let _ = write!(out, ",\"mig\":{mig},\"mds\":{mds},\"micros\":");
-                push_f64(out, *micros);
+                put_f64(out, *micros);
             }
             TraceEvent::MigrationCommit {
                 mig,
@@ -913,11 +890,11 @@ impl Timeline {
                 "{{\"mds\":{m},\"bucket_ms\":{},\"load\":",
                 self.bucket.as_millis()
             );
-            push_list(&mut out, s.load.values(), |o, v| push_f64(o, *v));
+            push_list(&mut out, s.load.values(), |o, v| put_f64(o, *v));
             out.push_str(",\"queue\":");
-            push_list(&mut out, s.queue.values(), |o, v| push_f64(o, *v));
+            push_list(&mut out, s.queue.values(), |o, v| put_f64(o, *v));
             out.push_str(",\"throughput\":");
-            push_list(&mut out, s.throughput.values(), |o, v| push_f64(o, *v));
+            push_list(&mut out, s.throughput.values(), |o, v| put_f64(o, *v));
             out.push_str("}\n");
         }
         out
@@ -1022,10 +999,21 @@ mod tests {
     }
 
     #[test]
-    fn string_escaping_is_json_safe() {
-        let mut out = String::new();
-        push_escaped(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    fn a_record_is_one_json_document() {
+        let rec = TraceRecord {
+            at: SimTime::from_millis(1500),
+            epoch: 2,
+            event: TraceEvent::PolicyInstalled {
+                epoch: 1,
+                name: "greedy \"v2\"".into(),
+            },
+        };
+        let mut line = String::new();
+        rec.write_json(&mut line);
+        let v = json::parse(&line).expect("trace line parses");
+        assert_eq!(v.get_str("ev"), Some("policy_installed"));
+        assert_eq!(v.get_u64("install_epoch"), Some(1));
+        assert_eq!(v.get_str("name"), Some("greedy \"v2\""));
     }
 
     #[test]

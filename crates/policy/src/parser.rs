@@ -1,9 +1,22 @@
 //! Recursive-descent parser with Lua 5.1 operator precedence.
+//!
+//! Policy source arrives over the daemon's admin socket, and everything
+//! downstream of the parser — lowering, validation, both evaluators,
+//! even dropping the tree — recurses on the AST. So the parser bounds
+//! the depth of what it builds ([`MAX_NESTING`]): a hook of 200 000 `(`
+//! is an ordinary [`PolicyError::Parse`], not a stack overflow.
 
 use crate::ast::{BinOp, Block, Expr, LValue, Script, Stmt, UnOp};
 use crate::error::{PolicyError, PolicyResult};
 use crate::lexer::lex;
 use crate::token::{Token, TokenKind};
+
+/// Deepest nesting a script may have, counting blocks and
+/// sub-expressions together; an operator or postfix chain (`a + b + …`,
+/// `t.a.b…`) counts one level per link, because it builds a tree that
+/// deep. Shipped policies stay under a dozen. The parser's own recursion
+/// is bounded by this, and the AST's depth by twice it.
+pub const MAX_NESTING: usize = 128;
 
 /// Parse a full script (a block of statements).
 pub fn parse_script(src: &str) -> PolicyResult<Script> {
@@ -23,8 +36,8 @@ pub fn parse_expression_script(src: &str) -> PolicyResult<Script> {
     // fail it and fall through to the full parser.
     if let Ok(tokens) = lex(src) {
         let mut p = Parser::new(tokens);
-        if let Ok(expr) = p.expr() {
-            if p.check(&TokenKind::Eof) {
+        match p.expr() {
+            Ok(expr) if p.check(&TokenKind::Eof) => {
                 return Ok(Script {
                     block: Block {
                         stmts: vec![Stmt::Return {
@@ -34,6 +47,10 @@ pub fn parse_expression_script(src: &str) -> PolicyResult<Script> {
                     },
                 });
             }
+            // Too deep as an expression is too deep as a script; say that,
+            // not whatever the statement grammar makes of an expression.
+            Err(e) if p.depth == MAX_NESTING => return Err(e),
+            _ => {}
         }
     }
     parse_script(src)
@@ -67,11 +84,31 @@ fn strip_comments(src: &str) -> String {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of [`MAX_NESTING`] in use at the current token.
+    depth: usize,
 }
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Go one level deeper, if the limit allows. Whoever calls this
+    /// restores `depth` on its way out, except past an error: the parse
+    /// is over then, and a refusal here leaves `depth` at the limit.
+    fn descend(&mut self) -> PolicyResult<()> {
+        if self.depth == MAX_NESTING {
+            return Err(PolicyError::Parse {
+                line: self.line(),
+                message: format!("nesting too deep (limit {MAX_NESTING})"),
+            });
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn peek(&self) -> &Token {
@@ -139,7 +176,15 @@ impl Parser {
         Ok(Block { stmts })
     }
 
+    /// Every nested block is reached through here.
     fn statement(&mut self) -> PolicyResult<Stmt> {
+        self.descend()?;
+        let stmt = self.statement_at_depth()?;
+        self.depth -= 1;
+        Ok(stmt)
+    }
+
+    fn statement_at_depth(&mut self) -> PolicyResult<Stmt> {
         let line = self.line();
         match &self.peek().kind {
             TokenKind::Local => {
@@ -328,6 +373,7 @@ impl Parser {
 
     fn binary_expr(&mut self, min_prec: u8) -> PolicyResult<Expr> {
         let mut lhs = self.unary_expr()?;
+        let entry = self.depth;
         loop {
             let (op, lprec, rprec) = match self.peek().kind {
                 TokenKind::Or => (BinOp::Or, 1, 2),
@@ -352,6 +398,7 @@ impl Parser {
             }
             let line = self.line();
             self.advance();
+            self.descend()?;
             let rhs = self.binary_expr(rprec)?;
             lhs = Expr::Binary {
                 op,
@@ -360,10 +407,19 @@ impl Parser {
                 line,
             };
         }
+        self.depth = entry;
         Ok(lhs)
     }
 
+    /// Every nested sub-expression is reached through here.
     fn unary_expr(&mut self) -> PolicyResult<Expr> {
+        self.descend()?;
+        let expr = self.unary_expr_at_depth()?;
+        self.depth -= 1;
+        Ok(expr)
+    }
+
+    fn unary_expr_at_depth(&mut self) -> PolicyResult<Expr> {
         let line = self.line();
         let op = match self.peek().kind {
             TokenKind::Not => Some(UnOp::Not),
@@ -404,7 +460,14 @@ impl Parser {
 
     fn postfix_expr(&mut self) -> PolicyResult<Expr> {
         let mut expr = self.primary_expr()?;
+        let entry = self.depth;
         loop {
+            if matches!(
+                self.peek().kind,
+                TokenKind::Dot | TokenKind::LBracket | TokenKind::LParen
+            ) {
+                self.descend()?;
+            }
             match self.peek().kind {
                 TokenKind::Dot => {
                     let line = self.line();
@@ -455,6 +518,7 @@ impl Parser {
                 _ => break,
             }
         }
+        self.depth = entry;
         Ok(expr)
     }
 
@@ -806,5 +870,40 @@ end
     fn error_reports_line() {
         let err = parse_script("x = 1\ny = = 2").unwrap_err();
         assert_eq!(err.line(), Some(2));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let too_deep = |src: &str| match parse_expression_script(src) {
+            Err(PolicyError::Parse { message, .. }) => message.contains("nesting too deep"),
+            _ => false,
+        };
+        type Nest = fn(usize) -> String;
+        let shapes: [(&str, Nest); 6] = [
+            ("parens", |n| format!("{}1{}", "(".repeat(n), ")".repeat(n))),
+            ("unary", |n| format!("{}1", "not ".repeat(n))),
+            ("tables", |n| format!("{}1{}", "{".repeat(n), "}".repeat(n))),
+            ("blocks", |n| {
+                format!("{}x = 1 {}", "do ".repeat(n), "end ".repeat(n))
+            }),
+            ("sum", |n| format!("1{}", " + 1".repeat(n))),
+            ("path", |n| format!("t{}", ".a".repeat(n))),
+        ];
+        for (shape, nest) in shapes {
+            let limit = (1..=MAX_NESTING)
+                .find(|&n| too_deep(&nest(n + 1)))
+                .unwrap_or_else(|| panic!("{shape}: the limit never bit"));
+            // The outermost expression (and, for blocks, the innermost
+            // statement) take a level or two themselves.
+            assert!(limit >= MAX_NESTING - 2, "{shape}: bit early, at {limit}");
+            assert!(
+                parse_expression_script(&nest(limit)).is_ok(),
+                "{shape}: {limit} levels parse"
+            );
+            // The frames that used to overflow the daemon's stack.
+            assert!(too_deep(&nest(200_000)), "{shape}: hostile depth");
+        }
+        // Siblings are not depth.
+        assert!(parse_script(&"x = (1 + 2) * 3\n".repeat(10_000)).is_ok());
     }
 }

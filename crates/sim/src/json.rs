@@ -1,12 +1,19 @@
-//! A minimal JSON value model, parser, and encoder.
+//! The workspace's one JSON codec: a minimal value model, a parser, an
+//! encoder, and the two scalar writers every emitter shares.
 //!
-//! The workspace is dependency-free by design, and the trace subsystem
-//! already hand-writes its JSONL ([`mantle_mds::trace`]); this module is
-//! the matching *reader* side plus a general value type for the wire
-//! protocol. It supports exactly standard JSON (RFC 8259): objects,
-//! arrays, strings with `\uXXXX` escapes, numbers as `f64`, booleans,
-//! `null`. Object member order is preserved (a `Vec`, not a map), so
-//! encode∘parse is stable for PROTOCOL.md's round-trip fence checks.
+//! The workspace is dependency-free by design. The daemon's wire
+//! protocol builds [`Json`] values; the trace subsystem streams its JSONL
+//! field by field and borrows only [`write_str`] and [`write_f64`] — so
+//! there is one string escaper and one number format, and [`parse`]
+//! reads back whatever either wrote. It supports exactly standard JSON
+//! (RFC 8259): objects, arrays, strings with `\uXXXX` escapes, numbers as
+//! `f64`, booleans, `null`. Object member order is preserved (a `Vec`,
+//! not a map), so encode∘parse is stable for PROTOCOL.md's round-trip
+//! fence checks.
+//!
+//! [`parse`] sits on the network edge (behind the daemon's 16 MiB frame
+//! cap), so nesting is bounded by [`MAX_DEPTH`]: a frame of 200 000 `[`
+//! is an ordinary [`JsonError`], not a stack overflow.
 
 use std::fmt;
 
@@ -103,11 +110,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parse one JSON document; trailing non-whitespace is an error.
+/// Deepest nesting of arrays and objects [`parse`] accepts. Protocol
+/// frames nest three or four levels; the parser recurses once per level.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON document; trailing non-whitespace is an error, and so
+/// is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -121,6 +134,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -161,8 +176,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting too deep (limit {MAX_DEPTH})")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -349,14 +375,8 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Num(n) => write_f64(f, *n),
+            Json::Str(s) => write_str(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -373,7 +393,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
+                    write_str(f, k)?;
                     write!(f, ":{v}")?;
                 }
                 f.write_str("}")
@@ -382,20 +402,35 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
+/// Write `s` as a JSON string: quoted, with `"`, `\` and control
+/// characters escaped.
+pub fn write_str(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    f.write_str("\"")
+    out.write_char('"')
+}
+
+/// Write `v` as a JSON number: integers without a fractional part, other
+/// values in shortest-round-trip form. JSON has no non-finite numbers;
+/// one of those is written as `null`, which keeps the document valid.
+pub fn write_f64(out: &mut impl fmt::Write, v: f64) -> fmt::Result {
+    if !v.is_finite() {
+        out.write_str("null")
+    } else if v.fract() == 0.0 && v.abs() < 9.0e15 {
+        write!(out, "{}", v as i64)
+    } else {
+        write!(out, "{v}")
+    }
 }
 
 #[cfg(test)]
@@ -445,23 +480,100 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_parse() {
-        // The hand-rolled trace encoder and this parser must agree: a
-        // record's JSONL line is a valid document.
-        use mantle_mds::{TraceEvent, TraceRecord};
-        let rec = TraceRecord {
-            at: mantle_sim::SimTime::from_millis(1500),
-            epoch: 2,
-            event: TraceEvent::PolicyInstalled {
-                epoch: 1,
-                name: "greedy \"v2\"".into(),
-            },
+    fn nesting_is_bounded() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let nested = |depth: usize| format!("{}1{}", open.repeat(depth), close.repeat(depth));
+            assert!(parse(&nested(MAX_DEPTH)).is_ok(), "{open} at the limit");
+            let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(e.msg.contains("nesting too deep"), "{open}: {e}");
+        }
+        // Siblings are not depth: a long flat array is fine.
+        assert!(parse(&format!("[{}1]", "[],".repeat(10_000))).is_ok());
+        // The frame that used to overflow the reactor's stack.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+    }
+
+    /// An arbitrary value: strings over an alphabet heavy in what needs
+    /// escaping, numbers including the non-finite, a few levels of nesting.
+    fn arbitrary(rng: &mut crate::SimRng, depth: u32) -> Json {
+        const CHARS: [char; 14] = [
+            '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{1f}', '\u{7f}', 'a', 'é',
+            '\u{2028}', '😀',
+        ];
+        const NUMS: [f64; 10] = [
+            0.0,
+            -1.0,
+            0.1,
+            1e300,
+            -2.5e-9,
+            9.0e15,
+            1e16,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let string = |rng: &mut crate::SimRng| -> String {
+            (0..rng.below(12))
+                .map(|_| CHARS[rng.below(CHARS.len() as u64) as usize])
+                .collect()
         };
-        let mut line = String::new();
-        rec.write_json(&mut line);
-        let v = parse(&line).expect("trace line parses");
-        assert_eq!(v.get_str("ev"), Some("policy_installed"));
-        assert_eq!(v.get_u64("install_epoch"), Some(1));
-        assert_eq!(v.get_str("name"), Some("greedy \"v2\""));
+        match rng.below(if depth == 0 { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 0),
+            2 => Json::Num(NUMS[rng.below(NUMS.len() as u64) as usize]),
+            3 => Json::Num((rng.f64() - 0.5) * 1e6),
+            4 => Json::Str(string(rng)),
+            5 => Json::Arr(
+                (0..rng.below(4))
+                    .map(|_| arbitrary(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.below(4))
+                    .map(|_| (string(rng), arbitrary(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// What `v` reads back as: itself, except that JSON has no non-finite
+    /// numbers and the encoder writes `null` for them.
+    fn as_read_back(v: &Json) -> Json {
+        match v {
+            Json::Num(n) if !n.is_finite() => Json::Null,
+            Json::Arr(items) => Json::Arr(items.iter().map(as_read_back).collect()),
+            Json::Obj(members) => Json::Obj(
+                members
+                    .iter()
+                    .map(|(k, v)| (k.clone(), as_read_back(v)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    #[test]
+    fn whatever_is_encoded_parses_back_to_itself() {
+        let mut rng = crate::SimRng::new(0x15017).stream("json-round-trip");
+        for case in 0..2_000 {
+            let v = arbitrary(&mut rng, 3);
+            let enc = v.to_string();
+            assert!(
+                !enc.bytes().any(|b| b < 0x20),
+                "case {case}: raw control byte in {enc:?}"
+            );
+            let back = parse(&enc).unwrap_or_else(|e| panic!("case {case}: {enc:?}: {e}"));
+            assert_eq!(back, as_read_back(&v), "case {case}: {enc:?}");
+        }
+        // The scalar writers on their own — what the trace encoder uses.
+        let mut out = String::new();
+        write_str(&mut out, "a\"b\\c\nd\u{1}").unwrap();
+        out.push(',');
+        write_f64(&mut out, f64::NAN).unwrap();
+        out.push(',');
+        write_f64(&mut out, 1.5).unwrap();
+        out.push(',');
+        write_f64(&mut out, 400_000.0).unwrap();
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\",null,1.5,400000");
     }
 }

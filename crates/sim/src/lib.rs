@@ -14,6 +14,10 @@
 //! describes in §2.2.2 (which we re-introduce *deliberately*, as seeded
 //! noise, in the MDS crate).
 //!
+//! The crate at the bottom of the workspace also carries the one thing
+//! every layer above serializes with: [`json`], the dependency-free JSON
+//! codec behind the trace stream and the daemon's wire protocol.
+//!
 //! The queue has two backends ([`SchedulerKind`]): a binary heap (default,
 //! the differential oracle) and a hierarchical timing wheel for
 //! scale-mode runs; both honor the same pop-order contract.
@@ -23,6 +27,7 @@
 
 pub mod clock;
 pub mod events;
+pub mod json;
 pub mod rng;
 pub mod stats;
 pub mod time;
