@@ -8,9 +8,9 @@
 //! stream, [`ServiceHandle::events`]. The engine thread never touches a
 //! socket and the reactor never blocks on a channel, so the one other
 //! thing that crosses between them is a *wake stream*: one byte written
-//! to a nonblocking `UnixStream` after every event sent, and once more
-//! after the stream has closed, which the reactor's `poll` set includes
-//! ([`Engine::wake_stream`]).
+//! to a nonblocking `UnixStream` behind each batch of events, and once
+//! more after the stream has closed, which the reactor's `poll` set
+//! includes ([`Engine::wake_stream`]).
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;

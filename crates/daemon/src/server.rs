@@ -16,7 +16,7 @@
 //! The `poll` set is the listener, every connection (readable unless it
 //! is being closed; writable only while it has unsent bytes) and the
 //! engine's wake stream, into which the engine thread writes a byte
-//! after every event it sends. Readiness is level-triggered
+//! behind every batch of events it sends. Readiness is level-triggered
 //! and the reactor only blocks after a full iteration that found every
 //! source empty, so anything that arrives after its source was checked
 //! is still there — as a readable descriptor — when `poll` is entered:

@@ -322,31 +322,26 @@ impl Driver {
             }
             let t_shard = frontier.next_event;
             let t_glob = co.next_global_at();
-            let t_min = match (t_shard, t_glob) {
-                (None, None) => break,
-                (a, b) => a.into_iter().chain(b).min().expect("one is Some"),
+            let Some(t_min) = t_shard.into_iter().chain(t_glob).min() else {
+                break;
             };
             if t_min > max_d {
                 break;
             }
             // Globals run exclusively, winning same-instant ties — the
             // heartbeat at T sees the world as of T, before events at T.
-            match (t_glob, t_shard) {
-                (Some(tg), ts) if ts.is_none_or(|ts| tg <= ts) => {
-                    last_now = last_now.max(tg);
-                    co.run_global(&mut x);
-                    exclusive_events += 1;
+            if t_glob.is_some_and(|tg| t_shard.is_none_or(|ts| tg <= ts)) {
+                last_now = last_now.max(t_min);
+                co.run_global(&mut x);
+                exclusive_events += 1;
+            } else {
+                let mut window_end = (t_min + self.lookahead).min(hard_end);
+                if let Some(tg) = t_glob {
+                    window_end = window_end.min(tg);
                 }
-                _ => {
-                    let base = t_shard.expect("no global goes first");
-                    let mut window_end = (base + self.lookahead).min(hard_end);
-                    if let Some(tg) = t_glob {
-                        window_end = window_end.min(tg);
-                    }
-                    x = x.release_for(|| run_window(window_end));
-                    windows += 1;
-                    co.barrier(&mut x, window_end);
-                }
+                x = x.release_for(|| run_window(window_end));
+                windows += 1;
+                co.barrier(&mut x, window_end);
             }
             if let Some(p) = pump.as_deref_mut() {
                 p.post(co, &mut x);

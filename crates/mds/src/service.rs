@@ -38,8 +38,8 @@
 //!
 //! A consumer that blocks on something other than the channel (the
 //! daemon's reactor sits in `poll(2)`) registers a notifier with
-//! [`LiveService::notify_with`]: it is called after every send, and once
-//! more after the stream has closed — on a normal return and on a panic
+//! [`LiveService::notify_with`]: it is called once an iteration's events
+//! are all sent, and once more after the stream has closed — on a normal return and on a panic
 //! alike — so the consumer always gets to observe the disconnect.
 //!
 //! # Parked sessions
@@ -239,10 +239,10 @@ impl Workload for LiveWorkload {
     }
 }
 
-/// The consumer's wake-up call. Called after every send, and — because
-/// [`LiveService`] declares it after the sender — once more when the
-/// service is dropped, *after* the stream has closed: a consumer woken by
-/// it then finds either a message or the disconnect, never nothing.
+/// The consumer's wake-up call. Called behind each iteration's sends,
+/// and — because [`LiveService`] declares it after the sender — once
+/// more when the service is dropped, *after* the stream has closed: a
+/// consumer woken by it finds a message or the disconnect, never nothing.
 #[derive(Default)]
 struct Notifier(Option<Box<dyn Fn() + Send>>);
 
@@ -302,11 +302,12 @@ impl LiveService {
         Box::new(LiveWorkload { shared: q })
     }
 
-    /// Call `notify` on the engine thread after every event sent on
-    /// [`ServiceHandle::events`], and one last time once that stream has
-    /// closed (the engine returned, or unwound from a panic). A consumer
-    /// that blocks on sockets rather than on the channel (the daemon's
-    /// reactor) uses it to be woken; it must not block.
+    /// Call `notify` on the engine thread whenever a scheduler iteration
+    /// has sent events on [`ServiceHandle::events`] (after the last of
+    /// them), and one last time once that stream has closed (the engine
+    /// returned, or unwound from a panic). A consumer that blocks on
+    /// sockets rather than on the channel (the daemon's reactor) uses it
+    /// to be woken; it must not block.
     pub fn notify_with(&mut self, notify: impl Fn() + Send + 'static) {
         self.notify = Notifier(Some(Box::new(notify)));
     }
@@ -492,12 +493,12 @@ impl ServicePump {
 
     /// End the stream: the trace tail (records merged after the loop's
     /// last `post`, including the `RunEnd` trailer), then the report.
-    /// Dropping the pump afterwards closes the stream and wakes the
-    /// consumer one last time.
+    /// Consuming the pump drops the service, which closes the stream and
+    /// — only then — wakes the consumer: one wake-up shows it the tail,
+    /// the report and the disconnect together.
     pub(crate) fn finish(self, tail: Vec<TraceRecord>, report: RunReport) {
         self.send_trace(tail);
         self.svc.send(ServiceEvent::Finished(Box::new(report)));
-        self.svc.notify.notify();
     }
 }
 

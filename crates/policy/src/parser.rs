@@ -900,7 +900,7 @@ end
                 parse_expression_script(&nest(limit)).is_ok(),
                 "{shape}: {limit} levels parse"
             );
-            // The frames that used to overflow the daemon's stack.
+            // Depth an attacker can afford under the 16 MiB frame cap.
             assert!(too_deep(&nest(200_000)), "{shape}: hostile depth");
         }
         // Siblings are not depth.

@@ -489,7 +489,7 @@ mod tests {
         }
         // Siblings are not depth: a long flat array is fine.
         assert!(parse(&format!("[{}1]", "[],".repeat(10_000))).is_ok());
-        // The frame that used to overflow the reactor's stack.
+        // Depth an attacker can afford under the 16 MiB frame cap.
         assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
