@@ -162,6 +162,19 @@ pub(crate) fn step(
     }
 }
 
+/// Export `unit` from `from` to `to` because placement says so, not load.
+fn rehome(
+    co: &mut Coordinator,
+    x: &mut Exclusive,
+    from: MdsId,
+    unit: ExportUnit,
+    to: MdsId,
+    now: SimTime,
+) {
+    let load = 0.0;
+    co.export(x, from, Export { unit, to, load }, now);
+}
+
 /// Activate the lowest-id live spare and re-home onto it the subtrees
 /// rendezvous hashing assigns it. The whole join — epoch bump, member
 /// flip, re-home migrations — happens inside this exclusive step, so the
@@ -196,17 +209,7 @@ fn join_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: Sim
                 continue; // frag-only ownership stays put on join
             }
             if rendezvous_owner(d, &owners) == j {
-                let unit = ExportUnit::Subtree(d);
-                co.export(
-                    x,
-                    src,
-                    Export {
-                        unit,
-                        to: j,
-                        load: 0.0,
-                    },
-                    now,
-                );
+                rehome(co, x, src, ExportUnit::Subtree(d), j, now);
                 rehomed += 1;
             }
         }
@@ -249,34 +252,14 @@ fn leave_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: Si
         for dir in x.sim().ns.export_candidate_dirs(victim) {
             let to = rendezvous_owner(dir, &remaining);
             if x.sim().ns.dir(dir).auth == Some(victim) {
-                let unit = ExportUnit::Subtree(dir);
-                co.export(
-                    x,
-                    victim,
-                    Export {
-                        unit,
-                        to,
-                        load: 0.0,
-                    },
-                    now,
-                );
+                rehome(co, x, victim, ExportUnit::Subtree(dir), to, now);
                 drained += 1;
             } else {
                 // Frag-only ownership: ship the victim's fragments.
                 let nfrags = x.sim().ns.dir(dir).frags.len();
                 for f in 0..nfrags {
                     if x.sim().ns.frag_auth(dir, f) == victim {
-                        let unit = ExportUnit::Frag(dir, f);
-                        co.export(
-                            x,
-                            victim,
-                            Export {
-                                unit,
-                                to,
-                                load: 0.0,
-                            },
-                            now,
-                        );
+                        rehome(co, x, victim, ExportUnit::Frag(dir, f), to, now);
                         drained += 1;
                     }
                 }

@@ -26,21 +26,20 @@
 //!
 //! `boot → serving → draining → done` is not a state anyone stores; it is
 //! what the stream looks like. While *serving*, batches flow.
-//! [`ServiceHandle::shutdown`] starts *draining*: queues close, every
-//! client finishes what it has, completions keep flowing. When the run
-//! ends the engine sends the trace tail (through `RunEnd`) and then the
-//! terminal [`ServiceEvent::Finished`] carrying the report — so "the
-//! report comes after the last completion" and "an install is
-//! acknowledged before anything decided under the new policy" are
-//! properties of channel order. After `Finished` the sender is dropped
-//! and the stream disconnects; a stream that disconnects *without*
-//! `Finished` is an engine that died.
+//! [`ServiceHandle::shutdown`] starts *draining*: queues close, clients
+//! finish what they have, completions keep flowing. At the end come the
+//! trace tail (through `RunEnd`) and the terminal
+//! [`ServiceEvent::Finished`] with the report; then the sender is
+//! dropped. "The report follows the last completion" and "an install is
+//! acknowledged before anything decided under it" are thus properties of
+//! channel order, and a stream that disconnects *without* `Finished` is
+//! an engine that died.
 //!
 //! A consumer that blocks on something other than the channel (the
-//! daemon's reactor sits in `poll(2)`) registers a notifier with
-//! [`LiveService::notify_with`]: it is called once an iteration's events
-//! are all sent, and once more after the stream has closed — on a normal return and on a panic
-//! alike — so the consumer always gets to observe the disconnect.
+//! daemon's reactor sits in `poll(2)`) registers a notifier
+//! ([`LiveService::notify_with`]): called once an iteration's events are
+//! all sent, and once more after the stream has closed — by return or by
+//! panic — so the consumer always gets to observe the disconnect.
 //!
 //! # Parked sessions
 //!

@@ -907,9 +907,9 @@ impl Timeline {
 
 /// The trace sink: an in-memory record buffer plus the [`Timeline`].
 ///
-/// The cluster holds it behind `Option<Rc<RefCell<…>>>` — `None` costs one
-/// branch per would-be event and builds no payloads (emission sites pass
-/// closures, constructed only when a sink is attached).
+/// The coordinator's tracer owns it for the run and hands it back at the
+/// end. Without one, an emission costs one branch and builds no payload
+/// (emission sites pass closures).
 #[derive(Debug)]
 pub struct TraceBuffer {
     /// The sink's verbosity.
