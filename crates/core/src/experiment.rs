@@ -172,7 +172,7 @@ pub enum BalancerSpec {
         policy: PolicySet,
         /// Which hook engine evaluates the policy. The two engines are
         /// pinned bit-identical by the differential suites; the tree
-        /// walker exists for reference runs and benchmarks only.
+        /// walker is the reference those suites select.
         engine: HookEngine,
     },
 }
@@ -196,21 +196,25 @@ impl BalancerSpec {
         }
     }
 
-    fn build(&self, _mds: MdsId) -> Box<dyn Balancer> {
+    /// The per-MDS balancer factory for a cluster. A Mantle policy is
+    /// compiled here, once; each call of the factory forks the compiled
+    /// balancer for one more MDS.
+    fn build(&self) -> Box<dyn Fn(MdsId) -> Box<dyn Balancer>> {
         match self {
-            BalancerSpec::None => Box::new(NoopBalancer),
-            BalancerSpec::Cephfs => Box::new(CephfsBalancer::default()),
+            BalancerSpec::None => Box::new(|_| Box::new(NoopBalancer)),
+            BalancerSpec::Cephfs => Box::new(|_| Box::new(CephfsBalancer::default())),
             BalancerSpec::Mantle {
                 name,
                 policy,
                 engine,
-            } => Box::new(
+            } => {
                 // Presets are validated in `policies`; here the policy has
                 // already passed or the caller opted in explicitly.
-                MantleBalancer::new_unvalidated(name.clone(), policy.clone())
+                let first = MantleBalancer::new_unvalidated(name.clone(), policy.clone())
                     .expect("policy set was already validated")
-                    .with_engine(*engine),
-            ),
+                    .with_engine(*engine);
+                Box::new(move |_| Box::new(first.fork()))
+            }
         }
     }
 
@@ -295,8 +299,7 @@ fn apply_assignments(ns: &mut Namespace, assignments: &[(String, MdsId)]) {
 /// byte-identical engines.
 pub fn build_cluster(spec: &Experiment) -> Cluster {
     let workload = spec.workload.build(spec.config.seed);
-    let balancer_spec = spec.balancer.clone();
-    let mut cluster = Cluster::new(spec.config.clone(), workload, |m| balancer_spec.build(m));
+    let mut cluster = Cluster::new(spec.config.clone(), workload, spec.balancer.build());
     apply_assignments(cluster.namespace_mut(), &spec.initial_partition);
     for sched in &spec.scheduled_partitions {
         let assignments = sched.assignments.clone();
@@ -424,6 +427,53 @@ mod tests {
         let served: Vec<bool> = r.mds.iter().map(|m| m.total_ops > 0.0).collect();
         assert!(served.iter().filter(|&&s| s).count() >= 2, "load spread");
         assert_eq!(r.total_ops(), 16_000.0);
+    }
+
+    #[test]
+    fn a_cluster_compiles_its_policy_once() {
+        let mantle = |engine| {
+            Experiment::new(
+                quick_cfg(128),
+                WorkloadSpec::CreateSeparate {
+                    clients: 2,
+                    files: 10,
+                },
+                BalancerSpec::mantle_with_engine(
+                    "adaptable",
+                    policies::adaptable().unwrap(),
+                    engine,
+                ),
+            )
+        };
+        for engine in [HookEngine::Bytecode, HookEngine::Tree] {
+            let cluster = build_cluster(&mantle(engine));
+            let first = cluster.balancer(0).compiled_policy().expect("Mantle");
+            for m in 1..128 {
+                let other = cluster.balancer(m).compiled_policy().expect("Mantle");
+                assert!(std::rc::Rc::ptr_eq(first, other), "MDS {m} compiled again");
+            }
+            // One per MDS: `build_cluster` kept no copy for itself beyond
+            // the factory it handed over, which the cluster dropped.
+            assert_eq!(std::rc::Rc::strong_count(first), 128);
+        }
+        // Two clusters never share: a compilation belongs to one build.
+        let (a, b) = (
+            build_cluster(&mantle(HookEngine::Bytecode)),
+            build_cluster(&mantle(HookEngine::Bytecode)),
+        );
+        assert!(!std::rc::Rc::ptr_eq(
+            a.balancer(0).compiled_policy().unwrap(),
+            b.balancer(0).compiled_policy().unwrap()
+        ));
+        let hard = build_cluster(&Experiment::new(
+            quick_cfg(2),
+            WorkloadSpec::CreateSeparate {
+                clients: 1,
+                files: 1,
+            },
+            BalancerSpec::Cephfs,
+        ));
+        assert!(hard.balancer(1).compiled_policy().is_none());
     }
 
     #[test]

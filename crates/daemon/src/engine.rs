@@ -101,17 +101,15 @@ impl Engine {
             .with_seed(cfg.seed);
         ccfg.max_duration = SERVE_MAX_DURATION;
         let trace = cfg.trace;
-        // Balancers hold non-`Send` interpreter state, so the whole
-        // cluster is built inside its thread; only `Send` inputs cross.
+        // A compiled policy is not `Send`, so the preset is compiled — once,
+        // then forked per MDS — and the whole cluster built inside the
+        // engine thread; only `Send` inputs cross.
         let thread = std::thread::Builder::new()
             .name("mantled-engine".into())
             .spawn(move || {
-                let cluster = Cluster::new(ccfg, workload, |_| {
-                    Box::new(
-                        MantleBalancer::new_unvalidated(name.clone(), set.clone())
-                            .expect("preset policy was validated"),
-                    )
-                });
+                let first = MantleBalancer::new_unvalidated(name, set)
+                    .expect("preset policy was validated");
+                let cluster = Cluster::new(ccfg, workload, |_| Box::new(first.fork()));
                 cluster.serve(svc, trace);
             })
             .map_err(|e| format!("spawning engine thread: {e}"))?;

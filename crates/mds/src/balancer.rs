@@ -14,13 +14,14 @@ use mantle_namespace::HeatSample;
 use mantle_namespace::MdsId;
 use mantle_policy::env::{FragMetrics, MantleRuntime, PolicySet};
 use mantle_policy::{
-    BalancerInputs, HookEngine, MdsMetrics, PolicyError, PolicyResult, PolicyValidator,
+    BalancerInputs, CompiledPolicy, HookEngine, MdsMetrics, PolicyError, PolicyResult,
+    PolicyValidator,
 };
 
 use mantle_sim::SimTime;
 
 use crate::metrics::Heartbeat;
-use crate::selector::{DirfragSelector, ScriptedSelector, SelectorKind};
+use crate::selector::{DirfragSelector, SelectorKind};
 use crate::trace::TraceEvent;
 use crate::tracer::Tracer;
 use std::rc::Rc;
@@ -140,6 +141,13 @@ pub trait Balancer {
         let (_, _, _, _) = (ctx, active, min_mds, max_mds);
         Ok(None)
     }
+
+    /// The compiled Mantle policy this balancer runs, if it runs one. Every
+    /// MDS of a cluster holds the same compilation (`Rc::ptr_eq`): a policy
+    /// is compiled once per boot and once per hot install, never per MDS.
+    fn compiled_policy(&self) -> Option<&Rc<CompiledPolicy>> {
+        None
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -250,26 +258,23 @@ impl MantleBalancer {
         Self::new_unvalidated(name, policy)
     }
 
-    /// Wrap a policy set without dry-run validation (tests of pathological
-    /// policies use this; production callers want [`MantleBalancer::new`]).
+    /// Compile a policy set without dry-run validation (tests of
+    /// pathological policies use this; production callers want
+    /// [`MantleBalancer::new`]). This is the compile step: build one
+    /// balancer this way and [`MantleBalancer::fork`] it for the other MDSs.
     pub fn new_unvalidated(name: impl Into<String>, policy: PolicySet) -> PolicyResult<Self> {
-        let selectors = policy
-            .howmuch
+        let runtime = MantleRuntime::new(policy);
+        let compiled = runtime.compiled();
+        let selectors = compiled
+            .howmuch()
             .iter()
             .map(|name| {
                 if let Some(builtin) = DirfragSelector::parse(name) {
                     return Ok(SelectorKind::Builtin(builtin));
                 }
-                policy
-                    .custom_selectors
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(n, script)| {
-                        SelectorKind::Scripted(Rc::new(ScriptedSelector {
-                            name: n.clone(),
-                            script: script.clone(),
-                        }))
-                    })
+                compiled
+                    .selector(name)
+                    .map(|scripted| SelectorKind::Scripted(Rc::clone(scripted)))
                     .ok_or_else(|| PolicyError::Rejected {
                         reason: format!("unknown dirfrag selector '{name}'"),
                     })
@@ -282,9 +287,21 @@ impl MantleBalancer {
         };
         Ok(MantleBalancer {
             name: name.into(),
-            runtime: MantleRuntime::new(policy),
+            runtime,
             selectors,
         })
+    }
+
+    /// The same policy for one more MDS: shares the compilation and the
+    /// resolved selectors, starts with fresh per-MDS state (registers,
+    /// tables, nothing saved by `WRstate`). Compiles nothing.
+    pub fn fork(&self) -> MantleBalancer {
+        MantleBalancer {
+            name: self.name.clone(),
+            runtime: MantleRuntime::from_compiled(Rc::clone(self.runtime.compiled()))
+                .with_engine(self.runtime.engine()),
+            selectors: Rc::clone(&self.selectors),
+        }
     }
 
     /// Select the policy evaluation engine explicitly (bytecode by
@@ -330,6 +347,8 @@ impl Balancer for MantleBalancer {
     }
 
     fn metaload(&self, heat: &HeatSample) -> PolicyResult<f64> {
+        // The runtime is this MDS's own, and so is the state `RDstate`
+        // reads: the identity argument is not consulted.
         self.runtime.eval_metaload(
             0,
             &FragMetrics {
@@ -373,6 +392,10 @@ impl Balancer for MantleBalancer {
         }
         self.runtime
             .eval_howmany(&Self::inputs(ctx), active, min_mds, max_mds)
+    }
+
+    fn compiled_policy(&self) -> Option<&Rc<CompiledPolicy>> {
+        Some(self.runtime.compiled())
     }
 }
 
@@ -421,6 +444,11 @@ impl BalancerSet {
     /// MDS `m`'s balancer.
     pub(crate) fn balancer(&mut self, m: MdsId) -> &mut dyn Balancer {
         self.balancers[m].as_mut()
+    }
+
+    /// MDS `m`'s balancer, to look at.
+    pub(crate) fn get(&self, m: MdsId) -> &dyn Balancer {
+        self.balancers[m].as_ref()
     }
 
     /// Every `metaload` hook is additive (see
@@ -473,21 +501,18 @@ impl BalancerSet {
         }
     }
 
-    /// Hot install: replace every balancer with a fresh one built from an
-    /// already-validated policy. Building happens here, on the engine
-    /// thread, because balancer runtimes are deliberately not `Send`; the
-    /// raw [`PolicySet`] is. On failure — exceptional, the policy was
-    /// validated upstream — the old balancers keep running.
+    /// Hot install: replace every balancer with a fresh one running an
+    /// already-validated policy, compiled here once and shared by all of
+    /// them. Compiling happens on the engine thread because a compiled
+    /// policy is deliberately not `Send`; the raw [`PolicySet`] is. On
+    /// failure — exceptional, the policy was validated upstream — the old
+    /// balancers keep running.
     pub(crate) fn install(&mut self, name: &str, set: &PolicySet) -> PolicyResult<()> {
-        let built: PolicyResult<Vec<Box<dyn Balancer>>> = (0..self.balancers.len())
-            .map(|_| {
-                MantleBalancer::new_unvalidated(name, set.clone())
-                    .map(|b| Box::new(b) as Box<dyn Balancer>)
-            })
-            .collect();
-        match built {
-            Ok(balancers) => {
-                self.balancers = balancers;
+        match MantleBalancer::new_unvalidated(name, set.clone()) {
+            Ok(first) => {
+                for b in &mut self.balancers {
+                    *b = Box::new(first.fork());
+                }
                 // A fresh policy gets a clean slate: prior poisoning and
                 // error streaks belonged to the replaced one.
                 self.poisoned.fill(false);
@@ -714,6 +739,96 @@ end
         let mut b = MantleBalancer::new("scaler", policy).unwrap();
         // mdsload = all = {40, 20}; total 60; 60/20 = 3 within [1, 4].
         assert_eq!(b.howmany(&ctx, 2, 1, 4).unwrap(), Some(3.0));
+    }
+
+    #[test]
+    fn state_is_one_cell_per_mds_from_every_hook() {
+        // `when` saves, `metaload` reads back: both must address the cell
+        // of the MDS whose balancer runs them, and nobody else's.
+        let policy = PolicySet::from_hooks(
+            "IWR + RDstate()",
+            "MDSs[i][\"all\"]",
+            "WRstate(7) return false",
+            "x = 1",
+            &["half"],
+        )
+        .unwrap();
+        let first = MantleBalancer::new("stateful", policy).unwrap();
+        let (mut mds0, mut mds2) = (first.fork(), first.fork());
+        let cold = HeatSample::default();
+        assert_eq!(mds2.metaload(&cold).unwrap(), 0.0);
+        let ctx = BalanceContext {
+            whoami: 2,
+            heartbeats: vec![hb(10.0, 0.0, 0.0); 3].into(),
+        };
+        assert!(mds2.decide(&ctx).unwrap().is_none());
+        assert_eq!(mds2.metaload(&cold).unwrap(), 7.0, "MDS 2 reads its own");
+        assert_eq!(mds0.metaload(&cold).unwrap(), 0.0, "MDS 0 never wrote");
+        assert_eq!(first.metaload(&cold).unwrap(), 0.0);
+        let ctx0 = BalanceContext { whoami: 0, ..ctx };
+        assert!(mds0.decide(&ctx0).unwrap().is_none());
+        assert_eq!(mds0.metaload(&cold).unwrap(), 7.0);
+    }
+
+    /// Every balancer of `set` runs one and the same compilation.
+    fn shared_compilation(set: &BalancerSet, n: usize) -> Rc<CompiledPolicy> {
+        let first = set.get(0).compiled_policy().expect("a Mantle balancer");
+        for m in 1..n {
+            let other = set.get(m).compiled_policy().expect("a Mantle balancer");
+            assert!(Rc::ptr_eq(first, other), "MDS {m} compiled its own copy");
+        }
+        Rc::clone(first)
+    }
+
+    #[test]
+    fn install_compiles_once_for_the_whole_cluster() {
+        const N: usize = 128;
+        let hardcoded = (0..N)
+            .map(|_| Box::new(CephfsBalancer::default()) as Box<dyn Balancer>)
+            .collect();
+        let mut set = BalancerSet::new(hardcoded, 3);
+        assert!(set.get(0).compiled_policy().is_none());
+        set.poison(5);
+
+        let policy = PolicySet::from_combined("IWR", "MDSs[i][\"all\"]", "x = 1", &["half"])
+            .unwrap()
+            .with_custom_selector("firstborn", "return {1}")
+            .unwrap();
+        set.install("v1", &policy).unwrap();
+        assert_eq!(set.name, "v1");
+        assert!(!set.is_poisoned(5), "a fresh policy gets a clean slate");
+        let v1 = shared_compilation(&set, N);
+        // N balancers and this handle — the balancer `install` compiled
+        // and forked from is gone.
+        assert_eq!(Rc::strong_count(&v1), N + 1);
+        assert!(v1.selector("firstborn").is_some());
+
+        // The next install is a different compilation, again a single one.
+        set.install("v2", &policy).unwrap();
+        let v2 = shared_compilation(&set, N);
+        assert!(!Rc::ptr_eq(&v1, &v2));
+        assert_eq!(Rc::strong_count(&v1), 1, "v1 is gone from every MDS");
+
+        // A policy naming a selector nobody defines is refused whole.
+        let bad = PolicySet::from_combined("IWR", "MDSs[i][\"all\"]", "x = 1", &["nope"]).unwrap();
+        assert!(set.install("v3", &bad).is_err());
+        assert_eq!(set.name, "v2");
+        assert!(Rc::ptr_eq(&v2, &shared_compilation(&set, N)));
+    }
+
+    #[test]
+    fn broken_custom_selectors_never_reach_a_balancer() {
+        let with = |src: &str| {
+            PolicySet::from_combined("IWR", "MDSs[i][\"all\"]", "x = 1", &[])
+                .unwrap()
+                .with_custom_selector("mine", src)
+                .unwrap()
+        };
+        assert!(MantleBalancer::new("ok", with("return {}")).is_ok());
+        for src in ["while true do end", "return laods", "return {0}"] {
+            let err = MantleBalancer::new("bad", with(src)).unwrap_err();
+            assert!(matches!(err, PolicyError::Rejected { .. }), "{src}: {err}");
+        }
     }
 
     #[test]

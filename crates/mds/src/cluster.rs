@@ -416,6 +416,11 @@ impl Cluster {
         }
     }
 
+    /// MDS `m`'s balancer, as built (or last installed).
+    pub fn balancer(&self, m: MdsId) -> &dyn Balancer {
+        self.co.policy.get(m)
+    }
+
     /// Mutable access to the namespace before the run (static partitions).
     pub fn namespace_mut(&mut self) -> &mut Namespace {
         &mut self.driver.sim_mut().ns

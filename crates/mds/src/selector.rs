@@ -5,6 +5,13 @@
 //! shipped load lands closest to the target (the paper's worked example:
 //! for loads {12.7, 13.3, 13.3, 14.6, 15.7, 13.5, 13.7, 14.6} and target
 //! 55.6, `big_small` wins with distance 0.5).
+//!
+//! The four built-in strategies ([`DirfragSelector`]) are plain Rust and
+//! live here. A policy may also ship *scripted* strategies
+//! ([`ScriptedSelector`]): those are part of the policy — compiled once
+//! with it, validated with it, run on the policy VM — so `mantle-policy`
+//! defines them and this module only races the two kinds against each
+//! other ([`SelectorKind`], [`select_best_of`]).
 
 use std::fmt;
 
@@ -172,100 +179,34 @@ pub fn select_best(
 
 use std::rc::Rc;
 
-use mantle_policy::ast::Script;
-use mantle_policy::value::{Table, Value};
-use mantle_policy::{Interpreter, PolicyError, PolicyResult, StepBudget};
+use mantle_policy::{PolicyError, PolicyResult};
 
-/// A dirfrag selector written in the policy language.
-///
-/// The script sees `loads` (a 1-based array of unit loads) and `target`,
-/// and returns a table of the 1-based indices to ship, e.g.
-///
-/// ```lua
-/// -- every other unit until the target is reached
-/// chosen = {}
-/// sent = 0
-/// for i = 1, #loads, 2 do
-///   if sent >= target then break end
-///   chosen[#chosen + 1] = i
-///   sent = sent + loads[i]
-/// end
-/// return chosen
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScriptedSelector {
-    /// Display name.
-    pub name: String,
-    /// Compiled script.
-    pub script: Script,
-}
-
-impl ScriptedSelector {
-    /// Compile a scripted selector from source.
-    pub fn compile(name: impl Into<String>, src: &str) -> PolicyResult<ScriptedSelector> {
-        Ok(ScriptedSelector {
-            name: name.into(),
-            script: mantle_policy::compile(src)?,
-        })
-    }
-
-    /// Run against a load set. Invalid or duplicate indices are rejected.
-    pub fn select(&self, loads: &[f64], target: f64) -> PolicyResult<Vec<usize>> {
-        let mut interp = Interpreter::new().with_budget(StepBudget(200_000));
-        mantle_policy::stdlib::install(&mut interp);
-        interp.set_global(
-            "loads",
-            Value::table(Table::from_array(loads.iter().map(|&l| Value::Number(l)))),
-        );
-        interp.set_global("target", Value::Number(target));
-        interp.set_global("total", Value::Number(loads.iter().sum()));
-        let result = interp.run(&self.script)?;
-        let result = match result {
-            Value::Nil => interp.get_global("chosen"),
-            other => other,
-        };
-        let Value::Table(t) = result else {
-            return Err(PolicyError::Rejected {
-                reason: format!(
-                    "selector '{}' must return a table of indices, got {}",
-                    self.name,
-                    result_type(&result)
-                ),
-            });
-        };
-        let t = t.borrow();
-        let mut out = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for i in 1..=t.len() {
-            let idx = t.get_int(i).as_number(0)? as i64;
-            if idx < 1 || idx as usize > loads.len() {
-                return Err(PolicyError::Rejected {
-                    reason: format!("selector '{}' chose index {idx} out of range", self.name),
-                });
-            }
-            let zero_based = idx as usize - 1;
-            if !seen.insert(zero_based) {
-                return Err(PolicyError::Rejected {
-                    reason: format!("selector '{}' chose index {idx} twice", self.name),
-                });
-            }
-            out.push(zero_based);
-        }
-        Ok(out)
-    }
-}
-
-fn result_type(v: &Value) -> &'static str {
-    v.type_name()
-}
+/// A dirfrag selector written in the policy language: compiled once with
+/// the policy that ships it, run on the bytecode VM, and dry-run by the
+/// validator like any other hook — which is why it is defined in
+/// `mantle-policy` and only re-exported here.
+pub use mantle_policy::ScriptedSelector;
 
 /// Either a built-in selector or a scripted one.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum SelectorKind {
     /// One of the four built-ins.
     Builtin(DirfragSelector),
-    /// A policy-defined selector.
+    /// A policy-defined selector, shared with the compiled policy it
+    /// belongs to.
     Scripted(Rc<ScriptedSelector>),
+}
+
+/// Built-ins compare by value, scripted selectors by identity: two are
+/// equal when they are the same compilation.
+impl PartialEq for SelectorKind {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (SelectorKind::Builtin(a), SelectorKind::Builtin(b)) => a == b,
+            (SelectorKind::Scripted(a), SelectorKind::Scripted(b)) => Rc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
 }
 
 impl SelectorKind {
@@ -273,7 +214,7 @@ impl SelectorKind {
     pub fn name(&self) -> &str {
         match self {
             SelectorKind::Builtin(b) => b.name(),
-            SelectorKind::Scripted(s) => &s.name,
+            SelectorKind::Scripted(s) => s.name(),
         }
     }
 

@@ -1,9 +1,10 @@
 //! Flat register bytecode for policy hooks: a one-pass compiler + a
 //! dispatch-loop VM.
 //!
-//! The tree-walking [`Interpreter`] resolves every variable read and write
-//! by hashing its name against a stack of `HashMap<String, Value>` scopes
-//! and executes a recursive `match` per statement and expression node. For
+//! The tree-walking [`Interpreter`](crate::Interpreter) resolves every
+//! variable read and write by hashing its name against a stack of
+//! `HashMap<String, Value>` scopes and executes a recursive `match` per
+//! statement and expression node. For
 //! hooks that run once per dirfrag or per MDS per balancer tick, that hash
 //! traffic and the call/return per node per loop iteration dominate the
 //! tick. Compiled hooks therefore take two stages, parse → lower:
@@ -67,8 +68,8 @@ use std::rc::Rc;
 
 use crate::ast::{BinOp, Block, Expr, LValue, Script, Stmt, UnOp};
 use crate::error::{PolicyError, PolicyResult};
-use crate::interp::{compare, concat_operand, Interpreter, StepBudget};
-use crate::value::{Key, Table, Value};
+use crate::interp::{compare, concat_operand, StepBudget};
+use crate::value::{HostState, Key, Table, Value};
 
 // ---------------------------------------------------------------------------
 // Instruction set
@@ -362,6 +363,16 @@ impl BytecodeProgram {
     /// Names of all global slots, in slot order.
     pub fn global_names(&self) -> &[Rc<str>] {
         &self.globals
+    }
+
+    /// The global frame a run starts from: every host binding the script
+    /// mentions at its slot, `Nil` everywhere else.
+    pub fn base_frame(&self, host: &[(&'static str, Value)]) -> Vec<Value> {
+        let bound = |name: &str| host.iter().find(|(n, _)| *n == name);
+        self.globals
+            .iter()
+            .map(|name| bound(name).map_or(Value::Nil, |(_, v)| v.clone()))
+            .collect()
     }
 }
 
@@ -885,12 +896,13 @@ struct ForFrame {
     step: f64,
 }
 
-/// Executes a [`BytecodeProgram`] against reusable flat frames.
+/// Executes [`BytecodeProgram`]s against reusable flat frames.
 ///
-/// One VM is built per compiled hook and reused across runs: resetting
-/// the environment between runs is `clone_from_slice` over the global
-/// frame (reference-count bumps, no heap allocation) instead of
-/// re-building an interpreter and re-hashing every `set_global`.
+/// One VM serves every program its owner runs — the frames resize to the
+/// program at hand — and is reused across runs: resetting the environment
+/// between runs is a clone of the program's base global frame
+/// (reference-count bumps, no heap allocation) instead of re-building an
+/// interpreter and re-hashing every `set_global`.
 pub struct BytecodeVm {
     globals: Vec<Value>,
     locals: Vec<Value>,
@@ -898,9 +910,7 @@ pub struct BytecodeVm {
     frames: Vec<ForFrame>,
     steps: u64,
     budget: StepBudget,
-    /// Handed to native functions, which take `&mut Interpreter` by
-    /// signature (every in-tree native ignores it).
-    scratch: Interpreter,
+    host: HostState,
 }
 
 impl BytecodeVm {
@@ -913,14 +923,14 @@ impl BytecodeVm {
             frames: vec![ForFrame::default(); prog.n_frames as usize],
             steps: 0,
             budget,
-            scratch: Interpreter::new().with_budget(budget),
+            host: HostState::default(),
         }
     }
 
     /// Overwrite the whole global frame from a base image. `base` must have
-    /// one entry per global slot of the program this VM was sized for.
+    /// one entry per global slot of the program about to run.
     pub fn reset_globals(&mut self, base: &[Value]) {
-        self.globals.clone_from_slice(base);
+        base.clone_into(&mut self.globals);
     }
 
     /// Write one global slot (slot indices come from
@@ -937,6 +947,11 @@ impl BytecodeVm {
     /// Steps consumed by the last run.
     pub fn steps_used(&self) -> u64 {
         self.steps
+    }
+
+    /// The host state native functions are handed (survives across runs).
+    pub fn host(&mut self) -> &mut HostState {
+        &mut self.host
     }
 
     #[inline]
@@ -956,11 +971,15 @@ impl BytecodeVm {
 
     /// Execute a program; returns its `return` value (or `Nil`).
     ///
-    /// Register, local, and for-frame state needs no reset between runs:
+    /// Register, local, and for-frame state is sized to the program but
+    /// needs no reset between runs — not even after a different program's:
     /// every read is dominated by a write in the instruction stream.
     pub fn run(&mut self, prog: &BytecodeProgram) -> PolicyResult<Value> {
         debug_assert_eq!(self.globals.len(), prog.globals.len());
-        debug_assert_eq!(self.locals.len(), prog.n_locals as usize);
+        self.locals.resize(prog.n_locals as usize, Value::Nil);
+        self.regs.resize(prog.n_regs as usize, Value::Nil);
+        self.frames
+            .resize(prog.n_frames as usize, ForFrame::default());
         self.steps = 0;
         let code = &prog.code;
         let mut pc = 0usize;
@@ -1048,7 +1067,7 @@ impl BytecodeVm {
                 } => match &self.regs[*obj as usize] {
                     Value::Table(t) => {
                         let v = self.regs[*src as usize].clone();
-                        t.borrow_mut().set(key.clone(), v);
+                        t.borrow_mut().assign(key.clone(), v, *line)?;
                     }
                     other => {
                         return Err(PolicyError::runtime(
@@ -1066,7 +1085,7 @@ impl BytecodeVm {
                     Value::Table(t) => {
                         let k = Key::from_value(&self.regs[*key as usize], *line)?;
                         let v = self.regs[*src as usize].clone();
-                        t.borrow_mut().set(k, v);
+                        t.borrow_mut().assign(k, v, *line)?;
                     }
                     other => {
                         return Err(PolicyError::runtime(
@@ -1086,7 +1105,7 @@ impl BytecodeVm {
                         Value::Native(_, func) => {
                             let func = Rc::clone(func);
                             let b = *base as usize;
-                            func(&mut self.scratch, &self.regs[b..b + *n_args as usize])?
+                            func(&mut self.host, &self.regs[b..b + *n_args as usize])?
                         }
                         Value::Nil => {
                             return Err(PolicyError::runtime(
@@ -1268,6 +1287,7 @@ impl BytecodeVm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::Interpreter;
     use crate::parser::parse_script;
     use crate::stdlib;
 
@@ -1292,13 +1312,7 @@ mod tests {
         let tree = interp.run(&script);
 
         let bc = BytecodeProgram::compile(&script);
-        let mut stdlib_interp = Interpreter::new();
-        stdlib::install(&mut stdlib_interp);
-        let mut base: Vec<Value> = bc
-            .global_names()
-            .iter()
-            .map(|n| stdlib_interp.get_global(n))
-            .collect();
+        let mut base = bc.base_frame(&stdlib::globals());
         for (name, v) in globals {
             if let Some(slot) = bc.global_slot(name) {
                 base[slot] = Value::Number(*v);

@@ -1,5 +1,5 @@
 //! The Mantle balancer environment (the paper's Table 2) and the runtime
-//! that drives the four policy hooks against it.
+//! that drives the five policy hooks against it.
 //!
 //! Per Table 2, an injected script sees:
 //!
@@ -13,11 +13,28 @@
 //! | `MDSs[i]["auth"/"all"/"cpu"/"mem"/"q"/"req"/"load"]` | per-MDS heartbeat metrics |
 //! | `total` | sum of `MDSs[i]["load"]` |
 //! | `targets[i]` | *output*: load to send to MDS `i` |
-//! | `WRstate(s)` / `RDstate()` | persist state across balancer ticks |
+//! | `WRstate(s)` / `RDstate()` | persist one number across this MDS's balancer ticks |
 //! | `max(a,b)` / `min(a,b)` | numeric helpers |
+//!
+//! The layer has three parts, each written once:
+//!
+//! * **Compile.** [`CompiledPolicy::compile`] turns a [`PolicySet`] into an
+//!   immutable bundle — per hook the bytecode program and its base global
+//!   frame, the [`LinearForm`]s of `metaload`/`mdsload`, the scripted
+//!   selectors — that every MDS of a cluster shares behind one `Rc`.
+//! * **Bind.** Each entry point ([`MantleRuntime::eval_metaload`],
+//!   [`MantleRuntime::decide`], [`MantleRuntime::eval_howmany`]) lists the
+//!   globals it binds as `(Bind, Value)` pairs; pass 1 (`mdsload` per MDS →
+//!   `total` → `load` written back), pass 2 and the `targets` extraction
+//!   are one function each.
+//! * **Run.** `MantleRuntime::run_hook` is the one place a script meets its
+//!   bindings, and the only thing [`HookEngine`] forks.
+//!
+//! A [`MantleRuntime`] is that shared bundle plus what belongs to one MDS:
+//! the VM's registers, the reusable `MDSs`/`targets` tables, and the number
+//! `WRstate` saved.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
@@ -26,25 +43,30 @@ use crate::bytecode::{BytecodeProgram, BytecodeVm};
 use crate::error::{PolicyError, PolicyResult};
 use crate::interp::{Interpreter, StepBudget};
 use crate::parser::{parse_expression_script, parse_script, parse_when};
-use crate::scalar::{ScalarMdsload, ScalarMetaload};
+use crate::scalar::{Leaf, LinearForm, MDS_FIELD_NAMES};
+use crate::selector::ScriptedSelector;
 use crate::stdlib;
 use crate::value::{Key, Table, Value};
 
-/// Which evaluation engine executes the policy hooks.
+/// How one hook script runs against its bindings.
 ///
 /// The two are bit-identical — same results (`f64::to_bits`-equal), same
 /// step accounting, same errors on the same lines — pinned by the
-/// differential suites in `crates/policy` and `tests/`. The tree walker is
-/// kept as the selectable reference, so equivalence stays a
-/// runtime-checkable property rather than an assumption.
+/// differential suites in `crates/policy` and `tests/`. Everything around
+/// the run (which hooks run when, what they are bound to, what is read
+/// back) is shared; see `MantleRuntime::run_hook` for exactly what forks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HookEngine {
-    /// The original tree-walking interpreter: rebuilds the environment by
-    /// name for every invocation. Slow and readable; the reference the
-    /// tests compare against.
+    /// The reference: a fresh tree-walking [`Interpreter`] per run, every
+    /// binding made by name, fresh `MDSs`/`targets` tables per decision,
+    /// no linear-form shortcut. Slow and readable; kept selectable so
+    /// equivalence stays a runtime-checkable property rather than an
+    /// assumption.
     Tree,
-    /// The flat register bytecode dispatch loop
-    /// ([`BytecodeVm`]) — the default engine.
+    /// The production engine: the flat register bytecode dispatch loop
+    /// ([`BytecodeVm`]), bindings written to pre-resolved slots, tables
+    /// reused across decisions, linear `metaload`/`mdsload` hooks evaluated
+    /// as [`LinearForm`]s without running anything.
     #[default]
     Bytecode,
 }
@@ -88,6 +110,24 @@ pub struct MdsMetrics {
     pub cache_misses: f64,
 }
 
+impl MdsMetrics {
+    /// The metrics as a vector, in [`MDS_FIELD_NAMES`] order: what an
+    /// `MDSs` row holds and what an `mdsload` [`LinearForm`] is evaluated
+    /// against.
+    fn fields(&self) -> [f64; MDS_FIELD_NAMES.len()] {
+        [
+            self.auth,
+            self.all,
+            self.cpu,
+            self.mem,
+            self.q,
+            self.req,
+            self.cache_hits,
+            self.cache_misses,
+        ]
+    }
+}
+
 /// Everything the balancer on one MDS knows when it runs: its identity and
 /// the (possibly stale) heartbeat metrics for the whole cluster.
 #[derive(Debug, Clone, Default)]
@@ -124,76 +164,6 @@ impl BalancerOutcome {
             migrate: false,
             targets: vec![0.0; n],
         }
-    }
-}
-
-/// Persistent state for `WRstate`/`RDstate`, keyed per MDS.
-///
-/// The paper implements this with temporary files and names RADOS objects
-/// as future work; this trait is that pluggable point.
-pub trait StateStore {
-    /// Save `value` for `mds`.
-    fn write(&mut self, mds: usize, value: f64);
-    /// Read the last saved value for `mds` (0.0 when none — the listings
-    /// compare `RDstate()` numerically on first run).
-    fn read(&self, mds: usize) -> f64;
-    /// Drop all state.
-    fn clear(&mut self);
-}
-
-/// In-memory state store (the default).
-#[derive(Debug, Default, Clone)]
-pub struct MemoryStateStore {
-    slots: HashMap<usize, f64>,
-}
-
-impl StateStore for MemoryStateStore {
-    fn write(&mut self, mds: usize, value: f64) {
-        self.slots.insert(mds, value);
-    }
-    fn read(&self, mds: usize) -> f64 {
-        self.slots.get(&mds).copied().unwrap_or(0.0)
-    }
-    fn clear(&mut self) {
-        self.slots.clear();
-    }
-}
-
-/// File-backed state store — the paper's actual prototype mechanism
-/// ("implemented using temporary files", §3.1).
-#[derive(Debug)]
-pub struct FileStateStore {
-    dir: std::path::PathBuf,
-}
-
-impl FileStateStore {
-    /// Store state under `dir` (created if missing).
-    pub fn new(dir: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(FileStateStore { dir })
-    }
-
-    fn path(&self, mds: usize) -> std::path::PathBuf {
-        self.dir.join(format!("mantle-state-mds{mds}"))
-    }
-}
-
-impl StateStore for FileStateStore {
-    fn write(&mut self, mds: usize, value: f64) {
-        // Balancer state is advisory; losing it degrades to the cold-start
-        // behaviour, so IO errors are swallowed just like the prototype.
-        let _ = std::fs::write(self.path(mds), value.to_string());
-    }
-    fn read(&self, mds: usize) -> f64 {
-        std::fs::read_to_string(self.path(mds))
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0.0)
-    }
-    fn clear(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-        let _ = std::fs::create_dir_all(&self.dir);
     }
 }
 
@@ -303,345 +273,386 @@ impl PolicySet {
     }
 }
 
-/// Slot indices of the Table-2 environment names one compiled hook
-/// references (`None` when the script never mentions the name, in which
-/// case the runtime skips the write entirely).
-#[derive(Debug, Default)]
-struct EnvSlots {
-    whoami: Option<usize>,
-    i: Option<usize>,
-    mdss: Option<usize>,
-    total: Option<usize>,
-    targets: Option<usize>,
-    authmetaload: Option<usize>,
-    allmetaload: Option<usize>,
-    ird: Option<usize>,
-    iwr: Option<usize>,
-    readdir: Option<usize>,
-    fetch: Option<usize>,
-    store: Option<usize>,
-    active: Option<usize>,
-    min_mds: Option<usize>,
-    max_mds: Option<usize>,
+/// Every global the host binds for a script, by name: the Table-2
+/// environment of the five hooks plus the selector environment. An entry
+/// point lists what it binds as `(Bind, Value)` pairs; how a pair reaches
+/// the script — a slot write or a `set_global` by name — is the engine's
+/// business.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Bind {
+    Whoami,
+    I,
+    Mdss,
+    Total,
+    Targets,
+    AuthMetaload,
+    AllMetaload,
+    Ird,
+    Iwr,
+    Readdir,
+    Fetch,
+    Store,
+    Active,
+    MinMds,
+    MaxMds,
+    // From here on: the selector environment only.
+    Loads,
+    Target,
+    Chosen,
 }
 
-/// One policy hook, compiled to bytecode at [`MantleRuntime`] construction
-/// and reused for every invocation: resetting the environment between runs
-/// is a `clone_from_slice` over the global frame plus a handful of slot
-/// writes — no interpreter construction, no name hashing, no `String`
-/// allocation.
-struct CompiledHook {
+impl Bind {
+    const ALL: [Bind; 18] = [
+        Bind::Whoami,
+        Bind::I,
+        Bind::Mdss,
+        Bind::Total,
+        Bind::Targets,
+        Bind::AuthMetaload,
+        Bind::AllMetaload,
+        Bind::Ird,
+        Bind::Iwr,
+        Bind::Readdir,
+        Bind::Fetch,
+        Bind::Store,
+        Bind::Active,
+        Bind::MinMds,
+        Bind::MaxMds,
+        Bind::Loads,
+        Bind::Target,
+        Bind::Chosen,
+    ];
+
+    /// The global's name as scripts spell it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Bind::Whoami => "whoami",
+            Bind::I => "i",
+            Bind::Mdss => "MDSs",
+            Bind::Total => "total",
+            Bind::Targets => "targets",
+            Bind::AuthMetaload => "authmetaload",
+            Bind::AllMetaload => "allmetaload",
+            Bind::Ird => "IRD",
+            Bind::Iwr => "IWR",
+            Bind::Readdir => "READDIR",
+            Bind::Fetch => "FETCH",
+            Bind::Store => "STORE",
+            Bind::Active => "active",
+            Bind::MinMds => "min_mds",
+            Bind::MaxMds => "max_mds",
+            Bind::Loads => "loads",
+            Bind::Target => "target",
+            Bind::Chosen => "chosen",
+        }
+    }
+
+    /// What some hook binds (the validator lets any hook name any of
+    /// these; one the hook at hand does not bind reads `nil`, which the dry
+    /// run then trips over).
+    pub(crate) fn hook_env() -> &'static [Bind] {
+        &Bind::ALL[..Bind::Loads as usize]
+    }
+
+    /// What a selector run binds (`chosen` is its output, not an input).
+    pub(crate) fn selector_env() -> &'static [Bind] {
+        &[Bind::Loads, Bind::Target, Bind::Total]
+    }
+}
+
+/// One script, compiled once and immutable afterwards: the AST (what the
+/// tree reference walks), the bytecode, the base global frame (host
+/// functions at their slots, `Nil` everywhere else) and the slot of every
+/// [`Bind`] the script mentions (`None` for the rest, whose writes are
+/// skipped).
+pub(crate) struct CompiledHook {
+    script: Script,
     bc: BytecodeProgram,
-    /// Base global frame: host functions (stdlib, `WRstate`/`RDstate`) at
-    /// their slots, `Nil` everywhere else.
     base: Vec<Value>,
-    env: EnvSlots,
-    vm: RefCell<BytecodeVm>,
+    slots: [Option<usize>; Bind::ALL.len()],
 }
 
 impl CompiledHook {
-    fn compile(script: &Script, host: &Interpreter, budget: StepBudget) -> CompiledHook {
-        let bc = BytecodeProgram::compile(script);
-        let base: Vec<Value> = bc
-            .global_names()
-            .iter()
-            .map(|name| host.get_global(name))
-            .collect();
-        let slot = |name: &str| bc.global_slot(name);
-        let env = EnvSlots {
-            whoami: slot("whoami"),
-            i: slot("i"),
-            mdss: slot("MDSs"),
-            total: slot("total"),
-            targets: slot("targets"),
-            authmetaload: slot("authmetaload"),
-            allmetaload: slot("allmetaload"),
-            ird: slot("IRD"),
-            iwr: slot("IWR"),
-            readdir: slot("READDIR"),
-            fetch: slot("FETCH"),
-            store: slot("STORE"),
-            active: slot("active"),
-            min_mds: slot("min_mds"),
-            max_mds: slot("max_mds"),
-        };
-        let vm = RefCell::new(BytecodeVm::new(&bc, budget));
-        CompiledHook { bc, base, env, vm }
+    pub(crate) fn compile(script: Script, host: &[(&'static str, Value)]) -> CompiledHook {
+        let bc = BytecodeProgram::compile(&script);
+        CompiledHook {
+            base: bc.base_frame(host),
+            slots: Bind::ALL.map(|b| bc.global_slot(b.name())),
+            bc,
+            script,
+        }
     }
 
-    /// Reset the environment to the base image, apply `setup`, execute.
-    /// ([`HookEngine::Tree`] never reaches here — the runtime handles it
-    /// before compiled hooks come into play.)
-    fn run(&self, setup: impl FnOnce(&EnvSlots, &mut BytecodeVm)) -> PolicyResult<Value> {
-        let mut vm = self.vm.borrow_mut();
+    /// The source AST.
+    pub(crate) fn script(&self) -> &Script {
+        &self.script
+    }
+
+    /// Whether the host put something behind `name` in the base frame (a
+    /// stdlib function, `math`, `WRstate`/`RDstate`).
+    pub(crate) fn host_binds(&self, name: &str) -> bool {
+        self.bc
+            .global_slot(name)
+            .is_some_and(|slot| !matches!(self.base[slot], Value::Nil))
+    }
+
+    /// A VM fit to run this hook.
+    pub(crate) fn vm(&self, budget: StepBudget) -> BytecodeVm {
+        BytecodeVm::new(&self.bc, budget)
+    }
+
+    /// Run on `vm`: re-image the globals from the base frame, write `env`
+    /// into the slots the script mentions, execute. Resetting is a clone of
+    /// the base frame plus a handful of slot writes — no interpreter
+    /// construction, no name hashing, no `String` allocation.
+    pub(crate) fn run(&self, vm: &mut BytecodeVm, env: &[(Bind, Value)]) -> PolicyResult<Value> {
         vm.reset_globals(&self.base);
-        setup(&self.env, &mut vm);
-        vm.run(&self.bc)
-    }
-}
-
-/// Write a value to an environment slot the hook actually references.
-fn set_slot(vm: &mut BytecodeVm, slot: Option<usize>, value: Value) {
-    if let Some(s) = slot {
-        vm.set_global(s, value);
-    }
-}
-
-enum CompiledDecision {
-    // Boxed to keep the enum's two variants close in size.
-    Hooks {
-        when: Box<CompiledHook>,
-        where_: Box<CompiledHook>,
-    },
-    Combined(Box<CompiledHook>),
-}
-
-struct CompiledHooks {
-    metaload: CompiledHook,
-    mdsload: CompiledHook,
-    decision: CompiledDecision,
-    howmany: Option<CompiledHook>,
-}
-
-/// Executes a [`PolicySet`] against [`BalancerInputs`] — the bridge between
-/// the MDS (which collects metrics and performs migrations) and the policy
-/// scripts (which decide).
-///
-/// Hooks are compiled to bytecode once, at construction (see
-/// [`crate::bytecode`]); each invocation reuses the compiled program and
-/// its VM. A `metaload` hook
-/// that is a linear combination of the five counters additionally compiles
-/// to a [`ScalarMetaload`] evaluated without touching any VM.
-/// [`Self::with_engine`]`(`[`HookEngine::Tree`]`)` selects the original
-/// tree-walking interpreter and disables both fast paths — the two engines
-/// are bit-identical (the differential tests pin this), so the switch
-/// exists for benchmarks and differential testing only.
-pub struct MantleRuntime {
-    policy: PolicySet,
-    state: Rc<RefCell<dyn StateStore>>,
-    budget: StepBudget,
-    /// Which MDS's persistent state `WRstate`/`RDstate` touch. The compiled
-    /// hooks' host functions are built once and close over this cell; the
-    /// runtime sets it at each entry point instead of rebuilding closures.
-    whoami_cell: Rc<Cell<usize>>,
-    hooks: CompiledHooks,
-    metaload_scalar: Option<ScalarMetaload>,
-    mdsload_scalar: Option<ScalarMdsload>,
-    /// Reusable `decide` environment (tables + interned keys), built lazily
-    /// on first use. Only the default bytecode engine touches it; the
-    /// tree engine rebuilds its environment from scratch every call so it
-    /// stays the plain reference.
-    decide_env: RefCell<Option<DecideEnv>>,
-    engine: HookEngine,
-}
-
-/// Interned string keys for the per-MDS metric fields, cloned (refcount
-/// bump, no allocation) into table inserts on the decide fast path.
-struct MdsKeys {
-    auth: Key,
-    all: Key,
-    cpu: Key,
-    mem: Key,
-    q: Key,
-    req: Key,
-    cache_hits: Key,
-    cache_misses: Key,
-    load: Key,
-}
-
-impl MdsKeys {
-    fn new() -> MdsKeys {
-        let k = |s: &str| Key::Str(Rc::from(s));
-        MdsKeys {
-            auth: k("auth"),
-            all: k("all"),
-            cpu: k("cpu"),
-            mem: k("mem"),
-            q: k("q"),
-            req: k("req"),
-            cache_hits: k("cache_hits"),
-            cache_misses: k("cache_misses"),
-            load: k("load"),
-        }
-    }
-}
-
-/// The tables backing one `decide` call, reused across calls on the
-/// bytecode engine. Building these fresh (nine `Rc<str>` allocations per
-/// MDS row plus the hash inserts) used to dominate the hot path; reuse
-/// keeps the allocations while [`DecideEnv::reset`] restores the exact
-/// observable state a fresh build would have.
-///
-/// Reuse is invisible to scripts: globals are re-imaged from the base
-/// environment on every hook run and `WRstate` persists only numbers, so
-/// no table reference survives from one call to the next — `reset`'s
-/// clear-and-refill therefore makes the reused tables indistinguishable
-/// (content *and* error behaviour) from freshly allocated ones. The
-/// report-level differential suite (`tests/bytecode_equivalence.rs`) pins
-/// this against the tree engine.
-struct DecideEnv {
-    mdss: Rc<RefCell<Table>>,
-    /// Row tables, kept alongside `mdss` so refilling them skips the outer
-    /// lookup. `rows[i]` is the table behind `MDSs[i+1]`.
-    rows: Vec<Rc<RefCell<Table>>>,
-    targets: Rc<RefCell<Table>>,
-    keys: MdsKeys,
-}
-
-impl DecideEnv {
-    fn new() -> DecideEnv {
-        DecideEnv {
-            mdss: Rc::new(RefCell::new(Table::new())),
-            rows: Vec::new(),
-            targets: Rc::new(RefCell::new(Table::new())),
-            keys: MdsKeys::new(),
-        }
-    }
-
-    /// Clear every table and refill from `inputs`, restoring exactly the
-    /// state a fresh environment build would produce (the previous call's
-    /// decision script may have written arbitrary keys anywhere).
-    fn reset(&mut self, inputs: &BalancerInputs) {
-        let n = inputs.mds.len();
-        while self.rows.len() < n {
-            self.rows.push(Rc::new(RefCell::new(Table::new())));
-        }
-        {
-            let mut outer = self.mdss.borrow_mut();
-            outer.clear();
-            for (i, row) in self.rows.iter().take(n).enumerate() {
-                outer.set(Key::Int(i as i64 + 1), Value::Table(Rc::clone(row)));
+        for (bind, value) in env {
+            if let Some(slot) = self.slots[*bind as usize] {
+                vm.set_global(slot, value.clone());
             }
         }
-        for (row, m) in self.rows.iter().zip(&inputs.mds) {
+        vm.run(&self.bc)
+    }
+
+    /// The global `bind` names, as the last [`Self::run`] on `vm` left it.
+    pub(crate) fn global(&self, vm: &BytecodeVm, bind: Bind) -> Value {
+        self.slots[bind as usize].map_or(Value::Nil, |slot| vm.get_global(slot).clone())
+    }
+}
+
+/// `WRstate`/`RDstate` — Table 2's persistence pair — over the running
+/// MDS's [`HostState`](crate::value::HostState).
+fn state_functions() -> [(&'static str, Value); 2] {
+    [
+        (
+            "WRstate",
+            Value::Native(
+                "WRstate",
+                Rc::new(|host, args| {
+                    host.saved = args
+                        .first()
+                        .ok_or_else(|| PolicyError::runtime(0, "WRstate expects a value"))?
+                        .as_number(0)?;
+                    Ok(Value::Nil)
+                }),
+            ),
+        ),
+        (
+            "RDstate",
+            Value::Native("RDstate", Rc::new(|host, _| Ok(Value::Number(host.saved)))),
+        ),
+    ]
+}
+
+/// A [`PolicySet`] compiled once, immutable afterwards, and shared behind
+/// one `Rc` by every MDS that runs the policy: per hook the bytecode
+/// program and base frame, the [`LinearForm`]s of the two load hooks, the
+/// scripted selectors, the interned row keys. Nothing in it is written
+/// after [`CompiledPolicy::compile`] returns — host functions take their
+/// state as an argument and the stdlib's `math` table is read-only to
+/// scripts — so sharing it cannot couple two MDSs.
+pub struct CompiledPolicy {
+    /// What every hook's globals start from: the stdlib plus
+    /// `WRstate`/`RDstate`. The base frames are cut from this list; the
+    /// tree reference binds it by name.
+    host: Vec<(&'static str, Value)>,
+    metaload: CompiledHook,
+    mdsload: CompiledHook,
+    /// The `when` predicate of the two-hook form; `None` for a combined
+    /// script, which decides by filling `targets`.
+    when: Option<CompiledHook>,
+    /// `where`, or the combined when/where script.
+    where_: CompiledHook,
+    howmany: Option<CompiledHook>,
+    metaload_linear: Option<LinearForm>,
+    mdsload_linear: Option<LinearForm>,
+    howmuch: Vec<String>,
+    selectors: Vec<Rc<ScriptedSelector>>,
+    /// Keys of the metric fields of an `MDSs` row, in
+    /// [`MDS_FIELD_NAMES`] order, and of its `load` field — cloned
+    /// (refcount bump, no allocation) into every table refill.
+    field_keys: [Key; MDS_FIELD_NAMES.len()],
+    load_key: Key,
+}
+
+impl CompiledPolicy {
+    /// Compile every script of `policy` — each exactly once.
+    pub fn compile(policy: PolicySet) -> Rc<CompiledPolicy> {
+        let stdlib = stdlib::globals();
+        let mut host = stdlib.clone();
+        host.extend(state_functions());
+        let hook = |script| CompiledHook::compile(script, &host);
+        let (when, where_) = match policy.decision {
+            Decision::Hooks { when, where_ } => (Some(hook(when)), hook(where_)),
+            Decision::Combined(script) => (None, hook(script)),
+        };
+        let key = |name: &str| Key::Str(Rc::from(name));
+        Rc::new(CompiledPolicy {
+            metaload_linear: LinearForm::extract(&policy.metaload, Leaf::Counter),
+            mdsload_linear: LinearForm::extract(&policy.mdsload, Leaf::MdsField),
+            metaload: hook(policy.metaload),
+            mdsload: hook(policy.mdsload),
+            when,
+            where_,
+            howmany: policy.howmany.map(hook),
+            howmuch: policy.howmuch,
+            selectors: policy
+                .custom_selectors
+                .into_iter()
+                .map(|(name, script)| Rc::new(ScriptedSelector::from_script(name, script, &stdlib)))
+                .collect(),
+            field_keys: MDS_FIELD_NAMES.map(key),
+            load_key: key("load"),
+            host,
+        })
+    }
+
+    /// The `howmuch` list: dirfrag selector names, tried in order.
+    pub fn howmuch(&self) -> &[String] {
+        &self.howmuch
+    }
+
+    /// The policy-defined selector called `name`, if the policy ships one.
+    pub fn selector(&self, name: &str) -> Option<&Rc<ScriptedSelector>> {
+        self.selectors.iter().find(|s| s.name() == name)
+    }
+
+    /// Every policy-defined selector.
+    pub fn selectors(&self) -> &[Rc<ScriptedSelector>] {
+        &self.selectors
+    }
+
+    /// Every hook the policy has, for static checks.
+    pub(crate) fn hooks(&self) -> impl Iterator<Item = &CompiledHook> {
+        [
+            Some(&self.metaload),
+            Some(&self.mdsload),
+            self.when.as_ref(),
+            Some(&self.where_),
+            self.howmany.as_ref(),
+        ]
+        .into_iter()
+        .flatten()
+    }
+}
+
+/// The tables behind `MDSs` and `targets` for one decision. The bytecode
+/// engine keeps one set per MDS and refills it every call: building them
+/// fresh (nine key inserts per row plus the allocations) used to dominate
+/// `decide`.
+///
+/// Reuse is invisible to scripts because no reference to these tables can
+/// outlive a call: globals are re-imaged from the base frame on every hook
+/// run, `WRstate` keeps a number, and the only table that does survive —
+/// the stdlib's `math` — refuses script writes. [`DecideTables::reset`]'s
+/// clear-and-refill therefore leaves tables indistinguishable (content
+/// *and* error behaviour) from freshly allocated ones, which is what the
+/// tree reference gets; `decide_env_reuse_is_invisible_across_calls` and
+/// `tests/bytecode_equivalence.rs` pin the two against each other.
+#[derive(Default)]
+struct DecideTables {
+    mdss: Rc<RefCell<Table>>,
+    /// Row tables, kept alongside `mdss` so refilling them skips the outer
+    /// lookup. `rows[i]` is the table `reset` puts behind `MDSs[i+1]`.
+    rows: Vec<Rc<RefCell<Table>>>,
+    targets: Rc<RefCell<Table>>,
+}
+
+impl DecideTables {
+    /// Clear every table and refill from `inputs`, restoring exactly the
+    /// state a fresh build would produce (the previous call's decision
+    /// script may have written arbitrary keys anywhere).
+    fn reset(&mut self, inputs: &BalancerInputs, keys: &[Key; MDS_FIELD_NAMES.len()]) {
+        let n = inputs.mds.len();
+        while self.rows.len() < n {
+            self.rows.push(Rc::default());
+        }
+        let mut outer = self.mdss.borrow_mut();
+        outer.clear();
+        for (i, (row, m)) in self.rows.iter().zip(&inputs.mds).enumerate() {
+            outer.set(Key::Int(i as i64 + 1), Value::Table(Rc::clone(row)));
             let mut row = row.borrow_mut();
             row.clear();
-            row.set(self.keys.auth.clone(), Value::Number(m.auth));
-            row.set(self.keys.all.clone(), Value::Number(m.all));
-            row.set(self.keys.cpu.clone(), Value::Number(m.cpu));
-            row.set(self.keys.mem.clone(), Value::Number(m.mem));
-            row.set(self.keys.q.clone(), Value::Number(m.q));
-            row.set(self.keys.req.clone(), Value::Number(m.req));
-            row.set(self.keys.cache_hits.clone(), Value::Number(m.cache_hits));
-            row.set(
-                self.keys.cache_misses.clone(),
-                Value::Number(m.cache_misses),
-            );
+            for (key, v) in keys.iter().zip(m.fields()) {
+                row.set(key.clone(), Value::Number(v));
+            }
         }
         self.targets.borrow_mut().clear();
     }
+
+    /// `targets[1..=n]` as the decision script left them: anything that is
+    /// not a number counts as 0, and so does a negative load.
+    fn targets(&self, n: usize) -> Vec<f64> {
+        let targets = self.targets.borrow();
+        (1..=n as i64)
+            .map(|i| targets.get_int(i).as_number(0).map_or(0.0, |v| v.max(0.0)))
+            .collect()
+    }
+}
+
+/// What one MDS owns of a running policy.
+struct PerMds {
+    /// Registers for whichever hook runs next, and — in its
+    /// [`HostState`](crate::value::HostState) — the number `WRstate` saved.
+    vm: BytecodeVm,
+    tables: DecideTables,
+}
+
+/// Executes a policy against [`BalancerInputs`] — the bridge between the
+/// MDS (which collects metrics and performs migrations) and the policy
+/// scripts (which decide).
+///
+/// One runtime serves one MDS: it is an `Rc<`[`CompiledPolicy`]`>` plus
+/// that MDS's registers, tables and saved state, so building another for
+/// the same policy ([`MantleRuntime::from_compiled`]) compiles nothing.
+pub struct MantleRuntime {
+    policy: Rc<CompiledPolicy>,
+    budget: StepBudget,
+    engine: HookEngine,
+    per_mds: RefCell<PerMds>,
 }
 
 impl fmt::Debug for MantleRuntime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MantleRuntime")
-            .field("policy", &self.policy)
+            .field("engine", &self.engine)
             .field("budget", &self.budget)
             .finish_non_exhaustive()
     }
 }
 
 impl MantleRuntime {
-    /// Build a runtime with an in-memory state store.
+    /// Compile `policy` and build a runtime for it.
     pub fn new(policy: PolicySet) -> Self {
-        Self::build(
-            policy,
-            Rc::new(RefCell::new(MemoryStateStore::default())),
-            StepBudget::default(),
-            HookEngine::default(),
-        )
+        Self::from_compiled(CompiledPolicy::compile(policy))
     }
 
-    fn build(
-        policy: PolicySet,
-        state: Rc<RefCell<dyn StateStore>>,
-        budget: StepBudget,
-        engine: HookEngine,
-    ) -> Self {
-        let whoami_cell = Rc::new(Cell::new(0usize));
-        let host = Self::host_env(&state, &whoami_cell, budget);
-        let metaload_scalar = ScalarMetaload::extract(&policy.metaload);
-        let mdsload_scalar = ScalarMdsload::extract(&policy.mdsload);
-        let hooks = CompiledHooks {
-            metaload: CompiledHook::compile(&policy.metaload, &host, budget),
-            mdsload: CompiledHook::compile(&policy.mdsload, &host, budget),
-            decision: match &policy.decision {
-                Decision::Hooks { when, where_ } => CompiledDecision::Hooks {
-                    when: Box::new(CompiledHook::compile(when, &host, budget)),
-                    where_: Box::new(CompiledHook::compile(where_, &host, budget)),
-                },
-                Decision::Combined(script) => CompiledDecision::Combined(Box::new(
-                    CompiledHook::compile(script, &host, budget),
-                )),
-            },
-            howmany: policy
-                .howmany
-                .as_ref()
-                .map(|s| CompiledHook::compile(s, &host, budget)),
-        };
+    /// A runtime for one more MDS running an already-compiled policy: fresh
+    /// registers, fresh tables, nothing saved.
+    pub fn from_compiled(policy: Rc<CompiledPolicy>) -> Self {
+        let budget = StepBudget::default();
         MantleRuntime {
+            per_mds: RefCell::new(PerMds {
+                vm: policy.metaload.vm(budget),
+                tables: DecideTables::default(),
+            }),
             policy,
-            state,
             budget,
-            whoami_cell,
-            hooks,
-            metaload_scalar,
-            mdsload_scalar,
-            decide_env: RefCell::new(None),
-            engine,
+            engine: HookEngine::default(),
         }
     }
 
-    /// The host environment compiled hooks draw their base frame from:
-    /// stdlib plus `WRstate`/`RDstate` closing over the shared whoami cell.
-    fn host_env(
-        state: &Rc<RefCell<dyn StateStore>>,
-        whoami_cell: &Rc<Cell<usize>>,
-        budget: StepBudget,
-    ) -> Interpreter {
-        let mut interp = Interpreter::new().with_budget(budget);
-        stdlib::install(&mut interp);
-        let store = Rc::clone(state);
-        let cell = Rc::clone(whoami_cell);
-        interp.set_global(
-            "WRstate",
-            Value::Native(
-                "WRstate",
-                Rc::new(move |_, args| {
-                    let v = args
-                        .first()
-                        .ok_or_else(|| PolicyError::runtime(0, "WRstate expects a value"))?
-                        .as_number(0)?;
-                    store.borrow_mut().write(cell.get(), v);
-                    Ok(Value::Nil)
-                }),
-            ),
-        );
-        let store = Rc::clone(state);
-        let cell = Rc::clone(whoami_cell);
-        interp.set_global(
-            "RDstate",
-            Value::Native(
-                "RDstate",
-                Rc::new(move |_, _| Ok(Value::Number(store.borrow().read(cell.get())))),
-            ),
-        );
-        interp
-    }
-
-    /// Use a custom state store.
-    pub fn with_state_store(self, store: Rc<RefCell<dyn StateStore>>) -> Self {
-        Self::build(self.policy, store, self.budget, self.engine)
-    }
-
     /// Override the step budget applied to every hook invocation.
-    pub fn with_budget(self, budget: StepBudget) -> Self {
-        Self::build(self.policy, self.state, budget, self.engine)
+    pub fn with_budget(mut self, budget: StepBudget) -> Self {
+        self.budget = budget;
+        self.per_mds.get_mut().vm = self.policy.metaload.vm(budget);
+        self
     }
 
     /// Select the evaluation engine (bytecode by default). The engines are
-    /// bit-identical; the tree walker exists so benchmarks and differential
-    /// tests can compare against it.
+    /// bit-identical; the tree walker is the reference the differential
+    /// suites select.
     pub fn with_engine(mut self, engine: HookEngine) -> Self {
         self.engine = engine;
         self
@@ -652,29 +663,28 @@ impl MantleRuntime {
         self.engine
     }
 
-    /// The configured dirfrag selectors.
-    pub fn selectors(&self) -> &[String] {
-        &self.policy.howmuch
-    }
-
-    /// Access the policy set.
-    pub fn policy(&self) -> &PolicySet {
+    /// The compiled policy this runtime shares with its siblings.
+    pub fn compiled(&self) -> &Rc<CompiledPolicy> {
         &self.policy
     }
 
-    /// The scalar-compiled `metaload`, when the hook is a single linear
-    /// combination of the five counters (true for Table 1 and every
-    /// shipped policy).
-    pub fn metaload_scalar(&self) -> Option<&ScalarMetaload> {
-        self.metaload_scalar.as_ref()
+    /// The configured dirfrag selectors.
+    pub fn selectors(&self) -> &[String] {
+        self.policy.howmuch()
     }
 
-    /// The scalar-compiled `mdsload`, when the hook is a single linear
+    /// The linear form of `metaload`, when the hook is a single linear
+    /// combination of the five counters (true for Table 1 and every
+    /// shipped policy).
+    pub fn metaload_scalar(&self) -> Option<&LinearForm> {
+        self.policy.metaload_linear.as_ref()
+    }
+
+    /// The linear form of `mdsload`, when the hook is a single linear
     /// combination of the current row's metric fields (true for Table 1
-    /// and every shipped policy). Consumed by the bytecode engine's
-    /// `decide` fast path; the tree engine ignores it.
-    pub fn mdsload_scalar(&self) -> Option<&ScalarMdsload> {
-        self.mdsload_scalar.as_ref()
+    /// and every shipped policy).
+    pub fn mdsload_scalar(&self) -> Option<&LinearForm> {
+        self.policy.mdsload_linear.as_ref()
     }
 
     /// True when `metaload` distributes over sums of counter vectors
@@ -682,73 +692,127 @@ impl MantleRuntime {
     /// per MDS on aggregated heat instead of once per dirfrag.
     ///
     /// Deliberately independent of [`Self::with_engine`]: the switch
-    /// changes the evaluation engine, never the aggregation structure, so
+    /// changes how a script runs, never the aggregation structure, so
     /// reports stay identical between the two engines.
     pub fn metaload_is_additive(&self) -> bool {
-        self.metaload_scalar
-            .as_ref()
-            .is_some_and(|s| s.is_homogeneous())
+        self.metaload_scalar().is_some_and(|s| s.is_homogeneous())
     }
 
-    fn base_interp(&self, whoami: usize) -> Interpreter {
-        let mut interp = Interpreter::new().with_budget(self.budget);
-        stdlib::install(&mut interp);
-        let store = Rc::clone(&self.state);
-        let store_rd = Rc::clone(&self.state);
-        interp.set_global(
-            "WRstate",
-            Value::Native(
-                "WRstate",
-                Rc::new(move |_, args| {
-                    let v = args
-                        .first()
-                        .ok_or_else(|| PolicyError::runtime(0, "WRstate expects a value"))?
-                        .as_number(0)?;
-                    store.borrow_mut().write(whoami, v);
-                    Ok(Value::Nil)
-                }),
-            ),
-        );
-        interp.set_global(
-            "RDstate",
-            Value::Native(
-                "RDstate",
-                Rc::new(move |_, _| Ok(Value::Number(store_rd.borrow().read(whoami)))),
-            ),
-        );
-        interp
+    /// Whether this policy carries a `mds_bal_howmany` auto-scaling hook.
+    pub fn has_howmany(&self) -> bool {
+        self.policy.howmany.is_some()
+    }
+
+    /// Run one hook script against its bindings — the only code
+    /// [`HookEngine`] forks. The bytecode engine re-images `vm`'s globals
+    /// and writes `env` into pre-resolved slots; the tree reference builds
+    /// an interpreter, binds the host functions and `env` by name, and
+    /// walks the AST. Either way natives see this MDS's host state, which
+    /// lives in `vm`.
+    fn run_hook(
+        &self,
+        hook: &CompiledHook,
+        vm: &mut BytecodeVm,
+        env: &[(Bind, Value)],
+    ) -> PolicyResult<Value> {
+        match self.engine {
+            HookEngine::Bytecode => hook.run(vm, env),
+            HookEngine::Tree => {
+                let mut interp = Interpreter::new().with_budget(self.budget);
+                for (name, value) in &self.policy.host {
+                    interp.set_global(name, value.clone());
+                }
+                for (bind, value) in env {
+                    interp.set_global(bind.name(), value.clone());
+                }
+                *interp.host() = *vm.host();
+                let result = interp.run(hook.script());
+                *vm.host() = *interp.host();
+                result
+            }
+        }
+    }
+
+    /// The linear form to evaluate in place of a hook run: the bytecode
+    /// engine's shortcut. The tree reference always runs the script.
+    fn shortcut<'a>(&self, form: &'a Option<LinearForm>) -> Option<&'a LinearForm> {
+        form.as_ref()
+            .filter(|_| self.engine == HookEngine::Bytecode)
     }
 
     /// Evaluate `mds_bal_metaload` for one fragment's counters.
     ///
-    /// This is the hottest hook (once per dirfrag per balancer tick). The
-    /// fast paths do zero interpreter constructions and zero `String`
-    /// allocations: a scalar-compiled hook is a few multiply-adds; anything
-    /// else reuses the hook's compiled bytecode program.
-    pub fn eval_metaload(&self, whoami: usize, frag: &FragMetrics) -> PolicyResult<f64> {
+    /// This is the hottest hook (once per dirfrag per balancer tick): a
+    /// linear hook is a few multiply-adds, anything else one run of the
+    /// compiled program. `whoami` is not consulted — state is the
+    /// runtime's own, one runtime per MDS — and stays in the signature for
+    /// `benchmark/`, which calls it (DESIGN.md §14).
+    pub fn eval_metaload(&self, _whoami: usize, frag: &FragMetrics) -> PolicyResult<f64> {
+        if let Some(form) = self.shortcut(&self.policy.metaload_linear) {
+            return Ok(form.eval(&[frag.ird, frag.iwr, frag.readdir, frag.fetch, frag.store]));
+        }
+        let env = [
+            (Bind::Ird, Value::Number(frag.ird)),
+            (Bind::Iwr, Value::Number(frag.iwr)),
+            (Bind::Readdir, Value::Number(frag.readdir)),
+            (Bind::Fetch, Value::Number(frag.fetch)),
+            (Bind::Store, Value::Number(frag.store)),
+        ];
+        let vm = &mut self.per_mds.borrow_mut().vm;
+        self.run_hook(&self.policy.metaload, vm, &env)?.as_number(0)
+    }
+
+    /// What `mdsload`, the decision hooks and `howmany` all see of the
+    /// cluster.
+    fn cluster_env(inputs: &BalancerInputs, tables: &DecideTables) -> [(Bind, Value); 4] {
+        [
+            (Bind::Whoami, Value::Number(inputs.whoami as f64 + 1.0)),
+            (Bind::Mdss, Value::Table(Rc::clone(&tables.mdss))),
+            (Bind::AuthMetaload, Value::Number(inputs.auth_metaload)),
+            (Bind::AllMetaload, Value::Number(inputs.all_metaload)),
+        ]
+    }
+
+    /// Pass 1 of every decision: fill the `MDSs` table from `inputs`,
+    /// evaluate `mdsload` for each row, sum `total`, and write each load
+    /// back as `MDSs[i]["load"]`. Returns `(loads, total)`.
+    fn pass1(&self, inputs: &BalancerInputs, per: &mut PerMds) -> PolicyResult<(Vec<f64>, f64)> {
+        let PerMds { vm, tables } = per;
         if self.engine == HookEngine::Tree {
-            let mut interp = self.base_interp(whoami);
-            interp.set_global("IRD", Value::Number(frag.ird));
-            interp.set_global("IWR", Value::Number(frag.iwr));
-            interp.set_global("READDIR", Value::Number(frag.readdir));
-            interp.set_global("FETCH", Value::Number(frag.fetch));
-            interp.set_global("STORE", Value::Number(frag.store));
-            return interp.run(&self.policy.metaload)?.as_number(0);
+            *tables = DecideTables::default();
         }
-        if let Some(scalar) = &self.metaload_scalar {
-            return Ok(scalar.eval(&[frag.ird, frag.iwr, frag.readdir, frag.fetch, frag.store]));
+        tables.reset(inputs, &self.policy.field_keys);
+        let linear = self.shortcut(&self.policy.mdsload_linear);
+        let loads: Vec<f64> = match linear {
+            Some(form) => inputs.mds.iter().map(|m| form.eval(&m.fields())).collect(),
+            None => {
+                let [whoami, mdss, auth, all] = Self::cluster_env(inputs, tables);
+                let mut env = [(Bind::I, Value::Nil), whoami, mdss, auth, all];
+                (1..=inputs.mds.len())
+                    .map(|i| {
+                        env[0].1 = Value::Number(i as f64);
+                        self.run_hook(&self.policy.mdsload, vm, &env)?.as_number(0)
+                    })
+                    .collect::<PolicyResult<_>>()?
+            }
+        };
+        let total = loads.iter().sum();
+        // Rows are found through the outer table — an exotic mdsload hook
+        // could have rearranged `MDSs`, and the write-back must land on
+        // exactly what it left behind — unless no script ran at all, in
+        // which case `rows[i]` still *is* the table behind `MDSs[i+1]`.
+        let mdss = tables.mdss.borrow();
+        for (i, load) in loads.iter().enumerate() {
+            let row = match linear {
+                Some(_) => Value::Table(Rc::clone(&tables.rows[i])),
+                None => mdss.get_int(i as i64 + 1),
+            };
+            if let Value::Table(row) = row {
+                row.borrow_mut()
+                    .set(self.policy.load_key.clone(), Value::Number(*load));
+            }
         }
-        self.whoami_cell.set(whoami);
-        self.hooks
-            .metaload
-            .run(|env, vm| {
-                set_slot(vm, env.ird, Value::Number(frag.ird));
-                set_slot(vm, env.iwr, Value::Number(frag.iwr));
-                set_slot(vm, env.readdir, Value::Number(frag.readdir));
-                set_slot(vm, env.fetch, Value::Number(frag.fetch));
-                set_slot(vm, env.store, Value::Number(frag.store));
-            })?
-            .as_number(0)
+        Ok((loads, total))
     }
 
     /// Run the full decision pipeline: `mdsload` per MDS, then
@@ -758,280 +822,42 @@ impl MantleRuntime {
         if n == 0 {
             return Ok(BalancerOutcome::idle(0));
         }
-        match self.engine {
-            HookEngine::Bytecode => self.decide_bytecode(inputs),
-            HookEngine::Tree => self.decide_tree(inputs),
-        }
-    }
+        let per = &mut *self.per_mds.borrow_mut();
+        let (mds_loads, total) = self.pass1(inputs, per)?;
 
-    /// A fresh `MDSs` table holding the pass-1 metric fields of every row.
-    fn fresh_mdss_table(inputs: &BalancerInputs) -> Rc<RefCell<Table>> {
-        let mdss_table = Rc::new(RefCell::new(Table::new()));
-        for (i, m) in inputs.mds.iter().enumerate() {
-            let t = Table::from_fields([
-                ("auth", Value::Number(m.auth)),
-                ("all", Value::Number(m.all)),
-                ("cpu", Value::Number(m.cpu)),
-                ("mem", Value::Number(m.mem)),
-                ("q", Value::Number(m.q)),
-                ("req", Value::Number(m.req)),
-                ("cache_hits", Value::Number(m.cache_hits)),
-                ("cache_misses", Value::Number(m.cache_misses)),
-            ]);
-            mdss_table
-                .borrow_mut()
-                .set_int(i as i64 + 1, Value::Table(Rc::new(RefCell::new(t))));
-        }
-        mdss_table
-    }
-
-    /// `mdsload` for 0-based row `i` on the tree interpreter.
-    fn mdsload_tree(
-        &self,
-        inputs: &BalancerInputs,
-        i: usize,
-        mdss_table: &Rc<RefCell<Table>>,
-    ) -> PolicyResult<f64> {
-        let mut interp = self.base_interp(inputs.whoami);
-        interp.set_global("whoami", Value::Number(inputs.whoami as f64 + 1.0));
-        interp.set_global("i", Value::Number(i as f64 + 1.0));
-        interp.set_global("MDSs", Value::Table(Rc::clone(mdss_table)));
-        interp.set_global("authmetaload", Value::Number(inputs.auth_metaload));
-        interp.set_global("allmetaload", Value::Number(inputs.all_metaload));
-        interp.run(&self.policy.mdsload)?.as_number(0)
-    }
-
-    /// `mdsload` for 0-based row `i` on the compiled hook (the caller has
-    /// already set the whoami cell).
-    fn mdsload_bytecode(
-        &self,
-        inputs: &BalancerInputs,
-        i: usize,
-        mdss_table: &Rc<RefCell<Table>>,
-    ) -> PolicyResult<f64> {
-        self.hooks
-            .mdsload
-            .run(|env, vm| {
-                set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
-                set_slot(vm, env.i, Value::Number(i as f64 + 1.0));
-                set_slot(vm, env.mdss, Value::Table(Rc::clone(mdss_table)));
-                set_slot(vm, env.authmetaload, Value::Number(inputs.auth_metaload));
-                set_slot(vm, env.allmetaload, Value::Number(inputs.all_metaload));
-            })?
-            .as_number(0)
-    }
-
-    /// [`Self::decide`] on the reference tree interpreter: every hook run
-    /// builds a fresh interpreter and binds the environment by name.
-    fn decide_tree(&self, inputs: &BalancerInputs) -> PolicyResult<BalancerOutcome> {
-        let n = inputs.mds.len();
-
-        // Pass 1: evaluate mdsload for every MDS, building the MDSs table.
-        let mdss_table = Self::fresh_mdss_table(inputs);
-        let mut mds_loads = Vec::with_capacity(n);
-        for i in 0..n {
-            mds_loads.push(self.mdsload_tree(inputs, i, &mdss_table)?);
-        }
-        let total: f64 = mds_loads.iter().sum();
-        for (i, load) in mds_loads.iter().enumerate() {
-            if let Value::Table(t) = mdss_table.borrow().get_int(i as i64 + 1) {
-                t.borrow_mut().set_str("load", Value::Number(*load));
-            }
-        }
-
-        // Pass 2: when/where.
-        let targets_table = Rc::new(RefCell::new(Table::new()));
-        let setup = |interp: &mut Interpreter| {
-            interp.set_global("whoami", Value::Number(inputs.whoami as f64 + 1.0));
-            interp.set_global("MDSs", Value::Table(Rc::clone(&mdss_table)));
-            interp.set_global("total", Value::Number(total));
-            interp.set_global("authmetaload", Value::Number(inputs.auth_metaload));
-            interp.set_global("allmetaload", Value::Number(inputs.all_metaload));
-            interp.set_global("targets", Value::Table(Rc::clone(&targets_table)));
+        // Pass 2. A combined script has no predicate: it "fires" by
+        // filling `targets`, which the extraction below already decides.
+        let [whoami, mdss, auth, all] = Self::cluster_env(inputs, &per.tables);
+        let env = [
+            whoami,
+            mdss,
+            auth,
+            all,
+            (Bind::Total, Value::Number(total)),
+            (Bind::Targets, Value::Table(Rc::clone(&per.tables.targets))),
+        ];
+        let fired = match &self.policy.when {
+            Some(when) => self.run_hook(when, &mut per.vm, &env)?.truthy(),
+            None => true,
         };
-        let migrate = match &self.policy.decision {
-            Decision::Hooks { when, where_ } => {
-                let mut interp = self.base_interp(inputs.whoami);
-                setup(&mut interp);
-                let fired = interp.run(when)?.truthy();
-                if fired {
-                    let mut interp = self.base_interp(inputs.whoami);
-                    setup(&mut interp);
-                    interp.run(where_)?;
-                }
-                fired
-            }
-            Decision::Combined(script) => {
-                let mut interp = self.base_interp(inputs.whoami);
-                setup(&mut interp);
-                interp.run(script)?;
-                // The listings signal "migrate" by filling targets.
-                (1..=n as i64).any(|i| {
-                    targets_table
-                        .borrow()
-                        .get_int(i)
-                        .as_number(0)
-                        .map(|v| v > 0.0)
-                        .unwrap_or(false)
-                })
-            }
-        };
-
-        let mut targets = vec![0.0; n];
-        {
-            let tt = targets_table.borrow();
-            for (i, slot) in targets.iter_mut().enumerate() {
-                if let Ok(v) = tt.get_int(i as i64 + 1).as_number(0) {
-                    *slot = v.max(0.0);
-                }
-            }
+        if fired {
+            self.run_hook(&self.policy.where_, &mut per.vm, &env)?;
         }
-        // Migration that targets nobody is a no-op.
-        let migrate = migrate && targets.iter().any(|&t| t > 0.0);
-
+        let targets = per.tables.targets(n);
         Ok(BalancerOutcome {
             mds_loads,
             total,
-            migrate,
+            // Migration that targets nobody is a no-op.
+            migrate: fired && targets.iter().any(|&t| t > 0.0),
             targets,
         })
     }
 
-    /// [`Self::decide`] on the default bytecode engine: same pipeline, same
-    /// observable behaviour, but the environment tables are reused across
-    /// calls (see [`DecideEnv`]) and an `mdsload` hook that compiled to
-    /// [`ScalarMdsload`] is evaluated straight off the input metrics —
-    /// no VM run, no table lookups — exactly as [`Self::eval_metaload`]
-    /// does for scalar `metaload` hooks.
-    ///
-    /// Structure deliberately mirrors [`Self::decide_tree`] statement for
-    /// statement; any divergence is caught by the differential suites at
-    /// hook and report level.
-    fn decide_bytecode(&self, inputs: &BalancerInputs) -> PolicyResult<BalancerOutcome> {
-        let n = inputs.mds.len();
-        let mut cached = self.decide_env.borrow_mut();
-        let env = cached.get_or_insert_with(DecideEnv::new);
-        env.reset(inputs);
-        let mdss_table = Rc::clone(&env.mdss);
-        let targets_table = Rc::clone(&env.targets);
-        let load_key = env.keys.load.clone();
-
-        // Pass 1: evaluate mdsload for every MDS.
-        self.whoami_cell.set(inputs.whoami);
-        let mut mds_loads = Vec::with_capacity(n);
-        if let Some(scalar) = &self.mdsload_scalar {
-            for m in &inputs.mds {
-                mds_loads.push(scalar.eval(&[
-                    m.auth,
-                    m.all,
-                    m.cpu,
-                    m.mem,
-                    m.q,
-                    m.req,
-                    m.cache_hits,
-                    m.cache_misses,
-                ]));
-            }
-            let total: f64 = mds_loads.iter().sum();
-            // A scalar mdsload runs no script, so `MDSs` is exactly as
-            // `reset` built it and `rows[i]` *is* the table behind
-            // `MDSs[i+1]` — write the loads back without the outer lookup.
-            for (row, load) in env.rows.iter().zip(&mds_loads) {
-                row.borrow_mut().set(load_key.clone(), Value::Number(*load));
-            }
-            return self.decide_bytecode_pass2(inputs, mds_loads, total, mdss_table, targets_table);
-        }
-        for i in 0..n {
-            mds_loads.push(self.mdsload_bytecode(inputs, i, &mdss_table)?);
-        }
-        let total: f64 = mds_loads.iter().sum();
-        // Write back through the outer table, as the tree path does — an
-        // exotic mdsload hook could have rearranged `MDSs` and the
-        // write-back must see exactly what it left behind.
-        for (i, load) in mds_loads.iter().enumerate() {
-            if let Value::Table(t) = mdss_table.borrow().get_int(i as i64 + 1) {
-                t.borrow_mut().set(load_key.clone(), Value::Number(*load));
-            }
-        }
-        self.decide_bytecode_pass2(inputs, mds_loads, total, mdss_table, targets_table)
-    }
-
-    /// Pass 2 of [`Self::decide_bytecode`]: run the decision hook(s) and
-    /// extract the targets vector.
-    fn decide_bytecode_pass2(
-        &self,
-        inputs: &BalancerInputs,
-        mds_loads: Vec<f64>,
-        total: f64,
-        mdss_table: Rc<RefCell<Table>>,
-        targets_table: Rc<RefCell<Table>>,
-    ) -> PolicyResult<BalancerOutcome> {
-        let n = inputs.mds.len();
-
-        let slot_setup = |env: &EnvSlots, vm: &mut BytecodeVm| {
-            set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
-            set_slot(vm, env.mdss, Value::Table(Rc::clone(&mdss_table)));
-            set_slot(vm, env.total, Value::Number(total));
-            set_slot(vm, env.authmetaload, Value::Number(inputs.auth_metaload));
-            set_slot(vm, env.allmetaload, Value::Number(inputs.all_metaload));
-            set_slot(vm, env.targets, Value::Table(Rc::clone(&targets_table)));
-        };
-        // `fired` for the two-hook form; `None` for the combined form,
-        // where "migrate" is simply "the script filled targets" — which
-        // the clamp-and-extract below already determines (a slot ends up
-        // > 0 exactly when the tree path's scan would have seen a positive
-        // number there), so the separate pre-scan the tree path performs
-        // is skipped.
-        let fired = match &self.hooks.decision {
-            CompiledDecision::Hooks { when, where_ } => {
-                let fired = when.run(slot_setup)?.truthy();
-                if fired {
-                    where_.run(slot_setup)?;
-                }
-                Some(fired)
-            }
-            CompiledDecision::Combined(hook) => {
-                hook.run(slot_setup)?;
-                None
-            }
-        };
-
-        let mut targets = vec![0.0; n];
-        {
-            let tt = targets_table.borrow();
-            for (i, slot) in targets.iter_mut().enumerate() {
-                if let Ok(v) = tt.get_int(i as i64 + 1).as_number(0) {
-                    *slot = v.max(0.0);
-                }
-            }
-        }
-        // Migration that targets nobody is a no-op (and for the combined
-        // form, targeting nobody means the decision never fired at all).
-        let migrate = fired.unwrap_or(true) && targets.iter().any(|&t| t > 0.0);
-
-        Ok(BalancerOutcome {
-            mds_loads,
-            total,
-            migrate,
-            targets,
-        })
-    }
-
-    /// Whether this policy carries a `mds_bal_howmany` auto-scaling hook.
-    pub fn has_howmany(&self) -> bool {
-        self.policy.howmany.is_some()
-    }
-
-    /// Run the `mds_bal_howmany` auto-scaling hook: `mdsload` per MDS
-    /// (pass 1, the same per-engine pipeline [`Self::decide`] uses), then
-    /// the hook itself over the pass-2 decision environment extended with
-    /// `active` (current member count), `min_mds`, and `max_mds`. Returns
-    /// the raw target count (callers round and clamp), or `None` when the
-    /// policy has no hook.
-    ///
-    /// Runs once per balancer tick on the coordinator, so the environment
-    /// is built fresh on both engines — there is no hot path to protect.
-    /// The engines are bit-identical here exactly as for `decide`.
+    /// Run the `mds_bal_howmany` auto-scaling hook: pass 1 exactly as
+    /// [`Self::decide`] runs it, then the hook over the pass-2 environment
+    /// with `active` (current member count), `min_mds` and `max_mds` in
+    /// place of `targets`. Returns the raw target count (callers round and
+    /// clamp), or `None` when the policy has no hook.
     pub fn eval_howmany(
         &self,
         inputs: &BalancerInputs,
@@ -1039,101 +865,27 @@ impl MantleRuntime {
         min_mds: usize,
         max_mds: usize,
     ) -> PolicyResult<Option<f64>> {
-        let Some(script) = &self.policy.howmany else {
+        let Some(hook) = &self.policy.howmany else {
             return Ok(None);
         };
-        let n = inputs.mds.len();
-        if n == 0 {
+        if inputs.mds.is_empty() {
             return Ok(None);
         }
-        self.whoami_cell.set(inputs.whoami);
-
-        // Pass 1: evaluate mdsload for every MDS, building the MDSs table.
-        let mdss_table = Self::fresh_mdss_table(inputs);
-        let mut mds_loads = Vec::with_capacity(n);
-        for (i, m) in inputs.mds.iter().enumerate() {
-            let load = match (self.engine, &self.mdsload_scalar) {
-                (HookEngine::Tree, _) => self.mdsload_tree(inputs, i, &mdss_table)?,
-                (HookEngine::Bytecode, Some(scalar)) => scalar.eval(&[
-                    m.auth,
-                    m.all,
-                    m.cpu,
-                    m.mem,
-                    m.q,
-                    m.req,
-                    m.cache_hits,
-                    m.cache_misses,
-                ]),
-                (HookEngine::Bytecode, None) => self.mdsload_bytecode(inputs, i, &mdss_table)?,
-            };
-            mds_loads.push(load);
-        }
-        let total: f64 = mds_loads.iter().sum();
-        for (i, load) in mds_loads.iter().enumerate() {
-            if let Value::Table(t) = mdss_table.borrow().get_int(i as i64 + 1) {
-                t.borrow_mut().set_str("load", Value::Number(*load));
-            }
-        }
-
-        // Pass 2: the howmany hook itself.
-        let target = if self.engine == HookEngine::Tree {
-            let mut interp = self.base_interp(inputs.whoami);
-            interp.set_global("whoami", Value::Number(inputs.whoami as f64 + 1.0));
-            interp.set_global("MDSs", Value::Table(Rc::clone(&mdss_table)));
-            interp.set_global("total", Value::Number(total));
-            interp.set_global("authmetaload", Value::Number(inputs.auth_metaload));
-            interp.set_global("allmetaload", Value::Number(inputs.all_metaload));
-            interp.set_global("active", Value::Number(active as f64));
-            interp.set_global("min_mds", Value::Number(min_mds as f64));
-            interp.set_global("max_mds", Value::Number(max_mds as f64));
-            interp.run(script)?.as_number(0)?
-        } else {
-            self.hooks
-                .howmany
-                .as_ref()
-                .expect("compiled alongside policy.howmany")
-                .run(|env, vm| {
-                    set_slot(vm, env.whoami, Value::Number(inputs.whoami as f64 + 1.0));
-                    set_slot(vm, env.mdss, Value::Table(Rc::clone(&mdss_table)));
-                    set_slot(vm, env.total, Value::Number(total));
-                    set_slot(vm, env.authmetaload, Value::Number(inputs.auth_metaload));
-                    set_slot(vm, env.allmetaload, Value::Number(inputs.all_metaload));
-                    set_slot(vm, env.active, Value::Number(active as f64));
-                    set_slot(vm, env.min_mds, Value::Number(min_mds as f64));
-                    set_slot(vm, env.max_mds, Value::Number(max_mds as f64));
-                })?
-                .as_number(0)?
-        };
+        let per = &mut *self.per_mds.borrow_mut();
+        let (_, total) = self.pass1(inputs, per)?;
+        let [whoami, mdss, auth, all] = Self::cluster_env(inputs, &per.tables);
+        let env = [
+            whoami,
+            mdss,
+            auth,
+            all,
+            (Bind::Total, Value::Number(total)),
+            (Bind::Active, Value::Number(active as f64)),
+            (Bind::MinMds, Value::Number(min_mds as f64)),
+            (Bind::MaxMds, Value::Number(max_mds as f64)),
+        ];
+        let target = self.run_hook(hook, &mut per.vm, &env)?.as_number(0)?;
         Ok(Some(target))
-    }
-}
-
-/// Builder for one-off script environments in tests and tools.
-#[derive(Debug, Default)]
-pub struct EnvBuilder {
-    globals: Vec<(String, f64)>,
-}
-
-impl EnvBuilder {
-    /// Empty environment.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a numeric global.
-    pub fn number(mut self, name: &str, v: f64) -> Self {
-        self.globals.push((name.to_string(), v));
-        self
-    }
-
-    /// Build an interpreter with the stdlib plus the configured globals.
-    pub fn build(self) -> Interpreter {
-        let mut interp = Interpreter::new();
-        stdlib::install(&mut interp);
-        for (name, v) in self.globals {
-            interp.set_global(&name, Value::Number(v));
-        }
-        interp
     }
 }
 
@@ -1371,35 +1123,6 @@ end
             .unwrap();
         assert_eq!(out.targets[1], 0.0);
         assert!(!out.migrate);
-    }
-
-    #[test]
-    fn file_state_store_round_trips() {
-        let dir = std::env::temp_dir().join(format!("mantle-test-{}", std::process::id()));
-        let mut store = FileStateStore::new(&dir).unwrap();
-        assert_eq!(store.read(3), 0.0);
-        store.write(3, 2.5);
-        assert_eq!(store.read(3), 2.5);
-        store.clear();
-        assert_eq!(store.read(3), 0.0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn state_isolated_per_mds() {
-        let mut store = MemoryStateStore::default();
-        store.write(0, 1.0);
-        store.write(1, 2.0);
-        assert_eq!(store.read(0), 1.0);
-        assert_eq!(store.read(1), 2.0);
-    }
-
-    #[test]
-    fn env_builder() {
-        let mut interp = EnvBuilder::new().number("x", 3.0).build();
-        let script = crate::parser::parse_script("y = max(x, 2)").unwrap();
-        interp.run(&script).unwrap();
-        assert_eq!(interp.get_global("y").as_number(0).unwrap(), 3.0);
     }
 
     #[test]
@@ -1729,16 +1452,7 @@ return active
         }
     }
 
-    #[test]
-    fn stateful_policy_agrees_across_paths_and_mds_identities() {
-        // Fill & Spill exercises WRstate/RDstate through the shared whoami
-        // cell; the state machine must evolve identically on both engines
-        // and stay isolated per MDS.
-        let mk = |engine: HookEngine| {
-            let p = PolicySet::from_combined(
-                "IWR + IRD",
-                "MDSs[i][\"auth\"]",
-                r#"
+    const FILL_AND_SPILL: &str = r#"
 wait=RDstate()
 go = 0
 if MDSs[whoami]["cpu"]>48 then
@@ -1748,15 +1462,10 @@ else WRstate(2) end
 if go==1 then
   targets[whoami+1] = MDSs[whoami]["load"]/4
 end
-"#,
-                &["small_first"],
-            )
-            .unwrap();
-            MantleRuntime::new(p).with_engine(engine)
-        };
-        let fast = mk(HookEngine::Bytecode);
-        let slow = mk(HookEngine::Tree);
-        let busy = |whoami: usize| BalancerInputs {
+"#;
+
+    fn busy(whoami: usize) -> BalancerInputs {
+        BalancerInputs {
             whoami,
             mds: vec![
                 MdsMetrics {
@@ -1767,15 +1476,203 @@ end
                 3
             ],
             ..Default::default()
-        };
-        // Interleave two MDS identities; their counters are independent.
+        }
+    }
+
+    #[test]
+    fn stateful_policy_agrees_across_engines_and_stays_per_mds() {
+        // Fill & Spill exercises WRstate/RDstate. One runtime per MDS and
+        // per engine, all four off a single compilation: the state machine
+        // must evolve identically on both engines, and each MDS's counter
+        // independently of the other's.
+        let compiled = CompiledPolicy::compile(
+            PolicySet::from_combined(
+                "IWR + IRD",
+                "MDSs[i][\"auth\"]",
+                FILL_AND_SPILL,
+                &["small_first"],
+            )
+            .unwrap(),
+        );
+        let mk = |engine| MantleRuntime::from_compiled(Rc::clone(&compiled)).with_engine(engine);
+        let fast = [mk(HookEngine::Bytecode), mk(HookEngine::Bytecode)];
+        let slow = [mk(HookEngine::Tree), mk(HookEngine::Tree)];
         for tick in 0..8 {
+            // MDS 1 starts one tick late, so the two counters are never in
+            // phase: sharing a cell would show at once.
             for whoami in 0..2 {
-                let a = fast.decide(&busy(whoami)).unwrap();
-                let b = slow.decide(&busy(whoami)).unwrap();
+                if tick < whoami {
+                    continue;
+                }
+                let a = fast[whoami].decide(&busy(whoami)).unwrap();
+                let b = slow[whoami].decide(&busy(whoami)).unwrap();
                 assert_eq!(a, b, "tick {tick} whoami {whoami}");
-                assert_eq!(a.migrate, tick % 3 == 0, "tick {tick} whoami {whoami}");
+                assert_eq!(
+                    a.migrate,
+                    (tick - whoami) % 3 == 0,
+                    "tick {tick} whoami {whoami}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn runtimes_off_one_compilation_share_nothing_mutable() {
+        // A decision script that saves state and scribbles on everything
+        // it can reach. Run it on one runtime; a sibling off the same
+        // `Rc<CompiledPolicy>` must then behave exactly like a runtime
+        // compiled from scratch — on its first decision and on its second.
+        let p = PolicySet::from_combined(
+            "IWR + RDstate()",
+            "MDSs[i][\"all\"]",
+            r#"
+seen = RDstate()
+WRstate(seen + 1)
+MDSs[1]["junk"] = 99
+MDSs[#MDSs + 1] = 7
+targets["stray"] = 5
+leaked = 1
+if MDSs[1]["junk2"] == nil and seen == 0 then
+  targets[2] = MDSs[1]["all"] / 2
+end
+MDSs[1]["junk2"] = 1
+"#,
+            &["half"],
+        )
+        .unwrap();
+        let compiled = CompiledPolicy::compile(p.clone());
+        let inputs = BalancerInputs {
+            whoami: 0,
+            mds: metrics(&[90.0, 5.0, 35.0]),
+            auth_metaload: 90.0,
+            all_metaload: 95.0,
+        };
+        let frag = FragMetrics::default();
+        let noisy = MantleRuntime::from_compiled(Rc::clone(&compiled));
+        for _ in 0..3 {
+            noisy.decide(&inputs).unwrap();
+        }
+        assert_eq!(noisy.eval_metaload(0, &frag).unwrap(), 3.0, "own state");
+
+        let sibling = MantleRuntime::from_compiled(Rc::clone(&compiled));
+        let fresh = MantleRuntime::new(p);
+        assert!(Rc::ptr_eq(sibling.compiled(), noisy.compiled()));
+        assert!(!Rc::ptr_eq(fresh.compiled(), noisy.compiled()));
+        assert_eq!(
+            sibling.eval_metaload(0, &frag).unwrap(),
+            0.0,
+            "no WRstate seen"
+        );
+        for tick in 0..2 {
+            let a = sibling.decide(&inputs).unwrap();
+            let b = fresh.decide(&inputs).unwrap();
+            assert_eq!(a, b, "tick {tick}");
+            assert_eq!(a.migrate, tick == 0, "tick {tick}");
+            for (x, y) in a.targets.iter().zip(&b.targets) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+            // ... while the noisy one keeps going its own way.
+            assert!(!noisy.decide(&inputs).unwrap().migrate);
+        }
+        assert_eq!(sibling.eval_metaload(0, &frag).unwrap(), 2.0);
+        assert_eq!(noisy.eval_metaload(0, &frag).unwrap(), 5.0);
+    }
+
+    #[test]
+    fn state_written_by_one_hook_is_read_by_the_others() {
+        // One cell per runtime, whichever hook touches it and whatever
+        // `whoami` the caller passes.
+        let p = PolicySet::from_hooks(
+            "IWR + RDstate()",
+            "MDSs[i][\"all\"]",
+            "WRstate(7) return false",
+            "x = 1",
+            &["half"],
+        )
+        .unwrap()
+        .with_howmany("RDstate() + active")
+        .unwrap();
+        for e in [HookEngine::Tree, HookEngine::Bytecode] {
+            let rt = MantleRuntime::new(p.clone()).with_engine(e);
+            let frag = FragMetrics::default();
+            assert_eq!(rt.eval_metaload(2, &frag).unwrap(), 0.0, "{e:?}: cold");
+            let inputs = BalancerInputs {
+                whoami: 2,
+                mds: metrics(&[10.0, 10.0, 10.0]),
+                ..Default::default()
+            };
+            assert!(!rt.decide(&inputs).unwrap().migrate);
+            assert_eq!(rt.eval_metaload(2, &frag).unwrap(), 7.0, "{e:?}");
+            assert_eq!(rt.eval_metaload(0, &frag).unwrap(), 7.0, "{e:?}");
+            assert_eq!(rt.eval_howmany(&inputs, 3, 1, 4).unwrap(), Some(10.0));
+        }
+    }
+
+    #[test]
+    fn stdlib_tables_are_read_only_on_both_engines_across_ticks() {
+        // `math` is one shared instance; a hook that tries to keep a
+        // counter in it fails the same way, on the same line, on both
+        // engines and on every tick — nothing sticks.
+        let p = PolicySet::from_combined(
+            "IWR",
+            "MDSs[i][\"all\"]",
+            "x = 1\nmath.k = (math.k or 0) + 1\ntargets[2] = math.k",
+            &["half"],
+        )
+        .unwrap();
+        let inputs = BalancerInputs {
+            whoami: 0,
+            mds: metrics(&[10.0, 0.0]),
+            ..Default::default()
+        };
+        let runs: Vec<_> = [HookEngine::Tree, HookEngine::Bytecode]
+            .map(|e| {
+                let rt = MantleRuntime::new(p.clone()).with_engine(e);
+                [rt.decide(&inputs), rt.decide(&inputs)]
+            })
+            .into_iter()
+            .collect();
+        assert_eq!(runs[0], runs[1], "engines diverge");
+        let err = runs[0][1].clone().unwrap_err();
+        assert_eq!(err.line(), Some(2));
+        assert!(err.to_string().contains("read-only table"), "{err}");
+
+        // Reading through it, aliasing it and rebinding the name all work,
+        // and the rebinding lasts one run.
+        let p = PolicySet::from_combined(
+            "IWR",
+            "MDSs[i][\"all\"]",
+            r#"
+m = math
+first = (m.answer == nil)
+math = {answer = m.floor(42.5)}
+if first then targets[2] = math.answer end
+"#,
+            &["half"],
+        )
+        .unwrap();
+        for e in [HookEngine::Tree, HookEngine::Bytecode] {
+            let rt = MantleRuntime::new(p.clone()).with_engine(e);
+            for tick in 0..2 {
+                let out = rt.decide(&inputs).unwrap();
+                assert_eq!(out.targets, vec![0.0, 42.0], "{e:?} tick {tick}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_runtime_for_one_more_mds_compiles_nothing() {
+        let compiled = CompiledPolicy::compile(cephfs_policy());
+        let runtimes: Vec<_> = (0..128)
+            .map(|_| MantleRuntime::from_compiled(Rc::clone(&compiled)))
+            .collect();
+        assert_eq!(Rc::strong_count(&compiled), 129);
+        // A budget or engine change rebuilds per-MDS parts only.
+        let rt = MantleRuntime::from_compiled(Rc::clone(&compiled))
+            .with_budget(StepBudget(10))
+            .with_engine(HookEngine::Tree);
+        assert!(Rc::ptr_eq(rt.compiled(), runtimes[0].compiled()));
+        let err = rt.decide(&busy(0)).unwrap_err();
+        assert_eq!(err, PolicyError::BudgetExhausted { budget: 10 });
     }
 }

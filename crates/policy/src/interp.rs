@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use crate::ast::{BinOp, Block, Expr, LValue, Script, Stmt, UnOp};
 use crate::error::{PolicyError, PolicyResult};
-use crate::value::{fmt_number, Key, Table, Value};
+use crate::value::{fmt_number, HostState, Key, Table, Value};
 
 /// Execution budget: the maximum number of AST steps a single run may take.
 ///
@@ -35,6 +35,7 @@ pub struct Interpreter {
     scopes: Vec<HashMap<String, Value>>,
     steps: u64,
     budget: StepBudget,
+    host: HostState,
 }
 
 impl Default for Interpreter {
@@ -51,6 +52,7 @@ impl Interpreter {
             scopes: Vec::new(),
             steps: 0,
             budget: StepBudget::default(),
+            host: HostState::default(),
         }
     }
 
@@ -73,6 +75,11 @@ impl Interpreter {
     /// Steps consumed by the last run (diagnostics / tests).
     pub fn steps_used(&self) -> u64 {
         self.steps
+    }
+
+    /// The host state native functions are handed (survives across runs).
+    pub fn host(&mut self) -> &mut HostState {
+        &mut self.host
     }
 
     /// Execute a script; returns its `return` value (or `Nil`).
@@ -259,8 +266,7 @@ impl Interpreter {
                 match obj {
                     Value::Table(t) => {
                         let k = Key::from_value(&key_v, line)?;
-                        t.borrow_mut().set(k, value);
-                        Ok(())
+                        t.borrow_mut().assign(k, value, line)
                     }
                     other => Err(PolicyError::runtime(
                         line,
@@ -315,7 +321,7 @@ impl Interpreter {
                     argv.push(self.eval(a)?);
                 }
                 match f {
-                    Value::Native(_, func) => func(self, &argv),
+                    Value::Native(_, func) => func(&mut self.host, &argv),
                     Value::Nil => Err(PolicyError::runtime(
                         *line,
                         "attempt to call a nil value (is the function defined in the Mantle \

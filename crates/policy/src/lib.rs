@@ -27,6 +27,13 @@
 //! environment before they are accepted, the "simulator that checks the
 //! logic before injecting policies in the running cluster".
 //!
+//! A balancer does not drive the interpreter itself: it parses its hooks
+//! into an [`env::PolicySet`], compiles that once into a
+//! [`CompiledPolicy`] (bytecode per hook, shared by every MDS) and runs it
+//! through one [`env::MantleRuntime`] per MDS. The tree-walking
+//! [`Interpreter`] below is the reference implementation the compiled
+//! path is held bit-identical to ([`HookEngine::Tree`]):
+//!
 //! ```
 //! use mantle_policy::{compile, Interpreter, Value};
 //!
@@ -56,21 +63,23 @@ pub mod interp;
 pub mod lexer;
 pub mod parser;
 pub mod scalar;
+pub mod selector;
 pub mod stdlib;
 pub mod token;
 pub mod validate;
 pub mod value;
 
 pub use bytecode::{BytecodeProgram, BytecodeVm};
-pub use env::{BalancerInputs, BalancerOutcome, EnvBuilder, HookEngine, MdsMetrics, StateStore};
+pub use env::{BalancerInputs, BalancerOutcome, CompiledPolicy, HookEngine, MdsMetrics};
 pub use error::{PolicyError, PolicyResult};
 pub use fmt::script_to_source;
 pub use install::{prepare, DecisionSource, PolicySource};
 pub use interp::{Interpreter, StepBudget};
 pub use parser::parse_script;
-pub use scalar::{ScalarMdsload, ScalarMetaload};
+pub use scalar::{Leaf, LinearForm};
+pub use selector::ScriptedSelector;
 pub use validate::PolicyValidator;
-pub use value::{Table, Value};
+pub use value::{HostState, Table, Value};
 
 /// Compile source text into an executable script (lex + parse).
 pub fn compile(src: &str) -> PolicyResult<ast::Script> {

@@ -1,177 +1,32 @@
-//! Scalar fast paths for the two per-item load hooks.
+//! Linear forms: the shortcut for the two per-item load hooks.
 //!
 //! `metaload` runs once per dirfrag per balancer tick and `mdsload` once
 //! per MDS; in the paper's Table 1 and every shipped policy both are a
 //! linear combination of a fixed set of numbers — the five popularity
-//! counters, or the current row's metric fields. Hooks of that shape are
-//! recognised on the AST and compiled to a coefficient term list
-//! ([`ScalarMetaload`], [`ScalarMdsload`]) evaluated as a handful of
-//! multiply-adds: no `Value` boxing, no step counting, no table lookups.
+//! counters, or the current row's metric fields. A hook of that shape is
+//! recognised on the AST and compiled to a [`LinearForm`], a coefficient
+//! term list evaluated as a handful of multiply-adds: no `Value` boxing,
+//! no step counting, no table lookups. The two hooks differ only in what
+//! counts as a variable, so there is one extractor and one evaluator, and
+//! a [`Leaf`] says which vocabulary the expression is written in.
 //!
 //! The result is still bit-identical to running the script: the term list
 //! keeps the source's association order, so the same IEEE-754 operations
-//! happen in the same order. Anything that is not such an expression (a
-//! call, a comparison, another row, an unknown name) is refused by
-//! `extract` and runs on the compiled hook instead, so error behaviour is
-//! preserved exactly. The tests below pin both fast paths against the
-//! tree-walking [`Interpreter`](crate::Interpreter).
+//! happen in the same order on exactly the `f64`s the environment would
+//! have held. Anything that is not such an expression (a call, a
+//! comparison, another row, an unknown name) is refused by
+//! [`LinearForm::extract`] and runs as a compiled hook instead, so error
+//! behaviour is preserved exactly. The tests below pin both vocabularies
+//! against the tree-walking [`Interpreter`](crate::Interpreter).
 
 use crate::ast::{BinOp, Expr, Script, Stmt, UnOp};
 
-// ---------------------------------------------------------------------------
-// Scalar metaload fast path
-// ---------------------------------------------------------------------------
-
-/// Position of each counter in the 5-vector handed to
-/// [`ScalarMetaload::eval`]: `IRD`, `IWR`, `READDIR`, `FETCH`, `STORE`.
+/// Position of each counter in the vector a [`Leaf::Counter`] form is
+/// evaluated against: `IRD`, `IWR`, `READDIR`, `FETCH`, `STORE`.
 pub const COUNTER_NAMES: [&str; 5] = ["IRD", "IWR", "READDIR", "FETCH", "STORE"];
 
-fn counter_index(name: &str) -> Option<usize> {
-    COUNTER_NAMES.iter().position(|&n| n == name)
-}
-
-/// One term of a linear `metaload` expression.
-#[derive(Debug, Clone, PartialEq)]
-enum ScalarTerm {
-    /// A bare counter, e.g. `IWR`.
-    Counter(usize),
-    /// `c * COUNTER` (coefficient written first, as in Table 1).
-    CoeffCounter(f64, usize),
-    /// `COUNTER * c`.
-    CounterCoeff(usize, f64),
-    /// A numeric literal.
-    Const(f64),
-    /// Arithmetic negation of a term.
-    Neg(Box<ScalarTerm>),
-}
-
-impl ScalarTerm {
-    fn eval(&self, counters: &[f64; 5]) -> f64 {
-        match self {
-            ScalarTerm::Counter(i) => counters[*i],
-            ScalarTerm::CoeffCounter(c, i) => c * counters[*i],
-            ScalarTerm::CounterCoeff(i, c) => counters[*i] * c,
-            ScalarTerm::Const(c) => *c,
-            ScalarTerm::Neg(t) => -t.eval(counters),
-        }
-    }
-
-    fn is_homogeneous(&self) -> bool {
-        match self {
-            ScalarTerm::Const(_) => false,
-            ScalarTerm::Neg(t) => t.is_homogeneous(),
-            _ => true,
-        }
-    }
-}
-
-/// A `metaload` hook compiled to a coefficient term list — the fast path
-/// for hooks that are pure arithmetic over the five counters, which covers
-/// Table 1 and every shipped policy.
-///
-/// Terms are kept in source order and evaluated as the interpreter's
-/// left-associative `+`/`-` chain would be, so the result is bit-identical
-/// to running the script (same IEEE-754 operations in the same order). For
-/// the common `a*IRD + b*IWR + ...` shape this is exactly a dot product
-/// against the counter vector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalarMetaload {
-    first: ScalarTerm,
-    /// `(is_subtraction, term)`, applied left to right.
-    rest: Vec<(bool, ScalarTerm)>,
-}
-
-impl ScalarMetaload {
-    /// Try to compile `script` to scalar form. Returns `None` when the hook
-    /// is anything but a single-expression linear combination of the five
-    /// counters (callers fall back to running the compiled hook).
-    pub fn extract(script: &Script) -> Option<ScalarMetaload> {
-        let [Stmt::Return {
-            value: Some(expr), ..
-        }] = script.block.stmts.as_slice()
-        else {
-            return None;
-        };
-        let mut terms = Vec::new();
-        flatten_chain(expr, &mut terms)?;
-        let mut it = terms.into_iter();
-        let (_, first) = it.next()?;
-        Some(ScalarMetaload {
-            first,
-            rest: it.collect(),
-        })
-    }
-
-    /// Evaluate against `[ird, iwr, readdir, fetch, store]`.
-    pub fn eval(&self, counters: &[f64; 5]) -> f64 {
-        let mut acc = self.first.eval(counters);
-        for (sub, term) in &self.rest {
-            let v = term.eval(counters);
-            acc = if *sub { acc - v } else { acc + v };
-        }
-        acc
-    }
-
-    /// True when the expression has no constant term, i.e. it is a linear
-    /// map with `metaload(0) = 0`. Only such hooks distribute over sums of
-    /// counter vectors, which is what lets the cluster evaluate them once
-    /// per MDS on aggregated heat instead of once per dirfrag.
-    pub fn is_homogeneous(&self) -> bool {
-        self.first.is_homogeneous() && self.rest.iter().all(|(_, t)| t.is_homogeneous())
-    }
-}
-
-/// Flatten a left-associative `+`/`-` chain into `(is_sub, term)` pairs.
-fn flatten_chain(e: &Expr, out: &mut Vec<(bool, ScalarTerm)>) -> Option<()> {
-    if let Expr::Binary {
-        op: op @ (BinOp::Add | BinOp::Sub),
-        lhs,
-        rhs,
-        ..
-    } = e
-    {
-        flatten_chain(lhs, out)?;
-        out.push((*op == BinOp::Sub, term_of(rhs)?));
-        Some(())
-    } else {
-        out.push((false, term_of(e)?));
-        Some(())
-    }
-}
-
-fn term_of(e: &Expr) -> Option<ScalarTerm> {
-    match e {
-        Expr::Number(n) => Some(ScalarTerm::Const(*n)),
-        Expr::Name(name, _) => Some(ScalarTerm::Counter(counter_index(name)?)),
-        Expr::Unary {
-            op: UnOp::Neg,
-            operand,
-            ..
-        } => Some(ScalarTerm::Neg(Box::new(term_of(operand)?))),
-        Expr::Binary {
-            op: BinOp::Mul,
-            lhs,
-            rhs,
-            ..
-        } => match (&**lhs, &**rhs) {
-            (Expr::Number(c), Expr::Name(n, _)) => {
-                Some(ScalarTerm::CoeffCounter(*c, counter_index(n)?))
-            }
-            (Expr::Name(n, _), Expr::Number(c)) => {
-                Some(ScalarTerm::CounterCoeff(counter_index(n)?, *c))
-            }
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scalar mdsload
-// ---------------------------------------------------------------------------
-
-/// Position of each per-MDS metric in the 8-vector handed to
-/// [`ScalarMdsload::eval`]: `auth`, `all`, `cpu`, `mem`, `q`, `req`,
+/// Position of each per-MDS metric in the vector a [`Leaf::MdsField`] form
+/// is evaluated against: `auth`, `all`, `cpu`, `mem`, `q`, `req`,
 /// `cache_hits`, `cache_misses`.
 pub const MDS_FIELD_NAMES: [&str; 8] = [
     "auth",
@@ -184,107 +39,27 @@ pub const MDS_FIELD_NAMES: [&str; 8] = [
     "cache_misses",
 ];
 
-fn mds_field_index(name: &str) -> Option<usize> {
-    MDS_FIELD_NAMES.iter().position(|&n| n == name)
+/// What counts as a variable of a linear form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Leaf {
+    /// A bare popularity counter (`IWR`) — the `metaload` vocabulary,
+    /// indexed as [`COUNTER_NAMES`].
+    Counter,
+    /// A metric of the row under evaluation (`MDSs[i]["q"]`) — the
+    /// `mdsload` vocabulary, indexed as [`MDS_FIELD_NAMES`]. Reads of other
+    /// rows (`MDSs[1][…]`, `MDSs[whoami][…]`) and of the pass-2-only
+    /// `"load"` field are not variables.
+    MdsField,
 }
 
-/// One term of a linear `mdsload` expression, over `MDSs[i]["<field>"]`
-/// reads instead of bare counters.
-#[derive(Debug, Clone, PartialEq)]
-enum MdsTerm {
-    /// `MDSs[i]["<field>"]`.
-    Field(usize),
-    /// `c * MDSs[i]["<field>"]` (coefficient first, as in Table 1).
-    CoeffField(f64, usize),
-    /// `MDSs[i]["<field>"] * c`.
-    FieldCoeff(usize, f64),
-    /// A numeric literal.
-    Const(f64),
-    /// Arithmetic negation of a term.
-    Neg(Box<MdsTerm>),
-}
-
-impl MdsTerm {
-    fn eval(&self, fields: &[f64; 8]) -> f64 {
-        match self {
-            MdsTerm::Field(i) => fields[*i],
-            MdsTerm::CoeffField(c, i) => c * fields[*i],
-            MdsTerm::FieldCoeff(i, c) => fields[*i] * c,
-            MdsTerm::Const(c) => *c,
-            MdsTerm::Neg(t) => -t.eval(fields),
+impl Leaf {
+    /// The variable `e` reads, if it is exactly one.
+    fn var(self, e: &Expr) -> Option<usize> {
+        match (self, e) {
+            (Leaf::Counter, Expr::Name(name, _)) => COUNTER_NAMES.iter().position(|n| n == name),
+            (Leaf::MdsField, e) => current_row_field(e),
+            _ => None,
         }
-    }
-}
-
-/// An `mdsload` hook compiled to a coefficient term list — the counterpart
-/// of [`ScalarMetaload`] for the per-MDS pass. It covers hooks that are
-/// pure arithmetic over the current row's metric fields (`MDSs[i][…]`),
-/// which is Table 1's weighted sum and every shipped policy.
-///
-/// Same bit-identity argument as [`ScalarMetaload`]: terms stay in source
-/// order and are folded with the interpreter's left-associative `+`/`-`
-/// chain, and each `MDSs[i]["<field>"]` read yields exactly the `f64` the
-/// environment builder would have stored in the table — so the fast path
-/// performs the identical IEEE-754 operations in the identical order,
-/// without building any table or running any VM.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalarMdsload {
-    first: MdsTerm,
-    /// `(is_subtraction, term)`, applied left to right.
-    rest: Vec<(bool, MdsTerm)>,
-}
-
-impl ScalarMdsload {
-    /// Try to compile `script` to scalar form. Returns `None` when the hook
-    /// is anything but a single-expression linear combination of the
-    /// current row's metric fields — callers fall back to running the
-    /// compiled hook against the real `MDSs` table. Reads of other rows
-    /// (`MDSs[1][…]`), of the pass-2-only `"load"` field, and any call or
-    /// comparison all bail, so error behaviour is preserved exactly.
-    pub fn extract(script: &Script) -> Option<ScalarMdsload> {
-        let [Stmt::Return {
-            value: Some(expr), ..
-        }] = script.block.stmts.as_slice()
-        else {
-            return None;
-        };
-        let mut terms = Vec::new();
-        flatten_mds_chain(expr, &mut terms)?;
-        let mut it = terms.into_iter();
-        let (_, first) = it.next()?;
-        Some(ScalarMdsload {
-            first,
-            rest: it.collect(),
-        })
-    }
-
-    /// Evaluate against `[auth, all, cpu, mem, q, req, cache_hits,
-    /// cache_misses]`.
-    pub fn eval(&self, fields: &[f64; 8]) -> f64 {
-        let mut acc = self.first.eval(fields);
-        for (sub, term) in &self.rest {
-            let v = term.eval(fields);
-            acc = if *sub { acc - v } else { acc + v };
-        }
-        acc
-    }
-}
-
-/// Flatten a left-associative `+`/`-` chain of mdsload terms.
-fn flatten_mds_chain(e: &Expr, out: &mut Vec<(bool, MdsTerm)>) -> Option<()> {
-    if let Expr::Binary {
-        op: op @ (BinOp::Add | BinOp::Sub),
-        lhs,
-        rhs,
-        ..
-    } = e
-    {
-        flatten_mds_chain(lhs, out)?;
-        out.push((*op == BinOp::Sub, mds_term_of(rhs)?));
-        Some(())
-    } else {
-        out.push((false, mds_term_of(e)?));
-        Some(())
     }
 }
 
@@ -305,34 +80,147 @@ fn current_row_field(e: &Expr) -> Option<usize> {
         return None;
     };
     match (&**table, &**row) {
-        (Expr::Name(t, _), Expr::Name(r, _)) if t == "MDSs" && r == "i" => mds_field_index(field),
+        (Expr::Name(t, _), Expr::Name(r, _)) if t == "MDSs" && r == "i" => {
+            MDS_FIELD_NAMES.iter().position(|n| n == field)
+        }
         _ => None,
     }
 }
 
-fn mds_term_of(e: &Expr) -> Option<MdsTerm> {
-    if let Some(f) = current_row_field(e) {
-        return Some(MdsTerm::Field(f));
-    }
-    match e {
-        Expr::Number(n) => Some(MdsTerm::Const(*n)),
-        Expr::Unary {
-            op: UnOp::Neg,
-            operand,
-            ..
-        } => Some(MdsTerm::Neg(Box::new(mds_term_of(operand)?))),
-        Expr::Binary {
-            op: BinOp::Mul,
-            lhs,
-            rhs,
-            ..
-        } => match (&**lhs, &**rhs) {
-            (Expr::Number(c), field) => Some(MdsTerm::CoeffField(*c, current_row_field(field)?)),
-            (field, Expr::Number(c)) => Some(MdsTerm::FieldCoeff(current_row_field(field)?, *c)),
+/// One term of a linear expression.
+#[derive(Debug, Clone, PartialEq)]
+enum Term {
+    /// A bare variable, e.g. `IWR`.
+    Var(usize),
+    /// `c * x` (coefficient written first, as in Table 1).
+    CoeffVar(f64, usize),
+    /// `x * c`.
+    VarCoeff(usize, f64),
+    /// A numeric literal.
+    Const(f64),
+    /// Arithmetic negation of a term.
+    Neg(Box<Term>),
+}
+
+impl Term {
+    fn of(e: &Expr, leaf: Leaf) -> Option<Term> {
+        if let Some(x) = leaf.var(e) {
+            return Some(Term::Var(x));
+        }
+        match e {
+            Expr::Number(n) => Some(Term::Const(*n)),
+            Expr::Unary {
+                op: UnOp::Neg,
+                operand,
+                ..
+            } => Some(Term::Neg(Box::new(Term::of(operand, leaf)?))),
+            Expr::Binary {
+                op: BinOp::Mul,
+                lhs,
+                rhs,
+                ..
+            } => match (&**lhs, &**rhs) {
+                (Expr::Number(c), x) => Some(Term::CoeffVar(*c, leaf.var(x)?)),
+                (x, Expr::Number(c)) => Some(Term::VarCoeff(leaf.var(x)?, *c)),
+                _ => None,
+            },
             _ => None,
-        },
-        _ => None,
+        }
     }
+
+    fn eval(&self, vars: &[f64]) -> f64 {
+        match self {
+            Term::Var(i) => vars[*i],
+            Term::CoeffVar(c, i) => c * vars[*i],
+            Term::VarCoeff(i, c) => vars[*i] * c,
+            Term::Const(c) => *c,
+            Term::Neg(t) => -t.eval(vars),
+        }
+    }
+
+    fn is_homogeneous(&self) -> bool {
+        match self {
+            Term::Const(_) => false,
+            Term::Neg(t) => t.is_homogeneous(),
+            _ => true,
+        }
+    }
+}
+
+/// A load hook compiled to a coefficient term list — the shortcut for
+/// hooks that are pure arithmetic over their [`Leaf`] vocabulary, which
+/// covers Table 1 and every shipped policy.
+///
+/// Terms are kept in source order and evaluated as the interpreter's
+/// left-associative `+`/`-` chain would be, so the result is bit-identical
+/// to running the script (same IEEE-754 operations in the same order). For
+/// the common `a*IRD + b*IWR + ...` shape this is exactly a dot product
+/// against the variable vector.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LinearForm {
+    first: Term,
+    /// `(is_subtraction, term)`, applied left to right.
+    rest: Vec<(bool, Term)>,
+}
+
+impl LinearForm {
+    /// Try to compile `script` to linear form. Returns `None` when the hook
+    /// is anything but a single-expression linear combination of `leaf`
+    /// variables (callers fall back to running the compiled hook).
+    pub fn extract(script: &Script, leaf: Leaf) -> Option<LinearForm> {
+        let [Stmt::Return {
+            value: Some(expr), ..
+        }] = script.block.stmts.as_slice()
+        else {
+            return None;
+        };
+        let mut terms = Vec::new();
+        flatten(expr, leaf, &mut terms)?;
+        let mut it = terms.into_iter();
+        let (_, first) = it.next()?;
+        Some(LinearForm {
+            first,
+            rest: it.collect(),
+        })
+    }
+
+    /// Evaluate against the variable vector of the form's [`Leaf`]
+    /// (`[ird, iwr, readdir, fetch, store]`, or `[auth, all, cpu, mem, q,
+    /// req, cache_hits, cache_misses]`).
+    pub fn eval(&self, vars: &[f64]) -> f64 {
+        let mut acc = self.first.eval(vars);
+        for (sub, term) in &self.rest {
+            let v = term.eval(vars);
+            acc = if *sub { acc - v } else { acc + v };
+        }
+        acc
+    }
+
+    /// True when the expression has no constant term, i.e. it is a linear
+    /// map sending the zero vector to 0. Only such hooks distribute over
+    /// sums of variable vectors, which is what lets the cluster evaluate
+    /// `metaload` once per MDS on aggregated heat instead of once per
+    /// dirfrag.
+    pub fn is_homogeneous(&self) -> bool {
+        self.first.is_homogeneous() && self.rest.iter().all(|(_, t)| t.is_homogeneous())
+    }
+}
+
+/// Flatten a left-associative `+`/`-` chain into `(is_sub, term)` pairs.
+fn flatten(e: &Expr, leaf: Leaf, out: &mut Vec<(bool, Term)>) -> Option<()> {
+    if let Expr::Binary {
+        op: op @ (BinOp::Add | BinOp::Sub),
+        lhs,
+        rhs,
+        ..
+    } = e
+    {
+        flatten(lhs, leaf, out)?;
+        out.push((*op == BinOp::Sub, Term::of(rhs, leaf)?));
+    } else {
+        out.push((false, Term::of(e, leaf)?));
+    }
+    Some(())
 }
 
 #[cfg(test)]
@@ -342,43 +230,69 @@ mod tests {
     use crate::parser::parse_expression_script;
     use crate::value::{Table, Value};
 
-    // ---- scalar fast path ----
-
-    fn scalar_of(src: &str) -> Option<ScalarMetaload> {
-        ScalarMetaload::extract(&parse_expression_script(src).unwrap())
+    fn form_of(src: &str, leaf: Leaf) -> Option<LinearForm> {
+        LinearForm::extract(&parse_expression_script(src).unwrap(), leaf)
     }
 
-    fn interp_metaload(src: &str, c: &[f64; 5]) -> f64 {
+    /// The reference: run `src` on the tree interpreter with `vars` bound
+    /// the way the real environment binds them for `leaf`.
+    fn interp_eval(src: &str, leaf: Leaf, vars: &[f64]) -> f64 {
         let script = parse_expression_script(src).unwrap();
         let mut interp = Interpreter::new();
-        for (i, name) in COUNTER_NAMES.iter().enumerate() {
-            interp.set_global(name, Value::Number(c[i]));
+        match leaf {
+            Leaf::Counter => {
+                for (name, v) in COUNTER_NAMES.iter().zip(vars) {
+                    interp.set_global(name, Value::Number(*v));
+                }
+            }
+            Leaf::MdsField => {
+                let row = Table::from_fields(
+                    MDS_FIELD_NAMES
+                        .iter()
+                        .zip(vars)
+                        .map(|(k, v)| (*k, Value::Number(*v))),
+                );
+                interp.set_global("MDSs", Value::table(Table::from_array([Value::table(row)])));
+                interp.set_global("i", Value::Number(1.0));
+            }
         }
         interp.run(&script).unwrap().as_number(0).unwrap()
     }
 
+    fn assert_bit_identical(src: &str, leaf: Leaf, vars: &[f64]) {
+        let form = form_of(src, leaf).unwrap_or_else(|| panic!("{src} must be linear"));
+        let (fast, slow) = (form.eval(vars), interp_eval(src, leaf, vars));
+        assert_eq!(
+            fast.to_bits(),
+            slow.to_bits(),
+            "{src} diverged on {vars:?}: {fast} vs {slow}"
+        );
+    }
+
+    // ---- counter vocabulary (metaload) ----
+
     #[test]
-    fn table1_compiles_to_scalar() {
-        let s = scalar_of("IRD + 2*IWR + READDIR + 2*FETCH + 4*STORE").unwrap();
+    fn table1_compiles_to_linear_form() {
+        let s = form_of("IRD + 2*IWR + READDIR + 2*FETCH + 4*STORE", Leaf::Counter).unwrap();
         assert!(s.is_homogeneous());
         let c = [1.0, 2.0, 3.0, 4.0, 5.0];
         assert_eq!(s.eval(&c), 36.0);
     }
 
     #[test]
-    fn shipped_policy_metaloads_compile_to_scalar() {
+    fn shipped_policy_metaloads_are_linear() {
         for src in [
             "IWR",
             "IWR + IRD",
             "IRD + 2*IWR + READDIR + 2*FETCH + 4*STORE",
         ] {
-            let s = scalar_of(src).unwrap_or_else(|| panic!("{src} must be scalar"));
+            let s = form_of(src, Leaf::Counter).unwrap_or_else(|| panic!("{src} must be linear"));
             assert!(s.is_homogeneous(), "{src} must be homogeneous");
         }
     }
 
     #[test]
-    fn scalar_is_bit_identical_to_interpreter() {
+    fn counter_form_is_bit_identical_to_interpreter() {
         let cases = [
             "IWR",
             "IWR + IRD",
@@ -394,21 +308,14 @@ mod tests {
             [5.5, 2.25, 0.125, 9.0, 1.0 / 3.0],
         ];
         for src in cases {
-            let s = scalar_of(src).unwrap_or_else(|| panic!("{src} must be scalar"));
             for c in &counters {
-                let fast = s.eval(c);
-                let slow = interp_metaload(src, c);
-                assert_eq!(
-                    fast.to_bits(),
-                    slow.to_bits(),
-                    "{src} diverged on {c:?}: {fast} vs {slow}"
-                );
+                assert_bit_identical(src, Leaf::Counter, c);
             }
         }
     }
 
     #[test]
-    fn non_scalar_hooks_fall_back() {
+    fn non_linear_metaload_hooks_fall_back() {
         for src in [
             "IRD * IWR",             // nonlinear
             "max(IRD, IWR)",         // call
@@ -416,29 +323,28 @@ mod tests {
             "x = IWR return x",      // multi-statement
             "IRD + 2*(IWR + FETCH)", // non-term rhs
             "(IRD + IWR) * 2",       // chain under a multiply
+            "MDSs[i][\"all\"]",      // the other vocabulary
         ] {
-            assert!(scalar_of(src).is_none(), "{src} must not compile to scalar");
+            assert!(
+                form_of(src, Leaf::Counter).is_none(),
+                "{src} must not compile to a linear form"
+            );
         }
     }
 
     #[test]
     fn constant_terms_are_not_homogeneous() {
-        assert!(!scalar_of("IWR + 1").unwrap().is_homogeneous());
-        assert!(!scalar_of("IWR - -3").unwrap().is_homogeneous());
-        assert!(scalar_of("IWR - -FETCH").unwrap().is_homogeneous());
+        assert!(!form_of("IWR + 1", Leaf::Counter).unwrap().is_homogeneous());
+        assert!(!form_of("IWR - -3", Leaf::Counter).unwrap().is_homogeneous());
+        assert!(form_of("IWR - -FETCH", Leaf::Counter)
+            .unwrap()
+            .is_homogeneous());
     }
 
-    // ---- scalar mdsload ----
-
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    fn mds_scalar_of(src: &str) -> Option<ScalarMdsload> {
-        ScalarMdsload::extract(&parse_expression_script(src).unwrap())
-    }
+    // ---- row-field vocabulary (mdsload) ----
 
     #[test]
-    fn shipped_mdsload_hooks_compile_to_scalar() {
+    fn shipped_mdsload_hooks_are_linear() {
         // Listing 1 (and every listing balancer), Table 1's weighted sum,
         // and the grid search's queue-aware capacity term.
         for src in [
@@ -446,12 +352,15 @@ mod tests {
             "0.8*MDSs[i][\"auth\"] + 0.2*MDSs[i][\"all\"] + MDSs[i][\"req\"] + 10*MDSs[i][\"q\"]",
             "MDSs[i][\"all\"] + 10*MDSs[i][\"q\"]",
         ] {
-            assert!(mds_scalar_of(src).is_some(), "{src} must be scalar");
+            assert!(
+                form_of(src, Leaf::MdsField).is_some(),
+                "{src} must be linear"
+            );
         }
     }
 
     #[test]
-    fn scalar_mdsload_is_bit_identical_to_interpreter() {
+    fn row_field_form_is_bit_identical_to_interpreter() {
         let cases = [
             "MDSs[i][\"all\"]",
             "0.8*MDSs[i][\"auth\"] + 0.2*MDSs[i][\"all\"] + MDSs[i][\"req\"] + 10*MDSs[i][\"q\"]",
@@ -464,34 +373,14 @@ mod tests {
             [1e9, 1e-9, 3.3333, 7.77, 0.0, 1.0 / 3.0, 0.0, 1e6],
         ];
         for src in cases {
-            let s = mds_scalar_of(src).unwrap_or_else(|| panic!("{src} must be scalar"));
             for fields in &rows {
-                // Oracle: run the expression against a real MDSs table.
-                let script = parse_expression_script(src).unwrap();
-                let row = Table::from_fields(
-                    MDS_FIELD_NAMES
-                        .iter()
-                        .zip(fields)
-                        .map(|(k, v)| (*k, Value::Number(*v))),
-                );
-                let mut mdss = Table::new();
-                mdss.set_int(1, Value::Table(Rc::new(RefCell::new(row))));
-                let mut interp = Interpreter::new();
-                interp.set_global("MDSs", Value::Table(Rc::new(RefCell::new(mdss))));
-                interp.set_global("i", Value::Number(1.0));
-                let slow = interp.run(&script).unwrap().as_number(0).unwrap();
-                let fast = s.eval(fields);
-                assert_eq!(
-                    fast.to_bits(),
-                    slow.to_bits(),
-                    "{src} diverged on {fields:?}: {fast} vs {slow}"
-                );
+                assert_bit_identical(src, Leaf::MdsField, fields);
             }
         }
     }
 
     #[test]
-    fn non_scalar_mdsload_hooks_fall_back() {
+    fn non_linear_mdsload_hooks_fall_back() {
         for src in [
             "MDSs[i][\"load\"]",                 // pass-2-only field (reads nil in pass 1)
             "MDSs[1][\"all\"]",                  // other row
@@ -501,11 +390,94 @@ mod tests {
             "MDSs[i][\"all\"] * MDSs[i][\"q\"]", // nonlinear
             "allmetaload",                       // plain global
             "x = MDSs[i][\"all\"] return x",     // multi-statement
+            "IWR",                               // the other vocabulary
         ] {
             assert!(
-                mds_scalar_of(src).is_none(),
-                "{src} must not compile to scalar"
+                form_of(src, Leaf::MdsField).is_none(),
+                "{src} must not compile to a linear form"
             );
+        }
+    }
+
+    // ---- both vocabularies, random chains ----
+
+    /// SplitMix64 — enough randomness for a fixed-seed property test in a
+    /// crate with no dependencies.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+        fn f64(&mut self) -> f64 {
+            // Mixed magnitudes, so association order shows up in the bits.
+            let mantissa = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+            mantissa * 10f64.powi(self.below(13) as i32 - 6)
+        }
+    }
+
+    fn leaf_source(leaf: Leaf, rng: &mut Rng) -> String {
+        match leaf {
+            Leaf::Counter => COUNTER_NAMES[rng.below(5) as usize].to_string(),
+            Leaf::MdsField => format!("MDSs[i][\"{}\"]", MDS_FIELD_NAMES[rng.below(8) as usize]),
+        }
+    }
+
+    fn random_term(leaf: Leaf, rng: &mut Rng) -> String {
+        let x = leaf_source(leaf, rng);
+        match rng.below(5) {
+            0 => x,
+            1 => format!("{:?}*{x}", rng.f64()),
+            2 => format!("{x}*{:?}", rng.f64()),
+            3 => format!("{:?}", rng.f64()),
+            // Unary minus binds tighter than `*`, so only variables,
+            // literals and other negations can sit under one and stay a
+            // term. The space keeps `- -x` from lexing as a `--` comment.
+            _ => loop {
+                let t = random_term(leaf, rng);
+                if !t.contains('*') {
+                    break format!("- {t}");
+                }
+            },
+        }
+    }
+
+    #[test]
+    fn random_chains_match_the_interpreter_and_everything_else_is_refused() {
+        let mut rng = Rng(0x6c69_6e65_6172);
+        for leaf in [Leaf::Counter, Leaf::MdsField] {
+            for _ in 0..300 {
+                let mut src = random_term(leaf, &mut rng);
+                for _ in 0..rng.below(6) {
+                    let op = if rng.below(2) == 0 { "+" } else { "-" };
+                    src = format!("{src} {op} {}", random_term(leaf, &mut rng));
+                }
+                let vars: Vec<f64> = (0..8).map(|_| rng.f64()).collect();
+                assert_bit_identical(&src, leaf, &vars);
+
+                // One step outside the grammar — any operator but `+`/`-`
+                // joining two terms, a product of variables, a call, a
+                // parenthesised sum under a product — and the whole hook is
+                // refused, whatever else it contains.
+                let x = leaf_source(leaf, &mut rng);
+                let alien = match rng.below(5) {
+                    0 => format!("{x} / 2"),
+                    1 => format!("{x} * {x}"),
+                    2 => format!("max({x}, 1)"),
+                    3 => format!("2 * ({x} + 1)"),
+                    _ => format!("{x} ^ 2"),
+                };
+                for bad in [format!("{src} + {alien}"), format!("{alien} - {src}")] {
+                    assert!(form_of(&bad, leaf).is_none(), "{bad} must be refused");
+                }
+            }
         }
     }
 }

@@ -2,13 +2,15 @@
 //! plus a small `math` table (`math.max`, `math.min`, `math.abs`,
 //! `math.floor`, `math.ceil`, `math.sqrt`, `math.huge`) and `tonumber` /
 //! `tostring`. Everything is pure: policies stay sandboxed and
-//! deterministic.
+//! deterministic. The `math` table is read-only to scripts (`math.k = 1` is
+//! a runtime error): the host shares one stdlib instance between every
+//! hook run of every MDS, so nothing written to it may survive a run.
 
 use std::rc::Rc;
 
 use crate::error::{PolicyError, PolicyResult};
 use crate::interp::Interpreter;
-use crate::value::{Table, Value};
+use crate::value::{NativeFn, Table, Value};
 
 /// Fold for `max`/`min`. NaN arguments raise a runtime error rather than
 /// being silently dropped: `f64::max`/`f64::min` return the *other* operand
@@ -55,80 +57,52 @@ fn unary(name: &'static str, args: &[Value], f: impl Fn(f64) -> f64) -> PolicyRe
     Ok(Value::Number(f(args[0].as_number(0)?)))
 }
 
+fn fold(name: &'static str, f: fn(f64, f64) -> f64) -> Value {
+    Value::Native(name, Rc::new(move |_, args| numeric_fold(name, args, f)))
+}
+
+fn map(name: &'static str, f: fn(f64) -> f64) -> Value {
+    Value::Native(name, Rc::new(move |_, args| unary(name, args, f)))
+}
+
+/// The standard library as `(global name, value)` bindings. One instance
+/// can back any number of runs: the functions hold no state and `math` is
+/// read-only to scripts.
+pub fn globals() -> Vec<(&'static str, Value)> {
+    let math = Table::from_fields([
+        ("max", fold("math.max", f64::max)),
+        ("min", fold("math.min", f64::min)),
+        ("abs", map("math.abs", f64::abs)),
+        ("floor", map("math.floor", f64::floor)),
+        ("ceil", map("math.ceil", f64::ceil)),
+        ("sqrt", map("math.sqrt", f64::sqrt)),
+        ("huge", Value::Number(f64::INFINITY)),
+    ]);
+    let tonumber: NativeFn = Rc::new(|_, args| {
+        Ok(args
+            .first()
+            .and_then(|v| v.as_number(0).ok())
+            .map_or(Value::Nil, Value::Number))
+    });
+    let tostring: NativeFn = Rc::new(|_, args| {
+        Ok(Value::str(
+            args.first().map(Value::display_string).unwrap_or_default(),
+        ))
+    });
+    vec![
+        ("max", fold("max", f64::max)),
+        ("min", fold("min", f64::min)),
+        ("tonumber", Value::Native("tonumber", tonumber)),
+        ("tostring", Value::Native("tostring", tostring)),
+        ("math", Value::table(math.read_only())),
+    ]
+}
+
 /// Install the standard library into an interpreter's globals.
 pub fn install(interp: &mut Interpreter) {
-    interp.set_global(
-        "max",
-        Value::Native("max", Rc::new(|_, a| numeric_fold("max", a, f64::max))),
-    );
-    interp.set_global(
-        "min",
-        Value::Native("min", Rc::new(|_, a| numeric_fold("min", a, f64::min))),
-    );
-    interp.set_global(
-        "tonumber",
-        Value::Native(
-            "tonumber",
-            Rc::new(|_, a| match a.first() {
-                Some(v) => Ok(v.as_number(0).map(Value::Number).unwrap_or(Value::Nil)),
-                None => Ok(Value::Nil),
-            }),
-        ),
-    );
-    interp.set_global(
-        "tostring",
-        Value::Native(
-            "tostring",
-            Rc::new(|_, a| {
-                Ok(Value::str(
-                    a.first().map(|v| v.display_string()).unwrap_or_default(),
-                ))
-            }),
-        ),
-    );
-
-    let mut math = Table::new();
-    math.set_str(
-        "max",
-        Value::Native(
-            "math.max",
-            Rc::new(|_, a| numeric_fold("math.max", a, f64::max)),
-        ),
-    );
-    math.set_str(
-        "min",
-        Value::Native(
-            "math.min",
-            Rc::new(|_, a| numeric_fold("math.min", a, f64::min)),
-        ),
-    );
-    math.set_str(
-        "abs",
-        Value::Native("math.abs", Rc::new(|_, a| unary("math.abs", a, f64::abs))),
-    );
-    math.set_str(
-        "floor",
-        Value::Native(
-            "math.floor",
-            Rc::new(|_, a| unary("math.floor", a, f64::floor)),
-        ),
-    );
-    math.set_str(
-        "ceil",
-        Value::Native(
-            "math.ceil",
-            Rc::new(|_, a| unary("math.ceil", a, f64::ceil)),
-        ),
-    );
-    math.set_str(
-        "sqrt",
-        Value::Native(
-            "math.sqrt",
-            Rc::new(|_, a| unary("math.sqrt", a, f64::sqrt)),
-        ),
-    );
-    math.set_str("huge", Value::Number(f64::INFINITY));
-    interp.set_global("math", Value::table(math));
+    for (name, value) in globals() {
+        interp.set_global(name, value);
+    }
 }
 
 #[cfg(test)]

@@ -1,49 +1,31 @@
 //! Policy validation — the §4.4 "simulator that checks the logic before
 //! injecting policies in the running cluster".
 //!
-//! Validation has two stages:
+//! The policy is compiled once ([`CompiledPolicy::compile`]) and that one
+//! compilation goes through two stages:
 //!
-//! 1. **static**: the script must compile, and may only reference globals
-//!    from the Mantle environment (Table 2) — a typo like `MDSS` is caught
-//!    here rather than producing `nil` at 2 a.m. on a production MDS;
+//! 1. **static**: a script may only read globals its environment binds —
+//!    Table 2 and the host functions for a hook, `loads`/`target`/`total`
+//!    and the stdlib for a custom selector — or that it assigns itself; a
+//!    typo like `MDSS` is caught here rather than producing `nil` at
+//!    2 a.m. on a production MDS;
 //! 2. **dynamic**: every hook is dry-run under a small step budget against
 //!    a family of synthetic clusters (idle, hot-self, hot-other, single
-//!    MDS) and must complete without runtime errors on all of them.
+//!    MDS), each on a fresh per-MDS runtime off the shared compilation,
+//!    and every custom selector against a few load vectors under the
+//!    budget it runs with in production; all must complete without
+//!    errors, and a selector must answer with distinct in-range indices.
 
 use std::collections::HashSet;
+use std::rc::Rc;
 
 use crate::ast::{Block, Expr, LValue, Script, Stmt};
-use crate::env::{BalancerInputs, FragMetrics, MantleRuntime, MdsMetrics, PolicySet};
+use crate::env::{
+    BalancerInputs, Bind, CompiledHook, CompiledPolicy, FragMetrics, MantleRuntime, MdsMetrics,
+    PolicySet,
+};
 use crate::error::{PolicyError, PolicyResult};
 use crate::interp::StepBudget;
-
-/// Globals every policy may reference (Table 2 plus the stdlib).
-const KNOWN_GLOBALS: &[&str] = &[
-    "whoami",
-    // The MDS index the runtime sets while evaluating `mdsload`.
-    "i",
-    "authmetaload",
-    "allmetaload",
-    "IRD",
-    "IWR",
-    "READDIR",
-    "FETCH",
-    "STORE",
-    "MDSs",
-    "total",
-    "targets",
-    // The `howmany` auto-scaling environment.
-    "active",
-    "min_mds",
-    "max_mds",
-    "WRstate",
-    "RDstate",
-    "max",
-    "min",
-    "math",
-    "tonumber",
-    "tostring",
-];
 
 /// Validates policy sets before they are injected.
 #[derive(Debug, Clone)]
@@ -75,40 +57,14 @@ impl PolicyValidator {
 
     /// Validate a policy set; `Ok(())` means safe to inject.
     pub fn validate(&self, policy: &PolicySet) -> PolicyResult<()> {
-        self.check_globals(policy)?;
-        self.dry_run(policy)
+        let compiled = CompiledPolicy::compile(policy.clone());
+        check_globals(&compiled)?;
+        self.dry_run(&compiled)
     }
 
-    fn check_globals(&self, policy: &PolicySet) -> PolicyResult<()> {
-        let mut scripts: Vec<&Script> = vec![&policy.metaload, &policy.mdsload];
-        match &policy.decision {
-            crate::env::Decision::Hooks { when, where_ } => {
-                scripts.push(when);
-                scripts.push(where_);
-            }
-            crate::env::Decision::Combined(s) => scripts.push(s),
-        }
-        if let Some(h) = &policy.howmany {
-            scripts.push(h);
-        }
-        for script in scripts {
-            let unknown = unknown_globals(script);
-            if let Some(name) = unknown.into_iter().next() {
-                return Err(PolicyError::Rejected {
-                    reason: format!(
-                        "script reads global '{name}' which is not part of the Mantle \
-                         environment (Table 2) and is never assigned"
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn dry_run(&self, policy: &PolicySet) -> PolicyResult<()> {
-        let scenarios = synthetic_clusters();
-        for (label, inputs) in &scenarios {
-            let rt = MantleRuntime::new(policy.clone()).with_budget(self.budget);
+    fn dry_run(&self, policy: &Rc<CompiledPolicy>) -> PolicyResult<()> {
+        for (label, inputs) in &synthetic_clusters() {
+            let rt = MantleRuntime::from_compiled(Rc::clone(policy)).with_budget(self.budget);
             rt.eval_metaload(
                 inputs.whoami,
                 &FragMetrics {
@@ -134,8 +90,48 @@ impl PolicyValidator {
             rt.eval_howmany(inputs, 1, 1, n)
                 .map_err(|e| reject(label, "howmany", e))?;
         }
+        for selector in policy.selectors() {
+            for (label, loads) in SELECTOR_LOADS {
+                let target = loads.iter().sum::<f64>() / 2.0;
+                selector
+                    .select(loads, target)
+                    .map_err(|e| reject(label, &format!("selector '{}'", selector.name()), e))?;
+            }
+        }
         Ok(())
     }
+}
+
+/// Static stage: every global a script reads before assigning it must be
+/// one its environment binds — a [`Bind`] of that environment, or a host
+/// name present in the script's own base frame.
+fn check_globals(policy: &CompiledPolicy) -> PolicyResult<()> {
+    let unknown_in = |hook: &CompiledHook, env: &[Bind]| {
+        let bound = |name: &str| env.iter().any(|b| b.name() == name) || hook.host_binds(name);
+        unknown_globals(hook.script(), bound).into_iter().next()
+    };
+    for hook in policy.hooks() {
+        if let Some(name) = unknown_in(hook, Bind::hook_env()) {
+            return Err(PolicyError::Rejected {
+                reason: format!(
+                    "script reads global '{name}' which is not part of the Mantle \
+                     environment (Table 2) and is never assigned"
+                ),
+            });
+        }
+    }
+    for selector in policy.selectors() {
+        if let Some(name) = unknown_in(selector.hook(), Bind::selector_env()) {
+            return Err(PolicyError::Rejected {
+                reason: format!(
+                    "selector '{}' reads global '{name}' which is not part of the selector \
+                     environment (loads, target, total) and is never assigned",
+                    selector.name()
+                ),
+            });
+        }
+    }
+    Ok(())
 }
 
 fn reject(scenario: &str, hook: &str, err: PolicyError) -> PolicyError {
@@ -143,6 +139,17 @@ fn reject(scenario: &str, hook: &str, err: PolicyError) -> PolicyError {
         reason: format!("dry run '{scenario}' failed in {hook}: {err}"),
     }
 }
+
+/// The load vectors every custom selector must survive: nothing to choose
+/// from, no choice, and the paper's §3.2 worked example.
+const SELECTOR_LOADS: [(&str, &[f64]); 3] = [
+    ("no-units", &[]),
+    ("one-unit", &[40.0]),
+    (
+        "paper-loads",
+        &[12.7, 13.3, 13.3, 14.6, 15.7, 13.5, 13.7, 14.6],
+    ),
+];
 
 /// The synthetic clusters every policy must survive.
 fn synthetic_clusters() -> Vec<(&'static str, BalancerInputs)> {
@@ -178,15 +185,15 @@ fn synthetic_clusters() -> Vec<(&'static str, BalancerInputs)> {
     ]
 }
 
-/// Collect globals a script reads before ever assigning them, excluding the
-/// known environment.
-fn unknown_globals(script: &Script) -> Vec<String> {
+/// Collect globals a script reads before ever assigning them, excluding
+/// those its environment has `bound`.
+fn unknown_globals(script: &Script, bound: impl Fn(&str) -> bool) -> Vec<String> {
     let mut ctx = GlobalScan::default();
     ctx.block(&script.block);
     let mut out: Vec<String> = ctx
         .reads
         .into_iter()
-        .filter(|name| !KNOWN_GLOBALS.contains(&name.as_str()) && !ctx.writes.contains(name))
+        .filter(|name| !bound(name) && !ctx.writes.contains(name))
         .collect();
     out.sort();
     out
@@ -414,10 +421,75 @@ end
         PolicyValidator::new().validate(&p).unwrap();
     }
 
+    const EVERY_OTHER: &str = r#"
+chosen = {}
+sent = 0
+for i = 1, #loads, 2 do
+  if sent >= target then break end
+  chosen[#chosen + 1] = i
+  sent = sent + loads[i]
+end
+return chosen
+"#;
+
+    fn with_selector(src: &str) -> PolicySet {
+        greedy().with_custom_selector("mine", src).unwrap()
+    }
+
+    #[test]
+    fn custom_selectors_are_validated_too() {
+        let v = PolicyValidator::new();
+        v.validate(&with_selector(EVERY_OTHER)).unwrap();
+        v.validate(&with_selector("return {}")).unwrap();
+        // (source, what the rejection must mention)
+        for (src, why) in [
+            ("while true do end", "step budget of 200000"),
+            ("return laods", "global 'laods'"),
+            // Table 2 is the hooks' environment, not a selector's.
+            ("return {whoami}", "global 'whoami'"),
+            ("WRstate(1) return {}", "global 'WRstate'"),
+            ("if #loads == 1 then return {2} end return {}", "one-unit"),
+            ("return 3", "must return a table"),
+            ("return {#loads + 1}", "out of range"),
+            ("if #loads > 1 then return {1, 1} end return {}", "twice"),
+            // Fine on most inputs; the empty directory trips it.
+            ("return {#loads}", "no-units"),
+        ] {
+            let err = v.validate(&with_selector(src)).unwrap_err();
+            assert!(matches!(err, PolicyError::Rejected { .. }), "{src}: {err}");
+            assert!(err.to_string().contains(why), "{src}: {err}");
+            assert!(err.to_string().contains("selector 'mine'"), "{src}: {err}");
+        }
+    }
+
+    #[test]
+    fn selector_budget_is_the_production_one() {
+        // A tight validator budget squeezes hooks, not selectors: those
+        // run under the fixed budget they get in a balancer tick.
+        let busy = "n = 0 for i = 1, 1000 do n = n + i end return {}";
+        let tight = PolicyValidator::new().with_budget(StepBudget(500));
+        tight.validate(&with_selector(busy)).unwrap();
+        let as_hook = PolicySet::from_combined("IWR", "MDSs[i][\"all\"]", busy, &["half"]).unwrap();
+        assert!(tight.validate(&as_hook).is_err());
+    }
+
+    #[test]
+    fn writing_to_the_stdlib_is_rejected() {
+        let p = PolicySet::from_combined(
+            "IWR",
+            "MDSs[i][\"all\"]",
+            "math.k = (math.k or 0) + 1",
+            &["half"],
+        )
+        .unwrap();
+        let err = PolicyValidator::new().validate(&p).unwrap_err();
+        assert!(err.to_string().contains("read-only table"), "{err}");
+    }
+
     #[test]
     fn for_loop_variable_is_local_to_loop() {
         let script = crate::parser::parse_script("for j=1,3 do x = j end y = j").unwrap();
-        let unknown = unknown_globals(&script);
+        let unknown = unknown_globals(&script, |_| false);
         assert_eq!(unknown, vec!["j".to_string()], "j leaks outside the loop");
     }
 }

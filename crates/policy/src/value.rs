@@ -6,10 +6,19 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::error::{PolicyError, PolicyResult};
-use crate::interp::Interpreter;
+
+/// What a host function can reach besides its arguments: the state of the
+/// MDS whose hook is running. Whichever engine runs a script owns one and
+/// hands it to every native it calls.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct HostState {
+    /// The one number `WRstate` saves and `RDstate` reads back (0 before
+    /// the first write — the listings compare it numerically on first run).
+    pub saved: f64,
+}
 
 /// A host (native) function callable from scripts.
-pub type NativeFn = Rc<dyn Fn(&mut Interpreter, &[Value]) -> PolicyResult<Value>>;
+pub type NativeFn = Rc<dyn Fn(&mut HostState, &[Value]) -> PolicyResult<Value>>;
 
 /// A runtime value.
 #[derive(Clone)]
@@ -158,6 +167,8 @@ impl Key {
 #[derive(Default, Clone)]
 pub struct Table {
     map: HashMap<Key, Value>,
+    /// Scripts may read but not assign (see [`Table::assign`]).
+    read_only: bool,
 }
 
 impl Table {
@@ -219,6 +230,28 @@ impl Table {
                 self.map.insert(key, v);
             }
         }
+    }
+
+    /// Assignment *by a script* (`t[k] = v` at `line`): [`Table::set`],
+    /// refused on a read-only table. Both engines assign through here, so
+    /// the refusal is the same error on the same line.
+    pub fn assign(&mut self, key: Key, value: Value, line: u32) -> PolicyResult<()> {
+        if self.read_only {
+            return Err(PolicyError::runtime(
+                line,
+                "attempt to modify a read-only table",
+            ));
+        }
+        self.set(key, value);
+        Ok(())
+    }
+
+    /// Make the table read-only to scripts. The host shares one instance of
+    /// such a table (the stdlib's `math`) between every hook run of every
+    /// MDS, so nothing a script could write to it may stick.
+    pub fn read_only(mut self) -> Table {
+        self.read_only = true;
+        self
     }
 
     /// Set a string-keyed field.
@@ -320,6 +353,26 @@ mod tests {
         t.set_str("x", Value::Nil);
         assert!(matches!(t.get_str("x"), Value::Nil));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn read_only_tables_refuse_script_assignment_only() {
+        let mut t = Table::from_fields([("pi", Value::num(3.0))]).read_only();
+        let err = t.assign(Key::Int(1), Value::num(1.0), 7).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "runtime error (line 7): attempt to modify a read-only table"
+        );
+        assert!(t.assign(Key::Str("pi".into()), Value::Nil, 7).is_err());
+        assert_eq!(t.get_str("pi").as_number(0).unwrap(), 3.0);
+        // The host is not a script.
+        t.set_int(1, Value::num(1.0));
+        assert_eq!(t.len(), 1);
+        // An ordinary table takes assignments as `set` does.
+        let mut u = Table::new();
+        u.assign(Key::Int(1), Value::num(5.0), 1).unwrap();
+        u.assign(Key::Int(1), Value::Nil, 1).unwrap();
+        assert!(u.is_empty());
     }
 
     #[test]
