@@ -949,8 +949,13 @@ impl BytecodeVm {
         self.steps
     }
 
+    /// The step budget every run is held to.
+    pub fn budget(&self) -> StepBudget {
+        self.budget
+    }
+
     /// The host state native functions are handed (survives across runs).
-    pub fn host(&mut self) -> &mut HostState {
+    pub fn host_mut(&mut self) -> &mut HostState {
         &mut self.host
     }
 

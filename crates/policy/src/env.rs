@@ -302,61 +302,43 @@ pub(crate) enum Bind {
 }
 
 impl Bind {
-    const ALL: [Bind; 18] = [
-        Bind::Whoami,
-        Bind::I,
-        Bind::Mdss,
-        Bind::Total,
-        Bind::Targets,
-        Bind::AuthMetaload,
-        Bind::AllMetaload,
-        Bind::Ird,
-        Bind::Iwr,
-        Bind::Readdir,
-        Bind::Fetch,
-        Bind::Store,
-        Bind::Active,
-        Bind::MinMds,
-        Bind::MaxMds,
-        Bind::Loads,
-        Bind::Target,
-        Bind::Chosen,
+    /// The globals' names as scripts spell them, in declaration order.
+    const NAMES: [&'static str; Bind::Chosen as usize + 1] = [
+        "whoami",
+        "i",
+        "MDSs",
+        "total",
+        "targets",
+        "authmetaload",
+        "allmetaload",
+        "IRD",
+        "IWR",
+        "READDIR",
+        "FETCH",
+        "STORE",
+        "active",
+        "min_mds",
+        "max_mds",
+        "loads",
+        "target",
+        "chosen",
     ];
 
     /// The global's name as scripts spell it.
     pub(crate) fn name(self) -> &'static str {
-        match self {
-            Bind::Whoami => "whoami",
-            Bind::I => "i",
-            Bind::Mdss => "MDSs",
-            Bind::Total => "total",
-            Bind::Targets => "targets",
-            Bind::AuthMetaload => "authmetaload",
-            Bind::AllMetaload => "allmetaload",
-            Bind::Ird => "IRD",
-            Bind::Iwr => "IWR",
-            Bind::Readdir => "READDIR",
-            Bind::Fetch => "FETCH",
-            Bind::Store => "STORE",
-            Bind::Active => "active",
-            Bind::MinMds => "min_mds",
-            Bind::MaxMds => "max_mds",
-            Bind::Loads => "loads",
-            Bind::Target => "target",
-            Bind::Chosen => "chosen",
-        }
+        Bind::NAMES[self as usize]
     }
 
-    /// What some hook binds (the validator lets any hook name any of
+    /// Names some hook binds (the validator lets any hook name any of
     /// these; one the hook at hand does not bind reads `nil`, which the dry
     /// run then trips over).
-    pub(crate) fn hook_env() -> &'static [Bind] {
-        &Bind::ALL[..Bind::Loads as usize]
+    pub(crate) fn hook_env() -> &'static [&'static str] {
+        &Bind::NAMES[..Bind::Loads as usize]
     }
 
-    /// What a selector run binds (`chosen` is its output, not an input).
-    pub(crate) fn selector_env() -> &'static [Bind] {
-        &[Bind::Loads, Bind::Target, Bind::Total]
+    /// Names a selector run binds (`chosen` is its output, not an input).
+    pub(crate) fn selector_env() -> [&'static str; 3] {
+        [Bind::Loads, Bind::Target, Bind::Total].map(Bind::name)
     }
 }
 
@@ -369,7 +351,7 @@ pub(crate) struct CompiledHook {
     script: Script,
     bc: BytecodeProgram,
     base: Vec<Value>,
-    slots: [Option<usize>; Bind::ALL.len()],
+    slots: [Option<usize>; Bind::NAMES.len()],
 }
 
 impl CompiledHook {
@@ -377,7 +359,7 @@ impl CompiledHook {
         let bc = BytecodeProgram::compile(&script);
         CompiledHook {
             base: bc.base_frame(host),
-            slots: Bind::ALL.map(|b| bc.global_slot(b.name())),
+            slots: Bind::NAMES.map(|name| bc.global_slot(name)),
             bc,
             script,
         }
@@ -608,7 +590,6 @@ struct PerMds {
 /// the same policy ([`MantleRuntime::from_compiled`]) compiles nothing.
 pub struct MantleRuntime {
     policy: Rc<CompiledPolicy>,
-    budget: StepBudget,
     engine: HookEngine,
     per_mds: RefCell<PerMds>,
 }
@@ -617,7 +598,6 @@ impl fmt::Debug for MantleRuntime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MantleRuntime")
             .field("engine", &self.engine)
-            .field("budget", &self.budget)
             .finish_non_exhaustive()
     }
 }
@@ -631,21 +611,18 @@ impl MantleRuntime {
     /// A runtime for one more MDS running an already-compiled policy: fresh
     /// registers, fresh tables, nothing saved.
     pub fn from_compiled(policy: Rc<CompiledPolicy>) -> Self {
-        let budget = StepBudget::default();
         MantleRuntime {
             per_mds: RefCell::new(PerMds {
-                vm: policy.metaload.vm(budget),
+                vm: policy.metaload.vm(StepBudget::default()),
                 tables: DecideTables::default(),
             }),
             policy,
-            budget,
             engine: HookEngine::default(),
         }
     }
 
     /// Override the step budget applied to every hook invocation.
     pub fn with_budget(mut self, budget: StepBudget) -> Self {
-        self.budget = budget;
         self.per_mds.get_mut().vm = self.policy.metaload.vm(budget);
         self
     }
@@ -707,8 +684,8 @@ impl MantleRuntime {
     /// [`HookEngine`] forks. The bytecode engine re-images `vm`'s globals
     /// and writes `env` into pre-resolved slots; the tree reference builds
     /// an interpreter, binds the host functions and `env` by name, and
-    /// walks the AST. Either way natives see this MDS's host state, which
-    /// lives in `vm`.
+    /// walks the AST. Either way the run is held to `vm`'s step budget and
+    /// natives see this MDS's host state, which lives in `vm`.
     fn run_hook(
         &self,
         hook: &CompiledHook,
@@ -718,16 +695,16 @@ impl MantleRuntime {
         match self.engine {
             HookEngine::Bytecode => hook.run(vm, env),
             HookEngine::Tree => {
-                let mut interp = Interpreter::new().with_budget(self.budget);
+                let mut interp = Interpreter::new().with_budget(vm.budget());
                 for (name, value) in &self.policy.host {
                     interp.set_global(name, value.clone());
                 }
                 for (bind, value) in env {
                     interp.set_global(bind.name(), value.clone());
                 }
-                *interp.host() = *vm.host();
+                *interp.host_mut() = *vm.host_mut();
                 let result = interp.run(hook.script());
-                *vm.host() = *interp.host();
+                *vm.host_mut() = *interp.host_mut();
                 result
             }
         }
@@ -922,6 +899,17 @@ end
             &["big_first"],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn bind_names_follow_the_enum() {
+        assert_eq!(Bind::Whoami.name(), "whoami");
+        assert_eq!(Bind::Mdss.name(), "MDSs");
+        assert_eq!(Bind::Store.name(), "STORE");
+        assert_eq!(Bind::MaxMds.name(), "max_mds");
+        assert_eq!(Bind::Chosen.name(), "chosen");
+        assert_eq!(Bind::hook_env().last(), Some(&"max_mds"));
+        assert_eq!(Bind::selector_env(), ["loads", "target", "total"]);
     }
 
     #[test]

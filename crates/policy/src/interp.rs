@@ -78,7 +78,7 @@ impl Interpreter {
     }
 
     /// The host state native functions are handed (survives across runs).
-    pub fn host(&mut self) -> &mut HostState {
+    pub fn host_mut(&mut self) -> &mut HostState {
         &mut self.host
     }
 

@@ -134,6 +134,19 @@ fn chosen_units(name: &str, result: &Value, n: usize) -> PolicyResult<Vec<usize>
     Ok(out)
 }
 
+/// The documented example (POLICY.md §9), for this crate's tests.
+#[cfg(test)]
+pub(crate) const EVERY_OTHER: &str = r#"
+chosen = {}
+sent = 0
+for i = 1, #loads, 2 do
+  if sent >= target then break end
+  chosen[#chosen + 1] = i
+  sent = sent + loads[i]
+end
+return chosen
+"#;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,17 +176,6 @@ mod tests {
         };
         chosen_units(name, &result, loads.len())
     }
-
-    const EVERY_OTHER: &str = r#"
-chosen = {}
-sent = 0
-for i = 1, #loads, 2 do
-  if sent >= target then break end
-  chosen[#chosen + 1] = i
-  sent = sent + loads[i]
-end
-return chosen
-"#;
 
     #[test]
     fn vm_and_tree_agree_on_indices_and_errors() {

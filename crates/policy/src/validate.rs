@@ -103,11 +103,11 @@ impl PolicyValidator {
 }
 
 /// Static stage: every global a script reads before assigning it must be
-/// one its environment binds — a [`Bind`] of that environment, or a host
-/// name present in the script's own base frame.
+/// one its environment binds — a [`Bind`] name of that environment, or a
+/// host name present in the script's own base frame.
 fn check_globals(policy: &CompiledPolicy) -> PolicyResult<()> {
-    let unknown_in = |hook: &CompiledHook, env: &[Bind]| {
-        let bound = |name: &str| env.iter().any(|b| b.name() == name) || hook.host_binds(name);
+    let unknown_in = |hook: &CompiledHook, env: &[&str]| {
+        let bound = |name: &str| env.contains(&name) || hook.host_binds(name);
         unknown_globals(hook.script(), bound).into_iter().next()
     };
     for hook in policy.hooks() {
@@ -121,7 +121,7 @@ fn check_globals(policy: &CompiledPolicy) -> PolicyResult<()> {
         }
     }
     for selector in policy.selectors() {
-        if let Some(name) = unknown_in(selector.hook(), Bind::selector_env()) {
+        if let Some(name) = unknown_in(selector.hook(), &Bind::selector_env()) {
             return Err(PolicyError::Rejected {
                 reason: format!(
                     "selector '{}' reads global '{name}' which is not part of the selector \
@@ -421,16 +421,7 @@ end
         PolicyValidator::new().validate(&p).unwrap();
     }
 
-    const EVERY_OTHER: &str = r#"
-chosen = {}
-sent = 0
-for i = 1, #loads, 2 do
-  if sent >= target then break end
-  chosen[#chosen + 1] = i
-  sent = sent + loads[i]
-end
-return chosen
-"#;
+    use crate::selector::EVERY_OTHER;
 
     fn with_selector(src: &str) -> PolicySet {
         greedy().with_custom_selector("mine", src).unwrap()
