@@ -272,7 +272,7 @@ mod tests {
     // ---- counter vocabulary (metaload) ----
 
     #[test]
-    fn table1_compiles_to_linear_form() {
+    fn table1_compiles_to_scalar() {
         let s = form_of("IRD + 2*IWR + READDIR + 2*FETCH + 4*STORE", Leaf::Counter).unwrap();
         assert!(s.is_homogeneous());
         let c = [1.0, 2.0, 3.0, 4.0, 5.0];
@@ -280,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn shipped_policy_metaloads_are_linear() {
+    fn shipped_policy_metaloads_compile_to_scalar() {
         for src in [
             "IWR",
             "IWR + IRD",
@@ -292,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_form_is_bit_identical_to_interpreter() {
+    fn scalar_is_bit_identical_to_interpreter() {
         let cases = [
             "IWR",
             "IWR + IRD",
@@ -315,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn non_linear_metaload_hooks_fall_back() {
+    fn non_scalar_hooks_fall_back() {
         for src in [
             "IRD * IWR",             // nonlinear
             "max(IRD, IWR)",         // call
@@ -344,7 +344,7 @@ mod tests {
     // ---- row-field vocabulary (mdsload) ----
 
     #[test]
-    fn shipped_mdsload_hooks_are_linear() {
+    fn shipped_mdsload_hooks_compile_to_scalar() {
         // Listing 1 (and every listing balancer), Table 1's weighted sum,
         // and the grid search's queue-aware capacity term.
         for src in [
@@ -360,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn row_field_form_is_bit_identical_to_interpreter() {
+    fn scalar_mdsload_is_bit_identical_to_interpreter() {
         let cases = [
             "MDSs[i][\"all\"]",
             "0.8*MDSs[i][\"auth\"] + 0.2*MDSs[i][\"all\"] + MDSs[i][\"req\"] + 10*MDSs[i][\"q\"]",
@@ -380,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn non_linear_mdsload_hooks_fall_back() {
+    fn non_scalar_mdsload_hooks_fall_back() {
         for src in [
             "MDSs[i][\"load\"]",                 // pass-2-only field (reads nil in pass 1)
             "MDSs[1][\"all\"]",                  // other row
