@@ -6,6 +6,55 @@
 //! are too popular to migrate" — running every configured dirfrag selector
 //! at each level and keeping the one that lands closest to the remaining
 //! target.
+//!
+//! # One walk per subtree per call
+//!
+//! Working downward asks for the same loads again and again: a subtree is
+//! sized whole to learn it is too big to ship, then each of its children is
+//! sized one level down, then theirs; and every further destination of the
+//! plan starts over from the roots. Sizing is a walk over every directory of
+//! the subtree ([`subtree_load`]), so done naively one call of
+//! [`plan_exports`] walks a large subtree once per level per destination.
+//!
+//! Instead, the walk that sizes a subtree also records the load of **every
+//! subtree inside it** (`SubtreeLoads`), and the planner consults that
+//! record before walking. A directory is therefore visited at most once per
+//! call, with one exception: a bound root of `me` nested inside another of
+//! its regions is both an export root (its children get sized) and a child
+//! of its parent directory (its total gets sized). If the queue pops it as a
+//! root *before* its parent — equal rolled-up heat — the children were sized
+//! one by one, and the total, which is a sum over every fragment below in
+//! walk order and not a sum of those subtotals, takes one more walk.
+//!
+//! The recorded loads are not approximately but **bit-for-bit** what
+//! [`subtree_load`] returns for the same directory, which is what keeps
+//! every export, every selector decision and every report unchanged:
+//!
+//! * [`subtree_load`] of `c` pops directories off a stack, children pushed
+//!   in order, and adds each owned fragment's `metaload` to one `f64`
+//!   starting at 0. A walk that *passes through* `c` pops exactly the same
+//!   directories in exactly the same order between the moment it pops `c`
+//!   and the moment it pops something at `c`'s depth or above — the stack
+//!   discipline is the same and so is the rule for stopping at nested
+//!   bounds. It keeps one running sum per directory on the current path,
+//!   each started at 0 when its directory is popped and fed every fragment
+//!   load from then on: the same numbers added in the same order, so the
+//!   same floating-point result.
+//! * Fragment heat decays lazily, but every sample in a call is taken at
+//!   the same `now`: the first visit decays, any later one would have been
+//!   a no-op, so skipping the later ones leaves every counter as it was.
+//! * `metaload` is evaluated on fewer samples, never on different ones. It
+//!   is a function of the heat sample (the cluster already evaluates it on
+//!   per-MDS aggregates instead of per fragment when it is additive), so
+//!   how often it runs is not observable.
+//!
+//! A child the bounded walk steps over — it is a bound root itself, owned
+//! by `me` — has no recorded load and is sized by a walk of its own when
+//! the planner asks. `plan_exports_matches_the_reference_planner` holds the
+//! whole arrangement against a planner that calls [`subtree_load`] for
+//! every load it needs.
+
+use std::collections::{HashMap, HashSet};
 
 use mantle_namespace::{FragId, MdsId, Namespace, NodeId};
 use mantle_policy::PolicyResult;
@@ -44,6 +93,129 @@ struct Candidate {
 /// Fraction of the target below which we stop drilling (close enough).
 const TARGET_EPSILON: f64 = 0.05;
 
+/// The running sum of one directory on the path from a walk's root to the
+/// directory it is visiting.
+struct OpenDir {
+    depth: u32,
+    /// Where the finished sum goes in [`SubtreeLoads::loads`].
+    slot: usize,
+    total: f64,
+}
+
+/// Subtree loads already known in one [`plan_exports`] call — each
+/// bit-equal to what [`subtree_load`] returns for that directory, `me` and
+/// `now` (see the module docs) — plus the buffers the walks reuse.
+struct SubtreeLoads {
+    me: MdsId,
+    now: SimTime,
+    /// `loads[blocks[d] + i]` is the load of `d`'s `i`-th child: one hash
+    /// lookup per directory whose children are asked about, one slot write
+    /// per directory visited.
+    blocks: HashMap<NodeId, usize>,
+    /// `None`: not sized (yet) — the bounded walk stepped over it, or no
+    /// walk has been near it.
+    loads: Vec<Option<f64>>,
+    /// Directories still to visit, each with the slot its load goes to.
+    stack: Vec<(NodeId, usize)>,
+    path: Vec<OpenDir>,
+}
+
+impl SubtreeLoads {
+    fn new(me: MdsId, now: SimTime) -> Self {
+        SubtreeLoads {
+            me,
+            now,
+            blocks: HashMap::new(),
+            loads: Vec::new(),
+            stack: Vec::new(),
+            path: Vec::new(),
+        }
+    }
+
+    /// Where the loads of `dir`'s children are (to be) recorded.
+    fn block_of(&mut self, ns: &Namespace, dir: NodeId) -> usize {
+        let SubtreeLoads { blocks, loads, .. } = self;
+        let children = ns.dir(dir).children.len();
+        if children == 0 {
+            // An empty block is anywhere; leaves — most directories — stay
+            // out of the map.
+            return loads.len();
+        }
+        *blocks.entry(dir).or_insert_with(|| {
+            let block = loads.len();
+            loads.resize(block + children, None);
+            block
+        })
+    }
+
+    /// The load of the subtree at `dir`, whose slot is `slot`: looked up,
+    /// or walked now.
+    fn load<B: Balancer + ?Sized>(
+        &mut self,
+        ns: &mut Namespace,
+        balancer: &B,
+        dir: NodeId,
+        slot: usize,
+    ) -> PolicyResult<f64> {
+        match self.loads[slot] {
+            Some(load) => Ok(load),
+            None => self.walk(ns, balancer, dir, slot),
+        }
+    }
+
+    /// [`subtree_load`] of `root`, recording along the way the load of
+    /// every subtree inside it. Visits what `Namespace::subtree_dirs(root,
+    /// true)` lists, in that order, without building the list.
+    fn walk<B: Balancer + ?Sized>(
+        &mut self,
+        ns: &mut Namespace,
+        balancer: &B,
+        root: NodeId,
+        slot: usize,
+    ) -> PolicyResult<f64> {
+        debug_assert!(self.stack.is_empty() && self.path.is_empty());
+        self.stack.push((root, slot));
+        while let Some((cur, slot)) = self.stack.pop() {
+            let depth = ns.dir(cur).depth;
+            // Popping a directory at this depth means every subtree at this
+            // depth or below that was open is complete.
+            self.close_below(depth);
+            if cur != root && ns.dir(cur).auth.is_some() {
+                continue;
+            }
+            self.path.push(OpenDir {
+                depth,
+                slot,
+                total: 0.0,
+            });
+            for f in 0..ns.dir(cur).frags.len() {
+                if ns.frag_auth(cur, f) == self.me {
+                    let heat = ns.frag_heat(cur, f, self.now);
+                    let load = balancer.metaload(&heat)?;
+                    for open in &mut self.path {
+                        open.total += load;
+                    }
+                }
+            }
+            // (The root may already have a block — see the module docs'
+            // exception. The loads in it are then overwritten with the
+            // bit-equal ones this walk computes.)
+            let block = self.block_of(ns, cur);
+            let children = ns.dir(cur).children.iter().enumerate();
+            self.stack.extend(children.map(|(i, &c)| (c, block + i)));
+        }
+        self.close_below(ns.dir(root).depth);
+        Ok(self.loads[slot].expect("closing the root recorded its load"))
+    }
+
+    /// Record and drop the running sums of directories at `depth` or deeper.
+    fn close_below(&mut self, depth: u32) {
+        while let Some(open) = self.path.pop_if(|open| open.depth >= depth) {
+            self.loads[open.slot] = Some(open.total);
+        }
+    }
+}
+
 /// Plan concrete exports for `plan` on behalf of MDS `me`.
 ///
 /// Reads (and lazily decays) fragment heat via the balancer's `metaload`
@@ -67,8 +239,9 @@ pub fn plan_exports<B: Balancer + ?Sized>(
     });
 
     // Track units already claimed by earlier destinations.
-    let mut claimed_subtrees: Vec<NodeId> = Vec::new();
-    let mut claimed_frags: Vec<(NodeId, FragId)> = Vec::new();
+    let mut claimed_subtrees: HashSet<NodeId> = HashSet::new();
+    let mut claimed_frags: HashSet<(NodeId, FragId)> = HashSet::new();
+    let mut known = SubtreeLoads::new(me, now);
 
     for dest in order {
         let target = plan.targets[dest];
@@ -94,13 +267,14 @@ pub fn plan_exports<B: Balancer + ?Sized>(
             let mut cands: Vec<Candidate> = Vec::new();
             let mut drill: Vec<NodeId> = Vec::new();
             // Child subtrees still bound to me.
-            let children: Vec<NodeId> = ns.dir(dir).children.clone();
-            for c in &children {
-                if ns.resolve_auth(*c) == me
-                    && ns.dir(*c).auth.is_none_or(|a| a == me)
-                    && !claimed_subtrees.contains(c)
+            let block = known.block_of(ns, dir);
+            for i in 0..ns.dir(dir).children.len() {
+                let c = ns.dir(dir).children[i];
+                if ns.resolve_auth(c) == me
+                    && ns.dir(c).auth.is_none_or(|a| a == me)
+                    && !claimed_subtrees.contains(&c)
                 {
-                    let load = subtree_load(ns, balancer, *c, me, now)?;
+                    let load = known.load(ns, balancer, c, block + i)?;
                     if load <= 0.0 {
                         continue;
                     }
@@ -108,13 +282,13 @@ pub fn plan_exports<B: Balancer + ?Sized>(
                     // popular to migrate whole — divide it instead
                     // (§3.2: "subtrees are divided and migrated only if
                     // their ancestors are too popular to migrate").
-                    let divisible = !ns.dir(*c).children.is_empty() || ns.dir(*c).frags.len() > 1;
+                    let divisible = !ns.dir(c).children.is_empty() || ns.dir(c).frags.len() > 1;
                     if divisible && load > remaining * 1.25 {
-                        drill.push(*c);
+                        drill.push(c);
                         continue;
                     }
                     cands.push(Candidate {
-                        unit: ExportUnit::Subtree(*c),
+                        unit: ExportUnit::Subtree(c),
                         load,
                     });
                 }
@@ -142,9 +316,9 @@ pub fn plan_exports<B: Balancer + ?Sized>(
             for &i in &chosen {
                 let c = cands[i];
                 match c.unit {
-                    ExportUnit::Subtree(d) => claimed_subtrees.push(d),
-                    ExportUnit::Frag(d, f) => claimed_frags.push((d, f)),
-                }
+                    ExportUnit::Subtree(d) => claimed_subtrees.insert(d),
+                    ExportUnit::Frag(d, f) => claimed_frags.insert((d, f)),
+                };
                 exports.push(Export {
                     unit: c.unit,
                     to: dest,
@@ -194,6 +368,10 @@ fn sort_by_load<B: Balancer + ?Sized>(
 
 /// Metadata load of the subtree rooted at `dir`, counting only fragments
 /// bound to `me` (nested bounds belong to other MDSs).
+///
+/// The plain, stand-alone walk: [`plan_exports`] gets the same numbers from
+/// fewer walks (see the module docs), and its tests hold it against a
+/// planner built on this function.
 pub fn subtree_load<B: Balancer + ?Sized>(
     ns: &mut Namespace,
     balancer: &B,
@@ -216,9 +394,10 @@ pub fn subtree_load<B: Balancer + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balancer::CephfsBalancer;
+    use crate::balancer::{BalanceContext, CephfsBalancer};
     use crate::selector::DirfragSelector;
-    use mantle_namespace::{NsConfig, OpKind};
+    use mantle_namespace::{HeatSample, NsConfig, OpKind};
+    use mantle_sim::SimRng;
 
     fn heat_up(ns: &mut Namespace, dir: NodeId, creates: usize) {
         for _ in 0..creates {
@@ -352,5 +531,311 @@ mod tests {
         ns.set_auth(ab, Some(1));
         let bounded = subtree_load(&mut ns, &b, a, 0, SimTime::ZERO).unwrap();
         assert!(bounded < full, "bounded {bounded} < full {full}");
+    }
+    // ---- the planner against its reference ----
+
+    /// `plan_exports` as it was before it kept any record of the loads it
+    /// had computed: every load it needs is a stand-alone [`subtree_load`]
+    /// walk, every "already claimed?" a scan.
+    fn reference_plan_exports<B: Balancer + ?Sized>(
+        ns: &mut Namespace,
+        me: MdsId,
+        balancer: &B,
+        plan: &MigrationPlan,
+        now: SimTime,
+    ) -> PolicyResult<Vec<Export>> {
+        let mut exports = Vec::new();
+        let mut order: Vec<usize> = (0..plan.targets.len()).collect();
+        order.sort_by(|&a, &b| plan.targets[b].partial_cmp(&plan.targets[a]).unwrap());
+        let mut claimed_subtrees: Vec<NodeId> = Vec::new();
+        let mut claimed_frags: Vec<(NodeId, FragId)> = Vec::new();
+        for dest in order {
+            let target = plan.targets[dest];
+            if dest == me || target <= 0.0 {
+                continue;
+            }
+            let mut remaining = target;
+            let mut queue: Vec<NodeId> = ns
+                .export_candidate_dirs(me)
+                .into_iter()
+                .filter(|d| !claimed_subtrees.contains(d))
+                .collect();
+            sort_by_load(ns, balancer, &mut queue, now)?;
+            while remaining > target * TARGET_EPSILON {
+                let Some(dir) = queue.pop() else { break };
+                let mut cands: Vec<Candidate> = Vec::new();
+                let mut drill: Vec<NodeId> = Vec::new();
+                let children: Vec<NodeId> = ns.dir(dir).children.clone();
+                for c in &children {
+                    if ns.resolve_auth(*c) == me
+                        && ns.dir(*c).auth.is_none_or(|a| a == me)
+                        && !claimed_subtrees.contains(c)
+                    {
+                        let load = subtree_load(ns, balancer, *c, me, now)?;
+                        if load <= 0.0 {
+                            continue;
+                        }
+                        let divisible =
+                            !ns.dir(*c).children.is_empty() || ns.dir(*c).frags.len() > 1;
+                        if divisible && load > remaining * 1.25 {
+                            drill.push(*c);
+                            continue;
+                        }
+                        let unit = ExportUnit::Subtree(*c);
+                        cands.push(Candidate { unit, load });
+                    }
+                }
+                for f in 0..ns.dir(dir).frags.len() {
+                    if ns.frag_auth(dir, f) == me && !claimed_frags.contains(&(dir, f)) {
+                        let heat = ns.frag_heat(dir, f, now);
+                        let load = balancer.metaload(&heat)?;
+                        if load > 0.0 {
+                            let unit = ExportUnit::Frag(dir, f);
+                            cands.push(Candidate { unit, load });
+                        }
+                    }
+                }
+                if cands.is_empty() {
+                    sort_by_load(ns, balancer, &mut drill, now)?;
+                    queue.extend(drill);
+                    continue;
+                }
+                let loads: Vec<f64> = cands.iter().map(|c| c.load).collect();
+                let (_, chosen, shipped) = select_best_of(&plan.selectors, &loads, remaining)?;
+                for &i in &chosen {
+                    let c = cands[i];
+                    match c.unit {
+                        ExportUnit::Subtree(d) => claimed_subtrees.push(d),
+                        ExportUnit::Frag(d, f) => claimed_frags.push((d, f)),
+                    }
+                    exports.push(Export {
+                        unit: c.unit,
+                        to: dest,
+                        load: c.load,
+                    });
+                }
+                remaining -= shipped;
+                let mut next: Vec<NodeId> = drill;
+                for (i, c) in cands.iter().enumerate() {
+                    if let (false, ExportUnit::Subtree(d)) = (chosen.contains(&i), c.unit) {
+                        next.push(d);
+                    }
+                }
+                sort_by_load(ns, balancer, &mut next, now)?;
+                queue.extend(next);
+            }
+        }
+        Ok(exports)
+    }
+
+    /// A `metaload` that is neither linear nor cheap to reassociate, and
+    /// that counts how often it is asked.
+    #[derive(Default)]
+    struct CountingBalancer {
+        calls: std::cell::Cell<u64>,
+    }
+
+    impl Balancer for CountingBalancer {
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn metaload(&self, heat: &HeatSample) -> PolicyResult<f64> {
+            self.calls.set(self.calls.get() + 1);
+            Ok(heat.cephfs_metaload() + 0.3 * heat.iwr.sqrt() + heat.ird / 7.0)
+        }
+        fn decide(&mut self, _: &BalanceContext) -> PolicyResult<Option<MigrationPlan>> {
+            Ok(None)
+        }
+    }
+
+    /// A namespace of three to four levels with everything the planner has
+    /// a rule for: fragmented dirs, cold subtrees, bounds nested inside
+    /// `me`'s region owned by others and by `me` itself, fragment overrides
+    /// towards and away from `me`.
+    fn random_namespace(rng: &mut SimRng, me: MdsId) -> Namespace {
+        let mut ns = Namespace::new(NsConfig {
+            frag_split_threshold: 6 + rng.below(20),
+            ..Default::default()
+        });
+        let mut levels: Vec<Vec<NodeId>> = vec![vec![ns.root()]];
+        for depth in 1..=3 + rng.below(2) {
+            let mut level = Vec::new();
+            for &parent in &levels[depth as usize - 1] {
+                let fanout = match depth {
+                    1 => 2 + rng.below(3),
+                    _ => rng.below(5),
+                };
+                for i in 0..fanout {
+                    level.push(ns.mkdir(parent, format!("d{i}")));
+                }
+            }
+            levels.push(level);
+        }
+        let dirs: Vec<NodeId> = levels.concat();
+        let pick = |rng: &mut SimRng, from: &[NodeId]| from[rng.below(from.len() as u64) as usize];
+        // Heat: whole level-1 subtrees stay cold now and then; the rest get
+        // ops spread over five seconds.
+        let cold = pick(rng, &levels[1]);
+        for &d in &dirs {
+            if ns.in_subtree(d, cold) && rng.below(3) > 0 {
+                continue;
+            }
+            for _ in 0..rng.below(4) * rng.below(30) {
+                let op = [
+                    OpKind::Create,
+                    OpKind::Create,
+                    OpKind::Stat,
+                    OpKind::Readdir,
+                ][rng.below(4) as usize];
+                ns.record_op(d, op, SimTime::from_millis(rng.below(5_000)));
+            }
+        }
+        // Authority. `me` always owns something: the root, or a level-1 dir.
+        if me != 0 {
+            ns.set_auth(pick(rng, &levels[1]), Some(me));
+        }
+        for _ in 0..rng.below(5) {
+            // Nested bounds: someone else's, or (one in three) my own.
+            let owner = [me, 2, 3][rng.below(3) as usize];
+            ns.set_auth(pick(rng, &dirs[1..]), Some(owner));
+        }
+        for _ in 0..rng.below(6) {
+            let d = pick(rng, &dirs);
+            let f = rng.below(ns.dir(d).frags.len() as u64) as usize;
+            let to = if ns.frag_auth(d, f) == me { 2 } else { me };
+            ns.set_frag_auth(d, f, Some(to));
+        }
+        ns
+    }
+
+    #[test]
+    fn plan_exports_matches_the_reference_planner() {
+        let mut rng = SimRng::new(0x9a27_1710);
+        let now = SimTime::from_secs(6);
+        let (mut exported, mut multi_dest, mut frag_units) = (0, 0, 0);
+        let (mut calls, mut reference_calls) = (0, 0);
+        for case in 0..300 {
+            let me = rng.below(2) as MdsId;
+            let ns = random_namespace(&mut rng, me);
+            let balancer = CountingBalancer::default();
+            let owned = {
+                let mut probe = ns.clone();
+                let mut total = 0.0;
+                for d in probe.export_candidate_dirs(me) {
+                    total += subtree_load(&mut probe, &balancer, d, me, now).unwrap();
+                }
+                total
+            };
+            // One to three destinations, together asking for anything from
+            // a sliver to more than there is.
+            let mut targets = vec![0.0; 4];
+            for _ in 0..1 + rng.below(3) {
+                let dest = rng.below(4) as usize;
+                targets[dest] = owned * [0.02, 0.1, 0.25, 0.5, 1.5][rng.below(5) as usize];
+            }
+            let selectors = [
+                vec![DirfragSelector::BigFirst],
+                vec![DirfragSelector::Half],
+                vec![DirfragSelector::SmallFirst, DirfragSelector::BigSmall],
+                vec![
+                    DirfragSelector::BigFirst,
+                    DirfragSelector::Half,
+                    DirfragSelector::SmallFirst,
+                ],
+            ][rng.below(4) as usize]
+                .clone();
+            let plan = plan(targets, selectors);
+
+            let (mut ours, mut theirs) = (ns.clone(), ns);
+            balancer.calls.set(0);
+            let got = plan_exports(&mut ours, me, &balancer, &plan, now).unwrap();
+            let ours_calls = balancer.calls.replace(0);
+            let want = reference_plan_exports(&mut theirs, me, &balancer, &plan, now).unwrap();
+            assert!(ours_calls <= balancer.calls.get(), "case {case}");
+            calls += ours_calls;
+            reference_calls += balancer.calls.get();
+
+            assert_eq!(got.len(), want.len(), "case {case}: {got:?} vs {want:?}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!((g.unit, g.to), (w.unit, w.to), "case {case}");
+                assert_eq!(g.load.to_bits(), w.load.to_bits(), "case {case}: {g:?}");
+            }
+            // Every decay counter was left exactly as the reference leaves
+            // it (and nothing else in the namespace was touched at all).
+            assert_eq!(format!("{ours:?}"), format!("{theirs:?}"), "case {case}");
+
+            exported += got.len();
+            frag_units += got
+                .iter()
+                .filter(|e| matches!(e.unit, ExportUnit::Frag(..)))
+                .count();
+            let dests: HashSet<MdsId> = got.iter().map(|e| e.to).collect();
+            multi_dest += usize::from(dests.len() > 1);
+        }
+        // The cases did exercise the planner, and the record did save walks.
+        assert!(exported > 600, "{exported} exports");
+        assert!(frag_units > 50, "{frag_units} fragment exports");
+        assert!(multi_dest > 40, "{multi_dest} multi-destination plans");
+        // (Both counts include the calls the record cannot save: sorting
+        // by rolled-up heat and sampling a directory's own fragments.)
+        assert!(
+            calls * 5 < reference_calls * 4,
+            "{calls} metaload calls against the reference's {reference_calls}"
+        );
+    }
+
+    #[test]
+    fn a_walk_records_every_subtree_inside_it_bit_for_bit() {
+        let mut rng = SimRng::new(0x5b7_0a15);
+        let now = SimTime::from_secs(6);
+        let balancer = CountingBalancer::default();
+        for case in 0..100 {
+            let me = rng.below(2) as MdsId;
+            let mut ns = random_namespace(&mut rng, me);
+            let root = ns.root();
+            let mut known = SubtreeLoads::new(me, now);
+            let block = known.block_of(&ns, root);
+            assert_eq!(block, 0);
+            let top = ns.dir(root).children[0];
+            let total = known.load(&mut ns, &balancer, top, 0).unwrap();
+            let visits = balancer.calls.replace(0);
+            assert_eq!(
+                total.to_bits(),
+                subtree_load(&mut ns, &balancer, top, me, now)
+                    .unwrap()
+                    .to_bits()
+            );
+            balancer.calls.set(0);
+            // Every directory the bounded walk reached has its load on
+            // record; every one it stepped over, and everything below, has
+            // none.
+            for d in ns.subtree_dirs(top, false) {
+                let Some(parent) = ns.dir(d).parent.filter(|_| d != top) else {
+                    continue;
+                };
+                let i = ns.dir(parent).children.iter().position(|&c| c == d);
+                let recorded = known
+                    .blocks
+                    .get(&parent)
+                    .and_then(|block| known.loads[block + i.unwrap()]);
+                let reached = ns.subtree_dirs(top, true).contains(&d);
+                assert_eq!(recorded.is_some(), reached, "case {case}: {d:?}");
+                if let Some(load) = recorded {
+                    let alone = subtree_load(&mut ns, &balancer, d, me, now).unwrap();
+                    assert_eq!(load.to_bits(), alone.to_bits(), "case {case}: {d:?}");
+                }
+            }
+            // Asking again walks nothing.
+            balancer.calls.set(0);
+            assert_eq!(
+                known.load(&mut ns, &balancer, top, 0).unwrap().to_bits(),
+                total.to_bits()
+            );
+            assert_eq!(
+                balancer.calls.get(),
+                0,
+                "case {case}: {visits} the first time"
+            );
+        }
     }
 }

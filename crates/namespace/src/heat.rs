@@ -1,6 +1,6 @@
 //! Decayed popularity counters — the per-directory "heat" of Fig. 1.
 
-use mantle_sim::{DecayCounter, SimTime};
+use mantle_sim::{DecayCounter, SharedDecay, SimTime};
 
 use crate::types::OpKind;
 
@@ -71,23 +71,26 @@ impl FragHeat {
     /// journal (`STORE`) — we charge those deterministically at fixed
     /// ratios rather than modelling the cache itself.
     pub fn record(&mut self, op: OpKind, now: SimTime) {
+        // Counters an op bumps together were mostly last bumped together,
+        // so they decay by one shared factor.
+        let mut shared = SharedDecay::default();
         if op.is_write() {
-            self.iwr.hit(now, 1.0);
+            self.iwr.hit_sharing(now, 1.0, &mut shared);
         } else {
-            self.ird.hit(now, 1.0);
+            self.ird.hit_sharing(now, 1.0, &mut shared);
         }
         match op {
             OpKind::Readdir => {
-                self.readdir.hit(now, 1.0);
+                self.readdir.hit_sharing(now, 1.0, &mut shared);
                 // Listing a cold directory fetches its dirfrag object.
-                self.fetch.hit(now, 0.2);
+                self.fetch.hit_sharing(now, 0.2, &mut shared);
             }
             OpKind::Create => {
                 // Journal flush amortized over creates.
-                self.store.hit(now, 0.1);
+                self.store.hit_sharing(now, 0.1, &mut shared);
             }
             OpKind::OpenRead => {
-                self.fetch.hit(now, 0.1);
+                self.fetch.hit_sharing(now, 0.1, &mut shared);
             }
             _ => {}
         }
@@ -99,21 +102,25 @@ impl FragHeat {
     /// ops here — which is what lets per-MDS aggregates be rebuilt from
     /// per-frag truth.
     pub fn add_sample(&mut self, s: &HeatSample, now: SimTime, scale: f64) {
-        self.ird.hit(now, s.ird * scale);
-        self.iwr.hit(now, s.iwr * scale);
-        self.readdir.hit(now, s.readdir * scale);
-        self.fetch.hit(now, s.fetch * scale);
-        self.store.hit(now, s.store * scale);
+        let mut shared = SharedDecay::default();
+        self.ird.hit_sharing(now, s.ird * scale, &mut shared);
+        self.iwr.hit_sharing(now, s.iwr * scale, &mut shared);
+        self.readdir
+            .hit_sharing(now, s.readdir * scale, &mut shared);
+        self.fetch.hit_sharing(now, s.fetch * scale, &mut shared);
+        self.store.hit_sharing(now, s.store * scale, &mut shared);
     }
 
-    /// Sample all counters at `now`.
+    /// Sample all counters at `now`. Counters equally far behind `now` —
+    /// all five, after the first sample — decay by one shared factor.
     pub fn sample(&mut self, now: SimTime) -> HeatSample {
+        let mut shared = SharedDecay::default();
         HeatSample {
-            ird: self.ird.get(now),
-            iwr: self.iwr.get(now),
-            readdir: self.readdir.get(now),
-            fetch: self.fetch.get(now),
-            store: self.store.get(now),
+            ird: self.ird.get_sharing(now, &mut shared),
+            iwr: self.iwr.get_sharing(now, &mut shared),
+            readdir: self.readdir.get_sharing(now, &mut shared),
+            fetch: self.fetch.get_sharing(now, &mut shared),
+            store: self.store.get_sharing(now, &mut shared),
         }
     }
 
@@ -211,6 +218,105 @@ mod tests {
         }
         assert!((total.iwr - before.iwr).abs() < 1e-6);
         assert!((total.store - before.store).abs() < 1e-6);
+    }
+
+    /// Five counters decayed one at a time by the plain formula, with the
+    /// op → counter mapping written out again.
+    struct PlainHeat {
+        half_life_ms: f64,
+        /// `(value, last)` in `ird, iwr, readdir, fetch, store` order.
+        counters: [(f64, SimTime); 5],
+    }
+
+    impl PlainHeat {
+        fn peek(&self, i: usize, now: SimTime) -> f64 {
+            let (value, last) = self.counters[i];
+            if now > last {
+                let dt = (now - last).as_millis() as f64;
+                value * 0.5_f64.powf(dt / self.half_life_ms)
+            } else {
+                value
+            }
+        }
+        fn decay(&mut self, i: usize, now: SimTime) {
+            self.counters[i] = (self.peek(i, now), self.counters[i].1.max(now));
+        }
+        fn hit(&mut self, i: usize, now: SimTime, amount: f64) {
+            self.decay(i, now);
+            self.counters[i].0 += amount;
+        }
+        fn record(&mut self, op: OpKind, now: SimTime) {
+            self.hit(usize::from(op.is_write()), now, 1.0);
+            match op {
+                OpKind::Readdir => {
+                    self.hit(2, now, 1.0);
+                    self.hit(3, now, 0.2);
+                }
+                OpKind::Create => self.hit(4, now, 0.1),
+                OpKind::OpenRead => self.hit(3, now, 0.1),
+                _ => {}
+            }
+        }
+        fn sample(&self, now: SimTime) -> [u64; 5] {
+            std::array::from_fn(|i| self.peek(i, now).to_bits())
+        }
+    }
+
+    fn bits(s: &HeatSample) -> [u64; 5] {
+        [s.ird, s.iwr, s.readdir, s.fetch, s.store].map(f64::to_bits)
+    }
+
+    #[test]
+    fn shared_decay_factors_are_bit_identical_to_five_plain_counters() {
+        let mut rng = mantle_sim::SimRng::new(0x4ea7);
+        let mut fast = FragHeat::new(t(10));
+        let mut slow = PlainHeat {
+            half_life_ms: 10_000.0,
+            counters: [(0.0, SimTime::ZERO); 5],
+        };
+        let mut now = SimTime::ZERO;
+        for step in 0..30_000 {
+            now = match rng.below(8) {
+                0 | 1 => now,
+                2 | 3 => now + SimTime::from_micros(rng.below(900)),
+                4 => now.saturating_sub(SimTime::from_millis(rng.below(5))),
+                5 => now + SimTime::from_secs(rng.below(200)),
+                _ => now + SimTime::from_millis(rng.below(3_000)),
+            };
+            match rng.below(8) {
+                0..=3 => {
+                    let ops = OpKind::all();
+                    let op = ops[rng.below(ops.len() as u64) as usize];
+                    fast.record(op, now);
+                    slow.record(op, now);
+                }
+                4 => {
+                    let got = fast.sample(now);
+                    (0..5).for_each(|i| slow.decay(i, now));
+                    assert_eq!(bits(&got), slow.sample(now), "step {step}");
+                }
+                5 => {
+                    // Move heat in or out, as an authority change does —
+                    // taking out exactly what is there leaves signed zeros.
+                    let mut s = fast.peek(now);
+                    if rng.below(2) == 0 {
+                        s.fetch = 0.0;
+                        s.store = -0.0;
+                    }
+                    let scale = [1.0, -1.0, 0.5, -0.0][rng.below(4) as usize];
+                    fast.add_sample(&s, now, scale);
+                    for (i, v) in [s.ird, s.iwr, s.readdir, s.fetch, s.store]
+                        .into_iter()
+                        .enumerate()
+                    {
+                        slow.hit(i, now, v * scale);
+                    }
+                }
+                _ => {}
+            }
+            let at = now + SimTime::from_micros(rng.below(2_000_000));
+            assert_eq!(bits(&fast.peek(at)), slow.sample(at), "step {step}");
+        }
     }
 
     #[test]

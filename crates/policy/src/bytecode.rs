@@ -1401,6 +1401,26 @@ mod tests {
     }
 
     #[test]
+    fn border_with_holes_is_the_dense_prefix_on_both_engines() {
+        // POLICY.md §3's example, digits packed into one number.
+        let src = r#"
+t = {}
+t[1] = 1  t[2] = 2  t[4] = 4  t[5] = 5
+a = #t
+t[3] = 3
+b = #t
+t[2] = nil
+c = #t
+return a*1000 + b*100 + c*10 + t[4]
+"#;
+        differential(src, &[]);
+        let got = Interpreter::new().run(&parse_script(src).unwrap()).unwrap();
+        assert_eq!(got.as_number(0).unwrap(), 2514.0);
+        differential("t = {1, 2, nil, 4} return #t", &[]);
+        differential("t = {} t[0] = 1 t[-1] = 1 t[2] = 1 return #t", &[]);
+    }
+
+    #[test]
     fn natives_agree() {
         differential("return max(3, min(x, 10)) + math.floor(2.7)", &[("x", 7.0)]);
         differential("return tostring(4) .. tonumber(\"2\")", &[]);

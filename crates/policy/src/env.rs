@@ -31,8 +31,15 @@
 //!   bindings, and the only thing [`HookEngine`] forks.
 //!
 //! A [`MantleRuntime`] is that shared bundle plus what belongs to one MDS:
-//! the VM's registers, the reusable `MDSs`/`targets` tables, and the number
+//! the VM's registers, the reusable `targets` table, and the number
 //! `WRstate` saved.
+//!
+//! The bundle also carries the one thing every MDS of a cluster *reads* the
+//! same way each tick: the `MDSs` table. Every MDS decides against the same
+//! heartbeat snapshot (§2.2.2), so the table and its rows are built once
+//! per snapshot — an image held by the [`CompiledPolicy`] — instead of once
+//! per MDS per snapshot; see `MdsImage` for what invalidates it and why
+//! sharing it cannot couple two MDSs.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -64,9 +71,10 @@ pub enum HookEngine {
     /// assumption.
     Tree,
     /// The production engine: the flat register bytecode dispatch loop
-    /// ([`BytecodeVm`]), bindings written to pre-resolved slots, tables
-    /// reused across decisions, linear `metaload`/`mdsload` hooks evaluated
-    /// as [`LinearForm`]s without running anything.
+    /// ([`BytecodeVm`]), bindings written to pre-resolved slots, the `MDSs`
+    /// table shared by every MDS running the policy and rebuilt once per
+    /// heartbeat snapshot, linear `metaload`/`mdsload` hooks evaluated as
+    /// [`LinearForm`]s without running anything.
     #[default]
     Bytecode,
 }
@@ -427,13 +435,18 @@ fn state_functions() -> [(&'static str, Value); 2] {
     ]
 }
 
-/// A [`PolicySet`] compiled once, immutable afterwards, and shared behind
-/// one `Rc` by every MDS that runs the policy: per hook the bytecode
-/// program and base frame, the [`LinearForm`]s of the two load hooks, the
-/// scripted selectors, the interned row keys. Nothing in it is written
-/// after [`CompiledPolicy::compile`] returns — host functions take their
-/// state as an argument and the stdlib's `math` table is read-only to
-/// scripts — so sharing it cannot couple two MDSs.
+/// A [`PolicySet`] compiled once and shared behind one `Rc` by every MDS
+/// that runs the policy: per hook the bytecode program and base frame, the
+/// [`LinearForm`]s of the two load hooks, the scripted selectors, the
+/// interned row keys. All of that is immutable after
+/// [`CompiledPolicy::compile`] returns — host functions take their state as
+/// an argument and the stdlib's `math` table is read-only to scripts.
+///
+/// The one part that is rewritten is the `MdsImage`: the `MDSs` table the
+/// bytecode engine binds, a function of the heartbeat snapshot alone and so
+/// the same for every MDS that decides against that snapshot. It is
+/// rebuilt whenever it might differ from a freshly built table, so sharing
+/// the compilation still cannot couple two MDSs.
 pub struct CompiledPolicy {
     /// What every hook's globals start from: the stdlib plus
     /// `WRstate`/`RDstate`. The base frames are cut from this list; the
@@ -456,6 +469,7 @@ pub struct CompiledPolicy {
     /// (refcount bump, no allocation) into every table refill.
     field_keys: [Key; MDS_FIELD_NAMES.len()],
     load_key: Key,
+    image: RefCell<MdsImage>,
 }
 
 impl CompiledPolicy {
@@ -486,8 +500,16 @@ impl CompiledPolicy {
                 .collect(),
             field_keys: MDS_FIELD_NAMES.map(key),
             load_key: key("load"),
+            image: RefCell::default(),
             host,
         })
+    }
+
+    /// How many times the shared `MDSs` image has been built: once per
+    /// distinct heartbeat snapshot the policy's MDSs decided against, plus
+    /// once after every hook run that wrote to it — not once per decision.
+    pub fn image_fills(&self) -> u64 {
+        self.image.borrow().fills
     }
 
     /// The `howmuch` list: dirfrag selector names, tried in order.
@@ -519,58 +541,104 @@ impl CompiledPolicy {
     }
 }
 
-/// The tables behind `MDSs` and `targets` for one decision. The bytecode
-/// engine keeps one set per MDS and refills it every call: building them
-/// fresh (nine key inserts per row plus the allocations) used to dominate
-/// `decide`.
+/// The `MDSs` table and its rows, as pass 1 leaves them: metric fields from
+/// the heartbeat snapshot, `"load"` written back.
 ///
-/// Reuse is invisible to scripts because no reference to these tables can
-/// outlive a call: globals are re-imaged from the base frame on every hook
-/// run, `WRstate` keeps a number, and the only table that does survive —
-/// the stdlib's `math` — refuses script writes. [`DecideTables::reset`]'s
-/// clear-and-refill therefore leaves tables indistinguishable (content
-/// *and* error behaviour) from freshly allocated ones, which is what the
-/// tree reference gets; `decide_env_reuse_is_invisible_across_calls` and
-/// `tests/bytecode_equivalence.rs` pin the two against each other.
+/// The bytecode engine keeps **one image per [`CompiledPolicy`]**, shared
+/// by every MDS running it. All of them decide against the same snapshot
+/// each tick, so the image is built by the first and found current by the
+/// rest: a tick costs one fill (nine key inserts per row), not one per MDS.
+/// The tree reference builds a fresh image per decision — being independent
+/// of this machinery is its job.
+///
+/// The image is rebuilt ([`MdsImage::fill`]) when it may differ from a
+/// fresh build:
+///
+/// * the incoming metrics differ **by content** (`f64::to_bits`, length
+///   included) from those it was filled from — a new snapshot, an elastic
+///   member view of another size, a validator scenario;
+/// * any of its tables carries [`Table::script_written`] — some hook run
+///   assigned into `MDSs` or a row. Every script write goes through
+///   [`Table::assign`] on both engines, so none is missed; the host's own
+///   writes (the fill, the `"load"` write-back) do not raise the flag.
+///
+/// Scripts cannot tell the shared image from private tables because no
+/// reference to it outlives a hook run: globals are re-imaged from the base
+/// frame before every run, VM registers are written before they are read,
+/// `WRstate` keeps a number, `targets` is per MDS and cleared per decision,
+/// and the only other table that survives a run — the stdlib's `math` —
+/// refuses script writes. So all a run can leave behind is what it wrote
+/// *into* the image, and that is flagged.
+/// `decide_env_reuse_is_invisible_across_calls`,
+/// `shared_image_cannot_couple_mdss` and `tests/bytecode_equivalence.rs` pin
+/// the shared image against the tree reference's fresh tables.
 #[derive(Default)]
-struct DecideTables {
+struct MdsImage {
     mdss: Rc<RefCell<Table>>,
-    /// Row tables, kept alongside `mdss` so refilling them skips the outer
-    /// lookup. `rows[i]` is the table `reset` puts behind `MDSs[i+1]`.
+    /// `rows[i]` is the table [`MdsImage::fill`] put behind `MDSs[i+1]`.
     rows: Vec<Rc<RefCell<Table>>>,
-    targets: Rc<RefCell<Table>>,
+    /// The metrics the image was last filled from.
+    filled_from: Vec<MdsMetrics>,
+    /// `(loads, total)` of the `mdsload` pass whose results the rows'
+    /// `"load"` fields currently hold; `None` while the rows have no
+    /// `"load"`. For a linear `mdsload` — a function of the row alone —
+    /// this is the memo every later MDS of the tick reads instead of
+    /// re-evaluating and re-writing 128 rows.
+    loads: Option<(Vec<f64>, f64)>,
+    /// Times [`MdsImage::fill`] ran.
+    fills: u64,
 }
 
-impl DecideTables {
-    /// Clear every table and refill from `inputs`, restoring exactly the
-    /// state a fresh build would produce (the previous call's decision
-    /// script may have written arbitrary keys anywhere).
-    fn reset(&mut self, inputs: &BalancerInputs, keys: &[Key; MDS_FIELD_NAMES.len()]) {
-        let n = inputs.mds.len();
-        while self.rows.len() < n {
-            self.rows.push(Rc::default());
-        }
+impl MdsImage {
+    /// Whether the image is still what [`MdsImage::fill`] would build from
+    /// `mds` (give or take `"load"`, which `loads` accounts for).
+    fn is_current(&self, mds: &[MdsMetrics]) -> bool {
+        let bits = |m: &MdsMetrics| m.fields().map(f64::to_bits);
+        self.filled_from.len() == mds.len()
+            && self
+                .filled_from
+                .iter()
+                .zip(mds)
+                .all(|(a, b)| bits(a) == bits(b))
+            && !self.mdss.borrow().script_written()
+            && !self.rows.iter().any(|row| row.borrow().script_written())
+    }
+
+    /// Clear every table and refill from `mds`, restoring exactly the state
+    /// a fresh build would produce (a previous hook run may have written
+    /// arbitrary keys anywhere).
+    fn fill(&mut self, mds: &[MdsMetrics], keys: &[Key; MDS_FIELD_NAMES.len()]) {
+        // Rows of a larger cluster than this one are dropped, not parked:
+        // nothing may stay reachable that a fresh build would not have.
+        self.rows.resize_with(mds.len(), Rc::default);
         let mut outer = self.mdss.borrow_mut();
         outer.clear();
-        for (i, (row, m)) in self.rows.iter().zip(&inputs.mds).enumerate() {
-            outer.set(Key::Int(i as i64 + 1), Value::Table(Rc::clone(row)));
+        for (i, (row, m)) in self.rows.iter().zip(mds).enumerate() {
+            outer.set_int(i as i64 + 1, Value::Table(Rc::clone(row)));
             let mut row = row.borrow_mut();
             row.clear();
             for (key, v) in keys.iter().zip(m.fields()) {
                 row.set(key.clone(), Value::Number(v));
             }
         }
-        self.targets.borrow_mut().clear();
+        self.filled_from.clear();
+        self.filled_from.extend_from_slice(mds);
+        self.loads = None;
+        self.fills += 1;
     }
+}
 
-    /// `targets[1..=n]` as the decision script left them: anything that is
-    /// not a number counts as 0, and so does a negative load.
-    fn targets(&self, n: usize) -> Vec<f64> {
-        let targets = self.targets.borrow();
-        (1..=n as i64)
-            .map(|i| targets.get_int(i).as_number(0).map_or(0.0, |v| v.max(0.0)))
-            .collect()
-    }
+/// `targets[1..=n]` as the decision script left them: a negative load counts
+/// as 0, a string is coerced as arithmetic would coerce it, and anything
+/// that is not a number then — untouched slots above all — counts as 0.
+fn read_targets(targets: &Table, n: usize) -> Vec<f64> {
+    (1..=n as i64)
+        .map(|i| match targets.get_int(i) {
+            Value::Number(v) => v.max(0.0),
+            v @ Value::Str(_) => v.as_number(0).map_or(0.0, |v| v.max(0.0)),
+            _ => 0.0,
+        })
+        .collect()
 }
 
 /// What one MDS owns of a running policy.
@@ -578,7 +646,8 @@ struct PerMds {
     /// Registers for whichever hook runs next, and — in its
     /// [`HostState`](crate::value::HostState) — the number `WRstate` saved.
     vm: BytecodeVm,
-    tables: DecideTables,
+    /// The `targets` table, cleared and reused by every decision.
+    targets: Rc<RefCell<Table>>,
 }
 
 /// Executes a policy against [`BalancerInputs`] — the bridge between the
@@ -586,8 +655,9 @@ struct PerMds {
 /// scripts (which decide).
 ///
 /// One runtime serves one MDS: it is an `Rc<`[`CompiledPolicy`]`>` plus
-/// that MDS's registers, tables and saved state, so building another for
-/// the same policy ([`MantleRuntime::from_compiled`]) compiles nothing.
+/// that MDS's registers, `targets` table and saved state, so building
+/// another for the same policy ([`MantleRuntime::from_compiled`]) compiles
+/// nothing.
 pub struct MantleRuntime {
     policy: Rc<CompiledPolicy>,
     engine: HookEngine,
@@ -609,12 +679,12 @@ impl MantleRuntime {
     }
 
     /// A runtime for one more MDS running an already-compiled policy: fresh
-    /// registers, fresh tables, nothing saved.
+    /// registers, a fresh `targets` table, nothing saved.
     pub fn from_compiled(policy: Rc<CompiledPolicy>) -> Self {
         MantleRuntime {
             per_mds: RefCell::new(PerMds {
                 vm: policy.metaload.vm(StepBudget::default()),
-                tables: DecideTables::default(),
+                targets: Rc::default(),
             }),
             policy,
             engine: HookEngine::default(),
@@ -741,54 +811,83 @@ impl MantleRuntime {
 
     /// What `mdsload`, the decision hooks and `howmany` all see of the
     /// cluster.
-    fn cluster_env(inputs: &BalancerInputs, tables: &DecideTables) -> [(Bind, Value); 4] {
+    fn cluster_env(inputs: &BalancerInputs, image: &MdsImage) -> [(Bind, Value); 4] {
         [
             (Bind::Whoami, Value::Number(inputs.whoami as f64 + 1.0)),
-            (Bind::Mdss, Value::Table(Rc::clone(&tables.mdss))),
+            (Bind::Mdss, Value::Table(Rc::clone(&image.mdss))),
             (Bind::AuthMetaload, Value::Number(inputs.auth_metaload)),
             (Bind::AllMetaload, Value::Number(inputs.all_metaload)),
         ]
     }
 
-    /// Pass 1 of every decision: fill the `MDSs` table from `inputs`,
-    /// evaluate `mdsload` for each row, sum `total`, and write each load
-    /// back as `MDSs[i]["load"]`. Returns `(loads, total)`.
-    fn pass1(&self, inputs: &BalancerInputs, per: &mut PerMds) -> PolicyResult<(Vec<f64>, f64)> {
-        let PerMds { vm, tables } = per;
-        if self.engine == HookEngine::Tree {
-            *tables = DecideTables::default();
+    /// Run `f` over the `MDSs` image this engine decides against: the
+    /// compiled policy's shared one, or — the tree reference — a fresh one
+    /// of its own.
+    fn with_image<R>(&self, f: impl FnOnce(&mut MdsImage) -> R) -> R {
+        match self.engine {
+            HookEngine::Bytecode => f(&mut self.policy.image.borrow_mut()),
+            HookEngine::Tree => f(&mut MdsImage::default()),
         }
-        tables.reset(inputs, &self.policy.field_keys);
-        let linear = self.shortcut(&self.policy.mdsload_linear);
-        let loads: Vec<f64> = match linear {
-            Some(form) => inputs.mds.iter().map(|m| form.eval(&m.fields())).collect(),
-            None => {
-                let [whoami, mdss, auth, all] = Self::cluster_env(inputs, tables);
-                let mut env = [(Bind::I, Value::Nil), whoami, mdss, auth, all];
-                (1..=inputs.mds.len())
-                    .map(|i| {
-                        env[0].1 = Value::Number(i as f64);
-                        self.run_hook(&self.policy.mdsload, vm, &env)?.as_number(0)
-                    })
-                    .collect::<PolicyResult<_>>()?
+    }
+
+    /// Pass 1 of every decision: bring the `MDSs` image up to date with
+    /// `inputs`, evaluate `mdsload` for each row, sum `total`, and write
+    /// each load back as `MDSs[i]["load"]`. Returns `(loads, total)`.
+    fn pass1(
+        &self,
+        inputs: &BalancerInputs,
+        vm: &mut BytecodeVm,
+        image: &mut MdsImage,
+    ) -> PolicyResult<(Vec<f64>, f64)> {
+        if !image.is_current(&inputs.mds) {
+            image.fill(&inputs.mds, &self.policy.field_keys);
+        }
+        if let Some(form) = self.shortcut(&self.policy.mdsload_linear) {
+            // A function of the rows alone: whichever MDS gets here first
+            // after a fill does the work for all of them. No script ran
+            // since the fill, so `rows[i]` still *is* `MDSs[i+1]`.
+            let memo = image.loads.get_or_insert_with(|| {
+                let loads: Vec<f64> = inputs.mds.iter().map(|m| form.eval(&m.fields())).collect();
+                for (row, l) in image.rows.iter().zip(&loads) {
+                    row.borrow_mut()
+                        .set(self.policy.load_key.clone(), Value::Number(*l));
+                }
+                let total = loads.iter().sum();
+                (loads, total)
+            });
+            return Ok(memo.clone());
+        }
+        // A scripted `mdsload` may read `whoami` or `RDstate()`, so it runs
+        // for every MDS — over the shared rows, which it must find as a
+        // fill leaves them: without the `"load"` an earlier MDS's pass
+        // wrote back.
+        if image.loads.take().is_some() {
+            for row in &image.rows {
+                row.borrow_mut()
+                    .set(self.policy.load_key.clone(), Value::Nil);
             }
-        };
+        }
+        let [whoami, mdss, auth, all] = Self::cluster_env(inputs, image);
+        let mut env = [(Bind::I, Value::Nil), whoami, mdss, auth, all];
+        let loads: Vec<f64> = (1..=inputs.mds.len())
+            .map(|i| {
+                env[0].1 = Value::Number(i as f64);
+                self.run_hook(&self.policy.mdsload, vm, &env)?.as_number(0)
+            })
+            .collect::<PolicyResult<_>>()?;
         let total = loads.iter().sum();
-        // Rows are found through the outer table — an exotic mdsload hook
-        // could have rearranged `MDSs`, and the write-back must land on
-        // exactly what it left behind — unless no script ran at all, in
-        // which case `rows[i]` still *is* the table behind `MDSs[i+1]`.
-        let mdss = tables.mdss.borrow();
-        for (i, load) in loads.iter().enumerate() {
-            let row = match linear {
-                Some(_) => Value::Table(Rc::clone(&tables.rows[i])),
-                None => mdss.get_int(i as i64 + 1),
-            };
+        // Rows are found through the outer table: an exotic hook could have
+        // rearranged `MDSs`, and the write-back must land on exactly what
+        // it left behind — which may be `MDSs` itself, so the outer borrow
+        // ends before the row's begins.
+        for (i, l) in loads.iter().enumerate() {
+            let row = image.mdss.borrow().get_int(i as i64 + 1);
             if let Value::Table(row) = row {
                 row.borrow_mut()
-                    .set(self.policy.load_key.clone(), Value::Number(*load));
+                    .set(self.policy.load_key.clone(), Value::Number(*l));
             }
         }
+        image.loads = Some((loads.clone(), total));
         Ok((loads, total))
     }
 
@@ -799,34 +898,40 @@ impl MantleRuntime {
         if n == 0 {
             return Ok(BalancerOutcome::idle(0));
         }
-        let per = &mut *self.per_mds.borrow_mut();
-        let (mds_loads, total) = self.pass1(inputs, per)?;
-
-        // Pass 2. A combined script has no predicate: it "fires" by
-        // filling `targets`, which the extraction below already decides.
-        let [whoami, mdss, auth, all] = Self::cluster_env(inputs, &per.tables);
-        let env = [
-            whoami,
-            mdss,
-            auth,
-            all,
-            (Bind::Total, Value::Number(total)),
-            (Bind::Targets, Value::Table(Rc::clone(&per.tables.targets))),
-        ];
-        let fired = match &self.policy.when {
-            Some(when) => self.run_hook(when, &mut per.vm, &env)?.truthy(),
-            None => true,
-        };
-        if fired {
-            self.run_hook(&self.policy.where_, &mut per.vm, &env)?;
+        let PerMds { vm, targets } = &mut *self.per_mds.borrow_mut();
+        match self.engine {
+            HookEngine::Bytecode => targets.borrow_mut().clear(),
+            HookEngine::Tree => *targets = Rc::default(),
         }
-        let targets = per.tables.targets(n);
-        Ok(BalancerOutcome {
-            mds_loads,
-            total,
-            // Migration that targets nobody is a no-op.
-            migrate: fired && targets.iter().any(|&t| t > 0.0),
-            targets,
+        self.with_image(|image| {
+            let (mds_loads, total) = self.pass1(inputs, vm, image)?;
+
+            // Pass 2. A combined script has no predicate: it "fires" by
+            // filling `targets`, which the extraction below already decides.
+            let [whoami, mdss, auth, all] = Self::cluster_env(inputs, image);
+            let env = [
+                whoami,
+                mdss,
+                auth,
+                all,
+                (Bind::Total, Value::Number(total)),
+                (Bind::Targets, Value::Table(Rc::clone(targets))),
+            ];
+            let fired = match &self.policy.when {
+                Some(when) => self.run_hook(when, vm, &env)?.truthy(),
+                None => true,
+            };
+            if fired {
+                self.run_hook(&self.policy.where_, vm, &env)?;
+            }
+            let targets = read_targets(&targets.borrow(), n);
+            Ok(BalancerOutcome {
+                mds_loads,
+                total,
+                // Migration that targets nobody is a no-op.
+                migrate: fired && targets.iter().any(|&t| t > 0.0),
+                targets,
+            })
         })
     }
 
@@ -848,21 +953,23 @@ impl MantleRuntime {
         if inputs.mds.is_empty() {
             return Ok(None);
         }
-        let per = &mut *self.per_mds.borrow_mut();
-        let (_, total) = self.pass1(inputs, per)?;
-        let [whoami, mdss, auth, all] = Self::cluster_env(inputs, &per.tables);
-        let env = [
-            whoami,
-            mdss,
-            auth,
-            all,
-            (Bind::Total, Value::Number(total)),
-            (Bind::Active, Value::Number(active as f64)),
-            (Bind::MinMds, Value::Number(min_mds as f64)),
-            (Bind::MaxMds, Value::Number(max_mds as f64)),
-        ];
-        let target = self.run_hook(hook, &mut per.vm, &env)?.as_number(0)?;
-        Ok(Some(target))
+        let vm = &mut self.per_mds.borrow_mut().vm;
+        self.with_image(|image| {
+            let (_, total) = self.pass1(inputs, vm, image)?;
+            let [whoami, mdss, auth, all] = Self::cluster_env(inputs, image);
+            let env = [
+                whoami,
+                mdss,
+                auth,
+                all,
+                (Bind::Total, Value::Number(total)),
+                (Bind::Active, Value::Number(active as f64)),
+                (Bind::MinMds, Value::Number(min_mds as f64)),
+                (Bind::MaxMds, Value::Number(max_mds as f64)),
+            ];
+            let target = self.run_hook(hook, vm, &env)?.as_number(0)?;
+            Ok(Some(target))
+        })
     }
 }
 
@@ -1089,6 +1196,43 @@ end
             })
             .unwrap();
         assert!(!out.migrate, "no targets → nothing to do");
+    }
+
+    #[test]
+    fn targets_are_read_back_by_value_kind() {
+        // One decision, every kind of thing a script can leave in a slot.
+        let cases: [(&str, f64); 8] = [
+            ("targets[1] = \"5\"", 5.0),
+            ("targets[2] = -3", 0.0),
+            ("targets[3] = true", 0.0),
+            ("targets[4] = {}", 0.0),
+            ("x = 1", 0.0), // slot 5: untouched
+            ("targets[6] = \" 2.5 \"", 2.5),
+            ("targets[7] = \"five\"", 0.0),
+            ("targets[8] = \"-1\"", 0.0),
+        ];
+        let where_: Vec<&str> = cases.iter().map(|(stmt, _)| *stmt).collect();
+        let want: Vec<f64> = cases.iter().map(|(_, v)| *v).collect();
+        let p = PolicySet::from_hooks(
+            "IWR",
+            "MDSs[i][\"all\"]",
+            "true",
+            &where_.join("\n"),
+            &["half"],
+        )
+        .unwrap();
+        for e in [HookEngine::Tree, HookEngine::Bytecode] {
+            let rt = MantleRuntime::new(p.clone()).with_engine(e);
+            let out = rt
+                .decide(&BalancerInputs {
+                    whoami: 0,
+                    mds: metrics(&[10.0; 8]),
+                    ..Default::default()
+                })
+                .unwrap();
+            assert_eq!(out.targets, want, "{e:?}");
+            assert!(out.migrate);
+        }
     }
 
     #[test]
@@ -1646,6 +1790,235 @@ if first then targets[2] = math.answer end
                 assert_eq!(out.targets, vec![0.0, 42.0], "{e:?} tick {tick}");
             }
         }
+    }
+
+    /// MDS 1 scribbles over everything it can reach of the `MDSs` table;
+    /// every MDS then reports what it sees of it through `targets`.
+    const SCRIBBLE_THEN_LOOK: &str = r#"
+if whoami == 1 then
+  MDSs[2]["load"] = 1e9
+  MDSs[3] = nil
+  MDSs[1].x = {}
+  t = MDSs[1]
+  t.auth = 0
+end
+n = #MDSs
+targets[1] = n
+for i = 1, n do
+  if MDSs[i].x ~= nil then targets[2] = 1000 end
+end
+targets[3] = MDSs[2]["load"] + MDSs[1]["auth"] + total
+if MDSs[n + 1] ~= nil then targets[4] = 7 end
+"#;
+
+    fn assert_same_bits(a: &BalancerOutcome, b: &BalancerOutcome, ctx: &str) {
+        assert_eq!(a, b, "{ctx}");
+        for (x, y) in a.targets.iter().zip(&b.targets) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{ctx}");
+        }
+        for (x, y) in a.mds_loads.iter().zip(&b.mds_loads) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{ctx}");
+        }
+    }
+
+    #[test]
+    fn shared_image_cannot_couple_mdss() {
+        let p = PolicySet::from_combined(
+            "IWR",
+            "MDSs[i][\"all\"] + 10*MDSs[i][\"q\"]",
+            SCRIBBLE_THEN_LOOK,
+            &["half"],
+        )
+        .unwrap()
+        .with_howmany("#MDSs + total + MDSs[1][\"auth\"] + MDSs[2][\"load\"]")
+        .unwrap();
+        let inputs = |whoami: usize, n: usize| BalancerInputs {
+            whoami,
+            mds: metrics(&[90.0, 5.0, 35.0, 1.0, 2.0, 3.0, 4.0, 5.5][..n]),
+            auth_metaload: 90.0,
+            all_metaload: 95.0,
+        };
+        for e in [HookEngine::Tree, HookEngine::Bytecode] {
+            let compiled = CompiledPolicy::compile(p.clone());
+            let mk = || MantleRuntime::from_compiled(Rc::clone(&compiled)).with_engine(e);
+            let fresh = || MantleRuntime::new(p.clone()).with_engine(e);
+            let (scribbler, sibling) = (mk(), mk());
+
+            // What the scribbler itself sees: its own damage.
+            let own = scribbler.decide(&inputs(0, 8)).unwrap();
+            assert_eq!(own.targets[..4], [2.0, 1000.0, 1e9 + 145.5, 0.0], "{e:?}");
+
+            // The sibling's next decision, and its `howmany`, on the same
+            // snapshot: as if nobody had been there before.
+            let seen = sibling.decide(&inputs(1, 8)).unwrap();
+            assert_same_bits(
+                &seen,
+                &fresh().decide(&inputs(1, 8)).unwrap(),
+                "same snapshot",
+            );
+            assert_eq!(
+                seen.targets[..4],
+                [8.0, 0.0, 5.0 + 90.0 + 145.5, 0.0],
+                "{e:?}"
+            );
+            scribbler.decide(&inputs(0, 8)).unwrap();
+            assert_eq!(
+                sibling.eval_howmany(&inputs(1, 8), 8, 1, 8).unwrap(),
+                fresh().eval_howmany(&inputs(1, 8), 8, 1, 8).unwrap(),
+                "{e:?}: howmany"
+            );
+
+            // The member view shrinks 8 → 5 between the two: no row of the
+            // larger cluster is reachable, scribbled on or not.
+            scribbler.decide(&inputs(0, 8)).unwrap();
+            let seen = sibling.decide(&inputs(1, 5)).unwrap();
+            assert_same_bits(
+                &seen,
+                &fresh().decide(&inputs(1, 5)).unwrap(),
+                "shrunk view",
+            );
+            assert_eq!(
+                seen.targets,
+                [5.0, 0.0, 5.0 + 90.0 + 133.0, 0.0, 0.0],
+                "{e:?}"
+            );
+            // ... and growing back finds eight clean rows.
+            scribbler.decide(&inputs(0, 5)).unwrap();
+            let seen = sibling.decide(&inputs(1, 8)).unwrap();
+            assert_same_bits(
+                &seen,
+                &fresh().decide(&inputs(1, 8)).unwrap(),
+                "regrown view",
+            );
+        }
+    }
+
+    #[test]
+    fn scripted_mdsload_runs_per_mds_over_the_shared_image() {
+        // An mdsload no linear form covers, reading what only a per-MDS run
+        // can know (`whoami`, `RDstate()`) and what a shared row must not
+        // show it: the `"load"` an earlier MDS's pass wrote back.
+        let p = PolicySet::from_combined(
+            "IWR",
+            "max(MDSs[i][\"all\"], 0) + whoami + RDstate() + (MDSs[i][\"load\"] or 0)",
+            "WRstate(RDstate() + whoami)\ntargets[1] = total",
+            &["half"],
+        )
+        .unwrap();
+        let inputs = |whoami| BalancerInputs {
+            whoami,
+            mds: metrics(&[90.0, 5.0, 35.0]),
+            ..Default::default()
+        };
+        let compiled = CompiledPolicy::compile(p.clone());
+        assert!(compiled.mdsload_linear.is_none());
+        let shared: Vec<_> = (0..3)
+            .map(|_| MantleRuntime::from_compiled(Rc::clone(&compiled)))
+            .collect();
+        let oracle: Vec<_> = (0..3)
+            .map(|_| MantleRuntime::new(p.clone()).with_engine(HookEngine::Tree))
+            .collect();
+        for tick in 0..3 {
+            for m in 0..3 {
+                let a = shared[m].decide(&inputs(m)).unwrap();
+                let b = oracle[m].decide(&inputs(m)).unwrap();
+                assert_same_bits(&a, &b, &format!("tick {tick} mds {m}"));
+            }
+        }
+        assert_eq!(
+            compiled.image_fills(),
+            1,
+            "read-only scripts share one fill"
+        );
+    }
+
+    #[test]
+    fn mdsload_that_aliases_mdss_into_itself_is_written_back_not_a_panic() {
+        let p = PolicySet::from_combined(
+            "IWR",
+            "MDSs[i] = MDSs\nreturn i",
+            "targets[2] = MDSs[1][\"load\"] + total",
+            &["half"],
+        )
+        .unwrap();
+        for e in [HookEngine::Tree, HookEngine::Bytecode] {
+            let rt = MantleRuntime::new(p.clone()).with_engine(e);
+            for _ in 0..2 {
+                let out = rt
+                    .decide(&BalancerInputs {
+                        whoami: 0,
+                        mds: metrics(&[1.0, 2.0]),
+                        ..Default::default()
+                    })
+                    .unwrap();
+                // `MDSs[1]` is `MDSs`, whose `"load"` the write-back set
+                // twice: last to 2.
+                assert_eq!(out.targets, vec![0.0, 5.0], "{e:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn image_is_filled_once_per_snapshot() {
+        let n = 128;
+        let inputs = |whoami: usize, q7: f64| {
+            let mut mds = metrics(&(0..n).map(|m| m as f64).collect::<Vec<_>>());
+            mds[7].q = q7;
+            BalancerInputs {
+                whoami,
+                mds,
+                ..Default::default()
+            }
+        };
+        let cluster = |compiled: &Rc<CompiledPolicy>| -> Vec<MantleRuntime> {
+            (0..n)
+                .map(|_| MantleRuntime::from_compiled(Rc::clone(compiled)))
+                .collect()
+        };
+        let tick = |rts: &[MantleRuntime], q7: f64| {
+            for (m, rt) in rts.iter().enumerate() {
+                rt.decide(&inputs(m, q7)).unwrap();
+            }
+        };
+
+        let compiled = CompiledPolicy::compile(cephfs_policy());
+        let rts = cluster(&compiled);
+        assert_eq!(compiled.image_fills(), 0);
+        tick(&rts, 0.0);
+        assert_eq!(compiled.image_fills(), 1, "128 decisions, one snapshot");
+        tick(&rts, 0.0);
+        assert_eq!(compiled.image_fills(), 1, "equal by content is enough");
+        tick(&rts, 1.0);
+        assert_eq!(compiled.image_fills(), 2, "one metric of one MDS changed");
+        tick(&rts, -0.0);
+        tick(&rts, 0.0);
+        assert_eq!(compiled.image_fills(), 4, "equal means bit-equal");
+        // The tree reference never touches the shared image.
+        let oracle =
+            MantleRuntime::from_compiled(Rc::clone(&compiled)).with_engine(HookEngine::Tree);
+        oracle.decide(&inputs(0, 5.0)).unwrap();
+        assert_eq!(compiled.image_fills(), 4);
+
+        // One MDS of the 128 writes to a row: the next one refills, and
+        // that is all.
+        let scribbler = CompiledPolicy::compile(
+            PolicySet::from_combined(
+                "IWR",
+                "MDSs[i][\"all\"]",
+                "if whoami == 3 then MDSs[1].junk = 1 end",
+                &["half"],
+            )
+            .unwrap(),
+        );
+        let rts = cluster(&scribbler);
+        tick(&rts, 0.0);
+        assert_eq!(scribbler.image_fills(), 2);
+        tick(&rts, 0.0);
+        assert_eq!(
+            scribbler.image_fills(),
+            3,
+            "clean at the tick's start, so one more"
+        );
     }
 
     #[test]

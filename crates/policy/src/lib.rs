@@ -92,3 +92,6 @@ pub fn compile(src: &str) -> PolicyResult<ast::Script> {
 pub fn compile_expr(src: &str) -> PolicyResult<ast::Script> {
     parser::parse_expression_script(src)
 }
+
+#[cfg(test)]
+mod test_rng;

@@ -339,6 +339,37 @@ end
     }
 
     #[test]
+    fn dry_runs_leave_nothing_behind_in_the_compilation() {
+        // The dry-run scenarios decide on the compilation's shared `MDSs`
+        // image — here with a script that also writes to it. A runtime off
+        // the same compilation afterwards must decide as one off a fresh
+        // compilation does, including on inputs equal to the last scenario's.
+        let p = PolicySet::from_combined(
+            "IWR",
+            "MDSs[i][\"all\"]",
+            r#"
+if MDSs[1].seen == nil then targets[1] = #MDSs + MDSs[1]["load"] end
+MDSs[1].seen = 1
+MDSs[#MDSs + 1] = {}
+"#,
+            &["half"],
+        )
+        .unwrap();
+        let compiled = CompiledPolicy::compile(p.clone());
+        PolicyValidator::new().dry_run(&compiled).unwrap();
+        assert!(compiled.image_fills() > 0, "the scenarios used the image");
+        for (label, inputs) in synthetic_clusters().iter().rev() {
+            let after = MantleRuntime::from_compiled(Rc::clone(&compiled));
+            let fresh = MantleRuntime::new(p.clone());
+            assert_eq!(
+                after.decide(inputs).unwrap(),
+                fresh.decide(inputs).unwrap(),
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
     fn typo_in_global_is_rejected_statically() {
         let p = PolicySet::from_combined(
             "IWR",

@@ -36,5 +36,5 @@ pub mod wheel;
 pub use clock::{ClockMode, WallClock};
 pub use events::{EventQueue, Scheduled, SchedulerKind};
 pub use rng::SimRng;
-pub use stats::{DecayCounter, OnlineStats, Summary, TimeSeries};
+pub use stats::{DecayCounter, OnlineStats, SharedDecay, Summary, TimeSeries};
 pub use time::SimTime;

@@ -1,0 +1,59 @@
+//! A pinned report above the paper's ten MDSs: the `batch-rebalance`
+//! shape of `benchmark/` (128 MDSs, 128 clients, zipf-mix, greedy-spill-even)
+//! at a tenth of its directories and ops, `format!("{report:?}")` hashed.
+//!
+//! Every other golden in `tests/` runs two to ten MDSs, where a balancer
+//! tick is a rounding error. At 128 the tick is most of the run, so this is
+//! the report that moves first when the tick's machinery — the shared `MDSs`
+//! image, the `Table` array part, the export planner's walks — changes what
+//! it computes rather than what it costs. The constant was recorded on the
+//! commit *before* that machinery was rewritten.
+
+use mantle::core::scale::{scale_experiment, ScaleSpec};
+use mantle::mds::ExecMode;
+use mantle::prelude::*;
+
+/// FNV-1a over the report's `Debug` text: written out so the constant does
+/// not depend on the standard library's unspecified `DefaultHasher`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const PINNED: u64 = 13_494_702_248_942_097_695;
+
+fn tenth_of_batch_rebalance(mode: ExecMode) -> Experiment {
+    let spec = ScaleSpec {
+        name: "batch-rebalance/10",
+        num_mds: 128,
+        clients: 128,
+        dirs: 10_000,
+        ops_per_client: 500,
+    };
+    let mut exp = scale_experiment(&spec, SchedulerKind::Heap, 1);
+    exp.config = exp.config.with_exec_mode(mode);
+    exp
+}
+
+#[test]
+fn report_at_128_mds_is_pinned_in_both_exec_modes() {
+    for mode in [ExecMode::Single, ExecMode::Sharded { threads: 2 }] {
+        let report = run_experiment(&tenth_of_batch_rebalance(mode));
+        assert_eq!(
+            report.total_ops(),
+            64_000.0,
+            "{mode:?}: the run does its work"
+        );
+        assert!(
+            report.total_migrations() > 100,
+            "{mode:?}: the pinned run must rebalance, saw {} migrations",
+            report.total_migrations()
+        );
+        assert_eq!(
+            fnv1a(&format!("{report:?}")),
+            PINNED,
+            "{mode:?}: the 128-MDS report changed"
+        );
+    }
+}
