@@ -16,9 +16,9 @@ usage: search [--smoke]
 Enumerates the policy-parameter grid around Listing 3 (spill fraction ×
 CPU threshold × patience × dirfrag selector × mds_load capacity term —
 216 candidates), runs each across the five degraded-cluster fault
-scenarios on the sharded engine, and prints the candidates ranked by
-mean ops/s with migrations/timeouts/fallbacks alongside. --smoke runs a
-CI-sized corner of the grid instead (seconds, not minutes).";
+scenarios, and prints the candidates ranked by mean ops/s with
+migrations/timeouts/fallbacks alongside. --smoke runs a CI-sized corner
+of the grid instead (seconds, not minutes).";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -315,8 +315,8 @@ pub fn run_experiment(spec: &Experiment) -> RunReport {
 
 /// Run one experiment, also returning the engine's execution statistics
 /// (windows, per-shard event/message/barrier breakdown). The report is
-/// identical in every [`mantle_mds::ExecMode`]; the stats are a
-/// wall-clock side channel for the `scale --threads` breakdown.
+/// identical in every [`mantle_mds::ExecMode`]; the stats are a side
+/// channel that never feeds back into the simulation.
 pub fn run_experiment_with_stats(spec: &Experiment) -> (RunReport, mantle_mds::ExecStats) {
     build_cluster(spec).run_with_stats()
 }

@@ -20,7 +20,7 @@ use std::time::Instant;
 use crate::experiment::{build_cluster, BalancerSpec, Experiment, WorkloadSpec};
 use crate::policies;
 use crate::table::TextTable;
-use mantle_mds::{ClusterConfig, ExecMode, ExecStats, RunReport, SchedulerKind};
+use mantle_mds::{ClusterConfig, RunReport, SchedulerKind};
 use mantle_sim::SimTime;
 
 /// One scale-mode cluster shape.
@@ -122,25 +122,20 @@ pub struct ScaleRun {
     pub wall_secs: f64,
 }
 
-/// Build and run one experiment, timing the two halves separately.
-fn run_timed(exp: &Experiment) -> (ScaleRun, ExecStats) {
+/// Run one row on one backend, timing set-up and run separately.
+pub fn run_scale(spec: &ScaleSpec, scheduler: SchedulerKind, seed: u64) -> ScaleRun {
+    let exp = scale_experiment(spec, scheduler, seed);
     let start = Instant::now();
-    let cluster = build_cluster(exp);
+    let cluster = build_cluster(&exp);
     let setup_secs = start.elapsed().as_secs_f64();
     let start = Instant::now();
-    let (report, stats) = cluster.run_with_stats();
+    let report = cluster.run();
     let wall_secs = start.elapsed().as_secs_f64();
-    let run = ScaleRun {
+    ScaleRun {
         report,
         setup_secs,
         wall_secs,
-    };
-    (run, stats)
-}
-
-/// Run one row on one backend, timing it.
-pub fn run_scale(spec: &ScaleSpec, scheduler: SchedulerKind, seed: u64) -> ScaleRun {
-    run_timed(&scale_experiment(spec, scheduler, seed)).0
+    }
 }
 
 /// Run every row on both backends, assert report equality, and render the
@@ -187,79 +182,11 @@ pub fn scale_table(smoke: bool) -> String {
     )
 }
 
-/// Run one row in the given execution mode (wheel scheduler), timing it
-/// and capturing the engine's execution stats.
-pub fn run_scale_mode(spec: &ScaleSpec, mode: ExecMode, seed: u64) -> (ScaleRun, ExecStats) {
-    let mut exp = scale_experiment(spec, SchedulerKind::Wheel, seed);
-    exp.config = exp.config.with_exec_mode(mode);
-    run_timed(&exp)
-}
-
-/// Run every row single-threaded and sharded across `threads` workers,
-/// assert the reports are byte-identical, and render the wall-clock
-/// comparison plus the per-shard breakdown (events drained, cross-shard
-/// messages sent, wall-clock spent stalled at window barriers).
-pub fn parallel_scale_table(smoke: bool, threads: usize) -> String {
-    let seed = 42;
-    let mut table = TextTable::new([
-        "scenario", "mds", "clients", "ops", "setup s", "1t s", "kt s", "speedup", "windows",
-    ]);
-    let mut breakdown = String::new();
-    for spec in scale_specs(smoke) {
-        let (single, _) = run_scale_mode(&spec, ExecMode::Single, seed);
-        let (sharded, stats) = run_scale_mode(&spec, ExecMode::Sharded { threads }, seed);
-        assert_eq!(
-            format!("{:?}", single.report),
-            format!("{:?}", sharded.report),
-            "{}: sharded run must be byte-identical to the single-threaded oracle",
-            spec.name
-        );
-        table.row([
-            spec.name.to_string(),
-            spec.num_mds.to_string(),
-            spec.clients.to_string(),
-            format!("{:.0}", single.report.total_ops()),
-            format!("{:.2}", single.setup_secs),
-            format!("{:.2}", single.wall_secs),
-            format!("{:.2}", sharded.wall_secs),
-            format!("{:.2}x", single.wall_secs / sharded.wall_secs.max(1e-9)),
-            stats.windows.to_string(),
-        ]);
-        breakdown.push_str(&format!("\n{} per-shard breakdown:\n", spec.name));
-        let mut shard_table = TextTable::new([
-            "shard",
-            "mds",
-            "clients",
-            "events",
-            "msgs sent",
-            "barrier ms",
-        ]);
-        for (i, s) in stats.shards.iter().enumerate() {
-            shard_table.row([
-                i.to_string(),
-                format!("{}..{}", s.mds_range.0, s.mds_range.0 + s.mds_range.1),
-                format!(
-                    "{}..{}",
-                    s.client_range.0,
-                    s.client_range.0 + s.client_range.1
-                ),
-                s.events.to_string(),
-                s.msgs_sent.to_string(),
-                format!("{:.1}", s.barrier_wait_ns as f64 / 1e6),
-            ]);
-        }
-        breakdown.push_str(&shard_table.render());
-    }
-    format!(
-        "Parallel scale (zipf-mix, greedy-spill-even; 1 thread vs {threads} shard threads)\n{}{}",
-        table.render(),
-        breakdown
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::run_experiment_with_stats;
+    use mantle_mds::ExecMode;
 
     #[test]
     fn smoke_row_is_ci_sized() {
@@ -292,12 +219,17 @@ mod tests {
     #[test]
     fn smoke_sharded_matches_oracle() {
         let spec = scale_specs(true).remove(0);
-        let (single, _) = run_scale_mode(&spec, ExecMode::Single, 7);
-        let (sharded, stats) = run_scale_mode(&spec, ExecMode::Sharded { threads: 4 }, 7);
+        let run = |mode| {
+            let mut exp = scale_experiment(&spec, SchedulerKind::Wheel, 7);
+            exp.config = exp.config.with_exec_mode(mode);
+            run_experiment_with_stats(&exp)
+        };
+        let (single, _) = run(ExecMode::Single);
+        let (sharded, stats) = run(ExecMode::Sharded { threads: 4 });
         assert_eq!(
-            format!("{:?}", single.report),
-            format!("{:?}", sharded.report),
-            "4-shard run must be byte-identical to the single-threaded oracle"
+            format!("{single:?}"),
+            format!("{sharded:?}"),
+            "4-shard run must be byte-identical to the one-shard oracle"
         );
         assert_eq!(stats.threads, 4);
         assert_eq!(stats.shards.len(), 4);

@@ -21,19 +21,18 @@
 //! Each candidate runs the same hotspot experiment (clients hammering one
 //! shared directory on a 3-MDS cluster) across the full fault catalogue
 //! of [`crate::degraded::scenario_plans`] — healthy, crash+restart,
-//! slow-mds, stale-heartbeats, poisoned-balancer — under
-//! [`ExecMode::Sharded`], and is ranked by mean throughput with the
-//! paper's secondary costs (migrations, timeouts, fallbacks) alongside.
-//! The hook engine is the default bytecode VM; since both engines are
-//! pinned bit-identical by the differential suites, the ranking is
-//! engine-independent.
+//! slow-mds, stale-heartbeats, poisoned-balancer — and is ranked by
+//! mean throughput with the paper's secondary costs (migrations,
+//! timeouts, fallbacks) alongside. The hook engine is the default
+//! bytecode VM; since both engines are pinned bit-identical by the
+//! differential suites, the ranking is engine-independent.
 
 use crate::degraded::scenario_plans;
 use crate::experiment::{run_experiment, BalancerSpec, Experiment, WorkloadSpec};
 use crate::policies::MIXED_METALOAD;
 use crate::repro::ReproOpts;
 use crate::table::{f, TextTable};
-use mantle_mds::{ClusterConfig, ExecMode};
+use mantle_mds::ClusterConfig;
 use mantle_policy::env::PolicySet;
 use mantle_policy::PolicyResult;
 use mantle_sim::SimTime;
@@ -194,8 +193,7 @@ fn search_experiment(smoke: bool, policy: PolicySet, label: String) -> Experimen
         heartbeat_interval: SimTime::from_millis(400),
         frag_split_threshold: 300,
         ..Default::default()
-    }
-    .with_exec_mode(ExecMode::Sharded { threads: 2 });
+    };
     Experiment::new(
         config,
         // Sized so the run spans ~9 balancer ticks (and the fault windows

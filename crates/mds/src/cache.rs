@@ -11,8 +11,7 @@
 //! * **mutating ops** (create / mkdir / setattr / unlink) invalidate the
 //!   touched directory's entries in every group at the next window
 //!   barrier, via the same deferred-op plumbing that applies heat
-//!   charges — so `ExecMode::Sharded` stays byte-identical to
-//!   `ExecMode::Single`;
+//!   charges — so a run is byte-identical at any shard count;
 //! * **migrations and session flushes** invalidate the whole moved
 //!   region in one pass using the namespace's Euler-tour interval
 //!   labels ([`IntervalRegion`]) — a range scan over the caches'

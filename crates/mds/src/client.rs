@@ -26,9 +26,9 @@ pub const PARKED: SimTime = SimTime(u64::MAX);
 /// next operation whenever that client's previous one completes.
 ///
 /// The namespace is read-only during the run — all directory structure is
-/// built in [`Workload::setup`]. This is what lets the sharded engine hand
-/// each worker thread its own fork of the workload ([`Workload::fork`])
-/// and drive disjoint client slices concurrently: per-client generator
+/// built in [`Workload::setup`]. This is what lets the engine hand each
+/// shard its own fork of the workload ([`Workload::fork`]) and drive
+/// disjoint client slices independently: per-client generator
 /// state advances independently, so a fork driving only its own clients
 /// produces exactly the ops the original would have produced for them.
 pub trait Workload: Send {
@@ -47,7 +47,7 @@ pub trait Workload: Send {
     /// this to park a client until its next active window — the cluster
     /// reschedules the client's wakeup instead of calling
     /// [`Workload::next`]. Must be deterministic in `(client, now)` so
-    /// sharded execution stays byte-identical to single-threaded.
+    /// sharded execution stays byte-identical to the one-shard run.
     ///
     /// The one exception is [`PARKED`]: a workload fed from outside the
     /// simulation (a live session's op queue) returns it when it cannot

@@ -2,17 +2,16 @@
 //!
 //! [`Cluster`] is the public face: build one, optionally schedule admin
 //! actions, then run it to completion or serve it live. Behind it, the
-//! `Coordinator` is the control plane — it lives on the coordinating
-//! thread for the whole run and worker threads never touch it — and the
-//! [`crate::driver`] is the scheduler and lock layer that decides *when*
-//! the coordinator gets to act.
+//! `Coordinator` is the control plane — shards never touch it — and the
+//! [`crate::driver`] is the scheduler that owns the simulation state and
+//! decides *when* the coordinator gets to act.
 //!
 //! # The balancer tick, stage by stage
 //!
 //! Mantle's claim is that balancing policy separates cleanly from
 //! migration mechanism (§3). The mechanism is a pipeline, and each stage
 //! is a module that owns the state it mutates and takes the driver's
-//! `Exclusive` view — never a lock — to reach the simulation:
+//! `Exclusive` view to reach the simulation:
 //!
 //! | stage | where | state it owns |
 //! |---|---|---|
@@ -423,7 +422,7 @@ impl Cluster {
 
     /// Mutable access to the namespace before the run (static partitions).
     pub fn namespace_mut(&mut self) -> &mut Namespace {
-        &mut self.driver.sim_mut().ns
+        &mut self.driver.sim.ns
     }
 
     /// Schedule an administrative action (e.g. a manual repartition) at a
@@ -442,10 +441,10 @@ impl Cluster {
         self.run_with_stats().0
     }
 
-    /// Run to completion, also returning execution statistics (thread
-    /// count, windows, per-shard event/message/barrier-stall breakdown).
-    /// The [`RunReport`] is identical in every [`crate::ExecMode`]; the
-    /// [`ExecStats`] are a wall-clock side channel.
+    /// Run to completion, also returning execution statistics (shard
+    /// count, windows, per-shard event/message breakdown). The
+    /// [`RunReport`] is identical in every [`crate::ExecMode`]; the
+    /// [`ExecStats`] never feed back into the simulation.
     pub fn run_with_stats(self) -> (RunReport, ExecStats) {
         let (report, stats, _) = self.run_inner(None, None);
         (report, stats)
@@ -493,9 +492,9 @@ impl Cluster {
         let mut co = self.co;
         if let Some(level) = trace {
             co.trace = Tracer::new(Some(level), &co.cfg);
-            co.trace.preamble(&co.cfg, &self.driver.sim_mut().ns);
+            co.trace.preamble(&co.cfg, &self.driver.sim.ns);
         }
-        for shard in self.driver.shards_mut() {
+        for shard in &mut self.driver.shards {
             shard.trace_full = co.trace.full();
             shard.live = pump.is_some();
             // Kick off every client (client-rank keys preserve global
@@ -514,11 +513,12 @@ impl Cluster {
             co.globals
                 .schedule_at(fault.at, GlobalEvent::Fault(fault.kind.clone()));
         }
-        let mut end = self.driver.run(&mut co, pump.as_mut());
-        let inflight: i64 = end.shards.iter().map(|s| s.inflight).sum();
-        co.trace.run_end(end.last_now, inflight.max(0) as usize);
-        let tail = co.trace.merge(end.shards.iter_mut());
-        let report = into_report(&co, end.shards, end.sim.membership_epoch);
+        let (last_now, stats) = self.driver.run(&mut co, pump.as_mut());
+        let mut shards = self.driver.shards;
+        let inflight: i64 = shards.iter().map(|s| s.inflight).sum();
+        co.trace.run_end(last_now, inflight.max(0) as usize);
+        let tail = co.trace.merge(shards.iter_mut());
+        let report = into_report(&co, shards, self.driver.sim.membership_epoch);
         let buffer = match pump {
             Some(pump) => {
                 pump.finish(tail, report.clone());
@@ -526,7 +526,7 @@ impl Cluster {
             }
             None => co.trace.into_buffer(tail),
         };
-        (report, end.stats, buffer)
+        (report, stats, buffer)
     }
 }
 
@@ -708,8 +708,8 @@ mod tests {
 
     #[test]
     fn sharded_run_matches_single_threaded_oracle() {
-        // The full matrix (all balancers × fault scenarios × 2/4/8
-        // threads) lives in tests/shard_equivalence.rs; this is the
+        // The full matrix (all balancers × fault scenarios × 2/3/4/5/8
+        // shards) lives in tests/shard_equivalence.rs; this is the
         // fast in-crate smoke check of the same property.
         let run = |mode: ExecMode| {
             let cfg = ClusterConfig {
@@ -730,7 +730,7 @@ mod tests {
         assert_eq!(
             format!("{single:?}"),
             format!("{sharded:?}"),
-            "2-shard run must be byte-identical to the single-threaded oracle"
+            "2-shard run must be byte-identical to the one-shard oracle"
         );
     }
 
@@ -926,6 +926,7 @@ mod tests {
             let ns = cluster.namespace_mut();
             (ns.mkdir_p("/a"), ns.mkdir_p("/a/b"))
         };
+        let router = cluster.driver.router().clone();
         let mut x = cluster.driver.exclusive();
         cluster
             .co
@@ -954,7 +955,7 @@ mod tests {
         let key = g.client_key(0);
         g.queue
             .schedule_at_key(SimTime::ZERO, key, Event::Arrive { mds: 1, req });
-        g.process_window(sim, cluster.driver.router(), SimTime::from_micros(1));
+        g.process_window(sim, &router, SimTime::from_micros(1));
         assert_eq!(
             g.queue.peek_time(),
             Some(thaw),

@@ -24,25 +24,26 @@ pub enum PlacementPolicy {
     HashDirs,
 }
 
-/// How the event loop executes a run.
+/// How many logical shards a run partitions its MDSs and clients into.
 ///
-/// Both modes drive the *same* windowed engine (conservative lookahead
-/// windows separated by deterministic barriers — see [`crate::shard`]);
-/// `Single` runs the one resulting shard inline on the calling thread,
-/// `Sharded` partitions MDSs and clients across `threads` worker threads.
-/// Window boundaries, event keys, and barrier application order are all
+/// The engine is single-threaded in every mode: conservative lookahead
+/// windows, in each of which every shard is drained in id order,
+/// separated by deterministic barriers (see [`crate::shard`]). Window
+/// boundaries, event keys, and barrier application order are all
 /// shard-count-invariant, so a fixed seed produces a byte-identical
-/// [`crate::report::RunReport`] (and trace) in every mode — `Single` is
-/// the differential oracle for `Sharded { .. }`, exactly as the heap
-/// scheduler is for the timing wheel.
+/// [`crate::report::RunReport`] (and trace) in every mode. `Single` is
+/// what production callers run; `Sharded { .. }` is what the equivalence
+/// suites vary to show that tie-breaking depends on the simulated entity
+/// and never on the partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// One shard, driven inline — no threads, no locks contended.
+    /// One shard owning every MDS and client.
     #[default]
     Single,
-    /// Thread-per-shard execution with deterministic tick barriers.
+    /// Several shards, each a contiguous slice of the MDS and client ids.
     Sharded {
-        /// Number of worker threads (shards). Clamped to ≥ 1.
+        /// The shard count (not a thread count; the name is what the
+        /// benchmark harness compiles against). Clamped to ≥ 1.
         threads: usize,
     },
 }
@@ -99,9 +100,9 @@ pub struct ClusterConfig {
     /// oracle) or the hierarchical timing wheel for scale-mode runs. A
     /// fixed seed must produce an identical `RunReport` on either.
     pub scheduler: SchedulerKind,
-    /// Execution mode: single-threaded (default, the differential oracle)
-    /// or thread-per-shard. A fixed seed must produce an identical
-    /// `RunReport` in either mode, at any thread count.
+    /// Execution mode: one shard (default) or several logical shards. A
+    /// fixed seed must produce an identical `RunReport` in either mode,
+    /// at any shard count.
     pub exec_mode: ExecMode,
     /// The proxy-tier read cache in front of the cluster
     /// ([`crate::cache`]). **Inert by default** — with

@@ -1,11 +1,11 @@
-//! Sharded data plane: the per-thread slice of the cluster simulation.
+//! Sharded data plane: one logical slice of the cluster simulation.
 //!
 //! The cluster is partitioned into [`Shard`]s — contiguous slices of MDS
 //! ids and client ids, each owning its members' event queue, counters,
 //! RNG streams, and client state. Shards run **conservative lookahead
 //! windows**: the scheduler (in [`crate::driver`]) picks a window
 //! `[base, end)` no wider than the minimum cross-shard latency, every
-//! shard drains its own events inside the window concurrently, and a
+//! shard drains its own events inside the window in turn, and a
 //! barrier then applies the window's deferred namespace mutations and
 //! routes cross-shard messages. Because no simulated interaction can
 //! cross shards faster than the lookahead, no shard can ever receive a
@@ -22,13 +22,13 @@
 //!
 //! Queues order same-instant events by key, so tie-breaking depends only
 //! on *which simulated entity* generated the event and *how many* events
-//! it generated before — never on which thread ran it or in what order
-//! shards happened to drain. Deferred namespace mutations are applied at
+//! it generated before — never on which shard held it or in what order
+//! shards are drained. Deferred namespace mutations are applied at
 //! each barrier in global `(time, key)` order, and per-shard trace
 //! buffers are merged at run end by `(time, key, emission index)`. The
 //! result: window boundaries, event keys, and barrier effects are all
 //! shard-count-invariant, and a fixed seed produces byte-identical runs
-//! at any thread count — including the single-threaded oracle.
+//! at any shard count — including the one-shard oracle.
 
 use mantle_namespace::{FragId, MdsId, Namespace, NodeId, OpKind};
 use mantle_sim::{EventQueue, SimRng, SimTime};
@@ -39,7 +39,7 @@ use crate::config::{ClusterConfig, PlacementPolicy};
 use crate::metrics::MdsCounters;
 use crate::trace::{TraceEvent, TraceRecord};
 
-/// Index of a shard (worker thread) within a run.
+/// Index of a shard within a run.
 pub type ShardId = usize;
 
 /// Bits reserved for the per-origin counter in an event key.
@@ -99,7 +99,7 @@ pub(crate) enum Event {
 /// another shard's queue, stamped with its simulated delivery time and
 /// its origin key. Messages are exchanged only at barriers; `(at, key)`
 /// is a total order, so delivery order is deterministic regardless of
-/// which thread sent first in wall-clock time.
+/// which shard was drained first.
 #[derive(Debug)]
 pub struct CrossShardMsg {
     pub(crate) at: SimTime,
@@ -180,7 +180,7 @@ impl SubtreeWindow {
 
 /// Simulation state shared read-only by every shard during a window and
 /// mutated only by the coordinator (at barriers and in exclusive
-/// control-plane phases, while all workers are parked).
+/// control-plane phases, between windows).
 #[derive(Debug)]
 pub struct SharedSim {
     pub(crate) ns: Namespace,
@@ -218,7 +218,7 @@ pub struct SharedSim {
 
 /// Static partition map: which shard owns which MDS / client. Both
 /// partitions are contiguous slices in id order; shards may own zero
-/// MDSs (more threads than servers) or zero clients.
+/// MDSs (more shards than servers) or zero clients.
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
     pub(crate) mds_shard: Vec<ShardId>,
@@ -269,8 +269,8 @@ fn range_of(map: &[ShardId], s: ShardId) -> std::ops::Range<usize> {
     lo..hi
 }
 
-/// Per-shard execution statistics (wall-clock side channel; never feeds
-/// back into the simulation).
+/// Per-shard execution statistics (a side channel; never feeds back
+/// into the simulation).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardStats {
     /// `(first, count)` of the MDS ids this shard owns.
@@ -281,7 +281,9 @@ pub struct ShardStats {
     pub events: u64,
     /// Cross-shard messages this shard sent.
     pub msgs_sent: u64,
-    /// Wall-clock nanoseconds spent waiting at window barriers.
+    /// Always 0: shards are drained inline, so nothing waits at a
+    /// barrier. The field stays only because the benchmark harness reads
+    /// it, and leaves when the harness is un-pinned (ROADMAP item 1).
     pub barrier_wait_ns: u64,
 }
 
@@ -289,7 +291,8 @@ pub struct ShardStats {
 /// [`crate::cluster::Cluster::run_with_stats`].
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
-    /// Worker threads used (1 = inline single-threaded driver).
+    /// Logical shards the run was partitioned into (the name is what the
+    /// benchmark harness compiles against; no threads are involved).
     pub threads: usize,
     /// Lookahead windows executed.
     pub windows: u64,

@@ -1,12 +1,14 @@
-//! Differential end-to-end tests for the sharded parallel engine.
+//! Differential end-to-end tests for the partition count.
 //!
-//! Thread-per-shard execution must be *behaviorally invisible*: for a
-//! fixed seed the cluster produces a byte-identical [`RunReport`]
-//! whether events drain on one thread ([`ExecMode::Single`], the
-//! oracle) or across 2/4/8 worker shards with barrier-synchronized
-//! cross-shard delivery — for every built-in balancer, and under every
-//! degraded-cluster fault scenario. Traced runs must also merge their
-//! per-shard buffers back into the exact single-threaded event order.
+//! How the cluster is cut into logical shards must be *behaviorally
+//! invisible*: for a fixed seed the cluster produces a byte-identical
+//! [`RunReport`] whether events drain from one shard
+//! ([`ExecMode::Single`], the oracle) or from 2/3/4/5/8 shards with
+//! cross-shard delivery at window barriers — for every built-in
+//! balancer, and under every degraded-cluster fault scenario. That is the
+//! witness that tie-breaking depends on the simulated entity and never
+//! on the partition. Traced runs must also merge their per-shard buffers
+//! back into the exact one-shard event order.
 
 use mantle::core::degraded;
 use mantle::core::experiment::run_experiment_with_stats;
@@ -14,10 +16,11 @@ use mantle::core::repro::ReproOpts;
 use mantle::mds::ExecMode;
 use mantle::prelude::*;
 
-/// Shard counts exercised against the single-threaded oracle. 8 shards
-/// on a 3-MDS cluster deliberately leaves most shards without an MDS —
-/// degenerate partitions must still agree.
-const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
+/// Partition counts exercised against the one-shard oracle. 3 and 5 cut
+/// the 3 MDSs / 4 clients at uneven slice boundaries; 5 and 8 leave some
+/// shards without an MDS or a client — degenerate partitions must still
+/// agree.
+const SHARD_COUNTS: [usize; 5] = [2, 3, 4, 5, 8];
 
 fn quick_cfg(num_mds: usize, mode: ExecMode) -> ClusterConfig {
     ClusterConfig {
@@ -125,22 +128,24 @@ fn all_fault_scenarios_are_identical_across_shard_counts() {
 fn balancer_fault_cross_product_is_identical_at_two_shards() {
     // The full built-in-balancer × fault-scenario grid. The two tests
     // above sweep shard counts along each axis separately; this one
-    // covers every pairing at the cheapest sharded shape, so a
+    // covers every pairing at one even and one uneven split, so a
     // divergence that needs a particular balancer *and* a particular
     // fault to manifest still has a differential witness.
     for (bname, balancer) in builtin_balancers() {
         for (fname, plan) in degraded::scenario_plans(ReproOpts::QUICK) {
             let oracle = run_experiment(&spec_on(ExecMode::Single, &balancer, Some(&plan)));
-            let sharded = run_experiment(&spec_on(
-                ExecMode::Sharded { threads: 2 },
-                &balancer,
-                Some(&plan),
-            ));
-            assert_eq!(
-                format!("{oracle:?}"),
-                format!("{sharded:?}"),
-                "{bname} × {fname}: 2-shard run must yield a byte-identical report"
-            );
+            for threads in [2, 3] {
+                let sharded = run_experiment(&spec_on(
+                    ExecMode::Sharded { threads },
+                    &balancer,
+                    Some(&plan),
+                ));
+                assert_eq!(
+                    format!("{oracle:?}"),
+                    format!("{sharded:?}"),
+                    "{bname} × {fname}: {threads}-shard run must yield a byte-identical report"
+                );
+            }
         }
     }
 }
@@ -148,7 +153,7 @@ fn balancer_fault_cross_product_is_identical_at_two_shards() {
 #[test]
 fn traced_runs_merge_into_the_single_threaded_order() {
     // Per-shard trace buffers are merged at run end by (time, key,
-    // emission index); the merged stream must match the single-threaded
+    // emission index); the merged stream must match the one-shard
     // golden ordering byte-for-byte and still satisfy every trace
     // invariant (balanced freeze/thaw, authority consistency, ...).
     let balancer = BalancerSpec::mantle("greedy-spill", policies::greedy_spill().unwrap());
@@ -171,7 +176,7 @@ fn traced_runs_merge_into_the_single_threaded_order() {
         assert_eq!(
             oracle_jsonl,
             trace.to_jsonl(),
-            "{threads}-shard merged trace must match the single-threaded order"
+            "{threads}-shard merged trace must match the one-shard order"
         );
         assert_invariants(trace.records());
     }
@@ -179,10 +184,10 @@ fn traced_runs_merge_into_the_single_threaded_order() {
 
 #[test]
 fn sharded_runs_are_not_vacuous() {
-    // The differential tests above prove nothing if the sharded engine
+    // The differential tests above prove nothing if a sharded run
     // never actually crosses a shard boundary or migrates. Pin the
-    // interesting denominators: real worker shards, real cross-shard
-    // traffic, real migrations, no lost operations.
+    // interesting denominators: real shards, real cross-shard traffic,
+    // real migrations, no lost operations.
     let balancer = BalancerSpec::mantle("greedy-spill", policies::greedy_spill().unwrap());
     let (report, stats) =
         run_experiment_with_stats(&spec_on(ExecMode::Sharded { threads: 4 }, &balancer, None));
