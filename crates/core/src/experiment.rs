@@ -310,15 +310,7 @@ pub fn build_cluster(spec: &Experiment) -> Cluster {
 
 /// Run one experiment to completion.
 pub fn run_experiment(spec: &Experiment) -> RunReport {
-    run_experiment_with_stats(spec).0
-}
-
-/// Run one experiment, also returning the engine's execution statistics
-/// (windows, per-shard event/message/barrier breakdown). The report is
-/// identical in every [`mantle_mds::ExecMode`]; the stats are a side
-/// channel that never feeds back into the simulation.
-pub fn run_experiment_with_stats(spec: &Experiment) -> (RunReport, mantle_mds::ExecStats) {
-    build_cluster(spec).run_with_stats()
+    build_cluster(spec).run()
 }
 
 /// Run one experiment with a trace sink attached, returning the report

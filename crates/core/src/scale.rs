@@ -185,8 +185,6 @@ pub fn scale_table(smoke: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_experiment_with_stats;
-    use mantle_mds::ExecMode;
 
     #[test]
     fn smoke_row_is_ci_sized() {
@@ -214,28 +212,5 @@ mod tests {
         let wheel = run_scale(&spec, SchedulerKind::Wheel, 7);
         assert_eq!(format!("{:?}", heap.report), format!("{:?}", wheel.report));
         assert_eq!(heap.report.total_ops(), spec.total_ops() as f64);
-    }
-
-    #[test]
-    fn smoke_sharded_matches_oracle() {
-        let spec = scale_specs(true).remove(0);
-        let run = |mode| {
-            let mut exp = scale_experiment(&spec, SchedulerKind::Wheel, 7);
-            exp.config = exp.config.with_exec_mode(mode);
-            run_experiment_with_stats(&exp)
-        };
-        let (single, _) = run(ExecMode::Single);
-        let (sharded, stats) = run(ExecMode::Sharded { threads: 4 });
-        assert_eq!(
-            format!("{single:?}"),
-            format!("{sharded:?}"),
-            "4-shard run must be byte-identical to the one-shard oracle"
-        );
-        assert_eq!(stats.threads, 4);
-        assert_eq!(stats.shards.len(), 4);
-        assert!(
-            stats.shards.iter().map(|s| s.msgs_sent).sum::<u64>() > 0,
-            "the smoke row must actually exercise cross-shard messaging"
-        );
     }
 }

@@ -313,7 +313,7 @@ pub fn search_table(smoke: bool) -> String {
         ]);
     }
     format!(
-        "Fill & Spill parameter search ({} candidates × {} fault scenarios, sharded engine)\n{}",
+        "Fill & Spill parameter search ({} candidates × {} fault scenarios)\n{}",
         ranked.len(),
         5,
         table.render()

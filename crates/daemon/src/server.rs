@@ -14,7 +14,8 @@
 //! # No polling, no timeout
 //!
 //! The `poll` set is the listener, every connection (readable unless it
-//! is being closed; writable only while it has unsent bytes) and the
+//! is being closed or owed more than `REPLY_BACKLOG_CAP`; writable only
+//! while it has unsent bytes) and the
 //! engine's wake stream, into which the engine thread writes a byte
 //! behind every batch of events it sends. Readiness is level-triggered
 //! and the reactor only blocks after a full iteration that found every
@@ -53,6 +54,13 @@ const SPARE_CONNS: usize = 32;
 /// never catches up — which takes being a full socket buffer behind for
 /// 4 MiB of stream.
 const TRACE_BACKLOG_CAP: usize = 4 << 20;
+
+/// A `client` or `admin` connection with more than this queued for it is
+/// not read from until the queue drains back under it: a peer that
+/// pipelines requests and never reads its replies is pushed back by TCP
+/// and cannot grow the daemon. Replies are never dropped, so the
+/// connection resumes where it stopped.
+const REPLY_BACKLOG_CAP: usize = 1 << 20;
 
 /// Detail of the `policy-rejected` reply to a bundle that carries
 /// `howmany`.
@@ -93,6 +101,11 @@ struct Conn {
 impl Conn {
     fn unsent(&self) -> usize {
         self.wbuf.len() - self.wpos
+    }
+
+    /// Whether to take input from the peer.
+    fn reading(&self) -> bool {
+        !self.closing && (self.role == Some(Role::Trace) || self.unsent() <= REPLY_BACKLOG_CAP)
     }
 
     /// Give up on a subscriber that cannot keep up: drop every queued
@@ -218,7 +231,7 @@ impl Server {
         fds.push(PollFd::new(&self.listener, POLLIN));
         for conn in self.conns.iter().flatten() {
             let mut events = 0;
-            if !conn.closing {
+            if conn.reading() {
                 events |= POLLIN;
             }
             if conn.unsent() > 0 {
@@ -288,7 +301,7 @@ impl Server {
             let Some(conn) = self.conns[idx].as_mut() else {
                 continue;
             };
-            if conn.closing {
+            if !conn.reading() {
                 continue;
             }
             let mut tmp = [0u8; 4096];

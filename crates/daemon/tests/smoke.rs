@@ -6,8 +6,9 @@
 //!
 //! The later tests pin the event-driven wire path from outside: an idle
 //! daemon makes (almost) no context switches, a swap ack reaches the
-//! reactor with no other traffic to carry it, and neither a stalled peer
-//! nor a crowd of them gets in another client's way.
+//! reactor with no other traffic to carry it, neither a stalled peer
+//! nor a crowd of them gets in another client's way, and a peer that
+//! pipelines ops without reading its replies is pushed back, not buffered.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -338,6 +339,80 @@ fn stalled_and_surplus_peers_do_not_block_a_client() {
     let mut rest = Vec::new();
     let _ = stalled.read_to_end(&mut rest);
     assert!(rest.is_empty(), "{rest:?}");
+}
+
+#[test]
+fn a_peer_that_floods_and_never_reads_is_pushed_back_not_buffered() {
+    let daemon = Daemon::spawn(&["--sessions=2", "--clock=sim"]);
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    let mut other = MantleClient::connect(&daemon.addr, "client").expect("client connects");
+    let mut flood = MantleClient::connect(&daemon.addr, "client").expect("flooder connects");
+    // (submitted, completed); only the flooder submits until it is held.
+    let counts = |admin: &mut MantleClient| {
+        let st = admin.admin("status", vec![]).expect("status answers");
+        let get = |k| st.get_u64(k).expect("status carries the counter");
+        (get("ops_submitted"), get("ops_completed"))
+    };
+
+    // Pipeline ops in small batches and never read a reply. After each
+    // batch, wait until the daemon has taken all of it — or has gone idle
+    // without taking it, which is the push-back: the bytes sit in the
+    // socket and the daemon holds at most its cap for this peer.
+    const BATCH: u64 = 500;
+    const FAR_PAST_THE_CAP: u64 = 200_000; // ≈ 20 MB of replies
+    let mut sent = 0;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    'flood: loop {
+        assert!(
+            sent < FAR_PAST_THE_CAP,
+            "the daemon took {sent} ops from a peer that never read a reply"
+        );
+        for _ in 0..BATCH {
+            sent += 1;
+            flood
+                .send(&Json::obj(vec![
+                    ("type", Json::str("op")),
+                    ("id", Json::num(sent as f64)),
+                    ("op", Json::str("stat")),
+                    ("path", Json::str("/smoke/flood")),
+                ]))
+                .expect("a batch fits the socket buffers");
+        }
+        let mut last = None;
+        loop {
+            assert!(std::time::Instant::now() < deadline, "flood timed out");
+            let now = counts(&mut admin);
+            if now.0 == sent {
+                continue 'flood;
+            }
+            if now.0 == now.1 && last == Some(now) {
+                break 'flood;
+            }
+            last = Some(now);
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+    }
+
+    // The other session and the admin connection are served meanwhile.
+    let reply = other.op("create", "/smoke/beside-a-flood").expect("op");
+    assert_eq!(reply.get_str("status"), Some("ok"));
+    let (submitted, _) = counts(&mut admin);
+    assert!(
+        submitted - 1 < sent,
+        "still held back: {submitted} - 1 of {sent}"
+    );
+
+    // Once the flooder reads, it gets every reply, in order: nothing was
+    // dropped to stay under the cap, and the held-back ops were taken.
+    for want in 1..=sent {
+        let reply = flood.recv_required().expect("reply");
+        assert_eq!(reply.get_u64("id"), Some(want));
+        assert_eq!(reply.get_str("status"), Some("ok"));
+    }
+    assert_eq!(counts(&mut admin), (sent + 1, sent + 1));
+
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    assert!(daemon.finish().0);
 }
 
 #[test]

@@ -1,12 +1,11 @@
 //! The window barrier: everything a window could not do to shared state
-//! while shards ran side by side, applied once they have all stopped.
+//! while it read it, applied once the window has ended.
 //!
-//! Shards defer namespace mutations (`NsOp`) and cross-shard sends
-//! during a window. The barrier applies the mutations in global
-//! `(time, key)` order, runs fragment splits (the paper's *fragment*
-//! stage), delivers the messages, and purges lapsed freeze/cold windows.
-//! Its effects are a pure function of the merged per-shard outputs, so
-//! they are identical no matter how many shards produced them.
+//! The data plane defers namespace mutations (`NsOp`) during a window.
+//! The barrier has three effects: it applies the mutations in the
+//! `(time, key)` order their events ran in (phase A), runs fragment
+//! splits — the paper's *fragment* stage — for every directory charged
+//! (phase B), and purges lapsed freeze/cold windows.
 
 use std::collections::HashSet;
 
@@ -15,7 +14,7 @@ use mantle_sim::SimTime;
 
 use crate::config::ClusterConfig;
 use crate::driver::Exclusive;
-use crate::shard::{DeferredNsOp, NsOp};
+use crate::shard::NsOp;
 use crate::trace::TraceEvent;
 use crate::tracer::Tracer;
 
@@ -23,8 +22,6 @@ use crate::tracer::Tracer;
 /// of what coherence invalidation dropped.
 #[derive(Default)]
 pub(crate) struct Barrier {
-    /// Merged deferred ops of the window being closed.
-    deferred: Vec<DeferredNsOp>,
     /// Split-check worklist: directories charged this window, once each.
     touched: Vec<NodeId>,
     seen: HashSet<NodeId>,
@@ -42,19 +39,17 @@ impl Barrier {
         cfg: &ClusterConfig,
         window_end: SimTime,
     ) {
-        // Phase A — heat/size charges and hash pins, in the order a
-        // sequential engine would have applied them. Splits are
-        // deliberately excluded (phase B) so every charge in this window
-        // lands on the fragment layout the shards routed against.
-        self.deferred.clear();
-        for g in x.shards() {
-            self.deferred.append(&mut g.deferred);
-        }
-        self.deferred.sort_unstable_by_key(|d| (d.at, d.key));
+        // Phase A — heat/size charges and hash pins, in the order their
+        // events ran. Splits are deliberately excluded (phase B) so every
+        // charge in this window lands on the fragment layout the window
+        // routed against.
         self.touched.clear();
         self.seen.clear();
-        let sh = x.sim();
-        for d in self.deferred.drain(..) {
+        let (sh, plane) = x.parts();
+        // One queue pops in `(time, key)` order and stamps each op with
+        // the event that deferred it.
+        debug_assert!(plane.deferred.is_sorted_by_key(|d| (d.at, d.key)));
+        for d in plane.deferred.drain(..) {
             match d.op {
                 NsOp::Record { dir, frag, kind } => {
                     sh.ns.record_op_no_split(dir, frag, kind, d.at);
@@ -64,8 +59,7 @@ impl Barrier {
                 }
                 NsOp::Pin { dir, mds } => {
                     // First arrival (in key order) wins; later deferred
-                    // pins for the same dir are no-ops, exactly like the
-                    // second arrival in a sequential run.
+                    // pins for the same dir are no-ops.
                     if sh.ns.dir(dir).auth.is_none() {
                         sh.ns.set_auth(dir, Some(mds));
                         trace.emit(window_end, || TraceEvent::HashPin { dir, mds });
@@ -108,16 +102,14 @@ impl Barrier {
                 });
                 let auth = x.sim().ns.frag_auth(dir, se.resulting_frags - 1);
                 let split_us = cfg.costs.split_us;
-                let g = x.mds_shard(auth);
-                let c = g.counters_mut(auth);
+                let plane = x.plane();
+                let c = &mut plane.counters[auth];
                 c.splits += 1;
                 c.busy_window_us += split_us;
-                let l = auth - g.mds_lo;
-                g.next_free[l] =
-                    g.next_free[l].max(window_end) + SimTime::from_micros_f64(split_us);
+                plane.next_free[auth] =
+                    plane.next_free[auth].max(window_end) + SimTime::from_micros_f64(split_us);
             }
         }
-        x.exchange_messages();
         // Lapsed freeze / cold-prefix windows can only be purged here —
         // in-window readers filter by `until` and never mutate the shared
         // set.

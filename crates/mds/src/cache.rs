@@ -11,7 +11,7 @@
 //! * **mutating ops** (create / mkdir / setattr / unlink) invalidate the
 //!   touched directory's entries in every group at the next window
 //!   barrier, via the same deferred-op plumbing that applies heat
-//!   charges — so a run is byte-identical at any shard count;
+//!   charges;
 //! * **migrations and session flushes** invalidate the whole moved
 //!   region in one pass using the namespace's Euler-tour interval
 //!   labels ([`IntervalRegion`]) — a range scan over the caches'
@@ -25,9 +25,8 @@
 //! Determinism: group caches live in [`crate::shard::SharedSim`] and are
 //! **read-only during windows**. Every mutation — fill, LRU touch,
 //! dentry invalidation — is deferred and applied at the barrier in
-//! global `(time, key)` order, so the LRU clock and eviction order are
-//! pure functions of the merged event stream, independent of shard
-//! count.
+//! `(time, key)` order, so the LRU clock and eviction order are pure
+//! functions of the event stream.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -42,8 +41,8 @@ pub fn cacheable(kind: OpKind) -> bool {
 /// A moved/invalidated namespace region in Euler-interval form: the
 /// label span of the root subtree, minus the spans of the authority
 /// holes, restricted to directories that existed when the region was
-/// captured (`watermark`). Mirrors `SubtreeWindow::contains` exactly —
-/// the shard-equivalence suites depend on the two agreeing.
+/// captured (`watermark`). Mirrors `SubtreeWindow::contains` exactly:
+/// what a migration freezes is what it invalidates.
 #[derive(Debug, Clone)]
 pub struct IntervalRegion {
     root: NodeId,

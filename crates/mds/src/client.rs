@@ -26,11 +26,7 @@ pub const PARKED: SimTime = SimTime(u64::MAX);
 /// next operation whenever that client's previous one completes.
 ///
 /// The namespace is read-only during the run — all directory structure is
-/// built in [`Workload::setup`]. This is what lets the engine hand each
-/// shard its own fork of the workload ([`Workload::fork`]) and drive
-/// disjoint client slices independently: per-client generator
-/// state advances independently, so a fork driving only its own clients
-/// produces exactly the ops the original would have produced for them.
+/// built in [`Workload::setup`].
 pub trait Workload: Send {
     /// Number of clients this workload drives.
     fn num_clients(&self) -> usize;
@@ -46,8 +42,7 @@ pub trait Workload: Send {
     /// workloads with think windows (e.g. diurnal day/night phases) use
     /// this to park a client until its next active window — the cluster
     /// reschedules the client's wakeup instead of calling
-    /// [`Workload::next`]. Must be deterministic in `(client, now)` so
-    /// sharded execution stays byte-identical to the one-shard run.
+    /// [`Workload::next`]. Must be deterministic in `(client, now)`.
     ///
     /// The one exception is [`PARKED`]: a workload fed from outside the
     /// simulation (a live session's op queue) returns it when it cannot
@@ -57,11 +52,6 @@ pub trait Workload: Send {
         let _ = (client, now);
         None
     }
-
-    /// A boxed copy with identical per-client generator state. Each shard
-    /// gets one fork and only ever calls [`Workload::next`] for the
-    /// clients it owns.
-    fn fork(&self) -> Box<dyn Workload>;
 
     /// Workload name for reports.
     fn name(&self) -> &str {

@@ -2,9 +2,9 @@
 //!
 //! [`Cluster`] is the public face: build one, optionally schedule admin
 //! actions, then run it to completion or serve it live. Behind it, the
-//! `Coordinator` is the control plane — shards never touch it — and the
-//! [`crate::driver`] is the scheduler that owns the simulation state and
-//! decides *when* the coordinator gets to act.
+//! `Coordinator` is the control plane — the data plane never touches it —
+//! and the [`crate::driver`] is the scheduler that owns the simulation
+//! state and decides *when* the coordinator gets to act.
 //!
 //! # The balancer tick, stage by stage
 //!
@@ -35,18 +35,18 @@ use mantle_sim::{EventQueue, SimRng, SimTime, Summary};
 use crate::balancer::{BalanceContext, Balancer, BalancerSet, MigrationPlan};
 use crate::barrier::Barrier;
 use crate::cache::GroupCache;
-use crate::client::{ClientState, Workload};
+use crate::client::Workload;
 use crate::config::ClusterConfig;
 use crate::driver::{Driver, Exclusive};
 use crate::elastic::Membership;
 use crate::faults::FaultKind;
 use crate::heartbeat::HeartbeatView;
-use crate::metrics::{Heartbeat, MdsCounters};
+use crate::metrics::Heartbeat;
 use crate::migration::Migrator;
 use crate::partition::{plan_exports, Export};
 use crate::report::{ClientReport, MdsReport, RunReport};
 use crate::service::{LiveService, ServiceEvent, ServicePump};
-use crate::shard::{Event, ExecStats, Shard, ShardRouter, SharedSim};
+use crate::shard::{Event, ExecStats, Shard, SharedSim};
 use crate::trace::{TraceBuffer, TraceEvent, TraceLevel};
 use crate::tracer::Tracer;
 
@@ -75,7 +75,7 @@ impl Balancer for NoopBalancer {
 
 /// A control-plane event. Globals always run in exclusive steps — never
 /// concurrently with a window — because they read and write cluster-wide
-/// state (the namespace, every shard's counters, liveness).
+/// state (the namespace, every MDS's counters, liveness).
 enum GlobalEvent {
     /// Cluster-wide heartbeat + balancer tick.
     Heartbeat,
@@ -124,7 +124,7 @@ impl Coordinator {
 
     /// Run the next global event with exclusive access to the whole
     /// simulation. Globals never overlap windows, so everything here
-    /// reads and writes as freely as a sequential engine would.
+    /// reads and writes freely.
     pub(crate) fn run_global(&mut self, x: &mut Exclusive) {
         let (now, event) = self.globals.pop().expect("a global event is due");
         match event {
@@ -205,8 +205,7 @@ impl Coordinator {
         // queue depth / throughput are the ones the balancers will act on.
         if let Some(timeline) = self.trace.timeline() {
             for (m, hb) in heartbeats.iter().enumerate() {
-                let g = x.mds_shard(m);
-                let c = &g.counters[m - g.mds_lo];
+                let c = &x.plane().counters[m];
                 timeline.sample(
                     now,
                     m,
@@ -219,13 +218,12 @@ impl Coordinator {
             self.trace.emit(now, || TraceEvent::HeartbeatTick { loads });
         }
         // 2. Roll the measurement windows (cache tallies roll with them).
-        for g in x.shards() {
-            for c in &mut g.counters {
-                c.roll_window();
-            }
-            g.cache_window_hits.fill(0);
-            g.cache_window_misses.fill(0);
+        let plane = x.plane();
+        for c in &mut plane.counters {
+            c.roll_window();
         }
+        plane.cache_window_hits.fill(0);
+        plane.cache_window_misses.fill(0);
         // 2½. The elastic controller: evaluate the `howmany` hook over the
         //     member-filtered snapshots and take at most one membership
         //     transition (join or drain) per tick. No-op when disabled.
@@ -323,7 +321,7 @@ impl Coordinator {
             }
         }
         // 4. Next tick, while clients are still running.
-        if x.shards().any(|g| g.active > 0) {
+        if x.plane().active > 0 {
             self.globals
                 .schedule_at(now + self.cfg.heartbeat_interval, GlobalEvent::Heartbeat);
         }
@@ -352,29 +350,17 @@ impl Cluster {
         });
         workload.setup(&mut ns);
         let n = cfg.num_mds;
-        let num_clients = workload.num_clients();
-        let router = ShardRouter::new(n, num_clients, cfg.exec_mode.shards());
         let master = SimRng::new(cfg.seed);
         let initial_members = cfg.elastic.initial(n);
-        // Every shard gets a fork of the post-setup workload and the
-        // contiguous slice of clients it owns; forks only ever see their
-        // own clients, so per-client op streams are partition-invariant.
-        let mut rest: Vec<ClientState> = (0..num_clients).map(ClientState::new).collect();
-        let shards: Vec<Shard> = (0..router.num_shards())
-            .map(|s| {
-                let take = router.clients_of_shard(s).len();
-                let remaining = rest.split_off(take);
-                let mine = std::mem::replace(&mut rest, remaining);
-                Shard::new(s, &router, cfg.clone(), workload.fork(), mine, &master)
-            })
-            .collect();
+        let workload_name = workload.name().to_string();
+        let shard = Shard::new(cfg.clone(), workload, &master);
         let half_rtt = SimTime::from_micros_f64(cfg.costs.rtt_us / 2.0);
         let hop = SimTime::from_micros_f64(cfg.costs.forward_hop_us);
         // Degenerate zero-latency configs still need forward progress.
-        let lookahead = half_rtt.min(hop).max(SimTime::from_micros(1));
-        // Proxy-tier caches: one LRU per client group, shared by every
-        // shard (read-only in windows). Empty when disabled — the inert
-        // default adds no state and no per-event work.
+        let width = half_rtt.min(hop).max(SimTime::from_micros(1));
+        // Proxy-tier caches: one LRU per client group (read-only in
+        // windows). Empty when disabled — the inert default adds no state
+        // and no per-event work.
         let caches = if cfg.cache.enabled {
             vec![GroupCache::new(cfg.cache.capacity); cfg.cache.groups.max(1)]
         } else {
@@ -406,12 +392,12 @@ impl Cluster {
             barrier: Barrier::default(),
             globals: EventQueue::with_scheduler(cfg.scheduler),
             swapped: Vec::new(),
-            workload_name: workload.name().to_string(),
+            workload_name,
             cfg,
         };
         Cluster {
             co,
-            driver: Driver::new(sim, shards, router, lookahead),
+            driver: Driver::new(sim, shard, width),
         }
     }
 
@@ -441,10 +427,9 @@ impl Cluster {
         self.run_with_stats().0
     }
 
-    /// Run to completion, also returning execution statistics (shard
-    /// count, windows, per-shard event/message breakdown). The
-    /// [`RunReport`] is identical in every [`crate::ExecMode`]; the
-    /// [`ExecStats`] never feed back into the simulation.
+    /// Run to completion, also returning execution statistics (events,
+    /// windows, exclusive steps). The [`ExecStats`] never feed back into
+    /// the simulation.
     pub fn run_with_stats(self) -> (RunReport, ExecStats) {
         let (report, stats, _) = self.run_inner(None, None);
         (report, stats)
@@ -494,17 +479,16 @@ impl Cluster {
             co.trace = Tracer::new(Some(level), &co.cfg);
             co.trace.preamble(&co.cfg, &self.driver.sim.ns);
         }
-        for shard in &mut self.driver.shards {
-            shard.trace_full = co.trace.full();
-            shard.live = pump.is_some();
-            // Kick off every client (client-rank keys preserve global
-            // client order for the time-zero ties).
-            for c in shard.client_lo..shard.client_lo + shard.clients.len() {
-                let key = shard.client_key(c);
-                shard
-                    .queue
-                    .schedule_at_key(SimTime::ZERO, key, Event::ClientNext(c));
-            }
+        let shard = &mut self.driver.shard;
+        shard.trace_full = co.trace.full();
+        shard.live = pump.is_some();
+        // Kick off every client (client-rank keys order the time-zero
+        // ties by client id).
+        for c in 0..shard.clients.len() {
+            let key = shard.client_key(c);
+            shard
+                .queue
+                .schedule_at_key(SimTime::ZERO, key, Event::ClientNext(c));
         }
         // The heartbeat cycle and the fault plan.
         co.globals
@@ -514,11 +498,10 @@ impl Cluster {
                 .schedule_at(fault.at, GlobalEvent::Fault(fault.kind.clone()));
         }
         let (last_now, stats) = self.driver.run(&mut co, pump.as_mut());
-        let mut shards = self.driver.shards;
-        let inflight: i64 = shards.iter().map(|s| s.inflight).sum();
-        co.trace.run_end(last_now, inflight.max(0) as usize);
-        let tail = co.trace.merge(shards.iter_mut());
-        let report = into_report(&co, shards, self.driver.sim.membership_epoch);
+        let mut shard = self.driver.shard;
+        co.trace.run_end(last_now, shard.inflight.max(0) as usize);
+        let tail = co.trace.merge(&mut shard);
+        let report = into_report(&co, shard, self.driver.sim.membership_epoch);
         let buffer = match pump {
             Some(pump) => {
                 pump.finish(tail, report.clone());
@@ -530,27 +513,17 @@ impl Cluster {
     }
 }
 
-/// Assemble the report from the coordinator and the drained shards.
-/// Shards own contiguous id slices in order, so concatenating their
-/// counters/clients reproduces the global id order.
-fn into_report(co: &Coordinator, shards: Vec<Shard>, membership_epoch: u64) -> RunReport {
-    let mut counters: Vec<MdsCounters> = Vec::new();
-    let mut clients: Vec<ClientState> = Vec::new();
-    let mut timeouts = 0u64;
-    let mut retries = 0u64;
-    // Cache attribution arrays are per-shard over *global* MDS ids.
-    let mut cache_hits = vec![0u64; co.cfg.num_mds];
-    let mut cache_misses = vec![0u64; co.cfg.num_mds];
-    for s in shards {
-        for m in 0..co.cfg.num_mds {
-            cache_hits[m] += s.cache_hits[m];
-            cache_misses[m] += s.cache_misses[m];
-        }
-        counters.extend(s.counters);
-        clients.extend(s.clients);
-        timeouts += s.timeouts;
-        retries += s.retries;
-    }
+/// Assemble the report from the coordinator and the drained data plane.
+fn into_report(co: &Coordinator, shard: Shard, membership_epoch: u64) -> RunReport {
+    let Shard {
+        counters,
+        clients,
+        timeouts,
+        retries,
+        cache_hits,
+        cache_misses,
+        ..
+    } = shard;
     let makespan = clients
         .iter()
         .map(|c| c.finished_at)
@@ -609,7 +582,6 @@ fn into_report(co: &Coordinator, shards: Vec<Shard>, membership_epoch: u64) -> R
 mod tests {
     use super::*;
     use crate::client::ClientOp;
-    use crate::config::ExecMode;
     use crate::partition::ExportUnit;
     use crate::shard::{frozen_until, Request};
     use mantle_namespace::{NodeId, OpKind};
@@ -653,9 +625,6 @@ mod tests {
                 dir: self.dirs[client],
                 kind: OpKind::Create,
             })
-        }
-        fn fork(&self) -> Box<dyn Workload> {
-            Box::new(self.clone())
         }
         fn name(&self) -> &str {
             "tiny-create"
@@ -703,34 +672,6 @@ mod tests {
         assert_ne!(
             a.makespan, c.makespan,
             "different seeds give different noise"
-        );
-    }
-
-    #[test]
-    fn sharded_run_matches_single_threaded_oracle() {
-        // The full matrix (all balancers × fault scenarios × 2/3/4/5/8
-        // shards) lives in tests/shard_equivalence.rs; this is the
-        // fast in-crate smoke check of the same property.
-        let run = |mode: ExecMode| {
-            let cfg = ClusterConfig {
-                num_mds: 3,
-                seed: 11,
-                heartbeat_interval: SimTime::from_millis(400),
-                frag_split_threshold: 500,
-                exec_mode: mode,
-                ..Default::default()
-            };
-            Cluster::new(cfg, Box::new(TinyCreate::new(4, 500)), |_| {
-                Box::new(NoopBalancer)
-            })
-            .run()
-        };
-        let single = run(ExecMode::Single);
-        let sharded = run(ExecMode::Sharded { threads: 2 });
-        assert_eq!(
-            format!("{single:?}"),
-            format!("{sharded:?}"),
-            "2-shard run must be byte-identical to the one-shard oracle"
         );
     }
 
@@ -926,7 +867,6 @@ mod tests {
             let ns = cluster.namespace_mut();
             (ns.mkdir_p("/a"), ns.mkdir_p("/a/b"))
         };
-        let router = cluster.driver.router().clone();
         let mut x = cluster.driver.exclusive();
         cluster
             .co
@@ -950,12 +890,11 @@ mod tests {
             seq: 1,
             attempts: 0,
         };
-        let (sim, mut shards) = x.parts();
-        let g = shards.next().expect("one shard");
+        let (sim, g) = x.parts();
         let key = g.client_key(0);
         g.queue
             .schedule_at_key(SimTime::ZERO, key, Event::Arrive { mds: 1, req });
-        g.process_window(sim, &router, SimTime::from_micros(1));
+        g.process_window(sim, SimTime::from_micros(1));
         assert_eq!(
             g.queue.peek_time(),
             Some(thaw),
@@ -985,8 +924,8 @@ mod tests {
         let mut x = cluster.driver.exclusive();
         // The client learned MDS 2 serves both dirs.
         {
-            let (sim, mut shards) = x.parts();
-            let client = &mut shards.next().expect("one shard").clients[0];
+            let (sim, plane) = x.parts();
+            let client = &mut plane.clients[0];
             client.learn(&sim.ns, a, 2);
             client.learn(&sim.ns, ab, 2);
         }
@@ -998,11 +937,11 @@ mod tests {
             dir: ab,
             kind: OpKind::Stat,
         };
-        let (sim, mut shards) = x.parts();
+        let (sim, plane) = x.parts();
         let frag = sim.ns.peek_frag(ab);
         let multi = sim.ns.frag_owners(ab).len() > 1;
         assert_eq!(
-            shards.next().expect("one shard").clients[0].route(&sim.ns, &op, frag, multi),
+            plane.clients[0].route(&sim.ns, &op, frag, multi),
             0,
             "descendant cache entry cleared: route falls back to the mount authority"
         );

@@ -24,40 +24,6 @@ pub enum PlacementPolicy {
     HashDirs,
 }
 
-/// How many logical shards a run partitions its MDSs and clients into.
-///
-/// The engine is single-threaded in every mode: conservative lookahead
-/// windows, in each of which every shard is drained in id order,
-/// separated by deterministic barriers (see [`crate::shard`]). Window
-/// boundaries, event keys, and barrier application order are all
-/// shard-count-invariant, so a fixed seed produces a byte-identical
-/// [`crate::report::RunReport`] (and trace) in every mode. `Single` is
-/// what production callers run; `Sharded { .. }` is what the equivalence
-/// suites vary to show that tie-breaking depends on the simulated entity
-/// and never on the partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// One shard owning every MDS and client.
-    #[default]
-    Single,
-    /// Several shards, each a contiguous slice of the MDS and client ids.
-    Sharded {
-        /// The shard count (not a thread count; the name is what the
-        /// benchmark harness compiles against). Clamped to ≥ 1.
-        threads: usize,
-    },
-}
-
-impl ExecMode {
-    /// Number of shards this mode partitions the cluster into.
-    pub fn shards(self) -> usize {
-        match self {
-            ExecMode::Single => 1,
-            ExecMode::Sharded { threads } => threads.max(1),
-        }
-    }
-}
-
 /// Full configuration of one simulated cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -100,10 +66,6 @@ pub struct ClusterConfig {
     /// oracle) or the hierarchical timing wheel for scale-mode runs. A
     /// fixed seed must produce an identical `RunReport` on either.
     pub scheduler: SchedulerKind,
-    /// Execution mode: one shard (default) or several logical shards. A
-    /// fixed seed must produce an identical `RunReport` in either mode,
-    /// at any shard count.
-    pub exec_mode: ExecMode,
     /// The proxy-tier read cache in front of the cluster
     /// ([`crate::cache`]). **Inert by default** — with
     /// `cache.enabled == false` no cache state is allocated, no extra
@@ -134,7 +96,6 @@ impl Default for ClusterConfig {
             faults: FaultPlan::default(),
             index_mode: IndexMode::default(),
             scheduler: SchedulerKind::default(),
-            exec_mode: ExecMode::default(),
             cache: CacheConfig::default(),
             elastic: ElasticConfig::default(),
         }
@@ -157,12 +118,6 @@ impl ClusterConfig {
     /// Convenience: pick the event-queue backend.
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Convenience: pick the execution mode.
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
         self
     }
 
@@ -222,8 +177,8 @@ impl CacheConfig {
 
 /// Configuration of elastic cluster membership ([`crate::cluster`]).
 ///
-/// `num_mds` stays the fixed *pool* size — every per-MDS array, shard
-/// partition, and cache group keeps its shape — while membership becomes a
+/// `num_mds` stays the fixed *pool* size — every per-MDS array and cache
+/// group keeps its shape — while membership becomes a
 /// versioned subset of the pool. The `howmany` policy hook picks a target
 /// member count each heartbeat; the coordinator then performs at most one
 /// join (re-home subtrees onto the lowest-id spare via the migration
@@ -397,6 +352,33 @@ impl CostModel {
     /// Freeze duration of a migration moving `inodes` inodes, µs.
     pub fn migrate_freeze_us(&self, inodes: u64) -> f64 {
         self.migrate_fixed_us + self.migrate_per_inode_us * inodes as f64
+    }
+}
+
+// -- Harness pins ---------------------------------------------------------
+//
+// The pinned benchmark harness (`benchmark/src/batch.rs`) compiles against
+// these two names; both are ignored. They leave with the harness un-pin
+// (ROADMAP item 1), as do `ExecStats::{threads, shards}` and
+// `ShardStats::{msgs_sent, barrier_wait_ns}` in `shard.rs`.
+
+/// Ignored: every run has one data plane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecMode {
+    /// Ignored.
+    #[default]
+    Single,
+    /// Ignored.
+    Sharded {
+        /// Ignored.
+        threads: usize,
+    },
+}
+
+impl ClusterConfig {
+    /// Ignored: returns `self` unchanged.
+    pub fn with_exec_mode(self, _: ExecMode) -> Self {
+        self
     }
 }
 

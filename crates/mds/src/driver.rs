@@ -3,86 +3,47 @@
 //!
 //! # Shape
 //!
-//! The data plane lives in [`Shard`]s (see [`crate::shard`]); the control
+//! The data plane is the [`Shard`] (see [`crate::shard`]); the control
 //! plane is the `Coordinator` (see [`crate::cluster`]). The driver owns
 //! the simulation state by value and alternates between
 //!
-//! 1. **windows** — every shard, in id order, drains its events inside
-//!    `[base, base + lookahead)` against a read-only [`SharedSim`]; then
-//!    the coordinator's barrier applies deferred namespace mutations in
-//!    global `(time, key)` order and cross-shard messages are exchanged,
-//!    and
+//! 1. **windows** — the data plane drains its events inside
+//!    `[base, base + width)` against a read-only [`SharedSim`]; then the
+//!    coordinator's barrier applies the namespace mutations the window
+//!    deferred, and
 //! 2. **exclusive steps** — global events (heartbeat ticks, faults, admin
 //!    actions) run alone between windows.
 //!
-//! The engine is single-threaded: [`crate::ExecMode`] only picks how many
-//! logical shards the entities are partitioned into. Window boundaries,
-//! event keys, and barrier effects are all shard-count-invariant, so a
-//! fixed seed produces byte-identical reports and traces at any
-//! partition count.
-//!
 //! # The exclusive view
 //!
-//! Everything outside a window — the gather, the barrier, every
-//! control-plane step, the live-service pump — works through one
-//! `Exclusive` value: `&mut` access to the shared state and to every
-//! shard at once. Inside a window a shard gets `&mut` to itself and `&`
-//! to [`SharedSim`]; the borrow checker keeps the two phases apart.
+//! Everything outside a window — the barrier, every control-plane step,
+//! the live-service pump — works through one `Exclusive` value: `&mut`
+//! access to the shared state and to the data plane at once. Inside a
+//! window the data plane gets `&mut` to itself and `&` to [`SharedSim`];
+//! the borrow checker keeps the two phases apart.
 
-use mantle_namespace::MdsId;
 use mantle_sim::SimTime;
 
 use crate::cluster::Coordinator;
 use crate::service::ServicePump;
-use crate::shard::{ExecStats, Shard, ShardRouter, SharedSim};
+use crate::shard::{ExecStats, Shard, SharedSim};
 
-// During a window every shard reads the same `&SharedSim`, so the order
-// the shards are drained in is irrelevant only as long as that read has
-// no side effect. `Sync` and `Send` say exactly that — no interior
-// mutability behind `&`, no shared ownership — so a `Cell`, `RefCell` or
-// `Rc` cache put where an in-window reader could mutate it fails the
-// build here.
-const _: fn() = || {
-    fn sync<T: Sync>() {}
-    fn send<T: Send>() {}
-    sync::<SharedSim>();
-    send::<Shard>();
-};
-
-/// The simulation state, plus what the scheduler needs to size windows.
+/// The simulation state, plus the window width.
 pub(crate) struct Driver {
     pub(crate) sim: SharedSim,
-    pub(crate) shards: Vec<Shard>,
-    router: ShardRouter,
-    /// Conservative window width: no simulated interaction crosses shards
-    /// faster than this (the minimum of half an RTT and a forward hop).
-    lookahead: SimTime,
+    pub(crate) shard: Shard,
+    /// Window width: the shortest simulated hop (the minimum of half an
+    /// RTT and a forward hop), so every message sent inside a window
+    /// arrives after that window's barrier.
+    width: SimTime,
 }
 
-/// One look across every shard: when the next data-plane event is due,
-/// whether anything is still running, and how far time has got.
-pub(crate) struct Frontier {
-    pub(crate) next_event: Option<SimTime>,
-    active: usize,
-    inflight: i64,
-    /// Latest instant any shard has processed an event at.
-    pub(crate) last_event: SimTime,
-}
-
-impl Frontier {
-    /// No client is issuing and nothing is in flight: the run is over.
-    pub(crate) fn drained(&self) -> bool {
-        self.active == 0 && self.inflight == 0
-    }
-}
-
-/// Exclusive access to the whole simulation: [`SharedSim`] and every
+/// Exclusive access to the whole simulation: [`SharedSim`] and the
 /// [`Shard`], mutably and together. A function that takes
 /// `&mut Exclusive` runs between windows, never inside one.
 pub(crate) struct Exclusive<'a> {
     sim: &'a mut SharedSim,
-    shards: &'a mut [Shard],
-    router: &'a ShardRouter,
+    plane: &'a mut Shard,
 }
 
 impl Exclusive<'_> {
@@ -91,101 +52,34 @@ impl Exclusive<'_> {
         self.sim
     }
 
-    /// Every shard, in id order.
-    pub(crate) fn shards(&mut self) -> impl Iterator<Item = &mut Shard> {
-        self.shards.iter_mut()
+    /// The data plane.
+    pub(crate) fn plane(&mut self) -> &mut Shard {
+        self.plane
     }
 
-    /// The shared state and the shards at once, for steps that read one
-    /// while writing the other.
-    pub(crate) fn parts(&mut self) -> (&mut SharedSim, impl Iterator<Item = &mut Shard>) {
-        (self.sim, self.shards.iter_mut())
-    }
-
-    /// The shard owning MDS `m`.
-    pub(crate) fn mds_shard(&mut self, m: MdsId) -> &mut Shard {
-        &mut self.shards[self.router.shard_of_mds(m)]
-    }
-
-    /// The shard owning client `c`.
-    pub(crate) fn client_shard(&mut self, c: usize) -> &mut Shard {
-        &mut self.shards[self.router.client_shard[c]]
-    }
-
-    /// Number of clients across all shards.
-    pub(crate) fn num_clients(&self) -> usize {
-        self.router.client_shard.len()
-    }
-
-    /// Next event time, liveness, conservation counts and time frontier.
-    pub(crate) fn gather(&self) -> Frontier {
-        let mut f = Frontier {
-            next_event: None,
-            active: 0,
-            inflight: 0,
-            last_event: SimTime::ZERO,
-        };
-        for g in self.shards.iter() {
-            if let Some(t) = g.queue.peek_time() {
-                f.next_event = Some(f.next_event.map_or(t, |x: SimTime| x.min(t)));
-            }
-            f.active += g.active;
-            f.inflight += g.inflight;
-            f.last_event = f.last_event.max(g.last_event);
-        }
-        f
-    }
-
-    /// Deliver cross-shard messages. Order is irrelevant — every message
-    /// carries its total-order `(at, key)` and queues sort on it.
-    pub(crate) fn exchange_messages(&mut self) {
-        let k = self.shards.len();
-        for s in 0..k {
-            for t in (0..k).filter(|&t| t != s) {
-                // Sender and target at once; draining keeps the bin's
-                // capacity for the next window.
-                let (lo, hi) = self.shards.split_at_mut(s.max(t));
-                let (sender, target) = if s < t {
-                    (&mut lo[s], &mut hi[0])
-                } else {
-                    (&mut hi[0], &mut lo[t])
-                };
-                for msg in sender.outbox[t].drain(..) {
-                    target.queue.schedule_at_key(msg.at, msg.key, msg.event);
-                }
-            }
-        }
+    /// Both at once, for steps that read one while writing the other.
+    pub(crate) fn parts(&mut self) -> (&mut SharedSim, &mut Shard) {
+        (self.sim, self.plane)
     }
 }
 
 impl Driver {
-    pub(crate) fn new(
-        sim: SharedSim,
-        shards: Vec<Shard>,
-        router: ShardRouter,
-        lookahead: SimTime,
-    ) -> Self {
-        Driver {
-            sim,
-            shards,
-            router,
-            lookahead,
-        }
+    pub(crate) fn new(sim: SharedSim, shard: Shard, width: SimTime) -> Self {
+        Driver { sim, shard, width }
     }
 
     /// The `&mut` view of everything the driver owns.
     pub(crate) fn exclusive(&mut self) -> Exclusive<'_> {
         Exclusive {
             sim: &mut self.sim,
-            shards: &mut self.shards,
-            router: &self.router,
+            plane: &mut self.shard,
         }
     }
 
     /// Run to completion: schedule windows and exclusive steps until the
     /// clients drain, time runs out, or nothing is left to do. `pump` is
     /// the live-service hook ([`crate::Cluster::serve`]): called before
-    /// each gather (command injection + wall pacing) and after each step
+    /// each iteration (command injection + wall pacing) and after each step
     /// (event streaming). Batch runs pass `None`, which skips both calls
     /// entirely — the scheduler's decisions are untouched. Returns the
     /// timestamp of the last processed event and the scheduler's numbers.
@@ -197,7 +91,7 @@ impl Driver {
         let max_d = co.cfg.max_duration;
         // Events at exactly `max_duration` still run (strict-less windows).
         let hard_end = max_d + SimTime::from_micros(1);
-        let lookahead = self.lookahead;
+        let width = self.width;
         let mut last_now = SimTime::ZERO;
         let (mut windows, mut exclusive_events) = (0u64, 0u64);
         let mut x = self.exclusive();
@@ -205,7 +99,7 @@ impl Driver {
             if let Some(p) = pump.as_deref_mut() {
                 p.pre(co, &mut x, last_now);
             }
-            let frontier = x.gather();
+            let frontier = x.plane.frontier();
             last_now = last_now.max(frontier.last_event);
             if frontier.drained() {
                 break;
@@ -225,15 +119,11 @@ impl Driver {
                 co.run_global(&mut x);
                 exclusive_events += 1;
             } else {
-                let mut window_end = (t_min + lookahead).min(hard_end);
+                let mut window_end = (t_min + width).min(hard_end);
                 if let Some(tg) = t_glob {
                     window_end = window_end.min(tg);
                 }
-                // The window: each shard in id order, `&mut` to itself
-                // and `&` to the shared state.
-                for shard in x.shards.iter_mut() {
-                    shard.process_window(x.sim, x.router, window_end);
-                }
+                x.plane.process_window(x.sim, window_end);
                 windows += 1;
                 co.barrier(&mut x, window_end);
             }
@@ -245,16 +135,11 @@ impl Driver {
             p.post(co, &mut x);
         }
         let stats = ExecStats {
-            threads: self.shards.len(),
+            threads: 1,
             windows,
             exclusive_events,
-            shards: self.shards.iter().map(|s| s.stats).collect(),
+            shards: vec![self.shard.stats],
         };
         (last_now, stats)
-    }
-
-    #[cfg(test)]
-    pub(crate) fn router(&self) -> &ShardRouter {
-        &self.router
     }
 }

@@ -26,8 +26,7 @@
 //! drives drain-on-leave (exports go to the rendezvous owner among the
 //! remaining members), keeping placement stable across a leave/join cycle.
 //!
-//! Everything here is pure integer hashing — no RNG streams, no floats —
-//! so `Single` and `Sharded{..}` runs agree byte-for-byte by construction.
+//! Everything here is pure integer hashing — no RNG streams, no floats.
 
 use std::sync::Arc;
 

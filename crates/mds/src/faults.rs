@@ -243,7 +243,7 @@ pub(crate) fn apply(co: &mut Coordinator, x: &mut Exclusive, kind: &FaultKind, n
             let sh = x.sim();
             sh.up[mds] = false;
             sh.mds_epoch[mds] += 1;
-            x.mds_shard(mds).counters_mut(mds).queued = 0;
+            x.plane().counters[mds].queued = 0;
             let sh = x.sim();
             co.trace.sync_dirs(&sh.ns, now);
             co.trace.emit(now, || TraceEvent::MdsCrash { mds });
@@ -271,9 +271,7 @@ pub(crate) fn apply(co: &mut Coordinator, x: &mut Exclusive, kind: &FaultKind, n
             x.sim().up[mds] = true;
             co.trace.emit(now, || TraceEvent::MdsRestart { mds });
             // Fresh queue, nothing owed from the previous incarnation.
-            let g = x.mds_shard(mds);
-            let l = mds - g.mds_lo;
-            g.next_free[l] = now;
+            x.plane().next_free[mds] = now;
             return;
         }
         FaultKind::Slowdown {

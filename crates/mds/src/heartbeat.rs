@@ -126,8 +126,8 @@ impl HeartbeatView {
         }
         let fresh: Vec<Heartbeat> = (0..n)
             .map(|m| {
-                let g = x.mds_shard(m);
-                let c = &g.counters[m - g.mds_lo];
+                let plane = x.plane();
+                let c = &plane.counters[m];
                 let cpu_raw = c.cpu_percent(cfg.heartbeat_interval);
                 let queue_len = c.queued as f64;
                 let req_rate = c.req_rate(cfg.heartbeat_interval);
@@ -135,13 +135,6 @@ impl HeartbeatView {
                 // Loads are instantaneous samples shipped over the wire —
                 // every reader sees them with sampling error (§2.2.2).
                 let load_jitter = self.rng.jitter(cfg.metaload_noise);
-                // Cache tallies live per shard (any shard's clients can hit
-                // an entry naming any MDS); the heartbeat view sums them.
-                let (mut cache_hits, mut cache_misses) = (0.0, 0.0);
-                for g in x.shards() {
-                    cache_hits += g.cache_window_hits[m] as f64;
-                    cache_misses += g.cache_window_misses[m] as f64;
-                }
                 Heartbeat {
                     auth_metaload: auth_load[m] * load_jitter,
                     all_metaload: all_load[m] * load_jitter,
@@ -149,8 +142,8 @@ impl HeartbeatView {
                     mem: 20.0 + 0.5 * auth_load[m].min(100.0),
                     queue_len,
                     req_rate,
-                    cache_hits,
-                    cache_misses,
+                    cache_hits: plane.cache_window_hits[m] as f64,
+                    cache_misses: plane.cache_window_misses[m] as f64,
                     taken_at: now,
                 }
             })

@@ -122,13 +122,12 @@ impl Migrator {
             });
             trace.emit(now, || TraceEvent::MigrationUnfreeze { mig, root, thaw });
         }
+        let plane = x.plane();
         for m in [from, to] {
-            let g = x.mds_shard(m);
-            let l = m - g.mds_lo;
-            g.next_free[l] = g.next_free[l].max(now) + SimTime::from_micros_f64(journal_us);
-            g.counters[l].busy_window_us += journal_us;
+            plane.next_free[m] = plane.next_free[m].max(now) + SimTime::from_micros_f64(journal_us);
+            plane.counters[m].busy_window_us += journal_us;
         }
-        let exporter = x.mds_shard(from).counters_mut(from);
+        let exporter = &mut plane.counters[from];
         exporter.migrations_out += 1;
         exporter.inodes_exported += moved;
         // The importer's ancestor-prefix replicas need to warm up; the
@@ -144,7 +143,7 @@ impl Migrator {
         // the root.
         let flush = SimTime::from_micros_f64(cfg.costs.session_flush_us);
         let mut flushed = 0;
-        let (sh, shards) = x.parts();
+        let (sh, plane) = x.parts();
         let SharedSim { ns, caches, .. } = sh;
         // The moved region in Euler-interval form: one range scan per cache
         // drops every stale entry — client route maps and proxy-tier group
@@ -153,16 +152,14 @@ impl Migrator {
         for cache in caches.iter_mut() {
             self.cache_invalidations += cache.invalidate_region(ns, &iregion);
         }
-        for g in shards {
-            for c in &mut g.clients {
-                if !c.done {
-                    self.cache_invalidations += c.invalidate_region(ns, &iregion);
-                    c.stall_until = c.stall_until.max(now + flush);
-                    flushed += 1;
-                }
+        for c in &mut plane.clients {
+            if !c.done {
+                self.cache_invalidations += c.invalidate_region(ns, &iregion);
+                c.stall_until = c.stall_until.max(now + flush);
+                flushed += 1;
             }
         }
-        x.mds_shard(from).counters_mut(from).sessions_flushed += flushed;
+        plane.counters[from].sessions_flushed += flushed;
         trace.emit(now, || TraceEvent::SessionFlush {
             mds: from,
             clients: flushed,

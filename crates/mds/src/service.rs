@@ -176,8 +176,8 @@ impl Inbox {
     }
 }
 
-/// Per-client live op queues, shared by every shard's [`LiveWorkload`]
-/// fork and the service pump (which pushes resolved ops).
+/// Per-client live op queues, shared by the engine's [`LiveWorkload`]
+/// and the service pump (which pushes resolved ops).
 pub(crate) struct LiveQueues {
     pub(crate) queues: Vec<Mutex<VecDeque<ClientOp>>>,
     pub(crate) closed: AtomicBool,
@@ -225,12 +225,6 @@ impl Workload for LiveWorkload {
             .lock()
             .expect("live queue never poisoned");
         (q.is_empty() && !self.shared.closed.load(Ordering::Acquire)).then_some(PARKED)
-    }
-
-    fn fork(&self) -> Box<dyn Workload> {
-        Box::new(LiveWorkload {
-            shared: Arc::clone(&self.shared),
-        })
     }
 
     fn name(&self) -> &str {
@@ -350,9 +344,9 @@ impl ServicePump {
         loop {
             drained.extend(lock_inbox().drain(..));
             // The time frontier: the instant of the last event anyone
-            // processed. `last_now` was gathered before the latest
-            // window, so the shards' own marks complete it.
-            let frontier = last_now.max(x.gather().last_event);
+            // processed. `last_now` was read before the latest window, so
+            // the data plane's own mark completes it.
+            let frontier = last_now.max(x.plane().last_event);
             // Where a woken client resumes. A wall-paced engine that sat
             // idle has a frontier as old as its last event, but the
             // command arrived now: stamp it with the simulated instant it
@@ -379,7 +373,7 @@ impl ServicePump {
                         slot.lock()
                             .expect("live queue never poisoned")
                             .push_back(ClientOp { dir, kind });
-                        x.client_shard(client).wake_client(client, wake_at);
+                        x.plane().wake_client(client, wake_at);
                     }
                     ServiceCmd::Install { name, epoch, set } => {
                         // Queue the swap as a regular admin event at the
@@ -395,13 +389,14 @@ impl ServicePump {
                         // finishes.
                         let Some(queues) = &svc.queues else { continue };
                         queues.closed.store(true, Ordering::Release);
-                        for c in 0..x.num_clients() {
-                            x.client_shard(c).wake_client(c, wake_at);
+                        let plane = x.plane();
+                        for c in 0..plane.clients.len() {
+                            plane.wake_client(c, wake_at);
                         }
                     }
                 }
             }
-            let now = x.gather();
+            let now = x.plane().frontier();
             if now.drained() {
                 // Drained: the scheduler's liveness check ends the run.
                 // Waiting here would stall shutdown until the next (now
@@ -464,15 +459,12 @@ impl ServicePump {
         for event in swapped {
             self.svc.send(event);
         }
-        waiting |= self.send_trace(co.trace.merge(x.shards()));
-        let mut comps: Vec<LiveCompletion> = Vec::new();
-        for g in x.shards() {
-            comps.append(&mut g.completions);
-        }
+        waiting |= self.send_trace(co.trace.merge(x.plane()));
+        let mut comps = std::mem::take(&mut x.plane().completions);
         if !comps.is_empty() {
-            // Cross-shard merge: completion order is deterministic by
-            // (time, client) — clients are closed-loop, so one instant
-            // never holds two completions for the same client.
+            // Streamed by (time, client) — clients are closed-loop, so
+            // one instant never holds two completions for the same
+            // client.
             comps.sort_unstable_by_key(|c| (c.at, c.client));
             self.svc.send(ServiceEvent::Completions(comps));
             waiting = true;
@@ -550,7 +542,7 @@ mod tests {
     use crate::cluster::NoopBalancer;
     use crate::shard::ExecStats;
     use crate::trace::{TraceEvent, TraceLevel};
-    use crate::{Cluster, ClusterConfig, ExecMode};
+    use crate::{Cluster, ClusterConfig};
     use std::sync::mpsc::TryRecvError;
     use std::thread::JoinHandle;
     use std::time::Duration;
@@ -590,18 +582,12 @@ mod tests {
                 kind: OPS[self.issued - 1].1,
             })
         }
-        fn fork(&self) -> Box<dyn Workload> {
-            Box::new(self.clone())
-        }
     }
 
     type Run = JoinHandle<(RunReport, ExecStats)>;
 
-    fn config(exec: ExecMode) -> ClusterConfig {
-        ClusterConfig::default()
-            .with_mds(2)
-            .with_seed(9)
-            .with_exec_mode(exec)
+    fn config() -> ClusterConfig {
+        ClusterConfig::default().with_mds(2).with_seed(9)
     }
 
     /// Run `cluster` behind `svc` on its own thread.
@@ -622,7 +608,6 @@ mod tests {
     /// kick-off — the one submission instant a test fully controls.
     fn serve(
         clock: ClockMode,
-        exec: ExecMode,
         sessions: usize,
         workload: Option<Script>,
         preload: impl FnOnce(&ServiceHandle),
@@ -634,7 +619,7 @@ mod tests {
         };
         preload(&handle);
         let run = spawn(svc, None, move || {
-            Cluster::new(config(exec), workload, |_| Box::new(NoopBalancer))
+            Cluster::new(config(), workload, |_| Box::new(NoopBalancer))
         });
         (handle, run)
     }
@@ -666,13 +651,7 @@ mod tests {
             dirs: Vec::new(),
             issued: 0,
         };
-        let (handle, run) = serve(
-            ClockMode::Sim,
-            ExecMode::Single,
-            clients,
-            Some(script),
-            |_| {},
-        );
+        let (handle, run) = serve(ClockMode::Sim, clients, Some(script), |_| {});
         let (report, stats) = run.join().expect("scripted run");
         assert_eq!(report.total_ops(), OPS.len() as f64);
         (
@@ -691,9 +670,7 @@ mod tests {
         ] {
             // One preloaded op: its completion proves the time-zero
             // kick-off ran, so every session is parked from here on.
-            let (handle, run) = serve(clock, ExecMode::Single, 16, None, |h| {
-                h.submit_op(0, OPS[0].0, OPS[0].1)
-            });
+            let (handle, run) = serve(clock, 16, None, |h| h.submit_op(0, OPS[0].0, OPS[0].1));
             completions(&handle, 1);
             std::thread::sleep(idle);
             handle.shutdown();
@@ -708,7 +685,7 @@ mod tests {
     #[test]
     fn ops_to_a_parked_session_complete_once_in_order_at_scripted_cost() {
         let (want, op_events) = scripted(3, 1);
-        let (handle, run) = serve(ClockMode::Sim, ExecMode::Single, 3, None, |h| {
+        let (handle, run) = serve(ClockMode::Sim, 3, None, |h| {
             h.submit_op(1, OPS[0].0, OPS[0].1)
         });
         // Lock-step: each completion is sent after the session parked
@@ -743,7 +720,7 @@ mod tests {
     #[test]
     fn pipelined_submits_to_one_slot_share_one_wake() {
         let (want, op_events) = scripted(1, 0);
-        let (handle, run) = serve(ClockMode::Sim, ExecMode::Single, 1, None, |h| {
+        let (handle, run) = serve(ClockMode::Sim, 1, None, |h| {
             h.submit_op(0, OPS[0].0, OPS[0].1);
             h.submit_op(0, OPS[1].0, OPS[1].1);
         });
@@ -774,12 +751,12 @@ mod tests {
 
     #[test]
     fn shutdown_with_every_session_parked_reports_every_op_in_both_exec_modes() {
-        let run = |exec| {
-            let (handle, run) = serve(ClockMode::Sim, exec, 4, None, |h| {
+        let run = || {
+            let (handle, run) = serve(ClockMode::Sim, 4, None, |h| {
                 h.submit_op(0, OPS[0].0, OPS[0].1)
             });
             completions(&handle, 1);
-            // Sessions on both shards, one op at a time, so each is
+            // Every session in turn, one op at a time, so each is
             // injected with the engine quiescent at a known frontier.
             for (i, (path, kind)) in OPS.iter().enumerate().skip(1) {
                 handle.submit_op(i % 4, *path, *kind);
@@ -790,7 +767,7 @@ mod tests {
             assert_eq!(report.total_ops(), OPS.len() as f64);
             format!("{report:?}")
         };
-        assert_eq!(run(ExecMode::Single), run(ExecMode::Sharded { threads: 2 }));
+        assert_eq!(run(), run());
     }
 
     /// Everything left on the stream of a run that has ended.
@@ -804,9 +781,7 @@ mod tests {
         let workload = svc.workload(2);
         handle.submit_op(0, OPS[0].0, OPS[0].1);
         let run = spawn(svc, Some(TraceLevel::Decisions), move || {
-            Cluster::new(config(ExecMode::Single), workload, |_| {
-                Box::new(NoopBalancer)
-            })
+            Cluster::new(config(), workload, |_| Box::new(NoopBalancer))
         });
         let mut seen: Vec<ServiceEvent> = Vec::new();
         let mut wait_for = |what: &dyn Fn(&ServiceEvent) -> bool| loop {
@@ -867,30 +842,28 @@ mod tests {
 
     #[test]
     fn finished_is_the_last_event_and_then_the_stream_disconnects() {
-        for exec in [ExecMode::Single, ExecMode::Sharded { threads: 2 }] {
-            let (handle, run) = serve(ClockMode::Sim, exec, 2, None, |h| {
-                h.submit_op(0, OPS[0].0, OPS[0].1)
-            });
-            completions(&handle, 1);
-            handle.shutdown();
-            let (report, _) = run.join().expect("live run");
-            let mut events = rest(&handle);
-            let Some(ServiceEvent::Finished(last)) = events.pop() else {
-                panic!("{exec:?}: the stream must end with the report");
-            };
-            assert_eq!(format!("{last:?}"), format!("{report:?}"));
-            assert!(
-                !events
-                    .iter()
-                    .any(|ev| matches!(ev, ServiceEvent::Finished(_))),
-                "{exec:?}: one report"
-            );
-            assert_eq!(
-                handle.events.try_recv().unwrap_err(),
-                TryRecvError::Disconnected,
-                "{exec:?}: nothing follows it"
-            );
-        }
+        let (handle, run) = serve(ClockMode::Sim, 2, None, |h| {
+            h.submit_op(0, OPS[0].0, OPS[0].1)
+        });
+        completions(&handle, 1);
+        handle.shutdown();
+        let (report, _) = run.join().expect("live run");
+        let mut events = rest(&handle);
+        let Some(ServiceEvent::Finished(last)) = events.pop() else {
+            panic!("the stream must end with the report");
+        };
+        assert_eq!(format!("{last:?}"), format!("{report:?}"));
+        assert!(
+            !events
+                .iter()
+                .any(|ev| matches!(ev, ServiceEvent::Finished(_))),
+            "one report"
+        );
+        assert_eq!(
+            handle.events.try_recv().unwrap_err(),
+            TryRecvError::Disconnected,
+            "nothing follows it"
+        );
     }
 
     /// A policy bug of the worst kind.
@@ -943,7 +916,7 @@ mod tests {
         });
         let run = spawn(svc, None, move || {
             // The first tick comes before the op can complete.
-            let mut cfg = config(ExecMode::Single);
+            let mut cfg = config();
             cfg.heartbeat_interval = SimTime::from_micros(100);
             Cluster::new(cfg, workload, |_| Box::new(Exploding))
         });

@@ -1,15 +1,13 @@
-//! Sharded data plane: one logical slice of the cluster simulation.
+//! The data plane: every MDS's and client's events, queue and counters.
 //!
-//! The cluster is partitioned into [`Shard`]s — contiguous slices of MDS
-//! ids and client ids, each owning its members' event queue, counters,
-//! RNG streams, and client state. Shards run **conservative lookahead
-//! windows**: the scheduler (in [`crate::driver`]) picks a window
-//! `[base, end)` no wider than the minimum cross-shard latency, every
-//! shard drains its own events inside the window in turn, and a
-//! barrier then applies the window's deferred namespace mutations and
-//! routes cross-shard messages. Because no simulated interaction can
-//! cross shards faster than the lookahead, no shard can ever receive a
-//! message dated inside a window it already processed.
+//! One [`Shard`] owns the event queue, the per-MDS counters and RNG
+//! streams, and the client state. It runs in **windows**: the scheduler
+//! (in [`crate::driver`]) picks `[base, end)` no wider than the shortest
+//! simulated hop, the shard drains its events inside it against a
+//! read-only [`SharedSim`], and the barrier ([`crate::barrier`]) then
+//! applies the namespace mutations the window deferred. A window's
+//! routing and service decisions therefore all see the window-start
+//! namespace, which is part of the model every golden pins.
 //!
 //! # Determinism
 //!
@@ -20,15 +18,11 @@
 //!   origin_rank: coordinator = 0, MDS m = 1 + m, client c = 1 + num_mds + c
 //! ```
 //!
-//! Queues order same-instant events by key, so tie-breaking depends only
-//! on *which simulated entity* generated the event and *how many* events
-//! it generated before — never on which shard held it or in what order
-//! shards are drained. Deferred namespace mutations are applied at
-//! each barrier in global `(time, key)` order, and per-shard trace
-//! buffers are merged at run end by `(time, key, emission index)`. The
-//! result: window boundaries, event keys, and barrier effects are all
-//! shard-count-invariant, and a fixed seed produces byte-identical runs
-//! at any shard count — including the one-shard oracle.
+//! The queue orders same-instant events by key, so tie-breaking depends
+//! only on *which simulated entity* generated the event and *how many*
+//! events it generated before. Deferred namespace mutations reach the
+//! barrier in that same `(time, key)` order, and the data-plane trace is
+//! merged with the coordinator's records by `(time, key, emission index)`.
 
 use mantle_namespace::{FragId, MdsId, Namespace, NodeId, OpKind};
 use mantle_sim::{EventQueue, SimRng, SimTime};
@@ -39,15 +33,12 @@ use crate::config::{ClusterConfig, PlacementPolicy};
 use crate::metrics::MdsCounters;
 use crate::trace::{TraceEvent, TraceRecord};
 
-/// Index of a shard within a run.
-pub type ShardId = usize;
-
 /// Bits reserved for the per-origin counter in an event key.
 pub(crate) const KEY_CTR_BITS: u32 = 40;
 
 /// Sort key of one trace record: `(time, generating event's key,
-/// emission index within that event)`. Merging all per-shard buffers by
-/// this key reproduces the exact sequential emission order.
+/// emission index within that event)`. Merging the coordinator's and the
+/// data plane's buffers by this key reproduces the emission order.
 pub(crate) type TraceKey = (SimTime, u64, u32);
 
 /// A request in flight.
@@ -69,7 +60,7 @@ pub(crate) struct Request {
     pub(crate) attempts: u32,
 }
 
-/// A data-plane event, always processed by the shard owning its target.
+/// A data-plane event.
 #[derive(Debug)]
 pub(crate) enum Event {
     /// A client is ready to issue its next op.
@@ -95,21 +86,9 @@ pub(crate) enum Event {
     Retry(usize),
 }
 
-/// A sequenced message crossing a shard boundary: an event for
-/// another shard's queue, stamped with its simulated delivery time and
-/// its origin key. Messages are exchanged only at barriers; `(at, key)`
-/// is a total order, so delivery order is deterministic regardless of
-/// which shard was drained first.
-#[derive(Debug)]
-pub struct CrossShardMsg {
-    pub(crate) at: SimTime,
-    pub(crate) key: u64,
-    pub(crate) event: Event,
-}
-
-/// A namespace mutation deferred to the window barrier, keyed so the
-/// coordinator can apply all shards' mutations in global `(at, key)`
-/// order — exactly the order a sequential run would have applied them.
+/// A namespace mutation deferred to the window barrier, stamped with the
+/// `(at, key)` of the event that caused it — the order the barrier
+/// applies them in.
 #[derive(Debug)]
 pub(crate) struct DeferredNsOp {
     pub(crate) at: SimTime,
@@ -133,7 +112,7 @@ pub(crate) enum NsOp {
     Pin { dir: NodeId, mds: MdsId },
     /// LRU-touch a proxy-cache entry a hit just served. Recency is
     /// shared state (it drives eviction), so it moves at the barrier in
-    /// global `(at, key)` order like every other shared mutation.
+    /// `(at, key)` order like every other shared mutation.
     CacheTouch { group: usize, dir: NodeId },
     /// A completed cacheable op's reply fills `group`'s proxy cache:
     /// `dir` is now servable by the tier on behalf of `mds`.
@@ -178,9 +157,9 @@ impl SubtreeWindow {
     }
 }
 
-/// Simulation state shared read-only by every shard during a window and
-/// mutated only by the coordinator (at barriers and in exclusive
-/// control-plane phases, between windows).
+/// Simulation state the data plane reads during a window and only the
+/// coordinator mutates (at barriers and in exclusive control-plane
+/// phases, between windows).
 #[derive(Debug)]
 pub struct SharedSim {
     pub(crate) ns: Namespace,
@@ -210,80 +189,21 @@ pub struct SharedSim {
     /// records; only changes in exclusive phases).
     pub(crate) hb_epoch: u64,
     /// Proxy-tier caches, one per client group ([`crate::config::CacheConfig`]).
-    /// Read-only during windows (shards probe for hits); fills, LRU
+    /// Read-only during windows (clients probe for hits); fills, LRU
     /// touches, and invalidations are deferred [`NsOp`]s applied at
     /// barriers. Empty when the cache is disabled.
     pub(crate) caches: Vec<GroupCache>,
 }
 
-/// Static partition map: which shard owns which MDS / client. Both
-/// partitions are contiguous slices in id order; shards may own zero
-/// MDSs (more shards than servers) or zero clients.
-#[derive(Debug, Clone)]
-pub struct ShardRouter {
-    pub(crate) mds_shard: Vec<ShardId>,
-    pub(crate) client_shard: Vec<ShardId>,
-    pub(crate) num_shards: usize,
-}
-
-impl ShardRouter {
-    /// Partition `num_mds` servers and `num_clients` clients across
-    /// `shards` contiguous slices of near-equal size.
-    pub fn new(num_mds: usize, num_clients: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        // id i goes to shard floor(i * shards / count): contiguous slices,
-        // balanced to within one element.
-        let assign =
-            |count: usize| -> Vec<ShardId> { (0..count).map(|i| i * shards / count).collect() };
-        ShardRouter {
-            mds_shard: assign(num_mds),
-            client_shard: assign(num_clients),
-            num_shards: shards,
-        }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    /// Which shard owns MDS `m`.
-    pub fn shard_of_mds(&self, m: MdsId) -> ShardId {
-        self.mds_shard[m]
-    }
-
-    /// Global ids of the MDSs shard `s` owns (contiguous range).
-    pub fn mds_of_shard(&self, s: ShardId) -> std::ops::Range<usize> {
-        range_of(&self.mds_shard, s)
-    }
-
-    /// Global ids of the clients shard `s` owns (contiguous range).
-    pub fn clients_of_shard(&self, s: ShardId) -> std::ops::Range<usize> {
-        range_of(&self.client_shard, s)
-    }
-}
-
-fn range_of(map: &[ShardId], s: ShardId) -> std::ops::Range<usize> {
-    let lo = map.partition_point(|&x| x < s);
-    let hi = map.partition_point(|&x| x <= s);
-    lo..hi
-}
-
-/// Per-shard execution statistics (a side channel; never feeds back
+/// Data-plane execution statistics (a side channel; never feeds back
 /// into the simulation).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardStats {
-    /// `(first, count)` of the MDS ids this shard owns.
-    pub mds_range: (usize, usize),
-    /// `(first, count)` of the client ids this shard owns.
-    pub client_range: (usize, usize),
-    /// Simulation events drained by this shard.
+    /// Simulation events the data plane drained.
     pub events: u64,
-    /// Cross-shard messages this shard sent.
+    /// Always 0. Harness pin, see [`ExecStats::threads`].
     pub msgs_sent: u64,
-    /// Always 0: shards are drained inline, so nothing waits at a
-    /// barrier. The field stays only because the benchmark harness reads
-    /// it, and leaves when the harness is un-pinned (ROADMAP item 1).
+    /// Always 0. Harness pin, see [`ExecStats::threads`].
     pub barrier_wait_ns: u64,
 }
 
@@ -291,33 +211,48 @@ pub struct ShardStats {
 /// [`crate::cluster::Cluster::run_with_stats`].
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
-    /// Logical shards the run was partitioned into (the name is what the
-    /// benchmark harness compiles against; no threads are involved).
+    /// Always 1. `threads`, the `Vec` around [`ExecStats::shards`] and
+    /// [`ShardStats::msgs_sent`] / [`ShardStats::barrier_wait_ns`] carry
+    /// nothing: the pinned benchmark harness compiles against them, and
+    /// they leave with its un-pin (ROADMAP item 1), together with the
+    /// pins at the bottom of `config.rs`.
     pub threads: usize,
-    /// Lookahead windows executed.
+    /// Windows executed.
     pub windows: u64,
     /// Control-plane events (heartbeats, faults, admin actions) run in
     /// exclusive phases.
     pub exclusive_events: u64,
-    /// Per-shard breakdown.
+    /// The data plane's numbers; always exactly one entry.
     pub shards: Vec<ShardStats>,
 }
 
-/// One shard: a contiguous slice of the cluster's MDSs and clients, with
-/// their event queue and every piece of state only they touch. During a
-/// window the shard has shared read access to [`SharedSim`] and
-/// exclusive access to itself; everything it cannot do under those terms
-/// (namespace writes, cross-shard sends) is deferred to the barrier.
+/// One look at the data plane: when its next event is due, whether
+/// anything is still running, and how far time has got.
+pub(crate) struct Frontier {
+    pub(crate) next_event: Option<SimTime>,
+    active: usize,
+    inflight: i64,
+    /// Instant of the last event processed.
+    pub(crate) last_event: SimTime,
+}
+
+impl Frontier {
+    /// No client is issuing and nothing is in flight: the run is over.
+    pub(crate) fn drained(&self) -> bool {
+        self.active == 0 && self.inflight == 0
+    }
+}
+
+/// The data plane's state: the event queue and everything only MDS and
+/// client events touch. During a window it has shared read access to
+/// [`SharedSim`] and exclusive access to itself; the namespace writes it
+/// cannot do under those terms are deferred to the barrier.
 pub struct Shard {
-    pub(crate) id: ShardId,
-    /// Global id of this shard's first MDS / client.
-    pub(crate) mds_lo: usize,
-    pub(crate) client_lo: usize,
     pub(crate) queue: EventQueue<Event>,
     pub(crate) workload: Box<dyn Workload>,
     pub(crate) clients: Vec<ClientState>,
     pub(crate) counters: Vec<MdsCounters>,
-    /// Absolute µs when each local MDS becomes free (single-server queue).
+    /// Absolute µs when each MDS becomes free (single-server queue).
     pub(crate) next_free: Vec<SimTime>,
     /// Per-MDS service-noise streams (`stream_n("service-noise", m)`), so
     /// an MDS's noise sequence is independent of every other MDS's event
@@ -330,25 +265,20 @@ pub struct Shard {
     scratch_owners: Vec<MdsId>,
     /// Namespace mutations accumulated this window, drained at the barrier.
     pub(crate) deferred: Vec<DeferredNsOp>,
-    /// Outgoing cross-shard messages, one bin per destination shard,
-    /// swapped into destination queues at the barrier.
-    pub(crate) outbox: Vec<Vec<CrossShardMsg>>,
-    /// This shard's slice of the trace, merged at run end.
+    /// The data-plane slice of the trace, merged with the coordinator's.
     pub(crate) trace: Vec<(TraceKey, TraceRecord)>,
     /// Emit request-level records (trace level Full). Set by
     /// the cluster before a traced run.
     pub(crate) trace_full: bool,
-    /// Requests in flight, net of this shard's issues (+1) and
-    /// resolutions (−1). Negative mid-window is fine (a shard can resolve
-    /// more than it issued); the cross-shard *sum* is the real count.
+    /// Requests in flight: issues (+1) net of resolutions (−1).
     pub(crate) inflight: i64,
-    /// Local clients still issuing ops.
+    /// Clients still issuing ops.
     pub(crate) active: usize,
     pub(crate) timeouts: u64,
     pub(crate) retries: u64,
-    /// Time of the last event this shard processed.
+    /// Time of the last event processed.
     pub(crate) last_event: SimTime,
-    /// Wall-clock execution stats.
+    /// Side-channel execution stats.
     pub(crate) stats: ShardStats,
     // Cursor of the event being processed (drives trace sort keys).
     cur_at: SimTime,
@@ -362,12 +292,8 @@ pub struct Shard {
     // Proxy-cache plumbing (all inert when `cfg.cache.enabled` is off).
     cache_on: bool,
     cache_groups: usize,
-    /// Total client count across the cluster (group assignment needs the
-    /// global population, not this shard's slice).
-    num_clients: usize,
     cache_hit_lat: SimTime,
-    /// Run-total cache hits/misses attributed per MDS (global MDS ids —
-    /// a shard's clients can hit entries naming any MDS).
+    /// Run-total cache hits/misses attributed per MDS.
     pub(crate) cache_hits: Vec<u64>,
     pub(crate) cache_misses: Vec<u64>,
     /// Per-heartbeat-window slices of the above, zeroed on window roll.
@@ -384,9 +310,6 @@ pub struct Shard {
 impl std::fmt::Debug for Shard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shard")
-            .field("id", &self.id)
-            .field("mds_lo", &self.mds_lo)
-            .field("client_lo", &self.client_lo)
             .field("active", &self.active)
             .field("inflight", &self.inflight)
             .finish_non_exhaustive()
@@ -394,54 +317,33 @@ impl std::fmt::Debug for Shard {
 }
 
 impl Shard {
-    /// Build shard `id` of `router.num_shards()`, owning the router's
-    /// slices. `clients` must be exactly the [`ClientState`]s of this
-    /// shard's client range, in id order; `workload` a fork with only
-    /// those clients ever driven through it.
-    pub(crate) fn new(
-        id: ShardId,
-        router: &ShardRouter,
-        cfg: ClusterConfig,
-        workload: Box<dyn Workload>,
-        clients: Vec<ClientState>,
-        master: &SimRng,
-    ) -> Self {
-        let mds_range = router.mds_of_shard(id);
-        let client_range = router.clients_of_shard(id);
-        debug_assert_eq!(client_range.len(), clients.len());
+    /// The data plane of a `cfg.num_mds`-MDS cluster whose clients are
+    /// driven by `workload` (already set up).
+    pub(crate) fn new(cfg: ClusterConfig, workload: Box<dyn Workload>, master: &SimRng) -> Self {
+        let (num_mds, num_clients) = (cfg.num_mds, workload.num_clients());
         let faults_active = cfg.faults.is_active();
         let half_rtt = SimTime::from_micros_f64(cfg.costs.rtt_us / 2.0);
-        let stats = ShardStats {
-            mds_range: (mds_range.start, mds_range.len()),
-            client_range: (client_range.start, client_range.len()),
-            ..ShardStats::default()
-        };
         Shard {
-            id,
-            mds_lo: mds_range.start,
-            client_lo: client_range.start,
             queue: EventQueue::with_scheduler(cfg.scheduler),
             workload,
-            clients,
-            counters: mds_range.clone().map(|_| MdsCounters::new()).collect(),
-            next_free: vec![SimTime::ZERO; mds_range.len()],
-            rng_service: mds_range
-                .clone()
+            clients: (0..num_clients).map(ClientState::new).collect(),
+            counters: (0..num_mds).map(|_| MdsCounters::new()).collect(),
+            next_free: vec![SimTime::ZERO; num_mds],
+            rng_service: (0..num_mds)
                 .map(|m| master.stream_n("service-noise", m))
                 .collect(),
-            mds_ctr: vec![0; mds_range.len()],
-            client_ctr: vec![0; client_range.len()],
+            mds_ctr: vec![0; num_mds],
+            client_ctr: vec![0; num_clients],
             scratch_owners: Vec::new(),
             deferred: Vec::new(),
-            outbox: (0..router.num_shards()).map(|_| Vec::new()).collect(),
             trace: Vec::new(),
             trace_full: false,
             inflight: 0,
-            active: client_range.len(),
+            active: num_clients,
             timeouts: 0,
             retries: 0,
             last_event: SimTime::ZERO,
-            stats,
+            stats: ShardStats::default(),
             cur_at: SimTime::ZERO,
             cur_key: 0,
             cur_emit: 0,
@@ -450,12 +352,11 @@ impl Shard {
             half_rtt,
             cache_on: cfg.cache.enabled,
             cache_groups: cfg.cache.groups.max(1),
-            num_clients: router.client_shard.len(),
             cache_hit_lat: SimTime::from_micros_f64(cfg.cache.hit_us),
-            cache_hits: vec![0; cfg.num_mds],
-            cache_misses: vec![0; cfg.num_mds],
-            cache_window_hits: vec![0; cfg.num_mds],
-            cache_window_misses: vec![0; cfg.num_mds],
+            cache_hits: vec![0; num_mds],
+            cache_misses: vec![0; num_mds],
+            cache_window_hits: vec![0; num_mds],
+            cache_window_misses: vec![0; num_mds],
             live: false,
             completions: Vec::new(),
             cfg,
@@ -464,42 +365,25 @@ impl Shard {
 
     // -- keys ------------------------------------------------------------
 
-    /// Next key for an event generated by local MDS `m` (global id).
+    /// Next key for an event generated by MDS `m`.
     fn mds_key(&mut self, m: MdsId) -> u64 {
-        let l = m - self.mds_lo;
-        let ctr = self.mds_ctr[l];
-        self.mds_ctr[l] += 1;
+        let ctr = self.mds_ctr[m];
+        self.mds_ctr[m] += 1;
         ((1 + m as u64) << KEY_CTR_BITS) | ctr
     }
 
-    /// Next key for an event generated by local client `c` (global id).
+    /// Next key for an event generated by client `c`.
     pub(crate) fn client_key(&mut self, c: usize) -> u64 {
-        let l = c - self.client_lo;
-        let ctr = self.client_ctr[l];
-        self.client_ctr[l] += 1;
+        let ctr = self.client_ctr[c];
+        self.client_ctr[c] += 1;
         ((1 + self.cfg.num_mds as u64 + c as u64) << KEY_CTR_BITS) | ctr
-    }
-
-    // -- local state accessors -------------------------------------------
-
-    pub(crate) fn client(&self, c: usize) -> &ClientState {
-        &self.clients[c - self.client_lo]
-    }
-
-    pub(crate) fn client_mut(&mut self, c: usize) -> &mut ClientState {
-        &mut self.clients[c - self.client_lo]
-    }
-
-    pub(crate) fn counters_mut(&mut self, m: MdsId) -> &mut MdsCounters {
-        &mut self.counters[m - self.mds_lo]
     }
 
     // -- trace -----------------------------------------------------------
 
     /// Emit a data-plane record (recorded only at `TraceLevel::Full`),
-    /// keyed under the event currently being processed. Every record a
-    /// shard can emit is data-plane; control-plane records all originate
-    /// at the coordinator.
+    /// keyed under the event currently being processed. Control-plane
+    /// records all originate at the coordinator.
     fn emit_full(&mut self, make: impl FnOnce() -> TraceEvent) {
         if self.trace_full {
             let record = TraceRecord {
@@ -513,33 +397,22 @@ impl Shard {
         }
     }
 
-    // -- routing ---------------------------------------------------------
-
-    /// Schedule `event` at `(at, key)`: locally if this shard owns the
-    /// target, into the outbox otherwise. Cross-shard events are always
-    /// at least one lookahead window away (the coordinator sizes windows
-    /// below the minimum cross-shard latency), so barrier delivery never
-    /// delivers into a window already processed.
-    fn send(&mut self, target: ShardId, at: SimTime, key: u64, event: Event) {
-        if target == self.id {
-            self.queue.schedule_at_key(at, key, event);
-        } else {
-            self.stats.msgs_sent += 1;
-            self.outbox[target].push(CrossShardMsg { at, key, event });
+    /// Next event time, liveness, conservation counts and time frontier.
+    pub(crate) fn frontier(&self) -> Frontier {
+        Frontier {
+            next_event: self.queue.peek_time(),
+            active: self.active,
+            inflight: self.inflight,
+            last_event: self.last_event,
         }
     }
 
     // -- the window loop -------------------------------------------------
 
-    /// Drain every local event strictly before `window_end`. Called with
-    /// shared read access to `sh`; all mutations outside this shard are
-    /// queued in `deferred` / `outbox` for the barrier.
-    pub(crate) fn process_window(
-        &mut self,
-        sh: &SharedSim,
-        router: &ShardRouter,
-        window_end: SimTime,
-    ) {
+    /// Drain every event strictly before `window_end`. Called with shared
+    /// read access to `sh`; every write to it is queued in `deferred` for
+    /// the barrier.
+    pub(crate) fn process_window(&mut self, sh: &SharedSim, window_end: SimTime) {
         self.cur_epoch = sh.hb_epoch;
         while let Some((now, key, event)) = self.queue.pop_before(window_end) {
             self.last_event = now;
@@ -549,20 +422,20 @@ impl Shard {
             self.stats.events += 1;
             match event {
                 Event::ClientNext(c) => {
-                    if !self.client(c).done {
-                        self.client_next(sh, router, c, now);
+                    if !self.clients[c].done {
+                        self.client_next(sh, c, now);
                     }
                 }
-                Event::Arrive { mds, req } => self.on_arrive(sh, router, mds, req, now),
+                Event::Arrive { mds, req } => self.on_arrive(sh, mds, req, now),
                 Event::Complete {
                     mds,
                     req,
                     service_us,
                     epoch,
-                } => self.on_complete(sh, router, mds, req, service_us, epoch, now),
-                Event::Reply { mds, req } => self.on_reply(sh, router, mds, req, now),
+                } => self.on_complete(sh, mds, req, service_us, epoch, now),
+                Event::Reply { mds, req } => self.on_reply(sh, mds, req, now),
                 Event::Timeout { client, seq } => self.on_timeout(client, seq, now),
-                Event::Retry(c) => self.on_retry(sh, router, c, now),
+                Event::Retry(c) => self.on_retry(sh, c, now),
             }
         }
     }
@@ -572,8 +445,8 @@ impl Shard {
     /// Advance client `c`: ask the workload for its next op and issue it,
     /// or mark the client done. Runs inline from an accepted reply (no
     /// same-instant self-event) and from `Event::ClientNext`.
-    fn client_next(&mut self, sh: &SharedSim, router: &ShardRouter, c: usize, now: SimTime) {
-        let stall = self.client(c).stall_until;
+    fn client_next(&mut self, sh: &SharedSim, c: usize, now: SimTime) {
+        let stall = self.clients[c].stall_until;
         if stall > now {
             let key = self.client_key(c);
             self.queue.schedule_at_key(stall, key, Event::ClientNext(c));
@@ -585,7 +458,7 @@ impl Shard {
         // and the service pump wakes it when an op (or shutdown) arrives.
         if let Some(ready) = self.workload.next_ready_at(c, now) {
             if ready == PARKED {
-                self.client_mut(c).parked = true;
+                self.clients[c].parked = true;
                 return;
             }
             if ready > now {
@@ -596,7 +469,7 @@ impl Shard {
         }
         match self.workload.next(c, &sh.ns, now) {
             None => {
-                let client = self.client_mut(c);
+                let client = &mut self.clients[c];
                 client.done = true;
                 if client.finished_at == SimTime::ZERO {
                     client.finished_at = now;
@@ -604,10 +477,10 @@ impl Shard {
                 self.active -= 1;
             }
             Some(op) => {
-                let client = self.client_mut(c);
+                let client = &mut self.clients[c];
                 client.pending = Some(op);
                 client.attempts = 0;
-                self.issue(sh, router, c, now);
+                self.issue(sh, c, now);
             }
         }
     }
@@ -619,8 +492,7 @@ impl Shard {
     /// kick-off, a stall, or the reply to the op it is busy with), so it
     /// is left alone and no wake-up is ever stale. Returns whether it woke.
     pub(crate) fn wake_client(&mut self, c: usize, at: SimTime) -> bool {
-        let client = self.client_mut(c);
-        if !std::mem::take(&mut client.parked) {
+        if !std::mem::take(&mut self.clients[c].parked) {
             return false;
         }
         let key = self.client_key(c);
@@ -630,9 +502,8 @@ impl Shard {
 
     /// Send the client's pending op to the MDS it routes to, arming the
     /// request timeout when fault injection is on.
-    fn issue(&mut self, sh: &SharedSim, router: &ShardRouter, c: usize, now: SimTime) {
-        let op = self
-            .client(c)
+    fn issue(&mut self, sh: &SharedSim, c: usize, now: SimTime) {
+        let op = self.clients[c]
             .pending
             .expect("issue() requires a pending op");
         let frag = sh.ns.peek_frag(op.dir);
@@ -642,12 +513,12 @@ impl Shard {
         // (Read-only during the window — the LRU touch defers to the
         // barrier like every other shared-state write.)
         let probe = if self.cache_on && cacheable(op.kind) {
-            let group = group_of(c, self.num_clients, self.cache_groups);
+            let group = group_of(c, self.clients.len(), self.cache_groups);
             Some((group, sh.caches[group].lookup(op.dir)))
         } else {
             None
         };
-        let client = &mut self.clients[c - self.client_lo];
+        let client = &mut self.clients[c];
         let mds = client.route(&sh.ns, &op, frag, multi_owner);
         client.seq += 1;
         let seq = client.seq;
@@ -704,12 +575,8 @@ impl Shard {
         });
         self.inflight += 1;
         let key = self.client_key(c);
-        self.send(
-            router.mds_shard[mds],
-            now + self.half_rtt,
-            key,
-            Event::Arrive { mds, req },
-        );
+        self.queue
+            .schedule_at_key(now + self.half_rtt, key, Event::Arrive { mds, req });
         if self.faults_active {
             let key = self.client_key(c);
             self.queue.schedule_at_key(
@@ -724,13 +591,13 @@ impl Shard {
     /// client declares it lost, forgets its (possibly stale) route for
     /// the directory, and backs off exponentially before retrying.
     fn on_timeout(&mut self, c: usize, seq: u64, now: SimTime) {
-        let client = self.client(c);
+        let client = &self.clients[c];
         if client.seq != seq || client.pending.is_none() {
             return; // the attempt completed (or was already superseded)
         }
         self.timeouts += 1;
         self.emit_full(|| TraceEvent::RequestTimeout { client: c, seq });
-        let client = self.client_mut(c);
+        let client = &mut self.clients[c];
         let dir = client.pending.expect("checked above").dir;
         let attempt = client.attempts;
         client.attempts += 1;
@@ -745,28 +612,20 @@ impl Shard {
 
     /// The backoff elapsed: re-issue the pending op (a late reply may
     /// have landed in the meantime, in which case there is nothing to do).
-    fn on_retry(&mut self, sh: &SharedSim, router: &ShardRouter, c: usize, now: SimTime) {
-        if self.client(c).done || self.client(c).pending.is_none() {
+    fn on_retry(&mut self, sh: &SharedSim, c: usize, now: SimTime) {
+        if self.clients[c].done || self.clients[c].pending.is_none() {
             return;
         }
         self.retries += 1;
-        let attempt = self.client(c).attempts;
+        let attempt = self.clients[c].attempts;
         self.emit_full(|| TraceEvent::RequestRetry { client: c, attempt });
-        self.issue(sh, router, c, now);
+        self.issue(sh, c, now);
     }
 
-    /// A reply reached its client. The client-side guard mirrors the old
-    /// sequential engine: a reply for a superseded attempt (the client
-    /// timed out and re-issued meanwhile) is dropped on the floor.
-    fn on_reply(
-        &mut self,
-        sh: &SharedSim,
-        router: &ShardRouter,
-        mds: MdsId,
-        req: Request,
-        now: SimTime,
-    ) {
-        let client = self.client_mut(req.client);
+    /// A reply reached its client. A reply for a superseded attempt (the
+    /// client timed out and re-issued meanwhile) is dropped on the floor.
+    fn on_reply(&mut self, sh: &SharedSim, mds: MdsId, req: Request, now: SimTime) {
+        let client = &mut self.clients[req.client];
         if req.seq != client.seq || client.pending.is_none() {
             return;
         }
@@ -784,23 +643,16 @@ impl Shard {
                 latency_ms,
             });
         }
-        self.client_next(sh, router, req.client, now);
+        self.client_next(sh, req.client, now);
     }
 
     // -- server side -----------------------------------------------------
 
-    fn on_arrive(
-        &mut self,
-        sh: &SharedSim,
-        router: &ShardRouter,
-        mds: MdsId,
-        mut req: Request,
-        now: SimTime,
-    ) {
+    fn on_arrive(&mut self, sh: &SharedSim, mds: MdsId, mut req: Request, now: SimTime) {
         // A crashed MDS serves nothing: the request is lost on the floor
         // and the issuing client's timeout recovers it.
         if !sh.up[mds] {
-            self.counters_mut(mds).dropped += 1;
+            self.counters[mds].dropped += 1;
             self.inflight -= 1;
             self.emit_full(|| TraceEvent::Dropped {
                 mds,
@@ -811,7 +663,7 @@ impl Shard {
         // Hash placement pins each directory on first touch. The pin is a
         // namespace write, so it lands at the barrier (first arrival in
         // key order wins); routing inside this window still sees the
-        // window-start authority, identically in every execution mode.
+        // window-start authority.
         if self.cfg.placement == PlacementPolicy::HashDirs && sh.ns.dir(req.op.dir).auth.is_none() {
             let mut target = (req.op.dir.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) as usize
                 % self.cfg.num_mds;
@@ -843,11 +695,11 @@ impl Shard {
         let auth = sh.ns.frag_auth(req.op.dir, frag);
         if auth != mds {
             // Wrong MDS: pay a forward (wasted service here + a hop).
-            self.counters_mut(mds).forwards_out += 1;
+            self.counters[mds].forwards_out += 1;
             let fwd_us = self.cfg.costs.forward_us;
-            let start = self.next_free[mds - self.mds_lo].max(now);
-            self.next_free[mds - self.mds_lo] = start + SimTime::from_micros_f64(fwd_us);
-            self.counters_mut(mds).busy_window_us += fwd_us;
+            let start = self.next_free[mds].max(now);
+            self.next_free[mds] = start + SimTime::from_micros_f64(fwd_us);
+            self.counters[mds].busy_window_us += fwd_us;
             req.forwarded = true;
             self.emit_full(|| TraceEvent::Forwarded {
                 from: mds,
@@ -857,20 +709,16 @@ impl Shard {
                 client: req.client,
             });
             let hop = SimTime::from_micros_f64(self.cfg.costs.forward_hop_us);
-            let at = self.next_free[mds - self.mds_lo].max(now) + hop;
+            let at = self.next_free[mds].max(now) + hop;
             let key = self.mds_key(mds);
-            self.send(
-                router.mds_shard[auth],
-                at,
-                key,
-                Event::Arrive { mds: auth, req },
-            );
+            self.queue
+                .schedule_at_key(at, key, Event::Arrive { mds: auth, req });
             return;
         }
         if req.forwarded {
-            self.counters_mut(mds).forwards_in += 1;
+            self.counters[mds].forwards_in += 1;
         } else {
-            self.counters_mut(mds).hits += 1;
+            self.counters[mds].hits += 1;
         }
         self.emit_full(|| TraceEvent::Served {
             mds,
@@ -883,10 +731,7 @@ impl Shard {
         sh.ns.frag_owners_into(req.op.dir, &mut self.scratch_owners);
         let span = self.scratch_owners.len();
         let mut base = self.cfg.costs.service_with_span(req.op.kind, span)
-            * self
-                .cfg
-                .costs
-                .contention_factor(self.counters[mds - self.mds_lo].queued);
+            * self.cfg.costs.contention_factor(self.counters[mds].queued);
         // Path traversal: right after an import the serving MDS has not
         // yet replicated the directory's ancestor prefix, so traversals
         // resolve remotely (and, once warm, locally again).
@@ -897,7 +742,7 @@ impl Shard {
         if in_cold {
             if sh.ns.dir(req.op.dir).parent.is_some() {
                 base *= 1.0 + self.cfg.costs.remote_prefix_penalty;
-                self.counters_mut(mds).remote_prefix += 1;
+                self.counters[mds].remote_prefix += 1;
             }
         } else if self.cfg.placement == PlacementPolicy::HashDirs {
             // Hash-based placement has no subtree prefix replication
@@ -906,7 +751,7 @@ impl Shard {
             if let Some(parent) = sh.ns.dir(req.op.dir).parent {
                 if sh.ns.resolve_auth(parent) != mds {
                     base *= 1.0 + self.cfg.costs.remote_prefix_penalty;
-                    self.counters_mut(mds).remote_prefix += 1;
+                    self.counters[mds].remote_prefix += 1;
                 }
             }
         }
@@ -914,12 +759,12 @@ impl Shard {
         if self.faults_active && now < sh.slow_until[mds] {
             base *= sh.slow_factor[mds];
         }
-        let noise = self.rng_service[mds - self.mds_lo].jitter(self.cfg.costs.service_noise);
+        let noise = self.rng_service[mds].jitter(self.cfg.costs.service_noise);
         let service_us = (base * noise).max(1.0);
-        let start = self.next_free[mds - self.mds_lo].max(now);
+        let start = self.next_free[mds].max(now);
         let done = start + SimTime::from_micros_f64(service_us);
-        self.next_free[mds - self.mds_lo] = done;
-        self.counters_mut(mds).queued += 1;
+        self.next_free[mds] = done;
+        self.counters[mds].queued += 1;
         let key = self.mds_key(mds);
         self.queue.schedule_at_key(
             done,
@@ -933,11 +778,9 @@ impl Shard {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn on_complete(
         &mut self,
         sh: &SharedSim,
-        router: &ShardRouter,
         mds: MdsId,
         req: Request,
         service_us: f64,
@@ -951,7 +794,7 @@ impl Shard {
             self.emit_full(|| TraceEvent::GhostReply { mds });
             return;
         }
-        let counters = self.counters_mut(mds);
+        let counters = &mut self.counters[mds];
         counters.queued = counters.queued.saturating_sub(1);
         counters.complete_op(now, service_us);
         // The op's heat/size charge is a namespace write → barrier. The
@@ -981,9 +824,8 @@ impl Shard {
         // Server-computed staleness: the issuing client has already timed
         // this attempt out and re-issued iff its retry fired strictly
         // before service finished. Everything in the predicate travelled
-        // with the request, so no cross-shard peek at client state is
-        // needed — the client-side guard in `on_reply` stays authoritative
-        // for the races this can't see.
+        // with the request, as it would on a wire — the client-side guard
+        // in `on_reply` stays authoritative for the races this can't see.
         let stale = self.faults_active
             && req.issued
                 + self.cfg.faults.request_timeout
@@ -1011,7 +853,7 @@ impl Shard {
         // issuing group's cache learns it at the barrier (ghost and stale
         // completions above never fill — their replies never landed).
         if self.cache_on && cacheable(req.op.kind) {
-            let group = group_of(req.client, self.num_clients, self.cache_groups);
+            let group = group_of(req.client, self.clients.len(), self.cache_groups);
             self.deferred.push(DeferredNsOp {
                 at: now,
                 key: self.cur_key,
@@ -1025,12 +867,8 @@ impl Shard {
         self.inflight -= 1;
         let reply_at = now + self.half_rtt;
         let key = self.mds_key(mds);
-        self.send(
-            router.client_shard[req.client],
-            reply_at,
-            key,
-            Event::Reply { mds, req },
-        );
+        self.queue
+            .schedule_at_key(reply_at, key, Event::Reply { mds, req });
     }
 }
 
@@ -1048,37 +886,6 @@ pub(crate) fn frozen_until(sh: &SharedSim, d: NodeId, now: SimTime) -> Option<Si
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn router_partitions_contiguously() {
-        let r = ShardRouter::new(10, 7, 4);
-        // Contiguous, non-decreasing assignment covering every shard.
-        assert!(r.mds_shard.windows(2).all(|w| w[0] <= w[1]));
-        assert!(r.client_shard.windows(2).all(|w| w[0] <= w[1]));
-        let total: usize = (0..4).map(|s| r.mds_of_shard(s).len()).sum();
-        assert_eq!(total, 10);
-        let total: usize = (0..4).map(|s| r.clients_of_shard(s).len()).sum();
-        assert_eq!(total, 7);
-        // Ranges agree with the map.
-        for s in 0..4 {
-            for m in r.mds_of_shard(s) {
-                assert_eq!(r.shard_of_mds(m), s);
-            }
-        }
-    }
-
-    #[test]
-    fn router_allows_more_shards_than_mds() {
-        let r = ShardRouter::new(3, 5, 8);
-        let sizes: Vec<usize> = (0..8).map(|s| r.mds_of_shard(s).len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 3);
-        assert!(sizes.iter().all(|&n| n <= 1));
-        // Every MDS still has exactly one owner.
-        for m in 0..3 {
-            let s = r.shard_of_mds(m);
-            assert!(r.mds_of_shard(s).contains(&m));
-        }
-    }
 
     #[test]
     fn keys_order_by_origin_then_sequence() {

@@ -1,7 +1,7 @@
 //! The coordinator's side of tracing: it owns the sink
 //! ([`TraceBuffer`]), stamps and keys the control-plane records, and
-//! merges them with the shards' data-plane slices into the one globally
-//! ordered stream.
+//! merges them with the data plane's records into the one ordered
+//! stream.
 //!
 //! Every emission site hands over a closure, built into a payload only
 //! when a sink is attached — with tracing off an emission is one branch,
@@ -19,13 +19,13 @@ use crate::trace::{Timeline, TraceBuffer, TraceEvent, TraceLevel, TraceRecord};
 pub(crate) struct Tracer {
     /// The sink; `None` means tracing is off.
     buffer: Option<TraceBuffer>,
-    /// The sink's level is Full (mirrors the shards' `trace_full`, and
+    /// The sink's level is Full (mirrors the shard's `trace_full`, and
     /// gates the coordinator's own data-plane emissions — barrier-time
     /// cache fills/invalidations).
     full: bool,
     /// Records emitted since the last merge, with their merge keys.
     /// Coordinator emissions carry origin rank 0, so at equal timestamps
-    /// they sort before every shard emission — matching the
+    /// they sort before every data-plane emission — matching the
     /// exclusive-step / barrier ordering that produced them.
     pending: Vec<(TraceKey, TraceRecord)>,
     /// Monotonic rank-0 key counter.
@@ -170,20 +170,14 @@ impl Tracer {
         ));
     }
 
-    /// Everything emitted since the last merge — here and on every shard
-    /// — as one sequence. Keys are globally unique, so the sort is a
-    /// total order: the exact sequence a sequential engine would have
-    /// emitted. Successive merges are time-ordered because the scheduler
+    /// Everything emitted since the last merge — here and on the data
+    /// plane — as one sequence. Keys are unique, so the sort is a total
+    /// order. Successive merges are time-ordered because the scheduler
     /// frontier only moves forward, so concatenating them reproduces the
     /// single merge of a batch run.
-    pub(crate) fn merge<'s>(
-        &mut self,
-        shards: impl Iterator<Item = &'s mut Shard>,
-    ) -> Vec<TraceRecord> {
+    pub(crate) fn merge(&mut self, plane: &mut Shard) -> Vec<TraceRecord> {
         let mut all = std::mem::take(&mut self.pending);
-        for s in shards {
-            all.append(&mut s.trace);
-        }
+        all.append(&mut plane.trace);
         all.sort_unstable_by_key(|(k, _)| *k);
         all.into_iter().map(|(_, r)| r).collect()
     }

@@ -179,11 +179,10 @@ impl<E> EventQueue<E> {
     /// Schedule `event` at `at` under an explicit tie-break key instead of
     /// the queue's insertion counter.
     ///
-    /// Same-instant events pop in ascending key order. This is what lets
-    /// the sharded cluster engine impose one *global* total order across
-    /// many queues: every producer stamps events with a key that encodes
-    /// its identity, so the merged pop order is independent of which queue
-    /// an event sat in. Keys must be unique per instant; don't mix keyed
+    /// Same-instant events pop in ascending key order. The cluster engine
+    /// stamps every event with a key that encodes its producer's
+    /// identity, so tie-breaks do not depend on insertion order. Keys
+    /// must be unique per instant; don't mix keyed
     /// and auto-seq scheduling in one queue unless the key spaces are
     /// disjoint.
     pub fn schedule_at_key(&mut self, at: SimTime, key: u64, event: E) {
@@ -222,7 +221,7 @@ impl<E> EventQueue<E> {
 
     /// Pop the next event only if it fires strictly before `limit`,
     /// returning its key. Declined pops leave the queue (and the clock)
-    /// untouched — the windowed cluster engine drives each shard with this.
+    /// untouched — the windowed cluster engine drains its queue with this.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, u64, E)> {
         let popped = match &mut self.backend {
             Backend::Heap(heap) => {

@@ -260,9 +260,9 @@ impl<E> TimingWheel<E> {
     ///
     /// Crucially this never *stages* an instant it then declines: staging
     /// advances the cursor to the staged time, and the windowed cluster
-    /// engine pushes barrier-delivered cross-shard events *after* a
-    /// declined call — events that may fire earlier than the staged
-    /// instant (though never earlier than anything already popped). A
+    /// engine can push *after* a declined call — a woken live session —
+    /// an event that fires earlier than the staged instant (though
+    /// never earlier than anything already popped). A
     /// pinned-forward cursor would mis-place those pushes. Declines
     /// therefore go through [`peek`](Self::peek) (a bitmap scan, paid once
     /// per window), and `make_ready` runs only once an instant is known to
@@ -424,15 +424,15 @@ mod tests {
 
     #[test]
     fn declined_pop_before_does_not_pin_the_cursor() {
-        // The sharded cluster engine's barrier pattern: a window's final
-        // pop_before declines the next instant, then cross-shard delivery
-        // pushes an event that fires *before* the declined instant (but at
-        // or after the window end). The declined instant must not have
-        // advanced the cursor, or the late push mis-sorts.
+        // The windowed cluster engine's pattern: a window's final
+        // pop_before declines the next instant, then a push between
+        // windows fires *before* the declined instant (but at or after the
+        // window end). The declined instant must not have advanced the
+        // cursor, or the late push mis-sorts.
         let mut w = TimingWheel::new();
         w.push(1805, 7, 1805);
         assert_eq!(w.pop_before(1709), None, "window [_, 1709) is empty");
-        w.push(1709, 3, 1709); // barrier-delivered, earlier than the declined instant
+        w.push(1709, 3, 1709); // pushed between windows, earlier than the declined instant
         assert_eq!(w.pop_before(1959), Some((1709, 3, 1709)));
         assert_eq!(w.pop_before(1959), Some((1805, 7, 1805)));
         assert_eq!(w.pop_before(1959), None);

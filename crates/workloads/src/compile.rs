@@ -216,10 +216,6 @@ impl Workload for Compile {
         Some(op)
     }
 
-    fn fork(&self) -> Box<dyn Workload> {
-        Box::new(self.clone())
-    }
-
     fn name(&self) -> &str {
         "compile"
     }

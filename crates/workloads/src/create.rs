@@ -55,10 +55,6 @@ impl Workload for CreateSeparateDirs {
         })
     }
 
-    fn fork(&self) -> Box<dyn Workload> {
-        Box::new(self.clone())
-    }
-
     fn name(&self) -> &str {
         "create-separate-dirs"
     }
@@ -112,10 +108,6 @@ impl Workload for CreateSharedDir {
             dir: self.dir.expect("setup ran"),
             kind: OpKind::Create,
         })
-    }
-
-    fn fork(&self) -> Box<dyn Workload> {
-        Box::new(self.clone())
     }
 
     fn name(&self) -> &str {

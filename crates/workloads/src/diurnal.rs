@@ -17,7 +17,7 @@
 //! Every client issues `ops_per_day × days` ops total, so the run spans
 //! `days` full periods and the load swings between `night_clients` and
 //! `clients` active streams. Deterministic given the seed; the pacing is
-//! a pure function of `(client, now)`, as sharded execution requires.
+//! a pure function of `(client, now)`.
 
 use mantle_mds::{ClientOp, Workload};
 use mantle_namespace::{Namespace, NodeId, OpKind};
@@ -168,10 +168,6 @@ impl Workload for Diurnal {
         }
     }
 
-    fn fork(&self) -> Box<dyn Workload> {
-        Box::new(self.clone())
-    }
-
     fn name(&self) -> &str {
         "diurnal"
     }
@@ -260,7 +256,7 @@ mod tests {
         let mut a = mk();
         let mut ns = Namespace::default();
         a.setup(&mut ns);
-        let mut b = a.fork();
+        let mut b = a.clone();
         for c in 0..6 {
             loop {
                 let x = a.next(c, &ns, SimTime::ZERO);

@@ -129,10 +129,6 @@ impl Workload for FlashCrowd {
         })
     }
 
-    fn fork(&self) -> Box<dyn Workload> {
-        Box::new(self.clone())
-    }
-
     fn name(&self) -> &str {
         "flash-crowd"
     }
@@ -195,7 +191,7 @@ mod tests {
         let mut a = FlashCrowd::storm(3, 500, 42);
         let mut ns = Namespace::default();
         a.setup(&mut ns);
-        let mut b = a.fork();
+        let mut b = a.clone();
         for c in 0..3 {
             loop {
                 let x = a.next(c, &ns, SimTime::ZERO);

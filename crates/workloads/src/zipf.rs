@@ -136,10 +136,6 @@ impl Workload for ZipfMix {
         Some(ClientOp { dir, kind })
     }
 
-    fn fork(&self) -> Box<dyn Workload> {
-        Box::new(self.clone())
-    }
-
     fn name(&self) -> &str {
         "zipf-mix"
     }

@@ -2,8 +2,7 @@
 //! level: for a fixed seed, a full cluster run under the default
 //! bytecode engine must produce exactly the same [`RunReport`] — every
 //! float, every time series, every fault counter — as the tree-walking
-//! interpreter, in both execution modes, while the fault catalogue is
-//! firing.
+//! interpreter, while the fault catalogue is firing.
 //!
 //! This is the top layer of the differential stack: the
 //! statement/expression layer lives in `crates/policy/src/bytecode.rs`
@@ -15,38 +14,20 @@ use mantle::core::degraded::{base_experiment, scenario_plans};
 use mantle::core::policies;
 use mantle::core::repro::ReproOpts;
 use mantle::core::{run_experiment, BalancerSpec, Experiment};
-use mantle::mds::{ExecMode, HookEngine};
+use mantle::mds::HookEngine;
 use mantle::policy::env::PolicySet;
 
-/// The run matrix for one (policy, fault plan) cell: the bytecode engine
-/// in both exec modes against the tree-walking reference. Reports must
-/// be identical across all three runs.
+/// One (policy, fault plan) cell: the bytecode engine against the
+/// tree-walking reference. The two reports must be identical.
 fn assert_reports_identical(label: &str, spec: &Experiment, policy: &PolicySet) {
-    let runs = [
-        ("bytecode/single", HookEngine::Bytecode, ExecMode::Single),
-        (
-            "bytecode/sharded",
-            HookEngine::Bytecode,
-            ExecMode::Sharded { threads: 2 },
-        ),
-        ("tree/single", HookEngine::Tree, ExecMode::Single),
-    ];
-    let mut baseline: Option<(&str, String)> = None;
-    for (name, engine, mode) in runs {
+    // Debug formatting of f64 is shortest-roundtrip: any numeric
+    // divergence, however small, shows up in the string.
+    let [bytecode, tree] = [HookEngine::Bytecode, HookEngine::Tree].map(|engine| {
         let mut spec = spec.clone();
         spec.balancer = BalancerSpec::mantle_with_engine(label, policy.clone(), engine);
-        spec.config = spec.config.with_exec_mode(mode);
-        let report = run_experiment(&spec);
-        // Debug formatting of f64 is shortest-roundtrip: any numeric
-        // divergence, however small, shows up in the string.
-        let rendered = format!("{report:?}");
-        match &baseline {
-            None => baseline = Some((name, rendered)),
-            Some((base_name, base)) => {
-                assert_eq!(base, &rendered, "{label}: {name} diverged from {base_name}")
-            }
-        }
-    }
+        format!("{:?}", run_experiment(&spec))
+    });
+    assert_eq!(bytecode, tree, "{label}: tree diverged from bytecode");
 }
 
 /// The most hook-intensive built-in balancer (Listing 4 runs a loop over

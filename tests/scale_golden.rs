@@ -10,7 +10,6 @@
 //! commit *before* that machinery was rewritten.
 
 use mantle::core::scale::{scale_experiment, ScaleSpec};
-use mantle::mds::ExecMode;
 use mantle::prelude::*;
 
 /// FNV-1a over the report's `Debug` text: written out so the constant does
@@ -23,7 +22,7 @@ fn fnv1a(text: &str) -> u64 {
 
 const PINNED: u64 = 13_494_702_248_942_097_695;
 
-fn tenth_of_batch_rebalance(mode: ExecMode) -> Experiment {
+fn tenth_of_batch_rebalance() -> Experiment {
     let spec = ScaleSpec {
         name: "batch-rebalance/10",
         num_mds: 128,
@@ -31,29 +30,21 @@ fn tenth_of_batch_rebalance(mode: ExecMode) -> Experiment {
         dirs: 10_000,
         ops_per_client: 500,
     };
-    let mut exp = scale_experiment(&spec, SchedulerKind::Heap, 1);
-    exp.config = exp.config.with_exec_mode(mode);
-    exp
+    scale_experiment(&spec, SchedulerKind::Heap, 1)
 }
 
 #[test]
 fn report_at_128_mds_is_pinned_in_both_exec_modes() {
-    for mode in [ExecMode::Single, ExecMode::Sharded { threads: 2 }] {
-        let report = run_experiment(&tenth_of_batch_rebalance(mode));
-        assert_eq!(
-            report.total_ops(),
-            64_000.0,
-            "{mode:?}: the run does its work"
-        );
-        assert!(
-            report.total_migrations() > 100,
-            "{mode:?}: the pinned run must rebalance, saw {} migrations",
-            report.total_migrations()
-        );
-        assert_eq!(
-            fnv1a(&format!("{report:?}")),
-            PINNED,
-            "{mode:?}: the 128-MDS report changed"
-        );
-    }
+    let report = run_experiment(&tenth_of_batch_rebalance());
+    assert_eq!(report.total_ops(), 64_000.0, "the run does its work");
+    assert!(
+        report.total_migrations() > 100,
+        "the pinned run must rebalance, saw {} migrations",
+        report.total_migrations()
+    );
+    assert_eq!(
+        fnv1a(&format!("{report:?}")),
+        PINNED,
+        "the 128-MDS report changed"
+    );
 }
