@@ -415,6 +415,56 @@ fn a_peer_that_floods_and_never_reads_is_pushed_back_not_buffered() {
     assert!(daemon.finish().0);
 }
 
+/// Clients create directories over the wire whenever they like; one made
+/// under a subtree that has just migrated — still frozen, its prefix
+/// still cold — is in no export's region and is served like any other.
+#[test]
+fn a_directory_made_under_a_just_migrated_parent_is_served() {
+    let daemon = Daemon::spawn(&["--sessions=1", "--mds=3", "--clock=sim"]);
+    let mut client = MantleClient::connect(&daemon.addr, "client").expect("client connects");
+    // Creates over four directories, pipelined in batches, until a reply
+    // names an importer: simulated time has crossed the first balancer
+    // tick (10 s, about ten thousand ops) and that directory has moved.
+    const DIRS: usize = 4;
+    const BATCH: u64 = 256;
+    let mut sent = 0u64;
+    let migrated = 'hunt: loop {
+        assert!(sent < 60_000, "no migration after {sent} creates");
+        let path = |id: u64| format!("/smoke/hot{}", id as usize % DIRS);
+        for _ in 0..BATCH {
+            sent += 1;
+            client
+                .send(&Json::obj(vec![
+                    ("type", Json::str("op")),
+                    ("id", Json::num(sent as f64)),
+                    ("op", Json::str("create")),
+                    ("path", Json::str(path(sent))),
+                ]))
+                .expect("a batch fits the socket buffers");
+        }
+        let mut moved = None;
+        for id in sent - BATCH + 1..=sent {
+            let reply = client.recv_required().expect("reply");
+            assert_eq!(reply.get_u64("id"), Some(id));
+            assert_eq!(reply.get_str("status"), Some("ok"), "reply: {reply}");
+            if reply.get_u64("mds").is_some_and(|mds| mds != 0) {
+                moved = Some(path(id));
+            }
+        }
+        if let Some(path) = moved {
+            break 'hunt path;
+        }
+    };
+    let made = format!("{migrated}/made-after");
+    for op in ["mkdir", "stat", "create"] {
+        let reply = client.op(op, &made).expect("op round-trips");
+        assert_eq!(reply.get_str("status"), Some("ok"), "{op}: {reply}");
+    }
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    assert!(daemon.finish().0);
+}
+
 #[test]
 fn hostile_nesting_is_refused_not_fatal() {
     use std::io::Write as _;

@@ -2,10 +2,10 @@
 //! while it read it, applied once the window has ended.
 //!
 //! The data plane defers namespace mutations (`NsOp`) during a window.
-//! The barrier has three effects: it applies the mutations in the
-//! `(time, key)` order their events ran in (phase A), runs fragment
+//! The barrier has two effects: it applies the mutations in the
+//! `(time, key)` order their events ran in (phase A), and runs fragment
 //! splits — the paper's *fragment* stage — for every directory charged
-//! (phase B), and purges lapsed freeze/cold windows.
+//! (phase B). A window that deferred nothing costs one length check.
 
 use std::collections::HashSet;
 
@@ -39,13 +39,16 @@ impl Barrier {
         cfg: &ClusterConfig,
         window_end: SimTime,
     ) {
+        let (sh, plane) = x.parts();
+        if plane.deferred.is_empty() {
+            debug_assert!(self.touched.is_empty());
+            return;
+        }
         // Phase A — heat/size charges and hash pins, in the order their
         // events ran. Splits are deliberately excluded (phase B) so every
         // charge in this window lands on the fragment layout the window
         // routed against.
-        self.touched.clear();
         self.seen.clear();
-        let (sh, plane) = x.parts();
         // One queue pops in `(time, key)` order and stamps each op with
         // the event that deferred it.
         debug_assert!(plane.deferred.is_sorted_by_key(|d| (d.at, d.key)));
@@ -110,11 +113,5 @@ impl Barrier {
                     plane.next_free[auth].max(window_end) + SimTime::from_micros_f64(split_us);
             }
         }
-        // Lapsed freeze / cold-prefix windows can only be purged here —
-        // in-window readers filter by `until` and never mutate the shared
-        // set.
-        let sh = x.sim();
-        sh.frozen.retain(|w| w.until > window_end);
-        sh.prefix_cold.retain(|w| w.until > window_end);
     }
 }

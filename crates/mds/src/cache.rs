@@ -17,10 +17,13 @@
 //!   labels ([`IntervalRegion`]) — a range scan over the caches'
 //!   label-sorted indexes instead of a predicate test per cached entry.
 //!
-//! The same interval machinery backs [`ClientCache`], the per-client
-//! learned subtree→MDS map, replacing the full predicate scan the
-//! migration path used to run per client (the predicate path survives
-//! as a differential oracle in the unit tests below).
+//! The same interval machinery backs the clients' learned routes. Each
+//! client keeps a plain directory→MDS map ([`ClientCache`]); the label
+//! index over them is **one** [`RouteIndex`] for all clients, so an
+//! export drops every client's stale routes in one range scan, and what
+//! it costs does not grow with the number of clients that hold nothing
+//! in the moved region. (The per-client predicate scan survives as the
+//! differential oracle in the unit tests below.)
 //!
 //! Determinism: group caches live in [`crate::shard::SharedSim`] and are
 //! **read-only during windows**. Every mutation — fill, LRU touch,
@@ -32,6 +35,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use mantle_namespace::{MdsId, Namespace, NodeId, OpKind};
 
+use crate::client::ClientState;
+
 /// Is `kind` servable by the proxy tier? Read-class lookups are; every
 /// mutating op goes to the MDS (and invalidates instead).
 pub fn cacheable(kind: OpKind) -> bool {
@@ -41,8 +46,8 @@ pub fn cacheable(kind: OpKind) -> bool {
 /// A moved/invalidated namespace region in Euler-interval form: the
 /// label span of the root subtree, minus the spans of the authority
 /// holes, restricted to directories that existed when the region was
-/// captured (`watermark`). Mirrors `SubtreeWindow::contains` exactly:
-/// what a migration freezes is what it invalidates.
+/// captured (`watermark`) — the directories the export moved: what a
+/// migration freezes is what it invalidates.
 #[derive(Debug, Clone)]
 pub struct IntervalRegion {
     root: NodeId,
@@ -88,28 +93,18 @@ impl IntervalRegion {
     }
 }
 
-/// The per-client learned subtree→MDS map, indexed two ways: by
-/// directory for O(1) routing lookups, and by Euler in-time so a
-/// migration can drop the whole moved region with one ordered range
-/// scan. Entries pin the namespace epoch their labels were resolved
-/// under; a renumber (rare — label space is u64) lazily rebuilds.
+/// One client's learned directory→MDS map: what it routes by. It holds
+/// nothing else — which of its directories lie inside a migrated region
+/// is the [`RouteIndex`]'s business, and every write goes through that.
 #[derive(Debug, Clone, Default)]
 pub struct ClientCache {
-    entries: HashMap<NodeId, ClientSlot>,
-    by_tin: BTreeMap<u64, NodeId>,
-    epoch: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ClientSlot {
-    mds: MdsId,
-    tin: u64,
+    entries: HashMap<NodeId, u32>,
 }
 
 impl ClientCache {
     /// The learned authority for `dir`, if any.
     pub fn get(&self, dir: NodeId) -> Option<MdsId> {
-        self.entries.get(&dir).map(|s| s.mds)
+        self.entries.get(&dir).map(|&mds| mds as MdsId)
     }
 
     /// Number of learned entries.
@@ -121,65 +116,103 @@ impl ClientCache {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
 
-    /// Record that `dir` was ultimately served by `mds`.
-    pub fn learn(&mut self, ns: &Namespace, dir: NodeId, mds: MdsId) {
-        self.sync_epoch(ns);
-        let tin = ns.euler_interval(dir).0;
-        self.by_tin.insert(tin, dir);
-        self.entries.insert(dir, ClientSlot { mds, tin });
-    }
+/// Every client's learned routes by Euler in-time: `(tin, client) → dir`,
+/// one entry per entry of a client's [`ClientCache`], so a migration
+/// drops the moved region from all of them with one ordered range scan.
+/// Owned by the data plane next to the clients it indexes, which every
+/// method takes. Labels pin the namespace epoch they were resolved under;
+/// a renumber (rare — label space is u64) rebuilds the index, once, the
+/// next time a label is needed.
+#[derive(Debug, Default)]
+pub struct RouteIndex {
+    by_tin: BTreeMap<(u64, u32), NodeId>,
+    epoch: u64,
+}
 
-    /// Forget everything learned about `dir` (its metadata moved).
-    pub fn invalidate(&mut self, dir: NodeId) {
-        if let Some(slot) = self.entries.remove(&dir) {
-            self.by_tin.remove(&slot.tin);
+impl RouteIndex {
+    /// A reply told client `c` that `dir` was ultimately served by `mds`.
+    /// Re-learning a known directory — nearly every reply — is one hash
+    /// probe.
+    pub(crate) fn learn(
+        &mut self,
+        ns: &Namespace,
+        clients: &mut [ClientState],
+        c: usize,
+        dir: NodeId,
+        mds: MdsId,
+    ) {
+        if clients[c].cache.entries.insert(dir, mds as u32).is_none() {
+            self.sync_epoch(ns, clients);
+            self.by_tin
+                .insert((ns.euler_interval(dir).0, c as u32), dir);
         }
     }
 
-    /// Drop every entry inside `region` with one range scan over the
-    /// label index, returning how many were dropped. Result-identical
-    /// to a predicate scan with `window.contains(ns, d)` — the unit
-    /// tests below hold the two together differentially.
-    pub fn invalidate_region(&mut self, ns: &Namespace, region: &IntervalRegion) -> u64 {
-        self.sync_epoch(ns);
+    /// Client `c` forgets what it learned about `dir` alone.
+    pub(crate) fn forget(
+        &mut self,
+        ns: &Namespace,
+        clients: &mut [ClientState],
+        c: usize,
+        dir: NodeId,
+    ) {
+        if clients[c].cache.entries.remove(&dir).is_some() {
+            self.sync_epoch(ns, clients);
+            self.by_tin.remove(&(ns.euler_interval(dir).0, c as u32));
+        }
+    }
+
+    /// Drop every route inside `region` held by a client still running,
+    /// returning how many were dropped. A `done` client routes nothing
+    /// any more; its entries stay, uncounted.
+    pub(crate) fn invalidate_region(
+        &mut self,
+        ns: &Namespace,
+        clients: &mut [ClientState],
+        region: &IntervalRegion,
+    ) -> u64 {
+        self.sync_epoch(ns, clients);
+        // A frag export moved the root alone: scan its one label.
+        let (from, mut to) = region.span;
         if region.root_only {
-            if region.root.0 < region.watermark && self.entries.contains_key(&region.root) {
-                self.invalidate(region.root);
-                return 1;
-            }
-            return 0;
+            to = from + 1;
         }
-        let stale: Vec<NodeId> = self
+        let stale: Vec<(u64, u32)> = self
             .by_tin
-            .range(region.span.0..region.span.1)
-            .filter(|&(&tin, &d)| region.contains_label(d, tin))
-            .map(|(_, &d)| d)
+            .range((from, 0)..(to, 0))
+            .filter(|&(&(tin, c), &d)| !clients[c as usize].done && region.contains_label(d, tin))
+            .map(|(&key, _)| key)
             .collect();
-        for d in &stale {
-            self.invalidate(*d);
+        for key in &stale {
+            let dir = self.by_tin.remove(key).expect("collected from the index");
+            clients[key.1 as usize].cache.entries.remove(&dir);
         }
         stale.len() as u64
     }
 
-    /// Re-resolve every stored label after a namespace renumber.
-    fn sync_epoch(&mut self, ns: &Namespace) {
+    /// Re-resolve every label after a namespace renumber.
+    fn sync_epoch(&mut self, ns: &Namespace, clients: &[ClientState]) {
         let epoch = ns.renumbers();
         if self.epoch == epoch {
             return;
         }
-        self.by_tin.clear();
-        for (&d, slot) in &mut self.entries {
-            slot.tin = ns.euler_interval(d).0;
-            self.by_tin.insert(slot.tin, d);
-        }
+        self.by_tin = clients
+            .iter()
+            .enumerate()
+            .flat_map(|(c, client)| {
+                let dirs = client.cache.entries.keys();
+                dirs.map(move |&d| ((ns.euler_interval(d).0, c as u32), d))
+            })
+            .collect();
         self.epoch = epoch;
     }
 }
 
 /// One proxy group's read cache: directory → the MDS whose metadata the
-/// proxy holds, with capacity-bounded LRU eviction and the same
-/// Euler-label index [`ClientCache`] uses for region invalidation.
+/// proxy holds, with capacity-bounded LRU eviction and a label index of
+/// its own, like the clients' [`RouteIndex`], for region invalidation.
 ///
 /// The LRU clock (`tick`) only advances at window barriers, where touch
 /// and fill ops are applied in global `(time, key)` order — eviction
@@ -284,7 +317,7 @@ impl GroupCache {
 
     /// Drop every entry inside `region` (migration / session flush),
     /// returning how many were dropped. Same range-scan machinery as
-    /// [`ClientCache::invalidate_region`].
+    /// the clients' [`RouteIndex`].
     pub fn invalidate_region(&mut self, ns: &Namespace, region: &IntervalRegion) -> u64 {
         self.sync_epoch(ns);
         if region.root_only {
@@ -328,7 +361,7 @@ pub fn group_of(client: usize, num_clients: usize, groups: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::SubtreeWindow;
+    use crate::shard::tests::SubtreeWindow;
     use mantle_sim::{SimRng, SimTime};
 
     fn grow(ns: &mut Namespace, rng: &mut SimRng, dirs: usize) -> Vec<NodeId> {
@@ -361,62 +394,100 @@ mod tests {
         }
     }
 
-    /// Forget every cached dir for which `stale` returns true — the
-    /// original full predicate scan, kept as the differential oracle
-    /// for [`ClientCache::invalidate_region`].
-    fn invalidate_matching(cache: &mut ClientCache, mut stale: impl FnMut(NodeId) -> bool) {
-        let by_tin = &mut cache.by_tin;
-        cache.entries.retain(|&d, slot| {
-            if stale(d) {
-                by_tin.remove(&slot.tin);
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// Satellite check: interval-range invalidation is result-identical
-    /// to the predicate scan it replaced, across random trees, random
-    /// regions (holes, watermarks, root-only), and forced renumbers.
+    /// Satellite check: one label index shared by many clients drops
+    /// exactly what a predicate scan of each running client's own map
+    /// drops — across random trees and regions (holes, watermarks,
+    /// root-only), clients that finish, single-directory forgets, and a
+    /// renumber in the middle of the sequence.
     #[test]
     fn interval_invalidation_matches_predicate_oracle() {
         let mut rng = SimRng::new(0xCAFE);
+        let pick = |rng: &mut SimRng, from: &[NodeId]| from[rng.below(from.len() as u64) as usize];
+        let (mut renumbered, mut dropped_total, mut spared_done) = (0, 0, 0);
         for round in 0..40u32 {
             let mut ns = Namespace::default();
-            let all = grow(&mut ns, &mut rng, 60);
-            let mut fast = ClientCache::default();
-            for _ in 0..40 {
-                let d = all[(rng.next_u64() % all.len() as u64) as usize];
-                fast.learn(&ns, d, (rng.next_u64() % 4) as MdsId);
-            }
-            if round.is_multiple_of(3) {
-                // Exhaust label space under the last dir to force a
-                // renumber between learn and invalidate.
-                let before = ns.renumbers();
-                let mut p = *all.last().unwrap();
-                for i in 0..80 {
-                    p = ns.mkdir(p, format!("deep{i}"));
-                    if ns.renumbers() > before {
-                        break;
+            let mut all = grow(&mut ns, &mut rng, 60);
+            let n = 2 + rng.below(7) as usize;
+            let mut clients: Vec<ClientState> = (0..n).map(ClientState::new).collect();
+            let mut routes = RouteIndex::default();
+            // The oracle: a plain map per client, scanned with the
+            // region's predicate.
+            let mut oracle: Vec<HashMap<NodeId, MdsId>> = vec![HashMap::new(); n];
+            for step in 0..10 {
+                for _ in 0..10 * n {
+                    let c = rng.below(n as u64) as usize;
+                    if !clients[c].done {
+                        let (d, mds) = (pick(&mut rng, &all), rng.below(4) as MdsId);
+                        routes.learn(&ns, &mut clients, c, d, mds);
+                        oracle[c].insert(d, mds);
                     }
                 }
+                // A request timed out: one client forgets one directory.
+                for _ in 0..rng.below(4) {
+                    let (c, d) = (rng.below(n as u64) as usize, pick(&mut rng, &all));
+                    routes.forget(&ns, &mut clients, c, d);
+                    oracle[c].remove(&d);
+                }
+                if rng.below(5) == 0 {
+                    clients[rng.below(n as u64) as usize].done = true;
+                }
+                if step == 4 && !round.is_multiple_of(3) {
+                    // Exhaust a directory's label space — one wide parent,
+                    // or one deep chain — to force a renumber between the
+                    // learns above and the invalidation below.
+                    let before = ns.renumbers();
+                    let mut p = pick(&mut rng, &all);
+                    for i in 0.. {
+                        let d = ns.mkdir(p, format!("r{i}"));
+                        if round % 3 == 1 {
+                            p = d;
+                        }
+                        if i % 64 == 0 {
+                            all.push(d);
+                        }
+                        if ns.renumbers() > before {
+                            break;
+                        }
+                    }
+                    renumbered += 1;
+                }
+                let w = random_window(&ns, &mut rng, &all);
+                let region = IntervalRegion::new(&ns, w.root, &w.holes, w.watermark, w.root_only);
+                let dropped = routes.invalidate_region(&ns, &mut clients, &region);
+                let mut want = 0;
+                for (c, map) in oracle.iter_mut().enumerate() {
+                    let before = map.len();
+                    if clients[c].done {
+                        spared_done += map.keys().filter(|&&d| w.contains(&ns, d)).count();
+                    } else {
+                        map.retain(|&d, _| !w.contains(&ns, d));
+                    }
+                    want += (before - map.len()) as u64;
+                }
+                assert_eq!(dropped, want, "round {round} step {step}: count");
+                dropped_total += dropped;
+                for (c, map) in oracle.iter().enumerate() {
+                    let got = &clients[c].cache;
+                    assert_eq!(got.len(), map.len(), "round {round} step {step} client {c}");
+                    for (&d, &mds) in map {
+                        assert_eq!(
+                            got.get(d),
+                            Some(mds),
+                            "round {round} step {step} client {c}"
+                        );
+                    }
+                }
+                // The index holds one entry per route, no more.
+                let held: usize = clients.iter().map(|c| c.cache.len()).sum();
+                assert_eq!(routes.by_tin.len(), held, "round {round} step {step}");
             }
-            let mut oracle = fast.clone();
-            let w = random_window(&ns, &mut rng, &all);
-            let region = IntervalRegion::new(&ns, w.root, &w.holes, w.watermark, w.root_only);
-            fast.invalidate_region(&ns, &region);
-            invalidate_matching(&mut oracle, |d| w.contains(&ns, d));
-            let mut a: Vec<(NodeId, MdsId)> =
-                fast.entries.iter().map(|(&d, s)| (d, s.mds)).collect();
-            let mut b: Vec<(NodeId, MdsId)> =
-                oracle.entries.iter().map(|(&d, s)| (d, s.mds)).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "round {round}: survivors diverge");
-            // The fast path's secondary index stays consistent.
-            assert_eq!(fast.by_tin.len(), fast.entries.len());
         }
+        assert!(renumbered > 20, "{renumbered} renumbers");
+        assert!(dropped_total > 1_000, "{dropped_total} routes dropped");
+        assert!(
+            spared_done > 100,
+            "{spared_done} routes of finished clients spared"
+        );
     }
 
     #[test]

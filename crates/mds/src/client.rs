@@ -5,7 +5,7 @@
 use mantle_namespace::{MdsId, Namespace, NodeId, OpKind};
 use mantle_sim::SimTime;
 
-use crate::cache::{ClientCache, IntervalRegion};
+use crate::cache::ClientCache;
 
 /// One metadata operation a client wants to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,9 +66,11 @@ pub struct ClientState {
     pub id: usize,
     /// Learned directory→MDS map (built up from replies, exactly as the
     /// client builds "its own mapping of subtrees to MDS nodes", §2).
-    /// Indexed by Euler label too, so migrations invalidate the moved
-    /// region with a range scan ([`ClientCache`]).
-    cache: ClientCache,
+    /// Written only through the data plane's
+    /// [`RouteIndex`](crate::cache::RouteIndex), which indexes every
+    /// client's map by Euler label so a migration drops the moved region
+    /// from all of them in one range scan.
+    pub(crate) cache: ClientCache,
     /// This client is done issuing ops.
     pub done: bool,
     /// Ops completed so far.
@@ -141,22 +143,6 @@ impl ClientState {
         }
     }
 
-    /// Learn from a reply: `dir` was ultimately served by `mds`.
-    pub fn learn(&mut self, ns: &Namespace, dir: NodeId, mds: MdsId) {
-        self.cache.learn(ns, dir, mds);
-    }
-
-    /// Forget everything learned about `dir` (its metadata moved).
-    pub fn invalidate(&mut self, dir: NodeId) {
-        self.cache.invalidate(dir);
-    }
-
-    /// Forget everything learned about a migrated region in one
-    /// Euler-interval range scan, returning how many entries dropped.
-    pub fn invalidate_region(&mut self, ns: &Namespace, region: &IntervalRegion) -> u64 {
-        self.cache.invalidate_region(ns, region)
-    }
-
     /// Record a completed op.
     pub fn record_completion(&mut self, now: SimTime, latency_ms: f64) {
         self.completed += 1;
@@ -173,26 +159,27 @@ mod tests {
     fn routes_to_learned_mds() {
         let mut ns = Namespace::default();
         let d = ns.mkdir_p("/a");
-        let mut c = ClientState::new(0);
+        let mut c = [ClientState::new(0)];
+        let mut routes = crate::cache::RouteIndex::default();
         let op = ClientOp {
             dir: d,
             kind: OpKind::Stat,
         };
         assert_eq!(
-            c.route(&ns, &op, ns.peek_frag(d), false),
+            c[0].route(&ns, &op, ns.peek_frag(d), false),
             0,
             "default mount authority"
         );
         // Even though ground truth moved, the client still uses its cache…
         ns.set_auth(d, Some(2));
-        c.learn(&ns, d, 1);
+        routes.learn(&ns, &mut c, 0, d, 1);
         assert_eq!(
-            c.route(&ns, &op, ns.peek_frag(d), false),
+            c[0].route(&ns, &op, ns.peek_frag(d), false),
             1,
             "stale cache drives routing"
         );
-        c.invalidate(d);
-        assert_eq!(c.route(&ns, &op, ns.peek_frag(d), false), 0);
+        routes.forget(&ns, &mut c, 0, d);
+        assert_eq!(c[0].route(&ns, &op, ns.peek_frag(d), false), 0);
     }
 
     #[test]

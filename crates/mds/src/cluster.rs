@@ -46,7 +46,7 @@ use crate::migration::Migrator;
 use crate::partition::{plan_exports, Export};
 use crate::report::{ClientReport, MdsReport, RunReport};
 use crate::service::{LiveService, ServiceEvent, ServicePump};
-use crate::shard::{Event, ExecStats, Shard, SharedSim};
+use crate::shard::{DirStamps, Event, ExecStats, Shard, SharedSim};
 use crate::trace::{TraceBuffer, TraceEvent, TraceLevel};
 use crate::tracer::Tracer;
 
@@ -372,8 +372,8 @@ impl Cluster {
             mds_epoch: vec![0; n],
             slow_factor: vec![1.0; n],
             slow_until: vec![SimTime::ZERO; n],
-            frozen: Vec::new(),
-            prefix_cold: Vec::new(),
+            frozen_until: DirStamps::default(),
+            cold_until: DirStamps::default(),
             hb_epoch: 0,
             caches,
             member: (0..n).map(|m| m < initial_members).collect(),
@@ -583,7 +583,8 @@ mod tests {
     use super::*;
     use crate::client::ClientOp;
     use crate::partition::ExportUnit;
-    use crate::shard::{frozen_until, Request};
+    use crate::shard::tests::SubtreeWindow;
+    use crate::shard::{frozen_until, in_cold, Request};
     use mantle_namespace::{NodeId, OpKind};
 
     /// A trivial workload: each client creates `count` files in its own
@@ -925,9 +926,9 @@ mod tests {
         // The client learned MDS 2 serves both dirs.
         {
             let (sim, plane) = x.parts();
-            let client = &mut plane.clients[0];
-            client.learn(&sim.ns, a, 2);
-            client.learn(&sim.ns, ab, 2);
+            for d in [a, ab] {
+                plane.routes.learn(&sim.ns, &mut plane.clients, 0, d, 2);
+            }
         }
         // MDS 2 exports the subtree to MDS 1.
         cluster
@@ -949,9 +950,9 @@ mod tests {
 
     #[test]
     fn lapsed_windows_are_purged_at_barriers() {
-        // Freeze/cold windows are shared state, so in-window readers only
-        // filter by `until`; the purge that keeps the sets from
-        // accumulating runs at the next barrier after the lapse.
+        // A freeze/cold stamp is never removed: once it lapses it reads as
+        // "not covered" — inside windows and after barriers alike — and
+        // defers nothing.
         let cfg = ClusterConfig {
             num_mds: 2,
             ..Default::default()
@@ -964,14 +965,198 @@ mod tests {
         cluster
             .co
             .export(&mut x, 0, subtree_to_mds1(a), SimTime::ZERO);
-        assert!(!x.sim().frozen.is_empty());
-        assert!(!x.sim().prefix_cold.is_empty());
-        // Long after the lapse, readers already ignore the windows…
-        assert!(frozen_until(x.sim(), a, SimTime::from_secs(100)).is_none());
-        // …and the next barrier drops them wholesale.
-        cluster.co.barrier(&mut x, SimTime::from_secs(100));
-        assert!(x.sim().frozen.is_empty(), "lapsed freeze windows purged");
-        assert!(x.sim().prefix_cold.is_empty(), "lapsed cold windows purged");
+        assert!(frozen_until(x.sim(), a, SimTime::ZERO).is_some());
+        assert!(in_cold(x.sim(), a, SimTime::ZERO));
+        let late = SimTime::from_secs(100);
+        for barriers in 0..2 {
+            assert!(frozen_until(x.sim(), a, late).is_none(), "{barriers}");
+            assert!(!in_cold(x.sim(), a, late), "{barriers}");
+            cluster.co.barrier(&mut x, late);
+        }
+        // A request arriving after the lapse is served on arrival, at the
+        // warm price.
+        let req = Request {
+            client: 0,
+            op: ClientOp {
+                dir: a,
+                kind: OpKind::Stat,
+            },
+            frag: 0,
+            issued: late,
+            forwarded: false,
+            seq: 1,
+            attempts: 0,
+        };
+        let (sim, g) = x.parts();
+        let key = g.client_key(0);
+        g.queue
+            .schedule_at_key(late, key, Event::Arrive { mds: 1, req });
+        g.process_window(sim, late + SimTime::from_micros(1));
+        assert_eq!(g.counters[1].hits, 1, "served, not deferred");
+        assert_eq!(g.counters[1].remote_prefix, 0, "prefix replicas warm");
+    }
+
+    /// The moved region of a subtree export about to happen, worked out
+    /// from the tree alone: the nested bounds directly inside it.
+    fn holes_of(ns: &Namespace, root: NodeId) -> Vec<NodeId> {
+        let mut holes = Vec::new();
+        let mut stack = vec![root];
+        while let Some(d) = stack.pop() {
+            for &c in &ns.dir(d).children {
+                match ns.dir(c).auth {
+                    Some(_) => holes.push(c),
+                    None => stack.push(c),
+                }
+            }
+        }
+        holes
+    }
+
+    /// Satellite check: the per-directory stamps answer, for every
+    /// directory at every instant, what the list of live export windows
+    /// they replaced answered — `max` / `any` over `contains`.
+    #[test]
+    fn dir_stamps_match_the_window_list_oracle() {
+        let mut rng = SimRng::new(0x57a3_9105);
+        let us = SimTime::from_micros;
+        let (mut frag_exports, mut holed, mut overlaps, mut late_dirs) = (0, 0, 0, 0);
+        for case in 0..200 {
+            let mut cfg = ClusterConfig {
+                num_mds: 4,
+                frag_split_threshold: 12,
+                ..Default::default()
+            };
+            // Freezes as long as the region is big.
+            cfg.costs.migrate_per_inode_us = 2_000.0;
+            let costs = cfg.costs.clone();
+            let mut cluster = Cluster::new(cfg, Box::new(TinyCreate::new(1, 1)), |_| {
+                Box::new(NoopBalancer)
+            });
+            let pick =
+                |rng: &mut SimRng, from: &[NodeId]| from[rng.below(from.len() as u64) as usize];
+            let mut dirs = vec![NodeId(0)];
+            {
+                let ns = cluster.namespace_mut();
+                dirs.push(ns.lookup_child(ns.root(), "client0").unwrap());
+                for i in 0..8 + rng.below(40) {
+                    let parent = pick(&mut rng, &dirs);
+                    dirs.push(ns.mkdir(parent, format!("d{i}")));
+                    // Files make freezes of different lengths; a big
+                    // directory fragments.
+                    for _ in 0..rng.below(3) * rng.below(20) {
+                        ns.record_op(parent, OpKind::Create, SimTime::ZERO);
+                    }
+                }
+                for _ in 0..rng.below(8) {
+                    ns.set_auth(pick(&mut rng, &dirs[1..]), Some(rng.below(4) as MdsId));
+                }
+            }
+            let mut x = cluster.driver.exclusive();
+            let (mut frozen, mut cold): (Vec<SubtreeWindow>, Vec<SubtreeWindow>) =
+                Default::default();
+            let mut instants = vec![SimTime::ZERO];
+            let mut now = SimTime::ZERO;
+            for step in 0..2 + rng.below(7) {
+                // Close enough together that freezes overlap in time, far
+                // enough apart that some cold prefixes have warmed up.
+                let gap = [60_000, 1_500_000][rng.below(2) as usize];
+                now += us(rng.below(gap));
+                if rng.below(2) == 0 {
+                    let parent = pick(&mut rng, &dirs);
+                    dirs.push(x.sim().ns.mkdir(parent, format!("late{step}")));
+                    late_dirs += 1;
+                }
+                let ns = &x.sim().ns;
+                // Half the time, on or just above an earlier export's root.
+                let root = match frozen.last().filter(|_| rng.below(2) == 0) {
+                    Some(w) => match ns.dir(w.root).parent {
+                        Some(up) if up != ns.root() && rng.below(2) == 0 => up,
+                        _ => w.root,
+                    },
+                    None => pick(&mut rng, &dirs[1..]),
+                };
+                let frags = ns.dir(root).frags.len();
+                let (unit, from, holes, inodes) = if rng.below(4) == 0 {
+                    let f = rng.below(frags as u64) as usize;
+                    let inodes = ns.dir(root).frags[f].files + 1;
+                    (
+                        ExportUnit::Frag(root, f),
+                        ns.frag_auth(root, f),
+                        vec![],
+                        inodes,
+                    )
+                } else {
+                    let holes = holes_of(ns, root);
+                    let from = ns.resolve_auth(root);
+                    (
+                        ExportUnit::Subtree(root),
+                        from,
+                        holes,
+                        ns.subtree_inodes(root),
+                    )
+                };
+                let region = SubtreeWindow {
+                    root,
+                    holes,
+                    watermark: ns.dir_count() as u32,
+                    root_only: matches!(unit, ExportUnit::Frag(..)),
+                    until: SimTime::ZERO,
+                };
+                frag_exports += usize::from(region.root_only);
+                holed += usize::from(!region.holes.is_empty());
+                overlaps += frozen
+                    .iter()
+                    .filter(|w| w.contains(ns, root) && w.until > now)
+                    .count();
+                let thaw = now + SimTime::from_micros_f64(costs.migrate_freeze_us(inodes));
+                let warm = now + SimTime::from_micros_f64(costs.prefix_warmup_us);
+                frozen.push(SubtreeWindow {
+                    until: thaw,
+                    ..region.clone()
+                });
+                cold.push(SubtreeWindow {
+                    until: warm,
+                    ..region
+                });
+                for t in [now, thaw, warm] {
+                    instants.extend([t.saturating_sub(us(1)), t, t + us(1)]);
+                }
+                let to = (from + 1 + rng.below(3) as usize) % 4;
+                let load = 1.0;
+                cluster
+                    .co
+                    .export(&mut x, from, Export { unit, to, load }, now);
+
+                // Directories past the stamp vectors: one created since
+                // this export, and ids the namespace has never issued.
+                if step % 2 == 0 {
+                    let parent = pick(&mut rng, &dirs);
+                    dirs.push(x.sim().ns.mkdir(parent, format!("after{step}")));
+                }
+                let sim = x.sim();
+                let beyond = sim.ns.dir_count() as u32;
+                let all = (0..beyond).chain([beyond, beyond + 77, u32::MAX]);
+                for d in all.map(NodeId) {
+                    for &t in &instants {
+                        let covering = |ws: &[SubtreeWindow]| {
+                            let live = ws.iter().filter(|w| w.until > t && w.contains(&sim.ns, d));
+                            live.map(|w| w.until).max()
+                        };
+                        let ctx = format!("case {case} step {step} {d:?} at {t}");
+                        assert_eq!(frozen_until(sim, d, t), covering(&frozen), "{ctx}");
+                        assert_eq!(in_cold(sim, d, t), covering(&cold).is_some(), "{ctx}");
+                    }
+                }
+            }
+        }
+        // The cases did cover what the stamps have rules for.
+        assert!(frag_exports > 100, "{frag_exports} frag exports");
+        assert!(holed > 100, "{holed} subtree exports with nested holes");
+        assert!(overlaps > 100, "{overlaps} overlapping live regions");
+        assert!(
+            late_dirs > 100,
+            "{late_dirs} directories created between exports"
+        );
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! client's session is flushed. Balancer plans, elastic re-homing and
 //! drains all come through `Migrator::apply_export`; the rest of the
 //! engine never moves authority except by failover.
+//!
+//! All the per-directory work is done here, once per export, so that the
+//! request path does none of it: the thaw and warm-up instants are
+//! stamped on each moved directory (`shard::DirStamps`), and the
+//! clients' stale routes are dropped by one range scan of the index they
+//! share ([`crate::cache::RouteIndex`]), not one per client.
 
 use mantle_namespace::{MdsId, SubtreeMigration};
 use mantle_sim::SimTime;
@@ -15,7 +21,7 @@ use crate::cache::IntervalRegion;
 use crate::config::ClusterConfig;
 use crate::driver::Exclusive;
 use crate::partition::{Export, ExportUnit};
-use crate::shard::{SharedSim, SubtreeWindow};
+use crate::shard::SharedSim;
 use crate::trace::TraceEvent;
 use crate::tracer::Tracer;
 
@@ -73,28 +79,30 @@ impl Migrator {
             }
         };
         let moved = migration.inodes;
-        let region = SubtreeWindow {
-            root,
-            holes: migration.holes,
-            watermark,
-            root_only,
-            until: SimTime::ZERO,
+        // The directories that moved: what the bounded walk just covered.
+        // Membership is settled here for good — the namespace only grows,
+        // and a directory created later is in no earlier export's region.
+        let moved_dirs = if root_only {
+            vec![root]
+        } else {
+            sh.ns.subtree_dirs(root, true)
         };
         // Two-phase commit: the subtree freezes while the importer
         // journals the metadata. Requests to *any* directory inside the
         // moving subtree — not only its root — defer to the thaw.
         let freeze_us = cfg.costs.migrate_freeze_us(moved);
         let thaw = now + SimTime::from_micros_f64(freeze_us);
-        sh.frozen.push(SubtreeWindow {
-            until: thaw,
-            ..region.clone()
-        });
+        sh.frozen_until.raise(&moved_dirs, watermark as usize, thaw);
+        // The importer's ancestor-prefix replicas need to warm up; the
+        // exported subtree's own directories are cold too.
+        let warm = now + SimTime::from_micros_f64(cfg.costs.prefix_warmup_us);
+        sh.cold_until.raise(&moved_dirs, watermark as usize, warm);
         // Importer and exporter both journal (busy time on each).
         let journal_us = freeze_us / 4.0;
         if trace.on() {
             self.seq += 1;
             let mig = self.seq;
-            let holes = region.holes.clone();
+            let holes = migration.holes.clone();
             trace.emit(now, || TraceEvent::MigrationFreeze {
                 mig,
                 from,
@@ -130,13 +138,6 @@ impl Migrator {
         let exporter = &mut plane.counters[from];
         exporter.migrations_out += 1;
         exporter.inodes_exported += moved;
-        // The importer's ancestor-prefix replicas need to warm up; the
-        // exported subtree's own directories are cold too.
-        let warm = now + SimTime::from_micros_f64(cfg.costs.prefix_warmup_us);
-        x.sim().prefix_cold.push(SubtreeWindow {
-            until: warm,
-            ..region.clone()
-        });
         // Session flushes: every active client halts updates on the moved
         // directories and re-syncs (§4.1). The whole migrated subtree is
         // forgotten — a cache entry for a child dir is as stale as one for
@@ -145,16 +146,18 @@ impl Migrator {
         let mut flushed = 0;
         let (sh, plane) = x.parts();
         let SharedSim { ns, caches, .. } = sh;
-        // The moved region in Euler-interval form: one range scan per cache
-        // drops every stale entry — client route maps and proxy-tier group
-        // caches alike — instead of a predicate test per cached dir.
-        let iregion = IntervalRegion::new(ns, root, &region.holes, watermark, root_only);
+        // The moved region in Euler-interval form: one range scan per
+        // proxy-tier group cache, and one over the index of every
+        // client's routes, drops every stale entry.
+        let region = IntervalRegion::new(ns, root, &migration.holes, watermark, root_only);
         for cache in caches.iter_mut() {
-            self.cache_invalidations += cache.invalidate_region(ns, &iregion);
+            self.cache_invalidations += cache.invalidate_region(ns, &region);
         }
+        self.cache_invalidations += plane
+            .routes
+            .invalidate_region(ns, &mut plane.clients, &region);
         for c in &mut plane.clients {
             if !c.done {
-                self.cache_invalidations += c.invalidate_region(ns, &iregion);
                 c.stall_until = c.stall_until.max(now + flush);
                 flushed += 1;
             }

@@ -7,7 +7,7 @@
 //! at each level and keeping the one that lands closest to the remaining
 //! target.
 //!
-//! # One walk per subtree per call
+//! # One walk per subtree per call, and none for subtrees nobody touched
 //!
 //! Working downward asks for the same loads again and again: a subtree is
 //! sized whole to learn it is too big to ship, then each of its children is
@@ -53,6 +53,36 @@
 //! the planner asks. `plan_exports_matches_the_reference_planner` holds the
 //! whole arrangement against a planner that calls [`subtree_load`] for
 //! every load it needs.
+//!
+//! ## Never-charged subtrees
+//!
+//! Most directories of a large namespace have never had an op recorded on
+//! them or below them, and the namespace knows which: one
+//! [`Namespace::is_warm`] bit per directory. When the hook is additive
+//! ([`Balancer::metaload_is_additive`]) the walk does not push a cold
+//! child, a cold subtree's load is answered `0.0` unasked, and the
+//! candidate loop tests the bit before it reads the child's `Dir`. This
+//! is exact, for these reasons and no weaker ones:
+//!
+//! * every counter under a never-charged directory is exactly `0`, at any
+//!   sampling instant;
+//! * an additive hook — linear, no constant term — maps the zero sample
+//!   to `+0.0` or `-0.0`;
+//! * `x + ±0.0 == x` bit for bit for every running sum, which start at
+//!   `+0.0` and can never become `-0.0`: the visits left out added
+//!   nothing;
+//! * a subtree of load `±0.0` falls out of the candidate loop at
+//!   `load <= 0.0` whoever owns it;
+//! * the lazy decay the visit would have applied to a zero counter leaves
+//!   zero, so no later sample can tell it was skipped.
+//!
+//! A hook with a constant term gives a cold subtree the load
+//! `fragments × constant`, so a non-additive hook keeps the full walk. And
+//! the rule must never be widened from "never charged" to "small": a
+//! skipped sample of a *non-zero* counter moves the instant it is next
+//! decayed from, which changes later rounding.
+//! `never_charged_subtrees_are_skipped_exactly_when_metaload_is_additive`
+//! holds both halves against the reference planner over two ticks.
 
 use std::collections::{HashMap, HashSet};
 
@@ -108,6 +138,9 @@ struct OpenDir {
 struct SubtreeLoads {
     me: MdsId,
     now: SimTime,
+    /// The hook is additive, so a directory nobody ever charged — and its
+    /// whole subtree — loads exactly zero and is never visited.
+    skip_cold: bool,
     /// `loads[blocks[d] + i]` is the load of `d`'s `i`-th child: one hash
     /// lookup per directory whose children are asked about, one slot write
     /// per directory visited.
@@ -121,10 +154,11 @@ struct SubtreeLoads {
 }
 
 impl SubtreeLoads {
-    fn new(me: MdsId, now: SimTime) -> Self {
+    fn new(me: MdsId, now: SimTime, skip_cold: bool) -> Self {
         SubtreeLoads {
             me,
             now,
+            skip_cold,
             blocks: HashMap::new(),
             loads: Vec::new(),
             stack: Vec::new(),
@@ -148,6 +182,11 @@ impl SubtreeLoads {
         })
     }
 
+    /// Is `dir`'s subtree known to load exactly zero without a visit?
+    fn is_cold(&self, ns: &Namespace, dir: NodeId) -> bool {
+        self.skip_cold && !ns.is_warm(dir)
+    }
+
     /// The load of the subtree at `dir`, whose slot is `slot`: looked up,
     /// or walked now.
     fn load<B: Balancer + ?Sized>(
@@ -159,6 +198,7 @@ impl SubtreeLoads {
     ) -> PolicyResult<f64> {
         match self.loads[slot] {
             Some(load) => Ok(load),
+            None if self.is_cold(ns, dir) => Ok(0.0),
             None => self.walk(ns, balancer, dir, slot),
         }
     }
@@ -202,7 +242,8 @@ impl SubtreeLoads {
             // bit-equal ones this walk computes.)
             let block = self.block_of(ns, cur);
             let children = ns.dir(cur).children.iter().enumerate();
-            self.stack.extend(children.map(|(i, &c)| (c, block + i)));
+            let warm = children.filter(|&(_, &c)| !self.skip_cold || ns.is_warm(c));
+            self.stack.extend(warm.map(|(i, &c)| (c, block + i)));
         }
         self.close_below(ns.dir(root).depth);
         Ok(self.loads[slot].expect("closing the root recorded its load"))
@@ -241,7 +282,7 @@ pub fn plan_exports<B: Balancer + ?Sized>(
     // Track units already claimed by earlier destinations.
     let mut claimed_subtrees: HashSet<NodeId> = HashSet::new();
     let mut claimed_frags: HashSet<(NodeId, FragId)> = HashSet::new();
-    let mut known = SubtreeLoads::new(me, now);
+    let mut known = SubtreeLoads::new(me, now, balancer.metaload_is_additive());
 
     for dest in order {
         let target = plan.targets[dest];
@@ -270,7 +311,10 @@ pub fn plan_exports<B: Balancer + ?Sized>(
             let block = known.block_of(ns, dir);
             for i in 0..ns.dir(dir).children.len() {
                 let c = ns.dir(dir).children[i];
-                if ns.resolve_auth(c) == me
+                // (A cold child would fall out at `load <= 0.0`, whoever
+                // owns it; tested first, its `Dir` is never read.)
+                if !known.is_cold(ns, c)
+                    && ns.resolve_auth(c) == me
                     && ns.dir(c).auth.is_none_or(|a| a == me)
                     && !claimed_subtrees.contains(&c)
                 {
@@ -784,6 +828,204 @@ mod tests {
         );
     }
 
+    /// `CountingBalancer`'s opposite number for the cold-subtree rule: a
+    /// `metaload` that is a linear form plus `constant`. With no constant
+    /// it is additive and says so; with one, a directory nobody ever
+    /// charged loads `frags × constant`, and it must not say so.
+    struct AffineBalancer {
+        constant: f64,
+        calls: std::cell::Cell<u64>,
+    }
+
+    impl AffineBalancer {
+        fn new(constant: f64) -> Self {
+            let calls = std::cell::Cell::new(0);
+            AffineBalancer { constant, calls }
+        }
+    }
+
+    impl Balancer for AffineBalancer {
+        fn name(&self) -> &str {
+            "affine"
+        }
+        fn metaload(&self, heat: &HeatSample) -> PolicyResult<f64> {
+            self.calls.set(self.calls.get() + 1);
+            Ok(heat.iwr * 2.0 - heat.ird + 0.25 * heat.readdir + heat.store + self.constant)
+        }
+        fn metaload_is_additive(&self) -> bool {
+            self.constant == 0.0
+        }
+        fn decide(&mut self, _: &BalanceContext) -> PolicyResult<Option<MigrationPlan>> {
+            Ok(None)
+        }
+    }
+
+    /// A few hundred directories of which most are never charged: the
+    /// ops land in a handful of level-1 subtrees, and inside the warm
+    /// region hangs a bound root of `me` with a subtree nobody touched.
+    /// Returns the namespace and a directory that is cold so far.
+    fn sparse_namespace(rng: &mut SimRng, me: MdsId) -> (Namespace, NodeId) {
+        let mut ns = Namespace::new(NsConfig {
+            frag_split_threshold: 8 + rng.below(20),
+            ..Default::default()
+        });
+        let pick = |rng: &mut SimRng, from: &[NodeId]| from[rng.below(from.len() as u64) as usize];
+        let tops: Vec<NodeId> = (0..6 + rng.below(4))
+            .map(|i| ns.mkdir(NodeId(0), format!("t{i}")))
+            .collect();
+        let mut under: Vec<Vec<NodeId>> = tops.iter().map(|&t| vec![t]).collect();
+        for i in 0..250 + rng.below(150) {
+            let sub = &mut under[rng.below(tops.len() as u64) as usize];
+            let parent = pick(rng, sub);
+            sub.push(ns.mkdir(parent, format!("d{i}")));
+        }
+        if me != 0 {
+            ns.set_auth(tops[0], Some(me));
+        }
+        // Ops: a tenth of the directories of two of the subtrees.
+        let mine = usize::from(me == 0);
+        for sub in [&under[0], &under[mine]] {
+            for _ in 0..sub.len() / 10 + 1 {
+                let d = pick(rng, sub);
+                for _ in 0..1 + rng.below(40) {
+                    let op = [OpKind::Create, OpKind::Stat, OpKind::Readdir][rng.below(3) as usize];
+                    ns.record_op(d, op, SimTime::from_millis(rng.below(5_000)));
+                }
+            }
+        }
+        // My own cold bound, three directories deep, under a warm one.
+        let warm: Vec<NodeId> = under[0]
+            .iter()
+            .copied()
+            .filter(|&d| ns.is_warm(d))
+            .collect();
+        let mut nested = ns.mkdir(pick(rng, &warm), "nested");
+        ns.set_auth(nested, Some(me));
+        for i in 0..3 {
+            nested = ns.mkdir(nested, format!("n{i}"));
+        }
+        // Others' bounds and fragment overrides, warm or cold as they fall.
+        for _ in 0..rng.below(4) {
+            ns.set_auth(pick(rng, &under[0][1..]), Some(2));
+        }
+        for _ in 0..rng.below(4) {
+            let d = pick(rng, &under[0]);
+            let f = rng.below(ns.dir(d).frags.len() as u64) as usize;
+            let to = if ns.frag_auth(d, f) == me { 3 } else { me };
+            ns.set_frag_auth(d, f, Some(to));
+        }
+        let cold: Vec<NodeId> = under[0]
+            .iter()
+            .copied()
+            .filter(|&d| !ns.is_warm(d))
+            .collect();
+        let turns_warm = pick(rng, &cold);
+        (ns, turns_warm)
+    }
+
+    /// What later ticks can still see of the decay state: every counter's
+    /// value at `at`, bit for bit. (When a never-charged counter was last
+    /// looked at is not among it — zero decays to zero from anywhere.)
+    fn heat_bits(ns: &Namespace, at: SimTime) -> Vec<u64> {
+        let bits = |h: HeatSample| [h.ird, h.iwr, h.readdir, h.fetch, h.store].map(f64::to_bits);
+        let mut out = Vec::new();
+        for d in ns.all_dirs() {
+            out.extend(bits(ns.dir(d).subtree_heat.peek(at)));
+            for f in &ns.dir(d).frags {
+                out.extend(bits(f.heat.peek(at)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn never_charged_subtrees_are_skipped_exactly_when_metaload_is_additive() {
+        let mut rng = SimRng::new(0xc01d_5ab7);
+        let (mut exported, mut warmed_exports) = (0, 0);
+        let (mut calls, mut reference_calls) = (0, 0);
+        for case in 0..60 {
+            let me = rng.below(2) as MdsId;
+            let (ns, turns_warm) = sparse_namespace(&mut rng, me);
+            let charged = ns.all_dirs().filter(|&d| {
+                let frags = &ns.dir(d).frags;
+                frags
+                    .iter()
+                    .any(|f| f.heat.peek(SimTime::ZERO) != HeatSample::default())
+            });
+            assert!(charged.count() * 5 < ns.dir_count(), "case {case}");
+            // Additive two cases in three; else a constant term, under
+            // which every cold fragment carries load and nothing may be
+            // skipped.
+            let balancer = AffineBalancer::new([0.0, 0.0, 0.5][case % 3]);
+            let selectors = vec![DirfragSelector::BigFirst, DirfragSelector::Half];
+            let (mut ours, mut theirs) = (ns.clone(), ns);
+            // Two ticks; in between, ops reach a directory that was cold.
+            for (tick, secs) in [(0, 6), (1, 16)] {
+                let now = SimTime::from_secs(secs);
+                let owned = {
+                    let mut probe = theirs.clone();
+                    let mut total = 0.0;
+                    for d in probe.export_candidate_dirs(me) {
+                        total += subtree_load(&mut probe, &balancer, d, me, now).unwrap();
+                    }
+                    total
+                };
+                let mut targets = vec![0.0; 4];
+                targets[1 + rng.below(3) as usize] = owned * [0.1, 0.4, 1.5][rng.below(3) as usize];
+                targets[me] = 0.0;
+                let plan = plan(targets, selectors.clone());
+                balancer.calls.set(0);
+                let got = plan_exports(&mut ours, me, &balancer, &plan, now).unwrap();
+                let ours_calls = balancer.calls.replace(0);
+                let want = reference_plan_exports(&mut theirs, me, &balancer, &plan, now).unwrap();
+                assert_eq!(got.len(), want.len(), "case {case} tick {tick}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!((g.unit, g.to), (w.unit, w.to), "case {case} tick {tick}");
+                    assert_eq!(
+                        g.load.to_bits(),
+                        w.load.to_bits(),
+                        "case {case} tick {tick}"
+                    );
+                }
+                let later = now + SimTime::from_millis(1_234);
+                assert_eq!(
+                    heat_bits(&ours, later),
+                    heat_bits(&theirs, later),
+                    "case {case}"
+                );
+                if balancer.metaload_is_additive() {
+                    calls += ours_calls;
+                    reference_calls += balancer.calls.get();
+                } else {
+                    // The full walk: the reference's decay state to the
+                    // last timestamp.
+                    assert_eq!(format!("{ours:?}"), format!("{theirs:?}"), "case {case}");
+                }
+                exported += got.len();
+                let in_warmed = |e: &&Export| match e.unit {
+                    ExportUnit::Subtree(d) | ExportUnit::Frag(d, _) => {
+                        ours.in_subtree(turns_warm, d)
+                    }
+                };
+                warmed_exports += got.iter().filter(in_warmed).count() * tick;
+                for ns in [&mut ours, &mut theirs] {
+                    for i in 0..30 {
+                        ns.record_op(turns_warm, OpKind::Create, now + SimTime::from_millis(i));
+                    }
+                }
+            }
+        }
+        assert!(exported > 150, "{exported} exports");
+        assert!(
+            warmed_exports > 10,
+            "{warmed_exports} exports of what was cold a tick ago"
+        );
+        assert!(
+            calls * 3 < reference_calls,
+            "{calls} metaload calls against the reference's {reference_calls}"
+        );
+    }
+
     #[test]
     fn a_walk_records_every_subtree_inside_it_bit_for_bit() {
         let mut rng = SimRng::new(0x5b7_0a15);
@@ -793,7 +1035,7 @@ mod tests {
             let me = rng.below(2) as MdsId;
             let mut ns = random_namespace(&mut rng, me);
             let root = ns.root();
-            let mut known = SubtreeLoads::new(me, now);
+            let mut known = SubtreeLoads::new(me, now, false);
             let block = known.block_of(&ns, root);
             assert_eq!(block, 0);
             let top = ns.dir(root).children[0];

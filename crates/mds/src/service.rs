@@ -866,6 +866,127 @@ mod tests {
         );
     }
 
+    /// MDS 0 ships half of what it serves to MDS 1, every tick.
+    struct ShedHalf;
+
+    impl Balancer for ShedHalf {
+        fn name(&self) -> &str {
+            "shed-half"
+        }
+        fn metaload(
+            &self,
+            heat: &mantle_namespace::HeatSample,
+        ) -> mantle_policy::PolicyResult<f64> {
+            Ok(heat.cephfs_metaload())
+        }
+        fn metaload_is_additive(&self) -> bool {
+            true
+        }
+        fn decide(
+            &mut self,
+            ctx: &BalanceContext,
+        ) -> mantle_policy::PolicyResult<Option<MigrationPlan>> {
+            let mine = ctx.heartbeats[0].auth_metaload;
+            Ok((ctx.whoami == 0 && mine > 0.0).then(|| MigrationPlan {
+                targets: vec![0.0, mine / 2.0],
+                selectors: [crate::selector::DirfragSelector::BigFirst.into()].into(),
+            }))
+        }
+    }
+
+    /// A client that issues `ops` back to back, resolving each path when
+    /// its turn comes: the directory may have been created mid-run.
+    struct PathScript {
+        ops: Vec<(String, OpKind)>,
+        issued: usize,
+    }
+
+    impl Workload for PathScript {
+        fn num_clients(&self) -> usize {
+            1
+        }
+        fn setup(&mut self, ns: &mut Namespace) {
+            for (path, _) in self.ops.iter().filter(|(path, _)| !path.contains("late")) {
+                ns.mkdir_p(path);
+            }
+        }
+        fn next(&mut self, _client: usize, ns: &Namespace, _now: SimTime) -> Option<ClientOp> {
+            let (path, kind) = self.ops.get(self.issued)?;
+            self.issued += 1;
+            let dir = path
+                .split('/')
+                .filter(|c| !c.is_empty())
+                .fold(ns.root(), |d, c| {
+                    ns.lookup_child(d, c).expect("created before its first op")
+                });
+            Some(ClientOp { dir, kind: *kind })
+        }
+        fn name(&self) -> &str {
+            "live"
+        }
+    }
+
+    /// Directories created after a migration — by a live session's ops, or
+    /// by admin actions in the batch twin — sit past the end of everything
+    /// an export sized by the directory count (freeze / cold stamps) and,
+    /// seventy of them, past a word of the namespace's `warm` bits. They
+    /// are served like any other directory, and the live run is the batch
+    /// run, byte for byte.
+    #[test]
+    fn directories_created_after_a_migration_are_served_identically_live_and_in_batch() {
+        let mut cfg = config();
+        cfg.heartbeat_interval = SimTime::from_millis(5);
+        let late = |i: usize| format!("/live/a/late{i}");
+        let mut ops: Vec<(String, OpKind)> = Vec::new();
+        for i in 0..40 {
+            ops.push((["/live/a", "/live/b"][i % 2].to_string(), OpKind::Create));
+        }
+        let first_late = ops.len();
+        ops.extend((0..70).map(|i| (late(i), OpKind::Mkdir)));
+        ops.extend((0..10).map(|i| (late(69 - i), [OpKind::Stat, OpKind::Create][i % 2])));
+
+        // Live, in lock-step: each op is submitted — its directory created
+        // — at the instant the previous one completed.
+        let (mut svc, handle) = LiveService::new(ClockMode::Sim);
+        let workload = svc.workload(1);
+        handle.submit_op(0, &ops[0].0, ops[0].1);
+        let live_cfg = cfg.clone();
+        let run = spawn(svc, None, move || {
+            Cluster::new(live_cfg, workload, |_| Box::new(ShedHalf))
+        });
+        let mut got = completions(&handle, 1);
+        for (path, kind) in &ops[1..] {
+            handle.submit_op(0, path, *kind);
+            got.extend(completions(&handle, 1));
+        }
+        handle.shutdown();
+        let (live, _) = run.join().expect("live run");
+        assert_eq!(live.total_ops(), ops.len() as f64, "every op answered");
+        assert!(
+            live.mds[0].migrations_out > 0 && got[first_late].mds == 1,
+            "/live/a moved to MDS 1 before the first late mkdir"
+        );
+        assert!(
+            got[first_late..].iter().all(|c| c.mds == 1),
+            "late directories are served by the importer they were born under"
+        );
+
+        // The batch twin: the same ops from a script, each late directory
+        // created by an admin action at the instant the live run created
+        // it (globals win same-instant ties, so just before the reply
+        // that makes the client ask for it).
+        let script = PathScript { ops, issued: 0 };
+        let mut twin = Cluster::new(cfg, Box::new(script), |_| Box::new(ShedHalf));
+        for i in 0..70 {
+            let (at, path) = (got[first_late + i - 1].at, late(i));
+            twin.schedule_admin(at, move |ns| {
+                ns.mkdir_p(&path);
+            });
+        }
+        let batch = twin.run();
+        assert_eq!(format!("{live:?}"), format!("{batch:?}"));
+    }
+
     /// A policy bug of the worst kind.
     struct Exploding;
 

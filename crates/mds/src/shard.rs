@@ -1,13 +1,20 @@
 //! The data plane: every MDS's and client's events, queue and counters.
 //!
 //! One [`Shard`] owns the event queue, the per-MDS counters and RNG
-//! streams, and the client state. It runs in **windows**: the scheduler
-//! (in [`crate::driver`]) picks `[base, end)` no wider than the shortest
-//! simulated hop, the shard drains its events inside it against a
-//! read-only [`SharedSim`], and the barrier ([`crate::barrier`]) then
-//! applies the namespace mutations the window deferred. A window's
-//! routing and service decisions therefore all see the window-start
-//! namespace, which is part of the model every golden pins.
+//! streams, and the client state — each client's learned routes, and the
+//! one label index over all of them ([`crate::cache::RouteIndex`]). It
+//! runs in **windows**: the scheduler (in [`crate::driver`]) picks
+//! `[base, end)` no wider than the shortest simulated hop, the shard
+//! drains its events inside it against a read-only [`SharedSim`], and the
+//! barrier ([`crate::barrier`]) then applies the namespace mutations the
+//! window deferred. A window's routing and service decisions therefore
+//! all see the window-start namespace, which is part of the model every
+//! golden pins.
+//!
+//! What a request costs here depends neither on how many migrations are
+//! live nor on how many clients there are: the freeze and cold-prefix
+//! lookups are one load from a per-directory stamp (`DirStamps`), and a
+//! reply that re-learns a known route is one hash probe.
 //!
 //! # Determinism
 //!
@@ -27,7 +34,7 @@
 use mantle_namespace::{FragId, MdsId, Namespace, NodeId, OpKind};
 use mantle_sim::{EventQueue, SimRng, SimTime};
 
-use crate::cache::{cacheable, group_of, GroupCache};
+use crate::cache::{cacheable, group_of, GroupCache, RouteIndex};
 use crate::client::{ClientOp, ClientState, Workload, PARKED};
 use crate::config::{ClusterConfig, PlacementPolicy};
 use crate::metrics::MdsCounters;
@@ -126,34 +133,35 @@ pub(crate) enum NsOp {
     CacheInvalidate { dir: NodeId },
 }
 
-/// One export's freeze or cold-prefix region. Membership is an
-/// Euler-interval range check against the namespace's current labels plus
-/// the authority holes captured at export time — no per-directory map
-/// entries are materialized. Expired windows are purged at barriers;
-/// in-window readers filter by `until` instead.
-#[derive(Debug, Clone)]
-pub(crate) struct SubtreeWindow {
-    pub(crate) root: NodeId,
-    /// Nested authority bounds inside the exported subtree; directories
-    /// under a hole did not move and are outside the window.
-    pub(crate) holes: Vec<NodeId>,
-    /// `dir_count` at capture: directories created after the export sit
-    /// outside the window even when their Euler label falls inside.
-    pub(crate) watermark: u32,
-    /// Frag exports cover only the fragmented directory itself.
-    pub(crate) root_only: bool,
-    pub(crate) until: SimTime,
-}
+/// One expiry instant per directory, indexed by `NodeId`: the latest
+/// `until` among the exports whose moved region held the directory.
+///
+/// The namespace only grows — no rename, no rmdir — so which directories
+/// an export moved is settled when it is applied, and
+/// [`crate::migration`] stamps each of them then. A lookup is one load
+/// and one compare, however many migrations are live, and a lapsed stamp
+/// needs no purge: it compares as "not covered". A directory past the
+/// vector's end was created after the last export, so no region holds it,
+/// and it reads as [`SimTime::ZERO`].
+#[derive(Debug, Default)]
+pub(crate) struct DirStamps(Vec<SimTime>);
 
-impl SubtreeWindow {
-    pub(crate) fn contains(&self, ns: &Namespace, d: NodeId) -> bool {
-        if d.0 >= self.watermark {
-            return false;
+impl DirStamps {
+    fn get(&self, d: NodeId) -> SimTime {
+        self.0.get(d.0 as usize).copied().unwrap_or(SimTime::ZERO)
+    }
+
+    /// Stamp `until` on each of `dirs`, keeping a later stamp already
+    /// there. `dir_count` is the namespace's current size: the vector
+    /// follows directories created since the last export.
+    pub(crate) fn raise(&mut self, dirs: &[NodeId], dir_count: usize, until: SimTime) {
+        if self.0.len() < dir_count {
+            self.0.resize(dir_count, SimTime::ZERO);
         }
-        if self.root_only {
-            return d == self.root;
+        for d in dirs {
+            let stamp = &mut self.0[d.0 as usize];
+            *stamp = (*stamp).max(until);
         }
-        ns.in_subtree(d, self.root) && !self.holes.iter().any(|&h| ns.in_subtree(d, h))
     }
 }
 
@@ -179,12 +187,12 @@ pub struct SharedSim {
     /// Service-time multiplier per MDS while `now < slow_until`.
     pub(crate) slow_factor: Vec<f64>,
     pub(crate) slow_until: Vec<SimTime>,
-    /// Frozen regions (two-phase-commit migrations); a request inside any
-    /// live window defers to the latest covering thaw.
-    pub(crate) frozen: Vec<SubtreeWindow>,
-    /// Regions whose new authority is still warming up its ancestor
-    /// prefix replicas.
-    pub(crate) prefix_cold: Vec<SubtreeWindow>,
+    /// Per directory, the latest thaw of a two-phase-commit migration
+    /// that moved it; a request arriving before it defers to it.
+    pub(crate) frozen_until: DirStamps,
+    /// Per directory, when its newest authority will have warmed up its
+    /// ancestor prefix replicas.
+    pub(crate) cold_until: DirStamps,
     /// Heartbeat epoch: balancer ticks completed so far (stamps trace
     /// records; only changes in exclusive phases).
     pub(crate) hb_epoch: u64,
@@ -251,6 +259,8 @@ pub struct Shard {
     pub(crate) queue: EventQueue<Event>,
     pub(crate) workload: Box<dyn Workload>,
     pub(crate) clients: Vec<ClientState>,
+    /// The label index over every client's learned routes.
+    pub(crate) routes: RouteIndex,
     pub(crate) counters: Vec<MdsCounters>,
     /// Absolute µs when each MDS becomes free (single-server queue).
     pub(crate) next_free: Vec<SimTime>,
@@ -327,6 +337,7 @@ impl Shard {
             queue: EventQueue::with_scheduler(cfg.scheduler),
             workload,
             clients: (0..num_clients).map(ClientState::new).collect(),
+            routes: RouteIndex::default(),
             counters: (0..num_mds).map(|_| MdsCounters::new()).collect(),
             next_free: vec![SimTime::ZERO; num_mds],
             rng_service: (0..num_mds)
@@ -434,7 +445,7 @@ impl Shard {
                     epoch,
                 } => self.on_complete(sh, mds, req, service_us, epoch, now),
                 Event::Reply { mds, req } => self.on_reply(sh, mds, req, now),
-                Event::Timeout { client, seq } => self.on_timeout(client, seq, now),
+                Event::Timeout { client, seq } => self.on_timeout(sh, client, seq, now),
                 Event::Retry(c) => self.on_retry(sh, c, now),
             }
         }
@@ -590,7 +601,7 @@ impl Shard {
     /// A request timeout fired. If the attempt is still outstanding, the
     /// client declares it lost, forgets its (possibly stale) route for
     /// the directory, and backs off exponentially before retrying.
-    fn on_timeout(&mut self, c: usize, seq: u64, now: SimTime) {
+    fn on_timeout(&mut self, sh: &SharedSim, c: usize, seq: u64, now: SimTime) {
         let client = &self.clients[c];
         if client.seq != seq || client.pending.is_none() {
             return; // the attempt completed (or was already superseded)
@@ -603,7 +614,7 @@ impl Shard {
         client.attempts += 1;
         // Re-route: the cached mapping pointed at a dead or unreachable
         // authority; fall back to the mount authority on the next try.
-        client.invalidate(dir);
+        self.routes.forget(&sh.ns, &mut self.clients, c, dir);
         let backoff = self.cfg.faults.backoff_for(attempt);
         let key = self.client_key(c);
         self.queue
@@ -630,9 +641,10 @@ impl Shard {
             return;
         }
         client.pending = None;
-        client.learn(&sh.ns, req.op.dir, mds);
         let latency_ms = (now - req.issued).as_millis_f64();
         client.record_completion(now, latency_ms);
+        self.routes
+            .learn(&sh.ns, &mut self.clients, req.client, req.op.dir, mds);
         if self.live {
             self.completions.push(crate::service::LiveCompletion {
                 client: req.client,
@@ -735,11 +747,7 @@ impl Shard {
         // Path traversal: right after an import the serving MDS has not
         // yet replicated the directory's ancestor prefix, so traversals
         // resolve remotely (and, once warm, locally again).
-        let in_cold = sh
-            .prefix_cold
-            .iter()
-            .any(|w| w.until > now && w.contains(&sh.ns, req.op.dir));
-        if in_cold {
+        if in_cold(sh, req.op.dir, now) {
             if sh.ns.dir(req.op.dir).parent.is_some() {
                 base *= 1.0 + self.cfg.costs.remote_prefix_penalty;
                 self.counters[mds].remote_prefix += 1;
@@ -872,20 +880,52 @@ impl Shard {
     }
 }
 
-/// Latest thaw among live frozen windows covering `d`, if any. Purging
-/// happens at barriers; mid-window readers filter by `until` instead of
-/// mutating the shared set.
+/// The latest thaw among the migrations still freezing `d` at `now`, if
+/// any.
 pub(crate) fn frozen_until(sh: &SharedSim, d: NodeId, now: SimTime) -> Option<SimTime> {
-    sh.frozen
-        .iter()
-        .filter(|w| w.until > now && w.contains(&sh.ns, d))
-        .map(|w| w.until)
-        .max()
+    let thaw = sh.frozen_until.get(d);
+    (thaw > now).then_some(thaw)
+}
+
+/// Is `d`'s authority still warming up its prefix replicas at `now`?
+pub(crate) fn in_cold(sh: &SharedSim, d: NodeId, now: SimTime) -> bool {
+    sh.cold_until.get(d) > now
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One export's moved region as a predicate: the test oracle for what
+    /// [`DirStamps`] and the label indexes in [`crate::cache`] compute.
+    /// Membership is an Euler-interval check against the namespace's
+    /// current labels, minus the authority holes and the directories
+    /// created after the export.
+    #[derive(Debug, Clone)]
+    pub(crate) struct SubtreeWindow {
+        pub(crate) root: NodeId,
+        /// Nested authority bounds inside the exported subtree;
+        /// directories under a hole did not move.
+        pub(crate) holes: Vec<NodeId>,
+        /// `dir_count` at capture: directories created after the export
+        /// sit outside even when their Euler label falls inside.
+        pub(crate) watermark: u32,
+        /// Frag exports cover only the fragmented directory itself.
+        pub(crate) root_only: bool,
+        pub(crate) until: SimTime,
+    }
+
+    impl SubtreeWindow {
+        pub(crate) fn contains(&self, ns: &Namespace, d: NodeId) -> bool {
+            if d.0 >= self.watermark {
+                return false;
+            }
+            if self.root_only {
+                return d == self.root;
+            }
+            ns.in_subtree(d, self.root) && !self.holes.iter().any(|&h| ns.in_subtree(d, h))
+        }
+    }
 
     #[test]
     fn keys_order_by_origin_then_sequence() {

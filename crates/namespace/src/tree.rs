@@ -251,6 +251,9 @@ pub struct Namespace {
     /// after construction — `tests/index_equivalence.rs` asserts this
     /// stays 0.
     rebuilds: u64,
+    /// One bit per directory, 64 to a word: an op was recorded on it or
+    /// below it ([`Namespace::is_warm`]). Grown by [`Namespace::mkdir`].
+    warm: Vec<u64>,
 }
 
 impl Namespace {
@@ -293,6 +296,7 @@ impl Namespace {
             frag_over: vec![BTreeSet::new()],
             renumbers: 0,
             rebuilds: 0,
+            warm: vec![0],
         }
     }
 
@@ -368,6 +372,9 @@ impl Namespace {
             cursor: tin + 1,
         };
         self.dirs.push(dir);
+        if self.warm.len() * 64 < self.dirs.len() {
+            self.warm.push(0);
+        }
         self.dir_mut(parent).children.push(id);
         id
     }
@@ -557,6 +564,7 @@ impl Namespace {
     ) -> FragId {
         let frag_id = frag.min(self.dir(id).frags.len() - 1);
         self.touch(now);
+        self.mark_warm(id);
         {
             let d = self.dir_mut(id);
             d.frags[frag_id].heat.record(op, now);
@@ -593,6 +601,30 @@ impl Namespace {
             anc = d.parent;
         }
         frag_id
+    }
+
+    /// Has an op ever been recorded on `id` or on a directory below it?
+    ///
+    /// Heat reaches a fragment only through
+    /// [`Namespace::record_op_no_split`] (splits divide what is already
+    /// there), which charges the directory and rolls up to each ancestor;
+    /// the bit is set for exactly those. So while it is clear, every
+    /// counter of every fragment in `id`'s whole subtree, and `id`'s
+    /// rolled-up heat, is exactly zero — at any sampling instant, decay
+    /// of zero being zero. One bit per directory: a planner that asks
+    /// this first never pulls a cold [`Dir`] into cache.
+    pub fn is_warm(&self, id: NodeId) -> bool {
+        (self.warm[id.0 as usize / 64] >> (id.0 % 64)) & 1 != 0
+    }
+
+    /// Set the bit on `id` and its ancestors, stopping at the first one
+    /// already set (its own ancestors were set with it).
+    fn mark_warm(&mut self, id: NodeId) {
+        let mut cur = Some(id);
+        while let Some(d) = cur.filter(|&d| !self.is_warm(d)) {
+            self.warm[d.0 as usize / 64] |= 1 << (d.0 % 64);
+            cur = self.dirs[d.0 as usize].parent;
+        }
     }
 
     /// One deferred split check on `id` — the barrier-time counterpart of
@@ -1560,6 +1592,39 @@ mod tests {
         assert_eq!(h.ird, 2.0, "ancestor sees descendant ops");
         let hr = ns.subtree_heat(ns.root(), SimTime::ZERO);
         assert_eq!(hr.ird, 2.0);
+    }
+
+    #[test]
+    fn warm_marks_exactly_the_charged_dir_and_its_ancestors() {
+        let warm_set =
+            |ns: &Namespace| -> Vec<NodeId> { ns.all_dirs().filter(|&d| ns.is_warm(d)).collect() };
+        let mut ns = Namespace::new(small_cfg());
+        let a = ns.mkdir_p("/a");
+        let ab = ns.mkdir_p("/a/b");
+        let abc = ns.mkdir_p("/a/b/c");
+        let ax = ns.mkdir_p("/a/x");
+        let other = ns.mkdir_p("/other");
+        assert_eq!(warm_set(&ns), vec![], "nothing charged, nothing warm");
+        let root = ns.root();
+        ns.record_op(ab, OpKind::Stat, SimTime::ZERO);
+        assert_eq!(warm_set(&ns), vec![root, a, ab]);
+        ns.record_op_on(other, 0, OpKind::Create, SimTime::ZERO);
+        assert_eq!(warm_set(&ns), vec![root, a, ab, other]);
+        ns.record_op_no_split(abc, 0, OpKind::Readdir, SimTime::from_secs(1));
+        assert_eq!(warm_set(&ns), vec![root, a, ab, abc, other]);
+        // Creating directories — past a word of the bitset — and moving
+        // authority warm nothing up.
+        let wide: Vec<NodeId> = (0..200).map(|i| ns.mkdir(ax, format!("w{i}"))).collect();
+        ns.migrate_subtree(ax, 1);
+        ns.set_frag_auth(wide[7], 0, Some(2));
+        assert_eq!(warm_set(&ns), vec![root, a, ab, abc, other]);
+        ns.record_op(wide[150], OpKind::Create, SimTime::from_secs(2));
+        assert_eq!(warm_set(&ns), vec![root, a, ab, abc, ax, other, wide[150]]);
+        // And that is where the heat is: everything cold samples zero.
+        for d in ns.all_dirs().collect::<Vec<_>>() {
+            let heat = ns.subtree_heat(d, SimTime::from_secs(3));
+            assert_eq!(heat != HeatSample::default(), ns.is_warm(d), "{d:?}");
+        }
     }
 
     #[test]
