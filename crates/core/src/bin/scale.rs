@@ -1,4 +1,4 @@
-//! Run the scale-mode scenarios and print the heap-vs-wheel table.
+//! Run the scale-mode scenarios and print the wall-clock table.
 //!
 //! ```text
 //! cargo run --release -p mantle-core --bin scale               # full rows
@@ -12,10 +12,9 @@ use mantle_core::scale::scale_table;
 const USAGE: &str = "\
 usage: scale [--smoke]
 
-Runs the scale-mode scenarios (zipf-mix workloads at 10/64/128 MDSs) on
-both event-queue backends, asserts the RunReports are byte-identical, and
-prints the heap-vs-wheel wall-clock table recorded in EXPERIMENTS.md.
---smoke runs a single CI-sized row instead of the full (multi-minute)
+Runs the scale-mode scenarios (zipf-mix workloads at 10/64/128 MDSs),
+each row once, and prints the set-up / run wall-clock table recorded in
+EXPERIMENTS.md. --smoke runs a single CI-sized row instead of the full
 sweep.";
 
 fn main() {

@@ -4,23 +4,20 @@
 //! system that "serves millions of users", and related work (λFS, MIDAS)
 //! expects metadata services to scale to hundreds of serving units. These
 //! scenarios stress the *simulator* at that scale — ≥64 MDSs, ≥100k
-//! directories, multi-million-request Zipf workloads — which is exactly
-//! the regime where the heap-backed event queue's O(log n) pops become the
-//! hot path and the timing wheel ([`mantle_sim::SchedulerKind::Wheel`])
-//! earns its keep.
+//! directories, multi-million-request Zipf workloads — where a balancer
+//! tick over 128 MDSs, not the event queue, is where host time goes
+//! (EXPERIMENTS.md "Scale mode").
 //!
-//! Every row runs twice, once per scheduler backend, and the two
-//! [`RunReport`]s must be **byte-identical**: the wheel is a pure
-//! performance substitution, never a behavioral one. The `scale` bin
-//! prints the wall-clock comparison table recorded in EXPERIMENTS.md;
-//! `scale --smoke` is the CI-sized variant of the same check.
+//! The `scale` bin prints the wall-clock table recorded in EXPERIMENTS.md;
+//! `scale --smoke` is the CI-sized variant. `benchmark/`'s two batch
+//! workloads are these shapes, timed properly.
 
 use std::time::Instant;
 
 use crate::experiment::{build_cluster, BalancerSpec, Experiment, WorkloadSpec};
 use crate::policies;
 use crate::table::TextTable;
-use mantle_mds::{ClusterConfig, RunReport, SchedulerKind};
+use mantle_mds::{ClusterConfig, SchedulerKind};
 use mantle_sim::SimTime;
 
 /// One scale-mode cluster shape.
@@ -82,8 +79,12 @@ pub fn scale_specs(smoke: bool) -> Vec<ScaleSpec> {
     ]
 }
 
-/// The experiment a scale row describes, on the chosen scheduler backend.
-pub fn scale_experiment(spec: &ScaleSpec, scheduler: SchedulerKind, seed: u64) -> Experiment {
+/// The experiment a scale row describes.
+///
+/// The middle argument is ignored: the pinned benchmark harness
+/// (`benchmark/src/batch.rs`) passes a [`SchedulerKind`] there, and it
+/// leaves with the harness un-pin (ROADMAP item 1).
+pub fn scale_experiment(spec: &ScaleSpec, _: SchedulerKind, seed: u64) -> Experiment {
     let config = ClusterConfig {
         num_mds: spec.num_mds,
         seed,
@@ -92,8 +93,7 @@ pub fn scale_experiment(spec: &ScaleSpec, scheduler: SchedulerKind, seed: u64) -
         heartbeat_interval: SimTime::from_secs(2),
         frag_split_threshold: 1_000,
         ..Default::default()
-    }
-    .with_scheduler(scheduler);
+    };
     Experiment::new(
         config,
         WorkloadSpec::ZipfMix {
@@ -110,36 +110,9 @@ pub fn scale_experiment(spec: &ScaleSpec, scheduler: SchedulerKind, seed: u64) -
     )
 }
 
-/// Wall-clock result of one row on one backend.
-#[derive(Debug, Clone)]
-pub struct ScaleRun {
-    /// The report (identical across backends for a fixed seed).
-    pub report: RunReport,
-    /// Host wall-clock `build_cluster` took: namespace population and
-    /// engine construction, the same on every backend and in every mode.
-    pub setup_secs: f64,
-    /// Host wall-clock the run took, set-up excluded.
-    pub wall_secs: f64,
-}
-
-/// Run one row on one backend, timing set-up and run separately.
-pub fn run_scale(spec: &ScaleSpec, scheduler: SchedulerKind, seed: u64) -> ScaleRun {
-    let exp = scale_experiment(spec, scheduler, seed);
-    let start = Instant::now();
-    let cluster = build_cluster(&exp);
-    let setup_secs = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let report = cluster.run();
-    let wall_secs = start.elapsed().as_secs_f64();
-    ScaleRun {
-        report,
-        setup_secs,
-        wall_secs,
-    }
-}
-
-/// Run every row on both backends, assert report equality, and render the
-/// heap-vs-wheel wall-clock table.
+/// Run every row once, timing set-up (`build_cluster`: namespace
+/// population and engine construction) and the run separately, and render
+/// the wall-clock table.
 pub fn scale_table(smoke: bool) -> String {
     let seed = 42;
     let mut table = TextTable::new([
@@ -149,35 +122,30 @@ pub fn scale_table(smoke: bool) -> String {
         "dirs",
         "ops",
         "setup s",
-        "heap s",
-        "wheel s",
-        "speedup",
+        "wall s",
         "migrations",
     ]);
     for spec in scale_specs(smoke) {
-        let heap = run_scale(&spec, SchedulerKind::Heap, seed);
-        let wheel = run_scale(&spec, SchedulerKind::Wheel, seed);
-        assert_eq!(
-            format!("{:?}", heap.report),
-            format!("{:?}", wheel.report),
-            "{}: scheduler backends must be bit-identical",
-            spec.name
-        );
+        let exp = scale_experiment(&spec, SchedulerKind::default(), seed);
+        let start = Instant::now();
+        let cluster = build_cluster(&exp);
+        let setup_secs = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        let report = cluster.run();
+        let wall_secs = start.elapsed().as_secs_f64();
         table.row([
             spec.name.to_string(),
             spec.num_mds.to_string(),
             spec.clients.to_string(),
             spec.dirs.to_string(),
-            format!("{:.0}", heap.report.total_ops()),
-            format!("{:.2}", heap.setup_secs),
-            format!("{:.2}", heap.wall_secs),
-            format!("{:.2}", wheel.wall_secs),
-            format!("{:.2}x", heap.wall_secs / wheel.wall_secs.max(1e-9)),
-            heap.report.total_migrations().to_string(),
+            format!("{:.0}", report.total_ops()),
+            format!("{setup_secs:.2}"),
+            format!("{wall_secs:.2}"),
+            report.total_migrations().to_string(),
         ]);
     }
     format!(
-        "Scale mode (zipf-mix, greedy-spill-even; heap vs wheel scheduler)\n{}",
+        "Scale mode (zipf-mix, greedy-spill-even)\n{}",
         table.render()
     )
 }
@@ -203,14 +171,5 @@ mod tests {
             rows.iter().map(ScaleSpec::total_ops).sum::<u64>() >= 4_000_000,
             "multi-million requests"
         );
-    }
-
-    #[test]
-    fn smoke_backends_agree() {
-        let spec = scale_specs(true).remove(0);
-        let heap = run_scale(&spec, SchedulerKind::Heap, 7);
-        let wheel = run_scale(&spec, SchedulerKind::Wheel, 7);
-        assert_eq!(format!("{:?}", heap.report), format!("{:?}", wheel.report));
-        assert_eq!(heap.report.total_ops(), spec.total_ops() as f64);
     }
 }

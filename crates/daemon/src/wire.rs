@@ -79,13 +79,24 @@ pub fn decode_frame(buf: &mut Vec<u8>) -> Result<Option<Json>, WireError> {
 }
 
 /// Blocking frame read (client side). Returns `Ok(None)` on clean EOF at
-/// a frame boundary.
+/// a frame boundary; a stream that ends anywhere inside a frame — its
+/// length prefix included — is an `UnexpectedEof` error.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
     let mut len_bytes = [0u8; 4];
-    match r.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let mut got = 0;
+    while got < len_bytes.len() {
+        match r.read(&mut len_bytes[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("stream ended {got} bytes into a length prefix"),
+                ))
+            }
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     let len = u32::from_be_bytes(len_bytes) as usize;
     if len > MAX_FRAME {
@@ -241,6 +252,17 @@ mod tests {
         let mut bad = vec![0, 0, 0, 2];
         bad.extend_from_slice(b"{x");
         assert!(matches!(decode_frame(&mut bad), Err(WireError::BadJson(_))));
+    }
+
+    #[test]
+    fn read_frame_tells_a_clean_close_from_a_truncated_frame() {
+        let frame = encode_frame(&parse(r#"{"id":1}"#).unwrap());
+        let read = |bytes: &[u8]| read_frame(&mut io::Cursor::new(bytes));
+        assert_eq!(read(&frame[..0]).unwrap(), None, "closed between frames");
+        for cut in [2, 4 + 3] {
+            let err = read(&frame[..cut]).expect_err("closed inside a frame");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
     }
 
     #[test]

@@ -345,7 +345,6 @@ impl Cluster {
         let mut ns = Namespace::new(NsConfig {
             frag_split_threshold: cfg.frag_split_threshold,
             decay_half_life: cfg.decay_half_life,
-            index_mode: cfg.index_mode,
             ..Default::default()
         });
         workload.setup(&mut ns);
@@ -390,7 +389,7 @@ impl Cluster {
             trace: Tracer::new(None, &cfg),
             failovers: 0,
             barrier: Barrier::default(),
-            globals: EventQueue::with_scheduler(cfg.scheduler),
+            globals: EventQueue::new(),
             swapped: Vec::new(),
             workload_name,
             cfg,

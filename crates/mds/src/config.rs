@@ -4,7 +4,7 @@
 //! overheads make spilling to 2 MDSs a win and to 4 a loss, Fig. 8).
 
 use mantle_namespace::{IndexMode, OpKind};
-use mantle_sim::{SchedulerKind, SimTime};
+use mantle_sim::SimTime;
 
 use crate::faults::FaultPlan;
 
@@ -57,15 +57,8 @@ pub struct ClusterConfig {
     /// timeouts, retry backoff, balancer fallback). The default plan is
     /// inert.
     pub faults: FaultPlan,
-    /// Which namespace index machinery to run on: the incremental indexes
-    /// (default) or the retained walk-based oracle paths, for differential
-    /// testing — a fixed seed must produce an identical `RunReport` in
-    /// either mode.
+    /// Ignored: a one-valued harness pin (see the bottom of this file).
     pub index_mode: IndexMode,
-    /// Event-queue backend: the binary heap (default, the differential
-    /// oracle) or the hierarchical timing wheel for scale-mode runs. A
-    /// fixed seed must produce an identical `RunReport` on either.
-    pub scheduler: SchedulerKind,
     /// The proxy-tier read cache in front of the cluster
     /// ([`crate::cache`]). **Inert by default** — with
     /// `cache.enabled == false` no cache state is allocated, no extra
@@ -95,7 +88,6 @@ impl Default for ClusterConfig {
             max_duration: SimTime::from_mins(60),
             faults: FaultPlan::default(),
             index_mode: IndexMode::default(),
-            scheduler: SchedulerKind::default(),
             cache: CacheConfig::default(),
             elastic: ElasticConfig::default(),
         }
@@ -112,12 +104,6 @@ impl ClusterConfig {
     /// Convenience: set the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Convenience: pick the event-queue backend.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -357,10 +343,12 @@ impl CostModel {
 
 // -- Harness pins ---------------------------------------------------------
 //
-// The pinned benchmark harness (`benchmark/src/batch.rs`) compiles against
-// these two names; both are ignored. They leave with the harness un-pin
-// (ROADMAP item 1), as do `ExecStats::{threads, shards}` and
-// `ShardStats::{msgs_sent, barrier_wait_ns}` in `shard.rs`.
+// The pinned benchmark harness (`benchmark/src/{batch,layers}.rs`) compiles
+// against `ExecMode`, `with_exec_mode` and the one-valued `index_mode` field
+// (`mantle_namespace::IndexMode`); all three are ignored. They leave with
+// the harness un-pin (ROADMAP item 1), as do `ExecStats::{threads, shards}`
+// and `ShardStats::{msgs_sent, barrier_wait_ns}` in `shard.rs`, and
+// `mantle_sim::SchedulerKind`, re-exported from `lib.rs`.
 
 /// Ignored: every run has one data plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

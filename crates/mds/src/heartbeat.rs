@@ -116,7 +116,7 @@ impl HeartbeatView {
                     all_load[auth] += load;
                     // Every MDS replicating this path prefix also "knows"
                     // about this load.
-                    for rep in ns.ancestor_auth_chain(d) {
+                    for &rep in ns.ancestor_auth_chain(d) {
                         if rep != auth {
                             all_load[rep] += load * REPLICA_DISCOUNT;
                         }

@@ -54,6 +54,7 @@ pub use elastic::rendezvous_owner;
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use invariants::{assert_invariants, check_trace, Violation};
 pub use mantle_policy::HookEngine;
+// Harness pin, ignored: see the bottom of `config.rs`.
 pub use mantle_sim::SchedulerKind;
 pub use report::RunReport;
 pub use selector::{select_best, DirfragSelector};

@@ -334,7 +334,7 @@ impl Shard {
         let faults_active = cfg.faults.is_active();
         let half_rtt = SimTime::from_micros_f64(cfg.costs.rtt_us / 2.0);
         Shard {
-            queue: EventQueue::with_scheduler(cfg.scheduler),
+            queue: EventQueue::new(),
             workload,
             clients: (0..num_clients).map(ClientState::new).collect(),
             routes: RouteIndex::default(),

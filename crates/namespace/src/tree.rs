@@ -21,9 +21,7 @@ pub struct NsConfig {
     /// Half life of the popularity counters (the exponential decay of
     /// Fig. 1).
     pub decay_half_life: SimTime,
-    /// Which authority/aggregate machinery the namespace runs on. Must be
-    /// chosen at construction: switching modes on a namespace that has
-    /// already absorbed load would not be bit-exact.
+    /// Ignored (see [`IndexMode`]).
     pub index_mode: IndexMode,
 }
 
@@ -86,9 +84,7 @@ pub struct Dir {
     /// Rolled-up decayed heat of the whole subtree (every op on this dir or
     /// any descendant hits this) — the per-directory heat of Fig. 1.
     pub subtree_heat: FragHeat,
-    /// Memoized authority resolution. In [`IndexMode::Incremental`] it is
-    /// kept eagerly fresh by every mutation; in [`IndexMode::WalkOracle`]
-    /// it is valid only while its epoch matches [`Namespace::auth_epoch`].
+    /// Memoized authority resolution, kept fresh by every mutation.
     auth_cache: AuthCache,
     /// Euler-tour label: this dir's own point in the ordering. The subtree
     /// occupies `[tin, tout)`, so "is `d` inside subtree `s`" is one range
@@ -122,12 +118,9 @@ impl Names {
     }
 }
 
-/// Cached result of `resolve_auth` + `ancestor_auth_chain` for one dir.
-#[derive(Debug, Clone, Default)]
+/// What `resolve_auth` and `ancestor_auth_chain` answer for one dir.
+#[derive(Debug, Clone)]
 struct AuthCache {
-    /// Epoch this entry was computed at; 0 means never computed (the
-    /// namespace epoch starts at 1).
-    epoch: u64,
     auth: MdsId,
     /// The ancestor authority chain, nearest first, deduplicated.
     chain: Vec<MdsId>,
@@ -185,18 +178,19 @@ pub struct FragRef {
     pub frag: FragId,
 }
 
-/// Which machinery the namespace uses for authority resolution, ownership
-/// enumeration, and the per-MDS load aggregates.
+// -- Harness pin ----------------------------------------------------------
+//
+// The pinned benchmark harness (`benchmark/src/layers.rs`) copies
+// `ClusterConfig::index_mode` into `NsConfig::index_mode`; the type behind
+// both fields has one value and nothing reads it. All three leave with the
+// harness un-pin (ROADMAP item 1).
+
+/// Ignored: the namespace has one set of indexes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexMode {
-    /// Euler-tour intervals, per-MDS ownership indexes, and aggregates
-    /// maintained by deltas on every authority change (the default).
+    /// Ignored.
     #[default]
     Incremental,
-    /// The retained pre-index paths: lazily epoch-versioned auth caches,
-    /// dirty-flag full rebuilds, and full-namespace scans. Kept as a
-    /// differential-testing oracle — results must be identical either way.
-    WalkOracle,
 }
 
 /// Result of a subtree migration.
@@ -214,10 +208,8 @@ pub struct SubtreeMigration {
 /// Besides the tree itself, the namespace maintains per-MDS decayed heat
 /// aggregates incrementally: every [`Namespace::record_op`] also charges
 /// the authority's (and each prefix replica's) aggregate counter, and every
-/// authority mutation marks the aggregates dirty. A heartbeat snapshot via
-/// [`Namespace::mds_load_samples`] is then O(MDSs) on migration-free ticks
-/// and rebuilds from per-frag truth — once, interpreter-free — on the first
-/// tick after an authority change.
+/// authority mutation moves the affected fragments' heat between them. A
+/// heartbeat snapshot via [`Namespace::mds_load_samples`] is O(MDSs).
 #[derive(Debug, Clone)]
 pub struct Namespace {
     cfg: NsConfig,
@@ -228,14 +220,7 @@ pub struct Namespace {
     /// [`Namespace::lookup_child`] reads it; it is never iterated, so
     /// `Dir::children` stays the one ordered record of the tree.
     child_index: HashMap<(NodeId, u32), NodeId>,
-    /// Bumped on every authority mutation; versions the per-dir
-    /// `AuthCache` entries. Starts at 1 so a zeroed cache is always stale.
-    auth_epoch: u64,
     agg: LoadAggregates,
-    /// When set, the aggregates have missed updates (an authority change
-    /// moved heat between MDSs) and must be rebuilt before reading.
-    agg_dirty: bool,
-    mode: IndexMode,
     /// High-water mark of every timestamp the namespace has seen.
     /// Authority mutations carry no timestamp of their own; they move heat
     /// between aggregates by sampling at this time — exact, because it is
@@ -247,10 +232,6 @@ pub struct Namespace {
     frag_over: Vec<BTreeSet<(NodeId, FragId)>>,
     /// Full Euler renumber passes performed (diagnostics).
     renumbers: u64,
-    /// Full aggregate rebuilds performed. Incremental mode never needs one
-    /// after construction — `tests/index_equivalence.rs` asserts this
-    /// stays 0.
-    rebuilds: u64,
     /// One bit per directory, 64 to a word: an op was recorded on it or
     /// below it ([`Namespace::is_warm`]). Grown by [`Namespace::mkdir`].
     warm: Vec<u64>,
@@ -269,7 +250,6 @@ impl Namespace {
             auth: Some(0),
             subtree_heat: FragHeat::new(cfg.decay_half_life),
             auth_cache: AuthCache {
-                epoch: 1,
                 auth: 0,
                 chain: vec![0],
             },
@@ -286,16 +266,12 @@ impl Namespace {
             dirs: vec![root],
             names,
             child_index: HashMap::new(),
-            mode: cfg.index_mode,
             cfg,
-            auth_epoch: 1,
             agg,
-            agg_dirty: false,
             clock: SimTime::ZERO,
             bound_roots: vec![root_set],
             frag_over: vec![BTreeSet::new()],
             renumbers: 0,
-            rebuilds: 0,
             warm: vec![0],
         }
     }
@@ -343,20 +319,8 @@ impl Namespace {
         let depth = self.dir(parent).depth + 1;
         let half_life = self.cfg.decay_half_life;
         let (tin, tout) = self.alloc_interval(parent);
-        // In incremental mode a new dir's resolution is its parent's, and
-        // the invariant "every cache is valid" must survive the mkdir. The
-        // walk oracle leaves the cache zeroed (epoch 0 = stale) exactly as
-        // the lazy path expects.
-        let auth_cache = if self.mode == IndexMode::Incremental {
-            let p = &self.dirs[parent.0 as usize].auth_cache;
-            AuthCache {
-                epoch: self.auth_epoch,
-                auth: p.auth,
-                chain: p.chain.clone(),
-            }
-        } else {
-            AuthCache::default()
-        };
+        // A new dir resolves as its parent does: every cache stays valid.
+        let auth_cache = self.dirs[parent.0 as usize].auth_cache.clone();
         let dir = Dir {
             id,
             parent: Some(parent),
@@ -453,18 +417,6 @@ impl Namespace {
     /// Full Euler renumber passes performed so far (diagnostics).
     pub fn renumbers(&self) -> u64 {
         self.renumbers
-    }
-
-    /// Full aggregate rebuilds performed so far. Incremental mode never
-    /// rebuilds after construction; `tests/index_equivalence.rs` asserts
-    /// this.
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
-    }
-
-    /// The active index mode.
-    pub fn index_mode(&self) -> IndexMode {
-        self.mode
     }
 
     /// Create every component of a `/`-separated path, returning the leaf.
@@ -575,22 +527,17 @@ impl Namespace {
                 d.frags[frag_id].files -= 1;
             }
         }
-        // Charge the per-MDS aggregates. When dirty (an authority change
-        // happened since the last rebuild) skip: the rebuild recaptures
-        // everything from per-frag truth anyway.
-        if !self.agg_dirty {
-            self.refresh_auth_cache(id);
-            let idx = id.0 as usize;
-            let auth = self.dirs[idx].frags[frag_id]
-                .auth
-                .unwrap_or(self.dirs[idx].auth_cache.auth);
-            self.agg.ensure(auth);
-            self.agg.auth[auth].record(op, now);
-            for &rep in &self.dirs[idx].auth_cache.chain {
-                if rep != auth {
-                    self.agg.ensure(rep);
-                    self.agg.replica[rep].record(op, now);
-                }
+        // Charge the per-MDS aggregates.
+        let idx = id.0 as usize;
+        let auth = self.dirs[idx].frags[frag_id]
+            .auth
+            .unwrap_or(self.dirs[idx].auth_cache.auth);
+        self.agg.ensure(auth);
+        self.agg.auth[auth].record(op, now);
+        for &rep in &self.dirs[idx].auth_cache.chain {
+            if rep != auth {
+                self.agg.ensure(rep);
+                self.agg.replica[rep].record(op, now);
             }
         }
         // Roll up to every ancestor without materializing the chain.
@@ -643,22 +590,6 @@ impl Namespace {
         if now > self.clock {
             self.clock = now;
         }
-    }
-
-    /// Recompute `id`'s memoized authority resolution if an authority
-    /// change happened since it was last computed (O(depth) upward walk;
-    /// amortized O(1) across the ops between authority changes).
-    fn refresh_auth_cache(&mut self, id: NodeId) {
-        if self.dirs[id.0 as usize].auth_cache.epoch == self.auth_epoch {
-            return;
-        }
-        let auth = self.resolve_auth(id);
-        let chain = self.ancestor_auth_chain(id);
-        self.dirs[id.0 as usize].auth_cache = AuthCache {
-            epoch: self.auth_epoch,
-            auth,
-            chain,
-        };
     }
 
     /// The fragment the next operation on `id` will hit (used by request
@@ -780,13 +711,6 @@ impl Namespace {
 
     // ---- authority ----
 
-    /// Invalidate all memoized authority resolutions and the per-MDS load
-    /// aggregates; called by every authority mutation.
-    fn note_auth_change(&mut self) {
-        self.auth_epoch += 1;
-        self.agg_dirty = true;
-    }
-
     /// Grow the per-MDS index vectors so `mds` is a valid index.
     fn ensure_mds_index(&mut self, mds: MdsId) {
         while self.bound_roots.len() <= mds {
@@ -808,17 +732,7 @@ impl Namespace {
 
     /// Install (or clear) a subtree authority override at `id`.
     pub fn set_auth(&mut self, id: NodeId, auth: Option<MdsId>) {
-        match self.mode {
-            IndexMode::WalkOracle => {
-                let old = self.dir(id).auth;
-                self.update_bound_index(id, old, auth);
-                self.dir_mut(id).auth = auth;
-                self.note_auth_change();
-            }
-            IndexMode::Incremental => {
-                self.apply_auth_change(id, auth, false);
-            }
-        }
+        self.apply_auth_change(id, auth, false);
     }
 
     /// Install (or clear) a per-fragment authority override.
@@ -832,55 +746,38 @@ impl Namespace {
             self.frag_over[n].insert((id, frag));
         }
         self.dir_mut(id).frags[frag].auth = auth;
-        match self.mode {
-            IndexMode::WalkOracle => self.note_auth_change(),
-            IndexMode::Incremental => {
-                // One fragment's effective authority moves; the dir's chain
-                // (and every cache) is untouched.
-                let cache = &self.dirs[id.0 as usize].auth_cache;
-                let resolved = cache.auth;
-                let eff_old = old.unwrap_or(resolved);
-                let eff_new = auth.unwrap_or(resolved);
-                if eff_old == eff_new {
-                    return;
-                }
-                let h = self.dirs[id.0 as usize].frags[frag].heat.peek(self.clock);
-                if h == HeatSample::default() {
-                    return;
-                }
-                let clock = self.clock;
-                let in_chain_old = self.dirs[id.0 as usize].auth_cache.chain.contains(&eff_old);
-                let in_chain_new = self.dirs[id.0 as usize].auth_cache.chain.contains(&eff_new);
-                self.agg.ensure(eff_old.max(eff_new));
-                self.agg.auth[eff_old].add_sample(&h, clock, -1.0);
-                self.agg.auth[eff_new].add_sample(&h, clock, 1.0);
-                if in_chain_old {
-                    // Was the authority, now a mere prefix replica.
-                    self.agg.replica[eff_old].add_sample(&h, clock, 1.0);
-                }
-                if in_chain_new {
-                    // Was a prefix replica, now the authority.
-                    self.agg.replica[eff_new].add_sample(&h, clock, -1.0);
-                }
-            }
+        // One fragment's effective authority moves; the dir's chain (and
+        // every cache) is untouched.
+        let cache = &self.dirs[id.0 as usize].auth_cache;
+        let eff_old = old.unwrap_or(cache.auth);
+        let eff_new = auth.unwrap_or(cache.auth);
+        if eff_old == eff_new {
+            return;
+        }
+        let in_chain_old = cache.chain.contains(&eff_old);
+        let in_chain_new = cache.chain.contains(&eff_new);
+        let clock = self.clock;
+        let h = self.dirs[id.0 as usize].frags[frag].heat.peek(clock);
+        if h == HeatSample::default() {
+            return;
+        }
+        self.agg.ensure(eff_old.max(eff_new));
+        self.agg.auth[eff_old].add_sample(&h, clock, -1.0);
+        self.agg.auth[eff_new].add_sample(&h, clock, 1.0);
+        if in_chain_old {
+            // Was the authority, now a mere prefix replica.
+            self.agg.replica[eff_old].add_sample(&h, clock, 1.0);
+        }
+        if in_chain_new {
+            // Was a prefix replica, now the authority.
+            self.agg.replica[eff_new].add_sample(&h, clock, -1.0);
         }
     }
 
     /// The MDS serving directory `id` (nearest ancestor override; the root
-    /// always has one).
+    /// always has one). One load: the cache is maintained eagerly.
     pub fn resolve_auth(&self, id: NodeId) -> MdsId {
-        if self.mode == IndexMode::Incremental {
-            // Caches are eagerly maintained: O(1).
-            return self.dirs[id.0 as usize].auth_cache.auth;
-        }
-        let mut cur = id;
-        loop {
-            let d = self.dir(cur);
-            if let Some(a) = d.auth {
-                return a;
-            }
-            cur = d.parent.expect("root always has an authority");
-        }
+        self.dirs[id.0 as usize].auth_cache.auth
     }
 
     /// The MDS serving one fragment (fragment override, else the dir's).
@@ -892,22 +789,10 @@ impl Namespace {
 
     /// All fragments currently served by `mds`, in `(dir, frag)` order.
     ///
-    /// Incremental mode enumerates only what `mds` owns — its subtree
-    /// bound roots' bounded regions plus its fragment overrides — instead
-    /// of scanning the whole namespace; a final sort restores the scan
-    /// order the oracle produces.
+    /// Enumerates only what `mds` owns — its subtree bound roots' bounded
+    /// regions plus its fragment overrides — instead of scanning the whole
+    /// namespace; a final sort restores scan order.
     pub fn auth_frags(&self, mds: MdsId) -> Vec<FragRef> {
-        if self.mode == IndexMode::WalkOracle {
-            let mut out = Vec::new();
-            for d in &self.dirs {
-                for (i, _) in d.frags.iter().enumerate() {
-                    if self.frag_auth(d.id, i) == mds {
-                        out.push(FragRef { dir: d.id, frag: i });
-                    }
-                }
-            }
-            return out;
-        }
         let mut out = Vec::new();
         // Bounded subtrees of this MDS's bound roots: every dir in them
         // resolves to `mds`, so all frags count except those overridden
@@ -943,22 +828,11 @@ impl Namespace {
         out
     }
 
-    /// The set of MDSs appearing on `id`'s ancestor authority chain
-    /// (every MDS that replicates this path prefix and therefore "knows"
-    /// about the subtree).
-    pub fn ancestor_auth_chain(&self, id: NodeId) -> Vec<MdsId> {
-        let mut out = Vec::new();
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            let d = self.dir(c);
-            if let Some(a) = d.auth {
-                if !out.contains(&a) {
-                    out.push(a);
-                }
-            }
-            cur = d.parent;
-        }
-        out
+    /// The MDSs holding an override on `id` or above it, nearest first,
+    /// each once: every MDS that replicates this path prefix and therefore
+    /// "knows" about the subtree. One load, like [`Namespace::resolve_auth`].
+    pub fn ancestor_auth_chain(&self, id: NodeId) -> &[MdsId] {
+        &self.dirs[id.0 as usize].auth_cache.chain
     }
 
     /// Directories in the subtree rooted at `id` (inclusive, preorder),
@@ -986,40 +860,12 @@ impl Namespace {
             .sum()
     }
 
-    /// Migrate the subtree rooted at `id` to `to`: one bounded walk counts
-    /// the moved inodes, clears superseded fragment overrides, and records
-    /// the nested bounds the walk stopped at. Incremental mode additionally
-    /// moves the subtree's heat between the per-MDS aggregates by deltas.
+    /// Migrate the subtree rooted at `id` to `to`: one walk counts the
+    /// moved inodes, clears superseded fragment overrides, records the
+    /// nested bounds it stopped at, and moves the subtree's heat between
+    /// the per-MDS aggregates by deltas.
     pub fn migrate_subtree(&mut self, id: NodeId, to: MdsId) -> SubtreeMigration {
-        match self.mode {
-            IndexMode::Incremental => self.apply_auth_change(id, Some(to), true),
-            IndexMode::WalkOracle => {
-                let mut inodes = 0u64;
-                let mut holes = Vec::new();
-                let mut stack = vec![id];
-                while let Some(cur) = stack.pop() {
-                    if cur != id && self.dir(cur).auth.is_some() {
-                        holes.push(cur);
-                        continue;
-                    }
-                    let ci = cur.0 as usize;
-                    inodes += 1;
-                    for f in 0..self.dirs[ci].frags.len() {
-                        inodes += self.dirs[ci].frags[f].files;
-                        // Migrating the subtree supersedes inner overrides.
-                        if let Some(a) = self.dirs[ci].frags[f].auth.take() {
-                            self.frag_over[a].remove(&(cur, f));
-                        }
-                    }
-                    stack.extend(self.dirs[ci].children.iter().copied());
-                }
-                let old = self.dir(id).auth;
-                self.update_bound_index(id, old, Some(to));
-                self.dir_mut(id).auth = Some(to);
-                self.note_auth_change();
-                SubtreeMigration { inodes, holes }
-            }
-        }
+        self.apply_auth_change(id, Some(to), true)
     }
 
     /// Migrate one fragment to `to`. Returns the entries moved.
@@ -1029,10 +875,10 @@ impl Namespace {
         moved + 1
     }
 
-    /// The engine behind `set_auth` and `migrate_subtree` in incremental
-    /// mode: change `id`'s subtree override to `new_auth` (clearing inner
-    /// fragment overrides when `clear_frag_overrides`, as a migration does)
-    /// in ONE preorder walk of `id`'s full subtree, which
+    /// The engine behind `set_auth` and `migrate_subtree`: change `id`'s
+    /// subtree override to `new_auth` (clearing inner fragment overrides
+    /// when `clear_frag_overrides`, as a migration does) in ONE preorder
+    /// walk of `id`'s full subtree, which
     ///
     /// * refreshes every walked dir's eager auth cache (resolution +
     ///   replica chain),
@@ -1042,7 +888,7 @@ impl Namespace {
     /// * fixes the replica aggregates of every MDS whose chain membership
     ///   or authority/replica role flipped, and
     /// * counts the bounded region's inodes and the nested bounds
-    ///   ("holes") exactly like the walk-based migration.
+    ///   ("holes") the region stops at.
     ///
     /// The walk must cover the *full* subtree (through nested bounds):
     /// replica chains below a hole still gain/lose the old/new authority.
@@ -1079,7 +925,6 @@ impl Namespace {
         };
         self.dirs[id.0 as usize].auth = new_auth;
         let clock = self.clock;
-        let epoch = self.auth_epoch;
 
         let mut inodes = 0u64;
         let mut holes = Vec::new();
@@ -1184,7 +1029,6 @@ impl Namespace {
                 }
             }
             self.dirs[xi].auth_cache = AuthCache {
-                epoch,
                 auth: resolved_new,
                 chain,
             };
@@ -1220,19 +1064,13 @@ impl Namespace {
     /// the authority (i.e. `m` replicates its path prefix). The replica
     /// totals are unscaled; readers apply their own replica discount.
     ///
-    /// O(num_mds) on ticks with no authority change since the last call;
-    /// rebuilds from per-frag truth — one pass, no policy evaluation —
-    /// otherwise.
+    /// O(num_mds): authority changes moved the heat when they happened.
     pub fn mds_load_samples(
         &mut self,
         num_mds: usize,
         now: SimTime,
     ) -> (Vec<HeatSample>, Vec<HeatSample>) {
         self.touch(now);
-        if self.agg_dirty {
-            self.rebuild_aggregates(now);
-            self.rebuilds += 1;
-        }
         if num_mds > 0 {
             self.agg.ensure(num_mds - 1);
         }
@@ -1243,55 +1081,6 @@ impl Namespace {
         (auth, replica)
     }
 
-    /// Recompute the per-MDS aggregates from per-frag truth and refresh
-    /// every directory's authority cache in one top-down pass. `mkdir`
-    /// appends children after their parents, so iterating in index order
-    /// always finds the parent's cache already refreshed.
-    fn rebuild_aggregates(&mut self, now: SimTime) {
-        let preserve = self.agg.auth.len();
-        self.agg = LoadAggregates::new(self.cfg.decay_half_life);
-        if preserve > 0 {
-            self.agg.ensure(preserve - 1);
-        }
-        let epoch = self.auth_epoch;
-        for i in 0..self.dirs.len() {
-            let (auth, chain) = match (self.dirs[i].auth, self.dirs[i].parent) {
-                (Some(a), None) => (a, vec![a]),
-                (None, None) => unreachable!("root always has an authority"),
-                (own, Some(p)) => {
-                    let parent = &self.dirs[p.0 as usize].auth_cache;
-                    debug_assert_eq!(parent.epoch, epoch);
-                    match own {
-                        None => (parent.auth, parent.chain.clone()),
-                        Some(a) => {
-                            let mut chain = vec![a];
-                            for &m in &parent.chain {
-                                if !chain.contains(&m) {
-                                    chain.push(m);
-                                }
-                            }
-                            (a, chain)
-                        }
-                    }
-                }
-            };
-            for f in 0..self.dirs[i].frags.len() {
-                let s = self.dirs[i].frags[f].heat.sample(now);
-                let eff = self.dirs[i].frags[f].auth.unwrap_or(auth);
-                self.agg.ensure(eff);
-                self.agg.auth[eff].add_sample(&s, now, 1.0);
-                for &rep in &chain {
-                    if rep != eff {
-                        self.agg.ensure(rep);
-                        self.agg.replica[rep].add_sample(&s, now, 1.0);
-                    }
-                }
-            }
-            self.dirs[i].auth_cache = AuthCache { epoch, auth, chain };
-        }
-        self.agg_dirty = false;
-    }
-
     /// Iterate all directory ids.
     pub fn all_dirs(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.dirs.len()).map(|i| NodeId(i as u32))
@@ -1299,20 +1088,9 @@ impl Namespace {
 
     /// Directories from which `mds` can export load: its subtree bound
     /// roots, plus dirs where it owns individual fragments without owning
-    /// the directory — in ascending id order, exactly the order the
-    /// full-namespace scan produces. Incremental mode reads the ownership
-    /// indexes (O(dirs owned)); the oracle scans.
+    /// the directory — in ascending id order, read off the ownership
+    /// indexes (O(dirs owned)).
     pub fn export_candidate_dirs(&self, mds: MdsId) -> Vec<NodeId> {
-        if self.mode == IndexMode::WalkOracle {
-            return self
-                .all_dirs()
-                .filter(|&d| {
-                    self.dir(d).auth == Some(mds)
-                        || (self.resolve_auth(d) != mds
-                            && (0..self.dir(d).frags.len()).any(|f| self.frag_auth(d, f) == mds))
-                })
-                .collect();
-        }
         let mut out: Vec<NodeId> = self
             .bound_roots
             .get(mds)
@@ -1336,51 +1114,6 @@ impl Namespace {
         }
         out.sort_unstable();
         out
-    }
-
-    /// Non-mutating reference implementation of
-    /// [`Namespace::mds_load_samples`]: a full per-frag walk using peeked
-    /// samples, so checking the delta-maintained aggregates against it
-    /// perturbs no decay state. Kept as the differential-testing oracle.
-    pub fn oracle_load_samples(
-        &self,
-        num_mds: usize,
-        now: SimTime,
-    ) -> (Vec<HeatSample>, Vec<HeatSample>) {
-        let mut auth = vec![HeatSample::default(); num_mds];
-        let mut rep = vec![HeatSample::default(); num_mds];
-        for d in &self.dirs {
-            // Resolve by upward walk — independent of caches and mode.
-            let mut resolved = None;
-            let mut chain: Vec<MdsId> = Vec::new();
-            let mut cur = Some(d.id);
-            while let Some(c) = cur {
-                let dc = &self.dirs[c.0 as usize];
-                if let Some(a) = dc.auth {
-                    if resolved.is_none() {
-                        resolved = Some(a);
-                    }
-                    if !chain.contains(&a) {
-                        chain.push(a);
-                    }
-                }
-                cur = dc.parent;
-            }
-            let resolved = resolved.expect("root always has an authority");
-            for f in &d.frags {
-                let s = f.heat.peek(now);
-                let eff = f.auth.unwrap_or(resolved);
-                if eff < num_mds {
-                    auth[eff] = auth[eff].add(&s);
-                }
-                for &r in &chain {
-                    if r != eff && r < num_mds {
-                        rep[r] = rep[r].add(&s);
-                    }
-                }
-            }
-        }
-        (auth, rep)
     }
 }
 
@@ -1663,7 +1396,7 @@ mod tests {
                 let s = ns.frag_heat(d, f, now);
                 let a = ns.frag_auth(d, f);
                 auth[a] = auth[a].add(&s);
-                for r in ns.ancestor_auth_chain(d) {
+                for &r in ns.ancestor_auth_chain(d) {
                     if r != a {
                         rep[r] = rep[r].add(&s);
                     }
@@ -1721,8 +1454,7 @@ mod tests {
         let mut ns = Namespace::default();
         let a = ns.mkdir_p("/a");
         ns.set_auth(a, Some(1));
-        // First read rebuilds (set_auth dirtied); later ops must keep the
-        // aggregates in sync without another rebuild.
+        // An early read between the authority change and the ops.
         let _ = ns.mds_load_samples(2, SimTime::ZERO);
         for i in 0..25 {
             ns.record_op(a, OpKind::Create, SimTime::from_millis(i * 7));

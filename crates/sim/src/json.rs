@@ -352,9 +352,11 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
+        // `1e999` parses to infinity, which the encoder cannot write back.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            _ => Err(self.err("bad number")),
+        }
     }
 }
 
@@ -433,6 +435,51 @@ pub fn write_f64(out: &mut impl fmt::Write, v: f64) -> fmt::Result {
     }
 }
 
+/// Test support, shared with the daemon's byte-level suite: an arbitrary
+/// value — strings over an alphabet heavy in what needs escaping, numbers
+/// including the non-finite, `depth` levels of nesting.
+#[doc(hidden)]
+pub fn arbitrary(rng: &mut crate::SimRng, depth: u32) -> Json {
+    const CHARS: [char; 14] = [
+        '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{1f}', '\u{7f}', 'a', 'é',
+        '\u{2028}', '😀',
+    ];
+    const NUMS: [f64; 10] = [
+        0.0,
+        -1.0,
+        0.1,
+        1e300,
+        -2.5e-9,
+        9.0e15,
+        1e16,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let string = |rng: &mut crate::SimRng| -> String {
+        (0..rng.below(12))
+            .map(|_| CHARS[rng.below(CHARS.len() as u64) as usize])
+            .collect()
+    };
+    match rng.below(if depth == 0 { 5 } else { 7 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.below(2) == 0),
+        2 => Json::Num(NUMS[rng.below(NUMS.len() as u64) as usize]),
+        3 => Json::Num((rng.f64() - 0.5) * 1e6),
+        4 => Json::Str(string(rng)),
+        5 => Json::Arr(
+            (0..rng.below(4))
+                .map(|_| arbitrary(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.below(4))
+                .map(|_| (string(rng), arbitrary(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,6 +510,7 @@ mod tests {
             "1 2",
             "{\"a\":1}x",
             "\"\\ud800\"",
+            "1e999",
         ] {
             assert!(parse(src).is_err(), "{src:?} should fail");
         }
@@ -491,49 +539,6 @@ mod tests {
         assert!(parse(&format!("[{}1]", "[],".repeat(10_000))).is_ok());
         // Depth an attacker can afford under the 16 MiB frame cap.
         assert!(parse(&"[".repeat(200_000)).is_err());
-    }
-
-    /// An arbitrary value: strings over an alphabet heavy in what needs
-    /// escaping, numbers including the non-finite, a few levels of nesting.
-    fn arbitrary(rng: &mut crate::SimRng, depth: u32) -> Json {
-        const CHARS: [char; 14] = [
-            '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{1f}', '\u{7f}', 'a', 'é',
-            '\u{2028}', '😀',
-        ];
-        const NUMS: [f64; 10] = [
-            0.0,
-            -1.0,
-            0.1,
-            1e300,
-            -2.5e-9,
-            9.0e15,
-            1e16,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ];
-        let string = |rng: &mut crate::SimRng| -> String {
-            (0..rng.below(12))
-                .map(|_| CHARS[rng.below(CHARS.len() as u64) as usize])
-                .collect()
-        };
-        match rng.below(if depth == 0 { 5 } else { 7 }) {
-            0 => Json::Null,
-            1 => Json::Bool(rng.below(2) == 0),
-            2 => Json::Num(NUMS[rng.below(NUMS.len() as u64) as usize]),
-            3 => Json::Num((rng.f64() - 0.5) * 1e6),
-            4 => Json::Str(string(rng)),
-            5 => Json::Arr(
-                (0..rng.below(4))
-                    .map(|_| arbitrary(rng, depth - 1))
-                    .collect(),
-            ),
-            _ => Json::Obj(
-                (0..rng.below(4))
-                    .map(|_| (string(rng), arbitrary(rng, depth - 1)))
-                    .collect(),
-            ),
-        }
     }
 
     /// What `v` reads back as: itself, except that JSON has no non-finite

@@ -17,10 +17,6 @@
 //! The crate at the bottom of the workspace also carries the one thing
 //! every layer above serializes with: [`json`], the dependency-free JSON
 //! codec behind the trace stream and the daemon's wire protocol.
-//!
-//! The queue has two backends ([`SchedulerKind`]): a binary heap (default,
-//! the differential oracle) and a hierarchical timing wheel for
-//! scale-mode runs; both honor the same pop-order contract.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,7 +27,6 @@ pub mod json;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod wheel;
 
 pub use clock::{ClockMode, WallClock};
 pub use events::{EventQueue, Scheduled, SchedulerKind};

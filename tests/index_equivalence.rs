@@ -1,28 +1,33 @@
-//! Differential end-to-end tests for the incremental index layer.
+//! End-to-end checks of the namespace's incremental indexes.
 //!
-//! The Euler-interval membership checks, the per-MDS ownership indexes,
-//! and the delta-maintained aggregates must be *behaviorally invisible*:
-//! for a fixed seed the whole simulated cluster produces a byte-identical
-//! [`RunReport`] whether the namespace runs its incremental machinery or
-//! the retained walk-based oracle paths — under a healthy run and with
-//! every fault kind firing at once.
+//! The resolution caches, the per-MDS ownership indexes and the Euler
+//! labels are maintained by deltas while a cluster runs: exports, dirfrag
+//! spills, splits, and crash failover re-binding whole swaths through
+//! `set_auth`. Each scenario here is one run with a probe every 200 ms of
+//! simulated time that recomputes all of it from the live tree by walking
+//! (`support::assert_indexes_match_walk`) and compares. The probes only
+//! read: `mds_load_samples` writes decay state, so the aggregates are
+//! checked on free-standing namespaces in `tests/properties.rs`.
+//!
+//! (The test names date from when every scenario ran twice, on the
+//! indexes and on walk-based library paths, and compared reports; what
+//! must be identical now is the indexes and the walk.)
 
-use mantle::namespace::IndexMode;
+use std::sync::{Arc, Mutex};
+
+use mantle::core::build_cluster;
 use mantle::prelude::*;
 
-fn quick_cfg(num_mds: usize, mode: IndexMode) -> ClusterConfig {
-    ClusterConfig {
-        num_mds,
-        frag_split_threshold: 500,
-        heartbeat_interval: SimTime::from_millis(400),
-        index_mode: mode,
-        ..Default::default()
-    }
-}
+mod support;
 
-/// A plan exercising every fault kind at once (crash-driven failover
-/// re-binds whole swaths of the namespace through `set_auth`, the path
-/// most likely to betray an index bug).
+const NUM_MDS: usize = 3;
+const PROBE_EVERY: SimTime = SimTime::from_millis(200);
+const PROBE_HORIZON: SimTime = SimTime::from_secs(60);
+const CRASH_AT: SimTime = SimTime::from_millis(900);
+
+/// A plan exercising every fault kind at once. The crash hits MDS 1,
+/// which greedy spill has loaded by then: failover re-binds its subtrees
+/// through `set_auth`, the path most likely to betray an index bug.
 fn kitchen_sink_plan() -> FaultPlan {
     FaultPlan {
         request_timeout: SimTime::from_millis(150),
@@ -37,51 +42,57 @@ fn kitchen_sink_plan() -> FaultPlan {
     )
     .drop_heartbeats(SimTime::from_millis(400), 1, SimTime::from_millis(800))
     .delay_heartbeats(SimTime::from_millis(800), 2, SimTime::from_millis(800))
-    .crash(SimTime::from_millis(900), 2)
-    .restart(SimTime::from_millis(1_800), 2)
-    .poison_balancer(SimTime::from_millis(1_200), 1)
+    .crash(CRASH_AT, 1)
+    .restart(SimTime::from_millis(1_800), 1)
+    .poison_balancer(SimTime::from_millis(1_200), 0)
 }
 
-fn spec(mode: IndexMode, workload: WorkloadSpec, faults: Option<FaultPlan>) -> Experiment {
-    let mut spec = Experiment::new(
-        quick_cfg(3, mode),
-        workload,
-        BalancerSpec::mantle("greedy", policies::greedy_spill().unwrap()),
-    );
-    if let Some(plan) = faults {
-        spec.config.faults = plan;
+/// Run `workload` under greedy spill with the walk-checker probing the
+/// live namespace; returns the report and the instants the probes ran at.
+fn run_probed(workload: WorkloadSpec, faults: FaultPlan, label: &str) -> (RunReport, Vec<SimTime>) {
+    let config = ClusterConfig {
+        num_mds: NUM_MDS,
+        frag_split_threshold: 500,
+        heartbeat_interval: SimTime::from_millis(400),
+        faults,
+        ..Default::default()
+    };
+    let balancer = BalancerSpec::mantle("greedy", policies::greedy_spill().unwrap());
+    let mut cluster = build_cluster(&Experiment::new(config, workload, balancer));
+    let probed = Arc::new(Mutex::new(Vec::new()));
+    let mut at = PROBE_EVERY;
+    while at <= PROBE_HORIZON {
+        let probed = Arc::clone(&probed);
+        cluster.schedule_admin(at, move |ns| {
+            support::assert_indexes_match_walk(ns, NUM_MDS);
+            probed.lock().unwrap().push(at);
+        });
+        at += PROBE_EVERY;
     }
-    spec
-}
-
-fn assert_modes_agree(workload: WorkloadSpec, faults: Option<FaultPlan>, label: &str) {
-    let inc = run_experiment(&spec(
-        IndexMode::Incremental,
-        workload.clone(),
-        faults.clone(),
-    ));
-    let ora = run_experiment(&spec(IndexMode::WalkOracle, workload, faults));
-    assert_eq!(
-        format!("{inc:?}"),
-        format!("{ora:?}"),
-        "{label}: index modes must yield byte-identical reports"
-    );
+    let report = cluster.run();
+    let probed = std::mem::take(&mut *probed.lock().unwrap());
     assert!(
-        inc.total_migrations() >= 1,
+        report.total_migrations() >= 1,
         "{label}: vacuous without migrations"
     );
+    assert!(
+        report.makespan <= PROBE_HORIZON && probed.len() >= 3,
+        "{label}: probes {probed:?} do not cover a run of {:?}",
+        report.makespan
+    );
+    (report, probed)
 }
 
 #[test]
 fn healthy_shared_dir_run_is_identical_across_index_modes() {
     // Greedy spill over a shared create-heavy directory: dirfrag exports,
     // frag-authority overrides, freeze/cold windows.
-    assert_modes_agree(
+    run_probed(
         WorkloadSpec::CreateShared {
             clients: 4,
             files: 2_000,
         },
-        None,
+        FaultPlan::default(),
         "healthy create-shared",
     );
 }
@@ -89,67 +100,31 @@ fn healthy_shared_dir_run_is_identical_across_index_modes() {
 #[test]
 fn healthy_separate_dir_run_is_identical_across_index_modes() {
     // Per-client directories: whole-subtree exports dominate, exercising
-    // the single-walk migration and the delta aggregate transfer.
-    assert_modes_agree(
+    // the single-walk migration.
+    run_probed(
         WorkloadSpec::CreateSeparate {
             clients: 4,
             files: 2_000,
         },
-        None,
+        FaultPlan::default(),
         "healthy create-separate",
     );
 }
 
 #[test]
 fn all_faults_run_is_identical_across_index_modes() {
-    assert_modes_agree(
+    let (report, probed) = run_probed(
         WorkloadSpec::CreateSeparate {
             clients: 4,
             files: 2_000,
         },
-        Some(kitchen_sink_plan()),
+        kitchen_sink_plan(),
         "kitchen-sink faults",
     );
-}
-
-#[test]
-fn only_the_walk_oracle_rebuilds_aggregates_under_migration_ticks() {
-    // Migration-heavy balancer ticks straight against the namespace:
-    // export a small subtree, then take the load snapshot the next
-    // heartbeat needs. The incremental index must never fall back to a
-    // full aggregate rebuild; the walk oracle rebuilds on every snapshot.
-    const NUM_MDS: usize = 3;
-    let now = SimTime::from_secs(1);
-    let build = |mode: IndexMode| -> (Namespace, Vec<NodeId>) {
-        let mut ns = Namespace::new(NsConfig {
-            index_mode: mode,
-            ..Default::default()
-        });
-        let proj = ns.mkdir(ns.root(), "proj0");
-        let leaves = (0..8)
-            .map(|d| {
-                let dir = ns.mkdir(proj, format!("d{d}"));
-                ns.record_op(dir, OpKind::Create, SimTime::ZERO);
-                dir
-            })
-            .collect();
-        (ns, leaves)
-    };
-    let (mut inc, inc_leaves) = build(IndexMode::Incremental);
-    let (mut ora, ora_leaves) = build(IndexMode::WalkOracle);
-    for i in 0..16 {
-        for (ns, leaves) in [(&mut inc, &inc_leaves), (&mut ora, &ora_leaves)] {
-            ns.migrate_subtree(leaves[i % leaves.len()], i % NUM_MDS);
-            ns.mds_load_samples(NUM_MDS, now);
-        }
-    }
-    assert_eq!(
-        inc.rebuilds(),
-        0,
-        "incremental index fell back to a full aggregate rebuild"
-    );
+    assert!(report.failovers >= 1, "the crash re-bound nothing");
+    assert!(report.balancer_fallbacks >= 1, "the poison never took");
     assert!(
-        ora.rebuilds() > 0,
-        "walk-oracle mode never exercised the rebuild path"
+        probed.iter().any(|&at| at > CRASH_AT),
+        "no probe ran after the crash at {CRASH_AT:?}: {probed:?}"
     );
 }

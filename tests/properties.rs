@@ -6,11 +6,13 @@
 //! test — the failing case index is in the assertion message.
 
 use mantle::mds::{select_best, DirfragSelector};
-use mantle::namespace::{IndexMode, Namespace, NamespaceStats, NodeId, NsConfig, OpKind};
+use mantle::namespace::{Namespace, NamespaceStats, NodeId, NsConfig, OpKind};
 use mantle::policy::env::{BalancerInputs, MantleRuntime, MdsMetrics, PolicySet};
 use mantle::policy::{parse_script, script_to_source, Interpreter, StepBudget, Value};
 use mantle::policy::{BytecodeProgram, BytecodeVm};
-use mantle::sim::{DecayCounter, EventQueue, OnlineStats, SchedulerKind, SimRng, SimTime, Summary};
+use mantle::sim::{DecayCounter, EventQueue, OnlineStats, SimRng, SimTime, Summary};
+
+mod support;
 
 /// Per-test RNG: independent stream per property, fixed master seed.
 fn cases_rng(label: &str) -> SimRng {
@@ -51,68 +53,121 @@ fn event_queue_pops_in_nondecreasing_time() {
     }
 }
 
-/// Differential property for the scheduler backends: a randomized
-/// interleaving of pushes, pops, and pop-and-reschedule steps produces
-/// the exact same `(time, payload)` stream on the heap and the wheel —
-/// including same-instant FIFO ties and far-future events that overflow
-/// the wheel's 2^36 µs span.
+/// The queue's contract, said as plainly as it can be: pending events in
+/// a `Vec`, the next one found by a min-scan on `(time, key)`, where the
+/// key is the caller's or else the count of unkeyed pushes so far.
+#[derive(Default)]
+struct QueueModel {
+    pending: Vec<(SimTime, u64, u64)>,
+    now: SimTime,
+    unkeyed: u64,
+}
+
+impl QueueModel {
+    fn push(&mut self, at: SimTime, key: Option<u64>, id: u64) {
+        let key = key.unwrap_or_else(|| {
+            self.unkeyed += 1;
+            self.unkeyed - 1
+        });
+        self.pending.push((at, key, id));
+    }
+
+    fn peek(&self) -> Option<(SimTime, u64, u64)> {
+        self.pending.iter().copied().min()
+    }
+
+    /// Pop the next event if it fires strictly before `limit`.
+    fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, u64, u64)> {
+        let next = self.peek().filter(|&(at, ..)| at < limit)?;
+        self.pending.retain(|&e| e != next);
+        self.now = next.0;
+        Some(next)
+    }
+}
+
+/// `EventQueue` against the model through random interleavings of every
+/// entry point the engine uses: unkeyed and caller-keyed pushes (disjoint
+/// key spaces, as the contract asks), `pop`, `pop_keyed`, `pop_before`
+/// with limits at, just past and far from the next firing time, and
+/// pop-and-reschedule — over same-instant ties and delays past 2^37 µs.
 #[test]
-fn heap_and_wheel_pop_identically_under_random_interleavings() {
-    let mut rng = cases_rng("scheduler-differential");
+fn event_queue_matches_min_scan_model() {
+    const NEVER: SimTime = SimTime::from_micros(u64::MAX);
+    let mut rng = cases_rng("queue-model");
     for case in 0..48 {
-        let mut heap = EventQueue::with_scheduler(SchedulerKind::Heap);
-        let mut wheel = EventQueue::with_scheduler(SchedulerKind::Wheel);
+        let mut q = EventQueue::new();
+        let mut model = QueueModel::default();
         let mut next_id = 0u64;
         let steps = rng.range_inclusive(1, 400);
         for step in 0..steps {
-            match rng.below(4) {
+            let ctx = format!("case {case} step {step}");
+            match rng.below(6) {
                 // Push a burst; coarse delays force same-instant ties.
                 0 | 1 => {
                     for _ in 0..rng.range_inclusive(1, 5) {
-                        let delay = match rng.below(8) {
+                        let delay = SimTime::from_micros(match rng.below(8) {
                             0 => 0,                              // now
                             1..=4 => rng.below(500) * 10,        // sub-5ms, coarse
                             5 | 6 => rng.below(30_000_000),      // ≤ 30 s
-                            _ => (1 << 37) + rng.below(1 << 20), // overflow range
-                        };
-                        let at = heap.now() + SimTime::from_micros(delay);
-                        heap.schedule_at(at, next_id);
-                        wheel.schedule_at(at, next_id);
+                            _ => (1 << 37) + rng.below(1 << 20), // weeks out
+                        });
+                        let at = model.now + delay;
+                        // Caller keys: in random order within an instant,
+                        // unique, above every push count.
+                        let key =
+                            (rng.below(3) == 0).then(|| ((1 + rng.below(1 << 16)) << 32) | next_id);
+                        match key {
+                            Some(key) => q.schedule_at_key(at, key, next_id),
+                            None if rng.below(2) == 0 => q.schedule_at(at, next_id),
+                            None => q.schedule_in(delay, next_id),
+                        }
+                        model.push(at, key, next_id);
                         next_id += 1;
                     }
                 }
-                // Pop.
                 2 => {
-                    assert_eq!(heap.pop(), wheel.pop(), "case {case} step {step}");
-                    assert_eq!(heap.now(), wheel.now(), "case {case} step {step}");
+                    let want = model.pop_before(NEVER).map(|(at, _, id)| (at, id));
+                    assert_eq!(q.pop(), want, "{ctx}");
+                }
+                3 => assert_eq!(q.pop_keyed(), model.pop_before(NEVER), "{ctx}"),
+                // The windowed drain: the limit is exclusive, and a
+                // declined pop changes nothing.
+                4 => {
+                    let next = model.peek().map_or(model.now, |(at, ..)| at);
+                    let limit = match rng.below(4) {
+                        0 => next,
+                        1 => next + SimTime::from_micros(1),
+                        2 => model.now,
+                        _ => model.now + SimTime::from_micros(rng.below(10_000)),
+                    };
+                    assert_eq!(
+                        q.pop_before(limit),
+                        model.pop_before(limit),
+                        "{ctx}: limit {limit:?}"
+                    );
                 }
                 // Pop and reschedule the payload at a fresh delay (the
                 // retry/heartbeat pattern).
                 _ => {
-                    let (a, b) = (heap.pop(), wheel.pop());
-                    assert_eq!(a, b, "case {case} step {step}");
-                    if let Some((_, id)) = a {
+                    let popped = q.pop_keyed();
+                    assert_eq!(popped, model.pop_before(NEVER), "{ctx}");
+                    if let Some((.., id)) = popped {
                         let delay = SimTime::from_micros(rng.below(5_000_000));
-                        heap.schedule_in(delay, id);
-                        wheel.schedule_in(delay, id);
+                        q.schedule_in(delay, id);
+                        model.push(model.now + delay, None, id);
                     }
                 }
             }
-            assert_eq!(heap.len(), wheel.len(), "case {case} step {step}");
-            assert_eq!(
-                heap.peek_time(),
-                wheel.peek_time(),
-                "case {case} step {step}"
-            );
+            assert_eq!(q.now(), model.now, "{ctx}");
+            assert_eq!(q.len(), model.pending.len(), "{ctx}");
+            assert_eq!(q.is_empty(), model.pending.is_empty(), "{ctx}");
+            assert_eq!(q.peek_time(), model.peek().map(|(at, ..)| at), "{ctx}");
         }
         // Drain fully; order must match to the last event.
-        loop {
-            let (a, b) = (heap.pop(), wheel.pop());
-            assert_eq!(a, b, "case {case}: drain divergence");
-            if a.is_none() {
-                break;
-            }
+        while let Some(want) = model.pop_before(NEVER) {
+            assert_eq!(q.pop_keyed(), Some(want), "case {case}: drain");
         }
+        assert_eq!(q.pop(), None, "case {case}");
     }
 }
 
@@ -253,17 +308,25 @@ enum NsAction {
     Stat(u8),
     Migrate(u8, u8),
     MigrateFrag(u8, u8),
+    /// Install or clear a subtree override (what failover does).
+    SetAuth(u8, Option<u8>),
+    /// Install or clear the override of the next fragment to be hit.
+    SetFragAuth(u8, Option<u8>),
 }
 
 fn ns_action(rng: &mut SimRng) -> NsAction {
     let d = rng.below(16) as u8;
-    match rng.below(6) {
+    // Half of the `Set*` actions clear.
+    let maybe_mds = |rng: &mut SimRng| (rng.below(2) == 0).then(|| rng.below(4) as u8);
+    match rng.below(8) {
         0 => NsAction::Mkdir(d),
         1 => NsAction::Create(d),
         2 => NsAction::Unlink(d),
         3 => NsAction::Stat(d),
         4 => NsAction::Migrate(d, rng.below(4) as u8),
-        _ => NsAction::MigrateFrag(d, rng.below(4) as u8),
+        5 => NsAction::MigrateFrag(d, rng.below(4) as u8),
+        6 => NsAction::SetAuth(d, maybe_mds(rng)),
+        _ => NsAction::SetFragAuth(d, maybe_mds(rng)),
     }
 }
 
@@ -280,40 +343,13 @@ fn namespace_invariants_hold_under_random_ops() {
         let mut created: i64 = 0;
         let mut unlinked: i64 = 0;
         let mut dirs = vec![ns.root()];
-        let now = SimTime::ZERO;
         for action in actions {
+            let before = ns.file_count();
+            apply_ns_action(&mut ns, &mut dirs, &action, SimTime::ZERO);
             match action {
-                NsAction::Mkdir(p) => {
-                    let parent = dirs[p as usize % dirs.len()];
-                    let name = format!("d{}", dirs.len());
-                    dirs.push(ns.mkdir(parent, name));
-                }
-                NsAction::Create(d) => {
-                    let dir = dirs[d as usize % dirs.len()];
-                    ns.record_op(dir, OpKind::Create, now);
-                    created += 1;
-                }
-                NsAction::Unlink(d) => {
-                    let dir = dirs[d as usize % dirs.len()];
-                    let before = ns.file_count();
-                    ns.record_op(dir, OpKind::Unlink, now);
-                    if ns.file_count() < before {
-                        unlinked += 1;
-                    }
-                }
-                NsAction::Stat(d) => {
-                    let dir = dirs[d as usize % dirs.len()];
-                    ns.record_op(dir, OpKind::Stat, now);
-                }
-                NsAction::Migrate(d, m) => {
-                    let dir = dirs[d as usize % dirs.len()];
-                    ns.migrate_subtree(dir, m as usize);
-                }
-                NsAction::MigrateFrag(d, m) => {
-                    let dir = dirs[d as usize % dirs.len()];
-                    let frag = ns.peek_frag(dir);
-                    ns.migrate_frag(dir, frag, m as usize);
-                }
+                NsAction::Create(_) => created += 1,
+                NsAction::Unlink(_) if ns.file_count() < before => unlinked += 1,
+                _ => {}
             }
             // Invariant: every directory resolves to exactly one authority.
             for &dir in &dirs {
@@ -334,12 +370,12 @@ fn namespace_invariants_hold_under_random_ops() {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental index layer ≡ walk-based oracles
+// Incremental index layer ≡ walks over the tree (`support`)
 // ---------------------------------------------------------------------------
 
 /// Apply one random action to a namespace at `now`, growing `dirs` as
-/// mkdirs land. The same (action, dirs) stream applied to two namespaces
-/// drives them through identical structural histories.
+/// mkdirs land. A migration must report what a walk predicted and leave
+/// the region it moved on the new authority with no override inside.
 fn apply_ns_action(
     ns: &mut Namespace,
     dirs: &mut Vec<NodeId>,
@@ -366,12 +402,31 @@ fn apply_ns_action(
         }
         NsAction::Migrate(d, m) => {
             let dir = dirs[d as usize % dirs.len()];
-            ns.migrate_subtree(dir, m as usize);
+            let predicted = support::walk_migration(ns, dir);
+            let moved = ns.migrate_subtree(dir, m as usize);
+            assert_eq!((moved.inodes, moved.holes), predicted, "migrate {dir:?}");
+            for region_dir in ns.subtree_dirs(dir, true) {
+                let frags = &ns.dir(region_dir).frags;
+                assert!(frags.iter().all(|f| f.auth.is_none()), "{region_dir:?}");
+                assert_eq!(support::walk_resolve(ns, region_dir), m as usize);
+            }
         }
         NsAction::MigrateFrag(d, m) => {
             let dir = dirs[d as usize % dirs.len()];
             let frag = ns.peek_frag(dir);
             ns.migrate_frag(dir, frag, m as usize);
+        }
+        NsAction::SetAuth(d, auth) => {
+            let dir = dirs[d as usize % dirs.len()];
+            // The root keeps an authority, always.
+            if dir != ns.root() || auth.is_some() {
+                ns.set_auth(dir, auth.map(usize::from));
+            }
+        }
+        NsAction::SetFragAuth(d, auth) => {
+            let dir = dirs[d as usize % dirs.len()];
+            let frag = ns.peek_frag(dir);
+            ns.set_frag_auth(dir, frag, auth.map(usize::from));
         }
     }
 }
@@ -407,59 +462,33 @@ fn euler_membership_matches_recursive_walk() {
     }
 }
 
-/// (b) The per-MDS ownership indexes answer exactly what a full-namespace
-/// scan answers: twin namespaces driven through an identical action
-/// sequence — one incremental, one on the walk-oracle paths — agree on
-/// `auth_frags`, `export_candidate_dirs`, and `resolve_auth` everywhere.
+/// (b) Resolution, the per-MDS ownership indexes and the tree's structure
+/// are what a walk over the tree says, after *every* step of a random
+/// history — including overrides set and cleared outside a migration.
 #[test]
 fn indexed_ownership_matches_walk_oracle() {
     let mut rng = cases_rng("index-ownership");
     for case in 0..32 {
         let n_actions = rng.range_inclusive(1, 300) as usize;
-        let mk = |mode| {
-            Namespace::new(NsConfig {
-                frag_split_threshold: 6,
-                index_mode: mode,
-                ..Default::default()
-            })
-        };
-        let mut inc = mk(IndexMode::Incremental);
-        let mut ora = mk(IndexMode::WalkOracle);
-        let mut dirs_inc = vec![inc.root()];
-        let mut dirs_ora = vec![ora.root()];
+        let mut ns = Namespace::new(NsConfig {
+            frag_split_threshold: 6,
+            ..Default::default()
+        });
+        let mut dirs = vec![ns.root()];
         for step in 0..n_actions {
             let action = ns_action(&mut rng);
             let now = mantle::sim::SimTime::from_millis(step as u64 * 20);
-            apply_ns_action(&mut inc, &mut dirs_inc, &action, now);
-            apply_ns_action(&mut ora, &mut dirs_ora, &action, now);
-        }
-        assert_eq!(dirs_inc, dirs_ora, "case {case}: structural divergence");
-        for m in 0..4 {
-            assert_eq!(
-                inc.auth_frags(m),
-                ora.auth_frags(m),
-                "case {case}: auth_frags({m})"
-            );
-            assert_eq!(
-                inc.export_candidate_dirs(m),
-                ora.export_candidate_dirs(m),
-                "case {case}: export_candidate_dirs({m})"
-            );
-        }
-        for &d in &dirs_inc {
-            assert_eq!(
-                inc.resolve_auth(d),
-                ora.resolve_auth(d),
-                "case {case}: resolve_auth({d:?})"
-            );
+            apply_ns_action(&mut ns, &mut dirs, &action, now);
+            // The checker's panic names the mismatch; this adds where.
+            let caught = std::panic::catch_unwind(|| support::assert_indexes_match_walk(&ns, 4));
+            assert!(caught.is_ok(), "case {case} step {step}: after {action:?}");
         }
     }
 }
 
 /// (c) Delta-maintained per-MDS aggregates track a from-scratch recompute
 /// off per-frag truth. Migrations move heat between aggregates by sampled
-/// deltas, so agreement is to floating-point tolerance, not bitwise — and
-/// the incremental path must never have fallen back to a full rebuild.
+/// deltas, so agreement is to floating-point tolerance, not bitwise.
 #[test]
 fn delta_aggregates_match_full_recompute() {
     let mut rng = cases_rng("delta-aggregates");
@@ -477,7 +506,7 @@ fn delta_aggregates_match_full_recompute() {
             apply_ns_action(&mut ns, &mut dirs, &action, now);
         }
         let (auth, rep) = ns.mds_load_samples(4, now);
-        let (auth_o, rep_o) = ns.oracle_load_samples(4, now);
+        let (auth_o, rep_o) = support::walk_load_samples(&ns, 4, now);
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * (1.0 + b.abs());
         for m in 0..4 {
             assert!(
@@ -493,7 +522,6 @@ fn delta_aggregates_match_full_recompute() {
                 rep_o[m]
             );
         }
-        assert_eq!(ns.rebuilds(), 0, "case {case}: incremental path fell back");
     }
 }
 

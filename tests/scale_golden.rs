@@ -30,7 +30,7 @@ fn tenth_of_batch_rebalance() -> Experiment {
         dirs: 10_000,
         ops_per_client: 500,
     };
-    scale_experiment(&spec, SchedulerKind::Heap, 1)
+    scale_experiment(&spec, Default::default(), 1)
 }
 
 #[test]

@@ -1,0 +1,157 @@
+//! Walk oracles for the namespace's indexes, shared by `properties.rs`
+//! and `index_equivalence.rs`.
+//!
+//! [`Namespace`] answers `resolve_auth`, `auth_frags`,
+//! `export_candidate_dirs`, `migrate_subtree`'s `(inodes, holes)` and
+//! `mds_load_samples` from state it maintains by deltas: a resolution
+//! cache on every directory, per-MDS ownership sets, Euler-tour labels,
+//! per-MDS heat aggregates. Everything here recomputes the same answers
+//! from the tree alone — `Dir::{parent, children, auth}` and
+//! `Frag::{auth, files, heat}` — by walking it, and compares.
+
+#![allow(dead_code)] // each test crate uses its own half
+
+use mantle::namespace::{FragRef, HeatSample, MdsId, Namespace, NodeId};
+use mantle::sim::SimTime;
+
+/// Subtree overrides from `d` up to the root, nearest first, each MDS
+/// once: the MDSs that know `d`'s path prefix. The first serves `d`.
+pub fn walk_chain(ns: &Namespace, d: NodeId) -> Vec<MdsId> {
+    let mut chain = Vec::new();
+    let mut cur = Some(d);
+    while let Some(c) = cur {
+        let dir = ns.dir(c);
+        if let Some(a) = dir.auth.filter(|a| !chain.contains(a)) {
+            chain.push(a);
+        }
+        cur = dir.parent;
+    }
+    chain
+}
+
+/// The MDS serving `d`: its nearest override, walking up.
+pub fn walk_resolve(ns: &Namespace, d: NodeId) -> MdsId {
+    walk_chain(ns, d)[0]
+}
+
+/// Every fragment `mds` serves, by scanning all of them.
+pub fn walk_auth_frags(ns: &Namespace, mds: MdsId) -> Vec<FragRef> {
+    let mut out = Vec::new();
+    for dir in ns.all_dirs() {
+        let resolved = walk_resolve(ns, dir);
+        for (frag, f) in ns.dir(dir).frags.iter().enumerate() {
+            if f.auth.unwrap_or(resolved) == mds {
+                out.push(FragRef { dir, frag });
+            }
+        }
+    }
+    out
+}
+
+/// Directories `mds` can export from: its subtree roots, and directories
+/// of another MDS in which it holds a fragment.
+pub fn walk_export_candidates(ns: &Namespace, mds: MdsId) -> Vec<NodeId> {
+    ns.all_dirs()
+        .filter(|&d| {
+            let dir = ns.dir(d);
+            dir.auth == Some(mds)
+                || (walk_resolve(ns, d) != mds && dir.frags.iter().any(|f| f.auth == Some(mds)))
+        })
+        .collect()
+}
+
+/// What `migrate_subtree(id, _)` is about to report: the inodes of the
+/// region below `id` that stops at nested overrides, and those overrides'
+/// directories in the order a depth-first walk meets them.
+pub fn walk_migration(ns: &Namespace, id: NodeId) -> (u64, Vec<NodeId>) {
+    let (mut inodes, mut holes, mut stack) = (0, Vec::new(), vec![id]);
+    while let Some(cur) = stack.pop() {
+        let dir = ns.dir(cur);
+        inodes += 1 + dir.frags.iter().map(|f| f.files).sum::<u64>();
+        for &c in &dir.children {
+            if ns.dir(c).auth.is_some() {
+                holes.push(c);
+            } else {
+                stack.push(c);
+            }
+        }
+    }
+    (inodes, holes)
+}
+
+/// What `mds_load_samples(num_mds, now)` should return, summed from every
+/// fragment's own counters — peeked, so no decay state is written:
+/// `auth[m]` over the fragments `m` serves, `replica[m]` over those whose
+/// path prefix `m` knows without serving them.
+pub fn walk_load_samples(
+    ns: &Namespace,
+    num_mds: usize,
+    now: SimTime,
+) -> (Vec<HeatSample>, Vec<HeatSample>) {
+    let mut auth = vec![HeatSample::default(); num_mds];
+    let mut replica = vec![HeatSample::default(); num_mds];
+    for d in ns.all_dirs() {
+        let chain = walk_chain(ns, d);
+        for f in &ns.dir(d).frags {
+            let heat = f.heat.peek(now);
+            let serving = f.auth.unwrap_or(chain[0]);
+            if serving < num_mds {
+                auth[serving] = auth[serving].add(&heat);
+            }
+            for &m in chain.iter().filter(|&&m| m != serving && m < num_mds) {
+                replica[m] = replica[m].add(&heat);
+            }
+        }
+    }
+    (auth, replica)
+}
+
+/// The read-only check: tree structure, resolution and ownership of `ns`
+/// are what a walk says they are. `num_mds` must cover every override.
+pub fn assert_indexes_match_walk(ns: &Namespace, num_mds: usize) {
+    for d in ns.all_dirs() {
+        let dir = ns.dir(d);
+        assert_eq!(dir.id, d);
+        // Structure: children point back, one level down, and their Euler
+        // intervals sit side by side inside the parent's, past its label.
+        let (tin, tout) = ns.euler_interval(d);
+        let mut floor = tin + 1;
+        for &c in &dir.children {
+            let child = ns.dir(c);
+            assert_eq!(child.parent, Some(d), "{c:?} under {d:?}");
+            assert_eq!(child.depth, dir.depth + 1, "{c:?} under {d:?}");
+            let (ctin, ctout) = ns.euler_interval(c);
+            assert!(
+                floor <= ctin && ctin < ctout && ctout <= tout,
+                "{c:?} [{ctin}, {ctout}) in {d:?} [{tin}, {tout}) from {floor}"
+            );
+            floor = ctout;
+        }
+        match dir.parent {
+            Some(p) => assert_eq!(ns.dir(p).children.iter().filter(|&&c| c == d).count(), 1),
+            None => assert!(
+                d == ns.root() && dir.auth.is_some(),
+                "{d:?} is a second root"
+            ),
+        }
+        // Resolution.
+        let chain = walk_chain(ns, d);
+        let resolved = chain[0];
+        assert_eq!(ns.resolve_auth(d), resolved, "resolve_auth({d:?})");
+        assert_eq!(ns.ancestor_auth_chain(d), chain, "chain of {d:?}");
+        for (i, f) in dir.frags.iter().enumerate() {
+            let serving = f.auth.unwrap_or(resolved);
+            assert!(serving < num_mds, "{d:?}/{i} served by MDS {serving}");
+            assert_eq!(ns.frag_auth(d, i), serving, "frag_auth({d:?}, {i})");
+        }
+    }
+    // Ownership.
+    for m in 0..num_mds {
+        assert_eq!(ns.auth_frags(m), walk_auth_frags(ns, m), "auth_frags({m})");
+        assert_eq!(
+            ns.export_candidate_dirs(m),
+            walk_export_candidates(ns, m),
+            "export_candidate_dirs({m})"
+        );
+    }
+}
