@@ -39,7 +39,9 @@ use crate::config::DaemonConfig;
 use crate::engine::{policy_source_from_json, Engine, PRESET_NAMES};
 use crate::json::Json;
 use crate::sys::{poll, PollFd, POLLIN, POLLOUT};
-use crate::wire::{decode_frame, encode_frame, error_msg, op_kind, report_json, PROTO_VERSION};
+use crate::wire::{
+    decode_frame, encode_frame, error_msg, op_kind, report_json, MAX_FRAME, PROTO_VERSION,
+};
 
 /// Connections beyond `sessions + SPARE_CONNS` are refused with
 /// `too-many-connections`: every session slot can be bound and a few
@@ -61,6 +63,12 @@ const TRACE_BACKLOG_CAP: usize = 4 << 20;
 /// and cannot grow the daemon. Replies are never dropped, so the
 /// connection resumes where it stopped.
 const REPLY_BACKLOG_CAP: usize = 1 << 20;
+
+/// The longest frame a connection may send before its `hello`, and ever
+/// on a `client` or `trace` connection: far above any `op` frame, and all
+/// the receive buffer a peer that announces more and trickles it in can
+/// pin. `admin` connections carry policy bundles and keep [`MAX_FRAME`].
+const SMALL_FRAME: usize = 64 << 10;
 
 /// Detail of the `policy-rejected` reply to a bundle that carries
 /// `howmany`.
@@ -101,6 +109,30 @@ struct Conn {
 impl Conn {
     fn unsent(&self) -> usize {
         self.wbuf.len() - self.wpos
+    }
+
+    /// The longest frame this connection may send.
+    fn frame_cap(&self) -> usize {
+        if self.role == Some(Role::Admin) {
+            MAX_FRAME
+        } else {
+            SMALL_FRAME
+        }
+    }
+
+    /// Pop the next complete frame off `rbuf`, refusing one announced
+    /// longer than [`Conn::frame_cap`] before its bytes arrive.
+    fn next_frame(&mut self) -> Result<Option<Json>, String> {
+        let cap = self.frame_cap();
+        if let Some(prefix) = self.rbuf.first_chunk::<4>() {
+            let len = u32::from_be_bytes(*prefix) as usize;
+            if len > cap {
+                return Err(format!(
+                    "frame of {len} bytes exceeds {cap} on this connection"
+                ));
+            }
+        }
+        decode_frame(&mut self.rbuf).map_err(|e| e.to_string())
     }
 
     /// Whether to take input from the peer.
@@ -307,7 +339,14 @@ impl Server {
             let mut tmp = [0u8; 4096];
             let mut dead = false;
             loop {
-                match conn.stream.read(&mut tmp) {
+                // Never more than one frame's worth buffered: whatever is
+                // in `rbuf` past that is a complete frame to decode first.
+                let room = (4 + conn.frame_cap()).saturating_sub(conn.rbuf.len());
+                if room == 0 {
+                    break;
+                }
+                let take = room.min(tmp.len());
+                match conn.stream.read(&mut tmp[..take]) {
                     Ok(0) => {
                         dead = true;
                         break;
@@ -325,8 +364,17 @@ impl Server {
                 }
             }
             loop {
-                match decode_frame(&mut conn.rbuf) {
-                    Ok(Some(msg)) => inbound.push((idx, msg)),
+                match conn.next_frame() {
+                    Ok(Some(msg)) => {
+                        any = true;
+                        inbound.push((idx, msg));
+                        // The `hello` sets the role, and with it the cap
+                        // the frames behind it are held to: dispatch it
+                        // first, and decode those on the next pass.
+                        if conn.role.is_none() {
+                            break;
+                        }
+                    }
                     Ok(None) => break,
                     Err(e) => {
                         conn.wbuf.extend_from_slice(&encode_frame(&error_msg(

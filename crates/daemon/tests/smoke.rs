@@ -470,15 +470,25 @@ fn hostile_nesting_is_refused_not_fatal() {
     use std::io::Write as _;
     let daemon = Daemon::spawn(&["--sessions=1", "--mds=2", "--clock=wall"]);
 
-    // A frame of 200 000 `[`: well inside the 16 MiB frame cap, and
-    // enough to overflow the reactor's stack in a parser that recurses
-    // once per bracket. The peer gets an error frame and is hung up on.
+    // An admin hello and, right behind it, a frame of 200 000 `[`: well
+    // inside an admin connection's 16 MiB frame cap (the hello's role
+    // sets the cap for the bytes after it), and enough to overflow the
+    // reactor's stack in a parser that recurses once per bracket. The
+    // peer gets an error frame and is hung up on.
     let mut hostile = std::net::TcpStream::connect(&daemon.addr).expect("connects");
+    let hello = Json::obj(vec![
+        ("type", Json::str("hello")),
+        ("role", Json::str("admin")),
+        ("proto", Json::num(1.0)),
+    ]);
     let payload = vec![b'['; 200_000];
     hostile
-        .write_all(&(payload.len() as u32).to_be_bytes())
+        .write_all(&mantle_daemon::wire::encode_frame(&hello))
+        .and_then(|()| hostile.write_all(&(payload.len() as u32).to_be_bytes()))
         .and_then(|()| hostile.write_all(&payload))
-        .expect("frame sent");
+        .expect("frames sent");
+    let welcome = mantle_daemon::wire::read_frame(&mut hostile).expect("welcome");
+    assert_eq!(welcome.unwrap().get_str("type"), Some("welcome"));
     let error = mantle_daemon::wire::read_frame(&mut hostile)
         .expect("the daemon is still there to answer")
         .expect("with an error frame");
@@ -520,6 +530,58 @@ fn hostile_nesting_is_refused_not_fatal() {
     let mut client = MantleClient::connect(&daemon.addr, "client").expect("client connects");
     let reply = client.op("create", "/smoke/after-the-storm").expect("op");
     assert_eq!(reply.get_str("status"), Some("ok"));
+
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    assert!(daemon.finish().0, "mantled exits cleanly");
+}
+
+/// Before its `hello`, and for good on a `client` or `trace` connection, a
+/// peer may send frames of at most 64 KiB: one that announces more is
+/// refused on sight rather than buffered while it trickles in. An `admin`
+/// connection still takes a policy bundle well past that.
+#[test]
+fn frame_caps_follow_the_role() {
+    use std::io::Write as _;
+    let daemon = Daemon::spawn(&["--sessions=1", "--mds=2", "--clock=wall"]);
+
+    // A 1 MiB length prefix and the first bytes of a payload, then
+    // nothing: answered now, not after a megabyte that never comes.
+    let mut early = std::net::TcpStream::connect(&daemon.addr).expect("connects");
+    early
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .unwrap();
+    early.write_all(&(1u32 << 20).to_be_bytes()).unwrap();
+    early.write_all(br#"{"type":"hello","#).unwrap();
+    let error = mantle_daemon::wire::read_frame(&mut early)
+        .expect("answered without the rest of the frame")
+        .expect("with an error frame");
+    assert_eq!(error.get_str("code"), Some("bad-frame"), "reply: {error}");
+    assert!(
+        error
+            .get_str("detail")
+            .is_some_and(|d| d.contains("exceeds 65536")),
+        "reply: {error}"
+    );
+    assert!(
+        matches!(mantle_daemon::wire::read_frame(&mut early), Ok(None)),
+        "then the connection is closed"
+    );
+
+    // A 200 KiB bundle — its `where` hook carries a long comment — on an
+    // admin connection is installed like any other.
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    let mut big = swap_bundle();
+    let hook = big.get_str("where").expect("`where` hook").to_string();
+    if let Json::Obj(members) = &mut big {
+        members.retain(|(k, _)| k != "where");
+        let comment = "x".repeat(200 << 10);
+        members.push(("where".into(), Json::str(format!("-- {comment}\n{hook}"))));
+    }
+    let swapped = admin
+        .admin("policy-swap", vec![("policy", big)])
+        .expect("the swap round-trips");
+    assert_eq!(swapped.get_str("type"), Some("swapped"), "swap: {swapped}");
+    assert_eq!(swapped.get_u64("epoch"), Some(1));
 
     admin.admin("shutdown", vec![]).expect("shutdown");
     assert!(daemon.finish().0, "mantled exits cleanly");

@@ -72,7 +72,7 @@ impl Barrier {
                     sh.caches[group].touch(dir);
                 }
                 NsOp::CacheFill { group, dir, mds } => {
-                    sh.caches[group].fill(&sh.ns, dir, mds);
+                    sh.caches[group].fill(dir, mds);
                     // Stamped at the barrier: that is when the fill takes
                     // effect, and it keeps the trace order-sound (no hit
                     // in a later window can precede its fill in the

@@ -12,18 +12,17 @@
 //!   touched directory's entries in every group at the next window
 //!   barrier, via the same deferred-op plumbing that applies heat
 //!   charges;
-//! * **migrations and session flushes** invalidate the whole moved
-//!   region in one pass using the namespace's Euler-tour interval
-//!   labels ([`IntervalRegion`]) — a range scan over the caches'
-//!   label-sorted indexes instead of a predicate test per cached entry.
+//! * **migrations and session flushes** invalidate every directory the
+//!   export moved: the list `Migrator::apply_export` already walked to
+//!   stamp the freeze, one [`GroupCache::invalidate`] per directory.
 //!
-//! The same interval machinery backs the clients' learned routes. Each
-//! client keeps a plain directory→MDS map ([`ClientCache`]); the label
-//! index over them is **one** [`RouteIndex`] for all clients, so an
-//! export drops every client's stale routes in one range scan, and what
-//! it costs does not grow with the number of clients that hold nothing
-//! in the moved region. (The per-client predicate scan survives as the
-//! differential oracle in the unit tests below.)
+//! The clients' learned routes are dropped the same way. Each client
+//! keeps a plain directory→MDS map ([`ClientCache`]); **one**
+//! [`RouteIndex`] of `(directory, client)` pairs sits over all of them,
+//! so an export finds every client's route to a moved directory with one
+//! range lookup, whatever the number of clients that hold nothing there.
+//! (The per-client predicate scan survives as the differential oracle in
+//! the unit tests below.)
 //!
 //! Determinism: group caches live in [`crate::shard::SharedSim`] and are
 //! **read-only during windows**. Every mutation — fill, LRU touch,
@@ -31,9 +30,9 @@
 //! `(time, key)` order, so the LRU clock and eviction order are pure
 //! functions of the event stream.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use mantle_namespace::{MdsId, Namespace, NodeId, OpKind};
+use mantle_namespace::{MdsId, NodeId, OpKind};
 
 use crate::client::ClientState;
 
@@ -43,59 +42,9 @@ pub fn cacheable(kind: OpKind) -> bool {
     matches!(kind, OpKind::Stat | OpKind::OpenRead | OpKind::Readdir)
 }
 
-/// A moved/invalidated namespace region in Euler-interval form: the
-/// label span of the root subtree, minus the spans of the authority
-/// holes, restricted to directories that existed when the region was
-/// captured (`watermark`) — the directories the export moved: what a
-/// migration freezes is what it invalidates.
-#[derive(Debug, Clone)]
-pub struct IntervalRegion {
-    root: NodeId,
-    span: (u64, u64),
-    holes: Vec<(u64, u64)>,
-    watermark: u32,
-    root_only: bool,
-}
-
-impl IntervalRegion {
-    /// Capture a region from its parts, resolving current Euler labels.
-    /// Must be captured and applied under the same namespace epoch
-    /// (no renumber in between) — both happen inside one exclusive
-    /// coordinator step, so that holds by construction.
-    pub fn new(
-        ns: &Namespace,
-        root: NodeId,
-        holes: &[NodeId],
-        watermark: u32,
-        root_only: bool,
-    ) -> Self {
-        IntervalRegion {
-            root,
-            span: ns.euler_interval(root),
-            holes: holes.iter().map(|&h| ns.euler_interval(h)).collect(),
-            watermark,
-            root_only,
-        }
-    }
-
-    /// Does the region contain the directory with Euler in-time `tin`?
-    /// `tin` must be current (same namespace epoch as construction).
-    fn contains_label(&self, d: NodeId, tin: u64) -> bool {
-        if d.0 >= self.watermark {
-            return false;
-        }
-        if self.root_only {
-            return d == self.root;
-        }
-        self.span.0 <= tin
-            && tin < self.span.1
-            && !self.holes.iter().any(|&(a, b)| a <= tin && tin < b)
-    }
-}
-
 /// One client's learned directory→MDS map: what it routes by. It holds
-/// nothing else — which of its directories lie inside a migrated region
-/// is the [`RouteIndex`]'s business, and every write goes through that.
+/// nothing else — which clients hold a route to a migrated directory is
+/// the [`RouteIndex`]'s business, and every write goes through that.
 #[derive(Debug, Clone, Default)]
 pub struct ClientCache {
     entries: HashMap<NodeId, u32>,
@@ -118,101 +67,52 @@ impl ClientCache {
     }
 }
 
-/// Every client's learned routes by Euler in-time: `(tin, client) → dir`,
-/// one entry per entry of a client's [`ClientCache`], so a migration
-/// drops the moved region from all of them with one ordered range scan.
-/// Owned by the data plane next to the clients it indexes, which every
-/// method takes. Labels pin the namespace epoch they were resolved under;
-/// a renumber (rare — label space is u64) rebuilds the index, once, the
-/// next time a label is needed.
+/// Every client's learned routes as `(dir, client)` pairs, one per entry
+/// of a client's [`ClientCache`], ordered so that the clients holding a
+/// route to one directory are one range. Owned by the data plane next to
+/// the clients it indexes, which every method takes.
 #[derive(Debug, Default)]
 pub struct RouteIndex {
-    by_tin: BTreeMap<(u64, u32), NodeId>,
-    epoch: u64,
+    pairs: BTreeSet<(NodeId, u32)>,
 }
 
 impl RouteIndex {
     /// A reply told client `c` that `dir` was ultimately served by `mds`.
     /// Re-learning a known directory — nearly every reply — is one hash
     /// probe.
-    pub(crate) fn learn(
-        &mut self,
-        ns: &Namespace,
-        clients: &mut [ClientState],
-        c: usize,
-        dir: NodeId,
-        mds: MdsId,
-    ) {
+    pub(crate) fn learn(&mut self, clients: &mut [ClientState], c: usize, dir: NodeId, mds: MdsId) {
         if clients[c].cache.entries.insert(dir, mds as u32).is_none() {
-            self.sync_epoch(ns, clients);
-            self.by_tin
-                .insert((ns.euler_interval(dir).0, c as u32), dir);
+            self.pairs.insert((dir, c as u32));
         }
     }
 
     /// Client `c` forgets what it learned about `dir` alone.
-    pub(crate) fn forget(
-        &mut self,
-        ns: &Namespace,
-        clients: &mut [ClientState],
-        c: usize,
-        dir: NodeId,
-    ) {
+    pub(crate) fn forget(&mut self, clients: &mut [ClientState], c: usize, dir: NodeId) {
         if clients[c].cache.entries.remove(&dir).is_some() {
-            self.sync_epoch(ns, clients);
-            self.by_tin.remove(&(ns.euler_interval(dir).0, c as u32));
+            self.pairs.remove(&(dir, c as u32));
         }
     }
 
-    /// Drop every route inside `region` held by a client still running,
+    /// Drop every route to one of `dirs` held by a client still running,
     /// returning how many were dropped. A `done` client routes nothing
     /// any more; its entries stay, uncounted.
-    pub(crate) fn invalidate_region(
-        &mut self,
-        ns: &Namespace,
-        clients: &mut [ClientState],
-        region: &IntervalRegion,
-    ) -> u64 {
-        self.sync_epoch(ns, clients);
-        // A frag export moved the root alone: scan its one label.
-        let (from, mut to) = region.span;
-        if region.root_only {
-            to = from + 1;
-        }
-        let stale: Vec<(u64, u32)> = self
-            .by_tin
-            .range((from, 0)..(to, 0))
-            .filter(|&(&(tin, c), &d)| !clients[c as usize].done && region.contains_label(d, tin))
-            .map(|(&key, _)| key)
+    pub(crate) fn invalidate_dirs(&mut self, clients: &mut [ClientState], dirs: &[NodeId]) -> u64 {
+        let stale: Vec<(NodeId, u32)> = dirs
+            .iter()
+            .flat_map(|&d| self.pairs.range((d, 0)..=(d, u32::MAX)))
+            .filter(|&&(_, c)| !clients[c as usize].done)
+            .copied()
             .collect();
-        for key in &stale {
-            let dir = self.by_tin.remove(key).expect("collected from the index");
-            clients[key.1 as usize].cache.entries.remove(&dir);
+        for &(dir, c) in &stale {
+            self.pairs.remove(&(dir, c));
+            clients[c as usize].cache.entries.remove(&dir);
         }
         stale.len() as u64
-    }
-
-    /// Re-resolve every label after a namespace renumber.
-    fn sync_epoch(&mut self, ns: &Namespace, clients: &[ClientState]) {
-        let epoch = ns.renumbers();
-        if self.epoch == epoch {
-            return;
-        }
-        self.by_tin = clients
-            .iter()
-            .enumerate()
-            .flat_map(|(c, client)| {
-                let dirs = client.cache.entries.keys();
-                dirs.map(move |&d| ((ns.euler_interval(d).0, c as u32), d))
-            })
-            .collect();
-        self.epoch = epoch;
     }
 }
 
 /// One proxy group's read cache: directory → the MDS whose metadata the
-/// proxy holds, with capacity-bounded LRU eviction and a label index of
-/// its own, like the clients' [`RouteIndex`], for region invalidation.
+/// proxy holds, with capacity-bounded LRU eviction.
 ///
 /// The LRU clock (`tick`) only advances at window barriers, where touch
 /// and fill ops are applied in global `(time, key)` order — eviction
@@ -221,18 +121,15 @@ impl RouteIndex {
 pub struct GroupCache {
     capacity: usize,
     entries: HashMap<NodeId, GroupSlot>,
-    by_tin: BTreeMap<u64, NodeId>,
     /// LRU recency: tick of last use → directory. Ticks are unique
     /// (each use consumes a fresh one), so this is a total order.
     recency: BTreeMap<u64, NodeId>,
     tick: u64,
-    epoch: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct GroupSlot {
     mds: MdsId,
-    tin: u64,
     tick: u64,
 }
 
@@ -242,10 +139,8 @@ impl GroupCache {
         GroupCache {
             capacity: capacity.max(1),
             entries: HashMap::new(),
-            by_tin: BTreeMap::new(),
             recency: BTreeMap::new(),
             tick: 0,
-            epoch: 0,
         }
     }
 
@@ -280,73 +175,29 @@ impl GroupCache {
 
     /// Insert (or refresh) `dir` as served by `mds`, evicting the
     /// least-recently-used entry if the cache is full.
-    pub fn fill(&mut self, ns: &Namespace, dir: NodeId, mds: MdsId) {
-        self.sync_epoch(ns);
+    pub fn fill(&mut self, dir: NodeId, mds: MdsId) {
         self.tick += 1;
         let tick = self.tick;
-        let tin = ns.euler_interval(dir).0;
-        if let Some(slot) = self.entries.get_mut(&dir) {
-            let old = slot.tick;
-            *slot = GroupSlot { mds, tin, tick };
-            self.recency.remove(&old);
-            self.recency.insert(tick, dir);
-            return;
+        if let Some(slot) = self.entries.insert(dir, GroupSlot { mds, tick }) {
+            self.recency.remove(&slot.tick);
         }
-        self.entries.insert(dir, GroupSlot { mds, tin, tick });
-        self.by_tin.insert(tin, dir);
         self.recency.insert(tick, dir);
         while self.entries.len() > self.capacity {
             let (_, victim) = self.recency.pop_first().expect("len > capacity ≥ 1");
-            let slot = self.entries.remove(&victim).expect("recency entry backed");
-            self.by_tin.remove(&slot.tin);
+            self.entries.remove(&victim);
         }
     }
 
-    /// Drop `dir`'s entry (a mutating op landed on it). Returns whether
-    /// an entry was present.
+    /// Drop `dir`'s entry (a mutating op landed on it, or an export moved
+    /// it). Returns whether an entry was present.
     pub fn invalidate(&mut self, dir: NodeId) -> bool {
         match self.entries.remove(&dir) {
             Some(slot) => {
-                self.by_tin.remove(&slot.tin);
                 self.recency.remove(&slot.tick);
                 true
             }
             None => false,
         }
-    }
-
-    /// Drop every entry inside `region` (migration / session flush),
-    /// returning how many were dropped. Same range-scan machinery as
-    /// the clients' [`RouteIndex`].
-    pub fn invalidate_region(&mut self, ns: &Namespace, region: &IntervalRegion) -> u64 {
-        self.sync_epoch(ns);
-        if region.root_only {
-            return u64::from(region.root.0 < region.watermark && self.invalidate(region.root));
-        }
-        let stale: Vec<NodeId> = self
-            .by_tin
-            .range(region.span.0..region.span.1)
-            .filter(|&(&tin, &d)| region.contains_label(d, tin))
-            .map(|(_, &d)| d)
-            .collect();
-        for d in &stale {
-            self.invalidate(*d);
-        }
-        stale.len() as u64
-    }
-
-    /// Re-resolve every stored label after a namespace renumber.
-    fn sync_epoch(&mut self, ns: &Namespace) {
-        let epoch = ns.renumbers();
-        if self.epoch == epoch {
-            return;
-        }
-        self.by_tin.clear();
-        for (&d, slot) in &mut self.entries {
-            slot.tin = ns.euler_interval(d).0;
-            self.by_tin.insert(slot.tin, d);
-        }
-        self.epoch = epoch;
     }
 }
 
@@ -361,52 +212,68 @@ pub fn group_of(client: usize, num_clients: usize, groups: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::tests::SubtreeWindow;
+    use crate::migration::moved_dirs;
+    use crate::partition::ExportUnit;
+    use crate::shard::tests::{is_under, SubtreeWindow};
+    use mantle_namespace::Namespace;
     use mantle_sim::{SimRng, SimTime};
 
-    fn grow(ns: &mut Namespace, rng: &mut SimRng, dirs: usize) -> Vec<NodeId> {
-        let mut all = vec![ns.root()];
-        for i in 0..dirs {
-            let parent = all[(rng.next_u64() % all.len() as u64) as usize];
-            let d = ns.mkdir(parent, format!("d{i}"));
-            all.push(d);
-        }
-        all
+    fn pick(rng: &mut SimRng, from: &[NodeId]) -> NodeId {
+        from[rng.below(from.len() as u64) as usize]
     }
 
-    fn random_window(ns: &Namespace, rng: &mut SimRng, all: &[NodeId]) -> SubtreeWindow {
-        let root = all[(rng.next_u64() % all.len() as u64) as usize];
-        let holes: Vec<NodeId> = (0..rng.next_u64() % 3)
-            .map(|_| all[(rng.next_u64() % all.len() as u64) as usize])
-            .filter(|&h| h != root && ns.in_subtree(h, root))
+    /// One export drawn at random: a root, up to two new authority bounds
+    /// nested below it, and one time in five a frag export. Returns the
+    /// list the export moves, the parent-walk predicate it must equal,
+    /// and the bounds to clear once the case is checked.
+    fn random_export(
+        ns: &mut Namespace,
+        rng: &mut SimRng,
+        all: &[NodeId],
+    ) -> (Vec<NodeId>, SubtreeWindow, Vec<NodeId>) {
+        let root = pick(rng, all);
+        let bounds: Vec<NodeId> = (0..rng.below(3))
+            .map(|_| pick(rng, all))
+            .filter(|&h| h != root && is_under(ns, h, root) && ns.dir(h).auth.is_none())
             .collect();
-        let watermark = if rng.next_u64().is_multiple_of(4) {
-            (rng.next_u64() % all.len() as u64) as u32
-        } else {
-            ns.dir_count() as u32
-        };
-        SubtreeWindow {
+        for &h in &bounds {
+            ns.set_auth(h, Some(1));
+        }
+        let holes = ns
+            .all_dirs()
+            .filter(|&d| d != root && ns.dir(d).auth.is_some() && is_under(ns, d, root))
+            .collect();
+        let window = SubtreeWindow {
             root,
             holes,
-            watermark,
-            root_only: rng.next_u64().is_multiple_of(5),
+            watermark: ns.dir_count() as u32,
+            root_only: rng.below(5) == 0,
             until: SimTime::ZERO,
-        }
+        };
+        let unit = if window.root_only {
+            ExportUnit::Frag(root, 0)
+        } else {
+            ExportUnit::Subtree(root)
+        };
+        (moved_dirs(ns, unit), window, bounds)
     }
 
-    /// Satellite check: one label index shared by many clients drops
-    /// exactly what a predicate scan of each running client's own map
-    /// drops — across random trees and regions (holes, watermarks,
-    /// root-only), clients that finish, single-directory forgets, and a
-    /// renumber in the middle of the sequence.
+    /// Satellite check: one `(dir, client)` index shared by many clients
+    /// drops exactly what a predicate scan of each running client's own
+    /// map drops — across random trees and exports (nested bounds,
+    /// root-only), directories created after the export, clients that
+    /// finish, and single-directory forgets.
     #[test]
     fn interval_invalidation_matches_predicate_oracle() {
         let mut rng = SimRng::new(0xCAFE);
-        let pick = |rng: &mut SimRng, from: &[NodeId]| from[rng.below(from.len() as u64) as usize];
-        let (mut renumbered, mut dropped_total, mut spared_done) = (0, 0, 0);
+        let (mut late_routes, mut dropped_total, mut spared_done) = (0, 0, 0);
         for round in 0..40u32 {
             let mut ns = Namespace::default();
-            let mut all = grow(&mut ns, &mut rng, 60);
+            let mut all = vec![ns.root()];
+            for i in 0..60 {
+                let parent = pick(&mut rng, &all);
+                all.push(ns.mkdir(parent, format!("d{i}")));
+            }
             let n = 2 + rng.below(7) as usize;
             let mut clients: Vec<ClientState> = (0..n).map(ClientState::new).collect();
             let mut routes = RouteIndex::default();
@@ -414,46 +281,38 @@ mod tests {
             // region's predicate.
             let mut oracle: Vec<HashMap<NodeId, MdsId>> = vec![HashMap::new(); n];
             for step in 0..10 {
-                for _ in 0..10 * n {
+                let (moved, w, bounds) = random_export(&mut ns, &mut rng, &all);
+                // Directories created after the export, half of them in
+                // its region: routes to them must survive it.
+                let mut late = Vec::new();
+                for i in 0..1 + rng.below(4) {
+                    let parent = pick(&mut rng, if i % 2 == 0 { &moved } else { &all });
+                    late.push(ns.mkdir(parent, format!("late{step}.{i}")));
+                }
+                all.extend(&late);
+                for k in 0..10 * n {
                     let c = rng.below(n as u64) as usize;
                     if !clients[c].done {
-                        let (d, mds) = (pick(&mut rng, &all), rng.below(4) as MdsId);
-                        routes.learn(&ns, &mut clients, c, d, mds);
+                        let d = match late.get(k) {
+                            Some(&d) => d,
+                            None => pick(&mut rng, &all),
+                        };
+                        let mds = rng.below(4) as MdsId;
+                        routes.learn(&mut clients, c, d, mds);
                         oracle[c].insert(d, mds);
+                        late_routes += usize::from(d.0 >= w.watermark && is_under(&ns, d, w.root));
                     }
                 }
                 // A request timed out: one client forgets one directory.
                 for _ in 0..rng.below(4) {
                     let (c, d) = (rng.below(n as u64) as usize, pick(&mut rng, &all));
-                    routes.forget(&ns, &mut clients, c, d);
+                    routes.forget(&mut clients, c, d);
                     oracle[c].remove(&d);
                 }
                 if rng.below(5) == 0 {
                     clients[rng.below(n as u64) as usize].done = true;
                 }
-                if step == 4 && !round.is_multiple_of(3) {
-                    // Exhaust a directory's label space — one wide parent,
-                    // or one deep chain — to force a renumber between the
-                    // learns above and the invalidation below.
-                    let before = ns.renumbers();
-                    let mut p = pick(&mut rng, &all);
-                    for i in 0.. {
-                        let d = ns.mkdir(p, format!("r{i}"));
-                        if round % 3 == 1 {
-                            p = d;
-                        }
-                        if i % 64 == 0 {
-                            all.push(d);
-                        }
-                        if ns.renumbers() > before {
-                            break;
-                        }
-                    }
-                    renumbered += 1;
-                }
-                let w = random_window(&ns, &mut rng, &all);
-                let region = IntervalRegion::new(&ns, w.root, &w.holes, w.watermark, w.root_only);
-                let dropped = routes.invalidate_region(&ns, &mut clients, &region);
+                let dropped = routes.invalidate_dirs(&mut clients, &moved);
                 let mut want = 0;
                 for (c, map) in oracle.iter_mut().enumerate() {
                     let before = map.len();
@@ -479,10 +338,16 @@ mod tests {
                 }
                 // The index holds one entry per route, no more.
                 let held: usize = clients.iter().map(|c| c.cache.len()).sum();
-                assert_eq!(routes.by_tin.len(), held, "round {round} step {step}");
+                assert_eq!(routes.pairs.len(), held, "round {round} step {step}");
+                for h in bounds {
+                    ns.set_auth(h, None);
+                }
             }
         }
-        assert!(renumbered > 20, "{renumbered} renumbers");
+        assert!(
+            late_routes > 400,
+            "{late_routes} routes created after an export"
+        );
         assert!(dropped_total > 1_000, "{dropped_total} routes dropped");
         assert!(
             spared_done > 100,
@@ -495,18 +360,17 @@ mod tests {
         let mut ns = Namespace::default();
         let dirs: Vec<NodeId> = (0..4).map(|i| ns.mkdir_p(&format!("/d{i}"))).collect();
         let mut c = GroupCache::new(3);
-        c.fill(&ns, dirs[0], 0);
-        c.fill(&ns, dirs[1], 1);
-        c.fill(&ns, dirs[2], 2);
+        c.fill(dirs[0], 0);
+        c.fill(dirs[1], 1);
+        c.fill(dirs[2], 2);
         // Touch the oldest so it survives the next eviction.
         c.touch(dirs[0]);
-        c.fill(&ns, dirs[3], 3);
+        c.fill(dirs[3], 3);
         assert_eq!(c.len(), 3);
         assert_eq!(c.lookup(dirs[0]), Some(0), "touched entry survives");
         assert_eq!(c.lookup(dirs[1]), None, "LRU entry evicted");
         assert_eq!(c.lookup(dirs[3]), Some(3));
-        // Internal indexes track entries exactly.
-        assert_eq!(c.by_tin.len(), c.entries.len());
+        // The recency index tracks entries exactly.
         assert_eq!(c.recency.len(), c.entries.len());
     }
 
@@ -519,26 +383,34 @@ mod tests {
         let other = ns.mkdir_p("/other");
         let mut c = GroupCache::new(16);
         for &d in &[a, ab, abc, other] {
-            c.fill(&ns, d, 0);
+            c.fill(d, 0);
         }
-        let watermark = ns.dir_count() as u32;
+        // Export /a with a nested bound at /a/b: the hole's subtree and
+        // directories created after the export survive.
+        ns.set_auth(ab, Some(2));
+        let moved = moved_dirs(&ns, ExportUnit::Subtree(a));
+        let w = SubtreeWindow {
+            root: a,
+            holes: vec![ab],
+            watermark: ns.dir_count() as u32,
+            root_only: false,
+            until: SimTime::ZERO,
+        };
         let late = ns.mkdir_p("/a/late");
-        c.fill(&ns, late, 0);
-        // Invalidate subtree /a with hole /a/b — the hole's subtree and
-        // post-watermark dirs survive.
-        let region = IntervalRegion::new(&ns, a, &[ab], watermark, false);
-        let dropped = c.invalidate_region(&ns, &region);
-        assert_eq!(dropped, 1, "only /a itself is in the region");
+        c.fill(late, 0);
+        let mut drop_all =
+            |moved: &[NodeId]| -> u64 { moved.iter().map(|&d| u64::from(c.invalidate(d))).sum() };
+        assert_eq!(drop_all(&moved), 1, "only /a itself is in the region");
+        let gone: Vec<NodeId> = ns.all_dirs().filter(|&d| w.contains(&ns, d)).collect();
+        assert_eq!(gone, vec![a], "the list is the predicate's region");
+        // A frag export moves the fragmented directory alone.
+        assert_eq!(drop_all(&moved_dirs(&ns, ExportUnit::Frag(ab, 0))), 1);
         assert_eq!(c.lookup(a), None);
-        assert_eq!(c.lookup(ab), Some(0), "hole root spared");
+        assert_eq!(c.lookup(ab), None);
         assert_eq!(c.lookup(abc), Some(0), "hole descendant spared");
         assert_eq!(c.lookup(other), Some(0), "outside the region");
-        assert_eq!(c.lookup(late), Some(0), "created after the watermark");
-        // root_only drops exactly the root.
-        let ro = IntervalRegion::new(&ns, ab, &[], ns.dir_count() as u32, true);
-        assert_eq!(c.invalidate_region(&ns, &ro), 1);
-        assert_eq!(c.lookup(ab), None);
-        assert_eq!(c.lookup(abc), Some(0));
+        assert_eq!(c.lookup(late), Some(0), "created after the export");
+        assert_eq!(c.recency.len(), c.entries.len());
     }
 
     #[test]

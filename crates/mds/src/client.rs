@@ -68,8 +68,8 @@ pub struct ClientState {
     /// client builds "its own mapping of subtrees to MDS nodes", §2).
     /// Written only through the data plane's
     /// [`RouteIndex`](crate::cache::RouteIndex), which indexes every
-    /// client's map by Euler label so a migration drops the moved region
-    /// from all of them in one range scan.
+    /// client's map by directory so a migration drops each moved
+    /// directory from all of them in one range lookup.
     pub(crate) cache: ClientCache,
     /// This client is done issuing ops.
     pub done: bool,
@@ -172,13 +172,13 @@ mod tests {
         );
         // Even though ground truth moved, the client still uses its cache…
         ns.set_auth(d, Some(2));
-        routes.learn(&ns, &mut c, 0, d, 1);
+        routes.learn(&mut c, 0, d, 1);
         assert_eq!(
             c[0].route(&ns, &op, ns.peek_frag(d), false),
             1,
             "stale cache drives routing"
         );
-        routes.forget(&ns, &mut c, 0, d);
+        routes.forget(&mut c, 0, d);
         assert_eq!(c[0].route(&ns, &op, ns.peek_frag(d), false), 0);
     }
 

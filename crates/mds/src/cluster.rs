@@ -924,9 +924,9 @@ mod tests {
         let mut x = cluster.driver.exclusive();
         // The client learned MDS 2 serves both dirs.
         {
-            let (sim, plane) = x.parts();
+            let plane = x.plane();
             for d in [a, ab] {
-                plane.routes.learn(&sim.ns, &mut plane.clients, 0, d, 2);
+                plane.routes.learn(&mut plane.clients, 0, d, 2);
             }
         }
         // MDS 2 exports the subtree to MDS 1.

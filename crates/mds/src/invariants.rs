@@ -229,8 +229,8 @@ impl Checker {
     }
 
     /// Is `d` inside the subtree rooted at `root` (inclusive)? Parent
-    /// walk — the model has no Euler labels, and traces are small.
-    fn in_subtree(&self, d: NodeId, root: NodeId) -> bool {
+    /// walk: traces are small.
+    fn is_under(&self, d: NodeId, root: NodeId) -> bool {
         let mut cur = Some(d);
         while let Some(c) = cur {
             if c == root {
@@ -271,7 +271,7 @@ impl Checker {
             if w.root_only {
                 return d == w.root;
             }
-            self.in_subtree(d, w.root) && !w.holes.iter().any(|&h| self.in_subtree(d, h))
+            self.is_under(d, w.root) && !w.holes.iter().any(|&h| self.is_under(d, h))
         })
     }
 
@@ -607,8 +607,8 @@ impl Checker {
                             && if root_only {
                                 d == *root
                             } else {
-                                self.in_subtree(d, *root)
-                                    && !holes.iter().any(|&h| self.in_subtree(d, h))
+                                self.is_under(d, *root)
+                                    && !holes.iter().any(|&h| self.is_under(d, h))
                             }
                     })
                     .collect();

@@ -9,21 +9,32 @@
 //! engine never moves authority except by failover.
 //!
 //! All the per-directory work is done here, once per export, so that the
-//! request path does none of it: the thaw and warm-up instants are
-//! stamped on each moved directory (`shard::DirStamps`), and the
-//! clients' stale routes are dropped by one range scan of the index they
-//! share ([`crate::cache::RouteIndex`]), not one per client.
+//! request path does none of it. One list drives it all: the directories
+//! the bounded migration walk covered. Each gets the thaw and warm-up
+//! instants stamped on it (`shard::DirStamps`), its entry dropped from
+//! every proxy-tier cache, and every client's route to it dropped with
+//! one lookup in the index they share ([`crate::cache::RouteIndex`]),
+//! not one per client.
 
-use mantle_namespace::{MdsId, SubtreeMigration};
+use mantle_namespace::{MdsId, Namespace, NodeId, SubtreeMigration};
 use mantle_sim::SimTime;
 
-use crate::cache::IntervalRegion;
 use crate::config::ClusterConfig;
 use crate::driver::Exclusive;
 use crate::partition::{Export, ExportUnit};
-use crate::shard::SharedSim;
 use crate::trace::TraceEvent;
 use crate::tracer::Tracer;
+
+/// The directories an export of `unit` moves: the bounded subtree the
+/// migration walk covers, or the fragmented directory alone. Settled when
+/// the export is applied, for good — the namespace only grows, and a
+/// directory created later is in no earlier export's region.
+pub(crate) fn moved_dirs(ns: &Namespace, unit: ExportUnit) -> Vec<NodeId> {
+    match unit {
+        ExportUnit::Subtree(d) => ns.subtree_dirs(d, true),
+        ExportUnit::Frag(d, _) => vec![d],
+    }
+}
 
 /// Export bookkeeping, owned by the coordinator.
 #[derive(Default)]
@@ -64,29 +75,16 @@ impl Migrator {
         // The moved region: the whole (bounded) subtree for a subtree
         // export, just the fragmented dir otherwise. The migration walk
         // reports the inode count and the authority holes in one pass.
-        let (root, root_only, migration) = match export.unit {
-            ExportUnit::Subtree(d) => (d, false, sh.ns.migrate_subtree(d, to)),
+        let (root, migration) = match export.unit {
+            ExportUnit::Subtree(d) => (d, sh.ns.migrate_subtree(d, to)),
             ExportUnit::Frag(d, f) => {
                 let inodes = sh.ns.migrate_frag(d, f, to);
-                (
-                    d,
-                    true,
-                    SubtreeMigration {
-                        inodes,
-                        holes: Vec::new(),
-                    },
-                )
+                let holes = Vec::new();
+                (d, SubtreeMigration { inodes, holes })
             }
         };
         let moved = migration.inodes;
-        // The directories that moved: what the bounded walk just covered.
-        // Membership is settled here for good — the namespace only grows,
-        // and a directory created later is in no earlier export's region.
-        let moved_dirs = if root_only {
-            vec![root]
-        } else {
-            sh.ns.subtree_dirs(root, true)
-        };
+        let moved_dirs = moved_dirs(&sh.ns, export.unit);
         // Two-phase commit: the subtree freezes while the importer
         // journals the metadata. Requests to *any* directory inside the
         // moving subtree — not only its root — defer to the thaw.
@@ -145,17 +143,14 @@ impl Migrator {
         let flush = SimTime::from_micros_f64(cfg.costs.session_flush_us);
         let mut flushed = 0;
         let (sh, plane) = x.parts();
-        let SharedSim { ns, caches, .. } = sh;
-        // The moved region in Euler-interval form: one range scan per
-        // proxy-tier group cache, and one over the index of every
-        // client's routes, drops every stale entry.
-        let region = IntervalRegion::new(ns, root, &migration.holes, watermark, root_only);
-        for cache in caches.iter_mut() {
-            self.cache_invalidations += cache.invalidate_region(ns, &region);
+        for cache in &mut sh.caches {
+            for &d in &moved_dirs {
+                self.cache_invalidations += u64::from(cache.invalidate(d));
+            }
         }
         self.cache_invalidations += plane
             .routes
-            .invalidate_region(ns, &mut plane.clients, &region);
+            .invalidate_dirs(&mut plane.clients, &moved_dirs);
         for c in &mut plane.clients {
             if !c.done {
                 c.stall_until = c.stall_until.max(now + flush);

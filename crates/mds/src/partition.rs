@@ -440,6 +440,7 @@ mod tests {
     use super::*;
     use crate::balancer::{BalanceContext, CephfsBalancer};
     use crate::selector::DirfragSelector;
+    use crate::shard::tests::is_under;
     use mantle_namespace::{HeatSample, NsConfig, OpKind};
     use mantle_sim::SimRng;
 
@@ -721,7 +722,7 @@ mod tests {
         // ops spread over five seconds.
         let cold = pick(rng, &levels[1]);
         for &d in &dirs {
-            if ns.in_subtree(d, cold) && rng.below(3) > 0 {
+            if is_under(&ns, d, cold) && rng.below(3) > 0 {
                 continue;
             }
             for _ in 0..rng.below(4) * rng.below(30) {
@@ -1004,7 +1005,7 @@ mod tests {
                 exported += got.len();
                 let in_warmed = |e: &&Export| match e.unit {
                     ExportUnit::Subtree(d) | ExportUnit::Frag(d, _) => {
-                        ours.in_subtree(turns_warm, d)
+                        is_under(&ours, turns_warm, d)
                     }
                 };
                 warmed_exports += got.iter().filter(in_warmed).count() * tick;

@@ -2,7 +2,7 @@
 //!
 //! One [`Shard`] owns the event queue, the per-MDS counters and RNG
 //! streams, and the client state — each client's learned routes, and the
-//! one label index over all of them ([`crate::cache::RouteIndex`]). It
+//! one route index over all of them ([`crate::cache::RouteIndex`]). It
 //! runs in **windows**: the scheduler (in [`crate::driver`]) picks
 //! `[base, end)` no wider than the shortest simulated hop, the shard
 //! drains its events inside it against a read-only [`SharedSim`], and the
@@ -259,7 +259,7 @@ pub struct Shard {
     pub(crate) queue: EventQueue<Event>,
     pub(crate) workload: Box<dyn Workload>,
     pub(crate) clients: Vec<ClientState>,
-    /// The label index over every client's learned routes.
+    /// The index over every client's learned routes.
     pub(crate) routes: RouteIndex,
     pub(crate) counters: Vec<MdsCounters>,
     /// Absolute µs when each MDS becomes free (single-server queue).
@@ -445,7 +445,7 @@ impl Shard {
                     epoch,
                 } => self.on_complete(sh, mds, req, service_us, epoch, now),
                 Event::Reply { mds, req } => self.on_reply(sh, mds, req, now),
-                Event::Timeout { client, seq } => self.on_timeout(sh, client, seq, now),
+                Event::Timeout { client, seq } => self.on_timeout(client, seq, now),
                 Event::Retry(c) => self.on_retry(sh, c, now),
             }
         }
@@ -601,7 +601,7 @@ impl Shard {
     /// A request timeout fired. If the attempt is still outstanding, the
     /// client declares it lost, forgets its (possibly stale) route for
     /// the directory, and backs off exponentially before retrying.
-    fn on_timeout(&mut self, sh: &SharedSim, c: usize, seq: u64, now: SimTime) {
+    fn on_timeout(&mut self, c: usize, seq: u64, now: SimTime) {
         let client = &self.clients[c];
         if client.seq != seq || client.pending.is_none() {
             return; // the attempt completed (or was already superseded)
@@ -614,7 +614,7 @@ impl Shard {
         client.attempts += 1;
         // Re-route: the cached mapping pointed at a dead or unreachable
         // authority; fall back to the mount authority on the next try.
-        self.routes.forget(&sh.ns, &mut self.clients, c, dir);
+        self.routes.forget(&mut self.clients, c, dir);
         let backoff = self.cfg.faults.backoff_for(attempt);
         let key = self.client_key(c);
         self.queue
@@ -644,7 +644,7 @@ impl Shard {
         let latency_ms = (now - req.issued).as_millis_f64();
         client.record_completion(now, latency_ms);
         self.routes
-            .learn(&sh.ns, &mut self.clients, req.client, req.op.dir, mds);
+            .learn(&mut self.clients, req.client, req.op.dir, mds);
         if self.live {
             self.completions.push(crate::service::LiveCompletion {
                 client: req.client,
@@ -896,11 +896,23 @@ pub(crate) fn in_cold(sh: &SharedSim, d: NodeId, now: SimTime) -> bool {
 pub(crate) mod tests {
     use super::*;
 
-    /// One export's moved region as a predicate: the test oracle for what
-    /// [`DirStamps`] and the label indexes in [`crate::cache`] compute.
-    /// Membership is an Euler-interval check against the namespace's
-    /// current labels, minus the authority holes and the directories
-    /// created after the export.
+    /// Is `d` at or below `root`? A parent walk: the oracle knows nothing
+    /// the namespace maintains beyond `Dir::parent`.
+    pub(crate) fn is_under(ns: &Namespace, d: NodeId, root: NodeId) -> bool {
+        let mut cur = Some(d);
+        while let Some(c) = cur {
+            if c == root {
+                return true;
+            }
+            cur = ns.dir(c).parent;
+        }
+        false
+    }
+
+    /// One export's moved region as a predicate: the test oracle for the
+    /// directory list [`crate::migration`] stamps ([`DirStamps`]) and
+    /// invalidates ([`crate::cache`]). Membership is [`is_under`] the
+    /// root and no hole, for directories that existed at the export.
     #[derive(Debug, Clone)]
     pub(crate) struct SubtreeWindow {
         pub(crate) root: NodeId,
@@ -908,7 +920,7 @@ pub(crate) mod tests {
         /// directories under a hole did not move.
         pub(crate) holes: Vec<NodeId>,
         /// `dir_count` at capture: directories created after the export
-        /// sit outside even when their Euler label falls inside.
+        /// sit outside even when they are under the root.
         pub(crate) watermark: u32,
         /// Frag exports cover only the fragmented directory itself.
         pub(crate) root_only: bool,
@@ -923,7 +935,7 @@ pub(crate) mod tests {
             if self.root_only {
                 return d == self.root;
             }
-            ns.in_subtree(d, self.root) && !self.holes.iter().any(|&h| ns.in_subtree(d, h))
+            is_under(ns, d, self.root) && !self.holes.iter().any(|&h| is_under(ns, d, h))
         }
     }
 

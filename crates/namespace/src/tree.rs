@@ -86,15 +86,6 @@ pub struct Dir {
     pub subtree_heat: FragHeat,
     /// Memoized authority resolution, kept fresh by every mutation.
     auth_cache: AuthCache,
-    /// Euler-tour label: this dir's own point in the ordering. The subtree
-    /// occupies `[tin, tout)`, so "is `d` inside subtree `s`" is one range
-    /// check on `d.tin`.
-    tin: u64,
-    /// Exclusive end of this dir's subtree interval.
-    tout: u64,
-    /// Next unassigned label inside the interval; children carve their
-    /// intervals from here.
-    cursor: u64,
 }
 
 /// Interned path-component names: each distinct name is stored once and
@@ -230,8 +221,6 @@ pub struct Namespace {
     bound_roots: Vec<BTreeSet<NodeId>>,
     /// Per-MDS set of fragment authority overrides `(dir, frag)`.
     frag_over: Vec<BTreeSet<(NodeId, FragId)>>,
-    /// Full Euler renumber passes performed (diagnostics).
-    renumbers: u64,
     /// One bit per directory, 64 to a word: an op was recorded on it or
     /// below it ([`Namespace::is_warm`]). Grown by [`Namespace::mkdir`].
     warm: Vec<u64>,
@@ -253,9 +242,6 @@ impl Namespace {
                 auth: 0,
                 chain: vec![0],
             },
-            tin: 0,
-            tout: u64::MAX,
-            cursor: 1,
         };
         let agg = LoadAggregates::new(cfg.decay_half_life);
         let mut root_set = BTreeSet::new();
@@ -271,7 +257,6 @@ impl Namespace {
             clock: SimTime::ZERO,
             bound_roots: vec![root_set],
             frag_over: vec![BTreeSet::new()],
-            renumbers: 0,
             warm: vec![0],
         }
     }
@@ -318,7 +303,6 @@ impl Namespace {
         self.child_index.entry((parent, name)).or_insert(id);
         let depth = self.dir(parent).depth + 1;
         let half_life = self.cfg.decay_half_life;
-        let (tin, tout) = self.alloc_interval(parent);
         // A new dir resolves as its parent does: every cache stays valid.
         let auth_cache = self.dirs[parent.0 as usize].auth_cache.clone();
         let dir = Dir {
@@ -331,9 +315,6 @@ impl Namespace {
             auth: None,
             subtree_heat: FragHeat::new(half_life),
             auth_cache,
-            tin,
-            tout,
-            cursor: tin + 1,
         };
         self.dirs.push(dir);
         if self.warm.len() * 64 < self.dirs.len() {
@@ -341,82 +322,6 @@ impl Namespace {
         }
         self.dir_mut(parent).children.push(id);
         id
-    }
-
-    // ---- Euler-tour intervals ----
-
-    /// Carve a fresh child interval out of `parent`'s remaining label
-    /// space, renumbering the whole tree if the parent has run dry.
-    fn alloc_interval(&mut self, parent: NodeId) -> (u64, u64) {
-        let p = parent.0 as usize;
-        loop {
-            let cursor = self.dirs[p].cursor;
-            let remaining = self.dirs[p].tout - cursor;
-            if remaining >= 2 {
-                // A slice of the remaining space: big enough that siblings
-                // created later still fit, small enough that the child has
-                // headroom of its own.
-                let gap = (remaining / 64).clamp(2, remaining);
-                self.dirs[p].cursor = cursor + gap;
-                return (cursor, cursor + gap);
-            }
-            self.renumber();
-        }
-    }
-
-    /// Reassign every interval, sizing each child's share of its parent's
-    /// space proportionally to its subtree size (plus slack for future
-    /// growth). Rare: label space is u64 and gaps shrink geometrically.
-    fn renumber(&mut self) {
-        self.renumbers += 1;
-        let n = self.dirs.len();
-        // Subtree sizes; children always have higher ids than parents.
-        let mut size = vec![1u64; n];
-        for i in (1..n).rev() {
-            let p = self.dirs[i].parent.expect("non-root has a parent").0 as usize;
-            size[p] += size[i];
-        }
-        self.dirs[0].tin = 0;
-        self.dirs[0].tout = u64::MAX;
-        for i in 0..n {
-            let tin = self.dirs[i].tin;
-            let span = self.dirs[i].tout - tin - 1;
-            let own = size[i];
-            let mut cursor = tin + 1;
-            for ci in 0..self.dirs[i].children.len() {
-                let c = self.dirs[i].children[ci].0 as usize;
-                // share < span because own > Σ size[children]; the
-                // difference is the parent's headroom for future children.
-                let share = ((span as u128 * size[c] as u128) / own as u128).max(2) as u64;
-                self.dirs[c].tin = cursor;
-                self.dirs[c].tout = cursor + share;
-                cursor += share;
-            }
-            self.dirs[i].cursor = cursor;
-        }
-    }
-
-    /// Is `d` inside the subtree rooted at `root` (inclusive)? O(1): one
-    /// range check on the Euler-tour labels.
-    pub fn in_subtree(&self, d: NodeId, root: NodeId) -> bool {
-        let r = &self.dirs[root.0 as usize];
-        let t = self.dirs[d.0 as usize].tin;
-        r.tin <= t && t < r.tout
-    }
-
-    /// The Euler-tour label interval `[tin, tout)` of `d`: every
-    /// descendant's `tin` (including `d`'s own) falls inside it, and
-    /// nothing else does. Callers that index on these labels must
-    /// rebuild whenever [`Namespace::renumbers`] changes — a renumber
-    /// reassigns every interval wholesale.
-    pub fn euler_interval(&self, d: NodeId) -> (u64, u64) {
-        let n = &self.dirs[d.0 as usize];
-        (n.tin, n.tout)
-    }
-
-    /// Full Euler renumber passes performed so far (diagnostics).
-    pub fn renumbers(&self) -> u64 {
-        self.renumbers
     }
 
     /// Create every component of a `/`-separated path, returning the leaf.
@@ -1256,41 +1161,6 @@ mod tests {
         assert_eq!(moved.holes, vec![abd], "the walk stopped at /a/b/d");
         assert_eq!(ns.resolve_auth(ab), 1);
         assert_eq!(ns.resolve_auth(abd), 2, "nested subtree untouched");
-    }
-
-    #[test]
-    fn euler_intervals_answer_subtree_membership() {
-        let mut ns = Namespace::default();
-        let a = ns.mkdir_p("/a");
-        let ab = ns.mkdir_p("/a/b");
-        let abc = ns.mkdir_p("/a/b/c");
-        let x = ns.mkdir_p("/x");
-        assert!(ns.in_subtree(a, a), "inclusive at the root of the subtree");
-        assert!(ns.in_subtree(ab, a));
-        assert!(ns.in_subtree(abc, a));
-        assert!(ns.in_subtree(abc, ab));
-        assert!(!ns.in_subtree(x, a));
-        assert!(!ns.in_subtree(a, ab), "ancestors are outside");
-        assert!(ns.in_subtree(x, ns.root()));
-    }
-
-    #[test]
-    fn euler_renumber_preserves_membership() {
-        let mut ns = Namespace::default();
-        // Gaps shrink ~64x per level from 2^64, so a chain ~11 deep drains
-        // its labels; a 2000-deep chain forces many renumbers.
-        let mut cur = ns.root();
-        let mut chain = vec![cur];
-        for i in 0..2_000 {
-            cur = ns.mkdir(cur, format!("d{i}"));
-            chain.push(cur);
-        }
-        assert!(ns.renumbers() > 0, "the deep chain forced a renumber");
-        for w in chain.windows(2) {
-            assert!(ns.in_subtree(w[1], w[0]));
-            assert!(!ns.in_subtree(w[0], w[1]));
-        }
-        assert!(ns.in_subtree(cur, ns.root()));
     }
 
     #[test]

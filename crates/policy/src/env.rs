@@ -745,11 +745,6 @@ impl MantleRuntime {
         self.metaload_scalar().is_some_and(|s| s.is_homogeneous())
     }
 
-    /// Whether this policy carries a `mds_bal_howmany` auto-scaling hook.
-    pub fn has_howmany(&self) -> bool {
-        self.policy.howmany.is_some()
-    }
-
     /// Run one hook script against its bindings — the only code
     /// [`HookEngine`] forks. The bytecode engine re-images `vm`'s globals
     /// and writes `env` into pre-resolved slots; the tree reference builds
@@ -1497,7 +1492,6 @@ MDSs[1]["polluted"] = 1
     #[test]
     fn howmany_absent_yields_none() {
         let rt = MantleRuntime::new(cephfs_policy());
-        assert!(!rt.has_howmany());
         let inputs = BalancerInputs {
             whoami: 0,
             mds: metrics(&[50.0, 5.0]),

@@ -1,7 +1,7 @@
 //! End-to-end checks of the namespace's incremental indexes.
 //!
-//! The resolution caches, the per-MDS ownership indexes and the Euler
-//! labels are maintained by deltas while a cluster runs: exports, dirfrag
+//! The resolution caches and the per-MDS ownership indexes are
+//! maintained by deltas while a cluster runs: exports, dirfrag
 //! spills, splits, and crash failover re-binding whole swaths through
 //! `set_auth`. Each scenario here is one run with a probe every 200 ms of
 //! simulated time that recomputes all of it from the live tree by walking

@@ -4,8 +4,8 @@
 //! [`Namespace`] answers `resolve_auth`, `auth_frags`,
 //! `export_candidate_dirs`, `migrate_subtree`'s `(inodes, holes)` and
 //! `mds_load_samples` from state it maintains by deltas: a resolution
-//! cache on every directory, per-MDS ownership sets, Euler-tour labels,
-//! per-MDS heat aggregates. Everything here recomputes the same answers
+//! cache on every directory, per-MDS ownership sets, per-MDS heat
+//! aggregates. Everything here recomputes the same answers
 //! from the tree alone — `Dir::{parent, children, auth}` and
 //! `Frag::{auth, files, heat}` — by walking it, and compares.
 
@@ -112,20 +112,11 @@ pub fn assert_indexes_match_walk(ns: &Namespace, num_mds: usize) {
     for d in ns.all_dirs() {
         let dir = ns.dir(d);
         assert_eq!(dir.id, d);
-        // Structure: children point back, one level down, and their Euler
-        // intervals sit side by side inside the parent's, past its label.
-        let (tin, tout) = ns.euler_interval(d);
-        let mut floor = tin + 1;
+        // Structure: children point back, one level down.
         for &c in &dir.children {
             let child = ns.dir(c);
             assert_eq!(child.parent, Some(d), "{c:?} under {d:?}");
             assert_eq!(child.depth, dir.depth + 1, "{c:?} under {d:?}");
-            let (ctin, ctout) = ns.euler_interval(c);
-            assert!(
-                floor <= ctin && ctin < ctout && ctout <= tout,
-                "{c:?} [{ctin}, {ctout}) in {d:?} [{tin}, {tout}) from {floor}"
-            );
-            floor = ctout;
         }
         match dir.parent {
             Some(p) => assert_eq!(ns.dir(p).children.iter().filter(|&&c| c == d).count(), 1),
