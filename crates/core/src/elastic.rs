@@ -153,13 +153,13 @@ pub fn run_fixed(opts: ReproOpts, n: usize, seed: u64) -> RunReport {
 /// Run the diurnal cycle on the elastic pool: `POOL` MDSs provisioned,
 /// one member at t = 0, the `howmany` hook in charge of the rest.
 pub fn run_elastic(opts: ReproOpts, seed: u64) -> RunReport {
-    let elastic = ElasticConfig {
-        enabled: true,
-        min_mds: 1,
-        max_mds: POOL,
-        initial_mds: 1,
-    };
-    run_experiment(&diurnal_experiment(opts, POOL, elastic, 1, seed))
+    run_experiment(&diurnal_experiment(
+        opts,
+        POOL,
+        ElasticConfig::on(),
+        1,
+        seed,
+    ))
 }
 
 /// Ops completed across all clients (the conserved quantity: every row
@@ -222,13 +222,7 @@ mod tests {
     #[test]
     #[ignore = "diagnostic"]
     fn debug_elastic_timeline() {
-        let elastic_cfg = ElasticConfig {
-            enabled: true,
-            min_mds: 1,
-            max_mds: POOL,
-            initial_mds: 1,
-        };
-        let spec = diurnal_experiment(ReproOpts::QUICK, POOL, elastic_cfg, 1, 42);
+        let spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), 1, 42);
         let (r, buf) = run_experiment_traced(&spec, mantle_mds::TraceLevel::Decisions);
         for rec in buf.records() {
             use mantle_mds::TraceEvent as E;

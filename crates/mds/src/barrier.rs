@@ -2,10 +2,10 @@
 //! while it read it, applied once the window has ended.
 //!
 //! The data plane defers namespace mutations (`NsOp`) during a window.
-//! The barrier has two effects: it applies the mutations in the
-//! `(time, key)` order their events ran in (phase A), and runs fragment
-//! splits — the paper's *fragment* stage — for every directory charged
-//! (phase B). A window that deferred nothing costs one length check.
+//! The barrier has two effects: it applies the mutations in the order
+//! their events ran in (phase A), and runs fragment splits — the paper's
+//! *fragment* stage — for every directory charged (phase B). A window
+//! that deferred nothing costs one length check.
 
 use std::collections::HashSet;
 
@@ -49,9 +49,6 @@ impl Barrier {
         // charge in this window lands on the fragment layout the window
         // routed against.
         self.seen.clear();
-        // One queue pops in `(time, key)` order and stamps each op with
-        // the event that deferred it.
-        debug_assert!(plane.deferred.is_sorted_by_key(|d| (d.at, d.key)));
         for d in plane.deferred.drain(..) {
             match d.op {
                 NsOp::Record { dir, frag, kind } => {

@@ -33,6 +33,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use mantle_namespace::{MdsId, NodeId, OpKind};
+use mantle_sim::SimTime;
 
 use crate::client::ClientState;
 
@@ -110,6 +111,18 @@ impl RouteIndex {
         stale.len() as u64
     }
 }
+
+/// Entries per group cache; LRU eviction beyond this.
+pub(crate) const CACHE_CAPACITY: usize = 4096;
+
+/// Proxy groups; clients are split into contiguous ranges, one
+/// [`GroupCache`] each ([`group_of`]).
+pub(crate) const CACHE_GROUPS: usize = 4;
+
+/// Client-observed latency of a cache hit (round trip to the proxy plus
+/// its service time). Hits never enqueue at an MDS, so this replaces the
+/// whole `rtt + queue + service` miss path.
+pub(crate) const CACHE_HIT_LATENCY: SimTime = SimTime::from_micros(60);
 
 /// One proxy group's read cache: directory → the MDS whose metadata the
 /// proxy holds, with capacity-bounded LRU eviction.

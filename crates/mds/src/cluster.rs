@@ -34,7 +34,7 @@ use mantle_sim::{EventQueue, SimRng, SimTime, Summary};
 
 use crate::balancer::{BalanceContext, Balancer, BalancerSet, MigrationPlan};
 use crate::barrier::Barrier;
-use crate::cache::GroupCache;
+use crate::cache::{GroupCache, CACHE_CAPACITY, CACHE_GROUPS};
 use crate::client::Workload;
 use crate::config::ClusterConfig;
 use crate::driver::{Driver, Exclusive};
@@ -192,10 +192,8 @@ impl Coordinator {
         // Catch the trace's namespace model up under the *old* epoch —
         // every record carries `epoch == ticks seen so far` except the
         // tick itself, which announces the increment.
-        let sh = x.sim();
-        self.trace.sync_dirs(&sh.ns, now);
-        sh.hb_epoch += 1;
-        self.trace.epoch = sh.hb_epoch;
+        self.trace.sync_dirs(&x.sim().ns, now);
+        self.trace.epoch += 1;
         // Accrue provisioned MDS-time up to this instant under the *old*
         // membership; transitions below only bill from here on.
         self.membership.accrue(now);
@@ -218,12 +216,9 @@ impl Coordinator {
             self.trace.emit(now, || TraceEvent::HeartbeatTick { loads });
         }
         // 2. Roll the measurement windows (cache tallies roll with them).
-        let plane = x.plane();
-        for c in &mut plane.counters {
+        for c in &mut x.plane().counters {
             c.roll_window();
         }
-        plane.cache_window_hits.fill(0);
-        plane.cache_window_misses.fill(0);
         // 2½. The elastic controller: evaluate the `howmany` hook over the
         //     member-filtered snapshots and take at most one membership
         //     transition (join or drain) per tick. No-op when disabled.
@@ -361,7 +356,7 @@ impl Cluster {
         // windows). Empty when disabled — the inert default adds no state
         // and no per-event work.
         let caches = if cfg.cache.enabled {
-            vec![GroupCache::new(cfg.cache.capacity); cfg.cache.groups.max(1)]
+            vec![GroupCache::new(CACHE_CAPACITY); CACHE_GROUPS]
         } else {
             Vec::new()
         };
@@ -373,7 +368,6 @@ impl Cluster {
             slow_until: vec![SimTime::ZERO; n],
             frozen_until: DirStamps::default(),
             cold_until: DirStamps::default(),
-            hb_epoch: 0,
             caches,
             member: (0..n).map(|m| m < initial_members).collect(),
             membership_epoch: 0,
@@ -479,7 +473,6 @@ impl Cluster {
             co.trace.preamble(&co.cfg, &self.driver.sim.ns);
         }
         let shard = &mut self.driver.shard;
-        shard.trace_full = co.trace.full();
         shard.live = pump.is_some();
         // Kick off every client (client-rank keys order the time-zero
         // ties by client id).
@@ -497,16 +490,15 @@ impl Cluster {
                 .schedule_at(fault.at, GlobalEvent::Fault(fault.kind.clone()));
         }
         let (last_now, stats) = self.driver.run(&mut co, pump.as_mut());
-        let mut shard = self.driver.shard;
+        let shard = self.driver.shard;
         co.trace.run_end(last_now, shard.inflight.max(0) as usize);
-        let tail = co.trace.merge(&mut shard);
         let report = into_report(&co, shard, self.driver.sim.membership_epoch);
         let buffer = match pump {
             Some(pump) => {
-                pump.finish(tail, report.clone());
+                pump.finish(co.trace.drain(), report.clone());
                 None
             }
-            None => co.trace.into_buffer(tail),
+            None => co.trace.into_buffer(),
         };
         (report, stats, buffer)
     }
@@ -519,8 +511,6 @@ fn into_report(co: &Coordinator, shard: Shard, membership_epoch: u64) -> RunRepo
         clients,
         timeouts,
         retries,
-        cache_hits,
-        cache_misses,
         ..
     } = shard;
     let makespan = clients
@@ -529,6 +519,8 @@ fn into_report(co: &Coordinator, shard: Shard, membership_epoch: u64) -> RunRepo
         .max()
         .unwrap_or(SimTime::ZERO);
     let sessions: u64 = counters.iter().map(|c| c.sessions_flushed).sum();
+    let cache_hits: u64 = counters.iter().map(|c| c.cache_hits).sum();
+    let cache_misses: u64 = counters.iter().map(|c| c.cache_misses).sum();
     RunReport {
         balancer: co.policy.name.clone(),
         workload: co.workload_name.clone(),
@@ -537,8 +529,7 @@ fn into_report(co: &Coordinator, shard: Shard, membership_epoch: u64) -> RunRepo
         makespan,
         mds: counters
             .into_iter()
-            .enumerate()
-            .map(|(m, c)| MdsReport {
+            .map(|c| MdsReport {
                 total_ops: c.completed.total(),
                 throughput: c.completed,
                 hits: c.hits,
@@ -550,8 +541,8 @@ fn into_report(co: &Coordinator, shard: Shard, membership_epoch: u64) -> RunRepo
                 splits: c.splits,
                 remote_prefix: c.remote_prefix,
                 dropped: c.dropped,
-                cache_hits: cache_hits[m],
-                cache_misses: cache_misses[m],
+                cache_hits: c.cache_hits,
+                cache_misses: c.cache_misses,
             })
             .collect(),
         clients: clients
@@ -567,8 +558,8 @@ fn into_report(co: &Coordinator, shard: Shard, membership_epoch: u64) -> RunRepo
         retries,
         failovers: co.failovers,
         balancer_fallbacks: co.policy.fallbacks,
-        cache_hits: cache_hits.iter().sum(),
-        cache_misses: cache_misses.iter().sum(),
+        cache_hits,
+        cache_misses,
         cache_invalidations: co.barrier.cache_invalidations + co.migrator.cache_invalidations,
         mds_seconds: co.membership.total_mds_seconds(makespan),
         joins: co.membership.joins,
@@ -583,7 +574,7 @@ mod tests {
     use crate::client::ClientOp;
     use crate::partition::ExportUnit;
     use crate::shard::tests::SubtreeWindow;
-    use crate::shard::{frozen_until, in_cold, Request};
+    use crate::shard::{frozen_until, in_cold, Request, Window};
     use mantle_namespace::{NodeId, OpKind};
 
     /// A trivial workload: each client creates `count` files in its own
@@ -894,7 +885,8 @@ mod tests {
         let key = g.client_key(0);
         g.queue
             .schedule_at_key(SimTime::ZERO, key, Event::Arrive { mds: 1, req });
-        g.process_window(sim, SimTime::from_micros(1));
+        let trace = &mut cluster.co.trace;
+        g.process_window(&mut Window { sim, trace }, SimTime::from_micros(1));
         assert_eq!(
             g.queue.peek_time(),
             Some(thaw),
@@ -990,7 +982,8 @@ mod tests {
         let key = g.client_key(0);
         g.queue
             .schedule_at_key(late, key, Event::Arrive { mds: 1, req });
-        g.process_window(sim, late + SimTime::from_micros(1));
+        let trace = &mut cluster.co.trace;
+        g.process_window(&mut Window { sim, trace }, late + SimTime::from_micros(1));
         assert_eq!(g.counters[1].hits, 1, "served, not deferred");
         assert_eq!(g.counters[1].remote_prefix, 0, "prefix replicas warm");
     }

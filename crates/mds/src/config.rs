@@ -120,109 +120,62 @@ impl ClusterConfig {
     }
 }
 
-/// Configuration of the proxy-tier read cache ([`crate::cache`]).
+/// Configuration of the proxy-tier read cache ([`crate::cache`]): on or
+/// off. The tier's sizing — 4 proxy groups of 4096 entries each, a 60 µs
+/// hit — is fixed in that module.
 ///
 /// The default is **inert** (`enabled == false`): the cache layer is
 /// compiled in but allocates no state and changes no behavior, so every
 /// pre-existing fixed-seed run stays byte-identical.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CacheConfig {
     /// Master switch. Off by default.
     pub enabled: bool,
-    /// Max entries per group cache (LRU eviction beyond this).
-    pub capacity: usize,
-    /// Number of proxy groups; clients are split into contiguous
-    /// ranges, one [`crate::cache::GroupCache`] each.
-    pub groups: usize,
-    /// Client-observed latency of a cache hit, µs (round trip to the
-    /// proxy plus its service time). Hits never enqueue at an MDS, so
-    /// this replaces the whole `rtt + queue + service` miss path.
-    pub hit_us: f64,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            enabled: false,
-            capacity: 4096,
-            groups: 4,
-            hit_us: 60.0,
-        }
-    }
 }
 
 impl CacheConfig {
-    /// An enabled cache tier with the default sizing.
+    /// An enabled cache tier.
     pub fn on() -> Self {
-        CacheConfig {
-            enabled: true,
-            ..Default::default()
-        }
+        CacheConfig { enabled: true }
     }
 }
 
-/// Configuration of elastic cluster membership ([`crate::cluster`]).
+/// Configuration of elastic cluster membership ([`crate::cluster`]): on
+/// or off.
 ///
 /// `num_mds` stays the fixed *pool* size — every per-MDS array and cache
 /// group keeps its shape — while membership becomes a
-/// versioned subset of the pool. The `howmany` policy hook picks a target
-/// member count each heartbeat; the coordinator then performs at most one
-/// join (re-home subtrees onto the lowest-id spare via the migration
+/// versioned subset of the pool. An elastic run starts with MDS 0 as its
+/// one member. The `howmany` policy hook picks a target member count in
+/// `[1, num_mds]` each heartbeat; the coordinator then performs at most
+/// one join (re-home subtrees onto the lowest-id spare via the migration
 /// machinery) or one leave (drain the highest-id member, then deregister)
 /// per tick.
 ///
 /// The default is **inert** (`enabled == false`): all `num_mds` MDSs are
 /// members from the start and membership never changes, so every
 /// pre-existing fixed-seed run stays byte-identical.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ElasticConfig {
     /// Master switch. Off by default.
     pub enabled: bool,
-    /// Fewest members allowed (≥ 1; MDS 0 never leaves).
-    pub min_mds: usize,
-    /// Most members allowed; clamped to `num_mds` at runtime.
-    pub max_mds: usize,
-    /// Member count at t = 0, clamped into `[min_mds, max_mds]`. Members
-    /// are always the lowest-id MDSs first, so the initial set is
-    /// `0..initial_mds`.
-    pub initial_mds: usize,
-}
-
-impl Default for ElasticConfig {
-    fn default() -> Self {
-        ElasticConfig {
-            enabled: false,
-            min_mds: 1,
-            max_mds: usize::MAX,
-            initial_mds: 1,
-        }
-    }
 }
 
 impl ElasticConfig {
     /// An enabled elastic tier: start at one member, scale anywhere in
     /// `[1, num_mds]`, consistent-hash re-homing.
     pub fn on() -> Self {
-        ElasticConfig {
-            enabled: true,
-            ..Default::default()
-        }
+        ElasticConfig { enabled: true }
     }
 
-    /// The effective `[min, max]` member bounds for a pool of `num_mds`.
-    pub fn bounds(&self, num_mds: usize) -> (usize, usize) {
-        let max = self.max_mds.min(num_mds).max(1);
-        let min = self.min_mds.clamp(1, max);
-        (min, max)
-    }
-
-    /// The initial member count for a pool of `num_mds`.
+    /// The initial member count for a pool of `num_mds`: one when
+    /// elastic, the whole pool otherwise.
     pub fn initial(&self, num_mds: usize) -> usize {
-        if !self.enabled {
-            return num_mds;
+        if self.enabled {
+            1
+        } else {
+            num_mds
         }
-        let (min, max) = self.bounds(num_mds);
-        self.initial_mds.clamp(min, max)
     }
 }
 
@@ -439,18 +392,8 @@ mod tests {
         assert!(!e.enabled);
         // Inert: the whole pool is the member set.
         assert_eq!(e.initial(4), 4);
-        let on = ElasticConfig::on();
-        assert_eq!(on.bounds(4), (1, 4));
-        assert_eq!(on.initial(4), 1);
-        // Bounds clamp into the pool.
-        let wide = ElasticConfig {
-            enabled: true,
-            min_mds: 3,
-            max_mds: 100,
-            initial_mds: 50,
-        };
-        assert_eq!(wide.bounds(4), (3, 4));
-        assert_eq!(wide.initial(4), 4);
+        // Elastic: one member to start.
+        assert_eq!(ElasticConfig::on().initial(4), 1);
     }
 
     #[test]

@@ -14,19 +14,25 @@
 //! 2. **exclusive steps** — global events (heartbeat ticks, faults, admin
 //!    actions) run alone between windows.
 //!
+//! Both append trace records to the coordinator's one buffer
+//! ([`crate::tracer`]) as they run, so the trace comes out in the order
+//! this loop does things: windows in time order, each barrier stamped at
+//! its window's end, globals between windows.
+//!
 //! # The exclusive view
 //!
 //! Everything outside a window — the barrier, every control-plane step,
 //! the live-service pump — works through one `Exclusive` value: `&mut`
 //! access to the shared state and to the data plane at once. Inside a
-//! window the data plane gets `&mut` to itself and `&` to [`SharedSim`];
-//! the borrow checker keeps the two phases apart.
+//! window the data plane gets `&mut` to itself and a `Window`: `&` to
+//! [`SharedSim`] and `&mut` to the tracer. The borrow checker keeps the
+//! two phases apart.
 
 use mantle_sim::SimTime;
 
 use crate::cluster::Coordinator;
 use crate::service::ServicePump;
-use crate::shard::{ExecStats, Shard, SharedSim};
+use crate::shard::{ExecStats, Shard, SharedSim, Window};
 
 /// The simulation state, plus the window width.
 pub(crate) struct Driver {
@@ -123,7 +129,9 @@ impl Driver {
                 if let Some(tg) = t_glob {
                     window_end = window_end.min(tg);
                 }
-                x.plane.process_window(x.sim, window_end);
+                let trace = &mut co.trace;
+                x.plane
+                    .process_window(&mut Window { sim: x.sim, trace }, window_end);
                 windows += 1;
                 co.barrier(&mut x, window_end);
             }

@@ -134,7 +134,8 @@ pub(crate) fn step(
     }
     let members: Vec<MdsId> = (0..n).filter(|&m| x.sim().member[m]).collect();
     let active = members.len();
-    let (min_mds, max_mds) = co.cfg.elastic.bounds(n);
+    // Anywhere from MDS 0 alone to the whole pool.
+    let (min_mds, max_mds) = (1, n);
     // The hook sees the member-filtered pre-transition snapshot: the
     // same dense view the `where`/`howmuch` hooks get this tick.
     let ctx = BalanceContext {

@@ -126,8 +126,7 @@ impl HeartbeatView {
         }
         let fresh: Vec<Heartbeat> = (0..n)
             .map(|m| {
-                let plane = x.plane();
-                let c = &plane.counters[m];
+                let c = &x.plane().counters[m];
                 let cpu_raw = c.cpu_percent(cfg.heartbeat_interval);
                 let queue_len = c.queued as f64;
                 let req_rate = c.req_rate(cfg.heartbeat_interval);
@@ -142,8 +141,8 @@ impl HeartbeatView {
                     mem: 20.0 + 0.5 * auth_load[m].min(100.0),
                     queue_len,
                     req_rate,
-                    cache_hits: plane.cache_window_hits[m] as f64,
-                    cache_misses: plane.cache_window_misses[m] as f64,
+                    cache_hits: c.cache_window_hits as f64,
+                    cache_misses: c.cache_window_misses as f64,
                     taken_at: now,
                 }
             })

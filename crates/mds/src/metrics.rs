@@ -35,6 +35,15 @@ pub struct MdsCounters {
     pub dropped: u64,
     /// Currently queued requests.
     pub queued: u64,
+    /// Proxy-cache hits attributed to this MDS over the run: requests the
+    /// cache tier absorbed on its behalf.
+    pub cache_hits: u64,
+    /// Proxy-cache misses routed to this MDS over the run.
+    pub cache_misses: u64,
+    /// Cache hits in the current heartbeat window.
+    pub cache_window_hits: u64,
+    /// Cache misses in the current heartbeat window.
+    pub cache_window_misses: u64,
 }
 
 impl MdsCounters {
@@ -54,6 +63,10 @@ impl MdsCounters {
             remote_prefix: 0,
             dropped: 0,
             queued: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_window_hits: 0,
+            cache_window_misses: 0,
         }
     }
 
@@ -79,6 +92,8 @@ impl MdsCounters {
     pub fn roll_window(&mut self) {
         self.busy_window_us = 0.0;
         self.window_ops = 0;
+        self.cache_window_hits = 0;
+        self.cache_window_misses = 0;
     }
 }
 
@@ -141,9 +156,14 @@ mod tests {
             c.complete_op(SimTime::from_millis(i * 100), 200.0);
         }
         assert!((c.req_rate(SimTime::from_secs(10)) - 5.0).abs() < 1e-9);
+        c.cache_hits = 3;
+        c.cache_window_hits = 3;
+        c.cache_window_misses = 1;
         c.roll_window();
         assert_eq!(c.window_ops, 0);
         assert_eq!(c.busy_window_us, 0.0);
+        assert_eq!((c.cache_window_hits, c.cache_window_misses), (0, 0));
+        assert_eq!(c.cache_hits, 3, "run totals survive the roll");
         // Throughput buckets survive the roll.
         assert_eq!(c.completed.total(), 50.0);
     }

@@ -19,8 +19,8 @@
 //!   [`mpsc`](std::sync::mpsc) stream of [`ServiceEvent`]s, is the only
 //!   way anything leaves the engine. Each iteration sends, in this
 //!   order: the results of installs that ran ([`ServiceEvent::Swapped`]),
-//!   the trace records emitted since the last batch (already in global
-//!   `(time, key)` order), and the live ops that completed.
+//!   the trace records emitted since the last batch (in emission order),
+//!   and the live ops that completed.
 //!
 //! # Lifecycle, as message order
 //!
@@ -128,9 +128,8 @@ pub enum ServiceEvent {
         /// The simulated install instant, or why the install failed.
         result: Result<SimTime, String>,
     },
-    /// Trace records emitted since the last batch, in global
-    /// `(time, key)` order; batches are themselves time-ordered, so
-    /// concatenating them reproduces the batch-mode trace stream.
+    /// Trace records emitted since the last batch, in emission order;
+    /// concatenating the batches reproduces the batch-mode trace stream.
     Trace(Vec<TraceRecord>),
     /// Live ops completed since the last batch.
     Completions(Vec<LiveCompletion>),
@@ -459,7 +458,7 @@ impl ServicePump {
         for event in swapped {
             self.svc.send(event);
         }
-        waiting |= self.send_trace(co.trace.merge(x.plane()));
+        waiting |= self.send_trace(co.trace.drain());
         let mut comps = std::mem::take(&mut x.plane().completions);
         if !comps.is_empty() {
             // Streamed by (time, client) — clients are closed-loop, so
@@ -482,7 +481,7 @@ impl ServicePump {
         any
     }
 
-    /// End the stream: the trace tail (records merged after the loop's
+    /// End the stream: the trace tail (records emitted after the loop's
     /// last `post`, including the `RunEnd` trailer), then the report.
     /// Consuming the pump drops the service, which closes the stream and
     /// — only then — wakes the consumer: one wake-up shows it the tail,

@@ -22,31 +22,29 @@
 //!
 //! ```text
 //!   key = origin_rank << 40 | per-origin counter
-//!   origin_rank: coordinator = 0, MDS m = 1 + m, client c = 1 + num_mds + c
+//!   origin_rank: MDS m = 1 + m, client c = 1 + num_mds + c
 //! ```
 //!
 //! The queue orders same-instant events by key, so tie-breaking depends
 //! only on *which simulated entity* generated the event and *how many*
-//! events it generated before. Deferred namespace mutations reach the
-//! barrier in that same `(time, key)` order, and the data-plane trace is
-//! merged with the coordinator's records by `(time, key, emission index)`.
+//! events it generated before. Rank 0, the coordinator's, keys nothing:
+//! its events have their own queue. Deferred namespace mutations reach the
+//! barrier in the order their events ran, and trace records go into the
+//! run's one buffer ([`crate::tracer`]) as they are emitted — on one
+//! thread, the order things happen in is the order they are recorded in.
 
 use mantle_namespace::{FragId, MdsId, Namespace, NodeId, OpKind};
 use mantle_sim::{EventQueue, SimRng, SimTime};
 
-use crate::cache::{cacheable, group_of, GroupCache, RouteIndex};
+use crate::cache::{cacheable, group_of, GroupCache, RouteIndex, CACHE_GROUPS, CACHE_HIT_LATENCY};
 use crate::client::{ClientOp, ClientState, Workload, PARKED};
 use crate::config::{ClusterConfig, PlacementPolicy};
 use crate::metrics::MdsCounters;
-use crate::trace::{TraceEvent, TraceRecord};
+use crate::trace::TraceEvent;
+use crate::tracer::Tracer;
 
 /// Bits reserved for the per-origin counter in an event key.
 pub(crate) const KEY_CTR_BITS: u32 = 40;
-
-/// Sort key of one trace record: `(time, generating event's key,
-/// emission index within that event)`. Merging the coordinator's and the
-/// data plane's buffers by this key reproduces the emission order.
-pub(crate) type TraceKey = (SimTime, u64, u32);
 
 /// A request in flight.
 #[derive(Debug, Clone, Copy)]
@@ -94,12 +92,12 @@ pub(crate) enum Event {
 }
 
 /// A namespace mutation deferred to the window barrier, stamped with the
-/// `(at, key)` of the event that caused it — the order the barrier
-/// applies them in.
+/// instant of the event that caused it. Events run in `(time, key)`
+/// order, so the window's list is already in the order the barrier
+/// applies it.
 #[derive(Debug)]
 pub(crate) struct DeferredNsOp {
     pub(crate) at: SimTime,
-    pub(crate) key: u64,
     pub(crate) op: NsOp,
 }
 
@@ -118,8 +116,8 @@ pub(crate) enum NsOp {
     /// (in key order) arrival already pinned it.
     Pin { dir: NodeId, mds: MdsId },
     /// LRU-touch a proxy-cache entry a hit just served. Recency is
-    /// shared state (it drives eviction), so it moves at the barrier in
-    /// `(at, key)` order like every other shared mutation.
+    /// shared state (it drives eviction), so it moves at the barrier, in
+    /// event order, like every other shared mutation.
     CacheTouch { group: usize, dir: NodeId },
     /// A completed cacheable op's reply fills `group`'s proxy cache:
     /// `dir` is now servable by the tier on behalf of `mds`.
@@ -193,14 +191,19 @@ pub struct SharedSim {
     /// Per directory, when its newest authority will have warmed up its
     /// ancestor prefix replicas.
     pub(crate) cold_until: DirStamps,
-    /// Heartbeat epoch: balancer ticks completed so far (stamps trace
-    /// records; only changes in exclusive phases).
-    pub(crate) hb_epoch: u64,
     /// Proxy-tier caches, one per client group ([`crate::config::CacheConfig`]).
     /// Read-only during windows (clients probe for hits); fills, LRU
     /// touches, and invalidations are deferred [`NsOp`]s applied at
     /// barriers. Empty when the cache is disabled.
     pub(crate) caches: Vec<GroupCache>,
+}
+
+/// What a window works against besides the data plane itself: the shared
+/// state, read-only, and the run's trace sink, which the data plane's
+/// records are appended to as they are emitted.
+pub(crate) struct Window<'a> {
+    pub(crate) sim: &'a SharedSim,
+    pub(crate) trace: &'a mut Tracer,
 }
 
 /// Data-plane execution statistics (a side channel; never feeds back
@@ -275,11 +278,6 @@ pub struct Shard {
     scratch_owners: Vec<MdsId>,
     /// Namespace mutations accumulated this window, drained at the barrier.
     pub(crate) deferred: Vec<DeferredNsOp>,
-    /// The data-plane slice of the trace, merged with the coordinator's.
-    pub(crate) trace: Vec<(TraceKey, TraceRecord)>,
-    /// Emit request-level records (trace level Full). Set by
-    /// the cluster before a traced run.
-    pub(crate) trace_full: bool,
     /// Requests in flight: issues (+1) net of resolutions (−1).
     pub(crate) inflight: i64,
     /// Clients still issuing ops.
@@ -290,25 +288,12 @@ pub struct Shard {
     pub(crate) last_event: SimTime,
     /// Side-channel execution stats.
     pub(crate) stats: ShardStats,
-    // Cursor of the event being processed (drives trace sort keys).
-    cur_at: SimTime,
-    cur_key: u64,
-    cur_emit: u32,
-    cur_epoch: u64,
     // Cached config-derived values.
     pub(crate) cfg: ClusterConfig,
     faults_active: bool,
     half_rtt: SimTime,
-    // Proxy-cache plumbing (all inert when `cfg.cache.enabled` is off).
+    /// The proxy cache tier is on (`cfg.cache.enabled`).
     cache_on: bool,
-    cache_groups: usize,
-    cache_hit_lat: SimTime,
-    /// Run-total cache hits/misses attributed per MDS.
-    pub(crate) cache_hits: Vec<u64>,
-    pub(crate) cache_misses: Vec<u64>,
-    /// Per-heartbeat-window slices of the above, zeroed on window roll.
-    pub(crate) cache_window_hits: Vec<u64>,
-    pub(crate) cache_window_misses: Vec<u64>,
     /// Live-service mode: record op completions for the wire layer. Set
     /// by [`crate::cluster::Cluster::serve`] before the run; batch runs
     /// leave it off and pay one untaken branch per reply.
@@ -347,27 +332,15 @@ impl Shard {
             client_ctr: vec![0; num_clients],
             scratch_owners: Vec::new(),
             deferred: Vec::new(),
-            trace: Vec::new(),
-            trace_full: false,
             inflight: 0,
             active: num_clients,
             timeouts: 0,
             retries: 0,
             last_event: SimTime::ZERO,
             stats: ShardStats::default(),
-            cur_at: SimTime::ZERO,
-            cur_key: 0,
-            cur_emit: 0,
-            cur_epoch: 0,
             faults_active,
             half_rtt,
             cache_on: cfg.cache.enabled,
-            cache_groups: cfg.cache.groups.max(1),
-            cache_hit_lat: SimTime::from_micros_f64(cfg.cache.hit_us),
-            cache_hits: vec![0; num_mds],
-            cache_misses: vec![0; num_mds],
-            cache_window_hits: vec![0; num_mds],
-            cache_window_misses: vec![0; num_mds],
             live: false,
             completions: Vec::new(),
             cfg,
@@ -390,24 +363,6 @@ impl Shard {
         ((1 + self.cfg.num_mds as u64 + c as u64) << KEY_CTR_BITS) | ctr
     }
 
-    // -- trace -----------------------------------------------------------
-
-    /// Emit a data-plane record (recorded only at `TraceLevel::Full`),
-    /// keyed under the event currently being processed. Control-plane
-    /// records all originate at the coordinator.
-    fn emit_full(&mut self, make: impl FnOnce() -> TraceEvent) {
-        if self.trace_full {
-            let record = TraceRecord {
-                at: self.cur_at,
-                epoch: self.cur_epoch,
-                event: make(),
-            };
-            self.trace
-                .push(((self.cur_at, self.cur_key, self.cur_emit), record));
-            self.cur_emit += 1;
-        }
-    }
-
     /// Next event time, liveness, conservation counts and time frontier.
     pub(crate) fn frontier(&self) -> Frontier {
         Frontier {
@@ -421,32 +376,28 @@ impl Shard {
     // -- the window loop -------------------------------------------------
 
     /// Drain every event strictly before `window_end`. Called with shared
-    /// read access to `sh`; every write to it is queued in `deferred` for
-    /// the barrier.
-    pub(crate) fn process_window(&mut self, sh: &SharedSim, window_end: SimTime) {
-        self.cur_epoch = sh.hb_epoch;
-        while let Some((now, key, event)) = self.queue.pop_before(window_end) {
+    /// read access to `w.sim`; every write to it is queued in `deferred`
+    /// for the barrier.
+    pub(crate) fn process_window(&mut self, w: &mut Window, window_end: SimTime) {
+        while let Some((now, _, event)) = self.queue.pop_before(window_end) {
             self.last_event = now;
-            self.cur_at = now;
-            self.cur_key = key;
-            self.cur_emit = 0;
             self.stats.events += 1;
             match event {
                 Event::ClientNext(c) => {
                     if !self.clients[c].done {
-                        self.client_next(sh, c, now);
+                        self.client_next(w, c, now);
                     }
                 }
-                Event::Arrive { mds, req } => self.on_arrive(sh, mds, req, now),
+                Event::Arrive { mds, req } => self.on_arrive(w, mds, req, now),
                 Event::Complete {
                     mds,
                     req,
                     service_us,
                     epoch,
-                } => self.on_complete(sh, mds, req, service_us, epoch, now),
-                Event::Reply { mds, req } => self.on_reply(sh, mds, req, now),
-                Event::Timeout { client, seq } => self.on_timeout(client, seq, now),
-                Event::Retry(c) => self.on_retry(sh, c, now),
+                } => self.on_complete(w, mds, req, service_us, epoch, now),
+                Event::Reply { mds, req } => self.on_reply(w, mds, req, now),
+                Event::Timeout { client, seq } => self.on_timeout(w, client, seq, now),
+                Event::Retry(c) => self.on_retry(w, c, now),
             }
         }
     }
@@ -456,7 +407,7 @@ impl Shard {
     /// Advance client `c`: ask the workload for its next op and issue it,
     /// or mark the client done. Runs inline from an accepted reply (no
     /// same-instant self-event) and from `Event::ClientNext`.
-    fn client_next(&mut self, sh: &SharedSim, c: usize, now: SimTime) {
+    fn client_next(&mut self, w: &mut Window, c: usize, now: SimTime) {
         let stall = self.clients[c].stall_until;
         if stall > now {
             let key = self.client_key(c);
@@ -478,7 +429,7 @@ impl Shard {
                 return;
             }
         }
-        match self.workload.next(c, &sh.ns, now) {
+        match self.workload.next(c, &w.sim.ns, now) {
             None => {
                 let client = &mut self.clients[c];
                 client.done = true;
@@ -491,7 +442,7 @@ impl Shard {
                 let client = &mut self.clients[c];
                 client.pending = Some(op);
                 client.attempts = 0;
-                self.issue(sh, c, now);
+                self.issue(w, c, now);
             }
         }
     }
@@ -513,7 +464,8 @@ impl Shard {
 
     /// Send the client's pending op to the MDS it routes to, arming the
     /// request timeout when fault injection is on.
-    fn issue(&mut self, sh: &SharedSim, c: usize, now: SimTime) {
+    fn issue(&mut self, w: &mut Window, c: usize, now: SimTime) {
+        let sh = w.sim;
         let op = self.clients[c]
             .pending
             .expect("issue() requires a pending op");
@@ -524,7 +476,7 @@ impl Shard {
         // (Read-only during the window — the LRU touch defers to the
         // barrier like every other shared-state write.)
         let probe = if self.cache_on && cacheable(op.kind) {
-            let group = group_of(c, self.clients.len(), self.cache_groups);
+            let group = group_of(c, self.clients.len(), CACHE_GROUPS);
             Some((group, sh.caches[group].lookup(op.dir)))
         } else {
             None
@@ -551,9 +503,10 @@ impl Shard {
             // the tier and cannot be lost. The hit is attributed to the
             // entry's authority so policies can see what the tier is
             // absorbing on each MDS's behalf.
-            self.cache_hits[cached] += 1;
-            self.cache_window_hits[cached] += 1;
-            self.emit_full(|| TraceEvent::CacheHit {
+            let counters = &mut self.counters[cached];
+            counters.cache_hits += 1;
+            counters.cache_window_hits += 1;
+            w.trace.emit_data(now, || TraceEvent::CacheHit {
                 group,
                 client: c,
                 dir: op.dir,
@@ -561,12 +514,11 @@ impl Shard {
             });
             self.deferred.push(DeferredNsOp {
                 at: now,
-                key: self.cur_key,
                 op: NsOp::CacheTouch { group, dir: op.dir },
             });
             let key = self.client_key(c);
             self.queue.schedule_at_key(
-                now + self.cache_hit_lat,
+                now + CACHE_HIT_LATENCY,
                 key,
                 Event::Reply { mds: cached, req },
             );
@@ -575,10 +527,11 @@ impl Shard {
         if probe.is_some() {
             // Cacheable but absent: post-cache traffic the routed MDS
             // actually receives.
-            self.cache_misses[mds] += 1;
-            self.cache_window_misses[mds] += 1;
+            let counters = &mut self.counters[mds];
+            counters.cache_misses += 1;
+            counters.cache_window_misses += 1;
         }
-        self.emit_full(|| TraceEvent::RequestIssued {
+        w.trace.emit_data(now, || TraceEvent::RequestIssued {
             client: c,
             dir: op.dir,
             mds,
@@ -601,13 +554,14 @@ impl Shard {
     /// A request timeout fired. If the attempt is still outstanding, the
     /// client declares it lost, forgets its (possibly stale) route for
     /// the directory, and backs off exponentially before retrying.
-    fn on_timeout(&mut self, c: usize, seq: u64, now: SimTime) {
+    fn on_timeout(&mut self, w: &mut Window, c: usize, seq: u64, now: SimTime) {
         let client = &self.clients[c];
         if client.seq != seq || client.pending.is_none() {
             return; // the attempt completed (or was already superseded)
         }
         self.timeouts += 1;
-        self.emit_full(|| TraceEvent::RequestTimeout { client: c, seq });
+        w.trace
+            .emit_data(now, || TraceEvent::RequestTimeout { client: c, seq });
         let client = &mut self.clients[c];
         let dir = client.pending.expect("checked above").dir;
         let attempt = client.attempts;
@@ -623,19 +577,20 @@ impl Shard {
 
     /// The backoff elapsed: re-issue the pending op (a late reply may
     /// have landed in the meantime, in which case there is nothing to do).
-    fn on_retry(&mut self, sh: &SharedSim, c: usize, now: SimTime) {
+    fn on_retry(&mut self, w: &mut Window, c: usize, now: SimTime) {
         if self.clients[c].done || self.clients[c].pending.is_none() {
             return;
         }
         self.retries += 1;
         let attempt = self.clients[c].attempts;
-        self.emit_full(|| TraceEvent::RequestRetry { client: c, attempt });
-        self.issue(sh, c, now);
+        w.trace
+            .emit_data(now, || TraceEvent::RequestRetry { client: c, attempt });
+        self.issue(w, c, now);
     }
 
     /// A reply reached its client. A reply for a superseded attempt (the
     /// client timed out and re-issued meanwhile) is dropped on the floor.
-    fn on_reply(&mut self, sh: &SharedSim, mds: MdsId, req: Request, now: SimTime) {
+    fn on_reply(&mut self, w: &mut Window, mds: MdsId, req: Request, now: SimTime) {
         let client = &mut self.clients[req.client];
         if req.seq != client.seq || client.pending.is_none() {
             return;
@@ -655,18 +610,19 @@ impl Shard {
                 latency_ms,
             });
         }
-        self.client_next(sh, req.client, now);
+        self.client_next(w, req.client, now);
     }
 
     // -- server side -----------------------------------------------------
 
-    fn on_arrive(&mut self, sh: &SharedSim, mds: MdsId, mut req: Request, now: SimTime) {
+    fn on_arrive(&mut self, w: &mut Window, mds: MdsId, mut req: Request, now: SimTime) {
+        let sh = w.sim;
         // A crashed MDS serves nothing: the request is lost on the floor
         // and the issuing client's timeout recovers it.
         if !sh.up[mds] {
             self.counters[mds].dropped += 1;
             self.inflight -= 1;
-            self.emit_full(|| TraceEvent::Dropped {
+            w.trace.emit_data(now, || TraceEvent::Dropped {
                 mds,
                 client: req.client,
             });
@@ -684,7 +640,6 @@ impl Shard {
             }
             self.deferred.push(DeferredNsOp {
                 at: now,
-                key: self.cur_key,
                 op: NsOp::Pin {
                     dir: req.op.dir,
                     mds: target,
@@ -693,7 +648,7 @@ impl Shard {
         }
         // Frozen subtree (mid-migration): the request waits for the thaw.
         if let Some(thaw) = frozen_until(sh, req.op.dir, now) {
-            self.emit_full(|| TraceEvent::Deferred {
+            w.trace.emit_data(now, || TraceEvent::Deferred {
                 mds,
                 dir: req.op.dir,
                 until: thaw,
@@ -713,7 +668,7 @@ impl Shard {
             self.next_free[mds] = start + SimTime::from_micros_f64(fwd_us);
             self.counters[mds].busy_window_us += fwd_us;
             req.forwarded = true;
-            self.emit_full(|| TraceEvent::Forwarded {
+            w.trace.emit_data(now, || TraceEvent::Forwarded {
                 from: mds,
                 to: auth,
                 dir: req.op.dir,
@@ -732,7 +687,7 @@ impl Shard {
         } else {
             self.counters[mds].hits += 1;
         }
-        self.emit_full(|| TraceEvent::Served {
+        w.trace.emit_data(now, || TraceEvent::Served {
             mds,
             client: req.client,
             dir: req.op.dir,
@@ -788,18 +743,19 @@ impl Shard {
 
     fn on_complete(
         &mut self,
-        sh: &SharedSim,
+        w: &mut Window,
         mds: MdsId,
         req: Request,
         service_us: f64,
         epoch: u64,
         now: SimTime,
     ) {
+        let sh = w.sim;
         // Ghost completion: the MDS crashed (and possibly restarted) after
         // this request entered service — the reply never left the wire.
         if !sh.up[mds] || epoch != sh.mds_epoch[mds] {
             self.inflight -= 1;
-            self.emit_full(|| TraceEvent::GhostReply { mds });
+            w.trace.emit_data(now, || TraceEvent::GhostReply { mds });
             return;
         }
         let counters = &mut self.counters[mds];
@@ -812,7 +768,6 @@ impl Shard {
         let frag_used = req.frag.min(sh.ns.dir(req.op.dir).frags.len() - 1);
         self.deferred.push(DeferredNsOp {
             at: now,
-            key: self.cur_key,
             op: NsOp::Record {
                 dir: req.op.dir,
                 frag: req.frag,
@@ -825,7 +780,6 @@ impl Shard {
         if self.cache_on && req.op.kind.is_write() {
             self.deferred.push(DeferredNsOp {
                 at: now,
-                key: self.cur_key,
                 op: NsOp::CacheInvalidate { dir: req.op.dir },
             });
         }
@@ -840,7 +794,7 @@ impl Shard {
                 + self.cfg.faults.backoff_for(req.attempts)
                 < now;
         if stale {
-            self.emit_full(|| TraceEvent::StaleReply {
+            w.trace.emit_data(now, || TraceEvent::StaleReply {
                 mds,
                 client: req.client,
                 dir: req.op.dir,
@@ -850,7 +804,7 @@ impl Shard {
             self.inflight -= 1;
             return;
         }
-        self.emit_full(|| TraceEvent::Completed {
+        w.trace.emit_data(now, || TraceEvent::Completed {
             mds,
             client: req.client,
             dir: req.op.dir,
@@ -861,10 +815,9 @@ impl Shard {
         // issuing group's cache learns it at the barrier (ghost and stale
         // completions above never fill — their replies never landed).
         if self.cache_on && cacheable(req.op.kind) {
-            let group = group_of(req.client, self.clients.len(), self.cache_groups);
+            let group = group_of(req.client, self.clients.len(), CACHE_GROUPS);
             self.deferred.push(DeferredNsOp {
                 at: now,
-                key: self.cur_key,
                 op: NsOp::CacheFill {
                     group,
                     dir: req.op.dir,
@@ -941,13 +894,11 @@ pub(crate) mod tests {
 
     #[test]
     fn keys_order_by_origin_then_sequence() {
-        // Coordinator rank 0 sorts before MDS ranks, which sort before
-        // client ranks; within a rank the counter orders emissions.
-        let coord = 7u64; // rank 0 key is just the counter
+        // MDS ranks sort before client ranks; within a rank the counter
+        // orders the events.
         let mds0 = 1u64 << KEY_CTR_BITS;
         let mds1 = 2u64 << KEY_CTR_BITS;
         let client0 = (1u64 + 4) << KEY_CTR_BITS; // num_mds = 4
-        assert!(coord < mds0);
         assert!(mds0 < mds1);
         assert!(mds1 < client0);
         assert!(mds0 < (1u64 << KEY_CTR_BITS) | 1);

@@ -26,21 +26,12 @@ use mantle::prelude::*;
 
 const SEED: u64 = 42;
 
-fn elastic_cfg() -> ElasticConfig {
-    ElasticConfig {
-        enabled: true,
-        min_mds: 1,
-        max_mds: POOL,
-        initial_mds: 1,
-    }
-}
-
 /// The quick diurnal elastic spec with an explicit hook engine. The spec
 /// is the same one the `elastic --smoke` gate scores, so the matrix below
 /// exercises real joins, re-homes, and drains — not a cluster that
 /// happens to stay put.
 fn elastic_spec(engine: HookEngine) -> Experiment {
-    let mut spec = diurnal_experiment(ReproOpts::QUICK, POOL, elastic_cfg(), 1, SEED);
+    let mut spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), 1, SEED);
     spec.balancer = BalancerSpec::mantle_with_engine(
         "elastic-scaler",
         policies::elastic_scaler_membership_only(GROW_THRESHOLD, SHRINK_THRESHOLD).unwrap(),

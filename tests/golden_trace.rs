@@ -62,6 +62,12 @@ fn decisions_trace_matches_golden_snapshot() {
 fn golden_trace_itself_upholds_invariants() {
     let (_, trace) = run_experiment_traced(&golden_spec(), TraceLevel::Decisions);
     assert_invariants(trace.records());
+    // Records are kept in emission order, never sorted, and that order is
+    // already time order.
+    assert!(
+        trace.records().windows(2).all(|w| w[0].at <= w[1].at),
+        "the pinned stream goes back in time"
+    );
     // The pinned stream must include the control-plane vocabulary the
     // snapshot exists to guard.
     let names: std::collections::HashSet<&'static str> =

@@ -54,6 +54,18 @@ fn every_balancer_and_fault_plan_upholds_invariants() {
                 violations[0]
             );
             assert!(report.total_ops() > 0.0, "{bname} × {scenario} did work");
+            // Nothing sorts the stream: its time order is the engine's own.
+            // Windows run in time order, each barrier stamps at its
+            // window's end, and globals run between windows.
+            let records = trace.records();
+            if let Some(i) = records.windows(2).position(|w| w[1].at < w[0].at) {
+                panic!(
+                    "{bname} × {scenario}: record {} at {} follows one at {}",
+                    i + 1,
+                    records[i + 1].at,
+                    records[i].at
+                );
+            }
             // The stream must be non-trivial: a run with no events would
             // pass every invariant vacuously.
             assert!(

@@ -996,13 +996,7 @@ fn elastic_runs_conserve_ops_across_seeds() {
     use mantle::mds::{assert_invariants, ElasticConfig, TraceLevel};
 
     for seed in [3, 42, 1337] {
-        let elastic = ElasticConfig {
-            enabled: true,
-            min_mds: 1,
-            max_mds: POOL,
-            initial_mds: 1,
-        };
-        let spec = diurnal_experiment(ReproOpts::QUICK, POOL, elastic, 1, seed);
+        let spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), 1, seed);
         let expected: u64 = match spec.workload {
             mantle::core::WorkloadSpec::Diurnal {
                 clients,
