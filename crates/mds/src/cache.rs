@@ -225,8 +225,6 @@ pub fn group_of(client: usize, num_clients: usize, groups: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::migration::moved_dirs;
-    use crate::partition::ExportUnit;
     use crate::shard::tests::{is_under, SubtreeWindow};
     use mantle_namespace::Namespace;
     use mantle_sim::{SimRng, SimTime};
@@ -236,9 +234,10 @@ mod tests {
     }
 
     /// One export drawn at random: a root, up to two new authority bounds
-    /// nested below it, and one time in five a frag export. Returns the
-    /// list the export moves, the parent-walk predicate it must equal,
-    /// and the bounds to clear once the case is checked.
+    /// nested below it, and one time in five a frag export (which moves
+    /// the fragmented directory alone). Returns the list the export moves,
+    /// the parent-walk predicate it must equal, and the bounds to clear
+    /// once the case is checked.
     fn random_export(
         ns: &mut Namespace,
         rng: &mut SimRng,
@@ -263,12 +262,12 @@ mod tests {
             root_only: rng.below(5) == 0,
             until: SimTime::ZERO,
         };
-        let unit = if window.root_only {
-            ExportUnit::Frag(root, 0)
+        let moved = if window.root_only {
+            vec![root]
         } else {
-            ExportUnit::Subtree(root)
+            ns.subtree_dirs(root, true)
         };
-        (moved_dirs(ns, unit), window, bounds)
+        (moved, window, bounds)
     }
 
     /// Satellite check: one `(dir, client)` index shared by many clients
@@ -401,7 +400,7 @@ mod tests {
         // Export /a with a nested bound at /a/b: the hole's subtree and
         // directories created after the export survive.
         ns.set_auth(ab, Some(2));
-        let moved = moved_dirs(&ns, ExportUnit::Subtree(a));
+        let moved = ns.subtree_dirs(a, true);
         let w = SubtreeWindow {
             root: a,
             holes: vec![ab],
@@ -417,7 +416,7 @@ mod tests {
         let gone: Vec<NodeId> = ns.all_dirs().filter(|&d| w.contains(&ns, d)).collect();
         assert_eq!(gone, vec![a], "the list is the predicate's region");
         // A frag export moves the fragmented directory alone.
-        assert_eq!(drop_all(&moved_dirs(&ns, ExportUnit::Frag(ab, 0))), 1);
+        assert_eq!(drop_all(&[ab]), 1);
         assert_eq!(c.lookup(a), None);
         assert_eq!(c.lookup(ab), None);
         assert_eq!(c.lookup(abc), Some(0), "hole descendant spared");

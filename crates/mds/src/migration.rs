@@ -16,7 +16,7 @@
 //! one lookup in the index they share ([`crate::cache::RouteIndex`]),
 //! not one per client.
 
-use mantle_namespace::{MdsId, Namespace, NodeId, SubtreeMigration};
+use mantle_namespace::{MdsId, SubtreeMigration};
 use mantle_sim::SimTime;
 
 use crate::config::ClusterConfig;
@@ -24,17 +24,6 @@ use crate::driver::Exclusive;
 use crate::partition::{Export, ExportUnit};
 use crate::trace::TraceEvent;
 use crate::tracer::Tracer;
-
-/// The directories an export of `unit` moves: the bounded subtree the
-/// migration walk covers, or the fragmented directory alone. Settled when
-/// the export is applied, for good — the namespace only grows, and a
-/// directory created later is in no earlier export's region.
-pub(crate) fn moved_dirs(ns: &Namespace, unit: ExportUnit) -> Vec<NodeId> {
-    match unit {
-        ExportUnit::Subtree(d) => ns.subtree_dirs(d, true),
-        ExportUnit::Frag(d, _) => vec![d],
-    }
-}
 
 /// Export bookkeeping, owned by the coordinator.
 #[derive(Default)]
@@ -74,27 +63,31 @@ impl Migrator {
         };
         // The moved region: the whole (bounded) subtree for a subtree
         // export, just the fragmented dir otherwise. The migration walk
-        // reports the inode count and the authority holes in one pass.
+        // lists its directories and reports the inode count and the
+        // authority holes in one pass.
         let (root, migration) = match export.unit {
             ExportUnit::Subtree(d) => (d, sh.ns.migrate_subtree(d, to)),
             ExportUnit::Frag(d, f) => {
-                let inodes = sh.ns.migrate_frag(d, f, to);
-                let holes = Vec::new();
-                (d, SubtreeMigration { inodes, holes })
+                let migration = SubtreeMigration {
+                    inodes: sh.ns.migrate_frag(d, f, to),
+                    holes: Vec::new(),
+                    dirs: vec![d],
+                };
+                (d, migration)
             }
         };
         let moved = migration.inodes;
-        let moved_dirs = moved_dirs(&sh.ns, export.unit);
+        let region = &migration.dirs;
         // Two-phase commit: the subtree freezes while the importer
         // journals the metadata. Requests to *any* directory inside the
         // moving subtree — not only its root — defer to the thaw.
         let freeze_us = cfg.costs.migrate_freeze_us(moved);
         let thaw = now + SimTime::from_micros_f64(freeze_us);
-        sh.frozen_until.raise(&moved_dirs, watermark as usize, thaw);
+        sh.frozen_until.raise(region, watermark as usize, thaw);
         // The importer's ancestor-prefix replicas need to warm up; the
         // exported subtree's own directories are cold too.
         let warm = now + SimTime::from_micros_f64(cfg.costs.prefix_warmup_us);
-        sh.cold_until.raise(&moved_dirs, watermark as usize, warm);
+        sh.cold_until.raise(region, watermark as usize, warm);
         // Importer and exporter both journal (busy time on each).
         let journal_us = freeze_us / 4.0;
         if trace.on() {
@@ -144,13 +137,11 @@ impl Migrator {
         let mut flushed = 0;
         let (sh, plane) = x.parts();
         for cache in &mut sh.caches {
-            for &d in &moved_dirs {
+            for &d in region {
                 self.cache_invalidations += u64::from(cache.invalidate(d));
             }
         }
-        self.cache_invalidations += plane
-            .routes
-            .invalidate_dirs(&mut plane.clients, &moved_dirs);
+        self.cache_invalidations += plane.routes.invalidate_dirs(&mut plane.clients, region);
         for c in &mut plane.clients {
             if !c.done {
                 c.stall_until = c.stall_until.max(now + flush);

@@ -929,11 +929,12 @@ mod tests {
     /// looked at is not among it — zero decays to zero from anywhere.)
     fn heat_bits(ns: &Namespace, at: SimTime) -> Vec<u64> {
         let bits = |h: HeatSample| [h.ird, h.iwr, h.readdir, h.fetch, h.store].map(f64::to_bits);
+        let half_life = ns.config().decay_half_life;
         let mut out = Vec::new();
         for d in ns.all_dirs() {
-            out.extend(bits(ns.dir(d).subtree_heat.peek(at)));
+            out.extend(bits(ns.dir(d).subtree_heat.peek(at, half_life)));
             for f in &ns.dir(d).frags {
-                out.extend(bits(f.heat.peek(at)));
+                out.extend(bits(f.heat.peek(at, half_life)));
             }
         }
         out
@@ -947,11 +948,12 @@ mod tests {
         for case in 0..60 {
             let me = rng.below(2) as MdsId;
             let (ns, turns_warm) = sparse_namespace(&mut rng, me);
+            let half_life = ns.config().decay_half_life;
             let charged = ns.all_dirs().filter(|&d| {
                 let frags = &ns.dir(d).frags;
                 frags
                     .iter()
-                    .any(|f| f.heat.peek(SimTime::ZERO) != HeatSample::default())
+                    .any(|f| f.heat.peek(SimTime::ZERO, half_life) != HeatSample::default())
             });
             assert!(charged.count() * 5 < ns.dir_count(), "case {case}");
             // Additive two cases in three; else a constant term, under

@@ -534,6 +534,16 @@ impl ServiceHandle {
     }
 }
 
+/// Dropping the handle shuts the engine down as [`ServiceHandle::shutdown`]
+/// does: no command can reach the engine after it, so nothing else would
+/// ever end a service whose every session is parked. A second shutdown
+/// changes nothing.
+impl Drop for ServiceHandle {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,6 +756,27 @@ mod tests {
         // ClientNext events: the kick-off, one wake-up for the three, and
         // the shutdown wake-up.
         assert_eq!(events(&stats) - op_events, 3);
+    }
+
+    #[test]
+    fn dropping_the_handle_ends_an_engine_whose_sessions_are_all_parked() {
+        let (handle, run) = serve(ClockMode::Sim, 2, None, |h| {
+            h.submit_op(0, OPS[0].0, OPS[0].1)
+        });
+        // The op completed, so both sessions are parked and the engine
+        // waits for a command.
+        completions(&handle, 1);
+        drop(handle);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !run.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the engine outlived its handle"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let (report, _) = run.join().expect("live run");
+        assert_eq!(report.total_ops(), 1.0);
     }
 
     #[test]
@@ -1015,14 +1046,13 @@ mod tests {
         // The consumer is the notifier itself, as the daemon's reactor is:
         // woken, it drains the stream and notes what it found. It runs on
         // the engine thread, so what it sees at each call is exact.
-        let ServiceHandle { events, .. } = handle;
         let log = Arc::new(Mutex::new(Vec::new()));
         svc.notify_with({
             let log = Arc::clone(&log);
             move || {
                 let mut log = log.lock().expect("log");
                 loop {
-                    match events.try_recv() {
+                    match handle.events.try_recv() {
                         Ok(ServiceEvent::Finished(_)) => log.push("finished"),
                         Ok(_) => log.push("event"),
                         Err(TryRecvError::Empty) => break,

@@ -1,19 +1,34 @@
 //! Decayed popularity counters — the per-directory "heat" of Fig. 1.
+//!
+//! A [`FragHeat`] is the five counters CephFS keeps per dirfrag. Each one
+//! loses half its value every half life. The half life is one number for
+//! the whole namespace (`NsConfig::decay_half_life`), so the counters do
+//! not store it: every decaying method takes it as an argument.
+//!
+//! Decay is applied lazily, when a counter is touched or read, so idle
+//! directories cost nothing. Elapsed time is taken in whole milliseconds.
+//! Two cases never reach `powf`, and skipping them is exact: a counter
+//! touched less than a millisecond ago (its factor is `0.5⁰ = 1`), and a
+//! counter that holds zero (zero times any factor in `[0, 1]` is itself).
 
-use mantle_sim::{DecayCounter, SharedDecay, SimTime};
+use mantle_sim::SimTime;
 
 use crate::types::OpKind;
 
+const IRD: usize = 0;
+const IWR: usize = 1;
+const READDIR: usize = 2;
+const FETCH: usize = 3;
+const STORE: usize = 4;
+
 /// The five decayed counters a dirfrag carries; these are the exact inputs
-/// to the `metaload` policy hook (Table 2's local metrics).
-#[derive(Debug, Clone)]
+/// to the `metaload` policy hook (Table 2's local metrics). Each counter has
+/// its own last-touch time; both arrays are in `ird, iwr, readdir, fetch,
+/// store` order.
+#[derive(Debug, Clone, Default)]
 pub struct FragHeat {
-    half_life_ms: u64,
-    ird: DecayCounter,
-    iwr: DecayCounter,
-    readdir: DecayCounter,
-    fetch: DecayCounter,
-    store: DecayCounter,
+    value: [f64; 5],
+    last: [SimTime; 5],
 }
 
 /// A point-in-time sample of a [`FragHeat`].
@@ -48,19 +63,80 @@ impl HeatSample {
             store: self.store + other.store,
         }
     }
+
+    fn from_array([ird, iwr, readdir, fetch, store]: [f64; 5]) -> HeatSample {
+        HeatSample {
+            ird,
+            iwr,
+            readdir,
+            fetch,
+            store,
+        }
+    }
+
+    fn to_array(self) -> [f64; 5] {
+        [self.ird, self.iwr, self.readdir, self.fetch, self.store]
+    }
+}
+
+/// The decay factor last computed in one call, and the elapsed time it is
+/// for. The counters of a dirfrag are touched together more often than
+/// not, so a counter as many milliseconds behind `now` as the one before it
+/// reuses that factor instead of computing its own. Starts out knowing the
+/// one factor that needs no computing: nothing elapsed, nothing lost.
+struct Decay {
+    half_life: SimTime,
+    dt_ms: u64,
+    factor: f64,
+}
+
+impl Decay {
+    fn new(half_life: SimTime) -> Self {
+        Decay {
+            half_life,
+            dt_ms: 0,
+            factor: 1.0,
+        }
+    }
+
+    #[inline]
+    fn factor(&mut self, dt_ms: u64) -> f64 {
+        if self.dt_ms != dt_ms {
+            self.dt_ms = dt_ms;
+            self.factor = 0.5_f64.powf(dt_ms as f64 / self.half_life.as_millis() as f64);
+        }
+        self.factor
+    }
 }
 
 impl FragHeat {
-    /// Fresh counters with the given decay half life.
-    pub fn new(half_life: SimTime) -> Self {
-        FragHeat {
-            half_life_ms: half_life.as_millis(),
-            ird: DecayCounter::new(half_life),
-            iwr: DecayCounter::new(half_life),
-            readdir: DecayCounter::new(half_life),
-            fetch: DecayCounter::new(half_life),
-            store: DecayCounter::new(half_life),
+    /// Counter `i` decayed to `now`, without writing it back.
+    #[inline]
+    fn decayed(&self, i: usize, now: SimTime, decay: &mut Decay) -> f64 {
+        let value = self.value[i];
+        if now > self.last[i] {
+            let dt_ms = (now - self.last[i]).as_millis();
+            if dt_ms != 0 && value != 0.0 {
+                return value * decay.factor(dt_ms);
+            }
         }
+        value
+    }
+
+    /// Decay counter `i` to `now`.
+    #[inline]
+    fn decay_to(&mut self, i: usize, now: SimTime, decay: &mut Decay) {
+        if now > self.last[i] {
+            self.value[i] = self.decayed(i, now, decay);
+            self.last[i] = now;
+        }
+    }
+
+    /// Decay counter `i` to `now`, then add `amount`.
+    #[inline]
+    fn hit(&mut self, i: usize, now: SimTime, amount: f64, decay: &mut Decay) {
+        self.decay_to(i, now, decay);
+        self.value[i] += amount;
     }
 
     /// Record one operation at `now`.
@@ -70,28 +146,20 @@ impl FragHeat {
     /// the cache would fetch from RADOS (`FETCH`) and creates eventually
     /// journal (`STORE`) — we charge those deterministically at fixed
     /// ratios rather than modelling the cache itself.
-    pub fn record(&mut self, op: OpKind, now: SimTime) {
+    pub fn record(&mut self, op: OpKind, now: SimTime, half_life: SimTime) {
         // Counters an op bumps together were mostly last bumped together,
         // so they decay by one shared factor.
-        let mut shared = SharedDecay::default();
-        if op.is_write() {
-            self.iwr.hit_sharing(now, 1.0, &mut shared);
-        } else {
-            self.ird.hit_sharing(now, 1.0, &mut shared);
-        }
+        let decay = &mut Decay::new(half_life);
+        self.hit(if op.is_write() { IWR } else { IRD }, now, 1.0, decay);
         match op {
             OpKind::Readdir => {
-                self.readdir.hit_sharing(now, 1.0, &mut shared);
+                self.hit(READDIR, now, 1.0, decay);
                 // Listing a cold directory fetches its dirfrag object.
-                self.fetch.hit_sharing(now, 0.2, &mut shared);
+                self.hit(FETCH, now, 0.2, decay);
             }
-            OpKind::Create => {
-                // Journal flush amortized over creates.
-                self.store.hit_sharing(now, 0.1, &mut shared);
-            }
-            OpKind::OpenRead => {
-                self.fetch.hit_sharing(now, 0.1, &mut shared);
-            }
+            // Journal flush amortized over creates.
+            OpKind::Create => self.hit(STORE, now, 0.1, decay),
+            OpKind::OpenRead => self.hit(FETCH, now, 0.1, decay),
             _ => {}
         }
     }
@@ -101,63 +169,44 @@ impl FragHeat {
     /// point-in-time sample is equivalent to having recorded the underlying
     /// ops here — which is what lets per-MDS aggregates be rebuilt from
     /// per-frag truth.
-    pub fn add_sample(&mut self, s: &HeatSample, now: SimTime, scale: f64) {
-        let mut shared = SharedDecay::default();
-        self.ird.hit_sharing(now, s.ird * scale, &mut shared);
-        self.iwr.hit_sharing(now, s.iwr * scale, &mut shared);
-        self.readdir
-            .hit_sharing(now, s.readdir * scale, &mut shared);
-        self.fetch.hit_sharing(now, s.fetch * scale, &mut shared);
-        self.store.hit_sharing(now, s.store * scale, &mut shared);
+    pub fn add_sample(&mut self, s: &HeatSample, now: SimTime, scale: f64, half_life: SimTime) {
+        let decay = &mut Decay::new(half_life);
+        for (i, v) in s.to_array().into_iter().enumerate() {
+            self.hit(i, now, v * scale, decay);
+        }
     }
 
-    /// Sample all counters at `now`. Counters equally far behind `now` —
-    /// all five, after the first sample — decay by one shared factor.
-    pub fn sample(&mut self, now: SimTime) -> HeatSample {
-        let mut shared = SharedDecay::default();
-        HeatSample {
-            ird: self.ird.get_sharing(now, &mut shared),
-            iwr: self.iwr.get_sharing(now, &mut shared),
-            readdir: self.readdir.get_sharing(now, &mut shared),
-            fetch: self.fetch.get_sharing(now, &mut shared),
-            store: self.store.get_sharing(now, &mut shared),
-        }
+    /// Sample all counters at `now`, decaying them there. Counters equally
+    /// far behind `now` — all five, after the first sample — decay by one
+    /// shared factor.
+    pub fn sample(&mut self, now: SimTime, half_life: SimTime) -> HeatSample {
+        let decay = &mut Decay::new(half_life);
+        HeatSample::from_array(std::array::from_fn(|i| {
+            self.decay_to(i, now, decay);
+            self.value[i]
+        }))
     }
 
     /// Sample all counters at `now` without mutating the decay state (for
     /// consistency oracles that must not perturb the counters they check).
-    pub fn peek(&self, now: SimTime) -> HeatSample {
-        HeatSample {
-            ird: self.ird.peek_at(now),
-            iwr: self.iwr.peek_at(now),
-            readdir: self.readdir.peek_at(now),
-            fetch: self.fetch.peek_at(now),
-            store: self.store.peek_at(now),
-        }
+    pub fn peek(&self, now: SimTime, half_life: SimTime) -> HeatSample {
+        let decay = &mut Decay::new(half_life);
+        HeatSample::from_array(std::array::from_fn(|i| self.decayed(i, now, decay)))
     }
 
     /// Split this heat into `n` equal parts (used when a dirfrag splits —
     /// the children inherit the parent's heat evenly, like CephFS).
-    pub fn split(&mut self, now: SimTime, n: usize) -> Vec<FragHeat> {
+    pub fn split(&mut self, now: SimTime, n: usize, half_life: SimTime) -> Vec<FragHeat> {
         assert!(n >= 1);
-        let sample = self.sample(now);
+        let sample = self.sample(now, half_life);
         let share = 1.0 / n as f64;
         (0..n)
             .map(|_| {
-                let mut h = FragHeat::new(self.half_life());
-                h.ird.hit(now, sample.ird * share);
-                h.iwr.hit(now, sample.iwr * share);
-                h.readdir.hit(now, sample.readdir * share);
-                h.fetch.hit(now, sample.fetch * share);
-                h.store.hit(now, sample.store * share);
+                let mut h = FragHeat::default();
+                h.add_sample(&sample, now, share, half_life);
                 h
             })
             .collect()
-    }
-
-    /// Decay half life (shared by all five counters).
-    pub fn half_life(&self) -> SimTime {
-        SimTime::from_millis(self.half_life_ms)
     }
 }
 
@@ -170,11 +219,16 @@ mod tests {
     }
 
     #[test]
+    fn five_counters_and_their_times_are_the_whole_state() {
+        assert_eq!(std::mem::size_of::<FragHeat>(), 80);
+    }
+
+    #[test]
     fn write_ops_bump_iwr() {
-        let mut h = FragHeat::new(t(10));
-        h.record(OpKind::Create, t(0));
-        h.record(OpKind::Stat, t(0));
-        let s = h.sample(t(0));
+        let mut h = FragHeat::default();
+        h.record(OpKind::Create, t(0), t(10));
+        h.record(OpKind::Stat, t(0), t(10));
+        let s = h.sample(t(0), t(10));
         assert_eq!(s.iwr, 1.0);
         assert_eq!(s.ird, 1.0);
         assert!(s.store > 0.0, "creates charge journal stores");
@@ -182,13 +236,25 @@ mod tests {
 
     #[test]
     fn heat_decays() {
-        let mut h = FragHeat::new(t(10));
+        let mut h = FragHeat::default();
         for _ in 0..8 {
-            h.record(OpKind::Create, t(0));
+            h.record(OpKind::Create, t(0), t(10));
         }
-        let hot = h.sample(t(0)).iwr;
-        let cooled = h.sample(t(10)).iwr;
+        let hot = h.sample(t(0), t(10)).iwr;
+        let cooled = h.sample(t(10), t(10)).iwr;
         assert!((cooled - hot / 2.0).abs() < 1e-9);
+        // Two more half lives, read without decaying, then for real.
+        assert!((h.peek(t(30), t(10)).iwr - hot / 8.0).abs() < 1e-9);
+        assert!((h.sample(t(30), t(10)).iwr - hot / 8.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn hits_accumulate_on_the_decayed_value() {
+        let mut h = FragHeat::default();
+        h.record(OpKind::Stat, t(0), t(10));
+        h.record(OpKind::Stat, t(10), t(10));
+        // The first hit decayed to 0.5, plus the new 1.0.
+        assert!((h.peek(t(10), t(10)).ird - 1.5).abs() < 1e-9);
     }
 
     #[test]
@@ -205,16 +271,16 @@ mod tests {
 
     #[test]
     fn split_conserves_heat() {
-        let mut h = FragHeat::new(t(10));
+        let mut h = FragHeat::default();
         for _ in 0..80 {
-            h.record(OpKind::Create, t(0));
+            h.record(OpKind::Create, t(0), t(10));
         }
-        let before = h.sample(t(0));
-        let parts = h.split(t(0), 8);
+        let before = h.sample(t(0), t(10));
+        let parts = h.split(t(0), 8, t(10));
         assert_eq!(parts.len(), 8);
         let mut total = HeatSample::default();
         for mut p in parts {
-            total = total.add(&p.sample(t(0)));
+            total = total.add(&p.sample(t(0), t(10)));
         }
         assert!((total.iwr - before.iwr).abs() < 1e-6);
         assert!((total.store - before.store).abs() < 1e-6);
@@ -263,67 +329,79 @@ mod tests {
     }
 
     fn bits(s: &HeatSample) -> [u64; 5] {
-        [s.ird, s.iwr, s.readdir, s.fetch, s.store].map(f64::to_bits)
+        s.to_array().map(f64::to_bits)
     }
 
+    /// `record`, `sample`, `peek` and `add_sample` against [`PlainHeat`],
+    /// values and last-touch times bit for bit, over a random walk in which
+    /// time stands still, creeps by microseconds (no whole millisecond:
+    /// factor 1), jumps, or is asked about the past — at the default half
+    /// life and at the 500 ms of the elastic scenarios.
     #[test]
     fn shared_decay_factors_are_bit_identical_to_five_plain_counters() {
-        let mut rng = mantle_sim::SimRng::new(0x4ea7);
-        let mut fast = FragHeat::new(t(10));
-        let mut slow = PlainHeat {
-            half_life_ms: 10_000.0,
-            counters: [(0.0, SimTime::ZERO); 5],
-        };
-        let mut now = SimTime::ZERO;
-        for step in 0..30_000 {
-            now = match rng.below(8) {
-                0 | 1 => now,
-                2 | 3 => now + SimTime::from_micros(rng.below(900)),
-                4 => now.saturating_sub(SimTime::from_millis(rng.below(5))),
-                5 => now + SimTime::from_secs(rng.below(200)),
-                _ => now + SimTime::from_millis(rng.below(3_000)),
+        for half_life in [t(10), SimTime::from_millis(500)] {
+            let mut rng = mantle_sim::SimRng::new(0x4ea7);
+            let mut fast = FragHeat::default();
+            let mut slow = PlainHeat {
+                half_life_ms: half_life.as_millis() as f64,
+                counters: [(0.0, SimTime::ZERO); 5],
             };
-            match rng.below(8) {
-                0..=3 => {
-                    let ops = OpKind::all();
-                    let op = ops[rng.below(ops.len() as u64) as usize];
-                    fast.record(op, now);
-                    slow.record(op, now);
-                }
-                4 => {
-                    let got = fast.sample(now);
-                    (0..5).for_each(|i| slow.decay(i, now));
-                    assert_eq!(bits(&got), slow.sample(now), "step {step}");
-                }
-                5 => {
-                    // Move heat in or out, as an authority change does —
-                    // taking out exactly what is there leaves signed zeros.
-                    let mut s = fast.peek(now);
-                    if rng.below(2) == 0 {
-                        s.fetch = 0.0;
-                        s.store = -0.0;
+            let mut now = SimTime::ZERO;
+            let mut multiplied = 0;
+            for step in 0..30_000 {
+                now = match rng.below(8) {
+                    0 | 1 => now,
+                    2 | 3 => now + SimTime::from_micros(rng.below(900)),
+                    4 => now.saturating_sub(SimTime::from_millis(rng.below(5))),
+                    5 => now + SimTime::from_secs(rng.below(200)),
+                    _ => now + SimTime::from_millis(rng.below(3_000)),
+                };
+                match rng.below(8) {
+                    0..=3 => {
+                        let ops = OpKind::all();
+                        let op = ops[rng.below(ops.len() as u64) as usize];
+                        fast.record(op, now, half_life);
+                        slow.record(op, now);
                     }
-                    let scale = [1.0, -1.0, 0.5, -0.0][rng.below(4) as usize];
-                    fast.add_sample(&s, now, scale);
-                    for (i, v) in [s.ird, s.iwr, s.readdir, s.fetch, s.store]
-                        .into_iter()
-                        .enumerate()
-                    {
-                        slow.hit(i, now, v * scale);
+                    4 => {
+                        let got = fast.sample(now, half_life);
+                        (0..5).for_each(|i| slow.decay(i, now));
+                        assert_eq!(bits(&got), slow.sample(now), "step {step}");
                     }
+                    5 => {
+                        // Move heat in or out, as an authority change does —
+                        // taking out exactly what is there leaves signed zeros.
+                        let mut s = fast.peek(now, half_life);
+                        if rng.below(2) == 0 {
+                            s.fetch = 0.0;
+                            s.store = -0.0;
+                        }
+                        let scale = [1.0, -1.0, 0.5, -0.0][rng.below(4) as usize];
+                        fast.add_sample(&s, now, scale, half_life);
+                        for (i, v) in s.to_array().into_iter().enumerate() {
+                            slow.hit(i, now, v * scale);
+                        }
+                    }
+                    _ => {}
                 }
-                _ => {}
+                assert_eq!(fast.last, slow.counters.map(|c| c.1), "step {step}");
+                let at = now + SimTime::from_micros(rng.below(2_000_000));
+                assert_eq!(
+                    bits(&fast.peek(at, half_life)),
+                    slow.sample(at),
+                    "step {step}"
+                );
+                multiplied += fast.value.iter().filter(|&&v| v != 0.0).count();
             }
-            let at = now + SimTime::from_micros(rng.below(2_000_000));
-            assert_eq!(bits(&fast.peek(at)), slow.sample(at), "step {step}");
+            assert!(multiplied > 50_000, "the walk kept counters warm");
         }
     }
 
     #[test]
     fn readdir_charges_fetch() {
-        let mut h = FragHeat::new(t(10));
-        h.record(OpKind::Readdir, t(0));
-        let s = h.sample(t(0));
+        let mut h = FragHeat::default();
+        h.record(OpKind::Readdir, t(0), t(10));
+        let s = h.sample(t(0), t(10));
         assert_eq!(s.readdir, 1.0);
         assert!(s.fetch > 0.0);
         assert_eq!(s.iwr, 0.0);

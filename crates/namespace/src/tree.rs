@@ -41,7 +41,7 @@ impl Default for NsConfig {
 pub type FragId = usize;
 
 /// A directory fragment: a slice of one directory's entries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Frag {
     /// Number of file entries living in this fragment.
     pub files: u64,
@@ -50,16 +50,6 @@ pub struct Frag {
     /// Authority override for just this fragment (spilling a hot directory
     /// distributes its fragments across MDS nodes).
     pub auth: Option<MdsId>,
-}
-
-impl Frag {
-    fn new(half_life: SimTime) -> Self {
-        Frag {
-            files: 0,
-            heat: FragHeat::new(half_life),
-            auth: None,
-        }
-    }
 }
 
 /// A directory inode.
@@ -119,9 +109,8 @@ struct AuthCache {
 
 /// Per-MDS decayed heat totals, maintained incrementally so heartbeat
 /// snapshots need not walk every dirfrag.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct LoadAggregates {
-    half_life: SimTime,
     /// Heat of all frags each MDS is the authority for.
     auth: Vec<FragHeat>,
     /// Heat of all frags each MDS replicates via an ancestor prefix
@@ -130,19 +119,11 @@ struct LoadAggregates {
 }
 
 impl LoadAggregates {
-    fn new(half_life: SimTime) -> Self {
-        LoadAggregates {
-            half_life,
-            auth: Vec::new(),
-            replica: Vec::new(),
-        }
-    }
-
     /// Grow both vectors so `mds` is a valid index.
     fn ensure(&mut self, mds: MdsId) {
         while self.auth.len() <= mds {
-            self.auth.push(FragHeat::new(self.half_life));
-            self.replica.push(FragHeat::new(self.half_life));
+            self.auth.push(FragHeat::default());
+            self.replica.push(FragHeat::default());
         }
     }
 }
@@ -192,6 +173,11 @@ pub struct SubtreeMigration {
     /// Roots of nested subtree bounds inside the migrated region — the
     /// bounded walk stopped there, so they and their subtrees stayed put.
     pub holes: Vec<NodeId>,
+    /// The migrated region itself: every directory whose authority moved
+    /// with the root, as [`Namespace::subtree_dirs`]`(root, true)` lists
+    /// them after the move. Settled for good: the namespace only grows,
+    /// and a directory created later is in no earlier migration's region.
+    pub dirs: Vec<NodeId>,
 }
 
 /// The namespace: a tree of [`Dir`]s with authority annotations.
@@ -229,21 +215,24 @@ pub struct Namespace {
 impl Namespace {
     /// A namespace with just the root directory, owned by MDS 0.
     pub fn new(cfg: NsConfig) -> Self {
+        assert!(
+            cfg.decay_half_life.as_millis() > 0,
+            "half life must be positive"
+        );
         let root = Dir {
             id: NodeId(0),
             parent: None,
             name: 0,
             depth: 0,
             children: Vec::new(),
-            frags: vec![Frag::new(cfg.decay_half_life)],
+            frags: vec![Frag::default()],
             auth: Some(0),
-            subtree_heat: FragHeat::new(cfg.decay_half_life),
+            subtree_heat: FragHeat::default(),
             auth_cache: AuthCache {
                 auth: 0,
                 chain: vec![0],
             },
         };
-        let agg = LoadAggregates::new(cfg.decay_half_life);
         let mut root_set = BTreeSet::new();
         root_set.insert(NodeId(0));
         let mut names = Names::default();
@@ -253,7 +242,7 @@ impl Namespace {
             names,
             child_index: HashMap::new(),
             cfg,
-            agg,
+            agg: LoadAggregates::default(),
             clock: SimTime::ZERO,
             bound_roots: vec![root_set],
             frag_over: vec![BTreeSet::new()],
@@ -302,7 +291,6 @@ impl Namespace {
         // `children`, however often it is created again.
         self.child_index.entry((parent, name)).or_insert(id);
         let depth = self.dir(parent).depth + 1;
-        let half_life = self.cfg.decay_half_life;
         // A new dir resolves as its parent does: every cache stays valid.
         let auth_cache = self.dirs[parent.0 as usize].auth_cache.clone();
         let dir = Dir {
@@ -311,9 +299,9 @@ impl Namespace {
             name,
             depth,
             children: Vec::new(),
-            frags: vec![Frag::new(half_life)],
+            frags: vec![Frag::default()],
             auth: None,
-            subtree_heat: FragHeat::new(half_life),
+            subtree_heat: FragHeat::default(),
             auth_cache,
         };
         self.dirs.push(dir);
@@ -420,12 +408,13 @@ impl Namespace {
         now: SimTime,
     ) -> FragId {
         let frag_id = frag.min(self.dir(id).frags.len() - 1);
+        let half_life = self.cfg.decay_half_life;
         self.touch(now);
         self.mark_warm(id);
         {
             let d = self.dir_mut(id);
-            d.frags[frag_id].heat.record(op, now);
-            d.subtree_heat.record(op, now);
+            d.frags[frag_id].heat.record(op, now, half_life);
+            d.subtree_heat.record(op, now, half_life);
             if op == OpKind::Create {
                 d.frags[frag_id].files += 1;
             } else if op == OpKind::Unlink && d.frags[frag_id].files > 0 {
@@ -438,18 +427,18 @@ impl Namespace {
             .auth
             .unwrap_or(self.dirs[idx].auth_cache.auth);
         self.agg.ensure(auth);
-        self.agg.auth[auth].record(op, now);
+        self.agg.auth[auth].record(op, now, half_life);
         for &rep in &self.dirs[idx].auth_cache.chain {
             if rep != auth {
                 self.agg.ensure(rep);
-                self.agg.replica[rep].record(op, now);
+                self.agg.replica[rep].record(op, now, half_life);
             }
         }
         // Roll up to every ancestor without materializing the chain.
         let mut anc = self.dirs[id.0 as usize].parent;
         while let Some(a) = anc {
             let d = &mut self.dirs[a.0 as usize];
-            d.subtree_heat.record(op, now);
+            d.subtree_heat.record(op, now, half_life);
             anc = d.parent;
         }
         frag_id
@@ -584,12 +573,10 @@ impl Namespace {
                 self.frag_over[a].remove(&(id, i));
             }
         }
+        let half_life = self.cfg.decay_half_life;
         let d = self.dir_mut(id);
-        let old = d.frags.remove(frag);
-        let mut heats = {
-            let mut h = old.heat;
-            h.split(now, ways)
-        };
+        let mut old = d.frags.remove(frag);
+        let mut heats = old.heat.split(now, ways, half_life);
         let files_each = old.files / ways as u64;
         let mut remainder = old.files % ways as u64;
         for _ in 0..ways {
@@ -661,21 +648,23 @@ impl Namespace {
         }
         let in_chain_old = cache.chain.contains(&eff_old);
         let in_chain_new = cache.chain.contains(&eff_new);
-        let clock = self.clock;
-        let h = self.dirs[id.0 as usize].frags[frag].heat.peek(clock);
+        let (clock, half_life) = (self.clock, self.cfg.decay_half_life);
+        let h = self.dirs[id.0 as usize].frags[frag]
+            .heat
+            .peek(clock, half_life);
         if h == HeatSample::default() {
             return;
         }
         self.agg.ensure(eff_old.max(eff_new));
-        self.agg.auth[eff_old].add_sample(&h, clock, -1.0);
-        self.agg.auth[eff_new].add_sample(&h, clock, 1.0);
+        self.agg.auth[eff_old].add_sample(&h, clock, -1.0, half_life);
+        self.agg.auth[eff_new].add_sample(&h, clock, 1.0, half_life);
         if in_chain_old {
             // Was the authority, now a mere prefix replica.
-            self.agg.replica[eff_old].add_sample(&h, clock, 1.0);
+            self.agg.replica[eff_old].add_sample(&h, clock, 1.0, half_life);
         }
         if in_chain_new {
             // Was a prefix replica, now the authority.
-            self.agg.replica[eff_new].add_sample(&h, clock, -1.0);
+            self.agg.replica[eff_new].add_sample(&h, clock, -1.0, half_life);
         }
     }
 
@@ -765,10 +754,10 @@ impl Namespace {
             .sum()
     }
 
-    /// Migrate the subtree rooted at `id` to `to`: one walk counts the
-    /// moved inodes, clears superseded fragment overrides, records the
-    /// nested bounds it stopped at, and moves the subtree's heat between
-    /// the per-MDS aggregates by deltas.
+    /// Migrate the subtree rooted at `id` to `to`: one walk lists the moved
+    /// directories and counts their inodes, clears superseded fragment
+    /// overrides, records the nested bounds it stopped at, and moves the
+    /// subtree's heat between the per-MDS aggregates by deltas.
     pub fn migrate_subtree(&mut self, id: NodeId, to: MdsId) -> SubtreeMigration {
         self.apply_auth_change(id, Some(to), true)
     }
@@ -792,8 +781,8 @@ impl Namespace {
     ///   the move is exact under the shared exponential decay),
     /// * fixes the replica aggregates of every MDS whose chain membership
     ///   or authority/replica role flipped, and
-    /// * counts the bounded region's inodes and the nested bounds
-    ///   ("holes") the region stops at.
+    /// * lists the bounded region's directories, and counts their inodes
+    ///   and the nested bounds ("holes") the region stops at.
     ///
     /// The walk must cover the *full* subtree (through nested bounds):
     /// replica chains below a hole still gain/lose the old/new authority.
@@ -808,6 +797,7 @@ impl Namespace {
             return SubtreeMigration {
                 inodes: 0,
                 holes: Vec::new(),
+                dirs: Vec::new(),
             };
         }
         if let Some(n) = new_auth {
@@ -829,10 +819,11 @@ impl Namespace {
             _ => false,
         };
         self.dirs[id.0 as usize].auth = new_auth;
-        let clock = self.clock;
+        let (clock, half_life) = (self.clock, self.cfg.decay_half_life);
 
         let mut inodes = 0u64;
         let mut holes = Vec::new();
+        let mut dirs = Vec::new();
         // (node, inside the bounded region?, occurrences of `new_auth` as
         // an override on the path from `id` (exclusive) down to the node).
         let mut stack: Vec<(NodeId, bool, u32)> = vec![(id, true, 0)];
@@ -873,6 +864,7 @@ impl Namespace {
             };
             if bounded {
                 inodes += 1;
+                dirs.push(x);
             }
             for f in 0..self.dirs[xi].frags.len() {
                 let over = self.dirs[xi].frags[f].auth;
@@ -891,14 +883,14 @@ impl Namespace {
                     self.frag_over[a].remove(&(x, f));
                     self.dirs[xi].frags[f].auth = None;
                 }
-                let h = self.dirs[xi].frags[f].heat.peek(clock);
+                let h = self.dirs[xi].frags[f].heat.peek(clock, half_life);
                 if h == HeatSample::default() {
                     continue;
                 }
                 if eff_old != eff_new {
                     self.agg.ensure(eff_old.max(eff_new));
-                    self.agg.auth[eff_old].add_sample(&h, clock, -1.0);
-                    self.agg.auth[eff_new].add_sample(&h, clock, 1.0);
+                    self.agg.auth[eff_old].add_sample(&h, clock, -1.0, half_life);
+                    self.agg.auth[eff_new].add_sample(&h, clock, 1.0, half_life);
                 }
                 // Replica membership can only change for the old/new
                 // override holders; the authority-exclusion can only flip
@@ -929,7 +921,8 @@ impl Namespace {
                     let is = member_new && r != eff_new;
                     if was != is {
                         self.agg.ensure(r);
-                        self.agg.replica[r].add_sample(&h, clock, if is { 1.0 } else { -1.0 });
+                        let sign = if is { 1.0 } else { -1.0 };
+                        self.agg.replica[r].add_sample(&h, clock, sign, half_life);
                     }
                 }
             }
@@ -947,19 +940,25 @@ impl Namespace {
                 stack.push((c, bounded && c_auth.is_none(), c_below));
             }
         }
-        SubtreeMigration { inodes, holes }
+        SubtreeMigration {
+            inodes,
+            holes,
+            dirs,
+        }
     }
 
     /// Sample a fragment's heat at `now`.
     pub fn frag_heat(&mut self, id: NodeId, frag: FragId, now: SimTime) -> HeatSample {
         self.touch(now);
-        self.dir_mut(id).frags[frag].heat.sample(now)
+        let half_life = self.cfg.decay_half_life;
+        self.dir_mut(id).frags[frag].heat.sample(now, half_life)
     }
 
     /// Sample a directory's rolled-up subtree heat at `now` (Fig. 1).
     pub fn subtree_heat(&mut self, id: NodeId, now: SimTime) -> HeatSample {
         self.touch(now);
-        self.dir_mut(id).subtree_heat.sample(now)
+        let half_life = self.cfg.decay_half_life;
+        self.dir_mut(id).subtree_heat.sample(now, half_life)
     }
 
     /// Per-MDS decayed heat totals at `now`, for MDS ids `0..num_mds`:
@@ -979,9 +978,12 @@ impl Namespace {
         if num_mds > 0 {
             self.agg.ensure(num_mds - 1);
         }
-        let auth = (0..num_mds).map(|m| self.agg.auth[m].sample(now)).collect();
+        let half_life = self.cfg.decay_half_life;
+        let auth = (0..num_mds)
+            .map(|m| self.agg.auth[m].sample(now, half_life))
+            .collect();
         let replica = (0..num_mds)
-            .map(|m| self.agg.replica[m].sample(now))
+            .map(|m| self.agg.replica[m].sample(now, half_life))
             .collect();
         (auth, replica)
     }
@@ -1161,6 +1163,41 @@ mod tests {
         assert_eq!(moved.holes, vec![abd], "the walk stopped at /a/b/d");
         assert_eq!(ns.resolve_auth(ab), 1);
         assert_eq!(ns.resolve_auth(abd), 2, "nested subtree untouched");
+    }
+
+    #[test]
+    fn a_migration_lists_the_region_its_walk_moved() {
+        let mut rng = mantle_sim::SimRng::new(0xd125);
+        let sorted = |mut v: Vec<NodeId>| {
+            v.sort_unstable();
+            v
+        };
+        let (mut nested, mut listed) = (0, 0);
+        for case in 0..100 {
+            let mut ns = Namespace::default();
+            let mut all = vec![ns.root()];
+            for i in 0..1 + rng.below(80) {
+                let parent = all[rng.below(all.len() as u64) as usize];
+                all.push(ns.mkdir(parent, format!("d{i}")));
+            }
+            for _ in 0..rng.below(6) {
+                let d = all[rng.below(all.len() as u64) as usize];
+                ns.set_auth(d, Some(rng.below(4) as MdsId));
+            }
+            for step in 0..5 {
+                let d = all[rng.below(all.len() as u64) as usize];
+                let moved = ns.migrate_subtree(d, rng.below(4) as MdsId);
+                nested += usize::from(!moved.holes.is_empty());
+                listed += moved.dirs.len();
+                assert_eq!(
+                    sorted(moved.dirs),
+                    sorted(ns.subtree_dirs(d, true)),
+                    "case {case} step {step}"
+                );
+            }
+        }
+        assert!(nested > 100, "{nested} migrations stopped at a bound");
+        assert!(listed > 1_000, "{listed} directories listed");
     }
 
     #[test]

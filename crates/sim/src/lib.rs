@@ -4,8 +4,7 @@
 //! The kernel is intentionally small: a virtual millisecond clock
 //! ([`SimTime`]), a stable-order event queue ([`EventQueue`]), seeded random
 //! number streams ([`SimRng`]), and the statistics helpers the paper's
-//! evaluation needs (Welford summaries, bucketed time series, exponentially
-//! decayed counters).
+//! evaluation needs (Welford summaries, bucketed time series).
 //!
 //! Everything is deterministic given a seed: the event queue breaks ties on
 //! insertion order, and every component draws randomness from a named
@@ -31,5 +30,5 @@ pub mod time;
 pub use clock::{ClockMode, WallClock};
 pub use events::{EventQueue, Scheduled, SchedulerKind};
 pub use rng::SimRng;
-pub use stats::{DecayCounter, OnlineStats, SharedDecay, Summary, TimeSeries};
+pub use stats::{OnlineStats, Summary, TimeSeries};
 pub use time::SimTime;

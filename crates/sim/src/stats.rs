@@ -1,7 +1,7 @@
 //! Statistics helpers for the evaluation: running summaries (Welford),
-//! percentile summaries, bucketed time series (the per-second throughput
-//! curves in Figs. 4, 7, 10), and the exponentially decayed counters CephFS
-//! uses for directory "heat" (Fig. 1).
+//! percentile summaries, and bucketed time series (the per-second
+//! throughput curves in Figs. 4, 7, 10). The decayed directory "heat" of
+//! Fig. 1 lives with the directories, in `mantle_namespace::FragHeat`.
 
 use crate::time::SimTime;
 
@@ -251,140 +251,6 @@ impl TimeSeries {
     }
 }
 
-/// Exponentially decayed counter — the "heat" CephFS stores per directory.
-///
-/// The counter loses half its value every `half_life`; hits add 1. Decay is
-/// applied lazily when the counter is touched or read, so idle directories
-/// cost nothing — and so does decaying a counter that holds zero, or one
-/// touched less than a millisecond ago (elapsed time is taken in whole
-/// milliseconds, so its factor is `0.5⁰ = 1`): neither reaches `powf`.
-#[derive(Debug, Clone)]
-pub struct DecayCounter {
-    value: f64,
-    last: SimTime,
-    half_life_ms: f64,
-}
-
-/// The decay factor last computed for a group of [`DecayCounter`]s **of one
-/// half life** that are read or hit together, and the elapsed time it is
-/// for. A counter as many milliseconds behind `now` as the one decayed
-/// before it through the same `SharedDecay` reuses the factor instead of
-/// computing its own ([`DecayCounter::get_sharing`],
-/// [`DecayCounter::hit_sharing`]). Starts out knowing the one factor that
-/// needs no computing: nothing elapsed, nothing lost.
-#[derive(Debug, Clone, Copy)]
-pub struct SharedDecay {
-    dt_ms: u64,
-    factor: f64,
-}
-
-impl Default for SharedDecay {
-    fn default() -> Self {
-        SharedDecay {
-            dt_ms: 0,
-            factor: 1.0,
-        }
-    }
-}
-
-impl DecayCounter {
-    /// New counter at zero with the given half life.
-    pub fn new(half_life: SimTime) -> Self {
-        assert!(half_life.as_millis() > 0, "half life must be positive");
-        DecayCounter {
-            value: 0.0,
-            last: SimTime::ZERO,
-            half_life_ms: half_life.as_millis() as f64,
-        }
-    }
-
-    /// Whole milliseconds from the last touch to `now`, when `now` is later.
-    #[inline]
-    fn elapsed_ms(&self, now: SimTime) -> Option<u64> {
-        (now > self.last).then(|| (now - self.last).as_millis())
-    }
-
-    /// Whether decaying over `dt_ms` can change the value at all. It cannot
-    /// when no whole millisecond passed (the factor is exactly 1) or when
-    /// the value is zero (either zero times a factor in `[0, 1]` is itself),
-    /// so skipping the multiplication there is exact, not approximate.
-    #[inline]
-    fn decays_over(&self, dt_ms: u64) -> bool {
-        dt_ms != 0 && self.value != 0.0
-    }
-
-    fn factor(&self, dt_ms: u64) -> f64 {
-        0.5_f64.powf(dt_ms as f64 / self.half_life_ms)
-    }
-
-    /// Decay to `now`, sharing decay factors with the other counters **of
-    /// the same half life** decayed through the same `shared`: a counter as
-    /// many milliseconds behind `now` as the one before it reuses that one's
-    /// factor instead of computing its own. The five counters of a dirfrag
-    /// are touched together more often than not.
-    #[inline]
-    fn decay_sharing(&mut self, now: SimTime, shared: &mut SharedDecay) {
-        if let Some(dt_ms) = self.elapsed_ms(now) {
-            if self.decays_over(dt_ms) {
-                if shared.dt_ms != dt_ms {
-                    *shared = SharedDecay {
-                        dt_ms,
-                        factor: self.factor(dt_ms),
-                    };
-                }
-                self.value *= shared.factor;
-            }
-            self.last = now;
-        }
-    }
-
-    /// Add `amount` at time `now` (after decaying to `now`).
-    pub fn hit(&mut self, now: SimTime, amount: f64) {
-        self.hit_sharing(now, amount, &mut SharedDecay::default());
-    }
-
-    /// [`DecayCounter::hit`], sharing decay factors through `shared` with
-    /// the other counters of a group (see [`SharedDecay`]).
-    #[inline]
-    pub fn hit_sharing(&mut self, now: SimTime, amount: f64, shared: &mut SharedDecay) {
-        self.decay_sharing(now, shared);
-        self.value += amount;
-    }
-
-    /// Decayed value as of `now`.
-    pub fn get(&mut self, now: SimTime) -> f64 {
-        self.get_sharing(now, &mut SharedDecay::default())
-    }
-
-    /// [`DecayCounter::get`], sharing decay factors through `shared` with
-    /// the other counters of a group (see [`SharedDecay`]).
-    #[inline]
-    pub fn get_sharing(&mut self, now: SimTime, shared: &mut SharedDecay) -> f64 {
-        self.decay_sharing(now, shared);
-        self.value
-    }
-
-    /// Value without applying further decay (as of the last touch).
-    pub fn peek(&self) -> f64 {
-        self.value
-    }
-
-    /// Decayed value as of `now`, computed without mutating the counter
-    /// (for consistency oracles that must not perturb the decay state).
-    pub fn peek_at(&self, now: SimTime) -> f64 {
-        match self.elapsed_ms(now) {
-            Some(dt_ms) if self.decays_over(dt_ms) => self.value * self.factor(dt_ms),
-            _ => self.value,
-        }
-    }
-
-    /// Reset to zero.
-    pub fn reset(&mut self, now: SimTime) {
-        self.value = 0.0;
-        self.last = now;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,129 +336,6 @@ mod tests {
         let coarse = ts.coarsen(3);
         assert_eq!(coarse.values(), &[3.0, 3.0]);
         assert_eq!(coarse.bucket(), SimTime::from_secs(3));
-    }
-
-    #[test]
-    fn decay_counter_halves_at_half_life() {
-        let mut c = DecayCounter::new(SimTime::from_secs(10));
-        c.hit(SimTime::ZERO, 8.0);
-        assert!((c.get(SimTime::from_secs(10)) - 4.0).abs() < 1e-9);
-        assert!((c.get(SimTime::from_secs(30)) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn decay_counter_accumulates() {
-        let mut c = DecayCounter::new(SimTime::from_secs(10));
-        c.hit(SimTime::ZERO, 1.0);
-        c.hit(SimTime::from_secs(10), 1.0);
-        // First hit decayed to 0.5, plus the new 1.0.
-        assert!((c.peek() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn decay_counter_reset() {
-        let mut c = DecayCounter::new(SimTime::from_secs(1));
-        c.hit(SimTime::ZERO, 5.0);
-        c.reset(SimTime::from_secs(2));
-        assert_eq!(c.get(SimTime::from_secs(3)), 0.0);
-    }
-
-    /// The counter as first written: every decay multiplies, whatever the
-    /// value and however little time passed.
-    #[derive(Clone)]
-    struct PlainCounter {
-        value: f64,
-        last: SimTime,
-        half_life_ms: f64,
-    }
-
-    impl PlainCounter {
-        fn peek_at(&self, now: SimTime) -> f64 {
-            if now > self.last {
-                let dt = (now - self.last).as_millis() as f64;
-                self.value * 0.5_f64.powf(dt / self.half_life_ms)
-            } else {
-                self.value
-            }
-        }
-        fn decay_to(&mut self, now: SimTime) {
-            self.value = self.peek_at(now);
-            self.last = self.last.max(now);
-        }
-    }
-
-    #[test]
-    fn decay_fast_paths_are_bit_identical_to_the_plain_formula() {
-        use crate::rng::SimRng;
-        let mut rng = SimRng::new(0xdeca7);
-        let half_life = SimTime::from_secs(10);
-        let plain = PlainCounter {
-            value: 0.0,
-            last: SimTime::ZERO,
-            half_life_ms: half_life.as_millis() as f64,
-        };
-        let mut fast: [DecayCounter; 5] = std::array::from_fn(|_| DecayCounter::new(half_life));
-        let mut slow: [PlainCounter; 5] = std::array::from_fn(|_| plain.clone());
-        let mut now = SimTime::ZERO;
-        let mut multiplied = 0;
-        for step in 0..30_000 {
-            // Time stands still, creeps by microseconds (no whole
-            // millisecond: factor 1), jumps, or is asked about the past.
-            now = match rng.below(8) {
-                0 | 1 => now,
-                2 | 3 => now + SimTime::from_micros(rng.below(900)),
-                4 => now.saturating_sub(SimTime::from_millis(rng.below(5))),
-                5 => now + SimTime::from_secs(rng.below(400)),
-                _ => now + SimTime::from_millis(rng.below(3_000)),
-            };
-            let amount = match rng.below(6) {
-                0 => 0.0,
-                1 => -0.0,
-                2 => -rng.f64() * 3.0,
-                _ => rng.f64() * 10.0,
-            };
-            let i = rng.below(5) as usize;
-            match rng.below(6) {
-                0 | 1 => {
-                    fast[i].hit(now, amount);
-                    slow[i].decay_to(now);
-                    slow[i].value += amount;
-                }
-                2 => {
-                    let got = fast[i].get(now);
-                    slow[i].decay_to(now);
-                    assert_eq!(got.to_bits(), slow[i].value.to_bits(), "step {step}");
-                }
-                3 => {
-                    // Cancel a counter to an exact (signed) zero.
-                    let v = fast[i].get(now);
-                    fast[i].hit(now, -v);
-                    slow[i].decay_to(now);
-                    slow[i].value += -v;
-                }
-                4 => {
-                    let mut shared = SharedDecay::default();
-                    for (f, s) in fast.iter_mut().zip(&mut slow) {
-                        s.decay_to(now);
-                        let got = f.get_sharing(now, &mut shared);
-                        assert_eq!(got.to_bits(), s.value.to_bits(), "step {step}");
-                    }
-                }
-                _ => {}
-            }
-            for (f, s) in fast.iter().zip(&slow) {
-                assert_eq!(f.peek().to_bits(), s.value.to_bits(), "step {step}");
-                assert_eq!(f.last, s.last, "step {step}");
-                let at = now + SimTime::from_micros(rng.below(2_000_000));
-                assert_eq!(
-                    f.peek_at(at).to_bits(),
-                    s.peek_at(at).to_bits(),
-                    "step {step}"
-                );
-                multiplied += u64::from(s.value != 0.0);
-            }
-        }
-        assert!(multiplied > 50_000, "the walk kept counters warm");
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! test — the failing case index is in the assertion message.
 
 use mantle::mds::{select_best, DirfragSelector};
-use mantle::namespace::{Namespace, NamespaceStats, NodeId, NsConfig, OpKind};
+use mantle::namespace::{
+    FragHeat, HeatSample, Namespace, NamespaceStats, NodeId, NsConfig, OpKind,
+};
 use mantle::policy::env::{BalancerInputs, MantleRuntime, MdsMetrics, PolicySet};
 use mantle::policy::{parse_script, script_to_source, Interpreter, StepBudget, Value};
 use mantle::policy::{BytecodeProgram, BytecodeVm};
-use mantle::sim::{DecayCounter, EventQueue, OnlineStats, SimRng, SimTime, Summary};
+use mantle::sim::{EventQueue, OnlineStats, SimRng, SimTime, Summary};
 
 mod support;
 
@@ -208,19 +210,33 @@ fn summary_percentiles_are_ordered() {
 }
 
 #[test]
-fn decay_counter_is_monotone_without_hits() {
+fn frag_heat_is_monotone_without_hits() {
     let mut rng = cases_rng("decay");
+    let half_life = SimTime::from_secs(10);
+    let counters = |s: HeatSample| [s.ird, s.iwr, s.readdir, s.fetch, s.store];
     for case in 0..200 {
-        let amount = f64_in(&mut rng, 0.1, 1e6);
+        let amount = HeatSample {
+            ird: f64_in(&mut rng, 0.1, 1e6),
+            iwr: f64_in(&mut rng, 0.1, 1e6),
+            readdir: f64_in(&mut rng, 0.1, 1e6),
+            fetch: f64_in(&mut rng, 0.1, 1e6),
+            store: f64_in(&mut rng, 0.1, 1e6),
+        };
         let dt1 = rng.range_inclusive(1, 100_000);
         let dt2 = rng.range_inclusive(1, 100_000);
-        let mut c = DecayCounter::new(SimTime::from_secs(10));
-        c.hit(SimTime::ZERO, amount);
-        let v1 = c.get(SimTime::from_millis(dt1));
-        let v2 = c.get(SimTime::from_millis(dt1 + dt2));
-        assert!(v1 <= amount + 1e-9, "case {case}");
-        assert!(v2 <= v1 + 1e-9, "case {case}: decay must be monotone");
-        assert!(v2 >= 0.0, "case {case}");
+        let mut h = FragHeat::default();
+        h.add_sample(&amount, SimTime::ZERO, 1.0, half_life);
+        let v1 = h.sample(SimTime::from_millis(dt1), half_life);
+        let v2 = h.sample(SimTime::from_millis(dt1 + dt2), half_life);
+        for ((a, v1), v2) in counters(amount)
+            .into_iter()
+            .zip(counters(v1))
+            .zip(counters(v2))
+        {
+            assert!(v1 <= a + 1e-9, "case {case}");
+            assert!(v2 <= v1 + 1e-9, "case {case}: decay must be monotone");
+            assert!(v2 >= 0.0, "case {case}");
+        }
     }
 }
 

@@ -90,10 +90,11 @@ pub fn walk_load_samples(
 ) -> (Vec<HeatSample>, Vec<HeatSample>) {
     let mut auth = vec![HeatSample::default(); num_mds];
     let mut replica = vec![HeatSample::default(); num_mds];
+    let half_life = ns.config().decay_half_life;
     for d in ns.all_dirs() {
         let chain = walk_chain(ns, d);
         for f in &ns.dir(d).frags {
-            let heat = f.heat.peek(now);
+            let heat = f.heat.peek(now, half_life);
             let serving = f.auth.unwrap_or(chain[0]);
             if serving < num_mds {
                 auth[serving] = auth[serving].add(&heat);
