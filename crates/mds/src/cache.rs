@@ -16,13 +16,13 @@
 //!   export moved: the list `Migrator::apply_export` already walked to
 //!   stamp the freeze, one [`GroupCache::invalidate`] per directory.
 //!
-//! The clients' learned routes are dropped the same way. Each client
-//! keeps a plain directory→MDS map ([`ClientCache`]); **one**
-//! [`RouteIndex`] of `(directory, client)` pairs sits over all of them,
-//! so an export finds every client's route to a moved directory with one
-//! range lookup, whatever the number of clients that hold nothing there.
-//! (The per-client predicate scan survives as the differential oracle in
-//! the unit tests below.)
+//! The clients' learned routes are dropped the same way. Every client's
+//! directory→MDS map lives in **one** [`RouteTable`]: a row of one byte
+//! per client for each directory any client has learned, so an export
+//! finds every client's route to a moved directory by scanning that
+//! directory's row, and a reply re-learns its route in the byte the issue
+//! just read. (A per-client map scanned with the region's predicate
+//! survives as the differential oracle in the unit tests below.)
 //!
 //! Determinism: group caches live in [`crate::shard::SharedSim`] and are
 //! **read-only during windows**. Every mutation — fill, LRU touch,
@@ -30,7 +30,7 @@
 //! `(time, key)` order, so the LRU clock and eviction order are pure
 //! functions of the event stream.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use mantle_namespace::{MdsId, NodeId, OpKind};
 use mantle_sim::SimTime;
@@ -43,72 +43,137 @@ pub fn cacheable(kind: OpKind) -> bool {
     matches!(kind, OpKind::Stat | OpKind::OpenRead | OpKind::Readdir)
 }
 
-/// One client's learned directory→MDS map: what it routes by. It holds
-/// nothing else — which clients hold a route to a migrated directory is
-/// the [`RouteIndex`]'s business, and every write goes through that.
-#[derive(Debug, Clone, Default)]
-pub struct ClientCache {
-    entries: HashMap<NodeId, u32>,
+/// Rows per allocation: the table grows a chunk at a time, so a new row
+/// never copies the rows before it.
+const ROW_CHUNK: usize = 64;
+
+/// The slot byte that says "look in `far`". Any other non-zero byte is
+/// `mds + 1`.
+const FAR: u8 = u8::MAX;
+
+/// No row: the directory has never been learned by any client.
+const NO_ROW: u32 = u32::MAX;
+
+/// Every client's learned directory→MDS map: what each client routes by,
+/// built from replies exactly as the client builds "its own mapping of
+/// subtrees to MDS nodes" (§2). Owned by the data plane.
+///
+/// Each directory some client has learned gets a row of one byte per
+/// client: `0` for no route, `mds + 1` for MDSs below 254, and `255` when
+/// the route sits in `far` (MDS ids from 254 up; no shipped scenario
+/// has them). A directory past `row_of`'s end — one created after the
+/// newest learned directory — has no row yet, so it reads as no route.
+/// Rows are never freed: the namespace only grows, and a row that an
+/// export emptied is refilled by the next reply.
+#[derive(Debug)]
+pub struct RouteTable {
+    clients: usize,
+    /// Row per directory, indexed by `NodeId`; [`NO_ROW`] if unlearned.
+    row_of: Vec<u32>,
+    /// [`ROW_CHUNK`] rows of `clients` bytes each, per chunk.
+    chunks: Vec<Box<[u8]>>,
+    /// Rows handed out so far.
+    rows: u32,
+    /// The routes behind every [`FAR`] byte, one entry each.
+    far: HashMap<(NodeId, u32), MdsId>,
 }
 
-impl ClientCache {
-    /// The learned authority for `dir`, if any.
-    pub fn get(&self, dir: NodeId) -> Option<MdsId> {
-        self.entries.get(&dir).map(|&mds| mds as MdsId)
+impl RouteTable {
+    /// An empty table for `clients` clients.
+    pub fn new(clients: usize) -> Self {
+        RouteTable {
+            clients,
+            row_of: Vec::new(),
+            chunks: Vec::new(),
+            rows: 0,
+            far: HashMap::new(),
+        }
     }
 
-    /// Number of learned entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// Where `dir`'s row lives, if some client has learned it.
+    fn find(&self, dir: NodeId) -> Option<(usize, usize)> {
+        let row = *self.row_of.get(dir.0 as usize)?;
+        (row != NO_ROW).then(|| self.locate(row))
     }
 
-    /// No entries learned yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// Where `row` lives: its chunk, and its first byte in that chunk.
+    fn locate(&self, row: u32) -> (usize, usize) {
+        let row = row as usize;
+        (row / ROW_CHUNK, row % ROW_CHUNK * self.clients)
     }
-}
 
-/// Every client's learned routes as `(dir, client)` pairs, one per entry
-/// of a client's [`ClientCache`], ordered so that the clients holding a
-/// route to one directory are one range. Owned by the data plane next to
-/// the clients it indexes, which every method takes.
-#[derive(Debug, Default)]
-pub struct RouteIndex {
-    pairs: BTreeSet<(NodeId, u32)>,
-}
+    /// `dir`'s row, handed out on first use.
+    fn row_or_insert(&mut self, dir: NodeId) -> u32 {
+        let d = dir.0 as usize;
+        if d >= self.row_of.len() {
+            self.row_of.resize(d + 1, NO_ROW);
+        }
+        if self.row_of[d] == NO_ROW {
+            if self.rows as usize == self.chunks.len() * ROW_CHUNK {
+                let chunk = vec![0u8; ROW_CHUNK * self.clients].into_boxed_slice();
+                self.chunks.push(chunk);
+            }
+            self.row_of[d] = self.rows;
+            self.rows += 1;
+        }
+        self.row_of[d]
+    }
 
-impl RouteIndex {
+    /// Client `c`'s learned authority for `dir`, if any.
+    pub fn get(&self, c: usize, dir: NodeId) -> Option<MdsId> {
+        let (chunk, at) = self.find(dir)?;
+        match self.chunks[chunk][at + c] {
+            0 => None,
+            FAR => Some(self.far[&(dir, c as u32)]),
+            b => Some(b as MdsId - 1),
+        }
+    }
+
     /// A reply told client `c` that `dir` was ultimately served by `mds`.
-    /// Re-learning a known directory — nearly every reply — is one hash
-    /// probe.
-    pub(crate) fn learn(&mut self, clients: &mut [ClientState], c: usize, dir: NodeId, mds: MdsId) {
-        if clients[c].cache.entries.insert(dir, mds as u32).is_none() {
-            self.pairs.insert((dir, c as u32));
+    pub(crate) fn learn(&mut self, c: usize, dir: NodeId, mds: MdsId) {
+        let row = self.row_or_insert(dir);
+        let (chunk, at) = self.locate(row);
+        let slot = &mut self.chunks[chunk][at + c];
+        if mds + 1 < FAR as MdsId {
+            if std::mem::replace(slot, mds as u8 + 1) == FAR {
+                self.far.remove(&(dir, c as u32));
+            }
+        } else {
+            *slot = FAR;
+            self.far.insert((dir, c as u32), mds);
         }
     }
 
     /// Client `c` forgets what it learned about `dir` alone.
-    pub(crate) fn forget(&mut self, clients: &mut [ClientState], c: usize, dir: NodeId) {
-        if clients[c].cache.entries.remove(&dir).is_some() {
-            self.pairs.remove(&(dir, c as u32));
+    pub(crate) fn forget(&mut self, c: usize, dir: NodeId) {
+        if let Some((chunk, at)) = self.find(dir) {
+            if std::mem::take(&mut self.chunks[chunk][at + c]) == FAR {
+                self.far.remove(&(dir, c as u32));
+            }
         }
     }
 
     /// Drop every route to one of `dirs` held by a client still running,
-    /// returning how many were dropped. A `done` client routes nothing
-    /// any more; its entries stay, uncounted.
-    pub(crate) fn invalidate_dirs(&mut self, clients: &mut [ClientState], dirs: &[NodeId]) -> u64 {
-        let stale: Vec<(NodeId, u32)> = dirs
-            .iter()
-            .flat_map(|&d| self.pairs.range((d, 0)..=(d, u32::MAX)))
-            .filter(|&&(_, c)| !clients[c as usize].done)
-            .copied()
-            .collect();
-        for &(dir, c) in &stale {
-            self.pairs.remove(&(dir, c));
-            clients[c as usize].cache.entries.remove(&dir);
+    /// returning how many were dropped: one scan of each directory's
+    /// row. A `done` client routes nothing any more; its entries stay,
+    /// uncounted.
+    pub(crate) fn invalidate_dirs(&mut self, clients: &[ClientState], dirs: &[NodeId]) -> u64 {
+        let mut dropped = 0;
+        for &dir in dirs {
+            let Some((chunk, at)) = self.find(dir) else {
+                continue;
+            };
+            let slots = &mut self.chunks[chunk][at..at + self.clients];
+            for (c, slot) in slots.iter_mut().enumerate() {
+                if *slot != 0 && !clients[c].done {
+                    if std::mem::take(slot) == FAR {
+                        self.far.remove(&(dir, c as u32));
+                    }
+                    dropped += 1;
+                }
+            }
         }
-        stale.len() as u64
+        dropped
     }
 }
 
@@ -270,15 +335,41 @@ mod tests {
         (moved, window, bounds)
     }
 
-    /// Satellite check: one `(dir, client)` index shared by many clients
-    /// drops exactly what a predicate scan of each running client's own
-    /// map drops — across random trees and exports (nested bounds,
+    /// What the learns draw from: near MDS ids, the last near one (253),
+    /// and far ones, which sit behind a `255` byte.
+    const LEARNED: [MdsId; 9] = [0, 1, 2, 3, 253, 254, 255, 300, 65_535];
+
+    /// Every `get` — for each client and for every directory up to two
+    /// past the namespace's end — agrees with the oracle, and `far` holds
+    /// exactly one entry per `255` byte.
+    fn assert_table_matches(
+        routes: &RouteTable,
+        oracle: &[HashMap<NodeId, MdsId>],
+        dirs: usize,
+        at: &str,
+    ) {
+        for (c, map) in oracle.iter().enumerate() {
+            for d in (0..dirs as u32 + 2).map(NodeId) {
+                let want = map.get(&d).copied();
+                assert_eq!(routes.get(c, d), want, "{at} client {c} {d:?}");
+            }
+        }
+        let far_bytes = routes.chunks.iter().flat_map(|ch| ch.iter());
+        let far_bytes = far_bytes.filter(|&&b| b == FAR).count();
+        assert_eq!(routes.far.len(), far_bytes, "{at}: far entries");
+    }
+
+    /// Satellite check: one route table shared by many clients drops
+    /// exactly what a predicate scan of each running client's own map
+    /// drops — across random trees and exports (nested bounds,
     /// root-only), directories created after the export, clients that
-    /// finish, and single-directory forgets.
+    /// finish, single-directory forgets, and routes that move between the
+    /// byte and `far` in both directions.
     #[test]
     fn interval_invalidation_matches_predicate_oracle() {
         let mut rng = SimRng::new(0xCAFE);
         let (mut late_routes, mut dropped_total, mut spared_done) = (0, 0, 0);
+        let (mut to_far, mut to_near, mut most_chunks) = (0, 0, 0);
         for round in 0..40u32 {
             let mut ns = Namespace::default();
             let mut all = vec![ns.root()];
@@ -288,7 +379,7 @@ mod tests {
             }
             let n = 2 + rng.below(7) as usize;
             let mut clients: Vec<ClientState> = (0..n).map(ClientState::new).collect();
-            let mut routes = RouteIndex::default();
+            let mut routes = RouteTable::new(n);
             // The oracle: a plain map per client, scanned with the
             // region's predicate.
             let mut oracle: Vec<HashMap<NodeId, MdsId>> = vec![HashMap::new(); n];
@@ -309,22 +400,25 @@ mod tests {
                             Some(&d) => d,
                             None => pick(&mut rng, &all),
                         };
-                        let mds = rng.below(4) as MdsId;
-                        routes.learn(&mut clients, c, d, mds);
-                        oracle[c].insert(d, mds);
+                        let mds = LEARNED[rng.below(LEARNED.len() as u64) as usize];
+                        routes.learn(c, d, mds);
+                        if let Some(old) = oracle[c].insert(d, mds) {
+                            to_far += usize::from(old < 254 && mds >= 254);
+                            to_near += usize::from(old >= 254 && mds < 254);
+                        }
                         late_routes += usize::from(d.0 >= w.watermark && is_under(&ns, d, w.root));
                     }
                 }
                 // A request timed out: one client forgets one directory.
                 for _ in 0..rng.below(4) {
                     let (c, d) = (rng.below(n as u64) as usize, pick(&mut rng, &all));
-                    routes.forget(&mut clients, c, d);
+                    routes.forget(c, d);
                     oracle[c].remove(&d);
                 }
                 if rng.below(5) == 0 {
                     clients[rng.below(n as u64) as usize].done = true;
                 }
-                let dropped = routes.invalidate_dirs(&mut clients, &moved);
+                let dropped = routes.invalidate_dirs(&clients, &moved);
                 let mut want = 0;
                 for (c, map) in oracle.iter_mut().enumerate() {
                     let before = map.len();
@@ -337,24 +431,13 @@ mod tests {
                 }
                 assert_eq!(dropped, want, "round {round} step {step}: count");
                 dropped_total += dropped;
-                for (c, map) in oracle.iter().enumerate() {
-                    let got = &clients[c].cache;
-                    assert_eq!(got.len(), map.len(), "round {round} step {step} client {c}");
-                    for (&d, &mds) in map {
-                        assert_eq!(
-                            got.get(d),
-                            Some(mds),
-                            "round {round} step {step} client {c}"
-                        );
-                    }
-                }
-                // The index holds one entry per route, no more.
-                let held: usize = clients.iter().map(|c| c.cache.len()).sum();
-                assert_eq!(routes.pairs.len(), held, "round {round} step {step}");
+                let at = format!("round {round} step {step}");
+                assert_table_matches(&routes, &oracle, ns.dir_count(), &at);
                 for h in bounds {
                     ns.set_auth(h, None);
                 }
             }
+            most_chunks = most_chunks.max(routes.chunks.len());
         }
         assert!(
             late_routes > 400,
@@ -365,6 +448,11 @@ mod tests {
             spared_done > 100,
             "{spared_done} routes of finished clients spared"
         );
+        assert!(
+            to_far > 100 && to_near > 100,
+            "{to_far} near routes re-learned far, {to_near} far ones near"
+        );
+        assert!(most_chunks >= 2, "no round learned past one chunk of rows");
     }
 
     #[test]

@@ -2,10 +2,8 @@
 //! subtree→MDS map, and the [`Workload`] trait the workload generators
 //! implement.
 
-use mantle_namespace::{MdsId, Namespace, NodeId, OpKind};
+use mantle_namespace::{FragId, MdsId, Namespace, NodeId, OpKind};
 use mantle_sim::SimTime;
-
-use crate::cache::ClientCache;
 
 /// One metadata operation a client wants to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,18 +57,15 @@ pub trait Workload: Send {
     }
 }
 
-/// Per-client connection state maintained by the cluster.
+/// Per-client connection state maintained by the cluster. The client's
+/// learned directory→MDS map is not here: it is this client's byte in
+/// each row of the data plane's [`RouteTable`](crate::cache::RouteTable),
+/// which keeps every client's route to one directory side by side so a
+/// migration drops a moved directory from all of them in one row scan.
 #[derive(Debug, Clone)]
 pub struct ClientState {
     /// Client index.
     pub id: usize,
-    /// Learned directory→MDS map (built up from replies, exactly as the
-    /// client builds "its own mapping of subtrees to MDS nodes", §2).
-    /// Written only through the data plane's
-    /// [`RouteIndex`](crate::cache::RouteIndex), which indexes every
-    /// client's map by directory so a migration drops each moved
-    /// directory from all of them in one range lookup.
-    pub(crate) cache: ClientCache,
     /// This client is done issuing ops.
     pub done: bool,
     /// Ops completed so far.
@@ -101,7 +96,6 @@ impl ClientState {
     pub fn new(id: usize) -> Self {
         ClientState {
             id,
-            cache: ClientCache::default(),
             done: false,
             completed: 0,
             stall_until: SimTime::ZERO,
@@ -114,40 +108,40 @@ impl ClientState {
         }
     }
 
-    /// Choose which MDS to send `op` to.
-    ///
-    /// Directories whose fragments span several MDSs are routed by the
-    /// dirfrag map (CephFS replies carry the fragment→MDS mapping, so a
-    /// client ends up contacting the MDSs round-robin as its creates hash
-    /// across fragments — §4.1); the *cost* of the resulting cross-MDS
-    /// session/coherency traffic is charged via
-    /// [`crate::config::CostModel::coherency_per_span`]. Single-authority
-    /// directories use the learned cache, falling back to MDS 0 (the mount
-    /// authority) — that cache goes stale when subtrees migrate, which is
-    /// what produces forwards.
-    ///
-    /// `multi_owner` is whether the dir's fragments span several MDSs; the
-    /// cluster computes it once per issue into a reused scratch buffer
-    /// instead of allocating an owner list per request here.
-    pub fn route(
-        &mut self,
-        ns: &Namespace,
-        op: &ClientOp,
-        frag: mantle_namespace::FragId,
-        multi_owner: bool,
-    ) -> MdsId {
-        if multi_owner {
-            ns.frag_auth(op.dir, frag)
-        } else {
-            self.cache.get(op.dir).unwrap_or(0)
-        }
-    }
-
     /// Record a completed op.
     pub fn record_completion(&mut self, now: SimTime, latency_ms: f64) {
         self.completed += 1;
         self.finished_at = now;
         self.latencies.push(latency_ms);
+    }
+}
+
+/// Choose which MDS a client sends an op on `dir` (fragment `frag`) to.
+///
+/// Directories whose fragments span several MDSs are routed by the
+/// dirfrag map (CephFS replies carry the fragment→MDS mapping, so a
+/// client ends up contacting the MDSs round-robin as its creates hash
+/// across fragments — §4.1); the *cost* of the resulting cross-MDS
+/// session/coherency traffic is charged via
+/// [`crate::config::CostModel::coherency_per_span`]. Single-authority
+/// directories use `learned`, the client's learned route, falling back
+/// to MDS 0 (the mount authority) — that route goes stale when subtrees
+/// migrate, which is what produces forwards.
+///
+/// `multi_owner` is whether the dir's fragments span several MDSs; the
+/// cluster computes it once per issue into a reused scratch buffer
+/// instead of allocating an owner list per request here.
+pub fn route(
+    ns: &Namespace,
+    dir: NodeId,
+    frag: FragId,
+    multi_owner: bool,
+    learned: Option<MdsId>,
+) -> MdsId {
+    if multi_owner {
+        ns.frag_auth(dir, frag)
+    } else {
+        learned.unwrap_or(0)
     }
 }
 
@@ -159,27 +153,17 @@ mod tests {
     fn routes_to_learned_mds() {
         let mut ns = Namespace::default();
         let d = ns.mkdir_p("/a");
-        let mut c = [ClientState::new(0)];
-        let mut routes = crate::cache::RouteIndex::default();
-        let op = ClientOp {
-            dir: d,
-            kind: OpKind::Stat,
+        let mut routes = crate::cache::RouteTable::new(1);
+        let route_0 = |ns: &Namespace, routes: &crate::cache::RouteTable| {
+            route(ns, d, ns.peek_frag(d), false, routes.get(0, d))
         };
-        assert_eq!(
-            c[0].route(&ns, &op, ns.peek_frag(d), false),
-            0,
-            "default mount authority"
-        );
+        assert_eq!(route_0(&ns, &routes), 0, "default mount authority");
         // Even though ground truth moved, the client still uses its cache…
         ns.set_auth(d, Some(2));
-        routes.learn(&mut c, 0, d, 1);
-        assert_eq!(
-            c[0].route(&ns, &op, ns.peek_frag(d), false),
-            1,
-            "stale cache drives routing"
-        );
-        routes.forget(&mut c, 0, d);
-        assert_eq!(c[0].route(&ns, &op, ns.peek_frag(d), false), 0);
+        routes.learn(0, d, 1);
+        assert_eq!(route_0(&ns, &routes), 1, "stale cache drives routing");
+        routes.forget(0, d);
+        assert_eq!(route_0(&ns, &routes), 0);
     }
 
     #[test]
@@ -197,15 +181,11 @@ mod tests {
         ns.set_frag_auth(d, 1, Some(2));
         let owners = ns.frag_owners(d);
         assert_eq!(owners.len(), 3); // 1, 2, and inherited 0
-        let mut c = ClientState::new(0);
-        let op = ClientOp {
-            dir: d,
-            kind: OpKind::Create,
-        };
+
         // Routing follows the dirfrag map: it lands on a real owner, not
-        // on the (stale or default) per-directory cache.
+        // on the (stale or default) learned route.
         let frag = ns.peek_frag(d);
-        let target = c.route(&ns, &op, frag, owners.len() > 1);
+        let target = route(&ns, d, frag, owners.len() > 1, Some(3));
         assert!(owners.contains(&target));
         assert_eq!(target, ns.frag_auth(d, frag));
     }

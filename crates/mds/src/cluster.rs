@@ -571,7 +571,7 @@ fn into_report(co: &Coordinator, shard: Shard, membership_epoch: u64) -> RunRepo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::ClientOp;
+    use crate::client::{route, ClientOp};
     use crate::partition::ExportUnit;
     use crate::shard::tests::SubtreeWindow;
     use crate::shard::{frozen_until, in_cold, Request, Window};
@@ -915,25 +915,18 @@ mod tests {
         };
         let mut x = cluster.driver.exclusive();
         // The client learned MDS 2 serves both dirs.
-        {
-            let plane = x.plane();
-            for d in [a, ab] {
-                plane.routes.learn(&mut plane.clients, 0, d, 2);
-            }
+        for d in [a, ab] {
+            x.plane().routes.learn(0, d, 2);
         }
         // MDS 2 exports the subtree to MDS 1.
         cluster
             .co
             .export(&mut x, 2, subtree_to_mds1(a), SimTime::ZERO);
-        let op = ClientOp {
-            dir: ab,
-            kind: OpKind::Stat,
-        };
         let (sim, plane) = x.parts();
         let frag = sim.ns.peek_frag(ab);
         let multi = sim.ns.frag_owners(ab).len() > 1;
         assert_eq!(
-            plane.clients[0].route(&sim.ns, &op, frag, multi),
+            route(&sim.ns, ab, frag, multi, plane.routes.get(0, ab)),
             0,
             "descendant cache entry cleared: route falls back to the mount authority"
         );

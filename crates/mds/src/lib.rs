@@ -46,7 +46,7 @@ pub mod trace;
 pub mod tracer;
 
 pub use balancer::{BalanceContext, Balancer, CephfsBalancer, MantleBalancer, MigrationPlan};
-pub use cache::{cacheable, group_of, ClientCache, GroupCache, RouteIndex};
+pub use cache::{cacheable, group_of, GroupCache, RouteTable};
 pub use client::{ClientOp, Workload, PARKED};
 pub use cluster::Cluster;
 pub use config::{CacheConfig, ClusterConfig, CostModel, ElasticConfig, ExecMode, PlacementPolicy};

@@ -13,8 +13,8 @@
 //! the bounded migration walk covered. Each gets the thaw and warm-up
 //! instants stamped on it (`shard::DirStamps`), its entry dropped from
 //! every proxy-tier cache, and every client's route to it dropped with
-//! one lookup in the index they share ([`crate::cache::RouteIndex`]),
-//! not one per client.
+//! one scan of its row in the table they share
+//! ([`crate::cache::RouteTable`]), not one lookup per client.
 
 use mantle_namespace::{MdsId, SubtreeMigration};
 use mantle_sim::SimTime;
@@ -141,7 +141,7 @@ impl Migrator {
                 self.cache_invalidations += u64::from(cache.invalidate(d));
             }
         }
-        self.cache_invalidations += plane.routes.invalidate_dirs(&mut plane.clients, region);
+        self.cache_invalidations += plane.routes.invalidate_dirs(&plane.clients, region);
         for c in &mut plane.clients {
             if !c.done {
                 c.stall_until = c.stall_until.max(now + flush);

@@ -1,8 +1,8 @@
 //! The data plane: every MDS's and client's events, queue and counters.
 //!
 //! One [`Shard`] owns the event queue, the per-MDS counters and RNG
-//! streams, and the client state — each client's learned routes, and the
-//! one route index over all of them ([`crate::cache::RouteIndex`]). It
+//! streams, and the client state — including every client's learned
+//! routes, one table of them ([`crate::cache::RouteTable`]). It
 //! runs in **windows**: the scheduler (in [`crate::driver`]) picks
 //! `[base, end)` no wider than the shortest simulated hop, the shard
 //! drains its events inside it against a read-only [`SharedSim`], and the
@@ -14,7 +14,8 @@
 //! What a request costs here depends neither on how many migrations are
 //! live nor on how many clients there are: the freeze and cold-prefix
 //! lookups are one load from a per-directory stamp (`DirStamps`), and a
-//! reply that re-learns a known route is one hash probe.
+//! route is one byte of the directory's row: the issue reads it, and the
+//! reply writes it back into the cache line the read loaded.
 //!
 //! # Determinism
 //!
@@ -36,8 +37,8 @@
 use mantle_namespace::{FragId, MdsId, Namespace, NodeId, OpKind};
 use mantle_sim::{EventQueue, SimRng, SimTime};
 
-use crate::cache::{cacheable, group_of, GroupCache, RouteIndex, CACHE_GROUPS, CACHE_HIT_LATENCY};
-use crate::client::{ClientOp, ClientState, Workload, PARKED};
+use crate::cache::{cacheable, group_of, GroupCache, RouteTable, CACHE_GROUPS, CACHE_HIT_LATENCY};
+use crate::client::{route, ClientOp, ClientState, Workload, PARKED};
 use crate::config::{ClusterConfig, PlacementPolicy};
 use crate::metrics::MdsCounters;
 use crate::trace::TraceEvent;
@@ -262,8 +263,8 @@ pub struct Shard {
     pub(crate) queue: EventQueue<Event>,
     pub(crate) workload: Box<dyn Workload>,
     pub(crate) clients: Vec<ClientState>,
-    /// The index over every client's learned routes.
-    pub(crate) routes: RouteIndex,
+    /// Every client's learned routes.
+    pub(crate) routes: RouteTable,
     pub(crate) counters: Vec<MdsCounters>,
     /// Absolute µs when each MDS becomes free (single-server queue).
     pub(crate) next_free: Vec<SimTime>,
@@ -322,7 +323,7 @@ impl Shard {
             queue: EventQueue::new(),
             workload,
             clients: (0..num_clients).map(ClientState::new).collect(),
-            routes: RouteIndex::default(),
+            routes: RouteTable::new(num_clients),
             counters: (0..num_mds).map(|_| MdsCounters::new()).collect(),
             next_free: vec![SimTime::ZERO; num_mds],
             rng_service: (0..num_mds)
@@ -481,8 +482,14 @@ impl Shard {
         } else {
             None
         };
+        let mds = route(
+            &sh.ns,
+            op.dir,
+            frag,
+            multi_owner,
+            self.routes.get(c, op.dir),
+        );
         let client = &mut self.clients[c];
-        let mds = client.route(&sh.ns, &op, frag, multi_owner);
         client.seq += 1;
         let seq = client.seq;
         let attempts = client.attempts;
@@ -568,7 +575,7 @@ impl Shard {
         client.attempts += 1;
         // Re-route: the cached mapping pointed at a dead or unreachable
         // authority; fall back to the mount authority on the next try.
-        self.routes.forget(&mut self.clients, c, dir);
+        self.routes.forget(c, dir);
         let backoff = self.cfg.faults.backoff_for(attempt);
         let key = self.client_key(c);
         self.queue
@@ -598,8 +605,7 @@ impl Shard {
         client.pending = None;
         let latency_ms = (now - req.issued).as_millis_f64();
         client.record_completion(now, latency_ms);
-        self.routes
-            .learn(&mut self.clients, req.client, req.op.dir, mds);
+        self.routes.learn(req.client, req.op.dir, mds);
         if self.live {
             self.completions.push(crate::service::LiveCompletion {
                 client: req.client,

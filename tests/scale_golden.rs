@@ -8,6 +8,10 @@
 //! image, the `Table` array part, the export planner's walks — changes what
 //! it computes rather than what it costs. The constant was recorded on the
 //! commit *before* that machinery was rewritten.
+//!
+//! A second pin runs 300 MDSs, more than a client's one-byte route slot
+//! can name, so the routes to MDSs 254 and up take the route table's
+//! overflow path in a whole run.
 
 use mantle::core::scale::{scale_experiment, ScaleSpec};
 use mantle::prelude::*;
@@ -31,6 +35,29 @@ fn tenth_of_batch_rebalance() -> Experiment {
         ops_per_client: 500,
     };
     scale_experiment(&spec, Default::default(), 1)
+}
+
+/// The 300-MDS report's hash, recorded before client routes moved into a
+/// one-byte-per-client table.
+const PINNED_300: u64 = 0xe19a_0def_5fa2_07af;
+
+#[test]
+fn report_at_300_mds_is_pinned_through_the_far_routes() {
+    let spec = ScaleSpec {
+        name: "far-routes",
+        num_mds: 300,
+        clients: 32,
+        dirs: 4_000,
+        ops_per_client: 1_000,
+    };
+    let report = run_experiment(&scale_experiment(&spec, Default::default(), 42));
+    let far_hits: u64 = report.mds[254..].iter().map(|m| m.hits).sum();
+    assert!(far_hits > 0, "no MDS from 254 up served a routed hit");
+    assert_eq!(
+        fnv1a(&format!("{report:?}")),
+        PINNED_300,
+        "the 300-MDS report changed"
+    );
 }
 
 #[test]
