@@ -181,6 +181,7 @@ mod tests {
         ns.set_frag_auth(d, 1, Some(2));
         let owners = ns.frag_owners(d);
         assert_eq!(owners.len(), 3); // 1, 2, and inherited 0
+        assert_eq!(ns.frag_span(d), 3);
 
         // Routing follows the dirfrag map: it lands on a real owner, not
         // on the (stale or default) learned route.

@@ -12,10 +12,13 @@
 //! golden pins.
 //!
 //! What a request costs here depends neither on how many migrations are
-//! live nor on how many clients there are: the freeze and cold-prefix
-//! lookups are one load from a per-directory stamp (`DirStamps`), and a
-//! route is one byte of the directory's row: the issue reads it, and the
-//! reply writes it back into the cache line the read loaded.
+//! live, nor on how many clients there are, nor on how many fragments
+//! its directory has: the freeze and cold-prefix lookups are one load
+//! from a per-directory stamp (`DirStamps`); a route is one byte of the
+//! directory's row: the issue reads it, and the reply writes it back
+//! into the cache line the read loaded; and the fragment an op hits and
+//! the number of MDSs its directory spans are read off the directory's
+//! fragment summary (`Namespace::{peek_frag, frag_span}`), not scanned.
 //!
 //! # Determinism
 //!
@@ -275,8 +278,6 @@ pub struct Shard {
     /// Per-origin key counters.
     mds_ctr: Vec<u64>,
     client_ctr: Vec<u64>,
-    /// Reused owner-list buffer (per-op span / routing checks).
-    scratch_owners: Vec<MdsId>,
     /// Namespace mutations accumulated this window, drained at the barrier.
     pub(crate) deferred: Vec<DeferredNsOp>,
     /// Requests in flight: issues (+1) net of resolutions (−1).
@@ -331,7 +332,6 @@ impl Shard {
                 .collect(),
             mds_ctr: vec![0; num_mds],
             client_ctr: vec![0; num_clients],
-            scratch_owners: Vec::new(),
             deferred: Vec::new(),
             inflight: 0,
             active: num_clients,
@@ -471,8 +471,7 @@ impl Shard {
             .pending
             .expect("issue() requires a pending op");
         let frag = sh.ns.peek_frag(op.dir);
-        sh.ns.frag_owners_into(op.dir, &mut self.scratch_owners);
-        let multi_owner = self.scratch_owners.len() > 1;
+        let multi_owner = sh.ns.frag_span(op.dir) > 1;
         // Proxy-tier probe: does the client group's cache hold this dir?
         // (Read-only during the window — the LRU touch defers to the
         // barrier like every other shared-state write.)
@@ -701,8 +700,7 @@ impl Shard {
             kind: req.op.kind,
             seq: req.seq,
         });
-        sh.ns.frag_owners_into(req.op.dir, &mut self.scratch_owners);
-        let span = self.scratch_owners.len();
+        let span = sh.ns.frag_span(req.op.dir);
         let mut base = self.cfg.costs.service_with_span(req.op.kind, span)
             * self.cfg.costs.contention_factor(self.counters[mds].queued);
         // Path traversal: right after an import the serving MDS has not

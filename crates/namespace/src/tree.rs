@@ -76,6 +76,16 @@ pub struct Dir {
     pub subtree_heat: FragHeat,
     /// Memoized authority resolution, kept fresh by every mutation.
     auth_cache: AuthCache,
+    // The fragment summary: what per-op reads need of `frags`, kept so
+    // that none of them scans it. An op's charge updates `files` and
+    // `over`; a split or an authority change recomputes all three
+    // (`Namespace::refresh_summary`).
+    /// Entries over all fragments.
+    files: u64,
+    /// Distinct effective owners of the fragments.
+    span: u32,
+    /// Fragments holding more than `frag_split_threshold` entries.
+    over: u32,
 }
 
 /// Interned path-component names: each distinct name is stored once and
@@ -232,6 +242,9 @@ impl Namespace {
                 auth: 0,
                 chain: vec![0],
             },
+            files: 0,
+            span: 1,
+            over: 0,
         };
         let mut root_set = BTreeSet::new();
         root_set.insert(NodeId(0));
@@ -276,10 +289,7 @@ impl Namespace {
 
     /// Total file entries across all directories.
     pub fn file_count(&self) -> u64 {
-        self.dirs
-            .iter()
-            .map(|d| d.frags.iter().map(|f| f.files).sum::<u64>())
-            .sum()
+        self.dirs.iter().map(|d| d.files).sum()
     }
 
     /// Create a subdirectory. Does not record heat; callers route a
@@ -303,6 +313,9 @@ impl Namespace {
             auth: None,
             subtree_heat: FragHeat::default(),
             auth_cache,
+            files: 0,
+            span: 1,
+            over: 0,
         };
         self.dirs.push(dir);
         if self.warm.len() * 64 < self.dirs.len() {
@@ -374,7 +387,7 @@ impl Namespace {
         op: OpKind,
         now: SimTime,
     ) -> (FragId, Option<SplitEvent>) {
-        let frag_id = self.pick_frag(id, op);
+        let frag_id = self.peek_frag(id);
         self.record_op_on(id, frag_id, op, now)
     }
 
@@ -408,17 +421,26 @@ impl Namespace {
         now: SimTime,
     ) -> FragId {
         let frag_id = frag.min(self.dir(id).frags.len() - 1);
-        let half_life = self.cfg.decay_half_life;
+        let (half_life, threshold) = (self.cfg.decay_half_life, self.cfg.frag_split_threshold);
         self.touch(now);
         self.mark_warm(id);
         {
             let d = self.dir_mut(id);
             d.frags[frag_id].heat.record(op, now, half_life);
             d.subtree_heat.record(op, now, half_life);
+            let f = &mut d.frags[frag_id];
+            let was_over = f.files > threshold;
             if op == OpKind::Create {
-                d.frags[frag_id].files += 1;
-            } else if op == OpKind::Unlink && d.frags[frag_id].files > 0 {
-                d.frags[frag_id].files -= 1;
+                f.files += 1;
+                d.files += 1;
+            } else if op == OpKind::Unlink && f.files > 0 {
+                f.files -= 1;
+                d.files -= 1;
+            }
+            match (was_over, f.files > threshold) {
+                (false, true) => d.over += 1,
+                (true, false) => d.over -= 1,
+                _ => {}
             }
         }
         // Charge the per-MDS aggregates.
@@ -486,61 +508,66 @@ impl Namespace {
         }
     }
 
-    /// The fragment the next operation on `id` will hit (used by request
-    /// routing to find the serving MDS before the op is recorded).
+    /// The fragment the next operation on `id` will hit, and the one
+    /// [`Namespace::record_op`] charges: creates hash over fragments by
+    /// the running entry count, and reads hit fragments proportionally
+    /// the same way. Request routing asks it before the op is recorded.
     pub fn peek_frag(&self, id: NodeId) -> FragId {
-        self.pick_frag(id, OpKind::Stat)
+        let d = self.dir(id);
+        if d.frags.len() == 1 {
+            return 0;
+        }
+        (d.files % d.frags.len() as u64) as usize
     }
 
     /// Distinct MDSs owning fragments of `id`, in fragment order. A
     /// directory whose fragments span several MDSs triggers round-robin
     /// client contact and coherency traffic (§4.1).
     pub fn frag_owners(&self, id: NodeId) -> Vec<MdsId> {
-        let mut out = Vec::new();
-        self.frag_owners_into(id, &mut out);
-        out
-    }
-
-    /// Like [`Namespace::frag_owners`], but filling a caller-owned buffer
-    /// so the per-request hot path allocates nothing.
-    pub fn frag_owners_into(&self, id: NodeId, out: &mut Vec<MdsId>) {
-        out.clear();
         let resolved = self.resolve_auth(id);
+        let mut out = Vec::new();
         for f in &self.dir(id).frags {
             let a = f.auth.unwrap_or(resolved);
             if !out.contains(&a) {
                 out.push(a);
             }
         }
+        out
     }
 
-    /// Deterministic fragment choice: creates hash over fragments by the
-    /// running entry count; reads hit fragments proportionally the same
-    /// way.
-    fn pick_frag(&self, id: NodeId, _op: OpKind) -> FragId {
+    /// How many distinct MDSs own fragments of `id`:
+    /// [`Namespace::frag_owners`]`(id).len()`, in one load.
+    pub fn frag_span(&self, id: NodeId) -> usize {
+        self.dir(id).span as usize
+    }
+
+    /// Recompute `id`'s fragment summary from its fragments and its
+    /// resolved authority: O(fragments), at a split or an authority
+    /// change, never per op.
+    fn refresh_summary(&mut self, id: NodeId) {
+        let threshold = self.cfg.frag_split_threshold;
         let d = self.dir(id);
-        if d.frags.len() == 1 {
-            return 0;
-        }
-        let total: u64 = d.frags.iter().map(|f| f.files).sum();
-        (total % d.frags.len() as u64) as usize
+        let span = if d.frags.len() == 1 {
+            1
+        } else {
+            self.frag_owners(id).len() as u32
+        };
+        let files = d.frags.iter().map(|f| f.files).sum();
+        let over = d.frags.iter().filter(|f| f.files > threshold).count() as u32;
+        let d = self.dir_mut(id);
+        d.files = files;
+        d.span = span;
+        d.over = over;
     }
 
     fn maybe_split(&mut self, id: NodeId, now: SimTime) -> Option<SplitEvent> {
-        let threshold = self.cfg.frag_split_threshold;
-        let (nfrags, total_files, biggest, biggest_files) = {
-            let d = self.dir(id);
-            let total: u64 = d.frags.iter().map(|f| f.files).sum();
-            let (bi, bf) = d
-                .frags
-                .iter()
-                .enumerate()
-                .map(|(i, f)| (i, f.files))
-                .max_by_key(|&(_, f)| f)
-                .expect("dirs always have ≥1 frag");
-            (d.frags.len(), total, bi, bf)
-        };
-        if nfrags == 1 && total_files > threshold {
+        // No fragment is over the threshold: nothing to split, and nothing
+        // to scan. With one fragment its count is the directory's total.
+        let d = self.dir(id);
+        if d.over == 0 {
+            return None;
+        }
+        if d.frags.len() == 1 {
             // First fragmentation: 2^3-way, as in §4.1.
             let ways = self.cfg.initial_split_ways;
             self.split_frag(id, 0, ways, now);
@@ -551,17 +578,21 @@ impl Namespace {
                 resulting_frags: ways,
             });
         }
-        if nfrags > 1 && biggest_files > threshold {
-            let ways = self.cfg.resplit_ways;
-            self.split_frag(id, biggest, ways, now);
-            return Some(SplitEvent {
-                dir: id,
-                frag: biggest,
-                ways,
-                resulting_frags: self.dir(id).frags.len(),
-            });
-        }
-        None
+        // The last of the biggest fragments, which is over the threshold.
+        let (biggest, _) = d
+            .frags
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, f)| f.files)
+            .expect("dirs always have ≥1 frag");
+        let ways = self.cfg.resplit_ways;
+        self.split_frag(id, biggest, ways, now);
+        Some(SplitEvent {
+            dir: id,
+            frag: biggest,
+            ways,
+            resulting_frags: self.dir(id).frags.len(),
+        })
     }
 
     fn split_frag(&mut self, id: NodeId, frag: FragId, ways: usize, now: SimTime) {
@@ -599,6 +630,7 @@ impl Namespace {
                 self.frag_over[a].insert((id, i));
             }
         }
+        self.refresh_summary(id);
     }
 
     // ---- authority ----
@@ -638,6 +670,7 @@ impl Namespace {
             self.frag_over[n].insert((id, frag));
         }
         self.dir_mut(id).frags[frag].auth = auth;
+        self.refresh_summary(id);
         // One fragment's effective authority moves; the dir's chain (and
         // every cache) is untouched.
         let cache = &self.dirs[id.0 as usize].auth_cache;
@@ -750,7 +783,7 @@ impl Namespace {
     pub fn subtree_inodes(&self, id: NodeId) -> u64 {
         self.subtree_dirs(id, true)
             .iter()
-            .map(|&d| 1 + self.dir(d).frags.iter().map(|f| f.files).sum::<u64>())
+            .map(|&d| 1 + self.dir(d).files)
             .sum()
     }
 
@@ -863,14 +896,11 @@ impl Namespace {
                 resolved_new
             };
             if bounded {
-                inodes += 1;
+                inodes += 1 + self.dirs[xi].files;
                 dirs.push(x);
             }
             for f in 0..self.dirs[xi].frags.len() {
                 let over = self.dirs[xi].frags[f].auth;
-                if bounded {
-                    inodes += self.dirs[xi].frags[f].files;
-                }
                 let eff_old = over.unwrap_or(resolved_old);
                 let cleared = clear_frag_overrides && bounded && over.is_some();
                 let eff_new = if cleared {
@@ -930,6 +960,7 @@ impl Namespace {
                 auth: resolved_new,
                 chain,
             };
+            self.refresh_summary(x);
             for ci in 0..self.dirs[xi].children.len() {
                 let c = self.dirs[xi].children[ci];
                 let c_auth = self.dirs[c.0 as usize].auth;
@@ -1425,5 +1456,135 @@ mod tests {
         for i in 0..ns.dir(d).frags.len() {
             assert_eq!(ns.frag_auth(d, i), 1, "children inherit placement");
         }
+    }
+
+    #[test]
+    fn dir_is_at_most_216_bytes() {
+        // 200 before the fragment summary; the summary is 16 bytes.
+        assert!(std::mem::size_of::<Dir>() <= 216);
+    }
+
+    /// `(files, span, over)` of `d`, as kept and as a scan of its
+    /// fragments says.
+    fn summary_and_scan(ns: &Namespace, d: NodeId) -> ((u64, u32, u32), (u64, u32, u32)) {
+        let dir = ns.dir(d);
+        let threshold = ns.config().frag_split_threshold;
+        let scan = (
+            dir.frags.iter().map(|f| f.files).sum(),
+            ns.frag_owners(d).len() as u32,
+            dir.frags.iter().filter(|f| f.files > threshold).count() as u32,
+        );
+        ((dir.files, dir.span, dir.over), scan)
+    }
+
+    fn assert_summaries(ns: &Namespace) {
+        for d in ns.all_dirs() {
+            let (kept, scan) = summary_and_scan(ns, d);
+            assert_eq!(kept, scan, "{d:?}");
+        }
+    }
+
+    #[test]
+    fn an_unlink_takes_a_fragment_back_across_the_threshold() {
+        let mut ns = Namespace::new(small_cfg());
+        let d = ns.mkdir_p("/x");
+        let over = |ns: &Namespace| ns.dir(d).over;
+        // The deferred path charges without splitting, as a window does.
+        for _ in 0..12 {
+            ns.record_op_no_split(d, 0, OpKind::Create, SimTime::ZERO);
+        }
+        assert_eq!((ns.dir(d).files, over(&ns)), (12, 1));
+        ns.record_op_no_split(d, 0, OpKind::Unlink, SimTime::ZERO);
+        assert_eq!(over(&ns), 1, "11 entries, still over 10");
+        ns.record_op_no_split(d, 0, OpKind::Unlink, SimTime::ZERO);
+        assert_eq!(over(&ns), 0, "10 entries, back at the threshold");
+        assert_eq!(ns.check_split(d, SimTime::ZERO), None);
+        ns.record_op_no_split(d, 0, OpKind::Create, SimTime::ZERO);
+        assert_eq!(over(&ns), 1);
+        assert_summaries(&ns);
+        let split = ns.check_split(d, SimTime::ZERO).expect("11 > 10 splits");
+        assert_eq!(split.resulting_frags, 8);
+        assert_eq!((ns.dir(d).files, over(&ns)), (11, 0));
+        // Unlinks past zero change nothing.
+        let empty = ns.mkdir_p("/empty");
+        ns.record_op(empty, OpKind::Unlink, SimTime::ZERO);
+        assert_eq!(summary_and_scan(&ns, empty).0, (0, 1, 0));
+        assert_summaries(&ns);
+    }
+
+    #[test]
+    fn a_threshold_of_u64_max_never_counts_a_fragment_over() {
+        let mut ns = Namespace::new(NsConfig {
+            frag_split_threshold: u64::MAX,
+            ..Default::default()
+        });
+        let d = ns.mkdir_p("/x");
+        for op in [
+            OpKind::Create,
+            OpKind::Create,
+            OpKind::Unlink,
+            OpKind::Unlink,
+        ] {
+            assert_eq!(ns.record_op(d, op, SimTime::ZERO).1, None);
+            assert_eq!(ns.dir(d).over, 0);
+        }
+        assert_summaries(&ns);
+    }
+
+    #[test]
+    fn the_span_follows_every_authority_change() {
+        let mut ns = Namespace::new(small_cfg());
+        let a = ns.mkdir_p("/a");
+        let b = ns.mkdir_p("/a/b");
+        let hole = ns.mkdir_p("/a/h");
+        let deep = ns.mkdir_p("/a/h/deep");
+        for d in [a, b, deep] {
+            for _ in 0..11 {
+                ns.record_op(d, OpKind::Create, SimTime::ZERO);
+            }
+            assert_eq!(ns.dir(d).frags.len(), 8);
+        }
+        let span = |ns: &Namespace, d| {
+            assert_summaries(ns);
+            ns.frag_span(d)
+        };
+        assert_eq!(span(&ns, a), 1);
+        // Through `set_frag_auth`: an override to another MDS widens the
+        // span, a second one to the same MDS does not, one naming the
+        // directory's own authority does not, and clearing narrows it.
+        ns.set_frag_auth(a, 0, Some(1));
+        assert_eq!(span(&ns, a), 2);
+        ns.set_frag_auth(a, 1, Some(1));
+        ns.set_frag_auth(a, 2, Some(0));
+        assert_eq!(span(&ns, a), 2);
+        ns.set_frag_auth(a, 3, Some(2));
+        assert_eq!(span(&ns, a), 3);
+        ns.set_frag_auth(a, 3, None);
+        assert_eq!(span(&ns, a), 2);
+        ns.set_frag_auth(b, 5, Some(3));
+        assert_eq!(span(&ns, b), 2);
+        // Below a hole: `/a/h` is its own subtree, and `deep` spans MDS 2
+        // (inherited) and MDS 1 (an override).
+        ns.set_auth(hole, Some(2));
+        ns.set_frag_auth(deep, 4, Some(1));
+        assert_eq!(span(&ns, deep), 2);
+        // Through `migrate_subtree` to MDS 1: every override in the
+        // region is cleared, so `a` and `b` are served by MDS 1 alone;
+        // the walk passes through the hole, and `deep` keeps both owners.
+        let moved = ns.migrate_subtree(a, 1);
+        assert_eq!(moved.holes, vec![hole]);
+        assert_eq!((span(&ns, a), span(&ns, b)), (1, 1));
+        assert_eq!(span(&ns, deep), 2);
+        // Dissolving the hole leaves `deep` resolving to MDS 1, which its
+        // override names too.
+        ns.set_auth(hole, None);
+        assert_eq!(span(&ns, deep), 1);
+        // A split keeps the span: children inherit their parent's owner.
+        ns.set_frag_auth(b, 0, Some(3));
+        for _ in 0..100 {
+            ns.record_op(b, OpKind::Create, SimTime::ZERO);
+        }
+        assert!(ns.dir(b).frags.len() > 8);
+        assert_eq!(span(&ns, b), 2);
     }
 }

@@ -65,6 +65,9 @@ fn run_probed(workload: WorkloadSpec, faults: FaultPlan, label: &str) -> (RunRep
         let probed = Arc::clone(&probed);
         cluster.schedule_admin(at, move |ns| {
             support::assert_indexes_match_walk(ns, NUM_MDS);
+            // Admin steps run between windows, after the barrier's split
+            // loop.
+            support::assert_no_frag_over_threshold(ns);
             probed.lock().unwrap().push(at);
         });
         at += PROBE_EVERY;

@@ -346,6 +346,24 @@ fn ns_action(rng: &mut SimRng) -> NsAction {
     }
 }
 
+/// A history that fragments a handful of directories and spreads their
+/// fragments over MDSs: creates on the first few directories, fragment
+/// overrides set and cleared, and migrations that clear them again.
+/// [`ns_action`] almost never leaves a directory whose fragments span
+/// two MDSs.
+fn fragmenting_ns_action(rng: &mut SimRng) -> NsAction {
+    let d = rng.below(4) as u8;
+    let mds = rng.below(4) as u8;
+    match rng.below(8) {
+        0 => NsAction::Mkdir(d),
+        1..=3 => NsAction::Create(d),
+        4 => NsAction::Unlink(d),
+        5 => NsAction::SetFragAuth(d, (rng.below(4) != 0).then_some(mds)),
+        6 => NsAction::MigrateFrag(d, mds),
+        _ => NsAction::Migrate(d, mds),
+    }
+}
+
 #[test]
 fn namespace_invariants_hold_under_random_ops() {
     let mut rng = cases_rng("namespace-ops");
@@ -447,28 +465,47 @@ fn apply_ns_action(
     }
 }
 
-/// (a) Resolution, the per-MDS ownership indexes and the tree's structure
-/// are what a walk over the tree says, after *every* step of a random
-/// history — including overrides set and cleared outside a migration.
+/// (a) Resolution, the per-MDS ownership indexes, the fragment summaries
+/// and the tree's structure are what a walk over the tree says, after
+/// *every* step of a random history — including overrides set and
+/// cleared outside a migration, and directories whose fragments span
+/// several MDSs.
 #[test]
 fn indexed_ownership_matches_walk_oracle() {
-    let mut rng = cases_rng("index-ownership");
-    for case in 0..32 {
-        let n_actions = rng.range_inclusive(1, 300) as usize;
-        let mut ns = Namespace::new(NsConfig {
-            frag_split_threshold: 6,
-            ..Default::default()
-        });
-        let mut dirs = vec![ns.root()];
-        for step in 0..n_actions {
-            let action = ns_action(&mut rng);
-            let now = mantle::sim::SimTime::from_millis(step as u64 * 20);
-            apply_ns_action(&mut ns, &mut dirs, &action, now);
-            // The checker's panic names the mismatch; this adds where.
-            let caught = std::panic::catch_unwind(|| support::assert_indexes_match_walk(&ns, 4));
-            assert!(caught.is_ok(), "case {case} step {step}: after {action:?}");
+    let histories = [
+        ("index-ownership", ns_action as fn(&mut SimRng) -> NsAction),
+        ("index-fragmenting", fragmenting_ns_action),
+    ];
+    let mut spanning = 0;
+    for (label, next_action) in histories {
+        let mut rng = cases_rng(label);
+        for case in 0..32 {
+            let n_actions = rng.range_inclusive(1, 300) as usize;
+            let mut ns = Namespace::new(NsConfig {
+                frag_split_threshold: 6,
+                ..Default::default()
+            });
+            let mut dirs = vec![ns.root()];
+            for step in 0..n_actions {
+                let action = next_action(&mut rng);
+                let now = mantle::sim::SimTime::from_millis(step as u64 * 20);
+                apply_ns_action(&mut ns, &mut dirs, &action, now);
+                // The checker's panic names the mismatch; this adds where.
+                // Each op adds at most one entry and `record_op` splits
+                // inline, so no fragment is ever left over the threshold.
+                let caught = std::panic::catch_unwind(|| {
+                    support::assert_indexes_match_walk(&ns, 4);
+                    support::assert_no_frag_over_threshold(&ns);
+                });
+                assert!(
+                    caught.is_ok(),
+                    "{label} case {case} step {step}: after {action:?}"
+                );
+                spanning += ns.all_dirs().filter(|&d| ns.frag_span(d) > 1).count();
+            }
         }
     }
+    assert!(spanning > 1_000, "{spanning} spanning directory-steps");
 }
 
 /// (b) Delta-maintained per-MDS aggregates track a from-scratch recompute

@@ -2,10 +2,11 @@
 //! and `index_equivalence.rs`.
 //!
 //! [`Namespace`] answers `resolve_auth`, `auth_frags`,
-//! `export_candidate_dirs`, `migrate_subtree`'s `(inodes, holes)` and
-//! `mds_load_samples` from state it maintains by deltas: a resolution
-//! cache on every directory, per-MDS ownership sets, per-MDS heat
-//! aggregates. Everything here recomputes the same answers
+//! `export_candidate_dirs`, `frag_span`, `peek_frag`, `migrate_subtree`'s
+//! `(inodes, holes)` and `mds_load_samples` from state it maintains by
+//! deltas: a resolution cache and a fragment summary on every directory,
+//! per-MDS ownership sets, per-MDS heat aggregates. Everything here
+//! recomputes the same answers
 //! from the tree alone — `Dir::{parent, children, auth}` and
 //! `Frag::{auth, files, heat}` — by walking it, and compares.
 
@@ -131,11 +132,20 @@ pub fn assert_indexes_match_walk(ns: &Namespace, num_mds: usize) {
         let resolved = chain[0];
         assert_eq!(ns.resolve_auth(d), resolved, "resolve_auth({d:?})");
         assert_eq!(ns.ancestor_auth_chain(d), chain, "chain of {d:?}");
+        let mut owners = Vec::new();
         for (i, f) in dir.frags.iter().enumerate() {
             let serving = f.auth.unwrap_or(resolved);
             assert!(serving < num_mds, "{d:?}/{i} served by MDS {serving}");
             assert_eq!(ns.frag_auth(d, i), serving, "frag_auth({d:?}, {i})");
+            if !owners.contains(&serving) {
+                owners.push(serving);
+            }
         }
+        // The fragment summary: owners and the entry total.
+        assert_eq!(ns.frag_span(d), owners.len(), "frag_span({d:?})");
+        let files: u64 = dir.frags.iter().map(|f| f.files).sum();
+        let nfrags = dir.frags.len() as u64;
+        assert_eq!(ns.peek_frag(d) as u64, files % nfrags, "peek_frag({d:?})");
     }
     // Ownership.
     for m in 0..num_mds {
@@ -145,5 +155,17 @@ pub fn assert_indexes_match_walk(ns: &Namespace, num_mds: usize) {
             walk_export_candidates(ns, m),
             "export_candidate_dirs({m})"
         );
+    }
+}
+
+/// After the split loop has run: no fragment holds more entries than
+/// the threshold. A directory whose count of such fragments undercounts
+/// skips its split and fails here.
+pub fn assert_no_frag_over_threshold(ns: &Namespace) {
+    let threshold = ns.config().frag_split_threshold;
+    for d in ns.all_dirs() {
+        for (i, f) in ns.dir(d).frags.iter().enumerate() {
+            assert!(f.files <= threshold, "{d:?}/{i} holds {} entries", f.files);
+        }
     }
 }
