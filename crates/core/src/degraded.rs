@@ -106,15 +106,21 @@ pub fn scenario_plans(opts: ReproOpts) -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-/// Run one scenario by name ("healthy", "crash+restart", …).
-pub fn run_scenario(opts: ReproOpts, name: &str, seed: u64) -> Option<RunReport> {
+/// The base experiment under one named fault plan ("healthy",
+/// "crash+restart", …); `None` for an unknown name.
+pub fn scenario_experiment(opts: ReproOpts, name: &str, seed: u64) -> Option<Experiment> {
     let plan = scenario_plans(opts)
         .into_iter()
         .find(|(n, _)| *n == name)?
         .1;
     let mut spec = base_experiment(opts, seed);
     spec.config.faults = plan;
-    Some(run_experiment(&spec))
+    Some(spec)
+}
+
+/// Run one scenario by name.
+pub fn run_scenario(opts: ReproOpts, name: &str, seed: u64) -> Option<RunReport> {
+    scenario_experiment(opts, name, seed).map(|spec| run_experiment(&spec))
 }
 
 /// Like [`run_scenario`], but with a trace sink attached at `level`.
@@ -124,13 +130,8 @@ pub fn run_scenario_traced(
     seed: u64,
     level: mantle_mds::TraceLevel,
 ) -> Option<(RunReport, mantle_mds::TraceBuffer)> {
-    let plan = scenario_plans(opts)
-        .into_iter()
-        .find(|(n, _)| *n == name)?
-        .1;
-    let mut spec = base_experiment(opts, seed);
-    spec.config.faults = plan;
-    Some(crate::experiment::run_experiment_traced(&spec, level))
+    scenario_experiment(opts, name, seed)
+        .map(|spec| crate::experiment::run_experiment_traced(&spec, level))
 }
 
 /// Run every scenario and render the degradation table.

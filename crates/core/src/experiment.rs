@@ -323,27 +323,33 @@ pub fn run_experiment_traced(
 }
 
 /// Run the experiment once per seed, in parallel across OS threads.
+pub fn run_seeds(spec: &Experiment, seeds: &[u64]) -> Vec<RunReport> {
+    par_map(seeds, |&seed| run_experiment(&spec.clone().with_seed(seed)))
+}
+
+/// `items.iter().map(f)`, in parallel across OS threads, results in input
+/// order.
 ///
 /// Fan-out is capped at [`std::thread::available_parallelism`]: spawning
-/// one thread per seed (64 seeds = 64 threads on a 1-core box) only adds
-/// scheduler pressure, so workers instead pull seeds from a shared queue.
-pub fn run_seeds(spec: &Experiment, seeds: &[u64]) -> Vec<RunReport> {
+/// one thread per item (64 seeds = 64 threads on a 1-core box) only adds
+/// scheduler pressure, so workers instead pull items from a shared queue.
+pub(crate) fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     let workers = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-        .min(seeds.len().max(1));
+        .min(items.len().max(1));
     let next = AtomicUsize::new(0);
-    let out: Vec<Mutex<Option<RunReport>>> = (0..seeds.len()).map(|_| Mutex::new(None)).collect();
+    let out: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&seed) = seeds.get(i) else { break };
-                let report = run_experiment(&spec.clone().with_seed(seed));
-                *out[i].lock().expect("slot lock never poisoned") = Some(report);
+                let Some(item) = items.get(i) else { break };
+                let result = f(item);
+                *out[i].lock().expect("slot lock never poisoned") = Some(result);
             });
         }
     });

@@ -7,22 +7,21 @@
 //! * [`experiment`] — declarative experiment specs ([`Experiment`]) and
 //!   runners (single run, parallel seed sweeps);
 //! * [`repro`] — one regenerator per table/figure of the paper's
-//!   evaluation section (also driven by `cargo run -p mantle-core --bin
-//!   repro` and by the Criterion benches);
+//!   evaluation section, and [`repro::TARGETS`], every table below by
+//!   name: `cargo run -p mantle-core --bin repro -- <target> [--full]`;
 //! * [`degraded`] — fault-injection scenarios (crash/restart, slow MDS,
 //!   stale heartbeats, poisoned balancer) and their degradation table
-//!   (`cargo run -p mantle-core --bin degraded`);
+//!   (target `degraded`);
 //! * [`flashcrowd`] — the hot-directory readdir storm, cache-off vs
-//!   cache-on under each built-in balancer (`cargo run -p mantle-core
-//!   --bin flashcrowd`);
+//!   cache-on under each built-in balancer (target `flashcrowd`);
 //! * [`elastic`] — the diurnal day/night cycle on an elastic cluster
 //!   (the `howmany` hook) vs every fixed size, scored in ops per
-//!   provisioned MDS-hour (`cargo run -p mantle-core --bin elastic`);
+//!   provisioned MDS-hour (target `elastic`);
 //! * [`scale`] — scale-mode scenarios (≥64 MDSs, ≥100k dirs), set-up and
-//!   run timed separately (`cargo run -p mantle-core --bin scale`);
+//!   run timed separately (target `scale`);
 //! * [`search`] — policy-parameter grid search: every Fill & Spill
-//!   knob combination ranked across the fault catalogue (`cargo run -p
-//!   mantle-core --bin search`);
+//!   knob combination ranked across the fault catalogue (target
+//!   `search`);
 //! * [`service`] — the daemon's scenario harness: named fixed
 //!   experiments run through the live-service engine path
 //!   (`mantled --scenario <name>`, `tests/daemon_equivalence.rs`);

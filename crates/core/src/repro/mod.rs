@@ -6,6 +6,10 @@
 //! testbed); the *shapes* — who wins, by what factor, where crossovers
 //! fall — are the reproduction target. EXPERIMENTS.md records paper-vs-
 //! measured for each.
+//!
+//! [`TARGETS`] names every table `mantle-core` can print — the paper's
+//! figures plus the later experiments — and [`parse_args`] is the `repro`
+//! binary's whole command line.
 
 pub mod compile_figs;
 pub mod create_figs;
@@ -71,10 +75,75 @@ impl ReproOpts {
     }
 }
 
+/// One `repro` target: its name and the table it prints.
+pub type Target = (&'static str, fn(ReproOpts) -> String);
+
+/// Every `repro` target, in usage order.
+pub const TARGETS: &[Target] = &[
+    ("fig1", fig1_heatmap),
+    ("fig3", fig3_locality),
+    ("fig4", fig4_unpredictable),
+    ("fig5", fig5_saturation),
+    ("fig7", fig7_spill_timelines),
+    ("fig8", fig8_speedups),
+    ("fig9", fig9_compile_speedup),
+    ("fig10", fig10_aggressiveness),
+    ("sessions", sessions_table),
+    ("table1", table1_policies),
+    ("all", run_all),
+    ("degraded", crate::degraded::degraded_table),
+    ("elastic", crate::elastic::elastic_table),
+    ("flashcrowd", crate::flashcrowd::flashcrowd_table),
+    ("scale", crate::scale::scale_table),
+    ("search", crate::search::search_table),
+];
+
+/// The `repro` usage text, listing [`TARGETS`].
+fn usage() -> String {
+    let names: Vec<&str> = TARGETS.iter().map(|(name, _)| *name).collect();
+    format!(
+        "usage: repro [TARGET] [--full]\n\n\
+         targets: {}\n\n\
+         Prints the target's table: a table or figure of the Mantle paper\n\
+         (SC '15), or one of the later experiments, run on the simulated MDS\n\
+         cluster. The default target is `all` (the paper's evaluation). Default\n\
+         is quick mode; --full runs the calibrated sizes used by EXPERIMENTS.md.",
+        names.join(" ")
+    )
+}
+
+/// Parse `repro`'s arguments (without the program name) into a target and
+/// its size. At most one target, default `all`; the one flag is `--full`.
+/// An unknown flag or target, a second target, and `-h`/`--help` all
+/// answer with an error message that carries the usage text and the
+/// target list.
+pub fn parse_args(args: &[String]) -> Result<(&'static Target, ReproOpts), String> {
+    let mut opts = ReproOpts::QUICK;
+    let mut name = None;
+    for arg in args {
+        match arg.as_str() {
+            "--full" => opts = ReproOpts::FULL,
+            "-h" | "--help" => return Err(usage()),
+            flag if flag.starts_with('-') => {
+                return Err(format!("unknown option '{flag}'\n{}", usage()))
+            }
+            target if name.is_none() => name = Some(target),
+            extra => return Err(format!("unexpected argument '{extra}'\n{}", usage())),
+        }
+    }
+    let name = name.unwrap_or("all");
+    let target = TARGETS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .ok_or_else(|| format!("unknown target '{name}'\n{}", usage()))?;
+    Ok((target, opts))
+}
+
 /// Table 1: the CephFS policies, plus a live check that the hard-coded
 /// balancer and its Mantle-script transliteration make identical decisions
-/// on a grid of cluster states.
-pub fn table1_policies() -> String {
+/// on a grid of cluster states. The grid is fixed, so both sizes print the
+/// same table.
+pub fn table1_policies(_: ReproOpts) -> String {
     use mantle_mds::balancer::{BalanceContext, Balancer, CephfsBalancer, MantleBalancer};
     use mantle_mds::metrics::Heartbeat;
     use mantle_sim::SimTime;
@@ -161,7 +230,7 @@ pub fn run_all(opts: ReproOpts) -> String {
         ("Figure 3", fig3_locality(opts)),
         ("Figure 4", fig4_unpredictable(opts)),
         ("Figure 5", fig5_saturation(opts)),
-        ("Table 1", table1_policies()),
+        ("Table 1", table1_policies(opts)),
         ("Figure 7", fig7_spill_timelines(opts)),
         ("Figure 8", fig8_speedups(opts)),
         ("Sessions (§4.1)", sessions_table(opts)),
@@ -180,7 +249,7 @@ mod tests {
 
     #[test]
     fn table1_equivalence_holds() {
-        let s = table1_policies();
+        let s = table1_policies(ReproOpts::QUICK);
         // The grid is 3 sizes × hot positions × spreads × whoami; all of
         // them must agree.
         assert!(s.contains("agreed on"), "{s}");
@@ -191,6 +260,57 @@ mod tests {
             .expect("summary line present");
         let (a, b) = frac.split_once('/').expect("a/b");
         assert_eq!(a, b, "hard-coded and scripted balancers diverged: {s}");
+    }
+
+    fn parse(args: &[&str]) -> Result<(&'static str, ReproOpts), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args).map(|((name, _), opts)| (*name, opts))
+    }
+
+    #[test]
+    fn every_target_parses_by_name() {
+        for (name, _) in TARGETS {
+            assert_eq!(parse(&[name]), Ok((*name, ReproOpts::QUICK)));
+            assert_eq!(parse(&["--full", name]), Ok((*name, ReproOpts::FULL)));
+        }
+        let names: std::collections::HashSet<_> = TARGETS.iter().map(|(n, _)| n).collect();
+        assert_eq!(names.len(), TARGETS.len(), "duplicate target name");
+    }
+
+    #[test]
+    fn no_target_means_all_quick() {
+        assert_eq!(parse(&[]), Ok(("all", ReproOpts::QUICK)));
+        assert_eq!(parse(&["--full"]), Ok(("all", ReproOpts::FULL)));
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected() {
+        let err = parse(&["fig8", "--fulll"]).unwrap_err();
+        assert!(err.starts_with("unknown option '--fulll'"), "{err}");
+        assert!(parse(&["-x"]).is_err());
+    }
+
+    #[test]
+    fn second_target_is_rejected() {
+        let err = parse(&["fig8", "fig9"]).unwrap_err();
+        assert!(err.starts_with("unexpected argument 'fig9'"), "{err}");
+    }
+
+    #[test]
+    fn unknown_target_is_rejected() {
+        let err = parse(&["fig2"]).unwrap_err();
+        assert!(err.starts_with("unknown target 'fig2'"), "{err}");
+    }
+
+    #[test]
+    fn help_lists_every_target() {
+        for flag in ["-h", "--help"] {
+            let text = parse(&["fig8", flag]).unwrap_err();
+            assert!(text.starts_with("usage: repro"), "{text}");
+            for (name, _) in TARGETS {
+                assert!(text.contains(&format!(" {name}")), "{name} missing: {text}");
+            }
+        }
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //! tick over 128 MDSs, not the event queue, is where host time goes
 //! (EXPERIMENTS.md "Scale mode").
 //!
-//! The `scale` bin prints the wall-clock table recorded in EXPERIMENTS.md;
-//! `scale --smoke` is the CI-sized variant. `benchmark/`'s two batch
-//! workloads are these shapes, timed properly.
+//! `repro scale --full` prints the wall-clock table recorded in
+//! EXPERIMENTS.md; quick `repro scale` is one CI-sized row. `benchmark/`'s
+//! two batch workloads are these shapes, timed properly.
 
 use std::time::Instant;
 
 use crate::experiment::{build_cluster, BalancerSpec, Experiment, WorkloadSpec};
 use crate::policies;
+use crate::repro::ReproOpts;
 use crate::table::TextTable;
 use mantle_mds::{ClusterConfig, SchedulerKind};
 use mantle_sim::SimTime;
@@ -42,10 +43,10 @@ impl ScaleSpec {
     }
 }
 
-/// The scale rows, smallest first. `smoke` swaps in a CI-sized single row
-/// that exercises the same code paths in a few seconds.
-pub fn scale_specs(smoke: bool) -> Vec<ScaleSpec> {
-    if smoke {
+/// The scale rows, smallest first. Quick mode swaps in a CI-sized single
+/// row that exercises the same code paths in a few seconds.
+pub fn scale_specs(opts: ReproOpts) -> Vec<ScaleSpec> {
+    if opts.quick {
         return vec![ScaleSpec {
             name: "smoke",
             num_mds: 8,
@@ -113,7 +114,7 @@ pub fn scale_experiment(spec: &ScaleSpec, _: SchedulerKind, seed: u64) -> Experi
 /// Run every row once, timing set-up (`build_cluster`: namespace
 /// population and engine construction) and the run separately, and render
 /// the wall-clock table.
-pub fn scale_table(smoke: bool) -> String {
+pub fn scale_table(opts: ReproOpts) -> String {
     let seed = 42;
     let mut table = TextTable::new([
         "scenario",
@@ -125,7 +126,7 @@ pub fn scale_table(smoke: bool) -> String {
         "wall s",
         "migrations",
     ]);
-    for spec in scale_specs(smoke) {
+    for spec in scale_specs(opts) {
         let exp = scale_experiment(&spec, SchedulerKind::default(), seed);
         let start = Instant::now();
         let cluster = build_cluster(&exp);
@@ -156,14 +157,14 @@ mod tests {
 
     #[test]
     fn smoke_row_is_ci_sized() {
-        let rows = scale_specs(true);
+        let rows = scale_specs(ReproOpts::QUICK);
         assert_eq!(rows.len(), 1);
         assert!(rows[0].total_ops() <= 50_000);
     }
 
     #[test]
     fn full_rows_hit_the_scale_floor() {
-        let rows = scale_specs(false);
+        let rows = scale_specs(ReproOpts::FULL);
         assert!(rows.iter().any(|r| r.num_mds >= 64), "≥64 MDSs");
         assert!(rows.iter().any(|r| r.num_mds >= 128), "≥128 MDSs");
         assert!(rows.iter().all(|r| r.dirs >= 100_000), "≥100k dirs");

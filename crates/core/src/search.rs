@@ -28,7 +28,7 @@
 //! differential suites, the ranking is engine-independent.
 
 use crate::degraded::scenario_plans;
-use crate::experiment::{run_experiment, BalancerSpec, Experiment, WorkloadSpec};
+use crate::experiment::{par_map, run_experiment, BalancerSpec, Experiment, WorkloadSpec};
 use crate::policies::MIXED_METALOAD;
 use crate::repro::ReproOpts;
 use crate::table::{f, TextTable};
@@ -125,23 +125,24 @@ impl Candidate {
     }
 }
 
-/// The candidate grid. `smoke` shrinks it to a CI-sized corner; the full
-/// grid has 216 points (3 fractions × 3 thresholds × 3 patience values ×
-/// 4 selectors × 2 capacity terms).
-pub fn candidates(smoke: bool) -> Vec<Candidate> {
-    let fractions: &[f64] = if smoke {
+/// The candidate grid. Quick mode shrinks it to a CI-sized corner; the
+/// full grid has 216 points (3 fractions × 3 thresholds × 3 patience
+/// values × 4 selectors × 2 capacity terms).
+pub fn candidates(opts: ReproOpts) -> Vec<Candidate> {
+    let quick = opts.quick;
+    let fractions: &[f64] = if quick {
         &[0.25, 0.5]
     } else {
         &[0.10, 0.25, 0.50]
     };
-    let thresholds: &[f64] = if smoke { &[70.0] } else { &[60.0, 75.0, 90.0] };
-    let patiences: &[u32] = if smoke { &[0, 2] } else { &[0, 2, 4] };
-    let selectors: &[&'static str] = if smoke {
+    let thresholds: &[f64] = if quick { &[70.0] } else { &[60.0, 75.0, 90.0] };
+    let patiences: &[u32] = if quick { &[0, 2] } else { &[0, 2, 4] };
+    let selectors: &[&'static str] = if quick {
         &["half", "small_first"]
     } else {
         &["half", "small_first", "big_first", "big_small"]
     };
-    let capacities: &[CapacityTerm] = if smoke {
+    let capacities: &[CapacityTerm] = if quick {
         &[CapacityTerm::All]
     } else {
         &[CapacityTerm::All, CapacityTerm::AllPlusQueue]
@@ -186,7 +187,7 @@ pub struct Ranked {
 
 /// The hotspot experiment a candidate is judged on: clients hammering one
 /// shared directory so the spill knobs actually gate behaviour.
-fn search_experiment(smoke: bool, policy: PolicySet, label: String) -> Experiment {
+fn search_experiment(opts: ReproOpts, policy: PolicySet, label: String) -> Experiment {
     let config = ClusterConfig {
         num_mds: 3,
         seed: 42,
@@ -201,14 +202,14 @@ fn search_experiment(smoke: bool, policy: PolicySet, label: String) -> Experimen
         // enough that the spill knobs actually gate behaviour.
         WorkloadSpec::CreateShared {
             clients: 4,
-            files: if smoke { 2_000 } else { 4_000 },
+            files: if opts.quick { 2_000 } else { 4_000 },
         },
         BalancerSpec::mantle(label, policy),
     )
 }
 
 /// Run one candidate across every fault scenario and aggregate.
-fn evaluate(smoke: bool, cand: &Candidate) -> Ranked {
+fn evaluate(opts: ReproOpts, cand: &Candidate) -> Ranked {
     let policy = cand.policy().expect("grid candidates are valid policies");
     let mut ops = 0.0;
     let mut migrations = 0;
@@ -217,7 +218,7 @@ fn evaluate(smoke: bool, cand: &Candidate) -> Ranked {
     let plans = scenario_plans(ReproOpts::QUICK);
     let scenarios = plans.len();
     for (_, plan) in plans {
-        let mut spec = search_experiment(smoke, policy.clone(), cand.label());
+        let mut spec = search_experiment(opts, policy.clone(), cand.label());
         spec.config.faults = plan;
         let r = run_experiment(&spec);
         ops += r.mean_throughput();
@@ -235,38 +236,11 @@ fn evaluate(smoke: bool, cand: &Candidate) -> Ranked {
     }
 }
 
-/// Evaluate the whole grid (in parallel across OS threads, capped at
-/// [`std::thread::available_parallelism`] like
-/// [`crate::experiment::run_seeds`]) and rank by mean ops/s, best first.
-pub fn run_search(smoke: bool) -> Vec<Ranked> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let grid = candidates(smoke);
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(grid.len().max(1));
-    let next = AtomicUsize::new(0);
-    let out: Vec<Mutex<Option<Ranked>>> = (0..grid.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cand) = grid.get(i) else { break };
-                let ranked = evaluate(smoke, cand);
-                *out[i].lock().expect("slot lock never poisoned") = Some(ranked);
-            });
-        }
-    });
-    let mut ranked: Vec<Ranked> = out
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot lock never poisoned")
-                .expect("all slots filled")
-        })
-        .collect();
+/// Evaluate the whole grid (in parallel across OS threads, the same pool
+/// as [`crate::experiment::run_seeds`]) and rank by mean ops/s, best
+/// first.
+pub fn run_search(opts: ReproOpts) -> Vec<Ranked> {
+    let mut ranked = par_map(&candidates(opts), |cand| evaluate(opts, cand));
     ranked.sort_by(|a, b| {
         b.ops_per_sec
             .partial_cmp(&a.ops_per_sec)
@@ -277,10 +251,10 @@ pub fn run_search(smoke: bool) -> Vec<Ranked> {
 
 /// Run the grid and render the ranked table. Asserts the result is
 /// non-vacuous: every candidate ran every scenario and did real work.
-pub fn search_table(smoke: bool) -> String {
-    let ranked = run_search(smoke);
+pub fn search_table(opts: ReproOpts) -> String {
+    let ranked = run_search(opts);
     assert!(!ranked.is_empty(), "grid must not be empty");
-    let expected = candidates(smoke).len();
+    let expected = candidates(opts).len();
     assert_eq!(ranked.len(), expected, "every candidate must be ranked");
     for r in &ranked {
         assert!(
@@ -326,7 +300,7 @@ mod tests {
 
     #[test]
     fn full_grid_has_at_least_200_candidates() {
-        let grid = candidates(false);
+        let grid = candidates(ReproOpts::FULL);
         assert!(grid.len() >= 200, "got {}", grid.len());
         // No duplicate points.
         let labels: std::collections::HashSet<String> = grid
@@ -339,7 +313,7 @@ mod tests {
     #[test]
     fn every_candidate_policy_validates() {
         let v = mantle_policy::PolicyValidator::new();
-        for c in candidates(false) {
+        for c in candidates(ReproOpts::FULL) {
             let p = c.policy().expect("policy compiles");
             v.validate(&p)
                 .unwrap_or_else(|e| panic!("{} failed validation: {e}", c.label()));
@@ -375,12 +349,12 @@ mod tests {
 
     #[test]
     fn smoke_search_ranks_and_is_sorted() {
-        let ranked = run_search(true);
-        assert_eq!(ranked.len(), candidates(true).len());
+        let ranked = run_search(ReproOpts::QUICK);
+        assert_eq!(ranked.len(), candidates(ReproOpts::QUICK).len());
         assert!(ranked
             .windows(2)
             .all(|w| w[0].ops_per_sec >= w[1].ops_per_sec));
-        let rendered = search_table(true);
+        let rendered = search_table(ReproOpts::QUICK);
         assert!(rendered.contains("ops/s"));
         assert!(rendered.lines().count() > ranked.len());
     }

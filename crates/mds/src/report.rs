@@ -163,6 +163,14 @@ impl RunReport {
         }
     }
 
+    /// Ops completed across all clients. With the proxy cache on this
+    /// exceeds [`total_ops`](Self::total_ops) (MDS-served ops) by exactly
+    /// the absorbed hits, so it is the quantity conserved across cache
+    /// settings and cluster sizes.
+    pub fn client_ops(&self) -> u64 {
+        self.clients.iter().map(|c| c.completed).sum()
+    }
+
     /// Mean throughput over the run, ops/s.
     pub fn mean_throughput(&self) -> f64 {
         let secs = self.makespan.as_secs_f64();

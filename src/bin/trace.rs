@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release --bin trace -- [--scenario NAME] [--seed N]
-//!     [--level decisions|full] [--out PREFIX] [--check] [--full-size]
+//!     [--level decisions|full] [--out PREFIX] [--check] [--full]
 //! ```
 //!
 //! * `--scenario` — one of the `degraded` scenarios (`healthy`,
@@ -17,7 +17,7 @@
 //!   and `PREFIX.timeline.jsonl` (one gauge series per MDS);
 //! * `--check` — replay the stream through the invariant checker and
 //!   exit non-zero if any invariant is violated;
-//! * `--full-size` — run the full-size workload instead of the quick one.
+//! * `--full` — run the full-size workload instead of the quick one.
 
 #![forbid(unsafe_code)]
 
@@ -29,7 +29,7 @@ use mantle::prelude::*;
 fn usage() -> ! {
     eprintln!(
         "usage: trace [--scenario NAME] [--seed N] [--level decisions|full] \
-         [--out PREFIX] [--check] [--full-size]"
+         [--out PREFIX] [--check] [--full]"
     );
     std::process::exit(2);
 }
@@ -60,7 +60,7 @@ fn main() {
             }
             "--out" => out = Some(args.next().unwrap_or_else(|| usage())),
             "--check" => check = true,
-            "--full-size" => opts = ReproOpts::FULL,
+            "--full" => opts = ReproOpts::FULL,
             _ => usage(),
         }
     }

@@ -16,7 +16,7 @@
 //! invalidation, and migration freeze against its own superset cache
 //! model and flags any hit the model cannot justify.
 
-use mantle::core::flashcrowd::{client_ops, storm_experiment};
+use mantle::core::flashcrowd::storm_experiment;
 use mantle::mds::HookEngine;
 use mantle::prelude::*;
 
@@ -165,10 +165,10 @@ fn hits_are_absorbed_not_lost() {
         CacheConfig::on(),
         11,
     ));
-    assert_eq!(client_ops(&off), client_ops(&on), "completions diverged");
+    assert_eq!(off.client_ops(), on.client_ops(), "completions diverged");
     assert_eq!(
         on.total_ops() as u64 + on.cache_hits,
-        client_ops(&on),
+        on.client_ops(),
         "served + absorbed must cover every completion"
     );
     assert!(

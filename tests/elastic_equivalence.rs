@@ -27,9 +27,9 @@ use mantle::prelude::*;
 const SEED: u64 = 42;
 
 /// The quick diurnal elastic spec with an explicit hook engine. The spec
-/// is the same one the `elastic --smoke` gate scores, so the matrix below
-/// exercises real joins, re-homes, and drains — not a cluster that
-/// happens to stay put.
+/// is the same one `elastic_beats_every_fixed_size` scores, so the
+/// matrix below exercises real joins, re-homes, and drains — not a
+/// cluster that happens to stay put.
 fn elastic_spec(engine: HookEngine) -> Experiment {
     let mut spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), 1, SEED);
     spec.balancer = BalancerSpec::mantle_with_engine(
@@ -49,15 +49,12 @@ fn elastic_reports_identical_across_engines_and_exec_modes() {
         oracle.joins,
         oracle.leaves
     );
-    let oracle_repr = format!("{oracle:?}");
-    for engine in [HookEngine::Tree, HookEngine::Bytecode] {
-        let report = run_experiment(&elastic_spec(engine));
-        assert_eq!(
-            oracle_repr,
-            format!("{report:?}"),
-            "{engine:?} diverged from the tree oracle"
-        );
-    }
+    let report = run_experiment(&elastic_spec(HookEngine::Bytecode));
+    assert_eq!(
+        format!("{oracle:?}"),
+        format!("{report:?}"),
+        "the bytecode engine diverged from the tree oracle"
+    );
 }
 
 #[test]

@@ -207,7 +207,7 @@ fn fault_runs_are_identical_across_policy_engines() {
 /// turns MDS 1 back into a joinable spare for the next morning.
 #[test]
 fn crash_of_joining_mds_mid_rehome_degrades_gracefully() {
-    use mantle::core::elastic::{client_ops, diurnal_experiment, POOL};
+    use mantle::core::elastic::{diurnal_experiment, POOL};
 
     let mut spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), 1, 42);
     spec.config.faults = reactions()
@@ -216,7 +216,7 @@ fn crash_of_joining_mds_mid_rehome_degrades_gracefully() {
     let (r, trace) = run_experiment_traced(&spec, TraceLevel::Full);
 
     assert_invariants(trace.records());
-    assert_eq!(client_ops(&r), 84_000, "client budgets not conserved");
+    assert_eq!(r.client_ops(), 84_000, "client budgets not conserved");
     assert!(r.joins >= 1, "the cluster grew before the crash");
     assert!(
         r.failovers >= 1,
@@ -239,14 +239,14 @@ fn crash_of_joining_mds_mid_rehome_degrades_gracefully() {
 /// membership phase chain must still close cleanly.
 #[test]
 fn crash_of_draining_mds_mid_migrate_degrades_gracefully() {
-    use mantle::core::elastic::{client_ops, diurnal_experiment, POOL};
+    use mantle::core::elastic::{diurnal_experiment, POOL};
 
     let mut spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), 1, 42);
     spec.config.faults = reactions().crash(SimTime::from_millis(3_500), 3);
     let (r, trace) = run_experiment_traced(&spec, TraceLevel::Full);
 
     assert_invariants(trace.records());
-    assert_eq!(client_ops(&r), 84_000, "client budgets not conserved");
+    assert_eq!(r.client_ops(), 84_000, "client budgets not conserved");
     assert!(
         r.joins >= 1 && r.leaves >= 1,
         "the cluster scaled both ways"

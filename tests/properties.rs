@@ -1043,7 +1043,7 @@ fn rendezvous_leave_moves_only_the_departed_members_dirs() {
 /// departed.
 #[test]
 fn elastic_runs_conserve_ops_across_seeds() {
-    use mantle::core::elastic::{client_ops, diurnal_experiment, POOL};
+    use mantle::core::elastic::{diurnal_experiment, POOL};
     use mantle::core::repro::ReproOpts;
     use mantle::core::run_experiment_traced;
     use mantle::mds::{assert_invariants, ElasticConfig, TraceLevel};
@@ -1062,7 +1062,7 @@ fn elastic_runs_conserve_ops_across_seeds() {
         let (report, trace) = run_experiment_traced(&spec, TraceLevel::Full);
         assert_invariants(trace.records());
         assert_eq!(
-            client_ops(&report),
+            report.client_ops(),
             expected,
             "seed {seed}: client budget not conserved"
         );
