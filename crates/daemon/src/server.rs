@@ -11,11 +11,30 @@
 //! every `trace`-role subscriber. The stream's last event is the
 //! engine's report; receiving it is what ends [`Server::run`].
 //!
+//! # One state per connection
+//!
+//! A connection's lifecycle is one `State`. Its frame cap, whether it is
+//! read, and which frames it takes are each one `match` on it:
+//!
+//! | state | frame cap | read | frames taken | exits |
+//! |---|---|---|---|---|
+//! | `Hello` | 64 KiB | yes | `hello` | to the role the hello names; to `Closing` on a refused hello (`bad-hello`, `no-slot`) or any other frame |
+//! | `Client { slot }` | 64 KiB | while at most 1 MiB is unsent | `op` | to `Closing` on any other frame, which frees the slot |
+//! | `Admin` | 16 MiB | while at most 1 MiB is unsent | `admin` | to `Closing` on any other frame |
+//! | `Trace` | 64 KiB | yes | none | to `Closing` on any frame, or when it lags |
+//! | `Closing` | — | no | none | dropped once its queue is flushed |
+//!
+//! A malformed frame (`bad-frame`) is answered in its turn, after the
+//! frames ahead of it, and moves any state to `Closing`; a hang-up or a
+//! socket error drops the connection from any state. Every reply is
+//! addressed by slab index *and* accept token (`Addr`), so one for a
+//! connection that has gone is dropped, not delivered to whoever reuses
+//! its index.
+//!
 //! # No polling, no timeout
 //!
-//! The `poll` set is the listener, every connection (readable unless it
-//! is being closed or owed more than `REPLY_BACKLOG_CAP`; writable only
-//! while it has unsent bytes) and the
+//! The `poll` set is the listener, every connection (readable as the
+//! table says, writable only while it has unsent bytes) and the
 //! engine's wake stream, into which the engine thread writes a byte
 //! behind every batch of events it sends. Readiness is level-triggered
 //! and the reactor only blocks after a full iteration that found every
@@ -75,23 +94,32 @@ const SMALL_FRAME: usize = 64 << 10;
 const HOWMANY_REFUSED: &str = "this daemon runs fixed membership: `howmany` is evaluated only by \
                                the offline `elastic` scenarios; remove it from the bundle";
 
-/// What a connection declared itself to be in its `hello`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    /// Issues metadata ops, bound to one client slot.
-    Client,
+/// Where a connection is in its life: the table in the module docs.
+#[derive(Debug, Clone, Copy)]
+enum State {
+    /// Accepted; its first frame must be a `hello`.
+    Hello,
+    /// Issues metadata ops on session slot `slot`.
+    Client { slot: usize },
     /// Control plane: status, policy swap, scenarios, shutdown.
     Admin,
     /// Receives the live trace stream, one record per frame.
     Trace,
+    /// Refused or cut off: flush what is queued, then drop.
+    Closing,
+}
+
+/// Where a reply goes: a connection's slab index and the token it was
+/// accepted with, which no later connection at that index shares.
+#[derive(Debug, Clone, Copy)]
+struct Addr {
+    idx: usize,
+    token: u64,
 }
 
 struct Conn {
     stream: TcpStream,
-    /// Unique per accepted connection; async replies (completions,
-    /// install results) are addressed by token, so a reply for a dead
-    /// connection is dropped instead of reaching whoever reused its slab
-    /// index.
+    /// Unique per accepted connection (see [`Addr`]).
     token: u64,
     rbuf: Vec<u8>,
     /// Outbound bytes; `wbuf[..wpos]` is already written. Whole frames
@@ -99,11 +127,7 @@ struct Conn {
     /// offset 0 is always a frame boundary.
     wbuf: Vec<u8>,
     wpos: usize,
-    role: Option<Role>,
-    /// Client slot, for `Role::Client`.
-    slot: Option<usize>,
-    /// Set when the peer misbehaved: flush what is queued, then drop.
-    closing: bool,
+    state: State,
 }
 
 impl Conn {
@@ -113,10 +137,9 @@ impl Conn {
 
     /// The longest frame this connection may send.
     fn frame_cap(&self) -> usize {
-        if self.role == Some(Role::Admin) {
-            MAX_FRAME
-        } else {
-            SMALL_FRAME
+        match self.state {
+            State::Admin => MAX_FRAME,
+            State::Hello | State::Client { .. } | State::Trace | State::Closing => SMALL_FRAME,
         }
     }
 
@@ -137,7 +160,13 @@ impl Conn {
 
     /// Whether to take input from the peer.
     fn reading(&self) -> bool {
-        !self.closing && (self.role == Some(Role::Trace) || self.unsent() <= REPLY_BACKLOG_CAP)
+        match self.state {
+            State::Hello | State::Client { .. } | State::Admin => {
+                self.unsent() <= REPLY_BACKLOG_CAP
+            }
+            State::Trace => true,
+            State::Closing => false,
+        }
     }
 
     /// Give up on a subscriber that cannot keep up: drop every queued
@@ -160,22 +189,25 @@ impl Conn {
             "lagged",
             format!("trace backlog passed {TRACE_BACKLOG_CAP} bytes; resubscribe"),
         )));
-        self.closing = true;
+        self.state = State::Closing;
     }
 }
 
-/// A client slot's reply routing: outstanding tickets in submission
-/// order. Completions for a slot pop the front ticket; a ticket whose
-/// connection died is popped and dropped silently.
+/// A client slot: whether a connection holds it, and its outstanding
+/// tickets in submission order. Completions for the slot pop the front
+/// ticket. The engine completes a slot's ops in order even after the
+/// connection that submitted them has gone, so tickets live here, not on
+/// the connection; a reply to a gone connection is dropped by
+/// [`Server::push`].
 #[derive(Default)]
 struct Slot {
-    bound: Option<u64>,
+    bound: bool,
     tickets: VecDeque<Ticket>,
 }
 
-/// Who to answer, once the engine has: a connection token and the
-/// request's `id`.
-type Ticket = (u64, Option<u64>);
+/// Who to answer, once the engine has: the connection and the request's
+/// `id`.
+type Ticket = (Addr, Option<u64>);
 
 /// The daemon server: listener, connections, engine.
 pub struct Server {
@@ -309,9 +341,7 @@ impl Server {
                         rbuf: Vec::new(),
                         wbuf: Vec::new(),
                         wpos: 0,
-                        role: None,
-                        slot: None,
-                        closing: false,
+                        state: State::Hello,
                     };
                     match self.conns.iter().position(Option::is_none) {
                         Some(idx) => self.conns[idx] = Some(conn),
@@ -326,8 +356,12 @@ impl Server {
         any
     }
 
+    /// Read every readable connection, then dispatch what was decoded in
+    /// arrival order, then drop the peers that hung up: each frame that
+    /// arrived before a hang-up is dispatched like any other.
     fn read_all(&mut self) -> bool {
-        let mut inbound: Vec<(usize, Json)> = Vec::new();
+        let mut inbound: Vec<(usize, Result<Json, String>)> = Vec::new();
+        let mut hung_up = Vec::new();
         let mut any = false;
         for idx in 0..self.conns.len() {
             let Some(conn) = self.conns[idx].as_mut() else {
@@ -337,7 +371,6 @@ impl Server {
                 continue;
             }
             let mut tmp = [0u8; 4096];
-            let mut dead = false;
             loop {
                 // Never more than one frame's worth buffered: whatever is
                 // in `rbuf` past that is a complete frame to decode first.
@@ -347,164 +380,129 @@ impl Server {
                 }
                 let take = room.min(tmp.len());
                 match conn.stream.read(&mut tmp[..take]) {
-                    Ok(0) => {
-                        dead = true;
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Ok(0) | Err(_) => {
+                        hung_up.push(idx);
                         break;
                     }
                     Ok(n) => {
                         any = true;
                         conn.rbuf.extend_from_slice(&tmp[..n]);
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
                 }
             }
-            loop {
-                match conn.next_frame() {
-                    Ok(Some(msg)) => {
-                        any = true;
-                        inbound.push((idx, msg));
-                        // The `hello` sets the role, and with it the cap
-                        // the frames behind it are held to: dispatch it
-                        // first, and decode those on the next pass.
-                        if conn.role.is_none() {
-                            break;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        conn.wbuf.extend_from_slice(&encode_frame(&error_msg(
-                            None,
-                            "bad-frame",
-                            e,
-                        )));
-                        conn.closing = true;
-                        break;
-                    }
+            while let Some(frame) = conn.next_frame().transpose() {
+                any = true;
+                let refused = frame.is_err();
+                inbound.push((idx, frame));
+                // A malformed frame is the last one taken from this peer.
+                // A `hello` sets the state, and with it the cap the frames
+                // behind it are held to: dispatch it first, and decode
+                // those on the next pass.
+                if refused || matches!(conn.state, State::Hello) {
+                    break;
                 }
-            }
-            if dead {
-                self.drop_conn(idx);
             }
         }
-        for (idx, msg) in inbound {
-            self.dispatch(idx, msg);
+        for (idx, frame) in inbound {
+            self.dispatch(idx, frame);
+        }
+        for idx in hung_up {
+            self.drop_conn(idx);
         }
         any
     }
 
-    fn dispatch(&mut self, idx: usize, msg: Json) {
-        let id = msg.get_u64("id");
-        let reply = match (self.conn_role(idx), msg.get_str("type")) {
-            (None, Some("hello")) => self.on_hello(idx, &msg),
-            (None, _) => Some(self.fail(idx, id, "bad-hello", "first frame must be a hello")),
-            (Some(Role::Client), Some("op")) => self.on_op(idx, id, &msg),
-            (Some(Role::Admin), Some("admin")) => self.on_admin(idx, id, &msg),
-            (Some(Role::Trace), _) => {
-                Some(self.fail(idx, id, "bad-frame", "trace connections only receive"))
+    /// Answer one decoded frame (or decode error) as the connection's
+    /// state dictates.
+    fn dispatch(&mut self, idx: usize, frame: Result<Json, String>) {
+        let Some(conn) = self.conns[idx].as_ref() else {
+            return;
+        };
+        let (token, state) = (conn.token, conn.state);
+        let addr = Addr { idx, token };
+        let id = frame.as_ref().ok().and_then(|msg| msg.get_u64("id"));
+        let kind = frame.as_ref().ok().and_then(|msg| msg.get_str("type"));
+        let reply = match (state, &frame) {
+            // Frames queued behind a refused one go unanswered.
+            (State::Closing, _) => None,
+            (_, Err(e)) => self.refuse(idx, None, "bad-frame", e),
+            (State::Hello, Ok(msg)) if kind == Some("hello") => self.on_hello(idx, msg),
+            (State::Hello, Ok(_)) => {
+                self.refuse(idx, id, "bad-hello", "first frame must be a hello")
             }
-            (Some(_), other) => Some(self.fail(
-                idx,
-                id,
-                "bad-frame",
-                format!("unexpected message type {other:?} for this role"),
-            )),
+            (State::Client { slot }, Ok(msg)) if kind == Some("op") => {
+                self.on_op(slot, addr, id, msg)
+            }
+            (State::Admin, Ok(msg)) if kind == Some("admin") => self.on_admin(addr, id, msg),
+            (State::Trace, Ok(_)) => {
+                self.refuse(idx, id, "bad-frame", "trace connections only receive")
+            }
+            (State::Client { .. } | State::Admin, Ok(_)) => {
+                let detail = format!("unexpected message type {kind:?} for this role");
+                self.refuse(idx, id, "bad-frame", detail)
+            }
         };
         if let Some(reply) = reply {
-            self.push_msg(idx, &reply);
+            self.push(addr, &reply);
         }
     }
 
-    fn conn_role(&self, idx: usize) -> Option<Role> {
-        self.conns[idx].as_ref().and_then(|c| c.role)
-    }
-
-    /// Build an error reply and mark the connection for close when the
-    /// failure is not recoverable at the protocol level.
-    fn fail(
+    /// Move the connection to `Closing` and return the error that tells
+    /// its peer why: a frame its state does not take, or a hello that
+    /// cannot be granted.
+    fn refuse(
         &mut self,
         idx: usize,
         id: Option<u64>,
         code: &str,
         detail: impl std::fmt::Display,
-    ) -> Json {
-        if matches!(code, "bad-hello" | "bad-frame" | "no-slot") {
-            if let Some(conn) = self.conns[idx].as_mut() {
-                conn.closing = true;
-            }
-        }
-        error_msg(id, code, detail)
+    ) -> Option<Json> {
+        self.close(idx);
+        Some(error_msg(id, code, detail))
     }
 
     fn on_hello(&mut self, idx: usize, msg: &Json) -> Option<Json> {
         if msg.get_u64("proto") != Some(PROTO_VERSION) {
-            return Some(self.fail(
-                idx,
-                None,
-                "bad-hello",
-                format!("unsupported proto (want {PROTO_VERSION})"),
-            ));
+            let detail = format!("unsupported proto (want {PROTO_VERSION})");
+            return self.refuse(idx, None, "bad-hello", detail);
         }
-        let role = match msg.get_str("role") {
-            Some("client") => Role::Client,
-            Some("admin") => Role::Admin,
-            Some("trace") => Role::Trace,
+        let (role, state) = match msg.get_str("role") {
+            Some("client") => {
+                let Some(slot) = self.slots.iter().position(|s| !s.bound) else {
+                    let detail = format!("all {} client slots in use", self.slots.len());
+                    return self.refuse(idx, None, "no-slot", detail);
+                };
+                self.slots[slot].bound = true;
+                ("client", State::Client { slot })
+            }
+            Some("admin") => ("admin", State::Admin),
+            Some("trace") if self.cfg.trace.is_some() => ("trace", State::Trace),
+            Some("trace") => {
+                return self.refuse(idx, None, "bad-hello", "tracing is disabled (--trace=off)")
+            }
             other => {
-                return Some(self.fail(
-                    idx,
-                    None,
-                    "bad-hello",
-                    format!("unknown role {other:?} (client|admin|trace)"),
-                ))
+                let detail = format!("unknown role {other:?} (client|admin|trace)");
+                return self.refuse(idx, None, "bad-hello", detail);
             }
         };
-        if role == Role::Trace && self.cfg.trace.is_none() {
-            return Some(self.fail(idx, None, "bad-hello", "tracing is disabled (--trace=off)"));
-        }
-        let mut slot = None;
-        if role == Role::Client {
-            let Some(free) = self.slots.iter().position(|s| s.bound.is_none()) else {
-                return Some(self.fail(
-                    idx,
-                    None,
-                    "no-slot",
-                    format!("all {} client slots in use", self.slots.len()),
-                ));
-            };
-            let token = self.conns[idx].as_ref().map(|c| c.token).unwrap_or(0);
-            self.slots[free].bound = Some(token);
-            slot = Some(free);
-        }
-        if let Some(conn) = self.conns[idx].as_mut() {
-            conn.role = Some(role);
-            conn.slot = slot;
-        }
+        self.conns[idx].as_mut()?.state = state;
         let (policy, epoch) = self.engine.policy();
         let mut members = vec![
             ("type", Json::str("welcome")),
             ("proto", Json::num(PROTO_VERSION as f64)),
-            (
-                "role",
-                Json::str(match role {
-                    Role::Client => "client",
-                    Role::Admin => "admin",
-                    Role::Trace => "trace",
-                }),
-            ),
+            ("role", Json::str(role)),
             ("policy", Json::str(policy)),
             ("epoch", Json::num(epoch as f64)),
         ];
-        if let Some(slot) = slot {
+        if let State::Client { slot } = state {
             members.push(("slot", Json::num(slot as f64)));
         }
         Some(Json::obj(members))
     }
 
-    fn on_op(&mut self, idx: usize, id: Option<u64>, msg: &Json) -> Option<Json> {
+    fn on_op(&mut self, slot: usize, addr: Addr, id: Option<u64>, msg: &Json) -> Option<Json> {
         if self.shutting_down {
             return Some(error_msg(id, "shutting-down", "daemon is draining"));
         }
@@ -515,15 +513,13 @@ impl Server {
         if !path.starts_with('/') || path.len() > 4096 {
             return Some(error_msg(id, "bad-op", "`path` must be absolute"));
         }
-        let conn = self.conns[idx].as_ref()?;
-        let (token, slot) = (conn.token, conn.slot?);
-        self.slots[slot].tickets.push_back((token, id));
+        self.slots[slot].tickets.push_back((addr, id));
         self.engine.handle.submit_op(slot, path, kind);
         self.ops_submitted += 1;
         None // replied asynchronously, from the completion stream
     }
 
-    fn on_admin(&mut self, idx: usize, id: Option<u64>, msg: &Json) -> Option<Json> {
+    fn on_admin(&mut self, addr: Addr, id: Option<u64>, msg: &Json) -> Option<Json> {
         match msg.get_str("verb") {
             Some("status") => Some(self.status_msg(id)),
             Some("policy-show") => {
@@ -558,8 +554,7 @@ impl Server {
                     // Reply deferred until the engine reports the install
                     // from its exclusive step (`ServiceEvent::Swapped`).
                     Ok(_epoch) => {
-                        let token = self.conns[idx].as_ref().map(|c| c.token).unwrap_or(0);
-                        self.swaps.push_back((token, id));
+                        self.swaps.push_back((addr, id));
                         None
                     }
                     Err(e) => Some(error_msg(id, "policy-rejected", e)),
@@ -603,7 +598,7 @@ impl Server {
 
     fn status_msg(&self, id: Option<u64>) -> Json {
         let (policy, epoch) = self.engine.policy();
-        let bound = self.slots.iter().filter(|s| s.bound.is_some()).count();
+        let bound = self.slots.iter().filter(|s| s.bound).count();
         let conns = self.conns.iter().flatten().count();
         Json::obj(vec![
             ("type", Json::str("status")),
@@ -655,7 +650,7 @@ impl Server {
             any = true;
             match ev {
                 ServiceEvent::Swapped { epoch, result } => {
-                    let Some((token, id)) = self.swaps.pop_front() else {
+                    let Some((addr, id)) = self.swaps.pop_front() else {
                         continue;
                     };
                     let reply = match result {
@@ -667,7 +662,7 @@ impl Server {
                         ]),
                         Err(e) => error_msg(id, "swap-failed", e),
                     };
-                    self.push_msg_token(token, &reply);
+                    self.push(addr, &reply);
                 }
                 ServiceEvent::Trace(batch) => {
                     if batch.is_empty() {
@@ -681,7 +676,7 @@ impl Server {
                         frames.extend_from_slice(line.as_bytes());
                     }
                     for conn in self.conns.iter_mut().flatten() {
-                        if conn.role != Some(Role::Trace) || conn.closing {
+                        if !matches!(conn.state, State::Trace) {
                             continue;
                         }
                         if conn.wbuf.len() + frames.len() > TRACE_BACKLOG_CAP {
@@ -694,10 +689,8 @@ impl Server {
                 ServiceEvent::Completions(batch) => {
                     for done in batch {
                         self.ops_completed += 1;
-                        let Some(slot) = self.slots.get_mut(done.client) else {
-                            continue;
-                        };
-                        let Some((token, id)) = slot.tickets.pop_front() else {
+                        let slot = self.slots.get_mut(done.client);
+                        let Some((addr, id)) = slot.and_then(|s| s.tickets.pop_front()) else {
                             continue;
                         };
                         let reply = Json::obj(vec![
@@ -709,7 +702,7 @@ impl Server {
                             ("latency_ms", Json::num(done.latency_ms)),
                             ("at_us", Json::num(done.at.as_micros() as f64)),
                         ]);
-                        self.push_msg_token(token, &reply);
+                        self.push(addr, &reply);
                     }
                 }
                 ServiceEvent::Finished(report) => {
@@ -724,24 +717,20 @@ impl Server {
     /// The event stream is over. An install that reached the inbox after
     /// the engine's last look will never run; say so.
     fn end_stream(&mut self, report: Option<RunReport>) {
-        for (token, id) in std::mem::take(&mut self.swaps) {
+        for (addr, id) in std::mem::take(&mut self.swaps) {
             let reply = error_msg(id, "swap-failed", "engine exited before the install");
-            self.push_msg_token(token, &reply);
+            self.push(addr, &reply);
         }
         self.ended = Some(report);
     }
 
-    fn push_msg(&mut self, idx: usize, msg: &Json) {
-        if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
-            conn.wbuf.extend_from_slice(&encode_frame(msg));
-        }
-    }
-
-    /// Queue a message by connection token (async replies). Silently a
-    /// no-op when the connection has since closed.
-    fn push_msg_token(&mut self, token: u64, msg: &Json) {
-        if let Some(conn) = self.conns.iter_mut().flatten().find(|c| c.token == token) {
-            conn.wbuf.extend_from_slice(&encode_frame(msg));
+    /// Queue `msg` for the connection at `addr`. A no-op once that
+    /// connection has gone, even if a newer one now holds its index.
+    fn push(&mut self, addr: Addr, msg: &Json) {
+        if let Some(conn) = self.conns[addr.idx].as_mut() {
+            if conn.token == addr.token {
+                conn.wbuf.extend_from_slice(&encode_frame(msg));
+            }
         }
     }
 
@@ -754,19 +743,15 @@ impl Server {
             let mut dead = false;
             while conn.unsent() > 0 {
                 match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-                    Ok(0) => {
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Ok(0) | Err(_) => {
                         dead = true;
                         break;
                     }
                     Ok(n) => {
                         any = true;
                         conn.wpos += n;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
                     }
                 }
             }
@@ -783,21 +768,34 @@ impl Server {
 
     fn reap_closed(&mut self) {
         for idx in 0..self.conns.len() {
-            let close = matches!(&self.conns[idx], Some(c) if c.closing && c.unsent() == 0);
-            if close {
-                self.drop_conn(idx);
+            if let Some(
+                c @ Conn {
+                    state: State::Closing,
+                    ..
+                },
+            ) = &self.conns[idx]
+            {
+                if c.unsent() == 0 {
+                    self.drop_conn(idx);
+                }
             }
         }
     }
 
-    fn drop_conn(&mut self, idx: usize) {
-        if let Some(conn) = self.conns[idx].take() {
-            if let Some(slot) = conn.slot {
-                self.slots[slot].bound = None;
-                // Outstanding tickets stay queued: their completions pop
-                // them in order and find the connection gone.
-            }
+    /// Enter `Closing`. A client's slot is free from here on; its
+    /// outstanding tickets stay queued on the slot (see [`Slot`]).
+    fn close(&mut self, idx: usize) {
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
+        };
+        if let State::Client { slot } = std::mem::replace(&mut conn.state, State::Closing) {
+            self.slots[slot].bound = false;
         }
+    }
+
+    fn drop_conn(&mut self, idx: usize) {
+        self.close(idx);
+        self.conns[idx] = None;
     }
 }
 
@@ -819,12 +817,10 @@ mod tests {
             wbuf: frames.concat(),
             // The first frame is out, the second is half written.
             wpos: frames[0].len() + 3,
-            role: Some(Role::Trace),
-            slot: None,
-            closing: false,
+            state: State::Trace,
         };
         conn.cut_off_lagged();
-        assert!(conn.closing);
+        assert!(matches!(conn.state, State::Closing));
         let mut rest = conn.wbuf.split_off(frames[0].len());
         assert_eq!(
             decode_frame(&mut rest).unwrap(),

@@ -80,12 +80,13 @@ pub fn decode_frame(buf: &mut Vec<u8>) -> Result<Option<Json>, WireError> {
 
 /// Blocking frame read (client side). Returns `Ok(None)` on clean EOF at
 /// a frame boundary; a stream that ends anywhere inside a frame — its
-/// length prefix included — is an `UnexpectedEof` error.
+/// length prefix included — is an `UnexpectedEof` error. The bytes read
+/// are decoded by [`decode_frame`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
-    let mut len_bytes = [0u8; 4];
+    let mut buf = vec![0u8; 4];
     let mut got = 0;
-    while got < len_bytes.len() {
-        match r.read(&mut len_bytes[got..]) {
+    while got < 4 {
+        match r.read(&mut buf[got..]) {
             Ok(0) if got == 0 => return Ok(None),
             Ok(0) => {
                 return Err(io::Error::new(
@@ -98,23 +99,14 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
             Err(e) => return Err(e),
         }
     }
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            WireError::Oversized(len).to_string(),
-        ));
+    // An oversized prefix is refused by `decode_frame` before any of its
+    // payload is read.
+    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+    if len <= MAX_FRAME {
+        buf.resize(4 + len, 0);
+        r.read_exact(&mut buf[4..])?;
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let text = std::str::from_utf8(&payload)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, WireError::NotUtf8.to_string()))?;
-    parse(text).map(Some).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            WireError::BadJson(e).to_string(),
-        )
-    })
+    decode_frame(&mut buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
 /// Blocking frame write (client side).

@@ -586,3 +586,155 @@ fn frame_caps_follow_the_role() {
     admin.admin("shutdown", vec![]).expect("shutdown");
     assert!(daemon.finish().0, "mantled exits cleanly");
 }
+
+/// A malformed frame is answered in its turn: the reply to the request
+/// ahead of it comes first, then `bad-frame`, then the close.
+#[test]
+fn a_bad_frame_is_answered_after_the_requests_ahead_of_it() {
+    use std::io::Write as _;
+    let daemon = Daemon::spawn(&["--sessions=1", "--mds=2", "--clock=sim"]);
+    let mut admin = std::net::TcpStream::connect(&daemon.addr).expect("connects");
+    admin
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .unwrap();
+    let frame = |members| mantle_daemon::wire::encode_frame(&Json::obj(members));
+    admin
+        .write_all(&frame(vec![
+            ("type", Json::str("hello")),
+            ("role", Json::str("admin")),
+            ("proto", Json::num(1.0)),
+        ]))
+        .unwrap();
+    let welcome = mantle_daemon::wire::read_frame(&mut admin).expect("welcome");
+    assert_eq!(welcome.unwrap().get_str("type"), Some("welcome"));
+
+    // One write: a `status` request, then a two-byte frame that is not
+    // JSON.
+    let mut bytes = frame(vec![
+        ("type", Json::str("admin")),
+        ("id", Json::num(7.0)),
+        ("verb", Json::str("status")),
+    ]);
+    bytes.extend_from_slice(&[0, 0, 0, 2, b'}', b'{']);
+    admin.write_all(&bytes).unwrap();
+    let status = mantle_daemon::wire::read_frame(&mut admin)
+        .expect("a reply")
+        .expect("not the close");
+    assert_eq!(status.get_str("type"), Some("status"), "first: {status}");
+    assert_eq!(status.get_u64("id"), Some(7));
+    let error = mantle_daemon::wire::read_frame(&mut admin)
+        .expect("a reply")
+        .expect("not the close");
+    assert_eq!(error.get_str("code"), Some("bad-frame"), "second: {error}");
+    assert!(
+        matches!(mantle_daemon::wire::read_frame(&mut admin), Ok(None)),
+        "then the connection is closed"
+    );
+
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    assert!(daemon.finish().0, "mantled exits cleanly");
+}
+
+/// The engine completes a slot's ops in order even after the connection
+/// that submitted them has gone. A client that binds the slot while some
+/// are outstanding gets its own replies only, with its own ids, in order.
+#[test]
+fn a_slot_rebound_while_ops_are_in_flight_answers_only_its_new_client() {
+    let daemon = Daemon::spawn(&["--sessions=1", "--clock=wall"]);
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    let counts = |admin: &mut MantleClient| {
+        let st = admin.admin("status", vec![]).expect("status answers");
+        let get = |k| st.get_u64(k).expect("status carries the counter");
+        (get("ops_submitted"), get("ops_completed"))
+    };
+    let create = |id: u64| {
+        Json::obj(vec![
+            ("type", Json::str("op")),
+            ("id", Json::num(id as f64)),
+            ("op", Json::str("create")),
+            ("path", Json::str("/smoke/rebound")),
+        ])
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+
+    // 500 pipelined creates; once the daemon has taken them all, hang up.
+    const FIRST: u64 = 500;
+    let mut first = MantleClient::connect(&daemon.addr, "client").expect("client connects");
+    for id in 1..=FIRST {
+        first
+            .send(&create(id))
+            .expect("a batch fits the socket buffers");
+    }
+    while counts(&mut admin).0 < FIRST {
+        assert!(std::time::Instant::now() < deadline, "ops never taken");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    drop(first);
+
+    // The slot frees once the daemon sees the hang-up.
+    let mut second = loop {
+        assert!(std::time::Instant::now() < deadline, "slot never freed");
+        match MantleClient::connect(&daemon.addr, "client") {
+            Ok(client) => break client,
+            Err(e) if e.to_string().contains("no-slot") => {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            Err(e) => panic!("{e}"),
+        }
+    };
+    assert_eq!(second.slot(), Some(0));
+    let (submitted, completed) = counts(&mut admin);
+    assert!(
+        completed < submitted,
+        "the slot was rebound with ops in flight: {completed} of {submitted} done"
+    );
+
+    for id in 1..=5 {
+        second.send(&create(id)).expect("sent");
+    }
+    for id in 1..=5 {
+        let reply = second.recv_required().expect("reply");
+        assert_eq!(reply.get_u64("id"), Some(id), "reply: {reply}");
+        assert_eq!(reply.get_str("status"), Some("ok"), "reply: {reply}");
+    }
+    assert_eq!(counts(&mut admin), (FIRST + 5, FIRST + 5));
+
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    assert!(daemon.finish().0, "mantled exits cleanly");
+}
+
+/// A peer that says hello and hangs up before the daemon has answered
+/// leaves its slot free for the next client.
+#[test]
+fn a_client_that_hangs_up_after_its_hello_frees_the_slot() {
+    use std::io::Write as _;
+    let daemon = Daemon::spawn(&["--sessions=1", "--clock=sim"]);
+    let hello = mantle_daemon::wire::encode_frame(&Json::obj(vec![
+        ("type", Json::str("hello")),
+        ("role", Json::str("client")),
+        ("proto", Json::num(1.0)),
+    ]));
+    for _ in 0..20 {
+        let mut peer = std::net::TcpStream::connect(&daemon.addr).expect("connects");
+        peer.write_all(&hello).expect("hello sent");
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let mut client = loop {
+        match MantleClient::connect(&daemon.addr, "client") {
+            Ok(client) => break client,
+            Err(e) if e.to_string().contains("no-slot") => {
+                assert!(std::time::Instant::now() < deadline, "the slot leaked");
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            Err(e) => panic!("{e}"),
+        }
+    };
+    let reply = client
+        .op("create", "/smoke/after-the-hang-ups")
+        .expect("op");
+    assert_eq!(reply.get_str("status"), Some("ok"));
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    assert!(daemon.finish().0, "mantled exits cleanly");
+}
