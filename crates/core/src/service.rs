@@ -4,10 +4,10 @@
 //!
 //! Two callers share this module:
 //!
-//! * `mantled --scenario <name>` (and the `scenario` admin verb) looks a
-//!   name up with [`scenario`] and runs it via [`run_service`], so a
-//!   daemon deployment can sanity-check its engine against known
-//!   workloads without any live clients;
+//! * `mantled --scenario <name>` and the `scenario` admin verb both call
+//!   [`self_check`], which looks the name up with [`scenario`] and runs it
+//!   via [`run_service`], so a daemon deployment can sanity-check its
+//!   engine against known workloads without any live clients;
 //! * `tests/daemon_equivalence.rs` runs the same [`Experiment`] through
 //!   both [`run_service`] and [`crate::run_experiment`] and asserts the
 //!   [`RunReport`]s are byte-identical — the service pump must observe
@@ -99,6 +99,14 @@ pub fn scenario(name: &str) -> Option<Experiment> {
         _ => return None,
     };
     Some(spec)
+}
+
+/// Run the named scenario through the service path, as `mantled
+/// --scenario` and the `scenario` admin verb do. An unknown name is an
+/// `Err` listing the valid ones (`try one of [...]`).
+pub fn self_check(name: &str) -> Result<RunReport, String> {
+    let spec = scenario(name).ok_or_else(|| format!("try one of {SCENARIO_NAMES:?}"))?;
+    Ok(run_service(&spec, None).0)
 }
 
 /// Run an experiment through the **service** engine path: the cluster is

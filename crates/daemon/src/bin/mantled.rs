@@ -33,15 +33,13 @@ fn main() {
     };
 
     if let Some(name) = &cfg.scenario {
-        let Some(spec) = mantle_core::service::scenario(name) else {
-            eprintln!(
-                "mantled: unknown scenario `{name}` (try one of {:?})",
-                mantle_core::service::SCENARIO_NAMES
-            );
-            std::process::exit(2);
-        };
-        let (report, _) = mantle_core::service::run_service(&spec, None);
-        println!("{}", report_json(&report));
+        match mantle_core::service::self_check(name) {
+            Ok(report) => println!("{}", report_json(&report)),
+            Err(e) => {
+                eprintln!("mantled: unknown scenario `{name}` ({e})");
+                std::process::exit(2);
+            }
+        }
         return;
     }
 

@@ -562,17 +562,14 @@ impl Server {
             }
             Some("scenario") => {
                 let name = msg.get_str("name").unwrap_or("");
-                let Some(spec) = mantle_core::service::scenario(name) else {
-                    return Some(error_msg(
-                        id,
-                        "unknown-scenario",
-                        format!("try one of {:?}", mantle_core::service::SCENARIO_NAMES),
-                    ));
-                };
                 // Runs synchronously on the reactor thread: scenarios are
-                // small fixed workloads, and the live engine keeps running
-                // independently on its own thread meanwhile.
-                let (report, _) = mantle_core::service::run_service(&spec, None);
+                // small fixed workloads. The live engine keeps simulating
+                // on its own thread meanwhile, but no connection is read
+                // or answered until the scenario is done.
+                let report = match mantle_core::service::self_check(name) {
+                    Ok(report) => report,
+                    Err(e) => return Some(error_msg(id, "unknown-scenario", e)),
+                };
                 let mut out = report_json(&report);
                 if let (Json::Obj(members), Some(i)) = (&mut out, id) {
                     members.insert(1, ("id".into(), Json::num(i as f64)));

@@ -415,8 +415,6 @@ pub(crate) struct BalancerSet {
     streak: Vec<u32>,
     /// Streak length that swaps in the CephFS balancer (0 = never).
     fallback_after: u32,
-    /// Count of balancer hook errors (bad policies surface here).
-    pub(crate) errors: u64,
     /// Fallbacks taken.
     pub(crate) fallbacks: u64,
     /// The configured policy's name: pinned at construction and at each
@@ -436,7 +434,6 @@ impl BalancerSet {
             poisoned: vec![false; n],
             streak: vec![0; n],
             fallback_after,
-            errors: 0,
             fallbacks: 0,
         }
     }
@@ -457,13 +454,13 @@ impl BalancerSet {
         self.balancers.iter().all(|b| b.metaload_is_additive())
     }
 
-    /// MDS `m`'s `metaload` of `heat`; a failing hook is counted and
-    /// answered with the CephFS formula.
-    pub(crate) fn metaload(&mut self, m: MdsId, heat: &HeatSample) -> f64 {
-        self.balancers[m].metaload(heat).unwrap_or_else(|_| {
-            self.errors += 1;
-            heat.cephfs_metaload()
-        })
+    /// MDS `m`'s `metaload` of `heat`; a failing hook is answered with
+    /// the CephFS formula, counted nowhere, and leaves the error streak
+    /// alone.
+    pub(crate) fn metaload(&self, m: MdsId, heat: &HeatSample) -> f64 {
+        self.balancers[m]
+            .metaload(heat)
+            .unwrap_or_else(|_| heat.cephfs_metaload())
     }
 
     /// Make every future tick of `m`'s balancer fail (fault injection).
@@ -485,7 +482,6 @@ impl BalancerSet {
     /// consecutive failures the MDS swaps in the default CephFS balancer
     /// (§3.4's graceful degradation).
     pub(crate) fn note_error(&mut self, m: MdsId, now: SimTime, trace: &mut Tracer) {
-        self.errors += 1;
         self.streak[m] += 1;
         let consecutive = self.streak[m];
         trace.emit(now, || TraceEvent::PolicyError {
@@ -508,23 +504,16 @@ impl BalancerSet {
     /// failure — exceptional, the policy was validated upstream — the old
     /// balancers keep running.
     pub(crate) fn install(&mut self, name: &str, set: &PolicySet) -> PolicyResult<()> {
-        match MantleBalancer::new_unvalidated(name, set.clone()) {
-            Ok(first) => {
-                for b in &mut self.balancers {
-                    *b = Box::new(first.fork());
-                }
-                // A fresh policy gets a clean slate: prior poisoning and
-                // error streaks belonged to the replaced one.
-                self.poisoned.fill(false);
-                self.streak.fill(0);
-                self.name = name.to_string();
-                Ok(())
-            }
-            Err(e) => {
-                self.errors += 1;
-                Err(e)
-            }
+        let first = MantleBalancer::new_unvalidated(name, set.clone())?;
+        for b in &mut self.balancers {
+            *b = Box::new(first.fork());
         }
+        // A fresh policy gets a clean slate: prior poisoning and error
+        // streaks belonged to the replaced one.
+        self.poisoned.fill(false);
+        self.streak.fill(0);
+        self.name = name.to_string();
+        Ok(())
     }
 }
 

@@ -104,7 +104,7 @@ impl Barrier {
                 let split_us = cfg.costs.split_us;
                 let plane = x.plane();
                 let c = &mut plane.counters[auth];
-                c.splits += 1;
+                c.report.splits += 1;
                 c.busy_window_us += split_us;
                 plane.next_free[auth] =
                     plane.next_free[auth].max(window_end) + SimTime::from_micros_f64(split_us);

@@ -196,9 +196,9 @@ impl Coordinator {
         self.trace.epoch += 1;
         // Accrue provisioned MDS-time up to this instant under the *old*
         // membership; transitions below only bill from here on.
-        self.membership.accrue(now);
+        self.membership.accrue(now, x.sim().members());
         // 1. Every MDS packages up its metrics ("send HB").
-        let heartbeats = self.hb.snapshot(x, &mut self.policy, &self.cfg, now);
+        let heartbeats = self.hb.snapshot(x, &self.policy, &self.cfg, now);
         // Timeline + tick record before the windows roll, so the sampled
         // queue depth / throughput are the ones the balancers will act on.
         if let Some(timeline) = self.trace.timeline() {
@@ -370,7 +370,6 @@ impl Cluster {
             cold_until: DirStamps::default(),
             caches,
             member: (0..n).map(|m| m < initial_members).collect(),
-            membership_epoch: 0,
         };
         let co = Coordinator {
             policy: BalancerSet::new(
@@ -378,7 +377,7 @@ impl Cluster {
                 cfg.faults.fallback_after,
             ),
             hb: HeartbeatView::new(&cfg, &master),
-            membership: Membership::new(initial_members),
+            membership: Membership::default(),
             migrator: Migrator::default(),
             trace: Tracer::new(None, &cfg),
             failovers: 0,
@@ -490,9 +489,9 @@ impl Cluster {
                 .schedule_at(fault.at, GlobalEvent::Fault(fault.kind.clone()));
         }
         let (last_now, stats) = self.driver.run(&mut co, pump.as_mut());
-        let shard = self.driver.shard;
-        co.trace.run_end(last_now, shard.inflight.max(0) as usize);
-        let report = into_report(&co, shard, self.driver.sim.membership_epoch);
+        co.trace
+            .run_end(last_now, self.driver.shard.inflight.max(0) as usize);
+        let report = into_report(&co, self.driver);
         let buffer = match pump {
             Some(pump) => {
                 pump.finish(co.trace.drain(), report.clone());
@@ -504,8 +503,11 @@ impl Cluster {
     }
 }
 
-/// Assemble the report from the coordinator and the drained data plane.
-fn into_report(co: &Coordinator, shard: Shard, membership_epoch: u64) -> RunReport {
+/// Assemble the report from the coordinator and the drained simulation.
+/// Each MDS's report was filled in as the run went; only its `total_ops`
+/// is summed here.
+fn into_report(co: &Coordinator, driver: Driver) -> RunReport {
+    let Driver { sim, shard, .. } = driver;
     let Shard {
         counters,
         clients,
@@ -518,33 +520,20 @@ fn into_report(co: &Coordinator, shard: Shard, membership_epoch: u64) -> RunRepo
         .map(|c| c.finished_at)
         .max()
         .unwrap_or(SimTime::ZERO);
-    let sessions: u64 = counters.iter().map(|c| c.sessions_flushed).sum();
-    let cache_hits: u64 = counters.iter().map(|c| c.cache_hits).sum();
-    let cache_misses: u64 = counters.iter().map(|c| c.cache_misses).sum();
+    let mut mds: Vec<MdsReport> = counters.into_iter().map(|c| c.report).collect();
+    for m in &mut mds {
+        m.total_ops = m.throughput.total();
+    }
+    let sessions: u64 = mds.iter().map(|m| m.sessions_flushed).sum();
+    let cache_hits: u64 = mds.iter().map(|m| m.cache_hits).sum();
+    let cache_misses: u64 = mds.iter().map(|m| m.cache_misses).sum();
     RunReport {
         balancer: co.policy.name.clone(),
         workload: co.workload_name.clone(),
         num_mds: co.cfg.num_mds,
         seed: co.cfg.seed,
         makespan,
-        mds: counters
-            .into_iter()
-            .map(|c| MdsReport {
-                total_ops: c.completed.total(),
-                throughput: c.completed,
-                hits: c.hits,
-                forwards_out: c.forwards_out,
-                forwards_in: c.forwards_in,
-                migrations_out: c.migrations_out,
-                inodes_exported: c.inodes_exported,
-                sessions_flushed: c.sessions_flushed,
-                splits: c.splits,
-                remote_prefix: c.remote_prefix,
-                dropped: c.dropped,
-                cache_hits: c.cache_hits,
-                cache_misses: c.cache_misses,
-            })
-            .collect(),
+        mds,
         clients: clients
             .into_iter()
             .map(|c| ClientReport {
@@ -561,10 +550,10 @@ fn into_report(co: &Coordinator, shard: Shard, membership_epoch: u64) -> RunRepo
         cache_hits,
         cache_misses,
         cache_invalidations: co.barrier.cache_invalidations + co.migrator.cache_invalidations,
-        mds_seconds: co.membership.total_mds_seconds(makespan),
+        mds_seconds: co.membership.total_mds_seconds(makespan, sim.members()),
         joins: co.membership.joins,
         leaves: co.membership.leaves,
-        membership_epoch,
+        membership_epoch: co.membership.epoch(),
     }
 }
 
@@ -977,8 +966,11 @@ mod tests {
             .schedule_at_key(late, key, Event::Arrive { mds: 1, req });
         let trace = &mut cluster.co.trace;
         g.process_window(&mut Window { sim, trace }, late + SimTime::from_micros(1));
-        assert_eq!(g.counters[1].hits, 1, "served, not deferred");
-        assert_eq!(g.counters[1].remote_prefix, 0, "prefix replicas warm");
+        assert_eq!(g.counters[1].report.hits, 1, "served, not deferred");
+        assert_eq!(
+            g.counters[1].report.remote_prefix, 0,
+            "prefix replicas warm"
+        );
     }
 
     /// The moved region of a subtree export about to happen, worked out

@@ -73,14 +73,15 @@ pub fn rendezvous_owner(dir: NodeId, members: &[MdsId]) -> MdsId {
     best
 }
 
-/// Membership accounting, owned by the coordinator.
+/// Membership accounting, owned by the coordinator. The member set itself
+/// is [`crate::shard::SharedSim::member`]; the epoch is the number of
+/// transitions taken, `joins + leaves`.
+#[derive(Default)]
 pub(crate) struct Membership {
     /// MDS-join transitions taken.
     pub(crate) joins: u64,
     /// MDS-leave (drain) transitions taken.
     pub(crate) leaves: u64,
-    /// Current member count (mirrors [`crate::shard::SharedSim::member`]).
-    active: usize,
     /// Provisioned MDS-time accrued so far: the integral of the member
     /// count over virtual time, in seconds. With elasticity off this is
     /// `num_mds × makespan`.
@@ -90,30 +91,24 @@ pub(crate) struct Membership {
 }
 
 impl Membership {
-    pub(crate) fn new(initial_members: usize) -> Self {
-        Membership {
-            joins: 0,
-            leaves: 0,
-            active: initial_members,
-            mds_seconds: 0.0,
-            last_accrual: SimTime::ZERO,
-        }
+    /// The membership epoch: one bump per join or leave.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.joins + self.leaves
     }
 
-    /// Bill the current member count up to `now`; transitions taken after
-    /// this only bill from here on.
-    pub(crate) fn accrue(&mut self, now: SimTime) {
-        self.mds_seconds +=
-            self.active as f64 * (now.as_secs_f64() - self.last_accrual.as_secs_f64());
+    /// Bill `members` MDSs up to `now`; transitions taken after this only
+    /// bill from here on.
+    pub(crate) fn accrue(&mut self, now: SimTime, members: usize) {
+        self.mds_seconds += members as f64 * (now.as_secs_f64() - self.last_accrual.as_secs_f64());
         self.last_accrual = now;
     }
 
-    /// The run's total: the integral closed at the later of the last
-    /// accrual point and `makespan` (heartbeats can outlast the final op).
-    pub(crate) fn total_mds_seconds(&self, makespan: SimTime) -> f64 {
+    /// The run's total with `members` MDSs since the last accrual: the
+    /// integral closed at the later of the last accrual point and
+    /// `makespan` (heartbeats can outlast the final op).
+    pub(crate) fn total_mds_seconds(&self, makespan: SimTime, members: usize) -> f64 {
         let end = makespan.max(self.last_accrual);
-        self.mds_seconds
-            + self.active as f64 * (end.as_secs_f64() - self.last_accrual.as_secs_f64())
+        self.mds_seconds + members as f64 * (end.as_secs_f64() - self.last_accrual.as_secs_f64())
     }
 }
 
@@ -186,15 +181,13 @@ fn join_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: Sim
     let Some(j) = (0..n).find(|&m| !sh.member[m] && sh.up[m]) else {
         return; // no live spare in the pool
     };
-    sh.membership_epoch += 1;
-    let epoch = sh.membership_epoch;
     co.membership.joins += 1;
+    let epoch = co.membership.epoch();
     co.trace.emit(now, || TraceEvent::MdsJoinStart {
         mds: j,
         membership_epoch: epoch,
     });
     sh.member[j] = true;
-    co.membership.active += 1;
     let mut rehomed = 0usize;
     // Rendezvous re-home: move exactly the subtrees whose owner-of-record
     // under the *new* member set is the joiner — the minimal set, nothing
@@ -231,9 +224,8 @@ fn leave_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: Si
         return; // only the mount authority is left
     };
     let sh = x.sim();
-    sh.membership_epoch += 1;
-    let epoch = sh.membership_epoch;
     co.membership.leaves += 1;
+    let epoch = co.membership.epoch();
     co.trace.emit(now, || TraceEvent::MdsDrainStart {
         mds: victim,
         membership_epoch: epoch,
@@ -272,7 +264,6 @@ fn leave_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: Si
         drained,
     });
     x.sim().member[victim] = false;
-    co.membership.active -= 1;
     co.trace.emit(now, || TraceEvent::MdsDeparted {
         mds: victim,
         membership_epoch: epoch,

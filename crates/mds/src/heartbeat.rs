@@ -75,7 +75,7 @@ impl HeartbeatView {
     pub(crate) fn snapshot(
         &mut self,
         x: &mut Exclusive,
-        policy: &mut BalancerSet,
+        policy: &BalancerSet,
         cfg: &ClusterConfig,
         now: SimTime,
     ) -> Arc<[Heartbeat]> {

@@ -1,78 +1,50 @@
 //! Per-MDS metric accounting: the raw material for heartbeats and for the
 //! evaluation figures.
+//!
+//! [`MdsCounters`] holds two kinds of state, each stored once:
+//!
+//! * **window state** — `busy_window_us`, `window_ops`,
+//!   `cache_window_hits` and `cache_window_misses` accumulate over one
+//!   heartbeat window and are zeroed by [`MdsCounters::roll_window`];
+//!   `queued` is the live queue depth. A [`Heartbeat`] is built from
+//!   them.
+//! * **the report** — every run total the evaluation reads (Fig. 3b's
+//!   hits and forwards, §4.1's session flushes, the migrations of
+//!   Figs. 7 and 10, the fault and cache tallies, the 1 s throughput
+//!   series) is counted straight into the MDS's [`MdsReport`], which the
+//!   run hands back as is: nothing is copied into it at the end.
 
-use mantle_sim::{SimTime, TimeSeries};
+use mantle_sim::SimTime;
 
-/// Running counters for one MDS.
-#[derive(Debug, Clone)]
+use crate::report::MdsReport;
+
+/// One MDS's heartbeat-window state, plus the report its run totals are
+/// counted into.
+#[derive(Debug, Clone, Default)]
 pub struct MdsCounters {
-    /// Completed ops per 1 s bucket (the throughput curves of Figs. 4/7/10).
-    pub completed: TimeSeries,
     /// Busy time accumulated in the current heartbeat window, µs.
     pub busy_window_us: f64,
-    /// Requests that arrived here first try and were served here (Fig. 3b
-    /// "hits").
-    pub hits: u64,
-    /// Requests this MDS had to forward elsewhere (Fig. 3b "forwards").
-    pub forwards_out: u64,
-    /// Requests received via a forward.
-    pub forwards_in: u64,
-    /// Ops completed in the current heartbeat window (req rate source).
+    /// Ops served in the current heartbeat window (req rate source).
     pub window_ops: u64,
-    /// Subtree/dirfrag migrations exported.
-    pub migrations_out: u64,
-    /// Inodes exported.
-    pub inodes_exported: u64,
-    /// Client sessions flushed by migrations here (§4.1).
-    pub sessions_flushed: u64,
-    /// Directory fragmentation events handled.
-    pub splits: u64,
-    /// Ops whose path prefix had to be resolved through a remote authority
-    /// (counted with forwards in Fig. 3b's traversal breakdown).
-    pub remote_prefix: u64,
-    /// Requests lost because they reached this MDS while it was crashed
-    /// (the clients that sent them time out and retry).
-    pub dropped: u64,
     /// Currently queued requests.
     pub queued: u64,
-    /// Proxy-cache hits attributed to this MDS over the run: requests the
-    /// cache tier absorbed on its behalf.
-    pub cache_hits: u64,
-    /// Proxy-cache misses routed to this MDS over the run.
-    pub cache_misses: u64,
-    /// Cache hits in the current heartbeat window.
+    /// Proxy-cache absorptions in the current heartbeat window.
     pub cache_window_hits: u64,
-    /// Cache misses in the current heartbeat window.
+    /// Proxy-cache pass-throughs in the current heartbeat window.
     pub cache_window_misses: u64,
+    /// The run totals, counted as they happen; a window roll leaves them.
+    pub report: MdsReport,
 }
 
 impl MdsCounters {
     /// Fresh counters with 1 s throughput buckets.
     pub fn new() -> Self {
-        MdsCounters {
-            completed: TimeSeries::new(SimTime::from_secs(1)),
-            busy_window_us: 0.0,
-            hits: 0,
-            forwards_out: 0,
-            forwards_in: 0,
-            window_ops: 0,
-            migrations_out: 0,
-            inodes_exported: 0,
-            sessions_flushed: 0,
-            splits: 0,
-            remote_prefix: 0,
-            dropped: 0,
-            queued: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_window_hits: 0,
-            cache_window_misses: 0,
-        }
+        Self::default()
     }
 
     /// Record a completed op at `now` taking `service_us`.
     pub fn complete_op(&mut self, now: SimTime, service_us: f64) {
-        self.completed.incr(now);
+        self.report.throughput.incr(now);
         self.busy_window_us += service_us;
         self.window_ops += 1;
     }
@@ -94,12 +66,6 @@ impl MdsCounters {
         self.window_ops = 0;
         self.cache_window_hits = 0;
         self.cache_window_misses = 0;
-    }
-}
-
-impl Default for MdsCounters {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -156,16 +122,16 @@ mod tests {
             c.complete_op(SimTime::from_millis(i * 100), 200.0);
         }
         assert!((c.req_rate(SimTime::from_secs(10)) - 5.0).abs() < 1e-9);
-        c.cache_hits = 3;
+        c.report.cache_hits = 3;
         c.cache_window_hits = 3;
         c.cache_window_misses = 1;
         c.roll_window();
         assert_eq!(c.window_ops, 0);
         assert_eq!(c.busy_window_us, 0.0);
         assert_eq!((c.cache_window_hits, c.cache_window_misses), (0, 0));
-        assert_eq!(c.cache_hits, 3, "run totals survive the roll");
+        assert_eq!(c.report.cache_hits, 3, "run totals survive the roll");
         // Throughput buckets survive the roll.
-        assert_eq!(c.completed.total(), 50.0);
+        assert_eq!(c.report.throughput.total(), 50.0);
     }
 
     #[test]
@@ -174,6 +140,6 @@ mod tests {
         c.complete_op(SimTime::from_millis(100), 100.0);
         c.complete_op(SimTime::from_millis(1_100), 100.0);
         c.complete_op(SimTime::from_millis(1_200), 100.0);
-        assert_eq!(c.completed.values(), &[1.0, 2.0]);
+        assert_eq!(c.report.throughput.values(), &[1.0, 2.0]);
     }
 }

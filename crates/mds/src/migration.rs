@@ -126,9 +126,9 @@ impl Migrator {
             plane.next_free[m] = plane.next_free[m].max(now) + SimTime::from_micros_f64(journal_us);
             plane.counters[m].busy_window_us += journal_us;
         }
-        let exporter = &mut plane.counters[from];
-        exporter.migrations_out += 1;
-        exporter.inodes_exported += moved;
+        let exported = &mut plane.counters[from].report;
+        exported.migrations_out += 1;
+        exported.inodes_exported += moved;
         // Session flushes: every active client halts updates on the moved
         // directories and re-syncs (§4.1). The whole migrated subtree is
         // forgotten — a cache entry for a child dir is as stale as one for
@@ -148,7 +148,7 @@ impl Migrator {
                 flushed += 1;
             }
         }
-        plane.counters[from].sessions_flushed += flushed;
+        plane.counters[from].report.sessions_flushed += flushed;
         trace.emit(now, || TraceEvent::SessionFlush {
             mds: from,
             clients: flushed,

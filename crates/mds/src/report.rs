@@ -2,7 +2,9 @@
 
 use mantle_sim::{SimTime, Summary, TimeSeries};
 
-/// Per-MDS results.
+/// Per-MDS results. The data plane counts into one of these per MDS as
+/// the run goes ([`crate::metrics::MdsCounters::report`]); only
+/// `total_ops` is filled in at the end, from `throughput`.
 #[derive(Debug, Clone)]
 pub struct MdsReport {
     /// Completed ops per second over the run (stacked curves of
@@ -34,6 +36,27 @@ pub struct MdsReport {
     /// Proxy-cache misses routed to this MDS (post-cache arrivals for
     /// cacheable ops). Zero with the cache disabled.
     pub cache_misses: u64,
+}
+
+impl Default for MdsReport {
+    /// An MDS that has served nothing yet, with 1 s throughput buckets.
+    fn default() -> Self {
+        MdsReport {
+            throughput: TimeSeries::new(SimTime::from_secs(1)),
+            total_ops: 0.0,
+            hits: 0,
+            forwards_out: 0,
+            forwards_in: 0,
+            migrations_out: 0,
+            inodes_exported: 0,
+            sessions_flushed: 0,
+            splits: 0,
+            remote_prefix: 0,
+            dropped: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+        }
+    }
 }
 
 /// Per-client results.

@@ -181,11 +181,9 @@ pub struct SharedSim {
     /// Elastic membership per MDS: only members receive placement (hash
     /// pins, balancer targets, re-homing). With the elastic layer off
     /// every entry is `true` for the whole run. Mutated only in exclusive
-    /// heartbeat steps, so windows read a stable view.
+    /// heartbeat steps, so windows read a stable view. The transitions
+    /// are counted once, by the coordinator's `elastic::Membership`.
     pub(crate) member: Vec<bool>,
-    /// Membership epoch: join/leave transitions completed so far. Bumped
-    /// with every membership change (exclusive steps only).
-    pub(crate) membership_epoch: u64,
     /// Service-time multiplier per MDS while `now < slow_until`.
     pub(crate) slow_factor: Vec<f64>,
     pub(crate) slow_until: Vec<SimTime>,
@@ -200,6 +198,13 @@ pub struct SharedSim {
     /// touches, and invalidations are deferred [`NsOp`]s applied at
     /// barriers. Empty when the cache is disabled.
     pub(crate) caches: Vec<GroupCache>,
+}
+
+impl SharedSim {
+    /// How many MDSs are members right now.
+    pub(crate) fn members(&self) -> usize {
+        self.member.iter().filter(|&&m| m).count()
+    }
 }
 
 /// What a window works against besides the data plane itself: the shared
@@ -510,7 +515,7 @@ impl Shard {
             // entry's authority so policies can see what the tier is
             // absorbing on each MDS's behalf.
             let counters = &mut self.counters[cached];
-            counters.cache_hits += 1;
+            counters.report.cache_hits += 1;
             counters.cache_window_hits += 1;
             w.trace.emit_data(now, || TraceEvent::CacheHit {
                 group,
@@ -534,7 +539,7 @@ impl Shard {
             // Cacheable but absent: post-cache traffic the routed MDS
             // actually receives.
             let counters = &mut self.counters[mds];
-            counters.cache_misses += 1;
+            counters.report.cache_misses += 1;
             counters.cache_window_misses += 1;
         }
         w.trace.emit_data(now, || TraceEvent::RequestIssued {
@@ -625,7 +630,7 @@ impl Shard {
         // A crashed MDS serves nothing: the request is lost on the floor
         // and the issuing client's timeout recovers it.
         if !sh.up[mds] {
-            self.counters[mds].dropped += 1;
+            self.counters[mds].report.dropped += 1;
             self.inflight -= 1;
             w.trace.emit_data(now, || TraceEvent::Dropped {
                 mds,
@@ -667,7 +672,7 @@ impl Shard {
         let auth = sh.ns.frag_auth(req.op.dir, frag);
         if auth != mds {
             // Wrong MDS: pay a forward (wasted service here + a hop).
-            self.counters[mds].forwards_out += 1;
+            self.counters[mds].report.forwards_out += 1;
             let fwd_us = self.cfg.costs.forward_us;
             let start = self.next_free[mds].max(now);
             self.next_free[mds] = start + SimTime::from_micros_f64(fwd_us);
@@ -688,9 +693,9 @@ impl Shard {
             return;
         }
         if req.forwarded {
-            self.counters[mds].forwards_in += 1;
+            self.counters[mds].report.forwards_in += 1;
         } else {
-            self.counters[mds].hits += 1;
+            self.counters[mds].report.hits += 1;
         }
         w.trace.emit_data(now, || TraceEvent::Served {
             mds,
@@ -709,7 +714,7 @@ impl Shard {
         if in_cold(sh, req.op.dir, now) {
             if sh.ns.dir(req.op.dir).parent.is_some() {
                 base *= 1.0 + self.cfg.costs.remote_prefix_penalty;
-                self.counters[mds].remote_prefix += 1;
+                self.counters[mds].report.remote_prefix += 1;
             }
         } else if self.cfg.placement == PlacementPolicy::HashDirs {
             // Hash-based placement has no subtree prefix replication
@@ -718,7 +723,7 @@ impl Shard {
             if let Some(parent) = sh.ns.dir(req.op.dir).parent {
                 if sh.ns.resolve_auth(parent) != mds {
                     base *= 1.0 + self.cfg.costs.remote_prefix_penalty;
-                    self.counters[mds].remote_prefix += 1;
+                    self.counters[mds].report.remote_prefix += 1;
                 }
             }
         }

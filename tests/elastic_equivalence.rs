@@ -24,7 +24,17 @@ use mantle::mds::HookEngine;
 use mantle::policy::env::PolicySet;
 use mantle::prelude::*;
 
+mod support;
+use support::fnv1a;
+
 const SEED: u64 = 42;
+
+/// The hash of the bytecode run's report — `elastic::run_elastic(QUICK,
+/// 42)`, which runs the same spec under the default engine — recorded
+/// before membership's epoch stopped being stored apart from its joins
+/// and leaves. It holds `joins`, `leaves`, `membership_epoch` and
+/// `mds_seconds` to a recorded value.
+const PINNED: u64 = 11_479_406_278_485_448_837;
 
 /// The quick diurnal elastic spec with an explicit hook engine. The spec
 /// is the same one `elastic_beats_every_fixed_size` scores, so the
@@ -54,6 +64,11 @@ fn elastic_reports_identical_across_engines_and_exec_modes() {
         format!("{oracle:?}"),
         format!("{report:?}"),
         "the bytecode engine diverged from the tree oracle"
+    );
+    assert_eq!(
+        fnv1a(&format!("{report:?}")),
+        PINNED,
+        "the elastic report changed"
     );
 }
 

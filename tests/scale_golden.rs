@@ -12,17 +12,19 @@
 //! A second pin runs 300 MDSs, more than a client's one-byte route slot
 //! can name, so the routes to MDSs 254 and up take the route table's
 //! overflow path in a whole run.
+//!
+//! A third pins the proxy-cache counters, which no other golden records:
+//! the cache-on half of the quick flash-crowd pair, the table's
+//! no-balancer row.
 
+use mantle::core::flashcrowd::run_pair;
+use mantle::core::repro::ReproOpts;
 use mantle::core::scale::{scale_experiment, ScaleSpec};
+use mantle::core::BalancerSpec;
 use mantle::prelude::*;
 
-/// FNV-1a over the report's `Debug` text: written out so the constant does
-/// not depend on the standard library's unspecified `DefaultHasher`.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+mod support;
+use support::fnv1a;
 
 const PINNED: u64 = 13_494_702_248_942_097_695;
 
@@ -73,5 +75,20 @@ fn report_at_128_mds_is_pinned_in_both_exec_modes() {
         fnv1a(&format!("{report:?}")),
         PINNED,
         "the 128-MDS report changed"
+    );
+}
+
+/// The cache-on storm report's hash, recorded before the per-MDS run
+/// totals moved into the report the data plane fills.
+const PINNED_FLASHCROWD: u64 = 13_491_174_549_482_971_996;
+
+#[test]
+fn cache_on_flashcrowd_report_is_pinned() {
+    let (_, on) = run_pair(ReproOpts::QUICK, BalancerSpec::None, 42);
+    assert!(on.cache_hits > 0, "the cache absorbed nothing");
+    assert_eq!(
+        fnv1a(&format!("{on:?}")),
+        PINNED_FLASHCROWD,
+        "the cache-on flash-crowd report changed"
     );
 }

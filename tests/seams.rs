@@ -269,6 +269,35 @@ const GUARDS: &[Guard] = &[
               run_hook and nothing else",
     },
     Guard {
+        names: &[
+            "hits",
+            "forwards_out",
+            "forwards_in",
+            "migrations_out",
+            "inodes_exported",
+            "sessions_flushed",
+            "splits",
+            "remote_prefix",
+            "dropped",
+            "cache_hits",
+            "cache_misses",
+            "completed",
+        ],
+        paths: &["crates/mds/src/metrics.rs"],
+        allowed: &[],
+        scope: Scope::Item("pub struct MdsCounters"),
+        why: "a per-MDS run total is declared twice again: MdsCounters holds heartbeat-window \
+              state only, and the data plane counts run totals straight into its MdsReport",
+    },
+    Guard {
+        names: &["membership_epoch"],
+        paths: &["crates/mds/src/shard.rs"],
+        allowed: &[],
+        scope: Scope::Item("pub struct SharedSim"),
+        why: "the membership epoch is stored again: it is joins + leaves, counted once by \
+              elastic::Membership",
+    },
+    Guard {
         names: &["mdss", "rows", "DecideTables"],
         paths: &["crates/policy/src/env.rs"],
         allowed: &[],

@@ -1,5 +1,6 @@
-//! Walk oracles for the namespace's indexes, shared by `properties.rs`
-//! and `index_equivalence.rs`.
+//! Test support shared by the files in `tests/`: the namespace walk
+//! oracles (`properties.rs`, `index_equivalence.rs`) and the report hash
+//! the pinned goldens compare against.
 //!
 //! [`Namespace`] answers `resolve_auth`, `auth_frags`,
 //! `export_candidate_dirs`, `frag_span`, `peek_frag`, `migrate_subtree`'s
@@ -10,10 +11,18 @@
 //! from the tree alone — `Dir::{parent, children, auth}` and
 //! `Frag::{auth, files, heat}` — by walking it, and compares.
 
-#![allow(dead_code)] // each test crate uses its own half
+#![allow(dead_code)] // each test crate uses its own part
 
 use mantle::namespace::{FragRef, HeatSample, MdsId, Namespace, NodeId};
 use mantle::sim::SimTime;
+
+/// FNV-1a over a report's `Debug` text: written out so a pinned constant
+/// does not depend on the standard library's unspecified `DefaultHasher`.
+pub fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// Subtree overrides from `d` up to the root, nearest first, each MDS
 /// once: the MDSs that know `d`'s path prefix. The first serves `d`.
