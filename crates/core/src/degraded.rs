@@ -73,7 +73,7 @@ pub fn base_experiment(opts: ReproOpts, seed: u64) -> Experiment {
         },
         BalancerSpec::mantle(
             "greedy-spill-even",
-            policies::greedy_spill_even().expect("preset policy validates"),
+            policies::greedy_spill_even().expect("preset policy parses"),
         ),
     )
 }

@@ -98,23 +98,23 @@ pub fn scaler_balancer() -> BalancerSpec {
     BalancerSpec::mantle(
         "elastic-scaler",
         policies::elastic_scaler_membership_only(GROW_THRESHOLD, SHRINK_THRESHOLD)
-            .expect("preset policy validates"),
+            .expect("preset policy parses"),
     )
 }
 
 /// The diurnal experiment on a pool of `num_mds` MDSs, with every
 /// client's private directory statically bound round-robin across the
-/// first `spread_over` MDSs. Fixed rows spread over all their members —
-/// the best static partition a fixed cluster could ask for — while the
-/// elastic row starts everything on MDS 0 and lets joins re-home it.
+/// initial members. Fixed rows spread over all their members — the best
+/// static partition a fixed cluster could ask for — while the elastic
+/// row starts everything on MDS 0 and lets joins re-home it.
 pub fn diurnal_experiment(
     opts: ReproOpts,
     num_mds: usize,
     elastic: ElasticConfig,
-    spread_over: usize,
     seed: u64,
 ) -> Experiment {
     let (clients, night_clients, days, ops_per_day, period) = sizes(opts);
+    let spread_over = elastic.initial(num_mds);
     let mut exp = Experiment::new(
         base_config(num_mds, seed).with_elastic(elastic),
         WorkloadSpec::Diurnal {
@@ -141,25 +141,13 @@ pub fn diurnal_experiment(
 
 /// Run the diurnal cycle on a fixed cluster of `n` members.
 pub fn run_fixed(opts: ReproOpts, n: usize, seed: u64) -> RunReport {
-    run_experiment(&diurnal_experiment(
-        opts,
-        n,
-        ElasticConfig::default(),
-        n,
-        seed,
-    ))
+    run_experiment(&diurnal_experiment(opts, n, ElasticConfig::default(), seed))
 }
 
 /// Run the diurnal cycle on the elastic pool: `POOL` MDSs provisioned,
 /// one member at t = 0, the `howmany` hook in charge of the rest.
 pub fn run_elastic(opts: ReproOpts, seed: u64) -> RunReport {
-    run_experiment(&diurnal_experiment(
-        opts,
-        POOL,
-        ElasticConfig::on(),
-        1,
-        seed,
-    ))
+    run_experiment(&diurnal_experiment(opts, POOL, ElasticConfig::on(), seed))
 }
 
 /// Run elastic against every fixed size in the pool and render the table.
@@ -214,7 +202,7 @@ mod tests {
     #[test]
     #[ignore = "diagnostic"]
     fn debug_elastic_timeline() {
-        let spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), 1, 42);
+        let spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), 42);
         let (r, buf) = run_experiment_traced(&spec, mantle_mds::TraceLevel::Decisions);
         for rec in buf.records() {
             use mantle_mds::TraceEvent as E;

@@ -208,10 +208,10 @@ impl BalancerSpec {
                 policy,
                 engine,
             } => {
-                // Presets are validated in `policies`; here the policy has
-                // already passed or the caller opted in explicitly.
+                // No validation here: a run takes the policy as given
+                // (presets are validated by `policies`' tests).
                 let first = MantleBalancer::new_unvalidated(name.clone(), policy.clone())
-                    .expect("policy set was already validated")
+                    .expect("every howmuch selector is a builtin or the policy's own")
                     .with_engine(*engine);
                 Box::new(move |_| Box::new(first.fork()))
             }

@@ -72,11 +72,11 @@ pub fn storm_balancers() -> Vec<BalancerSpec> {
         BalancerSpec::Cephfs,
         BalancerSpec::mantle(
             "greedy-spill-even",
-            policies::greedy_spill_even().expect("preset policy validates"),
+            policies::greedy_spill_even().expect("preset policy parses"),
         ),
         BalancerSpec::mantle(
             "fill-and-spill",
-            policies::fill_and_spill(0.25).expect("preset policy validates"),
+            policies::fill_and_spill(0.25).expect("preset policy parses"),
         ),
     ]
 }

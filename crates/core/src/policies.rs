@@ -6,7 +6,6 @@
 //! printed listings are pseudo-code (edge guards, the `max` shadowing bug
 //! in Listing 4, integral cluster-partition arithmetic in Listing 2).
 
-use mantle_mds::MantleBalancer;
 use mantle_policy::env::PolicySet;
 use mantle_policy::PolicyResult;
 
@@ -174,14 +173,10 @@ pub fn cephfs_original() -> PolicyResult<PolicySet> {
     )
 }
 
-/// Build a validated [`MantleBalancer`] from one of the presets.
-pub fn balancer(name: &str, policy: PolicySet) -> PolicyResult<MantleBalancer> {
-    MantleBalancer::new(name, policy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mantle_mds::MantleBalancer;
     use mantle_policy::PolicyValidator;
 
     #[test]
@@ -240,7 +235,7 @@ mod tests {
 
     #[test]
     fn presets_build_balancers() {
-        assert!(balancer("greedy", greedy_spill().unwrap()).is_ok());
-        assert!(balancer("adaptable", adaptable().unwrap()).is_ok());
+        assert!(MantleBalancer::new("greedy", greedy_spill().unwrap()).is_ok());
+        assert!(MantleBalancer::new("adaptable", adaptable().unwrap()).is_ok());
     }
 }

@@ -106,7 +106,7 @@ pub fn scale_experiment(spec: &ScaleSpec, _: SchedulerKind, seed: u64) -> Experi
         },
         BalancerSpec::mantle(
             "greedy-spill-even",
-            policies::greedy_spill_even().expect("preset policy validates"),
+            policies::greedy_spill_even().expect("preset policy parses"),
         ),
     )
 }

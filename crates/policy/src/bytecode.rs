@@ -365,6 +365,29 @@ impl BytecodeProgram {
         &self.globals
     }
 
+    /// Names of the global slots some instruction reads and none writes,
+    /// sorted: the names the environment has to supply.
+    pub(crate) fn unassigned_reads(&self) -> Vec<&str> {
+        let mut read = vec![false; self.globals.len()];
+        let mut written = vec![false; self.globals.len()];
+        for instr in &self.code {
+            match instr.op {
+                Op::LoadGlobal { slot, .. } => read[slot as usize] = true,
+                Op::StoreGlobal { slot, .. } => written[slot as usize] = true,
+                _ => {}
+            }
+        }
+        let mut names: Vec<&str> = self
+            .globals
+            .iter()
+            .enumerate()
+            .filter(|&(slot, _)| read[slot] && !written[slot])
+            .map(|(_, name)| &**name)
+            .collect();
+        names.sort_unstable();
+        names
+    }
+
     /// The global frame a run starts from: every host binding the script
     /// mentions at its slot, `Nil` everywhere else.
     pub fn base_frame(&self, host: &[(&'static str, Value)]) -> Vec<Value> {

@@ -378,6 +378,11 @@ impl CompiledHook {
         &self.script
     }
 
+    /// The globals the script reads and never assigns, sorted by name.
+    pub(crate) fn unassigned_reads(&self) -> Vec<&str> {
+        self.bc.unassigned_reads()
+    }
+
     /// Whether the host put something behind `name` in the base frame (a
     /// stdlib function, `math`, `WRstate`/`RDstate`).
     pub(crate) fn host_binds(&self, name: &str) -> bool {

@@ -8,11 +8,11 @@
 //! 1. **Parse/compile** — [`PolicySource::compile`] builds a
 //!    [`PolicySet`] from the raw hook sources; syntax errors stop here.
 //! 2. **Validate** — [`prepare`] runs the full [`PolicyValidator`]
-//!    gauntlet: the static global scan plus dry runs over the synthetic
-//!    clusters, each evaluated at *both membership extremes* (all MDSs
-//!    up, and a single survivor) exactly as the elastic validator does,
-//!    so a policy that only divides by `#MDSs - 1` when the cluster is
-//!    full is caught before installation.
+//!    gauntlet: the static check for unbound globals, then dry runs of
+//!    `metaload` and the decision (`mdsload` included) on six fixed
+//!    synthetic clusters, one of them a single MDS, so a policy that
+//!    divides by `#MDSs - 1` is caught before installation. Only a
+//!    `howmany` hook also runs at `active = 1` and `active = n` on each.
 //! 3. **Hand over** — the caller passes the validated [`PolicySet`] by
 //!    value to whatever owns the balancers (the daemon sends it to its
 //!    engine thread, which installs it on every MDS in one exclusive

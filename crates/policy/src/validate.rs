@@ -16,10 +16,8 @@
 //!    budget it runs with in production; all must complete without
 //!    errors, and a selector must answer with distinct in-range indices.
 
-use std::collections::HashSet;
 use std::rc::Rc;
 
-use crate::ast::{Block, Expr, LValue, Script, Stmt};
 use crate::env::{
     BalancerInputs, Bind, CompiledHook, CompiledPolicy, FragMetrics, MantleRuntime, MdsMetrics,
     PolicySet,
@@ -102,13 +100,17 @@ impl PolicyValidator {
     }
 }
 
-/// Static stage: every global a script reads before assigning it must be
+/// Static stage: every global a script reads and never assigns must be
 /// one its environment binds — a [`Bind`] name of that environment, or a
-/// host name present in the script's own base frame.
+/// host name present in the script's own base frame. Which names are
+/// globals is the compiler's answer: a `local` is visible only inside its
+/// block.
 fn check_globals(policy: &CompiledPolicy) -> PolicyResult<()> {
     let unknown_in = |hook: &CompiledHook, env: &[&str]| {
-        let bound = |name: &str| env.contains(&name) || hook.host_binds(name);
-        unknown_globals(hook.script(), bound).into_iter().next()
+        let mut reads = hook.unassigned_reads().into_iter();
+        reads
+            .find(|name| !env.contains(name) && !hook.host_binds(name))
+            .map(String::from)
     };
     for hook in policy.hooks() {
         if let Some(name) = unknown_in(hook, Bind::hook_env()) {
@@ -183,136 +185,6 @@ fn synthetic_clusters() -> Vec<(&'static str, BalancerInputs)> {
         ("last-mds", mk(&[10.0, 10.0, 80.0], &[20.0, 20.0, 85.0], 2)),
         ("even-cluster", mk(&[25.0, 25.0, 25.0, 25.0], &[50.0; 4], 1)),
     ]
-}
-
-/// Collect globals a script reads before ever assigning them, excluding
-/// those its environment has `bound`.
-fn unknown_globals(script: &Script, bound: impl Fn(&str) -> bool) -> Vec<String> {
-    let mut ctx = GlobalScan::default();
-    ctx.block(&script.block);
-    let mut out: Vec<String> = ctx
-        .reads
-        .into_iter()
-        .filter(|name| !bound(name) && !ctx.writes.contains(name))
-        .collect();
-    out.sort();
-    out
-}
-
-#[derive(Default)]
-struct GlobalScan {
-    reads: HashSet<String>,
-    writes: HashSet<String>,
-    locals: HashSet<String>,
-}
-
-impl GlobalScan {
-    fn block(&mut self, block: &Block) {
-        for stmt in &block.stmts {
-            self.stmt(stmt);
-        }
-    }
-
-    fn stmt(&mut self, stmt: &Stmt) {
-        match stmt {
-            Stmt::Assign { target, value, .. } => {
-                self.expr(value);
-                match target {
-                    LValue::Name(n) => {
-                        if !self.locals.contains(n) {
-                            self.writes.insert(n.clone());
-                        }
-                    }
-                    LValue::Index { object, key } => {
-                        self.expr(object);
-                        self.expr(key);
-                    }
-                }
-            }
-            Stmt::Local { name, value, .. } => {
-                if let Some(v) = value {
-                    self.expr(v);
-                }
-                self.locals.insert(name.clone());
-            }
-            Stmt::If {
-                arms, else_block, ..
-            } => {
-                for (c, b) in arms {
-                    self.expr(c);
-                    self.block(b);
-                }
-                if let Some(b) = else_block {
-                    self.block(b);
-                }
-            }
-            Stmt::While { cond, body, .. } => {
-                self.expr(cond);
-                self.block(body);
-            }
-            Stmt::NumericFor {
-                var,
-                start,
-                stop,
-                step,
-                body,
-                ..
-            } => {
-                self.expr(start);
-                self.expr(stop);
-                if let Some(s) = step {
-                    self.expr(s);
-                }
-                let fresh = self.locals.insert(var.clone());
-                self.block(body);
-                if fresh {
-                    self.locals.remove(var);
-                }
-            }
-            Stmt::ExprStmt { expr, .. } => self.expr(expr),
-            Stmt::Do { body } => self.block(body),
-            Stmt::Return { value, .. } => {
-                if let Some(v) = value {
-                    self.expr(v);
-                }
-            }
-            Stmt::Break { .. } => {}
-        }
-    }
-
-    fn expr(&mut self, expr: &Expr) {
-        match expr {
-            Expr::Name(n, _) if !self.locals.contains(n) && !self.writes.contains(n) => {
-                self.reads.insert(n.clone());
-            }
-            Expr::Name(..) => {}
-            Expr::Index { object, key, .. } => {
-                self.expr(object);
-                self.expr(key);
-            }
-            Expr::Call { callee, args, .. } => {
-                self.expr(callee);
-                for a in args {
-                    self.expr(a);
-                }
-            }
-            Expr::Unary { operand, .. } => self.expr(operand),
-            Expr::Binary { lhs, rhs, .. } => {
-                self.expr(lhs);
-                self.expr(rhs);
-            }
-            Expr::TableCtor { items, pairs, .. } => {
-                for i in items {
-                    self.expr(i);
-                }
-                for (k, v) in pairs {
-                    self.expr(k);
-                    self.expr(v);
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -511,7 +383,22 @@ MDSs[#MDSs + 1] = {}
     #[test]
     fn for_loop_variable_is_local_to_loop() {
         let script = crate::parser::parse_script("for j=1,3 do x = j end y = j").unwrap();
-        let unknown = unknown_globals(&script, |_| false);
-        assert_eq!(unknown, vec!["j".to_string()], "j leaks outside the loop");
+        let hook = CompiledHook::compile(script, &[]);
+        assert_eq!(hook.unassigned_reads(), ["j"], "j leaks outside the loop");
+    }
+
+    #[test]
+    fn block_local_is_local_to_block() {
+        // No synthetic cluster takes the branch, so only the static stage
+        // can see that `tgt` is an unbound global there.
+        let p = PolicySet::from_combined(
+            "IWR",
+            "MDSs[i][\"all\"]",
+            "do local tgt = 0 end if whoami > 99 then targets[1] = tgt end",
+            &["half"],
+        )
+        .unwrap();
+        let err = PolicyValidator::new().validate(&p).unwrap_err();
+        assert!(err.to_string().contains("global 'tgt'"), "{err}");
     }
 }

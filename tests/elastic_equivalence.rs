@@ -41,7 +41,7 @@ const PINNED: u64 = 11_479_406_278_485_448_837;
 /// matrix below exercises real joins, re-homes, and drains — not a
 /// cluster that happens to stay put.
 fn elastic_spec(engine: HookEngine) -> Experiment {
-    let mut spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), 1, SEED);
+    let mut spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), SEED);
     spec.balancer = BalancerSpec::mantle_with_engine(
         "elastic-scaler",
         policies::elastic_scaler_membership_only(GROW_THRESHOLD, SHRINK_THRESHOLD).unwrap(),
@@ -85,7 +85,7 @@ fn inert_default_matches_a_hookless_policy_byte_for_byte() {
         &["half"],
     )
     .unwrap();
-    let with_hook = diurnal_experiment(ReproOpts::QUICK, 2, ElasticConfig::default(), 2, SEED);
+    let with_hook = diurnal_experiment(ReproOpts::QUICK, 2, ElasticConfig::default(), SEED);
     let mut without_hook = with_hook.clone();
     // Same display name so the only possible report difference is
     // behavioral, not the label.

@@ -209,7 +209,7 @@ fn fault_runs_are_identical_across_policy_engines() {
 fn crash_of_joining_mds_mid_rehome_degrades_gracefully() {
     use mantle::core::elastic::{diurnal_experiment, POOL};
 
-    let mut spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), 1, 42);
+    let mut spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), 42);
     spec.config.faults = reactions()
         .crash(SimTime::from_millis(600), 1)
         .restart(SimTime::from_millis(2_000), 1);
@@ -241,7 +241,7 @@ fn crash_of_joining_mds_mid_rehome_degrades_gracefully() {
 fn crash_of_draining_mds_mid_migrate_degrades_gracefully() {
     use mantle::core::elastic::{diurnal_experiment, POOL};
 
-    let mut spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), 1, 42);
+    let mut spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), 42);
     spec.config.faults = reactions().crash(SimTime::from_millis(3_500), 3);
     let (r, trace) = run_experiment_traced(&spec, TraceLevel::Full);
 

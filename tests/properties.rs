@@ -1049,7 +1049,7 @@ fn elastic_runs_conserve_ops_across_seeds() {
     use mantle::mds::{assert_invariants, ElasticConfig, TraceLevel};
 
     for seed in [3, 42, 1337] {
-        let spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), 1, seed);
+        let spec = diurnal_experiment(ReproOpts::QUICK, POOL, ElasticConfig::on(), seed);
         let expected: u64 = match spec.workload {
             mantle::core::WorkloadSpec::Diurnal {
                 clients,

@@ -298,6 +298,14 @@ const GUARDS: &[Guard] = &[
               elastic::Membership",
     },
     Guard {
+        names: &["GlobalScan", "unknown_globals"],
+        paths: &["crates/policy/src"],
+        allowed: &[],
+        scope: Scope::All,
+        why: "the validator re-scopes the AST again: which names are globals is the bytecode \
+              compiler's answer, read through CompiledHook::unassigned_reads",
+    },
+    Guard {
         names: &["mdss", "rows", "DecideTables"],
         paths: &["crates/policy/src/env.rs"],
         allowed: &[],
