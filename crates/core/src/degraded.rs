@@ -108,7 +108,7 @@ pub fn scenario_plans(opts: ReproOpts) -> Vec<(&'static str, FaultPlan)> {
 
 /// The base experiment under one named fault plan ("healthy",
 /// "crash+restart", …); `None` for an unknown name.
-pub fn scenario_experiment(opts: ReproOpts, name: &str, seed: u64) -> Option<Experiment> {
+fn scenario_experiment(opts: ReproOpts, name: &str, seed: u64) -> Option<Experiment> {
     let plan = scenario_plans(opts)
         .into_iter()
         .find(|(n, _)| *n == name)?

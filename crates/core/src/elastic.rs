@@ -94,7 +94,7 @@ fn base_config(num_mds: usize, seed: u64) -> ClusterConfig {
 /// leave). Fixed-size rows carry the hook too — with
 /// `elastic.enabled == false` it is never evaluated — so every row runs
 /// the same policy set.
-pub fn scaler_balancer() -> BalancerSpec {
+fn scaler_balancer() -> BalancerSpec {
     BalancerSpec::mantle(
         "elastic-scaler",
         policies::elastic_scaler_membership_only(GROW_THRESHOLD, SHRINK_THRESHOLD)
@@ -140,7 +140,7 @@ pub fn diurnal_experiment(
 }
 
 /// Run the diurnal cycle on a fixed cluster of `n` members.
-pub fn run_fixed(opts: ReproOpts, n: usize, seed: u64) -> RunReport {
+fn run_fixed(opts: ReproOpts, n: usize, seed: u64) -> RunReport {
     run_experiment(&diurnal_experiment(opts, n, ElasticConfig::default(), seed))
 }
 

@@ -66,7 +66,7 @@ pub fn ops_per_sec(r: &RunReport) -> f64 {
 }
 
 /// The balancers each storm row runs under.
-pub fn storm_balancers() -> Vec<BalancerSpec> {
+fn storm_balancers() -> Vec<BalancerSpec> {
     vec![
         BalancerSpec::None,
         BalancerSpec::Cephfs,

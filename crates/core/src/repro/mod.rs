@@ -143,7 +143,7 @@ pub fn parse_args(args: &[String]) -> Result<(&'static Target, ReproOpts), Strin
 /// balancer and its Mantle-script transliteration make identical decisions
 /// on a grid of cluster states. The grid is fixed, so both sizes print the
 /// same table.
-pub fn table1_policies(_: ReproOpts) -> String {
+fn table1_policies(_: ReproOpts) -> String {
     use mantle_mds::balancer::{BalanceContext, Balancer, CephfsBalancer, MantleBalancer};
     use mantle_mds::metrics::Heartbeat;
     use mantle_sim::SimTime;
@@ -223,7 +223,7 @@ pub fn table1_policies(_: ReproOpts) -> String {
 }
 
 /// Run everything (the order of the paper's evaluation).
-pub fn run_all(opts: ReproOpts) -> String {
+fn run_all(opts: ReproOpts) -> String {
     let mut out = String::new();
     for (name, text) in [
         ("Figure 1", fig1_heatmap(opts)),

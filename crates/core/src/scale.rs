@@ -45,7 +45,7 @@ impl ScaleSpec {
 
 /// The scale rows, smallest first. Quick mode swaps in a CI-sized single
 /// row that exercises the same code paths in a few seconds.
-pub fn scale_specs(opts: ReproOpts) -> Vec<ScaleSpec> {
+fn scale_specs(opts: ReproOpts) -> Vec<ScaleSpec> {
     if opts.quick {
         return vec![ScaleSpec {
             name: "smoke",

@@ -239,7 +239,7 @@ fn evaluate(opts: ReproOpts, cand: &Candidate) -> Ranked {
 /// Evaluate the whole grid (in parallel across OS threads, the same pool
 /// as [`crate::experiment::run_seeds`]) and rank by mean ops/s, best
 /// first.
-pub fn run_search(opts: ReproOpts) -> Vec<Ranked> {
+fn run_search(opts: ReproOpts) -> Vec<Ranked> {
     let mut ranked = par_map(&candidates(opts), |cand| evaluate(opts, cand));
     ranked.sort_by(|a, b| {
         b.ops_per_sec

@@ -1,4 +1,4 @@
-//! Tiny text-table and CSV emitters for the repro harness (kept
+//! A tiny text-table emitter for the repro harness (kept
 //! dependency-free on purpose — see DESIGN.md's crate policy).
 
 /// A simple column-aligned text table.
@@ -75,25 +75,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Render as CSV.
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &String| -> String {
-            if s.contains([',', '"', '\n']) {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(&self.header.iter().map(esc).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(esc).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Format a float with `prec` decimals.
@@ -144,15 +125,6 @@ mod tests {
     fn rejects_bad_width() {
         let mut t = TextTable::new(["a", "b"]);
         t.row(["only-one"]);
-    }
-
-    #[test]
-    fn csv_escapes() {
-        let mut t = TextTable::new(["a", "b"]);
-        t.row(["x,y", "he said \"hi\""]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"he said \"\"hi\"\"\""));
     }
 
     #[test]

@@ -52,13 +52,6 @@ pub struct MigrationPlan {
     pub selectors: Rc<[SelectorKind]>,
 }
 
-impl MigrationPlan {
-    /// Total load this plan wants to move.
-    pub fn total_target(&self) -> f64 {
-        self.targets.iter().sum()
-    }
-}
-
 /// A metadata load balancer living on one MDS.
 ///
 /// Implement this to plug arbitrary balancing logic into the cluster —
@@ -818,14 +811,5 @@ end
             let err = MantleBalancer::new("bad", with(src)).unwrap_err();
             assert!(matches!(err, PolicyError::Rejected { .. }), "{src}: {err}");
         }
-    }
-
-    #[test]
-    fn plan_total_target() {
-        let p = MigrationPlan {
-            targets: vec![0.0, 2.5, 1.5],
-            selectors: Rc::from([DirfragSelector::Half.into()]),
-        };
-        assert_eq!(p.total_target(), 4.0);
     }
 }

@@ -13,8 +13,9 @@
 //! sized whole to learn it is too big to ship, then each of its children is
 //! sized one level down, then theirs; and every further destination of the
 //! plan starts over from the roots. Sizing is a walk over every directory of
-//! the subtree ([`subtree_load`]), so done naively one call of
-//! [`plan_exports`] walks a large subtree once per level per destination.
+//! the subtree (`subtree_load`, the tests' oracle), so done naively one
+//! call of [`plan_exports`] walks a large subtree once per level per
+//! destination.
 //!
 //! Instead, the walk that sizes a subtree also records the load of **every
 //! subtree inside it** (`SubtreeLoads`), and the planner consults that
@@ -26,11 +27,12 @@
 //! one by one, and the total, which is a sum over every fragment below in
 //! walk order and not a sum of those subtotals, takes one more walk.
 //!
-//! The recorded loads are not approximately but **bit-for-bit** what
-//! [`subtree_load`] returns for the same directory, which is what keeps
-//! every export, every selector decision and every report unchanged:
+//! The recorded loads are not approximately but **bit-for-bit** what the
+//! tests' oracle `subtree_load` returns for the same directory, which is
+//! what keeps every export, every selector decision and every report
+//! unchanged:
 //!
-//! * [`subtree_load`] of `c` pops directories off a stack, children pushed
+//! * `subtree_load` of `c` pops directories off a stack, children pushed
 //!   in order, and adds each owned fragment's `metaload` to one `f64`
 //!   starting at 0. A walk that *passes through* `c` pops exactly the same
 //!   directories in exactly the same order between the moment it pops `c`
@@ -51,8 +53,8 @@
 //! A child the bounded walk steps over — it is a bound root itself, owned
 //! by `me` — has no recorded load and is sized by a walk of its own when
 //! the planner asks. `plan_exports_matches_the_reference_planner` holds the
-//! whole arrangement against a planner that calls [`subtree_load`] for
-//! every load it needs.
+//! whole arrangement against a planner that calls the tests' oracle,
+//! `subtree_load`, for every load it needs.
 //!
 //! ## Never-charged subtrees
 //!
@@ -133,8 +135,9 @@ struct OpenDir {
 }
 
 /// Subtree loads already known in one [`plan_exports`] call — each
-/// bit-equal to what [`subtree_load`] returns for that directory, `me` and
-/// `now` (see the module docs) — plus the buffers the walks reuse.
+/// bit-equal to what the tests' `subtree_load` returns for that directory,
+/// `me` and `now` (see the module docs) — plus the buffers the walks
+/// reuse.
 struct SubtreeLoads {
     me: MdsId,
     now: SimTime,
@@ -203,9 +206,10 @@ impl SubtreeLoads {
         }
     }
 
-    /// [`subtree_load`] of `root`, recording along the way the load of
-    /// every subtree inside it. Visits what `Namespace::subtree_dirs(root,
-    /// true)` lists, in that order, without building the list.
+    /// The tests' `subtree_load` of `root`, recording along the way the
+    /// load of every subtree inside it. Visits what
+    /// `Namespace::subtree_dirs(root, true)` lists, in that order, without
+    /// building the list.
     fn walk<B: Balancer + ?Sized>(
         &mut self,
         ns: &mut Namespace,
@@ -410,31 +414,6 @@ fn sort_by_load<B: Balancer + ?Sized>(
     Ok(())
 }
 
-/// Metadata load of the subtree rooted at `dir`, counting only fragments
-/// bound to `me` (nested bounds belong to other MDSs).
-///
-/// The plain, stand-alone walk: [`plan_exports`] gets the same numbers from
-/// fewer walks (see the module docs), and its tests hold it against a
-/// planner built on this function.
-pub fn subtree_load<B: Balancer + ?Sized>(
-    ns: &mut Namespace,
-    balancer: &B,
-    dir: NodeId,
-    me: MdsId,
-    now: SimTime,
-) -> PolicyResult<f64> {
-    let mut total = 0.0;
-    for d in ns.subtree_dirs(dir, true) {
-        for f in 0..ns.dir(d).frags.len() {
-            if ns.frag_auth(d, f) == me {
-                let heat = ns.frag_heat(d, f, now);
-                total += balancer.metaload(&heat)?;
-            }
-        }
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,6 +422,31 @@ mod tests {
     use crate::shard::tests::is_under;
     use mantle_namespace::{HeatSample, NsConfig, OpKind};
     use mantle_sim::SimRng;
+
+    /// Metadata load of the subtree rooted at `dir`, counting only
+    /// fragments bound to `me` (nested bounds belong to other MDSs).
+    ///
+    /// The plain, stand-alone walk: [`plan_exports`] gets the same numbers
+    /// from fewer walks (see the module docs), and these tests hold it
+    /// against a planner built on this function.
+    fn subtree_load<B: Balancer + ?Sized>(
+        ns: &mut Namespace,
+        balancer: &B,
+        dir: NodeId,
+        me: MdsId,
+        now: SimTime,
+    ) -> PolicyResult<f64> {
+        let mut total = 0.0;
+        for d in ns.subtree_dirs(dir, true) {
+            for f in 0..ns.dir(d).frags.len() {
+                if ns.frag_auth(d, f) == me {
+                    let heat = ns.frag_heat(d, f, now);
+                    total += balancer.metaload(&heat)?;
+                }
+            }
+        }
+        Ok(total)
+    }
 
     fn heat_up(ns: &mut Namespace, dir: NodeId, creates: usize) {
         for _ in 0..creates {

@@ -23,12 +23,10 @@
 #![forbid(unsafe_code)]
 
 pub mod heat;
-pub mod stats;
 pub mod tree;
 pub mod types;
 
 pub use heat::{FragHeat, HeatSample};
-pub use stats::{hottest_dirs, NamespaceStats};
 pub use tree::{
     Dir, Frag, FragId, FragRef, IndexMode, Namespace, NsConfig, SplitEvent, SubtreeMigration,
 };

@@ -395,7 +395,7 @@ impl Namespace {
     /// the client when it routed the request). `frag` is clamped to the
     /// current fragment count — the directory may have split while the
     /// request was in flight.
-    pub fn record_op_on(
+    fn record_op_on(
         &mut self,
         id: NodeId,
         frag: FragId,
@@ -407,7 +407,7 @@ impl Namespace {
         (frag_id, split)
     }
 
-    /// [`Namespace::record_op_on`] without the split check: bumps heat,
+    /// `Namespace::record_op_on` without the split check: bumps heat,
     /// entry counts and per-MDS aggregates, but never restructures
     /// fragments. The windowed cluster engine records every in-window op
     /// this way so the window-start fragment layout stays valid for the
@@ -491,7 +491,7 @@ impl Namespace {
     }
 
     /// One deferred split check on `id` — the barrier-time counterpart of
-    /// the inline check in [`Namespace::record_op_on`]. Returns the split
+    /// the inline check in `Namespace::record_op_on`. Returns the split
     /// performed, if any; callers loop until `None`, since a directory
     /// that absorbed many ops in one window may need several splits to get
     /// every fragment back under the threshold.

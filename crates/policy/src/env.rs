@@ -728,7 +728,7 @@ impl MantleRuntime {
     /// The linear form of `metaload`, when the hook is a single linear
     /// combination of the five counters (true for Table 1 and every
     /// shipped policy).
-    pub fn metaload_scalar(&self) -> Option<&LinearForm> {
+    fn metaload_scalar(&self) -> Option<&LinearForm> {
         self.policy.metaload_linear.as_ref()
     }
 

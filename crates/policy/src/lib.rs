@@ -57,7 +57,6 @@ pub mod ast;
 pub mod bytecode;
 pub mod env;
 pub mod error;
-pub mod fmt;
 pub mod install;
 pub mod interp;
 pub mod lexer;
@@ -72,7 +71,6 @@ pub mod value;
 pub use bytecode::{BytecodeProgram, BytecodeVm};
 pub use env::{BalancerInputs, BalancerOutcome, CompiledPolicy, HookEngine, MdsMetrics};
 pub use error::{PolicyError, PolicyResult};
-pub use fmt::script_to_source;
 pub use install::{prepare, DecisionSource, PolicySource};
 pub use interp::{Interpreter, StepBudget};
 pub use parser::parse_script;

@@ -183,9 +183,8 @@ impl Key {
 /// [cleared](Table::clear). The host shares some tables between every MDS
 /// of a cluster (the `MDSs` image of `env.rs`) and uses the flag to learn
 /// that a script scribbled on one and it must be rebuilt. Host writes
-/// ([`Table::set`], [`Table::set_int`], [`Table::set_str`]) do not raise
-/// it: the host knows what it wrote, and filling a shared table must not
-/// make it look dirty.
+/// ([`Table::set`], [`Table::set_int`]) do not raise it: the host knows
+/// what it wrote, and filling a shared table must not make it look dirty.
 #[derive(Default, Clone)]
 pub struct Table {
     /// Values of keys `1..=array.len()`; none is `Nil`.
@@ -305,11 +304,6 @@ impl Table {
         self
     }
 
-    /// Set a string-keyed field.
-    pub fn set_str(&mut self, key: &str, value: Value) {
-        self.set(Key::Str(Rc::from(key)), value);
-    }
-
     /// Set an integer-keyed element, keeping the array part exactly the
     /// dense prefix (see the type's docs).
     pub fn set_int(&mut self, i: i64, value: Value) {
@@ -427,8 +421,8 @@ mod tests {
     #[test]
     fn nil_assignment_deletes() {
         let mut t = Table::new();
-        t.set_str("x", Value::num(1.0));
-        t.set_str("x", Value::Nil);
+        t.set(Key::Str("x".into()), Value::num(1.0));
+        t.set(Key::Str("x".into()), Value::Nil);
         assert!(matches!(t.get_str("x"), Value::Nil));
         assert!(t.is_empty());
     }
@@ -513,7 +507,7 @@ mod tests {
     fn only_script_assignment_raises_the_written_flag() {
         let mut t = Table::new();
         t.set_int(1, Value::num(1.0));
-        t.set_str("x", Value::num(2.0));
+        t.set(Key::Str("x".into()), Value::num(2.0));
         t.set(Key::Int(2), Value::Nil);
         assert!(!t.script_written(), "host writes are not script writes");
         t.assign(Key::Str("x".into()), Value::num(2.0), 1).unwrap();
@@ -578,7 +572,7 @@ mod tests {
                         1 => table.set(key.clone(), v),
                         _ => match &key {
                             Key::Int(i) => table.set_int(*i, v),
-                            Key::Str(s) => table.set_str(s, v),
+                            Key::Str(_) => table.set(key.clone(), v),
                         },
                     }
                     model.set(key, value);

@@ -63,7 +63,7 @@ impl SimRng {
     }
 
     /// Next raw 64-bit output (xoshiro256++).
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
@@ -104,18 +104,6 @@ impl SimRng {
         lo + self.below(span + 1)
     }
 
-    /// Gaussian sample via Box–Muller (mean `mu`, std dev `sigma`).
-    pub fn gaussian(&mut self, mu: f64, sigma: f64) -> f64 {
-        // Draw until u1 is nonzero so ln() is finite.
-        let mut u1 = self.f64();
-        while u1 <= f64::EPSILON {
-            u1 = self.f64();
-        }
-        let u2 = self.f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mu + sigma * z
-    }
-
     /// Exponential sample with the given mean.
     pub fn exponential(&mut self, mean: f64) -> f64 {
         let mut u = self.f64();
@@ -128,14 +116,6 @@ impl SimRng {
     /// A multiplicative jitter factor in `[1-amount, 1+amount]`.
     pub fn jitter(&mut self, amount: f64) -> f64 {
         1.0 + (self.f64() * 2.0 - 1.0) * amount
-    }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -204,17 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_moments_roughly_right() {
-        let mut rng = SimRng::new(11);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.gaussian(5.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.1, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
-    }
-
-    #[test]
     fn exponential_mean_roughly_right() {
         let mut rng = SimRng::new(13);
         let n = 20_000;
@@ -229,16 +198,5 @@ mod tests {
             let j = rng.jitter(0.25);
             assert!((0.75..=1.25).contains(&j));
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(19);
-        let mut xs: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, (0..50).collect::<Vec<_>>(), "astronomically unlikely");
     }
 }

@@ -155,7 +155,7 @@ impl Summary {
 }
 
 /// Linear-interpolated percentile of an ascending-sorted slice.
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     assert!((0.0..=1.0).contains(&q), "quantile out of range");
     if sorted.len() == 1 {
@@ -216,12 +216,6 @@ impl TimeSeries {
             .iter()
             .enumerate()
             .map(move |(i, &v)| (SimTime::from_millis(i as u64 * self.bucket_ms), v))
-    }
-
-    /// Per-second rates (value / bucket width in seconds).
-    pub fn rates_per_sec(&self) -> Vec<f64> {
-        let secs = self.bucket_ms as f64 / 1_000.0;
-        self.buckets.iter().map(|v| v / secs).collect()
     }
 
     /// Sum over all buckets.
@@ -324,7 +318,6 @@ mod tests {
         ts.add(SimTime::from_millis(2_500), 3.0);
         assert_eq!(ts.values(), &[2.0, 1.0, 3.0]);
         assert_eq!(ts.total(), 6.0);
-        assert_eq!(ts.rates_per_sec(), vec![2.0, 1.0, 3.0]);
     }
 
     #[test]

@@ -32,17 +32,6 @@ const TREE: &[(&str, &[&str], f64)] = &[
     ("Documentation", &["admin"], 0.02),
 ];
 
-/// Phases of the compile job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompilePhase {
-    /// Sequential create sweep.
-    Untar,
-    /// Hotspot stat/open/create mix.
-    Compile,
-    /// Readdir flash crowd.
-    Link,
-}
-
 #[derive(Debug, Clone)]
 struct ClientPlan {
     /// All directories of this client's tree, in untar order.
@@ -89,31 +78,6 @@ impl Compile {
     /// The op-count scale this workload was built with.
     pub fn scale(&self) -> f64 {
         self.scale
-    }
-
-    /// The phase an op index falls into.
-    pub fn phase_of(&self, issued: u64) -> CompilePhase {
-        if issued < self.untar_ops {
-            CompilePhase::Untar
-        } else if issued < self.untar_ops + self.compile_ops {
-            CompilePhase::Compile
-        } else {
-            CompilePhase::Link
-        }
-    }
-
-    /// The top-level source directories of client `c` (valid after setup):
-    /// `(name, node)` pairs — used by the Fig. 1 heat map.
-    pub fn top_dirs(&self, ns: &Namespace, client: usize) -> Vec<(String, NodeId)> {
-        let root = ns
-            .lookup_child(ns.root(), &format!("client{client}"))
-            .expect("setup ran");
-        let linux = ns.lookup_child(root, "linux").expect("tree built");
-        ns.dir(linux)
-            .children
-            .iter()
-            .map(|&c| (ns.name(c).to_string(), c))
-            .collect()
     }
 
     fn pick_compile_dir(plan: &mut ClientPlan, weights: &[f64]) -> usize {
@@ -230,18 +194,12 @@ mod tests {
         let mut w = Compile::new(2, 0.1, 7);
         let mut ns = Namespace::default();
         w.setup(&mut ns);
-        let tops = w.top_dirs(&ns, 0);
+        let client0 = ns.lookup_child(ns.root(), "client0").expect("setup ran");
+        let linux = ns.lookup_child(client0, "linux").expect("tree built");
+        let tops = &ns.dir(linux).children;
         assert_eq!(tops.len(), TREE.len());
-        assert!(tops.iter().any(|(n, _)| n == "arch"));
+        assert!(tops.iter().any(|&c| ns.name(c) == "arch"));
         assert!(ns.lookup_child(ns.root(), "client1").is_some());
-    }
-
-    #[test]
-    fn phases_progress_in_order() {
-        let w = Compile::new(1, 1.0, 7);
-        assert_eq!(w.phase_of(0), CompilePhase::Untar);
-        assert_eq!(w.phase_of(w.untar_ops), CompilePhase::Compile);
-        assert_eq!(w.phase_of(w.untar_ops + w.compile_ops), CompilePhase::Link);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod diurnal;
 pub mod flashcrowd;
 pub mod zipf;
 
-pub use compile::{Compile, CompilePhase};
+pub use compile::Compile;
 pub use create::{CreateSeparateDirs, CreateSharedDir};
 pub use diurnal::Diurnal;
 pub use flashcrowd::FlashCrowd;

@@ -1,12 +1,11 @@
 //! A build farm: five clients compile in separate directories while the
 //! Adaptable balancer (Listing 4) spreads the load — the Fig. 9/10
-//! scenario, with a live view of the namespace at the end.
+//! scenario.
 //!
 //! ```text
 //! cargo run --release --example compile_farm
 //! ```
 
-use mantle::namespace::{hottest_dirs, Namespace, NamespaceStats, NsConfig, OpKind};
 use mantle::prelude::*;
 
 fn main() {
@@ -46,29 +45,5 @@ fn main() {
         report.makespan.as_mins_f64(),
         baseline.makespan.as_mins_f64(),
         (baseline.makespan.as_mins_f64() / report.makespan.as_mins_f64() - 1.0) * 100.0,
-    );
-
-    // A standalone namespace demo: replay a tiny compile-shaped burst and
-    // show the decayed heat and structure the balancer sees (Fig. 1).
-    let mut ns = Namespace::new(NsConfig::default());
-    for (dir, ops) in [("arch/x86", 400), ("kernel/sched", 300), ("fs/ext4", 150)] {
-        let node = ns.mkdir_p(&format!("/linux/{dir}"));
-        for i in 0..ops {
-            let kind = if i % 3 == 0 {
-                OpKind::Create
-            } else {
-                OpKind::Stat
-            };
-            ns.record_op(node, kind, SimTime::from_millis(i));
-        }
-    }
-    println!("hottest directories of a replayed burst (decayed counters, Fig. 1):");
-    for (path, heat) in hottest_dirs(&mut ns, SimTime::from_secs(1), 5) {
-        println!("  {heat:>8.1}  {path}");
-    }
-    let stats = NamespaceStats::collect(&ns);
-    println!(
-        "\nnamespace: {} dirs, {} files, {} dirfrags, depth ≤ {}",
-        stats.dirs, stats.files, stats.frags, stats.max_depth
     );
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use mantle::policy::env::{BalancerInputs, MantleRuntime, MdsMetrics, PolicySet};
-use mantle::policy::{parse_script, script_to_source};
+use mantle::policy::parse_script;
 
 /// The synthetic cluster the snippet runs against: MDS 1 is hot, 2–4 idle.
 fn demo_inputs() -> BalancerInputs {
@@ -53,12 +53,10 @@ fn demo_inputs() -> BalancerInputs {
 
 fn run_snippet(snippet: &str) {
     println!("--- policy ---------------------------------------------------");
-    match parse_script(snippet) {
-        Ok(script) => print!("{}", script_to_source(&script)),
-        Err(e) => {
-            println!("parse error: {e}");
-            return;
-        }
+    println!("{snippet}");
+    if let Err(e) = parse_script(snippet) {
+        println!("parse error: {e}");
+        return;
     }
     let policy = match PolicySet::from_combined(
         "IRD + 2*IWR",

@@ -6,11 +6,9 @@
 //! test — the failing case index is in the assertion message.
 
 use mantle::mds::{select_best, DirfragSelector};
-use mantle::namespace::{
-    FragHeat, HeatSample, Namespace, NamespaceStats, NodeId, NsConfig, OpKind,
-};
+use mantle::namespace::{FragHeat, HeatSample, Namespace, NodeId, NsConfig, OpKind};
 use mantle::policy::env::{BalancerInputs, MantleRuntime, MdsMetrics, PolicySet};
-use mantle::policy::{parse_script, script_to_source, Interpreter, StepBudget, Value};
+use mantle::policy::{parse_script, Interpreter, StepBudget, Value};
 use mantle::policy::{BytecodeProgram, BytecodeVm};
 use mantle::sim::{EventQueue, OnlineStats, SimRng, SimTime, Summary};
 
@@ -393,9 +391,9 @@ fn namespace_invariants_hold_under_random_ops() {
         // Invariant: files are conserved across splits and migrations.
         assert_eq!(ns.file_count() as i64, created - unlinked, "case {case}");
         // Invariant: auth_frags partitions the fragment set.
-        let stats = NamespaceStats::collect(&ns);
+        let frags: usize = ns.all_dirs().map(|d| ns.dir(d).frags.len()).sum();
         let total_from_partition: usize = (0..4).map(|m| ns.auth_frags(m).len()).sum();
-        assert_eq!(total_from_partition, stats.frags, "case {case}");
+        assert_eq!(total_from_partition, frags, "case {case}");
         // Invariant: every dir keeps at least one fragment.
         for &dir in &dirs {
             assert!(!ns.dir(dir).frags.is_empty(), "case {case}");
@@ -682,22 +680,6 @@ fn wide_directory_resolves_in_linear_time() {
 // ---------------------------------------------------------------------------
 // Policy language
 // ---------------------------------------------------------------------------
-
-/// The pretty-printer is a fixpoint: print(parse(print(x))) == print(x).
-#[test]
-fn printer_round_trips_random_arithmetic() {
-    let mut rng = cases_rng("printer");
-    for case in 0..128 {
-        let a = rng.below(2_000) as i64 - 1_000;
-        let b = rng.range_inclusive(1, 1_000) as i64;
-        let c = rng.below(2_000) as i64 - 1_000;
-        let src = format!("x = {a} + {b} * {c} y = ({a} - {c}) / {b} z = x < y and y ~= {c}");
-        let first = parse_script(&src).unwrap();
-        let printed = script_to_source(&first);
-        let reparsed = parse_script(&printed).unwrap();
-        assert_eq!(printed, script_to_source(&reparsed), "case {case}");
-    }
-}
 
 /// Arithmetic in the policy language matches Rust f64 arithmetic.
 #[test]

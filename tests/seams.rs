@@ -8,7 +8,13 @@
 //! path segments) anywhere in a searched `.rs` file, comments included:
 //! a deleted design is not to be described as if it were live either.
 //! This file names every guarded identifier and is itself not searched.
+//!
+//! One more guard keeps the public surface honest: every `pub fn` of a
+//! library file must be named by some other file, or rustc's dead-code
+//! lint — which does not look at `pub` items — would never see it go
+//! unused.
 
+use std::collections::HashSet;
 use std::path::Path;
 
 /// The part of a file a guard searches.
@@ -315,6 +321,15 @@ const GUARDS: &[Guard] = &[
     },
 ];
 
+/// Public functions nothing in the workspace calls, kept as API, as
+/// `file stem::name`: EXPERIMENTS.md names `fill_and_spill_with` as the
+/// way to build a fill-and-spill policy with other constants.
+const UNCALLED_API: &[&str] = &["policies::fill_and_spill_with"];
+
+/// Where a caller of a public function may live: the workspace and the
+/// benchmark harness.
+const CALLERS: &[&str] = &["crates", "src", "tests", "examples", "benchmark/src"];
+
 /// The identifier paths on a line, as their segments:
 /// `let t = std::thread::spawn(f);` holds `[let]`, `[t]`,
 /// `[std, thread, spawn]` and `[f]`.
@@ -388,6 +403,65 @@ fn violations(guard: &Guard, files: &[(String, String)]) -> Vec<String> {
                         .any(|want| path.windows(want.len()).any(|w| w == want.as_slice()))
                 });
             if found {
+                hits.push(format!("{file}:{n}: {}", line.trim()));
+            }
+        }
+    }
+    hits
+}
+
+/// The name of the function a line declares `pub fn` or `pub const fn`.
+fn public_fn(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let rest = rest.strip_prefix("const ").unwrap_or(rest);
+    let rest = rest.strip_prefix("fn ")?;
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    Some(&rest[..end])
+}
+
+/// The identifiers `text` names outside its `pub use` items: a re-export
+/// is not a use.
+fn named(text: &str) -> HashSet<&str> {
+    let mut names = HashSet::new();
+    let mut in_use = false;
+    for line in text.lines() {
+        in_use |= line.trim_start().starts_with("pub use ");
+        if in_use {
+            in_use = !line.contains(';');
+            continue;
+        }
+        names.extend(paths(line).into_iter().flatten());
+    }
+    names
+}
+
+/// Every `pub fn` above the first `#[cfg(test)]` of a file under
+/// `crates/*/src` that no other file of `files` names and that is not
+/// [`UNCALLED_API`], as `path:line: text`.
+fn uncalled_public_fns(files: &[(String, String)]) -> Vec<String> {
+    let names: Vec<HashSet<&str>> = files.iter().map(|(_, text)| named(text)).collect();
+    let mut hits = Vec::new();
+    for (i, (file, text)) in files.iter().enumerate() {
+        let library = file
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(_, rest)| rest.starts_with("src/"));
+        if !library {
+            continue;
+        }
+        let stem = Path::new(file).file_stem().expect("a file name");
+        for (n, line) in scoped(text, &Scope::NonTest) {
+            let Some(name) = public_fn(line) else {
+                continue;
+            };
+            let called = names
+                .iter()
+                .enumerate()
+                .any(|(j, named)| j != i && named.contains(name));
+            let api = format!("{}::{name}", stem.to_string_lossy());
+            if !called && !UNCALLED_API.contains(&api.as_str()) {
                 hits.push(format!("{file}:{n}: {}", line.trim()));
             }
         }
@@ -477,5 +551,52 @@ fn a_planted_name_is_found_and_only_where_it_is_guarded() {
     assert_eq!(
         violations(per_mds, &env),
         ["crates/policy/src/env.rs:2: rows: Vec<u8>,"]
+    );
+}
+
+#[test]
+fn every_public_fn_is_named_outside_its_file() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in CALLERS {
+        rust_files(root, dir, &mut files);
+    }
+    assert!(files.len() > 100, "found only {} source files", files.len());
+    let hits = uncalled_public_fns(&files);
+    assert!(
+        hits.is_empty(),
+        "a `pub fn` nothing outside its file names: delete it, or drop `pub` so the \
+         dead-code lint watches it\n  {}",
+        hits.join("\n  ")
+    );
+}
+
+#[test]
+fn a_planted_uncalled_fn_is_found_and_a_called_one_is_not() {
+    let file = |path: &str, text: &str| (path.to_string(), text.to_string());
+    let planted = [
+        file(
+            "crates/sim/src/rng.rs",
+            "pub fn lonely() {}\nfn f() { lonely() }\npub fn reexported() {}\n\
+             pub const fn tested() {}\n#[cfg(test)]\nmod tests {\n    pub fn oracle() {}\n}\n",
+        ),
+        // Re-exports on one line and over several do not count as uses.
+        file(
+            "crates/sim/src/lib.rs",
+            "pub use rng::reexported;\npub use rng::{\n    reexported,\n};\n",
+        ),
+        file("tests/rng.rs", "fn t() { rng::tested() }\n"),
+        // The allowlisted function needs no caller.
+        file(
+            "crates/core/src/policies.rs",
+            "pub fn fill_and_spill_with() {}\n",
+        ),
+    ];
+    assert_eq!(
+        uncalled_public_fns(&planted),
+        [
+            "crates/sim/src/rng.rs:1: pub fn lonely() {}",
+            "crates/sim/src/rng.rs:3: pub fn reexported() {}",
+        ]
     );
 }
