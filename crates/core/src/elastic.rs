@@ -146,7 +146,7 @@ fn run_fixed(opts: ReproOpts, n: usize, seed: u64) -> RunReport {
 
 /// Run the diurnal cycle on the elastic pool: `POOL` MDSs provisioned,
 /// one member at t = 0, the `howmany` hook in charge of the rest.
-pub fn run_elastic(opts: ReproOpts, seed: u64) -> RunReport {
+fn run_elastic(opts: ReproOpts, seed: u64) -> RunReport {
     run_experiment(&diurnal_experiment(opts, POOL, ElasticConfig::on(), seed))
 }
 

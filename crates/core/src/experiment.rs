@@ -143,18 +143,6 @@ impl WorkloadSpec {
             )),
         }
     }
-
-    /// Number of clients the spec drives.
-    pub fn clients(&self) -> usize {
-        match *self {
-            WorkloadSpec::CreateSeparate { clients, .. }
-            | WorkloadSpec::CreateShared { clients, .. }
-            | WorkloadSpec::Compile { clients, .. }
-            | WorkloadSpec::FlashCrowd { clients, .. }
-            | WorkloadSpec::Diurnal { clients, .. }
-            | WorkloadSpec::ZipfMix { clients, .. } => clients,
-        }
-    }
 }
 
 /// Which balancer runs on every MDS.

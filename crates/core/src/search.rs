@@ -71,7 +71,7 @@ impl CapacityTerm {
     }
 
     /// Short label for the ranked table.
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             CapacityTerm::All => "all",
             CapacityTerm::AllPlusQueue => "all+10q",
@@ -96,7 +96,7 @@ pub struct Candidate {
 
 impl Candidate {
     /// Compact display label, e.g. `spill25 cpu75 pat2`.
-    pub fn label(&self) -> String {
+    fn label(&self) -> String {
         format!(
             "spill{:02.0} cpu{:02.0} pat{}",
             self.spill_fraction * 100.0,

@@ -662,7 +662,14 @@ impl Server {
                     self.push(addr, &reply);
                 }
                 ServiceEvent::Trace(batch) => {
-                    if batch.is_empty() {
+                    // Encode only for someone: `--trace=decisions` is the
+                    // default, and most daemons have no subscriber.
+                    let subscribed = self
+                        .conns
+                        .iter()
+                        .flatten()
+                        .any(|conn| matches!(conn.state, State::Trace));
+                    if batch.is_empty() || !subscribed {
                         continue;
                     }
                     let mut frames = Vec::new();
@@ -694,7 +701,7 @@ impl Server {
                             ("type", Json::str("reply")),
                             ("id", id.map_or(Json::Null, |i| Json::num(i as f64))),
                             ("status", Json::str("ok")),
-                            ("op", Json::str(crate::wire::op_name(done.kind))),
+                            ("op", Json::str(done.kind.name())),
                             ("mds", Json::num(done.mds as f64)),
                             ("latency_ms", Json::num(done.latency_ms)),
                             ("at_us", Json::num(done.at.as_micros() as f64)),

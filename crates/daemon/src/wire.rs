@@ -115,31 +115,16 @@ pub fn write_frame(w: &mut impl Write, msg: &Json) -> io::Result<()> {
     w.flush()
 }
 
-/// Wire name of an op kind, as used in `{"type":"op","op":...}`.
+/// Wire name of an op kind, as used in `{"type":"op","op":...}`: the
+/// [`OpKind::name`] vocabulary. Kept as a function for the benchmark
+/// harness, which imports it.
 pub fn op_name(kind: OpKind) -> &'static str {
-    match kind {
-        OpKind::Create => "create",
-        OpKind::Stat => "stat",
-        OpKind::SetAttr => "setattr",
-        OpKind::Readdir => "readdir",
-        OpKind::OpenRead => "open",
-        OpKind::Unlink => "unlink",
-        OpKind::Mkdir => "mkdir",
-    }
+    kind.name()
 }
 
 /// Parse a wire op name back to an [`OpKind`].
 pub fn op_kind(name: &str) -> Option<OpKind> {
-    Some(match name {
-        "create" => OpKind::Create,
-        "stat" => OpKind::Stat,
-        "setattr" => OpKind::SetAttr,
-        "readdir" => OpKind::Readdir,
-        "open" => OpKind::OpenRead,
-        "unlink" => OpKind::Unlink,
-        "mkdir" => OpKind::Mkdir,
-        _ => return None,
-    })
+    OpKind::all().into_iter().find(|kind| kind.name() == name)
 }
 
 /// Build an `{"type":"error",...}` reply. `id` echoes the request id

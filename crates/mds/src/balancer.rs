@@ -164,7 +164,7 @@ impl Default for CephfsBalancer {
 
 impl CephfsBalancer {
     /// The Table 1 `MDSload` formula.
-    pub fn mds_load(hb: &Heartbeat) -> f64 {
+    fn mds_load(hb: &Heartbeat) -> f64 {
         0.8 * hb.auth_metaload + 0.2 * hb.all_metaload + hb.req_rate + 10.0 * hb.queue_len
     }
 }

@@ -140,8 +140,10 @@ impl Coordinator {
             GlobalEvent::Swap { name, epoch, set } => {
                 let result = match self.policy.install(&name, &set) {
                     Ok(()) => {
-                        self.trace
-                            .emit(now, || TraceEvent::PolicyInstalled { epoch, name });
+                        self.trace.emit(now, || TraceEvent::PolicyInstalled {
+                            install_epoch: epoch,
+                            name,
+                        });
                         Ok(now)
                     }
                     Err(e) => Err(e.to_string()),

@@ -264,7 +264,7 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Base service time for an op, µs.
-    pub fn service_us(&self, op: OpKind) -> f64 {
+    fn service_us(&self, op: OpKind) -> f64 {
         match op {
             OpKind::Create => self.create_us,
             OpKind::Stat | OpKind::OpenRead => self.stat_us,

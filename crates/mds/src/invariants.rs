@@ -499,22 +499,22 @@ impl Checker {
                     }
                 }
             }
-            TraceEvent::PolicyInstalled { epoch, .. } => {
+            TraceEvent::PolicyInstalled { install_epoch, .. } => {
                 // A hot install swaps every MDS's balancer in one
                 // exclusive step: error streaks belong to the replaced
                 // policy, and install epochs must only grow.
-                if *epoch <= self.install_epoch {
+                if *install_epoch <= self.install_epoch {
                     self.flag(
                         i,
                         at,
                         "structure",
                         format!(
-                            "install epoch {epoch} not past previous {}",
+                            "install epoch {install_epoch} not past previous {}",
                             self.install_epoch
                         ),
                     );
                 }
-                self.install_epoch = (*epoch).max(self.install_epoch);
+                self.install_epoch = (*install_epoch).max(self.install_epoch);
                 for c in &mut self.consecutive {
                     *c = 0;
                 }

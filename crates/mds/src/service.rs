@@ -851,8 +851,13 @@ mod tests {
             .iter()
             .position(|ev| match ev {
                 ServiceEvent::Trace(batch) => batch.iter().any(|r| {
-                    matches!(r.event, TraceEvent::PolicyInstalled { epoch: 1, .. })
-                        && r.at == *installed
+                    matches!(
+                        r.event,
+                        TraceEvent::PolicyInstalled {
+                            install_epoch: 1,
+                            ..
+                        }
+                    ) && r.at == *installed
                 }),
                 _ => false,
             })

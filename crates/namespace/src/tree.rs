@@ -364,17 +364,6 @@ impl Namespace {
         format!("/{}", comps.join("/"))
     }
 
-    /// Ancestors of `id`, nearest first (excluding `id` itself).
-    pub fn ancestors(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut cur = self.dir(id).parent;
-        while let Some(c) = cur {
-            out.push(c);
-            cur = self.dir(c).parent;
-        }
-        out
-    }
-
     /// Record a metadata operation against a directory at time `now`.
     ///
     /// Picks the target fragment (creates spread over fragments the way
@@ -1081,7 +1070,7 @@ mod tests {
         assert_eq!(ns.path(c1), "/a/b/c");
         assert_eq!(ns.dir(c1).depth, 3);
         let b = ns.mkdir_p("/a/b");
-        assert_eq!(ns.ancestors(c1)[0], b);
+        assert_eq!(ns.dir(c1).parent, Some(b));
         assert_eq!(ns.dir_count(), 4); // root, a, b, c
     }
 

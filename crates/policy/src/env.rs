@@ -165,7 +165,7 @@ pub struct BalancerOutcome {
 
 impl BalancerOutcome {
     /// A no-migration outcome.
-    pub fn idle(n: usize) -> Self {
+    fn idle(n: usize) -> Self {
         BalancerOutcome {
             mds_loads: vec![0.0; n],
             total: 0.0,

@@ -38,11 +38,6 @@ impl SimRng {
         SimRng { seed, state }
     }
 
-    /// The seed this stream was created from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derive an independent child stream named `label`.
     ///
     /// Uses an FNV-1a mix of the label over the parent seed, which is cheap
@@ -102,15 +97,6 @@ impl SimRng {
             return self.next_u64();
         }
         lo + self.below(span + 1)
-    }
-
-    /// Exponential sample with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let mut u = self.f64();
-        while u <= f64::EPSILON {
-            u = self.f64();
-        }
-        -mean * u.ln()
     }
 
     /// A multiplicative jitter factor in `[1-amount, 1+amount]`.
@@ -181,14 +167,6 @@ mod tests {
                 "bucket count {c} far from {expected}"
             );
         }
-    }
-
-    #[test]
-    fn exponential_mean_roughly_right() {
-        let mut rng = SimRng::new(13);
-        let n = 20_000;
-        let mean = (0..n).map(|_| rng.exponential(3.0)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.15, "mean {mean}");
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub struct Diurnal {
     day_us: u64,
     night_interval_us: u64,
     write_fraction: f64,
-    seed: u64,
     issued: Vec<u64>,
     private: Vec<NodeId>,
     rngs: Vec<SimRng>,
@@ -73,7 +72,6 @@ impl Diurnal {
             day_us: (p as f64 * day_fraction) as u64,
             night_interval_us: (p / ops_per_day).max(1),
             write_fraction,
-            seed,
             issued: vec![0; clients],
             private: Vec::new(),
             rngs: (0..clients)
@@ -107,11 +105,6 @@ impl Diurnal {
     /// Total ops each client will issue over the whole run.
     pub fn ops_per_client(&self) -> u64 {
         self.ops_per_day * self.days
-    }
-
-    /// Seed used.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 }
 

@@ -28,7 +28,6 @@ pub struct FlashCrowd {
     ops_per_client: u64,
     hot_fraction: f64,
     write_fraction: f64,
-    seed: u64,
     issued: Vec<u64>,
     hot: Option<NodeId>,
     private: Vec<NodeId>,
@@ -55,7 +54,6 @@ impl FlashCrowd {
             ops_per_client,
             hot_fraction,
             write_fraction,
-            seed,
             issued: vec![0; clients],
             hot: None,
             private: Vec::new(),
@@ -63,22 +61,6 @@ impl FlashCrowd {
                 .map(|c| master.stream_n("flashcrowd-client", c))
                 .collect(),
         }
-    }
-
-    /// The canonical benchmark shape: 90% hot-dir reads, 10% private
-    /// traffic of which a fifth mutates.
-    pub fn storm(clients: usize, ops_per_client: u64, seed: u64) -> Self {
-        FlashCrowd::new(clients, ops_per_client, 0.9, 0.2, seed)
-    }
-
-    /// Fraction of ops aimed at the hot directory.
-    pub fn hot_fraction(&self) -> f64 {
-        self.hot_fraction
-    }
-
-    /// Seed used.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 }
 
@@ -140,7 +122,7 @@ mod tests {
 
     #[test]
     fn builds_hot_and_private_dirs() {
-        let mut w = FlashCrowd::storm(20, 100, 3);
+        let mut w = FlashCrowd::new(20, 100, 0.9, 0.2, 3);
         let mut ns = Namespace::default();
         w.setup(&mut ns);
         assert!(w.hot.is_some());
@@ -188,7 +170,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_forks() {
-        let mut a = FlashCrowd::storm(3, 500, 42);
+        let mut a = FlashCrowd::new(3, 500, 0.9, 0.2, 42);
         let mut ns = Namespace::default();
         a.setup(&mut ns);
         let mut b = a.clone();

@@ -16,9 +16,7 @@ pub struct ZipfMix {
     clients: usize,
     dirs: usize,
     ops_per_client: u64,
-    exponent: f64,
     write_fraction: f64,
-    seed: u64,
     issued: Vec<u64>,
     nodes: Vec<NodeId>,
     /// Cumulative Zipf weights for sampling.
@@ -74,9 +72,7 @@ impl ZipfMix {
             clients,
             dirs,
             ops_per_client,
-            exponent,
             write_fraction,
-            seed,
             issued: vec![0; clients],
             nodes: Vec::new(),
             cdf,
@@ -87,19 +83,9 @@ impl ZipfMix {
         }
     }
 
-    /// The Zipf exponent.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
-    }
-
     /// Number of directories in the population.
     pub fn dirs(&self) -> usize {
         self.dirs
-    }
-
-    /// Seed used.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     fn sample_dir(&mut self, client: usize) -> NodeId {

@@ -22,6 +22,9 @@ use mantle_daemon::engine::policy_source_from_json;
 use mantle_daemon::json::{parse as parse_json, Json};
 use mantle_daemon::wire::{decode_frame, encode_frame, op_kind, PROTO_VERSION};
 
+mod support;
+use support::{fences_in, Fence};
+
 const POLICY_MD: &str = include_str!("../POLICY.md");
 const PROTOCOL_MD: &str = include_str!("../PROTOCOL.md");
 const OPERATIONS_MD: &str = include_str!("../OPERATIONS.md");
@@ -32,46 +35,6 @@ const METALOAD: &str = "IWR + IRD";
 const MDSLOAD: &str = "MDSs[i][\"all\"]";
 const NOOP_DECISION: &str = "x = 1";
 const NOOP_WHERE: &str = "targets[1] = 0";
-
-#[derive(Debug)]
-struct Fence {
-    /// The fence info string, e.g. `lua metaload`.
-    tag: String,
-    /// Snippet source.
-    body: String,
-    /// 1-based line of the opening fence, for failure messages.
-    line: usize,
-}
-
-/// Extract every fenced code block, failing on unterminated fences.
-fn fences_in(doc: &str, md: &str) -> Vec<Fence> {
-    let mut out = Vec::new();
-    let mut open: Option<(String, usize, Vec<&str>)> = None;
-    for (idx, raw) in md.lines().enumerate() {
-        let line = raw.trim_end();
-        match &mut open {
-            None => {
-                if let Some(tag) = line.strip_prefix("```") {
-                    open = Some((tag.trim().to_string(), idx + 1, Vec::new()));
-                }
-            }
-            Some((tag, start, body)) => {
-                if line == "```" {
-                    out.push(Fence {
-                        tag: std::mem::take(tag),
-                        body: body.join("\n"),
-                        line: *start,
-                    });
-                    open = None;
-                } else {
-                    body.push(raw);
-                }
-            }
-        }
-    }
-    assert!(open.is_none(), "unterminated fence in {doc}");
-    out
-}
 
 /// POLICY.md's fences (the original harness surface).
 fn fences(md: &str) -> Vec<Fence> {

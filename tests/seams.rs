@@ -12,7 +12,8 @@
 //! One more guard keeps the public surface honest: every `pub fn` of a
 //! library file must be named by some other file, or rustc's dead-code
 //! lint — which does not look at `pub` items — would never see it go
-//! unused.
+//! unused. A mention in a comment or as a `name:` field does not count,
+//! and a method counts only as a call, `.name(`, or a path, `::name`.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -323,8 +324,10 @@ const GUARDS: &[Guard] = &[
 
 /// Public functions nothing in the workspace calls, kept as API, as
 /// `file stem::name`: EXPERIMENTS.md names `fill_and_spill_with` as the
-/// way to build a fill-and-spill policy with other constants.
-const UNCALLED_API: &[&str] = &["policies::fill_and_spill_with"];
+/// way to build a fill-and-spill policy with other constants, and
+/// POLICY.md and EXPERIMENTS.md document `elastic_scaler` as the
+/// canonical scaler.
+const UNCALLED_API: &[&str] = &["policies::fill_and_spill_with", "policies::elastic_scaler"];
 
 /// Where a caller of a public function may live: the workspace and the
 /// benchmark harness.
@@ -421,10 +424,20 @@ fn public_fn(line: &str) -> Option<&str> {
     Some(&rest[..end])
 }
 
-/// The identifiers `text` names outside its `pub use` items: a re-export
-/// is not a use.
-fn named(text: &str) -> HashSet<&str> {
-    let mut names = HashSet::new();
+/// The identifiers a file names, outside comments, `pub use` items (a
+/// re-export is not a use) and `name:` field positions.
+#[derive(Default)]
+struct Named<'a> {
+    /// Every such identifier.
+    any: HashSet<&'a str>,
+    /// Those called as a method, `.name(`, or named as a path segment,
+    /// `::name`: the uses a method can have.
+    qualified: HashSet<&'a str>,
+}
+
+fn named(text: &str) -> Named<'_> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut names = Named::default();
     let mut in_use = false;
     for line in text.lines() {
         in_use |= line.trim_start().starts_with("pub use ");
@@ -432,16 +445,33 @@ fn named(text: &str) -> HashSet<&str> {
             in_use = !line.contains(';');
             continue;
         }
-        names.extend(paths(line).into_iter().flatten());
+        let code = line.find("//").map_or(line, |i| &line[..i]);
+        let mut start = 0;
+        while let Some(at) = code[start..].find(ident) {
+            let at = start + at;
+            let end = code[at..]
+                .find(|c| !ident(c))
+                .map_or(code.len(), |n| at + n);
+            let (before, name, after) = (&code[..at], &code[at..end], &code[end..]);
+            start = end;
+            if after.trim_start().starts_with(':') && !after.starts_with("::") {
+                continue; // a `name:` field position
+            }
+            names.any.insert(name);
+            if before.ends_with("::") || (before.ends_with('.') && after.starts_with('(')) {
+                names.qualified.insert(name);
+            }
+        }
     }
     names
 }
 
 /// Every `pub fn` above the first `#[cfg(test)]` of a file under
 /// `crates/*/src` that no other file of `files` names and that is not
-/// [`UNCALLED_API`], as `path:line: text`.
+/// [`UNCALLED_API`], as `path:line: text`. A function inside an `impl`
+/// block counts only the uses a method can have.
 fn uncalled_public_fns(files: &[(String, String)]) -> Vec<String> {
-    let names: Vec<HashSet<&str>> = files.iter().map(|(_, text)| named(text)).collect();
+    let names: Vec<Named> = files.iter().map(|(_, text)| named(text)).collect();
     let mut hits = Vec::new();
     for (i, (file, text)) in files.iter().enumerate() {
         let library = file
@@ -452,14 +482,27 @@ fn uncalled_public_fns(files: &[(String, String)]) -> Vec<String> {
             continue;
         }
         let stem = Path::new(file).file_stem().expect("a file name");
+        // The indentation of the `impl` block the line is in, if any.
+        let mut impl_indent: Option<usize> = None;
         for (n, line) in scoped(text, &Scope::NonTest) {
+            let code = line.trim_start();
+            let indent = line.len() - code.len();
+            let opens = code.starts_with("impl ") || code.starts_with("impl<");
+            if opens && !code.ends_with('}') {
+                impl_indent = Some(indent);
+            } else if code == "}" && impl_indent == Some(indent) {
+                impl_indent = None;
+            }
             let Some(name) = public_fn(line) else {
                 continue;
             };
-            let called = names
-                .iter()
-                .enumerate()
-                .any(|(j, named)| j != i && named.contains(name));
+            let called = names.iter().enumerate().any(|(j, named)| {
+                let uses = match impl_indent {
+                    Some(_) => &named.qualified,
+                    None => &named.any,
+                };
+                j != i && uses.contains(name)
+            });
             let api = format!("{}::{name}", stem.to_string_lossy());
             if !called && !UNCALLED_API.contains(&api.as_str()) {
                 hits.push(format!("{file}:{n}: {}", line.trim()));
@@ -586,6 +629,18 @@ fn a_planted_uncalled_fn_is_found_and_a_called_one_is_not() {
             "pub use rng::reexported;\npub use rng::{\n    reexported,\n};\n",
         ),
         file("tests/rng.rs", "fn t() { rng::tested() }\n"),
+        // A comment and a field position are not uses; a method counts
+        // only where it is called or named as a path segment.
+        file(
+            "crates/sim/src/time.rs",
+            "pub fn commented() {}\npub fn field() {}\nimpl Time {\n    pub fn named() {}\n\
+             pub fn called(&self) {}\n    pub fn pathed() {}\n}\npub fn bare() {}\n",
+        ),
+        file(
+            "crates/mds/src/cluster.rs",
+            "// commented() is not a use\nlet c = Config { field: 1 };\nlet named = 2;\n\
+             t.called();\nlet f = Time::pathed;\nbare();\n",
+        ),
         // The allowlisted function needs no caller.
         file(
             "crates/core/src/policies.rs",
@@ -597,6 +652,9 @@ fn a_planted_uncalled_fn_is_found_and_a_called_one_is_not() {
         [
             "crates/sim/src/rng.rs:1: pub fn lonely() {}",
             "crates/sim/src/rng.rs:3: pub fn reexported() {}",
+            "crates/sim/src/time.rs:1: pub fn commented() {}",
+            "crates/sim/src/time.rs:2: pub fn field() {}",
+            "crates/sim/src/time.rs:4: pub fn named() {}",
         ]
     );
 }

@@ -1,6 +1,8 @@
 //! Test support shared by the files in `tests/`: the namespace walk
-//! oracles (`properties.rs`, `index_equivalence.rs`) and the report hash
-//! the pinned goldens compare against.
+//! oracles (`properties.rs`, `index_equivalence.rs`), the report hash
+//! the pinned goldens compare against, and the Markdown fence reader the
+//! docs suites check examples with (`docs_examples.rs`,
+//! `golden_trace.rs`).
 //!
 //! [`Namespace`] answers `resolve_auth`, `auth_frags`,
 //! `export_candidate_dirs`, `frag_span`, `peek_frag`, `migrate_subtree`'s
@@ -177,4 +179,45 @@ pub fn assert_no_frag_over_threshold(ns: &Namespace) {
             assert!(f.files <= threshold, "{d:?}/{i} holds {} entries", f.files);
         }
     }
+}
+
+/// One fenced code block of a Markdown document.
+#[derive(Debug)]
+pub struct Fence {
+    /// The fence info string, e.g. `lua metaload`.
+    pub tag: String,
+    /// Snippet source.
+    pub body: String,
+    /// 1-based line of the opening fence, for failure messages.
+    pub line: usize,
+}
+
+/// Extract every fenced code block, failing on unterminated fences.
+pub fn fences_in(doc: &str, md: &str) -> Vec<Fence> {
+    let mut out = Vec::new();
+    let mut open: Option<(String, usize, Vec<&str>)> = None;
+    for (idx, raw) in md.lines().enumerate() {
+        let line = raw.trim_end();
+        match &mut open {
+            None => {
+                if let Some(tag) = line.strip_prefix("```") {
+                    open = Some((tag.trim().to_string(), idx + 1, Vec::new()));
+                }
+            }
+            Some((tag, start, body)) => {
+                if line == "```" {
+                    out.push(Fence {
+                        tag: std::mem::take(tag),
+                        body: body.join("\n"),
+                        line: *start,
+                    });
+                    open = None;
+                } else {
+                    body.push(raw);
+                }
+            }
+        }
+    }
+    assert!(open.is_none(), "unterminated fence in {doc}");
+    out
 }
