@@ -190,7 +190,7 @@ impl BalancerSpec {
     fn build(&self) -> Box<dyn Fn(MdsId) -> Box<dyn Balancer>> {
         match self {
             BalancerSpec::None => Box::new(|_| Box::new(NoopBalancer)),
-            BalancerSpec::Cephfs => Box::new(|_| Box::new(CephfsBalancer::default())),
+            BalancerSpec::Cephfs => Box::new(|_| Box::new(CephfsBalancer)),
             BalancerSpec::Mantle {
                 name,
                 policy,

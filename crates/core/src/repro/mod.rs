@@ -165,7 +165,7 @@ fn table1_policies(_: ReproOpts) -> String {
     out.push_str(&t.render());
 
     // Equivalence grid: hard-coded vs injected script.
-    let mut hard = CephfsBalancer::default();
+    let mut hard = CephfsBalancer;
     let mut scripted = MantleBalancer::new_unvalidated(
         "cephfs-as-script",
         crate::policies::cephfs_original().expect("preset compiles"),

@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use mantle_namespace::NodeId;
 use mantle_sim::SimTime;
 
-use crate::config::ClusterConfig;
+use crate::config::SPLIT_US;
 use crate::driver::Exclusive;
 use crate::shard::NsOp;
 use crate::trace::TraceEvent;
@@ -32,13 +32,7 @@ pub(crate) struct Barrier {
 
 impl Barrier {
     /// Close the window that ended at `window_end`.
-    pub(crate) fn apply(
-        &mut self,
-        x: &mut Exclusive,
-        trace: &mut Tracer,
-        cfg: &ClusterConfig,
-        window_end: SimTime,
-    ) {
+    pub(crate) fn apply(&mut self, x: &mut Exclusive, trace: &mut Tracer, window_end: SimTime) {
         let (sh, plane) = x.parts();
         if plane.deferred.is_empty() {
             debug_assert!(self.touched.is_empty());
@@ -101,13 +95,12 @@ impl Barrier {
                     resulting_frags: se.resulting_frags,
                 });
                 let auth = x.sim().ns.frag_auth(dir, se.resulting_frags - 1);
-                let split_us = cfg.costs.split_us;
                 let plane = x.plane();
                 let c = &mut plane.counters[auth];
                 c.report.splits += 1;
-                c.busy_window_us += split_us;
+                c.busy_window_us += SPLIT_US;
                 plane.next_free[auth] =
-                    plane.next_free[auth].max(window_end) + SimTime::from_micros_f64(split_us);
+                    plane.next_free[auth].max(window_end) + SimTime::from_micros_f64(SPLIT_US);
             }
         }
     }

@@ -122,8 +122,8 @@ impl ClientState {
 /// dirfrag map (CephFS replies carry the fragment→MDS mapping, so a
 /// client ends up contacting the MDSs round-robin as its creates hash
 /// across fragments — §4.1); the *cost* of the resulting cross-MDS
-/// session/coherency traffic is charged via
-/// [`crate::config::CostModel::coherency_per_span`]. Single-authority
+/// session/coherency traffic is charged as the span surcharge
+/// (`config::COHERENCY_PER_SPAN`). Single-authority
 /// directories use `learned`, the client's learned route, falling back
 /// to MDS 0 (the mount authority) — that route goes stale when subtrees
 /// migrate, which is what produces forwards.

@@ -156,8 +156,7 @@ impl Coordinator {
 
     /// Close the window that ended at `window_end`.
     pub(crate) fn barrier(&mut self, x: &mut Exclusive, window_end: SimTime) {
-        self.barrier
-            .apply(x, &mut self.trace, &self.cfg, window_end);
+        self.barrier.apply(x, &mut self.trace, window_end);
     }
 
     /// Queue a hot install as a regular global event at the time
@@ -350,10 +349,6 @@ impl Cluster {
         let initial_members = cfg.elastic.initial(n);
         let workload_name = workload.name().to_string();
         let shard = Shard::new(cfg.clone(), workload, &master);
-        let half_rtt = SimTime::from_micros_f64(cfg.costs.rtt_us / 2.0);
-        let hop = SimTime::from_micros_f64(cfg.costs.forward_hop_us);
-        // Degenerate zero-latency configs still need forward progress.
-        let width = half_rtt.min(hop).max(SimTime::from_micros(1));
         // Proxy-tier caches: one LRU per client group (read-only in
         // windows). Empty when disabled — the inert default adds no state
         // and no per-event work.
@@ -374,10 +369,7 @@ impl Cluster {
             member: (0..n).map(|m| m < initial_members).collect(),
         };
         let co = Coordinator {
-            policy: BalancerSet::new(
-                (0..n).map(make_balancer).collect(),
-                cfg.faults.fallback_after,
-            ),
+            policy: BalancerSet::new((0..n).map(make_balancer).collect()),
             hb: HeartbeatView::new(&cfg, &master),
             membership: Membership::default(),
             migrator: Migrator::default(),
@@ -391,7 +383,7 @@ impl Cluster {
         };
         Cluster {
             co,
-            driver: Driver::new(sim, shard, width),
+            driver: Driver { sim, shard },
         }
     }
 
@@ -509,7 +501,7 @@ impl Cluster {
 /// Each MDS's report was filled in as the run went; only its `total_ops`
 /// is summed here.
 fn into_report(co: &Coordinator, driver: Driver) -> RunReport {
-    let Driver { sim, shard, .. } = driver;
+    let Driver { sim, shard } = driver;
     let Shard {
         counters,
         clients,

@@ -1,7 +1,8 @@
-//! Cluster configuration: topology, service-cost model, and balancer
-//! cadence. Defaults are calibrated so the paper's shapes come out (a
-//! single MDS saturates at ≈4 create clients, Fig. 5; distribution
-//! overheads make spilling to 2 MDSs a win and to 4 a loss, Fig. 8).
+//! Cluster configuration: topology, migration costs, and balancer
+//! cadence, plus the frozen service-cost calibration. The calibration is
+//! fit so the paper's shapes come out (a single MDS saturates at ≈4
+//! create clients, Fig. 5; distribution overheads make spilling to 2 MDSs
+//! a win and to 4 a loss, Fig. 8) and is constants, not configuration.
 
 use mantle_namespace::{IndexMode, OpKind};
 use mantle_sim::SimTime;
@@ -35,27 +36,18 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Heartbeat / balancer cadence (10 s in CephFS).
     pub heartbeat_interval: SimTime,
-    /// Service cost model.
+    /// Migration and locality costs.
     pub costs: CostModel,
     /// Directory fragmentation threshold (entries per dirfrag before it
     /// splits; §4.1 uses 50 000 — experiments scale this with file counts).
     pub frag_split_threshold: u64,
     /// Half life of the popularity counters.
     pub decay_half_life: SimTime,
-    /// Std-dev of the multiplicative noise on instantaneous CPU
-    /// measurements (§2.2.2's "influenced by the measurement tool").
-    pub cpu_noise: f64,
-    /// Multiplicative sampling noise on the heartbeat's metadata-load
-    /// metrics. The paper's balancer reads counters at an instant and
-    /// ships them in heartbeats; this noise (together with stale views) is
-    /// why "the balancing behavior is not reproducible" (Fig. 4).
-    pub metaload_noise: f64,
     /// Hard stop for a run (safety net; most runs end when the workload
     /// drains).
     pub max_duration: SimTime,
-    /// Deterministic fault schedule plus degradation knobs (client
-    /// timeouts, retry backoff, balancer fallback). The default plan is
-    /// inert.
+    /// Deterministic fault schedule plus the clients' reaction knobs
+    /// (request timeout, retry backoff). The default plan is inert.
     pub faults: FaultPlan,
     /// Ignored: a one-valued harness pin (see the bottom of this file).
     pub index_mode: IndexMode,
@@ -83,8 +75,6 @@ impl Default for ClusterConfig {
             costs: CostModel::default(),
             frag_split_threshold: 2_000,
             decay_half_life: SimTime::from_secs(10),
-            cpu_noise: 0.05,
-            metaload_noise: 0.15,
             max_duration: SimTime::from_mins(60),
             faults: FaultPlan::default(),
             index_mode: IndexMode::default(),
@@ -179,35 +169,85 @@ impl ElasticConfig {
     }
 }
 
-/// Service-time and overhead model, all in **microseconds** (the
-/// simulation clock is milliseconds; sub-ms costs accumulate in the
-/// per-MDS busy accounting and are rounded at scheduling boundaries).
+// -- The frozen calibration ----------------------------------------------
+//
+// The service-cost model, fit once so the paper's shapes come out and then
+// left alone (DESIGN.md §8). All times are in **microseconds**: the
+// simulation clock is milliseconds, and sub-ms costs accumulate in the
+// per-MDS busy accounting and are rounded at scheduling boundaries.
+
+/// Service time of a create, µs.
+pub(crate) const CREATE_US: f64 = 200.0;
+/// Service time of a stat/lookup/open, µs.
+pub(crate) const STAT_US: f64 = 90.0;
+/// Service time of a setattr/unlink, µs.
+pub(crate) const SETATTR_US: f64 = 140.0;
+/// Base service time of a readdir, µs.
+pub(crate) const READDIR_US: f64 = 250.0;
+/// Service time of a mkdir, µs.
+pub(crate) const MKDIR_US: f64 = 260.0;
+/// Client think time + round trip per op, µs (closed loop: a client's
+/// unloaded rate is `1e6 / (RTT_US + service)` ops/s).
+pub(crate) const RTT_US: f64 = 500.0;
+/// One way of [`RTT_US`]: request out, or reply back.
+pub(crate) const HALF_RTT: SimTime = SimTime::from_micros(RTT_US as u64 / 2);
+/// Wasted service on the *wrong* MDS when it forwards a request, µs.
+pub(crate) const FORWARD_US: f64 = 60.0;
+/// Extra one-way latency of a forward hop.
+pub(crate) const FORWARD_HOP: SimTime = SimTime::from_micros(350);
+/// Per-op coherency surcharge coefficient. An op on a directory whose
+/// fragments span `k` MDSs costs `service × (1 + c·(k-1)²)` —
+/// scatter-gather with the authority and session maintenance grow
+/// superlinearly with the span (§4.1 footnote 3; the 323→936 session
+/// growth). The quadratic form is what makes spilling to 2 MDSs a win
+/// while spilling to 4 loses 20–40 % (Fig. 8).
+pub(crate) const COHERENCY_PER_SPAN: f64 = 0.10;
+/// Cost charged to the auth MDS when a directory fragments, µs.
+pub(crate) const SPLIT_US: f64 = 3_000.0;
+/// Surcharge on ops served while the target directory's ancestor prefix
+/// is not yet replicated locally (right after an import): the path
+/// traversal resolves through the remote authority — the locality cost of
+/// §2.1 and the "forwards" of Fig. 3b.
+pub(crate) const REMOTE_PREFIX_PENALTY: f64 = 0.30;
+/// Convex load penalty: each queued request inflates service time by this
+/// fraction (lock contention and cache pressure on an overloaded MDS — why
+/// Fig. 5's latency grows superlinearly past saturation).
+const CONTENTION_PER_QUEUED: f64 = 0.05;
+/// Queue depth beyond which the contention penalty stops growing.
+const CONTENTION_CAP: f64 = 6.0;
+/// Multiplicative service-time noise, a seeded uniform factor in
+/// `1 ± SERVICE_NOISE`.
+pub(crate) const SERVICE_NOISE: f64 = 0.12;
+
+/// Base service time for an op, µs.
+fn service_us(op: OpKind) -> f64 {
+    match op {
+        OpKind::Create => CREATE_US,
+        OpKind::Stat | OpKind::OpenRead => STAT_US,
+        OpKind::SetAttr | OpKind::Unlink => SETATTR_US,
+        OpKind::Readdir => READDIR_US,
+        OpKind::Mkdir => MKDIR_US,
+    }
+}
+
+/// Service time including the coherency surcharge for a directory
+/// spanning `span` MDS nodes, µs (quadratic in the extra span — see
+/// [`COHERENCY_PER_SPAN`]).
+pub(crate) fn service_with_span(op: OpKind, span: usize) -> f64 {
+    let extra_span = span.saturating_sub(1) as f64;
+    service_us(op) * (1.0 + COHERENCY_PER_SPAN * extra_span * extra_span)
+}
+
+/// Contention multiplier for an MDS currently holding `queued` requests.
+pub(crate) fn contention_factor(queued: u64) -> f64 {
+    1.0 + CONTENTION_PER_QUEUED * (queued as f64).min(CONTENTION_CAP)
+}
+
+/// The migration and locality costs, in **microseconds**: the levers the
+/// experiments and ablations move. The rest of the service-cost model is
+/// the frozen calibration above.
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    /// Service time of a create, µs.
-    pub create_us: f64,
-    /// Service time of a stat/lookup/open, µs.
-    pub stat_us: f64,
-    /// Service time of a setattr/unlink, µs.
-    pub setattr_us: f64,
-    /// Base service time of a readdir, µs.
-    pub readdir_us: f64,
-    /// Service time of a mkdir, µs.
-    pub mkdir_us: f64,
-    /// Client think time + round trip per op, µs (closed loop: a client's
-    /// unloaded rate is `1e6 / (rtt_us + service)` ops/s).
-    pub rtt_us: f64,
-    /// Wasted service on the *wrong* MDS when it forwards a request, µs.
-    pub forward_us: f64,
-    /// Extra one-way latency of a forward hop, µs.
-    pub forward_hop_us: f64,
-    /// Per-op coherency surcharge coefficient. An op on a directory whose
-    /// fragments span `k` MDSs costs `service × (1 + c·(k-1)²)` —
-    /// scatter-gather with the authority and session maintenance grow
-    /// superlinearly with the span (§4.1 footnote 3; the 323→936 session
-    /// growth). The quadratic form is what makes spilling to 2 MDSs a win
-    /// while spilling to 4 loses 20–40 % (Fig. 8).
-    pub coherency_per_span: f64,
     /// Two-phase-commit fixed cost of a migration: the subtree is frozen
     /// for this long, µs.
     pub migrate_fixed_us: f64,
@@ -216,78 +256,24 @@ pub struct CostModel {
     /// Each client session flushed during a migration stalls that client
     /// this long, µs (halt updates → send stats → wait for authority).
     pub session_flush_us: f64,
-    /// Cost charged to the auth MDS when a directory fragments, µs.
-    pub split_us: f64,
-    /// Surcharge on ops served while the target directory's ancestor
-    /// prefix is not yet replicated locally (right after an import): the
-    /// path traversal resolves through the remote authority — the locality
-    /// cost of §2.1 and the "forwards" of Fig. 3b.
-    pub remote_prefix_penalty: f64,
     /// How long after an import the ancestor-prefix replicas take to warm
-    /// up, µs. Frequent migrations keep paying this; a clean one-time
-    /// handoff pays it once.
+    /// up, µs. Frequent migrations keep paying the remote-prefix
+    /// surcharge; a clean one-time handoff pays it once.
     pub prefix_warmup_us: f64,
-    /// Convex load penalty: each queued request inflates service time by
-    /// this fraction (lock contention and cache pressure on an overloaded
-    /// MDS — why Fig. 5's latency grows superlinearly past saturation).
-    pub contention_per_queued: f64,
-    /// Queue depth beyond which the contention penalty stops growing.
-    pub contention_cap: f64,
-    /// Std-dev of multiplicative service-time noise (seeded).
-    pub service_noise: f64,
 }
 
 impl Default for CostModel {
     fn default() -> Self {
         CostModel {
-            create_us: 200.0,
-            stat_us: 90.0,
-            setattr_us: 140.0,
-            readdir_us: 250.0,
-            mkdir_us: 260.0,
-            rtt_us: 500.0,
-            forward_us: 60.0,
-            forward_hop_us: 350.0,
-            coherency_per_span: 0.10,
             migrate_fixed_us: 50_000.0,
             migrate_per_inode_us: 4.0,
             session_flush_us: 15_000.0,
-            split_us: 3_000.0,
-            remote_prefix_penalty: 0.30,
             prefix_warmup_us: 2_000_000.0,
-            contention_per_queued: 0.05,
-            contention_cap: 6.0,
-            service_noise: 0.12,
         }
     }
 }
 
 impl CostModel {
-    /// Base service time for an op, µs.
-    fn service_us(&self, op: OpKind) -> f64 {
-        match op {
-            OpKind::Create => self.create_us,
-            OpKind::Stat | OpKind::OpenRead => self.stat_us,
-            OpKind::SetAttr | OpKind::Unlink => self.setattr_us,
-            OpKind::Readdir => self.readdir_us,
-            OpKind::Mkdir => self.mkdir_us,
-        }
-    }
-
-    /// Service time including the coherency surcharge for a directory
-    /// spanning `span` MDS nodes, µs (quadratic in the extra span — see
-    /// [`CostModel::coherency_per_span`]).
-    pub fn service_with_span(&self, op: OpKind, span: usize) -> f64 {
-        let extra_span = span.saturating_sub(1) as f64;
-        self.service_us(op) * (1.0 + self.coherency_per_span * extra_span * extra_span)
-    }
-
-    /// Contention multiplier for an MDS currently holding `queued`
-    /// requests.
-    pub fn contention_factor(&self, queued: u64) -> f64 {
-        1.0 + self.contention_per_queued * (queued as f64).min(self.contention_cap)
-    }
-
     /// Freeze duration of a migration moving `inodes` inodes, µs.
     pub fn migrate_freeze_us(&self, inodes: u64) -> f64 {
         self.migrate_fixed_us + self.migrate_per_inode_us * inodes as f64
@@ -331,16 +317,15 @@ mod tests {
     fn defaults_are_sane() {
         let c = ClusterConfig::default();
         assert_eq!(c.num_mds, 1);
-        assert!(c.costs.create_us > c.costs.stat_us);
-        assert!(c.costs.readdir_us > c.costs.create_us);
+        const { assert!(CREATE_US > STAT_US) };
+        const { assert!(READDIR_US > CREATE_US) };
     }
 
     #[test]
     fn single_mds_saturates_around_four_clients() {
         // Fig. 5 calibration: client unloaded rate vs MDS capacity.
-        let c = CostModel::default();
-        let client_rate = 1e6 / (c.rtt_us + c.create_us);
-        let capacity = 1e6 / c.create_us;
+        let client_rate = 1e6 / (RTT_US + CREATE_US);
+        let capacity = 1e6 / CREATE_US;
         let saturation_clients = capacity / client_rate;
         assert!(
             (3.0..5.5).contains(&saturation_clients),
@@ -350,16 +335,15 @@ mod tests {
 
     #[test]
     fn span_surcharge_grows() {
-        let c = CostModel::default();
-        let s1 = c.service_with_span(OpKind::Create, 1);
-        let s2 = c.service_with_span(OpKind::Create, 2);
-        let s4 = c.service_with_span(OpKind::Create, 4);
-        assert_eq!(s1, c.create_us);
+        let s1 = service_with_span(OpKind::Create, 1);
+        let s2 = service_with_span(OpKind::Create, 2);
+        let s4 = service_with_span(OpKind::Create, 4);
+        assert_eq!(s1, CREATE_US);
         assert!(s2 > s1 && s4 > s2);
         // Quadratic in the extra span.
-        assert!((s4 - s1 * (1.0 + 9.0 * c.coherency_per_span)).abs() < 1e-9);
+        assert!((s4 - s1 * (1.0 + 9.0 * COHERENCY_PER_SPAN)).abs() < 1e-9);
         // Superlinear: the marginal cost of the 4th span exceeds the 2nd's.
-        assert!(s4 - c.service_with_span(OpKind::Create, 3) > s2 - s1);
+        assert!(s4 - service_with_span(OpKind::Create, 3) > s2 - s1);
     }
 
     #[test]
@@ -371,13 +355,12 @@ mod tests {
 
     #[test]
     fn contention_factor_caps() {
-        let c = CostModel::default();
-        assert_eq!(c.contention_factor(0), 1.0);
-        assert!(c.contention_factor(3) > c.contention_factor(1));
+        assert_eq!(contention_factor(0), 1.0);
+        assert!(contention_factor(3) > contention_factor(1));
         // Capped: queue depths beyond the cap cost the same.
         assert_eq!(
-            c.contention_factor(100),
-            c.contention_factor(c.contention_cap as u64)
+            contention_factor(100),
+            contention_factor(CONTENTION_CAP as u64)
         );
     }
 

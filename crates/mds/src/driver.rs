@@ -31,17 +31,19 @@
 use mantle_sim::SimTime;
 
 use crate::cluster::Coordinator;
+use crate::config::{FORWARD_HOP, HALF_RTT};
 use crate::service::ServicePump;
 use crate::shard::{ExecStats, Shard, SharedSim, Window};
 
-/// The simulation state, plus the window width.
+/// Window width: the shortest simulated hop, so every message sent inside
+/// a window arrives after that window's barrier.
+const WIDTH: SimTime = HALF_RTT;
+const _: () = assert!(WIDTH.as_micros() <= FORWARD_HOP.as_micros());
+
+/// The simulation state.
 pub(crate) struct Driver {
     pub(crate) sim: SharedSim,
     pub(crate) shard: Shard,
-    /// Window width: the shortest simulated hop (the minimum of half an
-    /// RTT and a forward hop), so every message sent inside a window
-    /// arrives after that window's barrier.
-    width: SimTime,
 }
 
 /// Exclusive access to the whole simulation: [`SharedSim`] and the
@@ -70,10 +72,6 @@ impl Exclusive<'_> {
 }
 
 impl Driver {
-    pub(crate) fn new(sim: SharedSim, shard: Shard, width: SimTime) -> Self {
-        Driver { sim, shard, width }
-    }
-
     /// The `&mut` view of everything the driver owns.
     pub(crate) fn exclusive(&mut self) -> Exclusive<'_> {
         Exclusive {
@@ -97,7 +95,6 @@ impl Driver {
         let max_d = co.cfg.max_duration;
         // Events at exactly `max_duration` still run (strict-less windows).
         let hard_end = max_d + SimTime::from_micros(1);
-        let width = self.width;
         let mut last_now = SimTime::ZERO;
         let (mut windows, mut exclusive_events) = (0u64, 0u64);
         let mut x = self.exclusive();
@@ -125,7 +122,7 @@ impl Driver {
                 co.run_global(&mut x);
                 exclusive_events += 1;
             } else {
-                let mut window_end = (t_min + width).min(hard_end);
+                let mut window_end = (t_min + WIDTH).min(hard_end);
                 if let Some(tg) = t_glob {
                     window_end = window_end.min(tg);
                 }

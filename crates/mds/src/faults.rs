@@ -26,9 +26,9 @@
 //! * clients time out requests after [`FaultPlan::request_timeout`] and
 //!   retry with exponential backoff, re-routing through the mount
 //!   authority;
-//! * after [`FaultPlan::fallback_after`] consecutive balancer errors an
-//!   MDS swaps its balancer for the built-in
-//!   [`crate::balancer::CephfsBalancer`] (the §3.4 fallback).
+//! * after three consecutive balancer errors an MDS swaps its balancer
+//!   for the built-in [`crate::balancer::CephfsBalancer`] (the §3.4
+//!   fallback).
 //!
 //! The outcome is surfaced in [`crate::report::RunReport`] as the
 //! `timeouts`, `retries`, `failovers`, and `balancer_fallbacks` counters.
@@ -116,7 +116,10 @@ impl FaultKind {
     }
 }
 
-/// A full fault schedule plus the cluster's reaction knobs. Pure data;
+/// Cap on retry-backoff doublings (bounds the worst-case retry interval).
+const MAX_BACKOFF_DOUBLINGS: u32 = 6;
+
+/// A full fault schedule plus the clients' reaction knobs. Pure data;
 /// the default plan is inert (no events) and leaves runs byte-identical
 /// to a cluster built before fault injection existed.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,13 +129,8 @@ pub struct FaultPlan {
     /// Client-side request timeout: how long a client waits for a reply
     /// before declaring the request lost and retrying.
     pub request_timeout: SimTime,
-    /// Base retry backoff; attempt `n` waits `backoff × 2^min(n, cap)`.
+    /// Base retry backoff; attempt `n` waits `backoff × 2^min(n, 6)`.
     pub retry_backoff: SimTime,
-    /// Cap on backoff doublings (bounds the worst-case retry interval).
-    pub max_backoff_doublings: u32,
-    /// After this many *consecutive* balancer errors, the MDS swaps its
-    /// balancer for the built-in CephFS one (§3.4). 0 disables fallback.
-    pub fallback_after: u32,
 }
 
 impl Default for FaultPlan {
@@ -141,8 +139,6 @@ impl Default for FaultPlan {
             events: Vec::new(),
             request_timeout: SimTime::from_secs(2),
             retry_backoff: SimTime::from_millis(50),
-            max_backoff_doublings: 6,
-            fallback_after: 3,
         }
     }
 }
@@ -221,7 +217,7 @@ impl FaultPlan {
 
     /// Backoff before retry attempt `n` (0-based): exponential, capped.
     pub fn backoff_for(&self, attempt: u32) -> SimTime {
-        let doublings = attempt.min(self.max_backoff_doublings);
+        let doublings = attempt.min(MAX_BACKOFF_DOUBLINGS);
         SimTime::from_micros_f64(self.retry_backoff.as_micros() as f64 * (1u64 << doublings) as f64)
     }
 }
@@ -309,7 +305,6 @@ mod tests {
     fn default_plan_is_inert() {
         let p = FaultPlan::default();
         assert!(!p.is_active());
-        assert!(p.fallback_after > 0);
         assert!(p.request_timeout > SimTime::ZERO);
     }
 
@@ -333,13 +328,14 @@ mod tests {
     fn backoff_is_exponential_and_capped() {
         let p = FaultPlan {
             retry_backoff: SimTime::from_millis(10),
-            max_backoff_doublings: 3,
             ..Default::default()
         };
         assert_eq!(p.backoff_for(0), SimTime::from_millis(10));
         assert_eq!(p.backoff_for(1), SimTime::from_millis(20));
         assert_eq!(p.backoff_for(3), SimTime::from_millis(80));
+        assert_eq!(p.backoff_for(6), SimTime::from_millis(640));
         // Capped: further attempts wait no longer.
-        assert_eq!(p.backoff_for(10), SimTime::from_millis(80));
+        assert_eq!(p.backoff_for(7), SimTime::from_millis(640));
+        assert_eq!(p.backoff_for(10), SimTime::from_millis(640));
     }
 }

@@ -22,6 +22,17 @@ use crate::metrics::Heartbeat;
 /// Replicated ancestor heat counts toward `all_metaload` at this discount.
 const REPLICA_DISCOUNT: f64 = 0.2;
 
+/// Multiplicative noise on instantaneous CPU measurements, a uniform
+/// factor in `1 ± CPU_NOISE` (§2.2.2's "influenced by the measurement
+/// tool").
+const CPU_NOISE: f64 = 0.05;
+
+/// Multiplicative sampling noise on the heartbeat's metadata-load
+/// metrics, a uniform factor in `1 ± METALOAD_NOISE`. The paper's balancer reads counters at an instant and ships
+/// them in heartbeats; this noise (together with stale views) is why "the
+/// balancing behavior is not reproducible" (Fig. 4).
+const METALOAD_NOISE: f64 = 0.15;
+
 /// Heartbeat snapshot state, owned by the coordinator.
 pub(crate) struct HeartbeatView {
     /// CPU/metaload measurement noise, consumed in MDS order once per
@@ -130,10 +141,10 @@ impl HeartbeatView {
                 let cpu_raw = c.cpu_percent(cfg.heartbeat_interval);
                 let queue_len = c.queued as f64;
                 let req_rate = c.req_rate(cfg.heartbeat_interval);
-                let cpu = (cpu_raw * self.rng.jitter(cfg.cpu_noise)).clamp(0.0, 100.0);
+                let cpu = (cpu_raw * self.rng.jitter(CPU_NOISE)).clamp(0.0, 100.0);
                 // Loads are instantaneous samples shipped over the wire —
                 // every reader sees them with sampling error (§2.2.2).
-                let load_jitter = self.rng.jitter(cfg.metaload_noise);
+                let load_jitter = self.rng.jitter(METALOAD_NOISE);
                 Heartbeat {
                     auth_metaload: auth_load[m] * load_jitter,
                     all_metaload: all_load[m] * load_jitter,

@@ -118,7 +118,8 @@ struct Checker {
     violations: Vec<Violation>,
     level: TraceLevel,
     num_mds: usize,
-    fallback_after: u32,
+    /// The K of fallback-after-k: the header's `fallback_after`.
+    fallback_k: u32,
     started: bool,
     ended: bool,
     dirs: Vec<DirState>,
@@ -165,7 +166,7 @@ impl Checker {
             violations: Vec::new(),
             level: TraceLevel::Decisions,
             num_mds: 0,
-            fallback_after: 0,
+            fallback_k: 0,
             started: false,
             ended: false,
             dirs: Vec::new(),
@@ -370,7 +371,7 @@ impl Checker {
                 self.started = true;
                 self.level = *level;
                 self.num_mds = *num_mds;
-                self.fallback_after = *fallback_after;
+                self.fallback_k = *fallback_after;
                 self.up = vec![true; *num_mds];
                 self.consecutive = vec![0; *num_mds];
                 self.departed = vec![false; *num_mds];
@@ -521,21 +522,21 @@ impl Checker {
             }
             TraceEvent::BalancerFallback { mds } => {
                 if self.mds_ok(i, at, *mds, "fallback") {
-                    if self.fallback_after == 0 {
+                    if self.fallback_k == 0 {
                         self.flag(
                             i,
                             at,
                             "fallback-after-k",
                             format!("MDS {mds} fell back with fallback disabled (K = 0)"),
                         );
-                    } else if self.consecutive[*mds] < self.fallback_after {
+                    } else if self.consecutive[*mds] < self.fallback_k {
                         self.flag(
                             i,
                             at,
                             "fallback-after-k",
                             format!(
                                 "MDS {mds} fell back after {} consecutive errors (K = {})",
-                                self.consecutive[*mds], self.fallback_after
+                                self.consecutive[*mds], self.fallback_k
                             ),
                         );
                     }

@@ -42,7 +42,10 @@ use mantle_sim::{EventQueue, SimRng, SimTime};
 
 use crate::cache::{cacheable, group_of, GroupCache, RouteTable, CACHE_GROUPS, CACHE_HIT_LATENCY};
 use crate::client::{route, ClientOp, ClientState, Workload, PARKED};
-use crate::config::{ClusterConfig, PlacementPolicy};
+use crate::config::{
+    contention_factor, service_with_span, ClusterConfig, PlacementPolicy, FORWARD_HOP, FORWARD_US,
+    HALF_RTT, REMOTE_PREFIX_PENALTY, SERVICE_NOISE,
+};
 use crate::metrics::MdsCounters;
 use crate::trace::TraceEvent;
 use crate::tracer::Tracer;
@@ -298,7 +301,6 @@ pub struct Shard {
     // Cached config-derived values.
     pub(crate) cfg: ClusterConfig,
     faults_active: bool,
-    half_rtt: SimTime,
     /// The proxy cache tier is on (`cfg.cache.enabled`).
     cache_on: bool,
     /// Live-service mode: record op completions for the wire layer. Set
@@ -324,7 +326,6 @@ impl Shard {
     pub(crate) fn new(cfg: ClusterConfig, workload: Box<dyn Workload>, master: &SimRng) -> Self {
         let (num_mds, num_clients) = (cfg.num_mds, workload.num_clients());
         let faults_active = cfg.faults.is_active();
-        let half_rtt = SimTime::from_micros_f64(cfg.costs.rtt_us / 2.0);
         Shard {
             queue: EventQueue::new(),
             workload,
@@ -345,7 +346,6 @@ impl Shard {
             last_event: SimTime::ZERO,
             stats: ShardStats::default(),
             faults_active,
-            half_rtt,
             cache_on: cfg.cache.enabled,
             live: false,
             completions: Vec::new(),
@@ -551,7 +551,7 @@ impl Shard {
         self.inflight += 1;
         let key = self.client_key(c);
         self.queue
-            .schedule_at_key(now + self.half_rtt, key, Event::Arrive { mds, req });
+            .schedule_at_key(now + HALF_RTT, key, Event::Arrive { mds, req });
         if self.faults_active {
             let key = self.client_key(c);
             self.queue.schedule_at_key(
@@ -673,10 +673,9 @@ impl Shard {
         if auth != mds {
             // Wrong MDS: pay a forward (wasted service here + a hop).
             self.counters[mds].report.forwards_out += 1;
-            let fwd_us = self.cfg.costs.forward_us;
             let start = self.next_free[mds].max(now);
-            self.next_free[mds] = start + SimTime::from_micros_f64(fwd_us);
-            self.counters[mds].busy_window_us += fwd_us;
+            self.next_free[mds] = start + SimTime::from_micros_f64(FORWARD_US);
+            self.counters[mds].busy_window_us += FORWARD_US;
             req.forwarded = true;
             w.trace.emit_data(now, || TraceEvent::Forwarded {
                 from: mds,
@@ -685,8 +684,7 @@ impl Shard {
                 frag,
                 client: req.client,
             });
-            let hop = SimTime::from_micros_f64(self.cfg.costs.forward_hop_us);
-            let at = self.next_free[mds].max(now) + hop;
+            let at = self.next_free[mds].max(now) + FORWARD_HOP;
             let key = self.mds_key(mds);
             self.queue
                 .schedule_at_key(at, key, Event::Arrive { mds: auth, req });
@@ -706,14 +704,14 @@ impl Shard {
             seq: req.seq,
         });
         let span = sh.ns.frag_span(req.op.dir);
-        let mut base = self.cfg.costs.service_with_span(req.op.kind, span)
-            * self.cfg.costs.contention_factor(self.counters[mds].queued);
+        let mut base =
+            service_with_span(req.op.kind, span) * contention_factor(self.counters[mds].queued);
         // Path traversal: right after an import the serving MDS has not
         // yet replicated the directory's ancestor prefix, so traversals
         // resolve remotely (and, once warm, locally again).
         if in_cold(sh, req.op.dir, now) {
             if sh.ns.dir(req.op.dir).parent.is_some() {
-                base *= 1.0 + self.cfg.costs.remote_prefix_penalty;
+                base *= 1.0 + REMOTE_PREFIX_PENALTY;
                 self.counters[mds].report.remote_prefix += 1;
             }
         } else if self.cfg.placement == PlacementPolicy::HashDirs {
@@ -722,7 +720,7 @@ impl Shard {
             // lives elsewhere resolves remotely, permanently.
             if let Some(parent) = sh.ns.dir(req.op.dir).parent {
                 if sh.ns.resolve_auth(parent) != mds {
-                    base *= 1.0 + self.cfg.costs.remote_prefix_penalty;
+                    base *= 1.0 + REMOTE_PREFIX_PENALTY;
                     self.counters[mds].report.remote_prefix += 1;
                 }
             }
@@ -731,7 +729,7 @@ impl Shard {
         if self.faults_active && now < sh.slow_until[mds] {
             base *= sh.slow_factor[mds];
         }
-        let noise = self.rng_service[mds].jitter(self.cfg.costs.service_noise);
+        let noise = self.rng_service[mds].jitter(SERVICE_NOISE);
         let service_us = (base * noise).max(1.0);
         let start = self.next_free[mds].max(now);
         let done = start + SimTime::from_micros_f64(service_us);
@@ -835,7 +833,7 @@ impl Shard {
             });
         }
         self.inflight -= 1;
-        let reply_at = now + self.half_rtt;
+        let reply_at = now + HALF_RTT;
         let key = self.mds_key(mds);
         self.queue
             .schedule_at_key(reply_at, key, Event::Reply { mds, req });

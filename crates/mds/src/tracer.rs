@@ -11,6 +11,7 @@
 use mantle_namespace::{Namespace, NodeId};
 use mantle_sim::SimTime;
 
+use crate::balancer::FALLBACK_AFTER;
 use crate::config::ClusterConfig;
 use crate::trace::{Timeline, TraceBuffer, TraceEvent, TraceLevel, TraceRecord};
 
@@ -140,7 +141,7 @@ impl Tracer {
         };
         self.emit(SimTime::ZERO, || TraceEvent::RunStart {
             num_mds: cfg.num_mds,
-            fallback_after: cfg.faults.fallback_after,
+            fallback_after: FALLBACK_AFTER,
             level,
             heartbeat_us: cfg.heartbeat_interval.as_micros(),
         });

@@ -128,7 +128,7 @@ fn listing4_adaptable_requires_majority() {
 
 #[test]
 fn table1_script_equals_hardcoded_on_a_grid() {
-    let mut hard = CephfsBalancer::default();
+    let mut hard = CephfsBalancer;
     let mut script =
         MantleBalancer::new("cephfs-script", policies::cephfs_original().unwrap()).unwrap();
     for n in [2usize, 3, 4, 7] {
