@@ -6,19 +6,20 @@
 -- largest client count that does not overload one MDS). On the paper's
 -- testbed that is 48%; on this repository's simulated cluster the same
 -- methodology yields ≈80% (see EXPERIMENTS.md). The WRstate / RDstate
--- counter makes the balancer conservative: after a spill it waits 3
--- straight overloaded iterations before spilling again (the heartbeat it
--- would otherwise act on is stale, §2.2.2).
+-- counter makes the balancer conservative: after a spill it sits out
+-- PATIENCE overloaded iterations and spills again on the next (the
+-- heartbeat it would otherwise act on is stale, §2.2.2).
 --
--- CPU_THRESHOLD and SPILL_DIVISOR are substituted by the host when the
--- policy is instantiated (divisor 4 spills 25% of the load, 10 spills
--- 10% — §4.2 compares both).
+-- CPU_THRESHOLD, SPILL_DIVISOR and PATIENCE are substituted by the host
+-- when the policy is instantiated (divisor 4 spills 25% of the load, 10
+-- spills 10% — §4.2 compares both; the listing's patience is 2, so it
+-- fires on every third overloaded iteration).
 wait = RDstate()
 go = 0
 if MDSs[whoami]["cpu"] > CPU_THRESHOLD then
   if wait > 0 then WRstate(wait-1)
-  else WRstate(2) go = 1 end
-else WRstate(2) end
+  else WRstate(PATIENCE) go = 1 end
+else WRstate(PATIENCE) end
 if go == 1 and whoami < #MDSs then
   -- Where policy
   targets[whoami+1] = MDSs[whoami]["load"]/SPILL_DIVISOR

@@ -14,7 +14,8 @@ pub const GREEDY_SPILL_LUA: &str = include_str!("../policies/greedy_spill.lua");
 /// Listing 2: Greedy Spill Evenly.
 pub const GREEDY_SPILL_EVEN_LUA: &str = include_str!("../policies/greedy_spill_even.lua");
 /// Listing 3: Fill & Spill (LARD variation). Contains the
-/// `SPILL_DIVISOR` placeholder substituted by [`fill_and_spill`].
+/// `CPU_THRESHOLD`, `SPILL_DIVISOR` and `PATIENCE` placeholders
+/// substituted by [`fill_and_spill_script`].
 pub const FILL_AND_SPILL_LUA: &str = include_str!("../policies/fill_and_spill.lua");
 /// Listing 4: the Adaptable balancer.
 pub const ADAPTABLE_LUA: &str = include_str!("../policies/adaptable.lua");
@@ -76,6 +77,15 @@ pub fn fill_and_spill(spill_fraction: f64) -> PolicyResult<PolicySet> {
 /// Listing 3 with an explicit CPU threshold (percent busy above which the
 /// MDS counts as overloaded).
 pub fn fill_and_spill_with(spill_fraction: f64, cpu_threshold: f64) -> PolicyResult<PolicySet> {
+    let script = fill_and_spill_script(spill_fraction, cpu_threshold, 2);
+    PolicySet::from_combined(MIXED_METALOAD, ALL_MDSLOAD, &script, &["small_first"])
+}
+
+/// Listing 3's decision script with its three knobs filled in: shed
+/// `spill_fraction` of the load per trigger, count as overloaded above
+/// `cpu_threshold` percent busy, and after a spill sit out `patience`
+/// overloaded ticks (the listing's is 2).
+pub fn fill_and_spill_script(spill_fraction: f64, cpu_threshold: f64, patience: u32) -> String {
     assert!(
         spill_fraction > 0.0 && spill_fraction < 1.0,
         "spill fraction must be in (0,1)"
@@ -85,10 +95,10 @@ pub fn fill_and_spill_with(spill_fraction: f64, cpu_threshold: f64) -> PolicyRes
         "cpu threshold is a percentage"
     );
     let divisor = 1.0 / spill_fraction;
-    let script = FILL_AND_SPILL_LUA
+    FILL_AND_SPILL_LUA
         .replace("SPILL_DIVISOR", &format!("{divisor}"))
-        .replace("CPU_THRESHOLD", &format!("{cpu_threshold}"));
-    PolicySet::from_combined(MIXED_METALOAD, ALL_MDSLOAD, &script, &["small_first"])
+        .replace("CPU_THRESHOLD", &format!("{cpu_threshold}"))
+        .replace("PATIENCE", &format!("{patience}"))
 }
 
 /// Listing 4: the Adaptable balancer (the "aggressive" middle panel of

@@ -29,28 +29,13 @@
 
 use crate::degraded::scenario_plans;
 use crate::experiment::{par_map, run_experiment, BalancerSpec, Experiment, WorkloadSpec};
-use crate::policies::MIXED_METALOAD;
+use crate::policies::{fill_and_spill_script, MIXED_METALOAD};
 use crate::repro::ReproOpts;
 use crate::table::{f, TextTable};
 use mantle_mds::ClusterConfig;
 use mantle_policy::env::PolicySet;
 use mantle_policy::PolicyResult;
 use mantle_sim::SimTime;
-
-/// Listing 3 generalized: `CPU_THRESHOLD`, `SPILL_DIVISOR`, and
-/// `PATIENCE` are substituted per candidate. With divisor 4 and patience
-/// 2 this is exactly `policies/fill_and_spill.lua`.
-const TEMPLATE: &str = "\
-wait = RDstate()
-go = 0
-if MDSs[whoami][\"cpu\"] > CPU_THRESHOLD then
-  if wait > 0 then WRstate(wait-1)
-  else WRstate(PATIENCE) go = 1 end
-else WRstate(PATIENCE) end
-if go == 1 and whoami < #MDSs then
-  targets[whoami+1] = MDSs[whoami][\"load\"]/SPILL_DIVISOR
-end
-";
 
 /// The two `mds_load` capacity terms in the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,17 +90,10 @@ impl Candidate {
         )
     }
 
-    /// Instantiate the candidate as a validated-shape policy set.
+    /// Instantiate the candidate as a validated-shape policy set: Listing
+    /// 3 with this point's knobs.
     pub fn policy(&self) -> PolicyResult<PolicySet> {
-        assert!(
-            self.spill_fraction > 0.0 && self.spill_fraction < 1.0,
-            "spill fraction must be in (0,1)"
-        );
-        let divisor = 1.0 / self.spill_fraction;
-        let script = TEMPLATE
-            .replace("CPU_THRESHOLD", &format!("{}", self.cpu_threshold))
-            .replace("SPILL_DIVISOR", &format!("{divisor}"))
-            .replace("PATIENCE", &format!("{}", self.patience));
+        let script = fill_and_spill_script(self.spill_fraction, self.cpu_threshold, self.patience);
         PolicySet::from_combined(
             MIXED_METALOAD,
             self.capacity.expr(),
@@ -322,29 +300,19 @@ mod tests {
 
     #[test]
     fn default_point_matches_fill_and_spill_preset() {
-        // Divisor 4, patience 2 is exactly policies/fill_and_spill.lua:
-        // the template and the preset script must agree code-line for
-        // code-line (comments and blank lines aside — they shift the
-        // compiled line numbers but not behaviour).
-        let code_lines = |src: &str| -> Vec<String> {
-            src.lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty() && !l.starts_with("--"))
-                .map(String::from)
-                .collect()
+        // Spill 25 %, the calibrated threshold and patience 2, on the
+        // preset's capacity term and selector, is the preset policy.
+        let point = Candidate {
+            spill_fraction: 0.25,
+            cpu_threshold: crate::policies::FILL_SPILL_CPU_THRESHOLD,
+            patience: 2,
+            selector: "small_first",
+            capacity: CapacityTerm::All,
         };
-        let ours = code_lines(
-            &TEMPLATE
-                .replace("CPU_THRESHOLD", "80")
-                .replace("SPILL_DIVISOR", "4")
-                .replace("PATIENCE", "2"),
+        assert_eq!(
+            format!("{:?}", point.policy().unwrap()),
+            format!("{:?}", crate::policies::fill_and_spill(0.25).unwrap())
         );
-        let preset = code_lines(
-            &crate::policies::FILL_AND_SPILL_LUA
-                .replace("CPU_THRESHOLD", "80")
-                .replace("SPILL_DIVISOR", "4"),
-        );
-        assert_eq!(ours, preset);
     }
 
     #[test]

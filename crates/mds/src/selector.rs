@@ -13,6 +13,7 @@
 //! defines them and this module only races the two kinds against each
 //! other ([`SelectorKind`], [`select_best_of`]).
 
+use std::convert::Infallible;
 use std::fmt;
 
 /// A named strategy for picking which load units to ship toward a target.
@@ -154,22 +155,45 @@ pub fn select_best(
     loads: &[f64],
     target: f64,
 ) -> (DirfragSelector, Vec<usize>, f64) {
-    assert!(!selectors.is_empty(), "at least one selector required");
-    let mut best: Option<(DirfragSelector, Vec<usize>, f64, f64)> = None;
-    for &sel in selectors {
-        let chosen = sel.select(loads, target);
-        let shipped: f64 = chosen.iter().map(|&i| loads[i]).sum();
-        let dist = (shipped - target).abs();
-        let better = match &best {
-            None => true,
-            Some((_, _, _, best_dist)) => dist < *best_dist,
+    let runs = selectors
+        .iter()
+        .map(|s| Ok::<_, Infallible>(s.select(loads, target)));
+    let Ok((winner, chosen, shipped)) = race(runs, loads, target);
+    (selectors[winner], chosen, shipped)
+}
+
+/// The race of §3.2 over the selectors' `runs`, in order: the first one
+/// whose shipped load is strictly closest to `target` wins, and a run
+/// that errored drops out. Returns `(winner's index, chosen indices,
+/// shipped load)`, or the last error if every run failed.
+fn race<E>(
+    runs: impl Iterator<Item = Result<Vec<usize>, E>>,
+    loads: &[f64],
+    target: f64,
+) -> Result<(usize, Vec<usize>, f64), E> {
+    let mut best: Option<(usize, Vec<usize>, f64, f64)> = None;
+    let mut last_err = None;
+    for (i, run) in runs.enumerate() {
+        let chosen = match run {
+            Ok(chosen) => chosen,
+            Err(e) => {
+                last_err = Some(e);
+                continue;
+            }
         };
-        if better {
-            best = Some((sel, chosen, shipped, dist));
+        let shipped: f64 = chosen.iter().map(|&j| loads[j]).sum();
+        let dist = (shipped - target).abs();
+        if best
+            .as_ref()
+            .is_none_or(|&(.., best_dist)| dist < best_dist)
+        {
+            best = Some((i, chosen, shipped, dist));
         }
     }
-    let (sel, chosen, shipped, _) = best.expect("non-empty selectors");
-    (sel, chosen, shipped)
+    match best {
+        Some((winner, chosen, shipped, _)) => Ok((winner, chosen, shipped)),
+        None => Err(last_err.expect("at least one selector required")),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -179,7 +203,7 @@ pub fn select_best(
 
 use std::rc::Rc;
 
-use mantle_policy::{PolicyError, PolicyResult};
+use mantle_policy::PolicyResult;
 
 /// A dirfrag selector written in the policy language: compiled once with
 /// the policy that ships it, run on the bytecode VM, and dry-run by the
@@ -233,46 +257,23 @@ impl From<DirfragSelector> for SelectorKind {
     }
 }
 
-/// [`select_best`] over mixed built-in and scripted selectors. A scripted
-/// selector that errors is skipped (and reported via the returned error
-/// only if *every* selector fails).
+/// [`select_best`] over mixed built-in and scripted selectors, returning
+/// the winner's index in `selectors`. A scripted selector that errors is
+/// skipped (and reported via the returned error only if *every* selector
+/// fails).
 pub fn select_best_of(
     selectors: &[SelectorKind],
     loads: &[f64],
     target: f64,
-) -> PolicyResult<(String, Vec<usize>, f64)> {
-    assert!(!selectors.is_empty(), "at least one selector required");
-    let mut best: Option<(String, Vec<usize>, f64, f64)> = None;
-    let mut last_err = None;
-    for sel in selectors {
-        let chosen = match sel.select(loads, target) {
-            Ok(c) => c,
-            Err(e) => {
-                last_err = Some(e);
-                continue;
-            }
-        };
-        let shipped: f64 = chosen.iter().map(|&i| loads[i]).sum();
-        let dist = (shipped - target).abs();
-        let better = match &best {
-            None => true,
-            Some((_, _, _, best_dist)) => dist < *best_dist,
-        };
-        if better {
-            best = Some((sel.name().to_string(), chosen, shipped, dist));
-        }
-    }
-    match best {
-        Some((name, chosen, shipped, _)) => Ok((name, chosen, shipped)),
-        None => Err(last_err.unwrap_or(PolicyError::Rejected {
-            reason: "no selector produced a choice".into(),
-        })),
-    }
+) -> PolicyResult<(usize, Vec<usize>, f64)> {
+    let runs = selectors.iter().map(|s| s.select(loads, target));
+    race(runs, loads, target)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mantle_policy::PolicyError;
 
     /// The §2.2.3 worked example.
     const PAPER_LOADS: [f64; 8] = [12.7, 13.3, 13.3, 14.6, 15.7, 13.5, 13.7, 14.6];
@@ -420,8 +421,8 @@ return chosen
         let loads = [10.0, 20.0, 30.0, 40.0];
         // Target 40: half ships 10+20=30 (dist 10); every_other ships
         // 10+30=40 (dist 0) → scripted wins.
-        let (name, chosen, shipped) = select_best_of(&kinds, &loads, 40.0).unwrap();
-        assert_eq!(name, "every_other");
+        let (winner, chosen, shipped) = select_best_of(&kinds, &loads, 40.0).unwrap();
+        assert_eq!(kinds[winner].name(), "every_other");
         assert_eq!(chosen, vec![0, 2]);
         assert_eq!(shipped, 40.0);
     }
@@ -432,8 +433,12 @@ return chosen
             ScriptedSelector::compile("broken", "return {99}").unwrap(),
         ));
         let kinds = vec![broken, SelectorKind::Builtin(DirfragSelector::BigFirst)];
-        let (name, _, _) = select_best_of(&kinds, &[5.0, 1.0], 4.0).unwrap();
-        assert_eq!(name, "big_first", "falls back to the working selector");
+        let (winner, _, _) = select_best_of(&kinds, &[5.0, 1.0], 4.0).unwrap();
+        assert_eq!(
+            kinds[winner].name(),
+            "big_first",
+            "falls back to the working selector"
+        );
         // All broken → the error surfaces.
         let only_broken = vec![SelectorKind::Scripted(Rc::new(
             ScriptedSelector::compile("broken", "return {99}").unwrap(),

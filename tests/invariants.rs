@@ -252,6 +252,35 @@ fn checker_detects_dropped_unfreeze() {
 
 // ---- overhead guard: tracing must be free when off, inert when on ----
 
+/// The quick Fig. 10 bottom row: the too-aggressive adaptable balancer on
+/// 5 MDSs, whose planner once shipped a subtree whole and then again
+/// fragment by fragment in the same tick.
+#[test]
+fn fig10_too_aggressive_run_upholds_invariants() {
+    let opts = ReproOpts::QUICK;
+    let spec = Experiment::new(
+        opts.cfg(5, 17),
+        // `repro fig10`'s compile scale.
+        WorkloadSpec::Compile {
+            clients: 5,
+            scale: opts.s(24.0),
+        },
+        BalancerSpec::mantle(
+            "adaptable-too-aggressive",
+            policies::adaptable_too_aggressive().unwrap(),
+        ),
+    );
+    let (report, trace) = run_experiment_traced(&spec, TraceLevel::Decisions);
+    assert!(report.total_migrations() > 100, "the run thrashes");
+    let violations = check_trace(trace.records());
+    assert!(
+        violations.is_empty(),
+        "{} violation(s), first: {}",
+        violations.len(),
+        violations[0]
+    );
+}
+
 #[test]
 fn disabled_sink_keeps_reports_byte_identical() {
     let spec = base_experiment(ReproOpts::QUICK, 42);
