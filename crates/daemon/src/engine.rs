@@ -131,7 +131,7 @@ impl Engine {
     /// Run the full hot-swap pipeline for a policy submitted over the
     /// admin socket: compile + validate (`prepare`), assign the next
     /// epoch, and hand the set to the engine, which installs it on every
-    /// MDS in the coordinator's next exclusive step and answers with a
+    /// MDS in the coordinator's next global step and answers with a
     /// [`ServiceEvent::Swapped`] carrying the epoch returned here. A
     /// rejected policy returns `Err` and leaves name and epoch as they
     /// were.

@@ -5,7 +5,7 @@
 //! behind a TCP wire protocol. Real client connections issue metadata
 //! ops over length-prefixed JSON frames, an admin endpoint performs
 //! **hot policy reload** (compile → validate → epoch-tagged install in
-//! one exclusive engine step, so no decision straddles two policies),
+//! one engine step, so no decision straddles two policies),
 //! and the trace subsystem streams live to `trace`-role subscribers.
 //!
 //! The split, layer by layer:

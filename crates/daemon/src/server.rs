@@ -552,7 +552,7 @@ impl Server {
                 }
                 match self.engine.swap(&src) {
                     // Reply deferred until the engine reports the install
-                    // from its exclusive step (`ServiceEvent::Swapped`).
+                    // from its global step (`ServiceEvent::Swapped`).
                     Ok(_epoch) => {
                         self.swaps.push_back((addr, id));
                         None

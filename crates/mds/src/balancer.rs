@@ -397,7 +397,7 @@ pub(crate) const FALLBACK_AFTER: u32 = 3;
 /// One balancer per MDS plus the bookkeeping of their failures: hook
 /// errors, fault-injected poisoning, and the §3.4 fallback to the CephFS
 /// balancer after [`FALLBACK_AFTER`] consecutive bad ticks. Owned by the
-/// coordinator; balancers only ever run inside exclusive steps.
+/// coordinator; balancers only ever run inside heartbeat steps.
 pub(crate) struct BalancerSet {
     balancers: Vec<Box<dyn Balancer>>,
     /// Balancers whose hooks were poisoned mid-run (every decide errors).

@@ -9,9 +9,8 @@
 //! TTL-free and purely invalidation-driven:
 //!
 //! * **mutating ops** (create / mkdir / setattr / unlink) invalidate the
-//!   touched directory's entries in every group at the next window
-//!   barrier, via the same deferred-op plumbing that applies heat
-//!   charges;
+//!   touched directory's entries in every group when they complete, in
+//!   the same step that charges their heat;
 //! * **migrations and session flushes** invalidate every directory the
 //!   export moved: the list `Migrator::apply_export` already walked to
 //!   stamp the freeze, one [`GroupCache::invalidate`] per directory.
@@ -24,11 +23,10 @@
 //! just read. (A per-client map scanned with the region's predicate
 //! survives as the differential oracle in the unit tests below.)
 //!
-//! Determinism: group caches live in [`crate::shard::SharedSim`] and are
-//! **read-only during windows**. Every mutation — fill, LRU touch,
-//! dentry invalidation — is deferred and applied at the barrier in
-//! `(time, key)` order, so the LRU clock and eviction order are pure
-//! functions of the event stream.
+//! Determinism: group caches live in [`crate::shard::SharedSim`]. Every
+//! mutation — fill, LRU touch, dentry invalidation — lands as the event
+//! that causes it runs, in `(time, key)` order, so the LRU clock and
+//! eviction order are pure functions of the event stream.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -192,9 +190,9 @@ pub(crate) const CACHE_HIT_LATENCY: SimTime = SimTime::from_micros(60);
 /// One proxy group's read cache: directory → the MDS whose metadata the
 /// proxy holds, with capacity-bounded LRU eviction.
 ///
-/// The LRU clock (`tick`) only advances at window barriers, where touch
-/// and fill ops are applied in global `(time, key)` order — eviction
-/// order is therefore identical in every execution mode.
+/// The LRU clock (`tick`) advances on every touch and fill, which land in
+/// global `(time, key)` event order — eviction order is therefore a pure
+/// function of the event stream.
 #[derive(Debug, Clone)]
 pub struct GroupCache {
     capacity: usize,
@@ -222,9 +220,8 @@ impl GroupCache {
         }
     }
 
-    /// The cached authority for `dir`, if present. Read-only — the
-    /// in-window hit path must not mutate shared state, so the LRU
-    /// touch is deferred to the barrier ([`GroupCache::touch`]).
+    /// The cached authority for `dir`, if present. Read-only: a hit that
+    /// the tier serves marks its use with [`GroupCache::touch`].
     pub fn lookup(&self, dir: NodeId) -> Option<MdsId> {
         self.entries.get(&dir).map(|s| s.mds)
     }
@@ -239,8 +236,8 @@ impl GroupCache {
         self.entries.is_empty()
     }
 
-    /// Mark `dir` most-recently-used (deferred from an in-window hit).
-    /// No-op if the entry was evicted or invalidated in the meantime.
+    /// Mark `dir` most-recently-used (a hit was served from it). No-op if
+    /// the entry is absent.
     pub fn touch(&mut self, dir: NodeId) {
         if let Some(slot) = self.entries.get_mut(&dir) {
             let old = slot.tick;

@@ -11,7 +11,7 @@
 //! Mantle's claim is that balancing policy separates cleanly from
 //! migration mechanism (§3). The mechanism is a pipeline, and each stage
 //! is a module that owns the state it mutates and takes the driver's
-//! `Exclusive` view to reach the simulation:
+//! simulation state (`&mut Driver`) to reach it:
 //!
 //! | stage | where | state it owns |
 //! |---|---|---|
@@ -21,8 +21,7 @@
 //! | fragment (`howmuch`) | [`crate::partition`] | — (pure planning) |
 //! | migrate | [`crate::migration`] | migration ids, invalidation count |
 //!
-//! Around the tick: [`crate::barrier`] closes every window,
-//! [`crate::faults`] applies scheduled faults, [`crate::tracer`] owns the
+//! Around the tick: [`crate::faults`] applies scheduled faults, [`crate::tracer`] owns the
 //! trace sink, and [`crate::service`] pumps a live daemon's commands in
 //! and events out.
 
@@ -33,11 +32,10 @@ use mantle_policy::env::PolicySet;
 use mantle_sim::{EventQueue, SimRng, SimTime, Summary};
 
 use crate::balancer::{BalanceContext, Balancer, BalancerSet, MigrationPlan};
-use crate::barrier::Barrier;
 use crate::cache::{GroupCache, CACHE_CAPACITY, CACHE_GROUPS};
 use crate::client::Workload;
 use crate::config::ClusterConfig;
-use crate::driver::{Driver, Exclusive};
+use crate::driver::Driver;
 use crate::elastic::Membership;
 use crate::faults::FaultKind;
 use crate::heartbeat::HeartbeatView;
@@ -73,9 +71,9 @@ impl Balancer for NoopBalancer {
     }
 }
 
-/// A control-plane event. Globals always run in exclusive steps — never
-/// concurrently with a window — because they read and write cluster-wide
-/// state (the namespace, every MDS's counters, liveness).
+/// A control-plane event. Each runs as one driver step, between two
+/// data-plane events, and reads and writes cluster-wide state (the
+/// namespace, every MDS's counters, liveness).
 enum GlobalEvent {
     /// Cluster-wide heartbeat + balancer tick.
     Heartbeat,
@@ -83,8 +81,8 @@ enum GlobalEvent {
     Admin(Box<dyn FnOnce(&mut Namespace) + Send>),
     /// A hot policy install: swap every MDS's balancer for a fresh one
     /// built from an already-validated policy. In-flight decisions are
-    /// untouched — balancers only ever run inside exclusive heartbeat
-    /// steps, so a decision that started before the swap has already
+    /// untouched — balancers only ever run inside heartbeat steps, so a
+    /// decision that started before the swap has already
     /// finished on the old policy by the time this runs.
     Swap {
         name: String,
@@ -108,7 +106,6 @@ pub(crate) struct Coordinator {
     pub(crate) trace: Tracer,
     /// Subtrees and dirfrags failed over to MDS 0 by crashes.
     pub(crate) failovers: u64,
-    barrier: Barrier,
     globals: EventQueue<GlobalEvent>,
     /// Results of installs run since the service pump last looked, in
     /// install order ([`ServiceEvent::Swapped`]).
@@ -122,15 +119,14 @@ impl Coordinator {
         self.globals.peek_time()
     }
 
-    /// Run the next global event with exclusive access to the whole
-    /// simulation. Globals never overlap windows, so everything here
-    /// reads and writes freely.
-    pub(crate) fn run_global(&mut self, x: &mut Exclusive) {
+    /// Run the next global event with `&mut` access to the whole
+    /// simulation.
+    pub(crate) fn run_global(&mut self, x: &mut Driver) {
         let (now, event) = self.globals.pop().expect("a global event is due");
         match event {
             GlobalEvent::Heartbeat => self.tick(x, now),
             GlobalEvent::Admin(action) => {
-                let ns = &mut x.sim().ns;
+                let ns = &mut x.sim.ns;
                 action(ns);
                 // Admin actions mutate the namespace wholesale;
                 // re-announce new dirs and the authority state.
@@ -152,11 +148,6 @@ impl Coordinator {
             }
             GlobalEvent::Fault(kind) => crate::faults::apply(self, x, &kind, now),
         }
-    }
-
-    /// Close the window that ended at `window_end`.
-    pub(crate) fn barrier(&mut self, x: &mut Exclusive, window_end: SimTime) {
-        self.barrier.apply(x, &mut self.trace, window_end);
     }
 
     /// Queue a hot install as a regular global event at the time
@@ -182,29 +173,29 @@ impl Coordinator {
     }
 
     /// Migrate one export unit away from `from`.
-    pub(crate) fn export(&mut self, x: &mut Exclusive, from: MdsId, export: Export, now: SimTime) {
+    pub(crate) fn export(&mut self, x: &mut Driver, from: MdsId, export: Export, now: SimTime) {
         self.migrator
             .apply_export(x, &mut self.trace, &self.cfg, from, export, now);
     }
 
     /// Cluster-wide heartbeat + balancer tick.
-    fn tick(&mut self, x: &mut Exclusive, now: SimTime) {
+    fn tick(&mut self, x: &mut Driver, now: SimTime) {
         let n = self.cfg.num_mds;
         // Catch the trace's namespace model up under the *old* epoch —
         // every record carries `epoch == ticks seen so far` except the
         // tick itself, which announces the increment.
-        self.trace.sync_dirs(&x.sim().ns, now);
+        self.trace.sync_dirs(&x.sim.ns, now);
         self.trace.epoch += 1;
         // Accrue provisioned MDS-time up to this instant under the *old*
         // membership; transitions below only bill from here on.
-        self.membership.accrue(now, x.sim().members());
+        self.membership.accrue(now, x.sim.members());
         // 1. Every MDS packages up its metrics ("send HB").
         let heartbeats = self.hb.snapshot(x, &self.policy, &self.cfg, now);
         // Timeline + tick record before the windows roll, so the sampled
         // queue depth / throughput are the ones the balancers will act on.
         if let Some(timeline) = self.trace.timeline() {
             for (m, hb) in heartbeats.iter().enumerate() {
-                let c = &x.plane().counters[m];
+                let c = &x.shard.counters[m];
                 timeline.sample(
                     now,
                     m,
@@ -217,7 +208,7 @@ impl Coordinator {
             self.trace.emit(now, || TraceEvent::HeartbeatTick { loads });
         }
         // 2. Roll the measurement windows (cache tallies roll with them).
-        for c in &mut x.plane().counters {
+        for c in &mut x.shard.counters {
             c.roll_window();
         }
         // 2½. The elastic controller: evaluate the `howmany` hook over the
@@ -230,7 +221,7 @@ impl Coordinator {
         // The post-transition member view the balancers run against. With
         // elasticity off this is the identity (all MDSs are members) and
         // the filtered snapshot is never built.
-        let active_ids: Vec<MdsId> = (0..n).filter(|&m| x.sim().member[m]).collect();
+        let active_ids: Vec<MdsId> = (0..n).filter(|&m| x.sim.member[m]).collect();
         let member_view: Option<Arc<[Heartbeat]>> =
             elastic.then(|| active_ids.iter().map(|&m| heartbeats[m]).collect());
         // 3. Every MDS runs its balancer against the (shared, already
@@ -239,7 +230,7 @@ impl Coordinator {
         for m in 0..n {
             // A crashed MDS neither balances nor exports; a non-member
             // (spare or departed) has nothing to balance.
-            if !x.sim().up[m] || !x.sim().member[m] {
+            if !x.sim.up[m] || !x.sim.member[m] {
                 continue;
             }
             // A poisoned balancer errors before reaching a decision.
@@ -291,7 +282,7 @@ impl Coordinator {
             } else {
                 plan
             };
-            let ns = &mut x.sim().ns;
+            let ns = &mut x.sim.ns;
             let Ok(exports) = plan_exports(ns, m, self.policy.balancer(m), &plan, now) else {
                 self.policy.note_error(m, now, &mut self.trace);
                 continue;
@@ -317,7 +308,7 @@ impl Coordinator {
             }
         }
         // 4. Next tick, while clients are still running.
-        if x.plane().active > 0 {
+        if x.shard.active > 0 {
             self.globals
                 .schedule_at(now + self.cfg.heartbeat_interval, GlobalEvent::Heartbeat);
         }
@@ -349,8 +340,7 @@ impl Cluster {
         let initial_members = cfg.elastic.initial(n);
         let workload_name = workload.name().to_string();
         let shard = Shard::new(cfg.clone(), workload, &master);
-        // Proxy-tier caches: one LRU per client group (read-only in
-        // windows). Empty when disabled — the inert default adds no state
+        // Proxy-tier caches: one LRU per client group. Empty when disabled — the inert default adds no state
         // and no per-event work.
         let caches = if cfg.cache.enabled {
             vec![GroupCache::new(CACHE_CAPACITY); CACHE_GROUPS]
@@ -375,7 +365,6 @@ impl Cluster {
             migrator: Migrator::default(),
             trace: Tracer::new(None, &cfg),
             failovers: 0,
-            barrier: Barrier::default(),
             globals: EventQueue::new(),
             swapped: Vec::new(),
             workload_name,
@@ -413,8 +402,8 @@ impl Cluster {
         self.run_with_stats().0
     }
 
-    /// Run to completion, also returning execution statistics (events,
-    /// windows, exclusive steps). The [`ExecStats`] never feed back into
+    /// Run to completion, also returning execution statistics (data and
+    /// global steps). The [`ExecStats`] never feed back into
     /// the simulation.
     pub fn run_with_stats(self) -> (RunReport, ExecStats) {
         let (report, stats, _) = self.run_inner(None, None);
@@ -507,6 +496,7 @@ fn into_report(co: &Coordinator, driver: Driver) -> RunReport {
         clients,
         timeouts,
         retries,
+        cache_invalidations,
         ..
     } = shard;
     let makespan = clients
@@ -543,7 +533,7 @@ fn into_report(co: &Coordinator, driver: Driver) -> RunReport {
         balancer_fallbacks: co.policy.fallbacks,
         cache_hits,
         cache_misses,
-        cache_invalidations: co.barrier.cache_invalidations + co.migrator.cache_invalidations,
+        cache_invalidations: cache_invalidations + co.migrator.cache_invalidations,
         mds_seconds: co.membership.total_mds_seconds(makespan, sim.members()),
         joins: co.membership.joins,
         leaves: co.membership.leaves,
@@ -557,7 +547,7 @@ mod tests {
     use crate::client::{route, ClientOp};
     use crate::partition::ExportUnit;
     use crate::shard::tests::SubtreeWindow;
-    use crate::shard::{frozen_until, in_cold, Request, Window};
+    use crate::shard::{frozen_until, in_cold, Request};
     use mantle_namespace::{NodeId, OpKind};
 
     /// A trivial workload: each client creates `count` files in its own
@@ -841,15 +831,13 @@ mod tests {
             let ns = cluster.namespace_mut();
             (ns.mkdir_p("/a"), ns.mkdir_p("/a/b"))
         };
-        let mut x = cluster.driver.exclusive();
-        cluster
-            .co
-            .export(&mut x, 0, subtree_to_mds1(a), SimTime::ZERO);
+        let x = &mut cluster.driver;
+        cluster.co.export(x, 0, subtree_to_mds1(a), SimTime::ZERO);
         assert!(
-            frozen_until(x.sim(), a, SimTime::ZERO).is_some(),
+            frozen_until(&x.sim, a, SimTime::ZERO).is_some(),
             "root frozen"
         );
-        let thaw = frozen_until(x.sim(), ab, SimTime::ZERO).expect("descendant frozen too");
+        let thaw = frozen_until(&x.sim, ab, SimTime::ZERO).expect("descendant frozen too");
         // A request to the descendant during the freeze defers to the
         // thaw instead of being served.
         let req = Request {
@@ -864,12 +852,11 @@ mod tests {
             seq: 1,
             attempts: 0,
         };
-        let (sim, g) = x.parts();
+        let g = &mut x.shard;
         let key = g.client_key(0);
         g.queue
             .schedule_at_key(SimTime::ZERO, key, Event::Arrive { mds: 1, req });
-        let trace = &mut cluster.co.trace;
-        g.process_window(&mut Window { sim, trace }, SimTime::from_micros(1));
+        g.step(&mut x.sim, &mut cluster.co.trace);
         assert_eq!(
             g.queue.peek_time(),
             Some(thaw),
@@ -896,16 +883,14 @@ mod tests {
             ns.set_auth(a, Some(2));
             (a, ab)
         };
-        let mut x = cluster.driver.exclusive();
+        let x = &mut cluster.driver;
         // The client learned MDS 2 serves both dirs.
         for d in [a, ab] {
-            x.plane().routes.learn(0, d, 2);
+            x.shard.routes.learn(0, d, 2);
         }
         // MDS 2 exports the subtree to MDS 1.
-        cluster
-            .co
-            .export(&mut x, 2, subtree_to_mds1(a), SimTime::ZERO);
-        let (sim, plane) = x.parts();
+        cluster.co.export(x, 2, subtree_to_mds1(a), SimTime::ZERO);
+        let (sim, plane) = (&x.sim, &x.shard);
         let frag = sim.ns.peek_frag(ab);
         let multi = sim.ns.frag_owners(ab).len() > 1;
         assert_eq!(
@@ -916,10 +901,9 @@ mod tests {
     }
 
     #[test]
-    fn lapsed_windows_are_purged_at_barriers() {
+    fn lapsed_stamps_defer_nothing() {
         // A freeze/cold stamp is never removed: once it lapses it reads as
-        // "not covered" — inside windows and after barriers alike — and
-        // defers nothing.
+        // "not covered" and defers nothing.
         let cfg = ClusterConfig {
             num_mds: 2,
             ..Default::default()
@@ -928,18 +912,13 @@ mod tests {
             Box::new(NoopBalancer)
         });
         let a = cluster.namespace_mut().mkdir_p("/a");
-        let mut x = cluster.driver.exclusive();
-        cluster
-            .co
-            .export(&mut x, 0, subtree_to_mds1(a), SimTime::ZERO);
-        assert!(frozen_until(x.sim(), a, SimTime::ZERO).is_some());
-        assert!(in_cold(x.sim(), a, SimTime::ZERO));
+        let x = &mut cluster.driver;
+        cluster.co.export(x, 0, subtree_to_mds1(a), SimTime::ZERO);
+        assert!(frozen_until(&x.sim, a, SimTime::ZERO).is_some());
+        assert!(in_cold(&x.sim, a, SimTime::ZERO));
         let late = SimTime::from_secs(100);
-        for barriers in 0..2 {
-            assert!(frozen_until(x.sim(), a, late).is_none(), "{barriers}");
-            assert!(!in_cold(x.sim(), a, late), "{barriers}");
-            cluster.co.barrier(&mut x, late);
-        }
+        assert!(frozen_until(&x.sim, a, late).is_none());
+        assert!(!in_cold(&x.sim, a, late));
         // A request arriving after the lapse is served on arrival, at the
         // warm price.
         let req = Request {
@@ -954,12 +933,11 @@ mod tests {
             seq: 1,
             attempts: 0,
         };
-        let (sim, g) = x.parts();
+        let g = &mut x.shard;
         let key = g.client_key(0);
         g.queue
             .schedule_at_key(late, key, Event::Arrive { mds: 1, req });
-        let trace = &mut cluster.co.trace;
-        g.process_window(&mut Window { sim, trace }, late + SimTime::from_micros(1));
+        g.step(&mut x.sim, &mut cluster.co.trace);
         assert_eq!(g.counters[1].report.hits, 1, "served, not deferred");
         assert_eq!(
             g.counters[1].report.remote_prefix, 0,
@@ -1022,7 +1000,7 @@ mod tests {
                     ns.set_auth(pick(&mut rng, &dirs[1..]), Some(rng.below(4) as MdsId));
                 }
             }
-            let mut x = cluster.driver.exclusive();
+            let x = &mut cluster.driver;
             let (mut frozen, mut cold): (Vec<SubtreeWindow>, Vec<SubtreeWindow>) =
                 Default::default();
             let mut instants = vec![SimTime::ZERO];
@@ -1034,10 +1012,10 @@ mod tests {
                 now += us(rng.below(gap));
                 if rng.below(2) == 0 {
                     let parent = pick(&mut rng, &dirs);
-                    dirs.push(x.sim().ns.mkdir(parent, format!("late{step}")));
+                    dirs.push(x.sim.ns.mkdir(parent, format!("late{step}")));
                     late_dirs += 1;
                 }
-                let ns = &x.sim().ns;
+                let ns = &x.sim.ns;
                 // Half the time, on or just above an earlier export's root.
                 let root = match frozen.last().filter(|_| rng.below(2) == 0) {
                     Some(w) => match ns.dir(w.root).parent {
@@ -1094,17 +1072,15 @@ mod tests {
                 }
                 let to = (from + 1 + rng.below(3) as usize) % 4;
                 let load = 1.0;
-                cluster
-                    .co
-                    .export(&mut x, from, Export { unit, to, load }, now);
+                cluster.co.export(x, from, Export { unit, to, load }, now);
 
                 // Directories past the stamp vectors: one created since
                 // this export, and ids the namespace has never issued.
                 if step % 2 == 0 {
                     let parent = pick(&mut rng, &dirs);
-                    dirs.push(x.sim().ns.mkdir(parent, format!("after{step}")));
+                    dirs.push(x.sim.ns.mkdir(parent, format!("after{step}")));
                 }
-                let sim = x.sim();
+                let sim = &x.sim;
                 let beyond = sim.ns.dir_count() as u32;
                 let all = (0..beyond).chain([beyond, beyond + 77, u32::MAX]);
                 for d in all.map(NodeId) {

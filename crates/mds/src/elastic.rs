@@ -9,8 +9,8 @@
 //! *join* activates the lowest-id live spare and re-homes onto it exactly
 //! the subtrees rendezvous hashing assigns it; a *leave* drains the
 //! highest-id member (never MDS 0) to the rendezvous owners among the
-//! rest and flips it out. Both run inside the exclusive heartbeat step,
-//! so no fault or window can split a transition. `Membership` counts
+//! rest and flips it out. Both run inside the heartbeat step, so no
+//! other event can split a transition. `Membership` counts
 //! the transitions and integrates the member count over virtual time —
 //! the provisioned MDS-seconds every ops-per-MDS-hour figure divides by.
 //!
@@ -34,7 +34,7 @@ use mantle_sim::SimTime;
 
 use crate::balancer::BalanceContext;
 use crate::cluster::Coordinator;
-use crate::driver::Exclusive;
+use crate::driver::Driver;
 use crate::metrics::Heartbeat;
 use crate::partition::{Export, ExportUnit};
 use crate::trace::TraceEvent;
@@ -116,7 +116,7 @@ impl Membership {
 /// count and take at most one membership transition toward it.
 pub(crate) fn step(
     co: &mut Coordinator,
-    x: &mut Exclusive,
+    x: &mut Driver,
     heartbeats: &Arc<[Heartbeat]>,
     now: SimTime,
 ) {
@@ -127,7 +127,7 @@ pub(crate) fn step(
     if co.policy.is_poisoned(0) {
         return;
     }
-    let members: Vec<MdsId> = (0..n).filter(|&m| x.sim().member[m]).collect();
+    let members: Vec<MdsId> = (0..n).filter(|&m| x.sim.member[m]).collect();
     let active = members.len();
     // Anywhere from MDS 0 alone to the whole pool.
     let (min_mds, max_mds) = (1, n);
@@ -160,7 +160,7 @@ pub(crate) fn step(
 /// Export `unit` from `from` to `to` because placement says so, not load.
 fn rehome(
     co: &mut Coordinator,
-    x: &mut Exclusive,
+    x: &mut Driver,
     from: MdsId,
     unit: ExportUnit,
     to: MdsId,
@@ -172,12 +172,12 @@ fn rehome(
 
 /// Activate the lowest-id live spare and re-home onto it the subtrees
 /// rendezvous hashing assigns it. The whole join — epoch bump, member
-/// flip, re-home migrations — happens inside this exclusive step, so the
-/// `MdsJoinStart` → `MdsJoinComplete` chain can never be split by a
-/// concurrent fault or window.
-fn join_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: SimTime) {
+/// flip, re-home migrations — happens inside this one driver step, so
+/// the `MdsJoinStart` → `MdsJoinComplete` chain can never be split by
+/// another event.
+fn join_one(co: &mut Coordinator, x: &mut Driver, members: &[MdsId], now: SimTime) {
     let n = co.cfg.num_mds;
-    let sh = x.sim();
+    let sh = &mut x.sim;
     let Some(j) = (0..n).find(|&m| !sh.member[m] && sh.up[m]) else {
         return; // no live spare in the pool
     };
@@ -194,11 +194,11 @@ fn join_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: Sim
     // shuffles between survivors.
     let owners: Vec<MdsId> = (0..n).filter(|&m| sh.member[m] && sh.up[m]).collect();
     for &src in members {
-        if !x.sim().up[src] {
+        if !x.sim.up[src] {
             continue;
         }
-        for d in x.sim().ns.export_candidate_dirs(src) {
-            if x.sim().ns.dir(d).auth != Some(src) {
+        for d in x.sim.ns.export_candidate_dirs(src) {
+            if x.sim.ns.dir(d).auth != Some(src) {
                 continue; // frag-only ownership stays put on join
             }
             if rendezvous_owner(d, &owners) == j {
@@ -219,11 +219,11 @@ fn join_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: Sim
 /// among the remaining members, then flip it out of the member set. The
 /// departed MDS stays `up` — straggler requests routed by stale client
 /// caches are served by the normal forward path until the caches relearn.
-fn leave_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: SimTime) {
+fn leave_one(co: &mut Coordinator, x: &mut Driver, members: &[MdsId], now: SimTime) {
     let Some(&victim) = members.iter().rev().find(|&&m| m != 0) else {
         return; // only the mount authority is left
     };
-    let sh = x.sim();
+    let sh = &mut x.sim;
     co.membership.leaves += 1;
     let epoch = co.membership.epoch();
     co.trace.emit(now, || TraceEvent::MdsDrainStart {
@@ -241,16 +241,16 @@ fn leave_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: Si
     if sh.up[victim] && !remaining.is_empty() {
         // A crashed victim owns nothing (its subtrees already failed
         // over); draining it is pure deregistration.
-        for dir in x.sim().ns.export_candidate_dirs(victim) {
+        for dir in x.sim.ns.export_candidate_dirs(victim) {
             let to = rendezvous_owner(dir, &remaining);
-            if x.sim().ns.dir(dir).auth == Some(victim) {
+            if x.sim.ns.dir(dir).auth == Some(victim) {
                 rehome(co, x, victim, ExportUnit::Subtree(dir), to, now);
                 drained += 1;
             } else {
                 // Frag-only ownership: ship the victim's fragments.
-                let nfrags = x.sim().ns.dir(dir).frags.len();
+                let nfrags = x.sim.ns.dir(dir).frags.len();
                 for f in 0..nfrags {
-                    if x.sim().ns.frag_auth(dir, f) == victim {
+                    if x.sim.ns.frag_auth(dir, f) == victim {
                         rehome(co, x, victim, ExportUnit::Frag(dir, f), to, now);
                         drained += 1;
                     }
@@ -263,7 +263,7 @@ fn leave_one(co: &mut Coordinator, x: &mut Exclusive, members: &[MdsId], now: Si
         membership_epoch: epoch,
         drained,
     });
-    x.sim().member[victim] = false;
+    x.sim.member[victim] = false;
     co.trace.emit(now, || TraceEvent::MdsDeparted {
         mds: victim,
         membership_epoch: epoch,

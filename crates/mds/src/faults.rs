@@ -6,7 +6,7 @@
 //! and its evaluation stresses the cluster with skewed load under stale
 //! heartbeat views (§2.2.2). A [`FaultPlan`] makes those scenarios
 //! reproducible: it is part of [`crate::config::ClusterConfig`] and every
-//! fault fires at a fixed virtual time, in an exclusive step of the
+//! fault fires at a fixed virtual time, in a global step of the
 //! coordinator — so a run with a given `(seed, plan)` is bit-for-bit
 //! repeatable.
 //!
@@ -37,7 +37,7 @@ use mantle_namespace::{MdsId, NodeId};
 use mantle_sim::SimTime;
 
 use crate::cluster::Coordinator;
-use crate::driver::Exclusive;
+use crate::driver::Driver;
 use crate::trace::TraceEvent;
 
 /// One scheduled fault.
@@ -224,7 +224,7 @@ impl FaultPlan {
 
 /// Apply one fired fault. Faults naming an MDS outside the cluster, and
 /// crashes or restarts that would change nothing, are ignored.
-pub(crate) fn apply(co: &mut Coordinator, x: &mut Exclusive, kind: &FaultKind, now: SimTime) {
+pub(crate) fn apply(co: &mut Coordinator, x: &mut Driver, kind: &FaultKind, now: SimTime) {
     let mds = kind.mds();
     if mds >= co.cfg.num_mds {
         return;
@@ -233,14 +233,14 @@ pub(crate) fn apply(co: &mut Coordinator, x: &mut Exclusive, kind: &FaultKind, n
         FaultKind::Crash { .. } => {
             // MDS 0 is the mount authority and the failover target; a
             // cluster that loses it has no root to serve from.
-            if mds == 0 || !x.sim().up[mds] {
+            if mds == 0 || !x.sim.up[mds] {
                 return;
             }
-            let sh = x.sim();
+            let sh = &mut x.sim;
             sh.up[mds] = false;
             sh.mds_epoch[mds] += 1;
-            x.plane().counters[mds].queued = 0;
-            let sh = x.sim();
+            x.shard.counters[mds].queued = 0;
+            let sh = &mut x.sim;
             co.trace.sync_dirs(&sh.ns, now);
             co.trace.emit(now, || TraceEvent::MdsCrash { mds });
             // Every subtree and dirfrag it served fails over to the
@@ -261,19 +261,19 @@ pub(crate) fn apply(co: &mut Coordinator, x: &mut Exclusive, kind: &FaultKind, n
             return;
         }
         FaultKind::Restart { .. } => {
-            if x.sim().up[mds] {
+            if x.sim.up[mds] {
                 return;
             }
-            x.sim().up[mds] = true;
+            x.sim.up[mds] = true;
             co.trace.emit(now, || TraceEvent::MdsRestart { mds });
             // Fresh queue, nothing owed from the previous incarnation.
-            x.plane().next_free[mds] = now;
+            x.shard.next_free[mds] = now;
             return;
         }
         FaultKind::Slowdown {
             factor, duration, ..
         } => {
-            let sh = x.sim();
+            let sh = &mut x.sim;
             sh.slow_factor[mds] = factor.max(0.0);
             sh.slow_until[mds] = now + duration;
             "slowdown"

@@ -16,7 +16,7 @@ use mantle_sim::{SimRng, SimTime};
 
 use crate::balancer::BalancerSet;
 use crate::config::ClusterConfig;
-use crate::driver::Exclusive;
+use crate::driver::Driver;
 use crate::metrics::Heartbeat;
 
 /// Replicated ancestor heat counts toward `all_metaload` at this discount.
@@ -85,7 +85,7 @@ impl HeartbeatView {
     /// run against this tick.
     pub(crate) fn snapshot(
         &mut self,
-        x: &mut Exclusive,
+        x: &mut Driver,
         policy: &BalancerSet,
         cfg: &ClusterConfig,
         now: SimTime,
@@ -98,7 +98,7 @@ impl HeartbeatView {
         all_load.resize(n, 0.0);
         // Metadata loads from the decayed counters, via each MDS's own
         // metaload policy (evaluated on that MDS's authoritative heat).
-        let ns = &mut x.sim().ns;
+        let ns = &mut x.sim.ns;
         if policy.all_additive() {
             // Every metaload hook is linear with no constant term, so the
             // per-MDS decayed aggregates the namespace maintains
@@ -137,7 +137,7 @@ impl HeartbeatView {
         }
         let fresh: Vec<Heartbeat> = (0..n)
             .map(|m| {
-                let c = &x.plane().counters[m];
+                let c = &x.shard.counters[m];
                 let cpu_raw = c.cpu_percent(cfg.heartbeat_interval);
                 let queue_len = c.queued as f64;
                 let req_rate = c.req_rate(cfg.heartbeat_interval);

@@ -502,7 +502,7 @@ impl Checker {
             }
             TraceEvent::PolicyInstalled { install_epoch, .. } => {
                 // A hot install swaps every MDS's balancer in one
-                // exclusive step: error streaks belong to the replaced
+                // global step: error streaks belong to the replaced
                 // policy, and install epochs must only grow.
                 if *install_epoch <= self.install_epoch {
                     self.flag(

@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 
 pub mod balancer;
-pub mod barrier;
 pub mod cache;
 pub mod client;
 pub mod cluster;

@@ -20,7 +20,7 @@ use mantle_namespace::{MdsId, SubtreeMigration};
 use mantle_sim::SimTime;
 
 use crate::config::ClusterConfig;
-use crate::driver::Exclusive;
+use crate::driver::Driver;
 use crate::partition::{Export, ExportUnit};
 use crate::trace::TraceEvent;
 use crate::tracer::Tracer;
@@ -39,7 +39,7 @@ impl Migrator {
     /// import.
     pub(crate) fn apply_export(
         &mut self,
-        x: &mut Exclusive,
+        x: &mut Driver,
         trace: &mut Tracer,
         cfg: &ClusterConfig,
         from: MdsId,
@@ -47,7 +47,7 @@ impl Migrator {
         now: SimTime,
     ) {
         let to = export.to;
-        let sh = x.sim();
+        let sh = &mut x.sim;
         // Non-members (spares and departed MDSs) never import: a drained
         // MDS must not regain dirfrag authority until it rejoins.
         if to >= cfg.num_mds || to == from || !sh.up[to] || !sh.member[to] {
@@ -121,7 +121,7 @@ impl Migrator {
             });
             trace.emit(now, || TraceEvent::MigrationUnfreeze { mig, root, thaw });
         }
-        let plane = x.plane();
+        let plane = &mut x.shard;
         for m in [from, to] {
             plane.next_free[m] = plane.next_free[m].max(now) + SimTime::from_micros_f64(journal_us);
             plane.counters[m].busy_window_us += journal_us;
@@ -135,7 +135,7 @@ impl Migrator {
         // the root.
         let flush = SimTime::from_micros_f64(cfg.costs.session_flush_us);
         let mut flushed = 0;
-        let (sh, plane) = x.parts();
+        let (sh, plane) = (&mut x.sim, &mut x.shard);
         for cache in &mut sh.caches {
             for &d in region {
                 self.cache_invalidations += u64::from(cache.invalidate(d));

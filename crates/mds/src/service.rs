@@ -5,16 +5,15 @@
 //!
 //! # Shape
 //!
-//! The engine keeps its exact batch-mode event loop (windows + exclusive
-//! steps, see [`crate::driver`]); the service pump merely hooks the top
-//! and bottom of each scheduler iteration:
+//! The engine keeps its exact batch-mode event loop (see
+//! [`crate::driver`]); the service pump merely hooks the top and bottom
+//! of each iteration:
 //!
 //! * **inbound** — commands submitted through a [`ServiceHandle`] are
-//!   drained between windows: ops are resolved against the namespace and
+//!   drained between events: ops are resolved against the namespace and
 //!   pushed into the per-client queues of a [`LiveWorkload`], and policy
-//!   installs are scheduled as admin events so the swap runs in the
-//!   coordinator's exclusive step like every other control-plane
-//!   mutation.
+//!   installs are scheduled as global events so the swap runs as a
+//!   coordinator step like every other control-plane mutation.
 //! * **outbound** — [`ServiceHandle::events`], an
 //!   [`mpsc`](std::sync::mpsc) stream of [`ServiceEvent`]s, is the only
 //!   way anything leaves the engine. Each iteration sends, in this
@@ -84,7 +83,7 @@ use mantle_sim::{ClockMode, SimTime, WallClock};
 
 use crate::client::{ClientOp, Workload, PARKED};
 use crate::cluster::Coordinator;
-use crate::driver::Exclusive;
+use crate::driver::Driver;
 use crate::report::RunReport;
 use crate::trace::TraceRecord;
 
@@ -102,7 +101,7 @@ pub(crate) enum ServiceCmd {
         kind: OpKind,
     },
     /// Hot-install a new (already validated) policy on every MDS in the
-    /// coordinator's next exclusive step.
+    /// coordinator's next global step.
     Install {
         /// Policy name for reports and trace records.
         name: String,
@@ -118,8 +117,7 @@ pub(crate) enum ServiceCmd {
 /// An event streamed out of the running engine (engine → daemon).
 #[derive(Debug)]
 pub enum ServiceEvent {
-    /// A hot install ran (or failed to) in the coordinator's exclusive
-    /// step. Sent before the trace batch holding that install's
+    /// A hot install ran (or failed to) in a coordinator global step. Sent before the trace batch holding that install's
     /// `PolicyInstalled` record and before any completion decided under
     /// the new policy.
     Swapped {
@@ -331,7 +329,7 @@ impl ServicePump {
     /// until the next event falls due or a command arrives, under the
     /// simulated clock only for a command, and only when there is nothing
     /// else to do.
-    pub(crate) fn pre(&mut self, co: &mut Coordinator, x: &mut Exclusive, last_now: SimTime) {
+    pub(crate) fn pre(&mut self, co: &mut Coordinator, x: &mut Driver, last_now: SimTime) {
         let svc = &self.svc;
         let lock_inbox = || {
             svc.inbox
@@ -343,9 +341,9 @@ impl ServicePump {
         loop {
             drained.extend(lock_inbox().drain(..));
             // The time frontier: the instant of the last event anyone
-            // processed. `last_now` was read before the latest window, so
+            // processed. `last_now` was read before the latest step, so
             // the data plane's own mark completes it.
-            let frontier = last_now.max(x.plane().last_event);
+            let frontier = last_now.max(x.shard.last_event);
             // Where a woken client resumes. A wall-paced engine that sat
             // idle has a frontier as old as its last event, but the
             // command arrived now: stamp it with the simulated instant it
@@ -362,23 +360,21 @@ impl ServicePump {
                             continue;
                         };
                         // Resolve (and create) the target directory now,
-                        // at the engine's time frontier, so the namespace
-                        // stays read-only inside windows and the trace
+                        // at the engine's time frontier, so the trace
                         // stream announces the dir before any op touches
                         // it.
-                        let ns = &mut x.sim().ns;
+                        let ns = &mut x.sim.ns;
                         let dir = ns.mkdir_p(&path);
                         co.trace.sync_dirs(ns, last_now);
                         slot.lock()
                             .expect("live queue never poisoned")
                             .push_back(ClientOp { dir, kind });
-                        x.plane().wake_client(client, wake_at);
+                        x.shard.wake_client(client, wake_at);
                     }
                     ServiceCmd::Install { name, epoch, set } => {
                         // Queue the swap as a regular admin event at the
-                        // time frontier: the very next scheduler iteration
-                        // runs it in an exclusive step (globals win
-                        // same-instant ties), after which every balancer
+                        // time frontier: the very next iteration runs it
+                        // (globals win same-instant ties), after which every balancer
                         // tick uses the new policy.
                         co.schedule_swap(last_now, name, epoch, set);
                     }
@@ -388,14 +384,14 @@ impl ServicePump {
                         // finishes.
                         let Some(queues) = &svc.queues else { continue };
                         queues.closed.store(true, Ordering::Release);
-                        let plane = x.plane();
+                        let plane = &mut x.shard;
                         for c in 0..plane.clients.len() {
                             plane.wake_client(c, wake_at);
                         }
                     }
                 }
             }
-            let now = x.plane().frontier();
+            let now = x.shard.frontier();
             if now.drained() {
                 // Drained: the scheduler's liveness check ends the run.
                 // Waiting here would stall shutdown until the next (now
@@ -452,14 +448,14 @@ impl ServicePump {
     /// Stream what the last iteration produced — install results first,
     /// then freshly-emitted trace records, then live completions — and
     /// tell the consumer if anything is waiting for it.
-    pub(crate) fn post(&mut self, co: &mut Coordinator, x: &mut Exclusive) {
+    pub(crate) fn post(&mut self, co: &mut Coordinator, x: &mut Driver) {
         let swapped = co.take_swapped();
         let mut waiting = !swapped.is_empty();
         for event in swapped {
             self.svc.send(event);
         }
         waiting |= self.send_trace(co.trace.drain());
-        let mut comps = std::mem::take(&mut x.plane().completions);
+        let mut comps = std::mem::take(&mut x.shard.completions);
         if !comps.is_empty() {
             // Streamed by (time, client) — clients are closed-loop, so
             // one instant never holds two completions for the same
@@ -516,7 +512,7 @@ impl ServiceHandle {
 
     /// Hot-install `set` (validated by the caller — see
     /// [`mantle_policy::install::prepare`]) on every MDS. The swap runs in
-    /// the coordinator's next exclusive step and is answered on the event
+    /// the coordinator's next global step and is answered on the event
     /// stream by a [`ServiceEvent::Swapped`] carrying `epoch`.
     pub fn install_policy(&self, name: impl Into<String>, epoch: u64, set: PolicySet) {
         self.inbox.push(ServiceCmd::Install {

@@ -2,14 +2,12 @@
 //!
 //! One [`Shard`] owns the event queue, the per-MDS counters and RNG
 //! streams, and the client state — including every client's learned
-//! routes, one table of them ([`crate::cache::RouteTable`]). It
-//! runs in **windows**: the scheduler (in [`crate::driver`]) picks
-//! `[base, end)` no wider than the shortest simulated hop, the shard
-//! drains its events inside it against a read-only [`SharedSim`], and the
-//! barrier ([`crate::barrier`]) then applies the namespace mutations the
-//! window deferred. A window's routing and service decisions therefore
-//! all see the window-start namespace, which is part of the model every
-//! golden pins.
+//! routes, one table of them ([`crate::cache::RouteTable`]). The driver
+//! ([`crate::driver`]) hands it one event at a time, with `&mut` access
+//! to [`SharedSim`] and the tracer; the handler applies every mutation
+//! the event causes — heat charges and fragment splits, hash pins, proxy
+//! cache fills, touches and invalidations — before it returns, so the
+//! next event, whoever's it is, sees them.
 //!
 //! What a request costs here depends neither on how many migrations are
 //! live, nor on how many clients there are, nor on how many fragments
@@ -32,19 +30,19 @@
 //! The queue orders same-instant events by key, so tie-breaking depends
 //! only on *which simulated entity* generated the event and *how many*
 //! events it generated before. Rank 0, the coordinator's, keys nothing:
-//! its events have their own queue. Deferred namespace mutations reach the
-//! barrier in the order their events ran, and trace records go into the
-//! run's one buffer ([`crate::tracer`]) as they are emitted — on one
-//! thread, the order things happen in is the order they are recorded in.
+//! its events have their own queue. Trace records go into the run's one
+//! buffer ([`crate::tracer`]) as they are emitted, stamped with their
+//! event's instant — on one thread, the order things happen in is the
+//! order they are recorded in.
 
-use mantle_namespace::{FragId, MdsId, Namespace, NodeId, OpKind};
+use mantle_namespace::{FragId, MdsId, Namespace, NodeId};
 use mantle_sim::{EventQueue, SimRng, SimTime};
 
 use crate::cache::{cacheable, group_of, GroupCache, RouteTable, CACHE_GROUPS, CACHE_HIT_LATENCY};
 use crate::client::{route, ClientOp, ClientState, Workload, PARKED};
 use crate::config::{
     contention_factor, service_with_span, ClusterConfig, PlacementPolicy, FORWARD_HOP, FORWARD_US,
-    HALF_RTT, REMOTE_PREFIX_PENALTY, SERVICE_NOISE,
+    HALF_RTT, REMOTE_PREFIX_PENALTY, SERVICE_NOISE, SPLIT_US,
 };
 use crate::metrics::MdsCounters;
 use crate::trace::TraceEvent;
@@ -98,46 +96,6 @@ pub(crate) enum Event {
     Retry(usize),
 }
 
-/// A namespace mutation deferred to the window barrier, stamped with the
-/// instant of the event that caused it. Events run in `(time, key)`
-/// order, so the window's list is already in the order the barrier
-/// applies it.
-#[derive(Debug)]
-pub(crate) struct DeferredNsOp {
-    pub(crate) at: SimTime,
-    pub(crate) op: NsOp,
-}
-
-/// The mutation itself.
-#[derive(Debug)]
-pub(crate) enum NsOp {
-    /// Charge one completed op's heat/size to a dirfrag (no splits —
-    /// splits run in a second barrier phase so in-window fragment
-    /// layouts stay fixed).
-    Record {
-        dir: NodeId,
-        frag: FragId,
-        kind: OpKind,
-    },
-    /// First-touch hash placement: pin `dir` to `mds` unless an earlier
-    /// (in key order) arrival already pinned it.
-    Pin { dir: NodeId, mds: MdsId },
-    /// LRU-touch a proxy-cache entry a hit just served. Recency is
-    /// shared state (it drives eviction), so it moves at the barrier, in
-    /// event order, like every other shared mutation.
-    CacheTouch { group: usize, dir: NodeId },
-    /// A completed cacheable op's reply fills `group`'s proxy cache:
-    /// `dir` is now servable by the tier on behalf of `mds`.
-    CacheFill {
-        group: usize,
-        dir: NodeId,
-        mds: MdsId,
-    },
-    /// A mutating op rewrote `dir`'s metadata — every proxy copy of it
-    /// is stale and drops, ordered against the fills racing it.
-    CacheInvalidate { dir: NodeId },
-}
-
 /// One expiry instant per directory, indexed by `NodeId`: the latest
 /// `until` among the exports whose moved region held the directory.
 ///
@@ -170,9 +128,8 @@ impl DirStamps {
     }
 }
 
-/// Simulation state the data plane reads during a window and only the
-/// coordinator mutates (at barriers and in exclusive control-plane
-/// phases, between windows).
+/// Simulation state both planes read and write: the namespace, liveness
+/// and membership, the freeze and warm-up stamps, and the proxy caches.
 #[derive(Debug)]
 pub struct SharedSim {
     pub(crate) ns: Namespace,
@@ -183,9 +140,9 @@ pub struct SharedSim {
     pub(crate) mds_epoch: Vec<u64>,
     /// Elastic membership per MDS: only members receive placement (hash
     /// pins, balancer targets, re-homing). With the elastic layer off
-    /// every entry is `true` for the whole run. Mutated only in exclusive
-    /// heartbeat steps, so windows read a stable view. The transitions
-    /// are counted once, by the coordinator's `elastic::Membership`.
+    /// every entry is `true` for the whole run. Mutated only in heartbeat
+    /// steps. The transitions are counted once, by the coordinator's
+    /// `elastic::Membership`.
     pub(crate) member: Vec<bool>,
     /// Service-time multiplier per MDS while `now < slow_until`.
     pub(crate) slow_factor: Vec<f64>,
@@ -197,9 +154,8 @@ pub struct SharedSim {
     /// ancestor prefix replicas.
     pub(crate) cold_until: DirStamps,
     /// Proxy-tier caches, one per client group ([`crate::config::CacheConfig`]).
-    /// Read-only during windows (clients probe for hits); fills, LRU
-    /// touches, and invalidations are deferred [`NsOp`]s applied at
-    /// barriers. Empty when the cache is disabled.
+    /// Hits touch, completions fill and writes invalidate, each as its
+    /// event runs. Empty when the cache is disabled.
     pub(crate) caches: Vec<GroupCache>,
 }
 
@@ -208,14 +164,6 @@ impl SharedSim {
     pub(crate) fn members(&self) -> usize {
         self.member.iter().filter(|&&m| m).count()
     }
-}
-
-/// What a window works against besides the data plane itself: the shared
-/// state, read-only, and the run's trace sink, which the data plane's
-/// records are appended to as they are emitted.
-pub(crate) struct Window<'a> {
-    pub(crate) sim: &'a SharedSim,
-    pub(crate) trace: &'a mut Tracer,
 }
 
 /// Data-plane execution statistics (a side channel; never feeds back
@@ -240,10 +188,11 @@ pub struct ExecStats {
     /// they leave with its un-pin (ROADMAP item 1), together with the
     /// pins at the bottom of `config.rs`.
     pub threads: usize,
-    /// Windows executed.
+    /// Data-plane events the driver ran: [`ShardStats::events`] again,
+    /// under the name the pinned harness reads (ROADMAP item 1).
     pub windows: u64,
-    /// Control-plane events (heartbeats, faults, admin actions) run in
-    /// exclusive phases.
+    /// Global events (heartbeats, faults, admin actions) the driver ran;
+    /// the name is the pinned harness's too.
     pub exclusive_events: u64,
     /// The data plane's numbers; always exactly one entry.
     pub shards: Vec<ShardStats>,
@@ -267,9 +216,7 @@ impl Frontier {
 }
 
 /// The data plane's state: the event queue and everything only MDS and
-/// client events touch. During a window it has shared read access to
-/// [`SharedSim`] and exclusive access to itself; the namespace writes it
-/// cannot do under those terms are deferred to the barrier.
+/// client events touch.
 pub struct Shard {
     pub(crate) queue: EventQueue<Event>,
     pub(crate) workload: Box<dyn Workload>,
@@ -286,8 +233,9 @@ pub struct Shard {
     /// Per-origin key counters.
     mds_ctr: Vec<u64>,
     client_ctr: Vec<u64>,
-    /// Namespace mutations accumulated this window, drained at the barrier.
-    pub(crate) deferred: Vec<DeferredNsOp>,
+    /// Proxy-cache entries dropped because a mutating op rewrote their
+    /// directory.
+    pub(crate) cache_invalidations: u64,
     /// Requests in flight: issues (+1) net of resolutions (−1).
     pub(crate) inflight: i64,
     /// Clients still issuing ops.
@@ -338,7 +286,7 @@ impl Shard {
                 .collect(),
             mds_ctr: vec![0; num_mds],
             client_ctr: vec![0; num_clients],
-            deferred: Vec::new(),
+            cache_invalidations: 0,
             inflight: 0,
             active: num_clients,
             timeouts: 0,
@@ -379,32 +327,41 @@ impl Shard {
         }
     }
 
-    // -- the window loop -------------------------------------------------
+    // -- the event step --------------------------------------------------
 
-    /// Drain every event strictly before `window_end`. Called with shared
-    /// read access to `w.sim`; every write to it is queued in `deferred`
-    /// for the barrier.
-    pub(crate) fn process_window(&mut self, w: &mut Window, window_end: SimTime) {
-        while let Some((now, _, event)) = self.queue.pop_before(window_end) {
-            self.last_event = now;
-            self.stats.events += 1;
-            match event {
-                Event::ClientNext(c) => {
-                    if !self.clients[c].done {
-                        self.client_next(w, c, now);
-                    }
+    /// Run the earliest data-plane event to completion.
+    pub(crate) fn step(&mut self, sh: &mut SharedSim, trace: &mut Tracer) {
+        let Some((now, event)) = self.queue.pop() else {
+            return;
+        };
+        self.last_event = now;
+        self.stats.events += 1;
+        match event {
+            Event::ClientNext(c) => {
+                if !self.clients[c].done {
+                    self.client_next(sh, trace, c, now);
                 }
-                Event::Arrive { mds, req } => self.on_arrive(w, mds, req, now),
-                Event::Complete {
-                    mds,
-                    req,
-                    service_us,
-                    epoch,
-                } => self.on_complete(w, mds, req, service_us, epoch, now),
-                Event::Reply { mds, req } => self.on_reply(w, mds, req, now),
-                Event::Timeout { client, seq } => self.on_timeout(w, client, seq, now),
-                Event::Retry(c) => self.on_retry(w, c, now),
             }
+            Event::Arrive { mds, req } => self.on_arrive(sh, trace, mds, req, now),
+            Event::Complete {
+                mds,
+                req,
+                service_us,
+                epoch,
+            } => {
+                // Ghost completion: the MDS crashed (and possibly
+                // restarted) after this request entered service — the
+                // reply never left the wire.
+                if !sh.up[mds] || epoch != sh.mds_epoch[mds] {
+                    self.inflight -= 1;
+                    trace.emit_data(now, || TraceEvent::GhostReply { mds });
+                } else {
+                    self.on_complete(sh, trace, mds, req, service_us, now);
+                }
+            }
+            Event::Reply { mds, req } => self.on_reply(sh, trace, mds, req, now),
+            Event::Timeout { client, seq } => self.on_timeout(trace, client, seq, now),
+            Event::Retry(c) => self.on_retry(sh, trace, c, now),
         }
     }
 
@@ -413,15 +370,15 @@ impl Shard {
     /// Advance client `c`: ask the workload for its next op and issue it,
     /// or mark the client done. Runs inline from an accepted reply (no
     /// same-instant self-event) and from `Event::ClientNext`.
-    fn client_next(&mut self, w: &mut Window, c: usize, now: SimTime) {
+    fn client_next(&mut self, sh: &mut SharedSim, trace: &mut Tracer, c: usize, now: SimTime) {
         let stall = self.clients[c].stall_until;
         if stall > now {
             let key = self.client_key(c);
             self.queue.schedule_at_key(stall, key, Event::ClientNext(c));
             return;
         }
-        // Open-loop workloads can park a client until a future window
-        // (diurnal phases); re-poll at that instant. A live session with
+        // Open-loop workloads can park a client until a later instant
+        // (diurnal phases); re-poll then. A live session with
         // an empty queue has no such instant: it keeps no event at all,
         // and the service pump wakes it when an op (or shutdown) arrives.
         if let Some(ready) = self.workload.next_ready_at(c, now) {
@@ -435,7 +392,7 @@ impl Shard {
                 return;
             }
         }
-        match self.workload.next(c, &w.sim.ns, now) {
+        match self.workload.next(c, &sh.ns, now) {
             None => {
                 let client = &mut self.clients[c];
                 client.done = true;
@@ -448,13 +405,13 @@ impl Shard {
                 let client = &mut self.clients[c];
                 client.pending = Some(op);
                 client.attempts = 0;
-                self.issue(w, c, now);
+                self.issue(sh, trace, c, now);
             }
         }
     }
 
     /// Wake client `c` if it is parked: one `ClientNext` at `at`, under a
-    /// fresh key. Called by the service pump between windows, right after
+    /// fresh key. Called by the service pump between events, right after
     /// it queued an op for `c` or closed the queues. A client that is not
     /// parked already has an event coming that ends in `client_next` (its
     /// kick-off, a stall, or the reply to the op it is busy with), so it
@@ -470,16 +427,13 @@ impl Shard {
 
     /// Send the client's pending op to the MDS it routes to, arming the
     /// request timeout when fault injection is on.
-    fn issue(&mut self, w: &mut Window, c: usize, now: SimTime) {
-        let sh = w.sim;
+    fn issue(&mut self, sh: &mut SharedSim, trace: &mut Tracer, c: usize, now: SimTime) {
         let op = self.clients[c]
             .pending
             .expect("issue() requires a pending op");
         let frag = sh.ns.peek_frag(op.dir);
         let multi_owner = sh.ns.frag_span(op.dir) > 1;
         // Proxy-tier probe: does the client group's cache hold this dir?
-        // (Read-only during the window — the LRU touch defers to the
-        // barrier like every other shared-state write.)
         let probe = if self.cache_on && cacheable(op.kind) {
             let group = group_of(c, self.clients.len(), CACHE_GROUPS);
             Some((group, sh.caches[group].lookup(op.dir)))
@@ -517,15 +471,12 @@ impl Shard {
             let counters = &mut self.counters[cached];
             counters.report.cache_hits += 1;
             counters.cache_window_hits += 1;
-            w.trace.emit_data(now, || TraceEvent::CacheHit {
+            sh.caches[group].touch(op.dir);
+            trace.emit_data(now, || TraceEvent::CacheHit {
                 group,
                 client: c,
                 dir: op.dir,
                 mds: cached,
-            });
-            self.deferred.push(DeferredNsOp {
-                at: now,
-                op: NsOp::CacheTouch { group, dir: op.dir },
             });
             let key = self.client_key(c);
             self.queue.schedule_at_key(
@@ -542,7 +493,7 @@ impl Shard {
             counters.report.cache_misses += 1;
             counters.cache_window_misses += 1;
         }
-        w.trace.emit_data(now, || TraceEvent::RequestIssued {
+        trace.emit_data(now, || TraceEvent::RequestIssued {
             client: c,
             dir: op.dir,
             mds,
@@ -565,14 +516,13 @@ impl Shard {
     /// A request timeout fired. If the attempt is still outstanding, the
     /// client declares it lost, forgets its (possibly stale) route for
     /// the directory, and backs off exponentially before retrying.
-    fn on_timeout(&mut self, w: &mut Window, c: usize, seq: u64, now: SimTime) {
+    fn on_timeout(&mut self, trace: &mut Tracer, c: usize, seq: u64, now: SimTime) {
         let client = &self.clients[c];
         if client.seq != seq || client.pending.is_none() {
             return; // the attempt completed (or was already superseded)
         }
         self.timeouts += 1;
-        w.trace
-            .emit_data(now, || TraceEvent::RequestTimeout { client: c, seq });
+        trace.emit_data(now, || TraceEvent::RequestTimeout { client: c, seq });
         let client = &mut self.clients[c];
         let dir = client.pending.expect("checked above").dir;
         let attempt = client.attempts;
@@ -588,20 +538,26 @@ impl Shard {
 
     /// The backoff elapsed: re-issue the pending op (a late reply may
     /// have landed in the meantime, in which case there is nothing to do).
-    fn on_retry(&mut self, w: &mut Window, c: usize, now: SimTime) {
+    fn on_retry(&mut self, sh: &mut SharedSim, trace: &mut Tracer, c: usize, now: SimTime) {
         if self.clients[c].done || self.clients[c].pending.is_none() {
             return;
         }
         self.retries += 1;
         let attempt = self.clients[c].attempts;
-        w.trace
-            .emit_data(now, || TraceEvent::RequestRetry { client: c, attempt });
-        self.issue(w, c, now);
+        trace.emit_data(now, || TraceEvent::RequestRetry { client: c, attempt });
+        self.issue(sh, trace, c, now);
     }
 
     /// A reply reached its client. A reply for a superseded attempt (the
     /// client timed out and re-issued meanwhile) is dropped on the floor.
-    fn on_reply(&mut self, w: &mut Window, mds: MdsId, req: Request, now: SimTime) {
+    fn on_reply(
+        &mut self,
+        sh: &mut SharedSim,
+        trace: &mut Tracer,
+        mds: MdsId,
+        req: Request,
+        now: SimTime,
+    ) {
         let client = &mut self.clients[req.client];
         if req.seq != client.seq || client.pending.is_none() {
             return;
@@ -620,45 +576,45 @@ impl Shard {
                 latency_ms,
             });
         }
-        self.client_next(w, req.client, now);
+        self.client_next(sh, trace, req.client, now);
     }
 
     // -- server side -----------------------------------------------------
 
-    fn on_arrive(&mut self, w: &mut Window, mds: MdsId, mut req: Request, now: SimTime) {
-        let sh = w.sim;
+    fn on_arrive(
+        &mut self,
+        sh: &mut SharedSim,
+        trace: &mut Tracer,
+        mds: MdsId,
+        mut req: Request,
+        now: SimTime,
+    ) {
         // A crashed MDS serves nothing: the request is lost on the floor
         // and the issuing client's timeout recovers it.
         if !sh.up[mds] {
             self.counters[mds].report.dropped += 1;
             self.inflight -= 1;
-            w.trace.emit_data(now, || TraceEvent::Dropped {
+            trace.emit_data(now, || TraceEvent::Dropped {
                 mds,
                 client: req.client,
             });
             return;
         }
-        // Hash placement pins each directory on first touch. The pin is a
-        // namespace write, so it lands at the barrier (first arrival in
-        // key order wins); routing inside this window still sees the
-        // window-start authority.
-        if self.cfg.placement == PlacementPolicy::HashDirs && sh.ns.dir(req.op.dir).auth.is_none() {
-            let mut target = (req.op.dir.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) as usize
-                % self.cfg.num_mds;
+        // Hash placement pins each directory on first touch; this request
+        // already routes against the pin.
+        let dir = req.op.dir;
+        if self.cfg.placement == PlacementPolicy::HashDirs && sh.ns.dir(dir).auth.is_none() {
+            let mut target =
+                (dir.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) as usize % self.cfg.num_mds;
             if !sh.up[target] || !sh.member[target] {
                 target = 0; // never pin fresh metadata on a dead or departed MDS
             }
-            self.deferred.push(DeferredNsOp {
-                at: now,
-                op: NsOp::Pin {
-                    dir: req.op.dir,
-                    mds: target,
-                },
-            });
+            sh.ns.set_auth(dir, Some(target));
+            trace.emit(now, || TraceEvent::HashPin { dir, mds: target });
         }
         // Frozen subtree (mid-migration): the request waits for the thaw.
         if let Some(thaw) = frozen_until(sh, req.op.dir, now) {
-            w.trace.emit_data(now, || TraceEvent::Deferred {
+            trace.emit_data(now, || TraceEvent::Deferred {
                 mds,
                 dir: req.op.dir,
                 until: thaw,
@@ -677,7 +633,7 @@ impl Shard {
             self.next_free[mds] = start + SimTime::from_micros_f64(FORWARD_US);
             self.counters[mds].busy_window_us += FORWARD_US;
             req.forwarded = true;
-            w.trace.emit_data(now, || TraceEvent::Forwarded {
+            trace.emit_data(now, || TraceEvent::Forwarded {
                 from: mds,
                 to: auth,
                 dir: req.op.dir,
@@ -695,7 +651,7 @@ impl Shard {
         } else {
             self.counters[mds].report.hits += 1;
         }
-        w.trace.emit_data(now, || TraceEvent::Served {
+        trace.emit_data(now, || TraceEvent::Served {
             mds,
             client: req.client,
             dir: req.op.dir,
@@ -750,46 +706,17 @@ impl Shard {
 
     fn on_complete(
         &mut self,
-        w: &mut Window,
+        sh: &mut SharedSim,
+        trace: &mut Tracer,
         mds: MdsId,
         req: Request,
         service_us: f64,
-        epoch: u64,
         now: SimTime,
     ) {
-        let sh = w.sim;
-        // Ghost completion: the MDS crashed (and possibly restarted) after
-        // this request entered service — the reply never left the wire.
-        if !sh.up[mds] || epoch != sh.mds_epoch[mds] {
-            self.inflight -= 1;
-            w.trace.emit_data(now, || TraceEvent::GhostReply { mds });
-            return;
-        }
         let counters = &mut self.counters[mds];
         counters.queued = counters.queued.saturating_sub(1);
         counters.complete_op(now, service_us);
-        // The op's heat/size charge is a namespace write → barrier. The
-        // fragment layout cannot change mid-window (splits also run at
-        // barriers), so the clamped index is exactly what the deferred
-        // apply will use.
-        let frag_used = req.frag.min(sh.ns.dir(req.op.dir).frags.len() - 1);
-        self.deferred.push(DeferredNsOp {
-            at: now,
-            op: NsOp::Record {
-                dir: req.op.dir,
-                frag: req.frag,
-                kind: req.op.kind,
-            },
-        });
-        // A mutating op rewrote `dir`'s metadata: every proxy copy is
-        // stale. The drop is queued even when the reply turns out stale
-        // below — the mutation itself happened either way.
-        if self.cache_on && req.op.kind.is_write() {
-            self.deferred.push(DeferredNsOp {
-                at: now,
-                op: NsOp::CacheInvalidate { dir: req.op.dir },
-            });
-        }
+        let dir = req.op.dir;
         // Server-computed staleness: the issuing client has already timed
         // this attempt out and re-issued iff its retry fired strictly
         // before service finished. Everything in the predicate travelled
@@ -800,43 +727,70 @@ impl Shard {
                 + self.cfg.faults.request_timeout
                 + self.cfg.faults.backoff_for(req.attempts)
                 < now;
+        let frag = req.frag.min(sh.ns.dir(dir).frags.len() - 1);
+        let (client, kind) = (req.client, req.op.kind);
         if stale {
-            w.trace.emit_data(now, || TraceEvent::StaleReply {
+            trace.emit_data(now, || TraceEvent::StaleReply {
                 mds,
-                client: req.client,
-                dir: req.op.dir,
-                frag: frag_used,
-                kind: req.op.kind,
+                client,
+                dir,
+                frag,
+                kind,
             });
-            self.inflight -= 1;
-            return;
+        } else {
+            trace.emit_data(now, || TraceEvent::Completed {
+                mds,
+                client,
+                dir,
+                frag,
+                kind,
+            });
         }
-        w.trace.emit_data(now, || TraceEvent::Completed {
-            mds,
-            client: req.client,
-            dir: req.op.dir,
-            frag: frag_used,
-            kind: req.op.kind,
-        });
-        // The reply carries `dir`'s metadata through the proxy tier: the
-        // issuing group's cache learns it at the barrier (ghost and stale
-        // completions above never fill — their replies never landed).
-        if self.cache_on && cacheable(req.op.kind) {
-            let group = group_of(req.client, self.clients.len(), CACHE_GROUPS);
-            self.deferred.push(DeferredNsOp {
-                at: now,
-                op: NsOp::CacheFill {
-                    group,
-                    dir: req.op.dir,
-                    mds,
-                },
+        // The server-side work happened either way: charge the op's heat
+        // and size to the fragment it hit, and fragment the directory if
+        // that took it over the threshold. The split work is billed to the
+        // fragment's authority, the MDS that was serving those ops.
+        if let (_, Some(se)) = sh.ns.record_op_on(dir, frag, kind, now) {
+            trace.emit(now, || TraceEvent::FragSplit {
+                dir,
+                frag: se.frag,
+                ways: se.ways,
+                resulting_frags: se.resulting_frags,
             });
+            let auth = sh.ns.frag_auth(dir, se.resulting_frags - 1);
+            let c = &mut self.counters[auth];
+            c.report.splits += 1;
+            c.busy_window_us += SPLIT_US;
+            self.next_free[auth] =
+                self.next_free[auth].max(now) + SimTime::from_micros_f64(SPLIT_US);
+        }
+        // A mutating op rewrote `dir`'s metadata: every proxy copy is
+        // stale and drops.
+        if self.cache_on && kind.is_write() {
+            let mut entries = 0u64;
+            for cache in &mut sh.caches {
+                entries += u64::from(cache.invalidate(dir));
+            }
+            if entries > 0 {
+                self.cache_invalidations += entries;
+                trace.emit_data(now, || TraceEvent::CacheInvalidate { dir, entries });
+            }
         }
         self.inflight -= 1;
-        let reply_at = now + HALF_RTT;
+        if stale {
+            return;
+        }
+        // The reply carries `dir`'s metadata through the proxy tier: the
+        // issuing group's cache learns it (ghost and stale completions
+        // never fill — their replies never landed).
+        if self.cache_on && cacheable(kind) {
+            let group = group_of(client, self.clients.len(), CACHE_GROUPS);
+            sh.caches[group].fill(dir, mds);
+            trace.emit_data(now, || TraceEvent::CacheFill { group, dir, mds });
+        }
         let key = self.mds_key(mds);
         self.queue
-            .schedule_at_key(reply_at, key, Event::Reply { mds, req });
+            .schedule_at_key(now + HALF_RTT, key, Event::Reply { mds, req });
     }
 }
 

@@ -206,8 +206,8 @@ trace_events! {
             mds: MdsId,
         },
         /// A hot policy reload installed a new balancer on every MDS (the
-        /// daemon's admin swap, or a scheduled sim-mode install). Runs in the
-        /// coordinator's exclusive step, so decisions in earlier ticks
+        /// daemon's admin swap, or a scheduled sim-mode install). Runs as one
+        /// of the coordinator's global steps, so decisions in earlier ticks
         /// finished entirely on the previous policy.
         PolicyInstalled = "policy_installed" {
             /// Install epoch (monotonic; 0 is the boot policy).
@@ -464,9 +464,9 @@ trace_events! {
             /// not contacted).
             mds: MdsId,
         },
-        /// A completed cacheable op's reply filled a group cache at the
-        /// window barrier (Full level; stamped at the barrier instant, which
-        /// is when the fill takes effect).
+        /// A completed cacheable op's reply filled a group cache (Full
+        /// level; stamped at the completion, which is when the fill takes
+        /// effect).
         CacheFill = "cache_fill" {
             /// The filled proxy group.
             group: usize,
@@ -475,8 +475,8 @@ trace_events! {
             /// The authority the entry names.
             mds: MdsId,
         },
-        /// A mutating op's barrier-applied invalidation dropped a
-        /// directory's proxy-cache entries (Full level; emitted only when at
+        /// A mutating op's completion dropped a directory's proxy-cache
+        /// entries (Full level; emitted only when at
         /// least one entry actually dropped).
         CacheInvalidate = "cache_invalidate" {
             /// The invalidated directory.

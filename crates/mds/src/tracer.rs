@@ -20,12 +20,9 @@ use crate::trace::{Timeline, TraceBuffer, TraceEvent, TraceLevel, TraceRecord};
 pub(crate) struct Tracer {
     /// The sink; `None` means tracing is off.
     buffer: Option<TraceBuffer>,
-    /// The sink's level is Full: request-level records (the data plane's,
-    /// and the barrier's cache fills and invalidations) are wanted.
+    /// The sink's level is Full: the data plane's request-level records
+    /// are wanted.
     full: bool,
-    /// Latest timestamp emitted at (barrier emissions can postdate the
-    /// last processed event; `RunEnd` must not precede them).
-    last_emit_at: SimTime,
     /// Heartbeat epoch: balancer ticks completed so far. Stamps every
     /// record, and only changes in a tick.
     pub(crate) epoch: u64,
@@ -39,7 +36,6 @@ impl Tracer {
         Tracer {
             buffer: level.map(|l| TraceBuffer::new(l, cfg.num_mds, cfg.heartbeat_interval)),
             full: level == Some(TraceLevel::Full),
-            last_emit_at: SimTime::ZERO,
             epoch: 0,
             traced_dirs: 0,
         }
@@ -64,8 +60,7 @@ impl Tracer {
     }
 
     /// Emit a data-plane record (recorded only at `TraceLevel::Full`):
-    /// the data plane's per-request events, and the barrier's cache
-    /// fills and invalidations.
+    /// the per-request events, cache traffic included.
     pub(crate) fn emit_data(&mut self, at: SimTime, make: impl FnOnce() -> TraceEvent) {
         if self.full {
             self.push(at, make());
@@ -86,7 +81,6 @@ impl Tracer {
             epoch: self.epoch,
             event,
         });
-        self.last_emit_at = self.last_emit_at.max(at);
     }
 
     /// Announce directories created since the last sync (workload setup,
@@ -149,15 +143,14 @@ impl Tracer {
         self.emit_auth_snapshot(ns, SimTime::ZERO);
     }
 
-    /// The stream trailer, stamped no earlier than anything before it,
-    /// including barrier emissions stamped past the last event.
+    /// The stream trailer, stamped at the last event's instant: every
+    /// record is stamped with its own event's, so none is later.
     pub(crate) fn run_end(&mut self, last_now: SimTime, inflight: usize) {
-        let at = last_now.max(self.last_emit_at);
-        self.emit(at, || TraceEvent::RunEnd { inflight });
+        self.emit(last_now, || TraceEvent::RunEnd { inflight });
     }
 
     /// Everything emitted since the last drain, in emission order. The
-    /// live service streams each scheduler iteration's records this way,
+    /// live service streams each driver step's records this way,
     /// so concatenating its batches gives the batch-mode stream.
     pub(crate) fn drain(&mut self) -> Vec<TraceRecord> {
         self.buffer

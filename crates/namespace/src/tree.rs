@@ -383,32 +383,17 @@ impl Namespace {
     /// Record a metadata operation against a specific fragment (chosen by
     /// the client when it routed the request). `frag` is clamped to the
     /// current fragment count — the directory may have split while the
-    /// request was in flight.
-    fn record_op_on(
+    /// request was in flight. Bumps heat, entry counts and per-MDS
+    /// aggregates, then fragments the directory if the op took a
+    /// fragment over the split threshold. One op adds at most one entry,
+    /// so one split always brings every fragment back under it.
+    pub fn record_op_on(
         &mut self,
         id: NodeId,
         frag: FragId,
         op: OpKind,
         now: SimTime,
     ) -> (FragId, Option<SplitEvent>) {
-        let frag_id = self.record_op_no_split(id, frag, op, now);
-        let split = self.maybe_split(id, now);
-        (frag_id, split)
-    }
-
-    /// `Namespace::record_op_on` without the split check: bumps heat,
-    /// entry counts and per-MDS aggregates, but never restructures
-    /// fragments. The windowed cluster engine records every in-window op
-    /// this way so the window-start fragment layout stays valid for the
-    /// whole window, then runs [`Namespace::check_split`] on each touched
-    /// directory at the barrier.
-    pub fn record_op_no_split(
-        &mut self,
-        id: NodeId,
-        frag: FragId,
-        op: OpKind,
-        now: SimTime,
-    ) -> FragId {
         let frag_id = frag.min(self.dir(id).frags.len() - 1);
         let (half_life, threshold) = (self.cfg.decay_half_life, self.cfg.frag_split_threshold);
         self.touch(now);
@@ -452,13 +437,13 @@ impl Namespace {
             d.subtree_heat.record(op, now, half_life);
             anc = d.parent;
         }
-        frag_id
+        (frag_id, self.maybe_split(id, now))
     }
 
     /// Has an op ever been recorded on `id` or on a directory below it?
     ///
     /// Heat reaches a fragment only through
-    /// [`Namespace::record_op_no_split`] (splits divide what is already
+    /// [`Namespace::record_op_on`] (splits divide what is already
     /// there), which charges the directory and rolls up to each ancestor;
     /// the bit is set for exactly those. So while it is clear, every
     /// counter of every fragment in `id`'s whole subtree, and `id`'s
@@ -477,16 +462,6 @@ impl Namespace {
             self.warm[d.0 as usize / 64] |= 1 << (d.0 % 64);
             cur = self.dirs[d.0 as usize].parent;
         }
-    }
-
-    /// One deferred split check on `id` — the barrier-time counterpart of
-    /// the inline check in `Namespace::record_op_on`. Returns the split
-    /// performed, if any; callers loop until `None`, since a directory
-    /// that absorbed many ops in one window may need several splits to get
-    /// every fragment back under the threshold.
-    pub fn check_split(&mut self, id: NodeId, now: SimTime) -> Option<SplitEvent> {
-        self.touch(now);
-        self.maybe_split(id, now)
     }
 
     /// Advance the namespace's high-water clock, the timestamp authority
@@ -1270,7 +1245,7 @@ mod tests {
         assert_eq!(warm_set(&ns), vec![root, a, ab]);
         ns.record_op_on(other, 0, OpKind::Create, SimTime::ZERO);
         assert_eq!(warm_set(&ns), vec![root, a, ab, other]);
-        ns.record_op_no_split(abc, 0, OpKind::Readdir, SimTime::from_secs(1));
+        ns.record_op_on(abc, 0, OpKind::Readdir, SimTime::from_secs(1));
         assert_eq!(warm_set(&ns), vec![root, a, ab, abc, other]);
         // Creating directories — past a word of the bitset — and moving
         // authority warm nothing up.
@@ -1474,26 +1449,23 @@ mod tests {
     }
 
     #[test]
-    fn an_unlink_takes_a_fragment_back_across_the_threshold() {
+    fn an_op_that_crosses_the_threshold_splits_at_once() {
         let mut ns = Namespace::new(small_cfg());
         let d = ns.mkdir_p("/x");
         let over = |ns: &Namespace| ns.dir(d).over;
-        // The deferred path charges without splitting, as a window does.
-        for _ in 0..12 {
-            ns.record_op_no_split(d, 0, OpKind::Create, SimTime::ZERO);
+        for _ in 0..10 {
+            assert_eq!(ns.record_op(d, OpKind::Create, SimTime::ZERO).1, None);
         }
-        assert_eq!((ns.dir(d).files, over(&ns)), (12, 1));
-        ns.record_op_no_split(d, 0, OpKind::Unlink, SimTime::ZERO);
-        assert_eq!(over(&ns), 1, "11 entries, still over 10");
-        ns.record_op_no_split(d, 0, OpKind::Unlink, SimTime::ZERO);
-        assert_eq!(over(&ns), 0, "10 entries, back at the threshold");
-        assert_eq!(ns.check_split(d, SimTime::ZERO), None);
-        ns.record_op_no_split(d, 0, OpKind::Create, SimTime::ZERO);
-        assert_eq!(over(&ns), 1);
-        assert_summaries(&ns);
-        let split = ns.check_split(d, SimTime::ZERO).expect("11 > 10 splits");
+        assert_eq!((ns.dir(d).files, over(&ns)), (10, 0), "at the threshold");
+        assert_eq!(ns.record_op(d, OpKind::Unlink, SimTime::ZERO).1, None);
+        assert_eq!(ns.record_op(d, OpKind::Create, SimTime::ZERO).1, None);
+        let split = ns
+            .record_op(d, OpKind::Create, SimTime::ZERO)
+            .1
+            .expect("11 > 10 splits");
         assert_eq!(split.resulting_frags, 8);
         assert_eq!((ns.dir(d).files, over(&ns)), (11, 0));
+        assert_summaries(&ns);
         // Unlinks past zero change nothing.
         let empty = ns.mkdir_p("/empty");
         ns.record_op(empty, OpKind::Unlink, SimTime::ZERO);

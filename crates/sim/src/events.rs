@@ -149,17 +149,6 @@ impl<E> EventQueue<E> {
         Some((s.at, s.seq, s.event))
     }
 
-    /// Pop the next event only if it fires strictly before `limit`,
-    /// returning its key. Declined pops leave the queue (and the clock)
-    /// untouched — the windowed cluster engine drains its queue with this.
-    pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, u64, E)> {
-        if self.heap.peek()?.at < limit {
-            self.pop_keyed()
-        } else {
-            None
-        }
-    }
-
     /// Firing time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.at)
@@ -272,28 +261,5 @@ mod tests {
         assert_eq!(q.pop_keyed(), Some((t, 10, "a")));
         assert_eq!(q.pop_keyed(), Some((t, 20, "b")));
         assert_eq!(q.pop_keyed(), Some((t, 30, "c")));
-    }
-
-    #[test]
-    fn pop_before_is_exclusive_and_non_destructive() {
-        let mut q = EventQueue::new();
-        q.schedule_at_key(SimTime::from_micros(100), 1, "x");
-        q.schedule_at_key(SimTime::from_micros(300), 2, "y");
-        assert_eq!(q.pop_before(SimTime::from_micros(100)), None);
-        assert_eq!(q.len(), 2);
-        assert_eq!(
-            q.pop_before(SimTime::from_micros(101)),
-            Some((SimTime::from_micros(100), 1, "x"))
-        );
-        assert_eq!(q.pop_before(SimTime::from_micros(200)), None);
-        assert_eq!(
-            q.now(),
-            SimTime::from_micros(100),
-            "declined pop holds the clock"
-        );
-        assert_eq!(
-            q.pop_before(SimTime::from_micros(301)),
-            Some((SimTime::from_micros(300), 2, "y"))
-        );
     }
 }

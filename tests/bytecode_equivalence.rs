@@ -29,11 +29,11 @@ use support::fnv1a;
 const PINNED: [(&str, u64); 2] = [
     (
         "greedy-spill-even/crash+restart",
-        12_559_180_695_742_261_066,
+        14_291_785_941_739_148_598,
     ),
     (
         "greedy-spill-even/poisoned-balancer",
-        11_713_804_910_488_684_741,
+        4_964_950_997_083_866_975,
     ),
 ];
 

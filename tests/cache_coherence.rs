@@ -7,8 +7,8 @@
 //!   and every cache counter stays zero;
 //! * **on**, the simulation stays deterministic — byte-identical
 //!   reports across both hook engines, because every cache mutation
-//!   (fill, LRU touch, invalidation) is deferred to the window barrier
-//!   and applied in `(time, key)` order.
+//!   (fill, LRU touch, invalidation) lands as the event that causes it
+//!   runs, in `(time, key)` order.
 //!
 //! And it must be *coherent*: a storm that keeps migrating subtrees
 //! while the cache serves hits must never serve a stale entry — the

