@@ -44,7 +44,7 @@ impl Driver {
     ) -> (SimTime, ExecStats) {
         let max_d = co.cfg.max_duration;
         let mut last_now = SimTime::ZERO;
-        let (mut data_steps, mut global_steps) = (0u64, 0u64);
+        let mut global_steps = 0u64;
         loop {
             if let Some(p) = pump.as_deref_mut() {
                 p.pre(co, self, last_now);
@@ -70,7 +70,6 @@ impl Driver {
                 global_steps += 1;
             } else {
                 self.shard.step(&mut self.sim, &mut co.trace);
-                data_steps += 1;
             }
             if let Some(p) = pump.as_deref_mut() {
                 p.post(co, self);
@@ -81,7 +80,7 @@ impl Driver {
         }
         let stats = ExecStats {
             threads: 1,
-            windows: data_steps,
+            windows: self.shard.stats.events,
             exclusive_events: global_steps,
             shards: vec![self.shard.stats],
         };

@@ -240,7 +240,6 @@ pub(crate) fn apply(co: &mut Coordinator, x: &mut Driver, kind: &FaultKind, now:
             sh.up[mds] = false;
             sh.mds_epoch[mds] += 1;
             x.shard.counters[mds].queued = 0;
-            let sh = &mut x.sim;
             co.trace.sync_dirs(&sh.ns, now);
             co.trace.emit(now, || TraceEvent::MdsCrash { mds });
             // Every subtree and dirfrag it served fails over to the

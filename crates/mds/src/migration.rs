@@ -135,7 +135,6 @@ impl Migrator {
         // the root.
         let flush = SimTime::from_micros_f64(cfg.costs.session_flush_us);
         let mut flushed = 0;
-        let (sh, plane) = (&mut x.sim, &mut x.shard);
         for cache in &mut sh.caches {
             for &d in region {
                 self.cache_invalidations += u64::from(cache.invalidate(d));

@@ -331,9 +331,7 @@ impl Shard {
 
     /// Run the earliest data-plane event to completion.
     pub(crate) fn step(&mut self, sh: &mut SharedSim, trace: &mut Tracer) {
-        let Some((now, event)) = self.queue.pop() else {
-            return;
-        };
+        let (now, event) = self.queue.pop().expect("stepped with an event due");
         self.last_event = now;
         self.stats.events += 1;
         match event {
@@ -729,23 +727,25 @@ impl Shard {
                 < now;
         let frag = req.frag.min(sh.ns.dir(dir).frags.len() - 1);
         let (client, kind) = (req.client, req.op.kind);
-        if stale {
-            trace.emit_data(now, || TraceEvent::StaleReply {
-                mds,
-                client,
-                dir,
-                frag,
-                kind,
-            });
-        } else {
-            trace.emit_data(now, || TraceEvent::Completed {
-                mds,
-                client,
-                dir,
-                frag,
-                kind,
-            });
-        }
+        trace.emit_data(now, || {
+            if stale {
+                TraceEvent::StaleReply {
+                    mds,
+                    client,
+                    dir,
+                    frag,
+                    kind,
+                }
+            } else {
+                TraceEvent::Completed {
+                    mds,
+                    client,
+                    dir,
+                    frag,
+                    kind,
+                }
+            }
+        });
         // The server-side work happened either way: charge the op's heat
         // and size to the fragment it hit, and fragment the directory if
         // that took it over the threshold. The split work is billed to the
