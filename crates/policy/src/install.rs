@@ -15,8 +15,8 @@
 //!    `howmany` hook also runs at `active = 1` and `active = n` on each.
 //! 3. **Hand over** — the caller passes the validated [`PolicySet`] by
 //!    value to whatever owns the balancers (the daemon sends it to its
-//!    engine thread, which installs it on every MDS in one exclusive
-//!    step, so a decision never straddles two policies).
+//!    engine thread, which installs it on every MDS in one engine step,
+//!    so a decision never straddles two policies).
 
 use crate::env::PolicySet;
 use crate::error::PolicyResult;
