@@ -23,7 +23,7 @@
 //! just read. (A per-client map scanned with the region's predicate
 //! survives as the differential oracle in the unit tests below.)
 //!
-//! Determinism: group caches live in [`crate::shard::SharedSim`]. Every
+//! Determinism: group caches live in the simulation state ([`crate::world`]). Every
 //! mutation — fill, LRU touch, dentry invalidation — lands as the event
 //! that causes it runs, in `(time, key)` order, so the LRU clock and
 //! eviction order are pure functions of the event stream.
@@ -287,7 +287,7 @@ pub fn group_of(client: usize, num_clients: usize, groups: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::tests::{is_under, SubtreeWindow};
+    use crate::world::tests::{is_under, SubtreeWindow};
     use mantle_namespace::Namespace;
     use mantle_sim::{SimRng, SimTime};
 

@@ -87,7 +87,8 @@ pub struct ClientState {
     /// exponential backoff).
     pub attempts: u32,
     /// The workload answered [`PARKED`]: the client has no scheduled
-    /// event and waits for [`crate::shard::Shard::wake_client`].
+    /// event and waits for the service pump to wake it
+    /// (`World::wake_client`, [`crate::world`]).
     pub(crate) parked: bool,
 }
 

@@ -1,17 +1,30 @@
 //! The cluster and its control plane.
 //!
 //! [`Cluster`] is the public face: build one, optionally schedule admin
-//! actions, then run it to completion or serve it live. Behind it, the
-//! `Coordinator` is the control plane — the data plane never touches it —
-//! and the [`crate::driver`] is the scheduler that owns the simulation
-//! state and decides *when* the coordinator gets to act.
+//! actions, then run it to completion or serve it live. Behind it sit the
+//! simulation state, one `World` ([`crate::world`]), and the
+//! `Coordinator`, the control plane — the data plane never touches it.
+//! `Cluster::run_inner` is the event loop: it runs the earliest event,
+//! the world's next data-plane event or the coordinator's next global, to
+//! completion, and so decides *when* the coordinator gets to act.
+//!
+//! # The time frontier
+//!
+//! `Coordinator::frontier` is the instant of the last event the loop
+//! ran, data-plane or global: the later of the two queues' clocks. It is
+//! the one place "now" is read between events. The trace's `RunEnd`
+//! trailer, and everything the live-service pump injects — woken
+//! clients, directories a live op creates, hot installs — are stamped
+//! with it, so no record is stamped before one already emitted, and
+//! live and batch streams alike are in time order.
 //!
 //! # The balancer tick, stage by stage
 //!
 //! Mantle's claim is that balancing policy separates cleanly from
 //! migration mechanism (§3). The mechanism is a pipeline, and each stage
-//! is a module that owns the state it mutates and takes the driver's
-//! simulation state (`&mut Driver`) to reach it:
+//! is a module that owns the state it mutates and takes the coordinator
+//! and the world (`&mut World`), which holds the configuration and the
+//! tracer too:
 //!
 //! | stage | where | state it owns |
 //! |---|---|---|
@@ -32,10 +45,8 @@ use mantle_policy::env::PolicySet;
 use mantle_sim::{EventQueue, SimRng, SimTime, Summary};
 
 use crate::balancer::{BalanceContext, Balancer, BalancerSet, MigrationPlan};
-use crate::cache::{GroupCache, CACHE_CAPACITY, CACHE_GROUPS};
 use crate::client::Workload;
 use crate::config::ClusterConfig;
-use crate::driver::Driver;
 use crate::elastic::Membership;
 use crate::faults::FaultKind;
 use crate::heartbeat::HeartbeatView;
@@ -44,9 +55,9 @@ use crate::migration::Migrator;
 use crate::partition::{plan_exports, Export};
 use crate::report::{ClientReport, MdsReport, RunReport};
 use crate::service::{LiveService, ServiceEvent, ServicePump};
-use crate::shard::{DirStamps, Event, ExecStats, Shard, SharedSim};
 use crate::trace::{TraceBuffer, TraceEvent, TraceLevel};
 use crate::tracer::Tracer;
+use crate::world::{Event, ExecStats, World};
 
 /// A balancer that never migrates — used for static-partition experiments
 /// (the "high locality" / "spread" setups of Fig. 3).
@@ -71,7 +82,7 @@ impl Balancer for NoopBalancer {
     }
 }
 
-/// A control-plane event. Each runs as one driver step, between two
+/// A control-plane event. Each runs as one loop step, between two
 /// data-plane events, and reads and writes cluster-wide state (the
 /// namespace, every MDS's counters, liveness).
 enum GlobalEvent {
@@ -93,17 +104,14 @@ enum GlobalEvent {
     Fault(FaultKind),
 }
 
-/// The control plane: one component per mechanism stage, the queue of
-/// global events, and the configuration they all read. Components keep
-/// their fields to themselves; steps that span several of them (a join
-/// exports, an export traces) take the whole coordinator.
+/// The control plane: one component per mechanism stage and the queue of
+/// global events. Components keep their fields to themselves; steps that
+/// span several of them (a join exports) take the whole coordinator.
 pub(crate) struct Coordinator {
-    pub(crate) cfg: ClusterConfig,
     pub(crate) policy: BalancerSet,
     pub(crate) hb: HeartbeatView,
     pub(crate) membership: Membership,
     pub(crate) migrator: Migrator,
-    pub(crate) trace: Tracer,
     /// Subtrees and dirfrags failed over to MDS 0 by crashes.
     pub(crate) failovers: u64,
     globals: EventQueue<GlobalEvent>,
@@ -119,24 +127,29 @@ impl Coordinator {
         self.globals.peek_time()
     }
 
+    /// The time frontier: the instant of the last event the loop ran,
+    /// data-plane or global.
+    pub(crate) fn frontier(&self, w: &World) -> SimTime {
+        w.queue.now().max(self.globals.now())
+    }
+
     /// Run the next global event with `&mut` access to the whole
     /// simulation.
-    pub(crate) fn run_global(&mut self, x: &mut Driver) {
+    pub(crate) fn run_global(&mut self, w: &mut World) {
         let (now, event) = self.globals.pop().expect("a global event is due");
         match event {
-            GlobalEvent::Heartbeat => self.tick(x, now),
+            GlobalEvent::Heartbeat => self.tick(w, now),
             GlobalEvent::Admin(action) => {
-                let ns = &mut x.sim.ns;
-                action(ns);
+                action(&mut w.ns);
                 // Admin actions mutate the namespace wholesale;
                 // re-announce new dirs and the authority state.
-                self.trace.sync_dirs(ns, now);
-                self.trace.emit_auth_snapshot(ns, now);
+                w.trace.sync_dirs(&w.ns, now);
+                w.trace.emit_auth_snapshot(&w.ns, now);
             }
             GlobalEvent::Swap { name, epoch, set } => {
                 let result = match self.policy.install(&name, &set) {
                     Ok(()) => {
-                        self.trace.emit(now, || TraceEvent::PolicyInstalled {
+                        w.trace.emit(now, || TraceEvent::PolicyInstalled {
                             install_epoch: epoch,
                             name,
                         });
@@ -146,23 +159,16 @@ impl Coordinator {
                 };
                 self.swapped.push(ServiceEvent::Swapped { epoch, result });
             }
-            GlobalEvent::Fault(kind) => crate::faults::apply(self, x, &kind, now),
+            GlobalEvent::Fault(kind) => crate::faults::apply(self, w, &kind, now),
         }
     }
 
     /// Queue a hot install as a regular global event at the time
-    /// frontier `last_now`: the very next scheduler iteration runs it
-    /// (globals win same-instant ties), after which every balancer tick
-    /// uses the new policy.
-    pub(crate) fn schedule_swap(
-        &mut self,
-        last_now: SimTime,
-        name: String,
-        epoch: u64,
-        set: PolicySet,
-    ) {
-        let at = last_now.max(self.globals.now());
-        let set = Box::new(set);
+    /// frontier: the very next loop iteration runs it (globals win
+    /// same-instant ties), after which every balancer tick uses the new
+    /// policy.
+    pub(crate) fn schedule_swap(&mut self, w: &World, name: String, epoch: u64, set: PolicySet) {
+        let (at, set) = (self.frontier(w), Box::new(set));
         self.globals
             .schedule_at(at, GlobalEvent::Swap { name, epoch, set });
     }
@@ -173,29 +179,28 @@ impl Coordinator {
     }
 
     /// Migrate one export unit away from `from`.
-    pub(crate) fn export(&mut self, x: &mut Driver, from: MdsId, export: Export, now: SimTime) {
-        self.migrator
-            .apply_export(x, &mut self.trace, &self.cfg, from, export, now);
+    pub(crate) fn export(&mut self, w: &mut World, from: MdsId, export: Export, now: SimTime) {
+        self.migrator.apply_export(w, from, export, now);
     }
 
     /// Cluster-wide heartbeat + balancer tick.
-    fn tick(&mut self, x: &mut Driver, now: SimTime) {
-        let n = self.cfg.num_mds;
+    fn tick(&mut self, w: &mut World, now: SimTime) {
+        let n = w.cfg.num_mds;
         // Catch the trace's namespace model up under the *old* epoch —
         // every record carries `epoch == ticks seen so far` except the
         // tick itself, which announces the increment.
-        self.trace.sync_dirs(&x.sim.ns, now);
-        self.trace.epoch += 1;
+        w.trace.sync_dirs(&w.ns, now);
+        w.trace.epoch += 1;
         // Accrue provisioned MDS-time up to this instant under the *old*
         // membership; transitions below only bill from here on.
-        self.membership.accrue(now, x.sim.members());
+        self.membership.accrue(now, w.members());
         // 1. Every MDS packages up its metrics ("send HB").
-        let heartbeats = self.hb.snapshot(x, &self.policy, &self.cfg, now);
+        let heartbeats = self.hb.snapshot(w, &self.policy, now);
         // Timeline + tick record before the windows roll, so the sampled
         // queue depth / throughput are the ones the balancers will act on.
-        if let Some(timeline) = self.trace.timeline() {
+        if let Some(timeline) = w.trace.timeline() {
             for (m, hb) in heartbeats.iter().enumerate() {
-                let c = &x.shard.counters[m];
+                let c = &w.counters[m];
                 timeline.sample(
                     now,
                     m,
@@ -205,23 +210,23 @@ impl Coordinator {
                 );
             }
             let loads: Vec<f64> = heartbeats.iter().map(|h| h.auth_metaload).collect();
-            self.trace.emit(now, || TraceEvent::HeartbeatTick { loads });
+            w.trace.emit(now, || TraceEvent::HeartbeatTick { loads });
         }
         // 2. Roll the measurement windows (cache tallies roll with them).
-        for c in &mut x.shard.counters {
+        for c in &mut w.counters {
             c.roll_window();
         }
         // 2½. The elastic controller: evaluate the `howmany` hook over the
         //     member-filtered snapshots and take at most one membership
         //     transition (join or drain) per tick. No-op when disabled.
-        let elastic = self.cfg.elastic.enabled;
+        let elastic = w.cfg.elastic.enabled;
         if elastic {
-            crate::elastic::step(self, x, &heartbeats, now);
+            crate::elastic::step(self, w, &heartbeats, now);
         }
         // The post-transition member view the balancers run against. With
         // elasticity off this is the identity (all MDSs are members) and
         // the filtered snapshot is never built.
-        let active_ids: Vec<MdsId> = (0..n).filter(|&m| x.sim.member[m]).collect();
+        let active_ids: Vec<MdsId> = (0..n).filter(|&m| w.member[m]).collect();
         let member_view: Option<Arc<[Heartbeat]>> =
             elastic.then(|| active_ids.iter().map(|&m| heartbeats[m]).collect());
         // 3. Every MDS runs its balancer against the (shared, already
@@ -230,12 +235,12 @@ impl Coordinator {
         for m in 0..n {
             // A crashed MDS neither balances nor exports; a non-member
             // (spare or departed) has nothing to balance.
-            if !x.sim.up[m] || !x.sim.member[m] {
+            if !w.up[m] || !w.member[m] {
                 continue;
             }
             // A poisoned balancer errors before reaching a decision.
             if self.policy.is_poisoned(m) {
-                self.policy.note_error(m, now, &mut self.trace);
+                self.policy.note_error(m, now, &mut w.trace);
                 continue;
             }
             // Elastic clusters show the policy only the member set:
@@ -258,11 +263,11 @@ impl Coordinator {
                 Ok(Some(plan)) => plan,
                 Ok(None) => {
                     self.policy.note_ok(m);
-                    self.trace.emit(now, || TraceEvent::BalancerTick { mds: m });
+                    w.trace.emit(now, || TraceEvent::BalancerTick { mds: m });
                     continue;
                 }
                 Err(_) => {
-                    self.policy.note_error(m, now, &mut self.trace);
+                    self.policy.note_error(m, now, &mut w.trace);
                     continue;
                 }
             };
@@ -282,13 +287,13 @@ impl Coordinator {
             } else {
                 plan
             };
-            let ns = &mut x.sim.ns;
+            let ns = &mut w.ns;
             let Ok(exports) = plan_exports(ns, m, self.policy.balancer(m), &plan, now) else {
-                self.policy.note_error(m, now, &mut self.trace);
+                self.policy.note_error(m, now, &mut w.trace);
                 continue;
             };
             self.policy.note_ok(m);
-            if self.trace.on() {
+            if w.trace.on() {
                 let targets = plan.targets.clone();
                 let selectors: Vec<String> = plan
                     .selectors
@@ -296,7 +301,7 @@ impl Coordinator {
                     .map(|s| s.name().to_string())
                     .collect();
                 let n_exports = exports.len();
-                self.trace.emit(now, || TraceEvent::BalancerPlan {
+                w.trace.emit(now, || TraceEvent::BalancerPlan {
                     mds: m,
                     targets,
                     selectors,
@@ -304,13 +309,13 @@ impl Coordinator {
                 });
             }
             for export in exports {
-                self.export(x, m, export, now);
+                self.export(w, m, export, now);
             }
         }
         // 4. Next tick, while clients are still running.
-        if x.shard.active > 0 {
+        if w.active > 0 {
             self.globals
-                .schedule_at(now + self.cfg.heartbeat_interval, GlobalEvent::Heartbeat);
+                .schedule_at(now + w.cfg.heartbeat_interval, GlobalEvent::Heartbeat);
         }
     }
 }
@@ -319,7 +324,7 @@ impl Coordinator {
 /// then [`Cluster::run`] it to completion.
 pub struct Cluster {
     co: Coordinator,
-    driver: Driver,
+    world: World,
 }
 
 impl Cluster {
@@ -335,45 +340,19 @@ impl Cluster {
             ..Default::default()
         });
         workload.setup(&mut ns);
-        let n = cfg.num_mds;
         let master = SimRng::new(cfg.seed);
-        let initial_members = cfg.elastic.initial(n);
-        let workload_name = workload.name().to_string();
-        let shard = Shard::new(cfg.clone(), workload, &master);
-        // Proxy-tier caches: one LRU per client group. Empty when disabled — the inert default adds no state
-        // and no per-event work.
-        let caches = if cfg.cache.enabled {
-            vec![GroupCache::new(CACHE_CAPACITY); CACHE_GROUPS]
-        } else {
-            Vec::new()
-        };
-        let sim = SharedSim {
-            ns,
-            up: vec![true; n],
-            mds_epoch: vec![0; n],
-            slow_factor: vec![1.0; n],
-            slow_until: vec![SimTime::ZERO; n],
-            frozen_until: DirStamps::default(),
-            cold_until: DirStamps::default(),
-            caches,
-            member: (0..n).map(|m| m < initial_members).collect(),
-        };
         let co = Coordinator {
-            policy: BalancerSet::new((0..n).map(make_balancer).collect()),
+            policy: BalancerSet::new((0..cfg.num_mds).map(make_balancer).collect()),
             hb: HeartbeatView::new(&cfg, &master),
             membership: Membership::default(),
             migrator: Migrator::default(),
-            trace: Tracer::new(None, &cfg),
             failovers: 0,
             globals: EventQueue::new(),
             swapped: Vec::new(),
-            workload_name,
-            cfg,
+            workload_name: workload.name().to_string(),
         };
-        Cluster {
-            co,
-            driver: Driver { sim, shard },
-        }
+        let world = World::new(cfg, ns, workload, &master);
+        Cluster { co, world }
     }
 
     /// MDS `m`'s balancer, as built (or last installed).
@@ -383,7 +362,7 @@ impl Cluster {
 
     /// Mutable access to the namespace before the run (static partitions).
     pub fn namespace_mut(&mut self) -> &mut Namespace {
-        &mut self.driver.sim.ns
+        &mut self.world.ns
     }
 
     /// Schedule an administrative action (e.g. a manual repartition) at a
@@ -442,63 +421,106 @@ impl Cluster {
         self.run_inner(trace, Some(ServicePump::new(svc)));
     }
 
-    /// The one way a cluster runs. With a pump the trace is streamed
-    /// rather than kept, and the stream is ended with the report.
+    /// The one way a cluster runs: take events in time order until the
+    /// clients drain, time runs out, or nothing is left to do. `pump` is
+    /// the live-service hook ([`Cluster::serve`]): called before each
+    /// iteration (command injection + wall pacing) and after each step
+    /// (event streaming). Batch runs pass `None`, which skips both calls
+    /// entirely — the scheduler's decisions are untouched. With a pump the
+    /// trace is streamed rather than kept, and the stream is ended with
+    /// the report.
     pub(crate) fn run_inner(
-        mut self,
+        self,
         trace: Option<TraceLevel>,
         mut pump: Option<ServicePump>,
     ) -> (RunReport, ExecStats, Option<TraceBuffer>) {
-        let mut co = self.co;
+        let Cluster { mut co, mut world } = self;
+        let w = &mut world;
         if let Some(level) = trace {
-            co.trace = Tracer::new(Some(level), &co.cfg);
-            co.trace.preamble(&co.cfg, &self.driver.sim.ns);
+            w.trace = Tracer::new(Some(level), &w.cfg);
+            w.trace.preamble(&w.cfg, &w.ns);
         }
-        let shard = &mut self.driver.shard;
-        shard.live = pump.is_some();
+        w.live = pump.is_some();
         // Kick off every client (client-rank keys order the time-zero
         // ties by client id).
-        for c in 0..shard.clients.len() {
-            let key = shard.client_key(c);
-            shard
-                .queue
+        for c in 0..w.clients.len() {
+            let key = w.client_key(c);
+            w.queue
                 .schedule_at_key(SimTime::ZERO, key, Event::ClientNext(c));
         }
         // The heartbeat cycle and the fault plan.
         co.globals
-            .schedule_at(co.cfg.heartbeat_interval, GlobalEvent::Heartbeat);
-        for fault in &co.cfg.faults.events {
+            .schedule_at(w.cfg.heartbeat_interval, GlobalEvent::Heartbeat);
+        for fault in &w.cfg.faults.events {
             co.globals
                 .schedule_at(fault.at, GlobalEvent::Fault(fault.kind.clone()));
         }
-        let (last_now, stats) = self.driver.run(&mut co, pump.as_mut());
-        co.trace
-            .run_end(last_now, self.driver.shard.inflight.max(0) as usize);
-        let report = into_report(&co, self.driver);
+        let mut global_steps = 0u64;
+        loop {
+            if let Some(p) = pump.as_mut() {
+                p.pre(&mut co, w);
+            }
+            if w.drained() {
+                break;
+            }
+            let t_data = w.queue.peek_time();
+            let t_glob = co.next_global_at();
+            let Some(t_min) = t_data.into_iter().chain(t_glob).min() else {
+                break;
+            };
+            // Events at exactly `max_duration` still run.
+            if t_min > w.cfg.max_duration {
+                break;
+            }
+            // The heartbeat at T sees the world as of T, before events at T.
+            if t_glob.is_some_and(|tg| t_data.is_none_or(|td| tg <= td)) {
+                co.run_global(w);
+                global_steps += 1;
+            } else {
+                w.step();
+            }
+            if let Some(p) = pump.as_mut() {
+                p.post(&mut co, w);
+            }
+        }
+        if let Some(p) = pump.as_mut() {
+            p.post(&mut co, w);
+        }
+        let stats = ExecStats {
+            threads: 1,
+            windows: w.stats.events,
+            exclusive_events: global_steps,
+            shards: vec![w.stats],
+        };
+        let end = co.frontier(w);
+        w.trace.run_end(end, w.inflight.max(0) as usize);
+        let (report, mut trace) = into_report(&co, world);
         let buffer = match pump {
             Some(pump) => {
-                pump.finish(co.trace.drain(), report.clone());
+                pump.finish(trace.drain(), report.clone());
                 None
             }
-            None => co.trace.into_buffer(),
+            None => trace.into_buffer(),
         };
         (report, stats, buffer)
     }
 }
 
-/// Assemble the report from the coordinator and the drained simulation.
-/// Each MDS's report was filled in as the run went; only its `total_ops`
-/// is summed here.
-fn into_report(co: &Coordinator, driver: Driver) -> RunReport {
-    let Driver { sim, shard } = driver;
-    let Shard {
+/// Assemble the report from the coordinator and the drained simulation,
+/// handing back the tracer. Each MDS's report was filled in as the run
+/// went; only its `total_ops` is summed here.
+fn into_report(co: &Coordinator, world: World) -> (RunReport, Tracer) {
+    let members = world.members();
+    let World {
+        cfg,
+        trace,
         counters,
         clients,
         timeouts,
         retries,
         cache_invalidations,
         ..
-    } = shard;
+    } = world;
     let makespan = clients
         .iter()
         .map(|c| c.finished_at)
@@ -511,11 +533,11 @@ fn into_report(co: &Coordinator, driver: Driver) -> RunReport {
     let sessions: u64 = mds.iter().map(|m| m.sessions_flushed).sum();
     let cache_hits: u64 = mds.iter().map(|m| m.cache_hits).sum();
     let cache_misses: u64 = mds.iter().map(|m| m.cache_misses).sum();
-    RunReport {
+    let report = RunReport {
         balancer: co.policy.name.clone(),
         workload: co.workload_name.clone(),
-        num_mds: co.cfg.num_mds,
-        seed: co.cfg.seed,
+        num_mds: cfg.num_mds,
+        seed: cfg.seed,
         makespan,
         mds,
         clients: clients
@@ -534,11 +556,12 @@ fn into_report(co: &Coordinator, driver: Driver) -> RunReport {
         cache_hits,
         cache_misses,
         cache_invalidations: cache_invalidations + co.migrator.cache_invalidations,
-        mds_seconds: co.membership.total_mds_seconds(makespan, sim.members()),
+        mds_seconds: co.membership.total_mds_seconds(makespan, members),
         joins: co.membership.joins,
         leaves: co.membership.leaves,
         membership_epoch: co.membership.epoch(),
-    }
+    };
+    (report, trace)
 }
 
 #[cfg(test)]
@@ -546,8 +569,8 @@ mod tests {
     use super::*;
     use crate::client::{route, ClientOp};
     use crate::partition::ExportUnit;
-    use crate::shard::tests::SubtreeWindow;
-    use crate::shard::{frozen_until, in_cold, Request};
+    use crate::world::tests::SubtreeWindow;
+    use crate::world::Request;
     use mantle_namespace::{NodeId, OpKind};
 
     /// A trivial workload: each client creates `count` files in its own
@@ -831,13 +854,12 @@ mod tests {
             let ns = cluster.namespace_mut();
             (ns.mkdir_p("/a"), ns.mkdir_p("/a/b"))
         };
-        let x = &mut cluster.driver;
-        cluster.co.export(x, 0, subtree_to_mds1(a), SimTime::ZERO);
-        assert!(
-            frozen_until(&x.sim, a, SimTime::ZERO).is_some(),
-            "root frozen"
-        );
-        let thaw = frozen_until(&x.sim, ab, SimTime::ZERO).expect("descendant frozen too");
+        let w = &mut cluster.world;
+        cluster.co.export(w, 0, subtree_to_mds1(a), SimTime::ZERO);
+        assert!(w.frozen_until(a, SimTime::ZERO).is_some(), "root frozen");
+        let thaw = w
+            .frozen_until(ab, SimTime::ZERO)
+            .expect("descendant frozen too");
         // A request to the descendant during the freeze defers to the
         // thaw instead of being served.
         let req = Request {
@@ -852,13 +874,12 @@ mod tests {
             seq: 1,
             attempts: 0,
         };
-        let g = &mut x.shard;
-        let key = g.client_key(0);
-        g.queue
+        let key = w.client_key(0);
+        w.queue
             .schedule_at_key(SimTime::ZERO, key, Event::Arrive { mds: 1, req });
-        g.step(&mut x.sim, &mut cluster.co.trace);
+        w.step();
         assert_eq!(
-            g.queue.peek_time(),
+            w.queue.peek_time(),
             Some(thaw),
             "descendant request re-scheduled for the thaw, not served"
         );
@@ -883,18 +904,17 @@ mod tests {
             ns.set_auth(a, Some(2));
             (a, ab)
         };
-        let x = &mut cluster.driver;
+        let w = &mut cluster.world;
         // The client learned MDS 2 serves both dirs.
         for d in [a, ab] {
-            x.shard.routes.learn(0, d, 2);
+            w.routes.learn(0, d, 2);
         }
         // MDS 2 exports the subtree to MDS 1.
-        cluster.co.export(x, 2, subtree_to_mds1(a), SimTime::ZERO);
-        let (sim, plane) = (&x.sim, &x.shard);
-        let frag = sim.ns.peek_frag(ab);
-        let multi = sim.ns.frag_owners(ab).len() > 1;
+        cluster.co.export(w, 2, subtree_to_mds1(a), SimTime::ZERO);
+        let frag = w.ns.peek_frag(ab);
+        let multi = w.ns.frag_owners(ab).len() > 1;
         assert_eq!(
-            route(&sim.ns, ab, frag, multi, plane.routes.get(0, ab)),
+            route(&w.ns, ab, frag, multi, w.routes.get(0, ab)),
             0,
             "descendant cache entry cleared: route falls back to the mount authority"
         );
@@ -912,13 +932,13 @@ mod tests {
             Box::new(NoopBalancer)
         });
         let a = cluster.namespace_mut().mkdir_p("/a");
-        let x = &mut cluster.driver;
-        cluster.co.export(x, 0, subtree_to_mds1(a), SimTime::ZERO);
-        assert!(frozen_until(&x.sim, a, SimTime::ZERO).is_some());
-        assert!(in_cold(&x.sim, a, SimTime::ZERO));
+        let w = &mut cluster.world;
+        cluster.co.export(w, 0, subtree_to_mds1(a), SimTime::ZERO);
+        assert!(w.frozen_until(a, SimTime::ZERO).is_some());
+        assert!(w.in_cold(a, SimTime::ZERO));
         let late = SimTime::from_secs(100);
-        assert!(frozen_until(&x.sim, a, late).is_none());
-        assert!(!in_cold(&x.sim, a, late));
+        assert!(w.frozen_until(a, late).is_none());
+        assert!(!w.in_cold(a, late));
         // A request arriving after the lapse is served on arrival, at the
         // warm price.
         let req = Request {
@@ -933,14 +953,13 @@ mod tests {
             seq: 1,
             attempts: 0,
         };
-        let g = &mut x.shard;
-        let key = g.client_key(0);
-        g.queue
+        let key = w.client_key(0);
+        w.queue
             .schedule_at_key(late, key, Event::Arrive { mds: 1, req });
-        g.step(&mut x.sim, &mut cluster.co.trace);
-        assert_eq!(g.counters[1].report.hits, 1, "served, not deferred");
+        w.step();
+        assert_eq!(w.counters[1].report.hits, 1, "served, not deferred");
         assert_eq!(
-            g.counters[1].report.remote_prefix, 0,
+            w.counters[1].report.remote_prefix, 0,
             "prefix replicas warm"
         );
     }
@@ -1000,7 +1019,7 @@ mod tests {
                     ns.set_auth(pick(&mut rng, &dirs[1..]), Some(rng.below(4) as MdsId));
                 }
             }
-            let x = &mut cluster.driver;
+            let w = &mut cluster.world;
             let (mut frozen, mut cold): (Vec<SubtreeWindow>, Vec<SubtreeWindow>) =
                 Default::default();
             let mut instants = vec![SimTime::ZERO];
@@ -1012,10 +1031,10 @@ mod tests {
                 now += us(rng.below(gap));
                 if rng.below(2) == 0 {
                     let parent = pick(&mut rng, &dirs);
-                    dirs.push(x.sim.ns.mkdir(parent, format!("late{step}")));
+                    dirs.push(w.ns.mkdir(parent, format!("late{step}")));
                     late_dirs += 1;
                 }
-                let ns = &x.sim.ns;
+                let ns = &w.ns;
                 // Half the time, on or just above an earlier export's root.
                 let root = match frozen.last().filter(|_| rng.below(2) == 0) {
                     Some(w) => match ns.dir(w.root).parent {
@@ -1072,26 +1091,28 @@ mod tests {
                 }
                 let to = (from + 1 + rng.below(3) as usize) % 4;
                 let load = 1.0;
-                cluster.co.export(x, from, Export { unit, to, load }, now);
+                cluster.co.export(w, from, Export { unit, to, load }, now);
 
                 // Directories past the stamp vectors: one created since
                 // this export, and ids the namespace has never issued.
                 if step % 2 == 0 {
                     let parent = pick(&mut rng, &dirs);
-                    dirs.push(x.sim.ns.mkdir(parent, format!("after{step}")));
+                    dirs.push(w.ns.mkdir(parent, format!("after{step}")));
                 }
-                let sim = &x.sim;
-                let beyond = sim.ns.dir_count() as u32;
+                let world = &*w;
+                let beyond = world.ns.dir_count() as u32;
                 let all = (0..beyond).chain([beyond, beyond + 77, u32::MAX]);
                 for d in all.map(NodeId) {
                     for &t in &instants {
                         let covering = |ws: &[SubtreeWindow]| {
-                            let live = ws.iter().filter(|w| w.until > t && w.contains(&sim.ns, d));
+                            let live = ws
+                                .iter()
+                                .filter(|w| w.until > t && w.contains(&world.ns, d));
                             live.map(|w| w.until).max()
                         };
                         let ctx = format!("case {case} step {step} {d:?} at {t}");
-                        assert_eq!(frozen_until(sim, d, t), covering(&frozen), "{ctx}");
-                        assert_eq!(in_cold(sim, d, t), covering(&cold).is_some(), "{ctx}");
+                        assert_eq!(world.frozen_until(d, t), covering(&frozen), "{ctx}");
+                        assert_eq!(world.in_cold(d, t), covering(&cold).is_some(), "{ctx}");
                     }
                 }
             }

@@ -34,10 +34,10 @@ use mantle_sim::SimTime;
 
 use crate::balancer::BalanceContext;
 use crate::cluster::Coordinator;
-use crate::driver::Driver;
 use crate::metrics::Heartbeat;
 use crate::partition::{Export, ExportUnit};
 use crate::trace::TraceEvent;
+use crate::world::World;
 use mantle_namespace::{MdsId, NodeId};
 
 /// SplitMix64 finalizer: a full-avalanche 64-bit mixer.
@@ -74,7 +74,7 @@ pub fn rendezvous_owner(dir: NodeId, members: &[MdsId]) -> MdsId {
 }
 
 /// Membership accounting, owned by the coordinator. The member set itself
-/// is [`crate::shard::SharedSim::member`]; the epoch is the number of
+/// is the world's `member` flags ([`crate::world`]); the epoch is the number of
 /// transitions taken, `joins + leaves`.
 #[derive(Default)]
 pub(crate) struct Membership {
@@ -116,18 +116,18 @@ impl Membership {
 /// count and take at most one membership transition toward it.
 pub(crate) fn step(
     co: &mut Coordinator,
-    x: &mut Driver,
+    w: &mut World,
     heartbeats: &Arc<[Heartbeat]>,
     now: SimTime,
 ) {
-    let n = co.cfg.num_mds;
+    let n = w.cfg.num_mds;
     // MDS 0 hosts the controller (it is the mount authority, never
     // crashes, and never leaves); a poisoned balancer there suspends
     // scaling — the decide loop already records the error.
     if co.policy.is_poisoned(0) {
         return;
     }
-    let members: Vec<MdsId> = (0..n).filter(|&m| x.sim.member[m]).collect();
+    let members: Vec<MdsId> = (0..n).filter(|&m| w.member[m]).collect();
     let active = members.len();
     // Anywhere from MDS 0 alone to the whole pool.
     let (min_mds, max_mds) = (1, n);
@@ -145,69 +145,68 @@ pub(crate) fn step(
         Ok(Some(t)) if t.is_finite() => t,
         Ok(_) => return, // no hook (or nothing to decide): fixed size
         Err(_) => {
-            co.policy.note_error(0, now, &mut co.trace);
+            co.policy.note_error(0, now, &mut w.trace);
             return;
         }
     };
     let want = (target.round() as i64).clamp(min_mds as i64, max_mds as i64) as usize;
     if want > active {
-        join_one(co, x, &members, now);
+        join_one(co, w, &members, now);
     } else if want < active {
-        leave_one(co, x, &members, now);
+        leave_one(co, w, &members, now);
     }
 }
 
 /// Export `unit` from `from` to `to` because placement says so, not load.
 fn rehome(
     co: &mut Coordinator,
-    x: &mut Driver,
+    w: &mut World,
     from: MdsId,
     unit: ExportUnit,
     to: MdsId,
     now: SimTime,
 ) {
     let load = 0.0;
-    co.export(x, from, Export { unit, to, load }, now);
+    co.export(w, from, Export { unit, to, load }, now);
 }
 
 /// Activate the lowest-id live spare and re-home onto it the subtrees
 /// rendezvous hashing assigns it. The whole join — epoch bump, member
-/// flip, re-home migrations — happens inside this one driver step, so
+/// flip, re-home migrations — happens inside this one loop step, so
 /// the `MdsJoinStart` → `MdsJoinComplete` chain can never be split by
 /// another event.
-fn join_one(co: &mut Coordinator, x: &mut Driver, members: &[MdsId], now: SimTime) {
-    let n = co.cfg.num_mds;
-    let sh = &mut x.sim;
-    let Some(j) = (0..n).find(|&m| !sh.member[m] && sh.up[m]) else {
+fn join_one(co: &mut Coordinator, w: &mut World, members: &[MdsId], now: SimTime) {
+    let n = w.cfg.num_mds;
+    let Some(j) = (0..n).find(|&m| !w.member[m] && w.up[m]) else {
         return; // no live spare in the pool
     };
     co.membership.joins += 1;
     let epoch = co.membership.epoch();
-    co.trace.emit(now, || TraceEvent::MdsJoinStart {
+    w.trace.emit(now, || TraceEvent::MdsJoinStart {
         mds: j,
         membership_epoch: epoch,
     });
-    sh.member[j] = true;
+    w.member[j] = true;
     let mut rehomed = 0usize;
     // Rendezvous re-home: move exactly the subtrees whose owner-of-record
     // under the *new* member set is the joiner — the minimal set, nothing
     // shuffles between survivors.
-    let owners: Vec<MdsId> = (0..n).filter(|&m| sh.member[m] && sh.up[m]).collect();
+    let owners: Vec<MdsId> = (0..n).filter(|&m| w.member[m] && w.up[m]).collect();
     for &src in members {
-        if !x.sim.up[src] {
+        if !w.up[src] {
             continue;
         }
-        for d in x.sim.ns.export_candidate_dirs(src) {
-            if x.sim.ns.dir(d).auth != Some(src) {
+        for d in w.ns.export_candidate_dirs(src) {
+            if w.ns.dir(d).auth != Some(src) {
                 continue; // frag-only ownership stays put on join
             }
             if rendezvous_owner(d, &owners) == j {
-                rehome(co, x, src, ExportUnit::Subtree(d), j, now);
+                rehome(co, w, src, ExportUnit::Subtree(d), j, now);
                 rehomed += 1;
             }
         }
     }
-    co.trace.emit(now, || TraceEvent::MdsJoinComplete {
+    w.trace.emit(now, || TraceEvent::MdsJoinComplete {
         mds: j,
         membership_epoch: epoch,
         rehomed,
@@ -219,14 +218,13 @@ fn join_one(co: &mut Coordinator, x: &mut Driver, members: &[MdsId], now: SimTim
 /// among the remaining members, then flip it out of the member set. The
 /// departed MDS stays `up` — straggler requests routed by stale client
 /// caches are served by the normal forward path until the caches relearn.
-fn leave_one(co: &mut Coordinator, x: &mut Driver, members: &[MdsId], now: SimTime) {
+fn leave_one(co: &mut Coordinator, w: &mut World, members: &[MdsId], now: SimTime) {
     let Some(&victim) = members.iter().rev().find(|&&m| m != 0) else {
         return; // only the mount authority is left
     };
-    let sh = &mut x.sim;
     co.membership.leaves += 1;
     let epoch = co.membership.epoch();
-    co.trace.emit(now, || TraceEvent::MdsDrainStart {
+    w.trace.emit(now, || TraceEvent::MdsDrainStart {
         mds: victim,
         membership_epoch: epoch,
     });
@@ -235,36 +233,36 @@ fn leave_one(co: &mut Coordinator, x: &mut Driver, members: &[MdsId], now: SimTi
     let remaining: Vec<MdsId> = members
         .iter()
         .copied()
-        .filter(|&m| m != victim && sh.up[m])
+        .filter(|&m| m != victim && w.up[m])
         .collect();
     let mut drained = 0usize;
-    if sh.up[victim] && !remaining.is_empty() {
+    if w.up[victim] && !remaining.is_empty() {
         // A crashed victim owns nothing (its subtrees already failed
         // over); draining it is pure deregistration.
-        for dir in x.sim.ns.export_candidate_dirs(victim) {
+        for dir in w.ns.export_candidate_dirs(victim) {
             let to = rendezvous_owner(dir, &remaining);
-            if x.sim.ns.dir(dir).auth == Some(victim) {
-                rehome(co, x, victim, ExportUnit::Subtree(dir), to, now);
+            if w.ns.dir(dir).auth == Some(victim) {
+                rehome(co, w, victim, ExportUnit::Subtree(dir), to, now);
                 drained += 1;
             } else {
                 // Frag-only ownership: ship the victim's fragments.
-                let nfrags = x.sim.ns.dir(dir).frags.len();
+                let nfrags = w.ns.dir(dir).frags.len();
                 for f in 0..nfrags {
-                    if x.sim.ns.frag_auth(dir, f) == victim {
-                        rehome(co, x, victim, ExportUnit::Frag(dir, f), to, now);
+                    if w.ns.frag_auth(dir, f) == victim {
+                        rehome(co, w, victim, ExportUnit::Frag(dir, f), to, now);
                         drained += 1;
                     }
                 }
             }
         }
     }
-    co.trace.emit(now, || TraceEvent::MdsDrainComplete {
+    w.trace.emit(now, || TraceEvent::MdsDrainComplete {
         mds: victim,
         membership_epoch: epoch,
         drained,
     });
-    x.sim.member[victim] = false;
-    co.trace.emit(now, || TraceEvent::MdsDeparted {
+    w.member[victim] = false;
+    w.trace.emit(now, || TraceEvent::MdsDeparted {
         mds: victim,
         membership_epoch: epoch,
     });

@@ -37,8 +37,8 @@ use mantle_namespace::{MdsId, NodeId};
 use mantle_sim::SimTime;
 
 use crate::cluster::Coordinator;
-use crate::driver::Driver;
 use crate::trace::TraceEvent;
+use crate::world::World;
 
 /// One scheduled fault.
 #[derive(Debug, Clone, PartialEq)]
@@ -224,35 +224,35 @@ impl FaultPlan {
 
 /// Apply one fired fault. Faults naming an MDS outside the cluster, and
 /// crashes or restarts that would change nothing, are ignored.
-pub(crate) fn apply(co: &mut Coordinator, x: &mut Driver, kind: &FaultKind, now: SimTime) {
+pub(crate) fn apply(co: &mut Coordinator, w: &mut World, kind: &FaultKind, now: SimTime) {
     let mds = kind.mds();
-    if mds >= co.cfg.num_mds {
+    if mds >= w.cfg.num_mds {
         return;
     }
     let injected = match *kind {
         FaultKind::Crash { .. } => {
             // MDS 0 is the mount authority and the failover target; a
             // cluster that loses it has no root to serve from.
-            if mds == 0 || !x.sim.up[mds] {
+            if mds == 0 || !w.up[mds] {
                 return;
             }
-            let sh = &mut x.sim;
-            sh.up[mds] = false;
-            sh.mds_epoch[mds] += 1;
-            x.shard.counters[mds].queued = 0;
-            co.trace.sync_dirs(&sh.ns, now);
-            co.trace.emit(now, || TraceEvent::MdsCrash { mds });
+            w.up[mds] = false;
+            w.mds_epoch[mds] += 1;
+            w.counters[mds].queued = 0;
+            w.trace.sync_dirs(&w.ns, now);
+            w.trace.emit(now, || TraceEvent::MdsCrash { mds });
             // Every subtree and dirfrag it served fails over to the
             // mount authority; the balancers respread load from there.
-            let dirs: Vec<NodeId> = sh.ns.all_dirs().collect();
+            let ns = &mut w.ns;
+            let dirs: Vec<NodeId> = ns.all_dirs().collect();
             for d in dirs {
-                if sh.ns.dir(d).auth == Some(mds) {
-                    sh.ns.set_auth(d, Some(0));
+                if ns.dir(d).auth == Some(mds) {
+                    ns.set_auth(d, Some(0));
                     co.failovers += 1;
                 }
-                for f in 0..sh.ns.dir(d).frags.len() {
-                    if sh.ns.dir(d).frags[f].auth == Some(mds) {
-                        sh.ns.set_frag_auth(d, f, Some(0));
+                for f in 0..ns.dir(d).frags.len() {
+                    if ns.dir(d).frags[f].auth == Some(mds) {
+                        ns.set_frag_auth(d, f, Some(0));
                         co.failovers += 1;
                     }
                 }
@@ -260,21 +260,20 @@ pub(crate) fn apply(co: &mut Coordinator, x: &mut Driver, kind: &FaultKind, now:
             return;
         }
         FaultKind::Restart { .. } => {
-            if x.sim.up[mds] {
+            if w.up[mds] {
                 return;
             }
-            x.sim.up[mds] = true;
-            co.trace.emit(now, || TraceEvent::MdsRestart { mds });
+            w.up[mds] = true;
+            w.trace.emit(now, || TraceEvent::MdsRestart { mds });
             // Fresh queue, nothing owed from the previous incarnation.
-            x.shard.next_free[mds] = now;
+            w.next_free[mds] = now;
             return;
         }
         FaultKind::Slowdown {
             factor, duration, ..
         } => {
-            let sh = &mut x.sim;
-            sh.slow_factor[mds] = factor.max(0.0);
-            sh.slow_until[mds] = now + duration;
+            w.slow_factor[mds] = factor.max(0.0);
+            w.slow_until[mds] = now + duration;
             "slowdown"
         }
         FaultKind::DropHeartbeats { duration, .. } => {
@@ -290,7 +289,7 @@ pub(crate) fn apply(co: &mut Coordinator, x: &mut Driver, kind: &FaultKind, now:
             "poison-balancer"
         }
     };
-    co.trace.emit(now, || TraceEvent::FaultInjected {
+    w.trace.emit(now, || TraceEvent::FaultInjected {
         mds,
         kind: injected,
     });

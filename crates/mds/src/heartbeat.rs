@@ -7,7 +7,9 @@
 //! readers get can lag the truth: a *dropped* MDS stays frozen at its
 //! last pre-outage snapshot, a *delayed* one shows the previous tick's.
 //! The outage windows, the noise stream and the per-tick scratch buffers
-//! all live here.
+//! all live here; the counters, the namespace and the configuration are
+//! read through the simulation state ([`crate::world`]). Without a fault
+//! plan no outage window can open, and the fresh snapshot is the view.
 
 use std::sync::Arc;
 
@@ -16,8 +18,8 @@ use mantle_sim::{SimRng, SimTime};
 
 use crate::balancer::BalancerSet;
 use crate::config::ClusterConfig;
-use crate::driver::Driver;
 use crate::metrics::Heartbeat;
+use crate::world::World;
 
 /// Replicated ancestor heat counts toward `all_metaload` at this discount.
 const REPLICA_DISCOUNT: f64 = 0.2;
@@ -38,9 +40,6 @@ pub(crate) struct HeartbeatView {
     /// CPU/metaload measurement noise, consumed in MDS order once per
     /// tick — identical in every execution mode.
     rng: SimRng,
-    /// Whether the fault plan can open outage windows at all; when not,
-    /// the fresh snapshot is the view and nothing below is touched.
-    faults_active: bool,
     /// Outage windows: while dropping, readers see the snapshot frozen at
     /// the window start; while delaying, the previous tick's.
     drop_until: Vec<SimTime>,
@@ -60,7 +59,6 @@ impl HeartbeatView {
         let n = cfg.num_mds;
         HeartbeatView {
             rng: master.stream("cpu-noise"),
-            faults_active: cfg.faults.is_active(),
             drop_until: vec![SimTime::ZERO; n],
             delay_until: vec![SimTime::ZERO; n],
             frozen: vec![None; n],
@@ -85,11 +83,11 @@ impl HeartbeatView {
     /// run against this tick.
     pub(crate) fn snapshot(
         &mut self,
-        x: &mut Driver,
+        w: &mut World,
         policy: &BalancerSet,
-        cfg: &ClusterConfig,
         now: SimTime,
     ) -> Arc<[Heartbeat]> {
+        let cfg = &w.cfg;
         let n = cfg.num_mds;
         let (auth_load, all_load) = (&mut self.auth_load, &mut self.all_load);
         auth_load.clear();
@@ -98,7 +96,7 @@ impl HeartbeatView {
         all_load.resize(n, 0.0);
         // Metadata loads from the decayed counters, via each MDS's own
         // metaload policy (evaluated on that MDS's authoritative heat).
-        let ns = &mut x.sim.ns;
+        let ns = &mut w.ns;
         if policy.all_additive() {
             // Every metaload hook is linear with no constant term, so the
             // per-MDS decayed aggregates the namespace maintains
@@ -137,7 +135,7 @@ impl HeartbeatView {
         }
         let fresh: Vec<Heartbeat> = (0..n)
             .map(|m| {
-                let c = &x.shard.counters[m];
+                let c = &w.counters[m];
                 let cpu_raw = c.cpu_percent(cfg.heartbeat_interval);
                 let queue_len = c.queued as f64;
                 let req_rate = c.req_rate(cfg.heartbeat_interval);
@@ -158,7 +156,7 @@ impl HeartbeatView {
                 }
             })
             .collect();
-        if !self.faults_active {
+        if !cfg.faults.is_active() {
             return fresh.into();
         }
         // Heartbeat outages: a dropped MDS's snapshot stays frozen at its

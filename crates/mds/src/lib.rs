@@ -20,6 +20,15 @@
 //!   (Table 1) or a Mantle policy script — decides when/where/how much to
 //!   migrate; migrations freeze the moved subtree for a two-phase commit
 //!   and flush client sessions (§4.1).
+//!
+//! The engine is one event loop over one simulation state: the
+//! [`world`] module's `World` holds the namespace, the MDSs and clients,
+//! the configuration and the trace buffer; the coordinator in [`cluster`]
+//! holds the balancers and the queue of global events (heartbeat ticks,
+//! faults, admin actions, hot installs). `Cluster::run` runs the earliest
+//! event to completion, again and again, and everything emitted between
+//! events is stamped with the time frontier, the instant of the last
+//! event run — so every trace, batch or live, is in time order.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,7 +38,6 @@ pub mod cache;
 pub mod client;
 pub mod cluster;
 pub mod config;
-pub mod driver;
 pub mod elastic;
 pub mod faults;
 pub mod heartbeat;
@@ -40,9 +48,9 @@ pub mod partition;
 pub mod report;
 pub mod selector;
 pub mod service;
-pub mod shard;
 pub mod trace;
 pub mod tracer;
+pub mod world;
 
 pub use balancer::{BalanceContext, Balancer, CephfsBalancer, MantleBalancer, MigrationPlan};
 pub use cache::{cacheable, group_of, GroupCache, RouteTable};
@@ -58,5 +66,5 @@ pub use mantle_sim::SchedulerKind;
 pub use report::RunReport;
 pub use selector::{select_best, DirfragSelector};
 pub use service::{LiveCompletion, LiveService, ServiceEvent, ServiceHandle};
-pub use shard::{ExecStats, ShardStats};
 pub use trace::{Timeline, TraceBuffer, TraceEvent, TraceLevel, TraceRecord};
+pub use world::{ExecStats, ShardStats};

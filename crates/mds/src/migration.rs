@@ -11,7 +11,7 @@
 //! All the per-directory work is done here, once per export, so that the
 //! request path does none of it. One list drives it all: the directories
 //! the bounded migration walk covered. Each gets the thaw and warm-up
-//! instants stamped on it (`shard::DirStamps`), its entry dropped from
+//! instants stamped on it (`world::DirStamps`), its entry dropped from
 //! every proxy-tier cache, and every client's route to it dropped with
 //! one scan of its row in the table they share
 //! ([`crate::cache::RouteTable`]), not one lookup per client.
@@ -19,11 +19,9 @@
 use mantle_namespace::{MdsId, SubtreeMigration};
 use mantle_sim::SimTime;
 
-use crate::config::ClusterConfig;
-use crate::driver::Driver;
 use crate::partition::{Export, ExportUnit};
 use crate::trace::TraceEvent;
-use crate::tracer::Tracer;
+use crate::world::World;
 
 /// Export bookkeeping, owned by the coordinator.
 #[derive(Default)]
@@ -39,24 +37,21 @@ impl Migrator {
     /// import.
     pub(crate) fn apply_export(
         &mut self,
-        x: &mut Driver,
-        trace: &mut Tracer,
-        cfg: &ClusterConfig,
+        w: &mut World,
         from: MdsId,
         export: Export,
         now: SimTime,
     ) {
         let to = export.to;
-        let sh = &mut x.sim;
         // Non-members (spares and departed MDSs) never import: a drained
         // MDS must not regain dirfrag authority until it rejoins.
-        if to >= cfg.num_mds || to == from || !sh.up[to] || !sh.member[to] {
+        if to >= w.cfg.num_mds || to == from || !w.up[to] || !w.member[to] {
             return;
         }
         // The checker replays migrations against its namespace model; make
         // sure every directory the walk can touch is already in the trace.
-        trace.sync_dirs(&sh.ns, now);
-        let watermark = sh.ns.dir_count() as u32;
+        w.trace.sync_dirs(&w.ns, now);
+        let watermark = w.ns.dir_count() as u32;
         let frag_unit = match export.unit {
             ExportUnit::Frag(_, f) => Some(f),
             ExportUnit::Subtree(_) => None,
@@ -66,10 +61,10 @@ impl Migrator {
         // lists its directories and reports the inode count and the
         // authority holes in one pass.
         let (root, migration) = match export.unit {
-            ExportUnit::Subtree(d) => (d, sh.ns.migrate_subtree(d, to)),
+            ExportUnit::Subtree(d) => (d, w.ns.migrate_subtree(d, to)),
             ExportUnit::Frag(d, f) => {
                 let migration = SubtreeMigration {
-                    inodes: sh.ns.migrate_frag(d, f, to),
+                    inodes: w.ns.migrate_frag(d, f, to),
                     holes: Vec::new(),
                     dirs: vec![d],
                 };
@@ -81,20 +76,20 @@ impl Migrator {
         // Two-phase commit: the subtree freezes while the importer
         // journals the metadata. Requests to *any* directory inside the
         // moving subtree — not only its root — defer to the thaw.
-        let freeze_us = cfg.costs.migrate_freeze_us(moved);
+        let freeze_us = w.cfg.costs.migrate_freeze_us(moved);
         let thaw = now + SimTime::from_micros_f64(freeze_us);
-        sh.frozen_until.raise(region, watermark as usize, thaw);
+        w.frozen_until.raise(region, watermark as usize, thaw);
         // The importer's ancestor-prefix replicas need to warm up; the
         // exported subtree's own directories are cold too.
-        let warm = now + SimTime::from_micros_f64(cfg.costs.prefix_warmup_us);
-        sh.cold_until.raise(region, watermark as usize, warm);
+        let warm = now + SimTime::from_micros_f64(w.cfg.costs.prefix_warmup_us);
+        w.cold_until.raise(region, watermark as usize, warm);
         // Importer and exporter both journal (busy time on each).
         let journal_us = freeze_us / 4.0;
-        if trace.on() {
+        if w.trace.on() {
             self.seq += 1;
             let mig = self.seq;
             let holes = migration.holes.clone();
-            trace.emit(now, || TraceEvent::MigrationFreeze {
+            w.trace.emit(now, || TraceEvent::MigrationFreeze {
                 mig,
                 from,
                 to,
@@ -105,13 +100,13 @@ impl Migrator {
                 until: thaw,
             });
             for mds in [from, to] {
-                trace.emit(now, || TraceEvent::MigrationJournal {
+                w.trace.emit(now, || TraceEvent::MigrationJournal {
                     mig,
                     mds,
                     micros: journal_us,
                 });
             }
-            trace.emit(now, || TraceEvent::MigrationCommit {
+            w.trace.emit(now, || TraceEvent::MigrationCommit {
                 mig,
                 from,
                 to,
@@ -119,36 +114,36 @@ impl Migrator {
                 frag: frag_unit,
                 inodes: moved,
             });
-            trace.emit(now, || TraceEvent::MigrationUnfreeze { mig, root, thaw });
+            w.trace
+                .emit(now, || TraceEvent::MigrationUnfreeze { mig, root, thaw });
         }
-        let plane = &mut x.shard;
         for m in [from, to] {
-            plane.next_free[m] = plane.next_free[m].max(now) + SimTime::from_micros_f64(journal_us);
-            plane.counters[m].busy_window_us += journal_us;
+            w.next_free[m] = w.next_free[m].max(now) + SimTime::from_micros_f64(journal_us);
+            w.counters[m].busy_window_us += journal_us;
         }
-        let exported = &mut plane.counters[from].report;
+        let exported = &mut w.counters[from].report;
         exported.migrations_out += 1;
         exported.inodes_exported += moved;
         // Session flushes: every active client halts updates on the moved
         // directories and re-syncs (§4.1). The whole migrated subtree is
         // forgotten — a cache entry for a child dir is as stale as one for
         // the root.
-        let flush = SimTime::from_micros_f64(cfg.costs.session_flush_us);
+        let flush = SimTime::from_micros_f64(w.cfg.costs.session_flush_us);
         let mut flushed = 0;
-        for cache in &mut sh.caches {
+        for cache in &mut w.caches {
             for &d in region {
                 self.cache_invalidations += u64::from(cache.invalidate(d));
             }
         }
-        self.cache_invalidations += plane.routes.invalidate_dirs(&plane.clients, region);
-        for c in &mut plane.clients {
+        self.cache_invalidations += w.routes.invalidate_dirs(&w.clients, region);
+        for c in &mut w.clients {
             if !c.done {
                 c.stall_until = c.stall_until.max(now + flush);
                 flushed += 1;
             }
         }
-        plane.counters[from].report.sessions_flushed += flushed;
-        trace.emit(now, || TraceEvent::SessionFlush {
+        w.counters[from].report.sessions_flushed += flushed;
+        w.trace.emit(now, || TraceEvent::SessionFlush {
             mds: from,
             clients: flushed,
         });

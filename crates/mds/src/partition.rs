@@ -443,7 +443,7 @@ mod tests {
     use super::*;
     use crate::balancer::{BalanceContext, CephfsBalancer};
     use crate::selector::DirfragSelector;
-    use crate::shard::tests::is_under;
+    use crate::world::tests::is_under;
     use mantle_namespace::{HeatSample, NsConfig, OpKind};
     use mantle_sim::SimRng;
 

@@ -5,9 +5,9 @@
 //!
 //! # Shape
 //!
-//! The engine keeps its exact batch-mode event loop (see
-//! [`crate::driver`]); the service pump merely hooks the top and bottom
-//! of each iteration:
+//! The engine keeps its exact batch-mode event loop
+//! (`Cluster::run_inner`, see [`crate::cluster`]); the service pump
+//! merely hooks the top and bottom of each iteration:
 //!
 //! * **inbound** — commands submitted through a [`ServiceHandle`] are
 //!   drained between events: ops are resolved against the namespace and
@@ -43,7 +43,7 @@
 //! # Parked sessions
 //!
 //! A live client whose queue is empty is *parked*: its workload answers
-//! [`PARKED`] and the shard leaves it with no scheduled event, so an idle
+//! [`PARKED`] and the engine leaves it with no scheduled event, so an idle
 //! service processes no client events at all. The pump wakes a parked
 //! client right after queueing an op for it — one `ClientNext` under a
 //! fresh key — and wakes every parked client on shutdown so each sees
@@ -53,7 +53,10 @@
 //! behind.
 //!
 //! The wake-up lands at the engine's time frontier (the instant of the
-//! last processed event). Under [`ClockMode::Wall`] that frontier is as
+//! last event the loop ran, `Coordinator::frontier`), and so do the
+//! directories an op creates and a hot install: nothing the pump injects
+//! is stamped before a record already streamed. Under [`ClockMode::Wall`]
+//! that frontier is as
 //! old as the last thing the engine did — seconds, on an idle daemon —
 //! while the op arrived *now*, so the wake-up is stamped
 //! `max(frontier, WallClock::now())`: the op is issued at the simulated
@@ -83,9 +86,9 @@ use mantle_sim::{ClockMode, SimTime, WallClock};
 
 use crate::client::{ClientOp, Workload, PARKED};
 use crate::cluster::Coordinator;
-use crate::driver::Driver;
 use crate::report::RunReport;
 use crate::trace::TraceRecord;
+use crate::world::World;
 
 /// A command sent into the running engine (daemon → engine).
 pub(crate) enum ServiceCmd {
@@ -309,8 +312,8 @@ impl LiveService {
     }
 }
 
-/// The engine side of a [`LiveService`] at work: called by the scheduler
-/// before each gather and after each step ([`crate::driver`]).
+/// The engine side of a [`LiveService`] at work: called by the event loop
+/// (`Cluster::run_inner`) before each iteration and after each step.
 pub(crate) struct ServicePump {
     svc: LiveService,
     wall: WallClock,
@@ -329,7 +332,7 @@ impl ServicePump {
     /// until the next event falls due or a command arrives, under the
     /// simulated clock only for a command, and only when there is nothing
     /// else to do.
-    pub(crate) fn pre(&mut self, co: &mut Coordinator, x: &mut Driver, last_now: SimTime) {
+    pub(crate) fn pre(&mut self, co: &mut Coordinator, w: &mut World) {
         let svc = &self.svc;
         let lock_inbox = || {
             svc.inbox
@@ -340,10 +343,7 @@ impl ServicePump {
         let mut drained: Vec<ServiceCmd> = Vec::new();
         loop {
             drained.extend(lock_inbox().drain(..));
-            // The time frontier: the instant of the last event anyone
-            // processed. `last_now` was read before the latest step, so
-            // the data plane's own mark completes it.
-            let frontier = last_now.max(x.shard.last_event);
+            let frontier = co.frontier(w);
             // Where a woken client resumes. A wall-paced engine that sat
             // idle has a frontier as old as its last event, but the
             // command arrived now: stamp it with the simulated instant it
@@ -363,20 +363,17 @@ impl ServicePump {
                         // at the engine's time frontier, so the trace
                         // stream announces the dir before any op touches
                         // it.
-                        let ns = &mut x.sim.ns;
-                        let dir = ns.mkdir_p(&path);
-                        co.trace.sync_dirs(ns, last_now);
+                        let dir = w.ns.mkdir_p(&path);
+                        w.trace.sync_dirs(&w.ns, frontier);
                         slot.lock()
                             .expect("live queue never poisoned")
                             .push_back(ClientOp { dir, kind });
-                        x.shard.wake_client(client, wake_at);
+                        w.wake_client(client, wake_at);
                     }
                     ServiceCmd::Install { name, epoch, set } => {
-                        // Queue the swap as a regular admin event at the
-                        // time frontier: the very next iteration runs it
-                        // (globals win same-instant ties), after which every balancer
-                        // tick uses the new policy.
-                        co.schedule_swap(last_now, name, epoch, set);
+                        // A global event at the time frontier: the next
+                        // iteration runs it.
+                        co.schedule_swap(w, name, epoch, set);
                     }
                     ServiceCmd::Shutdown => {
                         // Close the queues, then wake every parked client
@@ -384,22 +381,20 @@ impl ServicePump {
                         // finishes.
                         let Some(queues) = &svc.queues else { continue };
                         queues.closed.store(true, Ordering::Release);
-                        let plane = &mut x.shard;
-                        for c in 0..plane.clients.len() {
-                            plane.wake_client(c, wake_at);
+                        for c in 0..w.clients.len() {
+                            w.wake_client(c, wake_at);
                         }
                     }
                 }
             }
-            let now = x.shard.frontier();
-            if now.drained() {
+            if w.drained() {
                 // Drained: the scheduler's liveness check ends the run.
                 // Waiting here would stall shutdown until the next (now
                 // moot) global event — typically a whole heartbeat
                 // interval away.
                 return;
             }
-            let (t_shard, t_glob) = (now.next_event, co.next_global_at());
+            let (t_data, t_glob) = (w.queue.peek_time(), co.next_global_at());
             let wait = match svc.clock {
                 ClockMode::Sim => {
                     // Free-running: no deadline is ever waited for. But
@@ -410,7 +405,7 @@ impl ServicePump {
                     // under a second. Virtual time stands still until a
                     // command gives it work.
                     let idle = svc.queues.is_some()
-                        && t_shard.is_none()
+                        && t_data.is_none()
                         && t_glob.is_none_or(|t| t > frontier);
                     if !idle {
                         return;
@@ -424,7 +419,7 @@ impl ServicePump {
                     // (earlier) events shorten the wait and overdue
                     // backlogs skip it. With every session parked the next
                     // event is a heartbeat or a fault, never a client poll.
-                    let Some(t) = t_shard.into_iter().chain(t_glob).min() else {
+                    let Some(t) = t_data.into_iter().chain(t_glob).min() else {
                         return;
                     };
                     match self.wall.until(t) {
@@ -448,14 +443,14 @@ impl ServicePump {
     /// Stream what the last iteration produced — install results first,
     /// then freshly-emitted trace records, then live completions — and
     /// tell the consumer if anything is waiting for it.
-    pub(crate) fn post(&mut self, co: &mut Coordinator, x: &mut Driver) {
+    pub(crate) fn post(&mut self, co: &mut Coordinator, w: &mut World) {
         let swapped = co.take_swapped();
         let mut waiting = !swapped.is_empty();
         for event in swapped {
             self.svc.send(event);
         }
-        waiting |= self.send_trace(co.trace.drain());
-        let mut comps = std::mem::take(&mut x.shard.completions);
+        waiting |= self.send_trace(w.trace.drain());
+        let mut comps = std::mem::take(&mut w.completions);
         if !comps.is_empty() {
             // Streamed by (time, client) — clients are closed-loop, so
             // one instant never holds two completions for the same
@@ -545,8 +540,8 @@ mod tests {
     use super::*;
     use crate::balancer::{BalanceContext, Balancer, MigrationPlan};
     use crate::cluster::NoopBalancer;
-    use crate::shard::ExecStats;
     use crate::trace::{TraceEvent, TraceLevel};
+    use crate::world::ExecStats;
     use crate::{Cluster, ClusterConfig};
     use std::sync::mpsc::TryRecvError;
     use std::thread::JoinHandle;
@@ -647,7 +642,7 @@ mod tests {
         stats.shards.iter().map(|s| s.events).sum()
     }
 
-    /// The scripted twin: its completions, and how many shard events the
+    /// The scripted twin: its completions, and how many data-plane events the
     /// five ops cost apart from the `ClientNext`s (one kick-off each).
     fn scripted(clients: usize, client: usize) -> (Vec<LiveCompletion>, u64) {
         let script = Script {
@@ -776,7 +771,7 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_with_every_session_parked_reports_every_op_in_both_exec_modes() {
+    fn shutdown_with_every_session_parked_reports_every_op_the_same_twice() {
         let run = || {
             let (handle, run) = serve(ClockMode::Sim, 4, None, |h| {
                 h.submit_op(0, OPS[0].0, OPS[0].1)
@@ -895,6 +890,102 @@ mod tests {
             TryRecvError::Disconnected,
             "nothing follows it"
         );
+    }
+
+    /// `OPS` from one client, as the scripted twin issues them, except
+    /// that the third `next()` call also submits a policy install: the
+    /// pump drains it mid-run, with events already behind it.
+    struct InstallMidRun {
+        script: Script,
+        inbox: Arc<Inbox>,
+        calls: usize,
+    }
+
+    impl Workload for InstallMidRun {
+        fn num_clients(&self) -> usize {
+            self.script.num_clients()
+        }
+        fn setup(&mut self, ns: &mut Namespace) {
+            self.script.setup(ns);
+        }
+        fn next(&mut self, client: usize, ns: &Namespace, now: SimTime) -> Option<ClientOp> {
+            self.calls += 1;
+            if self.calls == 3 {
+                let set = PolicySet::from_combined(
+                    "IWR",
+                    r#"MDSs[i]["all"]"#,
+                    "targets[1] = 0",
+                    &["half"],
+                )
+                .expect("policy compiles");
+                self.inbox.push(ServiceCmd::Install {
+                    name: "mid-run".into(),
+                    epoch: 1,
+                    set,
+                });
+            }
+            self.script.next(client, ns, now)
+        }
+    }
+
+    #[test]
+    fn a_mid_run_install_is_stamped_at_the_frontier_and_the_stream_stays_in_time_order() {
+        let (svc, handle) = LiveService::new(ClockMode::Sim);
+        let workload = InstallMidRun {
+            script: Script {
+                clients: 1,
+                client: 0,
+                dirs: Vec::new(),
+                issued: 0,
+            },
+            inbox: Arc::clone(&handle.inbox),
+            calls: 0,
+        };
+        let run = spawn(svc, Some(TraceLevel::Full), move || {
+            Cluster::new(config(), Box::new(workload), |_| Box::new(NoopBalancer))
+        });
+        let (report, _) = run.join().expect("live run");
+        assert_eq!(report.total_ops(), OPS.len() as f64);
+        assert_eq!(report.balancer, "mid-run");
+        let events = rest(&handle);
+        let records: Vec<&TraceRecord> = events
+            .iter()
+            .filter_map(|ev| match ev {
+                ServiceEvent::Trace(batch) => Some(batch),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        if let Some(i) = records.windows(2).position(|w| w[1].at < w[0].at) {
+            panic!(
+                "record {} ({:?}) at {} µs follows one at {} µs",
+                i + 1,
+                records[i + 1].event,
+                records[i + 1].at.as_micros(),
+                records[i].at.as_micros()
+            );
+        }
+        let installed = events
+            .iter()
+            .find_map(|ev| match ev {
+                ServiceEvent::Swapped { epoch: 1, result } => Some(result.clone()),
+                _ => None,
+            })
+            .expect("the install is answered on the stream")
+            .expect("the install ran");
+        let record = records
+            .iter()
+            .find(|r| {
+                matches!(
+                    r.event,
+                    TraceEvent::PolicyInstalled {
+                        install_epoch: 1,
+                        ..
+                    }
+                )
+            })
+            .expect("the install is traced");
+        assert_eq!(record.at, installed, "traced at the acknowledged instant");
     }
 
     /// MDS 0 ships half of what it serves to MDS 1, every tick.

@@ -1,8 +1,14 @@
-//! The run's one trace buffer. The coordinator and the data plane both
-//! emit through the `Tracer`, which stamps each record with the
+//! The run's one trace buffer. The `Tracer` lives in the simulation state
+//! ([`crate::world`]); the coordinator's stages and the data-plane
+//! handlers both emit through it, and it stamps each record with the
 //! heartbeat epoch and appends it to the sink ([`TraceBuffer`]) as it is
 //! emitted. The engine runs on one thread, so emission order *is* the
-//! stream's order: nothing is keyed, and nothing is re-sorted.
+//! stream's order: nothing is keyed, and nothing is re-sorted. Records
+//! are stamped with their event's instant; what is emitted between
+//! events — the `RunEnd` trailer, the live-service pump's directory
+//! announcements — is stamped with the time frontier
+//! (`Coordinator::frontier`), the instant of the last event run, so no
+//! record is stamped before one already emitted.
 //!
 //! Every emission site hands over a closure, built into a payload only
 //! when a sink is attached — with tracing off an emission is one branch,
@@ -143,14 +149,15 @@ impl Tracer {
         self.emit_auth_snapshot(ns, SimTime::ZERO);
     }
 
-    /// The stream trailer, stamped at the last event's instant: every
-    /// record is stamped with its own event's, so none is later.
-    pub(crate) fn run_end(&mut self, last_now: SimTime, inflight: usize) {
-        self.emit(last_now, || TraceEvent::RunEnd { inflight });
+    /// The stream trailer, stamped `at` the time frontier, the last
+    /// event's instant: every record is stamped with its own event's, so
+    /// none is later.
+    pub(crate) fn run_end(&mut self, at: SimTime, inflight: usize) {
+        self.emit(at, || TraceEvent::RunEnd { inflight });
     }
 
     /// Everything emitted since the last drain, in emission order. The
-    /// live service streams each driver step's records this way,
+    /// live service streams each loop step's records this way,
     /// so concatenating its batches gives the batch-mode stream.
     pub(crate) fn drain(&mut self) -> Vec<TraceRecord> {
         self.buffer

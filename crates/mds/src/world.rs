@@ -1,13 +1,21 @@
-//! The data plane: every MDS's and client's events, queue and counters.
+//! The simulation state, and the data-plane handlers that run on it.
 //!
-//! One [`Shard`] owns the event queue, the per-MDS counters and RNG
-//! streams, and the client state — including every client's learned
-//! routes, one table of them ([`crate::cache::RouteTable`]). The driver
-//! ([`crate::driver`]) hands it one event at a time, with `&mut` access
-//! to [`SharedSim`] and the tracer; the handler applies every mutation
-//! the event causes — heat charges and fragment splits, hash pins, proxy
-//! cache fills, touches and invalidations — before it returns, so the
-//! next event, whoever's it is, sees them.
+//! One `World` owns everything an event reads or writes apart from the
+//! coordinator's own components ([`crate::cluster`]): the namespace,
+//! liveness and membership, the freeze and warm-up stamps and the proxy
+//! caches; the data-plane event queue, the clients — every client's
+//! learned routes in one table ([`crate::cache::RouteTable`]) — and the
+//! per-MDS counters and RNG streams; and the run's one [`ClusterConfig`]
+//! and trace buffer ([`crate::tracer`]).
+//!
+//! `Cluster::run_inner` is the event loop. Each iteration runs the
+//! earliest event to completion: the world's next data-plane event, or
+//! the coordinator's next global (heartbeat tick, fault, admin action,
+//! hot install), which wins same-instant ties. A data-plane handler is a
+//! `&mut self` method here, and it applies every mutation its event
+//! causes — heat charges and fragment splits, hash pins, proxy cache
+//! fills, touches and invalidations — before it returns, so the next
+//! event, whoever's it is, sees them.
 //!
 //! What a request costs here depends neither on how many migrations are
 //! live, nor on how many clients there are, nor on how many fragments
@@ -38,7 +46,9 @@
 use mantle_namespace::{FragId, MdsId, Namespace, NodeId};
 use mantle_sim::{EventQueue, SimRng, SimTime};
 
-use crate::cache::{cacheable, group_of, GroupCache, RouteTable, CACHE_GROUPS, CACHE_HIT_LATENCY};
+use crate::cache::{
+    cacheable, group_of, GroupCache, RouteTable, CACHE_CAPACITY, CACHE_GROUPS, CACHE_HIT_LATENCY,
+};
 use crate::client::{route, ClientOp, ClientState, Workload, PARKED};
 use crate::config::{
     contention_factor, service_with_span, ClusterConfig, PlacementPolicy, FORWARD_HOP, FORWARD_US,
@@ -66,7 +76,7 @@ pub(crate) struct Request {
     pub(crate) seq: u64,
     /// The client's timeout count when this attempt was issued — lets the
     /// serving MDS compute, locally, whether the attempt has already been
-    /// superseded by the time service finishes (see `Shard::on_complete`).
+    /// superseded by the time service finishes (see `World::on_complete`).
     pub(crate) attempts: u32,
 }
 
@@ -128,10 +138,45 @@ impl DirStamps {
     }
 }
 
-/// Simulation state both planes read and write: the namespace, liveness
-/// and membership, the freeze and warm-up stamps, and the proxy caches.
-#[derive(Debug)]
-pub struct SharedSim {
+/// Data-plane execution statistics (a side channel; never feeds back
+/// into the simulation).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ShardStats {
+    /// Simulation events the data plane drained.
+    pub events: u64,
+    /// Always 0. Harness pin, see [`ExecStats::threads`].
+    pub msgs_sent: u64,
+    /// Always 0. Harness pin, see [`ExecStats::threads`].
+    pub barrier_wait_ns: u64,
+}
+
+/// Whole-run execution statistics, reported by
+/// [`crate::cluster::Cluster::run_with_stats`].
+#[derive(Debug, Clone, Default)]
+pub struct ExecStats {
+    /// Always 1. `threads`, the `Vec` around [`ExecStats::shards`] and
+    /// [`ShardStats::msgs_sent`] / [`ShardStats::barrier_wait_ns`] carry
+    /// nothing: the pinned benchmark harness compiles against them, and
+    /// they leave with its un-pin (ROADMAP item 1), together with the
+    /// pins at the bottom of `config.rs`.
+    pub threads: usize,
+    /// Data-plane events the loop ran: [`ShardStats::events`] again,
+    /// under the name the pinned harness reads (ROADMAP item 1).
+    pub windows: u64,
+    /// Global events (heartbeats, faults, admin actions) the loop ran;
+    /// the name is the pinned harness's too.
+    pub exclusive_events: u64,
+    /// The data plane's numbers; always exactly one entry.
+    pub shards: Vec<ShardStats>,
+}
+
+/// The simulation state: everything an event reads or writes apart from
+/// the coordinator's own components.
+pub(crate) struct World {
+    /// The run's configuration, the one copy.
+    pub(crate) cfg: ClusterConfig,
+    /// The run's one trace buffer.
+    pub(crate) trace: Tracer,
     pub(crate) ns: Namespace,
     /// Liveness per MDS (crashes flip this off, restarts back on).
     pub(crate) up: Vec<bool>,
@@ -157,67 +202,8 @@ pub struct SharedSim {
     /// Hits touch, completions fill and writes invalidate, each as its
     /// event runs. Empty when the cache is disabled.
     pub(crate) caches: Vec<GroupCache>,
-}
-
-impl SharedSim {
-    /// How many MDSs are members right now.
-    pub(crate) fn members(&self) -> usize {
-        self.member.iter().filter(|&&m| m).count()
-    }
-}
-
-/// Data-plane execution statistics (a side channel; never feeds back
-/// into the simulation).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardStats {
-    /// Simulation events the data plane drained.
-    pub events: u64,
-    /// Always 0. Harness pin, see [`ExecStats::threads`].
-    pub msgs_sent: u64,
-    /// Always 0. Harness pin, see [`ExecStats::threads`].
-    pub barrier_wait_ns: u64,
-}
-
-/// Whole-run execution statistics, reported by
-/// [`crate::cluster::Cluster::run_with_stats`].
-#[derive(Debug, Clone, Default)]
-pub struct ExecStats {
-    /// Always 1. `threads`, the `Vec` around [`ExecStats::shards`] and
-    /// [`ShardStats::msgs_sent`] / [`ShardStats::barrier_wait_ns`] carry
-    /// nothing: the pinned benchmark harness compiles against them, and
-    /// they leave with its un-pin (ROADMAP item 1), together with the
-    /// pins at the bottom of `config.rs`.
-    pub threads: usize,
-    /// Data-plane events the driver ran: [`ShardStats::events`] again,
-    /// under the name the pinned harness reads (ROADMAP item 1).
-    pub windows: u64,
-    /// Global events (heartbeats, faults, admin actions) the driver ran;
-    /// the name is the pinned harness's too.
-    pub exclusive_events: u64,
-    /// The data plane's numbers; always exactly one entry.
-    pub shards: Vec<ShardStats>,
-}
-
-/// One look at the data plane: when its next event is due, whether
-/// anything is still running, and how far time has got.
-pub(crate) struct Frontier {
-    pub(crate) next_event: Option<SimTime>,
-    active: usize,
-    inflight: i64,
-    /// Instant of the last event processed.
-    pub(crate) last_event: SimTime,
-}
-
-impl Frontier {
-    /// No client is issuing and nothing is in flight: the run is over.
-    pub(crate) fn drained(&self) -> bool {
-        self.active == 0 && self.inflight == 0
-    }
-}
-
-/// The data plane's state: the event queue and everything only MDS and
-/// client events touch.
-pub struct Shard {
+    /// The data-plane event queue; its `now` is the instant of the last
+    /// data-plane event run.
     pub(crate) queue: EventQueue<Event>,
     pub(crate) workload: Box<dyn Workload>,
     pub(crate) clients: Vec<ClientState>,
@@ -242,15 +228,8 @@ pub struct Shard {
     pub(crate) active: usize,
     pub(crate) timeouts: u64,
     pub(crate) retries: u64,
-    /// Time of the last event processed.
-    pub(crate) last_event: SimTime,
     /// Side-channel execution stats.
     pub(crate) stats: ShardStats,
-    // Cached config-derived values.
-    pub(crate) cfg: ClusterConfig,
-    faults_active: bool,
-    /// The proxy cache tier is on (`cfg.cache.enabled`).
-    cache_on: bool,
     /// Live-service mode: record op completions for the wire layer. Set
     /// by [`crate::cluster::Cluster::serve`] before the run; batch runs
     /// leave it off and pay one untaken branch per reply.
@@ -259,46 +238,79 @@ pub struct Shard {
     pub(crate) completions: Vec<crate::service::LiveCompletion>,
 }
 
-impl std::fmt::Debug for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shard")
-            .field("active", &self.active)
-            .field("inflight", &self.inflight)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Shard {
-    /// The data plane of a `cfg.num_mds`-MDS cluster whose clients are
-    /// driven by `workload` (already set up).
-    pub(crate) fn new(cfg: ClusterConfig, workload: Box<dyn Workload>, master: &SimRng) -> Self {
-        let (num_mds, num_clients) = (cfg.num_mds, workload.num_clients());
-        let faults_active = cfg.faults.is_active();
-        Shard {
+impl World {
+    /// The state of a `cfg.num_mds`-MDS cluster at time zero, over `ns`
+    /// as `workload` set it up, with tracing off.
+    pub(crate) fn new(
+        cfg: ClusterConfig,
+        ns: Namespace,
+        workload: Box<dyn Workload>,
+        master: &SimRng,
+    ) -> Self {
+        let (n, num_clients) = (cfg.num_mds, workload.num_clients());
+        let initial_members = cfg.elastic.initial(n);
+        // Proxy-tier caches: one LRU per client group. Empty when
+        // disabled — the inert default adds no state and no per-event
+        // work.
+        let caches = if cfg.cache.enabled {
+            vec![GroupCache::new(CACHE_CAPACITY); CACHE_GROUPS]
+        } else {
+            Vec::new()
+        };
+        World {
+            trace: Tracer::new(None, &cfg),
+            ns,
+            up: vec![true; n],
+            mds_epoch: vec![0; n],
+            member: (0..n).map(|m| m < initial_members).collect(),
+            slow_factor: vec![1.0; n],
+            slow_until: vec![SimTime::ZERO; n],
+            frozen_until: DirStamps::default(),
+            cold_until: DirStamps::default(),
+            caches,
             queue: EventQueue::new(),
             workload,
             clients: (0..num_clients).map(ClientState::new).collect(),
             routes: RouteTable::new(num_clients),
-            counters: (0..num_mds).map(|_| MdsCounters::new()).collect(),
-            next_free: vec![SimTime::ZERO; num_mds],
-            rng_service: (0..num_mds)
+            counters: (0..n).map(|_| MdsCounters::new()).collect(),
+            next_free: vec![SimTime::ZERO; n],
+            rng_service: (0..n)
                 .map(|m| master.stream_n("service-noise", m))
                 .collect(),
-            mds_ctr: vec![0; num_mds],
+            mds_ctr: vec![0; n],
             client_ctr: vec![0; num_clients],
             cache_invalidations: 0,
             inflight: 0,
             active: num_clients,
             timeouts: 0,
             retries: 0,
-            last_event: SimTime::ZERO,
             stats: ShardStats::default(),
-            faults_active,
-            cache_on: cfg.cache.enabled,
             live: false,
             completions: Vec::new(),
             cfg,
         }
+    }
+
+    /// How many MDSs are members right now.
+    pub(crate) fn members(&self) -> usize {
+        self.member.iter().filter(|&&m| m).count()
+    }
+
+    /// No client is issuing and nothing is in flight: the run is over.
+    pub(crate) fn drained(&self) -> bool {
+        self.active == 0 && self.inflight == 0
+    }
+
+    /// The latest thaw among the migrations still freezing `d` at `now`,
+    /// if any.
+    pub(crate) fn frozen_until(&self, d: NodeId, now: SimTime) -> Option<SimTime> {
+        let thaw = self.frozen_until.get(d);
+        (thaw > now).then_some(thaw)
+    }
+
+    /// Is `d`'s authority still warming up its prefix replicas at `now`?
+    pub(crate) fn in_cold(&self, d: NodeId, now: SimTime) -> bool {
+        self.cold_until.get(d) > now
     }
 
     // -- keys ------------------------------------------------------------
@@ -317,30 +329,19 @@ impl Shard {
         ((1 + self.cfg.num_mds as u64 + c as u64) << KEY_CTR_BITS) | ctr
     }
 
-    /// Next event time, liveness, conservation counts and time frontier.
-    pub(crate) fn frontier(&self) -> Frontier {
-        Frontier {
-            next_event: self.queue.peek_time(),
-            active: self.active,
-            inflight: self.inflight,
-            last_event: self.last_event,
-        }
-    }
-
     // -- the event step --------------------------------------------------
 
     /// Run the earliest data-plane event to completion.
-    pub(crate) fn step(&mut self, sh: &mut SharedSim, trace: &mut Tracer) {
+    pub(crate) fn step(&mut self) {
         let (now, event) = self.queue.pop().expect("stepped with an event due");
-        self.last_event = now;
         self.stats.events += 1;
         match event {
             Event::ClientNext(c) => {
                 if !self.clients[c].done {
-                    self.client_next(sh, trace, c, now);
+                    self.client_next(c, now);
                 }
             }
-            Event::Arrive { mds, req } => self.on_arrive(sh, trace, mds, req, now),
+            Event::Arrive { mds, req } => self.on_arrive(mds, req, now),
             Event::Complete {
                 mds,
                 req,
@@ -350,16 +351,16 @@ impl Shard {
                 // Ghost completion: the MDS crashed (and possibly
                 // restarted) after this request entered service — the
                 // reply never left the wire.
-                if !sh.up[mds] || epoch != sh.mds_epoch[mds] {
+                if !self.up[mds] || epoch != self.mds_epoch[mds] {
                     self.inflight -= 1;
-                    trace.emit_data(now, || TraceEvent::GhostReply { mds });
+                    self.trace.emit_data(now, || TraceEvent::GhostReply { mds });
                 } else {
-                    self.on_complete(sh, trace, mds, req, service_us, now);
+                    self.on_complete(mds, req, service_us, now);
                 }
             }
-            Event::Reply { mds, req } => self.on_reply(sh, trace, mds, req, now),
-            Event::Timeout { client, seq } => self.on_timeout(trace, client, seq, now),
-            Event::Retry(c) => self.on_retry(sh, trace, c, now),
+            Event::Reply { mds, req } => self.on_reply(mds, req, now),
+            Event::Timeout { client, seq } => self.on_timeout(client, seq, now),
+            Event::Retry(c) => self.on_retry(c, now),
         }
     }
 
@@ -368,7 +369,7 @@ impl Shard {
     /// Advance client `c`: ask the workload for its next op and issue it,
     /// or mark the client done. Runs inline from an accepted reply (no
     /// same-instant self-event) and from `Event::ClientNext`.
-    fn client_next(&mut self, sh: &mut SharedSim, trace: &mut Tracer, c: usize, now: SimTime) {
+    fn client_next(&mut self, c: usize, now: SimTime) {
         let stall = self.clients[c].stall_until;
         if stall > now {
             let key = self.client_key(c);
@@ -390,7 +391,7 @@ impl Shard {
                 return;
             }
         }
-        match self.workload.next(c, &sh.ns, now) {
+        match self.workload.next(c, &self.ns, now) {
             None => {
                 let client = &mut self.clients[c];
                 client.done = true;
@@ -403,7 +404,7 @@ impl Shard {
                 let client = &mut self.clients[c];
                 client.pending = Some(op);
                 client.attempts = 0;
-                self.issue(sh, trace, c, now);
+                self.issue(c, now);
             }
         }
     }
@@ -425,21 +426,21 @@ impl Shard {
 
     /// Send the client's pending op to the MDS it routes to, arming the
     /// request timeout when fault injection is on.
-    fn issue(&mut self, sh: &mut SharedSim, trace: &mut Tracer, c: usize, now: SimTime) {
+    fn issue(&mut self, c: usize, now: SimTime) {
         let op = self.clients[c]
             .pending
             .expect("issue() requires a pending op");
-        let frag = sh.ns.peek_frag(op.dir);
-        let multi_owner = sh.ns.frag_span(op.dir) > 1;
+        let frag = self.ns.peek_frag(op.dir);
+        let multi_owner = self.ns.frag_span(op.dir) > 1;
         // Proxy-tier probe: does the client group's cache hold this dir?
-        let probe = if self.cache_on && cacheable(op.kind) {
+        let probe = if !self.caches.is_empty() && cacheable(op.kind) {
             let group = group_of(c, self.clients.len(), CACHE_GROUPS);
-            Some((group, sh.caches[group].lookup(op.dir)))
+            Some((group, self.caches[group].lookup(op.dir)))
         } else {
             None
         };
         let mds = route(
-            &sh.ns,
+            &self.ns,
             op.dir,
             frag,
             multi_owner,
@@ -469,8 +470,8 @@ impl Shard {
             let counters = &mut self.counters[cached];
             counters.report.cache_hits += 1;
             counters.cache_window_hits += 1;
-            sh.caches[group].touch(op.dir);
-            trace.emit_data(now, || TraceEvent::CacheHit {
+            self.caches[group].touch(op.dir);
+            self.trace.emit_data(now, || TraceEvent::CacheHit {
                 group,
                 client: c,
                 dir: op.dir,
@@ -491,7 +492,7 @@ impl Shard {
             counters.report.cache_misses += 1;
             counters.cache_window_misses += 1;
         }
-        trace.emit_data(now, || TraceEvent::RequestIssued {
+        self.trace.emit_data(now, || TraceEvent::RequestIssued {
             client: c,
             dir: op.dir,
             mds,
@@ -501,7 +502,7 @@ impl Shard {
         let key = self.client_key(c);
         self.queue
             .schedule_at_key(now + HALF_RTT, key, Event::Arrive { mds, req });
-        if self.faults_active {
+        if self.cfg.faults.is_active() {
             let key = self.client_key(c);
             self.queue.schedule_at_key(
                 now + self.cfg.faults.request_timeout,
@@ -514,13 +515,14 @@ impl Shard {
     /// A request timeout fired. If the attempt is still outstanding, the
     /// client declares it lost, forgets its (possibly stale) route for
     /// the directory, and backs off exponentially before retrying.
-    fn on_timeout(&mut self, trace: &mut Tracer, c: usize, seq: u64, now: SimTime) {
+    fn on_timeout(&mut self, c: usize, seq: u64, now: SimTime) {
         let client = &self.clients[c];
         if client.seq != seq || client.pending.is_none() {
             return; // the attempt completed (or was already superseded)
         }
         self.timeouts += 1;
-        trace.emit_data(now, || TraceEvent::RequestTimeout { client: c, seq });
+        self.trace
+            .emit_data(now, || TraceEvent::RequestTimeout { client: c, seq });
         let client = &mut self.clients[c];
         let dir = client.pending.expect("checked above").dir;
         let attempt = client.attempts;
@@ -536,26 +538,20 @@ impl Shard {
 
     /// The backoff elapsed: re-issue the pending op (a late reply may
     /// have landed in the meantime, in which case there is nothing to do).
-    fn on_retry(&mut self, sh: &mut SharedSim, trace: &mut Tracer, c: usize, now: SimTime) {
+    fn on_retry(&mut self, c: usize, now: SimTime) {
         if self.clients[c].done || self.clients[c].pending.is_none() {
             return;
         }
         self.retries += 1;
         let attempt = self.clients[c].attempts;
-        trace.emit_data(now, || TraceEvent::RequestRetry { client: c, attempt });
-        self.issue(sh, trace, c, now);
+        self.trace
+            .emit_data(now, || TraceEvent::RequestRetry { client: c, attempt });
+        self.issue(c, now);
     }
 
     /// A reply reached its client. A reply for a superseded attempt (the
     /// client timed out and re-issued meanwhile) is dropped on the floor.
-    fn on_reply(
-        &mut self,
-        sh: &mut SharedSim,
-        trace: &mut Tracer,
-        mds: MdsId,
-        req: Request,
-        now: SimTime,
-    ) {
+    fn on_reply(&mut self, mds: MdsId, req: Request, now: SimTime) {
         let client = &mut self.clients[req.client];
         if req.seq != client.seq || client.pending.is_none() {
             return;
@@ -574,25 +570,18 @@ impl Shard {
                 latency_ms,
             });
         }
-        self.client_next(sh, trace, req.client, now);
+        self.client_next(req.client, now);
     }
 
     // -- server side -----------------------------------------------------
 
-    fn on_arrive(
-        &mut self,
-        sh: &mut SharedSim,
-        trace: &mut Tracer,
-        mds: MdsId,
-        mut req: Request,
-        now: SimTime,
-    ) {
+    fn on_arrive(&mut self, mds: MdsId, mut req: Request, now: SimTime) {
         // A crashed MDS serves nothing: the request is lost on the floor
         // and the issuing client's timeout recovers it.
-        if !sh.up[mds] {
+        if !self.up[mds] {
             self.counters[mds].report.dropped += 1;
             self.inflight -= 1;
-            trace.emit_data(now, || TraceEvent::Dropped {
+            self.trace.emit_data(now, || TraceEvent::Dropped {
                 mds,
                 client: req.client,
             });
@@ -601,18 +590,19 @@ impl Shard {
         // Hash placement pins each directory on first touch; this request
         // already routes against the pin.
         let dir = req.op.dir;
-        if self.cfg.placement == PlacementPolicy::HashDirs && sh.ns.dir(dir).auth.is_none() {
+        if self.cfg.placement == PlacementPolicy::HashDirs && self.ns.dir(dir).auth.is_none() {
             let mut target =
                 (dir.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) as usize % self.cfg.num_mds;
-            if !sh.up[target] || !sh.member[target] {
+            if !self.up[target] || !self.member[target] {
                 target = 0; // never pin fresh metadata on a dead or departed MDS
             }
-            sh.ns.set_auth(dir, Some(target));
-            trace.emit(now, || TraceEvent::HashPin { dir, mds: target });
+            self.ns.set_auth(dir, Some(target));
+            self.trace
+                .emit(now, || TraceEvent::HashPin { dir, mds: target });
         }
         // Frozen subtree (mid-migration): the request waits for the thaw.
-        if let Some(thaw) = frozen_until(sh, req.op.dir, now) {
-            trace.emit_data(now, || TraceEvent::Deferred {
+        if let Some(thaw) = self.frozen_until(req.op.dir, now) {
+            self.trace.emit_data(now, || TraceEvent::Deferred {
                 mds,
                 dir: req.op.dir,
                 until: thaw,
@@ -622,8 +612,8 @@ impl Shard {
                 .schedule_at_key(thaw, key, Event::Arrive { mds, req });
             return;
         }
-        let frag = req.frag.min(sh.ns.dir(req.op.dir).frags.len() - 1);
-        let auth = sh.ns.frag_auth(req.op.dir, frag);
+        let frag = req.frag.min(self.ns.dir(req.op.dir).frags.len() - 1);
+        let auth = self.ns.frag_auth(req.op.dir, frag);
         if auth != mds {
             // Wrong MDS: pay a forward (wasted service here + a hop).
             self.counters[mds].report.forwards_out += 1;
@@ -631,7 +621,7 @@ impl Shard {
             self.next_free[mds] = start + SimTime::from_micros_f64(FORWARD_US);
             self.counters[mds].busy_window_us += FORWARD_US;
             req.forwarded = true;
-            trace.emit_data(now, || TraceEvent::Forwarded {
+            self.trace.emit_data(now, || TraceEvent::Forwarded {
                 from: mds,
                 to: auth,
                 dir: req.op.dir,
@@ -649,7 +639,7 @@ impl Shard {
         } else {
             self.counters[mds].report.hits += 1;
         }
-        trace.emit_data(now, || TraceEvent::Served {
+        self.trace.emit_data(now, || TraceEvent::Served {
             mds,
             client: req.client,
             dir: req.op.dir,
@@ -657,14 +647,14 @@ impl Shard {
             kind: req.op.kind,
             seq: req.seq,
         });
-        let span = sh.ns.frag_span(req.op.dir);
+        let span = self.ns.frag_span(req.op.dir);
         let mut base =
             service_with_span(req.op.kind, span) * contention_factor(self.counters[mds].queued);
         // Path traversal: right after an import the serving MDS has not
         // yet replicated the directory's ancestor prefix, so traversals
         // resolve remotely (and, once warm, locally again).
-        if in_cold(sh, req.op.dir, now) {
-            if sh.ns.dir(req.op.dir).parent.is_some() {
+        if self.in_cold(req.op.dir, now) {
+            if self.ns.dir(req.op.dir).parent.is_some() {
                 base *= 1.0 + REMOTE_PREFIX_PENALTY;
                 self.counters[mds].report.remote_prefix += 1;
             }
@@ -672,16 +662,16 @@ impl Shard {
             // Hash-based placement has no subtree prefix replication
             // (§5 "Compute it – Hashing"): every traversal whose parent
             // lives elsewhere resolves remotely, permanently.
-            if let Some(parent) = sh.ns.dir(req.op.dir).parent {
-                if sh.ns.resolve_auth(parent) != mds {
+            if let Some(parent) = self.ns.dir(req.op.dir).parent {
+                if self.ns.resolve_auth(parent) != mds {
                     base *= 1.0 + REMOTE_PREFIX_PENALTY;
                     self.counters[mds].report.remote_prefix += 1;
                 }
             }
         }
         // An injected slowdown stretches every service time in its window.
-        if self.faults_active && now < sh.slow_until[mds] {
-            base *= sh.slow_factor[mds];
+        if self.cfg.faults.is_active() && now < self.slow_until[mds] {
+            base *= self.slow_factor[mds];
         }
         let noise = self.rng_service[mds].jitter(SERVICE_NOISE);
         let service_us = (base * noise).max(1.0);
@@ -697,20 +687,12 @@ impl Shard {
                 mds,
                 req,
                 service_us,
-                epoch: sh.mds_epoch[mds],
+                epoch: self.mds_epoch[mds],
             },
         );
     }
 
-    fn on_complete(
-        &mut self,
-        sh: &mut SharedSim,
-        trace: &mut Tracer,
-        mds: MdsId,
-        req: Request,
-        service_us: f64,
-        now: SimTime,
-    ) {
+    fn on_complete(&mut self, mds: MdsId, req: Request, service_us: f64, now: SimTime) {
         let counters = &mut self.counters[mds];
         counters.queued = counters.queued.saturating_sub(1);
         counters.complete_op(now, service_us);
@@ -720,14 +702,14 @@ impl Shard {
         // before service finished. Everything in the predicate travelled
         // with the request, as it would on a wire — the client-side guard
         // in `on_reply` stays authoritative for the races this can't see.
-        let stale = self.faults_active
+        let stale = self.cfg.faults.is_active()
             && req.issued
                 + self.cfg.faults.request_timeout
                 + self.cfg.faults.backoff_for(req.attempts)
                 < now;
-        let frag = req.frag.min(sh.ns.dir(dir).frags.len() - 1);
+        let frag = req.frag.min(self.ns.dir(dir).frags.len() - 1);
         let (client, kind) = (req.client, req.op.kind);
-        trace.emit_data(now, || {
+        self.trace.emit_data(now, || {
             if stale {
                 TraceEvent::StaleReply {
                     mds,
@@ -750,14 +732,14 @@ impl Shard {
         // and size to the fragment it hit, and fragment the directory if
         // that took it over the threshold. The split work is billed to the
         // fragment's authority, the MDS that was serving those ops.
-        if let (_, Some(se)) = sh.ns.record_op_on(dir, frag, kind, now) {
-            trace.emit(now, || TraceEvent::FragSplit {
+        if let (_, Some(se)) = self.ns.record_op_on(dir, frag, kind, now) {
+            self.trace.emit(now, || TraceEvent::FragSplit {
                 dir,
                 frag: se.frag,
                 ways: se.ways,
                 resulting_frags: se.resulting_frags,
             });
-            let auth = sh.ns.frag_auth(dir, se.resulting_frags - 1);
+            let auth = self.ns.frag_auth(dir, se.resulting_frags - 1);
             let c = &mut self.counters[auth];
             c.report.splits += 1;
             c.busy_window_us += SPLIT_US;
@@ -766,14 +748,15 @@ impl Shard {
         }
         // A mutating op rewrote `dir`'s metadata: every proxy copy is
         // stale and drops.
-        if self.cache_on && kind.is_write() {
+        if !self.caches.is_empty() && kind.is_write() {
             let mut entries = 0u64;
-            for cache in &mut sh.caches {
+            for cache in &mut self.caches {
                 entries += u64::from(cache.invalidate(dir));
             }
             if entries > 0 {
                 self.cache_invalidations += entries;
-                trace.emit_data(now, || TraceEvent::CacheInvalidate { dir, entries });
+                self.trace
+                    .emit_data(now, || TraceEvent::CacheInvalidate { dir, entries });
             }
         }
         self.inflight -= 1;
@@ -783,27 +766,16 @@ impl Shard {
         // The reply carries `dir`'s metadata through the proxy tier: the
         // issuing group's cache learns it (ghost and stale completions
         // never fill — their replies never landed).
-        if self.cache_on && cacheable(kind) {
+        if !self.caches.is_empty() && cacheable(kind) {
             let group = group_of(client, self.clients.len(), CACHE_GROUPS);
-            sh.caches[group].fill(dir, mds);
-            trace.emit_data(now, || TraceEvent::CacheFill { group, dir, mds });
+            self.caches[group].fill(dir, mds);
+            self.trace
+                .emit_data(now, || TraceEvent::CacheFill { group, dir, mds });
         }
         let key = self.mds_key(mds);
         self.queue
             .schedule_at_key(now + HALF_RTT, key, Event::Reply { mds, req });
     }
-}
-
-/// The latest thaw among the migrations still freezing `d` at `now`, if
-/// any.
-pub(crate) fn frozen_until(sh: &SharedSim, d: NodeId, now: SimTime) -> Option<SimTime> {
-    let thaw = sh.frozen_until.get(d);
-    (thaw > now).then_some(thaw)
-}
-
-/// Is `d`'s authority still warming up its prefix replicas at `now`?
-pub(crate) fn in_cold(sh: &SharedSim, d: NodeId, now: SimTime) -> bool {
-    sh.cold_until.get(d) > now
 }
 
 #[cfg(test)]

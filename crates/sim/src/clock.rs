@@ -6,7 +6,7 @@
 //! [`ClockMode::Sim`] the loop pops events as fast as the host CPU can
 //! process them — the deterministic batch mode every test and experiment
 //! uses. In [`ClockMode::Wall`] each simulated instant is mapped onto a
-//! real deadline through a [`WallClock`] anchor, and the driver sleeps
+//! real deadline through a [`WallClock`] anchor, and the loop sleeps
 //! until that deadline before processing the event: simulated time then
 //! tracks real time, which is what lets the same engine serve live
 //! connections whose requests arrive in wall time.
@@ -55,7 +55,7 @@ impl ClockMode {
 ///
 /// The anchor is captured when the clock is created (daemon start):
 /// simulated time zero corresponds to that instant, and `SimTime(t)`
-/// falls due `t` microseconds later. The engine driver asks
+/// falls due `t` microseconds later. The engine's service pump asks
 /// [`WallClock::until`] how long to sleep before the next event is due;
 /// a `None` answer means the event is already due (or overdue — e.g.
 /// after a long window the loop is behind real time) and must be

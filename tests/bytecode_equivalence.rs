@@ -68,7 +68,7 @@ fn adaptable_reports_identical_across_engines_and_modes_under_all_faults() {
 /// hook evaluation hardest: a crash mid-run (stale state, failovers) and
 /// a poisoned balancer (policy errors driving the §3.4 fallback).
 #[test]
-fn other_builtin_balancers_report_identical_across_engines_and_modes() {
+fn other_builtin_balancers_report_identical_across_engines() {
     let plans: Vec<_> = scenario_plans(ReproOpts::QUICK)
         .into_iter()
         .filter(|(n, _)| matches!(*n, "crash+restart" | "poisoned-balancer"))

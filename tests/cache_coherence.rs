@@ -96,7 +96,7 @@ fn default_cache_config_is_inert() {
 /// Cache off and cache on, the report is byte-identical across both
 /// hook engines — the oracle is the bytecode run.
 #[test]
-fn reports_byte_identical_across_engines_and_exec_modes() {
+fn reports_byte_identical_across_engines() {
     for (cache_label, cache) in [("off", CacheConfig::default()), ("on", CacheConfig::on())] {
         let oracle = run_experiment(&mixed_storm(
             cache.clone(),

@@ -51,7 +51,7 @@ fn elastic_spec(engine: HookEngine) -> Experiment {
 }
 
 #[test]
-fn elastic_reports_identical_across_engines_and_exec_modes() {
+fn elastic_reports_identical_across_engines() {
     let oracle = run_experiment(&elastic_spec(HookEngine::Tree));
     assert!(
         oracle.joins >= 1 && oracle.leaves >= 1,

@@ -55,8 +55,9 @@ fn every_balancer_and_fault_plan_upholds_invariants() {
             );
             assert!(report.total_ops() > 0.0, "{bname} × {scenario} did work");
             // Nothing sorts the stream: its time order is the engine's own.
-            // Windows run in time order, each barrier stamps at its
-            // window's end, and globals run between windows.
+            // Events run one at a time in time order, each record is
+            // stamped with its event's instant, and the trailer with the
+            // time frontier, the last event's.
             let records = trace.records();
             if let Some(i) = records.windows(2).position(|w| w[1].at < w[0].at) {
                 panic!(

@@ -63,7 +63,7 @@ fn report_at_300_mds_is_pinned_through_the_far_routes() {
 }
 
 #[test]
-fn report_at_128_mds_is_pinned_in_both_exec_modes() {
+fn report_at_128_mds_is_pinned() {
     let report = run_experiment(&tenth_of_batch_rebalance());
     assert_eq!(report.total_ops(), 64_000.0, "the run does its work");
     assert!(

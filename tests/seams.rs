@@ -76,14 +76,13 @@ const GUARDS: &[Guard] = &[
         paths: &["crates/mds/src"],
         allowed: &["crates/mds/src/service.rs"],
         scope: Scope::All,
-        why: "the engine is single-threaded: simulation state is owned by Driver; only the \
-              service inbox crosses threads",
+        why: "the engine is single-threaded: simulation state is owned by the World; only \
+              the service inbox crosses threads",
     },
     Guard {
         names: &["clippy::too_many_arguments"],
         paths: &[
             "crates/mds/src/cluster.rs",
-            "crates/mds/src/driver.rs",
             "crates/mds/src/heartbeat.rs",
             "crates/mds/src/elastic.rs",
             "crates/mds/src/migration.rs",
@@ -91,7 +90,7 @@ const GUARDS: &[Guard] = &[
             "crates/mds/src/tracer.rs",
             "crates/mds/src/service.rs",
             "crates/mds/src/balancer.rs",
-            "crates/mds/src/shard.rs",
+            "crates/mds/src/world.rs",
         ],
         allowed: &[],
         scope: Scope::All,
@@ -110,7 +109,7 @@ const GUARDS: &[Guard] = &[
         paths: &["crates/mds/src"],
         allowed: &[],
         scope: Scope::All,
-        why: "the simulator is not partitioned: one Shard owns every MDS and client, and \
+        why: "the simulator is not partitioned: one World owns every MDS and client, and \
               schedules into its own queue",
     },
     Guard {
@@ -133,6 +132,24 @@ const GUARDS: &[Guard] = &[
         why: "the engine is one event loop: each event runs to completion and every mutation \
               it makes lands before the next one runs — no window, no barrier, no deferred \
               namespace op, and no split check apart from the op that causes it",
+    },
+    Guard {
+        names: &[
+            "SharedSim",
+            "Driver",
+            "Frontier",
+            "last_event",
+            "last_now",
+            "cache_on",
+            "faults_active",
+        ],
+        paths: &["crates"],
+        allowed: &[],
+        scope: Scope::All,
+        why: "the simulation state is split again: one World owns the namespace, the data \
+              plane, the config and the tracer; the time frontier is one function \
+              (Coordinator::frontier), not a copy kept in step with the loop; and whether the \
+              cache or the fault plan is on is read off the caches and the config, not a flag",
     },
     Guard {
         names: &["ExecMode"],
@@ -194,7 +211,7 @@ const GUARDS: &[Guard] = &[
         scope: Scope::NonTest,
         why: "a list of export windows is back outside test code: per-request cost must not \
               depend on how many migrations are live — freeze and cold-prefix state is a \
-              per-directory stamp (shard::DirStamps); the window list is the test oracle",
+              per-directory stamp (world::DirStamps); the window list is the test oracle",
     },
     Guard {
         names: &[
@@ -323,9 +340,9 @@ const GUARDS: &[Guard] = &[
     },
     Guard {
         names: &["membership_epoch"],
-        paths: &["crates/mds/src/shard.rs"],
+        paths: &["crates/mds/src/world.rs"],
         allowed: &[],
-        scope: Scope::Item("pub struct SharedSim"),
+        scope: Scope::Item("pub(crate) struct World"),
         why: "the membership epoch is stored again: it is joins + leaves, counted once by \
               elastic::Membership",
     },
@@ -712,17 +729,20 @@ fn a_planted_name_is_found_and_only_where_it_is_guarded() {
             "crates/mds/src/cluster.rs",
             "fn f() {\n    let lock = std::sync::Mutex::new(0);\n}\n",
         ),
-        file("crates/mds/src/driver.rs", "let h = thread::spawn(run);\n"),
+        file("crates/mds/src/world.rs", "let h = thread::spawn(run);\n"),
         // Allowed file, unsearched directory, and longer identifiers.
         file("crates/mds/src/service.rs", "let lock = Mutex::new(0);\n"),
         file("crates/core/src/lib.rs", "let lock = Mutex::new(0);\n"),
-        file("crates/mds/src/shard.rs", "struct Mutexes; fn spawn() {}\n"),
+        file(
+            "crates/mds/src/elastic.rs",
+            "struct Mutexes; fn spawn() {}\n",
+        ),
     ];
     assert_eq!(
         violations(threads, &planted),
         [
             "crates/mds/src/cluster.rs:2: let lock = std::sync::Mutex::new(0);",
-            "crates/mds/src/driver.rs:1: let h = thread::spawn(run);",
+            "crates/mds/src/world.rs:1: let h = thread::spawn(run);",
         ]
     );
 
@@ -732,12 +752,12 @@ fn a_planted_name_is_found_and_only_where_it_is_guarded() {
         .find(|g| g.names.contains(&"SubtreeWindow"))
         .expect("the window guard");
     let oracle = [file(
-        "crates/mds/src/shard.rs",
+        "crates/mds/src/world.rs",
         "struct SubtreeWindow;\n#[cfg(test)]\nmod tests { struct SubtreeWindow; }\n",
     )];
     assert_eq!(
         violations(windows, &oracle),
-        ["crates/mds/src/shard.rs:1: struct SubtreeWindow;"]
+        ["crates/mds/src/world.rs:1: struct SubtreeWindow;"]
     );
 
     // An item-scoped guard looks inside that item only.
