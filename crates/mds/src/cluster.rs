@@ -52,7 +52,7 @@ use crate::faults::FaultKind;
 use crate::heartbeat::HeartbeatView;
 use crate::metrics::Heartbeat;
 use crate::migration::Migrator;
-use crate::partition::{plan_exports, Export};
+use crate::partition::plan_exports;
 use crate::report::{ClientReport, MdsReport, RunReport};
 use crate::service::{LiveService, ServiceEvent, ServicePump};
 use crate::trace::{TraceBuffer, TraceEvent, TraceLevel};
@@ -176,11 +176,6 @@ impl Coordinator {
     /// Install results not yet streamed.
     pub(crate) fn take_swapped(&mut self) -> Vec<ServiceEvent> {
         std::mem::take(&mut self.swapped)
-    }
-
-    /// Migrate one export unit away from `from`.
-    pub(crate) fn export(&mut self, w: &mut World, from: MdsId, export: Export, now: SimTime) {
-        self.migrator.apply_export(w, from, export, now);
     }
 
     /// Cluster-wide heartbeat + balancer tick.
@@ -309,7 +304,7 @@ impl Coordinator {
                 });
             }
             for export in exports {
-                self.export(w, m, export, now);
+                self.migrator.apply_export(w, m, export, now);
             }
         }
         // 4. Next tick, while clients are still running.
@@ -568,7 +563,7 @@ fn into_report(co: &Coordinator, world: World) -> (RunReport, Tracer) {
 mod tests {
     use super::*;
     use crate::client::{route, ClientOp};
-    use crate::partition::ExportUnit;
+    use crate::partition::{Export, ExportUnit};
     use crate::world::tests::SubtreeWindow;
     use crate::world::Request;
     use mantle_namespace::{NodeId, OpKind};
@@ -855,7 +850,10 @@ mod tests {
             (ns.mkdir_p("/a"), ns.mkdir_p("/a/b"))
         };
         let w = &mut cluster.world;
-        cluster.co.export(w, 0, subtree_to_mds1(a), SimTime::ZERO);
+        cluster
+            .co
+            .migrator
+            .apply_export(w, 0, subtree_to_mds1(a), SimTime::ZERO);
         assert!(w.frozen_until(a, SimTime::ZERO).is_some(), "root frozen");
         let thaw = w
             .frozen_until(ab, SimTime::ZERO)
@@ -910,7 +908,10 @@ mod tests {
             w.routes.learn(0, d, 2);
         }
         // MDS 2 exports the subtree to MDS 1.
-        cluster.co.export(w, 2, subtree_to_mds1(a), SimTime::ZERO);
+        cluster
+            .co
+            .migrator
+            .apply_export(w, 2, subtree_to_mds1(a), SimTime::ZERO);
         let frag = w.ns.peek_frag(ab);
         let multi = w.ns.frag_owners(ab).len() > 1;
         assert_eq!(
@@ -933,7 +934,10 @@ mod tests {
         });
         let a = cluster.namespace_mut().mkdir_p("/a");
         let w = &mut cluster.world;
-        cluster.co.export(w, 0, subtree_to_mds1(a), SimTime::ZERO);
+        cluster
+            .co
+            .migrator
+            .apply_export(w, 0, subtree_to_mds1(a), SimTime::ZERO);
         assert!(w.frozen_until(a, SimTime::ZERO).is_some());
         assert!(w.in_cold(a, SimTime::ZERO));
         let late = SimTime::from_secs(100);
@@ -1091,7 +1095,10 @@ mod tests {
                 }
                 let to = (from + 1 + rng.below(3) as usize) % 4;
                 let load = 1.0;
-                cluster.co.export(w, from, Export { unit, to, load }, now);
+                cluster
+                    .co
+                    .migrator
+                    .apply_export(w, from, Export { unit, to, load }, now);
 
                 // Directories past the stamp vectors: one created since
                 // this export, and ids the namespace has never issued.

@@ -167,7 +167,8 @@ fn rehome(
     now: SimTime,
 ) {
     let load = 0.0;
-    co.export(w, from, Export { unit, to, load }, now);
+    co.migrator
+        .apply_export(w, from, Export { unit, to, load }, now);
 }
 
 /// Activate the lowest-id live spare and re-home onto it the subtrees
