@@ -38,7 +38,7 @@ const METALOAD_NOISE: f64 = 0.15;
 /// Heartbeat snapshot state, owned by the coordinator.
 pub(crate) struct HeartbeatView {
     /// CPU/metaload measurement noise, consumed in MDS order once per
-    /// tick — identical in every execution mode.
+    /// tick.
     rng: SimRng,
     /// Outage windows: while dropping, readers see the snapshot frozen at
     /// the window start; while delaying, the previous tick's.

@@ -56,9 +56,8 @@
 //! last event the loop ran, `Coordinator::frontier`), and so do the
 //! directories an op creates and a hot install: nothing the pump injects
 //! is stamped before a record already streamed. Under [`ClockMode::Wall`]
-//! that frontier is as
-//! old as the last thing the engine did — seconds, on an idle daemon —
-//! while the op arrived *now*, so the wake-up is stamped
+//! that frontier is as old as the last thing the engine did — seconds, on
+//! an idle daemon — while the op arrived *now*, so the wake-up is stamped
 //! `max(frontier, WallClock::now())`: the op is issued at the simulated
 //! instant it really arrived and its service time is paced from there.
 //!
