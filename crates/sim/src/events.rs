@@ -6,49 +6,42 @@
 //! they were pushed. This is what makes whole-cluster runs bit-for-bit
 //! reproducible for a given seed.
 //!
-//! The queue is a `BinaryHeap` ordered on `(time, key)`: O(log n) per
-//! operation with a small constant, at depths of about one event per
-//! client and per MDS (DESIGN.md §13 has why there is no O(1) structure
-//! here). `tests/properties.rs` checks the queue against a min-scan over
-//! a `Vec`, the same contract said slowly.
+//! The engine's queue holds about one event per client and per MDS, and
+//! each step pops one and schedules its producer's next, so the heap is
+//! the largest single layer of a batch run (DESIGN.md §13). The heap holds
+//! 24-byte `(time, key, slot)` entries with the payloads in a slab, and
+//! [`pop`](EventQueue::pop) leaves its entry at the top, stale: the next
+//! schedule overwrites it in place (one sift-down, not a pop's sift plus a
+//! push's), and the next pop drops it if nothing did. The tests below pin
+//! the stale top; `tests/properties.rs` checks the queue against a
+//! min-scan over a `Vec`, the same contract said slowly.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// An event plus its firing time, as stored in the queue.
-#[derive(Debug, Clone)]
-pub struct Scheduled<E> {
-    /// When the event fires.
-    pub at: SimTime,
-    /// Tie-break sequence number (insertion order).
-    seq: u64,
-    /// The payload.
-    pub event: E,
+/// A pending event's place in the heap: its firing time, its tie-break
+/// key and the slab slot that holds its payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    at: u64,
+    key: u64,
+    slot: u32,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Scheduled<E> {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // `(at, key)` as one integer, so the sift loops compare once;
+        // inverted, as BinaryHeap is a max-heap.
+        let order = |e: &Entry| (e.at as u128) << 64 | e.key as u128;
+        order(other).cmp(&order(self))
     }
 }
 
@@ -74,7 +67,12 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    heap: BinaryHeap<Entry>,
+    /// Payloads by slot; `free` lists the empty ones.
+    slab: Vec<Option<E>>,
+    free: Vec<u32>,
+    /// The heap's top was popped: the next schedule overwrites it.
+    stale_top: bool,
     next_seq: u64,
     now: SimTime,
 }
@@ -90,6 +88,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            stale_top: false,
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -128,12 +129,18 @@ impl<E> EventQueue<E> {
     /// disjoint.
     pub fn schedule_at_key(&mut self, at: SimTime, key: u64, event: E) {
         debug_assert!(at >= self.now, "scheduled event in the past");
-        let at = at.max(self.now);
-        self.heap.push(Scheduled {
-            at,
-            seq: key,
-            event,
+        let at = at.max(self.now).as_micros();
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            (self.slab.len() - 1) as u32
         });
+        self.slab[slot as usize] = Some(event);
+        let entry = Entry { at, key, slot };
+        if std::mem::take(&mut self.stale_top) {
+            *self.heap.peek_mut().expect("a stale top is in the heap") = entry;
+        } else {
+            self.heap.push(entry);
+        }
     }
 
     /// Pop the next event, advancing the clock to its firing time.
@@ -144,24 +151,33 @@ impl<E> EventQueue<E> {
     /// Pop the next event together with its tie-break key (the insertion
     /// seq, or the caller's key for [`schedule_at_key`](Self::schedule_at_key)).
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        let s = self.heap.pop()?;
-        self.now = s.at;
-        Some((s.at, s.seq, s.event))
+        if std::mem::take(&mut self.stale_top) {
+            self.heap.pop();
+        }
+        let top = *self.heap.peek()?;
+        self.stale_top = true;
+        let event = self.slab[top.slot as usize].take();
+        self.free.push(top.slot);
+        self.now = SimTime::from_micros(top.at);
+        Some((self.now, top.key, event.expect("a live entry's payload")))
     }
 
     /// Firing time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        // Past a stale top, the next event is one of its two children.
+        let stale = self.stale_top as usize;
+        let next = self.heap.as_slice().iter().skip(stale).take(1 + stale);
+        next.map(|e| e.at).min().map(SimTime::from_micros)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - self.stale_top as usize
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 }
 
@@ -261,5 +277,103 @@ mod tests {
         assert_eq!(q.pop_keyed(), Some((t, 10, "a")));
         assert_eq!(q.pop_keyed(), Some((t, 20, "b")));
         assert_eq!(q.pop_keyed(), Some((t, 30, "c")));
+    }
+
+    /// A queue holding events at 1, 2, 3 and 4 ms, pushed out of order.
+    fn four() -> EventQueue<u64> {
+        let mut q = EventQueue::new();
+        for ms in [3, 1, 4, 2] {
+            q.schedule_at(SimTime::from_millis(ms), ms);
+        }
+        q
+    }
+
+    #[test]
+    fn peek_time_sees_past_a_stale_top() {
+        let mut q = four();
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 1)));
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(2), 2)));
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
+    }
+
+    #[test]
+    fn pop_after_pop_drops_the_stale_top() {
+        let mut q = four();
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, [1, 2, 3, 4]);
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn two_pushes_after_a_pop() {
+        let mut q = four();
+        q.pop();
+        // The first overwrites the stale top, the second is a plain push;
+        // both must land in order among the rest.
+        q.schedule_at(SimTime::from_millis(5), 5);
+        q.schedule_at(SimTime::from_millis(1), 0);
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(1)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, [0, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn pop_on_a_one_entry_queue() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_millis(1), "only");
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), "only")));
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
+        // The stale top is gone; a push after an empty pop is a plain push.
+        q.schedule_at(SimTime::from_millis(2), "next");
+        assert_eq!(q.pop(), Some((SimTime::from_millis(2), "next")));
+    }
+
+    #[test]
+    fn len_and_is_empty_skip_a_stale_top() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_millis(1), 1);
+        q.schedule_at(SimTime::from_millis(2), 2);
+        q.pop();
+        assert_eq!((q.len(), q.is_empty()), (1, false));
+        q.pop();
+        assert_eq!((q.len(), q.is_empty()), (0, true));
+        q.schedule_at(SimTime::from_millis(3), 3);
+        assert_eq!((q.len(), q.is_empty()), (1, false));
+    }
+
+    /// The engine's hold shape — pop one, schedule zero to two, peek in
+    /// between — against a min-scan over the pending `(time, key)` pairs.
+    #[test]
+    fn hold_shape_matches_min_scan() {
+        let mut rng = crate::SimRng::new(43).stream("hold");
+        for case in 0..64 {
+            let mut q = EventQueue::new();
+            let mut model: Vec<(SimTime, u64)> = Vec::new();
+            let mut key = 0;
+            for _ in 0..rng.range_inclusive(1, 64) {
+                let at = SimTime::from_micros(rng.below(50));
+                q.schedule_at_key(at, key, key);
+                model.push((at, key));
+                key += 1;
+            }
+            for step in 0..500 {
+                let next = model.iter().copied().min();
+                model.retain(|&e| Some(e) != next);
+                let want = next.map(|(at, key)| (at, key, key));
+                assert_eq!(q.pop_keyed(), want, "case {case} step {step}");
+                for _ in 0..rng.below(3) {
+                    assert_eq!(q.peek_time(), model.iter().map(|e| e.0).min());
+                    let at = q.now() + SimTime::from_micros(rng.below(50));
+                    q.schedule_at_key(at, key, key);
+                    model.push((at, key));
+                    key += 1;
+                }
+                assert_eq!(q.len(), model.len(), "case {case} step {step}");
+                assert_eq!(q.peek_time(), model.iter().map(|e| e.0).min());
+            }
+        }
     }
 }

@@ -28,7 +28,7 @@ pub mod stats;
 pub mod time;
 
 pub use clock::{ClockMode, WallClock};
-pub use events::{EventQueue, Scheduled, SchedulerKind};
+pub use events::{EventQueue, SchedulerKind};
 pub use rng::SimRng;
 pub use stats::{OnlineStats, Summary, TimeSeries};
 pub use time::SimTime;

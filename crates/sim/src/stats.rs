@@ -135,36 +135,59 @@ impl Summary {
                 max: 0.0,
             };
         }
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in samples"));
+        // Select just the ranks the fields read, in ascending order, each
+        // selection partitioning only what lies above the rank before it.
+        let n = samples.len();
+        let qs = QUANTILES.iter().flat_map(|&q| quantile_ranks(n, q).0);
+        let (mut placed, mut from) = (samples.to_vec(), 0);
+        let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN in samples");
+        for r in std::iter::once(0).chain(qs).chain([n - 1]) {
+            if r >= from {
+                placed[from..].select_nth_unstable_by(r - from, cmp);
+                from = r + 1;
+            }
+        }
         let mut acc = OnlineStats::new();
         for &s in samples {
             acc.push(s);
         }
+        let [p50, p95, p99] = QUANTILES.map(|q| percentile_sorted(&placed, q));
         Summary {
-            count: samples.len(),
+            count: n,
             mean: acc.mean(),
             stddev: acc.stddev(),
-            min: sorted[0],
-            p50: percentile_sorted(&sorted, 0.50),
-            p95: percentile_sorted(&sorted, 0.95),
-            p99: percentile_sorted(&sorted, 0.99),
-            max: sorted[sorted.len() - 1],
+            min: placed[0],
+            p50,
+            p95,
+            p99,
+            max: placed[n - 1],
         }
     }
 }
 
-/// Linear-interpolated percentile of an ascending-sorted slice.
+/// The quantiles a [`Summary`] reports, ascending.
+const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
+
+/// The ranks among `n` ascending samples that quantile `q` falls between,
+/// and how far from the first to the second.
+fn quantile_ranks(n: usize, q: f64) -> ([usize; 2], f64) {
+    let pos = q * (n - 1) as f64;
+    (
+        [pos.floor() as usize, pos.ceil() as usize],
+        pos - pos.floor(),
+    )
+}
+
+/// Linear-interpolated percentile of an ascending-sorted slice. It reads
+/// only the [`quantile_ranks`] of `q`, so a slice with just those ranks in
+/// place serves as well.
 fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     assert!((0.0..=1.0).contains(&q), "quantile out of range");
     if sorted.len() == 1 {
         return sorted[0];
     }
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
+    let ([lo, hi], frac) = quantile_ranks(sorted.len(), q);
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
@@ -329,6 +352,50 @@ mod tests {
         let coarse = ts.coarsen(3);
         assert_eq!(coarse.values(), &[3.0, 3.0]);
         assert_eq!(coarse.bucket(), SimTime::from_secs(3));
+    }
+
+    /// `Summary::of` as a full sort computes it: the oracle for selection.
+    fn summary_by_sort(xs: &[f64]) -> Summary {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        let mut acc = OnlineStats::new();
+        xs.iter().for_each(|&x| acc.push(x));
+        Summary {
+            count: xs.len(),
+            mean: acc.mean(),
+            stddev: acc.stddev(),
+            min: sorted[0],
+            p50: percentile_sorted(&sorted, 0.50),
+            p95: percentile_sorted(&sorted, 0.95),
+            p99: percentile_sorted(&sorted, 0.99),
+            max: sorted[sorted.len() - 1],
+        }
+    }
+
+    #[test]
+    fn summary_by_selection_matches_sort_bit_for_bit() {
+        let bits = |s: &Summary| {
+            let f = [s.mean, s.stddev, s.min, s.p50, s.p95, s.p99, s.max];
+            (s.count, f.map(f64::to_bits))
+        };
+        let mut rng = crate::SimRng::new(7).stream("summary");
+        for case in 0..300 {
+            let n = match case {
+                0..=2 => case + 1,
+                _ => rng.range_inclusive(1, 2_000) as usize,
+            };
+            // A small pool of values forces duplicates; some cases draw
+            // from the whole range instead.
+            let pool = [4, 50, 1 << 30][case % 3];
+            let xs: Vec<f64> = (0..n)
+                .map(|_| rng.below(pool) as f64 * 0.37 - 3.0)
+                .collect();
+            assert_eq!(
+                bits(&Summary::of(&xs)),
+                bits(&summary_by_sort(&xs)),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

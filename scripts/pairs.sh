@@ -1,0 +1,97 @@
+#!/usr/bin/env bash
+# Paired benchmark runs of two revisions of this repository.
+#
+#   bash scripts/pairs.sh BASE [HEAD] --workload W --pairs N --seed S --seconds T [--dir D]
+#
+# Each revision (any git revision; HEAD defaults to `HEAD`) is exported
+# from the local repository with `git archive` into D/base and D/head —
+# paths of equal length — and built by its own `benchmark/run.sh` into
+# its own target directory. Then N pairs of `run.sh --workload W --seed S
+# --seconds T --trace 0` run, base first in even pairs and head first in
+# odd ones, so drift on the host falls on both sides alike. Every run's
+# JSON line is appended to D/runs.jsonl. The table gives, per metric, each
+# side's median [lower quartile, upper quartile], the change of the
+# medians, the base's interquartile range as a share of its median, and
+# the pairs in which head did better (the direction is the `better` of
+# BENCHMARK.json's end-to-end metrics; other metrics get no count).
+#
+# D defaults to $TMPDIR/mantle-pairs (or /tmp/mantle-pairs). An export is
+# kept while its revision is unchanged, so repeated calls build
+# incrementally. Needs git, cargo and python3.
+set -euo pipefail
+
+usage() { sed -n '4p' "$0" | sed 's/^# *//' >&2; exit 2; }
+repo="$(cd "$(dirname "$0")/.." && pwd)"
+dir="${TMPDIR:-/tmp}/mantle-pairs"
+revs=() workload="" pairs="" seed="" seconds=""
+while (($#)); do
+  case "$1" in
+    --workload) workload="$2"; shift 2 ;;
+    --pairs) pairs="$2"; shift 2 ;;
+    --seed) seed="$2"; shift 2 ;;
+    --seconds) seconds="$2"; shift 2 ;;
+    --dir) dir="$2"; shift 2 ;;
+    --*) usage ;;
+    *) revs+=("$1"); shift ;;
+  esac
+done
+[[ ${#revs[@]} -ge 1 && ${#revs[@]} -le 2 && -n $workload && -n $pairs && -n $seed && -n $seconds ]] || usage
+revs+=(HEAD)
+
+mkdir -p "$dir"
+for side in base head; do
+  [[ $side == base ]] && rev="${revs[0]}" || rev="${revs[1]}"
+  commit="$(git -C "$repo" rev-parse --verify "$rev^{commit}")"
+  if [[ "$(cat "$dir/$side.rev" 2>/dev/null)" != "$commit" ]]; then
+    rm -rf "${dir:?}/$side"
+    mkdir -p "$dir/$side"
+    git -C "$repo" archive "$commit" | tar -x -C "$dir/$side"
+    echo "$commit" > "$dir/$side.rev"
+  fi
+  echo "building $side = $rev ($commit)" >&2
+  env -u CARGO_TARGET_DIR bash "$dir/$side/benchmark/run.sh" --help > /dev/null
+done
+
+run() {
+  local line
+  line="$(env -u CARGO_TARGET_DIR bash "$dir/$1/benchmark/run.sh" --workload "$workload" \
+    --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)"
+  echo "{\"side\":\"$1\",\"pair\":$2,\"workload\":\"$workload\",\"seed\":$seed,\"run\":$line}" \
+    | tee -a "$dir/runs.jsonl" >&2
+  echo "$line" >> "$dir/$1.$$.jsonl"
+}
+rm -f "$dir"/{base,head}.$$.jsonl
+for ((i = 0; i < pairs; i++)); do
+  if ((i % 2 == 0)); then run base "$i"; run head "$i"; else run head "$i"; run base "$i"; fi
+done
+
+python3 - "$dir/base.$$.jsonl" "$dir/head.$$.jsonl" "$dir/head/BENCHMARK.json" <<'EOF'
+import json, sys
+
+def load(path):
+    return [json.loads(line) for line in open(path)]
+
+def quantile(xs, q):  # linear interpolation, as Summary::of does
+    xs = sorted(xs)
+    pos = q * (len(xs) - 1)
+    lo, hi = int(pos), min(int(pos) + 1, len(xs) - 1)
+    return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
+
+base, head = load(sys.argv[1]), load(sys.argv[2])
+better = {m["name"]: m["better"] for m in json.load(open(sys.argv[3]))["end_to_end"]}
+bad = [r for r in base + head if not r.get("correct") or r.get("failed")]
+print(f"{len(base)} pairs; runs not correct or with failed ops: {len(bad)}")
+print(f"{'metric':<16} {'base median [q1, q3]':>36} {'head median [q1, q3]':>36} {'change':>7} {'base IQR':>8} {'wins':>5}")
+for name in base[0]["metrics"]:
+    b = [r["metrics"][name]["value"] for r in base]
+    h = [r["metrics"][name]["value"] for r in head]
+    num = lambda x: f"{x:,.0f}" if abs(x) >= 1000 else f"{x:.4g}"
+    cell = lambda xs: f"{num(quantile(xs, .5))} [{num(quantile(xs, .25))}, {num(quantile(xs, .75))}]"
+    mb, mh = quantile(b, .5), quantile(h, .5)
+    change = f"{(mh / mb - 1) * 100:+.1f}%" if mb else "-"
+    iqr = f"{(quantile(b, .75) - quantile(b, .25)) / mb * 100:.1f}%" if mb else "-"
+    sign = {"higher": 1, "lower": -1}.get(better.get(name))
+    wins = f"{sum(sign * (y - x) > 0 for x, y in zip(b, h))}/{len(b)}" if sign else "-"
+    print(f"{name:<16} {cell(b):>36} {cell(h):>36} {change:>7} {iqr:>8} {wins:>5}")
+EOF
+rm -f "$dir"/{base,head}.$$.jsonl

@@ -55,7 +55,7 @@ fn assert_reports_identical(label: &str, spec: &Experiment, policy: &PolicySet) 
 /// The most hook-intensive built-in balancer (Listing 4 runs a loop over
 /// the whole cluster every tick) across the full fault catalogue.
 #[test]
-fn adaptable_reports_identical_across_engines_and_modes_under_all_faults() {
+fn adaptable_reports_identical_across_engines_under_all_faults() {
     let policy = policies::adaptable().unwrap();
     for (scenario, plan) in scenario_plans(ReproOpts::QUICK) {
         let mut spec = base_experiment(ReproOpts::QUICK, 42);
