@@ -55,6 +55,13 @@ pub trait Workload: Send {
     fn name(&self) -> &str {
         "workload"
     }
+
+    /// How many ops each client will issue, if known before the run.
+    /// It only sizes each client's latency log up front; `None` (the
+    /// default) lets the log grow.
+    fn ops_per_client_hint(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// Per-client connection state maintained by the cluster. The client's

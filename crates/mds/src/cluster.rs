@@ -576,6 +576,8 @@ mod tests {
         count: u64,
         issued: Vec<u64>,
         dirs: Vec<NodeId>,
+        /// Tell the cluster `count` up front.
+        hinted: bool,
     }
 
     impl TinyCreate {
@@ -585,6 +587,7 @@ mod tests {
                 count,
                 issued: vec![0; clients],
                 dirs: Vec::new(),
+                hinted: true,
             }
         }
     }
@@ -611,6 +614,9 @@ mod tests {
         fn name(&self) -> &str {
             "tiny-create"
         }
+        fn ops_per_client_hint(&self) -> Option<u64> {
+            self.hinted.then_some(self.count)
+        }
     }
 
     fn subtree_to_mds1(root: NodeId) -> Export {
@@ -631,6 +637,35 @@ mod tests {
             Box::new(NoopBalancer)
         });
         cluster.run()
+    }
+
+    /// The op-count hint sizes each latency log once, and changes
+    /// nothing a report says.
+    #[test]
+    fn the_hint_sizes_latency_logs_once() {
+        let cfg = ClusterConfig {
+            num_mds: 2,
+            ..Default::default()
+        };
+        let build = |hinted| {
+            let tiny = TinyCreate {
+                hinted,
+                ..TinyCreate::new(3, 50)
+            };
+            Cluster::new(cfg.clone(), Box::new(tiny), |_| Box::new(NoopBalancer))
+        };
+        let (hinted, unhinted) = (build(true), build(false));
+        let capacities = |c: &Cluster| -> Vec<usize> {
+            c.world
+                .clients
+                .iter()
+                .map(|c| c.latencies.capacity())
+                .collect()
+        };
+        assert_eq!(capacities(&hinted), vec![50; 3]);
+        assert_eq!(capacities(&unhinted), vec![0; 3]);
+        let (a, b) = (hinted.run(), unhinted.run());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

@@ -248,6 +248,12 @@ impl World {
         master: &SimRng,
     ) -> Self {
         let (n, num_clients) = (cfg.num_mds, workload.num_clients());
+        let mut clients: Vec<_> = (0..num_clients).map(ClientState::new).collect();
+        // A hint too large to reserve is ignored: the log grows instead.
+        let hint = usize::try_from(workload.ops_per_client_hint().unwrap_or(0));
+        for c in &mut clients {
+            let _ = c.latencies.try_reserve_exact(hint.unwrap_or(usize::MAX));
+        }
         let initial_members = cfg.elastic.initial(n);
         // Proxy-tier caches: one LRU per client group. Empty when
         // disabled — the inert default adds no state and no per-event
@@ -270,7 +276,7 @@ impl World {
             caches,
             queue: EventQueue::new(),
             workload,
-            clients: (0..num_clients).map(ClientState::new).collect(),
+            clients,
             routes: RouteTable::new(num_clients),
             counters: (0..n).map(|_| MdsCounters::new()).collect(),
             next_free: vec![SimTime::ZERO; n],

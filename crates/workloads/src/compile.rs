@@ -183,6 +183,10 @@ impl Workload for Compile {
     fn name(&self) -> &str {
         "compile"
     }
+
+    fn ops_per_client_hint(&self) -> Option<u64> {
+        Some(self.ops_per_client())
+    }
 }
 
 #[cfg(test)]

@@ -58,6 +58,10 @@ impl Workload for CreateSeparateDirs {
     fn name(&self) -> &str {
         "create-separate-dirs"
     }
+
+    fn ops_per_client_hint(&self) -> Option<u64> {
+        Some(self.files_per_client)
+    }
 }
 
 /// Every client creates into the **same** directory — the shared-directory
@@ -112,6 +116,10 @@ impl Workload for CreateSharedDir {
 
     fn name(&self) -> &str {
         "create-shared-dir"
+    }
+
+    fn ops_per_client_hint(&self) -> Option<u64> {
+        Some(self.files_per_client)
     }
 }
 

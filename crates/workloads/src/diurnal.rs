@@ -164,6 +164,10 @@ impl Workload for Diurnal {
     fn name(&self) -> &str {
         "diurnal"
     }
+
+    fn ops_per_client_hint(&self) -> Option<u64> {
+        Some(self.ops_per_client())
+    }
 }
 
 #[cfg(test)]

@@ -114,6 +114,10 @@ impl Workload for FlashCrowd {
     fn name(&self) -> &str {
         "flash-crowd"
     }
+
+    fn ops_per_client_hint(&self) -> Option<u64> {
+        Some(self.ops_per_client)
+    }
 }
 
 #[cfg(test)]

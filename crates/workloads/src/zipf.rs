@@ -122,10 +122,17 @@ impl Workload for ZipfMix {
 
     fn setup(&mut self, ns: &mut Namespace) {
         // A two-level tree so subtree partitioning has units to move:
-        // /zipf/g<k>/d<i> with 16 dirs per group.
-        self.nodes = (0..self.dirs)
-            .map(|i| ns.mkdir_p(&format!("/zipf/g{}/d{}", i / 16, i % 16)))
-            .collect();
+        // /zipf/g<k>/d<i> with 16 dirs per group. `/zipf` and each group
+        // resolve once; every leaf is one `mkdir_p` step below its group.
+        let top = ns.mkdir_p("/zipf");
+        self.nodes = Vec::with_capacity(self.dirs);
+        for g in 0..self.dirs.div_ceil(16) {
+            let group = ns.mkdir_child(top, &format!("g{g}"));
+            for i in 16 * g..self.dirs.min(16 * g + 16) {
+                self.nodes
+                    .push(ns.mkdir_child(group, &format!("d{}", i % 16)));
+            }
+        }
     }
 
     fn next(&mut self, client: usize, _ns: &Namespace, _now: SimTime) -> Option<ClientOp> {
@@ -157,6 +164,10 @@ impl Workload for ZipfMix {
     fn name(&self) -> &str {
         "zipf-mix"
     }
+
+    fn ops_per_client_hint(&self) -> Option<u64> {
+        Some(self.ops_per_client)
+    }
 }
 
 #[cfg(test)]
@@ -172,6 +183,37 @@ mod tests {
         assert_eq!(w.dirs(), 64);
         // Two-level grouping exists.
         assert!(ns.mkdir_p("/zipf/g0") != ns.root());
+    }
+
+    /// Set-up builds exactly the tree a `mkdir_p` per path builds: the
+    /// same ids, parents and names, on a fresh namespace and on one
+    /// where some of the paths (and others) already exist.
+    #[test]
+    fn setup_matches_mkdir_p_per_path() {
+        let dirs = 1_000;
+        for existing in [
+            &[][..],
+            &["/other/x", "/zipf/g3/d5", "/zipf/g7", "/zipf/g62/d9"],
+        ] {
+            let (mut by_setup, mut by_path) = (Namespace::default(), Namespace::default());
+            for ns in [&mut by_setup, &mut by_path] {
+                for p in existing {
+                    ns.mkdir_p(p);
+                }
+            }
+            let mut w = ZipfMix::new(1, dirs, 0, 1.0, 0.5, 1);
+            w.setup(&mut by_setup);
+            let nodes: Vec<NodeId> = (0..dirs)
+                .map(|i| by_path.mkdir_p(&format!("/zipf/g{}/d{}", i / 16, i % 16)))
+                .collect();
+            assert_eq!(w.nodes, nodes);
+            assert_eq!(by_setup.dir_count(), by_path.dir_count());
+            for d in by_path.all_dirs() {
+                let (a, b) = (by_setup.dir(d), by_path.dir(d));
+                assert_eq!((a.id, a.parent), (b.id, b.parent), "{d:?}");
+                assert_eq!(by_setup.name(d), by_path.name(d), "{d:?}");
+            }
+        }
     }
 
     /// The guide table selects exactly what a binary search over the CDF

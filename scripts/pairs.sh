@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired benchmark runs of two revisions of this repository.
 #
-#   bash scripts/pairs.sh BASE [HEAD] --workload W --pairs N --seed S --seconds T [--dir D]
+#   bash scripts/pairs.sh BASE [HEAD] --workload W --pairs N --seed S --seconds T [--dir D] [--claim M]
 #
 # Each revision (any git revision; HEAD defaults to `HEAD`) is exported
 # from the local repository with `git archive` into D/base and D/head —
@@ -15,6 +15,13 @@
 # the pairs in which head did better (the direction is the `better` of
 # BENCHMARK.json's end-to-end metrics; other metrics get no count).
 #
+# The verdict column reads, for each end-to-end metric: `gain` for the
+# metric named by --claim when head did better in at least 9 of 10 pairs
+# and the medians differ by more than the base's interquartile range;
+# else `worse` when head's median is worse than base's by more than the
+# metric's BENCHMARK.json bound; else `unresolved` when the base's
+# interquartile range is wider than that bound; else `ok`.
+#
 # D defaults to $TMPDIR/mantle-pairs (or /tmp/mantle-pairs). An export is
 # kept while its revision is unchanged, so repeated calls build
 # incrementally. Needs git, cargo and python3.
@@ -23,7 +30,7 @@ set -euo pipefail
 usage() { sed -n '4p' "$0" | sed 's/^# *//' >&2; exit 2; }
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 dir="${TMPDIR:-/tmp}/mantle-pairs"
-revs=() workload="" pairs="" seed="" seconds=""
+revs=() workload="" pairs="" seed="" seconds="" claim=""
 while (($#)); do
   case "$1" in
     --workload) workload="$2"; shift 2 ;;
@@ -31,6 +38,7 @@ while (($#)); do
     --seed) seed="$2"; shift 2 ;;
     --seconds) seconds="$2"; shift 2 ;;
     --dir) dir="$2"; shift 2 ;;
+    --claim) claim="$2"; shift 2 ;;
     --*) usage ;;
     *) revs+=("$1"); shift ;;
   esac
@@ -51,6 +59,11 @@ for side in base head; do
   echo "building $side = $rev ($commit)" >&2
   env -u CARGO_TARGET_DIR bash "$dir/$side/benchmark/run.sh" --help > /dev/null
 done
+if [[ -n $claim ]] && ! python3 -c 'import json, sys
+sys.exit(sys.argv[2] not in [m["name"] for m in json.load(open(sys.argv[1]))["end_to_end"]])' \
+  "$dir/head/BENCHMARK.json" "$claim"; then
+  echo "--claim $claim: not an end-to-end metric of BENCHMARK.json" >&2; exit 2
+fi
 
 run() {
   local line
@@ -65,7 +78,7 @@ for ((i = 0; i < pairs; i++)); do
   if ((i % 2 == 0)); then run base "$i"; run head "$i"; else run head "$i"; run base "$i"; fi
 done
 
-python3 - "$dir/base.$$.jsonl" "$dir/head.$$.jsonl" "$dir/head/BENCHMARK.json" <<'EOF'
+python3 - "$dir/base.$$.jsonl" "$dir/head.$$.jsonl" "$dir/head/BENCHMARK.json" "$claim" <<'EOF'
 import json, sys
 
 def load(path):
@@ -78,10 +91,13 @@ def quantile(xs, q):  # linear interpolation, as Summary::of does
     return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 base, head = load(sys.argv[1]), load(sys.argv[2])
-better = {m["name"]: m["better"] for m in json.load(open(sys.argv[3]))["end_to_end"]}
+end_to_end = json.load(open(sys.argv[3]))["end_to_end"]
+better = {m["name"]: m["better"] for m in end_to_end}
+bound = {m["name"]: m["bound"] for m in end_to_end}
+claim, notes = sys.argv[4], []
 bad = [r for r in base + head if not r.get("correct") or r.get("failed")]
 print(f"{len(base)} pairs; runs not correct or with failed ops: {len(bad)}")
-print(f"{'metric':<16} {'base median [q1, q3]':>36} {'head median [q1, q3]':>36} {'change':>7} {'base IQR':>8} {'wins':>5}")
+print(f"{'metric':<16} {'base median [q1, q3]':>36} {'head median [q1, q3]':>36} {'change':>7} {'base IQR':>8} {'wins':>5} {'verdict':>10}")
 for name in base[0]["metrics"]:
     b = [r["metrics"][name]["value"] for r in base]
     h = [r["metrics"][name]["value"] for r in head]
@@ -91,7 +107,23 @@ for name in base[0]["metrics"]:
     change = f"{(mh / mb - 1) * 100:+.1f}%" if mb else "-"
     iqr = f"{(quantile(b, .75) - quantile(b, .25)) / mb * 100:.1f}%" if mb else "-"
     sign = {"higher": 1, "lower": -1}.get(better.get(name))
-    wins = f"{sum(sign * (y - x) > 0 for x, y in zip(b, h))}/{len(b)}" if sign else "-"
-    print(f"{name:<16} {cell(b):>36} {cell(h):>36} {change:>7} {iqr:>8} {wins:>5}")
+    won = sum(sign * (y - x) > 0 for x, y in zip(b, h)) if sign else 0
+    wins = f"{won}/{len(b)}" if sign else "-"
+    verdict = "-"
+    if sign:
+        spread = quantile(b, .75) - quantile(b, .25)
+        if name == claim and 10 * won >= 9 * len(b) and sign * (mh - mb) > spread:
+            verdict = "gain"
+        elif mb and sign * (mh - mb) / mb < -bound[name]:
+            verdict = "worse"
+        elif mb and spread / mb > bound[name]:
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
+    print(f"{name:<16} {cell(b):>36} {cell(h):>36} {change:>7} {iqr:>8} {wins:>5} {verdict:>10}")
+    if name == claim and verdict != "gain":
+        notes.append(f"claim {name}: not shown ({wins} wins, medians {change} apart, base IQR {iqr})")
+for note in notes:
+    print(note)
 EOF
 rm -f "$dir"/{base,head}.$$.jsonl
