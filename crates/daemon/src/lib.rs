@@ -20,8 +20,8 @@
 //! * [`server`] — the nonblocking `std::net` reactor tying sockets to
 //!   the engine's command inbox and event stream, blocked in `poll(2)`
 //!   when both are quiet;
-//! * [`sys`] — the hand-declared `poll(2)` binding (the workspace's one
-//!   `unsafe` block), which makes this crate unix-only;
+//! * [`sys`] — the hand-declared `poll(2)` and `prctl(2)` bindings (the
+//!   library's only `unsafe` blocks); `poll` makes this crate unix-only;
 //! * [`client`] — a blocking protocol client (`mantlectl`, smoke tests).
 //!
 //! Determinism is preserved across the daemon boundary: with

@@ -1,7 +1,8 @@
-//! `poll(2)`, declared by hand: the workspace takes no dependencies, so
-//! there is no `libc` crate, and `std` exposes no readiness call. This
-//! module is the only `unsafe` in the repository; everything outside it
-//! sees one safe function over a slice.
+//! `poll(2)` and, on Linux, `prctl(PR_SET_TIMERSLACK)`, declared by
+//! hand: the workspace takes no dependencies, so there is no `libc`
+//! crate, and `std` exposes neither call. This module holds the only
+//! `unsafe` blocks of the library crates; everything outside it sees
+//! safe functions.
 
 use std::ffi::{c_int, c_short};
 use std::io;
@@ -77,11 +78,58 @@ pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> 
     }
 }
 
+#[cfg(target_os = "linux")]
+const PR_SET_TIMERSLACK: c_int = 29;
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    #[link_name = "prctl"]
+    fn sys_prctl(option: c_int, ...) -> c_int;
+}
+
+/// Let the calling thread's timed waits end within 1 ns of their
+/// deadline instead of the kernel's default 50 µs timer slack. Acts on
+/// this thread alone; a no-op where the call does not exist.
+pub fn tighten_timer_slack() -> io::Result<()> {
+    #[cfg(target_os = "linux")]
+    {
+        // SAFETY: `PR_SET_TIMERSLACK` takes one `unsigned long` argument
+        // by value and touches no memory of the caller; it changes only
+        // the calling thread's timer slack.
+        let rc = unsafe { sys_prctl(PR_SET_TIMERSLACK, 1 as std::ffi::c_ulong) };
+        if rc != 0 {
+            return Err(io::Error::last_os_error());
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;
     use std::os::unix::net::UnixStream;
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_timer_slack_is_tightened_on_the_calling_thread_only() {
+        // `timerslack_ns` sits only in a `/proc/<id>` directory, and a
+        // thread may read its own: `/proc/thread-self` links to
+        // `<pid>/task/<tid>`.
+        let slack = || {
+            let link = std::fs::read_link("/proc/thread-self").unwrap();
+            let tid = link.file_name().unwrap().to_str().unwrap().to_string();
+            std::fs::read_to_string(format!("/proc/{tid}/timerslack_ns")).unwrap()
+        };
+        let before = slack();
+        std::thread::spawn(move || {
+            tighten_timer_slack().unwrap();
+            assert_eq!(slack().trim(), "1");
+        })
+        .join()
+        .unwrap();
+        assert_eq!(slack(), before, "the caller's own slack is untouched");
+    }
 
     #[test]
     fn readable_after_a_write_and_not_before() {

@@ -1,5 +1,6 @@
 //! The directory tree, dirfrags, and the subtree authority map.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -294,7 +295,8 @@ pub struct Namespace {
     names: Names,
     chains: Chains,
     /// Child-name index: `(parent, interned name)` → the first child
-    /// created under that name. [`Namespace::mkdir`] maintains it and
+    /// created under that name. [`Namespace::mkdir`] and
+    /// [`Namespace::mkdir_child`] maintain it and
     /// [`Namespace::lookup_child`] reads it; it is never iterated, so
     /// `Dir::children` stays the one ordered record of the tree.
     child_index: HashMap<(NodeId, u32), NodeId>,
@@ -309,8 +311,32 @@ pub struct Namespace {
     /// Per-MDS set of fragment authority overrides `(dir, frag)`.
     frag_over: Vec<BTreeSet<(NodeId, FragId)>>,
     /// One bit per directory, 64 to a word: an op was recorded on it or
-    /// below it ([`Namespace::is_warm`]). Grown by [`Namespace::mkdir`].
+    /// below it ([`Namespace::is_warm`]). Grown as directories are created.
     warm: Vec<u64>,
+    /// Buffers of `apply_auth_change`'s walk, kept between calls.
+    walk: WalkScratch,
+}
+
+/// The buffers one authority-change walk works in: taken from the
+/// namespace at its start and put back, empty, at its end, so a
+/// migration allocates for them only while they grow to its size.
+/// Never read between walks; `Debug` shows none of it.
+#[derive(Clone, Default)]
+struct WalkScratch {
+    /// (node, inside the bounded region?, occurrences of the new
+    /// override on the path from the walk's root (exclusive) down to
+    /// the node).
+    stack: Vec<(NodeId, bool, u32)>,
+    /// MDSs whose replica role a fragment's move may flip.
+    cands: Vec<MdsId>,
+    /// A chain being built before it is interned.
+    chain: Vec<MdsId>,
+}
+
+impl std::fmt::Debug for WalkScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WalkScratch").finish_non_exhaustive()
+    }
 }
 
 impl Namespace {
@@ -353,6 +379,7 @@ impl Namespace {
             bound_roots: vec![root_set],
             frag_over: vec![BTreeSet::new()],
             warm: vec![0],
+            walk: WalkScratch::default(),
         }
     }
 
@@ -385,6 +412,16 @@ impl Namespace {
         self.dirs.iter().map(|d| d.files).sum()
     }
 
+    /// Make room for `additional` more directories: their rows, their
+    /// child-index entries and their warm bits, so that creating them
+    /// grows none of the three.
+    pub fn reserve(&mut self, additional: usize) {
+        self.dirs.reserve(additional);
+        self.child_index.reserve(additional);
+        let words = (self.dirs.len() + additional).div_ceil(64);
+        self.warm.reserve(words.saturating_sub(self.warm.len()));
+    }
+
     /// Create a subdirectory. Does not record heat; callers route a
     /// [`OpKind::Mkdir`] through [`Namespace::record_op`] on the parent.
     pub fn mkdir(&mut self, parent: NodeId, name: impl AsRef<str>) -> NodeId {
@@ -393,6 +430,13 @@ impl Namespace {
         // First created wins: a name resolves to its earliest entry in
         // `children`, however often it is created again.
         self.child_index.entry((parent, name)).or_insert(id);
+        self.push_dir(parent, name)
+    }
+
+    /// Append the row of a new child `name` of `parent`, already entered
+    /// in the child index as the caller decided, and link it in.
+    fn push_dir(&mut self, parent: NodeId, name: u32) -> NodeId {
+        let id = NodeId(self.dirs.len() as u32);
         let depth = self.dir(parent).depth + 1;
         // A new dir resolves as its parent does: every cache stays valid.
         let auth_cache = self.dirs[parent.0 as usize].auth_cache;
@@ -428,11 +472,16 @@ impl Namespace {
     }
 
     /// The child `name` of `parent`, created if there is none: one
-    /// component of [`Namespace::mkdir_p`].
+    /// component of [`Namespace::mkdir_p`]. One name probe and one
+    /// child-index probe, whether it finds the child or creates it.
     pub fn mkdir_child(&mut self, parent: NodeId, name: &str) -> NodeId {
-        match self.lookup_child(parent, name) {
-            Some(existing) => existing,
-            None => self.mkdir(parent, name),
+        let name = self.names.intern(name);
+        match self.child_index.entry((parent, name)) {
+            Entry::Occupied(existing) => *existing.get(),
+            Entry::Vacant(slot) => {
+                slot.insert(NodeId(self.dirs.len() as u32));
+                self.push_dir(parent, name)
+            }
         }
     }
 
@@ -924,11 +973,12 @@ impl Namespace {
         let mut inodes = 0u64;
         let mut holes = Vec::new();
         let mut dirs = Vec::new();
-        // (node, inside the bounded region?, occurrences of `new_auth` as
-        // an override on the path from `id` (exclusive) down to the node).
-        let mut stack: Vec<(NodeId, bool, u32)> = vec![(id, true, 0)];
-        let mut cands: Vec<MdsId> = Vec::with_capacity(4);
-        let mut buf: Vec<MdsId> = Vec::new();
+        let WalkScratch {
+            mut stack,
+            mut cands,
+            chain: mut buf,
+        } = std::mem::take(&mut self.walk);
+        stack.push((id, true, 0));
         while let Some((x, bounded, n_below)) = stack.pop() {
             let xi = x.0 as usize;
             // New chain: own override (nearest) + parent's already-updated
@@ -1041,6 +1091,13 @@ impl Namespace {
                 stack.push((c, bounded && c_auth.is_none(), c_below));
             }
         }
+        cands.clear();
+        buf.clear();
+        self.walk = WalkScratch {
+            stack,
+            cands,
+            chain: buf,
+        };
         SubtreeMigration {
             inodes,
             holes,
@@ -1153,6 +1210,75 @@ mod tests {
         let b = ns.mkdir_p("/a/b");
         assert_eq!(ns.dir(c1).parent, Some(b));
         assert_eq!(ns.dir_count(), 4); // root, a, b, c
+    }
+
+    /// `mkdir_child` and `reserve` build exactly what resolving each
+    /// component with `lookup_child`, then `mkdir` on a miss, builds:
+    /// random histories of `mkdir` (duplicates included), `mkdir_child`
+    /// and `mkdir_p` over a small name pool, compared on every
+    /// directory's id, parent, name and children and on every
+    /// `lookup_child` answer.
+    #[test]
+    fn mkdir_child_and_reserve_build_what_lookup_then_mkdir_builds() {
+        fn old_mkdir_child(ns: &mut Namespace, parent: NodeId, name: &str) -> NodeId {
+            match ns.lookup_child(parent, name) {
+                Some(existing) => existing,
+                None => ns.mkdir(parent, name),
+            }
+        }
+        const NAMES: [&str; 6] = ["a", "b", "c", "dd", "e0", "x"];
+        let mut rng = mantle_sim::SimRng::new(0x3c41);
+        let (mut found, mut duplicates) = (0, 0);
+        for case in 0..200 {
+            let (mut new, mut old) = (Namespace::default(), Namespace::default());
+            for step in 0..1 + rng.below(120) {
+                let parent = NodeId(rng.below(new.dir_count() as u64) as u32);
+                let name = NAMES[rng.below(NAMES.len() as u64) as usize];
+                let made = match rng.below(5) {
+                    0 => {
+                        new.reserve(rng.below(40) as usize);
+                        continue;
+                    }
+                    1 => {
+                        duplicates += usize::from(new.lookup_child(parent, name).is_some());
+                        (new.mkdir(parent, name), old.mkdir(parent, name))
+                    }
+                    2 => {
+                        found += usize::from(new.lookup_child(parent, name).is_some());
+                        let made = new.mkdir_child(parent, name);
+                        (made, old_mkdir_child(&mut old, parent, name))
+                    }
+                    _ => {
+                        let depth = 1 + rng.below(4) as usize;
+                        let comps: Vec<&str> = (0..depth)
+                            .map(|_| NAMES[rng.below(NAMES.len() as u64) as usize])
+                            .collect();
+                        let mut cur = old.root();
+                        for c in &comps {
+                            cur = old_mkdir_child(&mut old, cur, c);
+                        }
+                        (new.mkdir_p(&format!("/{}", comps.join("/"))), cur)
+                    }
+                };
+                assert_eq!(made.0, made.1, "case {case} step {step}");
+            }
+            assert_eq!(new.dir_count(), old.dir_count(), "case {case}");
+            for d in old.all_dirs() {
+                let (a, b) = (new.dir(d), old.dir(d));
+                assert_eq!(
+                    (a.id, a.parent, a.depth),
+                    (b.id, b.parent, b.depth),
+                    "{d:?}"
+                );
+                assert_eq!(a.children, b.children, "case {case} {d:?}");
+                assert_eq!(new.name(d), old.name(d), "case {case} {d:?}");
+                for name in NAMES {
+                    assert_eq!(new.lookup_child(d, name), old.lookup_child(d, name));
+                }
+            }
+        }
+        assert!(found > 200, "{found} mkdir_child calls found their child");
+        assert!(duplicates > 200, "{duplicates} mkdirs repeated a name");
     }
 
     #[test]

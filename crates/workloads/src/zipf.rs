@@ -5,6 +5,8 @@
 //! ablation benches to study balancers under skew that is *not* one of the
 //! two extremes (one shared directory vs perfectly separate directories).
 
+use std::fmt::Write;
+
 use mantle_mds::{ClientOp, Workload};
 use mantle_namespace::{Namespace, NodeId, OpKind};
 use mantle_sim::{SimRng, SimTime};
@@ -124,13 +126,20 @@ impl Workload for ZipfMix {
         // A two-level tree so subtree partitioning has units to move:
         // /zipf/g<k>/d<i> with 16 dirs per group. `/zipf` and each group
         // resolve once; every leaf is one `mkdir_p` step below its group.
+        // The 16 leaf names are made once, each group's name is written
+        // into one buffer, and the rows are reserved up front.
         let top = ns.mkdir_p("/zipf");
+        let groups = self.dirs.div_ceil(16);
+        ns.reserve(groups + self.dirs);
         self.nodes = Vec::with_capacity(self.dirs);
-        for g in 0..self.dirs.div_ceil(16) {
-            let group = ns.mkdir_child(top, &format!("g{g}"));
+        let leaves: [String; 16] = std::array::from_fn(|i| format!("d{i}"));
+        let mut name = String::new();
+        for g in 0..groups {
+            name.clear();
+            write!(name, "g{g}").expect("writing to a String cannot fail");
+            let group = ns.mkdir_child(top, &name);
             for i in 16 * g..self.dirs.min(16 * g + 16) {
-                self.nodes
-                    .push(ns.mkdir_child(group, &format!("d{}", i % 16)));
+                self.nodes.push(ns.mkdir_child(group, &leaves[i % 16]));
             }
         }
     }

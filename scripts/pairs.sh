@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Paired benchmark runs of two revisions of this repository.
 #
-#   bash scripts/pairs.sh BASE [HEAD] --workload W --pairs N --seed S --seconds T [--dir D] [--claim M]
+#   bash scripts/pairs.sh BASE [HEAD] --workload W --pairs N (--seed S | --seeds S1,S2,..) --seconds T [--dir D] [--claim M]
 #
 # Each revision (any git revision; HEAD defaults to `HEAD`) is exported
 # from the local repository with `git archive` into D/base and D/head —
 # paths of equal length — and built by its own `benchmark/run.sh` into
-# its own target directory. Then N pairs of `run.sh --workload W --seed S
-# --seconds T --trace 0` run, base first in even pairs and head first in
-# odd ones, so drift on the host falls on both sides alike. Every run's
-# JSON line is appended to D/runs.jsonl. The table gives, per metric, each
+# its own target directory. Then, for each seed S in turn, N pairs of
+# `run.sh --workload W --seed S --seconds T --trace 0` run, base first in
+# even pairs and head first in odd ones, so drift on the host falls on
+# both sides alike. Every run's JSON line is appended to D/runs.jsonl.
+# Each seed gets its own table. The table gives, per metric, each
 # side's median [lower quartile, upper quartile], the change of the
 # medians, the base's interquartile range as a share of its median, and
 # the pairs in which head did better (the direction is the `better` of
@@ -20,7 +21,8 @@
 # and the medians differ by more than the base's interquartile range;
 # else `worse` when head's median is worse than base's by more than the
 # metric's BENCHMARK.json bound; else `unresolved` when the base's
-# interquartile range is wider than that bound; else `ok`.
+# interquartile range is wider than that bound; else `ok`. A last line,
+# `seed S: metric verdict; ...`, repeats the column for that seed.
 #
 # D defaults to $TMPDIR/mantle-pairs (or /tmp/mantle-pairs). An export is
 # kept while its revision is unchanged, so repeated calls build
@@ -30,12 +32,12 @@ set -euo pipefail
 usage() { sed -n '4p' "$0" | sed 's/^# *//' >&2; exit 2; }
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 dir="${TMPDIR:-/tmp}/mantle-pairs"
-revs=() workload="" pairs="" seed="" seconds="" claim=""
+revs=() workload="" pairs="" seeds="" seconds="" claim=""
 while (($#)); do
   case "$1" in
     --workload) workload="$2"; shift 2 ;;
     --pairs) pairs="$2"; shift 2 ;;
-    --seed) seed="$2"; shift 2 ;;
+    --seed | --seeds) seeds="${seeds:+$seeds,}$2"; shift 2 ;;
     --seconds) seconds="$2"; shift 2 ;;
     --dir) dir="$2"; shift 2 ;;
     --claim) claim="$2"; shift 2 ;;
@@ -43,7 +45,9 @@ while (($#)); do
     *) revs+=("$1"); shift ;;
   esac
 done
-[[ ${#revs[@]} -ge 1 && ${#revs[@]} -le 2 && -n $workload && -n $pairs && -n $seed && -n $seconds ]] || usage
+[[ ${#revs[@]} -ge 1 && ${#revs[@]} -le 2 && -n $workload && -n $pairs && -n $seeds && -n $seconds ]] || usage
+IFS=, read -r -a seed_list <<< "$seeds"
+for seed in "${seed_list[@]}"; do [[ $seed =~ ^[0-9]+$ ]] || usage; done
 revs+=(HEAD)
 
 mkdir -p "$dir"
@@ -73,12 +77,8 @@ run() {
     | tee -a "$dir/runs.jsonl" >&2
   echo "$line" >> "$dir/$1.$$.jsonl"
 }
-rm -f "$dir"/{base,head}.$$.jsonl
-for ((i = 0; i < pairs; i++)); do
-  if ((i % 2 == 0)); then run base "$i"; run head "$i"; else run head "$i"; run base "$i"; fi
-done
-
-python3 - "$dir/base.$$.jsonl" "$dir/head.$$.jsonl" "$dir/head/BENCHMARK.json" "$claim" <<'EOF'
+summarize() {
+python3 - "$dir/base.$$.jsonl" "$dir/head.$$.jsonl" "$dir/head/BENCHMARK.json" "$claim" "$seed" <<'EOF'
 import json, sys
 
 def load(path):
@@ -94,9 +94,9 @@ base, head = load(sys.argv[1]), load(sys.argv[2])
 end_to_end = json.load(open(sys.argv[3]))["end_to_end"]
 better = {m["name"]: m["better"] for m in end_to_end}
 bound = {m["name"]: m["bound"] for m in end_to_end}
-claim, notes = sys.argv[4], []
+claim, seed, notes, verdicts = sys.argv[4], sys.argv[5], [], []
 bad = [r for r in base + head if not r.get("correct") or r.get("failed")]
-print(f"{len(base)} pairs; runs not correct or with failed ops: {len(bad)}")
+print(f"seed {seed}: {len(base)} pairs; runs not correct or with failed ops: {len(bad)}")
 print(f"{'metric':<16} {'base median [q1, q3]':>36} {'head median [q1, q3]':>36} {'change':>7} {'base IQR':>8} {'wins':>5} {'verdict':>10}")
 for name in base[0]["metrics"]:
     b = [r["metrics"][name]["value"] for r in base]
@@ -120,10 +120,21 @@ for name in base[0]["metrics"]:
             verdict = "unresolved"
         else:
             verdict = "ok"
+        verdicts.append(f"{name} {verdict}")
     print(f"{name:<16} {cell(b):>36} {cell(h):>36} {change:>7} {iqr:>8} {wins:>5} {verdict:>10}")
     if name == claim and verdict != "gain":
         notes.append(f"claim {name}: not shown ({wins} wins, medians {change} apart, base IQR {iqr})")
 for note in notes:
     print(note)
+print(f"seed {seed}: " + "; ".join(verdicts))
 EOF
+}
+
+for seed in "${seed_list[@]}"; do
+  rm -f "$dir"/{base,head}.$$.jsonl
+  for ((i = 0; i < pairs; i++)); do
+    if ((i % 2 == 0)); then run base "$i"; run head "$i"; else run head "$i"; run base "$i"; fi
+  done
+  summarize
+done
 rm -f "$dir"/{base,head}.$$.jsonl

@@ -1,0 +1,111 @@
+//! Allocation budgets of building the namespace and of migrating a
+//! subtree, counted by a global allocator that counts per thread (so the
+//! harness running other tests in parallel adds nothing).
+//!
+//! * `ZipfMix::setup` over 20 000 directories: the parents' child lists
+//!   growing and one interned name per group, ≈ 0.25 allocations per
+//!   directory. A fresh name `String` per leaf adds one per directory.
+//! * `migrate_subtree` of a 17-directory group (a group and its 16
+//!   leaves): the `SubtreeMigration::dirs` list growing, ≈ 4. Walk
+//!   buffers made afresh on every call add about six.
+//!
+//! Each bound is the measured value plus a little headroom.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use mantle_mds::Workload;
+use mantle_namespace::{MdsId, Namespace, NodeId};
+use mantle_workloads::ZipfMix;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts every allocation and reallocation of the calling thread.
+struct Counting;
+
+fn count() {
+    // `try_with`: a thread being torn down still allocates.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; counting touches only a thread-local `Cell`, which neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes on this thread, and what it returns.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+const DIRS: usize = 20_000;
+
+/// A namespace holding `ZipfMix`'s `/zipf/g<k>/d<i>` tree of `DIRS`
+/// leaves, and the allocations its set-up made.
+fn zipf_namespace() -> (u64, Namespace) {
+    let mut ns = Namespace::default();
+    let mut w = ZipfMix::new(1, DIRS, 0, 1.0, 0.5, 1);
+    let (n, ()) = allocations(|| w.setup(&mut ns));
+    (n, ns)
+}
+
+#[test]
+fn namespace_setup_allocates_a_quarter_per_directory() {
+    let (n, ns) = zipf_namespace();
+    let created = ns.dir_count() - 1;
+    assert_eq!(created, DIRS + DIRS / 16 + 1);
+    let per_dir = n as f64 / created as f64;
+    assert!(
+        per_dir <= 0.26,
+        "{per_dir:.3} allocations per directory ({n} for {created})"
+    );
+}
+
+#[test]
+fn a_group_migration_allocates_only_its_region_list() {
+    let (_, mut ns) = zipf_namespace();
+    let top = ns.lookup_child(ns.root(), "zipf").unwrap();
+    let groups: Vec<NodeId> = ns.dir(top).children.clone();
+    // Every group twice, over 8 MDSs: each migration but the first to an
+    // MDS finds its chain already interned, as in a long run.
+    let (mut n, mut moved) = (0, 0);
+    for round in 0..2 {
+        for (g, &group) in groups.iter().enumerate() {
+            let to = (g + round) % 8 + 1;
+            let (a, m) = allocations(|| ns.migrate_subtree(group, to as MdsId));
+            assert_eq!(m.dirs.len(), 17);
+            (n, moved) = (n + a, moved + 1);
+        }
+    }
+    let per_migration = n as f64 / moved as f64;
+    assert!(
+        per_migration <= 4.4,
+        "{per_migration:.2} allocations per migration ({n} for {moved})"
+    );
+}
