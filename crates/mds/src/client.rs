@@ -3,7 +3,7 @@
 //! implement.
 
 use mantle_namespace::{FragId, MdsId, Namespace, NodeId, OpKind};
-use mantle_sim::SimTime;
+use mantle_sim::{SimTime, Summary};
 
 /// One metadata operation a client wants to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,8 +82,8 @@ pub struct ClientState {
     pub stall_until: SimTime,
     /// Completion time of the client's last op (its personal makespan).
     pub finished_at: SimTime,
-    /// Latency samples, ms.
-    pub latencies: Vec<f64>,
+    /// Latency of every completed op, in completion order.
+    pub latencies: LatencyLog,
     /// Sequence number of the newest request attempt; replies and
     /// timeouts carrying an older number are stale and ignored.
     pub seq: u64,
@@ -108,7 +108,7 @@ impl ClientState {
             completed: 0,
             stall_until: SimTime::ZERO,
             finished_at: SimTime::ZERO,
-            latencies: Vec::new(),
+            latencies: LatencyLog::default(),
             seq: 0,
             pending: None,
             attempts: 0,
@@ -116,11 +116,89 @@ impl ClientState {
         }
     }
 
-    /// Record a completed op.
-    pub fn record_completion(&mut self, now: SimTime, latency_ms: f64) {
+    /// Record an op completed at `now` after `latency`.
+    pub fn record_completion(&mut self, now: SimTime, latency: SimTime) {
         self.completed += 1;
         self.finished_at = now;
-        self.latencies.push(latency_ms);
+        self.latencies.push(latency);
+    }
+}
+
+/// A client's op latencies in whole microseconds, the simulation's own
+/// unit: 4 bytes a sample while every sample fits in 32 bits (below
+/// 2³² µs ≈ 71.6 min), 8 bytes from the first that does not, which
+/// widens the log once. Either way the log is exact, and
+/// [`LatencyLog::summary`] reads each sample as the milliseconds
+/// [`SimTime::as_millis_f64`] gives.
+#[derive(Debug, Clone)]
+pub struct LatencyLog(LogRepr);
+
+#[derive(Debug, Clone)]
+enum LogRepr {
+    Narrow(Vec<u32>),
+    Wide(Vec<u64>),
+}
+
+impl Default for LatencyLog {
+    fn default() -> Self {
+        LatencyLog(LogRepr::Narrow(Vec::new()))
+    }
+}
+
+impl LatencyLog {
+    /// Append one latency.
+    pub fn push(&mut self, latency: SimTime) {
+        match &mut self.0 {
+            LogRepr::Narrow(log) => match u32::try_from(latency.0) {
+                Ok(us) => log.push(us),
+                Err(_) => {
+                    let mut wide: Vec<u64> = log.iter().map(|&us| u64::from(us)).collect();
+                    wide.push(latency.0);
+                    self.0 = LogRepr::Wide(wide);
+                }
+            },
+            LogRepr::Wide(log) => log.push(latency.0),
+        }
+    }
+
+    /// Reserve room for exactly `additional` more samples, if it can be
+    /// had.
+    pub(crate) fn try_reserve_exact(&mut self, additional: usize) {
+        let _ = match &mut self.0 {
+            LogRepr::Narrow(log) => log.try_reserve_exact(additional),
+            LogRepr::Wide(log) => log.try_reserve_exact(additional),
+        };
+    }
+
+    /// How many samples the log holds.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            LogRepr::Narrow(log) => log.len(),
+            LogRepr::Wide(log) => log.len(),
+        }
+    }
+
+    /// True when no op has completed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// How many samples fit before the log reallocates.
+    pub fn capacity(&self) -> usize {
+        match &self.0 {
+            LogRepr::Narrow(log) => log.capacity(),
+            LogRepr::Wide(log) => log.capacity(),
+        }
+    }
+
+    /// The summary of the samples in milliseconds.
+    pub fn summary(&self) -> Summary {
+        let ms = |us: u64| SimTime::from_micros(us).as_millis_f64();
+        let samples: Vec<f64> = match &self.0 {
+            LogRepr::Narrow(log) => log.iter().map(|&us| ms(u64::from(us))).collect(),
+            LogRepr::Wide(log) => log.iter().map(|&us| ms(us)).collect(),
+        };
+        Summary::of(&samples)
     }
 }
 
@@ -202,10 +280,47 @@ mod tests {
     #[test]
     fn completion_bookkeeping() {
         let mut c = ClientState::new(3);
-        c.record_completion(SimTime::from_secs(5), 0.8);
-        c.record_completion(SimTime::from_secs(6), 1.2);
+        c.record_completion(SimTime::from_secs(5), SimTime::from_micros(800));
+        c.record_completion(SimTime::from_secs(6), SimTime::from_micros(1_200));
         assert_eq!(c.completed, 2);
         assert_eq!(c.finished_at, SimTime::from_secs(6));
         assert_eq!(c.latencies.len(), 2);
+    }
+
+    /// The summary of the 4-byte log is the summary of the latencies in
+    /// `f64` milliseconds, bit for bit, and stays so once a latency of
+    /// 2³² µs or more widens the log: at 0, 1 µs, 2³² − 1 µs and
+    /// 2³² + k µs, among ordinary draws.
+    #[test]
+    fn the_log_summarizes_as_the_f64_milliseconds_would() {
+        let bits = |s: &Summary| {
+            let fields = [s.mean, s.stddev, s.min, s.p50, s.p95, s.p99, s.max];
+            (s.count, fields.map(f64::to_bits))
+        };
+        let mut rng = mantle_sim::SimRng::new(0x1a7e);
+        let edges = [0, 1, u64::from(u32::MAX)];
+        for wide in [false, true] {
+            for n in [0, 1, 2, 7, 100, 5_000] {
+                let (mut log, mut ms) = (LatencyLog::default(), Vec::new());
+                for i in 0..n {
+                    let us = match rng.below(8) {
+                        0 => edges[rng.below(3) as usize],
+                        1 if wide => (1 << 32) + rng.below(1 << 40),
+                        _ => rng.below(200_000),
+                    };
+                    let us = if wide && i == n / 2 {
+                        (1 << 32) + i as u64
+                    } else {
+                        us
+                    };
+                    log.push(SimTime::from_micros(us));
+                    ms.push(SimTime::from_micros(us).as_millis_f64());
+                }
+                assert_eq!(log.len(), n);
+                let widened = matches!(log.0, LogRepr::Wide(_));
+                assert_eq!(widened, wide && n > 0, "{n} samples");
+                assert_eq!(bits(&log.summary()), bits(&Summary::of(&ms)), "{n} samples");
+            }
+        }
     }
 }

@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use mantle_namespace::{MdsId, Namespace, NsConfig};
 use mantle_policy::env::PolicySet;
-use mantle_sim::{EventQueue, SimRng, SimTime, Summary};
+use mantle_sim::{EventQueue, SimRng, SimTime};
 
 use crate::balancer::{BalanceContext, Balancer, BalancerSet, MigrationPlan};
 use crate::client::Workload;
@@ -540,7 +540,7 @@ fn into_report(co: &Coordinator, world: World) -> (RunReport, Tracer) {
             .map(|c| ClientReport {
                 completed: c.completed,
                 finished_at: c.finished_at,
-                latency: Summary::of(&c.latencies),
+                latency: c.latencies.summary(),
             })
             .collect(),
         sessions_flushed: sessions,

@@ -78,11 +78,10 @@ impl Migrator {
         // moving subtree — not only its root — defer to the thaw.
         let freeze_us = w.cfg.costs.migrate_freeze_us(moved);
         let thaw = now + SimTime::from_micros_f64(freeze_us);
-        w.frozen_until.raise(region, watermark as usize, thaw);
         // The importer's ancestor-prefix replicas need to warm up; the
         // exported subtree's own directories are cold too.
         let warm = now + SimTime::from_micros_f64(w.cfg.costs.prefix_warmup_us);
-        w.cold_until.raise(region, watermark as usize, warm);
+        w.stamps.raise(region, watermark as usize, thaw, warm);
         // Importer and exporter both journal (busy time on each).
         let journal_us = freeze_us / 4.0;
         if w.trace.on() {

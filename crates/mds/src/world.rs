@@ -106,34 +106,51 @@ pub(crate) enum Event {
     Retry(usize),
 }
 
-/// One expiry instant per directory, indexed by `NodeId`: the latest
-/// `until` among the exports whose moved region held the directory.
+/// What the exports that moved a directory stamped on it: the latest
+/// thaw of their freezes, and the latest instant by which their importers
+/// have warmed the ancestor prefix up.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stamp {
+    thaw: SimTime,
+    warm: SimTime,
+}
+
+/// One [`Stamp`] per directory, indexed by `NodeId`: each half the latest
+/// among the exports whose moved region held the directory.
 ///
 /// The namespace only grows — no rename, no rmdir — so which directories
 /// an export moved is settled when it is applied, and
-/// [`crate::migration`] stamps each of them then. A lookup is one load
-/// and one compare, however many migrations are live, and a lapsed stamp
-/// needs no purge: it compares as "not covered". A directory past the
-/// vector's end was created after the last export, so no region holds it,
-/// and it reads as [`SimTime::ZERO`].
+/// [`crate::migration`] stamps each of them then. A request reads both
+/// halves with one load, however many migrations are live, and a lapsed
+/// stamp needs no purge: it compares as "not covered". A directory past
+/// the vector's end was created after the last export, so no region holds
+/// it, and both its halves read as [`SimTime::ZERO`].
 #[derive(Debug, Default)]
-pub(crate) struct DirStamps(Vec<SimTime>);
+pub(crate) struct DirStamps(Vec<Stamp>);
 
 impl DirStamps {
-    fn get(&self, d: NodeId) -> SimTime {
-        self.0.get(d.0 as usize).copied().unwrap_or(SimTime::ZERO)
+    fn get(&self, d: NodeId) -> Stamp {
+        self.0.get(d.0 as usize).copied().unwrap_or_default()
     }
 
-    /// Stamp `until` on each of `dirs`, keeping a later stamp already
-    /// there. `dir_count` is the namespace's current size: the vector
-    /// follows directories created since the last export.
-    pub(crate) fn raise(&mut self, dirs: &[NodeId], dir_count: usize, until: SimTime) {
+    /// Stamp `thaw` and `warm` on each of `dirs`, keeping a later instant
+    /// already there in either half. `dir_count` is the namespace's
+    /// current size: the vector follows directories created since the
+    /// last export.
+    pub(crate) fn raise(
+        &mut self,
+        dirs: &[NodeId],
+        dir_count: usize,
+        thaw: SimTime,
+        warm: SimTime,
+    ) {
         if self.0.len() < dir_count {
-            self.0.resize(dir_count, SimTime::ZERO);
+            self.0.resize(dir_count, Stamp::default());
         }
         for d in dirs {
             let stamp = &mut self.0[d.0 as usize];
-            *stamp = (*stamp).max(until);
+            stamp.thaw = stamp.thaw.max(thaw);
+            stamp.warm = stamp.warm.max(warm);
         }
     }
 }
@@ -193,11 +210,10 @@ pub(crate) struct World {
     pub(crate) slow_factor: Vec<f64>,
     pub(crate) slow_until: Vec<SimTime>,
     /// Per directory, the latest thaw of a two-phase-commit migration
-    /// that moved it; a request arriving before it defers to it.
-    pub(crate) frozen_until: DirStamps,
-    /// Per directory, when its newest authority will have warmed up its
-    /// ancestor prefix replicas.
-    pub(crate) cold_until: DirStamps,
+    /// that moved it (a request arriving before it defers to it), and
+    /// when its newest authority will have warmed up its ancestor prefix
+    /// replicas.
+    pub(crate) stamps: DirStamps,
     /// Proxy-tier caches, one per client group ([`crate::config::CacheConfig`]).
     /// Hits touch, completions fill and writes invalidate, each as its
     /// event runs. Empty when the cache is disabled.
@@ -252,7 +268,7 @@ impl World {
         // A hint too large to reserve is ignored: the log grows instead.
         let hint = usize::try_from(workload.ops_per_client_hint().unwrap_or(0));
         for c in &mut clients {
-            let _ = c.latencies.try_reserve_exact(hint.unwrap_or(usize::MAX));
+            c.latencies.try_reserve_exact(hint.unwrap_or(usize::MAX));
         }
         let initial_members = cfg.elastic.initial(n);
         // Proxy-tier caches: one LRU per client group. Empty when
@@ -271,8 +287,7 @@ impl World {
             member: (0..n).map(|m| m < initial_members).collect(),
             slow_factor: vec![1.0; n],
             slow_until: vec![SimTime::ZERO; n],
-            frozen_until: DirStamps::default(),
-            cold_until: DirStamps::default(),
+            stamps: DirStamps::default(),
             caches,
             queue: EventQueue::new(),
             workload,
@@ -309,14 +324,16 @@ impl World {
 
     /// The latest thaw among the migrations still freezing `d` at `now`,
     /// if any.
+    #[cfg(test)]
     pub(crate) fn frozen_until(&self, d: NodeId, now: SimTime) -> Option<SimTime> {
-        let thaw = self.frozen_until.get(d);
+        let thaw = self.stamps.get(d).thaw;
         (thaw > now).then_some(thaw)
     }
 
     /// Is `d`'s authority still warming up its prefix replicas at `now`?
+    #[cfg(test)]
     pub(crate) fn in_cold(&self, d: NodeId, now: SimTime) -> bool {
-        self.cold_until.get(d) > now
+        self.stamps.get(d).warm > now
     }
 
     // -- keys ------------------------------------------------------------
@@ -563,8 +580,8 @@ impl World {
             return;
         }
         client.pending = None;
-        let latency_ms = (now - req.issued).as_millis_f64();
-        client.record_completion(now, latency_ms);
+        let latency = now - req.issued;
+        client.record_completion(now, latency);
         self.routes.learn(req.client, req.op.dir, mds);
         if self.live {
             self.completions.push(crate::service::LiveCompletion {
@@ -573,7 +590,7 @@ impl World {
                 kind: req.op.kind,
                 dir: req.op.dir,
                 at: now,
-                latency_ms,
+                latency_ms: latency.as_millis_f64(),
             });
         }
         self.client_next(req.client, now);
@@ -607,15 +624,16 @@ impl World {
                 .emit(now, || TraceEvent::HashPin { dir, mds: target });
         }
         // Frozen subtree (mid-migration): the request waits for the thaw.
-        if let Some(thaw) = self.frozen_until(req.op.dir, now) {
+        let stamp = self.stamps.get(dir);
+        if stamp.thaw > now {
             self.trace.emit_data(now, || TraceEvent::Deferred {
                 mds,
-                dir: req.op.dir,
-                until: thaw,
+                dir,
+                until: stamp.thaw,
             });
             let key = self.mds_key(mds);
             self.queue
-                .schedule_at_key(thaw, key, Event::Arrive { mds, req });
+                .schedule_at_key(stamp.thaw, key, Event::Arrive { mds, req });
             return;
         }
         let frag = req.frag.min(self.ns.dir(req.op.dir).frags.len() - 1);
@@ -659,7 +677,7 @@ impl World {
         // Path traversal: right after an import the serving MDS has not
         // yet replicated the directory's ancestor prefix, so traversals
         // resolve remotely (and, once warm, locally again).
-        if self.in_cold(req.op.dir, now) {
+        if stamp.warm > now {
             if self.ns.dir(req.op.dir).parent.is_some() {
                 base *= 1.0 + REMOTE_PREFIX_PENALTY;
                 self.counters[mds].report.remote_prefix += 1;

@@ -26,7 +26,7 @@ pub mod heat;
 pub mod tree;
 pub mod types;
 
-pub use heat::{FragHeat, HeatSample};
+pub use heat::{DecayRate, DecayTable, FragHeat, HeatSample};
 pub use tree::{
     Dir, Frag, FragId, FragRef, IndexMode, Namespace, NsConfig, SplitEvent, SubtreeMigration,
 };

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use mantle_sim::SimTime;
 
-use crate::heat::{FragHeat, HeatSample};
+use crate::heat::{DecayTable, FragHeat, HeatSample};
 use crate::types::{MdsId, NodeId, OpKind};
 
 /// Namespace configuration.
@@ -291,6 +291,9 @@ pub struct SubtreeMigration {
 #[derive(Debug, Clone)]
 pub struct Namespace {
     cfg: NsConfig,
+    /// The decay factors of `cfg.decay_half_life`, which every counter
+    /// in the namespace decays by.
+    decay: DecayTable,
     dirs: Vec<Dir>,
     names: Names,
     chains: Chains,
@@ -373,6 +376,7 @@ impl Namespace {
             names,
             chains,
             child_index: HashMap::new(),
+            decay: DecayTable::new(cfg.decay_half_life),
             cfg,
             agg: LoadAggregates::default(),
             clock: SimTime::ZERO,
@@ -543,13 +547,14 @@ impl Namespace {
         now: SimTime,
     ) -> (FragId, Option<SplitEvent>) {
         let frag_id = frag.min(self.dir(id).frags.len() - 1);
-        let (half_life, threshold) = (self.cfg.decay_half_life, self.cfg.frag_split_threshold);
+        let threshold = self.cfg.frag_split_threshold;
         self.touch(now);
         self.mark_warm(id);
+        let decay = &self.decay;
         {
-            let d = self.dir_mut(id);
-            d.frags[frag_id].heat.record(op, now, half_life);
-            d.subtree_heat.record(op, now, half_life);
+            let d = &mut self.dirs[id.0 as usize];
+            d.frags[frag_id].heat.record(op, now, decay);
+            d.subtree_heat.record(op, now, decay);
             let f = &mut d.frags[frag_id];
             let was_over = f.files > threshold;
             if op == OpKind::Create {
@@ -571,18 +576,18 @@ impl Namespace {
             .auth
             .unwrap_or(self.dirs[idx].auth_cache.auth);
         self.agg.ensure(auth);
-        self.agg.auth[auth].record(op, now, half_life);
+        self.agg.auth[auth].record(op, now, decay);
         for &rep in self.chains.get(self.dirs[idx].auth_cache.chain) {
             if rep != auth {
                 self.agg.ensure(rep);
-                self.agg.replica[rep].record(op, now, half_life);
+                self.agg.replica[rep].record(op, now, decay);
             }
         }
         // Roll up to every ancestor without materializing the chain.
         let mut anc = self.dirs[id.0 as usize].parent;
         while let Some(a) = anc {
             let d = &mut self.dirs[a.0 as usize];
-            d.subtree_heat.record(op, now, half_life);
+            d.subtree_heat.record(op, now, decay);
             anc = d.parent;
         }
         (frag_id, self.maybe_split(id, now))
@@ -716,10 +721,9 @@ impl Namespace {
                 self.frag_over[a].remove(&(id, i));
             }
         }
-        let half_life = self.cfg.decay_half_life;
-        let frags = self.dir_mut(id).frags.spill();
+        let frags = self.dirs[id.0 as usize].frags.spill();
         let mut old = frags.remove(frag);
-        let mut heats = old.heat.split(now, ways, half_life);
+        let mut heats = old.heat.split(now, ways, &self.decay);
         let files_each = old.files / ways as u64;
         let mut remainder = old.files % ways as u64;
         for _ in 0..ways {
@@ -794,23 +798,21 @@ impl Namespace {
         let chain = self.chains.get(cache.chain);
         let in_chain_old = chain.contains(&eff_old);
         let in_chain_new = chain.contains(&eff_new);
-        let (clock, half_life) = (self.clock, self.cfg.decay_half_life);
-        let h = self.dirs[id.0 as usize].frags[frag]
-            .heat
-            .peek(clock, half_life);
+        let (clock, decay) = (self.clock, &self.decay);
+        let h = self.dirs[id.0 as usize].frags[frag].heat.peek(clock, decay);
         if h == HeatSample::default() {
             return;
         }
         self.agg.ensure(eff_old.max(eff_new));
-        self.agg.auth[eff_old].add_sample(&h, clock, -1.0, half_life);
-        self.agg.auth[eff_new].add_sample(&h, clock, 1.0, half_life);
+        self.agg.auth[eff_old].add_sample(&h, clock, -1.0, decay);
+        self.agg.auth[eff_new].add_sample(&h, clock, 1.0, decay);
         if in_chain_old {
             // Was the authority, now a mere prefix replica.
-            self.agg.replica[eff_old].add_sample(&h, clock, 1.0, half_life);
+            self.agg.replica[eff_old].add_sample(&h, clock, 1.0, decay);
         }
         if in_chain_new {
             // Was a prefix replica, now the authority.
-            self.agg.replica[eff_new].add_sample(&h, clock, -1.0, half_life);
+            self.agg.replica[eff_new].add_sample(&h, clock, -1.0, decay);
         }
     }
 
@@ -968,7 +970,7 @@ impl Namespace {
             _ => false,
         };
         self.dirs[id.0 as usize].auth = new_auth;
-        let (clock, half_life) = (self.clock, self.cfg.decay_half_life);
+        let clock = self.clock;
 
         let mut inodes = 0u64;
         let mut holes = Vec::new();
@@ -1033,14 +1035,14 @@ impl Namespace {
                     self.frag_over[a].remove(&(x, f));
                     self.dirs[xi].frags[f].auth = None;
                 }
-                let h = self.dirs[xi].frags[f].heat.peek(clock, half_life);
+                let h = self.dirs[xi].frags[f].heat.peek(clock, &self.decay);
                 if h == HeatSample::default() {
                     continue;
                 }
                 if eff_old != eff_new {
                     self.agg.ensure(eff_old.max(eff_new));
-                    self.agg.auth[eff_old].add_sample(&h, clock, -1.0, half_life);
-                    self.agg.auth[eff_new].add_sample(&h, clock, 1.0, half_life);
+                    self.agg.auth[eff_old].add_sample(&h, clock, -1.0, &self.decay);
+                    self.agg.auth[eff_new].add_sample(&h, clock, 1.0, &self.decay);
                 }
                 // Replica membership can only change for the old/new
                 // override holders; the authority-exclusion can only flip
@@ -1072,7 +1074,7 @@ impl Namespace {
                     if was != is {
                         self.agg.ensure(r);
                         let sign = if is { 1.0 } else { -1.0 };
-                        self.agg.replica[r].add_sample(&h, clock, sign, half_life);
+                        self.agg.replica[r].add_sample(&h, clock, sign, &self.decay);
                     }
                 }
             }
@@ -1108,15 +1110,17 @@ impl Namespace {
     /// Sample a fragment's heat at `now`.
     pub fn frag_heat(&mut self, id: NodeId, frag: FragId, now: SimTime) -> HeatSample {
         self.touch(now);
-        let half_life = self.cfg.decay_half_life;
-        self.dir_mut(id).frags[frag].heat.sample(now, half_life)
+        self.dirs[id.0 as usize].frags[frag]
+            .heat
+            .sample(now, &self.decay)
     }
 
     /// Sample a directory's rolled-up subtree heat at `now` (Fig. 1).
     pub fn subtree_heat(&mut self, id: NodeId, now: SimTime) -> HeatSample {
         self.touch(now);
-        let half_life = self.cfg.decay_half_life;
-        self.dir_mut(id).subtree_heat.sample(now, half_life)
+        self.dirs[id.0 as usize]
+            .subtree_heat
+            .sample(now, &self.decay)
     }
 
     /// Per-MDS decayed heat totals at `now`, for MDS ids `0..num_mds`:
@@ -1136,12 +1140,12 @@ impl Namespace {
         if num_mds > 0 {
             self.agg.ensure(num_mds - 1);
         }
-        let half_life = self.cfg.decay_half_life;
+        let (agg, decay) = (&mut self.agg, &self.decay);
         let auth = (0..num_mds)
-            .map(|m| self.agg.auth[m].sample(now, half_life))
+            .map(|m| agg.auth[m].sample(now, decay))
             .collect();
         let replica = (0..num_mds)
-            .map(|m| self.agg.replica[m].sample(now, half_life))
+            .map(|m| agg.replica[m].sample(now, decay))
             .collect();
         (auth, replica)
     }

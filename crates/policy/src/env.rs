@@ -636,14 +636,25 @@ impl MdsImage {
 /// `targets[1..=n]` as the decision script left them: a negative load counts
 /// as 0, a string is coerced as arithmetic would coerce it, and anything
 /// that is not a number then — untouched slots above all — counts as 0.
+/// Only the slots the script wrote are read; an empty table reads nothing.
 fn read_targets(targets: &Table, n: usize) -> Vec<f64> {
-    (1..=n as i64)
-        .map(|i| match targets.get_int(i) {
-            Value::Number(v) => v.max(0.0),
-            v @ Value::Str(_) => v.as_number(0).map_or(0.0, |v| v.max(0.0)),
-            _ => 0.0,
-        })
-        .collect()
+    let mut loads = vec![0.0; n];
+    if targets.is_empty() {
+        return loads;
+    }
+    for (i, v) in targets.int_entries() {
+        let slot = usize::try_from(i)
+            .ok()
+            .and_then(|i| loads.get_mut(i.checked_sub(1)?));
+        if let Some(slot) = slot {
+            *slot = match v {
+                Value::Number(v) => v.max(0.0),
+                v @ Value::Str(_) => v.as_number(0).map_or(0.0, |v| v.max(0.0)),
+                _ => 0.0,
+            };
+        }
+    }
+    loads
 }
 
 /// What one MDS owns of a running policy.
@@ -976,6 +987,52 @@ impl MantleRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `read_targets` reads what probing every slot `1..=n` read, bit for
+    /// bit, over random tables: holes, negative loads, numeric and other
+    /// strings, non-numbers, string keys, and keys at or below 0 and
+    /// above `n`.
+    #[test]
+    fn read_targets_matches_probing_every_slot() {
+        let probed = |t: &Table, n: usize| -> Vec<f64> {
+            (1..=n as i64)
+                .map(|i| match t.get_int(i) {
+                    Value::Number(v) => v.max(0.0),
+                    v @ Value::Str(_) => v.as_number(0).map_or(0.0, |v| v.max(0.0)),
+                    _ => 0.0,
+                })
+                .collect()
+        };
+        let mut rng = crate::test_rng::Rng(0x7a59);
+        let strs = ["12", " 3.5 ", "-4", "0x10", "1e3", "abc", "", "nan"];
+        for case in 0..2_000 {
+            let n = rng.below(12) as usize;
+            let mut t = Table::new();
+            for _ in 0..rng.below(24) {
+                let value = match rng.below(8) {
+                    0 => Value::Nil,
+                    1 => Value::Bool(rng.below(2) == 0),
+                    2 => Value::str(strs[rng.below(strs.len() as u64) as usize]),
+                    3 => Value::table(Table::new()),
+                    4 => Value::num(-rng.f64()),
+                    _ => Value::num(rng.f64()),
+                };
+                if rng.below(8) == 0 {
+                    t.set(Key::Str(Rc::from("n")), value);
+                } else if rng.below(16) == 0 {
+                    t.set_int([i64::MIN, i64::MAX][rng.below(2) as usize], value);
+                } else {
+                    t.set_int(rng.below(n as u64 + 6) as i64 - 2, value);
+                }
+            }
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(read_targets(&t, n)),
+                bits(probed(&t, n)),
+                "case {case}"
+            );
+        }
+    }
 
     fn metrics(loads: &[f64]) -> Vec<MdsMetrics> {
         loads

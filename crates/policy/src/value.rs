@@ -365,6 +365,17 @@ impl Table {
     pub fn to_vec(&self) -> Vec<Value> {
         self.array.clone()
     }
+
+    /// Every integer-keyed entry, each key once: the array part's keys
+    /// `1..=len` in order, then the hash part's in no set order.
+    pub(crate) fn int_entries(&self) -> impl Iterator<Item = (i64, &Value)> {
+        let array = (1..).zip(&self.array);
+        let map = self.map.iter().filter_map(|(k, v)| match k {
+            Key::Int(i) => Some((*i, v)),
+            Key::Str(_) => None,
+        });
+        array.chain(map)
+    }
 }
 
 impl fmt::Debug for Table {

@@ -4,12 +4,22 @@
 //! applications" generalization the paper's intro motivates, used by the
 //! ablation benches to study balancers under skew that is *not* one of the
 //! two extremes (one shared directory vs perfectly separate directories).
+//!
+//! A draw is an inverse-CDF lookup through a bucket index of at most
+//! 2¹⁴ + 1 bounds (64 KiB), which answers most head draws without reading
+//! the CDF and walks a few ranks for the rest; it selects exactly what a
+//! binary search over the CDF selects (`ZipfMix::index_of`).
 
 use std::fmt::Write;
 
 use mantle_mds::{ClientOp, Workload};
 use mantle_namespace::{Namespace, NodeId, OpKind};
 use mantle_sim::{SimRng, SimTime};
+
+/// Most buckets the draw index has. Their `2¹⁴ + 1` bounds are 64 KiB, so
+/// they stay in cache between draws; at 100 000 directories most draws
+/// (the head's) land in a bucket inside one rank and touch nothing else.
+const MAX_BUCKETS: usize = 1 << 14;
 
 /// Clients issue a mix of metadata ops over a flat population of
 /// directories whose popularity follows a Zipf distribution.
@@ -23,13 +33,12 @@ pub struct ZipfMix {
     nodes: Vec<NodeId>,
     /// Cumulative Zipf weights for sampling.
     cdf: Vec<f64>,
-    /// Guide table over `cdf`, `K = dirs.next_power_of_two()` entries:
-    /// `guide[b]` is the first index whose `cdf` is ≥ `b / K` (at most
-    /// the last index). A draw `u` starts at `guide[⌊u·K⌋]` and steps
-    /// forward, at most `1 + dirs/K ≤ 2` steps in expectation (Chen and
-    /// Asau's guide table), where a binary search took ⌈log₂ dirs⌉
-    /// dependent probes.
-    guide: Vec<u32>,
+    /// Bucket index over `cdf`, `T + 1` bounds for `T` equal buckets of
+    /// `[0, 1)` (`T` a power of two, at most [`MAX_BUCKETS`]):
+    /// `bounds[t]` is the first index whose `cdf` is ≥ `t / T` (at most
+    /// the last index). A draw in bucket `t` selects an index in
+    /// `bounds[t] ..= bounds[t + 1]` (see [`ZipfMix::index_of`]).
+    bounds: Vec<u32>,
     rngs: Vec<SimRng>,
 }
 
@@ -59,15 +68,15 @@ impl ZipfMix {
         }
         // One pass: `cdf` is non-decreasing, so each bucket's first index
         // is at or after the previous bucket's.
-        let (k, last) = (dirs.next_power_of_two(), dirs - 1);
-        let mut guide = Vec::with_capacity(k);
+        let (buckets, last) = (dirs.next_power_of_two().min(MAX_BUCKETS), dirs - 1);
+        let mut bounds = Vec::with_capacity(buckets + 1);
         let mut i = 0;
-        for b in 0..k {
-            let lo = b as f64 / k as f64;
+        for t in 0..=buckets {
+            let lo = t as f64 / buckets as f64;
             while i < last && cdf[i] < lo {
                 i += 1;
             }
-            guide.push(i as u32);
+            bounds.push(i as u32);
         }
         let master = SimRng::new(seed);
         ZipfMix {
@@ -78,7 +87,7 @@ impl ZipfMix {
             issued: vec![0; clients],
             nodes: Vec::new(),
             cdf,
-            guide,
+            bounds,
             rngs: (0..clients)
                 .map(|c| master.stream_n("zipf-client", c))
                 .collect(),
@@ -104,14 +113,34 @@ impl ZipfMix {
     }
 
     /// The population index a uniform draw `u ∈ [0, 1)` selects: the first
-    /// whose `cdf` is ≥ `u`, or the last. `K` is a power of two, so `u·K`
-    /// and every `b / K` are exact, and `guide[⌊u·K⌋]` is never past the
-    /// answer: the walk from it is exactly a binary search's result.
+    /// whose `cdf` is ≥ `u`, or the last — exactly what a binary search
+    /// selects.
+    ///
+    /// `T` is a power of two, so `u·T` and every `t / T` are exact, and a
+    /// draw in bucket `t = ⌊u·T⌋` has `t / T ≤ u < (t + 1) / T`. Every
+    /// index below `lo = bounds[t]` has `cdf < t / T ≤ u`, and
+    /// `hi = bounds[t + 1]` has `cdf ≥ (t + 1) / T > u` or is the last,
+    /// so the answer lies in `lo ..= hi`. When `lo == hi` that is the
+    /// answer, and `cdf` is not read. Otherwise the walk starts where `u`
+    /// falls between the bucket's ends, on the answer's cache line or
+    /// near it, and steps up while `cdf` is below `u`, or down while the
+    /// index below still has `cdf ≥ u`.
     fn index_of(&self, u: f64) -> usize {
-        let last = self.cdf.len() - 1;
-        let mut i = self.guide[(u * self.guide.len() as f64) as usize] as usize;
-        while i < last && self.cdf[i] < u {
-            i += 1;
+        let x = u * (self.bounds.len() - 1) as f64;
+        let t = x as usize;
+        let (lo, hi) = (self.bounds[t] as usize, self.bounds[t + 1] as usize);
+        if lo == hi {
+            return lo;
+        }
+        let mut i = lo + ((x - t as f64) * (hi - lo) as f64) as usize;
+        if self.cdf[i] < u {
+            while i < hi && self.cdf[i] < u {
+                i += 1;
+            }
+        } else {
+            while i > lo && self.cdf[i - 1] >= u {
+                i -= 1;
+            }
         }
         i
     }
@@ -225,22 +254,24 @@ mod tests {
         }
     }
 
-    /// The guide table selects exactly what a binary search over the CDF
-    /// selects: at random draws, at every bucket boundary `b / K`, at
+    /// The bucket index selects exactly what a binary search over the
+    /// CDF selects: at random draws, at every bucket boundary `t / T`, at
     /// every CDF value and the float just below it, and at the largest
-    /// draw the generator can make, `1 − 2⁻⁵³`. 10⁶ random draws in all.
+    /// draw the generator can make, `1 − 2⁻⁵³`. Populations above
+    /// `MAX_BUCKETS` put many ranks in one bucket. 10⁶ random draws in all.
     #[test]
-    fn guide_table_matches_binary_search() {
-        const DIRS: [usize; 6] = [1, 2, 3, 17, 1_000, 100_000];
+    fn bucket_index_matches_binary_search() {
+        const DIRS: [usize; 8] = [1, 2, 3, 17, 1_000, 16_384, 40_000, 100_000];
         const EXPONENTS: [f64; 3] = [0.0, 1.1, 2.0];
         const DRAWS: usize = 1_000_000 / (DIRS.len() * EXPONENTS.len()) + 1;
         let mut rng = SimRng::new(0x6a1d);
+        let mut walked = 0;
         for dirs in DIRS {
             for exponent in EXPONENTS {
                 let w = ZipfMix::new(1, dirs, 0, exponent, 0.5, 1);
-                let (k, last) = (w.guide.len(), w.cdf.len() - 1);
-                assert_eq!(k, dirs.next_power_of_two());
-                let check = |u: f64| {
+                let (buckets, last) = (w.bounds.len() - 1, w.cdf.len() - 1);
+                assert_eq!(buckets, dirs.next_power_of_two().min(MAX_BUCKETS));
+                let mut check = |u: f64| {
                     if (0.0..1.0).contains(&u) {
                         let searched = w.cdf.partition_point(|&c| c < u).min(last);
                         assert_eq!(
@@ -248,13 +279,15 @@ mod tests {
                             searched,
                             "{dirs} dirs, s = {exponent}, u = {u:e}"
                         );
+                        let t = (u * buckets as f64) as usize;
+                        walked += usize::from(w.bounds[t] != w.bounds[t + 1]);
                     }
                 };
                 for _ in 0..DRAWS {
                     check(rng.f64());
                 }
-                for b in 0..k {
-                    check(b as f64 / k as f64);
+                for t in 0..buckets {
+                    check(t as f64 / buckets as f64);
                 }
                 for &c in &w.cdf {
                     check(c);
@@ -263,6 +296,7 @@ mod tests {
                 check(1.0 - f64::EPSILON / 2.0);
             }
         }
+        assert!(walked > 500_000, "{walked} draws walked a bucket");
     }
 
     #[test]

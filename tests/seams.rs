@@ -260,8 +260,8 @@ const GUARDS: &[Guard] = &[
         allowed: &[],
         scope: Scope::All,
         why: "a second heat type or a second walk of a migrated region is back: the decay \
-              rule lives in namespace::FragHeat, which takes the namespace's one half life as \
-              an argument, and an export's directory list is the one its migration walk \
+              rule lives in namespace::FragHeat, which takes the namespace's one decay table \
+              (or its half life) as an argument, and an export's directory list is the one its migration walk \
               returns (SubtreeMigration::dirs)",
     },
     Guard {
@@ -287,8 +287,9 @@ const GUARDS: &[Guard] = &[
         paths: &["crates/workloads/src/zipf.rs"],
         allowed: &[],
         scope: Scope::NonTest,
-        why: "ZipfMix samples through a binary search again: a draw starts at its guide-table \
-              bucket and steps forward; the binary search is the test oracle",
+        why: "ZipfMix samples through a binary search again: a draw's bucket bounds hold its \
+              answer, and a walk from where it falls between them finds it; the binary search \
+              is the test oracle",
     },
     Guard {
         names: &["Interpreter"],
