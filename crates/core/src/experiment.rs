@@ -302,7 +302,7 @@ pub fn run_experiment(spec: &Experiment) -> RunReport {
 }
 
 /// Run one experiment with a trace sink attached, returning the report
-/// together with the captured event stream and timeline.
+/// together with the captured event stream.
 pub fn run_experiment_traced(
     spec: &Experiment,
     level: mantle_mds::TraceLevel,

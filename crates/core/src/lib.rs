@@ -56,7 +56,7 @@ pub mod prelude {
     pub use mantle_mds::{
         assert_invariants, check_trace, Balancer, CacheConfig, CephfsBalancer, Cluster,
         ClusterConfig, ElasticConfig, FaultEvent, FaultKind, FaultPlan, MantleBalancer, RunReport,
-        Timeline, TraceBuffer, TraceEvent, TraceLevel, TraceRecord, Violation,
+        TraceBuffer, TraceEvent, TraceLevel, TraceRecord, Violation,
     };
     pub use mantle_namespace::{Namespace, NodeId, NsConfig, OpKind};
     pub use mantle_policy::env::PolicySet;

@@ -55,7 +55,7 @@ pub fn fig4_unpredictable(opts: ReproOpts) -> String {
         out.push_str(&per_mds_timeline(r));
     }
     let makespans: Vec<f64> = reports.iter().map(|r| r.makespan.as_mins_f64()).collect();
-    let s = Summary::of(&makespans);
+    let s = Summary::of(makespans);
     out.push_str(&format!(
         "\nmakespan spread across identical runs: {} – {} min (stddev {} min)\n",
         f(s.min, 2),
@@ -94,7 +94,7 @@ pub fn fig5_saturation(opts: ReproOpts) -> String {
             .iter()
             .map(|c| c.latency.p99)
             .fold(0.0_f64, f64::max);
-        let lat = Summary::of(&lat_means);
+        let lat = Summary::of(lat_means);
         let rate = r.mean_throughput();
         rates.push(rate);
         t.row([
@@ -104,7 +104,7 @@ pub fn fig5_saturation(opts: ReproOpts) -> String {
             f(lat_p99, 3),
             f(
                 Summary::of(
-                    &r.clients
+                    r.clients
                         .iter()
                         .map(|c| c.latency.stddev)
                         .collect::<Vec<_>>(),

@@ -198,7 +198,7 @@ impl LatencyLog {
             LogRepr::Narrow(log) => log.iter().map(|&us| ms(u64::from(us))).collect(),
             LogRepr::Wide(log) => log.iter().map(|&us| ms(us)).collect(),
         };
-        Summary::of(&samples)
+        Summary::of(samples)
     }
 }
 

@@ -191,22 +191,13 @@ impl Coordinator {
         self.membership.accrue(now, w.members());
         // 1. Every MDS packages up its metrics ("send HB").
         let heartbeats = self.hb.snapshot(w, &self.policy, now);
-        // Timeline + tick record before the windows roll, so the sampled
-        // queue depth / throughput are the ones the balancers will act on.
-        if let Some(timeline) = w.trace.timeline() {
-            for (m, hb) in heartbeats.iter().enumerate() {
-                let c = &w.counters[m];
-                timeline.sample(
-                    now,
-                    m,
-                    hb.auth_metaload,
-                    c.queued as f64,
-                    c.window_ops as f64,
-                );
-            }
-            let loads: Vec<f64> = heartbeats.iter().map(|h| h.auth_metaload).collect();
-            w.trace.emit(now, || TraceEvent::HeartbeatTick { loads });
-        }
+        // The tick record before the windows roll, so its queue depth and
+        // window ops are the ones the balancers will act on.
+        w.trace.emit(now, || TraceEvent::HeartbeatTick {
+            loads: heartbeats.iter().map(|h| h.auth_metaload).collect(),
+            queued: w.counters.iter().map(|c| c.queued).collect(),
+            window_ops: w.counters.iter().map(|c| c.window_ops).collect(),
+        });
         // 2. Roll the measurement windows (cache tallies roll with them).
         for c in &mut w.counters {
             c.roll_window();
@@ -385,7 +376,7 @@ impl Cluster {
     }
 
     /// Run to completion with a trace sink at `level` attached, returning
-    /// the report together with the captured event stream and timeline.
+    /// the report together with the captured event stream.
     pub fn run_traced(self, level: TraceLevel) -> (RunReport, TraceBuffer) {
         let (report, _, buffer) = self.run_inner(Some(level), None);
         (report, buffer.expect("a level was given"))
@@ -432,7 +423,7 @@ impl Cluster {
         let Cluster { mut co, mut world } = self;
         let w = &mut world;
         if let Some(level) = trace {
-            w.trace = Tracer::new(Some(level), &w.cfg);
+            w.trace = Tracer::new(Some(level));
             w.trace.preamble(&w.cfg, &w.ns);
         }
         w.live = pump.is_some();

@@ -455,18 +455,22 @@ impl Checker {
                     );
                 }
             }
-            TraceEvent::HeartbeatTick { loads } => {
-                if loads.len() != self.num_mds {
-                    self.flag(
-                        i,
-                        at,
-                        "structure",
-                        format!(
-                            "tick carries {} loads for {} MDSs",
-                            loads.len(),
-                            self.num_mds
-                        ),
-                    );
+            TraceEvent::HeartbeatTick {
+                loads,
+                queued,
+                window_ops,
+            } => {
+                let lens = [
+                    ("loads", loads.len()),
+                    ("queued", queued.len()),
+                    ("window_ops", window_ops.len()),
+                ];
+                for (field, len) in lens {
+                    if len != self.num_mds {
+                        let detail =
+                            format!("tick carries {len} {field} for {} MDSs", self.num_mds);
+                        self.flag(i, at, "structure", detail);
+                    }
                 }
             }
             TraceEvent::BalancerTick { mds } | TraceEvent::BalancerPlan { mds, .. } => {
@@ -1472,6 +1476,8 @@ mod tests {
                 1,
                 TraceEvent::HeartbeatTick {
                     loads: vec![3.0, 0.0],
+                    queued: vec![1, 0],
+                    window_ops: vec![1, 0],
                 },
             ),
             rec(
@@ -1662,6 +1668,23 @@ mod tests {
         *inodes += 1;
         let v = check_trace(&t);
         assert!(v.iter().any(|v| v.rule == "inode-conservation"), "{v:?}");
+    }
+
+    #[test]
+    fn short_tick_gauges_are_flagged() {
+        let structure = |t: &[TraceRecord]| {
+            check_trace(t)
+                .into_iter()
+                .filter(|v| v.rule == "structure")
+                .count()
+        };
+        let mut t = healthy();
+        assert_eq!(structure(&t), 0);
+        let TraceEvent::HeartbeatTick { queued, .. } = &mut t[7].event else {
+            panic!("record 7 is the tick");
+        };
+        queued.pop();
+        assert_eq!(structure(&t), 1, "one MDS's queue depth is missing");
     }
 
     #[test]

@@ -66,5 +66,5 @@ pub use mantle_sim::SchedulerKind;
 pub use report::RunReport;
 pub use selector::{select_best, DirfragSelector};
 pub use service::{LiveCompletion, LiveService, ServiceEvent, ServiceHandle};
-pub use trace::{Timeline, TraceBuffer, TraceEvent, TraceLevel, TraceRecord};
+pub use trace::{TraceBuffer, TraceEvent, TraceLevel, TraceRecord};
 pub use world::{ExecStats, ShardStats};

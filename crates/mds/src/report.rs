@@ -225,7 +225,7 @@ impl RunReport {
             .filter(|c| c.latency.count > 0)
             .map(|c| c.latency.mean)
             .collect();
-        Summary::of(&all)
+        Summary::of(all)
     }
 
     /// Mean of the per-client makespans, minutes.
@@ -248,7 +248,7 @@ impl RunReport {
             .iter()
             .map(|c| c.finished_at.as_mins_f64())
             .collect();
-        Summary::of(&xs).stddev
+        Summary::of(xs).stddev
     }
 }
 

@@ -23,14 +23,12 @@
 //! Adding an event is one edit to that declaration plus its rule in
 //! [`crate::invariants`].
 //!
-//! Both the event stream and the per-tick [`Timeline`] (per-MDS load,
-//! queue depth, throughput on [`mantle_sim::TimeSeries`] buckets)
-//! serialize to JSONL with no external dependencies; the encoding is
-//! deterministic for fixed-seed runs, so traces can be snapshot-tested
-//! byte-for-byte.
+//! The stream serializes to JSONL with no external dependencies; the
+//! encoding is deterministic for fixed-seed runs, so traces can be
+//! snapshot-tested byte-for-byte.
 
 use mantle_namespace::{FragId, MdsId, NodeId, OpKind};
-use mantle_sim::{json, SimTime, TimeSeries};
+use mantle_sim::{json, SimTime};
 use std::fmt::Write as _;
 
 /// How much the sink records.
@@ -170,11 +168,16 @@ trace_events! {
             /// `(dir, frag, mds)` fragment authority overrides.
             frags: Vec<(NodeId, FragId, MdsId)>,
         },
-        /// A cluster-wide heartbeat + balancer tick began.
+        /// A cluster-wide heartbeat + balancer tick began. Every field holds
+        /// one entry per MDS, read before the measurement windows roll.
         HeartbeatTick = "heartbeat_tick" {
-            /// Per-MDS authority metaload as the balancers will see it
+            /// Authority metaload as the balancers will see it
             /// (frozen/delayed under heartbeat faults).
             loads: Vec<f64>,
+            /// Requests waiting in each MDS's queue.
+            queued: Vec<u64>,
+            /// Ops each MDS completed in the heartbeat window that ends here.
+            window_ops: Vec<u64>,
         },
         /// A balancer ran and chose not to migrate.
         BalancerTick = "balancer_tick" {
@@ -643,89 +646,10 @@ impl TraceRecord {
 }
 
 // ---------------------------------------------------------------------------
-// Timeline: per-tick gauges on TimeSeries buckets.
-// ---------------------------------------------------------------------------
-
-/// One MDS's per-tick gauge series.
-#[derive(Debug, Clone)]
-pub struct MdsSeries {
-    /// Authority metaload as published in the heartbeat view.
-    pub load: TimeSeries,
-    /// Queue depth at tick time.
-    pub queue: TimeSeries,
-    /// Ops completed in the elapsed heartbeat window.
-    pub throughput: TimeSeries,
-}
-
-/// Per-MDS load / queue-depth / throughput gauges sampled once per
-/// heartbeat tick (bucket width = the heartbeat interval, so each tick
-/// lands in its own bucket).
-#[derive(Debug, Clone)]
-pub struct Timeline {
-    bucket: SimTime,
-    /// One series triple per MDS.
-    pub per_mds: Vec<MdsSeries>,
-}
-
-impl Timeline {
-    /// New timeline for `num_mds` servers with `bucket`-wide samples
-    /// (clamped to ≥ 1 ms, the [`TimeSeries`] floor).
-    pub fn new(num_mds: usize, bucket: SimTime) -> Self {
-        let bucket = if bucket.as_millis() == 0 {
-            SimTime::from_millis(1)
-        } else {
-            bucket
-        };
-        Timeline {
-            bucket,
-            per_mds: (0..num_mds)
-                .map(|_| MdsSeries {
-                    load: TimeSeries::new(bucket),
-                    queue: TimeSeries::new(bucket),
-                    throughput: TimeSeries::new(bucket),
-                })
-                .collect(),
-        }
-    }
-
-    /// Record one tick's gauges for `mds`.
-    pub fn sample(&mut self, at: SimTime, mds: MdsId, load: f64, queue: f64, throughput: f64) {
-        let s = &mut self.per_mds[mds];
-        s.load.add(at, load);
-        s.queue.add(at, queue);
-        s.throughput.add(at, throughput);
-    }
-
-    /// Bucket width.
-    pub fn bucket(&self) -> SimTime {
-        self.bucket
-    }
-
-    /// JSONL: one line per MDS with the three series.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (m, s) in self.per_mds.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{{\"mds\":{m},\"bucket_ms\":{},\"load\":",
-                self.bucket.as_millis()
-            );
-            s.load.values().write(&mut out);
-            out.push_str(",\"queue\":");
-            s.queue.values().write(&mut out);
-            out.push_str(",\"throughput\":");
-            s.throughput.values().write(&mut out);
-            out.push_str("}\n");
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The buffer.
 // ---------------------------------------------------------------------------
 
-/// The trace sink: an in-memory record buffer plus the [`Timeline`].
+/// The trace sink: an in-memory record buffer.
 ///
 /// The coordinator's tracer owns it for the run and hands it back at the
 /// end. Without one, an emission costs one branch and builds no payload
@@ -735,17 +659,14 @@ pub struct TraceBuffer {
     /// The sink's verbosity.
     pub level: TraceLevel,
     records: Vec<TraceRecord>,
-    /// Per-tick gauges.
-    pub timeline: Timeline,
 }
 
 impl TraceBuffer {
     /// New empty buffer.
-    pub fn new(level: TraceLevel, num_mds: usize, bucket: SimTime) -> Self {
+    pub fn new(level: TraceLevel) -> Self {
         TraceBuffer {
             level,
             records: Vec::new(),
-            timeline: Timeline::new(num_mds, bucket),
         }
     }
 
@@ -789,7 +710,7 @@ mod tests {
 
     #[test]
     fn jsonl_encodes_one_line_per_record() {
-        let mut buf = TraceBuffer::new(TraceLevel::Full, 2, SimTime::from_millis(400));
+        let mut buf = TraceBuffer::new(TraceLevel::Full);
         buf.push(TraceRecord {
             at: SimTime::ZERO,
             epoch: 0,
@@ -805,6 +726,8 @@ mod tests {
             epoch: 0,
             event: TraceEvent::HeartbeatTick {
                 loads: vec![1.5, 0.0],
+                queued: vec![4, 0],
+                window_ops: vec![120, 7],
             },
         });
         let jsonl = buf.to_jsonl();
@@ -812,7 +735,7 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"at\":0,\"epoch\":0,\"ev\":\"run_start\""));
         assert!(lines[0].contains("\"heartbeat_us\":400000"));
-        assert!(lines[1].contains("\"loads\":[1.5,0]"));
+        assert!(lines[1].ends_with("\"loads\":[1.5,0],\"queued\":[4,0],\"window_ops\":[120,7]}"));
         for l in lines {
             assert!(l.starts_with('{') && l.ends_with('}'));
         }
@@ -834,24 +757,5 @@ mod tests {
         assert_eq!(v.get_str("ev"), Some("policy_installed"));
         assert_eq!(v.get_u64("install_epoch"), Some(1));
         assert_eq!(v.get_str("name"), Some("greedy \"v2\""));
-    }
-
-    #[test]
-    fn timeline_buckets_one_sample_per_tick() {
-        let mut t = Timeline::new(2, SimTime::from_millis(400));
-        t.sample(SimTime::from_millis(400), 0, 10.0, 2.0, 55.0);
-        t.sample(SimTime::from_millis(800), 0, 12.0, 1.0, 60.0);
-        t.sample(SimTime::from_millis(400), 1, 0.5, 0.0, 5.0);
-        assert_eq!(t.per_mds[0].load.values(), &[0.0, 10.0, 12.0]);
-        assert_eq!(t.per_mds[1].queue.values(), &[0.0, 0.0]);
-        let jsonl = t.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.contains("\"bucket_ms\":400"));
-    }
-
-    #[test]
-    fn zero_bucket_is_clamped() {
-        let t = Timeline::new(1, SimTime::ZERO);
-        assert_eq!(t.bucket(), SimTime::from_millis(1));
     }
 }

@@ -19,7 +19,7 @@ use mantle_sim::SimTime;
 
 use crate::balancer::FALLBACK_AFTER;
 use crate::config::ClusterConfig;
-use crate::trace::{Timeline, TraceBuffer, TraceEvent, TraceLevel, TraceRecord};
+use crate::trace::{TraceBuffer, TraceEvent, TraceLevel, TraceRecord};
 
 /// Run-wide trace state. The sink lives here for the whole run and is
 /// handed back by [`Tracer::into_buffer`]; nothing else holds it.
@@ -38,9 +38,9 @@ pub(crate) struct Tracer {
 
 impl Tracer {
     /// A tracer with a sink at `level`, or an inert one.
-    pub(crate) fn new(level: Option<TraceLevel>, cfg: &ClusterConfig) -> Self {
+    pub(crate) fn new(level: Option<TraceLevel>) -> Self {
         Tracer {
-            buffer: level.map(|l| TraceBuffer::new(l, cfg.num_mds, cfg.heartbeat_interval)),
+            buffer: level.map(TraceBuffer::new),
             full: level == Some(TraceLevel::Full),
             epoch: 0,
             traced_dirs: 0,
@@ -50,11 +50,6 @@ impl Tracer {
     /// Whether a sink is attached.
     pub(crate) fn on(&self) -> bool {
         self.buffer.is_some()
-    }
-
-    /// The per-tick gauges, when tracing.
-    pub(crate) fn timeline(&mut self) -> Option<&mut Timeline> {
-        self.buffer.as_mut().map(|b| &mut b.timeline)
     }
 
     /// Emit a control-plane event (recorded at every trace level). The

@@ -280,7 +280,7 @@ impl World {
             Vec::new()
         };
         World {
-            trace: Tracer::new(None, &cfg),
+            trace: Tracer::new(None),
             ns,
             up: vec![true; n],
             mds_epoch: vec![0; n],

@@ -4,6 +4,7 @@
 //! Fig. 1 lives with the directories, in `mantle_namespace::FragHeat`.
 
 use crate::time::SimTime;
+use std::borrow::Cow;
 
 /// Numerically stable running mean/variance (Welford's algorithm).
 #[derive(Debug, Clone, Default)]
@@ -122,7 +123,11 @@ pub struct Summary {
 
 impl Summary {
     /// Summarize a sample set. Returns an all-zero summary for empty input.
-    pub fn of(samples: &[f64]) -> Summary {
+    ///
+    /// The percentiles are selected in place, so an owned `Vec` is the
+    /// one buffer the summary works in; a borrowed slice is copied once.
+    pub fn of<'a>(samples: impl Into<Cow<'a, [f64]>>) -> Summary {
+        let mut samples = samples.into().into_owned();
         if samples.is_empty() {
             return Summary {
                 count: 0,
@@ -135,32 +140,33 @@ impl Summary {
                 max: 0.0,
             };
         }
+        // The moments in sample order, before selection reorders them.
+        let mut acc = OnlineStats::new();
+        for &s in &samples {
+            acc.push(s);
+        }
         // Select just the ranks the fields read, in ascending order, each
         // selection partitioning only what lies above the rank before it.
         let n = samples.len();
         let qs = QUANTILES.iter().flat_map(|&q| quantile_ranks(n, q).0);
-        let (mut placed, mut from) = (samples.to_vec(), 0);
+        let mut from = 0;
         let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN in samples");
         for r in std::iter::once(0).chain(qs).chain([n - 1]) {
             if r >= from {
-                placed[from..].select_nth_unstable_by(r - from, cmp);
+                samples[from..].select_nth_unstable_by(r - from, cmp);
                 from = r + 1;
             }
         }
-        let mut acc = OnlineStats::new();
-        for &s in samples {
-            acc.push(s);
-        }
-        let [p50, p95, p99] = QUANTILES.map(|q| percentile_sorted(&placed, q));
+        let [p50, p95, p99] = QUANTILES.map(|q| percentile_sorted(&samples, q));
         Summary {
             count: n,
             mean: acc.mean(),
             stddev: acc.stddev(),
-            min: placed[0],
+            min: samples[0],
             p50,
             p95,
             p99,
-            max: placed[n - 1],
+            max: samples[n - 1],
         }
     }
 }
@@ -207,11 +213,6 @@ impl TimeSeries {
             bucket_ms: bucket.as_millis(),
             buckets: Vec::new(),
         }
-    }
-
-    /// Bucket width.
-    pub fn bucket(&self) -> SimTime {
-        SimTime::from_millis(self.bucket_ms)
     }
 
     /// Add `amount` at time `t`.
@@ -349,9 +350,11 @@ mod tests {
         for s in 0..6 {
             ts.add(SimTime::from_secs(s), 1.0);
         }
-        let coarse = ts.coarsen(3);
+        let mut coarse = ts.coarsen(3);
         assert_eq!(coarse.values(), &[3.0, 3.0]);
-        assert_eq!(coarse.bucket(), SimTime::from_secs(3));
+        // The buckets are 3 s wide: 5 s lands in the second.
+        coarse.add(SimTime::from_secs(5), 1.0);
+        assert_eq!(coarse.values(), &[3.0, 4.0]);
     }
 
     /// `Summary::of` as a full sort computes it: the oracle for selection.

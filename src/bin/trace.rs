@@ -1,6 +1,7 @@
-//! Trace a degraded-cluster scenario and dump the typed event stream and
-//! the per-tick timeline as JSONL, optionally replaying the stream
-//! through the invariant checker.
+//! Trace a degraded-cluster scenario and dump the typed event stream as
+//! JSONL, optionally replaying it through the invariant checker. Each
+//! `heartbeat_tick` record carries the per-MDS gauges of its tick: load,
+//! queue depth and the ops completed in the window it closes.
 //!
 //! ```text
 //! cargo run --release --bin trace -- [--scenario NAME] [--seed N]
@@ -13,8 +14,7 @@
 //! * `--seed` — RNG seed, default 42;
 //! * `--level` — `full` records the data plane (per-request events),
 //!   `decisions` only the control plane; default `full`;
-//! * `--out PREFIX` — write `PREFIX.trace.jsonl` (one record per line)
-//!   and `PREFIX.timeline.jsonl` (one gauge series per MDS);
+//! * `--out PREFIX` — write `PREFIX.trace.jsonl`, one record per line;
 //! * `--check` — replay the stream through the invariant checker and
 //!   exit non-zero if any invariant is violated;
 //! * `--full` — run the full-size workload instead of the quick one.
@@ -84,10 +84,8 @@ fn main() {
 
     if let Some(prefix) = out {
         let events = format!("{prefix}.trace.jsonl");
-        let timeline = format!("{prefix}.timeline.jsonl");
         std::fs::write(&events, trace.to_jsonl()).expect("write event stream");
-        std::fs::write(&timeline, trace.timeline.to_jsonl()).expect("write timeline");
-        println!("wrote {events} and {timeline}");
+        println!("wrote {events}");
     }
 
     if check {

@@ -157,7 +157,11 @@ fn every_variant() -> Vec<TraceRecord> {
             dirs: vec![(n(1), 0), (n(5), 3)],
             frags: vec![(n(5), 2, 1), (n(8), 0, MdsId::MAX)],
         },
-        TraceEvent::HeartbeatTick { loads: vec![] },
+        TraceEvent::HeartbeatTick {
+            loads: vec![],
+            queued: vec![],
+            window_ops: vec![],
+        },
         TraceEvent::HeartbeatTick {
             loads: vec![
                 0.0,
@@ -173,6 +177,8 @@ fn every_variant() -> Vec<TraceRecord> {
                 f64::INFINITY,
                 f64::NEG_INFINITY,
             ],
+            queued: vec![0, 3, u64::MAX],
+            window_ops: vec![1_024, 0],
         },
         TraceEvent::BalancerTick { mds: 2 },
         TraceEvent::BalancerPlan {

@@ -8,10 +8,6 @@
 //! (`support::assert_indexes_match_walk`) and compares. The probes only
 //! read: `mds_load_samples` writes decay state, so the aggregates are
 //! checked on free-standing namespaces in `tests/properties.rs`.
-//!
-//! (The test names date from when every scenario ran twice, on the
-//! indexes and on walk-based library paths, and compared reports; what
-//! must be identical now is the indexes and the walk.)
 
 use std::sync::{Arc, Mutex};
 
@@ -87,7 +83,7 @@ fn run_probed(workload: WorkloadSpec, faults: FaultPlan, label: &str) -> (RunRep
 }
 
 #[test]
-fn healthy_shared_dir_run_is_identical_across_index_modes() {
+fn healthy_shared_dir_run_keeps_every_index_equal_to_a_walk() {
     // Greedy spill over a shared create-heavy directory: dirfrag exports,
     // frag-authority overrides, freeze/cold windows.
     run_probed(
@@ -101,7 +97,7 @@ fn healthy_shared_dir_run_is_identical_across_index_modes() {
 }
 
 #[test]
-fn healthy_separate_dir_run_is_identical_across_index_modes() {
+fn healthy_separate_dir_run_keeps_every_index_equal_to_a_walk() {
     // Per-client directories: whole-subtree exports dominate, exercising
     // the single-walk migration.
     run_probed(
@@ -115,7 +111,7 @@ fn healthy_separate_dir_run_is_identical_across_index_modes() {
 }
 
 #[test]
-fn all_faults_run_is_identical_across_index_modes() {
+fn all_faults_run_keeps_every_index_equal_to_a_walk() {
     let (report, probed) = run_probed(
         WorkloadSpec::CreateSeparate {
             clients: 4,

@@ -300,24 +300,33 @@ fn disabled_sink_keeps_reports_byte_identical() {
 }
 
 #[test]
-fn timeline_tracks_every_heartbeat() {
-    let (_, trace) = traced_run(&balancers()[0].1, "healthy");
-    let ticks = trace
-        .records()
-        .iter()
-        .filter(|r| matches!(r.event, TraceEvent::HeartbeatTick { .. }))
-        .count();
-    assert!(ticks > 0, "run spans heartbeats");
-    assert_eq!(trace.timeline.per_mds.len(), 3, "one series triple per MDS");
-    for s in &trace.timeline.per_mds {
-        // The series zero-fills from t = 0, so the first tick (one full
-        // interval in) occupies bucket index 1: at most ticks + 1 buckets.
-        let buckets = s.load.values().len();
-        assert!(
-            buckets > 0 && buckets <= ticks + 1,
-            "at most one bucket per sampled tick: {buckets} vs {ticks}"
-        );
+fn every_heartbeat_tick_carries_each_mds_gauges() {
+    let (report, trace) = traced_run(&balancers()[0].1, "healthy");
+    let mut ticks = 0;
+    let mut served = 0;
+    for r in trace.records() {
+        if let TraceEvent::HeartbeatTick {
+            loads,
+            queued,
+            window_ops,
+        } = &r.event
+        {
+            ticks += 1;
+            let lens = [loads.len(), queued.len(), window_ops.len()];
+            assert_eq!(lens, [3; 3], "one entry per MDS at {}", r.at);
+            served += window_ops.iter().sum::<u64>();
+        }
     }
-    let jsonl = trace.timeline.to_jsonl();
-    assert_eq!(jsonl.lines().count(), 3, "one JSONL line per MDS");
+    assert!(ticks > 0, "run spans heartbeats");
+    assert!(
+        served as f64 <= report.total_ops(),
+        "the windows count {served} ops of {}",
+        report.total_ops()
+    );
+    let jsonl = trace.to_jsonl();
+    let tick = jsonl
+        .lines()
+        .find(|l| l.contains("\"ev\":\"heartbeat_tick\""))
+        .expect("a tick line");
+    assert!(tick.contains("\"queued\":") && tick.contains("\"window_ops\":"));
 }

@@ -4,8 +4,8 @@
 //! engine is single-threaded, there is one event queue, one namespace
 //! index, one trace buffer, one heat type, one route table, one hook
 //! pipeline — written as the identifiers whose return would break it. A
-//! name matches as a whole identifier (or, for `a::b`, as consecutive
-//! path segments) anywhere in a searched `.rs` file, comments included:
+//! name matches as a whole identifier (or, for `a::b` and `a.b`, as
+//! consecutive path segments) anywhere in a searched `.rs` file, comments included:
 //! a deleted design is not to be described as if it were live either.
 //! This file names every guarded identifier and is itself not searched.
 //!
@@ -38,7 +38,7 @@ enum Scope {
 /// One seam: the names that must not appear, where they are searched,
 /// the files that may still hold them, and why.
 struct Guard {
-    /// Identifiers, or `::` paths of them.
+    /// Identifiers, or `::` or `.` paths of them.
     names: &'static [&'static str],
     /// Files, and directories searched recursively for `.rs` files.
     paths: &'static [&'static str],
@@ -249,6 +249,15 @@ const GUARDS: &[Guard] = &[
               order, and holds the heartbeat epoch once",
     },
     Guard {
+        names: &["Timeline", "MdsSeries", "timeline.jsonl"],
+        paths: &["crates", "src"],
+        allowed: &[],
+        scope: Scope::All,
+        why: "a second per-tick store is back: the heartbeat_tick record carries every \
+              per-MDS gauge (loads, queued, window_ops), a run keeps nothing per tick beyond \
+              its records, and the trace bin writes one file",
+    },
+    Guard {
         names: &[
             "DecayCounter",
             "SharedDecay",
@@ -391,9 +400,9 @@ const CONFIG_STRUCTS: &[(&str, &str)] = &[
 /// pinned benchmark harness reads `index_mode` (ROADMAP item 1).
 const HARNESS_PIN_FIELDS: &[&str] = &["ClusterConfig.index_mode"];
 
-/// The identifier paths on a line, as their segments:
-/// `let t = std::thread::spawn(f);` holds `[let]`, `[t]`,
-/// `[std, thread, spawn]` and `[f]`.
+/// The identifier paths on a line, as their segments, joined by `::` or
+/// `.`: `let t = std::thread::spawn(f.0);` holds `[let]`, `[t]`,
+/// `[std, thread, spawn]` and `[f, 0]`.
 fn paths(line: &str) -> Vec<Vec<&str>> {
     let ident = |c: char| c.is_alphanumeric() || c == '_';
     let mut paths = vec![Vec::new()];
@@ -403,7 +412,7 @@ fn paths(line: &str) -> Vec<Vec<&str>> {
             let end = rest.find(|c: char| !ident(c)).unwrap_or(rest.len());
             paths.last_mut().expect("never empty").push(&rest[..end]);
             rest = &rest[end..];
-        } else if let Some(after) = rest.strip_prefix("::") {
+        } else if let Some(after) = rest.strip_prefix("::").or(rest.strip_prefix('.')) {
             rest = after;
         } else {
             paths.push(Vec::new());
@@ -445,7 +454,7 @@ fn violations(guard: &Guard, files: &[(String, String)]) -> Vec<String> {
     let wanted: Vec<Vec<&str>> = guard
         .names
         .iter()
-        .map(|n| n.split("::").collect())
+        .map(|n| n.split("::").flat_map(|s| s.split('.')).collect())
         .collect();
     let mut hits = Vec::new();
     for (file, text) in files {
@@ -759,6 +768,23 @@ fn a_planted_name_is_found_and_only_where_it_is_guarded() {
     assert_eq!(
         violations(windows, &oracle),
         ["crates/mds/src/world.rs:1: struct SubtreeWindow;"]
+    );
+
+    // A dotted name matches as consecutive segments, not word by word.
+    let dotted = Guard {
+        names: &["out.jsonl"],
+        paths: &["src"],
+        allowed: &[],
+        scope: Scope::All,
+        why: "",
+    };
+    let bin = [file(
+        "src/bin/trace.rs",
+        "// out, as jsonl\nlet p = format!(\"{prefix}.out.jsonl\");\n",
+    )];
+    assert_eq!(
+        violations(&dotted, &bin),
+        ["src/bin/trace.rs:2: let p = format!(\"{prefix}.out.jsonl\");"]
     );
 
     // An item-scoped guard looks inside that item only.
