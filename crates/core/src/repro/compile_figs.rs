@@ -43,7 +43,7 @@ pub fn fig1_heatmap(opts: ReproOpts) -> String {
             let Some(linux) = ns.lookup_child(c0, "linux") else {
                 return;
             };
-            let children = ns.dir(linux).children.clone();
+            let children = ns.children(linux).to_vec();
             for ch in children {
                 let name = ns.name(ch).to_string();
                 let heat = ns.subtree_heat(ch, at).cephfs_metaload();

@@ -315,7 +315,7 @@ mod tests {
         }
         let holes = ns
             .all_dirs()
-            .filter(|&d| d != root && ns.dir(d).auth.is_some() && is_under(ns, d, root))
+            .filter(|&d| d != root && ns.dir(d).auth.get().is_some() && is_under(ns, d, root))
             .collect();
         let window = SubtreeWindow {
             root,

@@ -1000,8 +1000,8 @@ mod tests {
         let mut holes = Vec::new();
         let mut stack = vec![root];
         while let Some(d) = stack.pop() {
-            for &c in &ns.dir(d).children {
-                match ns.dir(c).auth {
+            for &c in ns.children(d) {
+                match ns.dir(c).auth.get() {
                     Some(_) => holes.push(c),
                     None => stack.push(c),
                 }
@@ -1067,7 +1067,7 @@ mod tests {
                 let ns = &w.ns;
                 // Half the time, on or just above an earlier export's root.
                 let root = match frozen.last().filter(|_| rng.below(2) == 0) {
-                    Some(w) => match ns.dir(w.root).parent {
+                    Some(w) => match ns.dir(w.root).parent() {
                         Some(up) if up != ns.root() && rng.below(2) == 0 => up,
                         _ => w.root,
                     },

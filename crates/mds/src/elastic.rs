@@ -198,7 +198,7 @@ fn join_one(co: &mut Coordinator, w: &mut World, members: &[MdsId], now: SimTime
             continue;
         }
         for d in w.ns.export_candidate_dirs(src) {
-            if w.ns.dir(d).auth != Some(src) {
+            if w.ns.dir(d).auth.get() != Some(src) {
                 continue; // frag-only ownership stays put on join
             }
             if rendezvous_owner(d, &owners) == j {
@@ -242,7 +242,7 @@ fn leave_one(co: &mut Coordinator, w: &mut World, members: &[MdsId], now: SimTim
         // over); draining it is pure deregistration.
         for dir in w.ns.export_candidate_dirs(victim) {
             let to = rendezvous_owner(dir, &remaining);
-            if w.ns.dir(dir).auth == Some(victim) {
+            if w.ns.dir(dir).auth.get() == Some(victim) {
                 rehome(co, w, victim, ExportUnit::Subtree(dir), to, now);
                 drained += 1;
             } else {

@@ -246,12 +246,12 @@ pub(crate) fn apply(co: &mut Coordinator, w: &mut World, kind: &FaultKind, now: 
             let ns = &mut w.ns;
             let dirs: Vec<NodeId> = ns.all_dirs().collect();
             for d in dirs {
-                if ns.dir(d).auth == Some(mds) {
+                if ns.dir(d).auth.get() == Some(mds) {
                     ns.set_auth(d, Some(0));
                     co.failovers += 1;
                 }
                 for f in 0..ns.dir(d).frags.len() {
-                    if ns.dir(d).frags[f].auth == Some(mds) {
+                    if ns.dir(d).frags[f].auth.get() == Some(mds) {
                         ns.set_frag_auth(d, f, Some(0));
                         co.failovers += 1;
                     }

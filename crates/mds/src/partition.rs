@@ -172,7 +172,7 @@ impl SubtreeLoads {
     /// Where the loads of `dir`'s children are (to be) recorded.
     fn block_of(&mut self, ns: &Namespace, dir: NodeId) -> usize {
         let SubtreeLoads { blocks, loads, .. } = self;
-        let children = ns.dir(dir).children.len();
+        let children = ns.children(dir).len();
         if children == 0 {
             // An empty block is anywhere; leaves — most directories — stay
             // out of the map.
@@ -224,7 +224,7 @@ impl SubtreeLoads {
             // Popping a directory at this depth means every subtree at this
             // depth or below that was open is complete.
             self.close_below(depth);
-            if cur != root && ns.dir(cur).auth.is_some() {
+            if cur != root && ns.dir(cur).auth.get().is_some() {
                 continue;
             }
             self.path.push(OpenDir {
@@ -245,7 +245,7 @@ impl SubtreeLoads {
             // exception. The loads in it are then overwritten with the
             // bit-equal ones this walk computes.)
             let block = self.block_of(ns, cur);
-            let children = ns.dir(cur).children.iter().enumerate();
+            let children = ns.children(cur).iter().enumerate();
             let warm = children.filter(|&(_, &c)| !self.skip_cold || ns.is_warm(c));
             self.stack.extend(warm.map(|(i, &c)| (c, block + i)));
         }
@@ -319,13 +319,13 @@ pub fn plan_exports<B: Balancer + ?Sized>(
             let mut drill: Vec<NodeId> = Vec::new();
             // Child subtrees still bound to me.
             let block = known.block_of(ns, dir);
-            for i in 0..ns.dir(dir).children.len() {
-                let c = ns.dir(dir).children[i];
+            for i in 0..ns.children(dir).len() {
+                let c = ns.children(dir)[i];
                 // (A cold child would fall out at `load <= 0.0`, whoever
                 // owns it; tested first, its `Dir` is never read.)
                 if !known.is_cold(ns, c)
                     && ns.resolve_auth(c) == me
-                    && ns.dir(c).auth.is_none_or(|a| a == me)
+                    && ns.dir(c).auth.get().is_none_or(|a| a == me)
                 {
                     let load = known.load(ns, balancer, c, block + i)?;
                     if load <= 0.0 {
@@ -417,7 +417,7 @@ pub fn plan_exports<B: Balancer + ?Sized>(
 
 /// `dir`, then its parent, and so on up to the root.
 fn ancestors(ns: &Namespace, dir: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-    std::iter::successors(Some(dir), |&d| ns.dir(d).parent)
+    std::iter::successors(Some(dir), |&d| ns.dir(d).parent())
 }
 
 fn sort_by_load<B: Balancer + ?Sized>(
@@ -658,11 +658,11 @@ mod tests {
                 }
                 let mut cands: Vec<Candidate> = Vec::new();
                 let mut drill: Vec<NodeId> = Vec::new();
-                let children: Vec<NodeId> = ns.dir(dir).children.clone();
+                let children = ns.children(dir).to_vec();
                 for c in &children {
                     let holds_claim = claimed_subtrees.iter().any(|&s| is_under(ns, s, *c))
                         || claimed_frags.iter().any(|&(d, _)| is_under(ns, d, *c));
-                    if ns.resolve_auth(*c) == me && ns.dir(*c).auth.is_none_or(|a| a == me) {
+                    if ns.resolve_auth(*c) == me && ns.dir(*c).auth.get().is_none_or(|a| a == me) {
                         let load = subtree_load(ns, balancer, *c, me, now)?;
                         if load <= 0.0 {
                             continue;
@@ -1145,7 +1145,7 @@ mod tests {
             let mut known = SubtreeLoads::new(me, now, false);
             let block = known.block_of(&ns, root);
             assert_eq!(block, 0);
-            let top = ns.dir(root).children[0];
+            let top = ns.children(root)[0];
             let total = known.load(&mut ns, &balancer, top, 0).unwrap();
             let visits = balancer.calls.replace(0);
             assert_eq!(
@@ -1159,10 +1159,10 @@ mod tests {
             // record; every one it stepped over, and everything below, has
             // none.
             for d in ns.subtree_dirs(top, false) {
-                let Some(parent) = ns.dir(d).parent.filter(|_| d != top) else {
+                let Some(parent) = ns.dir(d).parent().filter(|_| d != top) else {
                     continue;
                 };
-                let i = ns.dir(parent).children.iter().position(|&c| c == d);
+                let i = ns.children(parent).iter().position(|&c| c == d);
                 let recorded = known
                     .blocks
                     .get(&parent)

@@ -95,7 +95,7 @@ impl Tracer {
         while self.traced_dirs < total {
             let id = NodeId(self.traced_dirs);
             let d = ns.dir(id);
-            let (parent, files) = (d.parent, d.frags.iter().map(|f| f.files).collect());
+            let (parent, files) = (d.parent(), d.frags.iter().map(|f| f.files).collect());
             self.emit(at, || TraceEvent::DirAdded {
                 dir: id,
                 parent,
@@ -116,11 +116,11 @@ impl Tracer {
         let mut frags = Vec::new();
         for d in ns.all_dirs() {
             let dir = ns.dir(d);
-            if let Some(m) = dir.auth {
+            if let Some(m) = dir.auth.get() {
                 dirs.push((d, m));
             }
             for (f, frag) in dir.frags.iter().enumerate() {
-                if let Some(m) = frag.auth {
+                if let Some(m) = frag.auth.get() {
                     frags.push((d, f, m));
                 }
             }

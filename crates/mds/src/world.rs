@@ -678,7 +678,7 @@ impl World {
         // yet replicated the directory's ancestor prefix, so traversals
         // resolve remotely (and, once warm, locally again).
         if stamp.warm > now {
-            if self.ns.dir(req.op.dir).parent.is_some() {
+            if self.ns.dir(req.op.dir).parent().is_some() {
                 base *= 1.0 + REMOTE_PREFIX_PENALTY;
                 self.counters[mds].report.remote_prefix += 1;
             }
@@ -686,7 +686,7 @@ impl World {
             // Hash-based placement has no subtree prefix replication
             // (§5 "Compute it – Hashing"): every traversal whose parent
             // lives elsewhere resolves remotely, permanently.
-            if let Some(parent) = self.ns.dir(req.op.dir).parent {
+            if let Some(parent) = self.ns.dir(req.op.dir).parent() {
                 if self.ns.resolve_auth(parent) != mds {
                     base *= 1.0 + REMOTE_PREFIX_PENALTY;
                     self.counters[mds].report.remote_prefix += 1;
@@ -814,7 +814,7 @@ pub(crate) mod tests {
             if c == root {
                 return true;
             }
-            cur = ns.dir(c).parent;
+            cur = ns.dir(c).parent();
         }
         false
     }

@@ -28,6 +28,7 @@ pub mod types;
 
 pub use heat::{DecayRate, DecayTable, FragHeat, HeatSample};
 pub use tree::{
-    Dir, Frag, FragId, FragRef, IndexMode, Namespace, NsConfig, SplitEvent, SubtreeMigration,
+    AuthSlot, ChildList, Dir, Frag, FragId, FragRef, IndexMode, Namespace, NsConfig, SplitEvent,
+    SubtreeMigration,
 };
 pub use types::{MdsId, NodeId, OpKind};

@@ -2,6 +2,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 use mantle_sim::SimTime;
@@ -42,7 +43,7 @@ impl Default for NsConfig {
 pub type FragId = usize;
 
 /// A directory fragment: a slice of one directory's entries.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Frag {
     /// Number of file entries living in this fragment.
     pub files: u64,
@@ -50,38 +51,104 @@ pub struct Frag {
     pub heat: FragHeat,
     /// Authority override for just this fragment (spilling a hot directory
     /// distributes its fragments across MDS nodes).
-    pub auth: Option<MdsId>,
+    pub auth: AuthSlot,
 }
 
-/// A directory's fragments (≥ 1), read as a `[Frag]`. The first one is
-/// held inline; a `Vec` takes over at the first split, so a directory
-/// that never splits allocates nothing for them.
+/// An optional MDS id in four bytes: raw `u32::MAX` is "none" and raw
+/// `id + 1` holds ids up to [`AuthSlot::MAX_ID`]. Raw zero is never
+/// used, so [`Frags`] keeps its tag there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AuthSlot(NonZeroU32);
+
+impl AuthSlot {
+    /// The empty slot.
+    pub const NONE: AuthSlot = AuthSlot(NonZeroU32::MAX);
+    /// The largest MDS id a slot holds.
+    pub const MAX_ID: MdsId = u32::MAX as MdsId - 2;
+
+    /// Encode `auth`; an id over [`AuthSlot::MAX_ID`] panics.
+    pub fn new(auth: Option<MdsId>) -> Self {
+        auth.map_or(Self::NONE, |id| {
+            assert!(id <= Self::MAX_ID, "MDS id {id} does not fit a slot");
+            AuthSlot(NonZeroU32::MIN.saturating_add(id as u32))
+        })
+    }
+
+    /// The MDS id held, if any.
+    pub fn get(self) -> Option<MdsId> {
+        (self != Self::NONE).then(|| self.0.get() as MdsId - 1)
+    }
+
+    /// Whether the slot is empty.
+    pub fn is_none(self) -> bool {
+        self == Self::NONE
+    }
+}
+
+/// What per-op reads need of a directory's fragments, so none scans them:
+/// entries, distinct effective owners, fragments over the split threshold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Summary {
+    files: u64,
+    span: u32,
+    over: u32,
+}
+
+/// A directory's fragments (≥ 1), read as a `[Frag]`. The first is held
+/// inline, its count the whole [`Summary`]; at the first split a `Vec`
+/// takes over, with the summary beside it in the same bytes. An op's
+/// charge updates the summary (`Frags::count`); a split or an authority
+/// change recomputes it (`Namespace::refresh_summary`).
 #[derive(Debug, Clone)]
 pub struct Frags(FragsRepr);
 
 #[derive(Debug, Clone)]
 enum FragsRepr {
     One(Frag),
-    Many(Vec<Frag>),
+    Many { frags: Vec<Frag>, sum: Summary },
 }
 
 impl Frags {
     /// The fragments on the heap, moved there on first use: a split's
-    /// `remove` and `push`es go through it.
+    /// `remove` and `push`es go through it, then it refreshes the summary.
     fn spill(&mut self) -> &mut Vec<Frag> {
         if let FragsRepr::One(f) = &mut self.0 {
-            self.0 = FragsRepr::Many(vec![std::mem::take(f)]);
+            self.0 = FragsRepr::Many {
+                frags: vec![f.clone()],
+                sum: Summary::default(),
+            };
         }
         match &mut self.0 {
-            FragsRepr::Many(v) => v,
+            FragsRepr::Many { frags, .. } => frags,
             FragsRepr::One(_) => unreachable!("spilled above"),
+        }
+    }
+
+    /// Add an entry to fragment `i` on a create, or take one away on an
+    /// unlink of a non-empty fragment, keeping the summary.
+    fn count(&mut self, i: FragId, op: OpKind, threshold: u64) {
+        let delta = match op {
+            OpKind::Create => 1,
+            OpKind::Unlink if self[i].files > 0 => -1,
+            _ => return,
+        };
+        let was_over = self[i].files > threshold;
+        self[i].files = self[i].files.wrapping_add_signed(delta);
+        let is_over = self[i].files > threshold;
+        if let FragsRepr::Many { sum, .. } = &mut self.0 {
+            sum.files = sum.files.wrapping_add_signed(delta);
+            sum.over = sum.over + u32::from(is_over) - u32::from(was_over);
         }
     }
 }
 
 impl Default for Frags {
     fn default() -> Self {
-        Frags(FragsRepr::One(Frag::default()))
+        Frags(FragsRepr::One(Frag {
+            files: 0,
+            heat: FragHeat::default(),
+            auth: AuthSlot::NONE,
+        }))
     }
 }
 
@@ -90,7 +157,7 @@ impl std::ops::Deref for Frags {
     fn deref(&self) -> &[Frag] {
         match &self.0 {
             FragsRepr::One(f) => std::slice::from_ref(f),
-            FragsRepr::Many(v) => v,
+            FragsRepr::Many { frags, .. } => frags,
         }
     }
 }
@@ -99,7 +166,7 @@ impl std::ops::DerefMut for Frags {
     fn deref_mut(&mut self) -> &mut [Frag] {
         match &mut self.0 {
             FragsRepr::One(f) => std::slice::from_mut(f),
-            FragsRepr::Many(v) => v,
+            FragsRepr::Many { frags, .. } => frags,
         }
     }
 }
@@ -112,44 +179,53 @@ impl<'a> IntoIterator for &'a Frags {
     }
 }
 
-/// A directory inode: one row of the namespace, owning no heap memory
-/// until it has children or splits. `repr(C)` keeps the declared order,
-/// which puts what an op reads first — fragments, the summary, the
-/// resolved authority, the parent link — and the rest last.
+/// A directory's child list, if it has children: an index into the
+/// namespace's lists, read through [`Namespace::children`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChildList(u32);
+
+impl ChildList {
+    const NONE: ChildList = ChildList(u32::MAX);
+
+    /// Whether the directory has no children.
+    pub fn is_empty(self) -> bool {
+        self == Self::NONE
+    }
+}
+
+/// A directory inode: row `id` of the namespace, 208 bytes, owning no
+/// heap memory until it splits. `repr(C)` keeps the declared order: what
+/// an op reads first (fragments, resolved authority, parent link,
+/// rolled-up heat), the rest last.
 #[derive(Debug, Clone)]
 #[repr(C)]
 pub struct Dir {
     /// Fragments (≥ 1).
     pub frags: Frags,
-    // The fragment summary: what per-op reads need of `frags`, kept so
-    // that none of them scans it. An op's charge updates `files` and
-    // `over`; a split or an authority change recomputes all three
-    // (`Namespace::refresh_summary`).
-    /// Entries over all fragments.
-    files: u64,
-    /// Distinct effective owners of the fragments.
-    span: u32,
-    /// Fragments holding more than `frag_split_threshold` entries.
-    over: u32,
     /// Memoized authority resolution, kept fresh by every mutation.
     auth_cache: AuthCache,
-    /// Parent directory (`None` for the root).
-    pub parent: Option<NodeId>,
+    /// Parent id, `u32::MAX` for the root: read it through [`Dir::parent`].
+    parent: u32,
+    /// Subtree authority override: when set, this directory and everything
+    /// below it (up to deeper overrides) is served by this MDS.
+    pub auth: AuthSlot,
     /// Rolled-up decayed heat of the whole subtree (every op on this dir or
     /// any descendant hits this) — the per-directory heat of Fig. 1.
     pub subtree_heat: FragHeat,
-    /// This directory's id.
-    pub id: NodeId,
     /// Name within the parent, interned; read it through
     /// [`Namespace::name`].
     name: u32,
     /// Depth (root = 0).
     pub depth: u32,
     /// Child directories.
-    pub children: Vec<NodeId>,
-    /// Subtree authority override: when set, this directory and everything
-    /// below it (up to deeper overrides) is served by this MDS.
-    pub auth: Option<MdsId>,
+    pub children: ChildList,
+}
+
+impl Dir {
+    /// Parent directory (`None` for the root).
+    pub fn parent(&self) -> Option<NodeId> {
+        (self.parent != u32::MAX).then_some(NodeId(self.parent))
+    }
 }
 
 /// Interned path-component names: each distinct name is stored once and
@@ -173,10 +249,11 @@ impl Names {
     }
 }
 
-/// What `resolve_auth` and `ancestor_auth_chain` answer for one dir.
+/// What `resolve_auth` (the MDS, in four bytes as in a slot) and
+/// `ancestor_auth_chain` answer for one dir.
 #[derive(Debug, Clone, Copy)]
 struct AuthCache {
-    auth: MdsId,
+    auth: u32,
     /// The ancestor authority chain, nearest first, deduplicated: an
     /// index into [`Chains`].
     chain: u32,
@@ -301,8 +378,11 @@ pub struct Namespace {
     /// created under that name. [`Namespace::mkdir`] and
     /// [`Namespace::mkdir_child`] maintain it and
     /// [`Namespace::lookup_child`] reads it; it is never iterated, so
-    /// `Dir::children` stays the one ordered record of the tree.
+    /// `child_lists` stays the one ordered record of the tree.
     child_index: HashMap<(NodeId, u32), NodeId>,
+    /// The children of every directory that has any, in creation order,
+    /// indexed by its [`ChildList`].
+    child_lists: Vec<Vec<NodeId>>,
     agg: LoadAggregates,
     /// High-water mark of every timestamp the namespace has seen.
     /// Authority mutations carry no timestamp of their own; they move heat
@@ -352,20 +432,16 @@ impl Namespace {
         let mut chains = Chains::default();
         let root = Dir {
             frags: Frags::default(),
-            files: 0,
-            span: 1,
-            over: 0,
             auth_cache: AuthCache {
                 auth: 0,
                 chain: chains.intern(&[0]),
             },
-            parent: None,
+            parent: u32::MAX,
+            auth: AuthSlot::new(Some(0)),
             subtree_heat: FragHeat::default(),
-            id: NodeId(0),
             name: 0,
             depth: 0,
-            children: Vec::new(),
-            auth: Some(0),
+            children: ChildList::NONE,
         };
         let mut root_set = BTreeSet::new();
         root_set.insert(NodeId(0));
@@ -376,6 +452,7 @@ impl Namespace {
             names,
             chains,
             child_index: HashMap::new(),
+            child_lists: Vec::new(),
             decay: DecayTable::new(cfg.decay_half_life),
             cfg,
             agg: LoadAggregates::default(),
@@ -402,10 +479,6 @@ impl Namespace {
         &self.dirs[id.0 as usize]
     }
 
-    fn dir_mut(&mut self, id: NodeId) -> &mut Dir {
-        &mut self.dirs[id.0 as usize]
-    }
-
     /// Number of directories.
     pub fn dir_count(&self) -> usize {
         self.dirs.len()
@@ -413,7 +486,7 @@ impl Namespace {
 
     /// Total file entries across all directories.
     pub fn file_count(&self) -> u64 {
-        self.dirs.iter().map(|d| d.files).sum()
+        self.all_dirs().map(|d| self.summary(d).files).sum()
     }
 
     /// Make room for `additional` more directories: their rows, their
@@ -446,23 +519,24 @@ impl Namespace {
         let auth_cache = self.dirs[parent.0 as usize].auth_cache;
         let dir = Dir {
             frags: Frags::default(),
-            files: 0,
-            span: 1,
-            over: 0,
             auth_cache,
-            parent: Some(parent),
+            parent: parent.0,
+            auth: AuthSlot::NONE,
             subtree_heat: FragHeat::default(),
-            id,
             name,
             depth,
-            children: Vec::new(),
-            auth: None,
+            children: ChildList::NONE,
         };
         self.dirs.push(dir);
         if self.warm.len() * 64 < self.dirs.len() {
             self.warm.push(0);
         }
-        self.dir_mut(parent).children.push(id);
+        let list = &mut self.dirs[parent.0 as usize].children;
+        if list.is_empty() {
+            *list = ChildList(self.child_lists.len() as u32);
+            self.child_lists.push(Vec::new());
+        }
+        self.child_lists[list.0 as usize].push(id);
         id
     }
 
@@ -496,6 +570,12 @@ impl Namespace {
         self.child_index.get(&(parent, name)).copied()
     }
 
+    /// Child directories of `id`, in creation order.
+    pub fn children(&self, id: NodeId) -> &[NodeId] {
+        let list = self.dir(id).children.0 as usize;
+        self.child_lists.get(list).map_or(&[], Vec::as_slice)
+    }
+
     /// Name of a directory within its parent (empty for the root).
     pub fn name(&self, id: NodeId) -> &str {
         &self.names.strs[self.dir(id).name as usize]
@@ -503,15 +583,10 @@ impl Namespace {
 
     /// Full path of a directory (`/a/b/c`; root is `/`).
     pub fn path(&self, id: NodeId) -> String {
-        let mut comps = Vec::new();
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            let name = self.name(c);
-            if !name.is_empty() {
-                comps.push(name);
-            }
-            cur = self.dir(c).parent;
-        }
+        let mut comps: Vec<&str> = std::iter::successors(Some(id), |&c| self.dir(c).parent())
+            .map(|c| self.name(c))
+            .filter(|name| !name.is_empty())
+            .collect();
         comps.reverse();
         format!("/{}", comps.join("/"))
     }
@@ -555,26 +630,11 @@ impl Namespace {
             let d = &mut self.dirs[id.0 as usize];
             d.frags[frag_id].heat.record(op, now, decay);
             d.subtree_heat.record(op, now, decay);
-            let f = &mut d.frags[frag_id];
-            let was_over = f.files > threshold;
-            if op == OpKind::Create {
-                f.files += 1;
-                d.files += 1;
-            } else if op == OpKind::Unlink && f.files > 0 {
-                f.files -= 1;
-                d.files -= 1;
-            }
-            match (was_over, f.files > threshold) {
-                (false, true) => d.over += 1,
-                (true, false) => d.over -= 1,
-                _ => {}
-            }
+            d.frags.count(frag_id, op, threshold);
         }
         // Charge the per-MDS aggregates.
         let idx = id.0 as usize;
-        let auth = self.dirs[idx].frags[frag_id]
-            .auth
-            .unwrap_or(self.dirs[idx].auth_cache.auth);
+        let auth = self.frag_auth(id, frag_id);
         self.agg.ensure(auth);
         self.agg.auth[auth].record(op, now, decay);
         for &rep in self.chains.get(self.dirs[idx].auth_cache.chain) {
@@ -584,11 +644,11 @@ impl Namespace {
             }
         }
         // Roll up to every ancestor without materializing the chain.
-        let mut anc = self.dirs[id.0 as usize].parent;
+        let mut anc = self.dirs[idx].parent();
         while let Some(a) = anc {
             let d = &mut self.dirs[a.0 as usize];
             d.subtree_heat.record(op, now, decay);
-            anc = d.parent;
+            anc = d.parent();
         }
         (frag_id, self.maybe_split(id, now))
     }
@@ -613,7 +673,7 @@ impl Namespace {
         let mut cur = Some(id);
         while let Some(d) = cur.filter(|&d| !self.is_warm(d)) {
             self.warm[d.0 as usize / 64] |= 1 << (d.0 % 64);
-            cur = self.dirs[d.0 as usize].parent;
+            cur = self.dirs[d.0 as usize].parent();
         }
     }
 
@@ -630,11 +690,10 @@ impl Namespace {
     /// the running entry count, and reads hit fragments proportionally
     /// the same way. Request routing asks it before the op is recorded.
     pub fn peek_frag(&self, id: NodeId) -> FragId {
-        let d = self.dir(id);
-        if d.frags.len() == 1 {
+        let FragsRepr::Many { frags, sum } = &self.dir(id).frags.0 else {
             return 0;
-        }
-        (d.files % d.frags.len() as u64) as usize
+        };
+        (sum.files % frags.len() as u64) as usize
     }
 
     /// Distinct MDSs owning fragments of `id`, in fragment order. A
@@ -644,7 +703,7 @@ impl Namespace {
         let resolved = self.resolve_auth(id);
         let mut out = Vec::new();
         for f in &self.dir(id).frags {
-            let a = f.auth.unwrap_or(resolved);
+            let a = f.auth.get().unwrap_or(resolved);
             if !out.contains(&a) {
                 out.push(a);
             }
@@ -655,35 +714,47 @@ impl Namespace {
     /// How many distinct MDSs own fragments of `id`:
     /// [`Namespace::frag_owners`]`(id).len()`, in one load.
     pub fn frag_span(&self, id: NodeId) -> usize {
-        self.dir(id).span as usize
+        self.summary(id).span as usize
     }
 
-    /// Recompute `id`'s fragment summary from its fragments and its
-    /// resolved authority: O(fragments), at a split or an authority
-    /// change, never per op.
+    /// `id`'s fragment summary: kept beside spilled fragments, one load
+    /// of an inline fragment's count otherwise.
+    fn summary(&self, id: NodeId) -> Summary {
+        match &self.dir(id).frags.0 {
+            FragsRepr::One(f) => Summary {
+                files: f.files,
+                span: 1,
+                over: u32::from(f.files > self.cfg.frag_split_threshold),
+            },
+            FragsRepr::Many { sum, .. } => *sum,
+        }
+    }
+
+    /// Recompute the summary kept beside `id`'s spilled fragments:
+    /// O(fragments), at a split or an authority change, never per op.
     fn refresh_summary(&mut self, id: NodeId) {
         let threshold = self.cfg.frag_split_threshold;
-        let d = self.dir(id);
-        let span = if d.frags.len() == 1 {
-            1
-        } else {
-            self.frag_owners(id).len() as u32
+        let frags = &self.dir(id).frags;
+        if frags.len() == 1 {
+            return;
+        }
+        let fresh = Summary {
+            files: frags.iter().map(|f| f.files).sum(),
+            span: self.frag_owners(id).len() as u32,
+            over: frags.iter().filter(|f| f.files > threshold).count() as u32,
         };
-        let files = d.frags.iter().map(|f| f.files).sum();
-        let over = d.frags.iter().filter(|f| f.files > threshold).count() as u32;
-        let d = self.dir_mut(id);
-        d.files = files;
-        d.span = span;
-        d.over = over;
+        if let FragsRepr::Many { sum, .. } = &mut self.dirs[id.0 as usize].frags.0 {
+            *sum = fresh;
+        }
     }
 
     fn maybe_split(&mut self, id: NodeId, now: SimTime) -> Option<SplitEvent> {
         // No fragment is over the threshold: nothing to split, and nothing
         // to scan. With one fragment its count is the directory's total.
-        let d = self.dir(id);
-        if d.over == 0 {
+        if self.summary(id).over == 0 {
             return None;
         }
+        let d = self.dir(id);
         if d.frags.len() == 1 {
             // First fragmentation: 2^3-way, as in §4.1.
             let ways = self.cfg.initial_split_ways;
@@ -717,7 +788,7 @@ impl Namespace {
         // this dir: drop all of its entries from the ownership index and
         // re-insert from the post-split layout below.
         for (i, f) in self.dirs[id.0 as usize].frags.iter().enumerate() {
-            if let Some(a) = f.auth {
+            if let Some(a) = f.auth.get() {
                 self.frag_over[a].remove(&(id, i));
             }
         }
@@ -742,7 +813,7 @@ impl Namespace {
             });
         }
         for (i, f) in self.dirs[id.0 as usize].frags.iter().enumerate() {
-            if let Some(a) = f.auth {
+            if let Some(a) = f.auth.get() {
                 self.frag_over[a].insert((id, i));
             }
         }
@@ -777,7 +848,7 @@ impl Namespace {
 
     /// Install (or clear) a per-fragment authority override.
     pub fn set_frag_auth(&mut self, id: NodeId, frag: FragId, auth: Option<MdsId>) {
-        let old = self.dir(id).frags[frag].auth;
+        let old = self.dir(id).frags[frag].auth.get();
         if let Some(o) = old {
             self.frag_over[o].remove(&(id, frag));
         }
@@ -785,17 +856,16 @@ impl Namespace {
             self.ensure_mds_index(n);
             self.frag_over[n].insert((id, frag));
         }
-        self.dir_mut(id).frags[frag].auth = auth;
+        self.dirs[id.0 as usize].frags[frag].auth = AuthSlot::new(auth);
         self.refresh_summary(id);
         // One fragment's effective authority moves; the dir's chain (and
         // every cache) is untouched.
-        let cache = &self.dirs[id.0 as usize].auth_cache;
-        let eff_old = old.unwrap_or(cache.auth);
-        let eff_new = auth.unwrap_or(cache.auth);
+        let resolved = self.resolve_auth(id);
+        let (eff_old, eff_new) = (old.unwrap_or(resolved), auth.unwrap_or(resolved));
         if eff_old == eff_new {
             return;
         }
-        let chain = self.chains.get(cache.chain);
+        let chain = self.ancestor_auth_chain(id);
         let in_chain_old = chain.contains(&eff_old);
         let in_chain_new = chain.contains(&eff_new);
         let (clock, decay) = (self.clock, &self.decay);
@@ -819,14 +889,13 @@ impl Namespace {
     /// The MDS serving directory `id` (nearest ancestor override; the root
     /// always has one). One load: the cache is maintained eagerly.
     pub fn resolve_auth(&self, id: NodeId) -> MdsId {
-        self.dirs[id.0 as usize].auth_cache.auth
+        self.dirs[id.0 as usize].auth_cache.auth as MdsId
     }
 
     /// The MDS serving one fragment (fragment override, else the dir's).
     pub fn frag_auth(&self, id: NodeId, frag: FragId) -> MdsId {
-        self.dir(id).frags[frag]
-            .auth
-            .unwrap_or_else(|| self.resolve_auth(id))
+        let own = self.dir(id).frags[frag].auth.get();
+        own.unwrap_or_else(|| self.resolve_auth(id))
     }
 
     /// All fragments currently served by `mds`, in `(dir, frag)` order.
@@ -844,16 +913,15 @@ impl Namespace {
             for &root in roots {
                 stack.push(root);
                 while let Some(cur) = stack.pop() {
-                    if cur != root && self.dir(cur).auth.is_some() {
+                    if cur != root && self.dir(cur).auth.get().is_some() {
                         continue;
                     }
-                    let d = self.dir(cur);
-                    for (i, f) in d.frags.iter().enumerate() {
-                        if f.auth.is_none() || f.auth == Some(mds) {
+                    for (i, f) in self.dir(cur).frags.iter().enumerate() {
+                        if f.auth.get().is_none_or(|a| a == mds) {
                             out.push(FragRef { dir: cur, frag: i });
                         }
                     }
-                    stack.extend(d.children.iter().copied());
+                    stack.extend_from_slice(self.children(cur));
                 }
             }
         }
@@ -861,7 +929,7 @@ impl Namespace {
         // dirs resolving to `mds` were already collected above).
         if let Some(over) = self.frag_over.get(mds) {
             for &(d, f) in over {
-                if self.dirs[d.0 as usize].auth_cache.auth != mds {
+                if self.resolve_auth(d) != mds {
                     out.push(FragRef { dir: d, frag: f });
                 }
             }
@@ -884,11 +952,11 @@ impl Namespace {
         let mut out = Vec::new();
         let mut stack = vec![id];
         while let Some(cur) = stack.pop() {
-            if stop_at_bounds && cur != id && self.dir(cur).auth.is_some() {
+            if stop_at_bounds && cur != id && self.dir(cur).auth.get().is_some() {
                 continue;
             }
             out.push(cur);
-            stack.extend(self.dir(cur).children.iter().copied());
+            stack.extend_from_slice(self.children(cur));
         }
         out
     }
@@ -898,7 +966,7 @@ impl Namespace {
     pub fn subtree_inodes(&self, id: NodeId) -> u64 {
         self.subtree_dirs(id, true)
             .iter()
-            .map(|&d| 1 + self.dir(d).files)
+            .map(|&d| 1 + self.summary(d).files)
             .sum()
     }
 
@@ -940,7 +1008,7 @@ impl Namespace {
         new_auth: Option<MdsId>,
         clear_frag_overrides: bool,
     ) -> SubtreeMigration {
-        let old_auth = self.dir(id).auth;
+        let old_auth = self.dir(id).auth.get();
         if old_auth == new_auth && !clear_frag_overrides {
             return SubtreeMigration {
                 inodes: 0,
@@ -954,22 +1022,17 @@ impl Namespace {
         }
         self.update_bound_index(id, old_auth, new_auth);
         // Resolution of the bounded region before/after the change.
-        let a_old = self.dirs[id.0 as usize].auth_cache.auth;
-        let parent = self.dirs[id.0 as usize].parent;
-        let a_new = new_auth.unwrap_or_else(|| {
-            let p = parent.expect("root always has an authority");
-            self.dirs[p.0 as usize].auth_cache.auth
-        });
+        let a_old = self.resolve_auth(id);
+        let parent = self.dirs[id.0 as usize].parent();
+        let a_new = new_auth
+            .unwrap_or_else(|| self.resolve_auth(parent.expect("root always has an authority")));
         // Does the new authority already replicate the prefix *above* `id`?
         // (Membership below is tracked per-path during the walk.)
         let n_above = match (new_auth, parent) {
-            (Some(n), Some(p)) => self
-                .chains
-                .get(self.dirs[p.0 as usize].auth_cache.chain)
-                .contains(&n),
+            (Some(n), Some(p)) => self.ancestor_auth_chain(p).contains(&n),
             _ => false,
         };
-        self.dirs[id.0 as usize].auth = new_auth;
+        self.dirs[id.0 as usize].auth = AuthSlot::new(new_auth);
         let clock = self.clock;
 
         let mut inodes = 0u64;
@@ -987,42 +1050,38 @@ impl Namespace {
             // chain, deduplicated. `id`'s parent is outside the walk and
             // its cache is untouched — correct before and after. Without
             // an override of its own a dir shares its parent's chain.
-            let chain = match (self.dirs[xi].auth, self.dirs[xi].parent) {
+            let (own, parent) = (self.dirs[xi].auth.get(), self.dirs[xi].parent());
+            let chain = match (own, parent) {
                 (None, Some(p)) => self.dirs[p.0 as usize].auth_cache.chain,
-                (own, parent) => {
+                (_, parent) => {
                     buf.clear();
                     buf.extend(own);
                     if let Some(p) = parent {
-                        let above = self.chains.get(self.dirs[p.0 as usize].auth_cache.chain);
+                        let above = self.ancestor_auth_chain(p);
                         buf.extend(above.iter().filter(|&&m| Some(m) != own));
                     }
                     self.chains.intern(&buf)
                 }
             };
-            let resolved_new = self.dirs[xi].auth.unwrap_or(if bounded {
-                a_new
-            } else {
+            let resolved_new = match own {
+                Some(own) => own,
+                None if bounded => a_new,
                 // Under a hole the nearest override is below `id`; only
                 // reachable when the hole itself has the override, so a
                 // dir here without one resolves via its parent's cache.
-                self.dirs[self.dirs[xi]
-                    .parent
-                    .expect("hole descendants have parents")
-                    .0 as usize]
-                    .auth_cache
-                    .auth
-            });
+                None => self.resolve_auth(parent.expect("hole descendants have parents")),
+            };
             let resolved_old = if bounded || x == id {
                 a_old
             } else {
                 resolved_new
             };
             if bounded {
-                inodes += 1 + self.dirs[xi].files;
+                inodes += 1 + self.summary(x).files;
                 dirs.push(x);
             }
             for f in 0..self.dirs[xi].frags.len() {
-                let over = self.dirs[xi].frags[f].auth;
+                let over = self.dirs[xi].frags[f].auth.get();
                 let eff_old = over.unwrap_or(resolved_old);
                 let cleared = clear_frag_overrides && bounded && over.is_some();
                 let eff_new = if cleared {
@@ -1033,7 +1092,7 @@ impl Namespace {
                 if cleared {
                     let a = over.expect("cleared implies an override");
                     self.frag_over[a].remove(&(x, f));
-                    self.dirs[xi].frags[f].auth = None;
+                    self.dirs[xi].frags[f].auth = AuthSlot::NONE;
                 }
                 let h = self.dirs[xi].frags[f].heat.peek(clock, &self.decay);
                 if h == HeatSample::default() {
@@ -1079,13 +1138,13 @@ impl Namespace {
                 }
             }
             self.dirs[xi].auth_cache = AuthCache {
-                auth: resolved_new,
+                // From a slot or a cache: it fits.
+                auth: resolved_new as u32,
                 chain,
             };
             self.refresh_summary(x);
-            for ci in 0..self.dirs[xi].children.len() {
-                let c = self.dirs[xi].children[ci];
-                let c_auth = self.dirs[c.0 as usize].auth;
+            for &c in self.children(x) {
+                let c_auth = self.dirs[c.0 as usize].auth.get();
                 if bounded && c_auth.is_some() {
                     holes.push(c);
                 }
@@ -1176,7 +1235,7 @@ impl Namespace {
                 last = Some(d);
                 // Dirs this MDS resolves are already in via their bound
                 // root; a frag override only adds foreign dirs.
-                if self.dirs[d.0 as usize].auth_cache.auth != mds {
+                if self.resolve_auth(d) != mds {
                     out.push(d);
                 }
             }
@@ -1212,7 +1271,7 @@ mod tests {
         assert_eq!(ns.path(c1), "/a/b/c");
         assert_eq!(ns.dir(c1).depth, 3);
         let b = ns.mkdir_p("/a/b");
-        assert_eq!(ns.dir(c1).parent, Some(b));
+        assert_eq!(ns.dir(c1).parent(), Some(b));
         assert_eq!(ns.dir_count(), 4); // root, a, b, c
     }
 
@@ -1269,12 +1328,8 @@ mod tests {
             assert_eq!(new.dir_count(), old.dir_count(), "case {case}");
             for d in old.all_dirs() {
                 let (a, b) = (new.dir(d), old.dir(d));
-                assert_eq!(
-                    (a.id, a.parent, a.depth),
-                    (b.id, b.parent, b.depth),
-                    "{d:?}"
-                );
-                assert_eq!(a.children, b.children, "case {case} {d:?}");
+                assert_eq!((a.parent(), a.depth), (b.parent(), b.depth), "{d:?}");
+                assert_eq!(new.children(d), old.children(d), "case {case} {d:?}");
                 assert_eq!(new.name(d), old.name(d), "case {case} {d:?}");
                 for name in NAMES {
                     assert_eq!(new.lookup_child(d, name), old.lookup_child(d, name));
@@ -1658,21 +1713,24 @@ mod tests {
         }
     }
 
-    /// Heap bytes `d` owns: only `children` and spilled fragments can
-    /// own any; every other field is plain data.
+    /// Heap bytes `d` owns: only spilled fragments can own any; every
+    /// other field is plain data.
     fn heap_bytes(d: &Dir) -> usize {
-        let frags = match &d.frags.0 {
+        match &d.frags.0 {
             FragsRepr::One(_) => 0,
-            FragsRepr::Many(v) => v.capacity() * std::mem::size_of::<Frag>(),
-        };
-        d.children.capacity() * std::mem::size_of::<NodeId>() + frags
+            FragsRepr::Many { frags, .. } => frags.capacity() * std::mem::size_of::<Frag>(),
+        }
     }
 
     #[test]
-    fn a_directory_is_one_280_byte_row_with_no_heap_of_its_own() {
-        // 216 bytes and two allocations (fragment vector, chain vector)
-        // before the first fragment moved inline and chains were interned.
-        assert_eq!(std::mem::size_of::<Dir>(), 280);
+    fn a_directory_is_one_208_byte_row_with_no_heap_of_its_own() {
+        // 280 bytes, with the child list and a 16-byte summary in every
+        // row and 16-byte authority slots, before rows were narrowed.
+        assert_eq!(std::mem::size_of::<Dir>(), 208);
+        assert!(std::mem::size_of::<Dir>() <= 216);
+        // The slot's spare raw zero holds the fragments' tag, and the
+        // summary shares the spilled variant's bytes.
+        assert_eq!(std::mem::size_of::<Frags>(), std::mem::size_of::<Frag>());
         let mut ns = Namespace::new(small_cfg());
         let leaf = ns.mkdir_p("/a/b");
         let a = ns.mkdir_p("/a");
@@ -1682,12 +1740,42 @@ mod tests {
         ns.migrate_subtree(a, 1);
         ns.set_frag_auth(leaf, 0, Some(2));
         assert_eq!(heap_bytes(ns.dir(leaf)), 0, "a single-fragment leaf");
-        assert!(heap_bytes(ns.dir(a)) > 0, "a parent owns its child list");
+        assert_eq!(
+            heap_bytes(ns.dir(a)),
+            0,
+            "a parent's child list is not in its row"
+        );
+        assert_eq!(ns.children(a), [leaf]);
         for _ in 0..6 {
             ns.record_op(leaf, OpKind::Create, SimTime::ZERO);
         }
         assert_eq!(ns.dir(leaf).frags.len(), 8);
         assert!(heap_bytes(ns.dir(leaf)) > 0, "a split spills the fragments");
+    }
+
+    #[test]
+    fn an_authority_slot_round_trips_every_width() {
+        assert_eq!(AuthSlot::NONE.get(), None);
+        assert_eq!(AuthSlot::new(None), AuthSlot::NONE);
+        assert!(AuthSlot::NONE.is_none());
+        for id in [0, 1, 254, 255, 256, 65_535, 65_536, AuthSlot::MAX_ID] {
+            let slot = AuthSlot::new(Some(id));
+            assert_eq!(slot.get(), Some(id));
+            assert!(!slot.is_none(), "{id}");
+        }
+        assert_eq!(AuthSlot::MAX_ID, 4_294_967_293);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a slot")]
+    fn an_authority_slot_refuses_the_first_id_past_its_range() {
+        AuthSlot::new(Some(AuthSlot::MAX_ID + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a slot")]
+    fn an_authority_slot_refuses_an_id_past_32_bits() {
+        AuthSlot::new(Some(1 << 32));
     }
 
     fn random_frag(rng: &mut mantle_sim::SimRng) -> Frag {
@@ -1700,7 +1788,7 @@ mod tests {
         Frag {
             files: rng.below(1_000),
             heat,
-            auth: [None, Some(rng.below(8) as MdsId)][rng.below(2) as usize],
+            auth: AuthSlot::new([None, Some(rng.below(8) as MdsId)][rng.below(2) as usize]),
         }
     }
 
@@ -1762,17 +1850,17 @@ mod tests {
         }
     }
 
-    /// `(files, span, over)` of `d`, as kept and as a scan of its
+    /// `d`'s summary as kept (or derived, unsplit) and as a scan of its
     /// fragments says.
-    fn summary_and_scan(ns: &Namespace, d: NodeId) -> ((u64, u32, u32), (u64, u32, u32)) {
+    fn summary_and_scan(ns: &Namespace, d: NodeId) -> (Summary, Summary) {
         let dir = ns.dir(d);
         let threshold = ns.config().frag_split_threshold;
-        let scan = (
-            dir.frags.iter().map(|f| f.files).sum(),
-            ns.frag_owners(d).len() as u32,
-            dir.frags.iter().filter(|f| f.files > threshold).count() as u32,
-        );
-        ((dir.files, dir.span, dir.over), scan)
+        let scan = Summary {
+            files: dir.frags.iter().map(|f| f.files).sum(),
+            span: ns.frag_owners(d).len() as u32,
+            over: dir.frags.iter().filter(|f| f.files > threshold).count() as u32,
+        };
+        (ns.summary(d), scan)
     }
 
     fn assert_summaries(ns: &Namespace) {
@@ -1782,15 +1870,68 @@ mod tests {
         }
     }
 
+    /// Random histories of creates and unlinks (which spill directories
+    /// and split them again), fragment and subtree overrides, migrations
+    /// and mkdirs: after every step, each directory's summary — kept
+    /// beside spilled fragments, derived from an inline one — is what a
+    /// scan of its fragments says.
+    #[test]
+    fn a_spilled_summary_is_a_scan_after_every_step() {
+        let mut rng = mantle_sim::SimRng::new(0x5a11);
+        let (mut spills, mut resplits, mut frag_moves) = (0, 0, 0);
+        for case in 0..100 {
+            let mut ns = Namespace::new(NsConfig {
+                frag_split_threshold: 1 + rng.below(6),
+                ..Default::default()
+            });
+            let mut all = vec![ns.root()];
+            for step in 0..80 {
+                let d = all[rng.below(all.len() as u64) as usize];
+                let m = [None, Some(rng.below(4) as MdsId)][rng.below(2) as usize];
+                let frags = ns.dir(d).frags.len();
+                match rng.below(8) {
+                    0 => all.push(ns.mkdir(d, format!("d{step}"))),
+                    1 => {
+                        ns.set_frag_auth(d, rng.below(frags as u64) as usize, m);
+                        frag_moves += usize::from(frags > 1);
+                    }
+                    2 if d != ns.root() => ns.set_auth(d, m),
+                    3 => {
+                        ns.migrate_subtree(d, m.unwrap_or(0));
+                    }
+                    4 => {
+                        ns.record_op(d, OpKind::Unlink, SimTime::ZERO);
+                    }
+                    _ => {
+                        if ns.record_op(d, OpKind::Create, SimTime::ZERO).1.is_some() {
+                            *[&mut resplits, &mut spills][usize::from(frags == 1)] += 1;
+                        }
+                    }
+                }
+                for d in ns.all_dirs() {
+                    let (kept, scan) = summary_and_scan(&ns, d);
+                    assert_eq!(kept, scan, "case {case} step {step} {d:?}");
+                }
+            }
+        }
+        assert!(spills > 100, "{spills} spills");
+        assert!(resplits > 100, "{resplits} splits after a spill");
+        assert!(
+            frag_moves > 100,
+            "{frag_moves} fragment overrides after a spill"
+        );
+    }
+
     #[test]
     fn an_op_that_crosses_the_threshold_splits_at_once() {
         let mut ns = Namespace::new(small_cfg());
         let d = ns.mkdir_p("/x");
-        let over = |ns: &Namespace| ns.dir(d).over;
+        let summary = |ns: &Namespace| ns.summary(d);
+        let over = |ns: &Namespace| summary(ns).over;
         for _ in 0..10 {
             assert_eq!(ns.record_op(d, OpKind::Create, SimTime::ZERO).1, None);
         }
-        assert_eq!((ns.dir(d).files, over(&ns)), (10, 0), "at the threshold");
+        assert_eq!((summary(&ns).files, over(&ns)), (10, 0), "at the threshold");
         assert_eq!(ns.record_op(d, OpKind::Unlink, SimTime::ZERO).1, None);
         assert_eq!(ns.record_op(d, OpKind::Create, SimTime::ZERO).1, None);
         let split = ns
@@ -1798,12 +1939,13 @@ mod tests {
             .1
             .expect("11 > 10 splits");
         assert_eq!(split.resulting_frags, 8);
-        assert_eq!((ns.dir(d).files, over(&ns)), (11, 0));
+        assert_eq!((summary(&ns).files, over(&ns)), (11, 0));
         assert_summaries(&ns);
         // Unlinks past zero change nothing.
         let empty = ns.mkdir_p("/empty");
         ns.record_op(empty, OpKind::Unlink, SimTime::ZERO);
-        assert_eq!(summary_and_scan(&ns, empty).0, (0, 1, 0));
+        let (kept, _) = summary_and_scan(&ns, empty);
+        assert_eq!((kept.files, kept.span, kept.over), (0, 1, 0));
         assert_summaries(&ns);
     }
 
@@ -1821,7 +1963,7 @@ mod tests {
             OpKind::Unlink,
         ] {
             assert_eq!(ns.record_op(d, op, SimTime::ZERO).1, None);
-            assert_eq!(ns.dir(d).over, 0);
+            assert_eq!(ns.summary(d).over, 0);
         }
         assert_summaries(&ns);
     }

@@ -200,7 +200,7 @@ mod tests {
         w.setup(&mut ns);
         let client0 = ns.lookup_child(ns.root(), "client0").expect("setup ran");
         let linux = ns.lookup_child(client0, "linux").expect("tree built");
-        let tops = &ns.dir(linux).children;
+        let tops = ns.children(linux);
         assert_eq!(tops.len(), TREE.len());
         assert!(tops.iter().any(|&c| ns.name(c) == "arch"));
         assert!(ns.lookup_child(ns.root(), "client1").is_some());

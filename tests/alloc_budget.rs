@@ -1,6 +1,6 @@
-//! Allocation budgets of building the namespace and of migrating a
-//! subtree, counted by a global allocator that counts per thread (so the
-//! harness running other tests in parallel adds nothing).
+//! Allocation and memory budgets of building the namespace and of
+//! migrating a subtree, counted by a global allocator that counts per
+//! thread (so the harness running other tests in parallel adds nothing).
 //!
 //! * `ZipfMix::setup` over 20 000 directories: the parents' child lists
 //!   growing and one interned name per group, ≈ 0.25 allocations per
@@ -8,6 +8,10 @@
 //! * `migrate_subtree` of a 17-directory group (a group and its 16
 //!   leaves): the `SubtreeMigration::dirs` list growing, ≈ 4. Walk
 //!   buffers made afresh on every call add about six.
+//! * The heap a namespace of those 20 000 directories keeps: its rows,
+//!   child index, child lists, names and warm bits, 240 bytes per
+//!   directory, 208 of them its row. Rows of 280 bytes, with the child
+//!   lists in them, kept 309.7.
 //!
 //! Each bound is the measured value plus a little headroom.
 
@@ -20,14 +24,18 @@ use mantle_workloads::ZipfMix;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-/// Counts every allocation and reallocation of the calling thread.
+/// Counts every allocation and reallocation of the calling thread, and
+/// the bytes it holds.
 struct Counting;
 
-fn count() {
+/// One allocation or reallocation that changed the live bytes by `bytes`.
+fn count(bytes: i64) {
     // `try_with`: a thread being torn down still allocates.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -35,21 +43,22 @@ fn count() {
 // allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -88,10 +97,27 @@ fn namespace_setup_allocates_a_quarter_per_directory() {
 }
 
 #[test]
+fn a_namespace_keeps_240_bytes_of_heap_per_directory() {
+    let before = LIVE.with(Cell::get);
+    let ns = {
+        let mut ns = Namespace::default();
+        ZipfMix::new(1, DIRS, 0, 1.0, 0.5, 1).setup(&mut ns);
+        ns
+    };
+    let live = LIVE.with(Cell::get) - before;
+    let created = ns.dir_count() - 1;
+    let per_dir = live as f64 / created as f64;
+    assert!(
+        per_dir <= 248.0,
+        "{per_dir:.1} live bytes per directory ({live} for {created})"
+    );
+}
+
+#[test]
 fn a_group_migration_allocates_only_its_region_list() {
     let (_, mut ns) = zipf_namespace();
     let top = ns.lookup_child(ns.root(), "zipf").unwrap();
-    let groups: Vec<NodeId> = ns.dir(top).children.clone();
+    let groups: Vec<NodeId> = ns.children(top).to_vec();
     // Every group twice, over 8 MDSs: each migration but the first to an
     // MDS finds its chain already interned, as in a long run.
     let (mut n, mut moved) = (0, 0);

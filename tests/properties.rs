@@ -530,8 +530,7 @@ fn delta_aggregates_match_full_recompute() {
 /// Oracle for `lookup_child`, by sibling scan: the first child of
 /// `parent`, in creation order, whose name is `name`.
 fn scan_child(ns: &Namespace, parent: NodeId, name: &str) -> Option<NodeId> {
-    ns.dir(parent)
-        .children
+    ns.children(parent)
         .iter()
         .copied()
         .find(|&c| ns.name(c) == name)
@@ -567,7 +566,7 @@ fn grow_and_check_child_index(ns: &mut Namespace, rng: &mut SimRng, ctx: &str) {
         let first = scan_child(ns, parent, name);
         let id = ns.mkdir(parent, name);
         assert_eq!(id, NodeId(before as u32), "{ctx}: ids in creation order");
-        assert_eq!(ns.dir(parent).children.last(), Some(&id), "{ctx}");
+        assert_eq!(ns.children(parent).last(), Some(&id), "{ctx}");
         assert_eq!(
             ns.lookup_child(parent, name),
             first.or(Some(id)),
@@ -656,7 +655,7 @@ fn wide_directory_resolves_in_linear_time() {
         "creating {WIDTH} siblings took {created:.2} s, {:.1}× resolving them ({resolved:.2} s)",
         created / resolved
     );
-    assert_eq!(ns.dir(NodeId(1)).children.len(), WIDTH);
+    assert_eq!(ns.children(NodeId(1)).len(), WIDTH);
 }
 
 // ---------------------------------------------------------------------------

@@ -33,10 +33,10 @@ pub fn walk_chain(ns: &Namespace, d: NodeId) -> Vec<MdsId> {
     let mut cur = Some(d);
     while let Some(c) = cur {
         let dir = ns.dir(c);
-        if let Some(a) = dir.auth.filter(|a| !chain.contains(a)) {
+        if let Some(a) = dir.auth.get().filter(|a| !chain.contains(a)) {
             chain.push(a);
         }
-        cur = dir.parent;
+        cur = dir.parent();
     }
     chain
 }
@@ -52,7 +52,7 @@ pub fn walk_auth_frags(ns: &Namespace, mds: MdsId) -> Vec<FragRef> {
     for dir in ns.all_dirs() {
         let resolved = walk_resolve(ns, dir);
         for (frag, f) in ns.dir(dir).frags.iter().enumerate() {
-            if f.auth.unwrap_or(resolved) == mds {
+            if f.auth.get().unwrap_or(resolved) == mds {
                 out.push(FragRef { dir, frag });
             }
         }
@@ -66,8 +66,9 @@ pub fn walk_export_candidates(ns: &Namespace, mds: MdsId) -> Vec<NodeId> {
     ns.all_dirs()
         .filter(|&d| {
             let dir = ns.dir(d);
-            dir.auth == Some(mds)
-                || (walk_resolve(ns, d) != mds && dir.frags.iter().any(|f| f.auth == Some(mds)))
+            dir.auth.get() == Some(mds)
+                || (walk_resolve(ns, d) != mds
+                    && dir.frags.iter().any(|f| f.auth.get() == Some(mds)))
         })
         .collect()
 }
@@ -80,8 +81,8 @@ pub fn walk_migration(ns: &Namespace, id: NodeId) -> (u64, Vec<NodeId>) {
     while let Some(cur) = stack.pop() {
         let dir = ns.dir(cur);
         inodes += 1 + dir.frags.iter().map(|f| f.files).sum::<u64>();
-        for &c in &dir.children {
-            if ns.dir(c).auth.is_some() {
+        for &c in ns.children(cur) {
+            if ns.dir(c).auth.get().is_some() {
                 holes.push(c);
             } else {
                 stack.push(c);
@@ -107,7 +108,7 @@ pub fn walk_load_samples(
         let chain = walk_chain(ns, d);
         for f in &ns.dir(d).frags {
             let heat = f.heat.peek(now, half_life);
-            let serving = f.auth.unwrap_or(chain[0]);
+            let serving = f.auth.get().unwrap_or(chain[0]);
             if serving < num_mds {
                 auth[serving] = auth[serving].add(&heat);
             }
@@ -124,17 +125,17 @@ pub fn walk_load_samples(
 pub fn assert_indexes_match_walk(ns: &Namespace, num_mds: usize) {
     for d in ns.all_dirs() {
         let dir = ns.dir(d);
-        assert_eq!(dir.id, d);
         // Structure: children point back, one level down.
-        for &c in &dir.children {
+        assert_eq!(dir.children.is_empty(), ns.children(d).is_empty());
+        for &c in ns.children(d) {
             let child = ns.dir(c);
-            assert_eq!(child.parent, Some(d), "{c:?} under {d:?}");
+            assert_eq!(child.parent(), Some(d), "{c:?} under {d:?}");
             assert_eq!(child.depth, dir.depth + 1, "{c:?} under {d:?}");
         }
-        match dir.parent {
-            Some(p) => assert_eq!(ns.dir(p).children.iter().filter(|&&c| c == d).count(), 1),
+        match dir.parent() {
+            Some(p) => assert_eq!(ns.children(p).iter().filter(|&&c| c == d).count(), 1),
             None => assert!(
-                d == ns.root() && dir.auth.is_some(),
+                d == ns.root() && dir.auth.get().is_some(),
                 "{d:?} is a second root"
             ),
         }
@@ -145,7 +146,7 @@ pub fn assert_indexes_match_walk(ns: &Namespace, num_mds: usize) {
         assert_eq!(ns.ancestor_auth_chain(d), chain, "chain of {d:?}");
         let mut owners = Vec::new();
         for (i, f) in dir.frags.iter().enumerate() {
-            let serving = f.auth.unwrap_or(resolved);
+            let serving = f.auth.get().unwrap_or(resolved);
             assert!(serving < num_mds, "{d:?}/{i} served by MDS {serving}");
             assert_eq!(ns.frag_auth(d, i), serving, "frag_auth({d:?}, {i})");
             if !owners.contains(&serving) {
