@@ -16,12 +16,15 @@
 //!   stamp the freeze, one [`GroupCache::invalidate`] per directory.
 //!
 //! The clients' learned routes are dropped the same way. Every client's
-//! directory→MDS map lives in **one** [`RouteTable`]: a row of one byte
-//! per client for each directory any client has learned, so an export
+//! directory→MDS map lives in **one** [`RouteTable`], sized by what the
+//! clients learned: each directory any client has learned keeps its
+//! routes in a 20-byte slot of four (client, route) pairs, or, once a
+//! fifth client learns it, in a row of one byte per client. An export
 //! finds every client's route to a moved directory by scanning that
-//! directory's row, and a reply re-learns its route in the byte the issue
-//! just read. (A per-client map scanned with the region's predicate
-//! survives as the differential oracle in the unit tests below.)
+//! directory's slot or row, and a reply re-learns its route in the byte
+//! the issue just read. (A per-client map scanned with the region's
+//! predicate survives as the differential oracle in the unit tests
+//! below.)
 //!
 //! Determinism: group caches live in the simulation state ([`crate::world`]). Every
 //! mutation — fill, LRU touch, dentry invalidation — lands as the event
@@ -41,36 +44,82 @@ pub fn cacheable(kind: OpKind) -> bool {
     matches!(kind, OpKind::Stat | OpKind::OpenRead | OpKind::Readdir)
 }
 
-/// Rows per allocation: the table grows a chunk at a time, so a new row
-/// never copies the rows before it.
+/// Routes a directory's slot holds: a directory learned by at most this
+/// many clients at once keeps them in its [`Slot`]; the next client
+/// promotes it to a row of one byte per client.
+const SLOT_ROUTES: usize = 4;
+
+/// Rows per allocation: the dense rows grow a chunk at a time, so a new
+/// row never copies the rows before it.
 const ROW_CHUNK: usize = 64;
 
-/// The slot byte that says "look in `far`". Any other non-zero byte is
+/// The route byte that says "look in `far`". Any other non-zero byte is
 /// `mds + 1`.
 const FAR: u8 = u8::MAX;
 
 /// No row: the directory has never been learned by any client.
 const NO_ROW: u32 = u32::MAX;
 
+/// The `row_of` bit that marks a dense row; without it the entry is a
+/// slot index.
+const DENSE: u32 = 1 << 31;
+
+/// A sparse directory's routes: up to [`SLOT_ROUTES`] (client, route
+/// byte) pairs, 20 bytes. An entry whose byte is `0` is free.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    clients: [u32; SLOT_ROUTES],
+    routes: [u8; SLOT_ROUTES],
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 20);
+
+impl Slot {
+    /// The entry holding client `c`'s route, if it has one.
+    fn entry(&self, c: u32) -> Option<usize> {
+        (0..SLOT_ROUTES).find(|&i| self.routes[i] != 0 && self.clients[i] == c)
+    }
+}
+
+/// Where a learned directory's routes live.
+enum Row {
+    /// Index into `slots`.
+    Sparse(usize),
+    /// Its chunk, and its first byte in that chunk.
+    Dense(usize, usize),
+}
+
 /// Every client's learned directory→MDS map: what each client routes by,
 /// built from replies exactly as the client builds "its own mapping of
 /// subtrees to MDS nodes" (§2). Owned by the data plane.
 ///
-/// Each directory some client has learned gets a row of one byte per
-/// client: `0` for no route, `mds + 1` for MDSs below 254, and `255` when
-/// the route sits in `far` (MDS ids from 254 up; no shipped scenario
-/// has them). A directory past `row_of`'s end — one created after the
-/// newest learned directory — has no row yet, so it reads as no route.
-/// Rows are never freed: the namespace only grows, and a row that an
-/// export emptied is refilled by the next reply.
+/// A route is one byte: `0` for no route, `mds + 1` for MDSs below 254,
+/// and `255` when the route sits in `far` (MDS ids from 254 up; no
+/// shipped scenario has them). Each directory some client has learned
+/// keeps its routes in one of two places, found through `row_of`:
+/// - a **slot** of `SLOT_ROUTES` (client, byte) pairs, while at most
+///   that many clients hold a route to it at once;
+/// - a **dense row** of one byte per client, from the moment one more
+///   client learns it. A dense row stays dense, and its slot goes to the
+///   next directory learned.
+///
+/// A directory past `row_of`'s end — one created after the newest
+/// learned directory — has no routes yet, so it reads as no route.
+/// Neither slots nor rows are ever freed: the namespace only grows, and
+/// routes an export dropped are refilled by the next reply.
 #[derive(Debug)]
 pub struct RouteTable {
     clients: usize,
-    /// Row per directory, indexed by `NodeId`; [`NO_ROW`] if unlearned.
+    /// Per directory, indexed by `NodeId`: a slot index, a dense row
+    /// index with [`DENSE`] set, or [`NO_ROW`].
     row_of: Vec<u32>,
-    /// [`ROW_CHUNK`] rows of `clients` bytes each, per chunk.
+    /// The sparse directories' routes.
+    slots: Vec<Slot>,
+    /// Slots freed by a promotion, handed out again first.
+    free: Vec<u32>,
+    /// [`ROW_CHUNK`] dense rows of `clients` bytes each, per chunk.
     chunks: Vec<Box<[u8]>>,
-    /// Rows handed out so far.
+    /// Dense rows handed out so far.
     rows: u32,
     /// The routes behind every [`FAR`] byte, one entry each.
     far: HashMap<(NodeId, u32), MdsId>,
@@ -79,48 +128,122 @@ pub struct RouteTable {
 impl RouteTable {
     /// An empty table for `clients` clients.
     pub fn new(clients: usize) -> Self {
+        assert!(u32::try_from(clients).is_ok(), "client ids are kept as u32");
         RouteTable {
             clients,
             row_of: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             chunks: Vec::new(),
             rows: 0,
             far: HashMap::new(),
         }
     }
 
-    /// Where `dir`'s row lives, if some client has learned it.
-    fn find(&self, dir: NodeId) -> Option<(usize, usize)> {
-        let row = *self.row_of.get(dir.0 as usize)?;
-        (row != NO_ROW).then(|| self.locate(row))
+    /// Where `dir`'s routes live, if some client has learned it.
+    fn find(&self, dir: NodeId) -> Option<Row> {
+        match *self.row_of.get(dir.0 as usize)? {
+            NO_ROW => None,
+            r if r & DENSE == 0 => Some(Row::Sparse(r as usize)),
+            r => {
+                let (chunk, at) = self.locate((r & !DENSE) as usize);
+                Some(Row::Dense(chunk, at))
+            }
+        }
     }
 
-    /// Where `row` lives: its chunk, and its first byte in that chunk.
-    fn locate(&self, row: u32) -> (usize, usize) {
-        let row = row as usize;
+    /// Where dense row `row` lives: its chunk, and its first byte in that
+    /// chunk.
+    fn locate(&self, row: usize) -> (usize, usize) {
         (row / ROW_CHUNK, row % ROW_CHUNK * self.clients)
     }
 
-    /// `dir`'s row, handed out on first use.
-    fn row_or_insert(&mut self, dir: NodeId) -> u32 {
+    /// Client `c`'s route byte for `dir`: its slot entry holding a route,
+    /// or its byte of the dense row. `None` if it has neither.
+    fn byte_mut(&mut self, c: usize, dir: NodeId) -> Option<&mut u8> {
+        match self.find(dir)? {
+            Row::Sparse(s) => {
+                let i = self.slots[s].entry(c as u32)?;
+                Some(&mut self.slots[s].routes[i])
+            }
+            Row::Dense(chunk, at) => Some(&mut self.chunks[chunk][at + c]),
+        }
+    }
+
+    /// Client `c`'s route byte for `dir`, made if it has none: a new
+    /// slot for a directory no client has learned, a free entry of its
+    /// slot, or — when the slot is full — its byte of the dense row the
+    /// directory is promoted to.
+    fn byte_or_insert(&mut self, c: usize, dir: NodeId) -> &mut u8 {
         let d = dir.0 as usize;
         if d >= self.row_of.len() {
             self.row_of.resize(d + 1, NO_ROW);
         }
         if self.row_of[d] == NO_ROW {
-            if self.rows as usize == self.chunks.len() * ROW_CHUNK {
-                let chunk = vec![0u8; ROW_CHUNK * self.clients].into_boxed_slice();
-                self.chunks.push(chunk);
-            }
-            self.row_of[d] = self.rows;
-            self.rows += 1;
+            let s = match self.free.pop() {
+                Some(s) => s,
+                None => {
+                    self.slots.push(Slot::default());
+                    (self.slots.len() - 1) as u32
+                }
+            };
+            assert!(s < DENSE, "slot index overflow");
+            self.row_of[d] = s;
         }
-        self.row_of[d]
+        let s = match self.find(dir).expect("dir has a slot or a row") {
+            Row::Dense(chunk, at) => return &mut self.chunks[chunk][at + c],
+            Row::Sparse(s) => s,
+        };
+        let slot = &self.slots[s];
+        let free = slot
+            .entry(c as u32)
+            .or_else(|| slot.routes.iter().position(|&b| b == 0));
+        match free {
+            Some(i) => {
+                let slot = &mut self.slots[s];
+                slot.clients[i] = c as u32;
+                &mut slot.routes[i]
+            }
+            None => {
+                let (chunk, at) = self.promote(d, s);
+                &mut self.chunks[chunk][at + c]
+            }
+        }
+    }
+
+    /// Move directory `d`'s full slot `s` into a new dense row, free the
+    /// slot, and return where the row lives.
+    fn promote(&mut self, d: usize, s: usize) -> (usize, usize) {
+        if self.rows as usize == self.chunks.len() * ROW_CHUNK {
+            let chunk = vec![0u8; ROW_CHUNK * self.clients].into_boxed_slice();
+            self.chunks.push(chunk);
+        }
+        let row = self.rows as usize;
+        assert!(row < DENSE as usize, "dense row index overflow");
+        self.rows += 1;
+        let (chunk, at) = self.locate(row);
+        let bytes = &mut self.chunks[chunk][at..at + self.clients];
+        let slot = std::mem::take(&mut self.slots[s]);
+        for (&c, &b) in slot.clients.iter().zip(&slot.routes) {
+            if b != 0 {
+                bytes[c as usize] = b;
+            }
+        }
+        self.free.push(s as u32);
+        self.row_of[d] = row as u32 | DENSE;
+        (chunk, at)
     }
 
     /// Client `c`'s learned authority for `dir`, if any.
     pub fn get(&self, c: usize, dir: NodeId) -> Option<MdsId> {
-        let (chunk, at) = self.find(dir)?;
-        match self.chunks[chunk][at + c] {
+        let byte = match self.find(dir)? {
+            Row::Sparse(s) => {
+                let slot = &self.slots[s];
+                slot.routes[slot.entry(c as u32)?]
+            }
+            Row::Dense(chunk, at) => self.chunks[chunk][at + c],
+        };
+        match byte {
             0 => None,
             FAR => Some(self.far[&(dir, c as u32)]),
             b => Some(b as MdsId - 1),
@@ -129,23 +252,21 @@ impl RouteTable {
 
     /// A reply told client `c` that `dir` was ultimately served by `mds`.
     pub(crate) fn learn(&mut self, c: usize, dir: NodeId, mds: MdsId) {
-        let row = self.row_or_insert(dir);
-        let (chunk, at) = self.locate(row);
-        let slot = &mut self.chunks[chunk][at + c];
+        let byte = self.byte_or_insert(c, dir);
         if mds + 1 < FAR as MdsId {
-            if std::mem::replace(slot, mds as u8 + 1) == FAR {
+            if std::mem::replace(byte, mds as u8 + 1) == FAR {
                 self.far.remove(&(dir, c as u32));
             }
         } else {
-            *slot = FAR;
+            *byte = FAR;
             self.far.insert((dir, c as u32), mds);
         }
     }
 
     /// Client `c` forgets what it learned about `dir` alone.
     pub(crate) fn forget(&mut self, c: usize, dir: NodeId) {
-        if let Some((chunk, at)) = self.find(dir) {
-            if std::mem::take(&mut self.chunks[chunk][at + c]) == FAR {
+        if let Some(byte) = self.byte_mut(c, dir) {
+            if std::mem::take(byte) == FAR {
                 self.far.remove(&(dir, c as u32));
             }
         }
@@ -153,21 +274,32 @@ impl RouteTable {
 
     /// Drop every route to one of `dirs` held by a client still running,
     /// returning how many were dropped: one scan of each directory's
-    /// row. A `done` client routes nothing any more; its entries stay,
-    /// uncounted.
+    /// slot or row. A `done` client routes nothing any more; its entries
+    /// stay, uncounted.
     pub(crate) fn invalidate_dirs(&mut self, clients: &[ClientState], dirs: &[NodeId]) -> u64 {
         let mut dropped = 0;
+        let mut drop_route = |far: &mut HashMap<_, _>, dir, c: usize, byte: &mut u8| {
+            if *byte != 0 && !clients[c].done {
+                if std::mem::take(byte) == FAR {
+                    far.remove(&(dir, c as u32));
+                }
+                dropped += 1;
+            }
+        };
         for &dir in dirs {
-            let Some((chunk, at)) = self.find(dir) else {
-                continue;
-            };
-            let slots = &mut self.chunks[chunk][at..at + self.clients];
-            for (c, slot) in slots.iter_mut().enumerate() {
-                if *slot != 0 && !clients[c].done {
-                    if std::mem::take(slot) == FAR {
-                        self.far.remove(&(dir, c as u32));
+            match self.find(dir) {
+                None => {}
+                Some(Row::Sparse(s)) => {
+                    let slot = &mut self.slots[s];
+                    for (&c, byte) in slot.clients.iter().zip(&mut slot.routes) {
+                        drop_route(&mut self.far, dir, c as usize, byte);
                     }
-                    dropped += 1;
+                }
+                Some(Row::Dense(chunk, at)) => {
+                    let bytes = &mut self.chunks[chunk][at..at + self.clients];
+                    for (c, byte) in bytes.iter_mut().enumerate() {
+                        drop_route(&mut self.far, dir, c, byte);
+                    }
                 }
             }
         }
@@ -351,22 +483,32 @@ mod tests {
                 assert_eq!(routes.get(c, d), want, "{at} client {c} {d:?}");
             }
         }
-        let far_bytes = routes.chunks.iter().flat_map(|ch| ch.iter());
-        let far_bytes = far_bytes.filter(|&&b| b == FAR).count();
-        assert_eq!(routes.far.len(), far_bytes, "{at}: far entries");
+        let (sparse, dense) = far_bytes(routes);
+        assert_eq!(routes.far.len(), sparse + dense, "{at}: far entries");
+    }
+
+    /// How many [`FAR`] bytes the table's slots and its dense rows hold.
+    fn far_bytes(routes: &RouteTable) -> (usize, usize) {
+        let count = |bytes: &[u8]| bytes.iter().filter(|&&b| b == FAR).count();
+        let sparse = routes.slots.iter().map(|s| count(&s.routes)).sum();
+        let dense = routes.chunks.iter().map(|ch| count(ch)).sum();
+        (sparse, dense)
     }
 
     /// Satellite check: one route table shared by many clients drops
     /// exactly what a predicate scan of each running client's own map
     /// drops — across random trees and exports (nested bounds,
     /// root-only), directories created after the export, clients that
-    /// finish, single-directory forgets, and routes that move between the
-    /// byte and `far` in both directions.
+    /// finish, single-directory forgets, routes that move between the
+    /// byte and `far` in both directions, and directories whose slot a
+    /// fifth client's route promotes to a dense row (rounds of 2 to 12
+    /// clients).
     #[test]
     fn interval_invalidation_matches_predicate_oracle() {
         let mut rng = SimRng::new(0xCAFE);
         let (mut late_routes, mut dropped_total, mut spared_done) = (0, 0, 0);
         let (mut to_far, mut to_near, mut most_chunks) = (0, 0, 0);
+        let (mut promoted, mut stayed_sparse, mut far_in_slots, mut far_in_rows) = (0, 0, 0, 0);
         for round in 0..40u32 {
             let mut ns = Namespace::default();
             let mut all = vec![ns.root()];
@@ -374,7 +516,7 @@ mod tests {
                 let parent = pick(&mut rng, &all);
                 all.push(ns.mkdir(parent, format!("d{i}")));
             }
-            let n = 2 + rng.below(7) as usize;
+            let n = 2 + rng.below(11) as usize;
             let mut clients: Vec<ClientState> = (0..n).map(ClientState::new).collect();
             let mut routes = RouteTable::new(n);
             // The oracle: a plain map per client, scanned with the
@@ -435,6 +577,14 @@ mod tests {
                 }
             }
             most_chunks = most_chunks.max(routes.chunks.len());
+            promoted += routes.rows as usize;
+            let sparse = routes
+                .row_of
+                .iter()
+                .filter(|&&r| r != NO_ROW && r & DENSE == 0);
+            stayed_sparse += sparse.count();
+            let (in_slots, in_rows) = far_bytes(&routes);
+            (far_in_slots, far_in_rows) = (far_in_slots + in_slots, far_in_rows + in_rows);
         }
         assert!(
             late_routes > 400,
@@ -450,6 +600,14 @@ mod tests {
             "{to_far} near routes re-learned far, {to_near} far ones near"
         );
         assert!(most_chunks >= 2, "no round learned past one chunk of rows");
+        assert!(
+            promoted > 500 && stayed_sparse > 500,
+            "{promoted} rows promoted, {stayed_sparse} left in slots"
+        );
+        assert!(
+            far_in_slots > 500 && far_in_rows > 500,
+            "{far_in_slots} far routes in slots, {far_in_rows} in rows"
+        );
     }
 
     #[test]

@@ -1,6 +1,11 @@
 //! Client model: closed-loop request generators with a learned
 //! subtree→MDS map, and the [`Workload`] trait the workload generators
 //! implement.
+//!
+//! What a client keeps grows with what it did: its [`LatencyLog`] is
+//! 2 bytes a completed op (8 more for each op of 65.5 ms or longer), and
+//! its learned routes take table space only for the directories it
+//! learned ([`crate::cache::RouteTable`]).
 
 use mantle_namespace::{FragId, MdsId, Namespace, NodeId, OpKind};
 use mantle_sim::{SimTime, Summary};
@@ -65,10 +70,11 @@ pub trait Workload: Send {
 }
 
 /// Per-client connection state maintained by the cluster. The client's
-/// learned directory→MDS map is not here: it is this client's byte in
-/// each row of the data plane's [`RouteTable`](crate::cache::RouteTable),
-/// which keeps every client's route to one directory side by side so a
-/// migration drops a moved directory from all of them in one row scan.
+/// learned directory→MDS map is not here: it is this client's entries in
+/// the data plane's [`RouteTable`](crate::cache::RouteTable), which keeps
+/// every client's route to one directory side by side — in a slot while
+/// few clients hold one, in a row of a byte per client after — so a
+/// migration drops a moved directory from all of them in one scan.
 #[derive(Debug, Clone)]
 pub struct ClientState {
     /// Client index.
@@ -125,79 +131,69 @@ impl ClientState {
 }
 
 /// A client's op latencies in whole microseconds, the simulation's own
-/// unit: 4 bytes a sample while every sample fits in 32 bits (below
-/// 2³² µs ≈ 71.6 min), 8 bytes from the first that does not, which
-/// widens the log once. Either way the log is exact, and
-/// [`LatencyLog::summary`] reads each sample as the milliseconds
-/// [`SimTime::as_millis_f64`] gives.
-#[derive(Debug, Clone)]
-pub struct LatencyLog(LogRepr);
-
-#[derive(Debug, Clone)]
-enum LogRepr {
-    Narrow(Vec<u32>),
-    Wide(Vec<u64>),
+/// unit, 2 bytes a sample: each sample below 65 535 µs is its own `u16`,
+/// and each one from 65 535 µs (≈ 65.5 ms) up is a `LONG` marker in
+/// `short` whose value is the next entry of `long`, in order. The log is
+/// exact, and [`LatencyLog::summary`] reads each sample as the
+/// milliseconds [`SimTime::as_millis_f64`] gives.
+#[derive(Debug, Clone, Default)]
+pub struct LatencyLog {
+    /// Every sample, in completion order; [`LONG`] for one held in `long`.
+    short: Vec<u16>,
+    /// The samples of 65 535 µs and more, in completion order.
+    long: Vec<u64>,
 }
 
-impl Default for LatencyLog {
-    fn default() -> Self {
-        LatencyLog(LogRepr::Narrow(Vec::new()))
-    }
-}
+/// The `short` entry that says "the next sample of `long`".
+const LONG: u16 = u16::MAX;
 
 impl LatencyLog {
     /// Append one latency.
     pub fn push(&mut self, latency: SimTime) {
-        match &mut self.0 {
-            LogRepr::Narrow(log) => match u32::try_from(latency.0) {
-                Ok(us) => log.push(us),
-                Err(_) => {
-                    let mut wide: Vec<u64> = log.iter().map(|&us| u64::from(us)).collect();
-                    wide.push(latency.0);
-                    self.0 = LogRepr::Wide(wide);
-                }
-            },
-            LogRepr::Wide(log) => log.push(latency.0),
+        match u16::try_from(latency.0) {
+            Ok(us) if us != LONG => self.short.push(us),
+            _ => {
+                self.short.push(LONG);
+                self.long.push(latency.0);
+            }
         }
     }
 
     /// Reserve room for exactly `additional` more samples, if it can be
     /// had.
     pub(crate) fn try_reserve_exact(&mut self, additional: usize) {
-        let _ = match &mut self.0 {
-            LogRepr::Narrow(log) => log.try_reserve_exact(additional),
-            LogRepr::Wide(log) => log.try_reserve_exact(additional),
-        };
+        let _ = self.short.try_reserve_exact(additional);
     }
 
     /// How many samples the log holds.
     pub fn len(&self) -> usize {
-        match &self.0 {
-            LogRepr::Narrow(log) => log.len(),
-            LogRepr::Wide(log) => log.len(),
-        }
+        self.short.len()
     }
 
     /// True when no op has completed.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.short.is_empty()
     }
 
     /// How many samples fit before the log reallocates.
     pub fn capacity(&self) -> usize {
-        match &self.0 {
-            LogRepr::Narrow(log) => log.capacity(),
-            LogRepr::Wide(log) => log.capacity(),
-        }
+        self.short.capacity()
     }
 
     /// The summary of the samples in milliseconds.
     pub fn summary(&self) -> Summary {
-        let ms = |us: u64| SimTime::from_micros(us).as_millis_f64();
-        let samples: Vec<f64> = match &self.0 {
-            LogRepr::Narrow(log) => log.iter().map(|&us| ms(u64::from(us))).collect(),
-            LogRepr::Wide(log) => log.iter().map(|&us| ms(us)).collect(),
-        };
+        let mut long = self.long.iter();
+        let samples: Vec<f64> = self
+            .short
+            .iter()
+            .map(|&us| {
+                let us = match us {
+                    LONG => *long.next().expect("one long sample per marker"),
+                    us => u64::from(us),
+                };
+                SimTime::from_micros(us).as_millis_f64()
+            })
+            .collect();
         Summary::of(samples)
     }
 }
@@ -287,10 +283,11 @@ mod tests {
         assert_eq!(c.latencies.len(), 2);
     }
 
-    /// The summary of the 4-byte log is the summary of the latencies in
-    /// `f64` milliseconds, bit for bit, and stays so once a latency of
-    /// 2³² µs or more widens the log: at 0, 1 µs, 2³² − 1 µs and
-    /// 2³² + k µs, among ordinary draws.
+    /// The summary of the 2-byte log is the summary of the latencies in
+    /// `f64` milliseconds, bit for bit, and the long list holds exactly
+    /// the samples of 65 535 µs and more, in order: over ordinary draws
+    /// mixed with 0, 1, 65 534, 65 535 (the marker's own value), 65 536,
+    /// 2³² − 1, 2³² and 2⁴⁰ µs.
     #[test]
     fn the_log_summarizes_as_the_f64_milliseconds_would() {
         let bits = |s: &Summary| {
@@ -298,29 +295,38 @@ mod tests {
             (s.count, fields.map(f64::to_bits))
         };
         let mut rng = mantle_sim::SimRng::new(0x1a7e);
-        let edges = [0, 1, u64::from(u32::MAX)];
-        for wide in [false, true] {
-            for n in [0, 1, 2, 7, 100, 5_000] {
-                let (mut log, mut ms) = (LatencyLog::default(), Vec::new());
-                for i in 0..n {
-                    let us = match rng.below(8) {
-                        0 => edges[rng.below(3) as usize],
-                        1 if wide => (1 << 32) + rng.below(1 << 40),
-                        _ => rng.below(200_000),
-                    };
-                    let us = if wide && i == n / 2 {
-                        (1 << 32) + i as u64
-                    } else {
-                        us
-                    };
-                    log.push(SimTime::from_micros(us));
-                    ms.push(SimTime::from_micros(us).as_millis_f64());
+        let edges = [
+            0,
+            1,
+            65_534,
+            65_535,
+            65_536,
+            (1 << 32) - 1,
+            1 << 32,
+            1 << 40,
+        ];
+        let mut seen = [false; 8];
+        for n in [0, 1, 2, 7, 100, 5_000] {
+            let (mut log, mut ms, mut long) = (LatencyLog::default(), Vec::new(), Vec::new());
+            for _ in 0..n {
+                let us = match rng.below(4) {
+                    0 => {
+                        let e = rng.below(edges.len() as u64) as usize;
+                        seen[e] = true;
+                        edges[e]
+                    }
+                    _ => rng.below(100_000),
+                };
+                log.push(SimTime::from_micros(us));
+                ms.push(SimTime::from_micros(us).as_millis_f64());
+                if us >= 65_535 {
+                    long.push(us);
                 }
-                assert_eq!(log.len(), n);
-                let widened = matches!(log.0, LogRepr::Wide(_));
-                assert_eq!(widened, wide && n > 0, "{n} samples");
-                assert_eq!(bits(&log.summary()), bits(&Summary::of(&ms)), "{n} samples");
             }
+            assert_eq!(log.len(), n);
+            assert_eq!(log.long, long, "{n} samples: the long list");
+            assert_eq!(bits(&log.summary()), bits(&Summary::of(&ms)), "{n} samples");
         }
+        assert_eq!(seen, [true; 8], "every edge drawn");
     }
 }

@@ -20,9 +20,11 @@
 //! What a request costs here depends neither on how many migrations are
 //! live, nor on how many clients there are, nor on how many fragments
 //! its directory has: the freeze and cold-prefix lookups are one load
-//! from a per-directory stamp (`DirStamps`); a route is one byte of the
-//! directory's row: the issue reads it, and the reply writes it back
-//! into the cache line the read loaded; and the fragment an op hits and
+//! from a per-directory stamp (`DirStamps`); a route is one byte, found
+//! in the directory's 20-byte slot while at most four clients hold a
+//! route to it and in its row of a byte per client after: the issue
+//! reads it, and the reply writes it back into the cache line the read
+//! loaded; and the fragment an op hits and
 //! the number of MDSs its directory spans are read off the directory's
 //! fragment summary (`Namespace::{peek_frag, frag_span}`), not scanned.
 //!

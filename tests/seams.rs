@@ -279,8 +279,9 @@ const GUARDS: &[Guard] = &[
         allowed: &[],
         scope: Scope::All,
         why: "per-client route maps or a (dir, client) index are back: every client's learned \
-              routes live in one cache::RouteTable, a byte per (directory, client), which the \
-              issue reads, the reply writes and an export scans row by row",
+              routes live in one cache::RouteTable, a slot of four (client, route) pairs per \
+              learned directory and a byte per client once a fifth client learns it, which the \
+              issue reads, the reply writes and an export scans slot by slot and row by row",
     },
     Guard {
         names: &["frag_owners_into", "scratch_owners"],
