@@ -4,15 +4,18 @@
 //! actions, then run it to completion or serve it live. Behind it sit the
 //! simulation state, one `World` ([`crate::world`]), and the
 //! `Coordinator`, the control plane — the data plane never touches it.
-//! `Cluster::run_inner` is the event loop: it runs the earliest event,
-//! the world's next data-plane event or the coordinator's next global, to
-//! completion, and so decides *when* the coordinator gets to act.
+//! `Cluster::run_inner` is the event loop: it runs the earliest event in
+//! the world's one queue to completion. A coordinator event (heartbeat
+//! tick, fault, admin action, hot install) is one more event on that
+//! timeline, keyed rank 0 so that at its instant it runs before every
+//! data-plane event; `World::step` hands it back, and the coordinator
+//! runs it.
 //!
 //! # The time frontier
 //!
-//! `Coordinator::frontier` is the instant of the last event the loop
-//! ran, data-plane or global: the later of the two queues' clocks. It is
-//! the one place "now" is read between events. The trace's `RunEnd`
+//! The queue's own clock, `World::queue`'s `now`, is the instant of the
+//! last event the loop ran, data-plane or coordinator. It is the one
+//! place "now" is read between events. The trace's `RunEnd`
 //! trailer, and everything the live-service pump injects — woken
 //! clients, directories a live op creates, hot installs — are stamped
 //! with it, so no record is stamped before one already emitted, and
@@ -34,15 +37,18 @@
 //! | fragment (`howmuch`) | [`crate::partition`] | — (pure planning) |
 //! | migrate | [`crate::migration`] | migration ids, invalidation count |
 //!
+//! The rebalance stage runs over the member set alone (`World::member_view`):
+//! a member's position is its `whoami`, and the targets its policy names
+//! are translated back to MDS ids. With every MDS a member, the view is
+//! every MDS and the translation the identity.
+//!
 //! Around the tick: [`crate::faults`] applies scheduled faults, [`crate::tracer`] owns the
 //! trace sink, and [`crate::service`] pumps a live daemon's commands in
 //! and events out.
 
-use std::sync::Arc;
-
 use mantle_namespace::{MdsId, Namespace, NsConfig};
 use mantle_policy::env::PolicySet;
-use mantle_sim::{EventQueue, SimRng, SimTime};
+use mantle_sim::{SimRng, SimTime};
 
 use crate::balancer::{BalanceContext, Balancer, BalancerSet, MigrationPlan};
 use crate::client::Workload;
@@ -50,7 +56,6 @@ use crate::config::ClusterConfig;
 use crate::elastic::Membership;
 use crate::faults::FaultKind;
 use crate::heartbeat::HeartbeatView;
-use crate::metrics::Heartbeat;
 use crate::migration::Migrator;
 use crate::partition::plan_exports;
 use crate::report::{ClientReport, MdsReport, RunReport};
@@ -84,8 +89,9 @@ impl Balancer for NoopBalancer {
 
 /// A control-plane event. Each runs as one loop step, between two
 /// data-plane events, and reads and writes cluster-wide state (the
-/// namespace, every MDS's counters, liveness).
-enum GlobalEvent {
+/// namespace, every MDS's counters, liveness). It waits in the world's
+/// queue ([`World::schedule_global`]).
+pub(crate) enum GlobalEvent {
     /// Cluster-wide heartbeat + balancer tick.
     Heartbeat,
     /// A scheduled namespace edit (manual repartition etc.).
@@ -104,9 +110,9 @@ enum GlobalEvent {
     Fault(FaultKind),
 }
 
-/// The control plane: one component per mechanism stage and the queue of
-/// global events. Components keep their fields to themselves; steps that
-/// span several of them (a join exports) take the whole coordinator.
+/// The control plane: one component per mechanism stage. Components keep
+/// their fields to themselves; steps that span several of them (a join
+/// exports) take the whole coordinator.
 pub(crate) struct Coordinator {
     pub(crate) policy: BalancerSet,
     pub(crate) hb: HeartbeatView,
@@ -114,7 +120,6 @@ pub(crate) struct Coordinator {
     pub(crate) migrator: Migrator,
     /// Subtrees and dirfrags failed over to MDS 0 by crashes.
     pub(crate) failovers: u64,
-    globals: EventQueue<GlobalEvent>,
     /// Results of installs run since the service pump last looked, in
     /// install order ([`ServiceEvent::Swapped`]).
     swapped: Vec<ServiceEvent>,
@@ -122,21 +127,10 @@ pub(crate) struct Coordinator {
 }
 
 impl Coordinator {
-    /// When the next global event is due.
-    pub(crate) fn next_global_at(&self) -> Option<SimTime> {
-        self.globals.peek_time()
-    }
-
-    /// The time frontier: the instant of the last event the loop ran,
-    /// data-plane or global.
-    pub(crate) fn frontier(&self, w: &World) -> SimTime {
-        w.queue.now().max(self.globals.now())
-    }
-
-    /// Run the next global event with `&mut` access to the whole
-    /// simulation.
-    pub(crate) fn run_global(&mut self, w: &mut World) {
-        let (now, event) = self.globals.pop().expect("a global event is due");
+    /// Run a global event the world just popped, with `&mut` access to
+    /// the whole simulation.
+    pub(crate) fn run_global(&mut self, w: &mut World, event: GlobalEvent) {
+        let now = w.queue.now();
         match event {
             GlobalEvent::Heartbeat => self.tick(w, now),
             GlobalEvent::Admin(action) => {
@@ -161,16 +155,6 @@ impl Coordinator {
             }
             GlobalEvent::Fault(kind) => crate::faults::apply(self, w, &kind, now),
         }
-    }
-
-    /// Queue a hot install as a regular global event at the time
-    /// frontier: the very next loop iteration runs it (globals win
-    /// same-instant ties), after which every balancer tick uses the new
-    /// policy.
-    pub(crate) fn schedule_swap(&mut self, w: &World, name: String, epoch: u64, set: PolicySet) {
-        let (at, set) = (self.frontier(w), Box::new(set));
-        self.globals
-            .schedule_at(at, GlobalEvent::Swap { name, epoch, set });
     }
 
     /// Install results not yet streamed.
@@ -203,25 +187,17 @@ impl Coordinator {
             c.roll_window();
         }
         // 2½. The elastic controller: evaluate the `howmany` hook over the
-        //     member-filtered snapshots and take at most one membership
-        //     transition (join or drain) per tick. No-op when disabled.
-        let elastic = w.cfg.elastic.enabled;
-        if elastic {
-            crate::elastic::step(self, w, &heartbeats, now);
-        }
-        // The post-transition member view the balancers run against. With
-        // elasticity off this is the identity (all MDSs are members) and
-        // the filtered snapshot is never built.
-        let active_ids: Vec<MdsId> = (0..n).filter(|&m| w.member[m]).collect();
-        let member_view: Option<Arc<[Heartbeat]>> =
-            elastic.then(|| active_ids.iter().map(|&m| heartbeats[m]).collect());
-        // 3. Every MDS runs its balancer against the (shared, already
-        //    slightly stale) snapshots and migrates ("recv HB" →
-        //    "rebalance" → "fragment" → "migrate").
-        for m in 0..n {
-            // A crashed MDS neither balances nor exports; a non-member
-            // (spare or departed) has nothing to balance.
-            if !w.up[m] || !w.member[m] {
+        //     member view and take at most one membership transition
+        //     (join or drain) per tick. No-op when disabled.
+        crate::elastic::step(self, w, &heartbeats, now);
+        // 3. Every member runs its balancer against the (shared, already
+        //    slightly stale) snapshots of the post-transition member set
+        //    and migrates ("recv HB" → "rebalance" → "fragment" →
+        //    "migrate"). A spare or departed MDS has nothing to balance.
+        let (members, view) = w.member_view(&heartbeats);
+        for (whoami, &m) in members.iter().enumerate() {
+            // A crashed MDS neither balances nor exports.
+            if !w.up[m] {
                 continue;
             }
             // A poisoned balancer errors before reaching a decision.
@@ -229,21 +205,9 @@ impl Coordinator {
                 self.policy.note_error(m, now, &mut w.trace);
                 continue;
             }
-            // Elastic clusters show the policy only the member set:
-            // `whoami` and the MDSs table are positions in `active_ids`,
-            // so hooks see a dense cluster of the current size.
-            let ctx = match &member_view {
-                Some(view) => BalanceContext {
-                    whoami: active_ids
-                        .iter()
-                        .position(|&x| x == m)
-                        .expect("m is a member"),
-                    heartbeats: view.clone(),
-                },
-                None => BalanceContext {
-                    whoami: m,
-                    heartbeats: heartbeats.clone(),
-                },
+            let ctx = BalanceContext {
+                whoami,
+                heartbeats: view.clone(),
             };
             let plan = match self.policy.balancer(m).decide(&ctx) {
                 Ok(Some(plan)) => plan,
@@ -257,21 +221,15 @@ impl Coordinator {
                     continue;
                 }
             };
-            // Translate member-relative targets back to global MDS ids for
-            // the export planner (identity when elasticity is off).
-            let plan = if elastic {
-                let mut targets = vec![0.0; n];
-                for (pos, t) in plan.targets.iter().enumerate() {
-                    if let Some(&id) = active_ids.get(pos) {
-                        targets[id] = *t;
-                    }
-                }
-                MigrationPlan {
-                    targets,
-                    selectors: plan.selectors,
-                }
-            } else {
-                plan
+            // Translate member positions back to MDS ids for the export
+            // planner.
+            let mut targets = vec![0.0; n];
+            for (&id, &t) in members.iter().zip(&plan.targets) {
+                targets[id] = t;
+            }
+            let plan = MigrationPlan {
+                targets,
+                selectors: plan.selectors,
             };
             let ns = &mut w.ns;
             let Ok(exports) = plan_exports(ns, m, self.policy.balancer(m), &plan, now) else {
@@ -300,8 +258,7 @@ impl Coordinator {
         }
         // 4. Next tick, while clients are still running.
         if w.active > 0 {
-            self.globals
-                .schedule_at(now + w.cfg.heartbeat_interval, GlobalEvent::Heartbeat);
+            w.schedule_global(now + w.cfg.heartbeat_interval, GlobalEvent::Heartbeat);
         }
     }
 }
@@ -333,7 +290,6 @@ impl Cluster {
             membership: Membership::default(),
             migrator: Migrator::default(),
             failovers: 0,
-            globals: EventQueue::new(),
             swapped: Vec::new(),
             workload_name: workload.name().to_string(),
         };
@@ -357,9 +313,8 @@ impl Cluster {
     where
         F: FnOnce(&mut Namespace) + Send + 'static,
     {
-        self.co
-            .globals
-            .schedule_at(at, GlobalEvent::Admin(Box::new(action)));
+        self.world
+            .schedule_global(at, GlobalEvent::Admin(Box::new(action)));
     }
 
     /// Run to completion and produce the report.
@@ -435,35 +390,27 @@ impl Cluster {
                 .schedule_at_key(SimTime::ZERO, key, Event::ClientNext(c));
         }
         // The heartbeat cycle and the fault plan.
-        co.globals
-            .schedule_at(w.cfg.heartbeat_interval, GlobalEvent::Heartbeat);
-        for fault in &w.cfg.faults.events {
-            co.globals
-                .schedule_at(fault.at, GlobalEvent::Fault(fault.kind.clone()));
+        w.schedule_global(w.cfg.heartbeat_interval, GlobalEvent::Heartbeat);
+        for fault in w.cfg.faults.events.clone() {
+            w.schedule_global(fault.at, GlobalEvent::Fault(fault.kind));
         }
         let mut global_steps = 0u64;
         loop {
             if let Some(p) = pump.as_mut() {
-                p.pre(&mut co, w);
+                p.pre(w);
             }
             if w.drained() {
                 break;
             }
-            let t_data = w.queue.peek_time();
-            let t_glob = co.next_global_at();
-            let Some(t_min) = t_data.into_iter().chain(t_glob).min() else {
-                break;
-            };
             // Events at exactly `max_duration` still run.
-            if t_min > w.cfg.max_duration {
+            if w.queue.peek_time().is_none_or(|t| t > w.cfg.max_duration) {
                 break;
             }
-            // The heartbeat at T sees the world as of T, before events at T.
-            if t_glob.is_some_and(|tg| t_data.is_none_or(|td| tg <= td)) {
-                co.run_global(w);
+            // A global comes back from the world to run here; its rank-0
+            // key put it before the data-plane events of its instant.
+            if let Some(global) = w.step() {
+                co.run_global(w, global);
                 global_steps += 1;
-            } else {
-                w.step();
             }
             if let Some(p) = pump.as_mut() {
                 p.post(&mut co, w);
@@ -478,8 +425,7 @@ impl Cluster {
             exclusive_events: global_steps,
             shards: vec![w.stats],
         };
-        let end = co.frontier(w);
-        w.trace.run_end(end, w.inflight.max(0) as usize);
+        w.trace.run_end(w.queue.now(), w.inflight.max(0) as usize);
         let (report, mut trace) = into_report(&co, world);
         let buffer = match pump {
             Some(pump) => {
@@ -657,6 +603,50 @@ mod tests {
         assert_eq!(capacities(&unhinted), vec![0; 3]);
         let (a, b) = (hinted.run(), unhinted.run());
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    /// At one instant the coordinator's events run before a client's, in
+    /// the order they were scheduled, whatever order the queue got them
+    /// in.
+    #[test]
+    fn coordinator_events_run_first_at_an_instant_in_schedule_order() {
+        let cfg = ClusterConfig {
+            num_mds: 2,
+            ..Default::default()
+        };
+        let mut cluster = Cluster::new(cfg, Box::new(TinyCreate::new(1, 1)), |_| {
+            Box::new(NoopBalancer)
+        });
+        let at = cluster.world.cfg.heartbeat_interval;
+        let key = cluster.world.client_key(0);
+        cluster
+            .world
+            .queue
+            .schedule_at_key(at, key, Event::ClientNext(0));
+        cluster.schedule_admin(at, |ns| {
+            ns.mkdir_p("/first");
+        });
+        cluster.world.schedule_global(at, GlobalEvent::Heartbeat);
+        cluster.schedule_admin(at, |ns| {
+            ns.mkdir_p("/second");
+        });
+        let w = &mut cluster.world;
+        let mut order = Vec::new();
+        while w.queue.peek_time() == Some(at) {
+            order.push(match w.step() {
+                Some(GlobalEvent::Admin(action)) => {
+                    action(&mut w.ns);
+                    "admin"
+                }
+                Some(GlobalEvent::Heartbeat) => "heartbeat",
+                Some(_) => "other global",
+                None => "client",
+            });
+        }
+        assert_eq!(order, ["admin", "heartbeat", "admin", "client"]);
+        let dir = |path: &str| w.ns.lookup_child(w.ns.root(), path).expect("created");
+        assert!(dir("first") < dir("second"), "admins ran in schedule order");
+        assert_eq!((w.stats.events, w.queued_globals), (1, 0));
     }
 
     #[test]

@@ -172,9 +172,9 @@ impl ElasticConfig {
 // -- The frozen calibration ----------------------------------------------
 //
 // The service-cost model, fit once so the paper's shapes come out and then
-// left alone (DESIGN.md §8). All times are in **microseconds**: the
-// simulation clock is milliseconds, and sub-ms costs accumulate in the
-// per-MDS busy accounting and are rounded at scheduling boundaries.
+// left alone (DESIGN.md §8). All times are in **microseconds**, as is the
+// simulation clock (`SimTime` counts whole µs): fractional costs accumulate
+// in the per-MDS busy accounting and are rounded at scheduling boundaries.
 
 /// Service time of a create, µs.
 pub(crate) const CREATE_US: f64 = 200.0;
@@ -286,7 +286,7 @@ impl CostModel {
 // against `ExecMode`, `with_exec_mode` and the one-valued `index_mode` field
 // (`mantle_namespace::IndexMode`); all three are ignored. They leave with
 // the harness un-pin (ROADMAP item 1), as do `ExecStats::{threads, shards}`
-// and `ShardStats::{msgs_sent, barrier_wait_ns}` in `shard.rs`, and
+// and `ShardStats::{msgs_sent, barrier_wait_ns}` in `world.rs`, and
 // `mantle_sim::SchedulerKind`, re-exported from `lib.rs`.
 
 /// Ignored: every run has one data plane.

@@ -28,8 +28,6 @@
 //!
 //! Everything here is pure integer hashing — no RNG streams, no floats.
 
-use std::sync::Arc;
-
 use mantle_sim::SimTime;
 
 use crate::balancer::BalanceContext;
@@ -113,29 +111,24 @@ impl Membership {
 }
 
 /// One elastic-controller tick: ask the `howmany` hook for a target MDS
-/// count and take at most one membership transition toward it.
-pub(crate) fn step(
-    co: &mut Coordinator,
-    w: &mut World,
-    heartbeats: &Arc<[Heartbeat]>,
-    now: SimTime,
-) {
-    let n = w.cfg.num_mds;
+/// count and take at most one membership transition toward it. A cluster
+/// of fixed size has no controller.
+pub(crate) fn step(co: &mut Coordinator, w: &mut World, heartbeats: &[Heartbeat], now: SimTime) {
     // MDS 0 hosts the controller (it is the mount authority, never
     // crashes, and never leaves); a poisoned balancer there suspends
     // scaling — the decide loop already records the error.
-    if co.policy.is_poisoned(0) {
+    if !w.cfg.elastic.enabled || co.policy.is_poisoned(0) {
         return;
     }
-    let members: Vec<MdsId> = (0..n).filter(|&m| w.member[m]).collect();
+    // The hook sees the pre-transition member view: the same dense
+    // cluster the `where`/`howmuch` hooks get this tick.
+    let (members, view) = w.member_view(heartbeats);
     let active = members.len();
     // Anywhere from MDS 0 alone to the whole pool.
-    let (min_mds, max_mds) = (1, n);
-    // The hook sees the member-filtered pre-transition snapshot: the
-    // same dense view the `where`/`howmuch` hooks get this tick.
+    let (min_mds, max_mds) = (1, w.cfg.num_mds);
     let ctx = BalanceContext {
         whoami: 0,
-        heartbeats: members.iter().map(|&m| heartbeats[m]).collect(),
+        heartbeats: view,
     };
     let target = match co
         .policy

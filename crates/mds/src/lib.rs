@@ -23,12 +23,13 @@
 //!
 //! The engine is one event loop over one simulation state: the
 //! [`world`] module's `World` holds the namespace, the MDSs and clients,
-//! the configuration and the trace buffer; the coordinator in [`cluster`]
-//! holds the balancers and the queue of global events (heartbeat ticks,
-//! faults, admin actions, hot installs). `Cluster::run` runs the earliest
-//! event to completion, again and again, and everything emitted between
-//! events is stamped with the time frontier, the instant of the last
-//! event run — so every trace, batch or live, is in time order.
+//! the configuration, the trace buffer and the one event queue; the
+//! coordinator in [`cluster`] holds the balancers and runs the global
+//! events (heartbeat ticks, faults, admin actions, hot installs), which
+//! wait in that queue beside the data-plane events. `Cluster::run` runs
+//! the earliest event to completion, again and again, and everything
+//! emitted between events is stamped with the time frontier, the queue's
+//! clock — so every trace, batch or live, is in time order.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -12,8 +12,9 @@
 //! * **inbound** — commands submitted through a [`ServiceHandle`] are
 //!   drained between events: ops are resolved against the namespace and
 //!   pushed into the per-client queues of a [`LiveWorkload`], and policy
-//!   installs are scheduled as global events so the swap runs as a
-//!   coordinator step like every other control-plane mutation.
+//!   installs go into the engine's one event queue as global events, so
+//!   the swap runs as a coordinator step like every other control-plane
+//!   mutation.
 //! * **outbound** — [`ServiceHandle::events`], an
 //!   [`mpsc`](std::sync::mpsc) stream of [`ServiceEvent`]s, is the only
 //!   way anything leaves the engine. Each iteration sends, in this
@@ -53,7 +54,7 @@
 //! behind.
 //!
 //! The wake-up lands at the engine's time frontier (the instant of the
-//! last event the loop ran, `Coordinator::frontier`), and so do the
+//! last event the loop ran: the event queue's own clock), and so do the
 //! directories an op creates and a hot install: nothing the pump injects
 //! is stamped before a record already streamed. Under [`ClockMode::Wall`]
 //! that frontier is as old as the last thing the engine did — seconds, on
@@ -63,6 +64,9 @@
 //!
 //! # Clocks
 //!
+//! The pump reads one queue: the next event's instant is its
+//! `peek_time`, and the world counts the coordinator events in it, so
+//! "no data-plane event is pending" is "every queued event is a global".
 //! With [`ClockMode::Wall`] the pump sleeps until the next event's wall
 //! deadline (interruptibly — a submitted command wakes it), so simulated
 //! time tracks real time. With [`ClockMode::Sim`] it never waits for a
@@ -84,7 +88,7 @@ use mantle_policy::env::PolicySet;
 use mantle_sim::{ClockMode, SimTime, WallClock};
 
 use crate::client::{ClientOp, Workload, PARKED};
-use crate::cluster::Coordinator;
+use crate::cluster::{Coordinator, GlobalEvent};
 use crate::report::RunReport;
 use crate::trace::TraceRecord;
 use crate::world::World;
@@ -331,7 +335,7 @@ impl ServicePump {
     /// until the next event falls due or a command arrives, under the
     /// simulated clock only for a command, and only when there is nothing
     /// else to do.
-    pub(crate) fn pre(&mut self, co: &mut Coordinator, w: &mut World) {
+    pub(crate) fn pre(&mut self, w: &mut World) {
         let svc = &self.svc;
         let lock_inbox = || {
             svc.inbox
@@ -342,7 +346,7 @@ impl ServicePump {
         let mut drained: Vec<ServiceCmd> = Vec::new();
         loop {
             drained.extend(lock_inbox().drain(..));
-            let frontier = co.frontier(w);
+            let frontier = w.queue.now();
             // Where a woken client resumes. A wall-paced engine that sat
             // idle has a frontier as old as its last event, but the
             // command arrived now: stamp it with the simulated instant it
@@ -371,8 +375,11 @@ impl ServicePump {
                     }
                     ServiceCmd::Install { name, epoch, set } => {
                         // A global event at the time frontier: the next
-                        // iteration runs it.
-                        co.schedule_swap(w, name, epoch, set);
+                        // iteration runs it (globals win same-instant
+                        // ties), and every balancer tick after it uses
+                        // the new policy.
+                        let set = Box::new(set);
+                        w.schedule_global(frontier, GlobalEvent::Swap { name, epoch, set });
                     }
                     ServiceCmd::Shutdown => {
                         // Close the queues, then wake every parked client
@@ -393,7 +400,7 @@ impl ServicePump {
                 // interval away.
                 return;
             }
-            let (t_data, t_glob) = (w.queue.peek_time(), co.next_global_at());
+            let next = w.queue.peek_time();
             let wait = match svc.clock {
                 ClockMode::Sim => {
                     // Free-running: no deadline is ever waited for. But
@@ -402,10 +409,11 @@ impl ServicePump {
                     // left are future heartbeats; running through them
                     // would carry an idle service to its duration cap in
                     // under a second. Virtual time stands still until a
-                    // command gives it work.
+                    // command gives it work. Every queued event being a
+                    // global, the next is the next global.
                     let idle = svc.queues.is_some()
-                        && t_data.is_none()
-                        && t_glob.is_none_or(|t| t > frontier);
+                        && w.queue.len() == w.queued_globals
+                        && next.is_none_or(|t| t > frontier);
                     if !idle {
                         return;
                     }
@@ -418,7 +426,7 @@ impl ServicePump {
                     // (earlier) events shorten the wait and overdue
                     // backlogs skip it. With every session parked the next
                     // event is a heartbeat or a fault, never a client poll.
-                    let Some(t) = t_data.into_iter().chain(t_glob).min() else {
+                    let Some(t) = next else {
                         return;
                     };
                     match self.wall.until(t) {

@@ -7,7 +7,7 @@
 //! are stamped with their event's instant; what is emitted between
 //! events — the `RunEnd` trailer, the live-service pump's directory
 //! announcements — is stamped with the time frontier
-//! (`Coordinator::frontier`), the instant of the last event run, so no
+//! (the event queue's own clock), the instant of the last event run, so no
 //! record is stamped before one already emitted.
 //!
 //! Every emission site hands over a closure, built into a payload only

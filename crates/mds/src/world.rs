@@ -9,9 +9,10 @@
 //! and trace buffer ([`crate::tracer`]).
 //!
 //! `Cluster::run_inner` is the event loop. Each iteration runs the
-//! earliest event to completion: the world's next data-plane event, or
-//! the coordinator's next global (heartbeat tick, fault, admin action,
-//! hot install), which wins same-instant ties. A data-plane handler is a
+//! earliest event in the one queue to completion: a data-plane event,
+//! run here, or a coordinator event (heartbeat tick, fault, admin
+//! action, hot install), which `World::step` hands back to the
+//! coordinator. A data-plane handler is a
 //! `&mut self` method here, and it applies every mutation its event
 //! causes — heat charges and fragment splits, hash pins, proxy cache
 //! fills, touches and invalidations — before it returns, so the next
@@ -34,16 +35,21 @@
 //!
 //! ```text
 //!   key = origin_rank << 40 | per-origin counter
-//!   origin_rank: MDS m = 1 + m, client c = 1 + num_mds + c
+//!   origin_rank: coordinator 0, MDS m = 1 + m, client c = 1 + num_mds + c
 //! ```
 //!
 //! The queue orders same-instant events by key, so tie-breaking depends
 //! only on *which simulated entity* generated the event and *how many*
-//! events it generated before. Rank 0, the coordinator's, keys nothing:
-//! its events have their own queue. Trace records go into the run's one
+//! events it generated before. Rank 0 is the coordinator's, and its
+//! counter is the queue's own insertion count: at one instant the
+//! coordinator's events run before every MDS's and client's, in the
+//! order they were scheduled, so the heartbeat at T sees the world as of
+//! T. Trace records go into the run's one
 //! buffer ([`crate::tracer`]) as they are emitted, stamped with their
 //! event's instant — on one thread, the order things happen in is the
 //! order they are recorded in.
+
+use std::sync::Arc;
 
 use mantle_namespace::{FragId, MdsId, Namespace, NodeId};
 use mantle_sim::{EventQueue, SimRng, SimTime};
@@ -52,11 +58,12 @@ use crate::cache::{
     cacheable, group_of, GroupCache, RouteTable, CACHE_CAPACITY, CACHE_GROUPS, CACHE_HIT_LATENCY,
 };
 use crate::client::{route, ClientOp, ClientState, Workload, PARKED};
+use crate::cluster::GlobalEvent;
 use crate::config::{
     contention_factor, service_with_span, ClusterConfig, PlacementPolicy, FORWARD_HOP, FORWARD_US,
     HALF_RTT, REMOTE_PREFIX_PENALTY, SERVICE_NOISE, SPLIT_US,
 };
-use crate::metrics::MdsCounters;
+use crate::metrics::{Heartbeat, MdsCounters};
 use crate::trace::TraceEvent;
 use crate::tracer::Tracer;
 
@@ -82,8 +89,8 @@ pub(crate) struct Request {
     pub(crate) attempts: u32,
 }
 
-/// A data-plane event.
-#[derive(Debug)]
+/// An event in the world's queue: a data-plane event, or a coordinator
+/// event carried for the coordinator.
 pub(crate) enum Event {
     /// A client is ready to issue its next op.
     ClientNext(usize),
@@ -106,6 +113,9 @@ pub(crate) enum Event {
     Timeout { client: usize, seq: u64 },
     /// A client re-issues its pending op after a timeout backoff.
     Retry(usize),
+    /// A coordinator event, keyed rank 0; boxed, so the per-event slab
+    /// stays the size of a data-plane event.
+    Global(Box<GlobalEvent>),
 }
 
 /// What the exports that moved a directory stamped on it: the latest
@@ -220,9 +230,11 @@ pub(crate) struct World {
     /// Hits touch, completions fill and writes invalidate, each as its
     /// event runs. Empty when the cache is disabled.
     pub(crate) caches: Vec<GroupCache>,
-    /// The data-plane event queue; its `now` is the instant of the last
-    /// data-plane event run.
+    /// The one event queue. Its `now` is the time frontier: the instant
+    /// of the last event the loop ran, data-plane or coordinator.
     pub(crate) queue: EventQueue<Event>,
+    /// Coordinator events in `queue`.
+    pub(crate) queued_globals: usize,
     pub(crate) workload: Box<dyn Workload>,
     pub(crate) clients: Vec<ClientState>,
     /// Every client's learned routes.
@@ -292,6 +304,7 @@ impl World {
             stamps: DirStamps::default(),
             caches,
             queue: EventQueue::new(),
+            queued_globals: 0,
             workload,
             clients,
             routes: RouteTable::new(num_clients),
@@ -319,6 +332,15 @@ impl World {
         self.member.iter().filter(|&&m| m).count()
     }
 
+    /// The members, in id order, and their snapshots out of
+    /// `heartbeats` (one per MDS): the dense cluster the policy hooks
+    /// see, in which a member's position is its `whoami`.
+    pub(crate) fn member_view(&self, heartbeats: &[Heartbeat]) -> (Vec<MdsId>, Arc<[Heartbeat]>) {
+        let ids: Vec<MdsId> = (0..self.cfg.num_mds).filter(|&m| self.member[m]).collect();
+        let view = ids.iter().map(|&m| heartbeats[m]).collect();
+        (ids, view)
+    }
+
     /// No client is issuing and nothing is in flight: the run is over.
     pub(crate) fn drained(&self) -> bool {
         self.active == 0 && self.inflight == 0
@@ -340,6 +362,13 @@ impl World {
 
     // -- keys ------------------------------------------------------------
 
+    /// Queue a coordinator event at `at` under rank 0's next key: the
+    /// queue's insertion count, which every data-plane event bypasses.
+    pub(crate) fn schedule_global(&mut self, at: SimTime, event: GlobalEvent) {
+        self.queued_globals += 1;
+        self.queue.schedule_at(at, Event::Global(Box::new(event)));
+    }
+
     /// Next key for an event generated by MDS `m`.
     fn mds_key(&mut self, m: MdsId) -> u64 {
         let ctr = self.mds_ctr[m];
@@ -356,11 +385,15 @@ impl World {
 
     // -- the event step --------------------------------------------------
 
-    /// Run the earliest data-plane event to completion.
-    pub(crate) fn step(&mut self) {
+    /// Run the earliest event to completion if it is a data-plane event,
+    /// or hand it back if it is the coordinator's.
+    pub(crate) fn step(&mut self) -> Option<GlobalEvent> {
         let (now, event) = self.queue.pop().expect("stepped with an event due");
-        self.stats.events += 1;
         match event {
+            Event::Global(global) => {
+                self.queued_globals -= 1;
+                return Some(*global);
+            }
             Event::ClientNext(c) => {
                 if !self.clients[c].done {
                     self.client_next(c, now);
@@ -387,6 +420,8 @@ impl World {
             Event::Timeout { client, seq } => self.on_timeout(client, seq, now),
             Event::Retry(c) => self.on_retry(c, now),
         }
+        self.stats.events += 1;
+        None
     }
 
     // -- client side -----------------------------------------------------
@@ -849,6 +884,13 @@ pub(crate) mod tests {
             }
             is_under(ns, d, self.root) && !self.holes.iter().any(|&h| is_under(ns, d, h))
         }
+    }
+
+    /// The queue's slab holds one `Event` per pending event: a bigger
+    /// coordinator variant must not grow it.
+    #[test]
+    fn an_event_is_72_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 72);
     }
 
     #[test]

@@ -95,7 +95,7 @@ struct Summary {
 }
 
 /// A directory's fragments (≥ 1), read as a `[Frag]`. The first is held
-/// inline, its count the whole [`Summary`]; at the first split a `Vec`
+/// inline, its count the whole `Summary`; at the first split a `Vec`
 /// takes over, with the summary beside it in the same bytes. An op's
 /// charge updates the summary (`Frags::count`); a split or an authority
 /// change recomputes it (`Namespace::refresh_summary`).

@@ -147,9 +147,18 @@ const GUARDS: &[Guard] = &[
         allowed: &[],
         scope: Scope::All,
         why: "the simulation state is split again: one World owns the namespace, the data \
-              plane, the config and the tracer; the time frontier is one function \
-              (Coordinator::frontier), not a copy kept in step with the loop; and whether the \
-              cache or the fault plan is on is read off the caches and the config, not a flag",
+              plane, the config and the tracer; the time frontier is the one queue's own \
+              clock (World::queue's now), not a copy kept in step with the loop; and whether \
+              the cache or the fault plan is on is read off the caches and the config, not a \
+              flag",
+    },
+    Guard {
+        names: &["next_global_at", "co.globals"],
+        paths: &["crates"],
+        allowed: &[],
+        scope: Scope::All,
+        why: "there is one event queue: coordinator events wait in the world's queue under \
+              rank-0 keys, so no second queue is peeked, popped or compared with it",
     },
     Guard {
         names: &["ExecMode"],
