@@ -1,6 +1,7 @@
 //! The daemon's scenario harness: named, fixed experiments that
 //! `mantled` can run on demand, plus the service-path runner that drives
-//! them through [`Cluster::serve`] instead of the batch entry point.
+//! them through [`Cluster::serve`](mantle_mds::Cluster::serve) instead of
+//! the batch entry point.
 //!
 //! Two callers share this module:
 //!
@@ -10,17 +11,18 @@
 //!   engine against known workloads without any live clients;
 //! * `tests/daemon_equivalence.rs` runs the same [`Experiment`] through
 //!   both [`run_service`] and [`crate::run_experiment`] and asserts the
-//!   [`RunReport`]s are byte-identical — the service pump must observe
+//!   [`RunReport`]s are byte-identical — the service must observe
 //!   without perturbing.
 //!
 //! Neither caller attaches a live workload, so on the simulated clock
-//! the pump never waits here: a scenario has no sessions to park and
-//! runs at batch speed. Live sessions — parked until an op arrives,
-//! woken by the pump — are `mantled`'s serve mode; see
+//! the service is never idle here: a scenario has no sessions to park,
+//! and one [`LiveService::run_due`](mantle_mds::LiveService::run_due)
+//! runs it to its end at batch speed. Live sessions — parked until an op
+//! arrives, woken by the service — are `mantled`'s serve mode; see
 //! [`mantle_mds::service`].
 
-use mantle_mds::service::{LiveService, ServiceEvent};
-use mantle_mds::{Cluster, RunReport, TraceLevel, TraceRecord};
+use mantle_mds::service::ServiceEvent;
+use mantle_mds::{RunReport, TraceLevel, TraceRecord};
 use mantle_sim::ClockMode;
 
 use crate::experiment::{build_cluster, BalancerSpec, Experiment, WorkloadSpec};
@@ -110,28 +112,27 @@ pub fn self_check(name: &str) -> Result<RunReport, String> {
 }
 
 /// Run an experiment through the **service** engine path: the cluster is
-/// driven by [`Cluster::serve`] with a simulated clock and an idle
-/// command inbox, exactly as a `mantled` scenario run is. Returns the
-/// report plus every trace record the service streamed (empty when
-/// `trace` is `None`).
+/// served ([`mantle_mds::Cluster::serve`]) on the simulated clock and
+/// stepped to its `Finished` event with no command, exactly as a `mantled`
+/// scenario run is. Returns the report plus every trace record the service
+/// handed out (empty when `trace` is `None`).
 ///
-/// With no commands and [`ClockMode::Sim`], the service pump never
-/// perturbs the scheduler, so the report is byte-identical to
+/// With no commands and [`ClockMode::Sim`], the service never perturbs
+/// the scheduler, so the report is byte-identical to
 /// [`crate::run_experiment`] on the same spec — pinned by
 /// `tests/daemon_equivalence.rs`.
 pub fn run_service(spec: &Experiment, trace: Option<TraceLevel>) -> (RunReport, Vec<TraceRecord>) {
-    let cluster: Cluster = build_cluster(spec);
-    let (svc, handle) = LiveService::new(ClockMode::Sim);
-    cluster.serve(svc, trace);
+    let mut svc = build_cluster(spec).serve(ClockMode::Sim, trace);
+    svc.run_due();
     let mut records = Vec::new();
-    for ev in handle.events.try_iter() {
+    while let Some(ev) = svc.next_event() {
         match ev {
             ServiceEvent::Trace(batch) => records.extend(batch),
             ServiceEvent::Finished(report) => return (*report, records),
             _ => {}
         }
     }
-    unreachable!("`serve` returned, so the stream ended with the report")
+    unreachable!("with no live sessions, the simulated clock runs the cluster to its end")
 }
 
 #[cfg(test)]

@@ -1,24 +1,23 @@
-//! The engine side of the daemon: boots the cluster on its own thread
-//! behind a [`LiveService`], remembers which policy it last handed that
-//! thread, and runs the hot-swap pipeline (parse → validate → epoch →
-//! install).
+//! The engine side of the daemon: boots the cluster behind a
+//! [`LiveService`], remembers which policy it last handed the engine,
+//! and runs the hot-swap pipeline (parse → validate → epoch → install).
 //!
-//! Everything the engine thread says — install results, trace batches,
-//! completions, and at the very end its report — arrives on one ordered
-//! stream, [`ServiceHandle::events`]. The engine thread never touches a
-//! socket and the reactor never blocks on a channel, so the one other
-//! thing that crosses between them is a *wake stream*: one byte written
-//! to a nonblocking `UnixStream` behind each batch of events, and once
-//! more after the stream has closed, which the reactor's `poll` set
-//! includes ([`Engine::wake_stream`]).
+//! There is one thread. The engine is stepped in line by whoever started
+//! it — the reactor, in `mantled` — which submits ops and installs,
+//! runs what is due ([`Engine::run_due`]), takes what the engine said
+//! ([`Engine::next_event`]: install results, trace batches, completions,
+//! and at the very end its report), and sleeps no longer than
+//! [`Engine::deadline`].
 
-use std::io::{Read, Write};
-use std::os::unix::net::UnixStream;
-use std::thread::JoinHandle;
+use std::cell::{RefCell, RefMut};
+use std::io;
+use std::time::{Duration, Instant};
 
 use mantle_core::policies;
-use mantle_mds::service::LiveService;
-use mantle_mds::{Cluster, ClusterConfig, MantleBalancer, RunReport, ServiceEvent, ServiceHandle};
+use mantle_mds::{
+    Cluster, ClusterConfig, LiveService, LiveWorkload, MantleBalancer, RunReport, ServiceEvent,
+};
+use mantle_namespace::OpKind;
 use mantle_policy::env::PolicySet;
 use mantle_policy::install::{prepare, DecisionSource, PolicySource};
 use mantle_sim::SimTime;
@@ -56,24 +55,29 @@ pub fn preset(name: &str) -> Option<PolicySet> {
 /// one real hour, so serve mode raises it.
 const SERVE_MAX_DURATION: SimTime = SimTime::from_mins(24 * 60);
 
-/// A running cluster engine: the daemon-facing half of
-/// [`Cluster::serve`], plus the name and epoch of the current policy.
+/// A running cluster engine: a served [`Cluster`], plus the name and
+/// epoch of the current policy.
 pub struct Engine {
-    /// Live command/event handle into the engine thread.
+    /// The served cluster, behind the harness pin at the bottom of this
+    /// file.
     pub handle: ServiceHandle,
-    /// The policy last handed to the engine thread, and how many swaps
-    /// led to it (epoch 0 is the boot preset).
+    /// The policy last handed to the engine, and how many swaps led to
+    /// it (epoch 0 is the boot preset).
     policy_name: String,
     policy_epoch: u64,
-    wake_rx: UnixStream,
-    thread: Option<JoinHandle<()>>,
 }
 
 impl Engine {
-    /// Boot the cluster on a dedicated thread. The engine runs until
-    /// [`ServiceHandle::shutdown`] closes the live queues (or the
-    /// safety-net duration elapses), then ends its event stream with
-    /// [`ServiceEvent::Finished`].
+    /// Build the cluster and serve it. The engine runs as its caller
+    /// steps it, until [`ServiceHandle::shutdown`] closes the live queues
+    /// (or the safety-net duration elapses) and the clients drain; its
+    /// last event is [`ServiceEvent::Finished`].
+    ///
+    /// The thread that starts an engine is the one that steps it, and
+    /// its timed waits are the engine's deadlines: this tightens that
+    /// thread's timer slack, so that a wait of a few hundred microseconds
+    /// does not overshoot by the kernel's default 50. A refusal costs
+    /// only that precision, so it is ignored.
     pub fn start(cfg: &DaemonConfig) -> Result<Engine, String> {
         let set = preset(&cfg.policy).ok_or_else(|| {
             format!(
@@ -81,48 +85,23 @@ impl Engine {
                 cfg.policy
             )
         })?;
-        let (wake_rx, wake_tx) = UnixStream::pair()
-            .and_then(|(rx, tx)| {
-                rx.set_nonblocking(true)?;
-                tx.set_nonblocking(true)?;
-                Ok((rx, tx))
-            })
-            .map_err(|e| format!("creating the wake stream: {e}"))?;
-        let (mut svc, handle) = LiveService::new(cfg.clock);
-        let workload = svc.workload(cfg.sessions);
-        // A full stream already holds a wake nobody has read yet, so a
-        // failed write loses nothing.
-        svc.notify_with(move || {
-            let _ = (&wake_tx).write(&[1]);
-        });
-        let name = cfg.policy.clone();
+        let _ = crate::sys::tighten_timer_slack();
         let mut ccfg = ClusterConfig::default()
             .with_mds(cfg.mds)
             .with_seed(cfg.seed);
         ccfg.max_duration = SERVE_MAX_DURATION;
-        let trace = cfg.trace;
-        // A compiled policy is not `Send`, so the preset is compiled — once,
-        // then forked per MDS — and the whole cluster built inside the
-        // engine thread; only `Send` inputs cross.
-        let thread = std::thread::Builder::new()
-            .name("mantled-engine".into())
-            .spawn(move || {
-                // The wall-clock pump sleeps in timed waits a few times an
-                // op; the default slack would overshoot each of them. A
-                // refusal costs only that precision, so it is ignored.
-                let _ = crate::sys::tighten_timer_slack();
-                let first = MantleBalancer::new_unvalidated(name, set)
-                    .expect("preset policy was validated");
-                let cluster = Cluster::new(ccfg, workload, |_| Box::new(first.fork()));
-                cluster.serve(svc, trace);
-            })
-            .map_err(|e| format!("spawning engine thread: {e}"))?;
+        // The preset is compiled once, then forked per MDS.
+        let first = MantleBalancer::new_unvalidated(cfg.policy.clone(), set)
+            .expect("preset policy was validated");
+        let workload = Box::new(LiveWorkload::new(cfg.sessions));
+        let cluster = Cluster::new(ccfg, workload, |_| Box::new(first.fork()));
+        let svc = cluster.serve(cfg.clock, cfg.trace);
         Ok(Engine {
-            handle,
+            handle: ServiceHandle {
+                events: Events(RefCell::new(svc)),
+            },
             policy_name: cfg.policy.clone(),
             policy_epoch: 0,
-            wake_rx,
-            thread: Some(thread),
         })
     }
 
@@ -144,38 +123,41 @@ impl Engine {
         self.policy_epoch += 1;
         self.policy_name.clone_from(&src.name);
         self.handle
+            .service()
             .install_policy(&src.name, self.policy_epoch, set);
         Ok(self.policy_epoch)
     }
 
-    /// The read end of the wake stream, for a `poll` set: readable
-    /// whenever the engine sent an event — or closed the stream — since
-    /// the last [`Engine::drain_wakes`].
-    pub fn wake_stream(&self) -> &UnixStream {
-        &self.wake_rx
+    /// Run every event that is due ([`LiveService::run_due`]).
+    pub fn run_due(&self) {
+        self.handle.service().run_due();
     }
 
-    /// Empty the wake stream. Call *before* reading the event stream: a
-    /// wake written after this returns stays in the stream, so the event
-    /// behind it is either read now or announced at the next `poll`.
-    pub fn drain_wakes(&mut self) {
-        let mut sink = [0u8; 64];
-        while matches!(self.wake_rx.read(&mut sink), Ok(n) if n > 0) {}
+    /// How long until the engine has something to run; `None` while it
+    /// waits for a command, and once it has ended
+    /// ([`LiveService::deadline`]).
+    pub fn deadline(&self) -> Option<Duration> {
+        self.handle.service().deadline()
     }
 
-    /// Join the engine thread and return its final report, wherever on
-    /// the event stream the caller stopped reading. Call after
-    /// [`ServiceHandle::shutdown`]; returns `None` if the caller already
-    /// took the [`ServiceEvent::Finished`] off the stream itself, or if
-    /// the engine thread panicked.
-    pub fn finish(mut self) -> Option<RunReport> {
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+    /// The oldest event the engine has produced and nobody has taken.
+    pub fn next_event(&self) -> Option<ServiceEvent> {
+        self.handle.service().next_event()
+    }
+
+    /// Shut the engine down, run it to its end and return its report,
+    /// wherever among its events the caller stopped taking them. Returns
+    /// `None` if the caller already took the [`ServiceEvent::Finished`]
+    /// itself.
+    pub fn finish(self) -> Option<RunReport> {
+        self.handle.shutdown();
+        loop {
+            match self.handle.events.recv_until(None) {
+                Ok(ServiceEvent::Finished(report)) => return Some(*report),
+                Ok(_) => {}
+                Err(_) => return None,
+            }
         }
-        self.handle.events.try_iter().find_map(|ev| match ev {
-            ServiceEvent::Finished(report) => Some(*report),
-            _ => None,
-        })
     }
 }
 
@@ -232,6 +214,75 @@ pub fn policy_source_from_json(v: &Json) -> Result<PolicySource, String> {
         selectors,
         howmany,
     })
+}
+
+// -- Harness pin ----------------------------------------------------------
+//
+// The pinned benchmark harness (`benchmark/src/wirebench.rs::in_process`)
+// drives an engine through a non-`mut` binding, as
+// `engine.handle.submit_op`, `engine.handle.events.recv_timeout` and
+// `engine.handle.shutdown`. `ServiceHandle` and `Events` exist for that
+// path alone: they hold the one served cluster in a `RefCell` so that a
+// shared borrow can step it. They leave with the harness un-pin (ROADMAP
+// item 1), and `Engine` then owns its `LiveService` and has these
+// methods itself.
+
+/// The served cluster, reached through `&self` (see the harness pin).
+pub struct ServiceHandle {
+    /// The engine's events, taken one at a time.
+    pub events: Events,
+}
+
+impl ServiceHandle {
+    fn service(&self) -> RefMut<'_, LiveService> {
+        self.events.0.borrow_mut()
+    }
+
+    /// Queue one op for `client`; see [`LiveService::submit_op`].
+    pub fn submit_op(&self, client: usize, path: impl AsRef<str>, kind: OpKind) {
+        self.service().submit_op(client, path.as_ref(), kind);
+    }
+
+    /// Close the live queues; see [`LiveService::shutdown`].
+    pub fn shutdown(&self) {
+        self.service().shutdown();
+    }
+}
+
+/// The engine's events (see the harness pin).
+pub struct Events(RefCell<LiveService>);
+
+impl Events {
+    /// The engine's next event: run what is due and, while there is
+    /// none, sleep until the next deadline, for at most `timeout`.
+    pub fn recv_timeout(&self, timeout: Duration) -> io::Result<ServiceEvent> {
+        self.recv_until(Some(Instant::now() + timeout))
+    }
+
+    /// [`Events::recv_timeout`] up to `until`, or without a limit. An
+    /// engine that waits for a command, or has ended, will say nothing
+    /// more, which is an error at once.
+    fn recv_until(&self, until: Option<Instant>) -> io::Result<ServiceEvent> {
+        loop {
+            let mut svc = self.0.borrow_mut();
+            svc.run_due();
+            if let Some(event) = svc.next_event() {
+                return Ok(event);
+            }
+            let Some(due) = svc.deadline() else {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "the engine waits for a command or has ended",
+                ));
+            };
+            drop(svc);
+            let left = until.map(|t| t.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            crate::sys::poll(&mut [], Some(left.map_or(due, |left| due.min(left))))?;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -14,14 +14,17 @@
 //!   (it lives in `mantle-sim`, below every emitter, and is re-exported
 //!   here) and the framed protocol documented in `PROTOCOL.md`;
 //! * [`config`] — `mantled`'s flags and defaults;
-//! * [`engine`] — boots [`Cluster::serve`](mantle_mds::Cluster::serve)
-//!   on its own thread and owns the policy swap pipeline
-//!   ([`mantle_policy::install::prepare`], then the next epoch);
-//! * [`server`] — the nonblocking `std::net` reactor tying sockets to
-//!   the engine's command inbox and event stream, blocked in `poll(2)`
-//!   when both are quiet;
-//! * [`sys`] — the hand-declared `poll(2)` and `prctl(2)` bindings (the
-//!   library's only `unsafe` blocks); `poll` makes this crate unix-only;
+//! * [`engine`] — builds the cluster and serves it
+//!   ([`Cluster::serve`](mantle_mds::Cluster::serve)), and owns the
+//!   policy swap pipeline ([`mantle_policy::install::prepare`], then the
+//!   next epoch);
+//! * [`server`] — the nonblocking `std::net` reactor, the daemon's one
+//!   thread: it reads sockets, steps the engine in line, routes what the
+//!   engine says back to connections, and blocks in `ppoll(2)` until a
+//!   socket is ready or the engine's next deadline passes;
+//! * [`sys`] — the hand-declared `ppoll(2)` and `prctl(2)` bindings (the
+//!   library's only `unsafe` blocks); `ppoll` decides which hosts this
+//!   crate builds on;
 //! * [`client`] — a blocking protocol client (`mantlectl`, smoke tests).
 //!
 //! Determinism is preserved across the daemon boundary: with
@@ -35,8 +38,14 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-#[cfg(not(unix))]
-compile_error!("mantle-daemon needs a unix host: its reactor blocks in poll(2)");
+#[cfg(not(any(
+    target_os = "linux",
+    target_os = "android",
+    target_os = "freebsd",
+    target_os = "openbsd",
+    target_os = "dragonfly"
+)))]
+compile_error!("mantle-daemon needs a host with ppoll(2): its reactor blocks in it");
 
 pub mod client;
 pub mod config;

@@ -1,15 +1,27 @@
 //! The `mantled` connection reactor: a single-threaded nonblocking
-//! accept/read/dispatch/write loop over `std::net`, blocked in `poll(2)`
-//! ([`crate::sys`]) whenever an iteration finds nothing to do.
+//! accept/read/dispatch/write loop over `std::net` that also steps the
+//! [`Engine`] in line, blocked in `ppoll(2)` ([`crate::sys`]) whenever an
+//! iteration finds nothing to do.
 //!
-//! The reactor owns the [`Engine`] handle. Inbound frames become engine
-//! commands; each loop iteration drains the engine's event stream,
-//! routing completions back to the issuing connection (per-slot FIFO
-//! tickets — a slot's ops complete in submission order, pipelined or
-//! not), install results back to the admin that asked (one more FIFO —
-//! installs run in submission order), and broadcasting trace records to
-//! every `trace`-role subscriber. The stream's last event is the
-//! engine's report; receiving it is what ends [`Server::run`].
+//! Each iteration:
+//!
+//! 1. reads every ready connection and dispatches its frames — an `op`
+//!    is queued on its session at once, an install scheduled as a global
+//!    event — and after each frame runs what the engine has due;
+//! 2. runs what the engine has due: under `--clock=wall`, the events
+//!    whose wall deadline has passed; under `--clock=sim`, until nothing
+//!    is runnable;
+//! 3. routes what the engine said straight to connections — completions
+//!    to the issuing connection (per-slot FIFO tickets: a slot's ops
+//!    complete in submission order, pipelined or not), install results
+//!    to the admin that asked (one more FIFO: installs run in submission
+//!    order), trace records to every `trace`-role subscriber — and
+//!    flushes;
+//! 4. when nothing progressed, blocks in `ppoll` until a socket is ready
+//!    or the engine's next deadline passes.
+//!
+//! The engine's last event is its report; routing it is what ends
+//! [`Server::run`].
 //!
 //! # One state per connection
 //!
@@ -31,25 +43,24 @@
 //! connection that has gone is dropped, not delivered to whoever reuses
 //! its index.
 //!
-//! # No polling, no timeout
+//! # No polling, one deadline
 //!
-//! The `poll` set is the listener, every connection (readable as the
-//! table says, writable only while it has unsent bytes) and the
-//! engine's wake stream, into which the engine thread writes a byte
-//! behind every batch of events it sends. Readiness is level-triggered
-//! and the reactor only blocks after a full iteration that found every
-//! source empty, so anything that arrives after its source was checked
-//! is still there — as a readable descriptor — when `poll` is entered:
-//! no wake-up can be lost, and `poll` is given no timeout. An idle
-//! daemon therefore makes no system calls at all between heartbeats;
-//! `status` reports `reactor_wakeups` and `reactor_timeouts` (returns
-//! with nothing ready, which only a signal can cause) so that is
-//! checkable from outside.
+//! The `ppoll` set is the listener and every connection (readable as the
+//! table says, writable only while it has unsent bytes); its timeout is
+//! the engine's next deadline, and with no deadline there is none. The
+//! engine runs only inside the loop, so nothing it says can arrive while
+//! the reactor is blocked. Readiness is level-triggered and the reactor
+//! only blocks after a full iteration that found every source empty, so
+//! anything that arrives after its source was checked is still there —
+//! as a readable descriptor — when `ppoll` is entered: no wake-up can be
+//! lost. An idle daemon therefore makes no system calls at all between
+//! heartbeats; `status` reports `reactor_wakeups` and `reactor_timeouts`
+//! (returns with nothing ready: at an engine deadline, or on a signal)
+//! so that is checkable from outside.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::TryRecvError;
 use std::time::Instant;
 
 use mantle_mds::{RunReport, ServiceEvent};
@@ -218,9 +229,8 @@ pub struct Server {
     slots: Vec<Slot>,
     /// Installs handed to the engine and not yet answered, oldest first.
     swaps: VecDeque<Ticket>,
-    /// How the event stream ended, once it has: with the engine's report,
-    /// or (`None`) by hanging up without one.
-    ended: Option<Option<RunReport>>,
+    /// The engine's report, once routing reached it.
+    ended: Option<RunReport>,
     started: Instant,
     next_token: u64,
     ops_submitted: u64,
@@ -262,36 +272,34 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Run the reactor until the engine's event stream ends (normally: a
-    /// `shutdown` admin request closed the live queues, the clients
-    /// drained, and the engine sent its report). The report is the
-    /// stream's last event, so every reply and trace record ahead of it
-    /// has been queued — and gets one more flush — before this returns it.
+    /// Run the reactor until the engine ends (normally: a `shutdown`
+    /// admin request closed the live queues, the clients drained, and the
+    /// engine produced its report). The report is the engine's last
+    /// event, so every reply and trace record ahead of it has been queued
+    /// — and gets one more flush — before this returns it.
     pub fn run(mut self) -> RunReport {
-        let report = loop {
+        loop {
             let mut progressed = false;
             progressed |= self.accept_new();
             progressed |= self.read_all();
-            progressed |= self.drain_events();
+            self.engine.run_due();
+            progressed |= self.route_events();
             progressed |= self.flush_all();
             self.reap_closed();
-            if let Some(end) = self.ended.take() {
-                break end;
+            if let Some(report) = self.ended.take() {
+                return report;
             }
             if !progressed {
                 self.wait();
             }
-        };
-        self.engine.finish();
-        report.expect("engine thread completed")
+        }
     }
 
-    /// Block until a socket or the engine has something for the reactor.
-    /// Only called after an iteration that found every source empty; see
-    /// the module docs for why that needs no timeout.
+    /// Block until a socket is ready or the engine's next deadline
+    /// passes. Only called after an iteration that found every source
+    /// empty; see the module docs for why that needs no other timeout.
     fn wait(&mut self) {
-        let mut fds = Vec::with_capacity(2 + self.conns.len());
-        fds.push(PollFd::new(self.engine.wake_stream(), POLLIN));
+        let mut fds = Vec::with_capacity(1 + self.conns.len());
         fds.push(PollFd::new(&self.listener, POLLIN));
         for conn in self.conns.iter().flatten() {
             let mut events = 0;
@@ -303,13 +311,11 @@ impl Server {
             }
             fds.push(PollFd::new(&conn.stream, events));
         }
-        let ready = poll(&mut fds, None).expect("poll on the reactor's own descriptors");
+        let ready =
+            poll(&mut fds, self.engine.deadline()).expect("poll on the reactor's own descriptors");
         self.reactor_wakeups += 1;
         if ready == 0 {
             self.reactor_timeouts += 1;
-        }
-        if fds[0].ready() {
-            self.engine.drain_wakes();
         }
     }
 
@@ -358,7 +364,10 @@ impl Server {
 
     /// Read every readable connection, then dispatch what was decoded in
     /// arrival order, then drop the peers that hung up: each frame that
-    /// arrived before a hang-up is dispatched like any other.
+    /// arrived before a hang-up is dispatched like any other. The engine
+    /// runs what is due after each frame, so under `--clock=sim` every
+    /// frame finds it quiescent, and what it stamps depends on the order
+    /// frames are dispatched in, not on how TCP grouped them into reads.
     fn read_all(&mut self) -> bool {
         let mut inbound: Vec<(usize, Result<Json, String>)> = Vec::new();
         let mut hung_up = Vec::new();
@@ -407,6 +416,7 @@ impl Server {
         }
         for (idx, frame) in inbound {
             self.dispatch(idx, frame);
+            self.engine.run_due();
         }
         for idx in hung_up {
             self.drop_conn(idx);
@@ -563,9 +573,10 @@ impl Server {
             Some("scenario") => {
                 let name = msg.get_str("name").unwrap_or("");
                 // Runs synchronously on the reactor thread: scenarios are
-                // small fixed workloads. The live engine keeps simulating
-                // on its own thread meanwhile, but no connection is read
-                // or answered until the scenario is done.
+                // small fixed workloads. The live engine pauses meanwhile
+                // and no connection is read or answered until the
+                // scenario is done; under the wall clock the engine then
+                // catches up, running the events that fell due in order.
                 let report = match mantle_core::service::self_check(name) {
                     Ok(report) => report,
                     Err(e) => return Some(error_msg(id, "unknown-scenario", e)),
@@ -630,20 +641,12 @@ impl Server {
         ])
     }
 
-    /// Drain the engine's event stream: install results and completions
+    /// Route what the engine said: install results and completions
     /// matched to their tickets, trace records broadcast to subscribers,
-    /// and the end of the stream noted in `ended`.
-    fn drain_events(&mut self) -> bool {
+    /// and the report noted in `ended`.
+    fn route_events(&mut self) -> bool {
         let mut any = false;
-        loop {
-            let ev = match self.engine.handle.events.try_recv() {
-                Ok(ev) => ev,
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    self.end_stream(None);
-                    break;
-                }
-            };
+        while let Some(ev) = self.engine.next_event() {
             any = true;
             match ev {
                 ServiceEvent::Swapped { epoch, result } => {
@@ -710,22 +713,19 @@ impl Server {
                     }
                 }
                 ServiceEvent::Finished(report) => {
-                    self.end_stream(Some(*report));
+                    // An install submitted after the run's end, or while
+                    // the drain ended it, will never run; say so.
+                    for (addr, id) in std::mem::take(&mut self.swaps) {
+                        let reply =
+                            error_msg(id, "swap-failed", "engine exited before the install");
+                        self.push(addr, &reply);
+                    }
+                    self.ended = Some(*report);
                     break;
                 }
             }
         }
         any
-    }
-
-    /// The event stream is over. An install that reached the inbox after
-    /// the engine's last look will never run; say so.
-    fn end_stream(&mut self, report: Option<RunReport>) {
-        for (addr, id) in std::mem::take(&mut self.swaps) {
-            let reply = error_msg(id, "swap-failed", "engine exited before the install");
-            self.push(addr, &reply);
-        }
-        self.ended = Some(report);
     }
 
     /// Queue `msg` for the connection at `addr`. A no-op once that

@@ -1,10 +1,10 @@
-//! `poll(2)` and, on Linux, `prctl(PR_SET_TIMERSLACK)`, declared by
+//! `ppoll(2)` and, on Linux, `prctl(PR_SET_TIMERSLACK)`, declared by
 //! hand: the workspace takes no dependencies, so there is no `libc`
 //! crate, and `std` exposes neither call. This module holds the only
 //! `unsafe` blocks of the library crates; everything outside it sees
 //! safe functions.
 
-use std::ffi::{c_int, c_short};
+use std::ffi::{c_int, c_long, c_short, c_void};
 use std::io;
 use std::os::fd::{AsRawFd, RawFd};
 use std::time::Duration;
@@ -32,13 +32,6 @@ impl PollFd {
             revents: 0,
         }
     }
-
-    /// Whether the last [`poll`] reported anything for this entry — a
-    /// requested event, or an error/hang-up, which the kernel reports
-    /// unasked and the owner discovers on its next read or write.
-    pub fn ready(&self) -> bool {
-        self.revents != 0
-    }
 }
 
 #[cfg(target_os = "linux")]
@@ -46,27 +39,54 @@ type NfdsT = std::ffi::c_ulong;
 #[cfg(not(target_os = "linux"))]
 type NfdsT = std::ffi::c_uint;
 
+/// `struct timespec`: `time_t` is a `long` on every target this crate
+/// builds for.
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
 extern "C" {
-    #[link_name = "poll"]
-    fn sys_poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+    #[link_name = "ppoll"]
+    fn sys_ppoll(
+        fds: *mut PollFd,
+        nfds: NfdsT,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> c_int;
 }
 
 /// Block until an entry of `fds` is ready or `timeout` passes (`None`
-/// waits indefinitely). Returns how many entries are ready; zero means
-/// the timeout passed or a signal interrupted the wait.
+/// waits indefinitely; an empty `fds` just sleeps). The timeout is kept
+/// to the nanosecond, not rounded up to a millisecond as `poll(2)` would
+/// have it. Returns how many entries are ready; zero means the timeout
+/// passed or a signal interrupted the wait.
 pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-    let timeout = match timeout {
-        None => -1,
-        // Round up, so a short wait cannot turn into a busy loop.
-        Some(t) => c_int::try_from(t.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX),
-    };
+    let timeout = timeout.map(|t| Timespec {
+        tv_sec: c_long::try_from(t.as_secs()).unwrap_or(c_long::MAX),
+        tv_nsec: t.subsec_nanos() as c_long,
+    });
+    let timeout_ptr = timeout
+        .as_ref()
+        .map_or(std::ptr::null(), |t| t as *const Timespec);
     // SAFETY: `fds` is an exclusive borrow of `fds.len()` initialised
     // `PollFd`s, which are `#[repr(C)]` with exactly the fields of
     // `struct pollfd`; the kernel reads `fd`/`events` and writes only
-    // `revents`, within that length, and keeps no pointer after the call
-    // returns. A descriptor that is closed or invalid is reported in
-    // `revents` (POLLNVAL), not undefined behaviour.
-    let n = unsafe { sys_poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout) };
+    // `revents`, within that length. `timeout_ptr` is null or points at a
+    // `#[repr(C)]` `struct timespec` that outlives the call, which the
+    // kernel only reads; the null sigmask leaves the signal mask alone.
+    // Nothing keeps a pointer after the call returns. A descriptor that
+    // is closed or invalid is reported in `revents` (POLLNVAL), not
+    // undefined behaviour.
+    let n = unsafe {
+        sys_ppoll(
+            fds.as_mut_ptr(),
+            fds.len() as NfdsT,
+            timeout_ptr,
+            std::ptr::null(),
+        )
+    };
     if n >= 0 {
         return Ok(n as usize);
     }
@@ -136,10 +156,10 @@ mod tests {
         let (mut a, b) = UnixStream::pair().unwrap();
         let mut fds = [PollFd::new(&b, POLLIN)];
         assert_eq!(poll(&mut fds, Some(Duration::ZERO)).unwrap(), 0);
-        assert!(!fds[0].ready());
+        assert_eq!(fds[0].revents, 0);
         a.write_all(b"x").unwrap();
         assert_eq!(poll(&mut fds, None).unwrap(), 1);
-        assert!(fds[0].ready());
+        assert_ne!(fds[0].revents, 0);
     }
 
     #[test]
@@ -154,6 +174,21 @@ mod tests {
     }
 
     #[test]
+    fn a_sub_millisecond_timeout_is_not_rounded_up_to_a_millisecond() {
+        // The fastest of a few tries, so one descheduling cannot fail it.
+        let fastest = (0..5)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                assert_eq!(poll(&mut [], Some(Duration::from_micros(300))).unwrap(), 0);
+                started.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(fastest >= Duration::from_micros(300), "{fastest:?}");
+        assert!(fastest < Duration::from_millis(1), "{fastest:?}");
+    }
+
+    #[test]
     fn times_out_with_nothing_ready_and_reports_only_the_ready_entry() {
         let (mut a, b) = UnixStream::pair().unwrap();
         let (_c, d) = UnixStream::pair().unwrap();
@@ -163,7 +198,7 @@ mod tests {
         assert!(started.elapsed() >= Duration::from_millis(20));
         a.write_all(b"x").unwrap();
         assert_eq!(poll(&mut fds, Some(Duration::from_secs(5))).unwrap(), 1);
-        assert!(fds[0].ready() && !fds[1].ready());
+        assert!(fds[0].revents != 0 && fds[1].revents == 0);
         // A hang-up is reported even though only POLLIN was asked for.
         drop(a);
         assert_eq!(poll(&mut fds, None).unwrap(), 1);

@@ -5,10 +5,12 @@
 //! final report. CI runs it with the workspace tests, in both profiles.
 //!
 //! The later tests pin the event-driven wire path from outside: an idle
-//! daemon makes (almost) no context switches, a swap ack reaches the
-//! reactor with no other traffic to carry it, neither a stalled peer
-//! nor a crowd of them gets in another client's way, and a peer that
-//! pipelines ops without reading its replies is pushed back, not buffered.
+//! daemon makes (almost) no context switches and runs one thread, a swap
+//! ack reaches the reactor with no other traffic to carry it, neither a
+//! stalled peer nor a crowd of them gets in another client's way, a peer
+//! that pipelines ops without reading its replies is pushed back, not
+//! buffered, and a `--clock=sim` daemon answers one frame sequence the
+//! same way every time.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -264,8 +266,8 @@ fn an_idle_daemon_does_not_poll() {
     std::thread::sleep(std::time::Duration::from_secs(1));
     let switched = voluntary_switches(daemon.child.id()) - before;
     // A 1 ms reactor sleep plus 16 sessions polled every millisecond cost
-    // ≈1 850 switches a second; blocked in poll(2) and on the inbox
-    // condvar the two threads make none until the next heartbeat.
+    // ≈1 850 switches a second; blocked in ppoll(2) until the engine's
+    // next deadline, the heartbeat 10 s out, the one thread makes none.
     assert!(
         switched < 100,
         "{switched} context switches in an idle second"
@@ -275,6 +277,122 @@ fn an_idle_daemon_does_not_poll() {
     assert_eq!(status.get_u64("reactor_timeouts"), Some(0));
     admin.admin("shutdown", vec![]).expect("shutdown");
     assert!(daemon.finish().0);
+}
+
+/// The reactor steps the engine in line: a serving daemon is one thread.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_serving_daemon_runs_one_thread() {
+    let daemon = Daemon::spawn(&["--clock=wall"]);
+    let mut client = MantleClient::connect(&daemon.addr, "client").expect("client connects");
+    let reply = client.op("create", "/smoke/one-thread").expect("op");
+    assert_eq!(reply.get_str("status"), Some("ok"), "reply: {reply}");
+    let tasks = std::fs::read_dir(format!("/proc/{}/task", daemon.child.id()))
+        .expect("daemon is running")
+        .count();
+    assert_eq!(tasks, 1, "threads of a serving mantled");
+    let mut admin = MantleClient::connect(&daemon.addr, "admin").expect("admin connects");
+    admin.admin("shutdown", vec![]).expect("shutdown");
+    assert!(daemon.finish().0);
+}
+
+/// One frame off `stream`, as the bytes it came in.
+fn raw_frame(stream: &mut std::net::TcpStream) -> Vec<u8> {
+    use std::io::Read as _;
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).expect("a frame");
+    let mut body = vec![0; u32::from_be_bytes(len) as usize];
+    stream.read_exact(&mut body).expect("its payload");
+    body
+}
+
+/// Under `--clock=sim` a daemon is a function of the frames it is sent,
+/// in the order it dispatches them: two sessions pipelining ops around a
+/// hot swap get the same bytes back, and print the same exit report,
+/// every time.
+#[test]
+fn a_sim_clock_daemon_answers_one_frame_sequence_the_same_twice() {
+    use std::io::Write as _;
+    let frame = |members| mantle_daemon::wire::encode_frame(&Json::obj(members));
+    let run = || {
+        let daemon = Daemon::spawn(&["--sessions=2", "--mds=2", "--clock=sim"]);
+        let mut replies = Vec::new();
+        let mut connect = |role: &str| {
+            let mut stream = std::net::TcpStream::connect(&daemon.addr).expect("connects");
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+                .unwrap();
+            stream
+                .write_all(&frame(vec![
+                    ("type", Json::str("hello")),
+                    ("role", Json::str(role)),
+                    ("proto", Json::num(1.0)),
+                ]))
+                .unwrap();
+            replies.push(raw_frame(&mut stream));
+            stream
+        };
+        let (mut admin, mut a, mut b) = (connect("admin"), connect("client"), connect("client"));
+        // Six ops in one write: pipelined, whatever reads TCP splits them
+        // into.
+        let ops = |session: usize, round: usize| -> Vec<u8> {
+            (0..6)
+                .flat_map(|i| {
+                    frame(vec![
+                        ("type", Json::str("op")),
+                        ("id", Json::num((round * 6 + i) as f64)),
+                        ("op", Json::str(["mkdir", "create", "stat"][i % 3])),
+                        ("path", Json::str(format!("/det/s{session}/d{}", i % 2))),
+                    ])
+                })
+                .collect()
+        };
+        for round in 0..2 {
+            // The older connection first: with both sessions' frames in,
+            // a read pass dispatches its frames ahead of the other's.
+            a.write_all(&ops(0, round)).unwrap();
+            b.write_all(&ops(1, round)).unwrap();
+            for conn in [&mut a, &mut b] {
+                replies.extend((0..6).map(|_| raw_frame(conn)));
+            }
+            if round == 0 {
+                admin
+                    .write_all(&frame(vec![
+                        ("type", Json::str("admin")),
+                        ("verb", Json::str("policy-swap")),
+                        ("policy", swap_bundle()),
+                    ]))
+                    .unwrap();
+                replies.push(raw_frame(&mut admin));
+            }
+        }
+        admin
+            .write_all(&frame(vec![
+                ("type", Json::str("admin")),
+                ("verb", Json::str("shutdown")),
+            ]))
+            .unwrap();
+        replies.push(raw_frame(&mut admin));
+        let (ok, report) = daemon.finish();
+        assert!(ok, "mantled exits cleanly");
+        (replies, report)
+    };
+    let (replies, report) = run();
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    assert!(
+        text(&replies[3 + 12]).contains("\"swapped\""),
+        "{}",
+        text(&replies[3 + 12])
+    );
+    let last = report.lines().last().expect("the report is printed");
+    let parsed = mantle_daemon::json::parse(last).expect("the report is json");
+    assert_eq!(parsed.get_u64("total_ops"), Some(24), "{last}");
+    let again = run();
+    for (i, (one, two)) in replies.iter().zip(&again.0).enumerate() {
+        assert_eq!(text(one), text(two), "reply {i}");
+    }
+    assert_eq!(replies.len(), again.0.len());
+    assert_eq!(report, again.1, "exit reports");
 }
 
 #[test]

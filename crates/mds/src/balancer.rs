@@ -27,17 +27,21 @@ use crate::tracer::Tracer;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// What a balancer sees when it runs: its identity and the (stale)
-/// heartbeat snapshots of the whole cluster.
+/// What a balancer sees when it runs: its position among the members and
+/// the heartbeat snapshots of the member set.
 #[derive(Debug, Clone)]
 pub struct BalanceContext {
-    /// The MDS running this balancer.
+    /// This balancer's position in the member set, its index into
+    /// `heartbeats`. With every MDS a member it is the MDS id.
     pub whoami: MdsId,
-    /// Heartbeat snapshot per MDS (index = MDS id). These are the values
-    /// from the *previous* exchange — stale by up to one interval, exactly
-    /// like the real system (§2.2.2). Shared: every MDS's balancer reads
-    /// the same snapshot, so the tick hands out references instead of
-    /// cloning the vector per MDS.
+    /// One heartbeat snapshot per member (index = member position, which
+    /// `whoami` is too). Every snapshot is taken at the tick instant, with
+    /// seeded sampling noise on loads and CPU (§2.2.2), and each member
+    /// decides on them at that same instant: a snapshot is stale only
+    /// inside a heartbeat drop window (frozen at its last value before the
+    /// window) or delay window (one interval late). Shared: every member's
+    /// balancer reads the same snapshots, so the tick hands out references
+    /// instead of cloning the vector per MDS.
     pub heartbeats: Arc<[Heartbeat]>,
 }
 
@@ -487,10 +491,8 @@ impl BalancerSet {
 
     /// Hot install: replace every balancer with a fresh one running an
     /// already-validated policy, compiled here once and shared by all of
-    /// them. Compiling happens on the engine thread because a compiled
-    /// policy is deliberately not `Send`; the raw [`PolicySet`] is. On
-    /// failure — exceptional, the policy was validated upstream — the old
-    /// balancers keep running.
+    /// them. On failure — exceptional, the policy was validated upstream
+    /// — the old balancers keep running.
     pub(crate) fn install(&mut self, name: &str, set: &PolicySet) -> PolicyResult<()> {
         let first = MantleBalancer::new_unvalidated(name, set.clone())?;
         for b in &mut self.balancers {

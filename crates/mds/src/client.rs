@@ -7,6 +7,8 @@
 //! its learned routes take table space only for the directories it
 //! learned ([`crate::cache::RouteTable`]).
 
+use std::any::Any;
+
 use mantle_namespace::{FragId, MdsId, Namespace, NodeId, OpKind};
 use mantle_sim::{SimTime, Summary};
 
@@ -21,7 +23,7 @@ pub struct ClientOp {
 
 /// "No instant I can name": returned from [`Workload::next_ready_at`] by
 /// a workload whose ops arrive from outside the simulation. The client
-/// is left with no scheduled event until the service pump wakes it (see
+/// is left with no scheduled event until the live service wakes it (see
 /// [`crate::service`]).
 pub const PARKED: SimTime = SimTime(u64::MAX);
 
@@ -29,8 +31,10 @@ pub const PARKED: SimTime = SimTime(u64::MAX);
 /// next operation whenever that client's previous one completes.
 ///
 /// The namespace is read-only during the run — all directory structure is
-/// built in [`Workload::setup`].
-pub trait Workload: Send {
+/// built in [`Workload::setup`]. A workload is `Any` so that the live
+/// service can find its own ([`crate::service::LiveWorkload`]) behind the
+/// cluster's `Box<dyn Workload>`.
+pub trait Workload: Any + Send {
     /// Number of clients this workload drives.
     fn num_clients(&self) -> usize;
 
@@ -100,7 +104,7 @@ pub struct ClientState {
     /// exponential backoff).
     pub attempts: u32,
     /// The workload answered [`PARKED`]: the client has no scheduled
-    /// event and waits for the service pump to wake it
+    /// event and waits for the live service to wake it
     /// (`World::wake_client`, [`crate::world`]).
     pub(crate) parked: bool,
 }

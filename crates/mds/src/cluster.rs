@@ -4,7 +4,7 @@
 //! actions, then run it to completion or serve it live. Behind it sit the
 //! simulation state, one `World` ([`crate::world`]), and the
 //! `Coordinator`, the control plane — the data plane never touches it.
-//! `Cluster::run_inner` is the event loop: it runs the earliest event in
+//! `Cluster::run_while` is the event loop: it runs the earliest event in
 //! the world's one queue to completion. A coordinator event (heartbeat
 //! tick, fault, admin action, hot install) is one more event on that
 //! timeline, keyed rank 0 so that at its instant it runs before every
@@ -16,10 +16,18 @@
 //! The queue's own clock, `World::queue`'s `now`, is the instant of the
 //! last event the loop ran, data-plane or coordinator. It is the one
 //! place "now" is read between events. The trace's `RunEnd`
-//! trailer, and everything the live-service pump injects — woken
+//! trailer, and everything the live service injects — woken
 //! clients, directories a live op creates, hot installs — are stamped
 //! with it, so no record is stamped before one already emitted, and
 //! live and batch streams alike are in time order.
+//!
+//! # One loop body
+//!
+//! `Cluster::run_while` is the loop body of every run: it takes events
+//! until the run is over or the caller's `due` test refuses the next
+//! instant. A batch run passes a test that always agrees, which compiles
+//! away; the live service ([`crate::service`]) passes the clock's test
+//! and is stepped again by its caller.
 //!
 //! # The balancer tick, stage by stage
 //!
@@ -43,12 +51,12 @@
 //! every MDS and the translation the identity.
 //!
 //! Around the tick: [`crate::faults`] applies scheduled faults, [`crate::tracer`] owns the
-//! trace sink, and [`crate::service`] pumps a live daemon's commands in
-//! and events out.
+//! trace sink, and [`crate::service`] feeds a live daemon's commands in
+//! and hands its events out.
 
 use mantle_namespace::{MdsId, Namespace, NsConfig};
 use mantle_policy::env::PolicySet;
-use mantle_sim::{SimRng, SimTime};
+use mantle_sim::{ClockMode, SimRng, SimTime};
 
 use crate::balancer::{BalanceContext, Balancer, BalancerSet, MigrationPlan};
 use crate::client::Workload;
@@ -59,7 +67,7 @@ use crate::heartbeat::HeartbeatView;
 use crate::migration::Migrator;
 use crate::partition::plan_exports;
 use crate::report::{ClientReport, MdsReport, RunReport};
-use crate::service::{LiveService, ServiceEvent, ServicePump};
+use crate::service::{LiveService, ServiceEvent};
 use crate::trace::{TraceBuffer, TraceEvent, TraceLevel};
 use crate::tracer::Tracer;
 use crate::world::{Event, ExecStats, World};
@@ -120,7 +128,7 @@ pub(crate) struct Coordinator {
     pub(crate) migrator: Migrator,
     /// Subtrees and dirfrags failed over to MDS 0 by crashes.
     pub(crate) failovers: u64,
-    /// Results of installs run since the service pump last looked, in
+    /// Results of installs run since the live service last looked, in
     /// install order ([`ServiceEvent::Swapped`]).
     swapped: Vec<ServiceEvent>,
     workload_name: String,
@@ -190,10 +198,10 @@ impl Coordinator {
         //     member view and take at most one membership transition
         //     (join or drain) per tick. No-op when disabled.
         crate::elastic::step(self, w, &heartbeats, now);
-        // 3. Every member runs its balancer against the (shared, already
-        //    slightly stale) snapshots of the post-transition member set
-        //    and migrates ("recv HB" → "rebalance" → "fragment" →
-        //    "migrate"). A spare or departed MDS has nothing to balance.
+        // 3. Every member runs its balancer against the shared snapshots
+        //    of the post-transition member set and migrates ("recv HB" →
+        //    "rebalance" → "fragment" → "migrate"). A spare or departed
+        //    MDS has nothing to balance.
         let (members, view) = w.member_view(&heartbeats);
         for (whoami, &m) in members.iter().enumerate() {
             // A crashed MDS neither balances nor exports.
@@ -266,8 +274,10 @@ impl Coordinator {
 /// The simulated cluster. Build one, optionally schedule admin actions,
 /// then [`Cluster::run`] it to completion.
 pub struct Cluster {
-    co: Coordinator,
-    world: World,
+    pub(crate) co: Coordinator,
+    pub(crate) world: World,
+    /// Coordinator events the loop ran.
+    global_steps: u64,
 }
 
 impl Cluster {
@@ -294,7 +304,11 @@ impl Cluster {
             workload_name: workload.name().to_string(),
         };
         let world = World::new(cfg, ns, workload, &master);
-        Cluster { co, world }
+        Cluster {
+            co,
+            world,
+            global_steps: 0,
+        }
     }
 
     /// MDS `m`'s balancer, as built (or last installed).
@@ -326,99 +340,108 @@ impl Cluster {
     /// global steps). The [`ExecStats`] never feed back into
     /// the simulation.
     pub fn run_with_stats(self) -> (RunReport, ExecStats) {
-        let (report, stats, _) = self.run_inner(None, None);
+        let (report, stats, _) = self.run_inner(None);
         (report, stats)
     }
 
     /// Run to completion with a trace sink at `level` attached, returning
     /// the report together with the captured event stream.
     pub fn run_traced(self, level: TraceLevel) -> (RunReport, TraceBuffer) {
-        let (report, _, buffer) = self.run_inner(Some(level), None);
+        let (report, _, buffer) = self.run_inner(Some(level));
         (report, buffer.expect("a level was given"))
     }
 
-    /// Run as a live service: the engine loop additionally pumps `svc` —
-    /// draining submitted ops and policy installs before each scheduler
-    /// iteration and streaming install results, trace records and
-    /// completions after it — and, under [`ClockMode::Wall`], paces event
-    /// processing so simulated time tracks wall time. Returns when the
-    /// service is shut down ([`crate::service::ServiceHandle::shutdown`])
-    /// and every client has drained, or when the (scripted) workload
-    /// finishes; the report is the stream's last event,
-    /// [`ServiceEvent::Finished`].
+    /// Serve the cluster live: hand it to a [`LiveService`], which its
+    /// caller steps in line, feeding it submitted ops and policy installs
+    /// and taking install results, trace records, completions and at last
+    /// the report ([`ServiceEvent::Finished`]) from it. `clock` picks
+    /// batch speed ([`ClockMode::Sim`]) or wall pacing
+    /// ([`ClockMode::Wall`]), under which simulated time tracks wall time
+    /// from this call on.
     ///
-    /// With [`ClockMode::Sim`], an empty inbox, and a scripted workload
-    /// this is behaviorally identical to [`Cluster::run_with_stats`]:
-    /// the pump observes the run without perturbing event order, which
+    /// With [`ClockMode::Sim`], no command, and a scripted workload this
+    /// is behaviorally identical to [`Cluster::run_with_stats`]: the
+    /// service observes the run without perturbing event order, which
     /// is what `tests/daemon_equivalence.rs` pins byte-for-byte.
     ///
     /// `trace` optionally attaches a trace sink whose records are
-    /// streamed live as [`ServiceEvent::Trace`] batches instead of
+    /// handed out as [`ServiceEvent::Trace`] batches instead of
     /// accumulating.
-    ///
-    /// [`ClockMode::Wall`]: mantle_sim::ClockMode::Wall
-    /// [`ClockMode::Sim`]: mantle_sim::ClockMode::Sim
-    pub fn serve(self, svc: LiveService, trace: Option<TraceLevel>) {
-        self.run_inner(trace, Some(ServicePump::new(svc)));
+    pub fn serve(self, clock: ClockMode, trace: Option<TraceLevel>) -> LiveService {
+        LiveService::new(self, clock, trace)
     }
 
-    /// The one way a cluster runs: take events in time order until the
-    /// clients drain, time runs out, or nothing is left to do. `pump` is
-    /// the live-service hook ([`Cluster::serve`]): called before each
-    /// iteration (command injection + wall pacing) and after each step
-    /// (event streaming). Batch runs pass `None`, which skips both calls
-    /// entirely — the scheduler's decisions are untouched. With a pump the
-    /// trace is streamed rather than kept, and the stream is ended with
-    /// the report.
+    /// The one way a cluster runs to completion, untraced or with a sink
+    /// at `trace` whose records are kept.
     pub(crate) fn run_inner(
-        self,
+        mut self,
         trace: Option<TraceLevel>,
-        mut pump: Option<ServicePump>,
     ) -> (RunReport, ExecStats, Option<TraceBuffer>) {
-        let Cluster { mut co, mut world } = self;
-        let w = &mut world;
+        self.begin(trace);
+        self.run_while(|_, _| true);
+        let (report, stats, trace) = self.end();
+        (report, stats, trace.into_buffer())
+    }
+
+    /// Attach the trace sink and queue the run's first events: every
+    /// client's kick-off, the heartbeat cycle and the fault plan.
+    pub(crate) fn begin(&mut self, trace: Option<TraceLevel>) {
+        let w = &mut self.world;
         if let Some(level) = trace {
             w.trace = Tracer::new(Some(level));
             w.trace.preamble(&w.cfg, &w.ns);
         }
-        w.live = pump.is_some();
-        // Kick off every client (client-rank keys order the time-zero
-        // ties by client id).
+        // Client-rank keys order the time-zero ties by client id.
         for c in 0..w.clients.len() {
             let key = w.client_key(c);
             w.queue
                 .schedule_at_key(SimTime::ZERO, key, Event::ClientNext(c));
         }
-        // The heartbeat cycle and the fault plan.
         w.schedule_global(w.cfg.heartbeat_interval, GlobalEvent::Heartbeat);
         for fault in w.cfg.faults.events.clone() {
             w.schedule_global(fault.at, GlobalEvent::Fault(fault.kind));
         }
-        let mut global_steps = 0u64;
+    }
+
+    /// The loop body of every run: take events in time order while
+    /// `due` accepts the next one's instant. Returns `true` once the run
+    /// is over — the clients drained, time ran out, or nothing is left to
+    /// do — and `false` when `due` refused.
+    pub(crate) fn run_while(&mut self, mut due: impl FnMut(&World, SimTime) -> bool) -> bool {
+        let Cluster {
+            co,
+            world: w,
+            global_steps,
+        } = self;
         loop {
-            if let Some(p) = pump.as_mut() {
-                p.pre(w);
-            }
             if w.drained() {
-                break;
+                return true;
             }
             // Events at exactly `max_duration` still run.
-            if w.queue.peek_time().is_none_or(|t| t > w.cfg.max_duration) {
-                break;
+            let Some(next) = w.queue.peek_time().filter(|&t| t <= w.cfg.max_duration) else {
+                return true;
+            };
+            if !due(w, next) {
+                return false;
             }
             // A global comes back from the world to run here; its rank-0
             // key put it before the data-plane events of its instant.
             if let Some(global) = w.step() {
                 co.run_global(w, global);
-                global_steps += 1;
-            }
-            if let Some(p) = pump.as_mut() {
-                p.post(&mut co, w);
+                *global_steps += 1;
             }
         }
-        if let Some(p) = pump.as_mut() {
-            p.post(&mut co, w);
-        }
+    }
+
+    /// Close the run: the trace's `RunEnd` trailer, the execution
+    /// statistics, and the report, with the tracer handed back.
+    pub(crate) fn end(self) -> (RunReport, ExecStats, Tracer) {
+        let Cluster {
+            co,
+            mut world,
+            global_steps,
+        } = self;
+        let w = &mut world;
         let stats = ExecStats {
             threads: 1,
             windows: w.stats.events,
@@ -426,15 +449,8 @@ impl Cluster {
             shards: vec![w.stats],
         };
         w.trace.run_end(w.queue.now(), w.inflight.max(0) as usize);
-        let (report, mut trace) = into_report(&co, world);
-        let buffer = match pump {
-            Some(pump) => {
-                pump.finish(trace.drain(), report.clone());
-                None
-            }
-            None => trace.into_buffer(),
-        };
-        (report, stats, buffer)
+        let (report, trace) = into_report(&co, world);
+        (report, stats, trace)
     }
 }
 

@@ -13,9 +13,10 @@
 //! * requests landing on the wrong MDS are **forwarded** (hop latency +
 //!   wasted service on the wrong node) — the hits-vs-forwards split of
 //!   Fig. 3b;
-//! * every 10 s each MDS packages its metrics into a **heartbeat**; other
-//!   MDSs see the *previous* tick's snapshot (state is stale by design,
-//!   §2.2.2) with seeded measurement noise on CPU;
+//! * every 10 s each MDS packages its metrics into a **heartbeat**, with
+//!   seeded sampling noise on loads and CPU (§2.2.2); every MDS balances
+//!   on the snapshots taken at that tick, which are stale only inside
+//!   injected heartbeat drop or delay windows;
 //! * the **balancer** on each MDS — either the hard-coded CephFS one
 //!   (Table 1) or a Mantle policy script — decides when/where/how much to
 //!   migrate; migrations freeze the moved subtree for a two-phase commit
@@ -66,6 +67,6 @@ pub use mantle_policy::HookEngine;
 pub use mantle_sim::SchedulerKind;
 pub use report::RunReport;
 pub use selector::{select_best, DirfragSelector};
-pub use service::{LiveCompletion, LiveService, ServiceEvent, ServiceHandle};
+pub use service::{LiveCompletion, LiveService, LiveWorkload, ServiceEvent};
 pub use trace::{TraceBuffer, TraceEvent, TraceLevel, TraceRecord};
 pub use world::{ExecStats, ShardStats};

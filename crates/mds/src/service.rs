@@ -1,62 +1,57 @@
-//! The live service: the seam that lets a long-running daemon feed a
-//! *running* cluster engine — injected client ops, hot policy installs —
-//! and hear everything the engine has to say on **one ordered stream**,
-//! without forking the engine itself.
+//! The live service: a *running* cluster that a long-running daemon
+//! feeds — injected client ops, hot policy installs — and that says
+//! everything it has to say as **one ordered list of events**, without
+//! forking the engine itself.
 //!
 //! # Shape
 //!
-//! The engine keeps its exact batch-mode event loop
-//! (`Cluster::run_inner`, see [`crate::cluster`]); the service pump
-//! merely hooks the top and bottom of each iteration:
+//! [`Cluster::serve`] turns a cluster into a [`LiveService`], which its
+//! one caller steps in line: there is no engine thread. The run loop is
+//! the batch loop (`Cluster::run_while`, see [`crate::cluster`]); the
+//! service only decides how far each call may go and what goes in and
+//! out between calls:
 //!
-//! * **inbound** — commands submitted through a [`ServiceHandle`] are
-//!   drained between events: ops are resolved against the namespace and
-//!   pushed into the per-client queues of a [`LiveWorkload`], and policy
-//!   installs go into the engine's one event queue as global events, so
-//!   the swap runs as a coordinator step like every other control-plane
-//!   mutation.
-//! * **outbound** — [`ServiceHandle::events`], an
-//!   [`mpsc`](std::sync::mpsc) stream of [`ServiceEvent`]s, is the only
-//!   way anything leaves the engine. Each iteration sends, in this
+//! * **inbound** — [`LiveService::submit_op`] resolves the op's path
+//!   against the namespace at once and queues the op on its session of a
+//!   [`LiveWorkload`]; [`LiveService::install_policy`] puts the install
+//!   into the engine's one event queue as a global event, so the swap
+//!   runs as a coordinator step like every other control-plane mutation;
+//! * **running** — [`LiveService::run_due`] runs every event that is due
+//!   (see *Clocks*), and [`LiveService::deadline`] says when the next one
+//!   will be;
+//! * **outbound** — [`LiveService::next_event`] hands out what the runs
+//!   produced, as [`ServiceEvent`]s. Each `run_due` appends, in this
 //!   order: the results of installs that ran ([`ServiceEvent::Swapped`]),
-//!   the trace records emitted since the last batch (in emission order),
-//!   and the live ops that completed.
+//!   the trace records emitted (in emission order), and the live ops
+//!   that completed.
 //!
-//! # Lifecycle, as message order
+//! # Lifecycle, as event order
 //!
 //! `boot → serving → draining → done` is not a state anyone stores; it is
-//! what the stream looks like. While *serving*, batches flow.
-//! [`ServiceHandle::shutdown`] starts *draining*: queues close, clients
+//! what the events look like. While *serving*, batches flow.
+//! [`LiveService::shutdown`] starts *draining*: queues close, clients
 //! finish what they have, completions keep flowing. At the end come the
 //! trace tail (through `RunEnd`) and the terminal
-//! [`ServiceEvent::Finished`] with the report; then the sender is
-//! dropped. "The report follows the last completion" and "an install is
-//! acknowledged before anything decided under it" are thus properties of
-//! channel order, and a stream that disconnects *without* `Finished` is
-//! an engine that died.
-//!
-//! A consumer that blocks on something other than the channel (the
-//! daemon's reactor sits in `poll(2)`) registers a notifier
-//! ([`LiveService::notify_with`]): called once an iteration's events are
-//! all sent, and once more after the stream has closed — by return or by
-//! panic — so the consumer always gets to observe the disconnect.
+//! [`ServiceEvent::Finished`] with the report, after which nothing more
+//! is produced. "The report follows the last completion" and "an install
+//! is acknowledged before anything decided under it" are thus properties
+//! of event order.
 //!
 //! # Parked sessions
 //!
 //! A live client whose queue is empty is *parked*: its workload answers
 //! [`PARKED`] and the engine leaves it with no scheduled event, so an idle
-//! service processes no client events at all. The pump wakes a parked
+//! service processes no client events at all. `submit_op` wakes a parked
 //! client right after queueing an op for it — one `ClientNext` under a
-//! fresh key — and wakes every parked client on shutdown so each sees
-//! its stream end. A client that is busy is never woken: it pulls its
-//! next op inline from the reply, exactly like a scripted client, which
-//! keeps pipelined submits on one slot FIFO and leaves no stale wake-up
-//! behind.
+//! fresh key — and `shutdown` wakes every parked client so each sees its
+//! stream end. A client that is busy is never woken: it pulls its next op
+//! inline from the reply, exactly like a scripted client, which keeps
+//! pipelined submits on one slot FIFO and leaves no stale wake-up behind.
 //!
 //! The wake-up lands at the engine's time frontier (the instant of the
 //! last event the loop ran: the event queue's own clock), and so do the
-//! directories an op creates and a hot install: nothing the pump injects
-//! is stamped before a record already streamed. Under [`ClockMode::Wall`]
+//! directories an op creates and a hot install: nothing injected is
+//! stamped before a record already handed out. Under [`ClockMode::Wall`]
 //! that frontier is as old as the last thing the engine did — seconds, on
 //! an idle daemon — while the op arrived *now*, so the wake-up is stamped
 //! `max(frontier, WallClock::now())`: the op is issued at the simulated
@@ -64,66 +59,38 @@
 //!
 //! # Clocks
 //!
-//! The pump reads one queue: the next event's instant is its
-//! `peek_time`, and the world counts the coordinator events in it, so
-//! "no data-plane event is pending" is "every queued event is a global".
-//! With [`ClockMode::Wall`] the pump sleeps until the next event's wall
-//! deadline (interruptibly — a submitted command wakes it), so simulated
-//! time tracks real time. With [`ClockMode::Sim`] it never waits for a
-//! deadline; the one thing it waits for is a command, when every live
-//! session is parked and nothing is in flight — virtual time stands
-//! still while there is no work instead of racing through heartbeats to
-//! the run cap. A service with no live workload (scenario mode) never
-//! waits and behaves exactly like the batch engine —
-//! `tests/daemon_equivalence.rs` pins that the reports are
+//! With [`ClockMode::Wall`], `run_due` runs the events whose wall
+//! deadline has passed, and `deadline` is the time until the next one,
+//! so simulated time tracks real time. With [`ClockMode::Sim`], `run_due`
+//! runs until nothing is runnable: when every live session is parked and
+//! nothing is in flight, the only events left are future heartbeats, and
+//! running through them would carry an idle service to its duration cap
+//! in under a second. So virtual time stands still until a command gives
+//! it work, and `deadline` is `None`. A `--clock=sim` service is thereby
+//! a function of its command sequence. A service with no live workload
+//! (scenario mode) is never idle and behaves exactly like the batch
+//! engine — `tests/daemon_equivalence.rs` pins that the reports are
 //! byte-identical.
 
+use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use mantle_namespace::{MdsId, Namespace, NodeId, OpKind};
 use mantle_policy::env::PolicySet;
 use mantle_sim::{ClockMode, SimTime, WallClock};
 
 use crate::client::{ClientOp, Workload, PARKED};
-use crate::cluster::{Coordinator, GlobalEvent};
+use crate::cluster::{Cluster, GlobalEvent};
 use crate::report::RunReport;
-use crate::trace::TraceRecord;
+use crate::trace::{TraceLevel, TraceRecord};
 use crate::world::World;
 
-/// A command sent into the running engine (daemon → engine).
-pub(crate) enum ServiceCmd {
-    /// Inject one metadata op for `client`; the engine resolves `path`
-    /// (creating missing parents) and enqueues it on the client's live
-    /// queue.
-    Op {
-        /// Target client slot.
-        client: usize,
-        /// Directory path the op targets.
-        path: String,
-        /// What the op does.
-        kind: OpKind,
-    },
-    /// Hot-install a new (already validated) policy on every MDS in the
-    /// coordinator's next global step.
-    Install {
-        /// Policy name for reports and trace records.
-        name: String,
-        /// Install epoch assigned by the daemon.
-        epoch: u64,
-        /// The compiled, validated policy.
-        set: PolicySet,
-    },
-    /// Close the live queues: clients drain and the run ends normally.
-    Shutdown,
-}
-
-/// An event streamed out of the running engine (engine → daemon).
+/// An event out of the running engine (engine → daemon).
 #[derive(Debug)]
 pub enum ServiceEvent {
-    /// A hot install ran (or failed to) in a coordinator global step. Sent before the trace batch holding that install's
+    /// A hot install ran (or failed to) in a coordinator global step.
+    /// Handed out before the trace batch holding that install's
     /// `PolicyInstalled` record and before any completion decided under
     /// the new policy.
     Swapped {
@@ -137,8 +104,7 @@ pub enum ServiceEvent {
     Trace(Vec<TraceRecord>),
     /// Live ops completed since the last batch.
     Completions(Vec<LiveCompletion>),
-    /// The run is over and this is its report: always the last event,
-    /// after which the stream disconnects.
+    /// The run is over and this is its report: always the last event.
     Finished(Box<RunReport>),
 }
 
@@ -160,74 +126,42 @@ pub struct LiveCompletion {
     pub latency_ms: f64,
 }
 
-/// The command inbox shared between handle and pump. The condvar wakes a
-/// wall-clock pump sleeping until the next event deadline, so a newly
-/// submitted op is picked up immediately instead of after the sleep.
-#[derive(Default)]
-pub(crate) struct Inbox {
-    pub(crate) queue: Mutex<VecDeque<ServiceCmd>>,
-    pub(crate) signal: Condvar,
+/// A [`Workload`] fed at runtime instead of generated: each client owns a
+/// queue of submitted ops and is [`PARKED`] while its queue is empty.
+/// Closing the queues ends every client's stream, so a live run drains
+/// and terminates exactly like a batch run.
+pub struct LiveWorkload {
+    queues: Vec<VecDeque<ClientOp>>,
+    closed: bool,
 }
 
-impl Inbox {
-    fn push(&self, cmd: ServiceCmd) {
-        self.queue
-            .lock()
-            .expect("service inbox never poisoned")
-            .push_back(cmd);
-        self.signal.notify_all();
-    }
-}
-
-/// Per-client live op queues, shared by the engine's [`LiveWorkload`]
-/// and the service pump (which pushes resolved ops).
-pub(crate) struct LiveQueues {
-    pub(crate) queues: Vec<Mutex<VecDeque<ClientOp>>>,
-    pub(crate) closed: AtomicBool,
-}
-
-impl LiveQueues {
-    fn new(num_clients: usize) -> Self {
-        LiveQueues {
-            queues: (0..num_clients)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            closed: AtomicBool::new(false),
+impl LiveWorkload {
+    /// `sessions` client slots, each parked until an op is submitted for
+    /// it. Pass it to [`Cluster::new`], then [`Cluster::serve`] the
+    /// cluster.
+    pub fn new(sessions: usize) -> LiveWorkload {
+        LiveWorkload {
+            queues: vec![VecDeque::new(); sessions],
+            closed: false,
         }
     }
 }
 
-/// A [`Workload`] fed at runtime instead of generated: each client owns a
-/// queue of injected ops and is [`PARKED`] while its queue is empty.
-/// Closing the queues ends every client's stream, so a live run drains
-/// and terminates exactly like a batch run.
-pub struct LiveWorkload {
-    shared: Arc<LiveQueues>,
-}
-
 impl Workload for LiveWorkload {
     fn num_clients(&self) -> usize {
-        self.shared.queues.len()
+        self.queues.len()
     }
 
     fn setup(&mut self, _ns: &mut Namespace) {}
 
     fn next(&mut self, client: usize, _ns: &Namespace, _now: SimTime) -> Option<ClientOp> {
-        let mut q = self.shared.queues[client]
-            .lock()
-            .expect("live queue never poisoned");
         // `next_ready_at` parks the client while its queue is empty and
-        // open, so reaching here with an empty queue means closed (or a
-        // benign submit/close race, where ending the client is also the
-        // right answer).
-        q.pop_front()
+        // open, so reaching here with an empty queue means closed.
+        self.queues[client].pop_front()
     }
 
     fn next_ready_at(&mut self, client: usize, _now: SimTime) -> Option<SimTime> {
-        let q = self.shared.queues[client]
-            .lock()
-            .expect("live queue never poisoned");
-        (q.is_empty() && !self.shared.closed.load(Ordering::Acquire)).then_some(PARKED)
+        (self.queues[client].is_empty() && !self.closed).then_some(PARKED)
     }
 
     fn name(&self) -> &str {
@@ -235,311 +169,182 @@ impl Workload for LiveWorkload {
     }
 }
 
-/// The consumer's wake-up call. Called behind each iteration's sends,
-/// and — because [`LiveService`] declares it after the sender — once
-/// more when the service is dropped, *after* the stream has closed: a
-/// consumer woken by it finds a message or the disconnect, never nothing.
-#[derive(Default)]
-struct Notifier(Option<Box<dyn Fn() + Send>>);
-
-impl Notifier {
-    fn notify(&self) {
-        if let Some(notify) = &self.0 {
-            notify();
-        }
-    }
+/// The world's workload as live sessions, if that is what it is.
+fn sessions(w: &mut World) -> Option<&mut LiveWorkload> {
+    let workload: &mut dyn Any = &mut *w.workload;
+    workload.downcast_mut()
 }
 
-impl Drop for Notifier {
-    fn drop(&mut self) {
-        self.notify();
-    }
-}
-
-/// The engine side of a live service: handed to
-/// [`crate::cluster::Cluster::serve`], which pumps it every scheduler
-/// iteration. Create one with [`LiveService::new`]; the paired
-/// [`ServiceHandle`] goes to the connection-handling side.
+/// A cluster being served: built by [`Cluster::serve`], stepped by its
+/// one caller with [`LiveService::run_due`].
 pub struct LiveService {
-    inbox: Arc<Inbox>,
-    // Field order is drop order: the stream closes, then the last notify.
-    events: Sender<ServiceEvent>,
-    notify: Notifier,
-    clock: ClockMode,
-    queues: Option<Arc<LiveQueues>>,
+    /// The run, until it ends.
+    run: Option<Cluster>,
+    /// What paces the run under [`ClockMode::Wall`]; `None` under
+    /// [`ClockMode::Sim`].
+    wall: Option<WallClock>,
+    /// What the runs produced and the caller has not taken yet.
+    events: VecDeque<ServiceEvent>,
 }
 
 impl LiveService {
-    /// Build a service and its handle. `clock` picks batch speed
-    /// ([`ClockMode::Sim`]) or wall pacing ([`ClockMode::Wall`]).
-    pub fn new(clock: ClockMode) -> (LiveService, ServiceHandle) {
-        let inbox = Arc::new(Inbox::default());
-        let (tx, rx) = channel();
-        (
-            LiveService {
-                inbox: Arc::clone(&inbox),
-                events: tx,
-                notify: Notifier::default(),
-                clock,
-                queues: None,
-            },
-            ServiceHandle { inbox, events: rx },
-        )
-    }
-
-    /// Create the live workload this service feeds: `sessions` client
-    /// slots, each parked until an op is submitted for it. Pass the
-    /// result to [`crate::cluster::Cluster::new`]. A service without a
-    /// live workload (scenario mode) still pumps commands and streams
-    /// events, but [`ServiceHandle::submit_op`] has no queues to land in.
-    pub fn workload(&mut self, sessions: usize) -> Box<dyn Workload> {
-        let q = Arc::new(LiveQueues::new(sessions));
-        self.queues = Some(Arc::clone(&q));
-        Box::new(LiveWorkload { shared: q })
-    }
-
-    /// Call `notify` on the engine thread whenever a scheduler iteration
-    /// has sent events on [`ServiceHandle::events`] (after the last of
-    /// them), and one last time once that stream has closed (the engine
-    /// returned, or unwound from a panic). A consumer that blocks on
-    /// sockets rather than on the channel (the daemon's reactor) uses it
-    /// to be woken; it must not block.
-    pub fn notify_with(&mut self, notify: impl Fn() + Send + 'static) {
-        self.notify = Notifier(Some(Box::new(notify)));
-    }
-
-    fn send(&self, event: ServiceEvent) {
-        // A consumer that hung up is not the engine's problem: the run
-        // still drains and ends normally.
-        let _ = self.events.send(event);
-    }
-}
-
-/// The engine side of a [`LiveService`] at work: called by the event loop
-/// (`Cluster::run_inner`) before each iteration and after each step.
-pub(crate) struct ServicePump {
-    svc: LiveService,
-    wall: WallClock,
-}
-
-impl ServicePump {
-    pub(crate) fn new(svc: LiveService) -> Self {
-        ServicePump {
-            svc,
-            wall: WallClock::start(),
+    /// Serve `run`, with a trace sink at `trace` whose records are
+    /// handed out as [`ServiceEvent::Trace`] batches instead of kept.
+    /// Under [`ClockMode::Wall`], simulated time zero is now.
+    pub(crate) fn new(
+        mut run: Cluster,
+        clock: ClockMode,
+        trace: Option<TraceLevel>,
+    ) -> LiveService {
+        run.world.live = true;
+        run.begin(trace);
+        LiveService {
+            run: Some(run),
+            wall: (clock == ClockMode::Wall).then(WallClock::start),
+            events: VecDeque::new(),
         }
     }
 
-    /// Drain the service inbox into the engine — waking the parked
-    /// clients the commands concern — then wait: under the wall clock
-    /// until the next event falls due or a command arrives, under the
-    /// simulated clock only for a command, and only when there is nothing
-    /// else to do.
-    pub(crate) fn pre(&mut self, w: &mut World) {
-        let svc = &self.svc;
-        let lock_inbox = || {
-            svc.inbox
-                .queue
-                .lock()
-                .expect("service inbox never poisoned")
-        };
-        let mut drained: Vec<ServiceCmd> = Vec::new();
-        loop {
-            drained.extend(lock_inbox().drain(..));
-            let frontier = w.queue.now();
-            // Where a woken client resumes. A wall-paced engine that sat
-            // idle has a frontier as old as its last event, but the
-            // command arrived now: stamp it with the simulated instant it
-            // arrived at.
-            let wake_at = match svc.clock {
-                ClockMode::Sim => frontier,
-                ClockMode::Wall => frontier.max(self.wall.now()),
-            };
-            for cmd in drained.drain(..) {
-                match cmd {
-                    ServiceCmd::Op { client, path, kind } => {
-                        let Some(queues) = &svc.queues else { continue };
-                        let Some(slot) = queues.queues.get(client) else {
-                            continue;
-                        };
-                        // Resolve (and create) the target directory now,
-                        // at the engine's time frontier, so the trace
-                        // stream announces the dir before any op touches
-                        // it.
-                        let dir = w.ns.mkdir_p(&path);
-                        w.trace.sync_dirs(&w.ns, frontier);
-                        slot.lock()
-                            .expect("live queue never poisoned")
-                            .push_back(ClientOp { dir, kind });
-                        w.wake_client(client, wake_at);
-                    }
-                    ServiceCmd::Install { name, epoch, set } => {
-                        // A global event at the time frontier: the next
-                        // iteration runs it (globals win same-instant
-                        // ties), and every balancer tick after it uses
-                        // the new policy.
-                        let set = Box::new(set);
-                        w.schedule_global(frontier, GlobalEvent::Swap { name, epoch, set });
-                    }
-                    ServiceCmd::Shutdown => {
-                        // Close the queues, then wake every parked client
-                        // so each asks for its next op, gets none, and
-                        // finishes.
-                        let Some(queues) = &svc.queues else { continue };
-                        queues.closed.store(true, Ordering::Release);
-                        for c in 0..w.clients.len() {
-                            w.wake_client(c, wake_at);
-                        }
-                    }
-                }
-            }
-            if w.drained() {
-                // Drained: the scheduler's liveness check ends the run.
-                // Waiting here would stall shutdown until the next (now
-                // moot) global event — typically a whole heartbeat
-                // interval away.
-                return;
-            }
-            let next = w.queue.peek_time();
-            let wait = match svc.clock {
-                ClockMode::Sim => {
-                    // Free-running: no deadline is ever waited for. But
-                    // when every live session is parked, nothing is in
-                    // flight and no admin event is due, the only events
-                    // left are future heartbeats; running through them
-                    // would carry an idle service to its duration cap in
-                    // under a second. Virtual time stands still until a
-                    // command gives it work. Every queued event being a
-                    // global, the next is the next global.
-                    let idle = svc.queues.is_some()
-                        && w.queue.len() == w.queued_globals
-                        && next.is_none_or(|t| t > frontier);
-                    if !idle {
-                        return;
-                    }
-                    None
-                }
-                ClockMode::Wall => {
-                    // Wall pacing: wait until the next event is due or the
-                    // inbox signals. Spurious wakeups just loop: the
-                    // deadline is re-derived every pass, so newly injected
-                    // (earlier) events shorten the wait and overdue
-                    // backlogs skip it. With every session parked the next
-                    // event is a heartbeat or a fault, never a client poll.
-                    let Some(t) = next else {
-                        return;
-                    };
-                    match self.wall.until(t) {
-                        Some(wait) => Some(wait),
-                        None => return,
-                    }
-                }
-            };
-            let q = lock_inbox();
-            if q.is_empty() {
-                let signal = &svc.inbox.signal;
-                let poisoned = "service inbox never poisoned";
-                match wait {
-                    Some(wait) => drop(signal.wait_timeout(q, wait).expect(poisoned)),
-                    None => drop(signal.wait(q).expect(poisoned)),
-                }
-            }
-        }
+    /// The world, while the run lasts, and where a client woken now
+    /// resumes: the frontier, or — a wall-paced engine that sat idle has
+    /// a frontier as old as its last event, but the command arrived now —
+    /// the simulated instant it arrived at.
+    fn world(&mut self) -> Option<(&mut World, SimTime)> {
+        let w = &mut self.run.as_mut()?.world;
+        let frontier = w.queue.now();
+        let wake_at = self.wall.map_or(frontier, |wall| frontier.max(wall.now()));
+        Some((w, wake_at))
     }
 
-    /// Stream what the last iteration produced — install results first,
-    /// then freshly-emitted trace records, then live completions — and
-    /// tell the consumer if anything is waiting for it.
-    pub(crate) fn post(&mut self, co: &mut Coordinator, w: &mut World) {
-        let swapped = co.take_swapped();
-        let mut waiting = !swapped.is_empty();
-        for event in swapped {
-            self.svc.send(event);
-        }
-        waiting |= self.send_trace(w.trace.drain());
-        let mut comps = std::mem::take(&mut w.completions);
-        if !comps.is_empty() {
-            // Streamed by (time, client) — clients are closed-loop, so
-            // one instant never holds two completions for the same
-            // client.
-            comps.sort_unstable_by_key(|c| (c.at, c.client));
-            self.svc.send(ServiceEvent::Completions(comps));
-            waiting = true;
-        }
-        if waiting {
-            self.svc.notify.notify();
-        }
-    }
-
-    fn send_trace(&self, records: Vec<TraceRecord>) -> bool {
-        let any = !records.is_empty();
-        if any {
-            self.svc.send(ServiceEvent::Trace(records));
-        }
-        any
-    }
-
-    /// End the stream: the trace tail (records emitted after the loop's
-    /// last `post`, including the `RunEnd` trailer), then the report.
-    /// Consuming the pump drops the service, which closes the stream and
-    /// — only then — wakes the consumer: one wake-up shows it the tail,
-    /// the report and the disconnect together.
-    pub(crate) fn finish(self, tail: Vec<TraceRecord>, report: RunReport) {
-        self.send_trace(tail);
-        self.svc.send(ServiceEvent::Finished(Box::new(report)));
-    }
-}
-
-/// The daemon side of a live service: submit ops and installs, receive
-/// the event stream.
-pub struct ServiceHandle {
-    inbox: Arc<Inbox>,
-    /// Everything the engine says, in order; ends with
-    /// [`ServiceEvent::Finished`], then disconnects.
-    pub events: Receiver<ServiceEvent>,
-}
-
-impl ServiceHandle {
-    /// Inject one op for `client`. The engine resolves the path when it
-    /// drains the command; completions come back as
+    /// Queue one metadata op for `client`: its directory is resolved (and
+    /// created, announced in the trace at the frontier) now, and a parked
+    /// client is woken. Completions come back as
     /// [`ServiceEvent::Completions`] in submission order per client
-    /// (clients are closed-loop: one outstanding op each).
-    pub fn submit_op(&self, client: usize, path: impl Into<String>, kind: OpKind) {
-        self.inbox.push(ServiceCmd::Op {
-            client,
-            path: path.into(),
-            kind,
-        });
+    /// (clients are closed-loop: one outstanding op each). An op for a
+    /// slot that does not exist, or once the run has ended, is dropped.
+    pub fn submit_op(&mut self, client: usize, path: &str, kind: OpKind) {
+        let Some((w, wake_at)) = self.world() else {
+            return;
+        };
+        if sessions(w).is_none_or(|s| client >= s.queues.len()) {
+            return;
+        }
+        let frontier = w.queue.now();
+        let dir = w.ns.mkdir_p(path);
+        w.trace.sync_dirs(&w.ns, frontier);
+        if let Some(s) = sessions(w) {
+            s.queues[client].push_back(ClientOp { dir, kind });
+        }
+        w.wake_client(client, wake_at);
     }
 
     /// Hot-install `set` (validated by the caller — see
-    /// [`mantle_policy::install::prepare`]) on every MDS. The swap runs in
-    /// the coordinator's next global step and is answered on the event
-    /// stream by a [`ServiceEvent::Swapped`] carrying `epoch`.
-    pub fn install_policy(&self, name: impl Into<String>, epoch: u64, set: PolicySet) {
-        self.inbox.push(ServiceCmd::Install {
-            name: name.into(),
-            epoch,
-            set,
-        });
+    /// [`mantle_policy::install::prepare`]) on every MDS: a global event
+    /// at the frontier, so the next `run_due` runs it (globals win
+    /// same-instant ties) and every balancer tick after it uses the new
+    /// policy. It is answered by a [`ServiceEvent::Swapped`] carrying
+    /// `epoch`.
+    pub fn install_policy(&mut self, name: &str, epoch: u64, set: PolicySet) {
+        let Some((w, _)) = self.world() else {
+            return;
+        };
+        let (name, set) = (name.to_string(), Box::new(set));
+        w.schedule_global(w.queue.now(), GlobalEvent::Swap { name, epoch, set });
     }
 
-    /// Ask the engine to shut down cleanly: live queues close, clients
-    /// drain their remaining ops, and the stream ends with
-    /// [`ServiceEvent::Finished`].
-    pub fn shutdown(&self) {
-        self.inbox.push(ServiceCmd::Shutdown);
+    /// Shut down cleanly: close the live queues and wake every parked
+    /// client, so each asks for its next op, gets none, and finishes. The
+    /// run ends — with [`ServiceEvent::Finished`] — once the clients have
+    /// drained. A second shutdown changes nothing.
+    pub fn shutdown(&mut self) {
+        let Some((w, wake_at)) = self.world() else {
+            return;
+        };
+        let Some(s) = sessions(w) else {
+            return;
+        };
+        s.closed = true;
+        for c in 0..w.clients.len() {
+            w.wake_client(c, wake_at);
+        }
+    }
+
+    /// Run every event that is due — under the wall clock, those whose
+    /// deadline has passed; under the simulated clock, until nothing is
+    /// runnable — then queue what they produced for
+    /// [`LiveService::next_event`], ending with the report if the run
+    /// ended.
+    pub fn run_due(&mut self) {
+        let Some(run) = self.run.as_mut() else {
+            return;
+        };
+        let over = match self.wall {
+            None => run.run_while(|w, next| !idle(w, next)),
+            Some(wall) => {
+                // Events that fall due while earlier ones run, run too.
+                let mut now = wall.now();
+                run.run_while(|_, next| {
+                    next <= now || {
+                        now = wall.now();
+                        next <= now
+                    }
+                })
+            }
+        };
+        let swapped = run.co.take_swapped();
+        self.events.extend(swapped);
+        push_trace(&mut self.events, run.world.trace.drain());
+        let mut comps = std::mem::take(&mut run.world.completions);
+        if !comps.is_empty() {
+            // By (time, client) — clients are closed-loop, so one instant
+            // never holds two completions for the same client.
+            comps.sort_unstable_by_key(|c| (c.at, c.client));
+            self.events.push_back(ServiceEvent::Completions(comps));
+        }
+        if over {
+            let (report, _, mut trace) = self.run.take().expect("running").end();
+            push_trace(&mut self.events, trace.drain());
+            self.events
+                .push_back(ServiceEvent::Finished(Box::new(report)));
+        }
+    }
+
+    /// How long until [`LiveService::run_due`] has something to run:
+    /// zero if something is due now, `None` if nothing will be until a
+    /// command arrives (an idle simulated clock) or ever again (the run
+    /// has ended).
+    pub fn deadline(&self) -> Option<Duration> {
+        let w = &self.run.as_ref()?.world;
+        let Some(next) = w.queue.peek_time() else {
+            // Nothing queued: the next `run_due` ends the run.
+            return Some(Duration::ZERO);
+        };
+        match self.wall {
+            None => (!idle(w, next)).then_some(Duration::ZERO),
+            Some(wall) => Some(wall.until(next).unwrap_or_default()),
+        }
+    }
+
+    /// The oldest event not yet taken.
+    pub fn next_event(&mut self) -> Option<ServiceEvent> {
+        self.events.pop_front()
     }
 }
 
-/// Dropping the handle shuts the engine down as [`ServiceHandle::shutdown`]
-/// does: no command can reach the engine after it, so nothing else would
-/// ever end a service whose every session is parked. A second shutdown
-/// changes nothing.
-impl Drop for ServiceHandle {
-    fn drop(&mut self) {
-        self.shutdown();
+/// Queue `records` as one trace batch, unless there are none.
+fn push_trace(events: &mut VecDeque<ServiceEvent>, records: Vec<TraceRecord>) {
+    if !records.is_empty() {
+        events.push_back(ServiceEvent::Trace(records));
     }
+}
+
+/// Nothing is runnable under the simulated clock: live sessions wait for
+/// commands, every queued event is a global (the world counts them), and
+/// the next lies past the frontier.
+fn idle(w: &World, next: SimTime) -> bool {
+    w.queue.len() == w.queued_globals
+        && next > w.queue.now()
+        && (&*w.workload as &dyn Any).is::<LiveWorkload>()
 }
 
 #[cfg(test)]
@@ -547,12 +352,8 @@ mod tests {
     use super::*;
     use crate::balancer::{BalanceContext, Balancer, MigrationPlan};
     use crate::cluster::NoopBalancer;
-    use crate::trace::{TraceEvent, TraceLevel};
-    use crate::world::ExecStats;
-    use crate::{Cluster, ClusterConfig};
-    use std::sync::mpsc::TryRecvError;
-    use std::thread::JoinHandle;
-    use std::time::Duration;
+    use crate::trace::TraceEvent;
+    use crate::ClusterConfig;
 
     const OPS: [(&str, OpKind); 5] = [
         ("/live/a", OpKind::Mkdir),
@@ -570,6 +371,17 @@ mod tests {
         client: usize,
         dirs: Vec<NodeId>,
         issued: usize,
+    }
+
+    impl Script {
+        fn new(clients: usize, client: usize) -> Self {
+            Script {
+                clients,
+                client,
+                dirs: Vec::new(),
+                issued: 0,
+            }
+        }
     }
 
     impl Workload for Script {
@@ -591,80 +403,89 @@ mod tests {
         }
     }
 
-    type Run = JoinHandle<(RunReport, ExecStats)>;
-
     fn config() -> ClusterConfig {
         ClusterConfig::default().with_mds(2).with_seed(9)
     }
 
-    /// Run `cluster` behind `svc` on its own thread.
-    fn spawn(
-        svc: LiveService,
-        trace: Option<TraceLevel>,
-        cluster: impl FnOnce() -> Cluster + Send + 'static,
-    ) -> Run {
-        std::thread::spawn(move || {
-            let (report, stats, _) = cluster().run_inner(trace, Some(ServicePump::new(svc)));
-            (report, stats)
-        })
-    }
-
-    /// Serve `workload` (or, with `None`, `sessions` live sessions) on
-    /// its own thread. Whatever `preload` submits is in the inbox before
-    /// the engine's first drain, so it lands ahead of the time-zero
-    /// kick-off — the one submission instant a test fully controls.
+    /// Serve `sessions` live sessions — or, given one, the scripted twin —
+    /// on `clock`.
     fn serve(
         clock: ClockMode,
         sessions: usize,
-        workload: Option<Script>,
-        preload: impl FnOnce(&ServiceHandle),
-    ) -> (ServiceHandle, Run) {
-        let (mut svc, handle) = LiveService::new(clock);
-        let workload: Box<dyn Workload> = match workload {
+        script: Option<Script>,
+        trace: Option<TraceLevel>,
+    ) -> LiveService {
+        let workload: Box<dyn Workload> = match script {
             Some(script) => Box::new(script),
-            None => svc.workload(sessions),
+            None => Box::new(LiveWorkload::new(sessions)),
         };
-        preload(&handle);
-        let run = spawn(svc, None, move || {
-            Cluster::new(config(), workload, |_| Box::new(NoopBalancer))
+        Cluster::new(config(), workload, |_| Box::new(NoopBalancer)).serve(clock, trace)
+    }
+
+    /// Everything `svc` has handed out and nobody has taken yet.
+    fn taken(svc: &mut LiveService) -> Vec<ServiceEvent> {
+        std::iter::from_fn(|| svc.next_event()).collect()
+    }
+
+    /// The completions among `events`, in order.
+    fn completed(events: &[ServiceEvent]) -> Vec<LiveCompletion> {
+        let batches = events.iter().filter_map(|ev| match ev {
+            ServiceEvent::Completions(batch) => Some(batch),
+            _ => None,
         });
-        (handle, run)
+        batches.flatten().copied().collect()
     }
 
-    /// Block for the next `n` completions.
-    fn completions(handle: &ServiceHandle, n: usize) -> Vec<LiveCompletion> {
-        let mut got = Vec::new();
-        while got.len() < n {
-            match handle.events.recv_timeout(Duration::from_secs(30)) {
-                Ok(ServiceEvent::Completions(batch)) => got.extend(batch),
-                Ok(ServiceEvent::Finished(_)) => panic!("stream ended after {} of {n}", got.len()),
-                Ok(_) => {}
-                Err(e) => panic!("engine went quiet after {} of {n}: {e}", got.len()),
+    /// Step `svc` as the daemon does — run what is due, take the events,
+    /// sleep to the next deadline — until `enough` holds of what `seen`
+    /// has taken.
+    fn run_until(
+        svc: &mut LiveService,
+        seen: &mut Vec<ServiceEvent>,
+        enough: impl Fn(&[ServiceEvent]) -> bool,
+    ) {
+        loop {
+            svc.run_due();
+            seen.extend(taken(svc));
+            if enough(seen) {
+                return;
             }
+            let wait = svc.deadline().expect("the engine stopped short");
+            std::thread::sleep(wait);
         }
-        got
     }
 
-    fn events(stats: &ExecStats) -> u64 {
-        stats.shards.iter().map(|s| s.events).sum()
+    /// Step `svc` until the next `n` completions are back.
+    fn completions(svc: &mut LiveService, n: usize) -> Vec<LiveCompletion> {
+        let mut seen = Vec::new();
+        run_until(svc, &mut seen, |seen| completed(seen).len() >= n);
+        completed(&seen)
     }
 
-    /// The scripted twin: its completions, and how many data-plane events the
-    /// five ops cost apart from the `ClientNext`s (one kick-off each).
-    fn scripted(clients: usize, client: usize) -> (Vec<LiveCompletion>, u64) {
-        let script = Script {
-            clients,
-            client,
-            dirs: Vec::new(),
-            issued: 0,
+    /// Shut `svc` down and run it to its end. Returns the report, the
+    /// data-plane events the whole run took (`ClientNext`s included) and
+    /// everything handed out since the last take, the report last.
+    fn finish(mut svc: LiveService) -> (RunReport, u64, Vec<ServiceEvent>) {
+        svc.shutdown();
+        // The drain by hand, to read the count the run's end consumes.
+        let run = svc.run.as_mut().expect("still running");
+        assert!(run.run_while(|_, _| true));
+        let events = run.world.stats.events;
+        svc.run_due();
+        let rest = taken(&mut svc);
+        let Some(ServiceEvent::Finished(report)) = rest.last() else {
+            panic!("the run must end with its report");
         };
-        let (handle, run) = serve(ClockMode::Sim, clients, Some(script), |_| {});
-        let (report, stats) = run.join().expect("scripted run");
+        (RunReport::clone(report), events, rest)
+    }
+
+    /// The scripted twin: its completions, and how many data-plane events
+    /// the five ops cost apart from the `ClientNext`s (one kick-off each).
+    fn scripted(clients: usize, client: usize) -> (Vec<LiveCompletion>, u64) {
+        let script = Script::new(clients, client);
+        let (report, events, rest) = finish(serve(ClockMode::Sim, clients, Some(script), None));
         assert_eq!(report.total_ops(), OPS.len() as f64);
-        (
-            completions(&handle, OPS.len()),
-            events(&stats) - clients as u64,
-        )
+        (completed(&rest), events - clients as u64)
     }
 
     #[test]
@@ -675,42 +496,36 @@ mod tests {
             (ClockMode::Sim, Duration::ZERO),
             (ClockMode::Wall, Duration::from_millis(60)),
         ] {
-            // One preloaded op: its completion proves the time-zero
-            // kick-off ran, so every session is parked from here on.
-            let (handle, run) = serve(clock, 16, None, |h| h.submit_op(0, OPS[0].0, OPS[0].1));
-            completions(&handle, 1);
+            // Submitted before the first run, the op lands ahead of the
+            // time-zero kick-off; its completion proves the kick-off ran,
+            // so every session is parked from here on.
+            let mut svc = serve(clock, 16, None, None);
+            svc.submit_op(0, OPS[0].0, OPS[0].1);
+            completions(&mut svc, 1);
             std::thread::sleep(idle);
-            handle.shutdown();
-            let (report, stats) = run.join().expect("live run");
+            svc.run_due();
+            let (report, events, _) = finish(svc);
             assert_eq!(report.total_ops(), 1.0);
             // 16 kick-offs and 16 shutdown wake-ups; polling every
             // millisecond would add 16 per millisecond idled.
-            assert_eq!(events(&stats) - per_op, 32, "{clock:?}");
+            assert_eq!(events - per_op, 32, "{clock:?}");
         }
     }
 
     #[test]
     fn ops_to_a_parked_session_complete_once_in_order_at_scripted_cost() {
         let (want, op_events) = scripted(3, 1);
-        let (handle, run) = serve(ClockMode::Sim, 3, None, |h| {
-            h.submit_op(1, OPS[0].0, OPS[0].1)
-        });
-        // Lock-step: each completion is sent after the session parked
-        // again, so every later op finds it parked and must wake it.
-        let mut got = completions(&handle, 1);
+        let mut svc = serve(ClockMode::Sim, 3, None, None);
+        svc.submit_op(1, OPS[0].0, OPS[0].1);
+        // Lock-step: each op is submitted once the one before it has
+        // completed and the session has parked again, so it must wake it.
+        let mut got = completions(&mut svc, 1);
         for (path, kind) in &OPS[1..] {
-            handle.submit_op(1, *path, *kind);
-            got.extend(completions(&handle, 1));
+            svc.submit_op(1, path, *kind);
+            got.extend(completions(&mut svc, 1));
         }
-        handle.shutdown();
-        let (report, stats) = run.join().expect("live run");
-        assert!(
-            !handle
-                .events
-                .try_iter()
-                .any(|ev| matches!(ev, ServiceEvent::Completions(_))),
-            "no completion arrives twice"
-        );
+        let (report, events, rest) = finish(svc);
+        assert!(completed(&rest).is_empty(), "no completion arrives twice");
         assert_eq!(report.total_ops(), OPS.len() as f64);
         // Same kinds, same MDS, same latency, and — because a woken
         // session resumes at the frontier, which is its last reply — the
@@ -721,123 +536,70 @@ mod tests {
             want.iter().map(key).collect::<Vec<_>>()
         );
         // ClientNext events: 3 kick-offs, 4 wake-ups, 3 shutdown wake-ups.
-        assert_eq!(events(&stats) - op_events, 3 + 4 + 3);
+        assert_eq!(events - op_events, 3 + 4 + 3);
     }
 
     #[test]
     fn pipelined_submits_to_one_slot_share_one_wake() {
         let (want, op_events) = scripted(1, 0);
-        let (handle, run) = serve(ClockMode::Sim, 1, None, |h| {
-            h.submit_op(0, OPS[0].0, OPS[0].1);
-            h.submit_op(0, OPS[1].0, OPS[1].1);
-        });
-        completions(&handle, 2);
-        // The session is parked. Three ops in one inbox drain: the first
+        let mut svc = serve(ClockMode::Sim, 1, None, None);
+        svc.submit_op(0, OPS[0].0, OPS[0].1);
+        svc.submit_op(0, OPS[1].0, OPS[1].1);
+        completions(&mut svc, 2);
+        // The session is parked. Three ops between two runs: the first
         // wakes it, the other two are pulled inline from the replies.
-        {
-            let mut q = handle.inbox.queue.lock().unwrap();
-            for (path, kind) in &OPS[2..] {
-                q.push_back(ServiceCmd::Op {
-                    client: 0,
-                    path: path.to_string(),
-                    kind: *kind,
-                });
-            }
+        for (path, kind) in &OPS[2..] {
+            svc.submit_op(0, path, *kind);
         }
-        handle.inbox.signal.notify_all();
-        let got = completions(&handle, 3);
-        handle.shutdown();
-        let (report, stats) = run.join().expect("live run");
+        let got = completions(&mut svc, 3);
+        let (report, events, _) = finish(svc);
         assert_eq!(report.total_ops(), OPS.len() as f64);
         let kinds = |v: &[LiveCompletion]| v.iter().map(|c| (c.kind, c.at)).collect::<Vec<_>>();
         assert_eq!(kinds(&got), kinds(&want[2..]));
         // ClientNext events: the kick-off, one wake-up for the three, and
         // the shutdown wake-up.
-        assert_eq!(events(&stats) - op_events, 3);
-    }
-
-    #[test]
-    fn dropping_the_handle_ends_an_engine_whose_sessions_are_all_parked() {
-        let (handle, run) = serve(ClockMode::Sim, 2, None, |h| {
-            h.submit_op(0, OPS[0].0, OPS[0].1)
-        });
-        // The op completed, so both sessions are parked and the engine
-        // waits for a command.
-        completions(&handle, 1);
-        drop(handle);
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !run.is_finished() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "the engine outlived its handle"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let (report, _) = run.join().expect("live run");
-        assert_eq!(report.total_ops(), 1.0);
+        assert_eq!(events - op_events, 3);
     }
 
     #[test]
     fn shutdown_with_every_session_parked_reports_every_op_the_same_twice() {
         let run = || {
-            let (handle, run) = serve(ClockMode::Sim, 4, None, |h| {
-                h.submit_op(0, OPS[0].0, OPS[0].1)
-            });
-            completions(&handle, 1);
-            // Every session in turn, one op at a time, so each is
-            // injected with the engine quiescent at a known frontier.
+            let mut svc = serve(ClockMode::Sim, 4, None, None);
+            svc.submit_op(0, OPS[0].0, OPS[0].1);
+            completions(&mut svc, 1);
+            // Every session in turn, one op at a time, each submitted
+            // with the engine quiescent at a known frontier.
             for (i, (path, kind)) in OPS.iter().enumerate().skip(1) {
-                handle.submit_op(i % 4, *path, *kind);
-                completions(&handle, 1);
+                svc.submit_op(i % 4, path, *kind);
+                completions(&mut svc, 1);
             }
-            handle.shutdown();
-            let (report, _) = run.join().expect("live run");
+            let (report, _, _) = finish(svc);
             assert_eq!(report.total_ops(), OPS.len() as f64);
             format!("{report:?}")
         };
         assert_eq!(run(), run());
     }
 
-    /// Everything left on the stream of a run that has ended.
-    fn rest(handle: &ServiceHandle) -> Vec<ServiceEvent> {
-        handle.events.try_iter().collect()
-    }
-
     #[test]
     fn swapped_precedes_its_trace_record_and_every_completion_after_it() {
-        let (mut svc, handle) = LiveService::new(ClockMode::Sim);
-        let workload = svc.workload(2);
-        handle.submit_op(0, OPS[0].0, OPS[0].1);
-        let run = spawn(svc, Some(TraceLevel::Decisions), move || {
-            Cluster::new(config(), workload, |_| Box::new(NoopBalancer))
-        });
-        let mut seen: Vec<ServiceEvent> = Vec::new();
-        let mut wait_for = |what: &dyn Fn(&ServiceEvent) -> bool| loop {
-            let ev = handle
-                .events
-                .recv_timeout(Duration::from_secs(30))
-                .expect("engine went quiet");
-            seen.push(ev);
-            if what(seen.last().expect("just pushed")) {
-                break;
-            }
-        };
-        wait_for(&|ev| matches!(ev, ServiceEvent::Completions(_)));
+        let mut svc = serve(ClockMode::Sim, 2, None, Some(TraceLevel::Decisions));
+        svc.submit_op(0, OPS[0].0, OPS[0].1);
+        let mut seen = Vec::new();
+        run_until(&mut svc, &mut seen, |seen| completed(seen).len() == 1);
         let set = PolicySet::from_combined("IWR", r#"MDSs[i]["all"]"#, "targets[1] = 0", &["half"])
             .expect("policy compiles");
-        handle.install_policy("swapped", 1, set);
+        svc.install_policy("swapped", 1, set);
         // An op submitted behind the install is decided under it.
-        handle.submit_op(1, OPS[1].0, OPS[1].1);
-        wait_for(&|ev| matches!(ev, ServiceEvent::Completions(_)));
-        handle.shutdown();
-        let (report, _) = run.join().expect("live run");
+        svc.submit_op(1, OPS[1].0, OPS[1].1);
+        run_until(&mut svc, &mut seen, |seen| completed(seen).len() == 2);
+        let (report, _, rest) = finish(svc);
         assert_eq!(report.balancer, "swapped");
-        seen.extend(rest(&handle));
+        seen.extend(rest);
 
         let swapped_at = seen
             .iter()
             .position(|ev| matches!(ev, ServiceEvent::Swapped { epoch: 1, .. }))
-            .expect("the install is answered on the stream");
+            .expect("the install is answered");
         let ServiceEvent::Swapped {
             result: Ok(installed),
             ..
@@ -861,7 +623,7 @@ mod tests {
             })
             .expect("the install is traced at the acknowledged instant");
         assert!(swapped_at < record_at, "ack, then its trace record");
-        // Session 1's op entered the inbox behind the install, so the new
+        // Session 1's op was submitted behind the install, so the new
         // policy was in force for all of it.
         let decided_under_it = seen
             .iter()
@@ -874,87 +636,47 @@ mod tests {
     }
 
     #[test]
-    fn finished_is_the_last_event_and_then_the_stream_disconnects() {
-        let (handle, run) = serve(ClockMode::Sim, 2, None, |h| {
-            h.submit_op(0, OPS[0].0, OPS[0].1)
-        });
-        completions(&handle, 1);
-        handle.shutdown();
-        let (report, _) = run.join().expect("live run");
-        let mut events = rest(&handle);
+    fn finished_is_the_last_event_and_nothing_follows_it() {
+        let mut svc = serve(ClockMode::Sim, 2, None, None);
+        svc.submit_op(0, OPS[0].0, OPS[0].1);
+        completions(&mut svc, 1);
+        svc.shutdown();
+        svc.run_due();
+        let mut events = taken(&mut svc);
         let Some(ServiceEvent::Finished(last)) = events.pop() else {
-            panic!("the stream must end with the report");
+            panic!("the run must end with the report");
         };
-        assert_eq!(format!("{last:?}"), format!("{report:?}"));
+        assert_eq!(last.total_ops(), 1.0);
         assert!(
             !events
                 .iter()
                 .any(|ev| matches!(ev, ServiceEvent::Finished(_))),
             "one report"
         );
-        assert_eq!(
-            handle.events.try_recv().unwrap_err(),
-            TryRecvError::Disconnected,
-            "nothing follows it"
-        );
-    }
-
-    /// `OPS` from one client, as the scripted twin issues them, except
-    /// that the third `next()` call also submits a policy install: the
-    /// pump drains it mid-run, with events already behind it.
-    struct InstallMidRun {
-        script: Script,
-        inbox: Arc<Inbox>,
-        calls: usize,
-    }
-
-    impl Workload for InstallMidRun {
-        fn num_clients(&self) -> usize {
-            self.script.num_clients()
-        }
-        fn setup(&mut self, ns: &mut Namespace) {
-            self.script.setup(ns);
-        }
-        fn next(&mut self, client: usize, ns: &Namespace, now: SimTime) -> Option<ClientOp> {
-            self.calls += 1;
-            if self.calls == 3 {
-                let set = PolicySet::from_combined(
-                    "IWR",
-                    r#"MDSs[i]["all"]"#,
-                    "targets[1] = 0",
-                    &["half"],
-                )
-                .expect("policy compiles");
-                self.inbox.push(ServiceCmd::Install {
-                    name: "mid-run".into(),
-                    epoch: 1,
-                    set,
-                });
-            }
-            self.script.next(client, ns, now)
-        }
+        // Whatever it is told after its end, a service stays ended.
+        svc.submit_op(0, OPS[1].0, OPS[1].1);
+        svc.shutdown();
+        svc.run_due();
+        assert!(svc.next_event().is_none(), "nothing follows the report");
+        assert_eq!(svc.deadline(), None);
     }
 
     #[test]
     fn a_mid_run_install_is_stamped_at_the_frontier_and_the_stream_stays_in_time_order() {
-        let (svc, handle) = LiveService::new(ClockMode::Sim);
-        let workload = InstallMidRun {
-            script: Script {
-                clients: 1,
-                client: 0,
-                dirs: Vec::new(),
-                issued: 0,
-            },
-            inbox: Arc::clone(&handle.inbox),
-            calls: 0,
-        };
-        let run = spawn(svc, Some(TraceLevel::Full), move || {
-            Cluster::new(config(), Box::new(workload), |_| Box::new(NoopBalancer))
-        });
-        let (report, _) = run.join().expect("live run");
+        let script = Script::new(1, 0);
+        let mut svc = serve(ClockMode::Sim, 1, Some(script), Some(TraceLevel::Full));
+        // Stop after the third data-plane event, with the rest of the run
+        // still queued behind it.
+        let run = svc.run.as_mut().expect("running");
+        assert!(!run.run_while(|w, _| w.stats.events < 3));
+        let frontier = run.world.queue.now();
+        assert!(frontier > SimTime::ZERO, "events already ran");
+        let set = PolicySet::from_combined("IWR", r#"MDSs[i]["all"]"#, "targets[1] = 0", &["half"])
+            .expect("policy compiles");
+        svc.install_policy("mid-run", 1, set);
+        let (report, _, events) = finish(svc);
         assert_eq!(report.total_ops(), OPS.len() as f64);
         assert_eq!(report.balancer, "mid-run");
-        let events = rest(&handle);
         let records: Vec<&TraceRecord> = events
             .iter()
             .filter_map(|ev| match ev {
@@ -978,8 +700,9 @@ mod tests {
                 ServiceEvent::Swapped { epoch: 1, result } => Some(result.clone()),
                 _ => None,
             })
-            .expect("the install is answered on the stream")
+            .expect("the install is answered")
             .expect("the install ran");
+        assert_eq!(installed, frontier, "stamped at the frontier");
         let record = records
             .iter()
             .find(|r| {
@@ -1076,20 +799,15 @@ mod tests {
 
         // Live, in lock-step: each op is submitted — its directory created
         // — at the instant the previous one completed.
-        let (mut svc, handle) = LiveService::new(ClockMode::Sim);
-        let workload = svc.workload(1);
-        handle.submit_op(0, &ops[0].0, ops[0].1);
-        let live_cfg = cfg.clone();
-        let run = spawn(svc, None, move || {
-            Cluster::new(live_cfg, workload, |_| Box::new(ShedHalf))
-        });
-        let mut got = completions(&handle, 1);
-        for (path, kind) in &ops[1..] {
-            handle.submit_op(0, path, *kind);
-            got.extend(completions(&handle, 1));
+        let workload = Box::new(LiveWorkload::new(1));
+        let live = Cluster::new(cfg.clone(), workload, |_| Box::new(ShedHalf));
+        let mut svc = live.serve(ClockMode::Sim, None);
+        let mut got = Vec::new();
+        for (path, kind) in &ops {
+            svc.submit_op(0, path, *kind);
+            got.extend(completions(&mut svc, 1));
         }
-        handle.shutdown();
-        let (live, _) = run.join().expect("live run");
+        let (live, _, _) = finish(svc);
         assert_eq!(live.total_ops(), ops.len() as f64, "every op answered");
         assert!(
             live.mds[0].migrations_out > 0 && got[first_late].mds == 1,
@@ -1114,68 +832,5 @@ mod tests {
         }
         let batch = twin.run();
         assert_eq!(format!("{live:?}"), format!("{batch:?}"));
-    }
-
-    /// A policy bug of the worst kind.
-    struct Exploding;
-
-    impl Balancer for Exploding {
-        fn name(&self) -> &str {
-            "exploding"
-        }
-        fn metaload(
-            &self,
-            heat: &mantle_namespace::HeatSample,
-        ) -> mantle_policy::PolicyResult<f64> {
-            Ok(heat.cephfs_metaload())
-        }
-        fn decide(
-            &mut self,
-            _ctx: &BalanceContext,
-        ) -> mantle_policy::PolicyResult<Option<MigrationPlan>> {
-            panic!("balancer bug (expected by this test)")
-        }
-    }
-
-    #[test]
-    fn a_panicking_engine_closes_the_stream_without_finished_and_still_notifies() {
-        let (mut svc, handle) = LiveService::new(ClockMode::Sim);
-        let workload = svc.workload(1);
-        handle.submit_op(0, OPS[0].0, OPS[0].1);
-        // The consumer is the notifier itself, as the daemon's reactor is:
-        // woken, it drains the stream and notes what it found. It runs on
-        // the engine thread, so what it sees at each call is exact.
-        let log = Arc::new(Mutex::new(Vec::new()));
-        svc.notify_with({
-            let log = Arc::clone(&log);
-            move || {
-                let mut log = log.lock().expect("log");
-                loop {
-                    match handle.events.try_recv() {
-                        Ok(ServiceEvent::Finished(_)) => log.push("finished"),
-                        Ok(_) => log.push("event"),
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            log.push("disconnected");
-                            break;
-                        }
-                    }
-                }
-            }
-        });
-        let run = spawn(svc, None, move || {
-            // The first tick comes before the op can complete.
-            let mut cfg = config();
-            cfg.heartbeat_interval = SimTime::from_micros(100);
-            Cluster::new(cfg, workload, |_| Box::new(Exploding))
-        });
-        assert!(run.join().is_err(), "the engine thread panicked");
-        let log = log.lock().expect("log");
-        assert_eq!(
-            log.last(),
-            Some(&"disconnected"),
-            "the last wake-up shows the hang-up: {log:?}"
-        );
-        assert!(!log.contains(&"finished"), "{log:?}");
     }
 }

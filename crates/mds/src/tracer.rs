@@ -5,7 +5,7 @@
 //! emitted. The engine runs on one thread, so emission order *is* the
 //! stream's order: nothing is keyed, and nothing is re-sorted. Records
 //! are stamped with their event's instant; what is emitted between
-//! events — the `RunEnd` trailer, the live-service pump's directory
+//! events — the `RunEnd` trailer, the live service's directory
 //! announcements — is stamped with the time frontier
 //! (the event queue's own clock), the instant of the last event run, so no
 //! record is stamped before one already emitted.

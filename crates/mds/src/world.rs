@@ -8,7 +8,7 @@
 //! per-MDS counters and RNG streams; and the run's one [`ClusterConfig`]
 //! and trace buffer ([`crate::tracer`]).
 //!
-//! `Cluster::run_inner` is the event loop. Each iteration runs the
+//! `Cluster::run_while` is the event loop. Each iteration runs the
 //! earliest event in the one queue to completion: a data-plane event,
 //! run here, or a coordinator event (heartbeat tick, fault, admin
 //! action, hot install), which `World::step` hands back to the
@@ -264,7 +264,7 @@ pub(crate) struct World {
     /// by [`crate::cluster::Cluster::serve`] before the run; batch runs
     /// leave it off and pay one untaken branch per reply.
     pub(crate) live: bool,
-    /// Completions accumulated since the service pump last drained them.
+    /// Completions accumulated since the live service last took them.
     pub(crate) completions: Vec<crate::service::LiveCompletion>,
 }
 
@@ -439,7 +439,7 @@ impl World {
         // Open-loop workloads can park a client until a later instant
         // (diurnal phases); re-poll then. A live session with
         // an empty queue has no such instant: it keeps no event at all,
-        // and the service pump wakes it when an op (or shutdown) arrives.
+        // and the live service wakes it when an op (or shutdown) arrives.
         if let Some(ready) = self.workload.next_ready_at(c, now) {
             if ready == PARKED {
                 self.clients[c].parked = true;
@@ -470,7 +470,7 @@ impl World {
     }
 
     /// Wake client `c` if it is parked: one `ClientNext` at `at`, under a
-    /// fresh key. Called by the service pump between events, right after
+    /// fresh key. Called by the live service between events, right after
     /// it queued an op for `c` or closed the queues. A client that is not
     /// parked already has an event coming that ends in `client_next` (its
     /// kick-off, a stall, or the reply to the op it is busy with), so it

@@ -5,7 +5,8 @@
 //! index, one trace buffer, one heat type, one route table, one hook
 //! pipeline — written as the identifiers whose return would break it. A
 //! name matches as a whole identifier (or, for `a::b` and `a.b`, as
-//! consecutive path segments) anywhere in a searched `.rs` file, comments included:
+//! consecutive path segments; a `-` joins two segments too, as in a thread
+//! or program name) anywhere in a searched `.rs` file, comments included:
 //! a deleted design is not to be described as if it were live either.
 //! This file names every guarded identifier and is itself not searched.
 //!
@@ -38,7 +39,7 @@ enum Scope {
 /// One seam: the names that must not appear, where they are searched,
 /// the files that may still hold them, and why.
 struct Guard {
-    /// Identifiers, or `::` or `.` paths of them.
+    /// Identifiers, or `::`, `.` or `-` paths of them.
     names: &'static [&'static str],
     /// Files, and directories searched recursively for `.rs` files.
     paths: &'static [&'static str],
@@ -51,33 +52,52 @@ struct Guard {
 /// Every `.rs` file outside the benchmark crate and `target/`.
 const EVERYWHERE: &[&str] = &["crates", "src", "tests", "examples"];
 
+/// What a second thread, and the hand-off to it, would be written with:
+/// locks, atomics, spawns, channels, the socket pair that woke the
+/// reactor, the notifier behind it, and the engine thread's name.
+const ONE_THREAD: &[&str] = &[
+    "Mutex",
+    "RwLock",
+    "MutexGuard",
+    "Condvar",
+    "AtomicBool",
+    "AtomicPtr",
+    "AtomicI8",
+    "AtomicI16",
+    "AtomicI32",
+    "AtomicI64",
+    "AtomicIsize",
+    "AtomicU8",
+    "AtomicU16",
+    "AtomicU32",
+    "AtomicU64",
+    "AtomicUsize",
+    "thread::spawn",
+    "thread::scope",
+    "mpsc",
+    "UnixStream",
+    "Notifier",
+    "notify_with",
+    "drain_wakes",
+    "mantled-engine",
+];
+
 const GUARDS: &[Guard] = &[
     Guard {
-        names: &[
-            "Mutex",
-            "RwLock",
-            "MutexGuard",
-            "Condvar",
-            "AtomicBool",
-            "AtomicPtr",
-            "AtomicI8",
-            "AtomicI16",
-            "AtomicI32",
-            "AtomicI64",
-            "AtomicIsize",
-            "AtomicU8",
-            "AtomicU16",
-            "AtomicU32",
-            "AtomicU64",
-            "AtomicUsize",
-            "thread::spawn",
-            "thread::scope",
-        ],
+        names: ONE_THREAD,
         paths: &["crates/mds/src"],
-        allowed: &["crates/mds/src/service.rs"],
+        allowed: &[],
         scope: Scope::All,
-        why: "the engine is single-threaded: simulation state is owned by the World; only \
-              the service inbox crosses threads",
+        why: "the engine is single-threaded: simulation state is owned by the World, and the \
+              live service is stepped in line by its one caller",
+    },
+    Guard {
+        names: ONE_THREAD,
+        paths: &["crates/daemon/src"],
+        allowed: &[],
+        scope: Scope::NonTest,
+        why: "mantled is one thread: the reactor steps the engine in line, with no inbox, \
+              channel, wake stream or notifier between them",
     },
     Guard {
         names: &["clippy::too_many_arguments"],
@@ -422,7 +442,11 @@ fn paths(line: &str) -> Vec<Vec<&str>> {
             let end = rest.find(|c: char| !ident(c)).unwrap_or(rest.len());
             paths.last_mut().expect("never empty").push(&rest[..end]);
             rest = &rest[end..];
-        } else if let Some(after) = rest.strip_prefix("::").or(rest.strip_prefix('.')) {
+        } else if let Some(after) = rest
+            .strip_prefix("::")
+            .or(rest.strip_prefix('.'))
+            .or(rest.strip_prefix('-'))
+        {
             rest = after;
         } else {
             paths.push(Vec::new());
@@ -464,7 +488,12 @@ fn violations(guard: &Guard, files: &[(String, String)]) -> Vec<String> {
     let wanted: Vec<Vec<&str>> = guard
         .names
         .iter()
-        .map(|n| n.split("::").flat_map(|s| s.split('.')).collect())
+        .map(|n| {
+            n.split("::")
+                .flat_map(|s| s.split('.'))
+                .flat_map(|s| s.split('-'))
+                .collect()
+        })
         .collect();
     let mut hits = Vec::new();
     for (file, text) in files {
@@ -750,12 +779,12 @@ fn a_planted_name_is_found_and_only_where_it_is_guarded() {
             "fn f() {\n    let lock = std::sync::Mutex::new(0);\n}\n",
         ),
         file("crates/mds/src/world.rs", "let h = thread::spawn(run);\n"),
-        // Allowed file, unsearched directory, and longer identifiers.
-        file("crates/mds/src/service.rs", "let lock = Mutex::new(0);\n"),
+        file("crates/mds/src/service.rs", "// named \"mantled-engine\"\n"),
+        // Unsearched directory, and longer identifiers.
         file("crates/core/src/lib.rs", "let lock = Mutex::new(0);\n"),
         file(
             "crates/mds/src/elastic.rs",
-            "struct Mutexes; fn spawn() {}\n",
+            "struct Mutexes; fn spawn() {}\nlet engine = mantled - engine_count;\n",
         ),
     ];
     assert_eq!(
@@ -763,7 +792,18 @@ fn a_planted_name_is_found_and_only_where_it_is_guarded() {
         [
             "crates/mds/src/cluster.rs:2: let lock = std::sync::Mutex::new(0);",
             "crates/mds/src/world.rs:1: let h = thread::spawn(run);",
+            "crates/mds/src/service.rs:1: // named \"mantled-engine\"",
         ]
+    );
+
+    // The daemon's row searches above its files' tests only.
+    let reactor = [file(
+        "crates/daemon/src/server.rs",
+        "use std::sync::mpsc;\n#[cfg(test)]\nmod tests { use std::os::unix::net::UnixStream; }\n",
+    )];
+    assert_eq!(
+        violations(&GUARDS[1], &reactor),
+        ["crates/daemon/src/server.rs:1: use std::sync::mpsc;"]
     );
 
     // A test oracle may keep the name below `#[cfg(test)]`.
